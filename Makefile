@@ -3,7 +3,10 @@
 
 GO ?= go
 
-.PHONY: build test test-full race race-full race-server crash-matrix bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
+# The ingest path's in-package benchmarks (make bench-hot, bench-json).
+INGEST_BENCH = DecodeWindow197|WindowRecord197|Append2MB|Recover64x2MB
+
+.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +43,18 @@ crash-matrix:
 	$(GO) test -run 'TestCrashMatrix|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
 
+# Fuzz smoke: ten seconds of the differential fuzz between the window
+# decoder and encoding/json (FuzzDecodeWindow); any divergence in what
+# they accept or decode fails it.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/server
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), outside
+# ./...: vet it and run its unit tests (-short skips the -quick suite,
+# which spawns daemons) so a change that breaks its build shows here.
+bench-module:
+	( cd bench && $(GO) vet ./... && $(GO) test -short ./... )
+
 # Benchmark smoke: every benchmark once, no unit tests. The full figure
 # benchmarks regenerate the paper's evaluation; see bench_test.go.
 bench:
@@ -51,8 +66,13 @@ bench:
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
+# Then the ingest path's in-package benchmarks: the window decoder and
+# record splice against the encoding/json passes they replaced, and a
+# window-sized journal append (which fails if it allocates a frame) and
+# recovery.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
+	$(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal
 
 # Event-driven re-consolidation: the watch loop over quiet + 5%-drifted
 # observation windows of the 197-server fleet. Tracked metrics:
@@ -63,13 +83,15 @@ bench-hot:
 bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
 
-# Machine-readable bench trajectory: the sweep + drift-watch benchmarks as
-# JSON (ns/op, allocs/op, fevals, sweep-speedup, trigger precision/recall
-# per case) in BENCH_sweeps.json, uploaded as a CI artifact so per-PR perf
-# history accumulates.
+# Machine-readable bench trajectory: the sweep + drift-watch benchmarks
+# and the ingest path's (decode, splice, journal append/recover) as JSON
+# (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
+# per case, each result tagged with its package) in BENCH_sweeps.json,
+# uploaded as a CI artifact so per-PR perf history accumulates.
 bench-json:
 	( $(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' . ; \
-	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
+	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ; \
+	  $(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server
@@ -105,4 +127,4 @@ fmt:
 # Local CI mirror. The hosted workflow runs the same gates, with the
 # short race pass promoted to `race-full` in a dedicated job (and
 # govulncheck, which needs network access to fetch its vuln DB).
-ci: build lint test race race-server crash-matrix serve-smoke bench
+ci: build lint test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench

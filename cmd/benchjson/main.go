@@ -6,9 +6,11 @@
 //
 // Every benchmark result line becomes one entry with its iteration count
 // and a metrics map (ns/op, B/op, allocs/op, plus any custom metrics such
-// as sweep-speedup or fevals). Environment header lines (goos, goarch,
-// pkg, cpu) are captured as metadata. Lines that are not benchmark results
-// are ignored, so the tool can sit at the end of any `go test` pipeline.
+// as sweep-speedup, fevals or MB/s). Environment header lines (goos,
+// goarch, pkg, cpu) are captured as metadata, and each result carries the
+// pkg header it was printed under, so one pipeline can hold several
+// packages' benchmarks. Lines that are not benchmark results are ignored,
+// so the tool can sit at the end of any `go test` pipeline.
 package main
 
 import (
@@ -25,6 +27,9 @@ type Result struct {
 	// Name is the full benchmark name, including sub-benchmarks and the
 	// -cpu suffix (e.g. "BenchmarkCoarseScreenedSweep/screened-16").
 	Name string `json:"name"`
+	// Pkg is the package whose benchmark output the line appeared in (the
+	// latest "pkg:" header), empty when there was none.
+	Pkg string `json:"pkg,omitempty"`
 	// Iterations is the measured b.N.
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit → value for every "<value> <unit>" pair on the
@@ -35,7 +40,8 @@ type Result struct {
 // Doc is the emitted JSON document.
 type Doc struct {
 	// Meta holds the environment header lines go test prints (goos,
-	// goarch, pkg, cpu) when present.
+	// goarch, pkg, cpu) when present; with several packages in the input,
+	// the last one's.
 	Meta map[string]string `json:"meta,omitempty"`
 	// Results lists every parsed benchmark line in input order.
 	Results []Result `json:"results"`
@@ -52,6 +58,7 @@ func main() {
 			continue
 		}
 		if r, ok := parseBenchLine(line); ok {
+			r.Pkg = doc.Meta["pkg"]
 			doc.Results = append(doc.Results, r)
 		}
 	}

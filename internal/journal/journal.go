@@ -134,11 +134,15 @@ type Options struct {
 type Record struct {
 	// Seq is the record's journal sequence number.
 	Seq uint64
-	// Payload is the opaque record body the caller appended.
+	// Payload is the opaque record body the caller appended. It aliases
+	// the buffer Open read the journal into (see Recovered).
 	Payload []byte
 }
 
-// Recovered is everything Open rebuilt from the state directory.
+// Recovered is everything Open rebuilt from the state directory. The
+// snapshot and the record payloads are cap-clipped sub-slices of the two
+// buffers the files were read into, not copies: holding any one of them
+// keeps its whole file's bytes alive, so decode them and let go.
 type Recovered struct {
 	// Snapshot is the latest snapshot payload, nil if none was taken.
 	Snapshot []byte
@@ -176,6 +180,9 @@ type Log struct {
 	// garbage. Only a restart (which truncates the tail) clears it.
 	poisoned bool // guarded by mu
 	closed   bool // guarded by mu
+	// frame is Append's frame buffer, kept between appends so a record is
+	// copied once, into memory already owned (guarded by mu).
+	frame []byte
 
 	// appends, syncs and snapshots count successful operations for the
 	// server's /metrics (guarded by mu).
@@ -230,7 +237,7 @@ func Open(dir string, opt Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: opening journal: %w", err)
 	}
-	raw, err := io.ReadAll(f)
+	raw, err := readFile(f)
 	if err != nil {
 		f.Close() //kairoslint:allow errflow: already failing with the read error; a close error would mask it
 		return nil, nil, fmt.Errorf("journal: reading journal: %w", err)
@@ -285,6 +292,19 @@ func Open(dir string, opt Options) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
+// readFile reads f, positioned at its start, into a buffer sized from
+// its length: one allocation, where io.ReadAll's doubling would copy a
+// long journal several times over.
+func readFile(f *os.File) ([]byte, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, st.Size())
+	_, err = io.ReadFull(f, raw)
+	return raw, err
+}
+
 // flushLoop is the SyncInterval background flusher.
 func (l *Log) flushLoop() {
 	defer close(l.done)
@@ -322,15 +342,15 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
 	}
 	seq := l.seq + 1
-	frame := buildFrame(seq, payload)
-	if err := l.write(l.f, PointAppendWrite, frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], seq, payload)
+	if err := l.write(l.f, PointAppendWrite, l.frame); err != nil {
 		// The file may now end in a torn frame of unknown length; only
 		// recovery (which truncates at the first bad CRC) can clean it.
 		l.poisoned = true
 		return 0, fmt.Errorf("journal: appending record: %w", err)
 	}
 	l.seq = seq
-	l.size += int64(len(frame))
+	l.size += int64(len(l.frame))
 	l.appends++
 	l.dirty = true
 	if l.opt.Sync == SyncAlways {
@@ -379,7 +399,7 @@ func (l *Log) Snapshot(state []byte) error {
 	if len(state) > MaxRecord {
 		return fmt.Errorf("journal: snapshot of %d bytes exceeds the %d-byte limit", len(state), MaxRecord)
 	}
-	frame := buildFrame(l.seq, state)
+	frame := appendFrame(nil, l.seq, state)
 	tmp := filepath.Join(l.dir, snapshotTmp)
 	tf, err := os.Create(tmp)
 	if err != nil {
@@ -503,12 +523,13 @@ func (l *Log) Close() error {
 	return err
 }
 
-// buildFrame renders one record frame.
-func buildFrame(seq uint64, payload []byte) []byte {
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], seq)
-	copy(frame[frameHeaderSize:], payload)
+// appendFrame renders one record frame into buf's spare capacity,
+// growing it only when the frame does not fit, and returns the frame.
+func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
+	var header [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(header[8:16], seq)
+	frame := append(append(buf, header[:]...), payload...)
 	// The CRC covers seq and payload so a frame cannot be spliced onto a
 	// different position in the log.
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
@@ -516,7 +537,7 @@ func buildFrame(seq uint64, payload []byte) []byte {
 }
 
 // parseFrame decodes the frame at the start of raw, returning its seq,
-// payload and total encoded size.
+// payload (a cap-clipped sub-slice of raw) and total encoded size.
 func parseFrame(raw []byte) (seq uint64, payload []byte, n int, err error) {
 	if len(raw) < frameHeaderSize {
 		return 0, nil, 0, fmt.Errorf("short frame header (%d bytes)", len(raw))
@@ -534,6 +555,5 @@ func parseFrame(raw []byte) (seq uint64, payload []byte, n int, err error) {
 		return 0, nil, 0, fmt.Errorf("CRC mismatch (%08x != %08x)", got, want)
 	}
 	seq = binary.LittleEndian.Uint64(raw[8:16])
-	payload = append([]byte(nil), raw[frameHeaderSize:total]...)
-	return seq, payload, total, nil
+	return seq, raw[frameHeaderSize:total:total], total, nil
 }

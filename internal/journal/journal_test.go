@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -474,5 +475,65 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if _, err := l.Append(make([]byte, MaxRecord+1)); err == nil {
 		t.Error("oversized record accepted")
+	}
+}
+
+// TestAppendReusesFrameBuffer: once the frame buffer has seen a record
+// of the size, appending another allocates nothing of that size.
+func TestAppendReusesFrameBuffer(t *testing.T) {
+	l, _ := open(t, t.TempDir(), Options{Sync: SyncNone})
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
+	mustAppend(t, l, payload)
+	perOp := testing.AllocsPerRun(5, func() { mustAppend(t, l, payload) })
+	if perOp > 2 {
+		t.Errorf("Append makes %.0f allocations per record, want none of them the frame", perOp)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustAppend(t, l, payload)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(payload))/16 {
+		t.Errorf("Append allocated %d bytes for a %d-byte record", got, len(payload))
+	}
+}
+
+// TestRecoveredPayloadsAliasOneRead: recovery hands out sub-slices of the
+// buffer it read the journal into — cap-clipped, so appending to one
+// cannot run into the next frame — and they stay intact after the log
+// truncates a torn tail and appends again.
+func TestRecoveredPayloadsAliasOneRead(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := open(t, dir, Options{})
+	payloads := [][]byte{[]byte("first"), bytes.Repeat([]byte{7}, 4096), []byte("third")}
+	for _, p := range payloads {
+		mustAppend(t, l, p)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tear the tail so Open truncates the file under the buffer it read.
+	path := filepath.Join(dir, journalFile)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-2); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := open(t, dir, Options{})
+	defer l2.Close()
+	if !rec.TornTail || len(rec.Records) != 2 {
+		t.Fatalf("recovered %d records (torn %v), want 2 and a torn tail", len(rec.Records), rec.TornTail)
+	}
+	for i, r := range rec.Records {
+		if cap(r.Payload) != len(r.Payload) {
+			t.Errorf("record %d: payload cap %d > len %d", i, cap(r.Payload), len(r.Payload))
+		}
+	}
+	mustAppend(t, l2, bytes.Repeat([]byte{9}, 8192))
+	grown := append(rec.Records[0].Payload, "-grown"...)
+	if !bytes.Equal(rec.Records[0].Payload, payloads[0]) || !bytes.Equal(rec.Records[1].Payload, payloads[1]) || string(grown) != "first-grown" {
+		t.Error("recovered payloads changed after the log moved on")
 	}
 }

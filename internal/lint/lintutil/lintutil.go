@@ -16,10 +16,13 @@ import (
 	"strings"
 )
 
-// HasMarker reports whether a comment group contains the given directive
-// as a whole line, e.g. "//kairos:hotpath". Directive comments follow the
-// Go convention: no space after the slashes, machine-readable, and they
-// may share the group with prose lines.
+// HasMarker reports whether a comment group contains the given directive,
+// e.g. "//kairos:hotpath": a line that is the marker alone, or the
+// marker directly after the slashes followed by whitespace and prose
+// ("//kairos:ack — journal before acking"). Directive comments follow
+// the Go convention — no space after the slashes, machine-readable — and
+// may share the group with prose lines; a prose line that merely
+// mentions the marker does not count.
 func HasMarker(doc *ast.CommentGroup, marker string) bool {
 	if doc == nil {
 		return false
@@ -27,6 +30,9 @@ func HasMarker(doc *ast.CommentGroup, marker string) bool {
 	for _, c := range doc.List {
 		text := strings.TrimPrefix(c.Text, "//")
 		if strings.TrimSpace(text) == marker {
+			return true
+		}
+		if rest, ok := strings.CutPrefix(text, marker); ok && (rest[0] == ' ' || rest[0] == '\t') {
 			return true
 		}
 	}

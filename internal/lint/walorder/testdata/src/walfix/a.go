@@ -21,7 +21,8 @@ type RecordWire struct {
 }
 
 type server struct {
-	log []RecordWire
+	log      []RecordWire
+	payloads [][]byte
 }
 
 func (s *server) appendRecord(rec *RecordWire) error {
@@ -29,10 +30,24 @@ func (s *server) appendRecord(rec *RecordWire) error {
 	return nil
 }
 
+func (s *server) appendPayload(b []byte) error {
+	s.payloads = append(s.payloads, b)
+	return nil
+}
+
 // ack publishes a mutation result to the client.
 //
 //kairos:ack
 func ack(v any) {}
+
+// ackProse carries prose on its directive line, the form the real tree
+// uses; it is an ack all the same.
+//
+//kairos:ack — the ring entry makes resends return the original ack
+func ackProse(v any) {}
+
+// mentioned only talks about //kairos:ack in prose: not an ack.
+func mentioned(v any) {}
 
 // replay covers Register, Window and Ghost — Orphan is missing.
 func (s *server) replay(rw RecordWire) {
@@ -55,6 +70,29 @@ func (s *server) good(id string) {
 func (s *server) bad(id string) {
 	ack(id) // want "no prior appendRecord"
 	_ = s.appendRecord(&RecordWire{Window: &WindowRecord{ID: id}})
+}
+
+// badProse is bad through the ack whose directive line carries prose;
+// the function that only mentions the marker is not held to the order.
+func (s *server) badProse(id string) {
+	mentioned(id)
+	ackProse(id) // want "ackProse acks a mutation on a path with no prior appendRecord"
+	_ = s.appendRecord(&RecordWire{Window: &WindowRecord{ID: id}})
+}
+
+// goodPayload journals a record built ahead of time: appendPayload is
+// an append, so the ack is dominated.
+func (s *server) goodPayload(payload []byte) {
+	if err := s.appendPayload(payload); err != nil {
+		return
+	}
+	ackProse(payload)
+}
+
+// badPayload is the window path with the append moved after the ack.
+func (s *server) badPayload(payload []byte) {
+	ackProse(payload) // want "no prior appendRecord/appendPayload"
+	_ = s.appendPayload(payload)
 }
 
 // badBranch journals on one branch only; the fall-through path acks an

@@ -14,13 +14,15 @@
 //     sites. A field no live path constructs is a replay case that can
 //     never fire.
 //   - Append-before-ack ordering: inside any function that calls
-//     appendRecord, every call to an ack/publish function (one whose
-//     doc comment carries the //kairos:ack marker) must be dominated by
-//     an appendRecord call on the function's control-flow graph. If
-//     some path acks without journaling first, a crash after the ack
-//     loses a mutation the client saw succeed.
+//     appendRecord (or appendPayload, which journals a record built
+//     ahead of time — the spliced window record), every call to an
+//     ack/publish function (one whose doc comment carries the
+//     //kairos:ack marker) must be dominated by such an append on the
+//     function's control-flow graph. If some path acks without
+//     journaling first, a crash after the ack loses a mutation the
+//     client saw succeed.
 //
-// Functions with no appendRecord call are exempt from the ordering
+// Functions with no append call are exempt from the ordering
 // rule: replay itself, read-only handlers, and error-path helpers like
 // writeErr ack things that were never mutations. Closure interiors are
 // out of CFG scope and are skipped (the advance hook journals inside a
@@ -49,8 +51,10 @@ var Analyzer = &analysis.Analyzer{
 // field per mutation kind.
 const recordTypeName = "RecordWire"
 
-// appendFuncName is the journaling entry point every mutation calls.
-const appendFuncName = "appendRecord"
+// appendFuncNames are the journaling entry points: appendRecord
+// marshals a RecordWire and journals it, appendPayload journals one
+// already marshalled (the window record, spliced by its handler).
+var appendFuncNames = map[string]bool{"appendRecord": true, "appendPayload": true}
 
 // ackMarker marks a function whose call makes a mutation
 // client-visible: HTTP acks, plan publishes.
@@ -195,9 +199,8 @@ func isRecordType(t types.Type) bool {
 }
 
 // checkOrdering proves append-before-ack per function: in every
-// non-test function whose body calls appendRecord, each call to an
-// ack-marked function must be dominated by one of the appendRecord
-// calls.
+// non-test function whose body calls an append function, each call to
+// an ack-marked function must be dominated by one of the append calls.
 func checkOrdering(prog *analysis.Program) {
 	acked := ackFuncs(prog)
 	type site struct {
@@ -228,7 +231,7 @@ func checkOrdering(prog *analysis.Program) {
 						return true
 					}
 					switch {
-					case fn.Name() == appendFuncName:
+					case appendFuncNames[fn.Name()]:
 						appends = append(appends, call)
 					case acked[prog.Fset.Position(fn.Pos()).String()]:
 						acks = append(acks, site{pos: call.Pos(), name: fn.Name()})
@@ -252,7 +255,7 @@ func checkOrdering(prog *analysis.Program) {
 						}
 					}
 					if !dominated {
-						prog.Reportf(acks[i].pos, "%s acks a mutation on a path with no prior appendRecord — journal before acking (//kairos:ack contract)", acks[i].name)
+						prog.Reportf(acks[i].pos, "%s acks a mutation on a path with no prior appendRecord/appendPayload — journal before acking (//kairos:ack contract)", acks[i].name)
 					}
 				}
 			}

@@ -56,7 +56,16 @@ func (s *Server) appendRecord(rec *RecordWire) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.jl.Append(b)
+	return s.appendPayload(b)
+}
+
+// appendPayload journals one record already in RecordWire's encoding:
+// appendRecord's, or a window record its handler built (windowPayload).
+func (s *Server) appendPayload(b []byte) error {
+	if s.jl == nil {
+		return nil
+	}
+	_, err := s.jl.Append(b)
 	return err
 }
 
@@ -210,8 +219,13 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		}
 	}
 	for _, r := range rec.Records {
+		// A window record goes through the decoder that read the window
+		// live; everything else, and any window record not in the one shape
+		// the server writes, is encoding/json's.
 		var rw RecordWire
-		if err := json.Unmarshal(r.Payload, &rw); err != nil {
+		if wr, ok := decodeWindowRecord(r.Payload); ok {
+			rw.Window = wr
+		} else if err := json.Unmarshal(r.Payload, &rw); err != nil {
 			return nil, fmt.Errorf("decoding journal record %d: %w", r.Seq, err)
 		}
 		switch {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,11 +123,14 @@ type session struct {
 }
 
 // ingestReq carries one observation window into the reconcile loop and
-// the channel the loop acknowledges it on. wire is the window as
-// received, journaled verbatim.
+// the channel the loop acknowledges it on.
 type ingestReq struct {
 	window []kairos.Workload
-	wire   []WorkloadWire
+	// key is the window's idempotency key (see windowKey).
+	key int64
+	// record is the window's journal payload, built by the handler around
+	// the bytes that arrived (see windowPayload); nil without a state dir.
+	record []byte
 	reply  chan ingestResp
 }
 
@@ -279,11 +283,11 @@ func (s *Server) close(snapshot bool) error {
 	return s.jl.Close()
 }
 
-// writeJSON writes v as a JSON response with the given status.
+// writeJSON writes v as a JSON response with the given status. A JSON
+// body is how mutations are acknowledged to clients, so in any handler
+// that journals, the append must come first.
 //
-// in any handler that journals, the append must come first.
-//
-//kairos:ack — a JSON body is how mutations are acknowledged to clients;
+//kairos:ack
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -323,6 +327,21 @@ func writeDecodeErr(w http.ResponseWriter, what string, err error) {
 	writeErr(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 }
 
+// readBody reads a request body in full, behind the http.MaxBytesReader
+// Handler installed: an oversized body is a *http.MaxBytesError however
+// it is framed. The buffer is sized from Content-Length when the client
+// sent one, never past the cap.
+func readBody(r *http.Request) ([]byte, error) {
+	size := r.ContentLength
+	if size < 0 || size > maxBodyBytes {
+		size = 0
+	}
+	// ReadFrom wants bytes.MinRead of room to see the EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
+}
+
 // lookup finds a registered session, or writes a 404.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 	id := r.PathValue("id")
@@ -340,8 +359,15 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 // consolidation synchronously (the response carries the plan summary),
 // commit the session to the registry, and start its reconcile loop.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
+	if err != nil {
+		writeDecodeErr(w, "register request", err)
+		return
+	}
+	// Unmarshal, not a Decoder: trailing data after the request is an
+	// error rather than ignored.
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeDecodeErr(w, "register request", err)
 		return
 	}
@@ -506,7 +532,7 @@ func windowKey(wire []WorkloadWire) int64 {
 func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
-	key := windowKey(req.wire)
+	key := req.key
 	if key != 0 {
 		sess.mu.Lock()
 		ack, dup := sess.acks[key]
@@ -518,7 +544,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	if err := s.appendRecord(&RecordWire{Window: &WindowRecord{Fleet: sess.id, Workloads: req.wire}}); err != nil {
+	if err := s.appendPayload(req.record); err != nil {
 		return ingestResp{journalErr: err}
 	}
 
@@ -589,11 +615,11 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 }
 
 // recordAck stores a window's acknowledgement in the idempotent-ingest
-// ring, evicting the oldest entry beyond ackRingSize.
+// ring, evicting the oldest entry beyond ackRingSize. Entering the ring
+// makes resends return the original ack, so the window must already be
+// journaled.
 //
-// so the window must already be journaled.
-//
-//kairos:ack — entering the ring makes resends return the original ack,
+//kairos:ack
 func (s *Server) recordAck(sess *session, key int64, resp ingestResp) {
 	if key == 0 {
 		return
@@ -626,25 +652,40 @@ func (s *Server) bumpBackoff(sess *session) (int, time.Duration) {
 	return sess.failures, d
 }
 
-// handleWindow is POST /v1/fleets/{id}/windows: decode the window, hand
-// it to the fleet's reconcile loop, and acknowledge once it has been
-// applied (including whether it triggered a re-solve).
+// handleWindow is POST /v1/fleets/{id}/windows: decode the window and
+// build its journal record, hand both to the fleet's reconcile loop, and
+// acknowledge once the window has been applied (including whether it
+// triggered a re-solve).
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
 	if sess == nil {
 		return
 	}
-	var req WindowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readBody(r)
+	if err != nil {
 		writeDecodeErr(w, "window", err)
 		return
 	}
-	window, err := toWorkloads(req.Workloads, sess.needDisk)
+	wire, span, err := decodeWindow(body)
+	if err != nil {
+		writeDecodeErr(w, "window", err)
+		return
+	}
+	window, err := toWorkloads(wire, sess.needDisk)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ir := ingestReq{window: window, wire: req.Workloads, reply: make(chan ingestResp, 1)}
+	ir := ingestReq{window: window, key: windowKey(wire), reply: make(chan ingestResp, 1)}
+	if s.jl != nil {
+		// The record is the bytes that arrived, spliced under the RecordWire
+		// schema here so the fleet's serial loop only appends it.
+		ir.record, err = windowPayload(&RecordWire{Window: &WindowRecord{Fleet: sess.id}}, span)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
 	select {
 	case sess.ingest <- ir:
 	case <-sess.done:

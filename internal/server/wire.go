@@ -227,8 +227,10 @@ type RegisterRecord struct {
 }
 
 // WindowRecord journals one acked observation window, verbatim as it
-// arrived on the wire. It is written before the window is applied (and
-// before it is acked), so every acked window survives a crash.
+// arrived on the wire: the live server never marshals one, it splices the
+// received bytes of the workloads value under this schema (windowPayload).
+// It is written before the window is applied (and before it is acked), so
+// every acked window survives a crash.
 type WindowRecord struct {
 	Fleet     string         `json:"fleet"`
 	Workloads []WorkloadWire `json:"workloads"`
