@@ -6,6 +6,11 @@ GO ?= go
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
 INGEST_BENCH = DecodeWindow197|WindowRecord197|Append2MB|Recover64x2MB
 
+# The cold solve's per-phase in-package benchmarks (make bench-hot,
+# bench-json): DIRECT-pattern Eval, exact swap pricing with and without
+# the disk model, the disk polynomial, greedy seeding.
+SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve
+
 .PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
 
 build:
@@ -66,12 +71,16 @@ bench:
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
-# Then the ingest path's in-package benchmarks: the window decoder and
-# record splice against the encoding/json passes they replaced, and a
+# Then the phases of a cold solve on SecondLife-97 (4000 DIRECT-pattern
+# Evals, one exact swap pricing with and without the disk model, the disk
+# polynomial's kernel against its loop, one solve's greedy seeding), and
+# the ingest path's in-package benchmarks: the window decoder and record
+# splice against the encoding/json passes they replaced, and a
 # window-sized journal append (which fails if it allocates a frame) and
 # recovery.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
+	$(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit
 	$(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal
 
 # Event-driven re-consolidation: the watch loop over quiet + 5%-drifted
@@ -83,21 +92,24 @@ bench-hot:
 bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
 
-# Machine-readable bench trajectory: the sweep + drift-watch benchmarks
-# and the ingest path's (decode, splice, journal append/recover) as JSON
+# Machine-readable bench trajectory: the sweep + drift-watch benchmarks,
+# the cold solve's per-phase ones (Eval walk, swap pricing, polynomial,
+# greedy seeding) and the ingest path's (decode, splice, journal
+# append/recover) as JSON
 # (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
 # per case, each result tagged with its package) in BENCH_sweeps.json,
 # uploaded as a CI artifact so per-PR perf history accumulates.
 bench-json:
 	( $(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' . ; \
 	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ; \
+	  $(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit ; \
 	  $(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server
-# fleet vs a cold solve, plus the memoized disk-envelope pricing sweep.
-# Tracked metrics: warm fevals well under cold's, migrated-frac in the low
-# percent, and 0 allocs/op on the envelope sweep.
+# fleet vs a cold solve, plus a pricing sweep under the disk model and its
+# saturation envelope. Tracked metrics: warm fevals well under cold's,
+# migrated-frac in the low percent, and 0 allocs/op on the envelope sweep.
 bench-resolve:
 	$(GO) test -bench='ResolveWarmVsCold|SweepEnvelope' -benchmem -benchtime=1x -run='^$$' .
 

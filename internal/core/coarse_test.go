@@ -308,30 +308,41 @@ func TestCoarseBoundAllocs(t *testing.T) {
 }
 
 // TestEvalScratchAllocs asserts Eval reuses its member and aggregate
-// scratch: after a warm-up call, evaluations allocate nothing (DIRECT
-// calls Eval thousands of times per solve). Skipped under the race
-// detector, which instruments allocations.
+// scratch and its reuse table: after a warm-up call, evaluations allocate
+// nothing (DIRECT calls Eval thousands of times per solve), whether every
+// machine is found in the table (the same assignment again) or two are
+// priced afresh and stored (one unit moved per call). Skipped under the
+// race detector, which instruments allocations.
 func TestEvalScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	rng := rand.New(rand.NewSource(13))
-	p := randomLoadStateProblem(rng, 12, 64, true)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, withDisk := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(13))
+		p := randomLoadStateProblem(rng, 12, 64, withDisk)
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		K := 6
+		assign := randomAssign(rng, ev, K)
+		ev.Eval(assign, K) // warm-up grows the scratch once
+		var sink float64
+		if n := testing.AllocsPerRun(100, func() {
+			obj, _ := ev.Eval(assign, K)
+			sink += obj
+		}); n != 0 {
+			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table hits, want 0", withDisk, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			assign[rng.Intn(len(assign))] = rng.Intn(K)
+			obj, _ := ev.Eval(assign, K)
+			sink += obj
+		}); n != 0 {
+			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table misses, want 0", withDisk, n)
+		}
+		_ = sink
 	}
-	K := 6
-	assign := randomAssign(rng, ev, K)
-	ev.Eval(assign, K) // warm-up grows the scratch once
-	var sink float64
-	if n := testing.AllocsPerRun(100, func() {
-		obj, _ := ev.Eval(assign, K)
-		sink += obj
-	}); n != 0 {
-		t.Fatalf("Eval allocated %v times per run after warm-up, want 0", n)
-	}
-	_ = sink
 }
 
 // TestEvalScratchClone checks clones do not share Eval scratch with their

@@ -8,7 +8,8 @@ import (
 // LoadState is the incremental load-state engine of the consolidation
 // evaluator (the Section 6 solver's cheap-evaluation discipline): it
 // maintains, for every machine of a K-machine assignment, the running
-// aggregate demand vectors (CPU, RAM, working set and update rate, each
+// aggregate demand vectors (CPU and RAM, plus working set and update rate
+// when the problem has a disk model — nothing reads them otherwise — each
 // length T) together with the machine's canonical objective contribution,
 // so that pricing a candidate move "unit u from machine a to machine b"
 // costs O(T) — one add/remove delta into reusable scratch buffers —
@@ -44,7 +45,8 @@ type LoadState struct {
 	assign  []int
 	members [][]int
 
-	// Canonical per-machine running sums, each buffer length T.
+	// Canonical per-machine running sums, each buffer length T (ws and rate
+	// buffers are nil without a disk model).
 	cpu  [][]float64
 	ram  [][]float64
 	ws   [][]float64
@@ -62,7 +64,8 @@ type LoadState struct {
 	argCPU []int
 	argRAM []int
 
-	// Scratch buffers for candidate pricing, reused across calls.
+	// Scratch buffers for candidate pricing, reused across calls (sWS and
+	// sRate are nil without a disk model).
 	sCPU, sRAM, sWS, sRate []float64
 
 	// Coarse screening state (see coarse.go; unset when the evaluator
@@ -101,8 +104,11 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 		argRAM:    make([]int, K),
 		sCPU:      make([]float64, T),
 		sRAM:      make([]float64, T),
-		sWS:       make([]float64, T),
-		sRate:     make([]float64, T),
+	}
+	disk := ev.p.Disk != nil
+	if disk {
+		ls.sWS = make([]float64, T)
+		ls.sRate = make([]float64, T)
 	}
 	if co := ev.coarse; co != nil {
 		ls.co = co
@@ -126,8 +132,10 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 	for j := 0; j < K; j++ {
 		ls.cpu[j] = make([]float64, T)
 		ls.ram[j] = make([]float64, T)
-		ls.ws[j] = make([]float64, T)
-		ls.rate[j] = make([]float64, T)
+		if disk {
+			ls.ws[j] = make([]float64, T)
+			ls.rate[j] = make([]float64, T)
+		}
 		ls.rematerialize(j)
 	}
 	return ls
@@ -185,14 +193,7 @@ func (ls *LoadState) rematerialize(j int) {
 		ls.argCPU[j], ls.argRAM[j] = argC, argR
 	}
 
-	pairs := 0
-	for ai, a := range members {
-		for _, b := range members[ai+1:] {
-			if ev.conflicted(a, b) {
-				pairs++
-			}
-		}
-	}
+	pairs := ev.conflictPairs(members)
 	ls.confPairs[j] = pairs
 
 	cap := ev.slaCap(members)
@@ -252,19 +253,30 @@ func (ls *LoadState) conflictsOnExcluding(u, j, excl int) int {
 }
 
 // fill writes machine j's sums plus unit u's scaled demand into the
-// scratch buffers (sign +1) or minus it (sign -1).
+// scratch buffers (sign +1) or minus it (sign -1): CPU and RAM always,
+// working set and update rate only under a disk model.
 //
 //kairos:hotpath
 func (ls *LoadState) fill(u, j int, sign float64) {
 	ev := ls.ev
-	cu, ru, wu, qu := ev.cpu[u], ev.ram[u], ev.ws[u], ev.rate[u]
-	cj, rj, wj, qj := ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j]
 	k := sign * ev.scale[u]
-	for t := 0; t < ev.T; t++ {
-		ls.sCPU[t] = cj[t] + k*cu[t]
-		ls.sRAM[t] = rj[t] + k*ru[t]
-		ls.sWS[t] = wj[t] + k*wu[t]
-		ls.sRate[t] = qj[t] + k*qu[t]
+	fill2(ev.T, ls.sCPU, ls.sRAM, ls.cpu[j], ls.ram[j], ev.cpu[u], ev.ram[u], k)
+	if ev.p.Disk != nil {
+		fill2(ev.T, ls.sWS, ls.sRate, ls.ws[j], ls.rate[j], ev.ws[u], ev.rate[u], k)
+	}
+}
+
+// fill2 is fill's kernel over two streams: dst = sum + k·unit, with every
+// slice re-sliced to T so the loop carries no bounds checks.
+//
+//kairos:hotpath
+func fill2(T int, aDst, bDst, aSum, bSum, aUnit, bUnit []float64, k float64) {
+	aDst, bDst = aDst[:T], bDst[:T]
+	aSum, bSum = aSum[:T], bSum[:T]
+	aUnit, bUnit = aUnit[:T], bUnit[:T]
+	for t := range aDst {
+		aDst[t] = aSum[t] + k*aUnit[t]
+		bDst[t] = bSum[t] + k*bUnit[t]
 	}
 }
 
@@ -353,20 +365,31 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 
 // fillExchange writes machine j's sums minus member `out`'s scaled demand
 // plus unit `in`'s into the scratch buffers — the aggregate j would carry
-// after a 2-exchange.
+// after a 2-exchange. Like fill it skips the disk streams without a disk
+// model.
 //
 //kairos:hotpath
 func (ls *LoadState) fillExchange(j, out, in int) {
 	ev := ls.ev
-	co, ro, wo, qo := ev.cpu[out], ev.ram[out], ev.ws[out], ev.rate[out]
-	ci, ri, wi, qi := ev.cpu[in], ev.ram[in], ev.ws[in], ev.rate[in]
-	cj, rj, wj, qj := ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j]
 	ko, ki := ev.scale[out], ev.scale[in]
-	for t := 0; t < ev.T; t++ {
-		ls.sCPU[t] = cj[t] - ko*co[t] + ki*ci[t]
-		ls.sRAM[t] = rj[t] - ko*ro[t] + ki*ri[t]
-		ls.sWS[t] = wj[t] - ko*wo[t] + ki*wi[t]
-		ls.sRate[t] = qj[t] - ko*qo[t] + ki*qi[t]
+	exchange2(ev.T, ls.sCPU, ls.sRAM, ls.cpu[j], ls.ram[j], ev.cpu[out], ev.ram[out], ev.cpu[in], ev.ram[in], ko, ki)
+	if ev.p.Disk != nil {
+		exchange2(ev.T, ls.sWS, ls.sRate, ls.ws[j], ls.rate[j], ev.ws[out], ev.rate[out], ev.ws[in], ev.rate[in], ko, ki)
+	}
+}
+
+// exchange2 is fillExchange's kernel over two streams:
+// dst = sum − ko·out + ki·in, bounds checks hoisted like fill2's.
+//
+//kairos:hotpath
+func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko, ki float64) {
+	aDst, bDst = aDst[:T], bDst[:T]
+	aSum, bSum = aSum[:T], bSum[:T]
+	aOut, bOut = aOut[:T], bOut[:T]
+	aIn, bIn = aIn[:T], bIn[:T]
+	for t := range aDst {
+		aDst[t] = aSum[t] - ko*aOut[t] + ki*aIn[t]
+		bDst[t] = bSum[t] - ko*bOut[t] + ki*bIn[t]
 	}
 }
 

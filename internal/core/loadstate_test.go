@@ -237,39 +237,42 @@ func TestLoadStateFold(t *testing.T) {
 
 // TestLoadStatePricingAllocationFree asserts the acceptance criterion that
 // candidate-move pricing allocates nothing — the property that lets a
-// hill-climb sweep price U·K moves without garbage. The disk model is on,
-// covering the polynomial evaluation path too.
+// hill-climb sweep price U·K moves without garbage — on both kernel
+// shapes: CPU and RAM only, and with the disk model's two extra streams
+// and polynomial evaluation.
 func TestLoadStatePricingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	rng := rand.New(rand.NewSource(11))
-	p := randomLoadStateProblem(rng, 10, 36, true)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nU := ev.NumUnits()
-	K := 5
-	assign := make([]int, nU)
-	for u := range assign {
-		assign[u] = u % K
-	}
-	ls := NewLoadState(ev, assign, K)
-	u := 0
-	j := (ls.Assign(u) + 1) % K
-	var sink float64
-	allocs := testing.AllocsPerRun(200, func() {
-		sink += ls.PriceAdd(u, j)
-		sink += ls.PriceRemove(u)
-		if ls.CanPlace(u, j) {
-			sink++
+	for _, withDisk := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(11))
+		p := randomLoadStateProblem(rng, 10, 36, withDisk)
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("candidate-move pricing allocates %v objects per run, want 0", allocs)
+		nU := ev.NumUnits()
+		K := 5
+		assign := make([]int, nU)
+		for u := range assign {
+			assign[u] = u % K
+		}
+		ls := NewLoadState(ev, assign, K)
+		u := 0
+		j := (ls.Assign(u) + 1) % K
+		var sink float64
+		allocs := testing.AllocsPerRun(200, func() {
+			sink += ls.PriceAdd(u, j)
+			sink += ls.PriceRemove(u)
+			if ls.CanPlace(u, j) {
+				sink++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("withDisk=%v: candidate-move pricing allocates %v objects per run, want 0", withDisk, allocs)
+		}
+		_ = sink
 	}
-	_ = sink
 }
 
 // TestLoadStateMoveKeepsAssignInvariant checks assign/members stay in
@@ -404,66 +407,38 @@ func TestLoadStateSwapMatchesCanonicalPricing(t *testing.T) {
 
 // TestLoadStateSwapPricingAllocationFree extends the zero-allocation
 // guarantee to 2-exchange pricing — a swap sweep prices O(U²) candidates
-// and must generate no garbage.
+// and must generate no garbage — with and without the disk streams.
 func TestLoadStateSwapPricingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	rng := rand.New(rand.NewSource(17))
-	p := randomLoadStateProblem(rng, 10, 36, true)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nU := ev.NumUnits()
-	K := 5
-	assign := make([]int, nU)
-	for u := range assign {
-		assign[u] = u % K
-	}
-	ls := NewLoadState(ev, assign, K)
-	u, v := 0, 1
-	for ls.Assign(u) == ls.Assign(v) {
-		v++
-	}
-	var sink float64
-	allocs := testing.AllocsPerRun(200, func() {
-		a, b := ls.PriceSwap(u, v)
-		sink += a + b
-	})
-	if allocs != 0 {
-		t.Errorf("swap pricing allocates %v objects per run, want 0", allocs)
-	}
-	_ = sink
-}
-
-// TestEnvMaxMemoBitIdentical verifies the envelope memo returns exactly
-// what the polynomial would, on both the miss and the hit path, so
-// memoization can never perturb pricing.
-func TestEnvMaxMemoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := randomLoadStateProblem(rng, 6, 12, true)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.envKeys == nil {
-		t.Fatal("envelope memo not built for a profile with an envelope")
-	}
-	for i := 0; i < 5000; i++ {
-		ws := rng.Float64() * 2e10
-		want := p.Disk.MaxRowsPerSec(ws)
-		if got := ev.envMax(ws); !floats.Same(got, want) {
-			t.Fatalf("envMax(%v) miss = %v, want %v", ws, got, want)
+	for _, withDisk := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(17))
+		p := randomLoadStateProblem(rng, 10, 36, withDisk)
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := ev.envMax(ws); !floats.Same(got, want) {
-			t.Fatalf("envMax(%v) hit = %v, want %v", ws, got, want)
+		nU := ev.NumUnits()
+		K := 5
+		assign := make([]int, nU)
+		for u := range assign {
+			assign[u] = u % K
 		}
-	}
-	// Clones own their memo: mutating the clone's must not touch ours.
-	c := ev.Clone()
-	if &c.envKeys[0] == &ev.envKeys[0] {
-		t.Fatal("Clone shares the envelope memo — parallel solvers would race")
+		ls := NewLoadState(ev, assign, K)
+		u, v := 0, 1
+		for ls.Assign(u) == ls.Assign(v) {
+			v++
+		}
+		var sink float64
+		allocs := testing.AllocsPerRun(200, func() {
+			a, b := ls.PriceSwap(u, v)
+			sink += a + b
+		})
+		if allocs != 0 {
+			t.Errorf("withDisk=%v: swap pricing allocates %v objects per run, want 0", withDisk, allocs)
+		}
+		_ = sink
 	}
 }
 

@@ -41,30 +41,9 @@ type Evaluator struct {
 	// host machine (1 when the workload declares no SLA).
 	slaCapU []float64
 
-	// envKeys/envVals memoize Disk.MaxRowsPerSec keyed by the raw bits of
-	// the aggregate working set (direct-mapped, envMemoSize slots). Local
-	// search re-prices the same aggregate sums over and over — the remove
-	// side of every candidate move, and both sides again on the next sweep —
-	// so the envelope polynomial is mostly evaluated on working sets it has
-	// already seen. A hit returns exactly the value the polynomial would,
-	// so memoization cannot perturb pricing at the bit level. nil when the
-	// problem has no saturation envelope. Not safe for concurrent use;
-	// Clone gives each worker its own copy.
-	envKeys []uint64
-	envVals []float64
-
-	// predWS/predRate/predVals memoize Disk.PredictWriteMBps keyed on the
-	// raw bit pair of the aggregate (working set, update rate) — the same
-	// direct-mapped discipline as the envelope memo. The exact pricing loop
-	// evaluates the fitted Poly2D once per time step per candidate, and
-	// local search re-prices the same aggregates over and over, so most
-	// evaluations hit working points already seen. A hit is bit-identical
-	// to the polynomial, so the memo cannot perturb pricing. nil when the
-	// problem has no disk model. Not safe for concurrent use; Clone gives
-	// each worker its own copy.
-	predWS   []uint64
-	predRate []uint64
-	predVals []float64
+	// hasConflicts reports that some conflicts[u] is non-empty; the pair
+	// scans of Eval, rematerialize and FitsOneMachine are skipped without it.
+	hasConflicts bool
 
 	// coarse holds the bucketed per-unit demand extrema backing the
 	// coarse-to-fine move screen (see coarse.go); nil disables screening.
@@ -79,27 +58,22 @@ type Evaluator struct {
 	capDisk []float64
 
 	// Reusable scratch for Eval: per-machine member lists plus one set of
-	// aggregate demand buffers, grown once and reused across calls so the
-	// thousands of evaluations a DIRECT run performs allocate nothing.
-	// Clone resets them — scratch is mutable state and must not be shared
-	// across goroutines.
+	// aggregate demand buffers (esWS/esRate only with a disk model), grown
+	// once and reused across calls so the thousands of evaluations a DIRECT
+	// run performs allocate nothing, and the table of machines Eval has
+	// already priced. Clone resets them — scratch is mutable state and must
+	// not be shared across goroutines.
 	emMembers                  [][]int
 	esCPU, esRAM, esWS, esRate []float64
+	reuse                      *evalReuse
+
+	// packing caches greedySeed's unlimited packing (see solve.go). It is
+	// immutable once set, so clones share it.
+	packing *greedyPacking
 
 	// Fevals counts full-assignment evaluations.
 	Fevals int
 }
-
-// envMemoBits sizes the envelope memo (2^13 slots × 16 bytes = 128 KiB per
-// evaluator — small enough to clone per worker, large enough that a sweep's
-// working-set values rarely collide).
-const envMemoBits = 13
-
-// predMemoBits sizes the disk-prediction memo (2^15 slots × 24 bytes =
-// 768 KiB per evaluator). The working points are (ws, rate) pairs — one per
-// machine per time step plus the candidate perturbations a sweep prices —
-// so the memo is bigger than the envelope's single-key table.
-const predMemoBits = 15
 
 // envRateFloor (rows/sec) bounds the denominator of the envelope violation
 // term. The clamped envelope can reach exactly 0 for large working sets; a
@@ -198,16 +172,7 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	// pure function of the problem regardless of it.
 	for _, c := range ev.conflicts {
 		sort.Ints(c)
-	}
-	if p.Disk != nil && p.Disk.HasEnvelope {
-		ev.envKeys = make([]uint64, 1<<envMemoBits)
-		ev.envVals = make([]float64, 1<<envMemoBits)
-		// Seed every slot coherently: key 0 is the bits of ws=+0, so the
-		// matching value must be the envelope at 0 for hits to be exact.
-		v0 := p.Disk.MaxRowsPerSec(0)
-		for i := range ev.envVals {
-			ev.envVals[i] = v0
-		}
+		ev.hasConflicts = ev.hasConflicts || len(c) > 0
 	}
 	ev.capCPU = make([]float64, len(p.Machines))
 	ev.capRAM = make([]float64, len(p.Machines))
@@ -217,88 +182,23 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ev.capRAM[j] = m.capacity(m.RAMBytes)
 		ev.capDisk[j] = m.capacity(m.DiskWriteBps)
 	}
-	if p.Disk != nil {
-		ev.predWS = make([]uint64, 1<<predMemoBits)
-		ev.predRate = make([]uint64, 1<<predMemoBits)
-		ev.predVals = make([]float64, 1<<predMemoBits)
-		// Same coherent seeding as the envelope memo: the zeroed key arrays
-		// describe the pair (ws=+0, rate=+0), so every slot must hold the
-		// polynomial's value there for hits to be exact.
-		v00 := p.Disk.PredictWriteMBps(0, 0)
-		for i := range ev.predVals {
-			ev.predVals[i] = v00
-		}
-	}
 	ev.SetBucketWidth(0)
 	return ev, nil
-}
-
-// envMax returns Disk.MaxRowsPerSec(wsBytes) through the per-evaluator memo.
-// The memo is keyed on the exact float bits, so a hit is bit-identical to
-// evaluating the polynomial; misses fill the slot (direct-mapped, newest
-// wins). Zero allocations.
-//
-//kairos:hotpath
-func (ev *Evaluator) envMax(wsBytes float64) float64 {
-	if ev.envKeys == nil {
-		return ev.p.Disk.MaxRowsPerSec(wsBytes)
-	}
-	bits := math.Float64bits(wsBytes)
-	slot := (bits * 0x9E3779B97F4A7C15) >> (64 - envMemoBits)
-	if ev.envKeys[slot] == bits {
-		return ev.envVals[slot]
-	}
-	v := ev.p.Disk.MaxRowsPerSec(wsBytes)
-	ev.envKeys[slot] = bits
-	ev.envVals[slot] = v
-	return v
-}
-
-// predict returns Disk.PredictWriteMBps(wsBytes, rowsPerSec) through the
-// per-evaluator memo, keyed on the exact bit pair of both arguments — a hit
-// is bit-identical to evaluating the fitted polynomial, so memoization
-// cannot perturb pricing. Direct-mapped, newest wins, zero allocations.
-//
-//kairos:hotpath
-func (ev *Evaluator) predict(wsBytes, rowsPerSec float64) float64 {
-	if ev.predVals == nil {
-		return ev.p.Disk.PredictWriteMBps(wsBytes, rowsPerSec)
-	}
-	wb := math.Float64bits(wsBytes)
-	rb := math.Float64bits(rowsPerSec)
-	slot := ((wb*0x9E3779B97F4A7C15 ^ rb) * 0xBF58476D1CE4E5B9) >> (64 - predMemoBits)
-	if ev.predWS[slot] == wb && ev.predRate[slot] == rb {
-		return ev.predVals[slot]
-	}
-	v := ev.p.Disk.PredictWriteMBps(wsBytes, rowsPerSec)
-	ev.predWS[slot] = wb
-	ev.predRate[slot] = rb
-	ev.predVals[slot] = v
-	return v
 }
 
 // Clone returns an evaluator that shares ev's immutable problem data (the
 // demand arrays, pins, conflict lists and coarse bucket tables are never
 // written after NewEvaluator) but counts its own Fevals, so each worker
 // goroutine of a parallel solve can evaluate assignments without locking.
-// The envelope and disk-prediction memos are mutable state and are
-// deep-copied — sharing them across goroutines would race — and the Eval
-// scratch buffers are dropped so each clone lazily grows its own. Callers
-// that care about totals add the clone's Fevals back deterministically.
+// The Eval scratch buffers and reuse table are dropped so each clone lazily
+// grows its own. Callers that care about totals add the clone's Fevals back
+// deterministically.
 func (ev *Evaluator) Clone() *Evaluator {
 	c := *ev
 	c.Fevals = 0
-	if ev.envKeys != nil {
-		c.envKeys = append([]uint64(nil), ev.envKeys...)
-		c.envVals = append([]float64(nil), ev.envVals...)
-	}
-	if ev.predVals != nil {
-		c.predWS = append([]uint64(nil), ev.predWS...)
-		c.predRate = append([]uint64(nil), ev.predRate...)
-		c.predVals = append([]float64(nil), ev.predVals...)
-	}
 	c.emMembers = nil
 	c.esCPU, c.esRAM, c.esWS, c.esRate = nil, nil, nil, nil
+	c.reuse = nil
 	return &c
 }
 
@@ -329,25 +229,38 @@ type ServerLoad struct {
 	NormLoad float64
 }
 
-// accumulateInto zeroes the four sum buffers (each length T) and adds every
-// member's scaled demand series. Member order is significant at the bit
-// level: LoadState re-materializes sums with the same loop so its canonical
-// state matches serverEval exactly.
+// accumulateInto zeroes the sum buffers (each length T) and adds every
+// member's scaled demand series: CPU and RAM always, working set and update
+// rate only under a disk model — nothing reads them otherwise, and wsSum and
+// rateSum may then be nil. Member order is significant at the bit level:
+// LoadState re-materializes sums with the same loop so its canonical state
+// matches serverEval exactly.
 //
 //kairos:hotpath
 func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSum []float64) {
+	ev.accumulate2(members, cpuSum, ramSum, ev.cpu, ev.ram)
+	if ev.p.Disk != nil {
+		ev.accumulate2(members, wsSum, rateSum, ev.ws, ev.rate)
+	}
+}
+
+// accumulate2 is accumulateInto's kernel over two of the per-unit streams.
+// Every slice is re-sliced to T up front so the inner loop carries no bounds
+// checks.
+//
+//kairos:hotpath
+func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]float64) {
 	T := ev.T
-	for t := 0; t < T; t++ {
-		cpuSum[t], ramSum[t], wsSum[t], rateSum[t] = 0, 0, 0, 0
+	aSum, bSum = aSum[:T], bSum[:T]
+	for t := range aSum {
+		aSum[t], bSum[t] = 0, 0
 	}
 	for _, u := range members {
-		cu, ru, wu, qu := ev.cpu[u], ev.ram[u], ev.ws[u], ev.rate[u]
+		au, bu := a[u][:T], b[u][:T]
 		k := ev.scale[u]
-		for t := 0; t < T; t++ {
-			cpuSum[t] += k * cu[t]
-			ramSum[t] += k * ru[t]
-			wsSum[t] += k * wu[t]
-			rateSum[t] += k * qu[t]
+		for t := range aSum {
+			aSum[t] += k * au[t]
+			bSum[t] += k * bu[t]
 		}
 	}
 }
@@ -361,7 +274,8 @@ func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSu
 //kairos:hotpath
 func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, slaCap float64) (cpuPeak, ramPeak, diskPeak, viol, norm float64) {
 	T := ev.T
-	for t := 0; t < T; t++ {
+	cpuSum, ramSum = cpuSum[:T], ramSum[:T]
+	for t := range cpuSum {
 		if cpuSum[t] > cpuPeak {
 			cpuPeak = cpuSum[t]
 		}
@@ -380,10 +294,11 @@ func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, s
 	}
 
 	var diskNorm float64
-	if ev.p.Disk != nil {
+	if d := ev.p.Disk; d != nil {
 		diskCap := ev.capDisk[j]
-		for t := 0; t < T; t++ {
-			pred := ev.predict(wsSum[t], rateSum[t]) * 1e6
+		wsSum, rateSum = wsSum[:T], rateSum[:T]
+		for t := range wsSum {
+			pred := d.PredictWriteMBps(wsSum[t], rateSum[t]) * 1e6
 			if pred > diskPeak {
 				diskPeak = pred
 			}
@@ -391,8 +306,8 @@ func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, s
 			// envelope is feasible, and a clamped-to-zero envelope admits
 			// only a zero rate — strict excess is always a violation, with
 			// the denominator floored so the penalty stays finite.
-			if ev.p.Disk.HasEnvelope {
-				if maxRate := ev.envMax(wsSum[t]); rateSum[t] > maxRate {
+			if d.HasEnvelope {
+				if maxRate := d.MaxRowsPerSec(wsSum[t]); rateSum[t] > maxRate {
 					den := maxRate
 					if den < envRateFloor {
 						den = envRateFloor
@@ -449,8 +364,11 @@ func (ev *Evaluator) serverEval(j int, members []int) ServerLoad {
 	T := ev.T
 	cpuSum := make([]float64, T)
 	ramSum := make([]float64, T)
-	wsSum := make([]float64, T)
-	rateSum := make([]float64, T)
+	var wsSum, rateSum []float64
+	if ev.p.Disk != nil {
+		wsSum = make([]float64, T)
+		rateSum = make([]float64, T)
+	}
 	ev.accumulateInto(members, cpuSum, ramSum, wsSum, rateSum)
 	cpuPeak, ramPeak, diskPeak, viol, norm := ev.evalSums(j, cpuSum, ramSum, wsSum, rateSum, ev.slaCap(members))
 	sl.CPU = cpuSum
@@ -470,27 +388,97 @@ func contribution(sl ServerLoad) float64 {
 	return math.Exp(sl.NormLoad) + penaltyWeight*sl.Violation
 }
 
-// evalScratch returns the per-machine member scratch sized for K machines
-// and ensures the aggregate demand buffers exist, growing both once and
-// reusing them across calls: DIRECT calls Eval thousands of times per
-// solve, and allocating a fresh [][]int plus four sum buffers per machine
-// per evaluation dominated its profile. Each slot keeps its backing array
-// between calls, so steady-state evaluations allocate nothing.
-func (ev *Evaluator) evalScratch(K int) [][]int {
+// evalReuse is Eval's table of machines it has already priced, keyed on
+// (machine, member bitset). Eval lists members in ascending unit order, so
+// the bitset determines the member list and with it every bit of the
+// machine's pricing. A DIRECT sample differs from its parent in one unit, so
+// all but two of its machines are found here. Direct-mapped, newest wins; a
+// slot's full key is stored and compared, so a hit is exact, never a hash
+// coincidence. Owned by one evaluator: Clone drops it.
+type evalReuse struct {
+	words int         // uint64 words per member bitset
+	sets  []uint64    // scratch: the current assignment's bitsets, stride words
+	slots []reuseSlot // the table
+	keys  []uint64    // each slot's member bitset, stride words
+}
+
+// reuseSlot is one priced machine: what Eval adds to the objective for it.
+type reuseSlot struct {
+	mach  int32   // machine + 1 (0 = empty slot)
+	pairs int32   // conflicting pairs sharing the machine
+	viol  float64 // summed relative violation
+	term  float64 // exp(norm) + penaltyWeight·viol
+}
+
+// evalReuseBits sizes the table: 2^11 slots of 24 bytes plus the key words
+// (112 KiB for 197 units), a few hundred DIRECT samples' worth of machines.
+const evalReuseBits = 11
+
+// slot hashes a machine and its member bitset to a table slot.
+//
+//kairos:hotpath
+func (rt *evalReuse) slot(j int, set []uint64) int {
+	h := uint64(j+1) * 0x9E3779B97F4A7C15
+	for _, w := range set {
+		h = (h ^ w) * 0xBF58476D1CE4E5B9
+		h ^= h >> 29
+	}
+	return int(h >> (64 - evalReuseBits))
+}
+
+// holds reports whether the slot stores exactly this machine and bitset.
+//
+//kairos:hotpath
+func (rt *evalReuse) holds(slot, j int, set []uint64) bool {
+	if rt.slots[slot].mach != int32(j+1) {
+		return false
+	}
+	for i, w := range rt.keys[slot*rt.words : (slot+1)*rt.words] {
+		if w != set[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// evalScratch returns the per-machine member scratch and zeroed member
+// bitsets sized for K machines and ensures the aggregate demand buffers and
+// the reuse table exist, growing each once and reusing them across calls:
+// DIRECT calls Eval thousands of times per solve, and allocating a fresh
+// [][]int plus the sum buffers per machine per evaluation dominated its
+// profile. Each slot keeps its backing array between calls, so steady-state
+// evaluations allocate nothing.
+func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 	if cap(ev.emMembers) < K {
 		ev.emMembers = make([][]int, K)
 	}
-	members := ev.emMembers[:K]
+	members = ev.emMembers[:K]
 	for j := range members {
 		members[j] = members[j][:0]
 	}
 	if len(ev.esCPU) < ev.T {
 		ev.esCPU = make([]float64, ev.T)
 		ev.esRAM = make([]float64, ev.T)
-		ev.esWS = make([]float64, ev.T)
-		ev.esRate = make([]float64, ev.T)
+		if ev.p.Disk != nil {
+			ev.esWS = make([]float64, ev.T)
+			ev.esRate = make([]float64, ev.T)
+		}
 	}
-	return members
+	rt := ev.reuse
+	if rt == nil {
+		const n = 1 << evalReuseBits
+		words := (len(ev.units) + 63) / 64
+		rt = &evalReuse{words: words, slots: make([]reuseSlot, n), keys: make([]uint64, n*words)}
+		ev.reuse = rt
+	}
+	if len(rt.sets) < K*rt.words {
+		rt.sets = make([]uint64, K*rt.words)
+	}
+	sets = rt.sets[:K*rt.words]
+	for i := range sets {
+		sets[i] = 0
+	}
+	return members, sets
 }
 
 // Eval computes the full objective of an assignment over the first K
@@ -499,10 +487,17 @@ func (ev *Evaluator) evalScratch(K int) [][]int {
 // load — exactly the units Report and Plan.String drop — so a plan can
 // never price feasible while displaying a missing workload.
 //
+// A machine whose member set this evaluator has priced before (on the same
+// machine index) is answered from the reuse table; either way its pieces
+// enter obj through one addition sequence, so the result does not depend on
+// what the table held.
+//
 //kairos:hotpath
 func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 	ev.Fevals++
-	members := ev.evalScratch(K) //kairoslint:allow hotcall: allocates only on first growth; steady state is alloc-free and AllocsPerRun-asserted
+	members, sets := ev.evalScratch(K) //kairoslint:allow hotcall: allocates only on first growth; steady state is alloc-free and AllocsPerRun-asserted
+	rt := ev.reuse
+	W := rt.words
 	feasible = true
 	for u, j := range assign {
 		if j < 0 || j >= K {
@@ -511,35 +506,64 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 			continue
 		}
 		members[j] = append(members[j], u) //kairoslint:allow hotalloc: amortized — scratch keeps capacity across Evals
+		sets[j*W+u>>6] |= 1 << (uint(u) & 63)
 		if ev.pin[u] >= 0 && ev.pin[u] != j {
 			obj += penaltyWeight
 			feasible = false
 		}
 	}
 	for j := 0; j < K; j++ {
-		// Anti-affinity: count conflicting pairs sharing this machine.
-		for ai, a := range members[j] {
-			for _, b := range members[j][ai+1:] {
-				if ev.conflicted(a, b) {
-					obj += penaltyWeight
-					feasible = false
-				}
-			}
-		}
 		if len(members[j]) == 0 {
 			continue
 		}
-		// Price the machine on the shared scratch buffers — the same
-		// accumulation order and pricing as serverEval, minus its per-call
-		// allocations (Eval never needs the aggregate CPU series back).
-		ev.accumulateInto(members[j], ev.esCPU, ev.esRAM, ev.esWS, ev.esRate)
-		_, _, _, viol, norm := ev.evalSums(j, ev.esCPU, ev.esRAM, ev.esWS, ev.esRate, ev.slaCap(members[j]))
-		if viol > 0 {
+		set := sets[j*W : (j+1)*W]
+		slot := rt.slot(j, set)
+		m := &rt.slots[slot]
+		if !rt.holds(slot, j, set) {
+			// Price the machine on the shared scratch buffers — the same
+			// accumulation order and pricing as serverEval, minus its per-call
+			// allocations (Eval never needs the aggregate CPU series back).
+			ev.accumulateInto(members[j], ev.esCPU, ev.esRAM, ev.esWS, ev.esRate)
+			_, _, _, viol, norm := ev.evalSums(j, ev.esCPU, ev.esRAM, ev.esWS, ev.esRate, ev.slaCap(members[j]))
+			copy(rt.keys[slot*W:(slot+1)*W], set)
+			*m = reuseSlot{
+				mach:  int32(j + 1),
+				pairs: int32(ev.conflictPairs(members[j])),
+				viol:  viol,
+				term:  math.Exp(norm) + penaltyWeight*viol,
+			}
+		}
+		// Anti-affinity: one penaltyWeight per conflicting pair sharing this
+		// machine, then the machine's own term.
+		for i := int32(0); i < m.pairs; i++ {
+			obj += penaltyWeight
+		}
+		if m.pairs > 0 || m.viol > 0 {
 			feasible = false
 		}
-		obj += math.Exp(norm) + penaltyWeight*viol
+		obj += m.term
 	}
 	return obj, feasible
+}
+
+// conflictPairs counts the conflicting pairs among the units sharing one
+// machine — an O(m²) scan of binary searches, skipped outright when the
+// problem declares no conflict at all.
+//
+//kairos:hotpath
+func (ev *Evaluator) conflictPairs(members []int) int {
+	if !ev.hasConflicts {
+		return 0
+	}
+	pairs := 0
+	for ai, a := range members {
+		for _, b := range members[ai+1:] {
+			if ev.conflicted(a, b) {
+				pairs++
+			}
+		}
+	}
+	return pairs
 }
 
 // conflicted reports whether units a and b must not share a machine.
@@ -566,14 +590,7 @@ func (ev *Evaluator) conflicted(a, b int) bool {
 // every resource constraint and without anti-affinity conflicts. Baselines
 // (the greedy packer) and what-if tools use it directly.
 func (ev *Evaluator) FitsOneMachine(j int, units []int) bool {
-	for ai, a := range units {
-		for _, b := range units[ai+1:] {
-			if ev.conflicted(a, b) {
-				return false
-			}
-		}
-	}
-	return ev.serverEval(j, units).Violation == 0
+	return ev.conflictPairs(units) == 0 && ev.serverEval(j, units).Violation == 0
 }
 
 // ServerContrib prices one machine from scratch: the balance and violation
@@ -583,12 +600,8 @@ func (ev *Evaluator) FitsOneMachine(j int, units []int) bool {
 // baseline the load-state benchmarks compare against.
 func (ev *Evaluator) ServerContrib(j int, members []int) float64 {
 	c := contribution(ev.serverEval(j, members))
-	for ai, a := range members {
-		for _, b := range members[ai+1:] {
-			if ev.conflicted(a, b) {
-				c += penaltyWeight
-			}
-		}
+	for i := ev.conflictPairs(members); i > 0; i-- {
+		c += penaltyWeight
 	}
 	return c
 }

@@ -24,7 +24,12 @@ func shortBudget(opt core.SolveOptions) core.SolveOptions {
 
 // fleetCase builds the consolidation problem for a generated dataset.
 func fleetCase(d fleet.Dataset) *core.Problem {
-	f := fleet.Generate(d)
+	return fleetProblem(fleet.Generate(d))
+}
+
+// fleetProblem builds the consolidation problem for a fleet: its workloads
+// at the paper's 0.7 RAM scale and one target machine per server.
+func fleetProblem(f fleet.Fleet) *core.Problem {
 	wls := f.Workloads(0.7)
 	machines := make([]core.Machine, len(f.Servers))
 	for i := range machines {

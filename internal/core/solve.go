@@ -288,18 +288,18 @@ func (ev *Evaluator) finish(p *Problem, assign []int, k int, obj float64, feasib
 // aggregate demand of each resource divided by per-machine capacity.
 func (ev *Evaluator) FractionalLowerBound() int {
 	T := ev.T
-	cpuSum := make([]float64, T)
-	ramSum := make([]float64, T)
-	wsSum := make([]float64, T)
-	rateSum := make([]float64, T)
-	for u := range ev.units {
-		for t := 0; t < T; t++ {
-			cpuSum[t] += ev.cpu[u][t]
-			ramSum[t] += ev.ram[u][t]
-			wsSum[t] += ev.ws[u][t]
-			rateSum[t] += ev.rate[u][t]
+	sum2 := func(a, b [][]float64) (aSum, bSum []float64) {
+		aSum, bSum = make([]float64, T), make([]float64, T)
+		for u := range ev.units {
+			au, bu := a[u][:T], b[u][:T]
+			for t := range aSum {
+				aSum[t] += au[t]
+				bSum[t] += bu[t]
+			}
 		}
+		return aSum, bSum
 	}
+	cpuSum, ramSum := sum2(ev.cpu, ev.ram)
 	m := ev.p.Machines[0]
 	k := 1
 	for t := 0; t < T; t++ {
@@ -311,6 +311,7 @@ func (ev *Evaluator) FractionalLowerBound() int {
 		}
 	}
 	if ev.p.Disk != nil {
+		wsSum, rateSum := sum2(ev.ws, ev.rate)
 		diskCap := m.capacity(m.DiskWriteBps)
 		for t := 0; t < T; t++ {
 			// Smallest split count making the disk model feasible; the
@@ -321,7 +322,7 @@ func (ev *Evaluator) FractionalLowerBound() int {
 				if ok && ev.p.Disk.HasEnvelope {
 					// Boundary rule (model.EnvelopeFeasible): at the
 					// envelope is feasible, beyond it is not.
-					ok = rateSum[t]/float64(n) <= ev.envMax(wsSum[t]/float64(n))
+					ok = rateSum[t]/float64(n) <= ev.p.Disk.MaxRowsPerSec(wsSum[t]/float64(n))
 				}
 				if ok {
 					if n > k {
@@ -338,11 +339,56 @@ func (ev *Evaluator) FractionalLowerBound() int {
 	return k
 }
 
-// greedySeed packs units with the paper's single-resource greedy baseline,
-// using the full multi-resource feasibility check, and returns bins. With
-// workers > 1 the per-resource packings run concurrently, each against its
-// own evaluator clone.
+// greedyPacking is the paper's single-resource greedy baseline with no bin
+// limit: the bins, or ok=false when no resource order packs the units.
+type greedyPacking struct {
+	bins [][]int
+	ok   bool
+}
+
+// greedySeed returns the greedy packing when it fits maxBins bins. The
+// packer opens bins one at a time and a limit only makes it give up at the
+// first bin past it, so packing within maxBins is the unlimited packing
+// whenever that has at most maxBins bins, and fails otherwise: one packing
+// per evaluator answers every K a solve probes. Callers must not mutate the
+// bins.
 func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
+	if ev.packing == nil {
+		bins, ok := ev.packGreedy(workers)
+		ev.packing = &greedyPacking{bins, ok}
+	}
+	if g := ev.packing; g.ok && len(g.bins) <= maxBins {
+		return g.bins, true
+	}
+	return nil, false
+}
+
+// packGreedy packs units with the paper's single-resource greedy baseline
+// into as many bins as it takes, using the full multi-resource feasibility
+// check. With workers > 1 the per-resource packings run concurrently, each
+// against its own evaluator clone.
+func (ev *Evaluator) packGreedy(workers int) ([][]int, bool) {
+	loads := ev.greedyLoads()
+	var bins [][]int
+	var ok bool
+	var err error
+	if workers > 1 && len(loads) > 1 {
+		bins, ok, err = greedy.MultiResourceParallel(loads, func(int) greedy.FitsFunc {
+			return ev.Clone().greedyFits()
+		}, 0, workers)
+	} else {
+		bins, ok, err = greedy.MultiResource(loads, ev.greedyFits(), 0)
+	}
+	if err != nil || !ok {
+		return nil, false
+	}
+	return bins, true
+}
+
+// greedyLoads returns the scalar loads the greedy baseline orders units by,
+// one row per resource: peak CPU, peak RAM and, under a disk model, peak
+// update rate.
+func (ev *Evaluator) greedyLoads() [][]float64 {
 	nU := len(ev.units)
 	peak := func(vals [][]float64) []float64 {
 		out := make([]float64, nU)
@@ -359,38 +405,26 @@ func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 	if ev.p.Disk != nil {
 		loads = append(loads, peak(ev.rate))
 	}
-	fitsFor := func(e *Evaluator) greedy.FitsFunc {
-		// One scratch member list per closure: each greedy worker owns its
-		// evaluator clone and its scratch, so checks stay allocation-light.
-		scratch := make([]int, 0, nU)
-		return func(bin []int, item int) bool {
-			// Pins and conflicts cannot be checked bin-locally against machine
-			// indices, so the greedy seed only enforces resources and
-			// conflicts; pinning is repaired by hill climbing.
-			for _, b := range bin {
-				if e.conflicted(b, item) {
-					return false
-				}
+	return loads
+}
+
+// greedyFits returns the greedy packer's feasibility check against this
+// evaluator. The closure owns one scratch member list, so each concurrent
+// packing needs its own (from its own evaluator clone).
+func (ev *Evaluator) greedyFits() greedy.FitsFunc {
+	scratch := make([]int, 0, len(ev.units))
+	return func(bin []int, item int) bool {
+		// Pins and conflicts cannot be checked bin-locally against machine
+		// indices, so the greedy seed only enforces resources and
+		// conflicts; pinning is repaired by hill climbing.
+		for _, b := range bin {
+			if ev.conflicted(b, item) {
+				return false
 			}
-			scratch = append(append(scratch[:0], bin...), item)
-			sl := e.serverEval(0, scratch)
-			return sl.Violation == 0
 		}
+		scratch = append(append(scratch[:0], bin...), item)
+		return ev.serverEval(0, scratch).Violation == 0
 	}
-	var bins [][]int
-	var ok bool
-	var err error
-	if workers > 1 && len(loads) > 1 {
-		bins, ok, err = greedy.MultiResourceParallel(loads, func(int) greedy.FitsFunc {
-			return fitsFor(ev.Clone())
-		}, maxBins, workers)
-	} else {
-		bins, ok, err = greedy.MultiResource(loads, fitsFor(ev), maxBins)
-	}
-	if err != nil || !ok {
-		return nil, false
-	}
-	return bins, true
 }
 
 // coldSeeds returns the deterministic cold-start assignments solveK climbs

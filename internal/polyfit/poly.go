@@ -73,25 +73,57 @@ func basis2D(x, y float64, degree int, out []float64) {
 	}
 }
 
-// Eval evaluates the polynomial at (x, y). It walks the monomials in basis
-// order without materializing them and builds each power by repeated
-// multiplication, so evaluation allocates nothing and avoids math.Pow —
-// it sits in the consolidation evaluator's per-time-step disk pricing
-// loop. For the degree ≤ 2 fits the disk profiles use, the terms are
-// bit-identical to the math.Pow basis the fit was computed with.
+// Eval evaluates the polynomial at (x, y). It sits in the consolidation
+// evaluator's per-time-step disk pricing loop, so the six-coefficient
+// degree-2 case the disk profiles use runs the straight-line evalDeg2;
+// every other shape walks the monomials in evalLoop. The two agree bit for
+// bit where both apply, and for degree ≤ 2 the terms are bit-identical to
+// the math.Pow basis the fit was computed with.
+//
+//kairos:hotpath
 func (p Poly2D) Eval(x, y float64) float64 {
+	if p.Degree == 2 && len(p.Coeffs) == 6 {
+		return p.evalDeg2(x, y)
+	}
+	return p.evalLoop(x, y)
+}
+
+// evalDeg2 is evalLoop unrolled for Degree 2 with all six coefficients: the
+// same terms (1, x, y, x·x, x·y, y·y) added to the same zero accumulator in
+// the same order. Every product is rounded through float64(...) before it
+// is used, here and in evalLoop, so no architecture may fuse one form's
+// multiply-adds and not the other's.
+//
+//kairos:hotpath
+func (p Poly2D) evalDeg2(x, y float64) float64 {
+	c := p.Coeffs[:6]
+	v := 0 + c[0]
+	v += float64(c[1] * x)
+	v += float64(c[2] * y)
+	v += float64(c[3] * float64(x*x))
+	v += float64(c[4] * float64(x*y))
+	v += float64(c[5] * float64(y*y))
+	return v
+}
+
+// evalLoop walks the monomials in basis order without materializing them
+// and builds each power by repeated multiplication, so evaluation allocates
+// nothing and avoids math.Pow.
+//
+//kairos:hotpath
+func (p Poly2D) evalLoop(x, y float64) float64 {
 	var v float64
 	i := 0
 	for total := 0; total <= p.Degree && i < len(p.Coeffs); total++ {
 		for px := total; px >= 0 && i < len(p.Coeffs); px-- {
 			term := 1.0
 			for k := 0; k < px; k++ {
-				term *= x
+				term = float64(term * x)
 			}
 			for k := 0; k < total-px; k++ {
-				term *= y
+				term = float64(term * y)
 			}
-			v += p.Coeffs[i] * term
+			v += float64(p.Coeffs[i] * term)
 			i++
 		}
 	}

@@ -71,6 +71,79 @@ func TestPoly2DEvalKnown(t *testing.T) {
 	}
 }
 
+// TestPoly2DDeg2KernelMatchesLoop checks the straight-line degree-2 kernel
+// against the generic monomial loop bit for bit — the consolidation
+// objective's plans are pinned to the loop's rounding — on random,
+// zero, signed-zero, negative, subnormal, huge and non-finite inputs, and
+// that Eval picks the kernel exactly for the six-coefficient degree-2 shape.
+func TestPoly2DDeg2KernelMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	sub := math.SmallestNonzeroFloat64
+	special := []float64{0, math.Copysign(0, -1), 1, -1, sub, -sub, 3 * sub, 1e-310, -1e-310,
+		math.MaxFloat64, -math.MaxFloat64, 1e154, -1e154, math.Inf(1), math.Inf(-1), math.NaN()}
+	draw := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return rng.NormFloat64()
+		case 2:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		default:
+			return (rng.Float64()*2 - 1) * 1e5
+		}
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for i := 0; i < 200000; i++ {
+		p := Poly2D{Degree: 2, Coeffs: make([]float64, 6)}
+		for k := range p.Coeffs {
+			p.Coeffs[k] = draw()
+		}
+		x, y := draw(), draw()
+		kernel, loop := p.evalDeg2(x, y), p.evalLoop(x, y)
+		if !same(kernel, loop) {
+			t.Fatalf("coeffs %v at (%v, %v): kernel %v (%#x), loop %v (%#x)", p.Coeffs, x, y,
+				kernel, math.Float64bits(kernel), loop, math.Float64bits(loop))
+		}
+		if got := p.Eval(x, y); !same(got, loop) {
+			t.Fatalf("Eval(%v, %v) = %v, want the loop's %v", x, y, got, loop)
+		}
+	}
+	// Every other shape stays on the loop: fewer coefficients than the
+	// degree has terms, and other degrees.
+	for _, p := range []Poly2D{
+		{Degree: 2, Coeffs: []float64{1, 2, 3, 4}},
+		{Degree: 1, Coeffs: []float64{1, 2, 3}},
+		{Degree: 3, Coeffs: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{Degree: 2},
+	} {
+		if got, want := p.Eval(1.5, -2.5), p.evalLoop(1.5, -2.5); !same(got, want) {
+			t.Errorf("degree %d with %d coefficients: Eval = %v, loop = %v", p.Degree, len(p.Coeffs), got, want)
+		}
+	}
+}
+
+var polySink float64
+
+// BenchmarkPoly2DEvalDeg2 times the disk model's polynomial shape — it runs
+// once per time step per priced machine — on the kernel and on the loop it
+// replaced.
+func BenchmarkPoly2DEvalDeg2(b *testing.B) {
+	p := Poly2D{Degree: 2, Coeffs: []float64{0.5, 0.0002, 0.003, 1e-9, 2e-8, 1e-8}}
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			polySink += p.Eval(float64(1+i%64)*1e3, float64(100+i%977))
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			polySink += p.evalLoop(float64(1+i%64)*1e3, float64(100+i%977))
+		}
+	})
+}
+
 func TestFit2DRecoversPolynomial(t *testing.T) {
 	want := []float64{1, 2, -1, 0.5, 0.25, -0.75}
 	truth := Poly2D{Degree: 2, Coeffs: want}
