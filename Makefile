@@ -6,12 +6,19 @@ GO ?= go
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
 INGEST_BENCH = DecodeWindow197|WindowRecord197|Append2MB|Recover64x2MB
 
+# The whole-solve benchmarks whose work counters (fevals, probes,
+# machines) BENCH_counts.json pins (make bench-counts): cold local-search
+# solves of ALL-197 and SecondLife-97 + disk model, one warm re-solve of
+# the drifted ALL-197, one greedy packing.
+COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk)|ResolveWarmALL197|GreedyPackALL197
+
 # The cold solve's per-phase in-package benchmarks (make bench-hot,
 # bench-json): DIRECT-pattern Eval, exact swap pricing with and without
-# the disk model, the disk polynomial, greedy seeding.
-SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve
+# the disk model, the disk polynomial, greedy seeding, then the whole
+# solves above.
+SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|$(COUNT_BENCH)
 
-.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
+.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json bench-counts serve-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -73,7 +80,8 @@ bench:
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
 # Then the phases of a cold solve on SecondLife-97 (4000 DIRECT-pattern
 # Evals, one exact swap pricing with and without the disk model, the disk
-# polynomial's kernel against its loop, one solve's greedy seeding), and
+# polynomial's kernel against its loop, one solve's greedy seeding, whole
+# cold and warm solves with their work counters), and
 # the ingest path's in-package benchmarks: the window decoder and record
 # splice against the encoding/json passes they replaced, and a
 # window-sized journal append (which fails if it allocates a frame) and
@@ -94,7 +102,7 @@ bench-drift:
 
 # Machine-readable bench trajectory: the sweep + drift-watch benchmarks,
 # the cold solve's per-phase ones (Eval walk, swap pricing, polynomial,
-# greedy seeding) and the ingest path's (decode, splice, journal
+# greedy seeding, whole solves) and the ingest path's (decode, splice, journal
 # append/recover) as JSON
 # (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
 # per case, each result tagged with its package) in BENCH_sweeps.json,
@@ -106,9 +114,23 @@ bench-json:
 	  $(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
+# Count gate: the whole-solve benchmarks once each, their work counters
+# compared with the committed BENCH_counts.json. It fails when a count
+# (fevals, probes, machines) is higher than committed or missing — a
+# number that repeats exactly, not a time — which is what catches the
+# solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
+# the benchmark names, so the file compares across machines. No -benchmem:
+# allocs/op moves with the Go release, the solver's counters do not
+# (benchjson -compare gates allocs/op when the baseline carries it). After
+# a change that lowers a count on purpose, re-capture:
+#   cp bench_counts.new.json BENCH_counts.json
+bench-counts:
+	$(GO) test -cpu 1 -bench='$(COUNT_BENCH)' -benchtime=1x -run='^$$' ./internal/core | $(GO) run ./cmd/benchjson > bench_counts.new.json
+	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
+
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server
 # fleet vs a cold solve, plus a pricing sweep under the disk model and its
-# saturation envelope. Tracked metrics: warm fevals well under cold's,
+# saturation envelope. Tracked metrics: warm fevals under cold's,
 # migrated-frac in the low percent, and 0 allocs/op on the envelope sweep.
 bench-resolve:
 	$(GO) test -bench='ResolveWarmVsCold|SweepEnvelope' -benchmem -benchtime=1x -run='^$$' .
@@ -139,4 +161,4 @@ fmt:
 # Local CI mirror. The hosted workflow runs the same gates, with the
 # short race pass promoted to `race-full` in a dedicated job (and
 # govulncheck, which needs network access to fetch its vuln DB).
-ci: build lint test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench
+ci: build lint test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench bench-counts

@@ -11,11 +11,21 @@
 // pkg header it was printed under, so one pipeline can hold several
 // packages' benchmarks. Lines that are not benchmark results are ignored,
 // so the tool can sit at the end of any `go test` pipeline.
+//
+// With -compare it is a regression gate on work counters instead:
+//
+//	benchjson -compare BENCH_counts.json new.json
+//
+// reads two such documents and exits non-zero when, for a benchmark of the
+// first, a metric whose unit is a count — fevals, probes, machines,
+// allocs/op: numbers that repeat exactly, unlike ns/op — is higher in the
+// second, or the benchmark or the metric is missing there.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -47,7 +57,20 @@ type Doc struct {
 	Results []Result `json:"results"`
 }
 
+// countUnits are the metric units -compare gates on: counts of work done,
+// which a deterministic solver repeats exactly on any machine.
+var countUnits = [...]string{"fevals", "probes", "machines", "allocs/op"}
+
 func main() {
+	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")
+	flag.Parse()
+	if *compare {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json")
+			os.Exit(2)
+		}
+		os.Exit(runCompare(flag.Arg(0), flag.Arg(1)))
+	}
 	doc := Doc{Meta: map[string]string{}, Results: []Result{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -112,4 +135,81 @@ func parseBenchLine(line string) (Result, bool) {
 		r.Metrics[fields[i+1]] = v
 	}
 	return r, true
+}
+
+// readDoc loads a document this tool wrote.
+func readDoc(path string) (Doc, error) {
+	var doc Doc
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return doc, err
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return doc, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// runCompare prints compareDocs' report for the two files and returns the
+// exit status: 0 no count rose, 1 one did, 2 a file could not be read.
+func runCompare(oldPath, newPath string) int {
+	old, err := readDoc(oldPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	cur, err := readDoc(newPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	lines, worse := compareDocs(old, cur)
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+	if worse {
+		return 1
+	}
+	return 0
+}
+
+// compareDocs holds every count metric of every benchmark in old against
+// cur: one report line per metric, and worse = true when one rose or went
+// missing. A count that fell is reported so the baseline gets re-captured,
+// but passes. Benchmarks are matched by package and name, so both documents
+// must come from the same -cpu setting.
+func compareDocs(old, cur Doc) (lines []string, worse bool) {
+	key := func(r Result) string { return r.Pkg + " " + r.Name }
+	byKey := map[string]Result{}
+	for _, r := range cur.Results {
+		byKey[key(r)] = r
+	}
+	for _, o := range old.Results {
+		c, found := byKey[key(o)]
+		if !found {
+			lines = append(lines, fmt.Sprintf("FAIL  %s: missing from the new run", o.Name))
+			worse = true
+			continue
+		}
+		for _, unit := range countUnits {
+			was, gated := o.Metrics[unit]
+			if !gated {
+				continue
+			}
+			now, ok := c.Metrics[unit]
+			switch {
+			case !ok:
+				lines = append(lines, fmt.Sprintf("FAIL  %s: %s missing from the new run (was %v)", o.Name, unit, was))
+				worse = true
+			case now > was:
+				lines = append(lines, fmt.Sprintf("FAIL  %s: %s rose %v -> %v", o.Name, unit, was, now))
+				worse = true
+			case now < was:
+				lines = append(lines, fmt.Sprintf("ok    %s: %s fell %v -> %v (re-capture the baseline)", o.Name, unit, was, now))
+			default:
+				lines = append(lines, fmt.Sprintf("ok    %s: %s %v", o.Name, unit, now))
+			}
+		}
+	}
+	return lines, worse
 }

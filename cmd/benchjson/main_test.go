@@ -1,8 +1,11 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
 
-import "kairos/internal/floats"
+	"kairos/internal/floats"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	line := "BenchmarkCoarseScreenedSweep/screened-16         \t      10\t  15015811 ns/op\t      2098 fevals\t         6.061 sweep-speedup\t       0 B/op\t       0 allocs/op"
@@ -47,5 +50,55 @@ func TestHeaderLine(t *testing.T) {
 	}
 	if _, _, ok := headerLine("PASS"); ok {
 		t.Fatal("PASS recognized as header")
+	}
+}
+
+func TestCompareDocs(t *testing.T) {
+	res := func(name string, metrics map[string]float64) Result {
+		return Result{Name: name, Pkg: "kairos/internal/core", Iterations: 1, Metrics: metrics}
+	}
+	old := Doc{Results: []Result{
+		res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 2e8, "fevals": 489261, "probes": 3, "machines": 16, "skipped-frac": 0.3}),
+		res("BenchmarkGreedyPackALL197", map[string]float64{"ns/op": 3e6, "machines": 19}),
+	}}
+	for _, tc := range []struct {
+		name  string
+		cur   Doc
+		worse bool
+		want  string // a substring of some report line
+	}{
+		// Slower, and an ungated ratio moved: neither is a count.
+		{"same counts", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 9e8, "fevals": 489261, "probes": 3, "machines": 16, "skipped-frac": 0.1}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"ns/op": 3e6, "machines": 19}),
+		}}, false, "fevals 489261"},
+		{"fevals rose", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 1e8, "fevals": 1062784, "probes": 3, "machines": 16}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, true, "fevals rose 489261 -> 1.062784e+06"},
+		{"fevals fell", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 400000, "probes": 3, "machines": 16}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, false, "re-capture"},
+		{"benchmark missing", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "probes": 3, "machines": 16}),
+		}}, true, "BenchmarkGreedyPackALL197: missing"},
+		{"metric missing", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "machines": 16}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, true, "probes missing"},
+		// A new allocs/op column the baseline does not carry is not gated.
+		{"extra metric", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "probes": 3, "machines": 16, "allocs/op": 1e9}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, false, "machines 19"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if worse != tc.worse {
+			t.Errorf("%s: worse = %v, want %v\n%s", tc.name, worse, tc.worse, strings.Join(lines, "\n"))
+		}
+		if !strings.Contains(strings.Join(lines, "\n"), tc.want) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.want, strings.Join(lines, "\n"))
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kairos"
+	"kairos/internal/core"
 	"kairos/internal/fleet"
 )
 
@@ -22,6 +23,7 @@ func cmdConsolidate(args []string) error {
 	spec := addSpecFlags(fs)
 	solver := addSolverFlags(fs)
 	verbose := fs.Bool("v", false, "print the full placement")
+	stats := fs.Bool("stats", false, "print the solver's work counters: the K probes it ran, climbs run and reused, sweep candidates considered and skipped")
 	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved concurrently (0 = single global solve)")
 	savePlan := fs.String("save-plan", "", "write the computed plan to this JSON file for later -resolve runs")
 	resolvePath := fs.String("resolve", "", "warm-start from a plan saved with -save-plan instead of solving cold (rolling re-consolidation)")
@@ -90,6 +92,9 @@ func cmdConsolidate(args []string) error {
 		fmt.Printf("warm re-solve: %d/%d units migrated (migration cost %.3f, %d fevals)\n",
 			plan.Migrated, len(plan.Assign), plan.MigrationCost, plan.Fevals)
 	}
+	if *stats {
+		printSolveStats(plan.Fevals, plan.Stats)
+	}
 	if *savePlan != "" {
 		if err := saveIncumbent(*savePlan, plan.Incumbent()); err != nil {
 			return err
@@ -100,4 +105,21 @@ func cmdConsolidate(args []string) error {
 		fmt.Print(plan)
 	}
 	return nil
+}
+
+// printSolveStats prints Solution.Stats: one line of counters, then the K
+// probes in the order the search consumed them.
+func printSolveStats(fevals int, st core.SolveStats) {
+	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%); greedy packing %v\n",
+		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.GreedyPack.Round(time.Microsecond))
+	for _, pr := range st.Probes {
+		verdict, reused := "infeasible", ""
+		if pr.Feasible {
+			verdict = "feasible"
+		}
+		if pr.Reused {
+			reused = "  (cold climbs reused)"
+		}
+		fmt.Printf("  probe K=%-4d %-10s %9d fevals %10v%s\n", pr.K, verdict, pr.Fevals, pr.Elapsed.Round(time.Microsecond), reused)
+	}
 }

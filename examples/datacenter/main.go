@@ -61,11 +61,7 @@ func main() {
 		for i, w := range wls {
 			loads[i] = w.CPU.Max()
 		}
-		fits := func(bin []int, item int) bool {
-			members := append(append([]int(nil), bin...), item)
-			return ev.FitsOneMachine(0, members)
-		}
-		if bins, ok, err := greedy.Pack(loads, fits, len(machines)); err == nil && ok {
+		if bins, ok, err := greedy.Pack(loads, ev.GreedyFits(), len(machines)); err == nil && ok {
 			greedyK = fmt.Sprintf("%d", len(bins))
 		}
 

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"kairos/internal/core"
 	"kairos/internal/fleet"
+	"kairos/internal/greedy"
 )
 
 // The benchmarks below time the pieces of a cold solve that exact pricing
@@ -71,3 +73,96 @@ func benchPriceSwap(b *testing.B, withDisk bool) {
 // streams and its polynomial and envelope per time step.
 func BenchmarkPriceSwapNoDisk(b *testing.B) { benchPriceSwap(b, false) }
 func BenchmarkPriceSwapDisk(b *testing.B)   { benchPriceSwap(b, true) }
+
+// The benchmarks below run whole solves on the paper's fleets and report,
+// beside the time, what the solver did as counts that repeat exactly on any
+// machine: BENCH_counts.json holds them and `make bench-counts` fails when
+// one rises, so work that creeps back into the solver fails a gate on a
+// number, not on a stopwatch. They leave allocation counts to -benchmem
+// (make bench-hot): those move with the Go release, and the committed
+// baseline must not.
+
+// reportWork reports a solve's work counters and its machine count.
+func reportWork(b *testing.B, sol *core.Solution) {
+	b.ReportMetric(float64(sol.Fevals), "fevals")
+	b.ReportMetric(float64(len(sol.Stats.Probes)), "probes")
+	b.ReportMetric(float64(sol.Stats.ClimbsReused), "climbs-reused")
+	b.ReportMetric(sol.Stats.SkippedFrac(), "skipped-frac")
+	b.ReportMetric(float64(sol.K), "machines")
+}
+
+func benchColdSolve(b *testing.B, p *core.Problem) *core.Solution {
+	opt := core.DefaultSolveOptions()
+	opt.SkipDirect = true
+	var sol *core.Solution
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sol, err = core.Solve(context.Background(), p, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportWork(b, sol)
+	return sol
+}
+
+// BenchmarkColdSolveALL197 is the cold local-search solve of the 197-server
+// fleet — the slowest registration of the end-to-end benchmark.
+func BenchmarkColdSolveALL197(b *testing.B) {
+	benchColdSolve(b, fleetProblem(fleet.All()))
+}
+
+// BenchmarkColdSolveSecondLife97Disk is the same solve of SecondLife-97
+// under the disk model.
+func BenchmarkColdSolveSecondLife97Disk(b *testing.B) {
+	p := fleetCase(fleet.SecondLife)
+	p.Disk = goldenDiskProfile()
+	benchColdSolve(b, p)
+}
+
+// BenchmarkResolveWarmALL197 is one drift-triggered re-solve: the cold
+// ALL-197 plan as incumbent, every workload drifted by up to ±5 %.
+func BenchmarkResolveWarmALL197(b *testing.B) {
+	all := fleetProblem(fleet.All())
+	opt := core.DefaultSolveOptions()
+	opt.SkipDirect = true
+	cold, err := core.Solve(context.Background(), all, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inc := core.IncumbentFromSolution(all, cold)
+	drifted := driftedCopy(all)
+	warmOpt := core.DefaultResolveOptions()
+	warmOpt.SkipDirect = true
+	var sol *core.Solution
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol, err = core.Resolve(context.Background(), drifted, inc, warmOpt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportWork(b, sol)
+	b.ReportMetric(float64(sol.Migrated), "migrated")
+}
+
+// BenchmarkGreedyPackALL197 is the greedy packing of one ALL-197 solve: a
+// packing per resource order through one fits closure, as the solver runs
+// it; machines is the bin count, the upper bound on K.
+func BenchmarkGreedyPackALL197(b *testing.B) {
+	ev, err := core.NewEvaluator(fleetProblem(fleet.All()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	loads := ev.GreedyLoads()
+	var bins [][]int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if bins, ok, err = greedy.MultiResource(loads, ev.GreedyFits(), 0); err != nil || !ok {
+			b.Fatal("greedy packing failed:", err)
+		}
+	}
+	b.ReportMetric(float64(len(bins)), "machines")
+}

@@ -188,8 +188,10 @@ func TestScreenedSweepEquivalence(t *testing.T) {
 				K := 7
 				seedAssign := randomAssign(rng, evS, K)
 				ctx := context.Background()
-				aS, oS, fS := evS.hillClimbRounds(ctx, append([]int(nil), seedAssign...), K, 100)
-				aU, oU, fU := evU.hillClimbRounds(ctx, append([]int(nil), seedAssign...), K, 100)
+				cS := evS.hillClimb(ctx, append([]int(nil), seedAssign...), K)
+				cU := evU.hillClimb(ctx, append([]int(nil), seedAssign...), K)
+				aS, oS, fS := cS.assign, cS.obj, cS.feas
+				aU, oU, fU := cU.assign, cU.obj, cU.feas
 				if !floats.Same(oS, oU) || fS != fU {
 					t.Fatalf("seed %d: screened climb (obj=%v feas=%v) != unscreened (obj=%v feas=%v)",
 						seed, oS, fS, oU, fU)

@@ -439,6 +439,72 @@ func TestFractionalLowerBound(t *testing.T) {
 	}
 }
 
+// TestFractionalLowerBoundHeterogeneous is the regression for the bound that
+// divided by Machines[0]'s capacity alone: a fleet whose first machine is the
+// small one got a "lower bound" above the optimum, so Solve either refused a
+// feasible problem or never probed the machine counts below it.
+func TestFractionalLowerBoundHeterogeneous(t *testing.T) {
+	n := 12
+	wls := []Workload{flatWL("a", 0.9, 1, n), flatWL("b", 0.9, 1, n), flatWL("c", 0.9, 1, n), flatWL("d", 0.9, 1, n)}
+	small := Machine{Name: "small", CPUCapacity: 1, RAMBytes: 64e9}
+	big := Machine{Name: "big", CPUCapacity: 8, RAMBytes: 64e9}
+	for _, tc := range []struct {
+		name      string
+		machines  []Machine
+		bound, k  int
+		wantError bool
+	}{
+		{"small then big", []Machine{small, big}, 2, 2, false},
+		{"spare machines behind", []Machine{small, big, small, small, small}, 2, 2, false},
+		{"big first", []Machine{big, small}, 1, 1, false},
+		// 1+1+8: the first two machines hold 2 of the 3.6.
+		{"two small then big", []Machine{small, small, big}, 3, 3, false},
+		// A homogeneous tail keeps ⌈remaining/capacity⌉ past the last
+		// machine: 3.6 over 1+1+1 needs a fourth.
+		{"over-committed", []Machine{small, small, small}, 4, 0, true},
+	} {
+		p := &Problem{Workloads: wls, Machines: tc.machines}
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ev.FractionalLowerBound(); got != tc.bound {
+			t.Errorf("%s: lower bound = %d, want %d", tc.name, got, tc.bound)
+		}
+		sol, err := Solve(context.Background(), p, DefaultSolveOptions())
+		if tc.wantError {
+			if err == nil {
+				t.Errorf("%s: over-committed fleet solved", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !sol.Feasible || sol.K != tc.k {
+			t.Errorf("%s: K = %d feasible=%v, want K = %d feasible", tc.name, sol.K, sol.Feasible, tc.k)
+		}
+	}
+
+	// The disk tightening prices the even split against the largest budget
+	// among the first n machines, so one small first disk no longer inflates
+	// it (30 workloads: the disk model lifts the bound from 10 to 16).
+	p := randomLoadStateProblem(rand.New(rand.NewSource(5)), 30, 12, true)
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equal := ev.FractionalLowerBound()
+	p.Machines[0].DiskWriteBps /= 50
+	if ev, err = NewEvaluator(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.FractionalLowerBound(); got != equal || equal != 16 {
+		t.Errorf("one small disk first: lower bound = %d, equal budgets gave %d, want 16 for both", got, equal)
+	}
+}
+
 func TestHeadroomTightensCapacity(t *testing.T) {
 	n := 12
 	mk := func(headroom float64) *Problem {

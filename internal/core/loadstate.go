@@ -45,6 +45,17 @@ type LoadState struct {
 	assign  []int
 	members [][]int
 
+	// The change clock: clock counts the mutations applied so far (it starts
+	// at 1) and changed[j] is its value at the last one that touched machine
+	// j's member list — every mutator (move, Move, Swap, Fold) stamps the
+	// machines it touches. A price that reads only machines whose stamps are
+	// no later than some earlier clock value is the price computed then, bit
+	// for bit, which is what lets the hill climb skip re-pricing candidates
+	// it has already rejected: machine j has changed since an earlier clock
+	// read c iff changed[j] > c (see scanMemo in solve.go).
+	clock   uint64
+	changed []uint64
+
 	// Canonical per-machine running sums, each buffer length T (ws and rate
 	// buffers are nil without a disk model).
 	cpu  [][]float64
@@ -92,6 +103,8 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 		k:         K,
 		assign:    append([]int(nil), assign...),
 		members:   make([][]int, K),
+		clock:     1,
+		changed:   make([]uint64, K),
 		cpu:       make([][]float64, K),
 		ram:       make([][]float64, K),
 		ws:        make([][]float64, K),
@@ -130,6 +143,7 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 		ls.members[j] = append(ls.members[j], u)
 	}
 	for j := 0; j < K; j++ {
+		ls.changed[j] = ls.clock
 		ls.cpu[j] = make([]float64, T)
 		ls.ram[j] = make([]float64, T)
 		if disk {
@@ -168,6 +182,12 @@ func (ls *LoadState) Contrib(j int) float64 { return ls.contrib[j] }
 
 // NormLoad returns machine j's normalized balance load in [0,1].
 func (ls *LoadState) NormLoad(j int) float64 { return ls.norm[j] }
+
+// touch advances the change clock and stamps machines a and b with it.
+func (ls *LoadState) touch(a, b int) {
+	ls.clock++
+	ls.changed[a], ls.changed[b] = ls.clock, ls.clock
+}
 
 // rematerialize recomputes machine j's canonical sums and cached state
 // from its member list. Called on the (at most two) machines an accepted
@@ -483,6 +503,7 @@ func (ls *LoadState) move(u, to int, rematSource, rematDest bool) {
 	}
 	ls.assign[u] = to
 	ls.members[to] = append(ls.members[to], u)
+	ls.touch(from, to)
 	if rematSource {
 		ls.rematerialize(from)
 	}
@@ -532,6 +553,7 @@ func (ls *LoadState) Fold(to int) {
 		ls.slaCap[to], ls.slaCap[from] = ls.slaCap[from], 1
 		ls.argCPU[to], ls.argCPU[from] = ls.argCPU[from], 0
 		ls.argRAM[to], ls.argRAM[from] = ls.argRAM[from], 0
+		ls.touch(to, from)
 	}
 	ls.k--
 }

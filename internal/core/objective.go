@@ -71,8 +71,14 @@ type Evaluator struct {
 	// immutable once set, so clones share it.
 	packing *greedyPacking
 
-	// Fevals counts full-assignment evaluations.
+	// Fevals counts assignments evaluated (Eval) plus sweep candidates
+	// considered, whether the coarse screen pruned them or they were priced
+	// exactly. Candidates skipped because their machines had not changed and
+	// climbs reused from an earlier probe add nothing.
 	Fevals int
+	// stats itemizes the same work (see SolveStats); Clone zeroes it like
+	// Fevals and the owner folds a clone's counters back.
+	stats SolveStats
 }
 
 // envRateFloor (rows/sec) bounds the denominator of the envelope violation
@@ -188,14 +194,15 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 
 // Clone returns an evaluator that shares ev's immutable problem data (the
 // demand arrays, pins, conflict lists and coarse bucket tables are never
-// written after NewEvaluator) but counts its own Fevals, so each worker
-// goroutine of a parallel solve can evaluate assignments without locking.
-// The Eval scratch buffers and reuse table are dropped so each clone lazily
-// grows its own. Callers that care about totals add the clone's Fevals back
-// deterministically.
+// written after NewEvaluator) but counts its own Fevals and work counters,
+// so each worker goroutine of a parallel solve can evaluate assignments
+// without locking. The Eval scratch buffers and reuse table are dropped so
+// each clone lazily grows its own. Callers that care about totals add the
+// clone's counts back deterministically.
 func (ev *Evaluator) Clone() *Evaluator {
 	c := *ev
 	c.Fevals = 0
+	c.stats = SolveStats{}
 	c.emMembers = nil
 	c.esCPU, c.esRAM, c.esWS, c.esRate = nil, nil, nil, nil
 	c.reuse = nil

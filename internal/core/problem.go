@@ -257,8 +257,12 @@ type Solution struct {
 	Feasible bool
 	// Objective is the final objective value (lower is better).
 	Objective float64
-	// Fevals counts objective evaluations across the whole solve.
+	// Fevals counts the work of the whole solve in objective evaluations:
+	// assignments evaluated plus sweep candidates considered (see
+	// Evaluator.Fevals).
 	Fevals int
+	// Stats itemizes that work and the repetition the solver avoided.
+	Stats SolveStats
 	// Elapsed is the wall-clock solve time.
 	Elapsed time.Duration
 	// Migrated counts units placed away from their incumbent machine. Only
@@ -267,6 +271,56 @@ type Solution struct {
 	// MigrationCost is the total migration penalty charged by the warm
 	// re-solve's objective (0 when MigrationWeight is 0 or for cold solves).
 	MigrationCost float64
+}
+
+// SolveStats itemizes a solve's work and the repetition it avoided, as plain
+// counters that repeat exactly from run to run and for every Workers value.
+type SolveStats struct {
+	// Probes lists the machine counts Solve ran, in the order the search
+	// consumed them, the final run at K' (and any walk upward) last.
+	// SolveSharded and Resolve leave it empty.
+	Probes []ProbeStats
+	// Climbs counts hill climbs run, ClimbsReused the cold-seed climbs taken
+	// from an earlier probe at the same K instead, Sweeps the move and swap
+	// sweeps of all climbs.
+	Climbs, ClimbsReused, Sweeps int
+	// Considered counts sweep candidates screened or priced (part of
+	// Fevals), Skipped those passed over because neither of their machines
+	// had changed since they were last rejected (not part of it).
+	Considered, Skipped int
+	// GreedyPack is the time spent on the greedy packing that bounds K and
+	// seeds the climbs.
+	GreedyPack time.Duration
+}
+
+// ProbeStats is one run of the solver at a fixed machine count: its verdict,
+// its own evaluations and time, and whether its cold-seed climbs were
+// Reused from an earlier probe at K.
+type ProbeStats struct {
+	K        int
+	Feasible bool
+	Fevals   int
+	Elapsed  time.Duration
+	Reused   bool
+}
+
+// add folds another evaluator's counters into s; probes are logged by the
+// search that consumes them, not here.
+func (s *SolveStats) add(o SolveStats) {
+	s.Climbs += o.Climbs
+	s.ClimbsReused += o.ClimbsReused
+	s.Sweeps += o.Sweeps
+	s.Considered += o.Considered
+	s.Skipped += o.Skipped
+	s.GreedyPack += o.GreedyPack
+}
+
+// SkippedFrac returns the share of sweep candidates that were skipped.
+func (s SolveStats) SkippedFrac() float64 {
+	if s.Considered+s.Skipped == 0 {
+		return 0
+	}
+	return float64(s.Skipped) / float64(s.Considered+s.Skipped)
 }
 
 // UnitRef names a placement unit.

@@ -352,7 +352,7 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []i
 	// machine 0. Deterministic (unit order, then machine order).
 	ls := NewLoadState(ev, seed, K)
 	for _, u := range free {
-		if j := ev.bestMove(ls, u, K, nil); j != ls.Assign(u) {
+		if j := ev.bestMove(ls, u, nil, 0); j != ls.Assign(u) {
 			ls.Move(u, j)
 		}
 	}
@@ -454,16 +454,14 @@ func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) 
 	const rounds = 100
 
 	type cand struct {
-		assign   []int
-		obj      float64
-		feas     bool
+		climbed
 		combined float64 // objective + migration cost, the selection metric
 	}
 	climb := func(from []int) cand {
 		mig.syncAway(from)
-		a, o, f := ev.hillClimbMig(ctx, from, K, rounds, mig)
-		_, cost := mig.tally(a)
-		return cand{assign: a, obj: o, feas: f, combined: o + cost}
+		c := ev.hillClimbMig(ctx, from, K, rounds, mig)
+		_, cost := mig.tally(c.assign)
+		return cand{c, c.obj + cost}
 	}
 
 	cands := []cand{climb(seed)}
@@ -481,31 +479,31 @@ func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) 
 			best = c
 		}
 	}
-	assign, obj, feas := best.assign, best.obj, best.feas
+	plan := best.climbed
 
 	// Drift can make the incumbent K infeasible; grow until the climb finds
 	// a feasible plan (fresh machines start empty, so the next climb can
 	// offload the violating units onto them).
-	for !feas && K < maxK {
+	for !plan.feas && K < maxK {
 		K++
-		mig.syncAway(assign)
-		assign, obj, feas = ev.hillClimbMig(ctx, assign, K, rounds, mig)
+		mig.syncAway(plan.assign)
+		plan = ev.hillClimbMig(ctx, plan.assign, K, rounds, mig)
 	}
 	// Drift the other way can free a machine; reclaim it with the reduction
 	// pass when machines are interchangeable. Reduction relocates whole
 	// machines, so it only runs without a migration cap.
-	if feas && opt.MaxMigrations <= 0 && p.HomogeneousMachines() {
-		if reduced, rk := ev.reduceK(assign, K); rk < K {
-			assign, K = reduced, rk
-			mig.syncAway(assign)
-			assign, obj, feas = ev.hillClimbMig(ctx, assign, K, rounds, mig)
+	if plan.feas && opt.MaxMigrations <= 0 && p.HomogeneousMachines() {
+		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
+			K = rk
+			mig.syncAway(reduced)
+			plan = ev.hillClimbMig(ctx, reduced, K, rounds, mig)
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sol := ev.finish(p, assign, K, obj, feas, start)
-	sol.Migrated, sol.MigrationCost = mig.tally(assign)
+	sol := ev.finish(plan, K, start)
+	sol.Migrated, sol.MigrationCost = mig.tally(plan.assign)
 	return sol, nil
 }

@@ -349,8 +349,9 @@ func TestHillClimbSwapEscapesLocalOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := []int{0, 0, 1, 1} // 1.10 vs 0.90: stuck for single moves
-	got, _, feas := ev.hillClimbRounds(context.Background(), assign, 2, 100)
-	if !feas {
+	c := ev.hillClimb(context.Background(), assign, 2)
+	got := c.assign
+	if !c.feas {
 		t.Fatalf("swap sweep failed to escape the local optimum: assignment %v", got)
 	}
 	if got[0] == got[1] {

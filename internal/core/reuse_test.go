@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,12 +118,28 @@ func TestEvalReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// referenceGreedyFits is the packer's feasibility check answered by the
+// canonical scratch pricer: a re-sum of bin+item through serverEval per
+// call, as GreedyFits computed it before it kept running sums.
+func referenceGreedyFits(ev *Evaluator) greedy.FitsFunc {
+	return func(bin []int, item int) bool {
+		for _, b := range bin {
+			if ev.conflicted(b, item) {
+				return false
+			}
+		}
+		members := append(append([]int(nil), bin...), item)
+		return ev.serverEval(0, members).Violation == 0
+	}
+}
+
 // TestGreedySeedMatchesBoundedPacking checks the once-per-evaluator greedy
 // packing against the packer it stands in for: for every machine count K a
 // solve can probe, greedySeed must return exactly the bins and verdict of
-// greedy.MultiResource limited to K bins — sequentially and with the
-// per-resource packings run in parallel — including on a problem whose
-// packing fails at every K.
+// greedy.MultiResource limited to K bins and checked by the canonical
+// scratch pricer (referenceGreedyFits, which shares no code with GreedyFits'
+// running sums) — sequentially and with the per-resource packings run in
+// parallel — including on a problem whose packing fails at every K.
 func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	problems := []*Problem{
@@ -147,7 +164,7 @@ func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 			}
 			packed := 0
 			for K := 1; K <= len(p.Machines); K++ {
-				want, wantOK, err := greedy.MultiResource(oracle.greedyLoads(), oracle.greedyFits(), K)
+				want, wantOK, err := greedy.MultiResource(oracle.GreedyLoads(), referenceGreedyFits(oracle), K)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,6 +186,58 @@ func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 				t.Errorf("problem %d: packed at %d machine counts, want none", pi, packed)
 			}
 		}
+	}
+}
+
+// TestSearchReusesOnlyFinishedProbes checks the per-K memory of one Solve: a
+// second run at a machine count the search has consumed starts from that
+// probe's cold climbs — with SkipDirect it is the probe's answer for no
+// evaluation at all — while a probe cut short by cancellation, whose climbs
+// stopped early, never seeds it.
+func TestSearchReusesOnlyFinishedProbes(t *testing.T) {
+	p := randomLoadStateProblem(rand.New(rand.NewSource(19)), 30, 24, false)
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const K = 12
+	opt := SolveOptions{SkipDirect: true}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := &kSearch{ev: ev.Clone(), ctx: cancelled, opt: opt, cold: map[int][]climbed{}}
+	s.solve(K, false)
+	if len(s.cold) != 0 {
+		t.Fatalf("a cancelled probe seeded the reuse: %d machine counts kept", len(s.cold))
+	}
+
+	s = &kSearch{ev: ev.Clone(), ctx: context.Background(), opt: opt, cold: map[int][]climbed{}}
+	probe := s.solve(K, false)
+	spent := s.ev.Fevals
+	final := s.solve(K, true)
+	if s.ev.Fevals != spent {
+		t.Errorf("the second run at K=%d spent %d evaluations, want 0", K, s.ev.Fevals-spent)
+	}
+	if !reflect.DeepEqual(final, probe) {
+		t.Errorf("the second run at K=%d returned a different plan than the probe it reuses", K)
+	}
+	probes := s.ev.stats.Probes
+	if len(probes) != 2 || probes[0].Reused || !probes[1].Reused || probes[1].Fevals != 0 {
+		t.Errorf("probe log = %+v, want a fresh run then a reused one of 0 evaluations", probes)
+	}
+	if st := s.ev.stats; st.ClimbsReused != st.Climbs || st.Climbs == 0 {
+		t.Errorf("climbs run %d, reused %d, want every one reused once", st.Climbs, st.ClimbsReused)
+	}
+
+	// With DIRECT the cold climbs are reused and the DIRECT run is not: the
+	// plan equals a from-scratch run at the polish budget.
+	opt = SolveOptions{DirectFevals: 300, PolishFevals: 600}
+	s = &kSearch{ev: ev.Clone(), ctx: context.Background(), opt: opt, cold: map[int][]climbed{}}
+	s.solve(K, false)
+	final = s.solve(K, true)
+	scratch, _ := ev.Clone().solveK(context.Background(), K, opt, true, nil)
+	if !reflect.DeepEqual(final, scratch) {
+		t.Errorf("polish run on reused climbs = (obj %v, feas %v), from scratch (obj %v, feas %v)", final.obj, final.feas, scratch.obj, scratch.feas)
 	}
 }
 

@@ -180,6 +180,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	assign := make([]int, len(ev.units))
 	K := 0
 	fevals := 0
+	var stats SolveStats // counters summed over shards and merge; no probe log
 	for i, plan := range plans {
 		off := K
 		for su, j := range plan.sol.Assign {
@@ -192,6 +193,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		}
 		K += plan.sol.K
 		fevals += plan.sol.Fevals
+		stats.add(plan.sol.Stats)
 	}
 
 	// Concurrent homogeneous shards each solve against the full machine
@@ -230,12 +232,12 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		if rounds == 0 {
 			rounds = DefaultRebalanceRounds
 		}
-		assign, _, _ = mergeEv.hillClimbRounds(ctx, assign, K, rounds)
+		assign = mergeEv.hillClimbMig(ctx, assign, K, rounds, nil).assign
 		if homogeneous {
 			if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
 				// Reduction packs greedily; re-balance the tighter plan.
-				assign, K = reduced, rk
-				assign, _, _ = mergeEv.hillClimbRounds(ctx, assign, K, rounds)
+				K = rk
+				assign = mergeEv.hillClimbMig(ctx, reduced, K, rounds, nil).assign
 			}
 		}
 	}
@@ -249,7 +251,9 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	obj, feas := ev.Eval(assign, K)
 	if mergeEv != ev {
 		fevals += mergeEv.Fevals
+		stats.add(mergeEv.stats)
 	}
+	stats.add(ev.stats)
 	return &Solution{
 		Assign:    assign,
 		Units:     ev.Units(),
@@ -257,6 +261,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		Feasible:  feas,
 		Objective: obj,
 		Fevals:    fevals + ev.Fevals,
+		Stats:     stats,
 		Elapsed:   time.Since(start),
 	}, nil
 }

@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -52,23 +54,66 @@ func samePlan(t *testing.T, a, b *core.Solution, label string) {
 	}
 }
 
+// sameWork holds two solves to the same work counters: the probes in
+// consumption order (K, verdict, evaluations, whether the cold climbs were
+// reused) and the climb, sweep and candidate counts. Times are excluded.
+func sameWork(t *testing.T, a, b *core.Solution, label string) {
+	t.Helper()
+	strip := func(s core.SolveStats) core.SolveStats {
+		s.GreedyPack = 0
+		s.Probes = append([]core.ProbeStats(nil), s.Probes...)
+		for i := range s.Probes {
+			s.Probes[i].Elapsed = 0
+		}
+		return s
+	}
+	if sa, sb := strip(a.Stats), strip(b.Stats); !reflect.DeepEqual(sa, sb) {
+		t.Errorf("%s: work differs:\n %+v\n %+v", label, sa, sb)
+	}
+}
+
 // The parallel solver (batched DIRECT evaluation + speculative K probing)
 // must produce the exact plan of the sequential solver: parallelism only
-// changes wall-clock time.
+// changes wall-clock time. That covers the work too — K, the objective's
+// bits, the assignment, Fevals and every counter of Solution.Stats — with
+// and without DIRECT: a consumed speculative probe hands its cold climbs
+// back, so the final run at K' reuses them for every Workers value.
 func TestParallelSolveMatchesSequential(t *testing.T) {
-	p := fleetCase(fleet.Internal)
-	seq, err := core.Solve(context.Background(), p, shortBudget(core.DefaultSolveOptions()))
-	if err != nil {
-		t.Fatal(err)
+	datasets := []fleet.Dataset{fleet.Wikipedia, fleet.SecondLife}
+	if testing.Short() {
+		datasets = datasets[:1] // the race-enabled CI job: keep it fast
 	}
-	for _, workers := range []int{2, 4} {
-		opt := shortBudget(core.DefaultSolveOptions())
-		opt.Workers = workers
-		par, err := core.Solve(context.Background(), p, opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, d := range datasets {
+		p := fleetCase(d)
+		for _, skipDirect := range []bool{true, false} {
+			base := shortBudget(core.DefaultSolveOptions())
+			base.SkipDirect = skipDirect
+			seq, err := core.Solve(context.Background(), p, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := seq.Stats.Probes
+			if n := len(probes); n < 2 || !probes[n-1].Reused || seq.Stats.ClimbsReused == 0 {
+				t.Fatalf("%s skipDirect=%v: probes %+v — the final run did not reuse a probe, so the reuse is not exercised", d, skipDirect, probes)
+			}
+			if last := probes[len(probes)-1]; skipDirect && last.Fevals != 0 {
+				t.Errorf("%s: the final run at K=%d repeated %d evaluations of the probe that found it", d, last.K, last.Fevals)
+			}
+			for _, workers := range []int{1, 3, 8} {
+				opt := base
+				opt.Workers = workers
+				par, err := core.Solve(context.Background(), p, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s skipDirect=%v workers=%d", d, skipDirect, workers)
+				samePlan(t, seq, par, label)
+				if math.Float64bits(seq.Objective) != math.Float64bits(par.Objective) {
+					t.Errorf("%s: objective bits %#x vs %#x", label, math.Float64bits(seq.Objective), math.Float64bits(par.Objective))
+				}
+				sameWork(t, seq, par, label)
+			}
 		}
-		samePlan(t, seq, par, fmt.Sprintf("workers=%d", workers))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kairos/internal/direct"
+	"kairos/internal/floats"
 	"kairos/internal/greedy"
 )
 
@@ -74,11 +75,49 @@ func ParallelSolveOptions() SolveOptions {
 	return o
 }
 
-// kCandidate is a feasible plan found while searching the machine count.
-type kCandidate struct {
+// climbed is one hill climb's outcome: a locally optimal assignment, its
+// canonical objective and feasibility.
+type climbed struct {
 	assign []int
 	obj    float64
-	k      int
+	feas   bool
+}
+
+// better reports whether c beats b: feasible over infeasible, then the lower
+// objective.
+func (c climbed) better(b climbed) bool {
+	return (c.feas && !b.feas) || (c.feas == b.feas && c.obj < b.obj)
+}
+
+// kSearch is one Solve's memory of the machine counts it has solved. The
+// cold-seed climbs of solveK are a deterministic function of K alone — not
+// of the budget — so they are kept per K and a later run at the same K (the
+// final one at K', which the search has usually just probed) starts from
+// them instead of climbing the same seeds again.
+type kSearch struct {
+	ev   *Evaluator
+	ctx  context.Context
+	opt  SolveOptions
+	cold map[int][]climbed
+}
+
+// solve runs solveK at K on the search's own evaluator and consumes it.
+func (s *kSearch) solve(K int, polish bool) climbed {
+	t0, f0 := time.Now(), s.ev.Fevals
+	best, cold := s.ev.solveK(s.ctx, K, s.opt, polish, s.cold[K])
+	s.consume(K, best, cold, s.ev.Fevals-f0, time.Since(t0))
+	return best
+}
+
+// consume logs a run the search has used and keeps its cold climbs for the
+// next run at K. A run cut short by cancellation holds climbs that stopped
+// early, so it never seeds the reuse.
+func (s *kSearch) consume(K int, best climbed, cold []climbed, fevals int, elapsed time.Duration) {
+	_, reused := s.cold[K]
+	s.ev.stats.Probes = append(s.ev.stats.Probes, ProbeStats{K: K, Feasible: best.feas, Fevals: fevals, Elapsed: elapsed, Reused: reused})
+	if s.ctx.Err() == nil {
+		s.cold[K] = cold
+	}
 }
 
 // Solve finds a consolidation plan: the minimum feasible machine count K'
@@ -113,6 +152,7 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 			lo = pin + 1
 		}
 	}
+	search := &kSearch{ev: ev, ctx: ctx, opt: opt, cold: map[int][]climbed{}}
 
 	if opt.FixedK > 0 {
 		if opt.FixedK > maxK {
@@ -126,11 +166,11 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 				return nil, fmt.Errorf("core: FixedK %d cannot honour workload unit %d pinned to machine %d", opt.FixedK, u, pin)
 			}
 		}
-		assign, objv, feas := ev.solveK(ctx, opt.FixedK, opt, true)
+		best := search.solve(opt.FixedK, true)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return ev.finish(p, assign, opt.FixedK, objv, feas, start), nil
+		return ev.finish(best, opt.FixedK, start), nil
 	}
 
 	// Upper bound: greedy packing (validated against all constraints); if
@@ -145,15 +185,15 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 
 	// Binary search the smallest feasible K. Feasibility at K is decided by
 	// a budgeted solve; the search keeps the best feasible solution found.
-	var found *kCandidate
+	var found climbed
+	foundK := 0 // the K of found; no probe was feasible yet while 0
 	if opt.workers() > 1 {
-		found = ev.searchKSpeculative(ctx, lo, hi, opt, &lo)
+		found, foundK, lo = search.speculate(lo, hi)
 	} else {
 		for lo < hi {
 			mid := (lo + hi) / 2
-			assign, objv, feas := ev.solveK(ctx, mid, opt, false)
-			if feas {
-				found = &kCandidate{assign: assign, obj: objv, k: mid}
+			if best := search.solve(mid, false); best.feas {
+				found, foundK = best, mid
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -162,16 +202,15 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	}
 	kStar := lo
 	// Final run at K' with the polish budget.
-	assign, objv, feas := ev.solveK(ctx, kStar, opt, true)
-	if !feas && found != nil && found.k == kStar {
-		assign, objv, feas = found.assign, found.obj, true
+	best := search.solve(kStar, true)
+	if !best.feas && foundK == kStar {
+		best = found
 	}
-	if !feas && kStar < maxK {
+	if !best.feas && kStar < maxK {
 		// The bound search can be misled by budgeted solves; walk K upward
 		// until feasible.
 		for k := kStar + 1; k <= maxK; k++ {
-			assign, objv, feas = ev.solveK(ctx, k, opt, true)
-			if feas {
+			if best = search.solve(k, true); best.feas {
 				kStar = k
 				break
 			}
@@ -180,25 +219,29 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return ev.finish(p, assign, kStar, objv, feas, start), nil
+	return ev.finish(best, kStar, start), nil
 }
 
-// searchKSpeculative runs the binary search over the machine count with
-// speculative parallel probing: while the current midpoint K solves, the
-// midpoints of both possible next intervals solve concurrently on cloned
-// evaluators, and probes that fall outside the interval once the current
-// result lands are cancelled via their context. The sequence of consumed
-// probes is exactly the sequential binary search's, and every probe is a
-// deterministic function of its K, so the outcome (including Fevals, which
-// only counts consumed probes) is identical to the sequential path. The
-// final interval low bound is written to *loOut. Probe contexts derive
-// from the caller's ctx, so cancelling it aborts every in-flight probe.
-func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt SolveOptions, loOut *int) *kCandidate {
+// speculate runs the binary search over the machine count with speculative
+// parallel probing: while the current midpoint K solves, the midpoints of
+// both possible next intervals solve concurrently on cloned evaluators, and
+// probes that fall outside the interval once the current result lands are
+// cancelled via their context. The sequence of consumed probes is exactly
+// the sequential binary search's, and every probe is a deterministic
+// function of its K, so the outcome — including Fevals and the work
+// counters, which only count consumed probes, and the cold climbs a consumed
+// probe hands back for reuse — is identical to the sequential path. It
+// returns the last feasible probe with its K (0 when none was feasible) and
+// the final interval low bound. Probe contexts derive from the search's
+// ctx, so cancelling it aborts every in-flight probe.
+func (s *kSearch) speculate(lo, hi int) (found climbed, foundK, loOut int) {
+	ev := s.ev
 	type probeRes struct {
-		assign []int
-		obj    float64
-		feas   bool
-		fevals int
+		best    climbed
+		cold    []climbed
+		fevals  int
+		stats   SolveStats
+		elapsed time.Duration
 	}
 	type future struct {
 		cancel context.CancelFunc
@@ -208,17 +251,18 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 	// run at once; splitting the worker budget across them keeps the
 	// search's total goroutine count at ~Workers. Which workers a probe
 	// gets never changes its result, only its wall clock.
-	probeOpt := opt
-	if probeOpt.Workers = opt.workers() / 3; probeOpt.Workers < 1 {
+	probeOpt := s.opt
+	if probeOpt.Workers = s.opt.workers() / 3; probeOpt.Workers < 1 {
 		probeOpt.Workers = 1
 	}
 	launch := func(K int) *future {
-		pctx, cancel := context.WithCancel(ctx)
+		pctx, cancel := context.WithCancel(s.ctx)
 		f := &future{cancel: cancel, ch: make(chan probeRes, 1)}
 		pe := ev.Clone()
 		go func() {
-			a, o, feas := pe.solveK(pctx, K, probeOpt, false)
-			f.ch <- probeRes{a, o, feas, pe.Fevals}
+			t0 := time.Now()
+			best, cold := pe.solveK(pctx, K, probeOpt, false, nil)
+			f.ch <- probeRes{best, cold, pe.Fevals, pe.stats, time.Since(t0)}
 		}()
 		return f
 	}
@@ -237,7 +281,6 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 		}
 	}()
 
-	var found *kCandidate
 	for lo < hi {
 		mid := (lo + hi) / 2
 		cur := ensure(mid)
@@ -252,8 +295,10 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 		cur.cancel()
 		delete(futures, mid)
 		ev.Fevals += r.fevals
-		if r.feas {
-			found = &kCandidate{assign: r.assign, obj: r.obj, k: mid}
+		ev.stats.add(r.stats)
+		s.consume(mid, r.best, r.cold, r.fevals, r.elapsed)
+		if r.best.feas {
+			found, foundK = r.best, mid
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -266,26 +311,27 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 			}
 		}
 	}
-	*loOut = lo
-	return found
+	return found, foundK, lo
 }
 
 // finish assembles the Solution.
-func (ev *Evaluator) finish(p *Problem, assign []int, k int, obj float64, feasible bool, start time.Time) *Solution {
+func (ev *Evaluator) finish(best climbed, k int, start time.Time) *Solution {
 	return &Solution{
-		Assign:    assign,
+		Assign:    best.assign,
 		Units:     ev.Units(),
 		K:         k,
-		Feasible:  feasible,
-		Objective: obj,
+		Feasible:  best.feas,
+		Objective: best.obj,
 		Fevals:    ev.Fevals,
+		Stats:     ev.stats,
 		Elapsed:   time.Since(start),
 	}
 }
 
 // FractionalLowerBound computes the paper's optimistic bound: workloads are
-// divisible and resources independent, so K must be at least the peak
-// aggregate demand of each resource divided by per-machine capacity.
+// divisible and resources independent, so a K-machine plan — which uses the
+// first K machines — needs their capacities to sum to at least the peak
+// aggregate demand of each resource.
 func (ev *Evaluator) FractionalLowerBound() int {
 	T := ev.T
 	sum2 := func(a, b [][]float64) (aSum, bSum []float64) {
@@ -300,25 +346,35 @@ func (ev *Evaluator) FractionalLowerBound() int {
 		return aSum, bSum
 	}
 	cpuSum, ramSum := sum2(ev.cpu, ev.ram)
-	m := ev.p.Machines[0]
 	k := 1
 	for t := 0; t < T; t++ {
-		if need := int(math.Ceil(cpuSum[t] / m.capacity(m.CPUCapacity))); need > k {
+		if need := machinesCovering(cpuSum[t], ev.capCPU); need > k {
 			k = need
 		}
-		if need := int(math.Ceil(ramSum[t] / m.capacity(m.RAMBytes))); need > k {
+		if need := machinesCovering(ramSum[t], ev.capRAM); need > k {
 			k = need
 		}
 	}
 	if ev.p.Disk != nil {
 		wsSum, rateSum := sum2(ev.ws, ev.rate)
-		diskCap := m.capacity(m.DiskWriteBps)
+		// The tightening splits the aggregate evenly over n machines. On a
+		// mixed fleet it prices the split against the largest disk budget
+		// among the first n: raising every budget to that one only relaxes
+		// the problem, so the bound stays below the true optimum (and is
+		// unchanged when all budgets are equal).
+		diskCap := make([]float64, len(ev.capDisk))
+		for j, c := range ev.capDisk {
+			diskCap[j] = c
+			if j > 0 && diskCap[j-1] > c {
+				diskCap[j] = diskCap[j-1]
+			}
+		}
 		for t := 0; t < T; t++ {
 			// Smallest split count making the disk model feasible; the
 			// profile is monotone in both arguments, so scan upward.
 			for n := k; n <= len(ev.p.Machines); n++ {
 				pred := ev.p.Disk.PredictWriteMBps(wsSum[t]/float64(n), rateSum[t]/float64(n)) * 1e6
-				ok := pred <= diskCap
+				ok := pred <= diskCap[n-1]
 				if ok && ev.p.Disk.HasEnvelope {
 					// Boundary rule (model.EnvelopeFeasible): at the
 					// envelope is feasible, beyond it is not.
@@ -339,6 +395,26 @@ func (ev *Evaluator) FractionalLowerBound() int {
 	return k
 }
 
+// machinesCovering returns the smallest K whose first K capacities sum to
+// at least demand. Machines are taken a run of equal capacities at a time and
+// the count inside a run is ⌈remaining/capacity⌉, so a homogeneous fleet gets
+// exactly ⌈demand/capacity⌉ — also when that exceeds the machines there are,
+// which is how Solve learns the fleet is over-committed.
+func machinesCovering(demand float64, caps []float64) int {
+	for j := 0; ; {
+		run := 1
+		for j+run < len(caps) && floats.Same(caps[j+run], caps[j]) {
+			run++
+		}
+		need := int(math.Ceil(demand / caps[j]))
+		if need <= run || j+run == len(caps) {
+			return j + need
+		}
+		demand -= float64(run) * caps[j]
+		j += run
+	}
+}
+
 // greedyPacking is the paper's single-resource greedy baseline with no bin
 // limit: the bins, or ok=false when no resource order packs the units.
 type greedyPacking struct {
@@ -354,8 +430,10 @@ type greedyPacking struct {
 // bins.
 func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 	if ev.packing == nil {
+		t0 := time.Now()
 		bins, ok := ev.packGreedy(workers)
 		ev.packing = &greedyPacking{bins, ok}
+		ev.stats.GreedyPack += time.Since(t0)
 	}
 	if g := ev.packing; g.ok && len(g.bins) <= maxBins {
 		return g.bins, true
@@ -368,16 +446,16 @@ func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 // check. With workers > 1 the per-resource packings run concurrently, each
 // against its own evaluator clone.
 func (ev *Evaluator) packGreedy(workers int) ([][]int, bool) {
-	loads := ev.greedyLoads()
+	loads := ev.GreedyLoads()
 	var bins [][]int
 	var ok bool
 	var err error
 	if workers > 1 && len(loads) > 1 {
 		bins, ok, err = greedy.MultiResourceParallel(loads, func(int) greedy.FitsFunc {
-			return ev.Clone().greedyFits()
+			return ev.Clone().GreedyFits()
 		}, 0, workers)
 	} else {
-		bins, ok, err = greedy.MultiResource(loads, ev.greedyFits(), 0)
+		bins, ok, err = greedy.MultiResource(loads, ev.GreedyFits(), 0)
 	}
 	if err != nil || !ok {
 		return nil, false
@@ -385,10 +463,10 @@ func (ev *Evaluator) packGreedy(workers int) ([][]int, bool) {
 	return bins, true
 }
 
-// greedyLoads returns the scalar loads the greedy baseline orders units by,
-// one row per resource: peak CPU, peak RAM and, under a disk model, peak
-// update rate.
-func (ev *Evaluator) greedyLoads() [][]float64 {
+// GreedyLoads returns the scalar loads the greedy baseline orders units by,
+// one row per resource — peak CPU, peak RAM and, under a disk model, peak
+// update rate: with GreedyFits, the inputs of greedy.MultiResource.
+func (ev *Evaluator) GreedyLoads() [][]float64 {
 	nU := len(ev.units)
 	peak := func(vals [][]float64) []float64 {
 		out := make([]float64, nU)
@@ -408,11 +486,51 @@ func (ev *Evaluator) greedyLoads() [][]float64 {
 	return loads
 }
 
-// greedyFits returns the greedy packer's feasibility check against this
-// evaluator. The closure owns one scratch member list, so each concurrent
-// packing needs its own (from its own evaluator clone).
-func (ev *Evaluator) greedyFits() greedy.FitsFunc {
-	scratch := make([]int, 0, len(ev.units))
+// binSums is one greedy bin's running aggregate: the members already summed
+// (a prefix of the bin, in its order), their canonical demand sums (ws and
+// rate nil without a disk model) and the strictest SLA cap among them.
+type binSums struct {
+	members            []int
+	cpu, ram, ws, rate []float64
+	slaCap             float64
+}
+
+// add extends the sums by unit u with fill's expression, sum + k·unit — the
+// next step of accumulate2's sequence.
+func (bs *binSums) add(ev *Evaluator, u int) {
+	k := ev.scale[u]
+	fill2(ev.T, bs.cpu, bs.ram, bs.cpu, bs.ram, ev.cpu[u], ev.ram[u], k)
+	if ev.p.Disk != nil {
+		fill2(ev.T, bs.ws, bs.rate, bs.ws, bs.rate, ev.ws[u], ev.rate[u], k)
+	}
+	if c := ev.slaCapU[u]; c < bs.slaCap {
+		bs.slaCap = c
+	}
+	bs.members = append(bs.members, u)
+}
+
+// GreedyFits returns the greedy packer's feasibility check against this
+// evaluator: conflicts, then whether bin+item violates any resource of
+// machine 0 — serverEval(0, bin+item).Violation == 0, bit for bit, in O(T)
+// per call instead of a re-sum of every member. A bin is recognised by its
+// first member and keeps running sums built by accumulate2's own sequence
+// (zero, then sum + k·unit in member order); a call catches up on members
+// appended since the last one, and starts over when the members it remembers
+// are not a prefix of the bin it is handed — MultiResource re-packs under
+// every resource order through one closure, so the same first member can
+// head a different bin. The closure owns its sums and scratch, so each
+// concurrent packing needs its own (from its own evaluator clone).
+func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
+	T := ev.T
+	newSums := func() *binSums {
+		bs := &binSums{cpu: make([]float64, T), ram: make([]float64, T), slaCap: 1}
+		if ev.p.Disk != nil {
+			bs.ws, bs.rate = make([]float64, T), make([]float64, T)
+		}
+		return bs
+	}
+	empty, scratch := newSums(), newSums()
+	bins := make([]*binSums, len(ev.units)) // keyed by first member
 	return func(bin []int, item int) bool {
 		// Pins and conflicts cannot be checked bin-locally against machine
 		// indices, so the greedy seed only enforces resources and
@@ -422,8 +540,40 @@ func (ev *Evaluator) greedyFits() greedy.FitsFunc {
 				return false
 			}
 		}
-		scratch = append(append(scratch[:0], bin...), item)
-		return ev.serverEval(0, scratch).Violation == 0
+		bs := empty
+		if len(bin) > 0 {
+			if bs = bins[bin[0]]; bs == nil {
+				bs = newSums()
+				bins[bin[0]] = bs
+			}
+			known := len(bs.members)
+			if known > len(bin) {
+				known = 0
+			}
+			for i := 0; i < known; i++ {
+				if bs.members[i] != bin[i] {
+					known = 0
+				}
+			}
+			if known == 0 {
+				ev.accumulateInto(nil, bs.cpu, bs.ram, bs.ws, bs.rate)
+				bs.members, bs.slaCap = bs.members[:0], 1
+			}
+			for _, u := range bin[known:] {
+				bs.add(ev, u)
+			}
+		}
+		k := ev.scale[item]
+		fill2(T, scratch.cpu, scratch.ram, bs.cpu, bs.ram, ev.cpu[item], ev.ram[item], k)
+		if ev.p.Disk != nil {
+			fill2(T, scratch.ws, scratch.rate, bs.ws, bs.rate, ev.ws[item], ev.rate[item], k)
+		}
+		slaCap := bs.slaCap
+		if c := ev.slaCapU[item]; c < slaCap {
+			slaCap = c
+		}
+		_, _, _, viol, _ := ev.evalSums(0, scratch.cpu, scratch.ram, scratch.ws, scratch.rate, slaCap)
+		return viol == 0
 	}
 }
 
@@ -459,26 +609,22 @@ func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
 
 // solveK finds the best assignment on exactly K machines with the given
 // budget: greedy and spread seeds improved by hill climbing, plus an
-// optional DIRECT global search, polished again. Deterministic throughout
-// for any worker count; a cancelled ctx aborts early with a best-effort
-// result (speculative probes discard it anyway).
-func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool) (assign []int, obj float64, feasible bool) {
+// optional DIRECT global search, polished again. A non-nil cold holds the
+// cold-seed climbs of an earlier run at this K and replaces climbing them;
+// either way they are returned beside the best candidate. Deterministic
+// throughout for any worker count; a cancelled ctx aborts early with a
+// best-effort result (speculative probes discard it anyway).
+func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool, cold []climbed) (best climbed, coldOut []climbed) {
 	nU := len(ev.units)
-	type cand struct {
-		assign []int
-		obj    float64
-		feas   bool
+	if cold == nil {
+		// Cold seeds: greedy bins plus round-robin spread.
+		for _, a := range ev.coldSeeds(K, opt.workers()) {
+			cold = append(cold, ev.hillClimb(ctx, a, K))
+		}
+	} else {
+		ev.stats.ClimbsReused += len(cold)
 	}
-	var cands []cand
-	try := func(a []int) {
-		a2, o2, f2 := ev.hillClimb(ctx, a, K)
-		cands = append(cands, cand{a2, o2, f2})
-	}
-
-	// Cold seeds: greedy bins plus round-robin spread.
-	for _, a := range ev.coldSeeds(K, opt.workers()) {
-		try(a)
-	}
+	cands := cold[:len(cold):len(cold)] // capped: appending copies, cold stays as returned
 
 	// DIRECT global search over the compact encoding: one continuous
 	// variable per unit in [0, K), floor() gives the machine index. With
@@ -537,19 +683,17 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 			}, lower, upper, dopt)
 		}
 		if derr == nil {
-			try(decode(res.X, make([]int, nU)))
+			cands = append(cands, ev.hillClimb(ctx, decode(res.X, make([]int, nU)), K))
 		}
 	}
 
-	bestIdx := 0
-	for i := 1; i < len(cands); i++ {
-		b, c := cands[bestIdx], cands[i]
-		if (c.feas && !b.feas) || (c.feas == b.feas && c.obj < b.obj) {
-			bestIdx = i
+	best = cands[0]
+	for _, c := range cands[1:] {
+		if c.better(best) {
+			best = c
 		}
 	}
-	best := cands[bestIdx]
-	return best.assign, best.obj, best.feas
+	return best, cold
 }
 
 // hillClimb is deterministic best-improvement local search — the
@@ -558,62 +702,102 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 // LoadState, so a full move sweep costs O(U·K·T) and a swap sweep O(U²·T),
 // instead of the O(·units-per-server·T) factor a scratch re-aggregation
 // needs per candidate.
-func (ev *Evaluator) hillClimb(ctx context.Context, assign []int, K int) ([]int, float64, bool) {
-	return ev.hillClimbRounds(ctx, assign, K, 100)
+func (ev *Evaluator) hillClimb(ctx context.Context, assign []int, K int) climbed {
+	return ev.hillClimbMig(ctx, assign, K, 100, nil)
 }
 
-// hillClimbRounds is hillClimb with an explicit sweep budget (the sharded
-// solver's cross-shard rebalance pass uses a small one).
-func (ev *Evaluator) hillClimbRounds(ctx context.Context, assign []int, K int, maxRounds int) ([]int, float64, bool) {
-	return ev.hillClimbMig(ctx, assign, K, maxRounds, nil)
-}
-
-// hillClimbMig is the full local search: rounds of single-unit move sweeps,
-// falling back to a 2-exchange swap sweep whenever moves stall — swaps
-// escape the local optima single-unit moves cannot (two units that should
-// trade places but neither fits alongside the other). A non-nil mig adds
-// warm-restart migration pricing (Resolve). Accepted moves and swaps
-// re-materialize the touched machines' sums canonically inside LoadState,
-// and the final plan is re-priced through the canonical Eval, so the
-// incremental pricing never drifts into the result. Deterministic: sweep
-// order is fixed and independent of worker counts.
-func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxRounds int, mig *migration) ([]int, float64, bool) {
+// hillClimbMig is the full local search with an explicit sweep budget (the
+// sharded solver's cross-shard rebalance pass uses a small one) and, when
+// mig is non-nil, warm-restart migration pricing (Resolve). The final plan
+// is re-priced through the canonical Eval, so the incremental pricing never
+// drifts into the result.
+func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxRounds int, mig *migration) climbed {
 	ls := NewLoadState(ev, assign, K)
+	ev.climb(ctx, ls, maxRounds, mig, newScanMemo(ls, mig))
+	cur := ls.Assignment()
+	obj, feas := ev.Eval(cur, K)
+	return climbed{cur, obj, feas}
+}
+
+// climb runs rounds of single-unit move sweeps on ls, falling back to a
+// 2-exchange swap sweep whenever moves stall — swaps escape the local optima
+// single-unit moves cannot (two units that should trade places but neither
+// fits alongside the other). Accepted moves and swaps re-materialize the
+// touched machines' sums canonically inside LoadState. Deterministic: sweep
+// order is fixed and independent of worker counts. A nil memo re-prices
+// every candidate in every sweep; the accepted sequence is the same.
+func (ev *Evaluator) climb(ctx context.Context, ls *LoadState, maxRounds int, mig *migration, memo *scanMemo) {
+	ev.stats.Climbs++
 	for rounds := 0; rounds < maxRounds && ctx.Err() == nil; rounds++ {
-		if !ev.sweepMoves(ctx, ls, K, mig) {
-			if !ev.sweepSwaps(ctx, ls, K, mig) {
+		if !ev.sweepMoves(ctx, ls, mig, memo) {
+			if !ev.sweepSwaps(ctx, ls, mig, memo) {
 				break
 			}
 		}
 	}
-	// Canonical final pricing through Eval keeps all callers consistent.
-	cur := ls.Assignment()
-	obj, feas := ev.Eval(cur, K)
-	return cur, obj, feas
+}
+
+// scanMemo is what one climb remembers about its fruitless scans: moves[u]
+// and swaps[u] are the LoadState change clock at which unit u's last move
+// scan and last swap scan ended with nothing accepted (0 = never). Such a
+// scan compared every candidate's delta with the fixed −1e-9 threshold and
+// found it no better; a candidate's delta reads only its two machines, so
+// while neither has changed since (LoadState.changed) the next scan
+// would compute the same delta from the same state and reject it again, and
+// skips it. When the unit's own machine changed, every candidate's delta
+// did, and the scan is a full one.
+type scanMemo struct {
+	moves, swaps []uint64
+}
+
+// newScanMemo returns the memo for a climb over ls, or nil — skip nothing —
+// under a migration cap: allows() then reads the fleet-wide away count, so a
+// candidate between two untouched machines can turn from refused to allowed.
+func newScanMemo(ls *LoadState, mig *migration) *scanMemo {
+	if mig != nil && mig.limit > 0 {
+		return nil
+	}
+	n := ls.NumUnits()
+	return &scanMemo{moves: make([]uint64, n), swaps: make([]uint64, n)}
 }
 
 // bestMove returns unit u's best strictly-improving destination machine
 // under the current LoadState (and optional migration pricing), or u's
-// current machine when no move improves. Counts one Feval per candidate
-// priced. Shared by the move sweeps and the warm-seed placement of units
-// with no incumbent.
-func (ev *Evaluator) bestMove(ls *LoadState, u, K int, mig *migration) int {
+// current machine when no move improves. Destinations that, like u's own
+// machine, have not changed since `since` — the clock of a scan of u that
+// found nothing — are skipped; pass 0 to price them all. Counts one Feval
+// per candidate considered. Shared by the move sweeps and the warm-seed
+// placement of units with no incumbent.
+//
+//kairos:hotpath
+func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64) int {
 	from := ls.Assign(u)
-	cFromNew := ls.PriceRemove(u)
+	rescan := ls.changed[from] > since
+	cFromNew, removed := 0.0, false
 	bestJ := from
 	bestDelta := -1e-9 // strict improvement required
 	screen := ls.Screened()
-	for j := 0; j < K; j++ {
+	for j := 0; j < ls.K(); j++ {
 		if j == from {
+			continue
+		}
+		if !rescan && ls.changed[j] <= since {
+			ev.stats.Skipped++
 			continue
 		}
 		if !mig.allows(mig.awayDelta(u, from, j)) {
 			continue
 		}
+		if !removed {
+			// Priced on first use: a unit none of whose machines changed
+			// never needs it.
+			cFromNew, removed = ls.PriceRemove(u), true
+		}
 		// Fevals counts candidates considered, screened or exactly priced,
 		// so its semantics (and every warm-vs-cold comparison built on it)
 		// are independent of the coarse screen.
 		ev.Fevals++
+		ev.stats.Considered++
 		if screen {
 			// Coarse-to-fine: the O(T/B) lower bound on the destination's
 			// new contribution prunes candidates that provably cannot beat
@@ -640,7 +824,8 @@ func (ev *Evaluator) bestMove(ls *LoadState, u, K int, mig *migration) int {
 // improving moves as it goes. Reports whether anything moved. A cancelled
 // ctx stops the sweep between units, bounding abort latency by one unit's
 // O(K·T) pricing rather than a whole sweep.
-func (ev *Evaluator) sweepMoves(ctx context.Context, ls *LoadState, K int, mig *migration) bool {
+func (ev *Evaluator) sweepMoves(ctx context.Context, ls *LoadState, mig *migration, memo *scanMemo) bool {
+	ev.stats.Sweeps++
 	improved := false
 	for u := 0; u < ls.NumUnits(); u++ {
 		if ctx.Err() != nil {
@@ -650,10 +835,16 @@ func (ev *Evaluator) sweepMoves(ctx context.Context, ls *LoadState, K int, mig *
 			continue
 		}
 		from := ls.Assign(u)
-		if bestJ := ev.bestMove(ls, u, K, mig); bestJ != from {
+		var since uint64
+		if memo != nil {
+			since = memo.moves[u]
+		}
+		if bestJ := ev.bestMove(ls, u, mig, since); bestJ != from {
 			mig.note(mig.awayDelta(u, from, bestJ))
 			ls.Move(u, bestJ)
 			improved = true
+		} else if memo != nil {
+			memo.moves[u] = ls.clock
 		}
 	}
 	return improved
@@ -662,9 +853,12 @@ func (ev *Evaluator) sweepMoves(ctx context.Context, ls *LoadState, K int, mig *
 // sweepSwaps runs one best-improvement sweep of 2-exchange swaps: for every
 // unit, the best partner on another machine is found by pricing both sides
 // of the exchange as two O(T) LoadState deltas, and the best strictly
-// improving swap per unit is applied immediately. Reports whether any swap
-// was applied. A cancelled ctx stops the sweep between units.
-func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, K int, mig *migration) bool {
+// improving swap per unit is applied immediately. Partners whose machine,
+// like the unit's own, has not changed since the unit's last fruitless swap
+// scan are skipped. Reports whether any swap was applied. A cancelled ctx
+// stops the sweep between units.
+func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migration, memo *scanMemo) bool {
+	ev.stats.Sweeps++
 	improved := false
 	n := ls.NumUnits()
 	screen := ls.Screened()
@@ -676,6 +870,11 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, K int, mig *
 			continue
 		}
 		a := ls.Assign(u)
+		var since uint64
+		if memo != nil {
+			since = memo.swaps[u]
+		}
+		rescan := ls.changed[a] > since
 		bestV := -1
 		bestDelta := -1e-9 // strict improvement required
 		for v := u + 1; v < n; v++ {
@@ -686,10 +885,15 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, K int, mig *
 			if b == a {
 				continue
 			}
+			if !rescan && ls.changed[b] <= since {
+				ev.stats.Skipped++
+				continue
+			}
 			if !mig.allows(mig.awayDelta(u, a, b) + mig.awayDelta(v, b, a)) {
 				continue
 			}
 			ev.Fevals++ // candidates considered, screened or priced
+			ev.stats.Considered++
 			if screen {
 				// Coarse-to-fine, staged: first prune against u's side
 				// alone (the other side contributes at least exp(0) = 1),
@@ -722,6 +926,8 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, K int, mig *
 			mig.note(mig.awayDelta(u, a, b) + mig.awayDelta(bestV, b, a))
 			ls.Swap(u, bestV)
 			improved = true
+		} else if memo != nil {
+			memo.swaps[u] = ls.clock
 		}
 	}
 	return improved
