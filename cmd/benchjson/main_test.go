@@ -58,7 +58,7 @@ func TestCompareDocs(t *testing.T) {
 		return Result{Name: name, Pkg: "kairos/internal/core", Iterations: 1, Metrics: metrics}
 	}
 	old := Doc{Results: []Result{
-		res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 2e8, "fevals": 489261, "probes": 3, "machines": 16, "skipped-frac": 0.3}),
+		res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 2e8, "fevals": 489261, "priced": 96880, "probes": 3, "machines": 16, "skipped-frac": 0.3}),
 		res("BenchmarkGreedyPackALL197", map[string]float64{"ns/op": 3e6, "machines": 19}),
 	}}
 	for _, tc := range []struct {
@@ -69,27 +69,37 @@ func TestCompareDocs(t *testing.T) {
 	}{
 		// Slower, and an ungated ratio moved: neither is a count.
 		{"same counts", Doc{Results: []Result{
-			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 9e8, "fevals": 489261, "probes": 3, "machines": 16, "skipped-frac": 0.1}),
+			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 9e8, "fevals": 489261, "priced": 96880, "probes": 3, "machines": 16, "skipped-frac": 0.1}),
 			res("BenchmarkGreedyPackALL197", map[string]float64{"ns/op": 3e6, "machines": 19}),
 		}}, false, "fevals 489261"},
 		{"fevals rose", Doc{Results: []Result{
-			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 1e8, "fevals": 1062784, "probes": 3, "machines": 16}),
+			res("BenchmarkColdSolveALL197", map[string]float64{"ns/op": 1e8, "fevals": 1062784, "priced": 96880, "probes": 3, "machines": 16}),
 			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
 		}}, true, "fevals rose 489261 -> 1.062784e+06"},
 		{"fevals fell", Doc{Results: []Result{
-			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 400000, "probes": 3, "machines": 16}),
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 400000, "priced": 96880, "probes": 3, "machines": 16}),
 			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
 		}}, false, "re-capture"},
-		{"benchmark missing", Doc{Results: []Result{
+		// The screen pruning less shows as exact pricings, with fevals (the
+		// candidates considered) where they were.
+		{"priced rose", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "priced": 200000, "probes": 3, "machines": 16}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, true, "priced rose 96880 -> 200000"},
+		{"priced missing", Doc{Results: []Result{
 			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "probes": 3, "machines": 16}),
+			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
+		}}, true, "priced missing"},
+		{"benchmark missing", Doc{Results: []Result{
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "priced": 96880, "probes": 3, "machines": 16}),
 		}}, true, "BenchmarkGreedyPackALL197: missing"},
 		{"metric missing", Doc{Results: []Result{
-			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "machines": 16}),
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "priced": 96880, "machines": 16}),
 			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
 		}}, true, "probes missing"},
 		// A new allocs/op column the baseline does not carry is not gated.
 		{"extra metric", Doc{Results: []Result{
-			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "probes": 3, "machines": 16, "allocs/op": 1e9}),
+			res("BenchmarkColdSolveALL197", map[string]float64{"fevals": 489261, "priced": 96880, "probes": 3, "machines": 16, "allocs/op": 1e9}),
 			res("BenchmarkGreedyPackALL197", map[string]float64{"machines": 19}),
 		}}, false, "machines 19"},
 	} {

@@ -110,8 +110,8 @@ func cmdConsolidate(args []string) error {
 // printSolveStats prints Solution.Stats: one line of counters, then the K
 // probes in the order the search consumed them.
 func printSolveStats(fevals int, st core.SolveStats) {
-	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%); greedy packing %v\n",
-		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.GreedyPack.Round(time.Microsecond))
+	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%), %d exact pricings; greedy packing %v\n",
+		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.Priced, st.GreedyPack.Round(time.Microsecond))
 	for _, pr := range st.Probes {
 		verdict, reused := "infeasible", ""
 		if pr.Feasible {

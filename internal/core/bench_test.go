@@ -88,6 +88,7 @@ func reportWork(b *testing.B, sol *core.Solution) {
 	b.ReportMetric(float64(len(sol.Stats.Probes)), "probes")
 	b.ReportMetric(float64(sol.Stats.ClimbsReused), "climbs-reused")
 	b.ReportMetric(sol.Stats.SkippedFrac(), "skipped-frac")
+	b.ReportMetric(float64(sol.Stats.Priced), "priced")
 	b.ReportMetric(float64(sol.K), "machines")
 }
 

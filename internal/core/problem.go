@@ -288,6 +288,10 @@ type SolveStats struct {
 	// Fevals), Skipped those passed over because neither of their machines
 	// had changed since they were last rejected (not part of it).
 	Considered, Skipped int
+	// Priced counts the exact O(T) pricings the sweeps ran for the
+	// candidates the screen could not rule out: one per destination priced
+	// by a move scan, one per machine side priced by a swap scan.
+	Priced int
 	// GreedyPack is the time spent on the greedy packing that bounds K and
 	// seeds the climbs.
 	GreedyPack time.Duration
@@ -312,6 +316,7 @@ func (s *SolveStats) add(o SolveStats) {
 	s.Sweeps += o.Sweeps
 	s.Considered += o.Considered
 	s.Skipped += o.Skipped
+	s.Priced += o.Priced
 	s.GreedyPack += o.GreedyPack
 }
 

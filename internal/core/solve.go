@@ -810,6 +810,7 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 				continue
 			}
 		}
+		ev.stats.Priced++
 		cToNew := ls.PriceAdd(u, j)
 		delta := (cFromNew + cToNew) - (ls.Contrib(from) + ls.Contrib(j)) + mig.delta(u, from, j)
 		if delta < bestDelta {
@@ -913,6 +914,7 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 					continue
 				}
 			}
+			ev.stats.Priced += 2
 			nu, nv := ls.PriceSwap(u, v)
 			delta := (nu + nv) - (ls.Contrib(a) + ls.Contrib(b)) +
 				mig.delta(u, a, b) + mig.delta(v, b, a)
