@@ -6,17 +6,17 @@ GO ?= go
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
 INGEST_BENCH = DecodeWindow197|WindowRecord197|Append2MB|Recover64x2MB
 
-# The whole-solve benchmarks whose work counters (fevals, probes,
+# The whole-solve benchmarks whose work counters (fevals, priced, probes,
 # machines) BENCH_counts.json pins (make bench-counts): cold local-search
 # solves of ALL-197 and SecondLife-97 + disk model, one warm re-solve of
 # the drifted ALL-197, one greedy packing.
-COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk)|ResolveWarmALL197|GreedyPackALL197
+COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk)$$|ResolveWarmALL197|GreedyPackALL197
 
 # The cold solve's per-phase in-package benchmarks (make bench-hot,
 # bench-json): DIRECT-pattern Eval, exact swap pricing with and without
-# the disk model, the disk polynomial, greedy seeding, then the whole
-# solves above.
-SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|$(COUNT_BENCH)
+# the disk model, the disk polynomial, greedy seeding, the cold ALL-197
+# solve over a one-week horizon (T = 2016), then the whole solves above.
+SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
 .PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json bench-counts serve-smoke lint fmt ci
 
@@ -73,8 +73,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # Hill-climb hot path: candidate-move pricing with the incremental
-# LoadState engine vs the scratch evaluator, plus the coarse-to-fine
-# screened sweep vs the unscreened one, with allocation stats. The
+# LoadState engine vs the scratch evaluator, plus the sweep screened by the
+# peak-step sample bound vs the unscreened one, with allocation stats. The
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.

@@ -103,7 +103,7 @@ func BenchmarkLoadStateSweep(b *testing.B) {
 
 // sweepMovesCoarse prices one best-improvement move sweep the way the
 // solver's bestMove does — tracking the best delta per unit — optionally
-// screening every candidate against the coarse lower bound first. It never
+// screening every candidate against the peak-step sample bound first. It never
 // mutates the state, so benchmark iterations price identical work. Returns
 // an accumulator (defeats dead-code elimination) and the number of exact
 // O(T) pricings performed.
@@ -133,8 +133,8 @@ func sweepMovesCoarse(ls *core.LoadState, K int, screen bool) (acc float64, exac
 }
 
 // sweepSwapsCoarse prices one 2-exchange swap sweep like the solver's
-// sweepSwaps (staged coarse screen, best delta per unit) without mutating
-// the state.
+// sweepSwaps (both sides' screens, best delta per unit; the solver also
+// stages each side) without mutating the state.
 func sweepSwapsCoarse(ls *core.LoadState, screen bool) (acc float64, exact int) {
 	n := ls.NumUnits()
 	for u := 0; u < n; u++ {
@@ -168,7 +168,7 @@ func sweepSwapsCoarse(ls *core.LoadState, screen bool) (acc float64, exact int) 
 
 // BenchmarkCoarseScreenedSweep measures one full local-search pricing pass
 // — a best-improvement move sweep plus a 2-exchange swap sweep — on the
-// 197-server ALL fleet, with the coarse bucketed screen off versus on. The
+// 197-server ALL fleet, with the peak-step sample screen off versus on. The
 // screened case must price the identical best-delta trajectory (the screen
 // only removes candidates the exact pricing would reject), stay at 0
 // allocs/op, and the reported sweep-speedup is the per-PR acceptance
@@ -216,9 +216,9 @@ func BenchmarkCoarseScreenedSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkCoarseBoundPricing isolates a single coarse bound evaluation —
-// the screen applied to every candidate of a sweep — tracking its cost and
-// the 0 allocs/op requirement directly.
+// BenchmarkCoarseBoundPricing isolates a single screen evaluation over the
+// whole sample — the bound applied to the candidates of a sweep — tracking
+// its cost and the 0 allocs/op requirement directly.
 func BenchmarkCoarseBoundPricing(b *testing.B) {
 	p := fleetProblem(fleet.All(), nil)
 	ev, err := core.NewEvaluator(p)

@@ -91,15 +91,12 @@ func targetMachines(n int, headroom float64) []core.Machine {
 // solverFlags are the solver knobs shared by consolidate and watch.
 type solverFlags struct {
 	parallel *int
-	bucket   *int
 }
 
 // addSolverFlags registers the shared solver flags on fs.
 func addSolverFlags(fs *flag.FlagSet) *solverFlags {
 	return &solverFlags{
 		parallel: fs.Int("parallel", 1, "solver worker goroutines (0 = one per CPU, 1 = sequential)"),
-		bucket: fs.Int("bucket", 0, "coarse-pricing bucket width in time steps for the move screen "+
-			"(0 = default T/16, negative = screen off); plans are identical for every setting"),
 	}
 }
 
@@ -112,7 +109,6 @@ func (sf *solverFlags) options() kairos.SolveOptions {
 	case *sf.parallel > 1:
 		opt.Workers = *sf.parallel
 	}
-	opt.BucketWidth = *sf.bucket
 	return opt
 }
 

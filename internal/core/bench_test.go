@@ -8,6 +8,7 @@ import (
 	"kairos/internal/core"
 	"kairos/internal/fleet"
 	"kairos/internal/greedy"
+	"kairos/internal/series"
 )
 
 // The benchmarks below time the pieces of a cold solve that exact pricing
@@ -112,6 +113,42 @@ func benchColdSolve(b *testing.B, p *core.Problem) *core.Solution {
 // fleet — the slowest registration of the end-to-end benchmark.
 func BenchmarkColdSolveALL197(b *testing.B) {
 	benchColdSolve(b, fleetProblem(fleet.All()))
+}
+
+// weekOf tiles a one-day problem to seven days: day d's demand series are
+// the day's scaled by weekShape[d] — a fixed working-week profile, busiest
+// on the first day, so the machine count the one-day fleet needs still
+// holds.
+func weekOf(p *core.Problem) *core.Problem {
+	weekShape := [7]float64{1, 0.97, 0.95, 0.98, 0.93, 0.78, 0.74}
+	tile := func(s *series.Series) *series.Series {
+		if s == nil {
+			return nil
+		}
+		vals := make([]float64, 0, len(weekShape)*s.Len())
+		for _, f := range weekShape {
+			for _, v := range s.Values {
+				vals = append(vals, f*v)
+			}
+		}
+		return series.New(s.Start, s.Step, vals)
+	}
+	week := *p
+	week.Workloads = append([]core.Workload(nil), p.Workloads...)
+	for i := range week.Workloads {
+		w := &week.Workloads[i]
+		w.CPU, w.RAMBytes = tile(w.CPU), tile(w.RAMBytes)
+		w.WSBytes, w.UpdateRate = tile(w.WSBytes), tile(w.UpdateRate)
+	}
+	return &week
+}
+
+// BenchmarkColdSolveALL197Week is the cold ALL-197 solve over one week at
+// five minutes, T = 2016: the horizon at which exact O(T) pricing costs
+// seven times a day's, and the sweep screen, which reads a fixed number of
+// steps whatever T is, the same.
+func BenchmarkColdSolveALL197Week(b *testing.B) {
+	benchColdSolve(b, weekOf(fleetProblem(fleet.All())))
 }
 
 // BenchmarkColdSolveSecondLife97Disk is the same solve of SecondLife-97

@@ -4,772 +4,337 @@ import (
 	"math"
 )
 
-// This file implements the coarse-to-fine pricing subsystem: bucketed
-// time-axis aggregates that give provably sound lower/upper bounds on a
-// machine's peak loads — and therefore on its objective contribution — in
-// O(T/B) instead of O(T). Local search screens every candidate move or
-// swap against the coarse lower bound and only falls through to exact O(T)
-// pricing when the bound cannot rule the candidate out, so accepted plans
-// are bit-identical to the unscreened search (a pruned candidate is one
-// whose priced delta provably could not have beaten the best so far).
+// This file implements the coarse-to-fine sweep screen: a lower bound on a
+// candidate move's or swap's exact price, computed from a handful of time
+// steps instead of all T. Local search tests every candidate against it and
+// only falls through to exact O(T) pricing when the bound cannot rule the
+// candidate out, so accepted plans are bit-identical to the unscreened
+// search (a pruned candidate is one whose priced delta provably could not
+// have beaten the best so far).
 //
-// The same screen-cheap-then-pay-full-resolution discipline shows up in
-// workload-compression work (Deep et al., "Comprehensive and Efficient
-// Workload Compression") and in WiSeDB's cost-bound screening: the bucket
-// tables are a lossy compression of the demand series that preserves
-// exactly the signal the placement objective needs — where peaks can land.
+// The bound is a peak-step sample. Each machine keeps the steps where its
+// canonical CPU and RAM aggregates peak, overall and within each of
+// sampleSegs equal segments of the horizon, plus — under a disk model — the
+// step where its predicted write rate peaks; each unit keeps the steps of its
+// own CPU and RAM peaks. A candidate's new peak is at least the largest value
+// its aggregate takes on the machine's sample and the arriving unit's peak
+// steps: a machine's new peak mostly lands where the machine or the newcomer
+// already peaked. The same keep-only-what-the-objective-reads discipline
+// shows up in workload-compression work (Deep et al., "Comprehensive and
+// Efficient Workload Compression"): the sample is a lossy summary of the
+// demand series that preserves where peaks can land.
 //
-// Soundness discipline (bit-level, not just mathematical):
-//
-//   - Per-unit tables store max/min over each bucket of fl(scale·demand[t])
-//     — the very products the exact pricers form — so each table entry
-//     dominates (or is dominated by) every per-step term it summarizes.
-//   - Per-machine bucket aggregates are accumulated in member-list order,
-//     exactly like the canonical sums. Floating-point addition is monotone,
-//     so summing termwise-dominating values in the same order yields a
-//     bound that dominates the exact aggregate at every step of the bucket,
-//     bit for bit. They are re-materialized alongside the canonical sums,
-//     never updated subtractively.
-//   - Candidate bounds mirror the exact scratch fills' expression shapes
-//     (fill, fillExchange), again op-by-op monotone.
-//   - The only non-monotone ingredients — the fitted disk polynomial and
-//     the saturation envelope — enter the lower bound only when their
-//     monotonicity over the observed operating range is verified at
-//     evaluator construction (their derivatives are affine for the
-//     degree-2 fits the profiler produces, so corner checks suffice), and
-//     are then guarded by small slack terms covering polynomial-evaluation
-//     rounding. Otherwise they contribute a trivially sound zero to the
-//     lower bound (violations are non-negative) and +Inf to the upper.
-//   - Variable-length violation accumulations regroup terms relative to
-//     the exact pricer, so the summed lower bound is deflated (and the
-//     upper inflated) by coarseViolSlack, far above any regrouping error.
+// Soundness is bit-level and needs no error envelope. At a sampled step the
+// screen evaluates the very expression the exact fill computes there
+// (fill: sum + k·unit; fillExchange: sum − ko·out + ki·in; the disk model's
+// PredictWriteMBps of the candidate's working set and rate), so each sampled
+// value is one of the values the exact peak scan maximizes over, and a
+// maximum over a subset cannot exceed the maximum over all of them — whatever
+// the shape of the disk polynomial. The peaks then go through pricePeaks, the
+// one peaks → (violation, load) sequence the exact pricers run, which is
+// monotone in every peak operation by operation; the saturation envelope's
+// per-step addends, all non-negative, are bounded by zero. A stale sample
+// would still be sound, only looser: rematerialize rebuilds it with the sums.
 
-// defaultBucketDiv sets the default bucket width to ⌈T/16⌉ time steps, so
-// a series is summarized by at most 16 (max, min) pairs per resource.
-const defaultBucketDiv = 16
+// sampleSegs is the number of equal segments of the horizon whose CPU and RAM
+// peak steps a machine's sample keeps. Counted on the cold ALL-197
+// local-search solve (exact pricings run, of 489 261 candidates considered):
+// one segment — the overall peaks alone, beside the arriving unit's own —
+// leaves 37 067, two 13 884, four 12 352, eight 9 654, sixteen 9 334. The first stage prunes most
+// candidates before the rest of the sample is read, so the solve's time is
+// flat from two segments to sixteen (68–75 ms where one takes 80); four is
+// where the count stops falling fast.
+const sampleSegs = 4
 
-// coarseViolSlack covers floating-point regrouping between the exact
-// pricer's single interleaved violation accumulation and the bound's
-// component-wise one (relative error ≲ T·ε ≈ 1e-13 for day-length series).
-const coarseViolSlack = 1e-12
+// A machine's sample is sampleStride steps: the overall CPU and RAM peak
+// steps first (the sampleGlobal steps a staged screen tries before the rest),
+// then the CPU and the RAM peak steps of the other sampleSegs−1 segments, then
+// the predicted-write peak step, which only a disk model reads.
+const (
+	sampleGlobal = 2
+	sampleDisk   = 2 * sampleSegs
+	sampleStride = sampleDisk + 1
+)
 
-// coarse holds the immutable bucketed demand tables of an evaluator. All
-// per-unit arrays are flat with stride nb: unit u's bucket b lives at
-// u·nb + b. hi entries are per-bucket maxima of fl(scale·demand), lo
-// entries per-bucket minima.
-type coarse struct {
-	nb    int // number of buckets
-	width int // bucket width in time steps (last bucket may be shorter)
+// peaks is a running lower bound on a candidate machine's resource peaks:
+// the largest candidate aggregate seen so far over sampled steps, floored at
+// zero like the exact scans.
+type peaks struct{ cpu, ram, disk float64 }
 
-	hiCPU, loCPU   []float64
-	hiRAM, loRAM   []float64
-	hiWS, loWS     []float64
-	hiRate, loRate []float64
-
-	// diskMono reports that PredictWriteMBps is verified non-decreasing in
-	// both arguments over the observed operating box, enabling finite disk
-	// bounds; envMono that the envelope is verified non-increasing in the
-	// working set, enabling a non-zero envelope-violation lower bound.
-	diskMono bool
-	envMono  bool
-	// diskSlack and envSlack are absolute rounding guards for evaluating
-	// the respective polynomials anywhere in the operating box.
-	diskSlack float64
-	envSlack  float64
-}
-
-// bucketLen returns how many time steps bucket b covers.
-func (co *coarse) bucketLen(b, T int) int {
-	n := T - b*co.width
-	if n > co.width {
-		n = co.width
-	}
-	return n
-}
-
-// SetBucketWidth configures the coarse-pricing bucket width in time steps:
-// 0 restores the default (⌈T/16⌉), a positive width is used as given
-// (clamped to T), and a negative width disables coarse screening entirely,
-// so local search prices every candidate exactly. Rebuilding the tables
-// costs O(units·T). Call it before creating LoadStates or Clones from this
-// evaluator; it is not safe to call concurrently with pricing.
-func (ev *Evaluator) SetBucketWidth(width int) {
-	if width < 0 {
-		ev.coarse = nil
-		return
-	}
-	w := width
-	if w == 0 {
-		w = (ev.T + defaultBucketDiv - 1) / defaultBucketDiv
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > ev.T {
-		w = ev.T
-	}
-	ev.coarse = buildCoarse(ev, w)
-}
-
-// BucketWidth returns the active coarse bucket width in time steps, or 0
-// when screening is disabled.
-func (ev *Evaluator) BucketWidth() int {
-	if ev.coarse == nil {
-		return 0
-	}
-	return ev.coarse.width
-}
-
-// buildCoarse computes the per-unit bucket tables and verifies disk-model
-// monotonicity over the observed operating range.
-func buildCoarse(ev *Evaluator, width int) *coarse {
-	T := ev.T
-	nU := len(ev.units)
-	nb := (T + width - 1) / width
-	co := &coarse{
-		nb:     nb,
-		width:  width,
-		hiCPU:  make([]float64, nU*nb),
-		loCPU:  make([]float64, nU*nb),
-		hiRAM:  make([]float64, nU*nb),
-		loRAM:  make([]float64, nU*nb),
-		hiWS:   make([]float64, nU*nb),
-		loWS:   make([]float64, nU*nb),
-		hiRate: make([]float64, nU*nb),
-		loRate: make([]float64, nU*nb),
-	}
-	fillOne := func(hi, lo []float64, vals []float64, k float64, uo int) {
-		for b := 0; b < nb; b++ {
-			start := b * width
-			end := start + co.bucketLen(b, T)
-			mx, mn := k*vals[start], k*vals[start]
-			for t := start + 1; t < end; t++ {
-				v := k * vals[t]
-				if v > mx {
-					mx = v
-				}
-				if v < mn {
-					mn = v
-				}
+// unitPeakSteps returns, stride 2, the steps at which each unit's own CPU
+// and RAM demand peak.
+func unitPeakSteps(cpu, ram [][]float64) []int32 {
+	steps := make([]int32, 2*len(cpu))
+	for u := range cpu {
+		argC, argR := 0, 0
+		for t := range cpu[u] {
+			if cpu[u][t] > cpu[u][argC] {
+				argC = t
 			}
-			hi[uo+b], lo[uo+b] = mx, mn
-		}
-	}
-	for u := 0; u < nU; u++ {
-		k := ev.scale[u]
-		uo := u * nb
-		fillOne(co.hiCPU, co.loCPU, ev.cpu[u], k, uo)
-		fillOne(co.hiRAM, co.loRAM, ev.ram[u], k, uo)
-		fillOne(co.hiWS, co.loWS, ev.ws[u], k, uo)
-		fillOne(co.hiRate, co.loRate, ev.rate[u], k, uo)
-	}
-	co.verifyDiskMonotone(ev)
-	return co
-}
-
-// verifyDiskMonotone checks, over the operating box the fleet can actually
-// reach, that the fitted disk polynomial is non-decreasing in both working
-// set and rate, and that the envelope is non-increasing in working set.
-// Both fits are degree ≤ 2, so their partial derivatives are affine and
-// corner evaluation is exact verification; anything of higher degree is
-// conservatively treated as non-monotone. The absolute slack terms bound
-// the rounding of any polynomial evaluation inside the box.
-func (co *coarse) verifyDiskMonotone(ev *Evaluator) {
-	d := ev.p.Disk
-	if d == nil {
-		return
-	}
-	// Aggregate operating ranges: a machine's working set / rate can never
-	// exceed the sum of every unit's bucket maxima, padded for accumulation
-	// rounding. Any negative demand disables the disk bounds outright: the
-	// bound paths clamp their bucket aggregates into [0, Σmax] before
-	// evaluating the polynomials (the subtractive remove/exchange
-	// aggregates dip below zero whenever a demand varies inside a bucket,
-	// and the fits are only verified over this box — evaluated far outside
-	// it a quadratic term can explode and break the bound), and that clamp
-	// is only sound when every unit's scaled demand is non-negative.
-	var wsHiA, rateHiA float64
-	for u := range ev.units {
-		uo := u * co.nb
-		uMaxWS, uMinWS := co.hiWS[uo], co.loWS[uo]
-		uMaxR, uMinR := co.hiRate[uo], co.loRate[uo]
-		for b := 1; b < co.nb; b++ {
-			uMaxWS = math.Max(uMaxWS, co.hiWS[uo+b])
-			uMinWS = math.Min(uMinWS, co.loWS[uo+b])
-			uMaxR = math.Max(uMaxR, co.hiRate[uo+b])
-			uMinR = math.Min(uMinR, co.loRate[uo+b])
-		}
-		if uMinWS < 0 || uMinR < 0 {
-			return // negative demand: zero-lower/Inf-upper fallback only
-		}
-		wsHiA += uMaxWS
-		rateHiA += uMaxR
-	}
-	pad := func(v float64) float64 { return v + 0.001*math.Abs(v) + 1 }
-	wsHiA, rateHiA = pad(wsHiA), pad(rateHiA)
-	// The box floor sits just below zero, so the clamped-at-0 bound
-	// aggregates — and the sub-ulp-negative exact aggregates the slack
-	// terms absorb — are interior to the verified range.
-	wsLoA, rateLoA := -1.0, -1.0
-
-	// The polynomial sees working sets in MB, clamped into the fitted range
-	// (clamping is monotone, so it preserves — never creates — monotonicity).
-	xLo, xHi := wsLoA/1e6, wsHiA/1e6
-	if d.WSMaxMB > d.WSMinMB {
-		xLo, xHi = d.WSMinMB, d.WSMaxMB
-	}
-	yLo, yHi := rateLoA, rateHiA
-
-	c := fitCoeffs(d.Fit.Coeffs, d.Fit.Degree)
-	if c != nil {
-		// ∂f/∂x = c1 + 2·c3·x + c4·y and ∂f/∂y = c2 + c4·x + 2·c5·y are
-		// affine, so non-negativity at the four corners proves it on the box.
-		dx := func(x, y float64) float64 { return c[1] + 2*c[3]*x + c[4]*y }
-		dy := func(x, y float64) float64 { return c[2] + c[4]*x + 2*c[5]*y }
-		co.diskMono = true
-		for _, x := range [2]float64{xLo, xHi} {
-			for _, y := range [2]float64{yLo, yHi} {
-				if !(dx(x, y) >= 0) || !(dy(x, y) >= 0) {
-					co.diskMono = false
-				}
+			if ram[u][t] > ram[u][argR] {
+				argR = t
 			}
 		}
-		if co.diskMono {
-			co.diskSlack = polyAbsSlack2D(c, xLo, xHi, yLo, yHi)
-		}
+		steps[2*u], steps[2*u+1] = int32(argC), int32(argR)
 	}
-	if d.HasEnvelope {
-		e := d.Envelope.Coeffs
-		if len(e) <= 3 {
-			var e3 [3]float64
-			copy(e3[:], e)
-			// env' = e1 + 2·e2·x is affine: non-positive at both ends proves
-			// the envelope non-increasing over the clamped range.
-			if e3[1]+2*e3[2]*xLo <= 0 && e3[1]+2*e3[2]*xHi <= 0 {
-				co.envMono = true
-				xa := math.Max(math.Abs(xLo), math.Abs(xHi))
-				co.envSlack = 1e-12 * (math.Abs(e3[0]) + math.Abs(e3[1])*xa + math.Abs(e3[2])*xa*xa)
-			}
-		}
-	}
+	return steps
 }
 
-// fitCoeffs returns the six degree-2 coefficients (1, x, y, x², xy, y²) of
-// a Poly2D, or nil when the fit's degree exceeds 2 (monotonicity is then
-// not verifiable by corner checks).
-func fitCoeffs(coeffs []float64, degree int) *[6]float64 {
-	if degree > 2 || len(coeffs) > 6 {
-		return nil
-	}
-	var c [6]float64
-	copy(c[:], coeffs)
-	return &c
-}
-
-// polyAbsSlack2D bounds the absolute rounding error of evaluating the
-// degree-2 polynomial anywhere in the box, with two orders of magnitude of
-// margin: 1e-12 · Σ|cᵢ|·|termᵢ|max versus the ≈ 10·ε ≈ 2e-15 a six-term
-// Horner-free evaluation can actually accumulate.
-func polyAbsSlack2D(c *[6]float64, xLo, xHi, yLo, yHi float64) float64 {
-	xa := math.Max(math.Abs(xLo), math.Abs(xHi))
-	ya := math.Max(math.Abs(yLo), math.Abs(yHi))
-	m := math.Abs(c[0]) + math.Abs(c[1])*xa + math.Abs(c[2])*ya +
-		math.Abs(c[3])*xa*xa + math.Abs(c[4])*xa*ya + math.Abs(c[5])*ya*ya
-	return 1e-12 * m
-}
-
-// boundSums is the coarse counterpart of evalSums: it prices one side
-// (lower or upper) of machine j's contribution from bucketed aggregate
-// vectors. cpuPeak and ramPeak are the bucket-maximized peak bounds; wsB
-// and rateB hold the per-bucket aggregate bounds for the disk terms (nil
-// when the problem has no disk model). The violation accumulation mirrors
-// evalSums' term order, then deflates (lower) or inflates (upper) by
-// coarseViolSlack so regrouping rounding can never flip the domination.
-// Zero allocations.
+// resample rebuilds machine j's CPU and RAM sample steps from its canonical
+// sums and returns the two peaks, floored at zero — what peaks2 returns for
+// the same sums. Ties go to the earliest step.
 //
 //kairos:hotpath
-func (ev *Evaluator) boundSums(j int, cpuPeak, ramPeak float64, wsB, rateB []float64, slaCap float64, upper bool) (viol, norm float64) {
-	co := ev.coarse
-	cpuCap := ev.capCPU[j]
-	ramCap := ev.capRAM[j]
-	if cpuPeak > cpuCap {
-		viol += (cpuPeak - cpuCap) / cpuCap
-	}
-	if ramPeak > ramCap {
-		viol += (ramPeak - ramCap) / ramCap
-	}
-
-	var diskNorm float64
-	if ev.p.Disk != nil {
-		diskCap := ev.capDisk[j]
-		var diskPeak float64
-		T := float64(ev.T)
-		switch {
-		case upper && !co.diskMono:
-			diskPeak = math.Inf(1)
-		case upper:
-			for b, ws := range wsB {
-				if pred := ev.p.Disk.PredictWriteMBps(ws, rateB[b]); pred > diskPeak {
-					diskPeak = pred
-				}
+func (ls *LoadState) resample(j int) (cpuPeak, ramPeak float64) {
+	T := ls.ev.T
+	cj, rj := ls.cpu[j][:T], ls.ram[j][:T]
+	var segC, segR [sampleSegs]int32
+	bestC, bestR := 0, 0
+	for s := 0; s < sampleSegs; s++ {
+		// An empty segment (T < sampleSegs) keeps its first step, which is
+		// some other segment's: any step is a sound one.
+		lo, hi := s*T/sampleSegs, (s+1)*T/sampleSegs
+		argC, argR := lo, lo
+		for t := lo + 1; t < hi; t++ {
+			if cj[t] > cj[argC] {
+				argC = t
 			}
-			diskPeak = (diskPeak + co.diskSlack) * 1e6
-		case co.diskMono:
-			for b, ws := range wsB {
-				if pred := ev.p.Disk.PredictWriteMBps(ws, rateB[b]); pred > diskPeak {
-					diskPeak = pred
-				}
-			}
-			diskPeak = (diskPeak - co.diskSlack) * 1e6
-			if diskPeak < 0 {
-				diskPeak = 0
+			if rj[t] > rj[argR] {
+				argR = t
 			}
 		}
-		if ev.p.Disk.HasEnvelope {
-			// Envelope violations accumulate per bucket. Lower side: only
-			// when the envelope is verified non-increasing can "every step
-			// of the bucket violates" be certified, using the inflated
-			// envelope at the bucket's working-set lower bound. Upper side:
-			// the envelope at the bucket's working-set upper bound (deflated)
-			// under-states every step's sustainable rate when monotone;
-			// otherwise a zero envelope (its hard floor) does.
-			for b, ws := range wsB {
-				rate := rateB[b]
-				var env float64
-				switch {
-				case !upper && co.envMono:
-					env = ev.p.Disk.MaxRowsPerSec(ws) + co.envSlack
-				case !upper:
-					continue // zero lower bound for the envelope term
-				case co.envMono:
-					env = ev.p.Disk.MaxRowsPerSec(ws) - co.envSlack
-					if env < 0 {
-						env = 0
-					}
-				default:
-					env = 0
-				}
-				if rate > env {
-					den := env
-					if den < envRateFloor {
-						den = envRateFloor
-					}
-					viol += float64(co.bucketLen(b, ev.T)) * (rate - env) / den / T
-				}
-			}
+		segC[s], segR[s] = int32(argC), int32(argR)
+		if cj[argC] > cj[segC[bestC]] {
+			bestC = s
 		}
-		if diskPeak > diskCap {
-			viol += (diskPeak - diskCap) / diskCap
-		}
-		diskNorm = diskPeak / diskCap
-	}
-
-	if slaCap < 1 {
-		util := cpuPeak / cpuCap
-		if r := ramPeak / ramCap; r > util {
-			util = r
-		}
-		if diskNorm > util {
-			util = diskNorm
-		}
-		if util > slaCap {
-			viol += (util - slaCap) / slaCap
+		if rj[argR] > rj[segR[bestR]] {
+			bestR = s
 		}
 	}
-
-	if upper {
-		viol *= 1 + coarseViolSlack
-	} else {
-		viol *= 1 - coarseViolSlack
+	smp := ls.sample[j*sampleStride : (j+1)*sampleStride]
+	smp[0], smp[1] = segC[bestC], segR[bestR]
+	n := sampleGlobal
+	for s := 0; s < sampleSegs; s++ {
+		if s != bestC {
+			smp[n] = segC[s]
+			n++
+		}
 	}
-
-	w := ev.weights
-	denom := w.CPU + w.RAM + w.Disk
-	dterm := w.Disk * diskNorm
-	if math.IsNaN(dterm) {
-		// 0 · Inf from the unbounded upper disk peak under a zero disk
-		// weight; the exact term is exactly 0 there.
-		dterm = 0
+	for s := 0; s < sampleSegs; s++ {
+		if s != bestR {
+			smp[n] = segR[s]
+			n++
+		}
 	}
-	norm = (w.CPU*cpuPeak/cpuCap + w.RAM*ramPeak/ramCap + dterm) / denom
-	if norm > 1 {
-		norm = 1
+	if cpuPeak = cj[smp[0]]; cpuPeak < 0 {
+		cpuPeak = 0
 	}
-	if norm < 0 {
-		norm = 0
+	if ramPeak = rj[smp[1]]; ramPeak < 0 {
+		ramPeak = 0
 	}
-	return viol, norm
+	return cpuPeak, ramPeak
 }
 
-// rematBuckets rebuilds machine j's bucketed aggregate bounds from its
-// member list, accumulating in member-list order exactly like the
-// canonical sums — the property that keeps every bucket aggregate a
-// bit-level bound on the canonical aggregate at every step it covers.
-// Called from rematerialize, so the bounds stay in lockstep with the sums.
+// sampleOf returns machine j's sample: the steps the problem's resources
+// read, the first sampleGlobal of them the overall CPU and RAM peaks.
 //
 //kairos:hotpath
-func (ls *LoadState) rematBuckets(j int) {
-	co := ls.co
-	nb := co.nb
-	jo := j * nb
-	for b := 0; b < nb; b++ {
-		ls.bHiCPU[jo+b], ls.bLoCPU[jo+b] = 0, 0
-		ls.bHiRAM[jo+b], ls.bLoRAM[jo+b] = 0, 0
-		ls.bHiWS[jo+b], ls.bLoWS[jo+b] = 0, 0
-		ls.bHiRate[jo+b], ls.bLoRate[jo+b] = 0, 0
-	}
-	for _, u := range ls.members[j] {
-		uo := u * nb
-		for b := 0; b < nb; b++ {
-			ls.bHiCPU[jo+b] += co.hiCPU[uo+b]
-			ls.bLoCPU[jo+b] += co.loCPU[uo+b]
-			ls.bHiRAM[jo+b] += co.hiRAM[uo+b]
-			ls.bLoRAM[jo+b] += co.loRAM[uo+b]
-			ls.bHiWS[jo+b] += co.hiWS[uo+b]
-			ls.bLoWS[jo+b] += co.loWS[uo+b]
-			ls.bHiRate[jo+b] += co.hiRate[uo+b]
-			ls.bLoRate[jo+b] += co.loRate[uo+b]
-		}
-	}
+func (ls *LoadState) sampleOf(j int) []int32 {
+	return ls.sample[j*sampleStride : j*sampleStride+ls.nSample]
 }
 
-// Screened reports whether the coarse screen is active for this state
-// (the evaluator had coarse tables when the state was built).
-func (ls *LoadState) Screened() bool { return ls.co != nil }
-
-// boundAddSide computes one side of the coarse bound on machine j's
-// violation and normalized load as if unit u were appended, mirroring
-// fill's expression shape bucket-wise. Zero allocations.
+// boundAdd raises pk to the aggregate machine j would carry at each of the
+// given steps with unit u appended — fill's expression there.
 //
 //kairos:hotpath
-func (ls *LoadState) boundAddSide(u, j int, upper bool) (viol, norm float64) {
-	co, ev := ls.co, ls.ev
-	nb := co.nb
-	uo, jo := u*nb, j*nb
-	var cpuPeak, ramPeak float64
-	var wsB, rateB []float64
-	if upper {
-		for b := 0; b < nb; b++ {
-			if v := ls.bHiCPU[jo+b] + co.hiCPU[uo+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bHiRAM[jo+b] + co.hiRAM[uo+b]; v > ramPeak {
-				ramPeak = v
-			}
+func (ls *LoadState) boundAdd(pk *peaks, steps []int32, u, j int) {
+	ev := ls.ev
+	k := ev.scale[u]
+	cj, rj := ls.cpu[j], ls.ram[j]
+	cu, ru := ev.cpu[u], ev.ram[u]
+	for _, t := range steps {
+		if v := cj[t] + k*cu[t]; v > pk.cpu {
+			pk.cpu = v
 		}
-	} else {
-		for b := 0; b < nb; b++ {
-			if v := ls.bLoCPU[jo+b] + co.loCPU[uo+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bLoRAM[jo+b] + co.loRAM[uo+b]; v > ramPeak {
-				ramPeak = v
-			}
-		}
-		// Point refinement: the candidate aggregate evaluated exactly at
-		// the machine's current peak steps — the same expression fill
-		// computes there — is a value the true maximum can only exceed.
-		// On spiky traces it is far tighter than the bucket minima.
-		k := ev.scale[u]
-		cj, rj := ls.cpu[j], ls.ram[j]
-		cu, ru := ev.cpu[u], ev.ram[u]
-		if t := ls.argCPU[j]; cj[t]+k*cu[t] > cpuPeak {
-			cpuPeak = cj[t] + k*cu[t]
-		}
-		if t := ls.argRAM[j]; rj[t]+k*ru[t] > ramPeak {
-			ramPeak = rj[t] + k*ru[t]
+		if v := rj[t] + k*ru[t]; v > pk.ram {
+			pk.ram = v
 		}
 	}
-	if ev.p.Disk != nil {
-		wsB, rateB = ls.sbWS, ls.sbRate
-		if upper {
-			for b := 0; b < nb; b++ {
-				wsB[b] = ls.bHiWS[jo+b] + co.hiWS[uo+b]
-				rateB[b] = ls.bHiRate[jo+b] + co.hiRate[uo+b]
-			}
-		} else {
-			for b := 0; b < nb; b++ {
-				wsB[b] = ls.bLoWS[jo+b] + co.loWS[uo+b]
-				rateB[b] = ls.bLoRate[jo+b] + co.loRate[uo+b]
+	if d := ev.p.Disk; d != nil {
+		wj, qj := ls.ws[j], ls.rate[j]
+		wu, qu := ev.ws[u], ev.rate[u]
+		for _, t := range steps {
+			if pred := d.PredictWriteMBps(wj[t]+k*wu[t], qj[t]+k*qu[t]) * 1e6; pred > pk.disk {
+				pk.disk = pred
 			}
 		}
 	}
-	cap := ls.slaCap[j]
-	if c := ev.slaCapU[u]; c < cap {
-		cap = c
-	}
-	return ev.boundSums(j, cpuPeak, ramPeak, wsB, rateB, cap, upper)
 }
 
-// boundRemoveSide mirrors PriceRemove's subtractive fill: one side of the
-// coarse bound on unit u's machine as if u left it.
+// boundExchange raises pk to the aggregate machine j would carry at each of
+// the given steps after its member `out` leaves and unit `in` arrives —
+// fillExchange's expression there.
 //
 //kairos:hotpath
-func (ls *LoadState) boundRemoveSide(u int, upper bool) (viol, norm float64) {
-	co, ev := ls.co, ls.ev
-	from := ls.assign[u]
-	nb := co.nb
-	uo, jo := u*nb, from*nb
-	var cpuPeak, ramPeak float64
-	var wsB, rateB []float64
-	if upper {
-		for b := 0; b < nb; b++ {
-			if v := ls.bHiCPU[jo+b] - co.loCPU[uo+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bHiRAM[jo+b] - co.loRAM[uo+b]; v > ramPeak {
-				ramPeak = v
-			}
+func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
+	ev := ls.ev
+	ko, ki := ev.scale[out], ev.scale[in]
+	cj, rj := ls.cpu[j], ls.ram[j]
+	co, ro := ev.cpu[out], ev.ram[out]
+	ci, ri := ev.cpu[in], ev.ram[in]
+	for _, t := range steps {
+		if v := cj[t] - ko*co[t] + ki*ci[t]; v > pk.cpu {
+			pk.cpu = v
 		}
-	} else {
-		for b := 0; b < nb; b++ {
-			if v := ls.bLoCPU[jo+b] - co.hiCPU[uo+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bLoRAM[jo+b] - co.hiRAM[uo+b]; v > ramPeak {
-				ramPeak = v
-			}
-		}
-		// Point refinement at the current peak steps, mirroring
-		// PriceRemove's subtractive fill expression there.
-		k := ev.scale[u]
-		cj, rj := ls.cpu[from], ls.ram[from]
-		cu, ru := ev.cpu[u], ev.ram[u]
-		if t := ls.argCPU[from]; cj[t]-k*cu[t] > cpuPeak {
-			cpuPeak = cj[t] - k*cu[t]
-		}
-		if t := ls.argRAM[from]; rj[t]-k*ru[t] > ramPeak {
-			ramPeak = rj[t] - k*ru[t]
+		if v := rj[t] - ko*ro[t] + ki*ri[t]; v > pk.ram {
+			pk.ram = v
 		}
 	}
-	if ev.p.Disk != nil {
-		wsB, rateB = ls.sbWS, ls.sbRate
-		if upper {
-			for b := 0; b < nb; b++ {
-				wsB[b] = ls.bHiWS[jo+b] - co.loWS[uo+b]
-				rateB[b] = ls.bHiRate[jo+b] - co.loRate[uo+b]
-			}
-		} else {
-			// Subtractive lower aggregates dip below zero when a demand
-			// varies inside a bucket; clamp into the verified operating
-			// box (sound: the exact aggregates are non-negative whenever
-			// the disk bounds are enabled, see verifyDiskMonotone).
-			for b := 0; b < nb; b++ {
-				if wsB[b] = ls.bLoWS[jo+b] - co.hiWS[uo+b]; wsB[b] < 0 {
-					wsB[b] = 0
-				}
-				if rateB[b] = ls.bLoRate[jo+b] - co.hiRate[uo+b]; rateB[b] < 0 {
-					rateB[b] = 0
-				}
+	if d := ev.p.Disk; d != nil {
+		wj, qj := ls.ws[j], ls.rate[j]
+		wo, qo := ev.ws[out], ev.rate[out]
+		wi, qi := ev.ws[in], ev.rate[in]
+		for _, t := range steps {
+			if pred := d.PredictWriteMBps(wj[t]-ko*wo[t]+ki*wi[t], qj[t]-ko*qo[t]+ki*qi[t]) * 1e6; pred > pk.disk {
+				pk.disk = pred
 			}
 		}
 	}
-	cap := 1.0
-	for _, m := range ls.members[from] {
-		if m == u {
-			continue
-		}
-		if c := ev.slaCapU[m]; c < cap {
-			cap = c
-		}
-	}
-	return ev.boundSums(from, cpuPeak, ramPeak, wsB, rateB, cap, upper)
 }
 
-// boundExchangeSide mirrors fillExchange's expression shape: one side of
-// the coarse bound on machine j's state after its member `out` leaves and
-// unit `in` arrives.
+// sideScreen is the screen of one machine side of a candidate — machine j
+// gaining a unit (a move's destination) or trading one member for another
+// unit (a side of a swap): the SLA cap and conflict pairs the exact pricer
+// would apply, and the bound on the side's peaks over the steps sampled so
+// far. Screens are staged: the first stage samples the machine's overall peak
+// steps and the arriving unit's own, the rest stage the remainder of the
+// machine's sample, and bound prices either.
+type sideScreen struct {
+	pk     peaks
+	slaCap float64
+	pairs  int
+}
+
+// bound prices the side's sampled peaks the way the exact pricers price
+// scanned ones — pricePeaks without envelope addends, then contribWith: a
+// lower bound on the exact price of the side.
 //
 //kairos:hotpath
-func (ls *LoadState) boundExchangeSide(j, out, in int, upper bool) (viol, norm float64) {
-	co, ev := ls.co, ls.ev
-	nb := co.nb
-	oo, io, jo := out*nb, in*nb, j*nb
-	var cpuPeak, ramPeak float64
-	var wsB, rateB []float64
-	if upper {
-		for b := 0; b < nb; b++ {
-			if v := ls.bHiCPU[jo+b] - co.loCPU[oo+b] + co.hiCPU[io+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bHiRAM[jo+b] - co.loRAM[oo+b] + co.hiRAM[io+b]; v > ramPeak {
-				ramPeak = v
-			}
-		}
-	} else {
-		for b := 0; b < nb; b++ {
-			if v := ls.bLoCPU[jo+b] - co.hiCPU[oo+b] + co.loCPU[io+b]; v > cpuPeak {
-				cpuPeak = v
-			}
-			if v := ls.bLoRAM[jo+b] - co.hiRAM[oo+b] + co.loRAM[io+b]; v > ramPeak {
-				ramPeak = v
-			}
-		}
-		// Point refinement at the current peak steps, mirroring
-		// fillExchange's expression there.
-		ko, ki := ev.scale[out], ev.scale[in]
-		cj, rj := ls.cpu[j], ls.ram[j]
-		cuo, ruo := ev.cpu[out], ev.ram[out]
-		cui, rui := ev.cpu[in], ev.ram[in]
-		if t := ls.argCPU[j]; cj[t]-ko*cuo[t]+ki*cui[t] > cpuPeak {
-			cpuPeak = cj[t] - ko*cuo[t] + ki*cui[t]
-		}
-		if t := ls.argRAM[j]; rj[t]-ko*ruo[t]+ki*rui[t] > ramPeak {
-			ramPeak = rj[t] - ko*ruo[t] + ki*rui[t]
-		}
-	}
-	if ev.p.Disk != nil {
-		wsB, rateB = ls.sbWS, ls.sbRate
-		if upper {
-			for b := 0; b < nb; b++ {
-				wsB[b] = ls.bHiWS[jo+b] - co.loWS[oo+b] + co.hiWS[io+b]
-				rateB[b] = ls.bHiRate[jo+b] - co.loRate[oo+b] + co.hiRate[io+b]
-			}
-		} else {
-			// Clamped like boundRemoveSide: the subtractive aggregates
-			// must stay inside the polynomials' verified operating box.
-			for b := 0; b < nb; b++ {
-				if wsB[b] = ls.bLoWS[jo+b] - co.hiWS[oo+b] + co.loWS[io+b]; wsB[b] < 0 {
-					wsB[b] = 0
-				}
-				if rateB[b] = ls.bLoRate[jo+b] - co.hiRate[oo+b] + co.loRate[io+b]; rateB[b] < 0 {
-					rateB[b] = 0
-				}
-			}
-		}
-	}
-	cap := 1.0
-	for _, m := range ls.members[j] {
-		if m == out {
-			continue
-		}
-		if c := ev.slaCapU[m]; c < cap {
-			cap = c
-		}
-	}
-	if c := ev.slaCapU[in]; c < cap {
-		cap = c
-	}
-	return ev.boundSums(j, cpuPeak, ramPeak, wsB, rateB, cap, upper)
+func (ls *LoadState) bound(sc *sideScreen, j int) float64 {
+	viol, norm := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil)
+	return contribWith(norm, viol, sc.pairs)
 }
 
-// ScreenAdd returns the coarse lower bound on PriceAdd(u, j) — the move
-// screen of the coarse-to-fine sweep, O(T/B) and zero allocations. When
-// screening is disabled it returns -Inf (never prunes). Bit-level sound:
-// ScreenAdd(u, j) ≤ PriceAdd(u, j) always.
+// Screened reports whether the sweep screen is active for this state.
+func (ls *LoadState) Screened() bool { return !ls.ev.noScreen }
+
+// screenAddFirst is the first stage of the move screen, unit u onto a
+// machine j it does not live on.
+//
+//kairos:hotpath
+func (ls *LoadState) screenAddFirst(sc *sideScreen, u, j int) {
+	ev := ls.ev
+	*sc = sideScreen{slaCap: ls.slaCap[j], pairs: ls.confPairs[j] + ls.conflictsOn(u, j)}
+	if c := ev.slaCapU[u]; c < sc.slaCap {
+		sc.slaCap = c
+	}
+	ls.boundAdd(&sc.pk, ev.unitPeak[2*u:2*u+2], u, j)
+	ls.boundAdd(&sc.pk, ls.sampleOf(j)[:sampleGlobal], u, j)
+}
+
+// screenAddRest is the rest stage of the move screen.
+//
+//kairos:hotpath
+func (ls *LoadState) screenAddRest(sc *sideScreen, u, j int) {
+	ls.boundAdd(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j)
+}
+
+// ScreenAdd returns the screen's lower bound on PriceAdd(u, j) over the whole
+// sample, independent of T and with zero allocations. When screening is off
+// it returns -Inf (never prunes). Bit-level sound: ScreenAdd(u, j) ≤
+// PriceAdd(u, j) always.
 //
 //kairos:hotpath
 func (ls *LoadState) ScreenAdd(u, j int) float64 {
-	if ls.co == nil {
+	if ls.ev.noScreen {
 		return math.Inf(-1)
 	}
 	if ls.assign[u] == j {
 		return ls.contrib[j]
 	}
-	viol, norm := ls.boundAddSide(u, j, false)
-	return contribWith(norm, viol, ls.confPairs[j]+ls.conflictsOn(u, j))
+	var sc sideScreen
+	ls.screenAddFirst(&sc, u, j)
+	ls.screenAddRest(&sc, u, j)
+	return ls.bound(&sc, j)
 }
 
-// ScreenSwap returns the coarse lower bounds on both sides of
-// PriceSwap(u, v): what u's and v's machines would at least contribute
-// after the 2-exchange. O(T/B), zero allocations, -Inf when screening is
-// disabled.
+// screenAddViol returns a lower bound on the violation machine j would carry
+// after accepting unit u (0 when screening is off): a positive value proves
+// the placement infeasible without exact pricing. It stops at the first
+// stage when that already finds one.
+//
+//kairos:hotpath
+func (ls *LoadState) screenAddViol(u, j int) float64 {
+	if ls.ev.noScreen {
+		return 0
+	}
+	var sc sideScreen
+	ls.screenAddFirst(&sc, u, j)
+	if viol, _ := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil); viol > 0 {
+		return viol
+	}
+	ls.screenAddRest(&sc, u, j)
+	viol, _ := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil)
+	return viol
+}
+
+// screenExchangeFirst is the first stage of one side of the swap screen,
+// machine j trading its member `out` for unit `in`.
+//
+//kairos:hotpath
+func (ls *LoadState) screenExchangeFirst(sc *sideScreen, j, out, in int) {
+	ev := ls.ev
+	*sc = sideScreen{
+		slaCap: ls.capWithout(j, out),
+		pairs:  ls.confPairs[j] - ls.conflictsOn(out, j) + ls.conflictsOnExcluding(in, j, out),
+	}
+	if c := ev.slaCapU[in]; c < sc.slaCap {
+		sc.slaCap = c
+	}
+	ls.boundExchange(&sc.pk, ev.unitPeak[2*in:2*in+2], j, out, in)
+	ls.boundExchange(&sc.pk, ls.sampleOf(j)[:sampleGlobal], j, out, in)
+}
+
+// screenExchangeRest is the rest stage of one side of the swap screen.
+//
+//kairos:hotpath
+func (ls *LoadState) screenExchangeRest(sc *sideScreen, j, out, in int) {
+	ls.boundExchange(&sc.pk, ls.sampleOf(j)[sampleGlobal:], j, out, in)
+}
+
+// screenExchange is the whole-sample lower bound on priceExchange(j, out, in).
+//
+//kairos:hotpath
+func (ls *LoadState) screenExchange(j, out, in int) float64 {
+	var sc sideScreen
+	ls.screenExchangeFirst(&sc, j, out, in)
+	ls.screenExchangeRest(&sc, j, out, in)
+	return ls.bound(&sc, j)
+}
+
+// ScreenSwap returns the screen's lower bounds on both sides of
+// PriceSwap(u, v): what u's and v's machines would at least contribute after
+// the 2-exchange. Independent of T, zero allocations, -Inf when screening is
+// off.
 //
 //kairos:hotpath
 func (ls *LoadState) ScreenSwap(u, v int) (loU, loV float64) {
-	if ls.co == nil {
+	if ls.ev.noScreen {
 		return math.Inf(-1), math.Inf(-1)
 	}
 	a, b := ls.assign[u], ls.assign[v]
 	if a == b {
 		panic("core: LoadState.ScreenSwap units share a machine")
 	}
-	loU = ls.screenExchange(a, u, v)
-	loV = ls.screenExchange(b, v, u)
-	return loU, loV
-}
-
-// screenExchange is the lower-bound half of boundExchangeSide with the
-// exact pair bookkeeping priceExchange applies.
-//
-//kairos:hotpath
-func (ls *LoadState) screenExchange(j, out, in int) float64 {
-	viol, norm := ls.boundExchangeSide(j, out, in, false)
-	pairs := ls.confPairs[j] - ls.conflictsOn(out, j) + ls.conflictsOnExcluding(in, j, out)
-	return contribWith(norm, viol, pairs)
-}
-
-// screenAddViol returns the coarse lower bound on the violation machine j
-// would carry after accepting unit u (0 when screening is off): a positive
-// value proves the placement infeasible without exact pricing.
-//
-//kairos:hotpath
-func (ls *LoadState) screenAddViol(u, j int) float64 {
-	if ls.co == nil {
-		return 0
-	}
-	viol, _ := ls.boundAddSide(u, j, false)
-	return viol
-}
-
-// BoundAdd returns coarse lower and upper bounds on PriceAdd(u, j) in
-// O(T/B) with zero allocations: BoundAdd.lo ≤ PriceAdd ≤ BoundAdd.hi,
-// bit for bit on the exact side. With screening disabled it returns
-// (-Inf, +Inf); when u already lives on j both bounds equal the current
-// contribution, matching PriceAdd.
-//
-//kairos:hotpath
-func (ls *LoadState) BoundAdd(u, j int) (lo, hi float64) {
-	if ls.co == nil {
-		return math.Inf(-1), math.Inf(1)
-	}
-	if ls.assign[u] == j {
-		return ls.contrib[j], ls.contrib[j]
-	}
-	pairs := ls.confPairs[j] + ls.conflictsOn(u, j)
-	loViol, loNorm := ls.boundAddSide(u, j, false)
-	hiViol, hiNorm := ls.boundAddSide(u, j, true)
-	return contribWith(loNorm, loViol, pairs), contribWith(hiNorm, hiViol, pairs)
-}
-
-// BoundRemove returns coarse lower and upper bounds on PriceRemove(u),
-// O(T/B), zero allocations. Like PriceRemove it reports (0, 0) when u is
-// its machine's last member.
-//
-//kairos:hotpath
-func (ls *LoadState) BoundRemove(u int) (lo, hi float64) {
-	if ls.co == nil {
-		return math.Inf(-1), math.Inf(1)
-	}
-	from := ls.assign[u]
-	if len(ls.members[from]) == 1 {
-		return 0, 0
-	}
-	pairs := ls.confPairs[from] - ls.conflictsOn(u, from)
-	loViol, loNorm := ls.boundRemoveSide(u, false)
-	hiViol, hiNorm := ls.boundRemoveSide(u, true)
-	return contribWith(loNorm, loViol, pairs), contribWith(hiNorm, hiViol, pairs)
-}
-
-// BoundSwap returns coarse lower and upper bounds on both results of
-// PriceSwap(u, v). Like PriceSwap it panics when the units share a
-// machine. O(T/B), zero allocations.
-//
-//kairos:hotpath
-func (ls *LoadState) BoundSwap(u, v int) (loU, hiU, loV, hiV float64) {
-	if ls.co == nil {
-		return math.Inf(-1), math.Inf(1), math.Inf(-1), math.Inf(1)
-	}
-	a, b := ls.assign[u], ls.assign[v]
-	if a == b {
-		panic("core: LoadState.BoundSwap units share a machine")
-	}
-	pairsU := ls.confPairs[a] - ls.conflictsOn(u, a) + ls.conflictsOnExcluding(v, a, u)
-	loViolU, loNormU := ls.boundExchangeSide(a, u, v, false)
-	hiViolU, hiNormU := ls.boundExchangeSide(a, u, v, true)
-	pairsV := ls.confPairs[b] - ls.conflictsOn(v, b) + ls.conflictsOnExcluding(u, b, v)
-	loViolV, loNormV := ls.boundExchangeSide(b, v, u, false)
-	hiViolV, hiNormV := ls.boundExchangeSide(b, v, u, true)
-	return contribWith(loNormU, loViolU, pairsU), contribWith(hiNormU, hiViolU, pairsU),
-		contribWith(loNormV, loViolV, pairsV), contribWith(hiNormV, hiViolV, pairsV)
+	return ls.screenExchange(a, u, v), ls.screenExchange(b, v, u)
 }

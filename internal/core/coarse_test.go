@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"kairos/internal/floats"
 	"kairos/internal/model"
@@ -12,11 +13,9 @@ import (
 )
 
 // varyDiskSeries replaces the problem's constant working-set and update
-// rate series with time-varying (sinusoidal, unit-distinct) ones so the
-// subtractive coarse bounds see intra-bucket spread — the regime where a
-// bucket's aggregate lower bound (loSum − hiOut + loIn) dips below zero
-// and the disk polynomial would be evaluated outside its verified
-// operating box if the bound paths did not clamp.
+// rate series with time-varying (sinusoidal, unit-distinct) ones, so the
+// disk model's predicted write rate peaks at steps of its own rather than
+// everywhere at once.
 func varyDiskSeries(rng *rand.Rand, p *Problem) {
 	for i := range p.Workloads {
 		w := &p.Workloads[i]
@@ -30,8 +29,6 @@ func varyDiskSeries(rng *rand.Rand, p *Problem) {
 		rateBase := 500 + rng.Float64()*2500
 		rateAmp := rateBase * (0.5 + 0.5*rng.Float64())
 		for t := 0; t < T; t++ {
-			// High-frequency components guarantee spread inside every
-			// bucket, not just across buckets.
 			w.WSBytes.Values[t] = wsBase + wsAmp*math.Sin(11*2*math.Pi*float64(t)/float64(T)+ratePhase)
 			w.UpdateRate.Values[t] = rateBase + rateAmp*math.Sin(13*2*math.Pi*float64(t)/float64(T)-ratePhase)
 			if w.WSBytes.Values[t] < 0 {
@@ -46,14 +43,52 @@ func varyDiskSeries(rng *rand.Rand, p *Problem) {
 
 // quadraticDiskProfile is syntheticDiskProfile with genuine curvature: a
 // positive rate² term (typical of saturation curves) and a quadratic
-// envelope. Monotone over the operating box, but quadratic terms explode
-// at arguments far outside it — exactly what the subtractive bound
-// aggregates produce if they are not clamped into the verified range.
+// envelope.
 func quadraticDiskProfile() *model.DiskProfile {
 	dp := syntheticDiskProfile()
 	dp.Fit = polyfit.Poly2D{Degree: 2, Coeffs: []float64{0.5, 0.002, 0.003, 1e-9, 1e-9, 1e-5}}
 	dp.Envelope = polyfit.Poly1D{Coeffs: []float64{9000, -1.5, -1e-4}}
 	return dp
+}
+
+// nonMonotoneDiskProfile has a fit that falls with the working set at high
+// update rates (a negative cross term): no bound built from per-interval
+// extrema of the inputs is valid for it. The sample bound evaluates the
+// polynomial only at real steps, so it needs nothing of its shape.
+func nonMonotoneDiskProfile() *model.DiskProfile {
+	dp := syntheticDiskProfile()
+	dp.Fit = polyfit.Poly2D{Degree: 2, Coeffs: []float64{0.5, 0.004, 0.003, 0, -1e-6, 0}}
+	return dp
+}
+
+// risingEnvelopeDiskProfile has a saturation envelope that rises with the
+// working set, the other shape an extrema-based bound had to give up on.
+func risingEnvelopeDiskProfile() *model.DiskProfile {
+	dp := syntheticDiskProfile()
+	dp.Envelope = polyfit.Poly1D{Coeffs: []float64{4000, 2}}
+	return dp
+}
+
+// screenProfiles are the pricing shapes the screen tests run under.
+var screenProfiles = []struct {
+	name string
+	dp   func() *model.DiskProfile
+}{
+	{"cpu+ram", nil},
+	{"linear-disk-model", syntheticDiskProfile},
+	{"quadratic-disk-model", quadraticDiskProfile},
+	{"non-monotone-disk-model", nonMonotoneDiskProfile},
+	{"rising-envelope-disk-model", risingEnvelopeDiskProfile},
+}
+
+// screenProblem builds a random problem priced under the named profile.
+func screenProblem(rng *rand.Rand, nW, T int, dp func() *model.DiskProfile) *Problem {
+	p := randomLoadStateProblem(rng, nW, T, dp != nil)
+	if dp != nil {
+		p.Disk = dp()
+		varyDiskSeries(rng, p)
+	}
+	return p
 }
 
 // randomAssign returns a random in-range assignment for ev over K machines.
@@ -65,114 +100,211 @@ func randomAssign(rng *rand.Rand, ev *Evaluator, K int) []int {
 	return assign
 }
 
-// TestCoarseBoundSoundness is the randomized-fleet property test of the
-// bucketed bounds: for random assignments, random candidate moves and
-// random accepted mutations, every coarse bound must bracket the exact
-// pricer bit-for-bit on the exact side — BoundAdd.lo ≤ PriceAdd ≤
-// BoundAdd.hi, and likewise for BoundRemove/PriceRemove and
-// BoundSwap/PriceSwap. Runs under -race in CI.
-func TestCoarseBoundSoundness(t *testing.T) {
-	profiles := []struct {
-		name string
-		dp   *model.DiskProfile
-	}{
-		{"cpu+ram", nil},
-		{"linear-disk-model", syntheticDiskProfile()},
-		{"quadratic-disk-model", quadraticDiskProfile()},
+// mutateRandomly applies one of LoadState's mutators: Move, Swap, a burst of
+// deferred moves off one machine rolled back the way reduceK rolls back a
+// failed trial, or — when a machine can be emptied — the moves and the Fold
+// of a successful one.
+func mutateRandomly(rng *rand.Rand, ls *LoadState) {
+	nU, K := ls.NumUnits(), ls.K()
+	switch rng.Intn(8) {
+	case 0, 1, 2:
+		ls.Move(rng.Intn(nU), rng.Intn(K))
+	case 3, 4, 5:
+		if a, b := rng.Intn(nU), rng.Intn(nU); ls.Assign(a) != ls.Assign(b) {
+			ls.Swap(a, b)
+		}
+	case 6:
+		j := rng.Intn(K)
+		units := append([]int(nil), ls.Members(j)...)
+		dirty := make([]bool, K)
+		for _, u := range units {
+			to := (j + 1 + rng.Intn(K-1)) % K
+			ls.move(u, to, false, true)
+			dirty[to] = true
+		}
+		for i := len(units) - 1; i >= 0; i-- {
+			ls.move(units[i], j, false, false)
+		}
+		ls.members[j] = append(ls.members[j][:0], units...)
+		ls.rematerialize(j)
+		for to := range dirty {
+			if dirty[to] {
+				ls.rematerialize(to)
+			}
+		}
+	case 7:
+		if K <= 3 {
+			return
+		}
+		j := rng.Intn(K)
+		for _, u := range append([]int(nil), ls.Members(j)...) {
+			ls.move(u, (j+1+rng.Intn(K-1))%K, false, true)
+		}
+		ls.Fold(j)
 	}
-	for _, prof := range profiles {
-		withDisk := prof.dp != nil
+}
+
+// TestCoarseBoundSoundness is the randomized-fleet property test of the
+// peak-step sample bound: for random assignments, random candidate moves and
+// swaps and random mutations of the state (Move, Swap, deferred moves with
+// rollback, Fold), every screen value must not exceed the exact price it
+// bounds, bit for bit — each stage of ScreenAdd ≤ PriceAdd, both sides of
+// ScreenSwap ≤ PriceSwap's, screenAddViol ≤ the exact violation — whatever
+// the shape of the disk polynomial and its envelope. (That the bound also
+// prunes under each profile is TestScreenedSweepEquivalence's to check.) Runs
+// under -race in CI.
+func TestCoarseBoundSoundness(t *testing.T) {
+	for _, prof := range screenProfiles {
 		t.Run(prof.name, func(t *testing.T) {
-			for _, T := range []int{50, 64, 96} {
+			for _, T := range []int{3, 50, 64, 96} {
 				rng := rand.New(rand.NewSource(int64(1000 + T)))
-				p := randomLoadStateProblem(rng, 12, T, withDisk)
-				p.Disk = prof.dp
-				varyDiskSeries(rng, p)
-				ev, err := NewEvaluator(p)
+				ev, err := NewEvaluator(screenProblem(rng, 12, T, prof.dp))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ev.coarse == nil {
-					t.Fatal("NewEvaluator did not build coarse tables")
+				ls := NewLoadState(ev, randomAssign(rng, ev, 6), 6)
+				if !ls.Screened() {
+					t.Fatal("NewLoadState built an unscreened state")
 				}
-				K := 6
-				ls := NewLoadState(ev, randomAssign(rng, ev, K), K)
 				nU := ls.NumUnits()
 				for iter := 0; iter < 400; iter++ {
-					u := rng.Intn(nU)
-					j := rng.Intn(K)
-
-					lo, hi := ls.BoundAdd(u, j)
+					u, j := rng.Intn(nU), rng.Intn(ls.K())
 					exact := ls.PriceAdd(u, j)
-					if !(lo <= exact && exact <= hi) {
-						t.Fatalf("T=%d iter %d: BoundAdd(%d,%d) = [%v, %v] does not bracket PriceAdd %v",
-							T, iter, u, j, lo, hi, exact)
+					full := ls.ScreenAdd(u, j)
+					if !(full <= exact) {
+						t.Fatalf("T=%d iter %d: ScreenAdd(%d,%d) = %v exceeds PriceAdd %v", T, iter, u, j, full, exact)
 					}
 					if ls.Assign(u) != j {
-						if got := ls.ScreenAdd(u, j); !floats.Same(got, lo) {
-							t.Fatalf("ScreenAdd(%d,%d) = %v, want BoundAdd lower %v", u, j, got, lo)
+						var sc sideScreen
+						ls.screenAddFirst(&sc, u, j)
+						first := ls.bound(&sc, j)
+						ls.screenAddRest(&sc, u, j)
+						rest := ls.bound(&sc, j)
+						if !(first <= rest) || !floats.Same(rest, full) {
+							t.Fatalf("T=%d iter %d: move screen stages %v, %v do not build up to ScreenAdd %v", T, iter, first, rest, full)
+						}
+						want := ev.serverEval(j, membersCopyWith(ls, j, u)).Violation
+						if got := ls.screenAddViol(u, j); !(got <= want) {
+							t.Fatalf("T=%d iter %d: screenAddViol(%d,%d) = %v exceeds the exact violation %v", T, iter, u, j, got, want)
 						}
 					}
 
-					rlo, rhi := ls.BoundRemove(u)
-					rexact := ls.PriceRemove(u)
-					if !(rlo <= rexact && rexact <= rhi) {
-						t.Fatalf("T=%d iter %d: BoundRemove(%d) = [%v, %v] does not bracket PriceRemove %v",
-							T, iter, u, rlo, rhi, rexact)
-					}
-
-					v := rng.Intn(nU)
-					if ls.Assign(u) != ls.Assign(v) {
-						loU, hiU, loV, hiV := ls.BoundSwap(u, v)
+					if v := rng.Intn(nU); ls.Assign(u) != ls.Assign(v) {
 						nu, nv := ls.PriceSwap(u, v)
-						if !(loU <= nu && nu <= hiU) || !(loV <= nv && nv <= hiV) {
-							t.Fatalf("T=%d iter %d: BoundSwap(%d,%d) = [%v,%v]/[%v,%v] does not bracket PriceSwap %v/%v",
-								T, iter, u, v, loU, hiU, loV, hiV, nu, nv)
+						loU, loV := ls.ScreenSwap(u, v)
+						if !(loU <= nu) || !(loV <= nv) {
+							t.Fatalf("T=%d iter %d: ScreenSwap(%d,%d) = %v/%v exceeds PriceSwap %v/%v", T, iter, u, v, loU, loV, nu, nv)
 						}
-						sU, sV := ls.ScreenSwap(u, v)
-						if !floats.Same(sU, loU) || !floats.Same(sV, loV) {
-							t.Fatalf("ScreenSwap(%d,%d) = %v/%v, want BoundSwap lowers %v/%v", u, v, sU, sV, loU, loV)
-						}
-					}
-
-					// Mutate the state so rematerialized bucket aggregates
-					// (and occasionally Swap's path) are exercised too.
-					switch iter % 3 {
-					case 0:
-						ls.Move(rng.Intn(nU), rng.Intn(K))
-					case 1:
-						a, b := rng.Intn(nU), rng.Intn(nU)
-						if ls.Assign(a) != ls.Assign(b) {
-							ls.Swap(a, b)
+						a := ls.Assign(u)
+						var sc sideScreen
+						ls.screenExchangeFirst(&sc, a, u, v)
+						first := ls.bound(&sc, a)
+						ls.screenExchangeRest(&sc, a, u, v)
+						rest := ls.bound(&sc, a)
+						if !(first <= rest) || !floats.Same(rest, loU) {
+							t.Fatalf("T=%d iter %d: swap screen stages %v, %v do not build up to ScreenSwap's %v", T, iter, first, rest, loU)
 						}
 					}
+					mutateRandomly(rng, ls)
 				}
 			}
 		})
 	}
 }
 
+// wantSample recomputes machine j's sample from its member list alone: the
+// canonical sums re-accumulated, then the first argmax overall and per
+// segment for CPU and RAM and the first argmax of the predicted write rate.
+func wantSample(ls *LoadState, j int) []int32 {
+	ev := ls.ev
+	T := ev.T
+	cpu, ram := make([]float64, T), make([]float64, T)
+	var ws, rate []float64
+	if ev.p.Disk != nil {
+		ws, rate = make([]float64, T), make([]float64, T)
+	}
+	ev.accumulateInto(ls.members[j], cpu, ram, ws, rate)
+	argmax := func(vals []float64, lo, hi int) int {
+		arg := lo
+		for t := lo; t < hi; t++ {
+			if vals[t] > vals[arg] {
+				arg = t
+			}
+		}
+		return arg
+	}
+	var want []int32
+	for _, vals := range [][]float64{cpu, ram} {
+		want = append(want, int32(argmax(vals, 0, T)))
+	}
+	for _, vals := range [][]float64{cpu, ram} {
+		global := argmax(vals, 0, T)
+		for s := 0; s < sampleSegs; s++ {
+			lo, hi := s*T/sampleSegs, (s+1)*T/sampleSegs
+			if global < lo || global >= hi {
+				want = append(want, int32(argmax(vals, lo, hi)))
+			}
+		}
+	}
+	if ev.p.Disk != nil {
+		pred := make([]float64, T)
+		for t := range pred {
+			pred[t] = ev.p.Disk.PredictWriteMBps(ws[t], rate[t])
+		}
+		want = append(want, int32(argmax(pred, 0, T)))
+	}
+	return want
+}
+
+// TestSampleTracksCanonicalSums checks that after every mutator each
+// machine's sample is the per-segment peak steps of its canonical sums. A
+// stale sample is still a sound one, so nothing else would notice it but the
+// count of exact pricings.
+func TestSampleTracksCanonicalSums(t *testing.T) {
+	for _, withDisk := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(57))
+		var dp func() *model.DiskProfile
+		if withDisk {
+			dp = quadraticDiskProfile
+		}
+		ev, err := NewEvaluator(screenProblem(rng, 12, 96, dp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := NewLoadState(ev, randomAssign(rng, ev, 7), 7)
+		for iter := 0; iter < 300; iter++ {
+			for j := 0; j < ls.K(); j++ {
+				got, want := ls.sampleOf(j), wantSample(ls, j)
+				if len(got) != len(want) {
+					t.Fatalf("withDisk=%v: sample of %d steps, want %d", withDisk, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("withDisk=%v iter %d: machine %d sample %v, want %v", withDisk, iter, j, got, want)
+					}
+				}
+			}
+			mutateRandomly(rng, ls)
+		}
+		if ls.K() == 7 {
+			t.Fatal("no Fold was exercised")
+		}
+	}
+}
+
 // TestScreenedSweepEquivalence is the pruned-vs-unpruned equivalence
 // property: the screened hill climb must produce the bit-identical final
 // assignment and objective as the unscreened one on randomized fleets,
-// while pricing no more candidates exactly. Runs under -race in CI.
+// consider the same candidates, and price fewer of them exactly — under
+// every profile, including the ones whose shape an extrema-based bound could
+// not use. Runs under -race in CI.
 func TestScreenedSweepEquivalence(t *testing.T) {
-	profiles := []struct {
-		name string
-		dp   *model.DiskProfile
-	}{
-		{"cpu+ram", nil},
-		{"linear-disk-model", syntheticDiskProfile()},
-		{"quadratic-disk-model", quadraticDiskProfile()},
-	}
-	for _, prof := range profiles {
-		withDisk := prof.dp != nil
+	for _, prof := range screenProfiles {
 		t.Run(prof.name, func(t *testing.T) {
+			pricedS, pricedU := 0, 0
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(200 + seed))
-				p := randomLoadStateProblem(rng, 14, 96, withDisk)
-				p.Disk = prof.dp
-				varyDiskSeries(rng, p)
+				p := screenProblem(rng, 14, 96, prof.dp)
 				evS, err := NewEvaluator(p)
 				if err != nil {
 					t.Fatal(err)
@@ -181,10 +313,7 @@ func TestScreenedSweepEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				evU.SetBucketWidth(-1) // screening off
-				if evU.coarse != nil {
-					t.Fatal("SetBucketWidth(-1) left coarse tables active")
-				}
+				evU.noScreen = true
 				K := 7
 				seedAssign := randomAssign(rng, evS, K)
 				ctx := context.Background()
@@ -201,19 +330,23 @@ func TestScreenedSweepEquivalence(t *testing.T) {
 						t.Fatalf("seed %d: screened assignment differs at unit %d: %d vs %d", seed, u, aS[u], aU[u])
 					}
 				}
-				if evS.Fevals > evU.Fevals {
-					t.Fatalf("seed %d: screened climb priced more candidates (%d) than unscreened (%d)",
+				if evS.Fevals != evU.Fevals {
+					t.Fatalf("seed %d: screened climb considered %d candidates, unscreened %d",
 						seed, evS.Fevals, evU.Fevals)
 				}
+				pricedS += evS.stats.Priced
+				pricedU += evU.stats.Priced
+			}
+			if 2*pricedS > pricedU {
+				t.Fatalf("screened climbs priced %d candidates exactly, unscreened %d: the screen prunes less than half", pricedS, pricedU)
 			}
 		})
 	}
 }
 
 // TestScreenedSolveEquivalence checks the equivalence end to end through
-// the public solver entry points: Solve and Resolve with the default
-// coarse screen must return bit-identical plans to runs with screening
-// disabled via SolveOptions.BucketWidth.
+// the solver entry points: Solve and Resolve with the sweep screen must
+// return bit-identical plans to runs on an evaluator with the screen off.
 func TestScreenedSolveEquivalence(t *testing.T) {
 	if testing.Short() && raceEnabled {
 		t.Skip("full solves are slow under the race detector")
@@ -223,14 +356,21 @@ func TestScreenedSolveEquivalence(t *testing.T) {
 	varyDiskSeries(rng, p)
 	opt := DefaultSolveOptions()
 	opt.DirectFevals = 300
-	optOff := opt
-	optOff.BucketWidth = -1
+	evaluator := func(noScreen bool) *Evaluator {
+		t.Helper()
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.noScreen = noScreen
+		return ev
+	}
 
-	solS, err := Solve(context.Background(), p, opt)
+	solS, err := evaluator(false).solve(context.Background(), opt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	solU, err := Solve(context.Background(), p, optOff)
+	solU, err := evaluator(true).solve(context.Background(), opt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,17 +383,18 @@ func TestScreenedSolveEquivalence(t *testing.T) {
 			t.Fatalf("screened Solve assignment differs at unit %d", u)
 		}
 	}
+	if solS.Stats.Priced >= solU.Stats.Priced {
+		t.Fatalf("screened Solve priced %d candidates exactly, unscreened %d", solS.Stats.Priced, solU.Stats.Priced)
+	}
 
 	inc := IncumbentFromSolution(p, solS)
 	ropt := DefaultResolveOptions()
 	ropt.DirectFevals = 300
-	roptOff := ropt
-	roptOff.BucketWidth = -1
-	resS, err := Resolve(context.Background(), p, inc, ropt)
+	resS, err := evaluator(false).resolve(context.Background(), inc, ropt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := Resolve(context.Background(), p, inc, roptOff)
+	resU, err := evaluator(true).resolve(context.Background(), inc, ropt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +409,8 @@ func TestScreenedSolveEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoarseBoundAllocs asserts the bound pricers allocate nothing — they
-// run inside every candidate of a screened sweep. Skipped under the race
+// TestCoarseBoundAllocs asserts the screen allocates nothing — it runs
+// inside every candidate of a screened sweep. Skipped under the race
 // detector, which instruments allocations.
 func TestCoarseBoundAllocs(t *testing.T) {
 	if raceEnabled {
@@ -293,17 +434,11 @@ func TestCoarseBoundAllocs(t *testing.T) {
 		j := (ls.Assign(u) + 1) % K
 		var sink float64
 		if n := testing.AllocsPerRun(200, func() {
-			sink += ls.ScreenAdd(u, j)
-			lo, hi := ls.BoundAdd(u, j)
-			sink += lo + hi
-			lo, hi = ls.BoundRemove(u)
-			sink += lo + hi
-			loU, hiU, loV, hiV := ls.BoundSwap(u, v)
-			sink += loU + hiU + loV + hiV
+			sink += ls.ScreenAdd(u, j) + ls.screenAddViol(u, j)
 			sU, sV := ls.ScreenSwap(u, v)
 			sink += sU + sV
 		}); n != 0 {
-			t.Fatalf("withDisk=%v: bound pricers allocated %v times per run, want 0", withDisk, n)
+			t.Fatalf("withDisk=%v: the screen allocated %v times per run, want 0", withDisk, n)
 		}
 		_ = sink
 	}
@@ -371,81 +506,6 @@ func TestEvalScratchClone(t *testing.T) {
 	w2, _ := fresh.Eval(a2, K)
 	if !floats.Same(o1, w1) || !floats.Same(o2, w2) {
 		t.Fatalf("clone-interleaved Eval drifted: got %v/%v, want %v/%v", o1, o2, w1, w2)
-	}
-}
-
-// TestDiskMonotonicityDetection pins the constructor's verification: the
-// synthetic profile (increasing fit, decreasing envelope) must enable the
-// disk bounds, and profiles violating either property must fall back to
-// the trivially sound zero lower bound.
-func TestDiskMonotonicityDetection(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	build := func(dp *model.DiskProfile) *Evaluator {
-		t.Helper()
-		p := randomLoadStateProblem(rng, 6, 48, true)
-		p.Disk = dp
-		ev, err := NewEvaluator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-
-	ev := build(syntheticDiskProfile())
-	if !ev.coarse.diskMono || !ev.coarse.envMono {
-		t.Fatalf("synthetic profile: diskMono=%v envMono=%v, want both true",
-			ev.coarse.diskMono, ev.coarse.envMono)
-	}
-
-	nonMono := syntheticDiskProfile()
-	// A large negative cross term makes ∂f/∂x negative at high rates.
-	nonMono.Fit = polyfit.Poly2D{Degree: 2, Coeffs: []float64{0.5, 0.002, 0.003, 0, -1, 0}}
-	ev = build(nonMono)
-	if ev.coarse.diskMono {
-		t.Fatal("non-monotone fit was verified monotone")
-	}
-
-	risingEnv := syntheticDiskProfile()
-	risingEnv.Envelope = polyfit.Poly1D{Coeffs: []float64{100, 2}}
-	ev = build(risingEnv)
-	if ev.coarse.envMono {
-		t.Fatal("increasing envelope was verified non-increasing")
-	}
-}
-
-// TestSetBucketWidth pins the width semantics: default ⌈T/16⌉, explicit
-// widths clamped to the series length, negative disables.
-func TestSetBucketWidth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := randomLoadStateProblem(rng, 4, 50, false)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ev.BucketWidth(); got != 4 { // ⌈50/16⌉
-		t.Fatalf("default bucket width = %d, want 4", got)
-	}
-	if ev.coarse.nb != 13 { // ⌈50/4⌉
-		t.Fatalf("default bucket count = %d, want 13", ev.coarse.nb)
-	}
-	ev.SetBucketWidth(7)
-	if got := ev.BucketWidth(); got != 7 {
-		t.Fatalf("explicit bucket width = %d, want 7", got)
-	}
-	ev.SetBucketWidth(1000)
-	if got := ev.BucketWidth(); got != 50 {
-		t.Fatalf("oversized bucket width = %d, want clamp to T=50", got)
-	}
-	if ev.coarse.nb != 1 {
-		t.Fatalf("oversized width bucket count = %d, want 1", ev.coarse.nb)
-	}
-	ev.SetBucketWidth(-1)
-	if ev.coarse != nil || ev.BucketWidth() != 0 {
-		t.Fatal("negative width did not disable screening")
-	}
-	ev.SetBucketWidth(0)
-	if got := ev.BucketWidth(); got != 4 {
-		t.Fatalf("re-enabled bucket width = %d, want 4", got)
 	}
 }
 

@@ -68,25 +68,15 @@ type LoadState struct {
 	norm      []float64 // normalized balance load in [0,1]
 	confPairs []int     // anti-affinity pairs currently sharing the machine
 	slaCap    []float64 // strictest member SLA utilization cap (1 = none)
-	// argCPU/argRAM are the time steps where each machine's canonical CPU
-	// and RAM aggregates peak — the coarse screen's point refinement
-	// evaluates candidate aggregates exactly there, a tight O(1) lower
-	// bound on the new peak (see coarse.go).
-	argCPU []int
-	argRAM []int
-
 	// Scratch buffers for candidate pricing, reused across calls (sWS and
 	// sRate are nil without a disk model).
 	sCPU, sRAM, sWS, sRate []float64
 
-	// Coarse screening state (see coarse.go; unset when the evaluator
-	// disables screening): per-machine bucketed aggregate bounds — flat,
-	// stride co.nb — kept in lockstep with the canonical sums, plus bucket
-	// scratch for the disk terms of candidate bounds.
-	co                             *coarse
-	bHiCPU, bLoCPU, bHiRAM, bLoRAM []float64
-	bHiWS, bLoWS, bHiRate, bLoRate []float64
-	sbWS, sbRate                   []float64
+	// The sweep screen's per-machine peak-step sample (see coarse.go): flat,
+	// stride sampleStride, rebuilt with the canonical sums; a screen reads
+	// the first nSample steps of a row.
+	sample  []int32
+	nSample int
 }
 
 // NewLoadState builds the incremental state for an assignment over the
@@ -113,8 +103,8 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 		norm:      make([]float64, K),
 		confPairs: make([]int, K),
 		slaCap:    make([]float64, K),
-		argCPU:    make([]int, K),
-		argRAM:    make([]int, K),
+		sample:    make([]int32, K*sampleStride),
+		nSample:   sampleDisk,
 		sCPU:      make([]float64, T),
 		sRAM:      make([]float64, T),
 	}
@@ -122,19 +112,7 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 	if disk {
 		ls.sWS = make([]float64, T)
 		ls.sRate = make([]float64, T)
-	}
-	if co := ev.coarse; co != nil {
-		ls.co = co
-		ls.bHiCPU = make([]float64, K*co.nb)
-		ls.bLoCPU = make([]float64, K*co.nb)
-		ls.bHiRAM = make([]float64, K*co.nb)
-		ls.bLoRAM = make([]float64, K*co.nb)
-		ls.bHiWS = make([]float64, K*co.nb)
-		ls.bLoWS = make([]float64, K*co.nb)
-		ls.bHiRate = make([]float64, K*co.nb)
-		ls.bLoRate = make([]float64, K*co.nb)
-		ls.sbWS = make([]float64, co.nb)
-		ls.sbRate = make([]float64, co.nb)
+		ls.nSample = sampleStride
 	}
 	for u, j := range ls.assign {
 		if j < 0 || j >= K {
@@ -189,28 +167,23 @@ func (ls *LoadState) touch(a, b int) {
 	ls.changed[a], ls.changed[b] = ls.clock, ls.clock
 }
 
-// rematerialize recomputes machine j's canonical sums and cached state
-// from its member list. Called on the (at most two) machines an accepted
-// move touches, so drift from subtractive pricing never enters the state.
+// rematerialize recomputes machine j's canonical sums, peak-step sample and
+// cached state from its member list. Called on the (at most two) machines an
+// accepted move touches, so drift from subtractive pricing never enters the
+// state. The contribution is evalSums' on the canonical sums, with the peak
+// scans replaced by the ones that also record where the peaks fall.
 func (ls *LoadState) rematerialize(j int) {
 	ev := ls.ev
 	members := ls.members[j]
 	ev.accumulateInto(members, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
-	if ls.co != nil {
-		ls.rematBuckets(j)
-		// Track where the canonical aggregates peak, for the screen's
-		// point refinement.
-		cj, rj := ls.cpu[j], ls.ram[j]
-		argC, argR := 0, 0
-		for t := 1; t < ev.T; t++ {
-			if cj[t] > cj[argC] {
-				argC = t
-			}
-			if rj[t] > rj[argR] {
-				argR = t
-			}
-		}
-		ls.argCPU[j], ls.argRAM[j] = argC, argR
+	cpuPeak, ramPeak := ls.resample(j)
+	var diskPeak float64
+	var wsSum, rateSum []float64
+	if ev.p.Disk != nil {
+		wsSum, rateSum = ls.ws[j][:ev.T], ls.rate[j][:ev.T]
+		var at int
+		diskPeak, at = ev.diskPeak(wsSum, rateSum)
+		ls.sample[j*sampleStride+sampleDisk] = int32(at)
 	}
 
 	pairs := ev.conflictPairs(members)
@@ -224,7 +197,7 @@ func (ls *LoadState) rematerialize(j int) {
 		ls.norm[j] = 0
 		return
 	}
-	_, _, _, viol, norm := ev.evalSums(j, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j], cap)
+	viol, norm := ev.pricePeaks(j, cpuPeak, ramPeak, diskPeak, cap, wsSum, rateSum)
 	ls.norm[j] = norm
 	ls.contrib[j] = contribWith(norm, viol, pairs)
 }
@@ -272,6 +245,27 @@ func (ls *LoadState) conflictsOnExcluding(u, j, excl int) int {
 	return n
 }
 
+// capWithout returns the SLA utilization cap machine j's members impose
+// without member out: the machine's cached cap unless out alone may set it.
+//
+//kairos:hotpath
+func (ls *LoadState) capWithout(j, out int) float64 {
+	ev := ls.ev
+	if ev.slaCapU[out] > ls.slaCap[j] || ls.slaCap[j] >= 1 {
+		return ls.slaCap[j]
+	}
+	cap := 1.0
+	for _, m := range ls.members[j] {
+		if m == out {
+			continue
+		}
+		if c := ev.slaCapU[m]; c < cap {
+			cap = c
+		}
+	}
+	return cap
+}
+
 // fill writes machine j's sums plus unit u's scaled demand into the
 // scratch buffers (sign +1) or minus it (sign -1): CPU and RAM always,
 // working set and update rate only under a disk model.
@@ -317,7 +311,7 @@ func (ls *LoadState) PriceAdd(u, j int) float64 {
 	if c := ev.slaCapU[u]; c < cap {
 		cap = c
 	}
-	_, _, _, viol, norm := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
+	viol, norm := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
 	return contribWith(norm, viol, ls.confPairs[j]+ls.conflictsOn(u, j))
 }
 
@@ -334,16 +328,7 @@ func (ls *LoadState) PriceRemove(u int) float64 {
 		return 0 // machine becomes unused
 	}
 	ls.fill(u, from, -1)
-	cap := 1.0
-	for _, m := range ls.members[from] {
-		if m == u {
-			continue
-		}
-		if c := ev.slaCapU[m]; c < cap {
-			cap = c
-		}
-	}
-	_, _, _, viol, norm := ev.evalSums(from, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
+	viol, norm := ev.evalSums(from, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, ls.capWithout(from, u))
 	return contribWith(norm, viol, ls.confPairs[from]-ls.conflictsOn(u, from))
 }
 
@@ -361,16 +346,16 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 		if ls.confPairs[j] > 0 {
 			return false
 		}
-		_, _, _, viol, _ := ev.evalSums(j, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j], ls.slaCap[j])
+		viol, _ := ev.evalSums(j, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j], ls.slaCap[j])
 		return viol == 0
 	}
 	if ls.confPairs[j] > 0 || ls.conflictsOn(u, j) > 0 {
 		return false
 	}
-	// Coarse screen: a positive violation lower bound proves the placement
-	// infeasible in O(T/B), so the exact O(T) pricing only runs for
-	// machines the bound cannot rule out. The boolean is unchanged —
-	// viol ≥ screenAddViol always.
+	// Sweep screen: a positive violation lower bound proves the placement
+	// infeasible from the sampled steps alone, so the exact O(T) pricing
+	// only runs for machines the bound cannot rule out. The boolean is
+	// unchanged — viol ≥ screenAddViol always.
 	if ls.screenAddViol(u, j) > 0 {
 		return false
 	}
@@ -379,7 +364,7 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 	if c := ev.slaCapU[u]; c < cap {
 		cap = c
 	}
-	_, _, _, viol, _ := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
+	viol, _ := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
 	return viol == 0
 }
 
@@ -423,20 +408,12 @@ func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko
 func (ls *LoadState) priceExchange(j, out, in int) float64 {
 	ev := ls.ev
 	ls.fillExchange(j, out, in)
-	cap := 1.0
-	for _, m := range ls.members[j] {
-		if m == out {
-			continue
-		}
-		if c := ev.slaCapU[m]; c < cap {
-			cap = c
-		}
-	}
+	cap := ls.capWithout(j, out)
 	if c := ev.slaCapU[in]; c < cap {
 		cap = c
 	}
 	pairs := ls.confPairs[j] - ls.conflictsOn(out, j) + ls.conflictsOnExcluding(in, j, out)
-	_, _, _, viol, norm := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
+	viol, norm := ev.evalSums(j, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, cap)
 	return contribWith(norm, viol, pairs)
 }
 
@@ -532,27 +509,11 @@ func (ls *LoadState) Fold(to int) {
 		ls.ram[to], ls.ram[from] = ls.ram[from], ls.ram[to]
 		ls.ws[to], ls.ws[from] = ls.ws[from], ls.ws[to]
 		ls.rate[to], ls.rate[from] = ls.rate[from], ls.rate[to]
-		if co := ls.co; co != nil {
-			// Relabel the bucketed bound rows with the machine: `to` was
-			// empty, so the retiring row is zeroed like its other state.
-			nb := co.nb
-			for _, arr := range [...][]float64{
-				ls.bHiCPU, ls.bLoCPU, ls.bHiRAM, ls.bLoRAM,
-				ls.bHiWS, ls.bLoWS, ls.bHiRate, ls.bLoRate,
-			} {
-				fromRow := arr[from*nb : (from+1)*nb]
-				copy(arr[to*nb:(to+1)*nb], fromRow)
-				for i := range fromRow {
-					fromRow[i] = 0
-				}
-			}
-		}
+		copy(ls.sample[to*sampleStride:(to+1)*sampleStride], ls.sample[from*sampleStride:(from+1)*sampleStride])
 		ls.contrib[to], ls.contrib[from] = ls.contrib[from], 0
 		ls.norm[to], ls.norm[from] = ls.norm[from], 0
 		ls.confPairs[to], ls.confPairs[from] = ls.confPairs[from], 0
 		ls.slaCap[to], ls.slaCap[from] = ls.slaCap[from], 1
-		ls.argCPU[to], ls.argCPU[from] = ls.argCPU[from], 0
-		ls.argRAM[to], ls.argRAM[from] = ls.argRAM[from], 0
 		ls.touch(to, from)
 	}
 	ls.k--

@@ -45,9 +45,13 @@ type Evaluator struct {
 	// scans of Eval, rematerialize and FitsOneMachine are skipped without it.
 	hasConflicts bool
 
-	// coarse holds the bucketed per-unit demand extrema backing the
-	// coarse-to-fine move screen (see coarse.go); nil disables screening.
-	coarse *coarse
+	// unitPeak holds, stride 2, the steps at which each unit's own CPU and
+	// RAM demand peak: the steps the sweep screen adds to a machine's sample
+	// for an arriving unit (see coarse.go). noScreen turns the screen off
+	// for LoadStates built from this evaluator; only the tests that compare
+	// screened with unscreened search set it.
+	unitPeak []int32
+	noScreen bool
 
 	// Per-machine usable capacities after headroom, precomputed so the
 	// per-candidate pricers avoid re-deriving them (and copying Machine
@@ -188,12 +192,12 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ev.capRAM[j] = m.capacity(m.RAMBytes)
 		ev.capDisk[j] = m.capacity(m.DiskWriteBps)
 	}
-	ev.SetBucketWidth(0)
+	ev.unitPeak = unitPeakSteps(ev.cpu, ev.ram)
 	return ev, nil
 }
 
 // Clone returns an evaluator that shares ev's immutable problem data (the
-// demand arrays, pins, conflict lists and coarse bucket tables are never
+// demand arrays, pins, conflict lists and unit peak steps are never
 // written after NewEvaluator) but counts its own Fevals and work counters,
 // so each worker goroutine of a parallel solve can evaluate assignments
 // without locking. The Eval scratch buffers and reuse table are dropped so
@@ -272,25 +276,53 @@ func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]f
 	}
 }
 
-// evalSums prices one machine's aggregated demand vectors: resource peaks,
-// the summed relative violation and the normalized balance load. slaCap is
-// the utilization cap the member set imposes (1 when no member declares an
-// SLA). It allocates nothing, so it can run on reusable scratch buffers —
-// the LoadState move-pricing hot path.
+// peaks2 returns the maxima of two equally long streams, each floored at
+// zero: the peak-scan half of evalSums for CPU and RAM.
 //
 //kairos:hotpath
-func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, slaCap float64) (cpuPeak, ramPeak, diskPeak, viol, norm float64) {
-	T := ev.T
-	cpuSum, ramSum = cpuSum[:T], ramSum[:T]
-	for t := range cpuSum {
-		if cpuSum[t] > cpuPeak {
-			cpuPeak = cpuSum[t]
+func peaks2(a, b []float64) (aPeak, bPeak float64) {
+	b = b[:len(a)]
+	for t := range a {
+		if a[t] > aPeak {
+			aPeak = a[t]
 		}
-		if ramSum[t] > ramPeak {
-			ramPeak = ramSum[t]
+		if b[t] > bPeak {
+			bPeak = b[t]
 		}
 	}
+	return aPeak, bPeak
+}
 
+// diskPeak returns the highest predicted write rate (bytes/sec, floored at
+// zero) over the aggregate working-set and update-rate streams, and the
+// first step that attains it: the peak-scan half of evalSums for the disk
+// model.
+//
+//kairos:hotpath
+func (ev *Evaluator) diskPeak(wsSum, rateSum []float64) (peak float64, at int) {
+	d := ev.p.Disk
+	rateSum = rateSum[:len(wsSum)]
+	for t := range wsSum {
+		if pred := d.PredictWriteMBps(wsSum[t], rateSum[t]) * 1e6; pred > peak {
+			peak, at = pred, t
+		}
+	}
+	return peak, at
+}
+
+// pricePeaks turns one machine's resource peaks into its summed relative
+// violation and normalized balance load — the half of evalSums every pricer
+// shares: the exact ones hand it the peaks of a full scan, the sweep screen
+// (coarse.go) the peaks over a sample of steps, and both run the one
+// floating-point sequence below. slaCap is the utilization cap the member
+// set imposes (1 when no member declares an SLA). The saturation envelope is
+// the one term that is a sum over steps, not a peak: its addends are
+// accumulated here, between the RAM and the disk violation, over the
+// aggregate streams wsSum/rateSum (the screen passes none and so bounds them
+// by zero; violations are non-negative).
+//
+//kairos:hotpath
+func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float64, wsSum, rateSum []float64) (viol, norm float64) {
 	cpuCap := ev.capCPU[j]
 	ramCap := ev.capRAM[j]
 	if cpuPeak > cpuCap {
@@ -303,23 +335,19 @@ func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, s
 	var diskNorm float64
 	if d := ev.p.Disk; d != nil {
 		diskCap := ev.capDisk[j]
-		wsSum, rateSum = wsSum[:T], rateSum[:T]
-		for t := range wsSum {
-			pred := d.PredictWriteMBps(wsSum[t], rateSum[t]) * 1e6
-			if pred > diskPeak {
-				diskPeak = pred
-			}
+		if d.HasEnvelope {
 			// Boundary rule (model.EnvelopeFeasible): exactly at the
 			// envelope is feasible, and a clamped-to-zero envelope admits
 			// only a zero rate — strict excess is always a violation, with
 			// the denominator floored so the penalty stays finite.
-			if d.HasEnvelope {
+			rateSum = rateSum[:len(wsSum)]
+			for t := range wsSum {
 				if maxRate := d.MaxRowsPerSec(wsSum[t]); rateSum[t] > maxRate {
 					den := maxRate
 					if den < envRateFloor {
 						den = envRateFloor
 					}
-					viol += (rateSum[t] - maxRate) / den / float64(T)
+					viol += (rateSum[t] - maxRate) / den / float64(ev.T)
 				}
 			}
 		}
@@ -356,7 +384,23 @@ func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, s
 	if norm < 0 {
 		norm = 0
 	}
-	return cpuPeak, ramPeak, diskPeak, viol, norm
+	return viol, norm
+}
+
+// evalSums prices one machine's aggregated demand vectors: the peak scans
+// over all T steps, then pricePeaks. It allocates nothing, so it can run on
+// reusable scratch buffers — the LoadState move-pricing hot path.
+//
+//kairos:hotpath
+func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, slaCap float64) (viol, norm float64) {
+	T := ev.T
+	cpuPeak, ramPeak := peaks2(cpuSum[:T], ramSum[:T])
+	var diskPeak float64
+	if ev.p.Disk != nil {
+		wsSum, rateSum = wsSum[:T], rateSum[:T]
+		diskPeak, _ = ev.diskPeak(wsSum, rateSum)
+	}
+	return ev.pricePeaks(j, cpuPeak, ramPeak, diskPeak, slaCap, wsSum, rateSum)
 }
 
 // serverEval computes one machine's load, violation and objective
@@ -377,13 +421,12 @@ func (ev *Evaluator) serverEval(j int, members []int) ServerLoad {
 		rateSum = make([]float64, T)
 	}
 	ev.accumulateInto(members, cpuSum, ramSum, wsSum, rateSum)
-	cpuPeak, ramPeak, diskPeak, viol, norm := ev.evalSums(j, cpuSum, ramSum, wsSum, rateSum, ev.slaCap(members))
 	sl.CPU = cpuSum
-	sl.CPUPeak = cpuPeak
-	sl.RAMPeak = ramPeak
-	sl.DiskPeak = diskPeak
-	sl.Violation = viol
-	sl.NormLoad = norm
+	sl.CPUPeak, sl.RAMPeak = peaks2(cpuSum, ramSum)
+	if ev.p.Disk != nil {
+		sl.DiskPeak, _ = ev.diskPeak(wsSum, rateSum)
+	}
+	sl.Violation, sl.NormLoad = ev.pricePeaks(j, sl.CPUPeak, sl.RAMPeak, sl.DiskPeak, ev.slaCap(members), wsSum, rateSum)
 	return sl
 }
 
@@ -531,7 +574,7 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 			// accumulation order and pricing as serverEval, minus its per-call
 			// allocations (Eval never needs the aggregate CPU series back).
 			ev.accumulateInto(members[j], ev.esCPU, ev.esRAM, ev.esWS, ev.esRate)
-			_, _, _, viol, norm := ev.evalSums(j, ev.esCPU, ev.esRAM, ev.esWS, ev.esRate, ev.slaCap(members[j]))
+			viol, norm := ev.evalSums(j, ev.esCPU, ev.esRAM, ev.esWS, ev.esRate, ev.slaCap(members[j]))
 			copy(rt.keys[slot*W:(slot+1)*W], set)
 			*m = reuseSlot{
 				mach:  int32(j + 1),

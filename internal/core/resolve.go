@@ -443,9 +443,12 @@ func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) 
 	if err != nil {
 		return nil, err
 	}
-	if opt.BucketWidth != 0 {
-		ev.SetBucketWidth(opt.BucketWidth)
-	}
+	return ev.resolve(ctx, inc, opt, start)
+}
+
+// resolve is Resolve on a fresh evaluator of the problem.
+func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptions, start time.Time) (*Solution, error) {
+	p := ev.p
 	maxK := len(p.Machines)
 	K := ev.clampIncumbentK(p, inc.K)
 

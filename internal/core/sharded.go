@@ -168,11 +168,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	if err != nil {
 		return nil, err
 	}
-	if opt.Options.BucketWidth != 0 {
-		// The merge's rebalance/reduction passes screen with the same
-		// coarse-pricing configuration as the per-shard solves.
-		ev.SetBucketWidth(opt.Options.BucketWidth)
-	}
 	unitIndex := make(map[UnitRef]int, len(ev.units))
 	for gi, u := range ev.units {
 		unitIndex[UnitRef{Workload: u.w, Replica: u.replica}] = gi
@@ -214,9 +209,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		mergeEv, err = NewEvaluator(&padded)
 		if err != nil {
 			return nil, err
-		}
-		if opt.Options.BucketWidth != 0 {
-			mergeEv.SetBucketWidth(opt.Options.BucketWidth)
 		}
 	}
 

@@ -45,13 +45,6 @@ type SolveOptions struct {
 	// set, Resolve skips the machine-count reduction pass, which migrates
 	// whole machines at a time.
 	MaxMigrations int
-	// BucketWidth sets the coarse-pricing bucket width in time steps for
-	// the local search's move screen (see Evaluator.SetBucketWidth): 0 uses
-	// the default ⌈T/16⌉, a positive value is used as given, and a negative
-	// value disables screening so every candidate is priced exactly. The
-	// computed plan is bit-identical for every setting — the screen only
-	// prunes candidates whose priced delta provably could not win.
-	BucketWidth int
 }
 
 // workers normalizes the Workers option.
@@ -131,9 +124,12 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	if err != nil {
 		return nil, err
 	}
-	if opt.BucketWidth != 0 {
-		ev.SetBucketWidth(opt.BucketWidth)
-	}
+	return ev.solve(ctx, opt, start)
+}
+
+// solve is Solve on a fresh evaluator of the problem.
+func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Time) (*Solution, error) {
+	p := ev.p
 	if opt.DirectFevals <= 0 {
 		opt.DirectFevals = 2000
 	}
@@ -572,7 +568,7 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 		if c := ev.slaCapU[item]; c < slaCap {
 			slaCap = c
 		}
-		_, _, _, viol, _ := ev.evalSums(0, scratch.cpu, scratch.ram, scratch.ws, scratch.rate, slaCap)
+		viol, _ := ev.evalSums(0, scratch.cpu, scratch.ram, scratch.ws, scratch.rate, slaCap)
 		return viol == 0
 	}
 }
@@ -798,21 +794,28 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 		// are independent of the coarse screen.
 		ev.Fevals++
 		ev.stats.Considered++
+		base, migU := ls.Contrib(from)+ls.Contrib(j), mig.delta(u, from, j)
 		if screen {
-			// Coarse-to-fine: the O(T/B) lower bound on the destination's
-			// new contribution prunes candidates that provably cannot beat
-			// the best delta so far. The bound delta mirrors the exact
-			// delta expression with ScreenAdd ≤ PriceAdd substituted, so
-			// pruned candidates are exactly ones the exact pricing would
-			// have rejected — the chosen move is bit-identical.
-			lo := ls.ScreenAdd(u, j)
-			if (cFromNew+lo)-(ls.Contrib(from)+ls.Contrib(j))+mig.delta(u, from, j) >= bestDelta {
+			// Coarse-to-fine, cheapest first: the lower bound on the
+			// destination's new contribution from its overall peak steps and
+			// the unit's own, then from its whole sample, prunes candidates
+			// that provably cannot beat the best delta so far. Each bound
+			// delta mirrors the exact delta expression with a lower bound on
+			// PriceAdd substituted, so pruned candidates are exactly ones the
+			// exact pricing would have rejected — the chosen move is
+			// bit-identical.
+			var sc sideScreen
+			ls.screenAddFirst(&sc, u, j)
+			if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
+				continue
+			}
+			ls.screenAddRest(&sc, u, j)
+			if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
 				continue
 			}
 		}
 		ev.stats.Priced++
-		cToNew := ls.PriceAdd(u, j)
-		delta := (cFromNew + cToNew) - (ls.Contrib(from) + ls.Contrib(j)) + mig.delta(u, from, j)
+		delta := (cFromNew + ls.PriceAdd(u, j)) - base + migU
 		if delta < bestDelta {
 			bestDelta = delta
 			bestJ = j
@@ -895,29 +898,49 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 			}
 			ev.Fevals++ // candidates considered, screened or priced
 			ev.stats.Considered++
+			// The exact delta is (nu + nv) − base + migU + migV, grouped left
+			// to right; every bound delta below has the same shape with a
+			// lower bound in place of nu or nv, so it cannot exceed the exact
+			// one and a candidate it prunes is one the exact pricing would
+			// have rejected.
+			base := ls.Contrib(a) + ls.Contrib(b)
+			migU, migV := mig.delta(u, a, b), mig.delta(v, b, a)
+			var nu, nv float64
 			if screen {
-				// Coarse-to-fine, staged: first prune against u's side
-				// alone (the other side contributes at least exp(0) = 1),
-				// then against both sides' lower bounds. Each stage's
-				// bound delta mirrors the exact delta expression — same
-				// floating-point shape, termwise lower bounds substituted
-				// — so pruned swaps are exactly ones the exact pricing
-				// would have rejected.
-				loU := ls.screenExchange(a, u, v)
-				if (loU+1)-(ls.Contrib(a)+ls.Contrib(b))+
-					mig.delta(u, a, b)+mig.delta(v, b, a) >= bestDelta {
+				// Coarse-to-fine, cheapest first. The first stage of u's
+				// side alone (the other side contributes at least
+				// exp(0) = 1), then beside the first stage of v's side, then
+				// both sides over their whole samples. Then u's side priced
+				// exactly beside v's bound, and only then v's side.
+				var su, sv sideScreen
+				ls.screenExchangeFirst(&su, a, u, v)
+				loU := ls.bound(&su, a)
+				if (loU+1)-base+migU+migV >= bestDelta {
 					continue
 				}
-				loV := ls.screenExchange(b, v, u)
-				if (loU+loV)-(ls.Contrib(a)+ls.Contrib(b))+
-					mig.delta(u, a, b)+mig.delta(v, b, a) >= bestDelta {
+				ls.screenExchangeFirst(&sv, b, v, u)
+				loV := ls.bound(&sv, b)
+				if (loU+loV)-base+migU+migV >= bestDelta {
 					continue
 				}
+				ls.screenExchangeRest(&su, a, u, v)
+				ls.screenExchangeRest(&sv, b, v, u)
+				loU, loV = ls.bound(&su, a), ls.bound(&sv, b)
+				if (loU+loV)-base+migU+migV >= bestDelta {
+					continue
+				}
+				ev.stats.Priced++
+				nu = ls.priceExchange(a, u, v)
+				if (nu+loV)-base+migU+migV >= bestDelta {
+					continue
+				}
+				ev.stats.Priced++
+				nv = ls.priceExchange(b, v, u)
+			} else {
+				ev.stats.Priced += 2
+				nu, nv = ls.PriceSwap(u, v)
 			}
-			ev.stats.Priced += 2
-			nu, nv := ls.PriceSwap(u, v)
-			delta := (nu + nv) - (ls.Contrib(a) + ls.Contrib(b)) +
-				mig.delta(u, a, b) + mig.delta(v, b, a)
+			delta := (nu + nv) - base + migU + migV
 			if delta < bestDelta {
 				bestDelta = delta
 				bestV = v

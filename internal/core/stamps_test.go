@@ -280,14 +280,15 @@ func uniqInts(sorted []int) []int {
 // TestSweepsAllocationFree extends the zero-allocation guarantee from the
 // pricers to the scans built on them — bestMove and a whole swap sweep, with
 // a memo — on a converged state, where nothing is accepted and no
-// re-materialization runs.
+// re-materialization runs. The full swap sweep must take the staged screen
+// past its last stage: some candidates pruned, some priced exactly.
 func TestSweepsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	for _, withDisk := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(23))
-		p := randomLoadStateProblem(rng, 12, 36, withDisk)
+		p := randomLoadStateProblem(rng, 24, 36, withDisk)
 		ev, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
@@ -297,6 +298,7 @@ func TestSweepsAllocationFree(t *testing.T) {
 		ls := NewLoadState(ev, ev.hillClimb(ctx, randomAssign(rng, ev, K), K).assign, K)
 		memo := newScanMemo(ls, nil)
 		for _, since := range []uint64{0, ls.clock} {
+			var considered, priced int // of one swap sweep
 			allocs := testing.AllocsPerRun(50, func() {
 				for u := 0; u < ls.NumUnits(); u++ {
 					memo.swaps[u] = since
@@ -304,12 +306,22 @@ func TestSweepsAllocationFree(t *testing.T) {
 						t.Fatal("converged state still has an improving move")
 					}
 				}
+				before := ev.stats
 				if ev.sweepSwaps(ctx, ls, nil, memo) {
 					t.Fatal("converged state still has an improving swap")
 				}
+				considered, priced = ev.stats.Considered-before.Considered, ev.stats.Priced-before.Priced
 			})
 			if allocs != 0 {
 				t.Errorf("withDisk=%v since=%d: move and swap scans allocate %v objects per run, want 0", withDisk, since, allocs)
+			}
+			// A full scan prices some swaps exactly and prunes the rest; a
+			// scan of a state where nothing changed considers none.
+			if since == 0 && !(priced > 0 && priced < 2*considered) {
+				t.Errorf("withDisk=%v: the full swap sweep ran %d exact pricings for %d candidates: the staged screen was not exercised end to end", withDisk, priced, considered)
+			}
+			if since != 0 && considered != 0 {
+				t.Errorf("withDisk=%v: the swap sweep of an unchanged state considered %d candidates", withDisk, considered)
 			}
 		}
 	}

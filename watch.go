@@ -39,7 +39,7 @@ type WatchOptions struct {
 	// cool-down windows, forecast history and workload quorum.
 	Drift DriftConfig
 	// Resolve tunes the warm re-solve run on each trigger
-	// (MigrationWeight, MaxMigrations, Workers, BucketWidth, ...).
+	// (MigrationWeight, MaxMigrations, Workers, ...).
 	Resolve SolveOptions
 }
 
