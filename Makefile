@@ -4,7 +4,13 @@
 GO ?= go
 
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
-INGEST_BENCH = DecodeWindow197|WindowRecord197|Append2MB|Recover64x2MB
+INGEST_BENCH = Decode(Window|Register|Snapshot)197|WindowRecord197|Append2MB|Recover64x2MB
+
+# The wire decoders whose allocs/op BENCH_counts.json pins (make
+# bench-counts): a 197-server registration and snapshot through the
+# series decoder, about 1k and 4k allocations against encoding/json's 8k
+# and 32k.
+WIRE_COUNT_BENCH = Decode(Register|Snapshot)197/fast
 
 # The whole-solve benchmarks whose work counters (fevals, priced, probes,
 # machines) BENCH_counts.json pins (make bench-counts): cold local-search
@@ -55,11 +61,13 @@ crash-matrix:
 	$(GO) test -run 'TestCrashMatrix|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
 
-# Fuzz smoke: ten seconds of the differential fuzz between the window
-# decoder and encoding/json (FuzzDecodeWindow); any divergence in what
-# they accept or decode fails it.
+# Fuzz smoke: ten seconds each of the differential fuzz between the series
+# decoder's four entry points (window, registration, journal record,
+# snapshot) and encoding/json; any divergence in what they accept or
+# decode fails it.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/server
+	for f in Window Register Record Snapshot; do \
+		$(GO) test -run='^$$' -fuzz="^FuzzDecode$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), outside
 # ./...: vet it and run its unit tests (-short skips the -quick suite,
@@ -82,10 +90,10 @@ bench:
 # Evals, one exact swap pricing with and without the disk model, the disk
 # polynomial's kernel against its loop, one solve's greedy seeding, whole
 # cold and warm solves with their work counters), and
-# the ingest path's in-package benchmarks: the window decoder and record
-# splice against the encoding/json passes they replaced, and a
-# window-sized journal append (which fails if it allocates a frame) and
-# recovery.
+# the ingest path's in-package benchmarks: the series decoder (window,
+# registration, snapshot) and record splice against the encoding/json
+# passes they replaced, and a window-sized journal append (which fails if
+# it allocates a frame) and recovery.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
 	$(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit
@@ -114,18 +122,24 @@ bench-json:
 	  $(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
-# Count gate: the whole-solve benchmarks once each, their work counters
-# compared with the committed BENCH_counts.json. It fails when a count
-# (fevals, probes, machines) is higher than committed or missing — a
+# Count gate: the whole-solve benchmarks and the wire decoders once each,
+# their work counters compared with the committed BENCH_counts.json. It
+# fails when a count (fevals, priced, probes, machines; the decoders'
+# allocs/op) is higher than committed or missing — a
 # number that repeats exactly, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
-# the benchmark names, so the file compares across machines. No -benchmem:
-# allocs/op moves with the Go release, the solver's counters do not
-# (benchjson -compare gates allocs/op when the baseline carries it). After
-# a change that lowers a count on purpose, re-capture:
+# the benchmark names, so the file compares across machines. No -benchmem
+# on the solver: allocs/op moves with the Go release, its counters do not
+# (benchjson -compare gates allocs/op when the baseline carries it). The
+# wire decoders have no counter but allocs/op, so they run with -benchmem:
+# a decoder pointed back at reflection allocates eight times as much,
+# which fails here, where a Go release moving the residual's handful of
+# allocations means a re-capture. After a change that lowers a count on
+# purpose, re-capture:
 #   cp bench_counts.new.json BENCH_counts.json
 bench-counts:
-	$(GO) test -cpu 1 -bench='$(COUNT_BENCH)' -benchtime=1x -run='^$$' ./internal/core | $(GO) run ./cmd/benchjson > bench_counts.new.json
+	( $(GO) test -cpu 1 -bench='$(COUNT_BENCH)' -benchtime=1x -run='^$$' ./internal/core ; \
+	  $(GO) test -cpu 1 -bench='$(WIRE_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server

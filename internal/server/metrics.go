@@ -183,5 +183,10 @@ func writeJournalMetrics(w io.Writer, st journal.Stats, rec *RecoveryStats) {
 		torn = 1
 	}
 	g("kairos_recovery_torn_tail", "Whether the last recovery truncated a torn journal tail.", torn)
-	fmt.Fprintf(w, "# HELP kairos_recovery_duration_seconds Duration of the last journal replay.\n# TYPE kairos_recovery_duration_seconds gauge\nkairos_recovery_duration_seconds %g\n", rec.Elapsed.Seconds())
+	g("kairos_recovery_snapshot_bytes", "Size of the snapshot the last recovery restored.", int64(rec.SnapshotBytes))
+	seconds := func(name, help string, d time.Duration) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, d.Seconds())
+	}
+	seconds("kairos_recovery_snapshot_decode_seconds", "Time the last recovery spent decoding its snapshot.", rec.SnapshotDecode)
+	seconds("kairos_recovery_duration_seconds", "Duration of the last journal replay.", rec.Elapsed)
 }

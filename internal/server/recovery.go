@@ -29,6 +29,11 @@ import (
 type RecoveryStats struct {
 	// SnapshotFleets is how many fleets the snapshot restored.
 	SnapshotFleets int
+	// SnapshotBytes is the snapshot's size and SnapshotDecode how long
+	// decoding it took — the part of Elapsed that grows with the series
+	// the fleets retain rather than with the journal's length.
+	SnapshotBytes  int
+	SnapshotDecode time.Duration
 	// Fleets is the registry size after the full replay.
 	Fleets int
 	// Windows, Advances and Rearms count replayed journal records.
@@ -160,10 +165,13 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 	}
 
 	if len(rec.Snapshot) > 0 {
-		var snap SnapshotWire
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		decodeStart := time.Now()
+		snap, err := decodeSnapshot(rec.Snapshot)
+		if err != nil {
 			return nil, fmt.Errorf("decoding snapshot: %w", err)
 		}
+		stats.SnapshotBytes = len(rec.Snapshot)
+		stats.SnapshotDecode = time.Since(decodeStart)
 		for i := range snap.Fleets {
 			fs := &snap.Fleets[i]
 			sess, err := s.restoreSession(fs.Request, fs.Incumbent)
@@ -219,13 +227,8 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		}
 	}
 	for _, r := range rec.Records {
-		// A window record goes through the decoder that read the window
-		// live; everything else, and any window record not in the one shape
-		// the server writes, is encoding/json's.
-		var rw RecordWire
-		if wr, ok := decodeWindowRecord(r.Payload); ok {
-			rw.Window = wr
-		} else if err := json.Unmarshal(r.Payload, &rw); err != nil {
+		rw, err := decodeRecord(r.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("decoding journal record %d: %w", r.Seq, err)
 		}
 		switch {

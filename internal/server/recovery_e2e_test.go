@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +115,24 @@ func TestRestartUnderConcurrentCollectors197(t *testing.T) {
 	}
 	_, gotPlan := do(t, http.MethodGet, rts.URL+"/v1/fleets/all-197/plan", nil)
 	samePlacement(t, "recovered 197-fleet plan", gotPlan, lastPlan)
+
+	// Recovery says where its time went: the snapshot it restored (taken at
+	// window 4 or 8, so several megabytes of series) and how long decoding
+	// it took, in its stats and on /metrics.
+	rec := rs.recovery
+	if rec == nil || rec.SnapshotBytes < 1<<20 || rec.SnapshotDecode <= 0 || rec.SnapshotDecode > rec.Elapsed {
+		t.Errorf("recovery stats %+v: want a snapshot of megabytes, decoded within the replay's elapsed time", rec)
+	} else {
+		_, metrics := do(t, http.MethodGet, rts.URL+"/metrics", nil)
+		for _, line := range []string{
+			fmt.Sprintf("\nkairos_recovery_snapshot_bytes %d\n", rec.SnapshotBytes),
+			fmt.Sprintf("\nkairos_recovery_snapshot_decode_seconds %g\n", rec.SnapshotDecode.Seconds()),
+		} {
+			if !strings.Contains(string(metrics), line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+	}
 
 	// Phase 2, concurrent against the recovered server: every collector
 	// retries its acked windows (the crash swallowed nothing — each must

@@ -221,8 +221,9 @@ func Open(cfg Config) (*Server, error) {
 		}
 		s.recovery = stats
 		if stats.Fleets > 0 || stats.Windows > 0 || stats.TornTail {
-			s.logf("recovered %d fleets from %s: %d windows, %d advances, %d rearms replayed (torn tail: %v) in %v",
-				stats.Fleets, cfg.StateDir, stats.Windows, stats.Advances, stats.Rearms, stats.TornTail, stats.Elapsed)
+			s.logf("recovered %d fleets from %s: %d windows, %d advances, %d rearms replayed (torn tail: %v) in %v; %d-byte snapshot decoded in %v",
+				stats.Fleets, cfg.StateDir, stats.Windows, stats.Advances, stats.Rearms, stats.TornTail, stats.Elapsed,
+				stats.SnapshotBytes, stats.SnapshotDecode)
 		}
 	}
 	return s, nil
@@ -364,10 +365,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeDecodeErr(w, "register request", err)
 		return
 	}
-	// Unmarshal, not a Decoder: trailing data after the request is an
-	// error rather than ignored.
-	var req RegisterRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeRegister(body)
+	if err != nil {
 		writeDecodeErr(w, "register request", err)
 		return
 	}
@@ -392,7 +391,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "disk_profile: %v", err)
 		return
 	}
-	machines, err := toMachines(&req)
+	machines, err := toMachines(req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -434,7 +433,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	sess := &session{
 		id:        req.ID,
-		req:       &req,
+		req:       req,
 		fleet:     fleet,
 		workloads: workloads,
 		machines:  machines,
@@ -461,7 +460,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Journal the registration before committing it: a fleet the registry
 	// serves is a fleet recovery can rebuild. Lock order: s.mu → journal.
 	if err := s.appendRecord(&RecordWire{Register: &RegisterRecord{
-		Request: &req, Incumbent: plan.Incumbent(),
+		Request: req, Incumbent: plan.Incumbent(),
 	}}); err != nil {
 		s.mu.Unlock()
 		cancel()

@@ -38,9 +38,13 @@ func TestShutdownAbortsInflightSolve(t *testing.T) {
 	}
 
 	// Hand a heavily drifted window (12% over baseline, threshold 4%) to
-	// the reconcile loop directly: the channel send completes exactly when
-	// the loop receives it, so the warm re-solve is deterministically in
-	// flight when Close lands below — no timing guess, unlike an HTTP post.
+	// the reconcile loop directly and close at once: the channel send
+	// completes exactly when the loop receives the window, so the loop is
+	// committed to it when Close lands — no timing guess, unlike an HTTP
+	// post or a sleep sized to the solver. Wherever the cancellation finds
+	// the loop — before the solve, where Resolve returns it immediately, or
+	// inside it — the window is answered with it. (Root cancel_test.go
+	// covers the abort of a solve already under way.)
 	window, err := toWorkloads(wireWorkloads(baseline, 1.12), false)
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +58,6 @@ func TestShutdownAbortsInflightSolve(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("reconcile loop never picked up the window")
 	}
-	// Let the loop get past drift detection and into the solve. (Even if
-	// Close lands before the solve starts, Resolve returns the
-	// cancellation immediately — the assertion below holds either way.)
-	time.Sleep(100 * time.Millisecond)
 
 	start := time.Now()
 	if err := s.Close(); err != nil {
