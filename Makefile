@@ -12,17 +12,19 @@ INGEST_BENCH = Decode(Window|Register|Snapshot)197|WindowRecord197|Append2MB|Rec
 # and 32k.
 WIRE_COUNT_BENCH = Decode(Register|Snapshot)197/fast
 
-# The whole-solve benchmarks whose work counters (fevals, priced, probes,
-# machines) BENCH_counts.json pins (make bench-counts): cold local-search
-# solves of ALL-197 and SecondLife-97 + disk model, one warm re-solve of
-# the drifted ALL-197, one greedy packing.
-COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk)$$|ResolveWarmALL197|GreedyPackALL197
+# The whole-solve benchmarks whose work counters (fevals, priced,
+# eval-priced, probes, machines) BENCH_counts.json pins (make bench-counts):
+# cold local-search solves of ALL-197 and SecondLife-97 + disk model, cold
+# DIRECT solves of SecondLife-97 and Wikipedia-40, one warm re-solve of the
+# drifted ALL-197, one greedy packing.
+COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197
 
 # The cold solve's per-phase in-package benchmarks (make bench-hot,
-# bench-json): DIRECT-pattern Eval, exact swap pricing with and without
-# the disk model, the disk polynomial, greedy seeding, the cold ALL-197
-# solve over a one-week horizon (T = 2016), then the whole solves above.
-SOLVE_BENCH = EvalDirectWalk|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
+# bench-json): a recorded DIRECT run replayed through Eval, exact swap
+# pricing with and without the disk model, the disk polynomial, greedy
+# seeding, the cold ALL-197 solve over a one-week horizon (T = 2016), then
+# the whole solves above.
+SOLVE_BENCH = EvalDirectReplay|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
 .PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json bench-counts serve-smoke lint fmt ci
 
@@ -86,8 +88,8 @@ bench:
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
-# Then the phases of a cold solve on SecondLife-97 (4000 DIRECT-pattern
-# Evals, one exact swap pricing with and without the disk model, the disk
+# Then the phases of a cold solve on SecondLife-97 (a recorded 4000-sample
+# DIRECT run through Eval, one exact swap pricing with and without the disk model, the disk
 # polynomial's kernel against its loop, one solve's greedy seeding, whole
 # cold and warm solves with their work counters), and
 # the ingest path's in-package benchmarks: the series decoder (window,
@@ -109,7 +111,7 @@ bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
 
 # Machine-readable bench trajectory: the sweep + drift-watch benchmarks,
-# the cold solve's per-phase ones (Eval walk, swap pricing, polynomial,
+# the cold solve's per-phase ones (Eval replay, swap pricing, polynomial,
 # greedy seeding, whole solves) and the ingest path's (decode, splice, journal
 # append/recover) as JSON
 # (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
@@ -124,8 +126,8 @@ bench-json:
 
 # Count gate: the whole-solve benchmarks and the wire decoders once each,
 # their work counters compared with the committed BENCH_counts.json. It
-# fails when a count (fevals, priced, probes, machines; the decoders'
-# allocs/op) is higher than committed or missing — a
+# fails when a count (fevals, priced, eval-priced, probes, machines; the
+# decoders' allocs/op) is higher than committed or missing — a
 # number that repeats exactly, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
 # the benchmark names, so the file compares across machines. No -benchmem

@@ -111,4 +111,25 @@ func TestCompareDocs(t *testing.T) {
 			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.want, strings.Join(lines, "\n"))
 		}
 	}
+
+	// The DIRECT solves carry Eval's own count: a reuse table that forgets
+	// shows there, with fevals (the samples DIRECT asked for) where they were.
+	direct := func(metrics map[string]float64) Doc {
+		return Doc{Results: []Result{res("BenchmarkColdSolveSecondLife97Direct", metrics)}}
+	}
+	old = direct(map[string]float64{"fevals": 85195, "eval-priced": 2936, "machines": 11})
+	for _, tc := range []struct {
+		cur   Doc
+		worse bool
+		want  string
+	}{
+		{direct(map[string]float64{"fevals": 85195, "eval-priced": 2936, "machines": 11}), false, "eval-priced 2936"},
+		{direct(map[string]float64{"fevals": 85195, "eval-priced": 5356, "machines": 11}), true, "eval-priced rose 2936 -> 5356"},
+		{direct(map[string]float64{"fevals": 85195, "machines": 11}), true, "eval-priced missing"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {
+			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
+		}
+	}
 }

@@ -23,7 +23,7 @@ func cmdConsolidate(args []string) error {
 	spec := addSpecFlags(fs)
 	solver := addSolverFlags(fs)
 	verbose := fs.Bool("v", false, "print the full placement")
-	stats := fs.Bool("stats", false, "print the solver's work counters: the K probes it ran, climbs run and reused, sweep candidates considered and skipped")
+	stats := fs.Bool("stats", false, "print the solver's work counters: the K probes it ran and the DIRECT samples the final run resumed, climbs run and reused, sweep candidates considered and skipped, machines summed by Eval and answered from its table")
 	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved concurrently (0 = single global solve)")
 	savePlan := fs.String("save-plan", "", "write the computed plan to this JSON file for later -resolve runs")
 	resolvePath := fs.String("resolve", "", "warm-start from a plan saved with -save-plan instead of solving cold (rolling re-consolidation)")
@@ -107,11 +107,17 @@ func cmdConsolidate(args []string) error {
 	return nil
 }
 
-// printSolveStats prints Solution.Stats: one line of counters, then the K
+// printSolveStats prints Solution.Stats: two lines of counters, then the K
 // probes in the order the search consumed them.
 func printSolveStats(fevals int, st core.SolveStats) {
 	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%), %d exact pricings; greedy packing %v\n",
 		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.Priced, st.GreedyPack.Round(time.Microsecond))
+	resumed := 0
+	for _, pr := range st.Probes {
+		resumed += pr.Resumed
+	}
+	fmt.Printf("      %d machines summed by Eval, %d answered from its table; final run resumed %d DIRECT samples\n",
+		st.EvalPriced, st.EvalReused, resumed)
 	for _, pr := range st.Probes {
 		verdict, reused := "infeasible", ""
 		if pr.Feasible {

@@ -2,10 +2,10 @@ package core_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"kairos/internal/core"
+	"kairos/internal/direct"
 	"kairos/internal/fleet"
 	"kairos/internal/greedy"
 	"kairos/internal/series"
@@ -37,22 +37,41 @@ func secondLife(b *testing.B, withDisk bool) (*core.Evaluator, []int) {
 	return ev, assign
 }
 
-// BenchmarkEvalDirectWalk prices 4000 assignments that each differ from
-// the one before in a single unit — the way DIRECT samples reach Eval —
-// so it shows what the reuse table saves over re-pricing all K machines.
-func BenchmarkEvalDirectWalk(b *testing.B) {
-	const samples = 4000
+// BenchmarkEvalDirectReplay replays on a fresh evaluator the assignments a
+// budget-4000 DIRECT run hands to Eval on SecondLife-97 at K = 11 — the
+// traffic itself, recorded outside the timer: it starts with every unit on
+// one machine, a summed machine holds 32 members on average and up to 96, and
+// nearly half the machines it meets it has met before. eval-priced is the
+// machines summed from scratch.
+func BenchmarkEvalDirectReplay(b *testing.B) {
 	ev, assign := secondLife(b, false)
+	nU := len(assign)
+	lower, upper := make([]float64, nU), make([]float64, nU)
+	for i := range upper {
+		upper[i] = benchK
+	}
+	var trace []int // the recorded assignments, stride nU
+	if _, err := direct.Minimize(func(x []float64) float64 {
+		for i, v := range x {
+			assign[i] = min(int(v), benchK-1)
+		}
+		trace = append(trace, assign...)
+		obj, _ := ev.Eval(assign, benchK)
+		return obj
+	}, lower, upper, direct.Options{MaxFevals: 4000, Epsilon: 1e-4}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var fresh *core.Evaluator
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(1))
-		for s := 0; s < samples; s++ {
-			assign[rng.Intn(len(assign))] = rng.Intn(benchK)
-			obj, _ := ev.Eval(assign, benchK)
+		fresh = ev.Clone() // no table, no scratch
+		for s := 0; s < len(trace); s += nU {
+			obj, _ := fresh.Eval(trace[s:s+nU], benchK)
 			benchSink += obj
 		}
 	}
+	b.ReportMetric(float64(fresh.Stats().EvalPriced), "eval-priced")
 }
 
 func benchPriceSwap(b *testing.B, withDisk bool) {
@@ -158,6 +177,27 @@ func BenchmarkColdSolveSecondLife97Disk(b *testing.B) {
 	p.Disk = goldenDiskProfile()
 	benchColdSolve(b, p)
 }
+
+// benchDirectSolve is the cold solve with DIRECT, as four of the end-to-end
+// benchmark's seven registrations run it, sequentially; eval-priced is the
+// machines Eval summed from scratch.
+func benchDirectSolve(b *testing.B, d fleet.Dataset) {
+	p := fleetCase(d)
+	var sol *core.Solution
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sol, err = core.Solve(context.Background(), p, core.DefaultSolveOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportWork(b, sol)
+	b.ReportMetric(float64(sol.Stats.EvalPriced), "eval-priced")
+}
+
+func BenchmarkColdSolveSecondLife97Direct(b *testing.B) { benchDirectSolve(b, fleet.SecondLife) }
+func BenchmarkColdSolveWikipedia40Direct(b *testing.B)  { benchDirectSolve(b, fleet.Wikipedia) }
 
 // BenchmarkResolveWarmALL197 is one drift-triggered re-solve: the cold
 // ALL-197 plan as incumbent, every workload drifted by up to ±5 %.

@@ -213,6 +213,9 @@ func (ev *Evaluator) Clone() *Evaluator {
 	return &c
 }
 
+// Stats returns the evaluator's work counters so far (see SolveStats).
+func (ev *Evaluator) Stats() SolveStats { return ev.stats }
+
 // NumUnits returns the number of placement units (workloads × replicas).
 func (ev *Evaluator) NumUnits() int { return len(ev.units) }
 
@@ -569,7 +572,10 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 		set := sets[j*W : (j+1)*W]
 		slot := rt.slot(j, set)
 		m := &rt.slots[slot]
-		if !rt.holds(slot, j, set) {
+		if rt.holds(slot, j, set) {
+			ev.stats.EvalReused++
+		} else {
+			ev.stats.EvalPriced++
 			// Price the machine on the shared scratch buffers — the same
 			// accumulation order and pricing as serverEval, minus its per-call
 			// allocations (Eval never needs the aggregate CPU series back).

@@ -274,7 +274,8 @@ type Solution struct {
 }
 
 // SolveStats itemizes a solve's work and the repetition it avoided, as plain
-// counters that repeat exactly from run to run and for every Workers value.
+// counters that repeat exactly from run to run and — EvalPriced and
+// EvalReused apart — for every Workers value.
 type SolveStats struct {
 	// Probes lists the machine counts Solve ran, in the order the search
 	// consumed them, the final run at K' (and any walk upward) last.
@@ -292,20 +293,28 @@ type SolveStats struct {
 	// candidates the screen could not rule out: one per destination priced
 	// by a move scan, one per machine side priced by a swap scan.
 	Priced int
+	// EvalPriced counts the machines Eval summed from scratch, EvalReused
+	// those it answered from its table of machines already priced. The two
+	// depend on Workers — each parallel DIRECT worker and each speculative
+	// probe prices on its own clone's table — so comparisons across worker
+	// counts leave them out; the count gate reads them at Workers 0.
+	EvalPriced, EvalReused int
 	// GreedyPack is the time spent on the greedy packing that bounds K and
 	// seeds the climbs.
 	GreedyPack time.Duration
 }
 
 // ProbeStats is one run of the solver at a fixed machine count: its verdict,
-// its own evaluations and time, and whether its cold-seed climbs were
-// Reused from an earlier probe at K.
+// its own evaluations and time, whether its cold-seed climbs were Reused
+// from an earlier probe at K, and how many DIRECT samples it Resumed from
+// that probe's search instead of evaluating them again.
 type ProbeStats struct {
 	K        int
 	Feasible bool
 	Fevals   int
 	Elapsed  time.Duration
 	Reused   bool
+	Resumed  int
 }
 
 // add folds another evaluator's counters into s; probes are logged by the
@@ -317,6 +326,8 @@ func (s *SolveStats) add(o SolveStats) {
 	s.Considered += o.Considered
 	s.Skipped += o.Skipped
 	s.Priced += o.Priced
+	s.EvalPriced += o.EvalPriced
+	s.EvalReused += o.EvalReused
 	s.GreedyPack += o.GreedyPack
 }
 

@@ -56,11 +56,13 @@ func samePlan(t *testing.T, a, b *core.Solution, label string) {
 
 // sameWork holds two solves to the same work counters: the probes in
 // consumption order (K, verdict, evaluations, whether the cold climbs were
-// reused) and the climb, sweep and candidate counts. Times are excluded.
+// reused) and the climb, sweep and candidate counts. Times are excluded,
+// and so are Eval's table counters, which depend on how many clones priced.
 func sameWork(t *testing.T, a, b *core.Solution, label string) {
 	t.Helper()
 	strip := func(s core.SolveStats) core.SolveStats {
 		s.GreedyPack = 0
+		s.EvalPriced, s.EvalReused = 0, 0
 		s.Probes = append([]core.ProbeStats(nil), s.Probes...)
 		for i := range s.Probes {
 			s.Probes[i].Elapsed = 0

@@ -669,6 +669,7 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 			for _, ce := range clones {
 				if ce != nil {
 					ev.Fevals += ce.Fevals
+					ev.stats.add(ce.stats)
 				}
 			}
 		} else {
