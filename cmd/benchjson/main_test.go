@@ -117,14 +117,14 @@ func TestCompareDocs(t *testing.T) {
 	direct := func(metrics map[string]float64) Doc {
 		return Doc{Results: []Result{res("BenchmarkColdSolveSecondLife97Direct", metrics)}}
 	}
-	old = direct(map[string]float64{"fevals": 85195, "eval-priced": 2936, "machines": 11})
+	old = direct(map[string]float64{"fevals": 85195, "eval-priced": 2867, "machines": 11})
 	for _, tc := range []struct {
 		cur   Doc
 		worse bool
 		want  string
 	}{
-		{direct(map[string]float64{"fevals": 85195, "eval-priced": 2936, "machines": 11}), false, "eval-priced 2936"},
-		{direct(map[string]float64{"fevals": 85195, "eval-priced": 5356, "machines": 11}), true, "eval-priced rose 2936 -> 5356"},
+		{direct(map[string]float64{"fevals": 85195, "eval-priced": 2867, "machines": 11}), false, "eval-priced 2867"},
+		{direct(map[string]float64{"fevals": 85195, "eval-priced": 5356, "machines": 11}), true, "eval-priced rose 2867 -> 5356"},
 		{direct(map[string]float64{"fevals": 85195, "machines": 11}), true, "eval-priced missing"},
 	} {
 		lines, worse := compareDocs(old, tc.cur)

@@ -448,8 +448,10 @@ func TestCoarseBoundAllocs(t *testing.T) {
 // scratch and its reuse table: after a warm-up call, evaluations allocate
 // nothing (DIRECT calls Eval thousands of times per solve), whether every
 // machine is found in the table (the same assignment again) or two are
-// priced afresh and stored (one unit moved per call). Skipped under the
-// race detector, which instruments allocations.
+// priced afresh and stored (one unit moved per call) in a table that has
+// room — it reserves that before the machines are priced, and only doubling
+// it allocates. Skipped under the race detector, which instruments
+// allocations.
 func TestEvalScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -471,12 +473,17 @@ func TestEvalScratchAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table hits, want 0", withDisk, n)
 		}
+		priced, slots := ev.stats.EvalPriced, len(ev.reuse.slots)
 		if n := testing.AllocsPerRun(100, func() {
 			assign[rng.Intn(len(assign))] = rng.Intn(K)
 			obj, _ := ev.Eval(assign, K)
 			sink += obj
 		}); n != 0 {
 			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table misses, want 0", withDisk, n)
+		}
+		if ev.stats.EvalPriced < priced+50 || len(ev.reuse.slots) != slots {
+			t.Fatalf("withDisk=%v: the walk summed %d new machines and the table went from %d to %d slots: want misses and no growth",
+				withDisk, ev.stats.EvalPriced-priced, slots, len(ev.reuse.slots))
 		}
 		_ = sink
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -259,8 +260,11 @@ func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSu
 }
 
 // accumulate2 is accumulateInto's kernel over two of the per-unit streams.
-// Every slice is re-sliced to T up front so the inner loop carries no bounds
-// checks.
+// It adds four members per pass over the sums, then the rest one by one: at
+// each step the additions are the one-member loop's, in member order (Go
+// evaluates s + k0·a0 + k1·a1 + … left to right and rounds each product and
+// each sum), for a third of its loads and stores on the sums. Every slice is
+// re-sliced to T up front so the inner loops carry no bounds checks.
 //
 //kairos:hotpath
 func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]float64) {
@@ -268,6 +272,16 @@ func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]f
 	aSum, bSum = aSum[:T], bSum[:T]
 	for t := range aSum {
 		aSum[t], bSum[t] = 0, 0
+	}
+	for ; len(members) >= 4; members = members[4:] {
+		u0, u1, u2, u3 := members[0], members[1], members[2], members[3]
+		k0, k1, k2, k3 := ev.scale[u0], ev.scale[u1], ev.scale[u2], ev.scale[u3]
+		a0, a1, a2, a3 := a[u0][:T], a[u1][:T], a[u2][:T], a[u3][:T]
+		b0, b1, b2, b3 := b[u0][:T], b[u1][:T], b[u2][:T], b[u3][:T]
+		for t := range aSum {
+			aSum[t] = aSum[t] + k0*a0[t] + k1*a1[t] + k2*a2[t] + k3*a3[t]
+			bSum[t] = bSum[t] + k0*b0[t] + k1*b1[t] + k2*b2[t] + k3*b3[t]
+		}
 	}
 	for _, u := range members {
 		au, bu := a[u][:T], b[u][:T]
@@ -445,14 +459,20 @@ func contribution(sl ServerLoad) float64 {
 // (machine, member bitset). Eval lists members in ascending unit order, so
 // the bitset determines the member list and with it every bit of the
 // machine's pricing. A DIRECT sample differs from its parent in one unit, so
-// all but two of its machines are found here. Direct-mapped, newest wins; a
-// slot's full key is stored and compared, so a hit is exact, never a hash
-// coincidence. Owned by one evaluator: Clone drops it.
+// all but two of its machines are found here, and the table never loses an
+// entry for the life of its evaluator: each (machine, member set) is summed
+// once. Open addressing with linear probing; a slot's full key is stored and
+// compared, so a hit is exact, never a hash coincidence. It holds at most two
+// new entries per sample of a DIRECT run — less than the rectangles DIRECT
+// keeps for those samples — so it needs no cap. Owned by one evaluator:
+// Clone drops it.
 type evalReuse struct {
 	words int         // uint64 words per member bitset
 	sets  []uint64    // scratch: the current assignment's bitsets, stride words
-	slots []reuseSlot // the table
+	slots []reuseSlot // the table, a power of two long and at most half full
 	keys  []uint64    // each slot's member bitset, stride words
+	used  int         // occupied slots
+	shift uint        // 64 − log2(len(slots)): a hash's top bits index the table
 }
 
 // reuseSlot is one priced machine: what Eval adds to the objective for it.
@@ -463,40 +483,70 @@ type reuseSlot struct {
 	term  float64 // exp(norm) + penaltyWeight·viol
 }
 
-// evalReuseBits sizes the table: 2^11 slots of 24 bytes plus the key words
-// (112 KiB for 197 units), a few hundred DIRECT samples' worth of machines.
+// evalReuseBits sizes a new table: 2^11 slots of 24 bytes plus the key words
+// (112 KiB for 197 units). A warm Resolve or a recovery calls Eval a handful
+// of times and stays there; a DIRECT run doubles it a few times.
 const evalReuseBits = 11
 
-// slot hashes a machine and its member bitset to a table slot.
+// find returns the slot of machine j with this member bitset and true, or
+// the empty slot where it belongs and false.
 //
 //kairos:hotpath
-func (rt *evalReuse) slot(j int, set []uint64) int {
+func (rt *evalReuse) find(j int, set []uint64) (slot int, held bool) {
 	h := uint64(j+1) * 0x9E3779B97F4A7C15
 	for _, w := range set {
 		h = (h ^ w) * 0xBF58476D1CE4E5B9
 		h ^= h >> 29
 	}
-	return int(h >> (64 - evalReuseBits))
+	mask := len(rt.slots) - 1
+scan:
+	for slot = int(h >> rt.shift); rt.slots[slot].mach != 0; slot = (slot + 1) & mask {
+		if rt.slots[slot].mach != int32(j+1) {
+			continue
+		}
+		for i, w := range rt.keys[slot*rt.words : (slot+1)*rt.words] {
+			if w != set[i] {
+				continue scan
+			}
+		}
+		return slot, true
+	}
+	return slot, false
 }
 
-// holds reports whether the slot stores exactly this machine and bitset.
-//
-//kairos:hotpath
-func (rt *evalReuse) holds(slot, j int, set []uint64) bool {
-	if rt.slots[slot].mach != int32(j+1) {
-		return false
+// reserve makes room for n more entries with the table at most half full,
+// doubling it — and moving every entry to its slot in the larger table — as
+// often as that takes, so the n insertions that follow allocate nothing and
+// every scan ends at an empty slot.
+func (rt *evalReuse) reserve(n int) {
+	size := len(rt.slots)
+	if size == 0 {
+		size = 1 << evalReuseBits
 	}
-	for i, w := range rt.keys[slot*rt.words : (slot+1)*rt.words] {
-		if w != set[i] {
-			return false
+	for 2*(rt.used+n) > size {
+		size *= 2
+	}
+	if size == len(rt.slots) {
+		return
+	}
+	old, oldKeys := rt.slots, rt.keys
+	rt.slots, rt.keys = make([]reuseSlot, size), make([]uint64, size*rt.words)
+	rt.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i, m := range old {
+		if m.mach == 0 {
+			continue
 		}
+		key := oldKeys[i*rt.words : (i+1)*rt.words]
+		slot, _ := rt.find(int(m.mach)-1, key)
+		rt.slots[slot] = m
+		copy(rt.keys[slot*rt.words:], key)
 	}
-	return true
 }
 
 // evalScratch returns the per-machine member scratch and zeroed member
-// bitsets sized for K machines and ensures the aggregate demand buffers and
-// the reuse table exist, growing each once and reusing them across calls:
+// bitsets sized for K machines and ensures the aggregate demand buffers exist
+// and the reuse table has room for K more entries, growing each rarely and
+// reusing them across calls:
 // DIRECT calls Eval thousands of times per solve, and allocating a fresh
 // [][]int plus the sum buffers per machine per evaluation dominated its
 // profile. Each slot keeps its backing array between calls, so steady-state
@@ -519,11 +569,10 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 	}
 	rt := ev.reuse
 	if rt == nil {
-		const n = 1 << evalReuseBits
-		words := (len(ev.units) + 63) / 64
-		rt = &evalReuse{words: words, slots: make([]reuseSlot, n), keys: make([]uint64, n*words)}
+		rt = &evalReuse{words: (len(ev.units) + 63) / 64}
 		ev.reuse = rt
 	}
+	rt.reserve(K) // an Eval adds at most one entry per machine
 	if len(rt.sets) < K*rt.words {
 		rt.sets = make([]uint64, K*rt.words)
 	}
@@ -541,9 +590,9 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 // never price feasible while displaying a missing workload.
 //
 // A machine whose member set this evaluator has priced before (on the same
-// machine index) is answered from the reuse table; either way its pieces
-// enter obj through one addition sequence, so the result does not depend on
-// what the table held.
+// machine index) is answered from the reuse table, which keeps every one;
+// either way its pieces enter obj through one addition sequence, so the
+// result does not depend on what the table held.
 //
 //kairos:hotpath
 func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
@@ -570,9 +619,9 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 			continue
 		}
 		set := sets[j*W : (j+1)*W]
-		slot := rt.slot(j, set)
+		slot, held := rt.find(j, set)
 		m := &rt.slots[slot]
-		if rt.holds(slot, j, set) {
+		if held {
 			ev.stats.EvalReused++
 		} else {
 			ev.stats.EvalPriced++
@@ -581,6 +630,7 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 			// allocations (Eval never needs the aggregate CPU series back).
 			ev.accumulateInto(members[j], ev.esCPU, ev.esRAM, ev.esWS, ev.esRate)
 			viol, norm := ev.evalSums(j, ev.esCPU, ev.esRAM, ev.esWS, ev.esRate, ev.slaCap(members[j]))
+			rt.used++
 			copy(rt.keys[slot*W:(slot+1)*W], set)
 			*m = reuseSlot{
 				mach:  int32(j + 1),

@@ -82,34 +82,56 @@ func (c climbed) better(b climbed) bool {
 	return (c.feas && !b.feas) || (c.feas == b.feas && c.obj < b.obj)
 }
 
-// kSearch is one Solve's memory of the machine counts it has solved. The
-// cold-seed climbs of solveK are a deterministic function of K alone — not
-// of the budget — so they are kept per K and a later run at the same K (the
-// final one at K', which the search has usually just probed) starts from
-// them instead of climbing the same seeds again.
+// kRun is what one run of solveK at a machine count leaves for a later run
+// at the same count: its cold-seed climbs, a deterministic function of K
+// alone — not of the budget — and its DIRECT search (nil with SkipDirect),
+// which a larger budget continues instead of sampling the same points again.
+type kRun struct {
+	cold   []climbed
+	direct *direct.Search
+}
+
+// kSearch is one Solve's memory of the machine counts it has solved: the
+// cold climbs of every K, and the DIRECT search of the last feasible probe,
+// at directK — the only probe whose K can be K'. A later run at the same K
+// (the final one at K', which the search has usually just probed) starts
+// from them instead of climbing the same seeds and drawing the same samples
+// again.
 type kSearch struct {
-	ev   *Evaluator
-	ctx  context.Context
-	opt  SolveOptions
-	cold map[int][]climbed
+	ev      *Evaluator
+	ctx     context.Context
+	opt     SolveOptions
+	cold    map[int][]climbed
+	direct  *direct.Search
+	directK int
 }
 
 // solve runs solveK at K on the search's own evaluator and consumes it.
 func (s *kSearch) solve(K int, polish bool) climbed {
 	t0, f0 := time.Now(), s.ev.Fevals
-	best, cold := s.ev.solveK(s.ctx, K, s.opt, polish, s.cold[K])
-	s.consume(K, best, cold, s.ev.Fevals-f0, time.Since(t0))
+	prev := kRun{cold: s.cold[K]}
+	if s.directK == K {
+		prev.direct = s.direct
+	}
+	best, run, resumed := s.ev.solveK(s.ctx, K, s.opt, polish, prev)
+	s.consume(K, best, run, ProbeStats{Fevals: s.ev.Fevals - f0, Elapsed: time.Since(t0), Resumed: resumed})
 	return best
 }
 
-// consume logs a run the search has used and keeps its cold climbs for the
-// next run at K. A run cut short by cancellation holds climbs that stopped
-// early, so it never seeds the reuse.
-func (s *kSearch) consume(K int, best climbed, cold []climbed, fevals int, elapsed time.Duration) {
-	_, reused := s.cold[K]
-	s.ev.stats.Probes = append(s.ev.stats.Probes, ProbeStats{K: K, Feasible: best.feas, Fevals: fevals, Elapsed: elapsed, Reused: reused})
-	if s.ctx.Err() == nil {
-		s.cold[K] = cold
+// consume logs a run the search has used — ps carries its evaluations, time
+// and resumed samples — and keeps its cold climbs, and its DIRECT search when
+// it was feasible, for the next run at K. A run cut short by cancellation
+// holds climbs and a search that stopped early, so it never seeds the reuse.
+func (s *kSearch) consume(K int, best climbed, run kRun, ps ProbeStats) {
+	ps.K, ps.Feasible = K, best.feas
+	_, ps.Reused = s.cold[K]
+	s.ev.stats.Probes = append(s.ev.stats.Probes, ps)
+	if s.ctx.Err() != nil {
+		return
+	}
+	s.cold[K] = run.cold
+	if best.feas {
+		s.direct, s.directK = run.direct, K
 	}
 }
 
@@ -225,16 +247,16 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 // cancelled via their context. The sequence of consumed probes is exactly
 // the sequential binary search's, and every probe is a deterministic
 // function of its K, so the outcome — including Fevals and the work
-// counters, which only count consumed probes, and the cold climbs a consumed
-// probe hands back for reuse — is identical to the sequential path. It
-// returns the last feasible probe with its K (0 when none was feasible) and
-// the final interval low bound. Probe contexts derive from the search's
-// ctx, so cancelling it aborts every in-flight probe.
+// counters, which only count consumed probes, and the cold climbs and DIRECT
+// search a consumed probe hands back for reuse — is identical to the
+// sequential path. It returns the last feasible probe with its K (0 when
+// none was feasible) and the final interval low bound. Probe contexts derive
+// from the search's ctx, so cancelling it aborts every in-flight probe.
 func (s *kSearch) speculate(lo, hi int) (found climbed, foundK, loOut int) {
 	ev := s.ev
 	type probeRes struct {
 		best    climbed
-		cold    []climbed
+		run     kRun
 		fevals  int
 		stats   SolveStats
 		elapsed time.Duration
@@ -257,8 +279,8 @@ func (s *kSearch) speculate(lo, hi int) (found climbed, foundK, loOut int) {
 		pe := ev.Clone()
 		go func() {
 			t0 := time.Now()
-			best, cold := pe.solveK(pctx, K, probeOpt, false, nil)
-			f.ch <- probeRes{best, cold, pe.Fevals, pe.stats, time.Since(t0)}
+			best, run, _ := pe.solveK(pctx, K, probeOpt, false, kRun{})
+			f.ch <- probeRes{best, run, pe.Fevals, pe.stats, time.Since(t0)}
 		}()
 		return f
 	}
@@ -292,7 +314,7 @@ func (s *kSearch) speculate(lo, hi int) (found climbed, foundK, loOut int) {
 		delete(futures, mid)
 		ev.Fevals += r.fevals
 		ev.stats.add(r.stats)
-		s.consume(mid, r.best, r.cold, r.fevals, r.elapsed)
+		s.consume(mid, r.best, r.run, ProbeStats{Fevals: r.fevals, Elapsed: r.elapsed})
 		if r.best.feas {
 			found, foundK = r.best, mid
 			hi = mid
@@ -605,13 +627,15 @@ func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
 
 // solveK finds the best assignment on exactly K machines with the given
 // budget: greedy and spread seeds improved by hill climbing, plus an
-// optional DIRECT global search, polished again. A non-nil cold holds the
-// cold-seed climbs of an earlier run at this K and replaces climbing them;
-// either way they are returned beside the best candidate. Deterministic
-// throughout for any worker count; a cancelled ctx aborts early with a
-// best-effort result (speculative probes discard it anyway).
-func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool, cold []climbed) (best climbed, coldOut []climbed) {
-	nU := len(ev.units)
+// optional DIRECT global search (globalSearch), polished again. prev holds
+// what an earlier run at this K left: its cold-seed climbs replace climbing
+// them, and its DIRECT search is continued, which resumed counts in samples.
+// Either way the climbs and the search are returned beside the best
+// candidate. Deterministic throughout for any worker count; a cancelled ctx
+// aborts early with a best-effort result (speculative probes discard it
+// anyway).
+func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool, prev kRun) (best climbed, run kRun, resumed int) {
+	cold := prev.cold
 	if cold == nil {
 		// Cold seeds: greedy bins plus round-robin spread.
 		for _, a := range ev.coldSeeds(K, opt.workers()) {
@@ -622,65 +646,16 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 	}
 	cands := cold[:len(cold):len(cold)] // capped: appending copies, cold stays as returned
 
-	// DIRECT global search over the compact encoding: one continuous
-	// variable per unit in [0, K), floor() gives the machine index. With
-	// workers > 1 each DIRECT iteration's candidate batch is evaluated
-	// across the worker pool, every worker owning an evaluator clone.
 	if !opt.SkipDirect {
 		budget := opt.DirectFevals
 		if polish {
 			budget = opt.PolishFevals
 		}
-		lower := make([]float64, nU)
-		upper := make([]float64, nU)
-		for i := range upper {
-			upper[i] = float64(K)
-		}
-		decode := func(x []float64, out []int) []int {
-			for i, v := range x {
-				j := int(v)
-				if j >= K {
-					j = K - 1
-				}
-				if ev.pin[i] >= 0 {
-					j = ev.pin[i]
-				}
-				out[i] = j
-			}
-			return out
-		}
-		dopt := direct.Options{MaxFevals: budget, Epsilon: 1e-4, Ctx: ctx}
-		var res direct.Result
+		var assign []int
 		var derr error
-		if workers := opt.workers(); workers > 1 {
-			dopt.Workers = workers
-			clones := make([]*Evaluator, workers)
-			res, derr = direct.MinimizeParallel(func(w int) direct.Objective {
-				ce := ev.Clone()
-				clones[w] = ce
-				tmp := make([]int, nU)
-				return func(x []float64) float64 {
-					o, _ := ce.Eval(decode(x, tmp), K)
-					return o
-				}
-			}, lower, upper, dopt)
-			// Fold worker counters back in fixed order: the total is the
-			// batch-point count, independent of scheduling.
-			for _, ce := range clones {
-				if ce != nil {
-					ev.Fevals += ce.Fevals
-					ev.stats.add(ce.stats)
-				}
-			}
-		} else {
-			tmp := make([]int, nU)
-			res, derr = direct.Minimize(func(x []float64) float64 {
-				o, _ := ev.Eval(decode(x, tmp), K)
-				return o
-			}, lower, upper, dopt)
-		}
+		assign, run.direct, resumed, derr = ev.globalSearch(ctx, K, budget, opt.workers(), prev.direct)
 		if derr == nil {
-			cands = append(cands, ev.hillClimb(ctx, decode(res.X, make([]int, nU)), K))
+			cands = append(cands, ev.hillClimb(ctx, assign, K))
 		}
 	}
 
@@ -690,7 +665,75 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 			best = c
 		}
 	}
-	return best, cold
+	run.cold = cold
+	return best, run, resumed
+}
+
+// globalSearch is DIRECT over the compact encoding — one continuous variable
+// per unit in [0, K), floor() gives the machine index — up to budget
+// evaluations in all, and returns the best sample decoded. search, unless it
+// is nil or has spent more than the budget, is continued on this evaluator:
+// the resumed samples it holds are the ones a new search would draw first.
+// The search used comes back for the next run at K. With workers > 1 each
+// DIRECT iteration's candidate batch is evaluated across the worker pool,
+// every worker owning an evaluator clone.
+func (ev *Evaluator) globalSearch(ctx context.Context, K, budget, workers int, search *direct.Search) (assign []int, _ *direct.Search, resumed int, err error) {
+	nU := len(ev.units)
+	if search == nil || search.Fevals() > budget {
+		lower := make([]float64, nU)
+		upper := make([]float64, nU)
+		for i := range upper {
+			upper[i] = float64(K)
+		}
+		if search, err = direct.NewSearch(lower, upper, direct.Options{Epsilon: 1e-4}); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	resumed = search.Fevals()
+	decode := func(x []float64, out []int) []int {
+		for i, v := range x {
+			j := int(v)
+			if j >= K {
+				j = K - 1
+			}
+			if ev.pin[i] >= 0 {
+				j = ev.pin[i]
+			}
+			out[i] = j
+		}
+		return out
+	}
+	// The objective is made per run: a probe may have priced its samples on
+	// a clone, the run that continues its search prices on e.
+	objective := func(e *Evaluator) direct.Objective {
+		tmp := make([]int, nU)
+		return func(x []float64) float64 {
+			o, _ := e.Eval(decode(x, tmp), K)
+			return o
+		}
+	}
+	var res direct.Result
+	if workers > 1 {
+		clones := make([]*Evaluator, workers)
+		res, err = search.RunParallel(ctx, func(w int) direct.Objective {
+			clones[w] = ev.Clone()
+			return objective(clones[w])
+		}, budget, workers)
+		// Fold worker counters back in fixed order: the total is the
+		// batch-point count, independent of scheduling.
+		for _, ce := range clones {
+			if ce != nil {
+				ev.Fevals += ce.Fevals
+				ev.stats.add(ce.stats)
+			}
+		}
+	} else {
+		res, err = search.Run(ctx, objective(ev), budget)
+	}
+	if err != nil {
+		return nil, search, resumed, err
+	}
+	return decode(res.X, make([]int, nU)), search, resumed, nil
 }
 
 // hillClimb is deterministic best-improvement local search — the

@@ -14,10 +14,20 @@
 // number of servers.
 //
 // The engine evaluates each iteration's candidate points as one batch, so
-// MinimizeParallel can spread a batch across a worker pool: every worker
-// owns a private Objective (cloned evaluator state) and writes results into
-// its own index slots, which keeps the search bit-identical to the
-// sequential path for any worker count.
+// RunParallel can spread a batch across a worker pool: every worker owns a
+// private Objective (cloned evaluator state) and writes results into its own
+// index slots, which keeps the search bit-identical to the sequential path
+// for any worker count.
+//
+// A Search is resumable. Run takes the budget as a cap on the search's total
+// evaluations; a batch the budget cuts short is evaluated up to the budget —
+// always a prefix of the batch, in pairs — and its values are kept, counted
+// and reflected in the Result, but nothing is divided. A later Run with a
+// larger budget gathers the same batch from the same rectangles, evaluates
+// only the points past the kept values and goes on, so Run(b1) then Run(b2)
+// ends exactly where a new search's Run(b2) does, having handed the
+// objective only the points the first run did not. Minimize and
+// MinimizeParallel are one Run on a new Search.
 package direct
 
 import (
@@ -39,9 +49,11 @@ type Objective func(x []float64) float64
 
 // Options controls the optimizer budget and behaviour.
 type Options struct {
-	// MaxFevals caps objective evaluations (default 5000).
+	// MaxFevals is the budget Minimize and MinimizeParallel hand to their
+	// one Run (default 5000). A Search's own Run and RunParallel take the
+	// budget per call and ignore it.
 	MaxFevals int
-	// MaxIters caps DIRECT iterations (default 1000).
+	// MaxIters caps the search's DIRECT iterations (default 1000).
 	MaxIters int
 	// Epsilon is the potential-optimality slack: larger values bias the
 	// search toward rectangles that promise global improvement, smaller
@@ -56,9 +68,10 @@ type Options struct {
 	// Workers sets the batch-evaluation parallelism for MinimizeParallel
 	// (≤ 0 means one worker per GOMAXPROCS slot). Minimize ignores it.
 	Workers int
-	// Ctx optionally cancels the search between iterations: when it
-	// expires, the best point found so far is returned along with the
-	// context's error. Nil means never cancel.
+	// Ctx optionally cancels Minimize and MinimizeParallel between
+	// iterations: when it expires, the best point found so far is returned
+	// along with the context's error. Nil means never cancel. A Search's own
+	// Run and RunParallel take the context per call.
 	Ctx context.Context
 }
 
@@ -68,11 +81,24 @@ type Result struct {
 	X []float64
 	// F is the objective value at X.
 	F float64
-	// Fevals is the number of objective evaluations performed.
+	// Fevals is the number of objective evaluations the search has performed,
+	// over all its runs.
 	Fevals int
-	// Iters is the number of DIRECT iterations performed.
+	// Iters is the number of DIRECT iterations performed, counting one the
+	// budget cut short after evaluating part of it.
 	Iters int
 }
+
+// maxLevel bounds a side's trisection level: rect.levels holds int8.
+const maxLevel = math.MaxInt8
+
+// pow3[l] is 3^-l, the length of a side at trisection level l.
+var pow3 = func() (t [maxLevel + 1]float64) {
+	for l := range t {
+		t[l] = math.Pow(3, -float64(l))
+	}
+	return t
+}()
 
 // rect is one hyper-rectangle: a center point (normalized coordinates), its
 // objective value, and per-dimension trisection levels (side i has length
@@ -89,31 +115,30 @@ type rect struct {
 func (r *rect) computeSize() {
 	var s float64
 	for _, l := range r.levels {
-		side := math.Pow(3, -float64(l))
+		side := pow3[l]
 		s += side * side / 4
 	}
 	r.d = math.Sqrt(s)
 }
 
-// batchEvaler evaluates a batch of normalized points and returns one
-// objective value per point, in order. Implementations may evaluate the
-// points concurrently but must keep results index-aligned.
-type batchEvaler func(points [][]float64) []float64
+// batchEvaler evaluates a batch of normalized points into out, one objective
+// value per point, in order. Implementations may evaluate the points
+// concurrently but must keep results index-aligned.
+type batchEvaler func(points [][]float64, out []float64)
 
 // checkBounds validates the search box.
-func checkBounds(lower, upper []float64) (int, error) {
-	n := len(lower)
-	if n == 0 || len(upper) != n {
-		return 0, fmt.Errorf("direct: bounds must be non-empty and equal length (got %d/%d)",
+func checkBounds(lower, upper []float64) error {
+	if len(lower) == 0 || len(upper) != len(lower) {
+		return fmt.Errorf("direct: bounds must be non-empty and equal length (got %d/%d)",
 			len(lower), len(upper))
 	}
 	for i := range lower {
 		if !(upper[i] > lower[i]) {
-			return 0, fmt.Errorf("direct: upper[%d]=%v not greater than lower[%d]=%v",
+			return fmt.Errorf("direct: upper[%d]=%v not greater than lower[%d]=%v",
 				i, upper[i], i, lower[i])
 		}
 	}
-	return n, nil
+	return nil
 }
 
 func (o *Options) applyDefaults() {
@@ -131,26 +156,11 @@ func (o *Options) applyDefaults() {
 // Minimize runs DIRECT on f over the box [lower, upper]. The objective is
 // called from the invoking goroutine only.
 func Minimize(f Objective, lower, upper []float64, opt Options) (Result, error) {
-	if f == nil {
-		return Result{}, fmt.Errorf("direct: nil objective")
-	}
-	n, err := checkBounds(lower, upper)
+	s, err := NewSearch(lower, upper, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	opt.applyDefaults()
-	buf := make([]float64, n)
-	eval := func(points [][]float64) []float64 {
-		out := make([]float64, len(points))
-		for i, x := range points {
-			for d := range x {
-				buf[d] = lower[d] + x[d]*(upper[d]-lower[d])
-			}
-			out[i] = f(buf)
-		}
-		return out
-	}
-	return minimizeBatched(eval, lower, upper, opt)
+	return s.Run(opt.Ctx, f, s.opt.MaxFevals)
 }
 
 // MinimizeParallel runs DIRECT evaluating each iteration's candidate batch
@@ -161,20 +171,75 @@ func Minimize(f Objective, lower, upper []float64, opt Options) (Result, error) 
 // sequential engine would and is bit-identical to Minimize for objectives
 // that agree across workers, regardless of the worker count.
 func MinimizeParallel(mkObj func(worker int) Objective, lower, upper []float64, opt Options) (Result, error) {
-	if mkObj == nil {
-		return Result{}, fmt.Errorf("direct: nil objective factory")
-	}
-	n, err := checkBounds(lower, upper)
+	s, err := NewSearch(lower, upper, opt)
 	if err != nil {
 		return Result{}, err
 	}
+	return s.RunParallel(opt.Ctx, mkObj, s.opt.MaxFevals, opt.Workers)
+}
+
+// Search is one DIRECT search over a box: the rectangles it has divided so
+// far, and the values of a batch its last run's budget cut short. It is not
+// safe for concurrent use.
+type Search struct {
+	lower, upper []float64
+	opt          Options
+
+	rects  []*rect
+	best   *rect // lowest f among rects
+	fevals int   // evaluations behind rects
+	iters  int   // batches divided
+
+	// The batch the last run's budget cut short: the values of its
+	// evaluated prefix, and the best sample among those when it beats best.
+	// The next run that can afford more gathers the batch again and
+	// evaluates on from len(kept); dividing it clears both.
+	kept     []float64
+	keptBest *rect
+}
+
+// NewSearch prepares a search of the box [lower, upper]; nothing is evaluated
+// until its first run.
+func NewSearch(lower, upper []float64, opt Options) (*Search, error) {
+	if err := checkBounds(lower, upper); err != nil {
+		return nil, err
+	}
 	opt.applyDefaults()
-	workers := opt.Workers
+	return &Search{lower: append([]float64(nil), lower...), upper: append([]float64(nil), upper...), opt: opt}, nil
+}
+
+// Fevals returns the number of objective evaluations the search has
+// performed.
+func (s *Search) Fevals() int { return s.fevals + len(s.kept) }
+
+// Run continues the search on f until it has spent budget evaluations in
+// all (the box's center is evaluated regardless), calling f from the
+// invoking goroutine only. ctx cancels it between iterations: the best point
+// so far is returned with the context's error; nil means never cancel.
+func (s *Search) Run(ctx context.Context, f Objective, budget int) (Result, error) {
+	if f == nil {
+		return Result{}, fmt.Errorf("direct: nil objective")
+	}
+	buf := make([]float64, len(s.lower))
+	return s.run(ctx, func(points [][]float64, out []float64) {
+		for i, x := range points {
+			out[i] = f(s.denormalize(x, buf))
+		}
+	}, budget)
+}
+
+// RunParallel is Run with each batch spread across workers goroutines (≤ 0
+// means one per GOMAXPROCS slot). mkObj is invoked once per worker and call
+// (worker indices 0..workers-1) to create that worker's private Objective.
+func (s *Search) RunParallel(ctx context.Context, mkObj func(worker int) Objective, budget, workers int) (Result, error) {
+	if mkObj == nil {
+		return Result{}, fmt.Errorf("direct: nil objective factory")
+	}
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
 	if workers == 1 {
-		return Minimize(mkObj(0), lower, upper, opt)
+		return s.Run(ctx, mkObj(0), budget)
 	}
 
 	type workerState struct {
@@ -183,181 +248,182 @@ func MinimizeParallel(mkObj func(worker int) Objective, lower, upper []float64, 
 	}
 	pool := make([]workerState, workers)
 	for w := range pool {
-		pool[w] = workerState{obj: mkObj(w), buf: make([]float64, n)}
+		pool[w] = workerState{obj: mkObj(w), buf: make([]float64, len(s.lower))}
 		if pool[w].obj == nil {
 			return Result{}, fmt.Errorf("direct: objective factory returned nil for worker %d", w)
 		}
 	}
-	eval := func(points [][]float64) []float64 {
-		out := make([]float64, len(points))
-		if len(points) == 0 {
-			return out
-		}
+	return s.run(ctx, func(points [][]float64, out []float64) {
 		// Contiguous slabs keep each worker's share deterministic and its
 		// result writes disjoint.
 		per := (len(points) + workers - 1) / workers
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if lo >= len(points) {
-				break
-			}
-			if hi > len(points) {
-				hi = len(points)
-			}
+		for w := 0; w*per < len(points); w++ {
+			lo, hi := w*per, min((w+1)*per, len(points))
 			wg.Add(1)
-			go func(ws *workerState, lo, hi int) {
+			go func(ws *workerState) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					for d, v := range points[i] {
-						ws.buf[d] = lower[d] + v*(upper[d]-lower[d])
-					}
-					out[i] = ws.obj(ws.buf)
+					out[i] = ws.obj(s.denormalize(points[i], ws.buf))
 				}
-			}(&pool[w], lo, hi)
+			}(&pool[w])
 		}
 		wg.Wait()
-		return out
-	}
-	return minimizeBatched(eval, lower, upper, opt)
+	}, budget)
 }
 
-// minimizeBatched is the shared DIRECT engine. Each iteration gathers every
-// candidate point allowed by the remaining budget, evaluates the batch via
-// eval, then processes results in gathering order — so the trajectory does
-// not depend on how eval schedules the batch internally.
-func minimizeBatched(eval batchEvaler, lower, upper []float64, opt Options) (Result, error) {
-	n := len(lower)
-	fevals := 0
-
-	// Seed: the center of the cube.
-	c0 := make([]float64, n)
-	for i := range c0 {
-		c0[i] = 0.5
+// denormalize maps a point of the unit cube to the box, into buf.
+func (s *Search) denormalize(x, buf []float64) []float64 {
+	for d, v := range x {
+		buf[d] = s.lower[d] + v*(s.upper[d]-s.lower[d])
 	}
-	fevals++
-	first := &rect{center: c0, f: eval([][]float64{c0})[0], levels: make([]int8, n)}
-	first.computeSize()
-	rects := []*rect{first}
+	return buf
+}
 
-	best := first
-	res := Result{Iters: 0}
+// division is one trisection a batch asks for: rectangle rectIdx along dim,
+// sampled at batch points loIdx (c − δ) and loIdx+1 (c + δ).
+type division struct {
+	rectIdx, dim, loIdx int
+	lo, hi              *rect
+	bestOfPair          float64
+}
 
-	done := func() bool {
-		return fevals >= opt.MaxFevals || (opt.TargetSet && best.f <= opt.Target)
-	}
-	cancelled := func() bool {
-		if opt.Ctx == nil {
-			return false
+// run is the DIRECT engine. Each iteration gathers every candidate point,
+// evaluates the batch via eval, then processes results in gathering order —
+// so the trajectory does not depend on how eval schedules the batch
+// internally, nor on how many runs the evaluations were spread over.
+func (s *Search) run(ctx context.Context, eval batchEvaler, budget int) (Result, error) {
+	if s.rects == nil {
+		// Seed: the center of the cube.
+		c0 := make([]float64, len(s.lower))
+		for i := range c0 {
+			c0[i] = 0.5
 		}
-		select {
-		case <-opt.Ctx.Done():
-			return true
-		default:
-			return false
-		}
+		first := &rect{center: c0, levels: make([]int8, len(c0))}
+		var f [1]float64
+		eval([][]float64{c0}, f[:])
+		first.f = f[0]
+		first.computeSize()
+		s.rects, s.best, s.fevals = []*rect{first}, first, 1
 	}
-
-	var ctxErr error
-	for it := 0; it < opt.MaxIters && !done(); it++ {
-		if cancelled() {
-			ctxErr = opt.Ctx.Err()
+	var err error
+	for s.iters < s.opt.MaxIters && s.Fevals() < budget && !(s.opt.TargetSet && s.best.f <= s.opt.Target) {
+		if ctx != nil && ctx.Err() != nil {
+			err = ctx.Err()
 			break
 		}
-		res.Iters = it + 1
-		po := potentiallyOptimal(rects, best.f, opt.Epsilon)
-		if len(po) == 0 {
-			break
-		}
-
-		// Gather this iteration's candidate points: c ± delta·e_dim for each
-		// longest dimension of each potentially-optimal rectangle, truncated
-		// in deterministic order when the feval budget runs out.
-		type probe struct {
-			rectIdx    int
-			dim        int
-			loIdx      int // index of the c-delta point in the batch
-			lo, hi     *rect
-			bestOfPair float64
-		}
-		var probes []probe
-		var points [][]float64
-		planned := fevals
-		for _, ri := range po {
-			r := rects[ri]
-			minLevel := r.levels[0]
-			for _, l := range r.levels {
-				if l < minLevel {
-					minLevel = l
-				}
-			}
-			delta := math.Pow(3, -float64(minLevel)) / 3
-			for dim, l := range r.levels {
-				if l != minLevel {
-					continue
-				}
-				if planned+2 > opt.MaxFevals {
-					break
-				}
-				mk := func(off float64) []float64 {
-					c := append([]float64(nil), r.center...)
-					c[dim] += off
-					return c
-				}
-				probes = append(probes, probe{rectIdx: ri, dim: dim, loIdx: len(points)})
-				points = append(points, mk(-delta), mk(+delta))
-				planned += 2
-			}
-		}
+		divs, points := s.gather()
 		if len(points) == 0 {
+			break // nothing left to divide
+		}
+		// Evaluate on from the kept values, in pairs, as far as the budget
+		// goes: one evaluation left evaluates nothing.
+		from := len(s.kept)
+		upto := min(len(points), from+(budget-s.Fevals())&^1)
+		s.kept = append(s.kept, make([]float64, upto-from)...)
+		eval(points[from:upto], s.kept[from:upto])
+		if upto < len(points) {
+			for i := from; i < upto; i++ {
+				if s.kept[i] < s.incumbent().f {
+					s.keptBest = &rect{center: points[i], f: s.kept[i]}
+				}
+			}
 			break
 		}
-		values := eval(points)
-		fevals += len(points)
+		s.divide(divs, points, s.kept)
+		s.fevals += len(points)
+		s.iters++
+		s.kept, s.keptBest = s.kept[:0], nil
+	}
+	return s.result(), err
+}
 
-		// Process results rect by rect, in gathering order.
-		for pi := 0; pi < len(probes); {
-			ri := probes[pi].rectIdx
-			r := rects[ri]
-			var group []probe
-			for pi < len(probes) && probes[pi].rectIdx == ri {
-				p := probes[pi]
-				p.lo = &rect{center: points[p.loIdx], f: values[p.loIdx]}
-				p.hi = &rect{center: points[p.loIdx+1], f: values[p.loIdx+1]}
-				if p.lo.f < best.f {
-					best = p.lo
-				}
-				if p.hi.f < best.f {
-					best = p.hi
-				}
-				p.bestOfPair = math.Min(p.lo.f, p.hi.f)
-				group = append(group, p)
-				pi++
+// incumbent returns the best sample so far, kept values included.
+func (s *Search) incumbent() *rect {
+	if s.keptBest != nil {
+		return s.keptBest
+	}
+	return s.best
+}
+
+// result reports the search as it stands.
+func (s *Search) result() Result {
+	res := Result{F: s.incumbent().f, Fevals: s.Fevals(), Iters: s.iters}
+	if len(s.kept) > 0 {
+		res.Iters++
+	}
+	res.X = s.denormalize(s.incumbent().center, make([]float64, len(s.lower)))
+	return res
+}
+
+// gather lists the next iteration's divisions and their sample points:
+// c ± δ·e_dim for each longest dimension of each potentially-optimal
+// rectangle, in deterministic order. A dimension whose δ no longer moves
+// the center — both samples would be the center again — is not offered, nor
+// one at maxLevel.
+func (s *Search) gather() (divs []division, points [][]float64) {
+	for _, ri := range potentiallyOptimal(s.rects, s.best.f, s.opt.Epsilon) {
+		r := s.rects[ri]
+		minLevel := r.levels[0]
+		for _, l := range r.levels {
+			if l < minLevel {
+				minLevel = l
 			}
-			// Divide along the probed dimensions, best pair first (the
-			// original DIRECT ordering keeps good regions in big boxes).
-			sort.SliceStable(group, func(a, b int) bool {
-				return group[a].bestOfPair < group[b].bestOfPair
-			})
-			for _, p := range group {
-				r.levels[p.dim]++
-				p.lo.levels = append([]int8(nil), r.levels...)
-				p.hi.levels = append([]int8(nil), r.levels...)
-				p.lo.computeSize()
-				p.hi.computeSize()
-				rects = append(rects, p.lo, p.hi)
+		}
+		if minLevel == maxLevel {
+			continue
+		}
+		delta := pow3[minLevel] / 3
+		for dim, l := range r.levels {
+			c := r.center[dim]
+			if l != minLevel || floats.Same(c-delta, c) || floats.Same(c+delta, c) {
+				continue
 			}
-			r.computeSize()
+			lo := append([]float64(nil), r.center...)
+			hi := append([]float64(nil), r.center...)
+			lo[dim], hi[dim] = c-delta, c+delta
+			divs = append(divs, division{rectIdx: ri, dim: dim, loIdx: len(points)})
+			points = append(points, lo, hi)
 		}
 	}
+	return divs, points
+}
 
-	res.Fevals = fevals
-	res.F = best.f
-	res.X = make([]float64, n)
-	for i := range res.X {
-		res.X[i] = lower[i] + best.center[i]*(upper[i]-lower[i])
+// divide processes a fully evaluated batch rect by rect, in gathering order.
+func (s *Search) divide(divs []division, points [][]float64, values []float64) {
+	for di := 0; di < len(divs); {
+		ri := divs[di].rectIdx
+		r := s.rects[ri]
+		var group []division
+		for di < len(divs) && divs[di].rectIdx == ri {
+			p := divs[di]
+			p.lo = &rect{center: points[p.loIdx], f: values[p.loIdx]}
+			p.hi = &rect{center: points[p.loIdx+1], f: values[p.loIdx+1]}
+			if p.lo.f < s.best.f {
+				s.best = p.lo
+			}
+			if p.hi.f < s.best.f {
+				s.best = p.hi
+			}
+			p.bestOfPair = math.Min(p.lo.f, p.hi.f)
+			group = append(group, p)
+			di++
+		}
+		// Divide along the probed dimensions, best pair first (the
+		// original DIRECT ordering keeps good regions in big boxes).
+		sort.SliceStable(group, func(a, b int) bool {
+			return group[a].bestOfPair < group[b].bestOfPair
+		})
+		for _, p := range group {
+			r.levels[p.dim]++
+			p.lo.levels = append([]int8(nil), r.levels...)
+			p.hi.levels = append([]int8(nil), r.levels...)
+			p.lo.computeSize()
+			p.hi.computeSize()
+			s.rects = append(s.rects, p.lo, p.hi)
+		}
+		r.computeSize()
 	}
-	return res, ctxErr
 }
 
 // potentiallyOptimal returns indices of rectangles on the lower-right convex

@@ -38,8 +38,8 @@ var goldenCases = []struct {
 var goldenBudgets = [...]int{101, 500, 2000}
 
 type goldenResult struct {
-	x, f          uint64 // FNV-1a over X's bits; F's bits
-	fevals, iters int
+	x, f   uint64 // FNV-1a over X's bits; F's bits
+	fevals int
 }
 
 func hashX(x []float64) uint64 {
@@ -54,21 +54,23 @@ func hashX(x []float64) uint64 {
 
 // goldenMinimize was captured from the one-shot engine (minimizeBatched)
 // before the search became resumable: Minimize at each budget must still end
-// at the same point with the same value after the same evaluations and
-// iterations. Rows are goldenCases × goldenBudgets in order.
+// at the same point with the same value after the same evaluations. (Iters
+// is not pinned: the one-shot engine entered, and counted, one more iteration
+// that evaluated nothing when a cut batch left a single evaluation unspent.)
+// Rows are goldenCases × goldenBudgets in order.
 var goldenMinimize = [...]goldenResult{
-	{0x96269881d79c1129, 0x3f139f4e43059972, 101, 10},
-	{0x5a997c780808e778, 0x3dc55f71df2cbcc3, 499, 23},
-	{0xd766bffd163b2e6e, 0x3be7d8577da05200, 1999, 42},
-	{0xdae048b0c0369f93, 0x3fd97c7307cc0420, 101, 11},
-	{0xddd7f9986b7e1468, 0x3fd976fe2270ed40, 499, 29},
-	{0x62b77ba7e254449a, 0x3fd976fca8750960, 1999, 70},
-	{0xc218a811a866915f, 0x4000b8189f8d6bbc, 101, 12},
-	{0xb713c1fe3a1b452c, 0x3fffd6c4c1e6c3c0, 499, 28},
-	{0x84b61c14a9f8878b, 0x3fefdf4f349b3380, 1999, 75},
-	{0xa349ac25dd98ade0, 0x3fa6c16c16c16c12, 101, 6},
-	{0x353cb6de0c45fd05, 0x3f01c1fa5f678806, 499, 19},
-	{0x85dbdd5582db7d05, 0x3ddf889f9d3c7d60, 1999, 40},
+	{0x96269881d79c1129, 0x3f139f4e43059972, 101},
+	{0x5a997c780808e778, 0x3dc55f71df2cbcc3, 499},
+	{0xd766bffd163b2e6e, 0x3be7d8577da05200, 1999},
+	{0xdae048b0c0369f93, 0x3fd97c7307cc0420, 101},
+	{0xddd7f9986b7e1468, 0x3fd976fe2270ed40, 499},
+	{0x62b77ba7e254449a, 0x3fd976fca8750960, 1999},
+	{0xc218a811a866915f, 0x4000b8189f8d6bbc, 101},
+	{0xb713c1fe3a1b452c, 0x3fffd6c4c1e6c3c0, 499},
+	{0x84b61c14a9f8878b, 0x3fefdf4f349b3380, 1999},
+	{0xa349ac25dd98ade0, 0x3fa6c16c16c16c12, 101},
+	{0x353cb6de0c45fd05, 0x3f01c1fa5f678806, 499},
+	{0x85dbdd5582db7d05, 0x3ddf889f9d3c7d60, 1999},
 }
 
 func TestMinimizeGolden(t *testing.T) {
@@ -81,10 +83,10 @@ func TestMinimizeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := goldenResult{hashX(res.X), math.Float64bits(res.F), res.Fevals, res.Iters}
+			got := goldenResult{hashX(res.X), math.Float64bits(res.F), res.Fevals}
 			if want := goldenMinimize[ci*len(goldenBudgets)+bi]; got != want {
-				t.Errorf("%s budget %d: got {%#x, %#x, %d, %d}, want {%#x, %#x, %d, %d}", c.name, budget,
-					got.x, got.f, got.fevals, got.iters, want.x, want.f, want.fevals, want.iters)
+				t.Errorf("%s budget %d: got {%#x, %#x, %d}, want {%#x, %#x, %d}", c.name, budget,
+					got.x, got.f, got.fevals, want.x, want.f, want.fevals)
 			}
 		}
 	}
