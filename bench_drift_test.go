@@ -48,13 +48,14 @@ func BenchmarkDriftWatch(b *testing.B) {
 		windows = append(windows, drifted)
 	}
 
-	wopt := DefaultWatchOptions()
-	wopt.Resolve.SkipDirect = true
+	resolve := DefaultResolveOptions()
+	resolve.SkipDirect = true
+	spec := FleetSpec{Workloads: base.Workloads, Machines: base.Machines}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar, err := NewAutoReconsolidator(inc, base.Workloads, base.Machines, nil, wopt)
+		ar, err := NewFleet(spec, WithIncumbent(inc), WithDrift(DriftConfig{Threshold: 0.04, Cooldown: 1}), WithResolveOptions(resolve))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkDriftWatch(b *testing.B) {
 		cadenceInc := inc
 		for _, win := range windows {
 			p := &core.Problem{Workloads: win, Machines: base.Machines}
-			sol, err := core.Resolve(context.Background(), p, cadenceInc, wopt.Resolve)
+			sol, err := core.Resolve(context.Background(), p, cadenceInc, resolve)
 			if err != nil {
 				b.Fatal(err)
 			}

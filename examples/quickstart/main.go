@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -69,7 +70,11 @@ func main() {
 	}
 
 	fmt.Println("3. solving the consolidation program...")
-	plan, err := kairos.Consolidate(workloads, machines, profile, kairos.DefaultOptions())
+	fleet, err := kairos.NewFleet(kairos.FleetSpec{Workloads: workloads, Machines: machines, Disk: profile})
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := fleet.Consolidate(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

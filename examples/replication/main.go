@@ -42,6 +42,19 @@ func targets(n int) []kairos.Machine {
 	return out
 }
 
+// consolidate opens a session over the workloads and computes its plan.
+func consolidate(workloads []kairos.Workload, machines []kairos.Machine) *kairos.Plan {
+	f, err := kairos.NewFleet(kairos.FleetSpec{Workloads: workloads, Machines: machines})
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := f.Consolidate(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return plan
+}
+
 func main() {
 	fmt.Println("== Placement constraints and extensions ==")
 
@@ -52,11 +65,7 @@ func main() {
 	// Measured replica loads: read-only standbys carry ~40% of the primary.
 	orders.ReplicaLoadScale = []float64{1.0, 0.4, 0.4}
 	sessions := wl("sessions", 0.25, 2)
-	plan, err := kairos.Consolidate([]kairos.Workload{orders, sessions}, targets(6), nil, kairos.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(plan)
+	fmt.Print(consolidate([]kairos.Workload{orders, sessions}, targets(6)))
 
 	// 2. A latency-sensitive workload: a 1.5x slowdown SLA caps its host's
 	// utilization at 33%, forcing it away from busy machines.
@@ -64,21 +73,13 @@ func main() {
 	checkout := wl("checkout", 0.15, 2)
 	checkout.SLA = &kairos.LatencySLA{MaxSlowdown: 1.5}
 	batch := wl("batch", 0.55, 8)
-	plan, err = kairos.Consolidate([]kairos.Workload{checkout, batch}, targets(4), nil, kairos.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(plan)
+	fmt.Print(consolidate([]kairos.Workload{checkout, batch}, targets(4)))
 
 	// 3. Pinning: compliance requires the audit database on rack-2.
 	fmt.Println("3. pinning")
 	audit := wl("audit", 0.1, 1)
 	audit.PinTo = 2
-	plan, err = kairos.Consolidate([]kairos.Workload{audit, wl("misc", 0.1, 1)}, targets(4), nil, kairos.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(plan)
+	fmt.Print(consolidate([]kairos.Workload{audit, wl("misc", 0.1, 1)}, targets(4)))
 
 	// 4. Partitioned solving: 120 small tenants in groups of 20 — each
 	// group solved independently, total work linear in the tenant count.

@@ -9,7 +9,9 @@ import (
 	"kairos/internal/core"
 )
 
-// TestNewFleetValidation: structural spec errors surface at construction.
+// TestNewFleetValidation: structural spec errors surface at construction;
+// what only monitoring needs — a plan to watch, named workloads, a valid
+// drift config — surfaces at the first Observe, which consumes nothing.
 func TestNewFleetValidation(t *testing.T) {
 	wls, machines := watchFleet(4, 12)
 	if _, err := NewFleet(FleetSpec{Machines: machines}); err == nil {
@@ -22,6 +24,32 @@ func TestNewFleetValidation(t *testing.T) {
 	bad[0].CPUCapacity = 0
 	if _, err := NewFleet(FleetSpec{Workloads: wls, Machines: bad}); err == nil {
 		t.Error("zero-capacity machine accepted")
+	}
+
+	_, inc := solveIncumbent(t, wls, machines)
+	unnamed := append([]Workload(nil), wls...)
+	unnamed[0].Name = ""
+	for _, tc := range []struct {
+		name string
+		wls  []Workload
+		opts []FleetOption
+	}{
+		{"nil incumbent", wls, nil},
+		{"empty incumbent", wls, []FleetOption{WithIncumbent(&Incumbent{})}},
+		{"unnamed workload", unnamed, []FleetOption{WithIncumbent(inc)}},
+		{"invalid drift config", wls, []FleetOption{WithIncumbent(inc), WithDrift(DriftConfig{Threshold: -1})}},
+	} {
+		f, err := NewFleet(FleetSpec{Workloads: tc.wls, Machines: machines}, tc.opts...)
+		if err != nil {
+			t.Errorf("%s: NewFleet: %v", tc.name, err)
+			continue
+		}
+		if _, err := f.Observe(context.Background(), wls); err == nil {
+			t.Errorf("%s: first Observe accepted", tc.name)
+		}
+		if f.Window() != 0 {
+			t.Errorf("%s: refused Observe consumed a window", tc.name)
+		}
 	}
 }
 
@@ -124,8 +152,8 @@ func TestFleetObserveLifecycle(t *testing.T) {
 }
 
 // TestFleetWithIncumbentObserve: a session seeded from a saved plan
-// watches immediately, without a cold solve — the serve daemon's restart
-// path and the Watch wrapper both rely on this.
+// watches immediately, without a cold solve — `kairos watch` relies on
+// this.
 func TestFleetWithIncumbentObserve(t *testing.T) {
 	wls, machines := watchFleet(6, 24)
 	_, inc := solveIncumbent(t, wls, machines)
@@ -156,7 +184,7 @@ func TestFleetWithIncumbentObserve(t *testing.T) {
 }
 
 // TestFleetWithIncumbentWarmConsolidate: Consolidate on a seeded session
-// re-solves warm — identical to the deprecated Reconsolidate wrapper.
+// re-solves warm — the plan core.Resolve computes from the seed.
 func TestFleetWithIncumbentWarmConsolidate(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
@@ -173,13 +201,13 @@ func TestFleetWithIncumbentWarmConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Reconsolidate(drifted, machines, nil, inc, resolve)
+	want, err := core.Resolve(context.Background(), &Problem{Workloads: drifted, Machines: machines}, inc, resolve)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.K != want.K || math.Abs(warm.Objective-want.Objective) > 1e-12 ||
 		warm.Migrated != want.Migrated {
-		t.Errorf("warm session solve (K=%d obj=%v mig=%d) != Reconsolidate (K=%d obj=%v mig=%d)",
+		t.Errorf("warm session solve (K=%d obj=%v mig=%d) != core.Resolve (K=%d obj=%v mig=%d)",
 			warm.K, warm.Objective, warm.Migrated, want.K, want.Objective, want.Migrated)
 	}
 }
@@ -200,64 +228,14 @@ func TestFleetShardedConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ConsolidateFleet(wls, machines, nil, ShardOptions{Shards: 3, Options: opt})
+	want, err := core.SolveSharded(context.Background(), &Problem{Workloads: wls, Machines: machines},
+		ShardOptions{Shards: 3, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.K != want.K || math.Abs(plan.Objective-want.Objective) > 1e-12 {
-		t.Errorf("sharded session solve (K=%d obj=%v) != ConsolidateFleet (K=%d obj=%v)",
+		t.Errorf("sharded session solve (K=%d obj=%v) != core.SolveSharded (K=%d obj=%v)",
 			plan.K, plan.Objective, want.K, want.Objective)
-	}
-}
-
-// TestAutoReconsolidatorConcurrentObserve hammers Observe from many
-// goroutines under -race: the loop's mutex must keep the incumbent,
-// detector and forecast history coherent while quiet and drifted windows
-// land in arbitrary interleavings.
-func TestAutoReconsolidatorConcurrentObserve(t *testing.T) {
-	wls, machines := watchFleet(6, 12)
-	_, inc := solveIncumbent(t, wls, machines)
-	opt := DefaultWatchOptions()
-	opt.Resolve.SkipDirect = true
-	ar, err := NewAutoReconsolidator(inc, wls, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const collectors = 8
-	const windowsEach = 5
-	var wg sync.WaitGroup
-	errs := make(chan error, collectors*windowsEach)
-	for c := 0; c < collectors; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < windowsEach; i++ {
-				// Mostly quiet traffic with drifted windows mixed in.
-				scale := 1.002
-				if (c+i)%3 == 0 {
-					scale = 1.15
-				}
-				if _, err := ar.Observe(context.Background(), scaleWorkloads(wls, scale)); err != nil {
-					errs <- err
-					return
-				}
-				// Concurrent state reads must also be race-free.
-				_ = ar.Incumbent()
-				_ = ar.Window()
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := ar.Window(); got != collectors*windowsEach {
-		t.Errorf("Window() = %d, want %d (every window consumed exactly once)", got, collectors*windowsEach)
-	}
-	if ar.Incumbent() == nil {
-		t.Error("incumbent lost during concurrent observation")
 	}
 }
 
@@ -311,5 +289,8 @@ func TestFleetConcurrentObserve(t *testing.T) {
 	}
 	if st := f.Drift(); st.Triggers != len(f.Events()) {
 		t.Errorf("drift status triggers %d != event log %d", st.Triggers, len(f.Events()))
+	}
+	if f.Incumbent() == nil {
+		t.Error("incumbent lost during concurrent observation")
 	}
 }

@@ -7,7 +7,7 @@
 // top-level function contains an earlier x.<mu>.Lock() or x.<mu>.RLock()
 // call on the same base expression. Functions that run with the lock
 // already held declare it by naming convention (a trailing "Locked"
-// suffix, e.g. incumbentLocked) or with a //kairos:locked doc directive —
+// suffix, e.g. detectLocked) or with a //kairos:locked doc directive —
 // the same contract the repo's "callers hold mu" comments always meant,
 // now machine-checked. Individual accesses can be waived with
 // //kairoslint:allow lockguard.

@@ -4,8 +4,8 @@
 // The lock universe is the set of annotated mutexes: sync.Mutex or
 // sync.RWMutex struct fields that at least one sibling field declares
 // itself "guarded by" (the same annotation lockguard enforces). For the
-// repo today that is Server.mu, Fleet.mu, AutoReconsolidator.mu, and the
-// server metrics mutex.
+// repo today that is Server.mu, session.mu, Fleet.mu, and the server
+// metrics mutex.
 //
 // For every function body the analyzer runs a source-order held-set
 // scan: x.mu.Lock()/RLock() opens a held interval, x.mu.Unlock()/RUnlock()

@@ -24,9 +24,11 @@
 //
 // Functions with no append call are exempt from the ordering
 // rule: replay itself, read-only handlers, and error-path helpers like
-// writeErr ack things that were never mutations. Closure interiors are
-// out of CFG scope and are skipped (the advance hook journals inside a
-// closure and publishes nothing itself).
+// writeErr ack things that were never mutations. The control plane's
+// apply functions (one per record kind, called by the live path right
+// after its append and by replay) carry the marker, so the rule holds
+// where a handler calls them. Closure interiors are out of CFG scope and
+// are skipped.
 package walorder
 
 import (

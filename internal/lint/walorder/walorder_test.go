@@ -88,12 +88,15 @@ func TestWalorderRealTreeMutations(t *testing.T) {
 	}
 	const (
 		windowAppend = `	if err := s.appendPayload(req.record); err != nil {
-		return ingestResp{journalErr: err}
+		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
 `
-		ack = `	s.recordAck(sess, key, resp)
+		// The ack ring is written inside applyWindow, which both the live
+		// path and replay call: the ordering is checked where processWindow
+		// calls it.
+		apply = `	index, fired, err := sess.applyWindow(req.window, key)
 `
-		unordered = "recordAck acks a mutation on a path with no prior appendRecord/appendPayload"
+		unordered = " acks a mutation on a path with no prior appendRecord/appendPayload"
 	)
 	for _, tc := range []struct {
 		name   string
@@ -103,14 +106,14 @@ func TestWalorderRealTreeMutations(t *testing.T) {
 		count  int
 	}{
 		{"window journaled after the ack ring", "server.go", func(src string) string {
-			return swap(swap(src, windowAppend, "", 1), ack, ack+windowAppend, 2)
-		}, unordered, 2},
+			return swap(swap(src, windowAppend, "", 1), apply, apply+windowAppend, 1)
+		}, "applyWindow" + unordered, 1},
 		{"deregistration journaled after its 204", "server.go", func(src string) string {
 			// writeNoContent's marker is the prose form in the real tree.
 			const journal = "s.appendRecord(&RecordWire{Deregister: &DeregisterRecord{Fleet: id}})"
 			src = swap(src, "if err := "+journal+"; err != nil {", "if err := error(nil); err != nil {", 1)
 			return swap(src, "\twriteNoContent(w)\n", "\twriteNoContent(w)\n\t_ = "+journal+"\n", 1)
-		}, "writeNoContent acks a mutation on a path with no prior appendRecord/appendPayload", 1},
+		}, unordered, 2}, // the registry delete (applyDeregisterLocked) and the 204
 		{"rearm replay case disabled", "recovery.go", func(src string) string {
 			return swap(src, "case rw.Rearm != nil:", "case rw.Rearm != nil && replayRearms:", 1) + "\nconst replayRearms = true\n"
 		}, "RecordWire field Rearm has no replay case", 1},

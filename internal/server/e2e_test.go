@@ -47,7 +47,7 @@ func wireWorkloads(wls []kairos.Workload, f float64) []WorkloadWire {
 // concurrent collectors, then a drifted window; a drift-triggered warm
 // re-solve must fire in the reconcile loop, the served plan must advance,
 // and the event log and /metrics must reflect the trigger. Runs under
-// -race (see TestAutoReconsolidatorConcurrentObserve for the library-level
+// -race (see TestFleetConcurrentObserve for the library-level
 // hammer).
 func TestServeE2E197(t *testing.T) {
 	fl := fleet.All()

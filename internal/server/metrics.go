@@ -34,7 +34,7 @@ type fleetMetrics struct {
 	fevals       int64
 	migrations   int64
 	// failStreak is the consecutive-failure gauge behind the reconcile
-	// loop's solver backoff (reset to 0 on a successful observe).
+	// loop's solver backoff (reset to 0 by a re-solve that advances).
 	failStreak int64
 	// histogram state for kairos_resolve_duration_seconds.
 	bucketCounts []int64

@@ -3,18 +3,18 @@ package server
 // Crash recovery for the durable control plane. The journal (see
 // internal/journal) holds a snapshot of the full registry plus an ordered
 // suffix of mutation records (RecordWire); replay restores the snapshot,
-// then reconsumes each record through the same state machines the live
-// server used — windows detect-only (so the drift detector cannot
-// double-fire on a replayed window), advances from their journaled
-// incumbents (no re-solve) — and finally starts a reconcile loop per
-// recovered fleet.
+// then applies each record with the function the live server applied it
+// with right after appending it (server.go's apply functions) — a window
+// goes through the detector and into the ack ring, and what its trigger
+// led to is whatever the next record says: an advance rebuilt from its
+// journaled incumbent (no re-solve) or a rearm — and finally starts a
+// reconcile loop per recovered fleet.
 //
 // Convention (see CONTRIBUTING.md): every new control-plane mutation
-// needs a RecordWire field, an append at its live mutation site, and a
-// replay case in this file.
+// needs a RecordWire field, an append, and one apply function called by
+// both the live path and replay's switch in this file.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -74,21 +74,6 @@ func (s *Server) appendPayload(b []byte) error {
 	return err
 }
 
-// installHook wires the session's advance hook: every drift-triggered
-// incumbent advance is journaled before the library publishes it, so a
-// recovered server can never serve an older plan than one a client
-// already saw. A refused append aborts the advance (the detector
-// re-arms and the drift fires again).
-func (s *Server) installHook(sess *session) {
-	sess.fleet.SetAdvanceHook(func(ev *kairos.ReconsolidationEvent) error {
-		return s.appendRecord(&RecordWire{Advance: &AdvanceRecord{
-			Fleet:     sess.id,
-			Incumbent: ev.Plan.Incumbent(),
-			Event:     eventWire(ev),
-		}})
-	})
-}
-
 // jitterDuration returns a uniformly random duration in [0, d).
 func jitterDuration(d time.Duration) time.Duration {
 	if d <= 0 {
@@ -101,49 +86,20 @@ func jitterDuration(d time.Duration) time.Duration {
 // request and durable incumbent, without solving. Shared by snapshot
 // restore and RegisterRecord replay; the reconcile loop is started by
 // the caller once the whole journal has replayed.
-func (s *Server) restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, error) {
+func restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, error) {
 	if req == nil || req.ID == "" {
 		return nil, fmt.Errorf("registration record has no request")
 	}
 	if inc == nil {
 		return nil, fmt.Errorf("fleet %q journaled without an incumbent", req.ID)
 	}
-	dp, err := toDiskProfile(req.DiskProfile)
-	if err != nil {
-		return nil, fmt.Errorf("fleet %q disk_profile: %w", req.ID, err)
-	}
-	machines, err := toMachines(req)
+	sess, err := buildSession(req)
 	if err != nil {
 		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
 	}
-	workloads, err := toWorkloads(req.Workloads, dp != nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
-	}
-	if err := uniqueNames(workloads); err != nil {
-		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
-	}
-	fleet, err := kairos.NewFleet(
-		kairos.FleetSpec{Name: req.ID, Workloads: workloads, Machines: machines, Disk: dp},
-		toFleetOptions(req.Options)...)
-	if err != nil {
-		return nil, fmt.Errorf("fleet %q spec: %w", req.ID, err)
-	}
-	if _, err := fleet.AdoptIncumbent(inc); err != nil {
+	if _, err := sess.fleet.AdoptIncumbent(inc); err != nil {
 		return nil, fmt.Errorf("fleet %q incumbent: %w", req.ID, err)
 	}
-	sess := &session{
-		id:        req.ID,
-		req:       req,
-		fleet:     fleet,
-		workloads: workloads,
-		machines:  machines,
-		needDisk:  dp != nil,
-		ingest:    make(chan ingestReq),
-		done:      make(chan struct{}),
-		acks:      map[int64]AckWire{},
-	}
-	s.installHook(sess)
 	return sess, nil
 }
 
@@ -174,7 +130,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		stats.SnapshotDecode = time.Since(decodeStart)
 		for i := range snap.Fleets {
 			fs := &snap.Fleets[i]
-			sess, err := s.restoreSession(fs.Request, fs.Incumbent)
+			sess, err := restoreSession(fs.Request, fs.Incumbent)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: %w", err)
 			}
@@ -207,23 +163,22 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			}
 			sess.failures = fs.Failures
 			sess.mu.Unlock()
-			s.fleets[sess.id] = sess
+			s.applyRegisterLocked(sess)
 		}
 		stats.SnapshotFleets = len(snap.Fleets)
 	}
 
-	// pending marks fleets whose last replayed window fired a trigger with
-	// no journaled outcome yet. Live, the outcome record (advance or
-	// rearm) immediately follows; a crash between them leaves the trigger
-	// dangling, and the self-heal re-arms it so the drift fires again.
-	pending := map[string]bool{}
-	heal := func(id string) {
-		if pending[id] {
-			if sess := s.fleets[id]; sess != nil {
-				sess.fleet.RearmDetector()
-				stats.Healed++
-			}
-			delete(pending, id)
+	// heal settles a pending trigger — a replayed window that fired with no
+	// journaled outcome. Live, the outcome record (advance or rearm)
+	// immediately follows its window; a crash between the two appends
+	// leaves the trigger dangling, and it re-arms so the drift fires again.
+	heal := func(sess *session) {
+		sess.mu.Lock()
+		pending := sess.pending
+		sess.mu.Unlock()
+		if pending {
+			sess.applyRearm()
+			stats.Healed++
 		}
 	}
 	for _, r := range rec.Records {
@@ -233,11 +188,11 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		}
 		switch {
 		case rw.Register != nil:
-			sess, err := s.restoreSession(rw.Register.Request, rw.Register.Incumbent)
+			sess, err := restoreSession(rw.Register.Request, rw.Register.Incumbent)
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", r.Seq, err)
 			}
-			s.fleets[sess.id] = sess
+			s.applyRegisterLocked(sess)
 		case rw.Window != nil:
 			id := rw.Window.Fleet
 			sess := s.fleets[id]
@@ -245,26 +200,18 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 				s.logf("journal record %d: window for unknown fleet %q skipped", r.Seq, id)
 				continue
 			}
-			heal(id)
+			heal(sess)
+			// The live server journaled before validating against the
+			// session; a window it went on to reject replays as rejected.
 			window, err := toWorkloads(rw.Window.Workloads, sess.needDisk)
-			if err != nil {
-				// The live server journaled before validating against the
-				// session; a window it went on to reject replays as rejected.
-				s.logf("journal record %d: window for %q rejected on replay (as live): %v", r.Seq, id, err)
-				continue
+			if err == nil {
+				_, _, err = sess.applyWindow(window, windowKey(rw.Window.Workloads))
 			}
-			triggered, err := sess.fleet.ObserveDetectOnly(window)
 			if err != nil {
 				s.logf("journal record %d: window for %q rejected on replay (as live): %v", r.Seq, id, err)
 				continue
 			}
 			stats.Windows++
-			if triggered {
-				pending[id] = true
-			}
-			if key := windowKey(rw.Window.Workloads); key != 0 {
-				s.recordAck(sess, key, ingestResp{window: sess.fleet.Window() - 1, triggered: triggered})
-			}
 		case rw.Advance != nil:
 			id := rw.Advance.Fleet
 			sess := s.fleets[id]
@@ -272,40 +219,26 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 				s.logf("journal record %d: advance for unknown fleet %q skipped", r.Seq, id)
 				continue
 			}
-			if _, err := sess.fleet.ReplayAdvance(rw.Advance.Incumbent); err != nil {
+			if err := sess.applyAdvance(rw.Advance, nil); err != nil {
 				return nil, fmt.Errorf("record %d: replaying advance for %q: %w", r.Seq, id, err)
 			}
-			if rw.Advance.Event != nil {
-				sess.mu.Lock()
-				sess.events = append(sess.events, rw.Advance.Event)
-				sess.mu.Unlock()
-			}
-			delete(pending, id)
 			stats.Advances++
 		case rw.Rearm != nil:
-			id := rw.Rearm.Fleet
-			if sess := s.fleets[id]; sess != nil {
-				sess.fleet.RearmDetector()
+			if sess := s.fleets[rw.Rearm.Fleet]; sess != nil {
+				sess.applyRearm()
 				stats.Rearms++
 			}
-			delete(pending, id)
 		case rw.Deregister != nil:
-			delete(pending, rw.Deregister.Fleet)
-			delete(s.fleets, rw.Deregister.Fleet)
+			s.applyDeregisterLocked(rw.Deregister.Fleet)
 		default:
 			return nil, fmt.Errorf("journal record %d has no operation", r.Seq)
 		}
 	}
-	for id := range pending {
-		heal(id)
-	}
 
 	stats.Fleets = len(s.fleets)
 	for _, sess := range s.fleets {
-		ctx, cancel := context.WithCancel(s.ctx)
-		sess.cancel = cancel
-		s.wg.Add(1)
-		go s.reconcile(ctx, sess)
+		heal(sess)
+		s.startLocked(sess)
 	}
 	s.met.setFleets(len(s.fleets))
 	stats.Elapsed = time.Since(start)

@@ -116,6 +116,13 @@ type session struct {
 	// order (guarded by mu).
 	acks     map[int64]AckWire
 	ackOrder []int64 // guarded by mu
+	// pending marks the last applied window as having fired a trigger whose
+	// outcome (an advance or a rearm) has not been applied yet; pendingKey
+	// is that window's ack-ring key. Live, the outcome follows within the
+	// same processWindow; on replay a crash between the two appends leaves
+	// it set, and recovery re-arms (guarded by mu).
+	pending    bool
+	pendingKey int64 // guarded by mu
 	// failures counts consecutive failed re-solves; backoffUntil is when
 	// the loop may solve again (guarded by mu).
 	failures     int
@@ -138,11 +145,12 @@ type ingestReq struct {
 type ingestResp struct {
 	window    int
 	triggered bool
-	event     *kairos.ReconsolidationEvent
+	event     *EventWire
 	// duplicate marks an idempotent resend answered from the ack ring.
 	duplicate bool
-	// journalErr reports the window could not be made durable; the
-	// client must retry (503), nothing was applied.
+	// journalErr reports that the window, or the advance it led to, could
+	// not be made durable: the client must retry (503). A refused window
+	// was not applied; a refused advance was not committed.
 	journalErr error
 	err        error
 }
@@ -386,30 +394,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "fleet %q already registered", req.ID)
 		return
 	}
-	dp, err := toDiskProfile(req.DiskProfile)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "disk_profile: %v", err)
-		return
-	}
-	machines, err := toMachines(req)
+	sess, err := buildSession(req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	workloads, err := toWorkloads(req.Workloads, dp != nil)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := uniqueNames(workloads); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fleet, err := kairos.NewFleet(
-		kairos.FleetSpec{Name: req.ID, Workloads: workloads, Machines: machines, Disk: dp},
-		toFleetOptions(req.Options)...)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid fleet spec: %v", err)
 		return
 	}
 	// The initial solve runs in the request: registration returns the plan
@@ -418,7 +405,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// client goes away (r.Context()).
 	solveCtx, solveCancel := context.WithCancel(s.ctx)
 	stopAfter := context.AfterFunc(r.Context(), solveCancel)
-	plan, err := fleet.Consolidate(solveCtx)
+	plan, err := sess.fleet.Consolidate(solveCtx)
 	stopAfter()
 	solveCancel()
 	if err != nil {
@@ -430,30 +417,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(s.ctx)
-	sess := &session{
-		id:        req.ID,
-		req:       req,
-		fleet:     fleet,
-		workloads: workloads,
-		machines:  machines,
-		needDisk:  dp != nil,
-		ingest:    make(chan ingestReq),
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		acks:      map[int64]AckWire{},
-	}
-	s.installHook(sess)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cancel()
 		writeUnavailable(w, "server shutting down")
 		return
 	}
 	if _, raced := s.fleets[req.ID]; raced {
 		s.mu.Unlock()
-		cancel()
 		writeErr(w, http.StatusConflict, "fleet %q already registered", req.ID)
 		return
 	}
@@ -463,20 +434,73 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Request: req, Incumbent: plan.Incumbent(),
 	}}); err != nil {
 		s.mu.Unlock()
-		cancel()
 		writeUnavailable(w, "journaling registration: %v", err)
 		return
 	}
-	s.fleets[req.ID] = sess
+	s.applyRegisterLocked(sess)
+	s.startLocked(sess)
 	n := len(s.fleets)
 	s.mu.Unlock()
 	s.met.setFleets(n)
+	s.logf("fleet %q registered: %d workloads -> K=%d (feasible=%v)",
+		req.ID, len(sess.workloads), plan.K, plan.Feasible)
+	writeJSON(w, http.StatusCreated, s.status(sess))
+}
 
+// buildSession turns a registration request into a session around a fresh
+// library Fleet, with no plan yet: handleRegister goes on to Consolidate
+// it, recovery to AdoptIncumbent the journaled plan.
+func buildSession(req *RegisterRequest) (*session, error) {
+	dp, err := toDiskProfile(req.DiskProfile)
+	if err != nil {
+		return nil, fmt.Errorf("disk_profile: %w", err)
+	}
+	machines, err := toMachines(req)
+	if err != nil {
+		return nil, err
+	}
+	workloads, err := toWorkloads(req.Workloads, dp != nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := uniqueNames(workloads); err != nil {
+		return nil, err
+	}
+	fleet, err := kairos.NewFleet(
+		kairos.FleetSpec{Name: req.ID, Workloads: workloads, Machines: machines, Disk: dp},
+		toFleetOptions(req.Options)...)
+	if err != nil {
+		return nil, fmt.Errorf("invalid fleet spec: %w", err)
+	}
+	return &session{
+		id:        req.ID,
+		req:       req,
+		fleet:     fleet,
+		workloads: workloads,
+		machines:  machines,
+		needDisk:  dp != nil,
+		ingest:    make(chan ingestReq),
+		done:      make(chan struct{}),
+		acks:      map[int64]AckWire{},
+	}, nil
+}
+
+// applyRegisterLocked and applyDeregisterLocked apply a register and a
+// deregister record to the registry. Callers hold s.mu.
+//
+//kairos:ack
+func (s *Server) applyRegisterLocked(sess *session) { s.fleets[sess.id] = sess }
+
+//kairos:ack
+func (s *Server) applyDeregisterLocked(id string) { delete(s.fleets, id) }
+
+// startLocked launches a registered session's reconcile loop. Callers
+// hold s.mu with s.closed false, so Close's wait cannot miss the loop.
+func (s *Server) startLocked(sess *session) {
+	ctx, cancel := context.WithCancel(s.ctx)
+	sess.cancel = cancel
 	s.wg.Add(1)
 	go s.reconcile(ctx, sess)
-	s.logf("fleet %q registered: %d workloads -> K=%d (feasible=%v)",
-		req.ID, len(workloads), plan.K, plan.Feasible)
-	writeJSON(w, http.StatusCreated, s.status(sess))
 }
 
 // uniqueNames enforces the name-matching contract windows rely on.
@@ -491,9 +515,9 @@ func uniqueNames(wls []kairos.Workload) error {
 	return nil
 }
 
-// reconcile is a fleet's control loop: it owns all Observe calls for the
-// session, so windows from any number of collectors apply in a single
-// serial order, and re-solves never overlap. It exits when the session is
+// reconcile is a fleet's control loop: it alone moves the session, so
+// windows from any number of collectors apply in a single serial order,
+// and re-solves never overlap. It exits when the session is
 // deregistered or the server shuts down. Each window's
 // journal-append + apply + ack runs under the snapshot read-lock, so a
 // snapshot never captures state a journaled record has not yet produced.
@@ -524,107 +548,95 @@ func windowKey(wire []WorkloadWire) int64 {
 	return wire[0].StartUnix
 }
 
-// processWindow applies one observation window: dedupe against the ack
-// ring, journal it, observe (detect-only while backing off after solver
-// failures), and record the ack. Runs on the reconcile goroutine under
-// the snapshot read-lock.
+// processWindow ingests one observation window: dedupe against the ack
+// ring, journal it, apply it, and — if it fired a trigger — decide the
+// outcome (an advance, or a rearm while the solver backs off or when it
+// fails), journal that, apply that. Each apply is the function replay
+// calls for the same record. Runs on the reconcile goroutine under the
+// snapshot read-lock, so no snapshot sees a window without its outcome.
 func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
 	key := req.key
-	if key != 0 {
-		sess.mu.Lock()
-		ack, dup := sess.acks[key]
-		sess.mu.Unlock()
-		if dup {
-			return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
-		}
+	sess.mu.Lock()
+	ack, dup := sess.acks[key]
+	inBackoff := time.Now().Before(sess.backoffUntil)
+	sess.mu.Unlock()
+	if dup {
+		return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
 	}
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
 	if err := s.appendPayload(req.record); err != nil {
-		return ingestResp{journalErr: err}
+		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
+	}
+	index, fired, err := sess.applyWindow(req.window, key)
+	if err != nil || !fired {
+		s.met.observeWindow(sess.id, err != nil)
+		return ingestResp{window: index, err: err}
 	}
 
-	sess.mu.Lock()
-	inBackoff := time.Now().Before(sess.backoffUntil)
-	sess.mu.Unlock()
-	if inBackoff {
-		// Solver backoff: keep the detector and history moving, but
-		// suppress re-solves. A trigger during backoff re-arms (journaled,
-		// so replay re-arms too) and the drift fires again once the
-		// backoff expires.
-		triggered, err := sess.fleet.ObserveDetectOnly(req.window)
-		if err != nil {
-			s.met.observeWindow(sess.id, true)
-			return ingestResp{err: err}
-		}
-		if triggered {
-			if err := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}}); err != nil {
-				// The trigger is journaled as pending; recovery self-heals
-				// an unresolved trigger by re-arming.
-				s.logf("fleet %q: journaling backoff re-arm: %v", sess.id, err)
-			}
-			sess.fleet.RearmDetector()
-		}
-		s.met.observeWindow(sess.id, false)
-		resp := ingestResp{window: sess.fleet.Window() - 1}
-		s.recordAck(sess, key, resp)
-		return resp
+	// During backoff the detector and history keep moving but nothing
+	// solves. Otherwise the loop's ctx rides into the solver: Server.Close
+	// (or a deregister) aborts the re-solve mid-flight.
+	var ev *kairos.ReconsolidationEvent
+	if !inBackoff {
+		ev, err = sess.fleet.Resolve(ctx)
 	}
-
-	// The loop's ctx rides into the solver: Server.Close (or a
-	// deregister) aborts a drift-triggered re-solve mid-flight. The
-	// advance hook journals the new incumbent before Observe publishes it.
-	ev, err := sess.fleet.Observe(ctx, req.window)
-	if err != nil {
-		var re *kairos.ResolveError
-		if errors.As(err, &re) && !errors.Is(err, context.Canceled) {
-			// The window was consumed and the detector re-armed by the
-			// library; journal the re-arm and back off before solving again.
-			if jerr := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}}); jerr != nil {
-				s.logf("fleet %q: journaling failed-solve re-arm: %v", sess.id, jerr)
-			}
+	if ev == nil {
+		// Suppressed or failed: re-arm, so the drift fires again. A refused
+		// append changes nothing — recovery re-arms an outcome-less trigger.
+		if jerr := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}}); jerr != nil {
+			s.logf("fleet %q: journaling re-arm: %v", sess.id, jerr)
+		}
+		sess.applyRearm()
+		if err != nil && !errors.Is(err, context.Canceled) {
 			n, delay := s.bumpBackoff(sess)
 			s.met.setResolveFailures(sess.id, n)
 			s.logf("fleet %q: re-solve failed (%d consecutive), backing off %v: %v", sess.id, n, delay, err)
 		}
-		s.met.observeWindow(sess.id, true)
-		return ingestResp{err: err}
+		s.met.observeWindow(sess.id, err != nil)
+		return ingestResp{window: index, err: err}
 	}
-	sess.mu.Lock()
-	sess.failures = 0
-	sess.backoffUntil = time.Time{}
-	sess.mu.Unlock()
+	// Write-ahead: the advance is journaled before it commits or publishes,
+	// so a recovered server never serves an older plan than a client saw.
+	// A refused append commits nothing: the detector re-arms in memory, as
+	// recovery will, and the collector retries (503).
+	rec := &AdvanceRecord{Fleet: sess.id, Incumbent: ev.Plan.Incumbent(), Event: eventWire(ev)}
+	if err := s.appendRecord(&RecordWire{Advance: rec}); err != nil {
+		sess.applyRearm()
+		return ingestResp{journalErr: fmt.Errorf("journaling advance: %w", err)}
+	}
+	if err := sess.applyAdvance(rec, ev); err != nil {
+		return ingestResp{err: fmt.Errorf("committing journaled advance: %w", err)}
+	}
 	s.met.setResolveFailures(sess.id, 0)
 	s.met.observeWindow(sess.id, false)
-	resp := ingestResp{window: sess.fleet.Window() - 1}
-	if ev != nil {
-		resp.triggered = true
-		resp.event = ev
-		sess.mu.Lock()
-		sess.events = append(sess.events, eventWire(ev))
-		sess.mu.Unlock()
-		s.met.observeTrigger(sess.id, ev.Plan.Fevals, ev.Plan.Migrated, ev.Plan.Elapsed)
-		s.logf("fleet %q: %v", sess.id, ev)
-	}
-	s.recordAck(sess, key, resp)
-	return resp
+	s.met.observeTrigger(sess.id, ev.Plan.Fevals, ev.Plan.Migrated, ev.Plan.Elapsed)
+	s.logf("fleet %q: %v", sess.id, ev)
+	return ingestResp{window: index, triggered: true, event: rec.Event}
 }
 
-// recordAck stores a window's acknowledgement in the idempotent-ingest
-// ring, evicting the oldest entry beyond ackRingSize. Entering the ring
-// makes resends return the original ack, so the window must already be
-// journaled.
+// applyWindow applies a window record: through the drift detector into
+// the forecast history, into the idempotent-ingest ring (evicting beyond
+// ackRingSize) acked as not triggered, and remembered as the pending
+// trigger if it fired — only its outcome record can say the plan advanced.
+// Entering the ring makes resends return the ack, so the window must
+// already be journaled.
 //
 //kairos:ack
-func (s *Server) recordAck(sess *session, key int64, resp ingestResp) {
-	if key == 0 {
-		return
+func (sess *session) applyWindow(window []kairos.Workload, key int64) (index int, fired bool, err error) {
+	if fired, err = sess.fleet.ObserveDetectOnly(window); err != nil {
+		return 0, false, err
 	}
+	index = sess.fleet.Window() - 1
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	sess.pending, sess.pendingKey = fired, key
+	if key == 0 {
+		return index, fired, nil // unstamped windows are never deduplicated
+	}
 	if _, ok := sess.acks[key]; !ok {
 		sess.ackOrder = append(sess.ackOrder, key)
 		if len(sess.ackOrder) > ackRingSize {
@@ -632,7 +644,48 @@ func (s *Server) recordAck(sess *session, key int64, resp ingestResp) {
 			sess.ackOrder = sess.ackOrder[1:]
 		}
 	}
-	sess.acks[key] = AckWire{StartUnix: key, Window: resp.window, Triggered: resp.triggered}
+	sess.acks[key] = AckWire{StartUnix: key, Window: index}
+	return index, fired, nil
+}
+
+// applyAdvance applies an advance record: the plan advances, the event
+// joins the log, the pending window's ack now says it triggered, and the
+// failure streak ends. Live passes the event it resolved, committed as it
+// stands; replay has none and rebuilds the plan from the journaled
+// incumbent — the one place the two differ.
+//
+//kairos:ack
+func (sess *session) applyAdvance(rec *AdvanceRecord, ev *kairos.ReconsolidationEvent) (err error) {
+	if ev != nil {
+		err = sess.fleet.Advance(ev)
+	} else {
+		_, err = sess.fleet.ReplayAdvance(rec.Incumbent)
+	}
+	if err != nil {
+		return err
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if rec.Event != nil {
+		sess.events = append(sess.events, rec.Event)
+	}
+	if ack, ok := sess.acks[sess.pendingKey]; ok && sess.pending {
+		ack.Triggered = true
+		sess.acks[sess.pendingKey] = ack
+	}
+	sess.pending, sess.failures, sess.backoffUntil = false, 0, time.Time{}
+	return nil
+}
+
+// applyRearm applies a rearm record: the pending trigger, if any, led to
+// no advance, so the detector re-arms and the drift can fire again.
+//
+//kairos:ack
+func (sess *session) applyRearm() {
+	sess.fleet.RearmDetector()
+	sess.mu.Lock()
+	sess.pending = false
+	sess.mu.Unlock()
 }
 
 // bumpBackoff records one more consecutive solver failure and extends
@@ -695,9 +748,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	}
 	writeResp := func(resp ingestResp) {
 		if resp.journalErr != nil {
-			// The window never reached the journal, so it was not applied;
-			// the collector retries against this or a restarted server.
-			writeUnavailable(w, "journaling window: %v", resp.journalErr)
+			// The window (or its advance) never reached the journal, so it
+			// was not applied; the collector retries here or after a restart.
+			writeUnavailable(w, "%v", resp.journalErr)
 			return
 		}
 		if resp.err != nil {
@@ -707,16 +760,14 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 				writeUnavailable(w, "re-consolidation aborted: %v", resp.err)
 				return
 			}
-			// The window was structurally valid JSON but the watch loop
-			// rejected it (unknown workload, series shape mismatch, ...).
+			// Valid JSON that the session rejected (unknown workload, series
+			// shape mismatch, ...), or a window whose re-solve failed.
 			writeErr(w, http.StatusUnprocessableEntity, "%v", resp.err)
 			return
 		}
-		out := WindowResponse{Window: resp.window, Triggered: resp.triggered, Duplicate: resp.duplicate}
-		if resp.event != nil {
-			out.Event = eventWire(resp.event)
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, WindowResponse{
+			Window: resp.window, Triggered: resp.triggered, Duplicate: resp.duplicate, Event: resp.event,
+		})
 	}
 	select {
 	case resp := <-ir.reply:
@@ -841,7 +892,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, "journaling deregistration: %v", err)
 		return
 	}
-	delete(s.fleets, id)
+	s.applyDeregisterLocked(id)
 	n := len(s.fleets)
 	s.mu.Unlock()
 	s.met.setFleets(n)

@@ -132,7 +132,9 @@ type WindowRequest struct {
 type WindowResponse struct {
 	// Window is the 0-based index the window was consumed as.
 	Window int `json:"window"`
-	// Triggered reports whether this window fired a re-solve.
+	// Triggered reports whether this window's trigger advanced the plan (a
+	// trigger the solver's backoff suppressed, or whose re-solve failed,
+	// advanced nothing).
 	Triggered bool `json:"triggered"`
 	// Duplicate marks an idempotent resend: the window (keyed by its
 	// start_unix) was already acked and this response echoes the original
@@ -150,7 +152,7 @@ type FleetStatus struct {
 	// K and Feasible describe the current plan.
 	K        int  `json:"k"`
 	Feasible bool `json:"feasible"`
-	// Windows, Triggers and LastTrigger summarize the watch loop.
+	// Windows, Triggers and LastTrigger summarize the monitoring state.
 	Windows     int `json:"windows"`
 	Triggers    int `json:"triggers"`
 	LastTrigger int `json:"last_trigger"`
@@ -207,8 +209,9 @@ type ErrorResponse struct {
 // one operation field is set. Every control-plane mutation — registering
 // a fleet, acking an observation window, advancing the incumbent plan,
 // re-arming the detector after a failed re-solve, deregistering — has a
-// record type here and a replay case in recovery.go (the CONTRIBUTING
-// convention for new mutations).
+// record type here and one apply function in server.go that the live path
+// and recovery.go's replay both call (the CONTRIBUTING convention for new
+// mutations).
 type RecordWire struct {
 	Register   *RegisterRecord   `json:"register,omitempty"`
 	Window     *WindowRecord     `json:"window,omitempty"`
@@ -238,8 +241,9 @@ type WindowRecord struct {
 
 // AdvanceRecord journals one incumbent-plan advance. The reconcile loop
 // writes it after the triggered re-solve succeeds but before the plan is
-// published (the library's advance hook), so a recovered server never
-// serves an older plan than one it already published.
+// committed or published (between Fleet.Resolve and Fleet.Advance), so a
+// recovered server never serves an older plan than one it already
+// published.
 type AdvanceRecord struct {
 	Fleet string `json:"fleet"`
 	// Incumbent is the advanced plan in durable form.

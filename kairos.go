@@ -21,14 +21,14 @@
 //     search, that minimizes the machine count and balances load without
 //     over-committing any resource at any time step.
 //
-// The primary API is the Fleet session handle (fleet.go): NewFleet opens
-// a session around a FleetSpec (workloads, machines, disk profile) plus
-// functional options for solver budgets, drift thresholds and sharding;
-// Consolidate computes the plan; Observe streams monitored observation
-// windows through the drift detector (internal/drift) and re-solves warm
-// from the incumbent exactly when the fleet's behaviour departs from the
-// plan's assumptions; Plan and Events expose the current state. The handle
-// is safe for concurrent use, so many collectors can feed one session.
+// The API is the Fleet session handle (fleet.go): NewFleet opens a session
+// around a FleetSpec (workloads, machines, disk profile) plus functional
+// options for solver budgets, drift thresholds and sharding; Consolidate
+// computes the plan; Observe streams monitored observation windows through
+// the drift detector (internal/drift) and re-solves warm from the
+// incumbent exactly when the fleet's behaviour departs from the plan's
+// assumptions; Plan and Events expose the current state. The handle is
+// safe for concurrent use, so many collectors can feed one session.
 //
 // Quick start:
 //
@@ -43,13 +43,19 @@
 //		}
 //	}
 //
-// The same handle powers the deployable control plane: `kairos serve`
-// (internal/server) exposes register/ingest/query over a versioned HTTP
-// API with one reconcile loop per registered fleet, plus Prometheus
-// metrics.
-//
-// The older free functions — Consolidate, ConsolidateFleet, Reconsolidate,
-// Watch — remain as deprecated thin wrappers over the Fleet handle.
+// Observe is three steps — detect, solve, commit — and a durable control
+// plane takes them one at a time so its journal write sits between the
+// solve and the commit: ObserveDetectOnly (detect; reports a trigger),
+// Resolve (solve for that trigger; commits nothing), journal the event's
+// incumbent, Advance (commit it) — or RearmDetector when the solve failed
+// or was suppressed. Crash recovery replays the same journal through the
+// counterparts that do not solve: AdoptIncumbent for the registration-time
+// Consolidate, ObserveDetectOnly for each window, ReplayAdvance for each
+// journaled advance, RearmDetector for each rearm; Checkpoint and
+// RestoreWatch move the detector's state through a snapshot. `kairos
+// serve` (internal/server) is that control plane: register/ingest/query
+// over a versioned HTTP API with one reconcile loop per registered fleet,
+// plus Prometheus metrics.
 //
 // Everything runs against a built-in DBMS/disk simulator (internal/dbms,
 // internal/disk), so the whole system — including the paper's experiments —
@@ -103,10 +109,10 @@ type (
 	Grouping = core.Grouping
 	// PartitionedSolution is the result of ConsolidatePartitioned.
 	PartitionedSolution = core.PartitionedSolution
-	// ShardOptions configures ConsolidateFleet's sharded solver.
+	// ShardOptions configures the sharded cold solve (WithSharding).
 	ShardOptions = core.ShardOptions
-	// Incumbent is a saved consolidation plan used to warm-start
-	// Reconsolidate (rolling re-consolidation).
+	// Incumbent is a saved consolidation plan a session warm-starts from
+	// (WithIncumbent: rolling re-consolidation).
 	Incumbent = core.Incumbent
 )
 
@@ -166,47 +172,10 @@ type Plan struct {
 // Incumbent returns the plan in a durable form for later warm-started
 // re-solves: save it with Incumbent().Save, reload with core.LoadIncumbent
 // (or `kairos consolidate -save-plan` / `-resolve` on the command line),
-// and pass it to Reconsolidate once the fleet's traces have drifted. Nil
-// for Plans not produced by this package's constructors.
+// and seed a session WithIncumbent once the fleet's traces have drifted.
+// Nil for Plans not produced by this package's constructors.
 func (p *Plan) Incumbent() *Incumbent {
 	return p.incumbent
-}
-
-// Consolidate solves the placement problem: assign every workload (and its
-// replicas) to machines so the machine count is minimal and load balanced,
-// with CPU, RAM and modelled disk I/O all staying within capacity at every
-// time step. Pass a nil profile to skip the disk constraint.
-//
-// Deprecated: use NewFleet(FleetSpec{...}, WithSolveOptions(opt)) followed
-// by (*Fleet).Consolidate — the session handle keeps the incumbent for
-// later Observe/re-solve calls instead of discarding it.
-func Consolidate(workloads []Workload, machines []Machine, dp *DiskProfile, opt SolveOptions) (*Plan, error) {
-	f, err := NewFleet(FleetSpec{Workloads: workloads, Machines: machines, Disk: dp},
-		WithSolveOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	//kairoslint:allow ctxflow: deprecated wrapper, legacy signature has no ctx
-	return f.Consolidate(context.Background())
-}
-
-// ConsolidateFleet solves fleet-scale placement with the sharded engine:
-// workloads are partitioned into correlation-aware shards, every shard is
-// consolidated concurrently, and the per-shard plans are merged by a
-// cross-shard rebalancing and machine-reduction pass. Use it when the
-// instance is too large for Consolidate's single global solve; for a few
-// dozen workloads Consolidate usually finds slightly tighter plans.
-//
-// Deprecated: use NewFleet(FleetSpec{...}, WithSharding(opt)) followed by
-// (*Fleet).Consolidate.
-func ConsolidateFleet(workloads []Workload, machines []Machine, dp *DiskProfile, opt ShardOptions) (*Plan, error) {
-	f, err := NewFleet(FleetSpec{Workloads: workloads, Machines: machines, Disk: dp},
-		WithSharding(opt))
-	if err != nil {
-		return nil, err
-	}
-	//kairoslint:allow ctxflow: deprecated wrapper, legacy signature has no ctx
-	return f.Consolidate(context.Background())
 }
 
 // newPlan decorates a solution with per-machine loads and display names.
@@ -228,42 +197,6 @@ func newPlan(p *Problem, sol *Solution) (*Plan, error) {
 		Names:     names,
 		incumbent: core.IncumbentFromSolution(p, sol),
 	}, nil
-}
-
-// Reconsolidate re-solves a drifted fleet warm-started from an incumbent
-// plan (rolling re-consolidation): the solver seeds from the incumbent's
-// placements, charges each unit that moves off its incumbent machine a
-// migration cost scaled by its working-set size
-// (SolveOptions.MigrationWeight, optionally capped by MaxMigrations), and
-// polishes with move+swap local search — no global DIRECT run. On mild
-// drift this matches or beats a cold Consolidate at a fraction of the
-// evaluations while migrating only a small fraction of the fleet. The
-// returned plan's Migrated and MigrationCost fields report the churn.
-//
-// Deprecated: use NewFleet(FleetSpec{...}, WithIncumbent(inc),
-// WithResolveOptions(opt)) followed by (*Fleet).Consolidate — a session
-// seeded with an incumbent re-solves warm automatically.
-func Reconsolidate(workloads []Workload, machines []Machine, dp *DiskProfile, inc *Incumbent, opt SolveOptions) (*Plan, error) {
-	//kairoslint:allow ctxflow: deprecated wrapper, legacy signature has no ctx
-	return reconsolidate(context.Background(), workloads, machines, dp, inc, opt)
-}
-
-// reconsolidate is the warm re-solve core shared by the deprecated
-// Reconsolidate wrapper and the watch loop's triggered re-solves: validate
-// the problem, run core.Resolve from the incumbent, decorate the plan. It
-// deliberately builds no Fleet — the watch loop calls it with
-// AutoReconsolidator.mu held, and constructing a session here would nest a
-// fresh Fleet.mu acquisition under it.
-func reconsolidate(ctx context.Context, workloads []Workload, machines []Machine, dp *DiskProfile, inc *Incumbent, opt SolveOptions) (*Plan, error) {
-	p := &Problem{Workloads: workloads, Machines: machines, Disk: dp}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	sol, err := core.Resolve(ctx, p, inc, opt)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(p, sol)
 }
 
 // String renders the plan as a human-readable placement table.

@@ -63,10 +63,7 @@ func TestConsolidateEndToEnd(t *testing.T) {
 	for i := range machines {
 		machines[i] = Machine{Name: "m", CPUCapacity: 1, RAMBytes: 32e9, DiskWriteBps: 60e6, Headroom: 0.05}
 	}
-	plan, err := Consolidate(wls, machines, dp, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, wls, machines, dp)
 	if !plan.Feasible {
 		t.Fatal("plan infeasible")
 	}
@@ -90,10 +87,7 @@ func TestConsolidateWithoutDiskProfile(t *testing.T) {
 		{Name: "m0", CPUCapacity: 1, RAMBytes: 32e9},
 		{Name: "m1", CPUCapacity: 1, RAMBytes: 32e9},
 	}
-	plan, err := Consolidate(wls, machines, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, wls, machines, nil)
 	if !plan.Feasible || plan.K != 2 {
 		t.Errorf("K = %d feasible=%v, want 2 CPU-bound machines", plan.K, plan.Feasible)
 	}
@@ -106,10 +100,7 @@ func TestConsolidateReplicaNaming(t *testing.T) {
 		{Name: "m0", CPUCapacity: 1, RAMBytes: 32e9},
 		{Name: "m1", CPUCapacity: 1, RAMBytes: 32e9},
 	}
-	plan, err := Consolidate([]Workload{w}, machines, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, []Workload{w}, machines, nil)
 	if !plan.Feasible || plan.K != 2 {
 		t.Fatalf("replicated plan: K=%d feasible=%v", plan.K, plan.Feasible)
 	}
@@ -219,11 +210,8 @@ func TestConsolidateFleetFacade(t *testing.T) {
 	for i := range machines {
 		machines[i] = Machine{Name: fmt.Sprintf("m%d", i), CPUCapacity: 1, RAMBytes: 32e9}
 	}
-	plan, err := ConsolidateFleet(wls, machines, nil,
-		ShardOptions{Shards: 3, Options: ParallelOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, wls, machines, nil,
+		WithSharding(ShardOptions{Shards: 3, Options: ParallelOptions()}))
 	if !plan.Feasible {
 		t.Fatal("fleet plan infeasible")
 	}
@@ -246,10 +234,7 @@ func TestSLAThroughFacade(t *testing.T) {
 		{Name: "m0", CPUCapacity: 1, RAMBytes: 32e9},
 		{Name: "m1", CPUCapacity: 1, RAMBytes: 32e9},
 	}
-	plan, err := Consolidate([]Workload{a, b}, machines, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, []Workload{a, b}, machines, nil)
 	if !plan.Feasible || plan.K != 2 {
 		t.Errorf("SLA plan: K=%d feasible=%v, want 2", plan.K, plan.Feasible)
 	}

@@ -15,20 +15,6 @@ import (
 // incumbent, detector state — from the live session that wrote the
 // journal.
 
-// replayFleet builds a session over the synthetic watch fleet, seeded
-// with a solved incumbent.
-func replayFleet(t *testing.T, wls []Workload, machines []Machine, inc *Incumbent) *Fleet {
-	t.Helper()
-	opt := DefaultResolveOptions()
-	opt.SkipDirect = true
-	f, err := NewFleet(FleetSpec{Name: "replay", Workloads: wls, Machines: machines},
-		WithIncumbent(inc), WithResolveOptions(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 func TestFleetReplayMatchesLive(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
@@ -36,32 +22,46 @@ func TestFleetReplayMatchesLive(t *testing.T) {
 	drifted := scaleWorkloads(wls, 1.12)
 	stream := [][]Workload{quiet, scaleWorkloads(wls, 0.997), drifted, quiet}
 
-	// Live session: the advance hook captures what the server would
-	// journal — the new incumbent, before it is published.
-	live := replayFleet(t, wls, machines, inc)
+	// Live session, driven the way the server drives it: between Resolve
+	// and Advance it captures what the server would journal — the new
+	// incumbent, before it is published.
+	live := watchSession(t, inc, wls, machines)
 	var journaled []*Incumbent
-	live.SetAdvanceHook(func(ev *ReconsolidationEvent) error {
-		journaled = append(journaled, ev.Plan.Incumbent())
-		return nil
-	})
 	var fired []bool
 	for _, w := range stream {
-		ev, err := live.Observe(context.Background(), w)
+		triggered, err := live.ObserveDetectOnly(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fired = append(fired, ev != nil)
+		fired = append(fired, triggered)
+		if !triggered {
+			continue
+		}
+		ev, err := live.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		journaled = append(journaled, ev.Plan.Incumbent())
+		if live.Plan() != nil || !reflect.DeepEqual(live.Incumbent(), inc) {
+			t.Fatal("Resolve published its plan before Advance")
+		}
+		if err := live.Advance(ev); err != nil {
+			t.Fatal(err)
+		}
+		if live.Plan() != ev.Plan || len(live.Events()) != len(journaled) {
+			t.Fatal("Advance did not publish the resolved plan and its event")
+		}
 	}
 	if !reflect.DeepEqual(fired, []bool{false, false, true, false}) {
 		t.Fatalf("live trigger pattern %v, want only the drifted window firing", fired)
 	}
 	if len(journaled) != 1 {
-		t.Fatalf("advance hook ran %d times, want 1", len(journaled))
+		t.Fatalf("%d advances journaled, want 1", len(journaled))
 	}
 
 	// Replay session: adopt the registration-time incumbent, reconsume the
 	// stream detect-only, re-commit the journaled advance at its trigger.
-	replay := replayFleet(t, wls, machines, inc)
+	replay := watchSession(t, inc, wls, machines)
 	if _, err := replay.AdoptIncumbent(inc); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFleetCheckpointRestoreResumes(t *testing.T) {
 	quiet2 := scaleWorkloads(wls, 0.997)
 	drifted := scaleWorkloads(wls, 1.12)
 
-	live := replayFleet(t, wls, machines, inc)
+	live := watchSession(t, inc, wls, machines)
 	for _, w := range [][]Workload{quiet1, quiet2} {
 		if ev, err := live.Observe(context.Background(), w); err != nil || ev != nil {
 			t.Fatalf("quiet window: ev=%v err=%v", ev, err)
@@ -134,7 +134,7 @@ func TestFleetCheckpointRestoreResumes(t *testing.T) {
 		t.Fatalf("checkpoint %+v incomplete after two windows", cp)
 	}
 
-	restored := replayFleet(t, wls, machines, inc)
+	restored := watchSession(t, inc, wls, machines)
 	if _, err := restored.AdoptIncumbent(cp.Incumbent); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFleetCheckpointRestoreResumes(t *testing.T) {
 func TestCheckpointWithoutWindows(t *testing.T) {
 	wls, machines := watchFleet(4, 12)
 	_, inc := solveIncumbent(t, wls, machines)
-	f := replayFleet(t, wls, machines, inc)
+	f := watchSession(t, inc, wls, machines)
 	cp := f.Checkpoint()
 	if cp.Windows != 0 || !cp.Armed || cp.Cooldown != 0 {
 		t.Fatalf("fresh checkpoint %+v, want zero counters and armed", cp)
@@ -187,41 +187,61 @@ func TestCheckpointWithoutWindows(t *testing.T) {
 	}
 }
 
-// TestAdvanceHookAborts: a failing hook (the journal refusing the write)
-// must abort the advance — nothing publishes, and the detector re-arms so
-// the same drift fires again once the hook recovers.
-func TestAdvanceHookAborts(t *testing.T) {
+// TestResolveWithoutAdvance: a resolved event that is never committed (the
+// journal refused the write) must leave no trace — nothing publishes, the
+// incumbent does not move — and once the detector is re-armed the same
+// drift fires again. Advance refuses an event the session has moved past.
+func TestResolveWithoutAdvance(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
 	drifted := scaleWorkloads(wls, 1.12)
 
-	f := replayFleet(t, wls, machines, inc)
-	boom := errors.New("journal full")
-	f.SetAdvanceHook(func(*ReconsolidationEvent) error { return boom })
+	f := watchSession(t, inc, wls, machines)
+	if _, err := f.Resolve(context.Background()); err == nil {
+		t.Fatal("Resolve with no trigger to solve for succeeded")
+	}
 	if _, err := f.Observe(context.Background(), scaleWorkloads(wls, 1.004)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.Observe(context.Background(), drifted)
-	if !errors.Is(err, boom) {
-		t.Fatalf("aborted advance returned %v, want the hook's error", err)
+	if triggered, err := f.ObserveDetectOnly(drifted); err != nil || !triggered {
+		t.Fatalf("drifted window: triggered=%v err=%v", triggered, err)
 	}
+	stale, err := f.Resolve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RearmDetector()
 	if !reflect.DeepEqual(f.Incumbent(), inc) {
-		t.Fatal("aborted advance still moved the incumbent")
+		t.Fatal("uncommitted re-solve moved the incumbent")
 	}
-	if len(f.Events()) != 0 {
-		t.Fatal("aborted advance still logged an event")
+	if len(f.Events()) != 0 || f.Plan() != nil {
+		t.Fatal("uncommitted re-solve published")
 	}
-	// Hook recovers: persistent drift fires again on the very next window.
-	f.SetAdvanceHook(nil)
+	if err := f.Advance(stale); err == nil {
+		t.Fatal("Advance committed an event from before the re-arm")
+	}
+	if _, err := f.Resolve(context.Background()); err == nil {
+		t.Fatal("Resolve after the re-arm settled the trigger succeeded")
+	}
+	// Persistent drift fires again on the very next window.
 	ev, err := f.Observe(context.Background(), drifted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev == nil {
-		t.Fatal("drift did not re-fire after the hook recovered")
+		t.Fatal("drift did not re-fire after the re-arm")
 	}
 	if len(f.Events()) != 1 || f.Plan() != ev.Plan {
-		t.Fatal("recovered advance did not publish its plan")
+		t.Fatal("re-fired drift did not publish its plan")
+	}
+	// An event Observe already committed, or an older one, is stale too.
+	for _, old := range []*ReconsolidationEvent{ev, stale, nil} {
+		if err := f.Advance(old); err == nil {
+			t.Fatal("Advance committed a stale event")
+		}
+	}
+	if len(f.Events()) != 1 || f.Plan() != ev.Plan {
+		t.Fatal("refused Advance still changed the session")
 	}
 }
 
@@ -230,7 +250,7 @@ func TestAdvanceHookAborts(t *testing.T) {
 func TestResolveErrorTyped(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
-	f := replayFleet(t, wls, machines, inc)
+	f := watchSession(t, inc, wls, machines)
 	if _, err := f.Observe(context.Background(), scaleWorkloads(wls, 1.004)); err != nil {
 		t.Fatal(err)
 	}

@@ -49,43 +49,48 @@ func scaleWorkloads(wls []Workload, f float64) []Workload {
 	return out
 }
 
+// consolidate opens a session over the fleet and computes its plan: a
+// cold solve, or a warm one when opts seed an incumbent.
+func consolidate(t testing.TB, wls []Workload, machines []Machine, dp *DiskProfile, opts ...FleetOption) *Plan {
+	t.Helper()
+	f, err := NewFleet(FleetSpec{Workloads: wls, Machines: machines, Disk: dp}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := f.Consolidate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func solveIncumbent(t *testing.T, wls []Workload, machines []Machine) (*Plan, *Incumbent) {
 	t.Helper()
 	opt := DefaultOptions()
 	opt.SkipDirect = true
-	plan, err := Consolidate(wls, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := consolidate(t, wls, machines, nil, WithSolveOptions(opt))
 	if !plan.Feasible {
 		t.Fatal("baseline plan infeasible")
 	}
 	return plan, plan.Incumbent()
 }
 
-func TestNewAutoReconsolidatorValidation(t *testing.T) {
-	wls, machines := watchFleet(4, 12)
-	_, inc := solveIncumbent(t, wls, machines)
-	opt := DefaultWatchOptions()
-	if _, err := NewAutoReconsolidator(nil, wls, machines, nil, opt); err == nil {
-		t.Error("nil incumbent accepted")
+// watchResolveOptions is the warm re-solve budget the watch tests use.
+func watchResolveOptions() SolveOptions {
+	opt := DefaultResolveOptions()
+	opt.SkipDirect = true
+	return opt
+}
+
+// watchSession opens a session seeded with inc that watches wls for drift.
+func watchSession(t testing.TB, inc *Incumbent, wls []Workload, machines []Machine) *Fleet {
+	t.Helper()
+	f, err := NewFleet(FleetSpec{Workloads: wls, Machines: machines},
+		WithIncumbent(inc), WithResolveOptions(watchResolveOptions()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewAutoReconsolidator(inc, wls, nil, nil, opt); err == nil {
-		t.Error("no machines accepted")
-	}
-	if _, err := NewAutoReconsolidator(inc, nil, machines, nil, opt); err == nil {
-		t.Error("no baseline accepted")
-	}
-	unnamed := append([]Workload(nil), wls...)
-	unnamed[0].Name = ""
-	if _, err := NewAutoReconsolidator(inc, unnamed, machines, nil, opt); err == nil {
-		t.Error("unnamed workload accepted")
-	}
-	bad := opt
-	bad.Drift.Threshold = -1
-	if _, err := NewAutoReconsolidator(inc, wls, machines, nil, bad); err == nil {
-		t.Error("invalid drift config accepted")
-	}
+	return f
 }
 
 // TestWatchTriggersOnlyOnDrift is the core loop contract on a synthetic
@@ -95,17 +100,12 @@ func TestNewAutoReconsolidatorValidation(t *testing.T) {
 func TestWatchTriggersOnlyOnDrift(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
-	opt := DefaultWatchOptions()
-	opt.Resolve.SkipDirect = true
 
 	quiet1 := scaleWorkloads(wls, 1.004)
 	quiet2 := scaleWorkloads(wls, 0.997)
 	drifted := scaleWorkloads(wls, 1.12)
 
-	ar, err := NewAutoReconsolidator(inc, wls, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := watchSession(t, inc, wls, machines)
 	for i, w := range [][]Workload{quiet1, quiet2, quiet1} {
 		ev, err := ar.Observe(context.Background(), w)
 		if err != nil {
@@ -135,7 +135,7 @@ func TestWatchTriggersOnlyOnDrift(t *testing.T) {
 		t.Errorf("event string %q missing window/migration info", s)
 	}
 	// The loop must hand the re-solve the forecast series, not the stale
-	// profile: a fixed-cadence Reconsolidate on the same forecast inputs
+	// profile: a fixed-cadence warm re-solve on the same forecast inputs
 	// (mean of the two retained windows) must produce the identical plan.
 	forecast := make([]Workload, len(wls))
 	for i, w := range drifted {
@@ -150,10 +150,7 @@ func TestWatchTriggersOnlyOnDrift(t *testing.T) {
 		}
 		forecast[i].CPU, forecast[i].RAMBytes = cpu, ram
 	}
-	cadence, err := Reconsolidate(forecast, machines, nil, inc, opt.Resolve)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cadence := consolidate(t, forecast, machines, nil, WithIncumbent(inc), WithResolveOptions(watchResolveOptions()))
 	if ev.Plan.K != cadence.K || math.Abs(ev.Plan.Objective-cadence.Objective) > 1e-12 {
 		t.Errorf("triggered plan (K=%d obj=%v) differs from fixed-cadence warm re-solve on the same inputs (K=%d obj=%v)",
 			ev.Plan.K, ev.Plan.Objective, cadence.K, cadence.Objective)
@@ -203,12 +200,7 @@ func TestWatchTriggersOnlyOnDrift(t *testing.T) {
 func TestWatchRejectedWindowIsNotConsumed(t *testing.T) {
 	wls, machines := watchFleet(6, 24)
 	_, inc := solveIncumbent(t, wls, machines)
-	opt := DefaultWatchOptions()
-	opt.Resolve.SkipDirect = true
-	ar, err := NewAutoReconsolidator(inc, wls, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := watchSession(t, inc, wls, machines)
 	if _, err := ar.Observe(context.Background(), scaleWorkloads(wls, 1.001)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,40 +228,6 @@ func TestWatchRejectedWindowIsNotConsumed(t *testing.T) {
 	}
 }
 
-// TestWatchConvenienceLoop drives the same scenario through Watch.
-func TestWatchConvenienceLoop(t *testing.T) {
-	wls, machines := watchFleet(8, 24)
-	_, inc := solveIncumbent(t, wls, machines)
-	opt := DefaultWatchOptions()
-	opt.Resolve.SkipDirect = true
-	windows := [][]Workload{
-		scaleWorkloads(wls, 1.003),
-		scaleWorkloads(wls, 1.10),
-		scaleWorkloads(wls, 1.10),
-	}
-	events, final, err := Watch(inc, wls, windows, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 {
-		t.Fatalf("got %d events, want exactly 1 (trigger then settle)", len(events))
-	}
-	if events[0].Window != 1 {
-		t.Errorf("event window = %d, want 1", events[0].Window)
-	}
-	if final != events[0].Plan.Incumbent() {
-		t.Error("final incumbent is not the re-solved plan")
-	}
-	// Shape errors surface, not panic.
-	bad := [][]Workload{{
-		{Name: "dba", CPU: series.Constant(time.Unix(0, 0), time.Minute, 3, 0.1),
-			RAMBytes: series.Constant(time.Unix(0, 0), time.Minute, 3, 1e9), PinTo: -1},
-	}}
-	if _, _, err := Watch(inc, wls, bad, machines, nil, opt); err == nil {
-		t.Error("mismatched window shape accepted")
-	}
-}
-
 // TestWatchDriftedFleet197 is the acceptance scenario on the full
 // 197-server ALL fleet: no trigger across undrifted observation windows,
 // a trigger within one window of the 5%-drifted trace, and a triggered
@@ -287,18 +245,8 @@ func TestWatchDriftedFleet197(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.SkipDirect = true
-	base, err := Consolidate(wls, machines, nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := base.Incumbent()
-
-	wopt := DefaultWatchOptions()
-	wopt.Resolve.SkipDirect = true
-	ar, err := NewAutoReconsolidator(inc, wls, machines, nil, wopt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := consolidate(t, wls, machines, nil, WithSolveOptions(opt)).Incumbent()
+	ar := watchSession(t, inc, wls, machines)
 	// Undrifted trace: repeated observation of the solved-against series
 	// (plus sub-threshold measurement noise) must never trigger.
 	for i, frac := range []float64{0, 0.005, 0.003} {
@@ -361,10 +309,7 @@ func TestWatchDriftedFleet197(t *testing.T) {
 			}
 		}
 	}
-	cadence, err := Reconsolidate(forecast, machines, nil, inc, wopt.Resolve)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cadence := consolidate(t, forecast, machines, nil, WithIncumbent(inc), WithResolveOptions(watchResolveOptions()))
 	if ev.Plan.K > cadence.K ||
 		(ev.Plan.K == cadence.K && ev.Plan.Objective > cadence.Objective+1e-12) {
 		t.Errorf("triggered plan (K=%d obj=%v) worse than fixed-cadence warm re-solve (K=%d obj=%v)",
