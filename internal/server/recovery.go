@@ -13,12 +13,31 @@ package server
 // Convention (see CONTRIBUTING.md): every new control-plane mutation
 // needs a RecordWire field, an append, and one apply function called by
 // both the live path and replay's switch in this file.
+//
+// Replay is two stages. The decode stage (decodeAhead) turns a record's
+// payload into a *RecordWire with decodeRecord: it reads the payload and
+// nothing else, so GOMAXPROCS workers run it ahead of the loop, started
+// before the snapshot is decoded so that restoring the snapshot on the
+// calling goroutine overlaps the first records. The apply stage is the
+// one loop in replay: it takes decoded records strictly in journal order
+// and applies each under s.mu, so replay equals live whatever the worker
+// count. A record that does not decode fails the replay with the error
+// the sequential loop gave, and only once every record before it has been
+// applied; what the workers made of later records is dropped. The
+// look-ahead is bounded (decodeAheadPerWorker): a decoded window is about
+// a megabyte of floats, and a journal of hundreds must not sit in memory
+// twice. No goroutine outlives replay. decodeSnapshot stays one call on
+// the calling goroutine: once a snapshot is itself a sequence of records
+// (ROADMAP item 1 stage B) it goes through this pipeline and
+// decodeSnapshot is deleted, so splitting it would be work thrown away.
 
 import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"kairos"
@@ -46,8 +65,16 @@ type RecoveryStats struct {
 	Healed int
 	// TornTail reports the journal ended in a truncated partial record.
 	TornTail bool
-	// Elapsed is how long the replay took.
+	// Elapsed is how long the replay took, wall clock, from the journal
+	// handing over its records to the reconcile loops being started.
 	Elapsed time.Duration
+	// JournalRead is the time before that: journal.Open reading and
+	// checksumming the snapshot and the log.
+	JournalRead time.Duration
+	// RecordsDecode is the time spent inside decodeRecord, summed over the
+	// decode workers: what the records cost, where Elapsed says how long
+	// the daemon waited for it.
+	RecordsDecode time.Duration
 }
 
 // appendRecord journals one control-plane mutation, marshalled as
@@ -106,13 +133,16 @@ func restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, erro
 // replay rebuilds the registry from a recovered journal, then starts the
 // reconcile loops. It runs inside Open, before the HTTP surface accepts
 // traffic (Handler answers 503 while s.recovering), but still holds s.mu
-// throughout so the registry writes satisfy the lock contract the live
-// paths rely on. Records referencing unknown fleets — possible after a
-// snapshot compacted away their registration and deregistration — are
-// skipped; structurally invalid records are fatal (they can only mean a
-// software bug, the CRC already vouched for the bytes).
+// — for everything except the wait for the next decoded record — so the
+// registry writes satisfy the lock contract the live paths rely on.
+// Records referencing unknown fleets — possible after a snapshot
+// compacted away their registration and deregistration — are skipped;
+// structurally invalid records are fatal (they can only mean a software
+// bug, the CRC already vouched for the bytes).
 func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 	start := time.Now()
+	ahead := startDecodeAhead(rec.Records)
+	defer ahead.stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stats := &RecoveryStats{TornTail: rec.TornTail}
@@ -181,8 +211,14 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			stats.Healed++
 		}
 	}
-	for _, r := range rec.Records {
-		rw, err := decodeRecord(r.Payload)
+	for i, r := range rec.Records {
+		// Waiting for a decode worker is the one thing replay does without
+		// s.mu: a lock is not held across a channel receive, and the workers
+		// never touch what it guards.
+		s.mu.Unlock()
+		rw, took, err := ahead.take(i)
+		s.mu.Lock()
+		stats.RecordsDecode += took
 		if err != nil {
 			return nil, fmt.Errorf("decoding journal record %d: %w", r.Seq, err)
 		}
@@ -243,6 +279,89 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 	s.met.setFleets(len(s.fleets))
 	stats.Elapsed = time.Since(start)
 	return stats, nil
+}
+
+// decodeAheadPerWorker bounds the decode stage's look-ahead: at most this
+// many records per worker are decoded (or being decoded) and not yet
+// applied. Two keeps every worker busy while the apply loop works through
+// a record; more only holds more decoded windows in memory.
+const decodeAheadPerWorker = 2
+
+// decodeAhead is replay's decode stage: a fixed set of workers decoding
+// journal records ahead of the loop that applies them. The applying
+// goroutine drives it — take(i) hands the workers the records up to the
+// look-ahead bound, then waits for record i — so there is no feeder to
+// stop, and stop closes the job queue and joins the workers.
+type decodeAhead struct {
+	records []journal.Record
+	// jobs carries record indices to the workers. Its capacity is the
+	// look-ahead bound, which is all that is ever queued, so handing out
+	// work never blocks the apply loop.
+	jobs chan int
+	// slots[i%len(slots)] receives record i's result. The records handed
+	// out and not yet taken are at most len(slots) consecutive indices, so
+	// each has a slot to itself and a worker's send never blocks.
+	slots []chan decodedRecord
+	// fed is the number of records handed to the workers so far.
+	fed int
+	wg  sync.WaitGroup
+}
+
+// decodedRecord is what a decode worker made of one record.
+type decodedRecord struct {
+	rw   *RecordWire
+	err  error
+	took time.Duration
+}
+
+// startDecodeAhead starts min(GOMAXPROCS, len(records)) workers — none
+// for an empty journal — and hands them the first records.
+func startDecodeAhead(records []journal.Record) *decodeAhead {
+	workers := min(runtime.GOMAXPROCS(0), len(records))
+	a := &decodeAhead{
+		records: records,
+		jobs:    make(chan int, decodeAheadPerWorker*workers),
+		slots:   make([]chan decodedRecord, decodeAheadPerWorker*workers),
+	}
+	for i := range a.slots {
+		a.slots[i] = make(chan decodedRecord, 1)
+	}
+	a.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer a.wg.Done()
+			for i := range a.jobs {
+				start := time.Now()
+				rw, err := decodeRecord(a.records[i].Payload)
+				a.slots[i%len(a.slots)] <- decodedRecord{rw, err, time.Since(start)}
+			}
+		}()
+	}
+	a.feed(0)
+	return a
+}
+
+// feed hands the workers every record the look-ahead bound allows while
+// record i is the next to be applied.
+func (a *decodeAhead) feed(i int) {
+	for ; a.fed < len(a.records) && a.fed < i+len(a.slots); a.fed++ {
+		a.jobs <- a.fed
+	}
+}
+
+// take returns record i decoded and how long decoding it took. Records
+// must be taken in order, each once.
+func (a *decodeAhead) take(i int) (*RecordWire, time.Duration, error) {
+	a.feed(i)
+	d := <-a.slots[i%len(a.slots)]
+	return d.rw, d.took, d.err
+}
+
+// stop ends the decode stage: the workers finish what they were handed —
+// at most the look-ahead bound, results nobody takes — and exit.
+func (a *decodeAhead) stop() {
+	close(a.jobs)
+	a.wg.Wait()
 }
 
 // maybeSnapshot compacts the journal into a snapshot once enough windows

@@ -205,3 +205,46 @@ func TestRestartUnderConcurrentCollectors197(t *testing.T) {
 		t.Errorf("final windows = %d, want %d (retries must not re-apply)", st.Windows, len(acks)+fresh)
 	}
 }
+
+// TestRecoveryStatsSayWhereTheTimeWent: beside the snapshot's size and
+// decode time asserted above, a recovery reports the time journal.Open
+// spent on the files before the replay began, and the time its workers
+// spent decoding records — which, run on several cores, is no longer part
+// of the replay's wall time — in its stats, its log line and /metrics.
+func TestRecoveryStatsSayWhereTheTimeWent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("st", 4, 8), http.StatusCreated)
+	for i := 0; i < 3; i++ {
+		mustServe(t, s, http.MethodPost, "/v1/fleets/st/windows", stampedWindow(4, 8, 1.001, int64(1000*(i+1))), http.StatusOK)
+	}
+	s.Kill()
+
+	var logged []string
+	rs, err := openDir(dir, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Kill()
+	rec := rs.recovery
+	if rec == nil || rec.Windows != 3 || rec.JournalRead <= 0 || rec.RecordsDecode <= 0 {
+		t.Fatalf("recovery stats %+v: want 3 windows, and time spent reading the journal and decoding its records", rec)
+	}
+	if want := fmt.Sprintf("journal read in %v, 4 records decoded in %v", rec.JournalRead, rec.RecordsDecode); len(logged) != 1 || !strings.Contains(logged[0], want) {
+		t.Errorf("recovery logged %q, want one line holding %q", logged, want)
+	}
+	metrics := mustServe(t, rs, http.MethodGet, "/metrics", nil, http.StatusOK)
+	for _, line := range []string{
+		fmt.Sprintf("\nkairos_recovery_journal_read_seconds %g\n", rec.JournalRead.Seconds()),
+		fmt.Sprintf("\nkairos_recovery_records_decode_seconds %g\n", rec.RecordsDecode.Seconds()),
+	} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}
