@@ -4,13 +4,14 @@
 GO ?= go
 
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
-INGEST_BENCH = Decode(Window|Register|Snapshot)197|WindowRecord197|OpenReplay197|Append2MB|Recover64x2MB
+INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|WindowRecord197|OpenReplay197|Append2MB|Recover64x2MB
 
-# The wire decoders whose allocs/op BENCH_counts.json pins (make
-# bench-counts): a 197-server registration and snapshot through the
-# series decoder, about 1k and 4k allocations against encoding/json's 8k
-# and 32k.
-WIRE_COUNT_BENCH = Decode(Register|Snapshot)197/fast
+# The wire decoders whose counts BENCH_counts.json pins (make
+# bench-counts): a 197-server window, registration and snapshot through
+# the series decoder. allocs/op is about 1k, 1k and 4k against
+# encoding/json's 8k and 32k; slow-numbers, the numbers the one-pass
+# conversion handed back to strconv, is 0.
+WIRE_COUNT_BENCH = Decode(Window|Register|Snapshot)197/fast
 
 # The restart whose allocs/op BENCH_counts.json pins (make bench-counts):
 # server.Open on a snapshot and a journal of eight 197-server windows and
@@ -81,14 +82,18 @@ crash-matrix:
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series
 # decoder's four entry points (window, registration, journal record,
-# snapshot) and encoding/json; any divergence in what they accept or
-# decode fails it. Then ten seconds of arbitrary bytes as the journal and
-# snapshot files: journal.Open never panics, and what it recovers is the
-# whole frames the input begins with.
+# snapshot) and encoding/json, and between its one-pass number conversion
+# and the grammar scan + strconv.ParseFloat it replaced; any divergence in
+# what they accept or decode fails it. Then ten seconds of arbitrary bytes
+# as the journal and snapshot files (journal.Open never panics, and what it
+# recovers is the whole frames the input begins with) and as a trace CSV
+# (fleet.ReadCSV never panics, and what it loads survives WriteCSV →
+# ReadCSV).
 fuzz-smoke:
-	for f in Window Register Record Snapshot; do \
-		$(GO) test -run='^$$' -fuzz="^FuzzDecode$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
+	for f in DecodeWindow DecodeRegister DecodeRecord DecodeSnapshot SeriesNumber; do \
+		$(GO) test -run='^$$' -fuzz="^Fuzz$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=10s ./internal/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/fleet
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), outside
 # ./...: vet it and run its unit tests (-short skips the -quick suite,
@@ -111,9 +116,10 @@ bench:
 # DIRECT run through Eval, one exact swap pricing with and without the disk model, the disk
 # polynomial's kernel against its loop, one solve's greedy seeding, whole
 # cold and warm solves with their work counters), and
-# the ingest path's in-package benchmarks: the series decoder (window,
-# registration, snapshot) and record splice against the encoding/json
-# passes they replaced, a restart (server.Open on a snapshot and a journal
+# the ingest path's in-package benchmarks: the one-pass number conversion
+# against the grammar scan + strconv it replaced (ns/float, per fast
+# path), the series decoder (window, registration, snapshot) and record
+# splice against the encoding/json passes they replaced, a restart (server.Open on a snapshot and a journal
 # of eight 197-server windows; windows-replayed says it replayed them), and
 # a window-sized journal append (which fails if it allocates a frame) and
 # recovery. The restart runs once more at -cpu 1: with every core, replay's
@@ -152,17 +158,18 @@ bench-json:
 # Count gate: the whole-solve benchmarks, the wire decoders and a restart
 # once each, their work counters compared with the committed
 # BENCH_counts.json. It fails when a count (fevals, priced, eval-priced,
-# probes, machines; the decoders' and the restart's allocs/op) is higher
-# than committed or missing — a
+# probes, machines; the decoders' and the restart's allocs/op; the
+# decoders' slow-numbers) is higher than committed or missing — a
 # number that repeats exactly, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
 # the benchmark names, so the file compares across machines. No -benchmem
 # on the solver: allocs/op moves with the Go release, its counters do not
 # (benchjson -compare gates allocs/op when the baseline carries it). The
-# wire decoders have no counter but allocs/op, so they run with -benchmem:
-# a decoder pointed back at reflection allocates eight times as much,
-# which fails here, where a Go release moving the residual's handful of
-# allocations means a re-capture. The restart's allocs/op does not repeat
+# wire decoders count allocs/op, so they run with -benchmem: a decoder
+# pointed back at reflection allocates eight times as much, which fails
+# here, where a Go release moving the residual's handful of allocations
+# means a re-capture. Their slow-numbers is committed as 0: the first
+# sample an encoder spells off the conversion's fast paths fails. The restart's allocs/op does not repeat
 # to the last digit — a handful of pool misses and goroutine starts either
 # way, in 51k — so its committed figure is the measured 50 997 with a
 # hundred to spare, 51 100: the report line says "fell" every run, and a

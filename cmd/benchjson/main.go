@@ -18,7 +18,7 @@
 //
 // reads two such documents and exits non-zero when, for a benchmark of the
 // first, a metric whose unit is a count — fevals, priced, eval-priced,
-// probes, machines, allocs/op: numbers that repeat exactly, unlike ns/op — is
+// probes, machines, allocs/op, slow-numbers: numbers that repeat exactly, unlike ns/op — is
 // higher in the second, or the benchmark or the metric is missing there.
 package main
 
@@ -59,7 +59,7 @@ type Doc struct {
 
 // countUnits are the metric units -compare gates on: counts of work done,
 // which a deterministic solver repeats exactly on any machine.
-var countUnits = [...]string{"fevals", "priced", "eval-priced", "probes", "machines", "allocs/op"}
+var countUnits = [...]string{"fevals", "priced", "eval-priced", "probes", "machines", "allocs/op", "slow-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

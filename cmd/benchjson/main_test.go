@@ -132,4 +132,25 @@ func TestCompareDocs(t *testing.T) {
 			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
 		}
 	}
+
+	// The wire decoders carry the numbers they handed to strconv: a
+	// committed 0 fails on the first one.
+	window := func(metrics map[string]float64) Doc {
+		return Doc{Results: []Result{res("BenchmarkDecodeWindow197/fast", metrics)}}
+	}
+	old = window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0})
+	for _, tc := range []struct {
+		cur   Doc
+		worse bool
+		want  string
+	}{
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0}), false, "slow-numbers 0"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 1}), true, "slow-numbers rose 0 -> 1"},
+		{window(map[string]float64{"allocs/op": 1003}), true, "slow-numbers missing"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {
+			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -88,9 +89,18 @@ func ReadCSV(r io.Reader, name string) (Fleet, error) {
 		if err != nil {
 			return Fleet{}, fmt.Errorf("fleet: row %d: bad cores %q", row, rec[1])
 		}
-		clock, err := strconv.ParseFloat(rec[2], 64)
+		// A measurement is finite and non-negative; strconv alone also takes
+		// NaN, ±Inf and negatives, which would reach the solver's objective.
+		measure := func(col int) (float64, error) {
+			v, err := strconv.ParseFloat(rec[col], 64)
+			if err != nil || !(v >= 0 && v <= math.MaxFloat64) {
+				return 0, fmt.Errorf("fleet: row %d: bad %s %q", row, csvHeader[col], rec[col])
+			}
+			return v, nil
+		}
+		clock, err := measure(2)
 		if err != nil {
-			return Fleet{}, fmt.Errorf("fleet: row %d: bad clock %q", row, rec[2])
+			return Fleet{}, err
 		}
 		ram, err := strconv.ParseInt(rec[3], 10, 64)
 		if err != nil {
@@ -108,13 +118,15 @@ func ReadCSV(r io.Reader, name string) (Fleet, error) {
 				"fleet: row %d: server %q metadata (cores=%d clock=%g ram=%d) conflicts with row %d (cores=%d clock=%g ram=%d)",
 				row, name, cores, clock, ram, a.firstRow, a.cores, a.clock, a.ram)
 		}
-		vals := make([]float64, 3)
-		for i, col := range []int{5, 6, 7} {
-			v, err := strconv.ParseFloat(rec[col], 64)
-			if err != nil {
-				return Fleet{}, fmt.Errorf("fleet: row %d: bad value %q in column %d", row, rec[col], col)
+		// Shuffled, dropped or repeated rows are a different trace.
+		if sample, err := strconv.Atoi(rec[4]); err != nil || sample != len(a.cpu) {
+			return Fleet{}, fmt.Errorf("fleet: row %d: sample %q, want %d, the next of server %q", row, rec[4], len(a.cpu), name)
+		}
+		var vals [3]float64
+		for i := range vals {
+			if vals[i], err = measure(5 + i); err != nil {
+				return Fleet{}, err
 			}
-			vals[i] = v
 		}
 		a.cpu = append(a.cpu, vals[0])
 		a.ws = append(a.ws, vals[1])

@@ -258,10 +258,83 @@ func TestReadCSVErrors(t *testing.T) {
 			"x,4,3,1,0,0.5,100,1\nx,4,2.5,1,1,0.5,100,1\n"},
 		{"ram conflict", "server,cores,clock_ghz,ram_bytes,sample,cpu_util,ws_bytes,updates_per_sec\n" +
 			"x,4,3,1,0,0.5,100,1\nx,4,3,2,1,0.5,100,1\n"},
+		// strconv.ParseFloat takes all of these; a trace may not carry them.
+		{"poison row", csvHead + "srv,4,2.5,1000,0,NaN,-5,+Inf\n"},
+		{"NaN cpu", csvHead + "x,4,3,1,0,NaN,100,1\n"},
+		{"negative ws", csvHead + "x,4,3,1,0,0.5,-5,1\n"},
+		{"infinite updates", csvHead + "x,4,3,1,0,0.5,100,+Inf\n"},
+		{"negative infinite cpu", csvHead + "x,4,3,1,0,-inf,100,1\n"},
+		{"NaN clock", csvHead + "x,4,nan,1,0,0.5,100,1\n"},
+		{"negative clock", csvHead + "x,4,-3,1,0,0.5,100,1\n"},
+		// The sample column is the row's index in its server's trace.
+		{"shuffled", csvHead + "x,4,3,1,1,0.5,100,1\nx,4,3,1,0,0.6,100,1\n"},
+		{"repeated sample", csvHead + "x,4,3,1,0,0.5,100,1\nx,4,3,1,0,0.6,100,1\n"},
+		{"dropped sample", csvHead + "x,4,3,1,0,0.5,100,1\nx,4,3,1,2,0.6,100,1\n"},
+		{"first sample not 0", csvHead + "x,4,3,1,1,0.5,100,1\n"},
+		{"bad sample", csvHead + "x,4,3,1,first,0.5,100,1\n"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadCSV(strings.NewReader(tc.data), "t"); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// Errors name the row; servers may interleave, each counting its own.
+	if _, err := ReadCSV(strings.NewReader(csvHead+"x,4,3,1,0,0.5,100,1\nx,4,3,1,1,0.5,NaN,1\n"), "t"); err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), "ws_bytes") {
+		t.Errorf("NaN in row 2: error %v does not name the row and column", err)
+	}
+	f, err := ReadCSV(strings.NewReader(csvHead+"x,4,3,1,0,0.5,100,1\ny,4,3,1,0,0.1,100,1\nx,4,3,1,1,0.6,100,1\ny,4,3,1,1,0.2,100,1\n"), "t")
+	if err != nil || len(f.Servers) != 2 || f.Servers[0].CPU.Values[1] != 0.6 || f.Servers[1].CPU.Values[1] != 0.2 {
+		t.Errorf("interleaved servers: %+v, %v", f.Servers, err)
+	}
+}
+
+const csvHead = "server,cores,clock_ghz,ram_bytes,sample,cpu_util,ws_bytes,updates_per_sec\n"
+
+// FuzzReadCSV feeds ReadCSV arbitrary bytes: it never panics, what it
+// loads holds only finite, non-negative measurements, and WriteCSV →
+// ReadCSV of a loaded fleet is a fixed point (the first write rounds to
+// the file's precision; from then on the bytes repeat).
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte(csvHead + "x,4,3,1,0,0.5,100,1\nx,4,3,1,1,0.25,1e3,0x1p-2\ny,2,2.5,8,0,0,0,0\ny,2,2.5,8,1,1,1,1\n"))
+	f.Add([]byte(csvHead + "srv,4,2.5,1000,0,NaN,-5,+Inf\n"))
+	f.Add([]byte(csvHead + "\"a,\r\nb\",4,3,1,0,1e300,1e-300,-0\n"))
+	f.Add([]byte("a,b,c\n"))
+	var buf bytes.Buffer
+	internal := Generate(Internal)
+	if err := internal.WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes()[:4096])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fl, err := ReadCSV(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		for _, s := range fl.Servers {
+			for _, ser := range [][]float64{{s.ClockGHz}, s.CPU.Values, s.WSBytes.Values, s.UpdateRate.Values} {
+				for _, v := range ser {
+					if !(v >= 0 && v <= math.MaxFloat64) {
+						t.Fatalf("server %q loaded the measurement %v", s.Name, v)
+					}
+				}
+			}
+		}
+		var first, second bytes.Buffer
+		if err := fl.WriteCSV(&first); err != nil {
+			t.Fatalf("WriteCSV of a loaded fleet: %v", err)
+		}
+		again, err := ReadCSV(bytes.NewReader(first.Bytes()), "fuzz")
+		if err != nil {
+			t.Fatalf("ReadCSV of WriteCSV's output: %v\n%s", err, first.Bytes())
+		}
+		if len(again.Servers) != len(fl.Servers) {
+			t.Fatalf("round trip: %d servers, want %d", len(again.Servers), len(fl.Servers))
+		}
+		if err := again.WriteCSV(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("WriteCSV → ReadCSV → WriteCSV changed the file:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

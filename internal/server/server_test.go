@@ -330,6 +330,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, prefix := range []string{
 		`kairos_resolve_fevals_total{fleet="m1"} `,
 		`kairos_migrations_total{fleet="m1"} `,
+		"\nkairos_wire_numbers_slow_total ",
 	} {
 		if !strings.Contains(text, prefix) {
 			t.Errorf("metrics missing series %q", prefix)

@@ -8,8 +8,9 @@ package server
 // This file decodes that schema at every position the daemon reads it:
 // a window (decodeWindow), a registration (decodeRegister), a journal
 // record of any kind (decodeRecord) and a snapshot (decodeSnapshot). It
-// is a byte scanner that hands number tokens to strconv and everything
-// that is not a workload array to encoding/json: object walks the
+// is a byte scanner that converts numbers in the pass that checks their
+// grammar (float; strconv gets only what that cannot settle) and hands what
+// is not a workload array to encoding/json: object walks the
 // structs around the arrays, gives the values of the keys listed in the
 // tables below to workloadsValue, and copies every other key:value pair
 // verbatim into a small residual object that json.Unmarshal decodes into
@@ -51,6 +52,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"unicode"
 )
 
@@ -654,7 +656,7 @@ func (d *windowDecoder) intValue(dst *int64, bits int) error {
 	if isNull, err := d.null(); isNull {
 		return err
 	}
-	tok, err := d.number()
+	tok, _, _, _, err := d.number()
 	if err != nil {
 		return err
 	}
@@ -666,12 +668,45 @@ func (d *windowDecoder) intValue(dst *int64, bits int) error {
 	return nil
 }
 
-// float decodes a JSON number as a float64.
+// float decodes a JSON number as a float64 from what number gathered, so
+// its bytes are read once. Integers below 2^53 and powers of ten up to
+// 1e22 are floats exactly, so one multiply or divide rounds once and is
+// the answer (Clinger); otherwise eiselLemire answers or declines. What
+// neither settles — a twentieth digit, an exponent off the table, a
+// half-way case, a subnormal, an overflow — goes to strconv.ParseFloat,
+// which stays the definition: every token gets strconv's bits and error.
 func (d *windowDecoder) float() (float64, error) {
-	tok, err := d.number()
+	tok, mant, e10, ok, err := d.number()
 	if err != nil {
 		return 0, err
 	}
+	var f float64
+	switch {
+	case !ok:
+	case mant>>53 == 0 && 0 <= e10 && e10 <= 22:
+		f = float64(mant) * pow10[e10]
+	case mant>>53 == 0 && -22 <= e10 && e10 < 0:
+		f = float64(mant) / pow10[-e10]
+	default:
+		f, ok = eiselLemire(mant, e10)
+	}
+	if !ok {
+		return d.slowFloat(tok)
+	}
+	if tok[0] == '-' {
+		f = -f
+	}
+	return f, nil
+}
+
+// slowNumbers counts the numbers float handed to strconv, process-wide as
+// the decoders are plain functions that handlers and replay workers both
+// call: /metrics reports it, the 197-server documents are held to zero.
+var slowNumbers atomic.Int64
+
+// slowFloat converts a number token float could not, and counts it.
+func (d *windowDecoder) slowFloat(tok []byte) (float64, error) {
+	slowNumbers.Add(1)
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, d.errorf("cannot decode number %s into a float64", tok)
@@ -681,44 +716,59 @@ func (d *windowDecoder) float() (float64, error) {
 
 // number scans the JSON number token at the read offset. strconv takes
 // spellings JSON does not (+1, .5, 0x10, 1_000, Inf), so the grammar is
-// checked here and strconv only converts.
-func (d *windowDecoder) number() ([]byte, error) {
+// checked here and strconv only converts. The same pass gathers what float
+// converts without reading the token again: mant, the digits from the
+// first nonzero one on, and the decimal exponent e10 that goes with them.
+// exact says the token is ±mant × 10^e10: at most 19 significant digits,
+// which a uint64 holds, and a written exponent under 10000.
+func (d *windowDecoder) number() (tok []byte, mant uint64, e10 int, exact bool, err error) {
 	b, i := d.b, d.i
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	var ok bool
+	nd, e, start := 0, 0, i // significant digits, counted past 19; the written exponent
 	if i < len(b) && b[i] == '0' {
-		i, ok = i+1, true
+		i++
 	} else {
-		i, ok = digits(b, i)
+		for ; i < len(b) && b[i]-'0' <= 9; i++ { // from a nonzero digit: all count
+			if nd++; nd <= 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+		}
 	}
+	ok := i > start
 	if ok && i < len(b) && b[i] == '.' {
-		i, ok = digits(b, i+1)
+		i++
+		for start = i; i < len(b) && b[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+			if mant != 0 {
+				nd++
+			}
+		}
+		e10, ok = start-i, i > start
 	}
 	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		eneg := i < len(b) && b[i] == '-'
+		if eneg || i < len(b) && b[i] == '+' {
 			i++
 		}
-		i, ok = digits(b, i)
+		for start = i; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // stuck past it: off every table, short of overflow
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if ok = i > start; eneg {
+			e = -e
+		}
 	}
-	tok := b[d.i:i]
-	d.i = i
+	tok, d.i = b[d.i:i], i
 	if !ok {
-		return nil, d.unexpected("in numeric literal")
+		return nil, 0, 0, false, d.unexpected("in numeric literal")
 	}
-	return tok, nil
-}
-
-// digits skips the run of decimal digits at b[i:]; ok reports that
-// there was at least one.
-func digits(b []byte, i int) (end int, ok bool) {
-	end = i
-	for end < len(b) && '0' <= b[end] && b[end] <= '9' {
-		end++
-	}
-	return end, end > i
+	return tok, mant, e10 + e, nd <= 19 && -10000 < e && e < 10000, nil
 }
 
 // series decodes a sample array over dst the way encoding/json decodes
@@ -758,6 +808,11 @@ func (d *windowDecoder) series(dst []float64) ([]float64, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		// A comma hard against the next number, as encoders write: all of next.
+		if i := d.i; i+1 < len(d.b) && d.b[i] == ',' && (d.b[i+1]-'0' <= 9 || d.b[i+1] == '-') {
+			d.i++
+			continue
 		}
 		if more, err = d.next(']'); err != nil {
 			return nil, err

@@ -345,11 +345,21 @@ func FuzzDecodeWindow(f *testing.F) {
 	})
 }
 
+// reportSlowNumbers reports, as slow-numbers, how many numbers per
+// operation the decoder handed to strconv since the counter read before:
+// 0 on the 197-server documents, and gated there (make bench-counts), so
+// an encoder or a decoder change that takes the samples off float's fast
+// paths fails on a count.
+func reportSlowNumbers(b *testing.B, before int64) {
+	b.ReportMetric(float64(slowNumbers.Load()-before)/float64(b.N), "slow-numbers")
+}
+
 func BenchmarkDecodeWindow197(b *testing.B) {
 	body := window197(b)
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
+		defer reportSlowNumbers(b, slowNumbers.Load())
 		for i := 0; i < b.N; i++ {
 			if _, _, err := decodeWindow(body); err != nil {
 				b.Fatal(err)
@@ -837,6 +847,7 @@ func benchDecode[T any](b *testing.B, doc []byte, decode func([]byte) (*T, error
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
+		defer reportSlowNumbers(b, slowNumbers.Load())
 		for i := 0; i < b.N; i++ {
 			if _, err := decode(doc); err != nil {
 				b.Fatal(err)
