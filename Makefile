@@ -27,6 +27,12 @@ REPLAY_COUNT_BENCH = OpenReplay197
 # drifted ALL-197, one greedy packing.
 COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197
 
+# The two halves of a drift trigger that run on every core (make
+# bench-hot): the live decoders' speculative split and Resolve's candidate
+# climbs side by side. The -cpu 2 rows show the gain; the -cpu 1 rows are
+# the one-goroutine paths and must not move.
+CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197
+
 # The cold solve's per-phase in-package benchmarks (make bench-hot,
 # bench-json): a recorded DIRECT run replayed through Eval, exact swap
 # pricing with and without the disk model, the disk polynomial, greedy
@@ -60,10 +66,13 @@ race-full:
 # the 197-server HTTP e2e with concurrent collectors. Then the recovery
 # tests again at -cpu 1,4: replay's decode pool is GOMAXPROCS workers, so
 # this races one decoder a step ahead of apply, and four, whatever the
-# machine's core count.
+# machine's core count. Then the live decoders' split with one, two and
+# eight chunks, and Resolve's candidate climbs on one core and on four.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister' ./internal/server/
+	$(GO) test -race -cpu 1,4 -run 'Resolve|Golden' ./internal/core/
 
 # Crash matrix: the durability gate. Kills the journaled control plane at
 # every fault-injection point (append write/sync, snapshot write/sync/
@@ -88,12 +97,16 @@ crash-matrix:
 # as the journal and snapshot files (journal.Open never panics, and what it
 # recovers is the whole frames the input begins with) and as a trace CSV
 # (fleet.ReadCSV never panics, and what it loads survives WriteCSV →
-# ReadCSV).
+# ReadCSV) and as a saved plan (core.LoadIncumbent never panics, what it
+# loads survives Save → LoadIncumbent and warm-starts Resolve). The window
+# and registration targets lower the chunk minimum, so with two or more
+# cores every input goes through the speculative split.
 fuzz-smoke:
 	for f in DecodeWindow DecodeRegister DecodeRecord DecodeSnapshot SeriesNumber; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=10s ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadIncumbent$$' -fuzztime=10s ./internal/core
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), outside
 # ./...: vet it and run its unit tests (-short skips the -quick suite,
@@ -124,12 +137,14 @@ bench:
 # a window-sized journal append (which fails if it allocates a frame) and
 # recovery. The restart runs once more at -cpu 1: with every core, replay's
 # decode pool; with one, a single decoder a step ahead of apply, which must
-# be no slower than decoding in the loop was.
+# be no slower than decoding in the loop was. Last, CORES_BENCH at -cpu 1
+# and 2.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
 	$(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit
 	$(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal
 	$(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server
+	$(GO) test -cpu 1,2 -bench='$(CORES_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/server
 
 # Event-driven re-consolidation: the watch loop over quiet + 5%-drifted
 # observation windows of the 197-server fleet. Tracked metrics:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -68,7 +69,8 @@ func TestSolveCancel197(t *testing.T) {
 }
 
 // TestResolveCancel197: the warm re-solve path (what drift triggers run)
-// honours cancellation the same way.
+// honours cancellation the same way, and its candidate climbs are all gone
+// when it returns.
 func TestResolveCancel197(t *testing.T) {
 	p := all197Problem(t)
 	base, err := core.Solve(context.Background(), p, core.SolveOptions{SkipDirect: true})
@@ -87,8 +89,17 @@ func TestResolveCancel197(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the re-solve must notice immediately
+	goroutines := runtime.NumGoroutine()
 	sol, err := core.Resolve(ctx, &drifted, inc, core.DefaultResolveOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled re-solve returned (%v, %v), want context.Canceled", sol, err)
+	}
+	// A climb's goroutine may still be between its WaitGroup.Done and its exit.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > goroutines && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n != goroutines {
+		t.Errorf("%d goroutines after the cancelled re-solve, %d before", n, goroutines)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 )
 
@@ -432,7 +433,9 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 // Solution.Objective is the canonical consolidation objective (no
 // migration term), so warm and cold plans are directly comparable;
 // Solution.Migrated and Solution.MigrationCost report the migration side.
-// Deterministic for any SolveOptions.Workers value. Cancelling ctx aborts
+// The candidate climbs run side by side on evaluator clones, whatever
+// Workers is, and are folded in seed order: plan, Fevals and counters are
+// the same for any Workers value and core count. Cancelling ctx aborts
 // the re-solve between pricing units and returns ctx.Err().
 func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
@@ -460,25 +463,42 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 		climbed
 		combined float64 // objective + migration cost, the selection metric
 	}
-	climb := func(from []int) cand {
-		mig.syncAway(from)
-		c := ev.hillClimbMig(ctx, from, K, rounds, mig)
-		_, cost := mig.tally(c.assign)
-		return cand{c, c.obj + cost}
-	}
-
-	cands := []cand{climb(seed)}
+	// The warm seed, then — unless a migration cap rules them out, as they
+	// start fully migrated — solveK's two cold seeds as a safety net, each
+	// built and climbed on its own goroutine, evaluator clone and away
+	// count: a function of its seed alone, whatever runs beside it.
+	n := 1
 	if opt.MaxMigrations <= 0 {
-		// Cold seeds as safety net (they start fully migrated, so a
-		// migration cap rules them out): exactly the seeds solveK climbs
-		// from, via the shared helper.
-		for _, a := range ev.coldSeeds(K, opt.workers()) {
-			cands = append(cands, climb(a))
-		}
+		n = 3
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if (c.feas && !best.feas) || (c.feas == best.feas && c.combined < best.combined) {
+	cands := make([]*cand, n)
+	clones := make([]*Evaluator, n)
+	var wg sync.WaitGroup
+	for i := range cands {
+		ce, m := ev.Clone(), *mig
+		clones[i] = ce
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from := seed
+			if i > 0 {
+				from = ce.coldSeed(i-1, K, opt.workers())
+			}
+			if from != nil {
+				m.syncAway(from)
+				c := ce.hillClimbMig(ctx, from, K, rounds, &m)
+				_, cost := m.tally(c.assign)
+				cands[i] = &cand{c, c.obj + cost}
+			}
+		}()
+	}
+	wg.Wait()
+	// Counters and the choice are folded in seed order.
+	var best *cand
+	for i, c := range cands {
+		ev.Fevals += clones[i].Fevals
+		ev.stats.add(clones[i].stats)
+		if c != nil && (best == nil || (c.feas && !best.feas) || (c.feas == best.feas && c.combined < best.combined)) {
 			best = c
 		}
 	}

@@ -278,8 +278,9 @@ func TestResolveHandlesFleetChanges(t *testing.T) {
 }
 
 // TestResolveDeterministicAcrossWorkers pins the reproducibility contract:
-// the warm path is sequential by construction, so any Workers value yields
-// the bit-identical plan.
+// each candidate climb is a deterministic function of its seed and they
+// are folded in seed order, however many run side by side, so any Workers
+// value yields the bit-identical plan.
 func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomLoadStateProblem(rng, 12, 12, false)

@@ -29,9 +29,10 @@ type SolveOptions struct {
 	// Workers is the solver's evaluation parallelism: DIRECT candidate
 	// batches and greedy seeding fan out across this many goroutines, and
 	// the binary search over the machine count probes the speculative next
-	// K values concurrently, cancelling losers (0 or 1 = fully sequential).
-	// The computed plan is identical for every worker count — parallelism
-	// only changes wall-clock time — so results stay reproducible.
+	// K values concurrently, cancelling losers (0 or 1: none of these;
+	// shards and Resolve's candidate climbs run side by side whatever it
+	// is). The computed plan is identical for every worker count —
+	// parallelism only changes wall-clock time — so results reproduce.
 	Workers int
 	// MigrationWeight prices warm-restart migrations (Resolve only): a unit
 	// placed away from its incumbent machine charges
@@ -595,34 +596,35 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 	}
 }
 
-// coldSeeds returns the deterministic cold-start assignments solveK climbs
-// from — greedy packing (when it fits K bins) and round-robin spread, both
-// with unplaced units parked on machine 0 and pins repaired. Resolve uses
-// the same seeds as safety-net candidates, which is what guarantees a warm
-// re-solve never loses to the cold local-search path at the same K.
-func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
-	nU := len(ev.units)
-	var seeds [][]int
-	if bins, ok := ev.greedySeed(K, workers); ok {
-		a := greedy.Assignment(bins, nU)
+// coldSeed returns cold-start assignment i of the two solveK climbs from
+// — 0 the greedy packing, nil when it does not fit K bins, 1 the
+// round-robin spread — with unplaced units parked on machine 0 and pins
+// repaired. Resolve climbs the same two as safety-net candidates, which
+// is what guarantees a warm re-solve never loses to the cold local-search
+// path at the same K.
+func (ev *Evaluator) coldSeed(i, K, workers int) []int {
+	var a []int
+	if i == 0 {
+		bins, ok := ev.greedySeed(K, workers)
+		if !ok {
+			return nil
+		}
+		a = greedy.Assignment(bins, len(ev.units))
+	} else {
+		a = make([]int, len(ev.units))
 		for u := range a {
-			if a[u] < 0 {
-				a[u] = 0
-			}
-			if ev.pin[u] >= 0 {
-				a[u] = ev.pin[u]
-			}
+			a[u] = u % K
 		}
-		seeds = append(seeds, a)
 	}
-	rr := make([]int, nU)
-	for u := range rr {
-		rr[u] = u % K
+	for u := range a {
+		if a[u] < 0 {
+			a[u] = 0
+		}
 		if ev.pin[u] >= 0 {
-			rr[u] = ev.pin[u]
+			a[u] = ev.pin[u]
 		}
 	}
-	return append(seeds, rr)
+	return a
 }
 
 // solveK finds the best assignment on exactly K machines with the given
@@ -638,8 +640,10 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 	cold := prev.cold
 	if cold == nil {
 		// Cold seeds: greedy bins plus round-robin spread.
-		for _, a := range ev.coldSeeds(K, opt.workers()) {
-			cold = append(cold, ev.hillClimb(ctx, a, K))
+		for i := 0; i < 2; i++ {
+			if a := ev.coldSeed(i, K, opt.workers()); a != nil {
+				cold = append(cold, ev.hillClimb(ctx, a, K))
+			}
 		}
 	} else {
 		ev.stats.ClimbsReused += len(cold)

@@ -371,6 +371,8 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 // consolidation synchronously (the response carries the plan summary),
 // commit the session to the registry, and start its reconcile loop.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	liveRequests.Add(1)
+	defer liveRequests.Add(-1)
 	body, err := readBody(r)
 	if err != nil {
 		writeDecodeErr(w, "register request", err)
@@ -716,6 +718,8 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
+	liveRequests.Add(1)
+	defer liveRequests.Add(-1)
 	body, err := readBody(r)
 	if err != nil {
 		writeDecodeErr(w, "window", err)
@@ -911,6 +915,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.met.write(w)
 	const slow = "kairos_wire_numbers_slow_total"
 	fmt.Fprintf(w, "# HELP %s Series numbers the one-pass decoder handed to strconv (over 19 digits, half-way, subnormal or out of range).\n# TYPE %s counter\n%s %d\n", slow, slow, slow, slowNumbers.Load())
+	const split = "kairos_wire_split_chunks_total"
+	fmt.Fprintf(w, "# HELP %s Workloads-array chunks decoded on their own goroutine: adopted where the decode before landed on their start, discarded where it did not.\n# TYPE %s counter\n%s{outcome=\"adopted\"} %d\n%s{outcome=\"discarded\"} %d\n",
+		split, split, split, splitAdopted.Load(), split, splitDiscarded.Load())
 	if s.jl != nil {
 		writeJournalMetrics(w, s.jl.Stats(), s.recovery)
 	}

@@ -331,6 +331,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kairos_resolve_fevals_total{fleet="m1"} `,
 		`kairos_migrations_total{fleet="m1"} `,
 		"\nkairos_wire_numbers_slow_total ",
+		"\nkairos_wire_split_chunks_total{outcome=\"adopted\"} ",
+		"\nkairos_wire_split_chunks_total{outcome=\"discarded\"} ",
 	} {
 		if !strings.Contains(text, prefix) {
 			t.Errorf("metrics missing series %q", prefix)

@@ -30,6 +30,18 @@ package server
 // FuzzDecodeWindow, FuzzDecodeRegister, FuzzDecodeRecord and
 // FuzzDecodeSnapshot hold the two decoders together.
 //
+// The live entry points, decodeWindow and decodeRegister, split a large
+// workloads array over the cores other requests leave (liveWorkloads):
+// each chunk after the first starts at a '}' ws ',' ws '{' found past an
+// even split point and is decoded on a goroutine by the same code, and is
+// adopted only when the decode before it, having consumed a separator of
+// the array itself, lands exactly on its start. Any other is discarded
+// with its numbers for slowNumbers, so a '},{' inside a name or an
+// unknown field costs a core, never a different result: values, error
+// and offset, span and slow count are the one-goroutine decode's. Replay
+// already decodes records on every core and ROADMAP item 1 stage B turns
+// the snapshot into records, so decodeRecord and decodeSnapshot do not.
+//
 // One deliberate difference from json.Unmarshal, so that the bytes the
 // journal keeps are the whole story: a repeated key from the tables
 // below replaces the earlier value outright instead of decoding over it
@@ -51,6 +63,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"unicode"
@@ -117,6 +130,9 @@ type windowDecoder struct {
 	// seriesLen is the length of the last series decoded. Every series of
 	// a window has the same length, so it sizes the next one exactly.
 	seriesLen int
+	// slow counts the numbers float handed to strconv; document adds them
+	// to slowNumbers.
+	slow int64
 }
 
 // decodeWindow decodes a POST /v1/fleets/{id}/windows body. span is the
@@ -129,7 +145,7 @@ func decodeWindow(body []byte) (workloads []WorkloadWire, span []byte, err error
 		// It has no field but workloads, so its residual decodes into nothing.
 		return d.object(1, workloadsKey[:], new(struct{}), func(int) (err error) {
 			start := d.i
-			workloads, err = d.workloadsValue(2)
+			workloads, err = d.liveWorkloads(2)
 			span = d.b[start:d.i:d.i]
 			return err
 		})
@@ -144,7 +160,13 @@ func decodeWindow(body []byte) (workloads []WorkloadWire, span []byte, err error
 func decodeRegister(body []byte) (*RegisterRequest, error) {
 	d := windowDecoder{b: body}
 	req := new(RegisterRequest)
-	if err := d.document(func() error { return d.workloadsObject(0, req, &req.Workloads) }); err != nil {
+	err := d.document(func() error {
+		return d.object(0, workloadsKey[:], req, func(int) (err error) {
+			req.Workloads, err = d.liveWorkloads(1)
+			return err
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -238,7 +260,9 @@ func (d *windowDecoder) workloadsObject(depth int, dst any, workloads *[]Workloa
 // nothing but whitespace around it.
 func (d *windowDecoder) document(value func() error) error {
 	d.space()
-	if err := value(); err != nil {
+	err := value()
+	slowNumbers.Add(d.slow)
+	if err != nil {
 		return err
 	}
 	d.space()
@@ -318,6 +342,15 @@ func pointee[T any](d *windowDecoder, field **T) (*T, error) {
 // for null, empty for [], and otherwise one element per value, a null
 // element left zero and any other decoded in place by elem.
 func arrayOf[T any](d *windowDecoder, what string, elem func(*T) error) ([]T, error) {
+	return array(d, what, func() ([]T, error) {
+		out, _, err := elements(d, nil, elem, nil)
+		return out, err
+	})
+}
+
+// array decodes the array at the read offset: nil for null, empty for [],
+// and otherwise what elems decodes from the first element on.
+func array[T any](d *windowDecoder, what string, elems func() ([]T, error)) ([]T, error) {
 	if isNull, err := d.null(); isNull {
 		return nil, err
 	}
@@ -330,8 +363,13 @@ func arrayOf[T any](d *windowDecoder, what string, elem func(*T) error) ([]T, er
 		d.i++
 		return []T{}, nil
 	}
-	var out []T
-	for more := true; more; {
+	return elems()
+}
+
+// elements appends the array's elements from the read offset to out: up to
+// its ']' (more false), or to a separator stop, if set, says to end at.
+func elements[T any](d *windowDecoder, out []T, elem func(*T) error, stop func(at int) bool) (_ []T, more bool, err error) {
+	for more = true; more; {
 		var zero T
 		out = append(out, zero)
 		isNull, err := d.null()
@@ -339,13 +377,122 @@ func arrayOf[T any](d *windowDecoder, what string, elem func(*T) error) ([]T, er
 			err = elem(&out[len(out)-1])
 		}
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if more, err = d.next(']'); err != nil {
-			return nil, err
+			return nil, false, err
+		}
+		if more && stop != nil && stop(d.i) {
+			break
 		}
 	}
+	return out, more, nil
+}
+
+// splitChunkMin is the fewest bytes of array worth a goroutine. Tests
+// lower it so that small documents split too.
+var splitChunkMin = 256 << 10
+
+// The chunks split off, by outcome, for /metrics.
+var splitAdopted, splitDiscarded atomic.Int64
+
+// chunk is a speculative run of elements from start on its own decoder d.
+// The run's elements, the chunk it landed on (-1: the array's end) and
+// its error are read once done is closed.
+type chunk struct {
+	start int
+	stop  atomic.Bool // the chunk will not be adopted: return at the next separator
+	done  chan struct{}
+	out   []WorkloadWire
+	next  int
+	err   error
+	d     windowDecoder
+}
+
+// splitWorkloads decodes a workloads array from the read offset and, on a
+// goroutine each, from the chunk starts, adopting a chunk only where the
+// decode before it lands on its start. No chunk outlives it.
+func (d *windowDecoder) splitWorkloads(depth int, starts []int) ([]WorkloadWire, error) {
+	chunks := make([]*chunk, len(starts))
+	for k, start := range starts {
+		chunks[k] = &chunk{start: start, done: make(chan struct{})}
+	}
+	// run decodes on dd until it lands on a chunk from next on, which it
+	// returns (-1 at the array's end), or until quit.
+	run := func(dd *windowDecoder, next int, quit *atomic.Bool) ([]WorkloadWire, int, error) {
+		out, more, err := elements(dd, nil, func(w *WorkloadWire) error {
+			return dd.workload(depth+1, w)
+		}, func(at int) bool {
+			for next < len(chunks) && chunks[next].start < at {
+				next++
+			}
+			return next < len(chunks) && chunks[next].start == at || quit != nil && quit.Load()
+		})
+		if !more {
+			next = -1
+		}
+		return out, next, err
+	}
+	b := d.b
+	for k, c := range chunks {
+		go func() {
+			defer close(c.done)
+			c.d = windowDecoder{b: b, i: c.start}
+			c.out, c.next, c.err = run(&c.d, k+1, &c.stop)
+		}()
+	}
+
+	out, next, err := run(d, 0, nil)
+	adopted := 0
+	for ; next >= 0 && err == nil; adopted++ {
+		c := chunks[next]
+		for _, passed := range chunks[:next] {
+			passed.stop.Store(true)
+		}
+		<-c.done
+		out = append(out, c.out...)
+		d.i = c.d.i
+		d.slow += c.d.slow
+		next, err = c.next, c.err
+	}
+	for _, c := range chunks {
+		c.stop.Store(true)
+		<-c.done
+	}
+	splitAdopted.Add(int64(adopted))
+	splitDiscarded.Add(int64(len(chunks) - adopted))
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// chunkStarts returns the starts of chunks 1 to n-1 of b[from:], at most,
+// nil for n < 2: for each of its even split points, the '{' of the first
+// '}' ws ',' ws '{' past it and past the previous start.
+func chunkStarts(b []byte, from, n int) []int {
+	var starts []int
+	at := from
+	for k := 1; k < n; k++ {
+		at = max(at, from+k*(len(b)-from)/n)
+		for {
+			end := bytes.IndexByte(b[at:], '}')
+			if end < 0 {
+				return starts
+			}
+			s := windowDecoder{b: b, i: at + end + 1}
+			if s.space(); s.peek() == ',' {
+				s.i++
+				if s.space(); s.peek() == '{' {
+					starts = append(starts, s.i)
+					at = s.i
+					break
+				}
+			}
+			at = s.i
+		}
+	}
+	return starts
 }
 
 // windowPayload builds a window record's journal payload around the
@@ -567,6 +714,27 @@ func (d *windowDecoder) workloadsValue(depth int) ([]WorkloadWire, error) {
 	})
 }
 
+// liveRequests counts the window and registration requests in flight. A
+// split takes only the cores they leave each other: with two collectors,
+// one decodes while the other's window is in the fleet's serial loop, and
+// a chunk would take the loop's core.
+var liveRequests atomic.Int64
+
+// liveWorkloads is workloadsValue for the live entry points, in n =
+// min(GOMAXPROCS / requests in flight, bytes left / splitChunkMin) chunks.
+func (d *windowDecoder) liveWorkloads(depth int) ([]WorkloadWire, error) {
+	return array(d, "workloads", func() ([]WorkloadWire, error) {
+		cores := runtime.GOMAXPROCS(0) / max(1, int(liveRequests.Load()))
+		if starts := chunkStarts(d.b, d.i, min(cores, (len(d.b)-d.i)/splitChunkMin)); starts != nil {
+			return d.splitWorkloads(depth, starts)
+		}
+		out, _, err := elements(d, nil, func(w *WorkloadWire) error {
+			return d.workload(depth+1, w)
+		}, nil)
+		return out, err
+	})
+}
+
 // workload decodes the workload object at the read offset, depth levels
 // deep, into w.
 func (d *windowDecoder) workload(depth int, w *WorkloadWire) error {
@@ -706,7 +874,7 @@ var slowNumbers atomic.Int64
 
 // slowFloat converts a number token float could not, and counts it.
 func (d *windowDecoder) slowFloat(tok []byte) (float64, error) {
-	slowNumbers.Add(1)
+	d.slow++
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, d.errorf("cannot decode number %s into a float64", tok)

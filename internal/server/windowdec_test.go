@@ -333,8 +333,10 @@ func TestDecodeWindowRecord(t *testing.T) {
 }
 
 // FuzzDecodeWindow is the differential fuzz between the window decoder
-// and encoding/json (see checkDecodeWindow for what must agree).
+// and encoding/json (see checkDecodeWindow for what must agree), through
+// the speculative split whenever GOMAXPROCS is 2 or more.
 func FuzzDecodeWindow(f *testing.F) {
+	splitSmall(f)
 	for _, body := range decodeCases {
 		f.Add([]byte(body))
 	}
@@ -807,8 +809,10 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 
 // FuzzDecodeRegister, FuzzDecodeRecord and FuzzDecodeSnapshot are the
 // differential fuzz between the walker's entry points and encoding/json
-// (see checkDecode for what must agree).
+// (see checkDecode for what must agree), the first through the
+// speculative split whenever GOMAXPROCS is 2 or more.
 func FuzzDecodeRegister(f *testing.F) {
+	splitSmall(f)
 	for _, doc := range append(wrapCases(`%s`), registerCases...) {
 		f.Add([]byte(doc))
 	}

@@ -96,6 +96,7 @@ for want in \
 	'kairos_windows_ingested_total{fleet="smoke"} 2' \
 	'kairos_triggers_total{fleet="smoke"} 1' \
 	'kairos_wire_numbers_slow_total 0' \
+	'kairos_wire_split_chunks_total{outcome="discarded"} 0' \
 	'kairos_resolve_duration_seconds_count{fleet="smoke"} 1'; do
 	case "$metrics" in
 	*"$want"*) ;;
