@@ -27,11 +27,12 @@ REPLAY_COUNT_BENCH = OpenReplay197
 # drifted ALL-197, one greedy packing.
 COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197
 
-# The two halves of a drift trigger that run on every core (make
-# bench-hot): the live decoders' speculative split and Resolve's candidate
-# climbs side by side. The -cpu 2 rows show the gain; the -cpu 1 rows are
-# the one-goroutine paths and must not move.
-CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197
+# The work that takes the CPU budget's helpers (make bench-hot): the live
+# decoders' speculative split, Resolve's candidate climbs side by side, and
+# the cold solves' speculated K probes, cold-seed climbs and greedy
+# packings. The -cpu 2 rows show the gain; the -cpu 1 rows have no helper
+# slot, are the one-goroutine paths and must not move.
+CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197|ColdSolve(ALL197|SecondLife97Direct)$$
 
 # The cold solve's per-phase in-package benchmarks (make bench-hot,
 # bench-json): a recorded DIRECT run replayed through Eval, exact swap
@@ -64,15 +65,19 @@ race-full:
 
 # Control-plane tests under the race detector, full (not -short): includes
 # the 197-server HTTP e2e with concurrent collectors. Then the recovery
-# tests again at -cpu 1,4: replay's decode pool is GOMAXPROCS workers, so
-# this races one decoder a step ahead of apply, and four, whatever the
-# machine's core count. Then the live decoders' split with one, two and
-# eight chunks, and Resolve's candidate climbs on one core and on four.
+# tests again at -cpu 1,4: replay's decode helpers are the CPU budget's
+# free slots, GOMAXPROCS - 1, so this races the apply loop decoding alone,
+# and beside three helpers, whatever the machine's core count. Then the
+# live decoders' split with one, two and eight chunks and the hold a
+# second request takes; the budget itself; and the solver's fork sites —
+# speculated K probes, cold-seed climbs, greedy packings, shards and
+# Resolve's candidate climbs — on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister' ./internal/server/
-	$(GO) test -race -cpu 1,4 -run 'Resolve|Golden' ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
+	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
 
 # Crash matrix: the durability gate. Kills the journaled control plane at
 # every fault-injection point (append write/sync, snapshot write/sync/
@@ -98,15 +103,18 @@ crash-matrix:
 # recovers is the whole frames the input begins with) and as a trace CSV
 # (fleet.ReadCSV never panics, and what it loads survives WriteCSV →
 # ReadCSV) and as a saved plan (core.LoadIncumbent never panics, what it
-# loads survives Save → LoadIncumbent and warm-starts Resolve). The window
-# and registration targets lower the chunk minimum, so with two or more
-# cores every input goes through the speculative split.
+# loads survives Save → LoadIncumbent and warm-starts Resolve) and as a
+# round-robin archive (rrd.Read never panics, what it loads is written
+# back byte for byte and goes on updating like the database it was written
+# from). The window and registration targets lower the chunk minimum, so
+# with two or more cores every input goes through the speculative split.
 fuzz-smoke:
 	for f in DecodeWindow DecodeRegister DecodeRecord DecodeSnapshot SeriesNumber; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=10s ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIncumbent$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/rrd
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), outside
 # ./...: vet it and run its unit tests (-short skips the -quick suite,

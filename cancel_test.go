@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"kairos/internal/core"
+	"kairos/internal/cpu"
 	"kairos/internal/fleet"
 )
 
@@ -29,11 +30,23 @@ func all197Problem(t *testing.T) *core.Problem {
 	return &core.Problem{Workloads: wls, Machines: machines}
 }
 
+// settled reports the goroutine count once it is back to base, or after two
+// seconds: a helper may still be between its WaitGroup.Done and its exit.
+func settled(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
 // TestSolveCancel197: cancelling the context aborts an in-flight cold solve
 // of the 197-server fleet well before it would complete, and the solver
-// returns ctx.Err() rather than a partial plan.
+// returns ctx.Err() rather than a partial plan, with every speculated probe
+// and helper gone and its CPU budget slot back.
 func TestSolveCancel197(t *testing.T) {
 	p := all197Problem(t)
+	goroutines := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	type result struct {
 		sol     *core.Solution
@@ -66,11 +79,17 @@ func TestSolveCancel197(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled solve did not return within 30s")
 	}
+	if n := settled(goroutines); n != goroutines {
+		t.Errorf("%d goroutines after the cancelled solve, %d before", n, goroutines)
+	}
+	if n := cpu.InUse(); n != 0 {
+		t.Errorf("%d CPU budget slots still taken after the cancelled solve", n)
+	}
 }
 
 // TestResolveCancel197: the warm re-solve path (what drift triggers run)
-// honours cancellation the same way, and its candidate climbs are all gone
-// when it returns.
+// honours cancellation the same way, and its candidate climbs are all gone,
+// with their CPU budget slots, when it returns.
 func TestResolveCancel197(t *testing.T) {
 	p := all197Problem(t)
 	base, err := core.Solve(context.Background(), p, core.SolveOptions{SkipDirect: true})
@@ -94,12 +113,10 @@ func TestResolveCancel197(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled re-solve returned (%v, %v), want context.Canceled", sol, err)
 	}
-	// A climb's goroutine may still be between its WaitGroup.Done and its exit.
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > goroutines && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
-	}
-	if n != goroutines {
+	if n := settled(goroutines); n != goroutines {
 		t.Errorf("%d goroutines after the cancelled re-solve, %d before", n, goroutines)
+	}
+	if n := cpu.InUse(); n != 0 {
+		t.Errorf("%d CPU budget slots still taken after the cancelled re-solve", n)
 	}
 }

@@ -21,10 +21,9 @@ func cmdConsolidate(args []string) error {
 	dataset := fs.String("dataset", "internal", "internal|wikia|wikipedia|secondlife|all")
 	traces := fs.String("traces", "", "consolidate recorded traces from this CSV file instead of a built-in dataset")
 	spec := addSpecFlags(fs)
-	solver := addSolverFlags(fs)
 	verbose := fs.Bool("v", false, "print the full placement")
 	stats := fs.Bool("stats", false, "print the solver's work counters: the K probes it ran and the DIRECT samples the final run resumed, climbs run and reused, sweep candidates considered and skipped, machines summed by Eval and answered from its table")
-	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved concurrently (0 = single global solve)")
+	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved separately (0 = single global solve)")
 	savePlan := fs.String("save-plan", "", "write the computed plan to this JSON file for later -resolve runs")
 	resolvePath := fs.String("resolve", "", "warm-start from a plan saved with -save-plan instead of solving cold (rolling re-consolidation)")
 	migWeight := fs.Float64("mig-weight", 0.05, "with -resolve: migration cost per average-working-set unit moved off its incumbent machine (0 = free migrations)")
@@ -56,7 +55,7 @@ func cmdConsolidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	opt := solver.options()
+	opt := kairos.DefaultOptions()
 	fspec := kairos.FleetSpec{
 		Name:      f.Name,
 		Workloads: f.Workloads(*spec.ramScale),

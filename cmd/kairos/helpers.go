@@ -88,30 +88,6 @@ func targetMachines(n int, headroom float64) []core.Machine {
 	return out
 }
 
-// solverFlags are the solver knobs shared by consolidate and watch.
-type solverFlags struct {
-	parallel *int
-}
-
-// addSolverFlags registers the shared solver flags on fs.
-func addSolverFlags(fs *flag.FlagSet) *solverFlags {
-	return &solverFlags{
-		parallel: fs.Int("parallel", 1, "solver worker goroutines (0 = one per CPU, 1 = sequential)"),
-	}
-}
-
-// options resolves the flags into solve options.
-func (sf *solverFlags) options() kairos.SolveOptions {
-	opt := kairos.DefaultOptions()
-	switch {
-	case *sf.parallel == 0:
-		opt = kairos.ParallelOptions()
-	case *sf.parallel > 1:
-		opt.Workers = *sf.parallel
-	}
-	return opt
-}
-
 // specFlags are the fleet-description knobs shared by consolidate and
 // watch: disk profile, RAM scaling and per-machine headroom.
 type specFlags struct {

@@ -24,7 +24,6 @@ func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	dir := fs.String("snapshots", "", "directory of CSV trace snapshots, one observation window per file (required)")
 	spec := addSpecFlags(fs)
-	solver := addSolverFlags(fs)
 	threshold := fs.Float64("drift-threshold", 0.04, "relative drift (utilization delta or forecast CV(RMSE)) that triggers a re-solve")
 	rearm := fs.Float64("rearm", 0, "hysteresis re-arm level (0 = half the threshold)")
 	cooldown := fs.Int("cooldown", 1, "observation windows suppressed after a trigger")
@@ -78,7 +77,7 @@ func cmdWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	opt := solver.options()
+	opt := kairos.DefaultOptions()
 	opt.SkipDirect = true // fleet-scale streams use the local-search path
 	ropt := opt
 	ropt.MigrationWeight = *migWeight

@@ -214,6 +214,26 @@ func (ev *Evaluator) Clone() *Evaluator {
 	return &c
 }
 
+// fork returns an evaluator per worker of a cpu.Do over n items: ev itself
+// for the caller, worker 0, and a clone for each helper there could be. The
+// clones are made here, on the caller, before any worker writes to ev.
+func (ev *Evaluator) fork(n int) []*Evaluator {
+	evs := make([]*Evaluator, n)
+	evs[0] = ev
+	for w := 1; w < n; w++ {
+		evs[w] = ev.Clone()
+	}
+	return evs
+}
+
+// join folds the counters of fork's clones back into ev, in worker order.
+func (ev *Evaluator) join(evs []*Evaluator) {
+	for _, c := range evs[1:] {
+		ev.Fevals += c.Fevals
+		ev.stats.add(c.stats)
+	}
+}
+
 // Stats returns the evaluator's work counters so far (see SolveStats).
 func (ev *Evaluator) Stats() SolveStats { return ev.stats }
 

@@ -275,7 +275,7 @@ type Solution struct {
 
 // SolveStats itemizes a solve's work and the repetition it avoided, as plain
 // counters that repeat exactly from run to run and — EvalPriced and
-// EvalReused apart — for every Workers value.
+// EvalReused apart — whatever ran on a helper.
 type SolveStats struct {
 	// Probes lists the machine counts Solve ran, in the order the search
 	// consumed them, the final run at K' (and any walk upward) last.
@@ -294,10 +294,11 @@ type SolveStats struct {
 	// by a move scan, one per machine side priced by a swap scan.
 	Priced int
 	// EvalPriced counts the machines Eval summed from scratch, EvalReused
-	// those it answered from its table of machines already priced. The two
-	// depend on Workers — each parallel DIRECT worker and each speculative
-	// probe prices on its own clone's table — so comparisons across worker
-	// counts leave them out; the count gate reads them at Workers 0.
+	// those it answered from its table of machines already priced. For
+	// Solve and Resolve alike the two depend on scheduling — a speculated
+	// probe, and a climb a helper took, price on a clone's own table — so
+	// comparisons across core counts leave them out; the count gate reads
+	// them at GOMAXPROCS 1, where nothing runs on a helper.
 	EvalPriced, EvalReused int
 	// GreedyPack is the time spent on the greedy packing that bounds K and
 	// seeds the climbs.

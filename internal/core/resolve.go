@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
+
+	"kairos/internal/cpu"
 )
 
 // This file implements rolling re-consolidation: warm-started re-solves
@@ -433,9 +434,9 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 // Solution.Objective is the canonical consolidation objective (no
 // migration term), so warm and cold plans are directly comparable;
 // Solution.Migrated and Solution.MigrationCost report the migration side.
-// The candidate climbs run side by side on evaluator clones, whatever
-// Workers is, and are folded in seed order: plan, Fevals and counters are
-// the same for any Workers value and core count. Cancelling ctx aborts
+// The candidate climbs take the helpers the CPU budget has free and are
+// folded in seed order: plan, Fevals and counters (EvalPriced and
+// EvalReused apart) are the same whatever ran where. Cancelling ctx aborts
 // the re-solve between pricing units and returns ctx.Err().
 func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
@@ -465,39 +466,32 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	}
 	// The warm seed, then — unless a migration cap rules them out, as they
 	// start fully migrated — solveK's two cold seeds as a safety net, each
-	// built and climbed on its own goroutine, evaluator clone and away
-	// count: a function of its seed alone, whatever runs beside it.
-	n := 1
+	// built and climbed by one worker with its own away count: a function
+	// of its seed alone, whatever runs beside it. The round-robin climb, the
+	// longest, is listed first, so that a helper takes it.
+	order := []int{0}
 	if opt.MaxMigrations <= 0 {
-		n = 3
+		order = []int{2, 0, 1}
 	}
-	cands := make([]*cand, n)
-	clones := make([]*Evaluator, n)
-	var wg sync.WaitGroup
-	for i := range cands {
-		ce, m := ev.Clone(), *mig
-		clones[i] = ce
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			from := seed
-			if i > 0 {
-				from = ce.coldSeed(i-1, K, opt.workers())
-			}
-			if from != nil {
-				m.syncAway(from)
-				c := ce.hillClimbMig(ctx, from, K, rounds, &m)
-				_, cost := m.tally(c.assign)
-				cands[i] = &cand{c, c.obj + cost}
-			}
-		}()
-	}
-	wg.Wait()
-	// Counters and the choice are folded in seed order.
+	cands := make([]*cand, len(order))
+	evs := ev.fork(len(order))
+	cpu.Do(len(order), func(w, item int) {
+		i, ce, m := order[item], evs[w], *mig
+		from := seed
+		if i > 0 {
+			from = ce.coldSeed(i-1, K)
+		}
+		if from != nil {
+			m.syncAway(from)
+			c := ce.hillClimbMig(ctx, from, K, rounds, &m)
+			_, cost := m.tally(c.assign)
+			cands[i] = &cand{c, c.obj + cost}
+		}
+	})
+	ev.join(evs)
+	// The choice is folded in seed order.
 	var best *cand
-	for i, c := range cands {
-		ev.Fevals += clones[i].Fevals
-		ev.stats.add(clones[i].stats)
+	for _, c := range cands {
 		if c != nil && (best == nil || (c.feas && !best.feas) || (c.feas == best.feas && c.combined < best.combined)) {
 			best = c
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -279,8 +280,8 @@ func TestResolveHandlesFleetChanges(t *testing.T) {
 
 // TestResolveDeterministicAcrossWorkers pins the reproducibility contract:
 // each candidate climb is a deterministic function of its seed and they
-// are folded in seed order, however many run side by side, so any Workers
-// value yields the bit-identical plan.
+// are folded in seed order, however many run side by side, so one core
+// and eight yield the bit-identical plan.
 func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomLoadStateProblem(rng, 12, 12, false)
@@ -291,20 +292,17 @@ func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	inc := IncumbentFromSolution(p, sol)
 	drifted := driftProblem(p, 0.08, 4)
 
-	opt1 := DefaultResolveOptions()
-	opt1.Workers = 1
-	opt8 := DefaultResolveOptions()
-	opt8.Workers = 8
-	w1, err := Resolve(context.Background(), drifted, inc, opt1)
-	if err != nil {
-		t.Fatal(err)
+	resolveAt := func(procs int) *Solution {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := Resolve(context.Background(), drifted, inc, DefaultResolveOptions())
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return s
 	}
-	w8, err := Resolve(context.Background(), drifted, inc, opt8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1, w8 := resolveAt(1), resolveAt(8)
 	if !reflect.DeepEqual(w1.Assign, w8.Assign) || w1.K != w8.K || !floats.Same(w1.Objective, w8.Objective) {
-		t.Fatalf("plans differ across worker counts: K %d vs %d, obj %v vs %v",
+		t.Fatalf("plans differ across core counts: K %d vs %d, obj %v vs %v",
 			w1.K, w8.K, w1.Objective, w8.Objective)
 	}
 }

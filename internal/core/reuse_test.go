@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -222,8 +223,8 @@ func referenceGreedyFits(ev *Evaluator) greedy.FitsFunc {
 // solve can probe, greedySeed must return exactly the bins and verdict of
 // greedy.MultiResource limited to K bins and checked by the canonical
 // scratch pricer (referenceGreedyFits, which shares no code with GreedyFits'
-// running sums) — sequentially and with the per-resource packings run in
-// parallel — including on a problem whose packing fails at every K.
+// running sums) — at GOMAXPROCS 1 and with the per-resource packings on
+// helpers — including on a problem whose packing fails at every K.
 func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	problems := []*Problem{
@@ -237,7 +238,8 @@ func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 	problems = append(problems, huge)
 
 	for pi, p := range problems {
-		for _, workers := range []int{1, 3} {
+		for _, procs := range []int{1, 3} {
+			prev := runtime.GOMAXPROCS(procs)
 			ev, err := NewEvaluator(p)
 			if err != nil {
 				t.Fatal(err)
@@ -252,15 +254,17 @@ func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, ok := ev.greedySeed(K, workers)
+				got, ok := ev.greedySeed(K)
 				if ok != wantOK || (ok && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("problem %d workers=%d K=%d: greedySeed = (%v, %v), bounded packing = (%v, %v)",
-						pi, workers, K, got, ok, want, wantOK)
+					runtime.GOMAXPROCS(prev)
+					t.Fatalf("problem %d GOMAXPROCS=%d K=%d: greedySeed = (%v, %v), bounded packing = (%v, %v)",
+						pi, procs, K, got, ok, want, wantOK)
 				}
 				if ok {
 					packed++
 				}
 			}
+			runtime.GOMAXPROCS(prev)
 			// The two plain problems must exercise both verdicts (some K too
 			// small, some large enough); the last must never pack.
 			if pi < 2 && (packed == 0 || packed == len(p.Machines)) {
@@ -280,6 +284,8 @@ func TestGreedySeedMatchesBoundedPacking(t *testing.T) {
 // short by cancellation, whose climbs and search stopped early, seeds
 // neither.
 func TestSearchReusesOnlyFinishedProbes(t *testing.T) {
+	// One goroutine: pollCtx counts its polls unsynchronised.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := randomLoadStateProblem(rand.New(rand.NewSource(19)), 30, 24, false)
 	ev, err := NewEvaluator(p)
 	if err != nil {
@@ -377,8 +383,11 @@ func TestSearchReusesOnlyFinishedProbes(t *testing.T) {
 // checks Eval's count against its table: the machines it summed are exactly
 // the distinct (machine, member set) keys it met — none summed twice because
 // the table lost it, none stored twice because a scan missed it — and the
-// final run continued the search of the probe that found K'.
+// final run continued the search of the probe that found K'. At GOMAXPROCS
+// 1: a speculated probe or a climb on a helper prices on a clone's table,
+// which the solve's own never sees.
 func TestSolveSumsEachMachineOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, withDisk := range []bool{false, true} {
 		p := randomLoadStateProblem(rand.New(rand.NewSource(19)), 30, 24, withDisk)
 		ev, err := NewEvaluator(p)
@@ -442,12 +451,12 @@ func BenchmarkGreedySeedPerSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.packing = nil // a new solve starts from a new evaluator
-		bins, ok := ev.greedySeed(len(p.Machines), 1)
+		bins, ok := ev.greedySeed(len(p.Machines))
 		if !ok {
 			b.Fatal("greedy packing failed")
 		}
 		for K := lo; K <= len(bins); K++ {
-			ev.greedySeed(K, 1)
+			ev.greedySeed(K)
 		}
 	}
 }

@@ -5,24 +5,22 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
+	"kairos/internal/cpu"
 	"kairos/internal/floats"
 )
 
 // ShardOptions tunes SolveSharded.
 type ShardOptions struct {
 	// Shards is the number of correlation-aware partitions to solve
-	// concurrently (0 derives it from MaxShardWorkloads, or defaults to one
+	// separately (0 derives it from MaxShardWorkloads, or defaults to one
 	// shard per DefaultShardWorkloads workloads). A value of 1 degenerates
 	// to plain Solve.
 	Shards int
 	// MaxShardWorkloads caps the workloads per shard when Shards is 0.
 	MaxShardWorkloads int
-	// Options tunes each shard's solver. Options.Workers is the total
-	// worker budget: shards that solve concurrently split it evenly (each
-	// shard gets at least one worker).
+	// Options tunes each shard's solver.
 	Options SolveOptions
 	// RebalanceRounds bounds the cross-shard hill-climb sweeps of the merge
 	// pass (0 = DefaultRebalanceRounds; negative disables rebalancing and
@@ -58,13 +56,13 @@ func (o ShardOptions) shardCount(n int) int {
 }
 
 // SolveSharded consolidates fleet-scale inventories: it partitions the
-// workloads into correlation-aware shards, solves every shard concurrently,
-// and merges the per-shard plans with a cross-shard rebalancing pass plus a
-// machine-count reduction sweep. It trades a little per-shard optimality
-// for near-linear scaling in the fleet size, then claws most of the quality
-// back in the merge — unlike SolvePartitioned, the shards are chosen by
-// load correlation rather than input order, and the final plan is polished
-// globally.
+// workloads into correlation-aware shards, solves the shards on the helpers
+// the CPU budget has free, and merges the per-shard plans with a
+// cross-shard rebalancing pass plus a machine-count reduction sweep. It
+// trades a little per-shard optimality for near-linear scaling in the
+// fleet size, then claws most of the quality back in the merge — unlike
+// SolvePartitioned, the shards are chosen by load correlation rather than
+// input order, and the final plan is polished globally.
 //
 // Sharding keys each workload by the correlation of its CPU profile to the
 // fleet aggregate and deals the sorted workloads round-robin across shards,
@@ -74,11 +72,12 @@ func (o ShardOptions) shardCount(n int) int {
 // Pinning and explicit anti-affinity refer to global machine/workload
 // indices and are rejected, as in SolvePartitioned; per-workload replicas
 // are fine because a workload's replicas always land in the same shard.
-// When all machines are identical the shards solve fully concurrently and
-// their plans are relabelled onto disjoint machine ranges; a heterogeneous
-// machine list falls back to solving shards in sequence, each against the
-// machines the previous shards left unused. Cancelling ctx aborts every
-// in-flight shard solve and the merge pass, returning ctx.Err().
+// When all machines are identical the shards solve independently, as many
+// at once as the CPU budget has cores free, and their plans are relabelled
+// onto disjoint machine ranges; a heterogeneous machine list falls back to
+// solving shards in sequence, each against the machines the previous
+// shards left unused. Cancelling ctx aborts every in-flight shard solve
+// and the merge pass, returning ctx.Err().
 func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution, error) {
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -99,14 +98,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 
 	shards := correlationShards(p, nShards)
 	homogeneous := p.HomogeneousMachines()
-	shardOpt := opt.Options
-	if w := shardOpt.workers() / nShards; homogeneous {
-		// Concurrent shards split the worker budget.
-		if w < 1 {
-			w = 1
-		}
-		shardOpt.Workers = w
-	}
 
 	type shardPlan struct {
 		sol *Solution
@@ -123,7 +114,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		for k, w := range shards[i] {
 			sub.Workloads[k] = p.Workloads[w]
 		}
-		sol, err := Solve(ctx, sub, shardOpt)
+		sol, err := Solve(ctx, sub, opt.Options)
 		if err != nil {
 			err = fmt.Errorf("core: shard %d: %w", i, err)
 		}
@@ -132,17 +123,9 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 
 	if homogeneous {
 		// Identical machines are interchangeable: every shard can solve
-		// against the full list at once and be relabelled onto its own
-		// machine range afterwards.
-		var wg sync.WaitGroup
-		for i := 0; i < nShards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				solveShard(i, p.Machines)
-			}(i)
-		}
-		wg.Wait()
+		// against the full list, on whichever worker of the CPU budget takes
+		// it, and be relabelled onto its own machine range afterwards.
+		cpu.Do(nShards, func(_, i int) { solveShard(i, p.Machines) })
 	} else {
 		next := 0
 		for i := 0; i < nShards; i++ {

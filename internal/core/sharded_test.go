@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -74,63 +73,19 @@ func sameWork(t *testing.T, a, b *core.Solution, label string) {
 	}
 }
 
-// The parallel solver (batched DIRECT evaluation + speculative K probing)
-// must produce the exact plan of the sequential solver: parallelism only
-// changes wall-clock time. That covers the work too — K, the objective's
-// bits, the assignment, Fevals and every counter of Solution.Stats — with
-// and without DIRECT: a consumed speculative probe hands its cold climbs
-// back, so the final run at K' reuses them for every Workers value.
-func TestParallelSolveMatchesSequential(t *testing.T) {
-	datasets := []fleet.Dataset{fleet.Wikipedia, fleet.SecondLife}
-	if testing.Short() {
-		datasets = datasets[:1] // the race-enabled CI job: keep it fast
-	}
-	for _, d := range datasets {
-		p := fleetCase(d)
-		for _, skipDirect := range []bool{true, false} {
-			base := shortBudget(core.DefaultSolveOptions())
-			base.SkipDirect = skipDirect
-			seq, err := core.Solve(context.Background(), p, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probes := seq.Stats.Probes
-			if n := len(probes); n < 2 || !probes[n-1].Reused || seq.Stats.ClimbsReused == 0 {
-				t.Fatalf("%s skipDirect=%v: probes %+v — the final run did not reuse a probe, so the reuse is not exercised", d, skipDirect, probes)
-			}
-			if last := probes[len(probes)-1]; skipDirect && last.Fevals != 0 {
-				t.Errorf("%s: the final run at K=%d repeated %d evaluations of the probe that found it", d, last.K, last.Fevals)
-			}
-			for _, workers := range []int{1, 3, 8} {
-				opt := base
-				opt.Workers = workers
-				par, err := core.Solve(context.Background(), p, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s skipDirect=%v workers=%d", d, skipDirect, workers)
-				samePlan(t, seq, par, label)
-				if math.Float64bits(seq.Objective) != math.Float64bits(par.Objective) {
-					t.Errorf("%s: objective bits %#x vs %#x", label, math.Float64bits(seq.Objective), math.Float64bits(par.Objective))
-				}
-				sameWork(t, seq, par, label)
-			}
-		}
-	}
-}
-
-// Same seed + same worker count ⇒ bit-identical plan, run to run.
+// A solve with helpers to spare — speculated probes, climbs and packings
+// on seven — gives the bit-identical plan, run to run.
 func TestParallelSolveDeterministic(t *testing.T) {
 	p := fleetCase(fleet.Wikia)
-	opt := shortBudget(core.ParallelSolveOptions())
-	r1, err := core.Solve(context.Background(), p, opt)
-	if err != nil {
-		t.Fatal(err)
+	opt := shortBudget(core.DefaultSolveOptions())
+	solve := func() *core.Solution {
+		sol, err := core.Solve(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
 	}
-	r2, err := core.Solve(context.Background(), p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := atProcs(8, solve), atProcs(8, solve)
 	samePlan(t, r1, r2, "repeat parallel solve")
 }
 
@@ -143,7 +98,7 @@ func TestSolveShardedQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.ShardOptions{Shards: 4, Options: shortBudget(core.ParallelSolveOptions())}
+	opt := core.ShardOptions{Shards: 4, Options: shortBudget(core.DefaultSolveOptions())}
 	sharded, err := core.SolveSharded(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +122,7 @@ func TestSolveShardedQuality(t *testing.T) {
 
 func TestSolveShardedDeterministic(t *testing.T) {
 	p := fleetCase(fleet.Wikipedia)
-	opt := core.ShardOptions{Shards: 3, Options: shortBudget(core.ParallelSolveOptions())}
+	opt := core.ShardOptions{Shards: 3, Options: shortBudget(core.DefaultSolveOptions())}
 	r1, err := core.SolveSharded(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +206,7 @@ func TestSolveShardedReclaimsOvershoot(t *testing.T) {
 		machines[i] = core.Machine{Name: fmt.Sprintf("m%d", i), CPUCapacity: 1, RAMBytes: 32e9}
 	}
 	p := &core.Problem{Workloads: wls, Machines: machines}
-	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: core.ParallelSolveOptions()})
+	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: core.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +238,7 @@ func TestSolveShardedKeepsReplicaAntiAffinity(t *testing.T) {
 		machines[i] = core.Machine{Name: fmt.Sprintf("m%d", i), CPUCapacity: 1, RAMBytes: 32e9}
 	}
 	p := &core.Problem{Workloads: wls, Machines: machines}
-	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: core.ParallelSolveOptions()})
+	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: core.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

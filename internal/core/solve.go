@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"sync"
 	"time"
 
+	"kairos/internal/cpu"
 	"kairos/internal/direct"
 	"kairos/internal/floats"
 	"kairos/internal/greedy"
@@ -26,14 +27,6 @@ type SolveOptions struct {
 	// SkipDirect uses only greedy seeding plus hill climbing — the fast
 	// path for very large instances.
 	SkipDirect bool
-	// Workers is the solver's evaluation parallelism: DIRECT candidate
-	// batches and greedy seeding fan out across this many goroutines, and
-	// the binary search over the machine count probes the speculative next
-	// K values concurrently, cancelling losers (0 or 1: none of these;
-	// shards and Resolve's candidate climbs run side by side whatever it
-	// is). The computed plan is identical for every worker count —
-	// parallelism only changes wall-clock time — so results reproduce.
-	Workers int
 	// MigrationWeight prices warm-restart migrations (Resolve only): a unit
 	// placed away from its incumbent machine charges
 	// MigrationWeight · (its peak working set / the fleet's mean peak
@@ -48,25 +41,9 @@ type SolveOptions struct {
 	MaxMigrations int
 }
 
-// workers normalizes the Workers option.
-func (o SolveOptions) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
 // DefaultSolveOptions returns the standard budgets.
 func DefaultSolveOptions() SolveOptions {
 	return SolveOptions{DirectFevals: 2000}
-}
-
-// ParallelSolveOptions returns the standard budgets with one solver worker
-// per available CPU.
-func ParallelSolveOptions() SolveOptions {
-	o := DefaultSolveOptions()
-	o.Workers = runtime.GOMAXPROCS(0)
-	return o
 }
 
 // climbed is one hill climb's outcome: a locally optimal assignment, its
@@ -87,24 +64,32 @@ func (c climbed) better(b climbed) bool {
 // at the same count: its cold-seed climbs, a deterministic function of K
 // alone — not of the budget — and its DIRECT search (nil with SkipDirect),
 // which a larger budget continues instead of sampling the same points again.
+// A speculated probe, which ran on an evaluator clone, adds that clone's
+// table of priced machines (reuse): the samples the continued search draws
+// next are its samples' neighbours.
 type kRun struct {
 	cold   []climbed
 	direct *direct.Search
+	reuse  *evalReuse
 }
 
 // kSearch is one Solve's memory of the machine counts it has solved: the
 // cold climbs of every K, and the DIRECT search of the last feasible probe,
-// at directK — the only probe whose K can be K'. A later run at the same K
-// (the final one at K', which the search has usually just probed) starts
-// from them instead of climbing the same seeds and drawing the same samples
-// again.
+// at directK — the only probe whose K can be K' — with its evaluator's
+// table when that was not ev's own. A later run at the same K (the final
+// one at K', which the search has usually just probed) starts from them
+// instead of climbing the same seeds and drawing and pricing the same
+// samples again. probes are the speculated runs in flight (see bisect).
 type kSearch struct {
 	ev      *Evaluator
 	ctx     context.Context
 	opt     SolveOptions
 	cold    map[int][]climbed
 	direct  *direct.Search
+	reuse   *evalReuse
 	directK int
+	probes  map[int]*probe
+	wg      sync.WaitGroup
 }
 
 // solve runs solveK at K on the search's own evaluator and consumes it.
@@ -113,6 +98,9 @@ func (s *kSearch) solve(K int, polish bool) climbed {
 	prev := kRun{cold: s.cold[K]}
 	if s.directK == K {
 		prev.direct = s.direct
+		if s.reuse != nil {
+			s.ev.reuse, s.reuse = s.reuse, nil
+		}
 	}
 	best, run, resumed := s.ev.solveK(s.ctx, K, s.opt, polish, prev)
 	s.consume(K, best, run, ProbeStats{Fevals: s.ev.Fevals - f0, Elapsed: time.Since(t0), Resumed: resumed})
@@ -132,7 +120,7 @@ func (s *kSearch) consume(K int, best climbed, run kRun, ps ProbeStats) {
 	}
 	s.cold[K] = run.cold
 	if best.feas {
-		s.direct, s.directK = run.direct, K
+		s.direct, s.reuse, s.directK = run.direct, run.reuse, K
 	}
 }
 
@@ -171,7 +159,8 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 			lo = pin + 1
 		}
 	}
-	search := &kSearch{ev: ev, ctx: ctx, opt: opt, cold: map[int][]climbed{}}
+	search := &kSearch{ev: ev, ctx: ctx, opt: opt, cold: map[int][]climbed{}, probes: map[int]*probe{}}
+	defer search.stop()
 
 	if opt.FixedK > 0 {
 		if opt.FixedK > maxK {
@@ -195,7 +184,7 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 	// Upper bound: greedy packing (validated against all constraints); if
 	// greedy fails, fall back to every available machine.
 	hi := maxK
-	if bins, ok := ev.greedySeed(maxK, opt.workers()); ok {
+	if bins, ok := ev.greedySeed(maxK); ok {
 		hi = len(bins)
 	}
 	if hi < lo {
@@ -204,22 +193,7 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 
 	// Binary search the smallest feasible K. Feasibility at K is decided by
 	// a budgeted solve; the search keeps the best feasible solution found.
-	var found climbed
-	foundK := 0 // the K of found; no probe was feasible yet while 0
-	if opt.workers() > 1 {
-		found, foundK, lo = search.speculate(lo, hi)
-	} else {
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if best := search.solve(mid, false); best.feas {
-				found, foundK = best, mid
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-	}
-	kStar := lo
+	found, foundK, kStar := search.bisect(lo, hi)
 	// Final run at K' with the polish budget.
 	best := search.solve(kStar, true)
 	if !best.feas && foundK == kStar {
@@ -241,96 +215,96 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 	return ev.finish(best, kStar, start), nil
 }
 
-// speculate runs the binary search over the machine count with speculative
-// parallel probing: while the current midpoint K solves, the midpoints of
-// both possible next intervals solve concurrently on cloned evaluators, and
-// probes that fall outside the interval once the current result lands are
-// cancelled via their context. The sequence of consumed probes is exactly
-// the sequential binary search's, and every probe is a deterministic
-// function of its K, so the outcome — including Fevals and the work
-// counters, which only count consumed probes, and the cold climbs and DIRECT
-// search a consumed probe hands back for reuse — is identical to the
-// sequential path. It returns the last feasible probe with its K (0 when
-// none was feasible) and the final interval low bound. Probe contexts derive
-// from the search's ctx, so cancelling it aborts every in-flight probe.
-func (s *kSearch) speculate(lo, hi int) (found climbed, foundK, loOut int) {
+// bisect binary-searches [lo, hi) for the smallest feasible machine count
+// and returns the last feasible probe with its K (0 when none was
+// feasible) and the final interval low bound. While the midpoint K solves
+// on the calling goroutine, the midpoints of both possible next intervals
+// are speculated: each runs on an evaluator clone and a helper slot, when
+// the CPU budget has one free, and is cancelled once the interval no
+// longer holds it. The sequence of consumed probes is the plain binary
+// search's, and every probe is a deterministic function of its K, so the
+// outcome — Fevals and the work counters, which only count consumed
+// probes, and the cold climbs and DIRECT search a consumed probe hands
+// back for reuse — does not depend on which probes were speculated. With
+// no slot free, it is the plain binary search.
+func (s *kSearch) bisect(lo, hi int) (found climbed, foundK, loOut int) {
 	ev := s.ev
-	type probeRes struct {
-		best    climbed
-		run     kRun
-		fevals  int
-		stats   SolveStats
-		elapsed time.Duration
-	}
-	type future struct {
-		cancel context.CancelFunc
-		ch     chan probeRes
-	}
-	// Up to three probes (the current mid plus both speculative next mids)
-	// run at once; splitting the worker budget across them keeps the
-	// search's total goroutine count at ~Workers. Which workers a probe
-	// gets never changes its result, only its wall clock.
-	probeOpt := s.opt
-	if probeOpt.Workers = s.opt.workers() / 3; probeOpt.Workers < 1 {
-		probeOpt.Workers = 1
-	}
-	launch := func(K int) *future {
-		pctx, cancel := context.WithCancel(s.ctx)
-		f := &future{cancel: cancel, ch: make(chan probeRes, 1)}
-		pe := ev.Clone()
-		go func() {
-			t0 := time.Now()
-			best, run, _ := pe.solveK(pctx, K, probeOpt, false, kRun{})
-			f.ch <- probeRes{best, run, pe.Fevals, pe.stats, time.Since(t0)}
-		}()
-		return f
-	}
-	futures := map[int]*future{}
-	ensure := func(K int) *future {
-		if f, ok := futures[K]; ok {
-			return f
-		}
-		f := launch(K)
-		futures[K] = f
-		return f
-	}
-	defer func() {
-		for _, f := range futures {
-			f.cancel()
-		}
-	}()
-
 	for lo < hi {
 		mid := (lo + hi) / 2
-		cur := ensure(mid)
-		// Speculate both possible next probes while mid solves.
 		if next := (lo + mid) / 2; next < mid {
-			ensure(next)
+			s.speculate(next)
 		}
 		if next := (mid + 1 + hi) / 2; next > mid && next < hi {
-			ensure(next)
+			s.speculate(next)
 		}
-		r := <-cur.ch
-		cur.cancel()
-		delete(futures, mid)
-		ev.Fevals += r.fevals
-		ev.stats.add(r.stats)
-		s.consume(mid, r.best, r.run, ProbeStats{Fevals: r.fevals, Elapsed: r.elapsed})
-		if r.best.feas {
-			found, foundK = r.best, mid
+		var best climbed
+		if p := s.probes[mid]; p != nil {
+			delete(s.probes, mid)
+			<-p.done
+			p.cancel()
+			ev.Fevals += p.ev.Fevals
+			ev.stats.add(p.ev.stats)
+			p.run.reuse = p.ev.reuse
+			s.consume(mid, p.best, p.run, ProbeStats{Fevals: p.ev.Fevals, Elapsed: p.elapsed})
+			best = p.best
+		} else {
+			best = s.solve(mid, false)
+		}
+		if best.feas {
+			found, foundK = best, mid
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 		// The interval moved: probes outside it can never be consumed.
-		for K, f := range futures {
+		for K, p := range s.probes {
 			if K < lo || K >= hi {
-				f.cancel()
-				delete(futures, K)
+				p.cancel()
+				delete(s.probes, K)
 			}
 		}
 	}
 	return found, foundK, lo
+}
+
+// probe is a speculated run of solveK on its own evaluator clone.
+type probe struct {
+	ev      *Evaluator
+	cancel  context.CancelFunc
+	done    chan struct{} // closed once best, run and elapsed are set
+	best    climbed
+	run     kRun
+	elapsed time.Duration
+}
+
+// speculate starts a probe at K on a helper slot, unless one is in flight
+// or the CPU budget has no slot free. Its context derives from the
+// search's, so cancelling that aborts it.
+func (s *kSearch) speculate(K int) {
+	if s.probes[K] != nil || !cpu.TryAcquire() {
+		return
+	}
+	ctx, cancel := context.WithCancel(s.ctx)
+	p := &probe{ev: s.ev.Clone(), cancel: cancel, done: make(chan struct{})}
+	s.probes[K] = p
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer close(p.done)
+		defer cpu.Release()
+		t0 := time.Now()
+		p.best, p.run, _ = p.ev.solveK(ctx, K, s.opt, false, kRun{})
+		p.elapsed = time.Since(t0)
+	}()
+}
+
+// stop cancels the probes still in flight and waits for every probe to
+// end, so that none outlives the solve.
+func (s *kSearch) stop() {
+	for _, p := range s.probes {
+		p.cancel()
+	}
+	s.wg.Wait()
 }
 
 // finish assembles the Solution.
@@ -447,10 +421,10 @@ type greedyPacking struct {
 // whenever that has at most maxBins bins, and fails otherwise: one packing
 // per evaluator answers every K a solve probes. Callers must not mutate the
 // bins.
-func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
+func (ev *Evaluator) greedySeed(maxBins int) ([][]int, bool) {
 	if ev.packing == nil {
 		t0 := time.Now()
-		bins, ok := ev.packGreedy(workers)
+		bins, ok := ev.packGreedy()
 		ev.packing = &greedyPacking{bins, ok}
 		ev.stats.GreedyPack += time.Since(t0)
 	}
@@ -462,20 +436,14 @@ func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 
 // packGreedy packs units with the paper's single-resource greedy baseline
 // into as many bins as it takes, using the full multi-resource feasibility
-// check. With workers > 1 the per-resource packings run concurrently, each
-// against its own evaluator clone.
-func (ev *Evaluator) packGreedy(workers int) ([][]int, bool) {
+// check. The per-resource packings take the helpers the CPU budget has
+// free, each packing against its worker's evaluator.
+func (ev *Evaluator) packGreedy() ([][]int, bool) {
 	loads := ev.GreedyLoads()
-	var bins [][]int
-	var ok bool
-	var err error
-	if workers > 1 && len(loads) > 1 {
-		bins, ok, err = greedy.MultiResourceParallel(loads, func(int) greedy.FitsFunc {
-			return ev.Clone().GreedyFits()
-		}, 0, workers)
-	} else {
-		bins, ok, err = greedy.MultiResource(loads, ev.GreedyFits(), 0)
-	}
+	evs := ev.fork(len(loads))
+	bins, ok, err := greedy.MultiResourceParallel(loads, func(w int) greedy.FitsFunc {
+		return evs[w].GreedyFits()
+	}, 0)
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -602,10 +570,10 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 // repaired. Resolve climbs the same two as safety-net candidates, which
 // is what guarantees a warm re-solve never loses to the cold local-search
 // path at the same K.
-func (ev *Evaluator) coldSeed(i, K, workers int) []int {
+func (ev *Evaluator) coldSeed(i, K int) []int {
 	var a []int
 	if i == 0 {
-		bins, ok := ev.greedySeed(K, workers)
+		bins, ok := ev.greedySeed(K)
 		if !ok {
 			return nil
 		}
@@ -633,16 +601,26 @@ func (ev *Evaluator) coldSeed(i, K, workers int) []int {
 // what an earlier run at this K left: its cold-seed climbs replace climbing
 // them, and its DIRECT search is continued, which resumed counts in samples.
 // Either way the climbs and the search are returned beside the best
-// candidate. Deterministic throughout for any worker count; a cancelled ctx
+// candidate. The two cold-seed climbs take a helper when the CPU budget has
+// one free. Deterministic throughout, whatever ran where; a cancelled ctx
 // aborts early with a best-effort result (speculative probes discard it
 // anyway).
 func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool, prev kRun) (best climbed, run kRun, resumed int) {
 	cold := prev.cold
 	if cold == nil {
 		// Cold seeds: greedy bins plus round-robin spread.
-		for i := 0; i < 2; i++ {
-			if a := ev.coldSeed(i, K, opt.workers()); a != nil {
-				cold = append(cold, ev.hillClimb(ctx, a, K))
+		var climbs [2]*climbed
+		evs := ev.fork(len(climbs))
+		cpu.Do(len(climbs), func(w, i int) {
+			if a := evs[w].coldSeed(i, K); a != nil {
+				c := evs[w].hillClimb(ctx, a, K)
+				climbs[i] = &c
+			}
+		})
+		ev.join(evs)
+		for _, c := range climbs {
+			if c != nil {
+				cold = append(cold, *c)
 			}
 		}
 	} else {
@@ -657,7 +635,7 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 		}
 		var assign []int
 		var derr error
-		assign, run.direct, resumed, derr = ev.globalSearch(ctx, K, budget, opt.workers(), prev.direct)
+		assign, run.direct, resumed, derr = ev.globalSearch(ctx, K, budget, prev.direct)
 		if derr == nil {
 			cands = append(cands, ev.hillClimb(ctx, assign, K))
 		}
@@ -678,10 +656,8 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 // evaluations in all, and returns the best sample decoded. search, unless it
 // is nil or has spent more than the budget, is continued on this evaluator:
 // the resumed samples it holds are the ones a new search would draw first.
-// The search used comes back for the next run at K. With workers > 1 each
-// DIRECT iteration's candidate batch is evaluated across the worker pool,
-// every worker owning an evaluator clone.
-func (ev *Evaluator) globalSearch(ctx context.Context, K, budget, workers int, search *direct.Search) (assign []int, _ *direct.Search, resumed int, err error) {
+// The search used comes back for the next run at K.
+func (ev *Evaluator) globalSearch(ctx context.Context, K, budget int, search *direct.Search) (assign []int, _ *direct.Search, resumed int, err error) {
 	nU := len(ev.units)
 	if search == nil || search.Fevals() > budget {
 		lower := make([]float64, nU)
@@ -707,33 +683,13 @@ func (ev *Evaluator) globalSearch(ctx context.Context, K, budget, workers int, s
 		}
 		return out
 	}
-	// The objective is made per run: a probe may have priced its samples on
-	// a clone, the run that continues its search prices on e.
-	objective := func(e *Evaluator) direct.Objective {
-		tmp := make([]int, nU)
-		return func(x []float64) float64 {
-			o, _ := e.Eval(decode(x, tmp), K)
-			return o
-		}
-	}
-	var res direct.Result
-	if workers > 1 {
-		clones := make([]*Evaluator, workers)
-		res, err = search.RunParallel(ctx, func(w int) direct.Objective {
-			clones[w] = ev.Clone()
-			return objective(clones[w])
-		}, budget, workers)
-		// Fold worker counters back in fixed order: the total is the
-		// batch-point count, independent of scheduling.
-		for _, ce := range clones {
-			if ce != nil {
-				ev.Fevals += ce.Fevals
-				ev.stats.add(ce.stats)
-			}
-		}
-	} else {
-		res, err = search.Run(ctx, objective(ev), budget)
-	}
+	// The objective prices on ev: a probe may have priced its samples on a
+	// clone, the run that continues its search prices here.
+	tmp := make([]int, nU)
+	res, err := search.Run(ctx, func(x []float64) float64 {
+		o, _ := ev.Eval(decode(x, tmp), K)
+		return o
+	}, budget)
 	if err != nil {
 		return nil, search, resumed, err
 	}

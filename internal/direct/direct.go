@@ -13,11 +13,9 @@
 // which is exactly the knob Section 6 of the paper tunes after bounding the
 // number of servers.
 //
-// The engine evaluates each iteration's candidate points as one batch, so
-// RunParallel can spread a batch across a worker pool: every worker owns a
-// private Objective (cloned evaluator state) and writes results into its own
-// index slots, which keeps the search bit-identical to the sequential path
-// for any worker count.
+// The engine evaluates each iteration's candidate points as one batch, on
+// the calling goroutine: a batch is too fine-grained to pay for spreading
+// it over goroutines.
 //
 // A Search is resumable. Run takes the budget as a cap on the search's total
 // evaluations; a batch the budget cuts short is evaluated up to the budget —
@@ -26,32 +24,26 @@
 // larger budget gathers the same batch from the same rectangles, evaluates
 // only the points past the kept values and goes on, so Run(b1) then Run(b2)
 // ends exactly where a new search's Run(b2) does, having handed the
-// objective only the points the first run did not. Minimize and
-// MinimizeParallel are one Run on a new Search.
+// objective only the points the first run did not. Minimize is one Run on a
+// new Search.
 package direct
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"kairos/internal/floats"
 )
-
-// defaultWorkers is the pool size when Options.Workers is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Objective is a function to minimize. The slice must not be retained.
 type Objective func(x []float64) float64
 
 // Options controls the optimizer budget and behaviour.
 type Options struct {
-	// MaxFevals is the budget Minimize and MinimizeParallel hand to their
-	// one Run (default 5000). A Search's own Run and RunParallel take the
-	// budget per call and ignore it.
+	// MaxFevals is the budget Minimize hands to its one Run (default
+	// 5000). A Search's own Run takes the budget per call and ignores it.
 	MaxFevals int
 	// MaxIters caps the search's DIRECT iterations (default 1000).
 	MaxIters int
@@ -65,13 +57,10 @@ type Options struct {
 	Target float64
 	// TargetSet enables Target.
 	TargetSet bool
-	// Workers sets the batch-evaluation parallelism for MinimizeParallel
-	// (≤ 0 means one worker per GOMAXPROCS slot). Minimize ignores it.
-	Workers int
-	// Ctx optionally cancels Minimize and MinimizeParallel between
-	// iterations: when it expires, the best point found so far is returned
-	// along with the context's error. Nil means never cancel. A Search's own
-	// Run and RunParallel take the context per call.
+	// Ctx optionally cancels Minimize between iterations: when it expires,
+	// the best point found so far is returned along with the context's
+	// error. Nil means never cancel. A Search's own Run takes the context
+	// per call.
 	Ctx context.Context
 }
 
@@ -121,11 +110,6 @@ func (r *rect) computeSize() {
 	r.d = math.Sqrt(s)
 }
 
-// batchEvaler evaluates a batch of normalized points into out, one objective
-// value per point, in order. Implementations may evaluate the points
-// concurrently but must keep results index-aligned.
-type batchEvaler func(points [][]float64, out []float64)
-
 // checkBounds validates the search box.
 func checkBounds(lower, upper []float64) error {
 	if len(lower) == 0 || len(upper) != len(lower) {
@@ -161,21 +145,6 @@ func Minimize(f Objective, lower, upper []float64, opt Options) (Result, error) 
 		return Result{}, err
 	}
 	return s.Run(opt.Ctx, f, s.opt.MaxFevals)
-}
-
-// MinimizeParallel runs DIRECT evaluating each iteration's candidate batch
-// concurrently across a pool of opt.Workers goroutines. mkObj is invoked
-// once per worker (worker indices 0..Workers-1) to create that worker's
-// private Objective, so non-thread-safe evaluation state can be cloned per
-// worker instead of locked. The search visits exactly the points the
-// sequential engine would and is bit-identical to Minimize for objectives
-// that agree across workers, regardless of the worker count.
-func MinimizeParallel(mkObj func(worker int) Objective, lower, upper []float64, opt Options) (Result, error) {
-	s, err := NewSearch(lower, upper, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunParallel(opt.Ctx, mkObj, s.opt.MaxFevals, opt.Workers)
 }
 
 // Search is one DIRECT search over a box: the rectangles it has divided so
@@ -215,94 +184,23 @@ func (s *Search) Fevals() int { return s.fevals + len(s.kept) }
 // Run continues the search on f until it has spent budget evaluations in
 // all (the box's center is evaluated regardless), calling f from the
 // invoking goroutine only. ctx cancels it between iterations: the best point
-// so far is returned with the context's error; nil means never cancel.
+// so far is returned with the context's error; nil means never cancel. Each
+// iteration gathers every candidate point, evaluates the batch, then
+// processes results in gathering order, so the trajectory does not depend
+// on how many runs the evaluations were spread over.
 func (s *Search) Run(ctx context.Context, f Objective, budget int) (Result, error) {
 	if f == nil {
 		return Result{}, fmt.Errorf("direct: nil objective")
 	}
 	buf := make([]float64, len(s.lower))
-	return s.run(ctx, func(points [][]float64, out []float64) {
-		for i, x := range points {
-			out[i] = f(s.denormalize(x, buf))
-		}
-	}, budget)
-}
-
-// RunParallel is Run with each batch spread across workers goroutines (≤ 0
-// means one per GOMAXPROCS slot). mkObj is invoked once per worker and call
-// (worker indices 0..workers-1) to create that worker's private Objective.
-func (s *Search) RunParallel(ctx context.Context, mkObj func(worker int) Objective, budget, workers int) (Result, error) {
-	if mkObj == nil {
-		return Result{}, fmt.Errorf("direct: nil objective factory")
-	}
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers == 1 {
-		return s.Run(ctx, mkObj(0), budget)
-	}
-
-	type workerState struct {
-		obj Objective
-		buf []float64
-	}
-	pool := make([]workerState, workers)
-	for w := range pool {
-		pool[w] = workerState{obj: mkObj(w), buf: make([]float64, len(s.lower))}
-		if pool[w].obj == nil {
-			return Result{}, fmt.Errorf("direct: objective factory returned nil for worker %d", w)
-		}
-	}
-	return s.run(ctx, func(points [][]float64, out []float64) {
-		// Contiguous slabs keep each worker's share deterministic and its
-		// result writes disjoint.
-		per := (len(points) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w*per < len(points); w++ {
-			lo, hi := w*per, min((w+1)*per, len(points))
-			wg.Add(1)
-			go func(ws *workerState) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					out[i] = ws.obj(s.denormalize(points[i], ws.buf))
-				}
-			}(&pool[w])
-		}
-		wg.Wait()
-	}, budget)
-}
-
-// denormalize maps a point of the unit cube to the box, into buf.
-func (s *Search) denormalize(x, buf []float64) []float64 {
-	for d, v := range x {
-		buf[d] = s.lower[d] + v*(s.upper[d]-s.lower[d])
-	}
-	return buf
-}
-
-// division is one trisection a batch asks for: rectangle rectIdx along dim,
-// sampled at batch points loIdx (c − δ) and loIdx+1 (c + δ).
-type division struct {
-	rectIdx, dim, loIdx int
-	lo, hi              *rect
-	bestOfPair          float64
-}
-
-// run is the DIRECT engine. Each iteration gathers every candidate point,
-// evaluates the batch via eval, then processes results in gathering order —
-// so the trajectory does not depend on how eval schedules the batch
-// internally, nor on how many runs the evaluations were spread over.
-func (s *Search) run(ctx context.Context, eval batchEvaler, budget int) (Result, error) {
+	eval := func(x []float64) float64 { return f(s.denormalize(x, buf)) }
 	if s.rects == nil {
 		// Seed: the center of the cube.
 		c0 := make([]float64, len(s.lower))
 		for i := range c0 {
 			c0[i] = 0.5
 		}
-		first := &rect{center: c0, levels: make([]int8, len(c0))}
-		var f [1]float64
-		eval([][]float64{c0}, f[:])
-		first.f = f[0]
+		first := &rect{center: c0, f: eval(c0), levels: make([]int8, len(c0))}
 		first.computeSize()
 		s.rects, s.best, s.fevals = []*rect{first}, first, 1
 	}
@@ -320,8 +218,9 @@ func (s *Search) run(ctx context.Context, eval batchEvaler, budget int) (Result,
 		// goes: one evaluation left evaluates nothing.
 		from := len(s.kept)
 		upto := min(len(points), from+(budget-s.Fevals())&^1)
-		s.kept = append(s.kept, make([]float64, upto-from)...)
-		eval(points[from:upto], s.kept[from:upto])
+		for _, x := range points[from:upto] {
+			s.kept = append(s.kept, eval(x))
+		}
 		if upto < len(points) {
 			for i := from; i < upto; i++ {
 				if s.kept[i] < s.incumbent().f {
@@ -336,6 +235,22 @@ func (s *Search) run(ctx context.Context, eval batchEvaler, budget int) (Result,
 		s.kept, s.keptBest = s.kept[:0], nil
 	}
 	return s.result(), err
+}
+
+// denormalize maps a point of the unit cube to the box, into buf.
+func (s *Search) denormalize(x, buf []float64) []float64 {
+	for d, v := range x {
+		buf[d] = s.lower[d] + v*(s.upper[d]-s.lower[d])
+	}
+	return buf
+}
+
+// division is one trisection a batch asks for: rectangle rectIdx along dim,
+// sampled at batch points loIdx (c − δ) and loIdx+1 (c + δ).
+type division struct {
+	rectIdx, dim, loIdx int
+	lo, hi              *rect
+	bestOfPair          float64
 }
 
 // incumbent returns the best sample so far, kept values included.

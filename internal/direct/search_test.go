@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -27,22 +26,15 @@ func randomObjective(rng *rand.Rand, n int) Objective {
 	}
 }
 
-// recorder wraps an objective and logs every point it is handed. Workers
-// share one log under a mutex, so only the multiset is meaningful.
+// recorder wraps an objective and logs every point it is handed.
 type recorder struct {
-	mu     sync.Mutex
 	f      Objective
 	points []string
 }
 
-func (r *recorder) objective(int) Objective {
-	return func(x []float64) float64 {
-		key := fmt.Sprintf("%x", x)
-		r.mu.Lock()
-		r.points = append(r.points, key)
-		r.mu.Unlock()
-		return r.f(x)
-	}
+func (r *recorder) objective(x []float64) float64 {
+	r.points = append(r.points, fmt.Sprintf("%x", x))
+	return r.f(x)
 }
 
 func multiset(lists ...[]string) map[string]int {
@@ -75,8 +67,7 @@ func TestSearchResumeMatchesFresh(t *testing.T) {
 		}
 		b1 := 1 + rng.Intn(400)
 		b2 := b1 + 1 + rng.Intn(600)
-		workers := 1 + 2*(trial%2) // 1 or 3
-		label := fmt.Sprintf("trial %d (n=%d, budgets %d then %d, workers %d)", trial, n, b1, b2, workers)
+		label := fmt.Sprintf("trial %d (n=%d, budgets %d then %d)", trial, n, b1, b2)
 		ctx := context.Background()
 
 		fresh, err := NewSearch(lower, upper, Options{})
@@ -84,7 +75,7 @@ func TestSearchResumeMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		whole := &recorder{f: f}
-		want, err := fresh.Run(ctx, whole.objective(0), b2)
+		want, err := fresh.Run(ctx, whole.objective, b2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +85,7 @@ func TestSearchResumeMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		first, second := &recorder{f: f}, &recorder{f: f}
-		early, err := s.RunParallel(ctx, first.objective, b1, workers)
+		early, err := s.Run(ctx, first.objective, b1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +102,7 @@ func TestSearchResumeMatchesFresh(t *testing.T) {
 		}
 		sameResult(t, alone, early, label+": Run(b1) vs Minimize at b1")
 
-		got, err := s.RunParallel(ctx, second.objective, b2, workers)
+		got, err := s.Run(ctx, second.objective, b2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,8 @@ package greedy
 import (
 	"fmt"
 	"sort"
-	"sync"
+
+	"kairos/internal/cpu"
 )
 
 // FitsFunc reports whether `item` can join the items already placed in a
@@ -80,85 +81,75 @@ func Pack(loads []float64, fits FitsFunc, maxBins int) ([][]int, bool, error) {
 // with the fewest bins, as the paper's greedy baseline does. It returns
 // ok=false if no single-resource ordering produces a feasible packing.
 func MultiResource(loads [][]float64, fits FitsFunc, maxBins int) ([][]int, bool, error) {
-	if len(loads) == 0 {
-		return nil, false, fmt.Errorf("greedy: no resource dimensions")
+	if err := checkLoads(loads); err != nil {
+		return nil, false, err
 	}
-	n := len(loads[0])
+	packed := make([]packing, len(loads))
 	for r, row := range loads {
-		if len(row) != n {
-			return nil, false, fmt.Errorf("greedy: resource %d has %d items, want %d", r, len(row), n)
-		}
+		packed[r].bins, packed[r].ok, packed[r].err = Pack(row, fits, maxBins)
 	}
-	var best [][]int
-	found := false
-	for _, row := range loads {
-		bins, ok, err := Pack(row, fits, maxBins)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok && (!found || len(bins) < len(best)) {
-			best = bins
-			found = true
-		}
-	}
-	return best, found, nil
+	return fewestBins(packed)
 }
 
-// MultiResourceParallel is MultiResource with the per-resource packings run
-// concurrently. Because a FitsFunc usually closes over stateful evaluation
-// scratch, the caller supplies a factory instead of a single function:
-// mkFits(r) is invoked serially, once per resource row r, and each returned
-// FitsFunc is used by exactly one goroutine. Result selection matches
-// MultiResource exactly (fewest bins, earliest resource on ties), so the
-// outcome is identical for every workers value; workers ≤ 1 falls back to
-// the sequential path.
-func MultiResourceParallel(loads [][]float64, mkFits func(resource int) FitsFunc, maxBins, workers int) ([][]int, bool, error) {
+// MultiResourceParallel is MultiResource with the per-resource packings on
+// the helpers the CPU budget has free (cpu.Do). A FitsFunc usually closes
+// over stateful evaluation scratch, so the caller supplies a factory
+// instead of a single function: each worker calls mkFits(worker) once, on
+// its own goroutine, and uses what it returns for every packing it runs
+// (worker 0 is the caller, and with no slot free it packs every resource
+// with mkFits(0), which is MultiResource). Result selection is
+// MultiResource's, so the outcome does not depend on how many helpers
+// there were.
+func MultiResourceParallel(loads [][]float64, mkFits func(worker int) FitsFunc, maxBins int) ([][]int, bool, error) {
 	if mkFits == nil {
 		return nil, false, fmt.Errorf("greedy: nil fits factory")
 	}
-	if len(loads) == 0 {
-		return nil, false, fmt.Errorf("greedy: no resource dimensions")
+	if err := checkLoads(loads); err != nil {
+		return nil, false, err
 	}
-	n := len(loads[0])
+	packed := make([]packing, len(loads))
+	fits := make([]FitsFunc, len(loads))
+	cpu.Do(len(loads), func(w, r int) {
+		if fits[w] == nil {
+			fits[w] = mkFits(w)
+		}
+		packed[r].bins, packed[r].ok, packed[r].err = Pack(loads[r], fits[w], maxBins)
+	})
+	return fewestBins(packed)
+}
+
+// packing is one resource's Pack outcome.
+type packing struct {
+	bins [][]int
+	ok   bool
+	err  error
+}
+
+// checkLoads validates MultiResource's rows: at least one, all as long.
+func checkLoads(loads [][]float64) error {
+	if len(loads) == 0 {
+		return fmt.Errorf("greedy: no resource dimensions")
+	}
 	for r, row := range loads {
-		if len(row) != n {
-			return nil, false, fmt.Errorf("greedy: resource %d has %d items, want %d", r, len(row), n)
+		if len(row) != len(loads[0]) {
+			return fmt.Errorf("greedy: resource %d has %d items, want %d", r, len(row), len(loads[0]))
 		}
 	}
-	if workers <= 1 || len(loads) == 1 {
-		return MultiResource(loads, mkFits(0), maxBins)
-	}
+	return nil
+}
 
-	type result struct {
-		bins [][]int
-		ok   bool
-		err  error
-	}
-	results := make([]result, len(loads))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for r := range loads {
-		fits := mkFits(r)
-		wg.Add(1)
-		go func(r int, fits FitsFunc) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bins, ok, err := Pack(loads[r], fits, maxBins)
-			results[r] = result{bins, ok, err}
-		}(r, fits)
-	}
-	wg.Wait()
-
+// fewestBins returns the feasible packing with the fewest bins, the
+// earliest resource's on ties, or ok=false when none is; the first error
+// in resource order wins over both.
+func fewestBins(packed []packing) ([][]int, bool, error) {
 	var best [][]int
 	found := false
-	for _, res := range results {
-		if res.err != nil {
-			return nil, false, res.err
+	for _, p := range packed {
+		if p.err != nil {
+			return nil, false, p.err
 		}
-		if res.ok && (!found || len(res.bins) < len(best)) {
-			best = res.bins
-			found = true
+		if p.ok && (!found || len(p.bins) < len(best)) {
+			best, found = p.bins, true
 		}
 	}
 	return best, found, nil

@@ -1,6 +1,8 @@
 package greedy
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -211,7 +213,7 @@ func TestPropertyBinCountBounds(t *testing.T) {
 }
 
 // MultiResourceParallel must agree with MultiResource exactly, including
-// tie-breaks, for every worker count.
+// tie-breaks, at every GOMAXPROCS, and ask each worker for one FitsFunc.
 func TestMultiResourceParallelMatchesSequential(t *testing.T) {
 	cpu := []float64{0.5, 0.4, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1}
 	ram := []float64{0.2, 0.3, 0.5, 0.1, 0.4, 0.2, 0.3, 0.1}
@@ -234,9 +236,20 @@ func TestMultiResourceParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		parBins, parOK, err := MultiResourceParallel(loads, func(int) FitsFunc { return fits }, 0, workers)
+		var made [3]atomic.Int64
+		prev := runtime.GOMAXPROCS(workers)
+		parBins, parOK, err := MultiResourceParallel(loads, func(w int) FitsFunc {
+			made[w].Add(1)
+			return fits
+		}, 0)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for w := range made {
+			if n := made[w].Load(); n > 1 {
+				t.Errorf("workers=%d: worker %d made %d fits functions", workers, w, n)
+			}
 		}
 		if parOK != seqOK || len(parBins) != len(seqBins) {
 			t.Fatalf("workers=%d: ok=%v bins=%d, want ok=%v bins=%d",
@@ -258,13 +271,13 @@ func TestMultiResourceParallelMatchesSequential(t *testing.T) {
 }
 
 func TestMultiResourceParallelValidation(t *testing.T) {
-	if _, _, err := MultiResourceParallel(nil, func(int) FitsFunc { return nil }, 0, 2); err == nil {
+	if _, _, err := MultiResourceParallel(nil, func(int) FitsFunc { return nil }, 0); err == nil {
 		t.Error("empty loads accepted")
 	}
-	if _, _, err := MultiResourceParallel([][]float64{{1}}, nil, 0, 2); err == nil {
+	if _, _, err := MultiResourceParallel([][]float64{{1}}, nil, 0); err == nil {
 		t.Error("nil factory accepted")
 	}
-	if _, _, err := MultiResourceParallel([][]float64{{1, 2}, {1}}, func(int) FitsFunc { return nil }, 0, 2); err == nil {
+	if _, _, err := MultiResourceParallel([][]float64{{1, 2}, {1}}, func(int) FitsFunc { return nil }, 0); err == nil {
 		t.Error("ragged loads accepted")
 	}
 }

@@ -24,26 +24,30 @@ const (
 	version = 1
 )
 
+// fileHeader and archiveHeader are the fixed-size parts of that layout,
+// as encoding/binary reads and writes them.
+type fileHeader struct {
+	Version                       uint32
+	StartUnixNano, Step, NUpdates int64
+	NArchives                     uint32
+}
+
+type archiveHeader struct {
+	CF, Steps, Rows, Head uint32
+	Written               int64
+	AccSeen, AccCount     uint32
+	AccSum, AccMax        float64
+}
+
 // WriteTo serializes the database. It implements io.WriterTo.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	write := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) } //kairoslint:allow errflow: binary.Write to a bytes.Buffer cannot fail for fixed-size values
-	write(uint32(version))
-	write(db.start.UnixNano())
-	write(int64(db.step))
-	write(db.nUpdates)
-	write(uint32(len(db.archives)))
+	write(fileHeader{version, db.start.UnixNano(), int64(db.step), db.nUpdates, uint32(len(db.archives))})
 	for _, a := range db.archives {
-		write(uint32(a.spec.CF))
-		write(uint32(a.spec.Steps))
-		write(uint32(a.spec.Rows))
-		write(uint32(a.head))
-		write(a.written)
-		write(uint32(a.accSeen))
-		write(uint32(a.accCount))
-		write(a.accSum)
-		write(a.accMax)
+		write(archiveHeader{uint32(a.spec.CF), uint32(a.spec.Steps), uint32(a.spec.Rows), uint32(a.head),
+			a.written, uint32(a.accSeen), uint32(a.accCount), a.accSum, a.accMax})
 		for _, v := range a.ring {
 			write(math.Float64bits(v))
 		}
@@ -52,7 +56,17 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Read deserializes a database previously written with WriteTo.
+// ringChunk is how many ring rows Read takes per read: the ring grows as
+// its bytes arrive, so a header claiming millions of rows costs memory only
+// once the rows are there.
+const ringChunk = 4096
+
+// Read deserializes a database previously written with WriteTo. It refuses
+// what New would not build — a step that is not positive, an archive spec
+// New refuses — and archive state push and Fetch cannot continue from: a
+// head outside the ring, a negative row count, a row in progress that is
+// already complete (accSeen ≥ Steps) or counts more samples than it has
+// seen.
 func Read(r io.Reader) (*DB, error) {
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -62,80 +76,61 @@ func Read(r io.Reader) (*DB, error) {
 		return nil, errors.New("rrd: bad magic")
 	}
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var ver uint32
-	if err := read(&ver); err != nil {
+	var fh fileHeader
+	if err := read(&fh); err != nil {
 		return nil, err
 	}
-	if ver != version {
-		return nil, fmt.Errorf("rrd: unsupported version %d", ver)
-	}
-	var startNano, step, nUpdates int64
-	var nArch uint32
-	if err := read(&startNano); err != nil {
-		return nil, err
-	}
-	if err := read(&step); err != nil {
-		return nil, err
-	}
-	if err := read(&nUpdates); err != nil {
-		return nil, err
-	}
-	if err := read(&nArch); err != nil {
-		return nil, err
-	}
-	if nArch == 0 || nArch > 1<<16 {
-		return nil, fmt.Errorf("rrd: implausible archive count %d", nArch)
+	switch {
+	case fh.Version != version:
+		return nil, fmt.Errorf("rrd: unsupported version %d", fh.Version)
+	case fh.Step <= 0:
+		return nil, errors.New("rrd: step must be positive")
+	case fh.NArchives == 0 || fh.NArchives > 1<<16:
+		return nil, fmt.Errorf("rrd: implausible archive count %d", fh.NArchives)
 	}
 	db := &DB{
-		step:     time.Duration(step),
-		start:    time.Unix(0, startNano).UTC(),
-		nUpdates: nUpdates,
+		step:     time.Duration(fh.Step),
+		start:    time.Unix(0, fh.StartUnixNano).UTC(),
+		nUpdates: fh.NUpdates,
 	}
-	for i := uint32(0); i < nArch; i++ {
-		var cf, steps, rows, hd, accSeen, accCount uint32
-		var written int64
-		var accSum, accMax float64
-		for _, v := range []any{&cf, &steps, &rows, &hd} {
-			if err := read(v); err != nil {
-				return nil, err
-			}
-		}
-		if err := read(&written); err != nil {
+	for i := uint32(0); i < fh.NArchives; i++ {
+		var ah archiveHeader
+		if err := read(&ah); err != nil {
 			return nil, err
 		}
-		for _, v := range []any{&accSeen, &accCount} {
-			if err := read(v); err != nil {
-				return nil, err
-			}
-		}
-		if err := read(&accSum); err != nil {
+		spec := ArchiveSpec{CF: CF(ah.CF), Steps: int(ah.Steps), Rows: int(ah.Rows)}
+		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		if err := read(&accMax); err != nil {
-			return nil, err
-		}
-		if rows == 0 || rows > 1<<24 {
-			return nil, fmt.Errorf("rrd: implausible ring size %d", rows)
-		}
-		if hd >= rows {
-			return nil, fmt.Errorf("rrd: head %d out of ring %d", hd, rows)
+		switch {
+		case ah.Rows > 1<<24:
+			return nil, fmt.Errorf("rrd: implausible ring size %d", ah.Rows)
+		case ah.Head >= ah.Rows:
+			return nil, fmt.Errorf("rrd: head %d out of ring %d", ah.Head, ah.Rows)
+		case ah.Written < 0:
+			return nil, fmt.Errorf("rrd: negative row count %d", ah.Written)
+		case ah.AccCount > ah.AccSeen || ah.AccSeen >= ah.Steps:
+			return nil, fmt.Errorf("rrd: row in progress has %d of %d samples seen, %d counted", ah.AccSeen, ah.Steps, ah.AccCount)
 		}
 		a := &archive{
-			spec:     ArchiveSpec{CF: CF(cf), Steps: int(steps), Rows: int(rows)},
-			ring:     make([]float64, rows),
-			head:     int(hd),
-			written:  written,
-			accSeen:  int(accSeen),
-			accCount: int(accCount),
-			accSum:   accSum,
-			accMax:   accMax,
+			spec:     spec,
+			ring:     make([]float64, 0, min(spec.Rows, ringChunk)),
+			head:     int(ah.Head),
+			written:  ah.Written,
+			accSeen:  int(ah.AccSeen),
+			accCount: int(ah.AccCount),
+			accSum:   ah.AccSum,
+			accMax:   ah.AccMax,
 		}
-		for j := range a.ring {
-			var bits uint64
-			if err := read(&bits); err != nil {
+		bits := make([]uint64, min(spec.Rows, ringChunk))
+		for len(a.ring) < spec.Rows {
+			chunk := bits[:min(len(bits), spec.Rows-len(a.ring))]
+			if err := read(chunk); err != nil {
 				return nil, err
 			}
-			a.ring[j] = math.Float64frombits(bits)
+			for _, b := range chunk {
+				a.ring = append(a.ring, math.Float64frombits(b))
+			}
 		}
 		db.archives = append(db.archives, a)
 	}

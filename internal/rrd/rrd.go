@@ -48,6 +48,17 @@ type ArchiveSpec struct {
 	Rows  int // ring capacity (≥ 1)
 }
 
+// validate refuses a spec New cannot build an archive from.
+func (s ArchiveSpec) validate() error {
+	if s.Steps < 1 || s.Rows < 1 {
+		return fmt.Errorf("rrd: invalid archive spec %+v", s)
+	}
+	if s.CF != Average && s.CF != MaxCF {
+		return fmt.Errorf("rrd: unknown consolidation function %v", s.CF)
+	}
+	return nil
+}
+
 // archive is one round-robin ring of consolidated data.
 type archive struct {
 	spec    ArchiveSpec
@@ -81,11 +92,8 @@ func New(start time.Time, step time.Duration, specs ...ArchiveSpec) (*DB, error)
 	}
 	db := &DB{step: step, start: start}
 	for _, s := range specs {
-		if s.Steps < 1 || s.Rows < 1 {
-			return nil, fmt.Errorf("rrd: invalid archive spec %+v", s)
-		}
-		if s.CF != Average && s.CF != MaxCF {
-			return nil, fmt.Errorf("rrd: unknown consolidation function %v", s.CF)
+		if err := s.validate(); err != nil {
+			return nil, err
 		}
 		db.archives = append(db.archives, &archive{
 			spec: s,
@@ -158,9 +166,10 @@ func (db *DB) Fetch(idx int) (*series.Series, error) {
 		return nil, fmt.Errorf("rrd: archive %d out of range", idx)
 	}
 	a := db.archives[idx]
-	rows := a.written
-	if rows > int64(len(a.ring)) {
-		rows = int64(len(a.ring))
+	// A row count that has wrapped past the int64 range is a full ring.
+	rows := int64(len(a.ring))
+	if a.written >= 0 && a.written < rows {
+		rows = a.written
 	}
 	out := make([]float64, rows)
 	// The oldest retained row is `rows` positions behind head.

@@ -194,6 +194,73 @@ func stateOf(t *testing.T, s *Server, id string) sessionState {
 	return st
 }
 
+// TestWorkersOptionIgnored: the "workers" option earlier releases took is
+// accepted and changes nothing. A registration carrying it is served the
+// plan one without it is, and a journaled register record and a snapshot
+// carrying it recover to the state the live server had.
+func TestWorkersOptionIgnored(t *testing.T) {
+	plain := registerBody("a", 4, 8)
+	legacy := withWorkers(plain)
+	if !bytes.Contains(legacy, []byte(`"options":{"workers":2}`)) {
+		t.Fatalf("the legacy registration carries no workers option: %.200s", legacy)
+	}
+	ref := New(nil)
+	defer ref.Close()
+	mustServe(t, ref, http.MethodPost, "/v1/fleets", plain, http.StatusCreated)
+
+	live := t.TempDir()
+	s, err := openDir(live, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, s, http.MethodPost, "/v1/fleets", legacy, http.StatusCreated)
+	want := stateOf(t, s, "a")
+	if got := stateOf(t, ref, "a"); !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Errorf("with workers the plan is\n%+v\nwithout\n%+v", want.Plan, got.Plan)
+	}
+	if err := s.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The register record as an earlier release journaled it.
+	recs := journalRecords(t, live)
+	if len(recs) != 1 {
+		t.Fatalf("journal holds %d records, want the registration", len(recs))
+	}
+	dir := t.TempDir()
+	appendRaw(t, dir, withWorkers(recs[0].Payload))
+	recovered := func(what string) {
+		t.Helper()
+		rs, err := openDir(dir, t.Logf)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := stateOf(t, rs, "a"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s recovered\n%+v\nwant\n%+v", what, got, want)
+		}
+		if err := rs.Close(); err != nil { // writes the snapshot
+			t.Fatal(err)
+		}
+	}
+	recovered("a register record with workers")
+
+	// The snapshot as an earlier release wrote it.
+	l, rec, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 0 || !bytes.Contains(rec.Snapshot, []byte(`"options":{}`)) {
+		t.Fatalf("the state directory holds %d records and a snapshot %.200s, want the snapshot alone", len(rec.Records), rec.Snapshot)
+	}
+	if err := l.Snapshot(withWorkers(rec.Snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered("a snapshot with workers")
+}
+
 // TestWindowRecordCompatibility: the journal's window records are the
 // received bytes under the RecordWire schema. A record as the previous
 // release wrote it (json.Marshal of the decoded window) and the spliced

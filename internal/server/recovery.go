@@ -16,14 +16,15 @@ package server
 //
 // Replay is two stages. The decode stage (decodeAhead) turns a record's
 // payload into a *RecordWire with decodeRecord: it reads the payload and
-// nothing else, so GOMAXPROCS workers run it ahead of the loop, started
-// before the snapshot is decoded so that restoring the snapshot on the
-// calling goroutine overlaps the first records. The apply stage is the
-// one loop in replay: it takes decoded records strictly in journal order
-// and applies each under s.mu, so replay equals live whatever the worker
-// count. A record that does not decode fails the replay with the error
-// the sequential loop gave, and only once every record before it has been
-// applied; what the workers made of later records is dropped. The
+// nothing else, so a helper per free slot of the CPU budget runs it ahead
+// of the loop, started before the snapshot is decoded so that restoring
+// the snapshot on the calling goroutine overlaps the first records. The
+// apply stage is the one loop in replay: it takes records strictly in
+// journal order, decoding itself one no helper has taken yet, and applies
+// each under s.mu, so replay equals live whatever the helper count. A
+// record that does not decode fails the replay with the error the
+// sequential loop gave, and only once every record before it has been
+// applied; what the helpers made of later records is dropped. The
 // look-ahead is bounded (decodeAheadPerWorker): a decoded window is about
 // a megabyte of floats, and a journal of hundreds must not sit in memory
 // twice. No goroutine outlives replay. decodeSnapshot stays one call on
@@ -35,12 +36,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kairos"
+	"kairos/internal/cpu"
 	"kairos/internal/journal"
 )
 
@@ -72,8 +74,8 @@ type RecoveryStats struct {
 	// checksumming the snapshot and the log.
 	JournalRead time.Duration
 	// RecordsDecode is the time spent inside decodeRecord, summed over the
-	// decode workers: what the records cost, where Elapsed says how long
-	// the daemon waited for it.
+	// helpers and the apply loop: what the records cost, where Elapsed says
+	// how long the daemon waited for it.
 	RecordsDecode time.Duration
 }
 
@@ -212,9 +214,9 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		}
 	}
 	for i, r := range rec.Records {
-		// Waiting for a decode worker is the one thing replay does without
-		// s.mu: a lock is not held across a channel receive, and the workers
-		// never touch what it guards.
+		// Decoding, or waiting for a helper's decode, is the one thing replay
+		// does without s.mu: a lock is not held across a channel receive, and
+		// decodeRecord never touches what it guards.
 		s.mu.Unlock()
 		rw, took, err := ahead.take(i)
 		s.mu.Lock()
@@ -282,58 +284,77 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 }
 
 // decodeAheadPerWorker bounds the decode stage's look-ahead: at most this
-// many records per worker are decoded (or being decoded) and not yet
-// applied. Two keeps every worker busy while the apply loop works through
-// a record; more only holds more decoded windows in memory.
+// many records per decoder, the apply loop counted, are decoded (or being
+// decoded) and not yet applied. Two keeps every helper busy while the
+// apply loop works through a record; more only holds more decoded windows
+// in memory.
 const decodeAheadPerWorker = 2
 
-// decodeAhead is replay's decode stage: a fixed set of workers decoding
-// journal records ahead of the loop that applies them. The applying
-// goroutine drives it — take(i) hands the workers the records up to the
-// look-ahead bound, then waits for record i — so there is no feeder to
-// stop, and stop closes the job queue and joins the workers.
+// decodeAhead is replay's decode stage: helpers decoding journal records
+// ahead of the loop that applies them. The applying goroutine drives it —
+// take(i) hands the helpers the records up to the look-ahead bound, then
+// decodes record i itself if no helper has claimed it, or waits for the one
+// that has — so there is no feeder to stop, and stop closes the job queue
+// and joins the helpers. Without a free slot there are no helpers, and
+// take decodes every record in the loop.
 type decodeAhead struct {
 	records []journal.Record
-	// jobs carries record indices to the workers. Its capacity is the
-	// look-ahead bound, which is all that is ever queued, so handing out
-	// work never blocks the apply loop.
+	// claimed[i] is set by whichever decoder, helper or apply loop, takes
+	// record i: exactly one decodes it.
+	claimed []atomic.Bool
+	// jobs carries record indices to the helpers; nil without helpers.
+	// Handing out work never blocks the apply loop: a record the queue has
+	// no room for is one the loop will decode itself.
 	jobs chan int
-	// slots[i%len(slots)] receives record i's result. The records handed
-	// out and not yet taken are at most len(slots) consecutive indices, so
-	// each has a slot to itself and a worker's send never blocks.
+	// slots[i%len(slots)] receives record i's result from the helper that
+	// claimed it. The records handed out and not yet taken are at most
+	// len(slots) consecutive indices, so each has a slot to itself and a
+	// helper's send never blocks.
 	slots []chan decodedRecord
-	// fed is the number of records handed to the workers so far.
+	// fed is the number of records handed to the helpers so far.
 	fed int
 	wg  sync.WaitGroup
 }
 
-// decodedRecord is what a decode worker made of one record.
+// decodedRecord is what decoding one record made of it.
 type decodedRecord struct {
 	rw   *RecordWire
 	err  error
 	took time.Duration
 }
 
-// startDecodeAhead starts min(GOMAXPROCS, len(records)) workers — none
-// for an empty journal — and hands them the first records.
+// decode decodes record i.
+func (a *decodeAhead) decode(i int) decodedRecord {
+	start := time.Now()
+	rw, err := decodeRecord(a.records[i].Payload)
+	return decodedRecord{rw, err, time.Since(start)}
+}
+
+// startDecodeAhead starts a helper per slot the CPU budget has free, at
+// most one per record, and hands them the first records.
 func startDecodeAhead(records []journal.Record) *decodeAhead {
-	workers := min(runtime.GOMAXPROCS(0), len(records))
+	helpers := cpu.Take(len(records))
 	a := &decodeAhead{
 		records: records,
-		jobs:    make(chan int, decodeAheadPerWorker*workers),
-		slots:   make([]chan decodedRecord, decodeAheadPerWorker*workers),
+		claimed: make([]atomic.Bool, len(records)),
+		slots:   make([]chan decodedRecord, decodeAheadPerWorker*(helpers+1)),
 	}
 	for i := range a.slots {
 		a.slots[i] = make(chan decodedRecord, 1)
 	}
-	a.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	if helpers == 0 {
+		return a
+	}
+	a.jobs = make(chan int, len(a.slots))
+	a.wg.Add(helpers)
+	for w := 0; w < helpers; w++ {
 		go func() {
 			defer a.wg.Done()
+			defer cpu.Release()
 			for i := range a.jobs {
-				start := time.Now()
-				rw, err := decodeRecord(a.records[i].Payload)
-				a.slots[i%len(a.slots)] <- decodedRecord{rw, err, time.Since(start)}
+				if a.claimed[i].CompareAndSwap(false, true) {
+					a.slots[i%len(a.slots)] <- a.decode(i)
+				}
 			}
 		}()
 	}
@@ -341,11 +362,15 @@ func startDecodeAhead(records []journal.Record) *decodeAhead {
 	return a
 }
 
-// feed hands the workers every record the look-ahead bound allows while
-// record i is the next to be applied.
+// feed hands the helpers every record the look-ahead bound and the queue's
+// room allow while record i is the next to be applied.
 func (a *decodeAhead) feed(i int) {
-	for ; a.fed < len(a.records) && a.fed < i+len(a.slots); a.fed++ {
-		a.jobs <- a.fed
+	for ; a.jobs != nil && a.fed < len(a.records) && a.fed < i+len(a.slots); a.fed++ {
+		select {
+		case a.jobs <- a.fed:
+		default:
+			return
+		}
 	}
 }
 
@@ -353,14 +378,21 @@ func (a *decodeAhead) feed(i int) {
 // must be taken in order, each once.
 func (a *decodeAhead) take(i int) (*RecordWire, time.Duration, error) {
 	a.feed(i)
-	d := <-a.slots[i%len(a.slots)]
+	var d decodedRecord
+	if a.claimed[i].CompareAndSwap(false, true) {
+		d = a.decode(i)
+	} else {
+		d = <-a.slots[i%len(a.slots)]
+	}
 	return d.rw, d.took, d.err
 }
 
-// stop ends the decode stage: the workers finish what they were handed —
+// stop ends the decode stage: the helpers finish what they were handed —
 // at most the look-ahead bound, results nobody takes — and exit.
 func (a *decodeAhead) stop() {
-	close(a.jobs)
+	if a.jobs != nil {
+		close(a.jobs)
+	}
 	a.wg.Wait()
 }
 

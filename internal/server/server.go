@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kairos"
+	"kairos/internal/cpu"
 	"kairos/internal/journal"
 )
 
@@ -87,6 +88,8 @@ type Server struct {
 	// sinceSnap counts ingested windows since the last snapshot.
 	sinceSnap atomic.Int64
 	snapEvery int64
+	// live counts the window and registration requests in flight (hold).
+	live atomic.Int64
 
 	backoffBase time.Duration
 	backoffCap  time.Duration
@@ -371,13 +374,14 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 // consolidation synchronously (the response carries the plan summary),
 // commit the session to the registry, and start its reconcile loop.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	liveRequests.Add(1)
-	defer liveRequests.Add(-1)
+	s.live.Add(1)
+	defer s.live.Add(-1)
 	body, err := readBody(r)
 	if err != nil {
 		writeDecodeErr(w, "register request", err)
 		return
 	}
+	defer s.hold()()
 	req, err := decodeRegister(body)
 	if err != nil {
 		writeDecodeErr(w, "register request", err)
@@ -709,6 +713,21 @@ func (s *Server) bumpBackoff(sess *session) (int, time.Duration) {
 	return sess.failures, d
 }
 
+// hold is called by a window or registration handler about to decode its
+// body. While another such request is in flight it holds a slot of the CPU
+// budget for the rest of the handler, even one a split chunk of the other
+// request has yet to give back: with two collectors on two cores, one
+// decodes while the other's window is in the fleet's serial loop, and a
+// chunk or a solver helper of either would take the loop's core. The
+// returned func gives the slot back.
+func (s *Server) hold() (release func()) {
+	if s.live.Load() > 1 {
+		cpu.Hold()
+		return cpu.Release
+	}
+	return func() {}
+}
+
 // handleWindow is POST /v1/fleets/{id}/windows: decode the window and
 // build its journal record, hand both to the fleet's reconcile loop, and
 // acknowledge once the window has been applied (including whether it
@@ -718,13 +737,14 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	liveRequests.Add(1)
-	defer liveRequests.Add(-1)
+	s.live.Add(1)
+	defer s.live.Add(-1)
 	body, err := readBody(r)
 	if err != nil {
 		writeDecodeErr(w, "window", err)
 		return
 	}
+	defer s.hold()()
 	wire, span, err := decodeWindow(body)
 	if err != nil {
 		writeDecodeErr(w, "window", err)
@@ -918,6 +938,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	const split = "kairos_wire_split_chunks_total"
 	fmt.Fprintf(w, "# HELP %s Workloads-array chunks decoded on their own goroutine: adopted where the decode before landed on their start, discarded where it did not.\n# TYPE %s counter\n%s{outcome=\"adopted\"} %d\n%s{outcome=\"discarded\"} %d\n",
 		split, split, split, splitAdopted.Load(), split, splitDiscarded.Load())
+	const inUse, denied = "kairos_cpu_budget_in_use", "kairos_cpu_budget_denied_total"
+	fmt.Fprintf(w, "# HELP %s CPU budget slots taken now: helpers (solver probes, climbs and shards, decode chunks; at most GOMAXPROCS - 1) and live requests held beside another.\n# TYPE %s gauge\n%s %d\n", inUse, inUse, inUse, cpu.InUse())
+	fmt.Fprintf(w, "# HELP %s Helper slots asked for when none was free; the work ran on the asking goroutine.\n# TYPE %s counter\n%s %d\n", denied, denied, denied, cpu.Denied())
 	if s.jl != nil {
 		writeJournalMetrics(w, s.jl.Stats(), s.recovery)
 	}

@@ -31,16 +31,17 @@ package server
 // FuzzDecodeSnapshot hold the two decoders together.
 //
 // The live entry points, decodeWindow and decodeRegister, split a large
-// workloads array over the cores other requests leave (liveWorkloads):
-// each chunk after the first starts at a '}' ws ',' ws '{' found past an
-// even split point and is decoded on a goroutine by the same code, and is
-// adopted only when the decode before it, having consumed a separator of
-// the array itself, lands exactly on its start. Any other is discarded
-// with its numbers for slowNumbers, so a '},{' inside a name or an
-// unknown field costs a core, never a different result: values, error
-// and offset, span and slow count are the one-goroutine decode's. Replay
-// already decodes records on every core and ROADMAP item 1 stage B turns
-// the snapshot into records, so decodeRecord and decodeSnapshot do not.
+// workloads array over the helper slots the CPU budget has free
+// (liveWorkloads): each chunk after the first starts at a '}' ws ',' ws
+// '{' found past an even split point and is decoded on a goroutine by the
+// same code, and is adopted only when the decode before it, having
+// consumed a separator of the array itself, lands exactly on its start.
+// Any other is discarded with its numbers for slowNumbers, so a '},{'
+// inside a name or an unknown field costs a core, never a different
+// result: values, error and offset, span and slow count are the
+// one-goroutine decode's. Replay already decodes records on the free cores
+// and the snapshot is planned to become records, so decodeRecord and
+// decodeSnapshot do not split.
 //
 // One deliberate difference from json.Unmarshal, so that the bytes the
 // journal keeps are the whole story: a repeated key from the tables
@@ -63,10 +64,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"unicode"
+
+	"kairos/internal/cpu"
 )
 
 // maxNesting is encoding/json's nesting limit; deeper documents are
@@ -714,19 +716,21 @@ func (d *windowDecoder) workloadsValue(depth int) ([]WorkloadWire, error) {
 	})
 }
 
-// liveRequests counts the window and registration requests in flight. A
-// split takes only the cores they leave each other: with two collectors,
-// one decodes while the other's window is in the fleet's serial loop, and
-// a chunk would take the loop's core.
-var liveRequests atomic.Int64
-
-// liveWorkloads is workloadsValue for the live entry points, in n =
-// min(GOMAXPROCS / requests in flight, bytes left / splitChunkMin) chunks.
+// liveWorkloads is workloadsValue for the live entry points, in one chunk
+// per helper slot it can take, plus the caller's, and at most one per
+// splitChunkMin bytes left. The slots go back once the split has joined
+// its chunks.
 func (d *windowDecoder) liveWorkloads(depth int) ([]WorkloadWire, error) {
 	return array(d, "workloads", func() ([]WorkloadWire, error) {
-		cores := runtime.GOMAXPROCS(0) / max(1, int(liveRequests.Load()))
-		if starts := chunkStarts(d.b, d.i, min(cores, (len(d.b)-d.i)/splitChunkMin)); starts != nil {
-			return d.splitWorkloads(depth, starts)
+		if helpers := cpu.Take((len(d.b)-d.i)/splitChunkMin - 1); helpers > 0 {
+			defer func() {
+				for range helpers {
+					cpu.Release()
+				}
+			}()
+			if starts := chunkStarts(d.b, d.i, helpers+1); starts != nil {
+				return d.splitWorkloads(depth, starts)
+			}
 		}
 		out, _, err := elements(d, nil, func(w *WorkloadWire) error {
 			return d.workload(depth+1, w)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"kairos/internal/cpu"
 )
 
 // splitSmall lowers the chunk minimum for the rest of tb, so that a
@@ -200,8 +202,8 @@ func pairsFrom(p int, qs []int) [][]int {
 
 // TestSplitOutcomes: the 197-server window and registration adopt every
 // chunk at GOMAXPROCS 2, 4 and 8, at the chunk minimum the daemon runs
-// with, and requests in flight share the cores; a guess discarded after it
-// met a number for strconv adds nothing to slowNumbers.
+// with, and split only over the CPU budget's free slots; a guess
+// discarded after it met a number for strconv adds nothing to slowNumbers.
 func TestSplitOutcomes(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
 		atProcs(procs, func() {
@@ -219,13 +221,15 @@ func TestSplitOutcomes(t *testing.T) {
 	}
 
 	atProcs(4, func() {
-		for _, tc := range []struct{ inFlight, chunks int64 }{{2, 1}, {4, 0}} {
+		for _, tc := range []struct{ held, chunks int }{{1, 2}, {3, 0}} {
 			adopted := splitAdopted.Load()
-			liveRequests.Add(tc.inFlight)
+			held := cpu.Take(tc.held)
 			_, _, err := decodeWindow(window197(t))
-			liveRequests.Add(-tc.inFlight)
-			if n := splitAdopted.Load() - adopted; err != nil || n != tc.chunks {
-				t.Errorf("GOMAXPROCS=4, %d requests in flight: %d chunks adopted, %v; want %d", tc.inFlight, n, err, tc.chunks)
+			for range held {
+				cpu.Release()
+			}
+			if n := splitAdopted.Load() - adopted; err != nil || held != tc.held || n != int64(tc.chunks) {
+				t.Errorf("GOMAXPROCS=4, %d of 3 slots held: %d chunks adopted, %v; want %d", held, n, err, tc.chunks)
 			}
 		}
 	})

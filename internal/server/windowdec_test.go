@@ -415,16 +415,26 @@ func all197(f float64) []WorkloadWire {
 	return wireWorkloads(all.Workloads(0.7), f)
 }
 
-// register197 is the registration body of the ALL fleet.
+// register197 is the registration body of the ALL fleet, with the
+// "workers" option earlier releases took and this one ignores.
 func register197(tb testing.TB) []byte {
 	tb.Helper()
 	cooldown := 2
-	return mustJSON(RegisterRequest{
+	return withWorkers(mustJSON(RegisterRequest{
 		ID:           "all-197",
 		Workloads:    all197(1.0),
 		AutoMachines: &AutoMachines{Count: 197},
-		Options:      OptionsWire{Workers: 2, Cooldown: &cooldown},
-	})
+		Options:      OptionsWire{Cooldown: &cooldown},
+	}))
+}
+
+// withWorkers puts "workers":2 first in doc's first options object, as a
+// client of an earlier release sent it.
+func withWorkers(doc []byte) []byte {
+	if b := bytes.Replace(doc, []byte(`"options":{}`), []byte(`"options":{"workers":2}`), 1); !bytes.Equal(b, doc) {
+		return b
+	}
+	return bytes.Replace(doc, []byte(`"options":{`), []byte(`"options":{"workers":2,`), 1)
 }
 
 // incumbent197 is a plan of the ALL fleet in durable form.
@@ -628,6 +638,7 @@ var recordCases = []string{
 	`{"advance":{"fleet":"f","incumbent":{"k":1,"units":[]},"event":null}}`, `{"advance":{"fleet":5}}`, `{"advance":tru}`,
 	`{"deregister":{"fleet":"f"},"rearm":null,"advance":null,"register":null,"window":null}`,
 	`{"deregister":{"fleet":"f"},"deregister":{"fleet":"g"}}`, `{"rearm":{"fleet":"f","workloads":[1,2]}}`,
+	`{"register":{"request":{"id":"a","workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"auto_machines":{"count":1},"options":{"workers":2,"cooldown":1}},"incumbent":{"k":1,"units":[{"workload":"w","index":0,"replica":0,"machine":0}]}}}`,
 }
 
 // snapshotCases are snapshots: null, absent, empty and repeated values at
@@ -650,6 +661,7 @@ var snapshotCases = []string{
 	`{"fleets":[{"request":{"id":"a"}}],"fleets":[{"failures":3}]}`,
 	"{\"FLEETS\":[{\"REQUEST\":{\"ID\":\"a\",\"wor\u212Aloads\":[{\"name\":\"kelvin\"}]},\"hi\u017ftory\":[[{\"name\":\"long s\"}]],\"ba\\u0073eline\":[{\"name\":\"escaped\"}]}]}",
 	" { \"fleets\" : [ { \"request\" : { \"id\" : \"a\" } , \"history\" : [ [ ] , null ] , \"failures\" : 1 } ] } ",
+	`{"fleets":[{"request":{"id":"a","workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"auto_machines":{"count":1},"options":{"workers":2}},"incumbent":{"k":1,"units":[]}}]}`,
 }
 
 // snapshotFull is a snapshot with every FleetSnapshot field set.

@@ -78,14 +78,14 @@ type AutoMachines struct {
 }
 
 // OptionsWire are the registration-time knobs: a flat projection of the
-// library's functional options.
+// library's functional options. A "workers" key, which earlier releases
+// took, is accepted and ignored: the solver's parallelism is the daemon's
+// CPU budget (internal/cpu), not a tenant's setting.
 type OptionsWire struct {
 	// FullSolve enables the global DIRECT run for the initial solve. The
 	// server default is the local-search path (SkipDirect), which is what
 	// fleet-scale streams use.
 	FullSolve bool `json:"full_solve,omitempty"`
-	// Workers is the solver's evaluation parallelism (0 = sequential).
-	Workers int `json:"workers,omitempty"`
 	// Shards >0 solves the initial plan with the sharded fleet engine.
 	Shards int `json:"shards,omitempty"`
 	// DriftThreshold is the relative drift that triggers a re-solve
@@ -424,10 +424,8 @@ func toMachines(req *RegisterRequest) ([]kairos.Machine, error) {
 func toFleetOptions(o OptionsWire) []kairos.FleetOption {
 	solve := kairos.DefaultOptions()
 	solve.SkipDirect = !o.FullSolve
-	solve.Workers = o.Workers
 	resolve := kairos.DefaultResolveOptions()
 	resolve.SkipDirect = true
-	resolve.Workers = o.Workers
 	if o.MigrationWeight != nil {
 		resolve.MigrationWeight = *o.MigrationWeight
 	}

@@ -119,13 +119,6 @@ type (
 // DefaultOptions returns the standard solver budgets.
 func DefaultOptions() SolveOptions { return core.DefaultSolveOptions() }
 
-// ParallelOptions returns the standard solver budgets with one solver
-// worker per available CPU: DIRECT candidate batches evaluate across a
-// worker pool and the machine-count binary search probes speculative K
-// values concurrently. Plans are identical to the sequential solver's —
-// parallelism only changes wall-clock time.
-func ParallelOptions() SolveOptions { return core.ParallelSolveOptions() }
-
 // DefaultResolveOptions returns the standard knobs for warm-started
 // re-consolidation: DefaultOptions plus a small migration weight, so
 // re-solved plans stay sticky under workload drift without freezing.

@@ -97,6 +97,8 @@ for want in \
 	'kairos_triggers_total{fleet="smoke"} 1' \
 	'kairos_wire_numbers_slow_total 0' \
 	'kairos_wire_split_chunks_total{outcome="discarded"} 0' \
+	'kairos_cpu_budget_in_use 0' \
+	'kairos_cpu_budget_denied_total ' \
 	'kairos_resolve_duration_seconds_count{fleet="smoke"} 1'; do
 	case "$metrics" in
 	*"$want"*) ;;
