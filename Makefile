@@ -4,7 +4,7 @@
 GO ?= go
 
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
-INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|WindowRecord197|OpenReplay197|Append2MB|Recover64x2MB
+INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|IngestWindow197|OpenReplay197|Append2MB|Recover64x2MB
 
 # The wire decoders whose counts BENCH_counts.json pins (make
 # bench-counts): a 197-server window, registration and snapshot through
@@ -13,7 +13,15 @@ INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|WindowRecord197|
 # conversion handed back to strconv, is 0.
 WIRE_COUNT_BENCH = Decode(Window|Register|Snapshot)197/fast
 
-# The restart whose allocs/op BENCH_counts.json pins (make bench-counts):
+# The ingest whose allocs/op and B/op BENCH_counts.json pins (make
+# bench-counts): one quiet 197-server window through Handler().ServeHTTP to
+# its ack, in memory and durable at -fsync none. B/op is about what the
+# fleet keeps of the window, its decoded samples: a body read into a fresh
+# buffer, a record copied before the journal frames it, a series copied
+# or a forecast built to be scored adds megabytes.
+INGEST_COUNT_BENCH = IngestWindow197
+
+# The restart whose allocs/op and B/op BENCH_counts.json pins (make bench-counts):
 # server.Open on a snapshot and a journal of eight 197-server windows and
 # an advance. Replay decodes records on a worker pool ahead of the loop
 # that applies them; the pin is what keeps that from paying for wall time
@@ -68,14 +76,16 @@ race-full:
 # tests again at -cpu 1,4: replay's decode helpers are the CPU budget's
 # free slots, GOMAXPROCS - 1, so this races the apply loop decoding alone,
 # and beside three helpers, whatever the machine's core count. Then the
-# live decoders' split with one, two and eight chunks and the hold a
-# second request takes; the budget itself; and the solver's fork sites —
-# speculated K probes, cold-seed climbs, greedy packings, shards and
-# Resolve's candidate climbs — on one core, two and eight.
+# live decoders' split with one, two and eight chunks, the hold a second
+# request takes, and a recycled request body, which is not read into again
+# while its loop can read the window's span (a collector gone, a
+# deregistration, a refused append); the budget itself; and the solver's
+# fork sites — speculated K probes, cold-seed climbs, greedy packings,
+# shards and Resolve's candidate climbs — on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
 
@@ -139,9 +149,11 @@ bench:
 # cold and warm solves with their work counters), and
 # the ingest path's in-package benchmarks: the one-pass number conversion
 # against the grammar scan + strconv it replaced (ns/float, per fast
-# path), the series decoder (window, registration, snapshot) and record
-# splice against the encoding/json passes they replaced, a restart (server.Open on a snapshot and a journal
-# of eight 197-server windows; windows-replayed says it replayed them), and
+# path), the series decoder (window, registration, snapshot) against the
+# encoding/json passes it replaced, one window through the handler to its
+# ack (in memory and durable), a restart (server.Open on a snapshot and a
+# journal of eight 197-server windows; windows-replayed says it replayed
+# them), and
 # a window-sized journal append (which fails if it allocates a frame) and
 # recovery. The restart runs once more at -cpu 1: with every core, replay's
 # decode pool; with one, a single decoder a step ahead of apply, which must
@@ -165,8 +177,9 @@ bench-drift:
 
 # Machine-readable bench trajectory: the sweep + drift-watch benchmarks,
 # the cold solve's per-phase ones (Eval replay, swap pricing, polynomial,
-# greedy seeding, whole solves) and the ingest path's (decode, splice, a
-# restart's replay on every core and on one, journal append/recover) as JSON
+# greedy seeding, whole solves) and the ingest path's (decode, a window to
+# its ack, a restart's replay on every core and on one, journal
+# append/recover) as JSON
 # (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
 # per case, each result tagged with its package) in BENCH_sweeps.json,
 # uploaded as a CI artifact so per-PR perf history accumulates.
@@ -178,12 +191,12 @@ bench-json:
 	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
-# Count gate: the whole-solve benchmarks, the wire decoders and a restart
-# once each, their work counters compared with the committed
+# Count gate: the whole-solve benchmarks, the wire decoders, an ingest and
+# a restart once each, their work counters compared with the committed
 # BENCH_counts.json. It fails when a count (fevals, priced, eval-priced,
-# probes, machines; the decoders' and the restart's allocs/op; the
-# decoders' slow-numbers) is higher than committed or missing — a
-# number that repeats exactly, not a time — which is what catches the
+# probes, machines; the decoders', the ingest's and the restart's
+# allocs/op and B/op; the decoders' slow-numbers) is higher than committed
+# or missing — a number that repeats, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
 # the benchmark names, so the file compares across machines. No -benchmem
 # on the solver: allocs/op moves with the Go release, its counters do not
@@ -192,16 +205,21 @@ bench-json:
 # pointed back at reflection allocates eight times as much, which fails
 # here, where a Go release moving the residual's handful of allocations
 # means a re-capture. Their slow-numbers is committed as 0: the first
-# sample an encoder spells off the conversion's fast paths fails. The restart's allocs/op does not repeat
-# to the last digit — a handful of pool misses and goroutine starts either
-# way, in 51k — so its committed figure is the measured 50 997 with a
-# hundred to spare, 51 100: the report line says "fell" every run, and a
-# decoder back on reflection or a record decoded twice still fails. After a change that
-# lowers a count on purpose, re-capture:
+# sample an encoder spells off the conversion's fast paths fails. The
+# ingest's and the restart's allocs/op and B/op do not repeat to the last
+# digit — a few pool misses and goroutine starts either way — so their
+# committed figures are the largest of several runs with a little to spare
+# (the ingest's 1 842 allocations and 2 177 816 bytes as 1 900 and
+# 2 180 000; the restart's 27 367 and 70 610 952 as 27 450 and
+# 70 700 000): the report line says "fell" every run, and a body read into
+# a fresh buffer, a decoder back on reflection or a record decoded twice
+# still fails. After a change that lowers a count on purpose, re-capture
+# (and put the spare back):
 #   cp bench_counts.new.json BENCH_counts.json
 bench-counts:
 	( $(GO) test -cpu 1 -bench='$(COUNT_BENCH)' -benchtime=1x -run='^$$' ./internal/core ; \
 	  $(GO) test -cpu 1 -bench='$(WIRE_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
+	  $(GO) test -cpu 1 -bench='$(INGEST_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
 	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
 

@@ -18,8 +18,9 @@
 //
 // reads two such documents and exits non-zero when, for a benchmark of the
 // first, a metric whose unit is a count — fevals, priced, eval-priced,
-// probes, machines, allocs/op, slow-numbers: numbers that repeat exactly, unlike ns/op — is
-// higher in the second, or the benchmark or the metric is missing there.
+// probes, machines, allocs/op, B/op, slow-numbers: numbers that repeat, to
+// the last digit or within the spare the baseline leaves, unlike ns/op —
+// is higher in the second, or the benchmark or the metric is missing there.
 package main
 
 import (
@@ -58,8 +59,9 @@ type Doc struct {
 }
 
 // countUnits are the metric units -compare gates on: counts of work done,
-// which a deterministic solver repeats exactly on any machine.
-var countUnits = [...]string{"fevals", "priced", "eval-priced", "probes", "machines", "allocs/op", "slow-numbers"}
+// which a deterministic solver repeats exactly on any machine, and the
+// allocations and bytes allocated per op of the benchmarks that carry them.
+var countUnits = [...]string{"fevals", "priced", "eval-priced", "probes", "machines", "allocs/op", "B/op", "slow-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

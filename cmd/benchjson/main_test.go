@@ -153,4 +153,26 @@ func TestCompareDocs(t *testing.T) {
 			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
 		}
 	}
+
+	// An ingest carries the bytes it allocates: a body read into a fresh
+	// buffer, or a record copied before the journal frames it, adds
+	// megabytes.
+	ingest := func(metrics map[string]float64) Doc {
+		return Doc{Results: []Result{res("BenchmarkIngestWindow197/durable", metrics)}}
+	}
+	old = ingest(map[string]float64{"B/op": 2.18e6, "allocs/op": 1900})
+	for _, tc := range []struct {
+		cur   Doc
+		worse bool
+		want  string
+	}{
+		{ingest(map[string]float64{"B/op": 2177816, "allocs/op": 1842}), false, "B/op fell"},
+		{ingest(map[string]float64{"B/op": 15410344, "allocs/op": 1842}), true, "B/op rose 2.18e+06 -> 1.5410344e+07"},
+		{ingest(map[string]float64{"allocs/op": 1842}), true, "B/op missing"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {
+			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
+		}
+	}
 }

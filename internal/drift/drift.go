@@ -10,7 +10,7 @@
 //  1. utilization delta: the relative change of a window's mean resource
 //     demand versus the baseline series the plan was solved against, and
 //  2. forecast error: the CV(RMSE) of a rolling mean-of-recent-windows
-//     forecast (predict.RollingForecast, the paper's average-of-weeks
+//     forecast (predict.RollingRMSE, the paper's average-of-weeks
 //     predictor restated for streaming windows) scored against the window,
 //
 // and emits a typed Trigger naming which workloads drifted, by how much,
@@ -199,7 +199,10 @@ type shape struct {
 type workloadState struct {
 	base baseline
 	// history holds up to cfg.History recent observation windows per
-	// resource, oldest first, feeding the rolling forecast.
+	// resource, oldest first, feeding the rolling forecast. Every window
+	// has the resource's baseline shape: Observe and SeedHistory refuse any
+	// other, and SetBaseline drops the windows of a resource whose shape it
+	// changes, so the forecast is scored without a shape check.
 	history [len(resources)][]*series.Series
 }
 
@@ -238,7 +241,9 @@ func NewDetector(cfg Config, baselines []Sample) (*Detector, error) {
 // compares against and re-arms the detector — call it after a re-solve so
 // drift is measured against the new plan. Observation history (and any
 // running cool-down) is preserved: the forecast tracks reality, not the
-// plan, and a fresh baseline must not cut a cool-down short.
+// plan, and a fresh baseline must not cut a cool-down short. Only a
+// resource whose series shape the new baseline changes loses its history,
+// since no later window of that resource can be scored against it.
 func (d *Detector) SetBaseline(baselines []Sample) error {
 	if len(baselines) == 0 {
 		return fmt.Errorf("drift: no baseline samples")
@@ -265,9 +270,13 @@ func (d *Detector) SetBaseline(baselines []Sample) error {
 				ws.base.have[ri] = false
 				continue
 			}
+			sh := shape{n: sr.Len(), step: sr.Step}
+			if sh != ws.base.shape[ri] {
+				ws.history[ri] = nil
+			}
 			ws.base.have[ri] = true
 			ws.base.mean[ri] = sr.Mean()
-			ws.base.shape[ri] = shape{n: sr.Len(), step: sr.Step}
+			ws.base.shape[ri] = sh
 			any = true
 		}
 		if !any {
@@ -305,8 +314,9 @@ func (d *Detector) Cooldown() int { return d.cooldown }
 // SeedHistory appends one already-consumed observation window to the
 // rolling-forecast history without scoring it or advancing the window
 // counter — the restore half of a checkpoint. It records exactly what
-// Observe would have recorded for the same samples; restore the counters
-// separately with Restore.
+// Observe would have recorded for the same samples, and refuses, with
+// Observe's error and recording nothing, a window Observe would refuse for
+// its shape; restore the counters separately with Restore.
 func (d *Detector) SeedHistory(samples []Sample) error {
 	for i := range samples {
 		s := &samples[i]
@@ -314,6 +324,36 @@ func (d *Detector) SeedHistory(samples []Sample) error {
 		if ws == nil {
 			return fmt.Errorf("drift: seeded workload %q is not in the baseline", s.Workload)
 		}
+		for _, r := range resources {
+			if err := ws.checkShape(s, r); err != nil {
+				return err
+			}
+		}
+	}
+	d.record(samples)
+	return nil
+}
+
+// checkShape refuses a sample whose series of resource r, if the baseline
+// tracks r, is not the baseline's shape.
+func (ws *workloadState) checkShape(s *Sample, r Resource) error {
+	sr := s.get(r)
+	if sr == nil || !ws.base.have[r] {
+		return nil
+	}
+	if sh := ws.base.shape[r]; sr.Len() != sh.n || sr.Step != sh.step {
+		return fmt.Errorf("drift: workload %q %v window shape (%d×%v) differs from baseline (%d×%v)",
+			s.Workload, r, sr.Len(), sr.Step, sh.n, sh.step)
+	}
+	return nil
+}
+
+// record appends a window's tracked series to the forecast history,
+// keeping the last cfg.History per resource. The window has been checked.
+func (d *Detector) record(samples []Sample) {
+	for i := range samples {
+		s := &samples[i]
+		ws := d.state[s.Workload]
 		for ri, r := range resources {
 			sr := s.get(r)
 			if sr == nil || !ws.base.have[ri] {
@@ -326,7 +366,6 @@ func (d *Detector) SeedHistory(samples []Sample) error {
 			ws.history[ri] = h
 		}
 	}
-	return nil
 }
 
 // Restore sets the detector's counter state — window count, hysteresis
@@ -352,21 +391,7 @@ func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 	d.window++
 
 	// Record history after scoring, so a window is never its own forecast.
-	for i := range samples {
-		s := &samples[i]
-		ws := d.state[s.Workload]
-		for ri, r := range resources {
-			sr := s.get(r)
-			if sr == nil || !ws.base.have[ri] {
-				continue
-			}
-			h := append(ws.history[ri], sr)
-			if len(h) > d.cfg.History {
-				h = h[len(h)-d.cfg.History:]
-			}
-			ws.history[ri] = h
-		}
-	}
+	d.record(samples)
 
 	maxDrift := 0.0
 	fleet := map[string]bool{}
@@ -442,21 +467,19 @@ func (d *Detector) score(samples []Sample) ([]Cause, error) {
 			if !ws.base.have[ri] {
 				continue // resource untracked by the plan
 			}
-			if sh := ws.base.shape[ri]; sr.Len() != sh.n || sr.Step != sh.step {
-				return nil, fmt.Errorf("drift: workload %q %v window shape (%d×%v) differs from baseline (%d×%v)",
-					s.Workload, r, sr.Len(), sr.Step, sh.n, sh.step)
+			if err := ws.checkShape(s, r); err != nil {
+				return nil, err
 			}
-			if du, ok := utilizationDelta(ws.base.mean[ri], sr.Mean()); ok {
+			mean := sr.Mean()
+			if du, ok := utilizationDelta(ws.base.mean[ri], mean); ok {
 				causes = append(causes, Cause{s.Workload, r, UtilizationDelta, du})
 			}
-			if len(ws.history[ri]) > 0 {
-				fc, err := predict.RollingForecast(ws.history[ri], sr)
-				if err != nil {
-					return nil, fmt.Errorf("drift: workload %q %v forecast: %w", s.Workload, r, err)
-				}
-				// A non-positive window mean makes CV(RMSE) undefined
-				// (NaN): no forecast signal rather than a fake one.
-				if cv := fc.CVRMSEPct / 100; !math.IsNaN(cv) {
+			// A non-positive window mean makes CV(RMSE) undefined: no
+			// forecast signal rather than a fake one. The CV goes through its
+			// percentage, rounded, as predict.WeeklyForecast.CVRMSEPct does,
+			// so a threshold sees the same bits either way.
+			if len(ws.history[ri]) > 0 && mean > 0 {
+				if cv := float64(predict.RollingRMSE(ws.history[ri], sr)/mean*100) / 100; !math.IsNaN(cv) {
 					causes = append(causes, Cause{s.Workload, r, ForecastError, cv})
 				}
 			}

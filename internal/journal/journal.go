@@ -50,6 +50,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -180,8 +181,8 @@ type Log struct {
 	// garbage. Only a restart (which truncates the tail) clears it.
 	poisoned bool // guarded by mu
 	closed   bool // guarded by mu
-	// frame is Append's frame buffer, kept between appends so a record is
-	// copied once, into memory already owned (guarded by mu).
+	// frame is Append's frame buffer, kept between appends so a record's
+	// parts are copied once, into memory already owned (guarded by mu).
 	frame []byte
 
 	// appends, syncs and snapshots count successful operations for the
@@ -323,12 +324,18 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// Append writes one record and returns its sequence number. Under
-// SyncAlways the record is on stable storage when Append returns; an
-// error means the record must be treated as not durable (though recovery
-// may still replay it if the write in fact reached the disk — callers
-// must make replayed-but-unacked operations idempotent).
-func (l *Log) Append(payload []byte) (uint64, error) {
+// Append writes one record, the concatenation of parts, and returns its
+// sequence number: a caller holding a record in pieces hands them over as
+// they are, and they are copied once, into the frame. Under SyncAlways the
+// record is on stable storage when Append returns; an error means the
+// record must be treated as not durable (though recovery may still replay
+// it if the write in fact reached the disk — callers must make
+// replayed-but-unacked operations idempotent). The parts are not retained.
+func (l *Log) Append(parts ...[]byte) (uint64, error) {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
@@ -336,13 +343,13 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("journal: append on closed log")
 	case l.poisoned:
 		return 0, fmt.Errorf("journal: log poisoned by an earlier failed write; restart to truncate the torn tail")
-	case len(payload) == 0:
+	case size == 0:
 		return 0, fmt.Errorf("journal: empty record")
-	case len(payload) > MaxRecord:
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
+	case size > MaxRecord:
+		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", size, MaxRecord)
 	}
 	seq := l.seq + 1
-	l.frame = appendFrame(l.frame[:0], seq, payload)
+	l.frame = appendFrame(l.frame[:0], seq, parts...)
 	if err := l.write(l.f, PointAppendWrite, l.frame); err != nil {
 		// The file may now end in a torn frame of unknown length; only
 		// recovery (which truncates at the first bad CRC) can clean it.
@@ -523,13 +530,21 @@ func (l *Log) Close() error {
 	return err
 }
 
-// appendFrame renders one record frame into buf's spare capacity,
-// growing it only when the frame does not fit, and returns the frame.
-func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
+// appendFrame renders one record frame, whose payload is the parts in
+// order, into buf's spare capacity, growing it only when the frame does
+// not fit, and returns the frame.
+func appendFrame(buf []byte, seq uint64, parts ...[]byte) []byte {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[0:4], uint32(size))
 	binary.LittleEndian.PutUint64(header[8:16], seq)
-	frame := append(append(buf, header[:]...), payload...)
+	frame := append(slices.Grow(buf, frameHeaderSize+size), header[:]...)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
 	// The CRC covers seq and payload so a frame cannot be spliced onto a
 	// different position in the log.
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))

@@ -22,10 +22,10 @@ func open(t *testing.T, dir string, opt Options) (*Log, *Recovered) {
 	return l, rec
 }
 
-// mustAppend appends and fails the test on error.
-func mustAppend(t *testing.T, l *Log, payload []byte) uint64 {
+// mustAppend appends a record of parts and fails the test on error.
+func mustAppend(t *testing.T, l *Log, parts ...[]byte) uint64 {
 	t.Helper()
-	seq, err := l.Append(payload)
+	seq, err := l.Append(parts...)
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -392,6 +392,76 @@ func TestTornAppendPoisonsLog(t *testing.T) {
 	}
 	// The truncated log accepts appends again.
 	mustAppend(t, l2, []byte("after-recovery"))
+}
+
+// TestAppendPartsFrameLikeOne: a record appended in parts is framed byte
+// for byte as the same bytes appended whole — one header, one CRC over seq
+// and the concatenation — so nothing reading the journal can tell them
+// apart. Empty parts are nothing; a record of empty parts is empty.
+func TestAppendPartsFrameLikeOne(t *testing.T) {
+	parts := [][]byte{[]byte(`{"window":{"fleet":"f","workloads":`), nil, []byte(`[{"name":"a"}]`), {}, []byte(`}}`)}
+	whole := bytes.Join(parts, nil)
+	files := make([][]byte, 2)
+	for i, appendRecord := range []func(*Log) (uint64, error){
+		func(l *Log) (uint64, error) { return l.Append(parts...) },
+		func(l *Log) (uint64, error) { return l.Append(whole) },
+	} {
+		dir := t.TempDir()
+		l, _ := open(t, dir, Options{Sync: SyncNone})
+		mustAppend(t, l, []byte("before"))
+		if seq, err := appendRecord(l); err != nil || seq != 2 {
+			t.Fatalf("append: seq %d, %v", seq, err)
+		}
+		if _, err := l.Append(nil, []byte{}); err == nil {
+			t.Error("a record of empty parts was appended")
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[i], err = os.ReadFile(filepath.Join(dir, journalFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("journal of the parts\n%q\nis not the journal of the whole\n%q", files[0], files[1])
+	}
+}
+
+// TestTornAppendPoisonsLogInAnyPart: a torn write of a record appended in
+// parts, cut inside the header or inside any part, poisons the live log,
+// and recovery returns exactly the frames before it.
+func TestTornAppendPoisonsLogInAnyPart(t *testing.T) {
+	parts := [][]byte{bytes.Repeat([]byte{'h'}, 40), bytes.Repeat([]byte{'s'}, 400), []byte("}}")}
+	frame := frameHeaderSize + 40 + 400 + 2
+	for _, cut := range []int{frameHeaderSize / 2, frameHeaderSize + 20, frameHeaderSize + 40 + 200, frame - 1} {
+		dir := t.TempDir()
+		fi := &FaultInjector{}
+		l, _ := open(t, dir, Options{Fault: fi})
+		mustAppend(t, l, []byte("good"))
+		fi.CrashPartial(PointAppendWrite, 1, (float64(cut)+0.5)/float64(frame))
+		if _, err := l.Append(parts...); !errors.Is(err, ErrInjected) {
+			t.Fatalf("cut at %d: torn append = %v, want injected", cut, err)
+		}
+		if _, err := l.Append([]byte("after")); err == nil {
+			t.Fatalf("cut at %d: append after a torn write succeeded; the log must be poisoned", cut)
+		}
+		fi.Kill()
+		l.Close()
+		st, err := os.Stat(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != int64(frameHeaderSize+4+cut) {
+			t.Fatalf("cut at %d: journal holds %d bytes, want the good frame and %d torn bytes", cut, st.Size(), cut)
+		}
+		l2, rec := open(t, dir, Options{})
+		if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "good" || !rec.TornTail {
+			t.Fatalf("cut at %d: recovered %+v (torn %v), want only the pre-tear record", cut, rec.Records, rec.TornTail)
+		}
+		mustAppend(t, l2, parts...)
+		l2.Close()
+	}
 }
 
 func TestSyncPolicies(t *testing.T) {

@@ -15,12 +15,12 @@
 //     never fire.
 //   - Append-before-ack ordering: inside any function that calls
 //     appendRecord (or appendPayload, which journals a record built
-//     ahead of time — the spliced window record), every call to an
-//     ack/publish function (one whose doc comment carries the
-//     //kairos:ack marker) must be dominated by such an append on the
-//     function's control-flow graph. If some path acks without
-//     journaling first, a crash after the ack loses a mutation the
-//     client saw succeed.
+//     ahead of time — the window record around the received bytes),
+//     every call to an ack/publish function (one whose doc comment
+//     carries the //kairos:ack marker) must be dominated by such an
+//     append on the function's control-flow graph. If some path acks
+//     without journaling first, a crash after the ack loses a mutation
+//     the client saw succeed.
 //
 // Functions with no append call are exempt from the ordering
 // rule: replay itself, read-only handlers, and error-path helpers like
@@ -55,7 +55,8 @@ const recordTypeName = "RecordWire"
 
 // appendFuncNames are the journaling entry points: appendRecord
 // marshals a RecordWire and journals it, appendPayload journals one
-// already marshalled (the window record, spliced by its handler).
+// already encoded (the window record, in the parts its handler hands
+// over).
 var appendFuncNames = map[string]bool{"appendRecord": true, "appendPayload": true}
 
 // ackMarker marks a function whose call makes a mutation

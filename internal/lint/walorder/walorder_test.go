@@ -87,7 +87,7 @@ func TestWalorderRealTreeMutations(t *testing.T) {
 		return strings.ReplaceAll(src, old, repl)
 	}
 	const (
-		windowAppend = `	if err := s.appendPayload(req.record); err != nil {
+		windowAppend = `	if err := s.appendPayload(req.record...); err != nil {
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
 `
@@ -117,8 +117,8 @@ func TestWalorderRealTreeMutations(t *testing.T) {
 		{"rearm replay case disabled", "recovery.go", func(src string) string {
 			return swap(src, "case rw.Rearm != nil:", "case rw.Rearm != nil && replayRearms:", 1) + "\nconst replayRearms = true\n"
 		}, "RecordWire field Rearm has no replay case", 1},
-		{"window record head no longer written", "server.go", func(src string) string {
-			return swap(src, "&RecordWire{Window: &WindowRecord{Fleet: sess.id}}", "nil", 1)
+		{"window record head no longer written", "windowdec.go", func(src string) string {
+			return swap(src, "&RecordWire{Window: &WindowRecord{Fleet: id}}", "nil", 1)
 		}, "RecordWire field Window is never journaled", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

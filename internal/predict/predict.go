@@ -5,8 +5,8 @@
 //
 // The same machinery powers event-driven re-consolidation: drift.Detector
 // scores a rolling mean-of-recent-windows forecast against each new
-// observation window (RollingForecast), and the watch loop feeds the
-// forecast series — not the stale profile — into the warm re-solve.
+// observation window (RollingRMSE), and the watch loop feeds the forecast
+// series (MeanOfWindows) — not the stale profile — into the warm re-solve.
 package predict
 
 import (
@@ -67,24 +67,31 @@ func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 	return sum.Scale(1 / float64(len(windows))), nil
 }
 
-// RollingForecast predicts an observation window as the element-wise mean
-// of the preceding history windows and scores the prediction against the
-// actual window — the AverageOfWeeks experiment restated for streaming
-// drift detection, where windows arrive one at a time instead of being
-// sliced out of one long trace.
-func RollingForecast(history []*series.Series, actual *series.Series) (WeeklyForecast, error) {
-	if actual == nil {
-		return WeeklyForecast{}, fmt.Errorf("predict: nil actual window")
+// RollingRMSE is the RMSE of the rolling forecast — the element-wise mean
+// of the history windows — against the actual window, without building the
+// forecast: it equals stats.RMSE(MeanOfWindows(history), actual) bit for
+// bit, because it does the same operations in the same order. Per sample,
+// the history is summed h0 + h1 + … left to right and scaled by 1/n, and
+// (p − a)² is summed over the samples left to right; then √(ss/len). The
+// float64 conversions are rounding barriers: no architecture may fuse a
+// product into an FMA that the two-step computation does not. Every
+// history window must have the actual window's length (drift.Detector
+// holds every window it keeps to its baseline's shape); history must not
+// be empty.
+//
+//kairos:hotpath
+func RollingRMSE(history []*series.Series, actual *series.Series) float64 {
+	inv := 1 / float64(len(history))
+	var ss float64
+	for i, a := range actual.Values {
+		p := history[0].Values[i]
+		for _, h := range history[1:] {
+			p += h.Values[i]
+		}
+		d := float64(p*inv) - a
+		ss += float64(d * d)
 	}
-	pred, err := MeanOfWindows(history)
-	if err != nil {
-		return WeeklyForecast{}, err
-	}
-	if pred.Len() != actual.Len() || pred.Step != actual.Step {
-		return WeeklyForecast{}, fmt.Errorf("predict: forecast shape (%d×%v) does not match actual (%d×%v)",
-			pred.Len(), pred.Step, actual.Len(), actual.Step)
-	}
-	return scoreForecast(pred, actual)
+	return math.Sqrt(ss / float64(len(actual.Values)))
 }
 
 // AverageOfWeeks predicts week `target` (0-based) of a trace as the

@@ -2,12 +2,14 @@ package predict
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"kairos/internal/fleet"
 	"kairos/internal/floats"
 	"kairos/internal/series"
+	"kairos/internal/stats"
 )
 
 func TestValidation(t *testing.T) {
@@ -153,36 +155,58 @@ func TestMeanOfWindows(t *testing.T) {
 	}
 }
 
-func TestRollingForecast(t *testing.T) {
+// TestRollingRMSE scores the rolling forecast on hand-checked windows: a
+// perfect forecast is 0, a 10% drift of a mean-2 window scores RMSE 0.2.
+func TestRollingRMSE(t *testing.T) {
 	start := time.Unix(0, 0)
 	h1 := series.New(start, time.Minute, []float64{1, 1, 1, 1})
 	h2 := series.New(start, time.Minute, []float64{3, 3, 3, 3})
 	actual := series.New(start, time.Minute, []float64{2, 2, 2, 2})
-	fc, err := RollingForecast([]*series.Series{h1, h2}, actual)
-	if err != nil {
-		t.Fatal(err)
+	if got := RollingRMSE([]*series.Series{h1, h2}, actual); got != 0 {
+		t.Errorf("perfect forecast scored RMSE=%v, want 0", got)
 	}
-	if fc.RMSE != 0 || fc.CVRMSEPct != 0 {
-		t.Errorf("perfect forecast scored RMSE=%v CV=%v, want 0, 0", fc.RMSE, fc.CVRMSEPct)
+	if got := RollingRMSE([]*series.Series{h1, h2}, actual.Scale(1.1)); math.Abs(got-0.2) > 1e-12 {
+		t.Errorf("RMSE = %v, want 0.2", got)
 	}
-	// 10% uniform drift in the actual scores CV(RMSE) ≈ |Δ|/mean.
-	drifted := actual.Scale(1.1)
-	fc, err = RollingForecast([]*series.Series{h1, h2}, drifted)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRollingRMSEMatchesMeanOfWindows holds the kernel to the computation
+// it replaces, bit for bit: stats.RMSE of the MeanOfWindows forecast, for
+// one to four history windows of random values, positive, zero-mean and
+// negative alike.
+func TestRollingRMSEMatchesMeanOfWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	start := time.Unix(0, 0)
+	window := func(n int, offset float64) *series.Series {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = offset + rng.NormFloat64()*math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		return series.New(start, 5*time.Minute, v)
 	}
-	if math.Abs(fc.CVRMSEPct-100*0.2/2.2) > 1e-9 {
-		t.Errorf("CVRMSEPct = %v, want %v", fc.CVRMSEPct, 100*0.2/2.2)
-	}
-	if _, err := RollingForecast(nil, actual); err == nil {
-		t.Error("empty history accepted")
-	}
-	if _, err := RollingForecast([]*series.Series{h1}, nil); err == nil {
-		t.Error("nil actual accepted")
-	}
-	short := series.New(start, time.Minute, []float64{1})
-	if _, err := RollingForecast([]*series.Series{h1}, short); err == nil {
-		t.Error("shape mismatch accepted")
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		offset := []float64{0, 1, -1, 1e6, -3e-4}[trial%5]
+		history := make([]*series.Series, 1+trial%4)
+		for i := range history {
+			history[i] = window(n, offset)
+		}
+		actual := window(n, offset)
+		if trial%7 == 0 {
+			actual = series.Constant(start, 5*time.Minute, n, 0) // mean 0: CV undefined
+		}
+		mean, err := MeanOfWindows(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := stats.RMSE(mean.Values, actual.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RollingRMSE(history, actual); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (history %d, n %d): RollingRMSE = %v, stats.RMSE(MeanOfWindows) = %v",
+				trial, len(history), n, got, want)
+		}
 	}
 }
 

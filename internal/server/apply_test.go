@@ -165,11 +165,8 @@ func TestFailedSolveWindowIsAcked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := ingestReq{key: windowKey(wire)}
+	req := ingestReq{key: windowKey(wire), record: [][]byte{sess.recordHead, span, windowTail}}
 	if req.window, err = toWorkloads(wire, sess.needDisk); err != nil {
-		t.Fatal(err)
-	}
-	if req.record, err = windowPayload(&RecordWire{Window: &WindowRecord{Fleet: sess.id}}, span); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())

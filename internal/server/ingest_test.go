@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -99,6 +100,8 @@ func TestRequestBodyEdges(t *testing.T) {
 // declared body is read without growing — and a declaration past the cap
 // (or none) sizes nothing.
 func TestReadBodyPresize(t *testing.T) {
+	s := New(nil)
+	defer s.Close()
 	for _, tc := range []struct {
 		declared int64
 		maxCap   int
@@ -113,13 +116,46 @@ func TestReadBodyPresize(t *testing.T) {
 			payload = payload[:16]
 		}
 		r := &http.Request{Body: io.NopCloser(bytes.NewReader(payload)), ContentLength: tc.declared}
-		got, err := readBody(r)
+		got, err := s.readBody(r)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("declared %d: read %d bytes, %v", tc.declared, len(got), err)
 		}
 		if cap(got) > tc.maxCap {
 			t.Errorf("declared %d: buffer of %d bytes, want at most %d", tc.declared, cap(got), tc.maxCap)
 		}
+	}
+}
+
+// TestReadBodyReuses: a body given back is the buffer the next body is
+// read into when it has room for the declared length; one without room is
+// left for the collector, and the free list holds GOMAXPROCS + 1 at most.
+func TestReadBodyReuses(t *testing.T) {
+	s := New(nil)
+	defer s.Close()
+	read := func(n int) []byte {
+		t.Helper()
+		r := &http.Request{Body: io.NopCloser(bytes.NewReader(make([]byte, n))), ContentLength: int64(n)}
+		b, err := s.readBody(r)
+		if err != nil || len(b) != n {
+			t.Fatalf("read %d of %d bytes: %v", len(b), n, err)
+		}
+		return b
+	}
+	first := read(1 << 16)
+	s.putBody(first)
+	if again := read(1 << 10); &again[0] != &first[0] {
+		t.Error("a smaller body was not read into the buffer given back")
+	} else {
+		s.putBody(again)
+	}
+	if bigger := read(1 << 17); &bigger[0] == &first[0] {
+		t.Error("a body larger than the free buffer was read into it")
+	}
+	for range 2 * cap(s.bodies) {
+		s.putBody(make([]byte, 8))
+	}
+	if len(s.bodies) != runtime.GOMAXPROCS(0)+1 {
+		t.Errorf("free list holds %d buffers, want GOMAXPROCS + 1 = %d", len(s.bodies), runtime.GOMAXPROCS(0)+1)
 	}
 }
 
@@ -267,7 +303,7 @@ func TestWorkersOptionIgnored(t *testing.T) {
 // one replay to the same session state — upgrade; and a spliced record
 // is valid JSON that encoding/json reads as the window that was applied
 // — downgrade, and bench/'s mirror. The fleet id needs JSON escaping, so
-// the splice quotes it as json.Marshal does.
+// the record head (windowHead) quotes it as json.Marshal does.
 func TestWindowRecordCompatibility(t *testing.T) {
 	const id = `flotte-"é"-<a&b>`
 	escaped := url.PathEscape(id)

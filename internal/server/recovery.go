@@ -93,13 +93,15 @@ func (s *Server) appendRecord(rec *RecordWire) error {
 	return s.appendPayload(b)
 }
 
-// appendPayload journals one record already in RecordWire's encoding:
-// appendRecord's, or a window record its handler built (windowPayload).
-func (s *Server) appendPayload(b []byte) error {
+// appendPayload journals one record already in RecordWire's encoding,
+// whole or in the parts the journal frames it from: appendRecord's, or a
+// window record its handler put together around the received bytes
+// (windowHead, the span, windowTail).
+func (s *Server) appendPayload(parts ...[]byte) error {
 	if s.jl == nil {
 		return nil
 	}
-	_, err := s.jl.Append(b)
+	_, err := s.jl.Append(parts...)
 	return err
 }
 

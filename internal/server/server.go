@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -90,6 +91,14 @@ type Server struct {
 	snapEvery int64
 	// live counts the window and registration requests in flight (hold).
 	live atomic.Int64
+	// bodies is the free list of request-body buffers readBody reads into,
+	// so a steady stream of windows reuses the buffers of the requests
+	// before it. It keeps GOMAXPROCS + 1: one for each request the cores
+	// can decode at once and one for a window a fleet's loop still holds;
+	// more would only pin idle megabytes. A channel, not a sync.Pool: the
+	// GC empties a pool, and a buffer re-made at random would make the
+	// bytes an ingest costs a number that does not repeat.
+	bodies chan []byte
 
 	backoffBase time.Duration
 	backoffCap  time.Duration
@@ -105,9 +114,11 @@ type session struct {
 	workloads []kairos.Workload
 	machines  []kairos.Machine
 	needDisk  bool
-	ingest    chan ingestReq
-	cancel    context.CancelFunc
-	done      chan struct{}
+	// recordHead is the head of the fleet's window records (windowHead).
+	recordHead []byte
+	ingest     chan ingestReq
+	cancel     context.CancelFunc
+	done       chan struct{}
 
 	mu sync.Mutex
 	// events is the fleet's re-consolidation event log in wire form —
@@ -138,9 +149,11 @@ type ingestReq struct {
 	window []kairos.Workload
 	// key is the window's idempotency key (see windowKey).
 	key int64
-	// record is the window's journal payload, built by the handler around
-	// the bytes that arrived (see windowPayload); nil without a state dir.
-	record []byte
+	// record is the window's journal payload in the parts the journal
+	// frames: the session's record head, the span of the received body
+	// and windowTail; nil without a state dir. The span aliases the
+	// request body, which the handler keeps until the loop has replied.
+	record [][]byte
 	reply  chan ingestResp
 }
 
@@ -185,6 +198,7 @@ func Open(cfg Config) (*Server, error) {
 		met:         newMetrics(),
 		logf:        cfg.Logf,
 		snapEvery:   int64(cfg.SnapshotEvery),
+		bodies:      make(chan []byte, runtime.GOMAXPROCS(0)+1),
 		backoffBase: cfg.BackoffBase,
 		backoffCap:  cfg.BackoffCap,
 	}
@@ -344,17 +358,37 @@ func writeDecodeErr(w http.ResponseWriter, what string, err error) {
 
 // readBody reads a request body in full, behind the http.MaxBytesReader
 // Handler installed: an oversized body is a *http.MaxBytesError however
-// it is framed. The buffer is sized from Content-Length when the client
-// sent one, never past the cap.
-func readBody(r *http.Request) ([]byte, error) {
+// it is framed. The buffer is one from the free list when it has room for
+// the Content-Length the client sent, and otherwise made that size, never
+// past the cap. The body belongs to the server until the handler has
+// replied; then putBody gives it to a later request.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	size := r.ContentLength
 	if size < 0 || size > maxBodyBytes {
 		size = 0
 	}
+	var buf []byte
+	select {
+	case buf = <-s.bodies:
+	default:
+	}
 	// ReadFrom wants bytes.MinRead of room to see the EOF without growing.
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
+	if int64(cap(buf)) < size+bytes.MinRead {
+		buf = make([]byte, 0, size+bytes.MinRead)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(r.Body)
+	return b.Bytes(), err
+}
+
+// putBody returns a body readBody read to the free list, or drops it when
+// the list is full. Nothing may read it afterwards: the next request is
+// read into it.
+func (s *Server) putBody(body []byte) {
+	select {
+	case s.bodies <- body[:0]:
+	default:
+	}
 }
 
 // lookup finds a registered session, or writes a 404.
@@ -376,7 +410,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.live.Add(1)
 	defer s.live.Add(-1)
-	body, err := readBody(r)
+	body, err := s.readBody(r)
+	// Nothing decoded from a registration aliases its body (windowdec.go).
+	defer s.putBody(body)
 	if err != nil {
 		writeDecodeErr(w, "register request", err)
 		return
@@ -475,6 +511,10 @@ func buildSession(req *RegisterRequest) (*session, error) {
 	if err := uniqueNames(workloads); err != nil {
 		return nil, err
 	}
+	head, err := windowHead(req.ID)
+	if err != nil {
+		return nil, err
+	}
 	fleet, err := kairos.NewFleet(
 		kairos.FleetSpec{Name: req.ID, Workloads: workloads, Machines: machines, Disk: dp},
 		toFleetOptions(req.Options)...)
@@ -482,15 +522,16 @@ func buildSession(req *RegisterRequest) (*session, error) {
 		return nil, fmt.Errorf("invalid fleet spec: %w", err)
 	}
 	return &session{
-		id:        req.ID,
-		req:       req,
-		fleet:     fleet,
-		workloads: workloads,
-		machines:  machines,
-		needDisk:  dp != nil,
-		ingest:    make(chan ingestReq),
-		done:      make(chan struct{}),
-		acks:      map[int64]AckWire{},
+		id:         req.ID,
+		req:        req,
+		fleet:      fleet,
+		workloads:  workloads,
+		machines:   machines,
+		needDisk:   dp != nil,
+		recordHead: head,
+		ingest:     make(chan ingestReq),
+		done:       make(chan struct{}),
+		acks:       map[int64]AckWire{},
 	}, nil
 }
 
@@ -577,7 +618,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	if err := s.appendPayload(req.record); err != nil {
+	if err := s.appendPayload(req.record...); err != nil {
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
 	index, fired, err := sess.applyWindow(req.window, key)
@@ -739,7 +780,16 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	}
 	s.live.Add(1)
 	defer s.live.Add(-1)
-	body, err := readBody(r)
+	body, err := s.readBody(r)
+	// The record's span aliases the body: once the window has reached the
+	// loop, the body is reused only after the loop has replied, which it
+	// does once the record is written.
+	reuse := true
+	defer func() {
+		if reuse {
+			s.putBody(body)
+		}
+	}()
 	if err != nil {
 		writeDecodeErr(w, "window", err)
 		return
@@ -757,13 +807,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	}
 	ir := ingestReq{window: window, key: windowKey(wire), reply: make(chan ingestResp, 1)}
 	if s.jl != nil {
-		// The record is the bytes that arrived, spliced under the RecordWire
-		// schema here so the fleet's serial loop only appends it.
-		ir.record, err = windowPayload(&RecordWire{Window: &WindowRecord{Fleet: sess.id}}, span)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+		// The record is the bytes that arrived under the RecordWire schema,
+		// framed by the journal from its parts in the fleet's serial loop.
+		ir.record = [][]byte{sess.recordHead, span, windowTail}
 	}
 	select {
 	case sess.ingest <- ir:
@@ -806,6 +852,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		case resp := <-ir.reply:
 			writeResp(resp)
 		default:
+			// A loop that took the window replies before it stops, so this
+			// cannot happen; should it, the body is left to the collector.
+			reuse = false
 			s.writeStopped(w, sess, " during ingest")
 		}
 	}

@@ -58,7 +58,10 @@ package server
 // Nothing decoded aliases the document: names are copied, series are
 // parsed, and a residual is a buffer of its own (so a json.RawMessage
 // decoded from it is too). A session keeps its registration for every
-// later snapshot; it must not pin the 2 MB body it arrived in.
+// later snapshot; it must not pin the 2 MB body it arrived in, and the
+// server reads the next request into that body once it has replied
+// (Server.readBody). Only decodeWindow's span aliases the body, and only
+// until the window's journal record is written.
 
 import (
 	"bytes"
@@ -175,7 +178,8 @@ func decodeRegister(body []byte) (*RegisterRequest, error) {
 }
 
 // decodeRecord decodes a journal record's payload, whichever kind it is
-// and whether json.Marshal or windowPayload wrote it.
+// and whether json.Marshal wrote it or the journal framed a window's
+// received bytes between windowHead and windowTail.
 func decodeRecord(payload []byte) (*RecordWire, error) {
 	d := windowDecoder{b: payload}
 	rw := new(RecordWire)
@@ -497,25 +501,26 @@ func chunkStarts(b []byte, from, n int) []int {
 	return starts
 }
 
-// windowPayload builds a window record's journal payload around the
-// received bytes: head's own encoding — the json.Marshal schema, fleet
-// id quoted as json.Marshal quotes it — with span in place of the empty
-// workloads value. The result is what json.Marshal would write for the
-// decoded window, up to how the numbers are spelled.
-func windowPayload(head *RecordWire, span []byte) ([]byte, error) {
-	b, err := json.Marshal(head)
+// windowTail ends a window record after its span (see windowHead).
+var windowTail = []byte("}}")
+
+// windowHead is the start of fleet id's window records: RecordWire's
+// json.Marshal encoding for a window of that fleet, the id quoted as
+// json.Marshal quotes it, up to the workloads value. The journal frames a
+// record from three parts — this head, the span decodeWindow validated in
+// the received body, and windowTail — so the record is what json.Marshal
+// would write for the decoded window, up to how the numbers are spelled,
+// and the span is copied once, into the frame.
+func windowHead(id string) ([]byte, error) {
+	b, err := json.Marshal(&RecordWire{Window: &WindowRecord{Fleet: id}})
 	if err != nil {
 		return nil, err
 	}
-	const tail = `null}}`
-	if head.Window == nil || head.Window.Workloads != nil || !bytes.HasSuffix(b, []byte(tail)) {
-		return nil, fmt.Errorf("server: window record head %s does not end in an empty workloads value", b)
+	head, ok := bytes.CutSuffix(b, []byte(`null}}`))
+	if !ok {
+		return nil, fmt.Errorf("server: window record %s does not end in an empty workloads value", b)
 	}
-	b = b[:len(b)-len(tail)]
-	out := make([]byte, 0, len(b)+len(span)+2)
-	out = append(out, b...)
-	out = append(out, span...)
-	return append(out, '}', '}'), nil
+	return head, nil
 }
 
 // errorf reports a decode error at the read offset.

@@ -12,6 +12,7 @@ import (
 	"kairos"
 	"kairos/internal/core"
 	"kairos/internal/fleet"
+	"kairos/internal/journal"
 )
 
 // window197 is a real observation window of the 197-server ALL fleet as
@@ -66,7 +67,7 @@ func clip(b []byte) string {
 // level deeper, as the journal record will nest it); the span it
 // returns decodes on its own (by either decoder) to the workloads it
 // returned; unless the workloads key repeats, those are encoding/json's
-// workloads for the whole body; and the journal payload spliced from the
+// workloads for the whole body; and the window record framed around the
 // span reads back, by encoding/json and by replay's decoder, as the same
 // window.
 func checkDecodeWindow(t *testing.T, body []byte) {
@@ -112,21 +113,29 @@ func checkDecodeWindow(t *testing.T, body []byte) {
 	}
 
 	const id = "fleet \"a\\b\" <é>"
-	payload, err := windowPayload(&RecordWire{Window: &WindowRecord{Fleet: id}}, span)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := windowRecord(t, id, span)
 	var rw RecordWire
 	if err := json.Unmarshal(payload, &rw); err != nil {
-		t.Fatalf("spliced payload is not a RecordWire: %v\npayload: %s", err, clip(payload))
+		t.Fatalf("window record is not a RecordWire: %v\npayload: %s", err, clip(payload))
 	}
 	want := &WindowRecord{Fleet: id, Workloads: got}
 	if !reflect.DeepEqual(rw, RecordWire{Window: want}) {
-		t.Fatalf("spliced payload reads back as %+v, want window %+v", rw, want)
+		t.Fatalf("window record reads back as %+v, want window %+v", rw, want)
 	}
 	if rec, err := decodeRecord(payload); err != nil || !reflect.DeepEqual(rec, &RecordWire{Window: want}) {
-		t.Fatalf("decodeRecord(spliced) = %+v, %v, want window %+v", rec, err, want)
+		t.Fatalf("decodeRecord(window record) = %+v, %v, want window %+v", rec, err, want)
 	}
+}
+
+// windowRecord is the payload of fleet id's window record around span, as
+// the journal frames it from the three parts the handler hands over.
+func windowRecord(tb testing.TB, id string, span []byte) []byte {
+	tb.Helper()
+	head, err := windowHead(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Join([][]byte{head, span, windowTail}, nil)
 }
 
 // decodeCases are the encoding/json corners the decoder reproduces,
@@ -301,34 +310,41 @@ func TestDecodeWindowRepeatedKeyReplaces(t *testing.T) {
 }
 
 // TestDecodeWindowRecord pins the two spellings of a window record: the
-// one windowPayload splices is, byte for byte, the one json.Marshal
-// writes for the decoded window, whatever the fleet id needs escaped, and
-// replay's decoder reads it back.
+// one the journal frames from windowHead, the received span and
+// windowTail is, byte for byte, the one json.Marshal writes for the
+// decoded window, whatever the fleet id needs escaped, and replay's
+// decoder reads it back.
 func TestDecodeWindowRecord(t *testing.T) {
 	wire := testWorkloads(3, 4, 1.0)
-	for _, id := range []string{"f", `a"b`, "flotte-é", "<&>", "a\\b"} {
+	_, span, err := decodeWindow(mustJSON(WindowRequest{Workloads: wire}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"f", `a"b`, "flotte-é", "<&>", "a\\b", "\u2028\x01"} {
 		want := &RecordWire{Window: &WindowRecord{Fleet: id, Workloads: wire}}
 		marshalled := mustJSON(want)
 		if rec, err := decodeRecord(marshalled); err != nil || !reflect.DeepEqual(rec, want) {
 			t.Errorf("fleet %q: json.Marshal-built record decoded to %+v, %v", id, rec, err)
 		}
-		_, span, err := decodeWindow(mustJSON(WindowRequest{Workloads: wire}))
+		head, err := windowHead(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spliced, err := windowPayload(&RecordWire{Window: &WindowRecord{Fleet: id}}, span)
+		dir := t.TempDir()
+		l, _, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(spliced, marshalled) {
-			t.Errorf("fleet %q: spliced payload\n%s\nis not json.Marshal's\n%s", id, spliced, marshalled)
+		if _, err := l.Append(head, span, windowTail); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := windowPayload(&RecordWire{Rearm: &RearmRecord{Fleet: "f"}}, []byte(`[]`)); err == nil {
-		t.Error("windowPayload accepted a head that is not a window record")
-	}
-	if _, err := windowPayload(&RecordWire{Window: &WindowRecord{Fleet: "f", Workloads: wire}}, []byte(`[]`)); err == nil {
-		t.Error("windowPayload accepted a head that already has workloads")
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		framed := journalRecords(t, dir)[0].Payload
+		if !bytes.Equal(framed, marshalled) {
+			t.Errorf("fleet %q: framed record\n%s\nis not json.Marshal's\n%s", id, framed, marshalled)
+		}
 	}
 }
 
@@ -374,32 +390,6 @@ func BenchmarkDecodeWindow197(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var req WindowRequest
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkWindowRecord197(b *testing.B) {
-	body := window197(b)
-	wire, span, err := decodeWindow(body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("splice", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := windowPayload(&RecordWire{Window: &WindowRecord{Fleet: "all-197"}}, span); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("marshal", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&RecordWire{Window: &WindowRecord{Fleet: "all-197", Workloads: wire}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -685,8 +675,8 @@ func TestDecodeRegisterMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestDecodeRecordMatchesEncodingJSON is the replay-shape table: each of
-// the five kinds as json.Marshal writes it, the window as windowPayload
-// splices it, records with sibling keys and with the operation key
+// the five kinds as json.Marshal writes it, the window as the journal
+// frames it around a received span, records with sibling keys and with the operation key
 // repeated (recordCases) all decode to what encoding/json makes of them.
 func TestDecodeRecordMatchesEncodingJSON(t *testing.T) {
 	for _, rw := range recordKinds() {
@@ -700,11 +690,7 @@ func TestDecodeRecordMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spliced, err := windowPayload(&RecordWire{Window: &WindowRecord{Fleet: `a"b`}}, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDecodeRecord(t, spliced)
+	checkDecodeRecord(t, windowRecord(t, `a"b`, span))
 	for _, doc := range append(wrapCases(recordTemplates...), recordCases...) {
 		checkDecodeRecord(t, []byte(doc))
 	}

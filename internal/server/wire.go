@@ -230,10 +230,10 @@ type RegisterRecord struct {
 }
 
 // WindowRecord journals one acked observation window, verbatim as it
-// arrived on the wire: the live server never marshals one, it splices the
-// received bytes of the workloads value under this schema (windowPayload).
-// It is written before the window is applied (and before it is acked), so
-// every acked window survives a crash.
+// arrived on the wire: the live server never marshals one, the journal
+// frames the received bytes of the workloads value between the fleet's
+// windowHead and windowTail. It is written before the window is applied
+// (and before it is acked), so every acked window survives a crash.
 type WindowRecord struct {
 	Fleet     string         `json:"fleet"`
 	Workloads []WorkloadWire `json:"workloads"`
@@ -314,7 +314,11 @@ type AckWire struct {
 
 // toWorkloads converts wire workloads into consolidation workloads.
 // needDisk forces WSBytes (defaulted from RAMBytes) and UpdateRate so the
-// result is usable with a disk profile.
+// result is usable with a disk profile. The series adopt the wire's sample
+// slices instead of copying them: every caller hands over slices it has
+// just decoded, and nothing writes a workload's series in place
+// (CONTRIBUTING), so a registration's request and its fleet may share
+// them.
 func toWorkloads(ws []WorkloadWire, needDisk bool) ([]kairos.Workload, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("no workloads")
@@ -340,7 +344,7 @@ func toWorkloads(ws []WorkloadWire, needDisk bool) ([]kairos.Workload, error) {
 			if len(vals) == 0 {
 				return nil
 			}
-			return series.New(start, dt, append([]float64(nil), vals...))
+			return series.New(start, dt, vals)
 		}
 		wl := kairos.Workload{
 			Name:         w.Name,

@@ -144,7 +144,9 @@ func Median(xs []float64) (float64, error) {
 }
 
 // RMSE returns the root-mean-squared error between predicted and actual.
-// The two slices must have equal, non-zero length.
+// The two slices must have equal, non-zero length. Each square is rounded
+// before it is summed (no FMA on any architecture), as predict.RollingRMSE
+// rounds it, so the two agree bit for bit everywhere.
 func RMSE(predicted, actual []float64) (float64, error) {
 	if len(predicted) != len(actual) {
 		return 0, errors.New("stats: RMSE length mismatch")
@@ -155,7 +157,7 @@ func RMSE(predicted, actual []float64) (float64, error) {
 	var ss float64
 	for i := range predicted {
 		d := predicted[i] - actual[i]
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(predicted))), nil
 }
