@@ -84,7 +84,7 @@ race-full:
 # shards and Resolve's candidate climbs — on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
-	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart' ./internal/server/
+	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
@@ -97,11 +97,12 @@ race-server:
 # deduplicate instead of re-firing the detector. Then the windows whose
 # trigger advanced nothing (advance lost between the two appends, solver
 # backing off, re-solve failed): a restart answers them as the live daemon
-# did. Then replay's decode-ahead pipeline against the sequential loop it
-# replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
+# did. Then a registration and a deregistration acked while a snapshot is
+# being taken: the restart keeps both. Then replay's decode-ahead pipeline
+# against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
 # undecodable record in journal order named as before, no goroutine left.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines' -v ./internal/server/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series
@@ -236,11 +237,10 @@ bench-resolve:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# Lint: vet, formatting, and the repo's own analyzer suite (kairoslint:
-# per-package hotalloc/lockguard/floatdet/wirejson/errflow plus the
-# whole-program call-graph and dataflow checks — ctxflow/hotcall/
-# lockorder/unitsafe and walorder/leakcheck/atomicmix; see
-# CONTRIBUTING.md). Runs from the module root; kairoslint walks the same
+# Lint: vet, formatting, and the repo's own analyzer suite (kairoslint,
+# ten analyzers: per-package hotalloc/lockguard/floatdet/wirejson/errflow
+# plus the whole-program call-graph checks ctxflow/hotcall/lockorder/
+# leakcheck/atomicmix; see CONTRIBUTING.md). Runs from the module root; kairoslint walks the same
 # package graph as the build via `go list`, loading packages in parallel.
 # The 30s budget matches CI: if load+analysis blow past it the run exits 3,
 # keeping analyzer regressions from hiding inside a slow lint step.

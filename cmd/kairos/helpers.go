@@ -83,7 +83,7 @@ func saveIncumbent(path string, inc *kairos.Incumbent) error {
 func targetMachines(n int, headroom float64) []core.Machine {
 	out := make([]core.Machine, n)
 	for i := range out {
-		out[i] = fleet.TargetMachine(fmt.Sprintf("target-%02d", i), 50e6, headroom)
+		out[i] = fleet.TargetMachine(fmt.Sprintf("target-%02d", i), 50e6, kairos.Frac(headroom))
 	}
 	return out
 }

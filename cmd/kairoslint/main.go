@@ -2,7 +2,7 @@
 // the internal/lint analyzer suite — the per-package checks (errflow,
 // floatdet, hotalloc, lockguard, wirejson) and the call-graph-backed
 // whole-program checks (atomicmix, ctxflow, hotcall, leakcheck,
-// lockorder, unitsafe, walorder) — over the named package patterns and
+// lockorder) — over the named package patterns and
 // exits non-zero on any finding. Run it from the module root:
 //
 //	go run ./cmd/kairoslint ./...

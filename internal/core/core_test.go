@@ -10,6 +10,7 @@ import (
 
 	"kairos/internal/floats"
 	"kairos/internal/series"
+	units "kairos/internal/unit"
 )
 
 // flatWL builds a workload with constant demands.
@@ -45,8 +46,8 @@ func machines(k int, cpuCap, ramGB float64) []Machine {
 	for i := range out {
 		out[i] = Machine{
 			Name:        "m" + string(rune('0'+i%10)),
-			CPUCapacity: cpuCap,
-			RAMBytes:    ramGB * 1e9,
+			CPUCapacity: units.TargetCPU(cpuCap),
+			RAMBytes:    units.Bytes(ramGB * 1e9),
 		}
 	}
 	return out
@@ -79,12 +80,12 @@ func TestValidate(t *testing.T) {
 		// Zero, negative or non-finite capacities would divide into the
 		// objective and poison every comparison with +Inf/NaN.
 		{"negative cpu capacity", func(p *Problem) { p.Machines[0].CPUCapacity = -0.5 }},
-		{"NaN cpu capacity", func(p *Problem) { p.Machines[0].CPUCapacity = math.NaN() }},
-		{"infinite cpu capacity", func(p *Problem) { p.Machines[0].CPUCapacity = math.Inf(1) }},
+		{"NaN cpu capacity", func(p *Problem) { p.Machines[0].CPUCapacity = units.TargetCPU(math.NaN()) }},
+		{"infinite cpu capacity", func(p *Problem) { p.Machines[0].CPUCapacity = units.TargetCPU(math.Inf(1)) }},
 		{"zero ram", func(p *Problem) { p.Machines[0].RAMBytes = 0 }},
 		{"negative ram", func(p *Problem) { p.Machines[0].RAMBytes = -1e9 }},
-		{"NaN ram", func(p *Problem) { p.Machines[0].RAMBytes = math.NaN() }},
-		{"NaN headroom", func(p *Problem) { p.Machines[0].Headroom = math.NaN() }},
+		{"NaN ram", func(p *Problem) { p.Machines[0].RAMBytes = units.Bytes(math.NaN()) }},
+		{"NaN headroom", func(p *Problem) { p.Machines[0].Headroom = units.Frac(math.NaN()) }},
 		{"negative weight", func(p *Problem) { p.Weights = Weights{CPU: 1, RAM: -1, Disk: 1} }},
 		{"NaN weight", func(p *Problem) { p.Weights = Weights{CPU: math.NaN(), RAM: 1, Disk: 1} }},
 		{"infinite weight", func(p *Problem) { p.Weights = Weights{CPU: math.Inf(1), RAM: 1, Disk: 1} }},
@@ -108,7 +109,7 @@ func TestValidate(t *testing.T) {
 // would otherwise divide by it.
 func TestValidateRejectsBadDiskBudget(t *testing.T) {
 	n := 12
-	mk := func(budget float64) *Problem {
+	mk := func(budget units.Bps) *Problem {
 		w := flatWL("a", 0.2, 1, n)
 		w.WSBytes = series.Constant(time.Unix(0, 0), 5*time.Minute, n, 1e9)
 		w.UpdateRate = series.Constant(time.Unix(0, 0), 5*time.Minute, n, 100)
@@ -125,7 +126,7 @@ func TestValidateRejectsBadDiskBudget(t *testing.T) {
 	if err := mk(50e6).Validate(); err != nil {
 		t.Fatalf("valid disk budget rejected: %v", err)
 	}
-	for _, budget := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, budget := range []units.Bps{0, -1, units.Bps(math.NaN()), units.Bps(math.Inf(1))} {
 		if err := mk(budget).Validate(); err == nil {
 			t.Errorf("disk budget %v accepted", budget)
 		}
@@ -507,7 +508,7 @@ func TestFractionalLowerBoundHeterogeneous(t *testing.T) {
 
 func TestHeadroomTightensCapacity(t *testing.T) {
 	n := 12
-	mk := func(headroom float64) *Problem {
+	mk := func(headroom units.Frac) *Problem {
 		ms := machines(2, 1, 16)
 		for i := range ms {
 			ms[i].Headroom = headroom

@@ -189,9 +189,9 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	ev.capRAM = make([]float64, len(p.Machines))
 	ev.capDisk = make([]float64, len(p.Machines))
 	for j, m := range p.Machines {
-		ev.capCPU[j] = m.capacity(m.CPUCapacity)
-		ev.capRAM[j] = m.capacity(m.RAMBytes)
-		ev.capDisk[j] = m.capacity(m.DiskWriteBps)
+		ev.capCPU[j] = m.capacity(float64(m.CPUCapacity))
+		ev.capRAM[j] = m.capacity(float64(m.RAMBytes))
+		ev.capDisk[j] = m.capacity(float64(m.DiskWriteBps))
 	}
 	ev.unitPeak = unitPeakSteps(ev.cpu, ev.ram)
 	return ev, nil

@@ -27,6 +27,7 @@ import (
 	"kairos/internal/floats"
 	"kairos/internal/model"
 	"kairos/internal/series"
+	units "kairos/internal/unit"
 )
 
 // Workload is one database's resource profile, the engine's unit of
@@ -72,23 +73,19 @@ type Machine struct {
 	Name string
 	// CPUCapacity is in target-machine units: 1.0 means exactly one
 	// standard target machine.
-	//kairos:unit TargetCPU
-	CPUCapacity float64
+	CPUCapacity units.TargetCPU
 	// RAMBytes is the physical memory available to the DBMS.
-	//kairos:unit Bytes
-	RAMBytes float64
-	// DiskWriteBps is the disk write budget (bytes/sec) the machine can
-	// sustain, measured in the same terms the disk profile predicts.
-	//kairos:unit Bps
-	DiskWriteBps float64
+	RAMBytes units.Bytes
+	// DiskWriteBps is the disk write budget the machine can sustain,
+	// measured in the same terms the disk profile predicts.
+	DiskWriteBps units.Bps
 	// Headroom is the fraction of every resource kept free as a safety
 	// margin (the paper uses 5–10%).
-	//kairos:unit Frac
-	Headroom float64
+	Headroom units.Frac
 }
 
 // capacity returns the usable capacity of a resource after headroom.
-func (m Machine) capacity(raw float64) float64 { return raw * (1 - m.Headroom) }
+func (m Machine) capacity(raw float64) float64 { return raw * (1 - float64(m.Headroom)) }
 
 // Weights balances the per-resource terms inside the objective ("we can use
 // any linear combination of the resources, to favor balancing one resource
@@ -179,16 +176,16 @@ func (p *Problem) Validate() error {
 	// with a clear error. Note `v <= 0` alone would let NaN through —
 	// the checks are phrased so NaN fails too.
 	for j, m := range p.Machines {
-		if !(m.CPUCapacity > 0) || math.IsInf(m.CPUCapacity, 0) {
+		if !(m.CPUCapacity > 0) || math.IsInf(float64(m.CPUCapacity), 0) {
 			return fmt.Errorf("core: machine %d (%s) CPU capacity %v must be positive and finite", j, m.Name, m.CPUCapacity)
 		}
-		if !(m.RAMBytes > 0) || math.IsInf(m.RAMBytes, 0) {
+		if !(m.RAMBytes > 0) || math.IsInf(float64(m.RAMBytes), 0) {
 			return fmt.Errorf("core: machine %d (%s) RAM capacity %v must be positive and finite", j, m.Name, m.RAMBytes)
 		}
 		if !(m.Headroom >= 0) || m.Headroom >= 1 {
 			return fmt.Errorf("core: machine %d (%s) headroom %v outside [0,1)", j, m.Name, m.Headroom)
 		}
-		if p.Disk != nil && (!(m.DiskWriteBps > 0) || math.IsInf(m.DiskWriteBps, 0)) {
+		if p.Disk != nil && (!(m.DiskWriteBps > 0) || math.IsInf(float64(m.DiskWriteBps), 0)) {
 			return fmt.Errorf("core: machine %d (%s) disk write budget %v must be positive and finite when a disk model is set", j, m.Name, m.DiskWriteBps)
 		}
 	}
@@ -219,10 +216,11 @@ func (p *Problem) Validate() error {
 // onto disjoint machine ranges.
 func (p *Problem) HomogeneousMachines() bool {
 	for _, m := range p.Machines[1:] {
-		if !floats.Same(m.CPUCapacity, p.Machines[0].CPUCapacity) ||
-			!floats.Same(m.RAMBytes, p.Machines[0].RAMBytes) ||
-			!floats.Same(m.DiskWriteBps, p.Machines[0].DiskWriteBps) ||
-			!floats.Same(m.Headroom, p.Machines[0].Headroom) {
+		m0 := p.Machines[0]
+		if !floats.Same(float64(m.CPUCapacity), float64(m0.CPUCapacity)) ||
+			!floats.Same(float64(m.RAMBytes), float64(m0.RAMBytes)) ||
+			!floats.Same(float64(m.DiskWriteBps), float64(m0.DiskWriteBps)) ||
+			!floats.Same(float64(m.Headroom), float64(m0.Headroom)) {
 			return false
 		}
 	}

@@ -14,6 +14,7 @@ import (
 
 	"kairos/internal/greedy"
 	"kairos/internal/model"
+	units "kairos/internal/unit"
 )
 
 // constrainedProblem extends randomLoadStateProblem (replicas, SLAs, replica
@@ -33,9 +34,9 @@ func constrainedProblem(rng *rand.Rand, nW, T int, withDisk bool) *Problem {
 	}
 	for j := range p.Machines {
 		f := 0.6 + rng.Float64()
-		p.Machines[j].CPUCapacity *= f
-		p.Machines[j].RAMBytes *= 0.6 + rng.Float64()
-		p.Machines[j].DiskWriteBps *= 0.6 + rng.Float64()
+		p.Machines[j].CPUCapacity *= units.TargetCPU(f)
+		p.Machines[j].RAMBytes *= units.Bytes(0.6 + rng.Float64())
+		p.Machines[j].DiskWriteBps *= units.Bps(0.6 + rng.Float64())
 	}
 	return p
 }

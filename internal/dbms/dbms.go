@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"kairos/internal/disk"
+	"kairos/internal/unit"
 )
 
 // Config holds the tunables of a simulated DBMS instance. Zero values are
@@ -889,8 +890,8 @@ func (in *Instance) finishLatency(dt time.Duration, st SubmitState, checkpoint b
 // maxReadsPerTick estimates how many random reads fit in one tick.
 func (in *Instance) maxReadsPerTick(dt time.Duration) int {
 	p := in.disk.Params()
-	per := p.FullSeekMs/3 + 60.0/p.RPM/2*1000
-	n := int(float64(dt.Milliseconds()) / per)
+	per := p.FullSeekMs/3 + unit.Ms(60.0/p.RPM/2*1000)
+	n := int(float64(dt.Milliseconds()) / float64(per))
 	if n < 4 {
 		n = 4
 	}

@@ -24,22 +24,20 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"kairos/internal/unit"
 )
 
 // Params describes the physical characteristics of a simulated disk.
 type Params struct {
-	// SeqWriteMBps is the sustained sequential write bandwidth in MB/s.
-	//kairos:unit MBps
-	SeqWriteMBps float64
-	// SeqReadMBps is the sustained sequential read bandwidth in MB/s.
-	//kairos:unit MBps
-	SeqReadMBps float64
-	// FullSeekMs is the full-stroke seek time in milliseconds.
-	//kairos:unit Ms
-	FullSeekMs float64
-	// TrackToTrackMs is the minimum (adjacent-track) seek time in ms.
-	//kairos:unit Ms
-	TrackToTrackMs float64
+	// SeqWriteMBps is the sustained sequential write bandwidth.
+	SeqWriteMBps unit.MBps
+	// SeqReadMBps is the sustained sequential read bandwidth.
+	SeqReadMBps unit.MBps
+	// FullSeekMs is the full-stroke seek time.
+	FullSeekMs unit.Ms
+	// TrackToTrackMs is the minimum (adjacent-track) seek time.
+	TrackToTrackMs unit.Ms
 	// RPM is the spindle speed; rotational latency is derived from it.
 	RPM float64
 	// CacheWriteFactor models the disk controller's write cache: effective
@@ -84,16 +82,16 @@ func (p Params) seekTime(d float64) time.Duration {
 	if d > 1 {
 		d = 1
 	}
-	ms := p.TrackToTrackMs + (p.FullSeekMs-p.TrackToTrackMs)*math.Sqrt(d)
-	return time.Duration(ms * float64(time.Millisecond))
+	ms := p.TrackToTrackMs + (p.FullSeekMs-p.TrackToTrackMs)*unit.Ms(math.Sqrt(d))
+	return time.Duration(float64(ms) * float64(time.Millisecond))
 }
 
-// transferTime returns the time to move n bytes at the given MB/s rate.
-func transferTime(n int64, mbps float64) time.Duration {
+// transferTime returns the time to move n bytes at the given rate.
+func transferTime(n int64, mbps unit.MBps) time.Duration {
 	if mbps <= 0 || n <= 0 {
 		return 0
 	}
-	return time.Duration(float64(n) / (mbps * 1e6) * float64(time.Second))
+	return time.Duration(float64(n) / (float64(mbps) * 1e6) * float64(time.Second))
 }
 
 // Stats accumulates disk activity. All byte counters are cumulative since

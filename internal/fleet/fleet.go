@@ -22,6 +22,7 @@ import (
 
 	"kairos/internal/core"
 	"kairos/internal/series"
+	"kairos/internal/unit"
 )
 
 // Dataset identifies one of the paper's data providers.
@@ -279,12 +280,12 @@ func (f *Fleet) MeanCPUUtilization() float64 {
 // TargetMachine is the paper's consolidation target: a 12-core, 96 GB
 // machine ("a higher-end class of machines used by two of our data
 // providers", USD $6,000–$10,000).
-func TargetMachine(name string, diskBudgetBps float64, headroom float64) core.Machine {
+func TargetMachine(name string, diskBudget unit.Bps, headroom unit.Frac) core.Machine {
 	return core.Machine{
 		Name:         name,
 		CPUCapacity:  1.0,
 		RAMBytes:     96e9,
-		DiskWriteBps: diskBudgetBps,
+		DiskWriteBps: diskBudget,
 		Headroom:     headroom,
 	}
 }

@@ -381,15 +381,20 @@ func (l *Log) Sync() error {
 
 // syncLocked fsyncs the journal file. Callers hold l.mu.
 func (l *Log) syncLocked(point string) error {
-	if _, err := l.opt.Fault.check(point); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.sync(l.f, point); err != nil {
 		return err
 	}
 	l.dirty = false
 	l.syncs++
 	return nil
+}
+
+// sync fsyncs f through the fault injector.
+func (l *Log) sync(f *os.File, point string) error {
+	if _, err := l.opt.Fault.check(point); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Snapshot atomically replaces the snapshot file with state (covering
@@ -406,38 +411,10 @@ func (l *Log) Snapshot(state []byte) error {
 	if len(state) > MaxRecord {
 		return fmt.Errorf("journal: snapshot of %d bytes exceeds the %d-byte limit", len(state), MaxRecord)
 	}
-	frame := appendFrame(nil, l.seq, state)
 	tmp := filepath.Join(l.dir, snapshotTmp)
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("journal: creating snapshot temp file: %w", err)
-	}
-	if err := l.write(tf, PointSnapshotWrite, frame); err != nil {
-		tf.Close()     //kairoslint:allow errflow: already failing with the write error; a close error would mask it
+	if err := l.installSnapshot(tmp, appendFrame(nil, l.seq, state)); err != nil {
 		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
-		return fmt.Errorf("journal: writing snapshot: %w", err)
-	}
-	if err := func() error {
-		if _, err := l.opt.Fault.check(PointSnapshotSync); err != nil {
-			return err
-		}
-		return tf.Sync()
-	}(); err != nil {
-		tf.Close()     //kairoslint:allow errflow: already failing with the fsync error; a close error would mask it
-		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
-		return fmt.Errorf("journal: fsync of snapshot: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
-		return fmt.Errorf("journal: closing snapshot temp file: %w", err)
-	}
-	if _, err := l.opt.Fault.check(PointSnapshotRename); err != nil {
-		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
-		return fmt.Errorf("journal: renaming snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotFile)); err != nil {
-		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
-		return fmt.Errorf("journal: renaming snapshot: %w", err)
+		return err
 	}
 	l.syncDir()
 
@@ -458,6 +435,41 @@ func (l *Log) Snapshot(state []byte) error {
 	l.size = 0
 	l.dirty = false
 	return nil
+}
+
+// installSnapshot writes frame to the temp file tmp, makes it durable and
+// renames it over the snapshot. On an error the caller removes tmp.
+func (l *Log) installSnapshot(tmp string, frame []byte) error {
+	tf, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("journal: creating snapshot temp file: %w", err)
+	}
+	if err := l.writeSyncClose(tf, frame); err != nil {
+		return err
+	}
+	if _, err := l.opt.Fault.check(PointSnapshotRename); err != nil {
+		return fmt.Errorf("journal: renaming snapshot: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotFile)); err != nil {
+		return fmt.Errorf("journal: renaming snapshot: %w", err)
+	}
+	return nil
+}
+
+// writeSyncClose writes frame to the snapshot temp file f, fsyncs and
+// closes it, and returns the first of the three to fail; f is closed
+// either way.
+func (l *Log) writeSyncClose(f *os.File, frame []byte) error {
+	err := l.write(f, PointSnapshotWrite, frame)
+	if err != nil {
+		err = fmt.Errorf("journal: writing snapshot: %w", err)
+	} else if err = l.sync(f, PointSnapshotSync); err != nil {
+		err = fmt.Errorf("journal: fsync of snapshot: %w", err)
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("journal: closing snapshot temp file: %w", cerr)
+	}
+	return err
 }
 
 // syncDir fsyncs the state directory so the snapshot rename itself is

@@ -1,6 +1,6 @@
 // Package callgraph builds a type-informed call graph over a loaded
 // analysis.Program — the engine under the interprocedural kairoslint
-// analyzers (lockorder, hotcall, ctxflow, unitsafe).
+// analyzers (ctxflow, hotcall, leakcheck, lockorder).
 //
 // Resolution:
 //

@@ -1,10 +1,12 @@
 // Package dataflow builds intra-procedural control-flow graphs over the
-// typed AST and answers the two questions the ordering and error-flow
-// analyzers ask: "must statement A execute before statement B on every
-// path?" (block dominance) and "can this write ever be read?" (def-use
-// chains, defuse.go). It is the intra-procedural layer under walorder
-// and errflow, sitting beside internal/lint/callgraph the way a
-// function-local CFG sits beside a program-wide call graph.
+// typed AST and answers two questions about them: "must statement A
+// execute before statement B on every path?" (block dominance) and "can
+// this write ever be read?" (def-use chains, defuse.go). It is the
+// intra-procedural layer under errflow, sitting beside
+// internal/lint/callgraph the way a function-local CFG sits beside a
+// program-wide call graph. Only the tests ask the first question: they
+// are the CFG builder's tests, and defuse reads the reachability that
+// dominance computes.
 //
 // The CFG is deliberately syntactic: one graph per function body, basic
 // blocks of statements and the sub-expressions evaluated with them, and

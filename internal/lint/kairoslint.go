@@ -8,13 +8,13 @@
 // The suite has two tiers. Per-package analyzers (errflow, floatdet,
 // hotalloc, lockguard, wirejson) see one package at a time and run in
 // parallel across packages. Whole-program analyzers (atomicmix,
-// ctxflow, hotcall, leakcheck, lockorder, unitsafe, walorder) run over
-// the interprocedural call graph built by internal/lint/callgraph,
-// closing contracts that no single package can prove: lock acquisition
-// order, context threading, transitive allocation freedom, unit
-// consistency, goroutine termination, atomic/plain access mixing, and
-// the control plane's journal-append-before-ack WAL contract (walorder,
-// built on the internal/lint/dataflow dominance layer).
+// ctxflow, hotcall, leakcheck, lockorder) run over the interprocedural
+// call graph built by internal/lint/callgraph, closing contracts that no
+// single package can prove: lock acquisition order, context threading,
+// transitive allocation freedom, goroutine termination and atomic/plain
+// access mixing. Units (internal/unit) and the control plane's
+// journal-before-apply order (internal/server's journaled token) are
+// types, so the compiler checks them.
 package lint
 
 import (
@@ -28,8 +28,6 @@ import (
 	"kairos/internal/lint/leakcheck"
 	"kairos/internal/lint/lockguard"
 	"kairos/internal/lint/lockorder"
-	"kairos/internal/lint/unitsafe"
-	"kairos/internal/lint/walorder"
 	"kairos/internal/lint/wirejson"
 )
 
@@ -45,8 +43,6 @@ func Analyzers() []*analysis.Analyzer {
 		leakcheck.Analyzer,
 		lockguard.Analyzer,
 		lockorder.Analyzer,
-		unitsafe.Analyzer,
-		walorder.Analyzer,
 		wirejson.Analyzer,
 	}
 }

@@ -19,7 +19,7 @@ import (
 // HasMarker reports whether a comment group contains the given directive,
 // e.g. "//kairos:hotpath": a line that is the marker alone, or the
 // marker directly after the slashes followed by whitespace and prose
-// ("//kairos:ack — journal before acking"). Directive comments follow
+// ("//kairos:hotpath — allocation-free per sample"). Directive comments follow
 // the Go convention — no space after the slashes, machine-readable — and
 // may share the group with prose lines; a prose line that merely
 // mentions the marker does not count.

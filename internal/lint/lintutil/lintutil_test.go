@@ -146,32 +146,31 @@ func cold() {}
 }
 
 // TestHasMarkerWithProse: a directive may carry prose after it on the
-// same line — the form internal/server's writeNoContent uses — but the
-// marker must still be the whole first word.
+// same line, but the marker must still be the whole first word.
 func TestHasMarkerWithProse(t *testing.T) {
 	_, files := parseSrc(t, `package p
 
-// acks documents its contract on the directive line.
+// hot documents its contract on the directive line.
 //
-//kairos:ack — journal before acking
-func acks() {}
+//kairos:hotpath — allocation-free per sample
+func hot() {}
 
-//kairos:ack	tab-separated prose
+//kairos:hotpath	tab-separated prose
 func tabbed() {}
 
-//kairos:acknowledged is some other directive
+//kairos:hotpathological is some other directive
 func other() {}
 
-//kairos:ack-ish is too
+//kairos:hotpath-ish is too
 func hyphenated() {}
 
-// kairos:ack with a space after the slashes is prose, not a directive
+// kairos:hotpath with a space after the slashes is prose, not a directive
 func spaced() {}
 `)
-	want := map[string]bool{"acks": true, "tabbed": true, "other": false, "hyphenated": false, "spaced": false}
+	want := map[string]bool{"hot": true, "tabbed": true, "other": false, "hyphenated": false, "spaced": false}
 	for _, d := range files[0].Decls {
 		fd := d.(*ast.FuncDecl)
-		if got := HasMarker(fd.Doc, "kairos:ack"); got != want[fd.Name.Name] {
+		if got := HasMarker(fd.Doc, "kairos:hotpath"); got != want[fd.Name.Name] {
 			t.Errorf("HasMarker(%s) = %v, want %v", fd.Name.Name, got, want[fd.Name.Name])
 		}
 	}

@@ -20,21 +20,20 @@ import (
 	"kairos/internal/dbms"
 	"kairos/internal/disk"
 	"kairos/internal/polyfit"
+	"kairos/internal/unit"
 	"kairos/internal/workload"
 )
 
 // ProfilePoint is one measured sweep point.
 type ProfilePoint struct {
-	// WSMB is the working-set size in megabytes.
-	//kairos:unit MB
-	WSMB float64 `json:"ws_mb"`
+	// WSMB is the working-set size.
+	WSMB unit.MB `json:"ws_mb"`
 	// DemandRows and AchievedRows are the demanded and completed row-update
-	// rates in rows/sec.
-	DemandRows   float64 `json:"demand_rows"`   //kairos:unit RowsPerSec
-	AchievedRows float64 `json:"achieved_rows"` //kairos:unit RowsPerSec
+	// rates.
+	DemandRows   unit.RowsPerSec `json:"demand_rows"`
+	AchievedRows unit.RowsPerSec `json:"achieved_rows"`
 	// WriteMBps is the measured total disk write throughput (log + pages).
-	//kairos:unit MBps
-	WriteMBps float64 `json:"write_mbps"`
+	WriteMBps unit.MBps `json:"write_mbps"`
 	// Saturated marks points where the disk could not keep up.
 	Saturated bool `json:"saturated"`
 }
@@ -56,17 +55,14 @@ type DiskProfile struct {
 	// WSMinMB and WSMaxMB bound the working-set range the profile was
 	// fitted on; predictions clamp the working set into this range, since
 	// a degree-2 polynomial extrapolates wildly outside its data.
-	WSMinMB float64 `json:"ws_min_mb"` //kairos:unit MB
-	WSMaxMB float64 `json:"ws_max_mb"` //kairos:unit MB
+	WSMinMB unit.MB `json:"ws_min_mb"`
+	WSMaxMB unit.MB `json:"ws_max_mb"`
 	// ConfigName describes the profiled configuration.
 	ConfigName string `json:"config_name"`
 }
 
-// clampWS restricts a working-set size (MB) to the fitted range.
-//
-//kairos:unit wsMB MB
-//kairos:unit return MB
-func (p *DiskProfile) clampWS(wsMB float64) float64 {
+// clampWS restricts a working-set size to the fitted range.
+func (p *DiskProfile) clampWS(wsMB unit.MB) unit.MB {
 	if p.WSMaxMB > p.WSMinMB {
 		if wsMB < p.WSMinMB {
 			return p.WSMinMB
@@ -78,34 +74,30 @@ func (p *DiskProfile) clampWS(wsMB float64) float64 {
 	return wsMB
 }
 
-// PredictWriteMBps estimates the disk write throughput of a combined
-// workload with the given aggregate working set and row-update rate.
-//
-//kairos:unit wsBytes Bytes
-//kairos:unit rowsPerSec RowsPerSec
-//kairos:unit return MBps
+// PredictWriteMBps estimates the disk write throughput in MB/s of a
+// combined workload with the given aggregate working set in bytes and
+// row-update rate in rows/s. The arguments are series samples, hence
+// float64.
 func (p *DiskProfile) PredictWriteMBps(wsBytes, rowsPerSec float64) float64 {
-	v := p.Fit.Eval(p.clampWS(wsBytes/1e6), rowsPerSec)
+	v := p.Fit.Eval(float64(p.clampWS(unit.MB(wsBytes/1e6))), rowsPerSec)
 	if v < 0 {
 		return 0
 	}
 	return v
 }
 
-// MaxRowsPerSec returns the saturation row-update rate for an aggregate
-// working set, from the envelope fit. It returns +Inf-like large values only
-// if the profile never saturated; callers should check HasEnvelope.
+// MaxRowsPerSec returns the saturation row-update rate in rows/s for an
+// aggregate working set in bytes (a series sample), from the envelope fit.
+// It returns +Inf-like large values only if the profile never saturated;
+// callers should check HasEnvelope.
 //
 // The fitted quadratic can dip negative for working sets near the top of the
 // sweep range; a negative sustainable rate is meaningless, so the result is
 // clamped to 0. A zero envelope means "no update rate is sustainable at this
 // working set": per the boundary rule (see EnvelopeFeasible), an aggregate
 // rate of exactly 0 is still feasible there, and any positive rate is not.
-//
-//kairos:unit wsBytes Bytes
-//kairos:unit return RowsPerSec
 func (p *DiskProfile) MaxRowsPerSec(wsBytes float64) float64 {
-	v := p.Envelope.Eval(p.clampWS(wsBytes / 1e6))
+	v := p.Envelope.Eval(float64(p.clampWS(unit.MB(wsBytes / 1e6))))
 	if v < 0 {
 		return 0
 	}
@@ -119,10 +111,7 @@ func (p *DiskProfile) MaxRowsPerSec(wsBytes float64) float64 {
 // RAM and the disk-write budget. With a zero (clamped) envelope only a zero
 // rate passes; the old `rate >= max` / `max > 0` variants either rejected
 // idle placements (rate 0 vs envelope 0) or silently disabled the check for
-// large working sets.
-//
-//kairos:unit rowsPerSec RowsPerSec
-//kairos:unit maxRowsPerSec RowsPerSec
+// large working sets. Both rates are in rows/s.
 func EnvelopeFeasible(rowsPerSec, maxRowsPerSec float64) bool {
 	return rowsPerSec <= maxRowsPerSec
 }
@@ -251,10 +240,10 @@ func (pr Profiler) measurePoint(wsPages int64, wsMB, rate float64) (ProfilePoint
 	sec := pr.Measure.Seconds()
 	achieved := float64(wwin.Updates) / sec
 	return ProfilePoint{
-		WSMB:         wsMB,
-		DemandRows:   rate,
-		AchievedRows: achieved,
-		WriteMBps:    float64(dwin.WriteBytes()) / 1e6 / sec,
+		WSMB:         unit.MB(wsMB),
+		DemandRows:   unit.RowsPerSec(rate),
+		AchievedRows: unit.RowsPerSec(achieved),
+		WriteMBps:    unit.MBps(float64(dwin.WriteBytes()) / 1e6 / sec),
 		Saturated:    achieved < rate*0.95,
 	}, nil
 }
@@ -265,7 +254,7 @@ func fitProfile(points []ProfilePoint, name string) (*DiskProfile, error) {
 	ys := make([]float64, len(points)) // achieved rows/sec
 	zs := make([]float64, len(points)) // write MB/s
 	for i, pt := range points {
-		xs[i], ys[i], zs[i] = pt.WSMB, pt.AchievedRows, pt.WriteMBps
+		xs[i], ys[i], zs[i] = float64(pt.WSMB), float64(pt.AchievedRows), float64(pt.WriteMBps)
 	}
 	fit, err := polyfit.FitLAR2D(xs, ys, zs, 2, 30)
 	if err != nil {
@@ -274,7 +263,7 @@ func fitProfile(points []ProfilePoint, name string) (*DiskProfile, error) {
 
 	// Envelope: for each working-set size, the maximum achieved rate among
 	// saturated points (black circles in Figure 4), fitted quadratically.
-	maxByWS := map[float64]float64{}
+	maxByWS := map[unit.MB]unit.RowsPerSec{}
 	sawSaturation := false
 	for _, pt := range points {
 		if pt.Saturated {
@@ -286,8 +275,8 @@ func fitProfile(points []ProfilePoint, name string) (*DiskProfile, error) {
 	}
 	var ex, ey []float64
 	for ws, maxRate := range maxByWS {
-		ex = append(ex, ws)
-		ey = append(ey, maxRate)
+		ex = append(ex, float64(ws))
+		ey = append(ey, float64(maxRate))
 	}
 	prof := &DiskProfile{Fit: fit, Points: points, ConfigName: name, HasEnvelope: sawSaturation}
 	prof.WSMinMB, prof.WSMaxMB = points[0].WSMB, points[0].WSMB

@@ -26,23 +26,31 @@ import (
 // in hand, do what could tempt a handler to let go early, and check that
 // the journal got the bytes that arrived.
 
+// stacksNaming returns how many goroutines' stacks each name every one of
+// frames, and the stacks.
+func stacksNaming(frames ...string) (int, []byte) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	m := 0
+stacks:
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, f := range frames {
+			if !strings.Contains(g, f) {
+				continue stacks
+			}
+		}
+		m++
+	}
+	return m, buf
+}
+
 // stackWait waits until at least n goroutines' stacks each name every one
 // of frames: how a test sees that a loop has taken a window, with no hook
 // in the server.
 func stackWait(t *testing.T, n int, frames ...string) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		m := 0
-	stacks:
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			for _, f := range frames {
-				if !strings.Contains(g, f) {
-					continue stacks
-				}
-			}
-			m++
-		}
+		m, buf := stacksNaming(frames...)
 		if m >= n {
 			return
 		}
@@ -184,8 +192,10 @@ func TestRecycledBodyLifetime(t *testing.T) {
 		s.pauseRW.Lock()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
 		loopsHolding(t, 1)
+		// The deregistration waits at the snapshot lock too, and goes on with
+		// the loop's window once it is released.
 		del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/a", nil)
-		stackWait(t, 1, "[chan receive]", "(*Server).handleDelete")
+		stackWait(t, 1, "(*Server).handleDelete", "(*RWMutex).RLock")
 		noBodyGivenBack(t, s)
 		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
 		loopsHolding(t, 2)

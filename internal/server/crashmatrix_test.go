@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -299,6 +300,78 @@ func TestDeregisterSurvivesRestart(t *testing.T) {
 	}
 	if status, _ := do(t, http.MethodGet, rts.URL+"/v1/fleets/drop", nil); status != http.StatusNotFound {
 		t.Errorf("deregistered fleet resurrected by replay: %d", status)
+	}
+}
+
+// TestRegistryMutationDuringSnapshot: a registration and a deregistration
+// acked while a snapshot is being taken survive a restart. A snapshot
+// copies the registry and then has the journal rotate away every record
+// appended so far, so a registry record appended between the two would be
+// in neither: the registered fleet gone after a restart, the deleted one
+// back. The test holds a snapshot between the two at the lock of the first
+// fleet it checkpoints; each request is then answered or waits at the
+// snapshot lock, and after the restart the registry is the one the client
+// saw acked.
+func TestRegistryMutationDuringSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "drop"} {
+		mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody(id, 3, 6), http.StatusCreated)
+	}
+	s.mu.Lock()
+	first := s.fleets["a"]
+	s.mu.Unlock()
+	first.mu.Lock()
+	snapped := make(chan error, 1)
+	go func() { snapped <- s.snapshot() }()
+	stackWait(t, 1, "(*Server).snapshot", "(*Mutex).lockSlow")
+
+	h := s.Handler()
+	reg := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets", registerBody("late", 3, 6))
+	del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/drop", nil)
+	answeredOrHeld(t, reg, "(*Server).handleRegister")
+	answeredOrHeld(t, del, "(*Server).handleDelete")
+	first.mu.Unlock()
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
+	}
+	reg.answer(t, "registration during a snapshot", http.StatusCreated)
+	del.answer(t, "deregistration during a snapshot", http.StatusNoContent)
+	if err := s.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for id, want := range map[string]int{"a": http.StatusOK, "late": http.StatusOK, "drop": http.StatusNotFound} {
+		if status, body := serve(t, rs, http.MethodGet, "/v1/fleets/"+id, nil); status != want {
+			t.Errorf("fleet %q after the restart: %d %s, want %d", id, status, body, want)
+		}
+	}
+}
+
+// answeredOrHeld waits until f is answered or a goroutine in handler waits
+// at the snapshot lock.
+func answeredOrHeld(t *testing.T, f *inFlight, handler string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		select {
+		case <-f.done:
+			return
+		default:
+		}
+		if held, _ := stacksNaming(handler, "(*RWMutex).RLock"); held > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s neither answered nor waiting at the snapshot lock after 10s", handler)
+		}
 	}
 }
 

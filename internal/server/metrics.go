@@ -38,7 +38,7 @@ type fleetMetrics struct {
 	failStreak int64
 	// histogram state for kairos_resolve_duration_seconds.
 	bucketCounts []int64
-	resolveSum   float64 //kairos:unit Seconds
+	resolveSum   time.Duration
 	resolveCount int64
 }
 
@@ -93,7 +93,7 @@ func (m *metrics) observeTrigger(id string, fevals, migrations int, elapsed time
 	fm.fevals += int64(fevals)
 	fm.migrations += int64(migrations)
 	sec := elapsed.Seconds()
-	fm.resolveSum += sec
+	fm.resolveSum += elapsed
 	fm.resolveCount++
 	for i, le := range resolveBuckets {
 		if sec <= le {
@@ -145,7 +145,7 @@ func (m *metrics) write(w io.Writer) {
 			fmt.Fprintf(w, "%s_bucket{fleet=%q,le=%q} %d\n", hist, id, trimFloat(le), fm.bucketCounts[i])
 		}
 		fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"+Inf\"} %d\n", hist, id, fm.resolveCount)
-		fmt.Fprintf(w, "%s_sum{fleet=%q} %g\n", hist, id, fm.resolveSum)
+		fmt.Fprintf(w, "%s_sum{fleet=%q} %g\n", hist, id, fm.resolveSum.Seconds())
 		fmt.Fprintf(w, "%s_count{fleet=%q} %d\n", hist, id, fm.resolveCount)
 	}
 }

@@ -12,7 +12,10 @@ package server
 //
 // Convention (see CONTRIBUTING.md): every new control-plane mutation
 // needs a RecordWire field, an append, and one apply function called by
-// both the live path and replay's switch in this file.
+// both the live path and replay's switch in this file. The apply function
+// takes the journaled token its append returned, so a mutation applied
+// before it is journaled does not compile; TestReplayAppliesEveryRecordKind
+// checks that replay's switch has a case for every field.
 //
 // Replay is two stages. The decode stage (decodeAhead) turns a record's
 // payload into a *RecordWire with decodeRecord: it reads the payload and
@@ -79,16 +82,23 @@ type RecoveryStats struct {
 	RecordsDecode time.Duration
 }
 
+// journaled is the proof that a control-plane mutation's record is in the
+// journal: appendPayload returns one, and every apply function takes one,
+// so a path that applies a mutation before journaling it does not compile.
+// Only appendPayload and replay make one (TestJournaledTokenSources); a
+// token that came with an error is not one.
+type journaled struct{}
+
 // appendRecord journals one control-plane mutation, marshalled as
 // RecordWire. A nil journal (no state dir) accepts everything: the
 // in-memory server behaves exactly as before durability existed.
-func (s *Server) appendRecord(rec *RecordWire) error {
+func (s *Server) appendRecord(rec *RecordWire) (tok journaled, err error) {
 	if s.jl == nil {
-		return nil
+		return s.appendPayload()
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return tok, err
 	}
 	return s.appendPayload(b)
 }
@@ -96,13 +106,14 @@ func (s *Server) appendRecord(rec *RecordWire) error {
 // appendPayload journals one record already in RecordWire's encoding,
 // whole or in the parts the journal frames it from: appendRecord's, or a
 // window record its handler put together around the received bytes
-// (windowHead, the span, windowTail).
-func (s *Server) appendPayload(parts ...[]byte) error {
+// (windowHead, the span, windowTail). The in-memory server has no journal,
+// so its token is free.
+func (s *Server) appendPayload(parts ...[]byte) (journaled, error) {
 	if s.jl == nil {
-		return nil
+		return journaled{}, nil
 	}
 	_, err := s.jl.Append(parts...)
-	return err
+	return journaled{}, err
 }
 
 // jitterDuration returns a uniformly random duration in [0, d).
@@ -149,6 +160,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 	defer ahead.stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	read := journaled{} // every record replay applies, the snapshot's too, was read back from the journal
 	stats := &RecoveryStats{TornTail: rec.TornTail}
 	if rec.TornTail {
 		s.logf("journal tail torn at byte %d: truncated (last records were never acked)", rec.TornOffset)
@@ -197,7 +209,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			}
 			sess.failures = fs.Failures
 			sess.mu.Unlock()
-			s.applyRegisterLocked(sess)
+			s.applyRegisterLocked(read, sess)
 		}
 		stats.SnapshotFleets = len(snap.Fleets)
 	}
@@ -211,7 +223,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		pending := sess.pending
 		sess.mu.Unlock()
 		if pending {
-			sess.applyRearm()
+			sess.applyRearm(read)
 			stats.Healed++
 		}
 	}
@@ -232,7 +244,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", r.Seq, err)
 			}
-			s.applyRegisterLocked(sess)
+			s.applyRegisterLocked(read, sess)
 		case rw.Window != nil:
 			id := rw.Window.Fleet
 			sess := s.fleets[id]
@@ -245,7 +257,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			// session; a window it went on to reject replays as rejected.
 			window, err := toWorkloads(rw.Window.Workloads, sess.needDisk)
 			if err == nil {
-				_, _, err = sess.applyWindow(window, windowKey(rw.Window.Workloads))
+				_, _, err = sess.applyWindow(read, window, windowKey(rw.Window.Workloads))
 			}
 			if err != nil {
 				s.logf("journal record %d: window for %q rejected on replay (as live): %v", r.Seq, id, err)
@@ -259,17 +271,17 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 				s.logf("journal record %d: advance for unknown fleet %q skipped", r.Seq, id)
 				continue
 			}
-			if err := sess.applyAdvance(rw.Advance, nil); err != nil {
+			if err := sess.applyAdvance(read, rw.Advance, nil); err != nil {
 				return nil, fmt.Errorf("record %d: replaying advance for %q: %w", r.Seq, id, err)
 			}
 			stats.Advances++
 		case rw.Rearm != nil:
 			if sess := s.fleets[rw.Rearm.Fleet]; sess != nil {
-				sess.applyRearm()
+				sess.applyRearm(read)
 				stats.Rearms++
 			}
 		case rw.Deregister != nil:
-			s.applyDeregisterLocked(rw.Deregister.Fleet)
+			s.applyDeregisterLocked(read, rw.Deregister.Fleet)
 		default:
 			return nil, fmt.Errorf("journal record %d has no operation", r.Seq)
 		}
@@ -415,11 +427,11 @@ func (s *Server) maybeSnapshot() {
 	}
 }
 
-// snapshot checkpoints every fleet under the ingestion write-lock and
+// snapshot checkpoints every fleet under the snapshot write-lock and
 // hands the marshalled registry to the journal, which swaps it in and
-// truncates the replayed prefix. Quiescing ingestion guarantees the
-// snapshot observes no window between its journal record and its
-// effects.
+// truncates the replayed prefix. Every mutation appends and applies under
+// the read side, so the snapshot observes no record between its append
+// and its effects, and rotates away none whose effect it did not copy.
 func (s *Server) snapshot() error {
 	s.pauseRW.Lock()
 	defer s.pauseRW.Unlock()

@@ -74,10 +74,11 @@ type Server struct {
 
 	// jl is the durability journal; nil without a state dir.
 	jl *journal.Log
-	// pauseRW quiesces ingestion for snapshots: every reconcile loop
-	// holds the read side across one window's journal-append + apply +
-	// ack, so the write side observes no window between its journal
-	// record and its effects.
+	// pauseRW quiesces mutations for snapshots: every reconcile loop holds
+	// the read side across one window's journal-append + apply + ack, and
+	// registration and deregistration across their append + apply, so the
+	// write side observes no record between its append and its effects.
+	// Lock order: pauseRW → mu → the journal's.
 	pauseRW sync.RWMutex
 	// recovering gates the HTTP surface while the journal replays:
 	// requests get a degraded 503 + Retry-After instead of racing the
@@ -313,10 +314,9 @@ func (s *Server) close(snapshot bool) error {
 }
 
 // writeJSON writes v as a JSON response with the given status. A JSON
-// body is how mutations are acknowledged to clients, so in any handler
-// that journals, the append must come first.
-//
-//kairos:ack
+// body is how mutations are acknowledged to clients: a handler that
+// journals writes it after the apply, and so after the append the apply's
+// token came from.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -324,8 +324,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeNoContent acknowledges a mutation that has no response body.
-//
-//kairos:ack — same contract as writeJSON: journal before acking.
 func writeNoContent(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -462,30 +460,38 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Journal the registration before committing it: a fleet the registry
+	// serves is a fleet recovery can rebuild. Both run under the snapshot
+	// read-lock, or a snapshot could copy the registry without the fleet and
+	// then rotate its record away.
+	s.pauseRW.RLock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.pauseRW.RUnlock()
 		writeUnavailable(w, "server shutting down")
 		return
 	}
 	if _, raced := s.fleets[req.ID]; raced {
 		s.mu.Unlock()
+		s.pauseRW.RUnlock()
 		writeErr(w, http.StatusConflict, "fleet %q already registered", req.ID)
 		return
 	}
-	// Journal the registration before committing it: a fleet the registry
-	// serves is a fleet recovery can rebuild. Lock order: s.mu → journal.
-	if err := s.appendRecord(&RecordWire{Register: &RegisterRecord{
+	tok, err := s.appendRecord(&RecordWire{Register: &RegisterRecord{
 		Request: req, Incumbent: plan.Incumbent(),
-	}}); err != nil {
+	}})
+	if err != nil {
 		s.mu.Unlock()
+		s.pauseRW.RUnlock()
 		writeUnavailable(w, "journaling registration: %v", err)
 		return
 	}
-	s.applyRegisterLocked(sess)
+	s.applyRegisterLocked(tok, sess)
 	s.startLocked(sess)
 	n := len(s.fleets)
 	s.mu.Unlock()
+	s.pauseRW.RUnlock()
 	s.met.setFleets(n)
 	s.logf("fleet %q registered: %d workloads -> K=%d (feasible=%v)",
 		req.ID, len(sess.workloads), plan.K, plan.Feasible)
@@ -537,12 +543,9 @@ func buildSession(req *RegisterRequest) (*session, error) {
 
 // applyRegisterLocked and applyDeregisterLocked apply a register and a
 // deregister record to the registry. Callers hold s.mu.
-//
-//kairos:ack
-func (s *Server) applyRegisterLocked(sess *session) { s.fleets[sess.id] = sess }
+func (s *Server) applyRegisterLocked(_ journaled, sess *session) { s.fleets[sess.id] = sess }
 
-//kairos:ack
-func (s *Server) applyDeregisterLocked(id string) { delete(s.fleets, id) }
+func (s *Server) applyDeregisterLocked(_ journaled, id string) { delete(s.fleets, id) }
 
 // startLocked launches a registered session's reconcile loop. Callers
 // hold s.mu with s.closed false, so Close's wait cannot miss the loop.
@@ -618,10 +621,11 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	if err := s.appendPayload(req.record...); err != nil {
+	winTok, err := s.appendPayload(req.record...)
+	if err != nil {
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
-	index, fired, err := sess.applyWindow(req.window, key)
+	index, fired, err := sess.applyWindow(winTok, req.window, key)
 	if err != nil || !fired {
 		s.met.observeWindow(sess.id, err != nil)
 		return ingestResp{window: index, err: err}
@@ -636,11 +640,14 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	}
 	if ev == nil {
 		// Suppressed or failed: re-arm, so the drift fires again. A refused
-		// append changes nothing — recovery re-arms an outcome-less trigger.
-		if jerr := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}}); jerr != nil {
+		// append re-arms on the window's token: the window is journaled, and
+		// replay's heal re-arms its outcome-less trigger from it alone.
+		rearmTok, jerr := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}})
+		if jerr != nil {
 			s.logf("fleet %q: journaling re-arm: %v", sess.id, jerr)
+			rearmTok = winTok
 		}
-		sess.applyRearm()
+		sess.applyRearm(rearmTok)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			n, delay := s.bumpBackoff(sess)
 			s.met.setResolveFailures(sess.id, n)
@@ -652,13 +659,15 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Write-ahead: the advance is journaled before it commits or publishes,
 	// so a recovered server never serves an older plan than a client saw.
 	// A refused append commits nothing: the detector re-arms in memory, as
-	// recovery will, and the collector retries (503).
+	// recovery will from the journaled window, and the collector retries
+	// (503).
 	rec := &AdvanceRecord{Fleet: sess.id, Incumbent: ev.Plan.Incumbent(), Event: eventWire(ev)}
-	if err := s.appendRecord(&RecordWire{Advance: rec}); err != nil {
-		sess.applyRearm()
+	advTok, err := s.appendRecord(&RecordWire{Advance: rec})
+	if err != nil {
+		sess.applyRearm(winTok)
 		return ingestResp{journalErr: fmt.Errorf("journaling advance: %w", err)}
 	}
-	if err := sess.applyAdvance(rec, ev); err != nil {
+	if err := sess.applyAdvance(advTok, rec, ev); err != nil {
 		return ingestResp{err: fmt.Errorf("committing journaled advance: %w", err)}
 	}
 	s.met.setResolveFailures(sess.id, 0)
@@ -674,9 +683,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 // trigger if it fired — only its outcome record can say the plan advanced.
 // Entering the ring makes resends return the ack, so the window must
 // already be journaled.
-//
-//kairos:ack
-func (sess *session) applyWindow(window []kairos.Workload, key int64) (index int, fired bool, err error) {
+func (sess *session) applyWindow(_ journaled, window []kairos.Workload, key int64) (index int, fired bool, err error) {
 	if fired, err = sess.fleet.ObserveDetectOnly(window); err != nil {
 		return 0, false, err
 	}
@@ -703,9 +710,7 @@ func (sess *session) applyWindow(window []kairos.Workload, key int64) (index int
 // failure streak ends. Live passes the event it resolved, committed as it
 // stands; replay has none and rebuilds the plan from the journaled
 // incumbent — the one place the two differ.
-//
-//kairos:ack
-func (sess *session) applyAdvance(rec *AdvanceRecord, ev *kairos.ReconsolidationEvent) (err error) {
+func (sess *session) applyAdvance(_ journaled, rec *AdvanceRecord, ev *kairos.ReconsolidationEvent) (err error) {
 	if ev != nil {
 		err = sess.fleet.Advance(ev)
 	} else {
@@ -729,9 +734,7 @@ func (sess *session) applyAdvance(rec *AdvanceRecord, ev *kairos.Reconsolidation
 
 // applyRearm applies a rearm record: the pending trigger, if any, led to
 // no advance, so the detector re-arms and the drift can fire again.
-//
-//kairos:ack
-func (sess *session) applyRearm() {
+func (sess *session) applyRearm(_ journaled) {
 	sess.fleet.RearmDetector()
 	sess.mu.Lock()
 	sess.pending = false
@@ -953,24 +956,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // reconcile loop.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// Journal the deregistration before removing it, both under the
+	// snapshot read-lock, as in handleRegister: recovery must not resurrect
+	// a fleet the client saw deleted. A refused append keeps the fleet
+	// registered (retryable).
+	s.pauseRW.RLock()
 	s.mu.Lock()
 	sess := s.fleets[id]
 	if sess == nil {
 		s.mu.Unlock()
+		s.pauseRW.RUnlock()
 		writeErr(w, http.StatusNotFound, "unknown fleet %q", id)
 		return
 	}
-	// Journal the deregistration before removing it: recovery must not
-	// resurrect a fleet the client saw deleted. A refused append keeps
-	// the fleet registered (retryable).
-	if err := s.appendRecord(&RecordWire{Deregister: &DeregisterRecord{Fleet: id}}); err != nil {
+	tok, err := s.appendRecord(&RecordWire{Deregister: &DeregisterRecord{Fleet: id}})
+	if err != nil {
 		s.mu.Unlock()
+		s.pauseRW.RUnlock()
 		writeUnavailable(w, "journaling deregistration: %v", err)
 		return
 	}
-	s.applyDeregisterLocked(id)
+	s.applyDeregisterLocked(tok, id)
 	n := len(s.fleets)
+	// Released before waiting for the loop: a snapshot waiting for the
+	// write side holds back the loop's next read-lock, and so the loop.
 	s.mu.Unlock()
+	s.pauseRW.RUnlock()
 	s.met.setFleets(n)
 	sess.cancel()
 	<-sess.done

@@ -387,10 +387,10 @@ func toMachines(req *RegisterRequest) ([]kairos.Machine, error) {
 			}
 			out[i] = kairos.Machine{
 				Name:         name,
-				CPUCapacity:  m.CPUCapacity,
-				RAMBytes:     m.RAMBytes,
-				DiskWriteBps: m.DiskWriteBps,
-				Headroom:     m.Headroom,
+				CPUCapacity:  kairos.TargetCPU(m.CPUCapacity),
+				RAMBytes:     kairos.Bytes(m.RAMBytes),
+				DiskWriteBps: kairos.Bps(m.DiskWriteBps),
+				Headroom:     kairos.Frac(m.Headroom),
 			}
 		}
 		return out, nil
@@ -399,11 +399,11 @@ func toMachines(req *RegisterRequest) ([]kairos.Machine, error) {
 		if am.Count <= 0 {
 			return nil, fmt.Errorf("auto_machines.count must be positive")
 		}
-		disk := am.DiskWriteBps
+		disk := kairos.Bps(am.DiskWriteBps)
 		if disk == 0 {
 			disk = 50e6
 		}
-		headroom := am.Headroom
+		headroom := kairos.Frac(am.Headroom)
 		if headroom == 0 {
 			headroom = 0.05
 		}

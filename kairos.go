@@ -73,6 +73,7 @@ import (
 	"kairos/internal/dbms"
 	"kairos/internal/model"
 	"kairos/internal/monitor"
+	"kairos/internal/unit"
 	"kairos/internal/workload"
 )
 
@@ -82,7 +83,8 @@ type (
 	// Workload is one database's resource profile (time series of CPU,
 	// RAM, working set and update rate) plus placement requirements.
 	Workload = core.Workload
-	// Machine is one consolidation target with capacities and headroom.
+	// Machine is one consolidation target with capacities and headroom,
+	// each in its unit type below.
 	Machine = core.Machine
 	// Problem is a full consolidation instance.
 	Problem = core.Problem
@@ -94,6 +96,16 @@ type (
 	SolveOptions = core.SolveOptions
 	// DiskProfile is the empirical disk model of a target configuration.
 	DiskProfile = model.DiskProfile
+	// The quantities a Machine and a DiskProfile carry (internal/unit):
+	// quantities of different units do not mix without a conversion.
+	MB         = unit.MB
+	Bytes      = unit.Bytes
+	MBps       = unit.MBps
+	Bps        = unit.Bps
+	RowsPerSec = unit.RowsPerSec
+	Ms         = unit.Ms
+	Frac       = unit.Frac
+	TargetCPU  = unit.TargetCPU
 	// Profiler sweeps a hardware configuration to build a DiskProfile.
 	Profiler = model.Profiler
 	// GaugeConfig tunes buffer-pool gauging.
