@@ -98,11 +98,12 @@ race-server:
 # trigger advanced nothing (advance lost between the two appends, solver
 # backing off, re-solve failed): a restart answers them as the live daemon
 # did. Then a registration and a deregistration acked while a snapshot is
-# being taken: the restart keeps both. Then replay's decode-ahead pipeline
+# being taken: the restart keeps both; one whose append fails is answered
+# 503 and the restart keeps the old registry. Then replay's decode-ahead pipeline
 # against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
 # undecodable record in journal order named as before, no goroutine left.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines' -v ./internal/server/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series

@@ -1,12 +1,9 @@
 // Package dataflow builds intra-procedural control-flow graphs over the
-// typed AST and answers two questions about them: "must statement A
-// execute before statement B on every path?" (block dominance) and "can
-// this write ever be read?" (def-use chains, defuse.go). It is the
+// typed AST and answers one question about them: "can this write ever be
+// read?" (def-use chains over the reachable blocks, defuse.go). It is the
 // intra-procedural layer under errflow, sitting beside
 // internal/lint/callgraph the way a function-local CFG sits beside a
-// program-wide call graph. Only the tests ask the first question: they
-// are the CFG builder's tests, and defuse reads the reachability that
-// dominance computes.
+// program-wide call graph.
 //
 // The CFG is deliberately syntactic: one graph per function body, basic
 // blocks of statements and the sub-expressions evaluated with them, and
@@ -15,10 +12,9 @@
 // part of the enclosing graph — a FuncLit body runs whenever the value
 // is called, so its nodes map to no block and analyzers skip them; build
 // a separate CFG for the literal's body to analyze it. Two constructs
-// get conservative treatment: goto transfers to the function exit
-// (breaking dominance rather than faking it — the repo has none), and
-// unreachable code is considered dominated by everything (dead code
-// cannot violate an ordering contract at runtime).
+// get conservative treatment: goto transfers to the function exit (the
+// repo has none), and unreachable code gets floating blocks that
+// DeadWrites skips (dead code drops no error at runtime).
 package dataflow
 
 import (
@@ -49,12 +45,11 @@ type CFG struct {
 	// the leaves of each atom, stopping at FuncLit boundaries — to its
 	// block.
 	nodeBlock map[ast.Node]*Block
-	// dom[b.Index] is the set of blocks dominating b, as block indexes;
-	// nil for blocks unreachable from Entry.
-	dom []map[int]bool
+	// reach[b.Index] reports whether b is reachable from Entry.
+	reach []bool
 }
 
-// New builds the CFG of a function body and computes dominance.
+// New builds the CFG of a function body and marks its reachable blocks.
 func New(body *ast.BlockStmt) *CFG {
 	cfg := &CFG{nodeBlock: map[ast.Node]*Block{}}
 	b := &builder{cfg: cfg, labels: map[string]*labelTargets{}}
@@ -65,7 +60,7 @@ func New(body *ast.BlockStmt) *CFG {
 	if b.cur != nil {
 		b.edge(b.cur, cfg.Exit)
 	}
-	cfg.computeDominance()
+	cfg.computeReach()
 	return cfg
 }
 
@@ -73,124 +68,23 @@ func New(body *ast.BlockStmt) *CFG {
 // this graph (it sits inside a closure, or in a different function).
 func (c *CFG) BlockOf(n ast.Node) *Block { return c.nodeBlock[n] }
 
-// Dominates reports whether a must execute before b on every path from
-// function entry to b. Both nodes must belong to this CFG; if either
-// maps to no block the answer is false. Unreachable code is treated as
-// dominated by everything (it never executes, so no ordering contract
-// can be violated there) and as dominating nothing reachable.
-func (c *CFG) Dominates(a, b ast.Node) bool {
-	ba, bb := c.BlockOf(a), c.BlockOf(b)
-	if ba == nil || bb == nil {
-		return false
-	}
-	if c.dom[bb.Index] == nil {
-		return true // b unreachable
-	}
-	if c.dom[ba.Index] == nil {
-		return false // a unreachable, b reachable
-	}
-	if ba == bb {
-		// Same block: atoms execute in Nodes order. Find which atom each
-		// node belongs to; earlier atom (or same atom, earlier position)
-		// executes first.
-		ia, ib := c.atomIndex(ba, a), c.atomIndex(bb, b)
-		if ia != ib {
-			return ia < ib
-		}
-		return a.Pos() <= b.Pos()
-	}
-	return c.dom[bb.Index][ba.Index]
-}
-
-// atomIndex finds the index of the atom in blk containing n.
-func (c *CFG) atomIndex(blk *Block, n ast.Node) int {
-	for i, atom := range blk.Nodes {
-		if atom == n {
-			return i
-		}
-		if atom.Pos() <= n.Pos() && n.End() <= atom.End() {
-			return i
-		}
-	}
-	return len(blk.Nodes)
-}
-
 func (c *CFG) newBlock() *Block {
 	b := &Block{Index: len(c.Blocks)}
 	c.Blocks = append(c.Blocks, b)
 	return b
 }
 
-// computeDominance runs the classic iterative dataflow: dom(entry) =
-// {entry}; dom(b) = {b} ∪ ⋂ dom(preds). Function CFGs are small, so the
-// set-based fixpoint is plenty fast.
-func (c *CFG) computeDominance() {
-	n := len(c.Blocks)
-	c.dom = make([]map[int]bool, n)
-	// Reachability first: unreachable blocks keep a nil dom set.
-	reach := make([]bool, n)
-	var stack []*Block
-	stack = append(stack, c.Entry)
-	reach[c.Entry.Index] = true
-	for len(stack) > 0 {
+// computeReach marks the blocks reachable from Entry.
+func (c *CFG) computeReach() {
+	c.reach = make([]bool, len(c.Blocks))
+	c.reach[c.Entry.Index] = true
+	for stack := []*Block{c.Entry}; len(stack) > 0; {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			if !reach[s.Index] {
-				reach[s.Index] = true
+			if !c.reach[s.Index] {
+				c.reach[s.Index] = true
 				stack = append(stack, s)
-			}
-		}
-	}
-	all := map[int]bool{}
-	for i := range c.Blocks {
-		if reach[i] {
-			all[i] = true
-		}
-	}
-	for i := range c.Blocks {
-		if !reach[i] {
-			continue
-		}
-		if i == c.Entry.Index {
-			c.dom[i] = map[int]bool{i: true}
-		} else {
-			s := map[int]bool{}
-			for k := range all {
-				s[k] = true
-			}
-			c.dom[i] = s
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.Blocks {
-			if !reach[b.Index] || b == c.Entry {
-				continue
-			}
-			next := map[int]bool{}
-			first := true
-			for _, p := range b.Preds {
-				if !reach[p.Index] {
-					continue
-				}
-				if first {
-					for k := range c.dom[p.Index] {
-						next[k] = true
-					}
-					first = false
-					continue
-				}
-				for k := range next {
-					if !c.dom[p.Index][k] {
-						delete(next, k)
-					}
-				}
-			}
-			next[b.Index] = true
-			if len(next) != len(c.dom[b.Index]) {
-				c.dom[b.Index] = next
-				changed = true
 			}
 		}
 	}
@@ -325,8 +219,9 @@ func (b *builder) branch(s *ast.BranchStmt) {
 			target = b.continues[len(b.continues)-1]
 		}
 	case token.GOTO:
-		// Conservative: treat as leaving the function. This can only
-		// break dominance claims, never fabricate them.
+		// Conservative: treat as leaving the function. A write then
+		// survives to exit, so this can hide a dead write, never fabricate
+		// one.
 		target = b.cfg.Exit
 	case token.FALLTHROUGH:
 		// Legal only as the last statement of a switch case; the switch
@@ -556,7 +451,7 @@ func (b *builder) selectStmt(s *ast.SelectStmt, label string) {
 	}
 	b.popBreak(label)
 	// A select with no clauses blocks forever; exit is then unreachable,
-	// which the dominance pass handles.
+	// which computeReach marks.
 	b.cur = exit
 }
 

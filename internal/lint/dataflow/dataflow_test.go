@@ -63,6 +63,31 @@ func callNamed(t *testing.T, f *ast.File, name string) *ast.CallExpr {
 	return out
 }
 
+// dominates reports whether a runs before b on every path from entry to
+// b, read off the graph's edges: the two share a block and a comes first,
+// or b's block cannot be reached from Entry without passing a's. The
+// TestDominates cases are the CFG builder's tests: a missing or extra
+// edge changes an answer.
+func dominates(c *CFG, a, b ast.Node) bool {
+	ba, bb := c.BlockOf(a), c.BlockOf(b)
+	if ba == bb {
+		return a.Pos() < b.Pos()
+	}
+	seen := map[*Block]bool{ba: true}
+	for stack := []*Block{c.Entry}; len(stack) > 0; {
+		blk := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if blk == bb {
+			return false
+		}
+		if !seen[blk] {
+			seen[blk] = true
+			stack = append(stack, blk.Succs...)
+		}
+	}
+	return true
+}
+
 func TestDominatesStraightLine(t *testing.T) {
 	cfg, f, _ := parseFunc(t, `package p
 func a() {}
@@ -70,10 +95,10 @@ func b() {}
 func f() { a(); b() }
 `, "f")
 	ca, cb := callNamed(t, f, "a"), callNamed(t, f, "b")
-	if !cfg.Dominates(ca, cb) {
+	if !dominates(cfg, ca, cb) {
 		t.Errorf("a() should dominate b() in straight-line code")
 	}
-	if cfg.Dominates(cb, ca) {
+	if dominates(cfg, cb, ca) {
 		t.Errorf("b() must not dominate the earlier a()")
 	}
 }
@@ -94,10 +119,10 @@ func f(x bool) {
 }
 `, "f")
 	ca, cb, cc := callNamed(t, f, "a"), callNamed(t, f, "b"), callNamed(t, f, "c")
-	if cfg.Dominates(ca, cb) {
+	if dominates(cfg, ca, cb) {
 		t.Errorf("a() inside one branch must not dominate b() after the join")
 	}
-	if !cfg.Dominates(cb, cc) {
+	if !dominates(cfg, cb, cc) {
 		t.Errorf("b() before the second if should dominate c()")
 	}
 }
@@ -115,7 +140,7 @@ func f(x bool) {
 }
 `, "f")
 	ca, cb := callNamed(t, f, "a"), callNamed(t, f, "b")
-	if !cfg.Dominates(ca, cb) {
+	if !dominates(cfg, ca, cb) {
 		t.Errorf("a() should dominate b() past the early return")
 	}
 }
@@ -134,10 +159,10 @@ func f(n int) {
 }
 `, "f")
 	ca, cb, cc := callNamed(t, f, "a"), callNamed(t, f, "b"), callNamed(t, f, "c")
-	if !cfg.Dominates(ca, cb) || !cfg.Dominates(ca, cc) {
+	if !dominates(cfg, ca, cb) || !dominates(cfg, ca, cc) {
 		t.Errorf("pre-loop a() should dominate the body and the continuation")
 	}
-	if cfg.Dominates(cb, cc) {
+	if dominates(cfg, cb, cc) {
 		t.Errorf("loop body b() must not dominate c(): the loop may run zero times")
 	}
 }
@@ -156,7 +181,7 @@ func f(x int, ch chan int) {
 }
 `, "f")
 	ca, cb := callNamed(t, f, "a"), callNamed(t, f, "b")
-	if cfg.Dominates(ca, cb) {
+	if dominates(cfg, ca, cb) {
 		t.Errorf("one switch case must not dominate the code after the switch")
 	}
 
@@ -175,7 +200,7 @@ func g(ch chan int, done chan struct{}) {
 }
 `, "g")
 	ca, cb = callNamed(t, f, "a"), callNamed(t, f, "b")
-	if cfg.Dominates(ca, cb) {
+	if dominates(cfg, ca, cb) {
 		t.Errorf("one select arm must not dominate the post-select code")
 	}
 }
@@ -195,7 +220,7 @@ func f(n int) {
 }
 `, "f")
 	ca, cb := callNamed(t, f, "a"), callNamed(t, f, "b")
-	if cfg.Dominates(ca, cb) {
+	if dominates(cfg, ca, cb) {
 		t.Errorf("a() after a conditional break must not dominate post-loop b()")
 	}
 }
@@ -303,6 +328,25 @@ func f() error {
 `, "f")
 	if len(dead) != 0 {
 		t.Fatalf("captured variable must be skipped, got %+v", dead)
+	}
+}
+
+func TestUnreachableWriteIsSkipped(t *testing.T) {
+	dead := deadWritesOf(t, `package p
+import "errors"
+func f(n int) error {
+	for {
+		if n > 0 {
+			return nil
+		}
+	}
+	err := errors.New("first")
+	err = errors.New("second")
+	return err
+}
+`, "f")
+	if len(dead) != 0 {
+		t.Fatalf("writes after a loop with no exit are unreachable, got %+v", dead)
 	}
 }
 

@@ -57,8 +57,8 @@ func (c *CFG) DeadWrites(info *types.Info, keep func(*types.Var) bool) []DeadWri
 
 	var out []DeadWrite
 	for _, blk := range c.Blocks {
-		if c.dom[blk.Index] == nil {
-			continue // unreachable
+		if !c.reach[blk.Index] {
+			continue
 		}
 		evs := events[blk.Index]
 		for i, ev := range evs {

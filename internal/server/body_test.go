@@ -22,9 +22,10 @@ import (
 // the server's free list, decodeWindow hands back the span of that buffer
 // the journal record is framed from, and the fleet's loop appends the
 // record. The handler gives the buffer back only once the loop has
-// replied: these tests hold every loop at the snapshot lock with a window
-// in hand, do what could tempt a handler to let go early, and check that
-// the journal got the bytes that arrived.
+// replied: these tests hold every loop with a window in hand — at the
+// snapshot lock, or at its session's lock where the request under test
+// takes the snapshot lock too — do what could tempt a handler to let go
+// early, and check that the journal got the bytes that arrived.
 
 // stacksNaming returns how many goroutines' stacks each name every one of
 // frames, and the stacks.
@@ -65,6 +66,13 @@ func stackWait(t *testing.T, n int, frames ...string) {
 func loopsHolding(t *testing.T, n int) {
 	t.Helper()
 	stackWait(t, n, "(*Server).reconcile", "(*RWMutex).RLock")
+}
+
+// loopsHoldingAtSession waits until n reconcile loops hold a window and
+// wait at their session's lock, which the test holds.
+func loopsHoldingAtSession(t *testing.T, n int) {
+	t.Helper()
+	stackWait(t, n, "(*Server).processWindow", "(*Mutex).lockSlow")
 }
 
 // inFlight is a request the handler answers on its own goroutine.
@@ -189,17 +197,25 @@ func TestRecycledBodyLifetime(t *testing.T) {
 	t.Run("deregistered mid-ingest", func(t *testing.T) {
 		s, dir := setup(t, nil)
 		h := s.Handler()
-		s.pauseRW.Lock()
+		// The loops wait at their sessions' locks, not at the snapshot lock:
+		// the deregistration takes that one's read side too, and must get it
+		// while fleet a's loop holds the window.
+		s.mu.Lock()
+		sessA, sessB := s.fleets["a"], s.fleets["b"]
+		s.mu.Unlock()
+		sessA.mu.Lock()
+		sessB.mu.Lock()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
-		loopsHolding(t, 1)
-		// The deregistration waits at the snapshot lock too, and goes on with
-		// the loop's window once it is released.
+		loopsHoldingAtSession(t, 1)
+		// Fleet a is out of the registry and its loop cancelled; the
+		// deregistration waits for the loop to stop.
 		del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/a", nil)
-		stackWait(t, 1, "(*Server).handleDelete", "(*RWMutex).RLock")
+		stackWait(t, 1, "[chan receive]", "(*Server).handleDelete")
 		noBodyGivenBack(t, s)
 		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
-		loopsHolding(t, 2)
-		s.pauseRW.Unlock()
+		loopsHoldingAtSession(t, 2)
+		sessA.mu.Unlock()
+		sessB.mu.Unlock()
 		a.answer(t, "window the loop held when its fleet went", http.StatusOK)
 		del.answer(t, "deregistration", http.StatusNoContent)
 		b.answer(t, "window of the other fleet", http.StatusOK)

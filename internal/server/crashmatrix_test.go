@@ -356,6 +356,60 @@ func TestRegistryMutationDuringSnapshot(t *testing.T) {
 	}
 }
 
+// TestRegistryRefusalSurvivesRestart: a registration or deregistration
+// whose journal append fails, whole or torn, is answered 503 and changes
+// the registry neither live nor after a restart. The journaled token orders
+// a handler's apply after its append; this orders its ack there too.
+func TestRegistryRefusalSurvivesRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+	}{
+		{"register", http.MethodPost, "/v1/fleets", registerBody("late", 3, 6)},
+		{"deregister", http.MethodDelete, "/v1/fleets/keep", nil},
+	} {
+		for _, torn := range []bool{false, true} {
+			name := tc.name
+			if torn {
+				name += "/torn"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				fi := &journal.FaultInjector{}
+				s, err := Open(Config{StateDir: dir, Journal: journal.Options{Sync: journal.SyncAlways, Fault: fi}, SnapshotEvery: 1 << 20, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("keep", 3, 6), http.StatusCreated)
+				frac := 0.0
+				if torn {
+					frac = 0.5
+				}
+				fi.CrashPartial(journal.PointAppendWrite, 1, frac)
+				mustServe(t, s, tc.method, tc.path, tc.body, http.StatusServiceUnavailable)
+				fi.Kill()
+				registry := func(s *Server, when string) {
+					for id, want := range map[string]int{"keep": http.StatusOK, "late": http.StatusNotFound} {
+						if status, body := serve(t, s, http.MethodGet, "/v1/fleets/"+id, nil); status != want {
+							t.Errorf("fleet %q %s: %d %s, want %d", id, when, status, body, want)
+						}
+					}
+				}
+				registry(s, "after the refusal")
+				if err := s.Kill(); err != nil {
+					t.Fatal(err)
+				}
+				rs, err := openDir(dir, t.Logf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rs.Close()
+				registry(rs, "after the restart")
+			})
+		}
+	}
+}
+
 // answeredOrHeld waits until f is answered or a goroutine in handler waits
 // at the snapshot lock.
 func answeredOrHeld(t *testing.T, f *inFlight, handler string) {

@@ -1,86 +1,76 @@
-package unit
+package unit_test
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"kairos/internal/core"
+	"kairos/internal/disk"
+	"kairos/internal/model"
+	"kairos/internal/unit"
 )
 
-// snippetDecls are the declarations every snippet may use: a struct with
-// two differently dimensioned fields and a function with unit parameters
-// and result, the shapes the disk model's ProfilePoint and
-// PredictWriteMBps have.
-const snippetDecls = `
-type point struct {
-	WS   MB
-	Rate RowsPerSec
-	Name string
-}
-
-func predict(ws MB, rate RowsPerSec) MBps { return MBps(float64(ws) * float64(rate) * 1e-6) }
-`
-
-// typeCheck parses body into package unit beside this package's own
-// declarations and type-checks it. The package imports nothing, so no
-// importer is needed.
-func typeCheck(t *testing.T, body string) error {
-	t.Helper()
-	src, err := os.ReadFile("unit.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for name, text := range map[string]string{
-		"unit.go":    string(src),
-		"snippet.go": "package unit\n" + snippetDecls + body,
+// TestGuardedFieldsCarryUnits: the machine description and the disk model
+// carry their quantities in unit types. A field turned back into a float64,
+// or into another unit, fails here by name.
+func TestGuardedFieldsCarryUnits(t *testing.T) {
+	for _, tc := range []struct {
+		of    any
+		field string
+		want  any
+	}{
+		{core.Machine{}, "CPUCapacity", unit.TargetCPU(0)},
+		{core.Machine{}, "RAMBytes", unit.Bytes(0)},
+		{core.Machine{}, "DiskWriteBps", unit.Bps(0)},
+		{core.Machine{}, "Headroom", unit.Frac(0)},
+		{disk.Params{}, "SeqWriteMBps", unit.MBps(0)},
+		{disk.Params{}, "SeqReadMBps", unit.MBps(0)},
+		{disk.Params{}, "FullSeekMs", unit.Ms(0)},
+		{disk.Params{}, "TrackToTrackMs", unit.Ms(0)},
+		{model.ProfilePoint{}, "WSMB", unit.MB(0)},
+		{model.ProfilePoint{}, "DemandRows", unit.RowsPerSec(0)},
+		{model.ProfilePoint{}, "AchievedRows", unit.RowsPerSec(0)},
+		{model.ProfilePoint{}, "WriteMBps", unit.MBps(0)},
+		{model.DiskProfile{}, "WSMinMB", unit.MB(0)},
+		{model.DiskProfile{}, "WSMaxMB", unit.MB(0)},
 	} {
-		f, err := parser.ParseFile(fset, name, text, 0)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", name, err)
+		f, ok := reflect.TypeOf(tc.of).FieldByName(tc.field)
+		if want := reflect.TypeOf(tc.want); !ok || f.Type != want {
+			t.Errorf("%T.%s is %v, want %v", tc.of, tc.field, f.Type, want)
 		}
-		files = append(files, f)
 	}
-	_, err = (&types.Config{}).Check("kairos/internal/unit", fset, files, nil)
-	return err
 }
 
-// TestUnitMixesDoNotCompile is the table the unitsafe analyzer's fixture
-// used to be: each cross-unit addition, comparison, assignment, argument,
-// return and field value is now a type error, and conversions written out
-// are not.
+// TestUnitMixesDoNotCompile type-checks snippets against unit.go: a mix of
+// two units fails, which it would not were a unit type an alias of
+// float64, and a conversion written out compiles. The package imports
+// nothing, so no importer is needed.
 func TestUnitMixesDoNotCompile(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		want       string // a substring of the type error; "" means it compiles
 	}{
-		{"MB + RowsPerSec", `func f(p point) MB { return p.WS + p.Rate }`, "mismatched types"},
-		{"MB > RowsPerSec", `func f(p point) bool { return p.WS > p.Rate }`, "mismatched types"},
+		{"MB + RowsPerSec", `func f(ws MB, r RowsPerSec) MB { return ws + r }`, "mismatched types"},
 		{"Bytes compared with Bps", `func f(b Bytes, r Bps) bool { return b == r }`, "mismatched types"},
-		{"MBps assigned to RowsPerSec", `func f(w MBps) RowsPerSec { var r RowsPerSec; r = w; return r }`, "cannot use w"},
-		{"RowsPerSec assigned to an MB variable", `func f(p point) MB { x := p.WS; x = p.Rate; return x }`, "cannot use p.Rate"},
-		{"MB -= RowsPerSec", `func f(p point) MB { x := p.WS; x -= p.Rate; return x }`, "mismatched types"},
-		{"MB += RowsPerSec", `func f(p point) MB { var y = p.WS; y += p.Rate; return y }`, "mismatched types"},
-		{"arguments swapped", `func f(p point) MBps { return predict(p.Rate, p.WS) }`, "cannot use p.Rate"},
-		{"RowsPerSec returned as MB", `func f(p point) MB { return p.Rate }`, "cannot use p.Rate"},
-		{"RowsPerSec in an MB field", `func f(p point) point { return point{WS: p.Rate, Rate: p.Rate} }`, "cannot use p.Rate"},
-		{"Frac and TargetCPU", `func f(c TargetCPU, h Frac) TargetCPU { return c * (1 - h) }`, "mismatched types"},
-		{"well typed", `
-func f(p, q point, ws Bytes, h Frac, c TargetCPU) (MBps, bool, TargetCPU) {
-	sum := p.WS + q.WS                      // same unit
-	half := p.WS / 2                        // a constant keeps the unit
-	fromBytes := MB(ws / 1e6)               // a conversion, written out
-	r := predict(sum+half+fromBytes, p.Rate) // threading units through a call
-	usable := c * TargetCPU(1-h)            // a fraction applied explicitly
-	return r, p.Rate <= q.Rate, usable
-}`, ""},
+		{"MBps assigned to RowsPerSec", `func f(w MBps) (r RowsPerSec) { r = w; return }`, "cannot use w"},
+		{"well typed", `func f(a, b MB, w Bytes, r RowsPerSec) (MB, bool) { return a + b/2 + MB(w/1e6), r > 0 }`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := typeCheck(t, tc.body)
+			fset := token.NewFileSet()
+			var files []*ast.File
+			for name, src := range map[string]any{"unit.go": nil, "snippet.go": "package unit\n" + tc.body} {
+				f, err := parser.ParseFile(fset, name, src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			_, err := (&types.Config{}).Check("kairos/internal/unit", fset, files, nil)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("well-typed snippet does not compile: %v", err)
