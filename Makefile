@@ -4,7 +4,7 @@
 GO ?= go
 
 # The ingest path's in-package benchmarks (make bench-hot, bench-json).
-INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|IngestWindow197|OpenReplay197|Append2MB|Recover64x2MB
+INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|IngestWindow197|OpenReplay197|Append2MB|Recover64x2MB|Read64x2MB
 
 # The wire decoders whose counts BENCH_counts.json pins (make
 # bench-counts): a 197-server window, registration and snapshot through
@@ -23,10 +23,18 @@ INGEST_COUNT_BENCH = IngestWindow197
 
 # The restart whose allocs/op and B/op BENCH_counts.json pins (make bench-counts):
 # server.Open on a snapshot and a journal of eight 197-server windows and
-# an advance. Replay decodes records on a worker pool ahead of the loop
-# that applies them; the pin is what keeps that from paying for wall time
-# with garbage per record.
+# an advance. Replay reads and decodes records on a worker pool ahead of
+# the loop that applies them, each worker reading one frame at a time into
+# a buffer of its own; the pin is what keeps that from paying for wall time
+# with garbage per record, and B/op is what fails a return to reading the
+# whole log into a buffer of its size.
 REPLAY_COUNT_BENCH = OpenReplay197
+
+# The journal read whose B/op BENCH_counts.json pins (make bench-counts): 64
+# window-sized records through a journal.Reader lent one buffer. An op
+# allocates a few hundred bytes; a reader that allocates per record adds
+# two megabytes each.
+READ_COUNT_BENCH = Read64x2MB
 
 # The whole-solve benchmarks whose work counters (fevals, priced,
 # eval-priced, probes, machines) BENCH_counts.json pins (make bench-counts):
@@ -101,10 +109,12 @@ race-server:
 # being taken: the restart keeps both; one whose append fails is answered
 # 503 and the restart keeps the old registry. Then replay's decode-ahead pipeline
 # against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
-# undecodable record in journal order named as before, no goroutine left.
+# undecodable record in journal order named as before, no goroutine left,
+# and one payload buffer per decode worker. Then the journal's own: torn
+# tails, bit flips, snapshot crash points, and its Reader against Open.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines' -v ./internal/server/
-	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker' -v ./internal/server/
+	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series
 # decoder's four entry points (window, registration, journal record,
@@ -155,12 +165,11 @@ bench:
 # encoding/json passes it replaced, one window through the handler to its
 # ack (in memory and durable), a restart (server.Open on a snapshot and a
 # journal of eight 197-server windows; windows-replayed says it replayed
-# them), and
-# a window-sized journal append (which fails if it allocates a frame) and
-# recovery. The restart runs once more at -cpu 1: with every core, replay's
-# decode pool; with one, a single decoder a step ahead of apply, which must
-# be no slower than decoding in the loop was. Last, CORES_BENCH at -cpu 1
-# and 2.
+# them), and a window-sized journal append (which fails if it allocates a
+# frame), recovery, and the same journal read through one lent buffer. The
+# restart runs once more at -cpu 1: with every core, replay's decode pool;
+# with one, the apply loop reading and decoding each record itself. Last,
+# CORES_BENCH at -cpu 1 and 2.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
 	$(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit
@@ -193,11 +202,12 @@ bench-json:
 	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
-# Count gate: the whole-solve benchmarks, the wire decoders, an ingest and
-# a restart once each, their work counters compared with the committed
-# BENCH_counts.json. It fails when a count (fevals, priced, eval-priced,
-# probes, machines; the decoders', the ingest's and the restart's
-# allocs/op and B/op; the decoders' slow-numbers) is higher than committed
+# Count gate: the whole-solve benchmarks, the wire decoders, an ingest, a
+# restart and a journal read once each, their work counters compared with
+# the committed BENCH_counts.json. It fails when a count (fevals, priced,
+# eval-priced, probes, machines; the decoders', the ingest's, the
+# restart's and the read's allocs/op and B/op; the decoders'
+# slow-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
 # the benchmark names, so the file compares across machines. No -benchmem
@@ -212,17 +222,19 @@ bench-json:
 # digit — a few pool misses and goroutine starts either way — so their
 # committed figures are the largest of several runs with a little to spare
 # (the ingest's 1 842 allocations and 2 177 816 bytes as 1 900 and
-# 2 180 000; the restart's 27 367 and 70 610 952 as 27 450 and
-# 70 700 000): the report line says "fell" every run, and a body read into
-# a fresh buffer, a decoder back on reflection or a record decoded twice
-# still fails. After a change that lowers a count on purpose, re-capture
+# 2 180 000; the restart's 26 895 and 36 678 513 as 27 000 and
+# 36 800 000; the read's 14 and 1 416 as 20 and 4 096): the report line
+# says "fell" every run, and a body read into a fresh buffer, a decoder
+# back on reflection, a record decoded twice or a journal read whole still
+# fails. After a change that lowers a count on purpose, re-capture
 # (and put the spare back):
 #   cp bench_counts.new.json BENCH_counts.json
 bench-counts:
 	( $(GO) test -cpu 1 -bench='$(COUNT_BENCH)' -benchtime=1x -run='^$$' ./internal/core ; \
 	  $(GO) test -cpu 1 -bench='$(WIRE_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
 	  $(GO) test -cpu 1 -bench='$(INGEST_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
-	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
+	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
+	  $(GO) test -cpu 1 -bench='$(READ_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/journal ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server

@@ -237,10 +237,7 @@ func (f *Fleet) Consolidate(ctx context.Context) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newPlan(p, sol)
-	if err != nil {
-		return nil, err
-	}
+	plan := newPlan(p, sol)
 	f.adoptLocked(plan)
 	return plan, nil
 }
@@ -349,10 +346,7 @@ func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, history [][]Workl
 	if err != nil {
 		return nil, &ResolveError{Err: err}
 	}
-	plan, err := newPlan(p, sol)
-	if err != nil {
-		return nil, &ResolveError{Err: err}
-	}
+	plan := newPlan(p, sol)
 	return &ReconsolidationEvent{
 		Window:         trig.Window,
 		Trigger:        trig,
@@ -503,10 +497,7 @@ func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newPlan(p, sol)
-	if err != nil {
-		return nil, err
-	}
+	plan := newPlan(p, sol)
 	samples, err := driftSamples(forecast)
 	if err != nil {
 		return nil, err
@@ -530,10 +521,7 @@ func (f *Fleet) AdoptIncumbent(inc *Incumbent) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newPlan(p, sol)
-	if err != nil {
-		return nil, err
-	}
+	plan := newPlan(p, sol)
 	f.adoptLocked(plan)
 	return plan, nil
 }

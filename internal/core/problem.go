@@ -255,6 +255,9 @@ type Solution struct {
 	Feasible bool
 	// Objective is the final objective value (lower is better).
 	Objective float64
+	// Loads reports each of the K machines' aggregate demand, peaks and
+	// balance under Assign, as Evaluator.Report prices them.
+	Loads []ServerLoad
 	// Fevals counts the work of the whole solve in objective evaluations:
 	// assignments evaluated plus sweep candidates considered (see
 	// Evaluator.Fevals).

@@ -408,6 +408,7 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 		K:         K,
 		Feasible:  feasible,
 		Objective: obj,
+		Loads:     ev.Report(seed, K),
 		Fevals:    1,
 	}, nil
 }

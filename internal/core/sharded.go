@@ -235,6 +235,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		K:         K,
 		Feasible:  feas,
 		Objective: obj,
+		Loads:     ev.Report(assign, K),
 		Fevals:    fevals + ev.Fevals,
 		Stats:     stats,
 		Elapsed:   time.Since(start),

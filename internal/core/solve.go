@@ -315,6 +315,7 @@ func (ev *Evaluator) finish(best climbed, k int, start time.Time) *Solution {
 		K:         k,
 		Feasible:  best.feas,
 		Objective: best.obj,
+		Loads:     ev.Report(best.assign, k),
 		Fevals:    ev.Fevals,
 		Stats:     ev.stats,
 		Elapsed:   time.Since(start),

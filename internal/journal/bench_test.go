@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -72,6 +73,59 @@ func BenchmarkRecover64x2MB(b *testing.B) {
 		l, rec, err := Open(dir, Options{Sync: SyncNone})
 		if err != nil || len(rec.Records) != records {
 			b.Fatalf("recovered %d records, %v", len(rec.Records), err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRead64x2MB reads the journal of BenchmarkRecover64x2MB through
+// a Reader lent one window-sized buffer, as replay's decode workers do: the
+// log is read frame by frame into memory already owned, so an op allocates
+// nothing the size of a record (B/op is pinned in BENCH_counts.json).
+func BenchmarkRead64x2MB(b *testing.B) {
+	dir := b.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("0.123456789012345,"), windowSized/18)
+	const records = 64
+	for i := 0; i < records; i++ {
+		if _, err := l.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, windowSized)
+	b.SetBytes(int64(records * (len(payload) + frameHeaderSize)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := OpenReader(dir, Options{Sync: SyncNone})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			rec, err := r.Next(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = rec.Payload
+		}
+		if n != records {
+			b.Fatalf("read %d records, want %d", n, records)
+		}
+		l, err := r.Log()
+		if err != nil {
+			b.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
 			b.Fatal(err)

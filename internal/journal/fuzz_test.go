@@ -15,9 +15,11 @@ import (
 // TornOffset (all of it without a torn tail) is whole frames, the records
 // are exactly those of them the snapshot does not cover, each re-framed
 // by appendFrame to the bytes it was read from, and the frame at
-// TornOffset is one recovery had to stop at. Then the directory Open left
-// behind — the journal truncated there — opens again to the same records
-// with no torn tail.
+// TornOffset is one recovery had to stop at. Open is a Reader read to its
+// end, so the walk, parseFrame over the bytes in memory, is the oracle for
+// the Reader's checks of the frames it reads from the file. Then the
+// directory Open left behind — the journal truncated there — opens again
+// to the same records with no torn tail.
 func FuzzOpen(f *testing.F) {
 	// TestTornTail's and TestBitFlips' files: three 100-byte records, the
 	// last one cut short, or one bit flipped.
@@ -72,7 +74,7 @@ func FuzzOpen(f *testing.F) {
 		// snapshot are the records, in order and byte for byte.
 		next, lastSeq := 0, uint64(0)
 		for off := 0; off < good; {
-			seq, _, n, ferr := parseFrame(wal[off:good])
+			seq, _, n, ferr := parseFrame(wal[off:good], MaxRecord)
 			if ferr != nil {
 				t.Fatalf("the journal kept up to %d does not parse at %d: %v", good, off, ferr)
 			}
@@ -93,7 +95,7 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("Open returned %d records, the journal before %d holds %d past the snapshot", len(rec.Records), good, next)
 		}
 		if rec.TornTail {
-			if seq, _, _, ferr := parseFrame(wal[good:]); ferr == nil && (lastSeq == 0 || seq > lastSeq) {
+			if seq, _, _, ferr := parseFrame(wal[good:], MaxRecord); ferr == nil && (lastSeq == 0 || seq > lastSeq) {
 				t.Fatalf("Open truncated at %d, before a good frame (seq %d after %d)", good, seq, lastSeq)
 			}
 		}

@@ -33,7 +33,7 @@
 //
 // # Recovery semantics
 //
-// Open never refuses to start on a torn tail: the first frame whose
+// Recovery never refuses to start on a torn tail: the first frame whose
 // header is short, whose length is absurd, whose CRC mismatches, or whose
 // seq does not increase marks the end of the usable log — everything
 // before it is replayed, and the file is truncated there so appends
@@ -41,10 +41,19 @@
 // is a hard error: snapshots are written to a temp file and renamed into
 // place, so a damaged one means the disk lost data the journal no longer
 // holds, and silently starting empty would be worse than stopping.
+//
+// # Reading the log
+//
+// A Reader reads the log one verified frame at a time, each payload into
+// a buffer its caller lends, so what recovery holds of the raw log is one
+// record per buffer, not the whole file; the caller decodes a record and
+// lends the buffer again. Open is the Reader collecting every record into
+// a payload of its own.
 package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -70,6 +79,12 @@ const frameHeaderSize = 4 + 4 + 8
 // orders of magnitude of headroom while still letting recovery reject a
 // garbage length field immediately.
 const MaxRecord = 64 << 20
+
+// MaxSnapshot bounds the snapshot, which holds the whole registry rather
+// than one record: a 197-server fleet with its baseline and two history
+// windows is 8.9 MB, so 1 GiB holds over a hundred of them. The frame's
+// uint32 length field could carry up to 4 GiB.
+const MaxSnapshot = 1 << 30
 
 // castagnoli is the CRC32-C table (the checksum used by iSCSI, ext4 and
 // most journaled stores; hardware-accelerated on amd64/arm64).
@@ -135,15 +150,15 @@ type Options struct {
 type Record struct {
 	// Seq is the record's journal sequence number.
 	Seq uint64
-	// Payload is the opaque record body the caller appended. It aliases
-	// the buffer Open read the journal into (see Recovered).
+	// Payload is the opaque record body the caller appended: from Open, a
+	// slice of its own; from Reader.Next, the buffer it was lent, which
+	// the next call reads over.
 	Payload []byte
 }
 
-// Recovered is everything Open rebuilt from the state directory. The
-// snapshot and the record payloads are cap-clipped sub-slices of the two
-// buffers the files were read into, not copies: holding any one of them
-// keeps its whole file's bytes alive, so decode them and let go.
+// Recovered is everything Open rebuilt from the state directory. Each
+// record payload is a buffer of its own, cap-clipped; the snapshot is a
+// cap-clipped sub-slice of the buffer its file was read into.
 type Recovered struct {
 	// Snapshot is the latest snapshot payload, nil if none was taken.
 	Snapshot []byte
@@ -212,98 +227,199 @@ type Stats struct {
 
 // Open opens (creating if needed) the journal in dir, recovers the
 // snapshot and every intact record after it, truncates any torn tail, and
-// returns the log ready for appends.
+// returns the log ready for appends: a Reader read to its end, each record
+// into a payload of its own.
 func Open(dir string, opt Options) (*Log, *Recovered, error) {
+	r, err := OpenReader(dir, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := &Recovered{Snapshot: r.Snapshot, SnapshotSeq: r.SnapshotSeq}
+	for {
+		next, err := r.Next(nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, errors.Join(err, r.Close())
+		}
+		// Cap-clipped: a buffer first made for a larger compacted frame
+		// is no one's to append into.
+		next.Payload = next.Payload[:len(next.Payload):len(next.Payload)]
+		rec.Records = append(rec.Records, next)
+	}
+	l, err := r.Log()
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.TornTail, rec.TornOffset = r.TornTail, r.TornOffset
+	return l, rec, nil
+}
+
+// Reader reads a state directory back: the snapshot when it opens, then
+// the log one frame at a time. Scanning stops at the first bad frame —
+// short header, absurd length, CRC mismatch or non-increasing seq all
+// mean the rest of the file is unusable; everything before it is intact
+// by checksum. Once Next has reported the end, Log truncates the file
+// there and hands it over for appends. A Reader is not safe for
+// concurrent use.
+type Reader struct {
+	// Snapshot is the latest snapshot payload, nil if none was taken, and
+	// SnapshotSeq the last sequence number it covers.
+	Snapshot    []byte
+	SnapshotSeq uint64
+	// TornTail reports that the log ended in a partial or corrupt frame,
+	// and TornOffset where: the length the file is truncated to. Both are
+	// set when Next reports the end.
+	TornTail   bool
+	TornOffset int64
+
+	dir string
+	opt Options
+	f   *os.File // nil once Log or Close has taken it
+	// size is the file's length, good the length of the whole frames read
+	// so far, and last the seq of the last of them.
+	size, good int64
+	last       uint64
+	// header is the frame header being read, kept here so reading one
+	// allocates nothing.
+	header [frameHeaderSize]byte
+	// err is io.EOF once the log has ended, or the read error that ended it.
+	err error
+}
+
+// OpenReader opens (creating if needed) the state directory dir and reads
+// and verifies its snapshot; a snapshot that does not verify is an error.
+func OpenReader(dir string, opt Options) (*Reader, error) {
 	if opt.SyncEvery <= 0 {
 		opt.SyncEvery = 100 * time.Millisecond
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("journal: creating state dir: %w", err)
+		return nil, fmt.Errorf("journal: creating state dir: %w", err)
 	}
-	rec := &Recovered{}
-
+	r := &Reader{dir: dir, opt: opt}
 	snapPath := filepath.Join(dir, snapshotFile)
 	if raw, err := os.ReadFile(snapPath); err == nil {
-		seq, payload, n, ferr := parseFrame(raw)
+		seq, payload, n, ferr := parseFrame(raw, MaxSnapshot)
 		if ferr != nil || n != len(raw) {
-			return nil, nil, fmt.Errorf("journal: snapshot %s is corrupt (%v): refusing to start with partial state", snapPath, ferr)
+			return nil, fmt.Errorf("journal: snapshot %s is corrupt (%v): refusing to start with partial state", snapPath, ferr)
 		}
-		rec.Snapshot = payload
-		rec.SnapshotSeq = seq
+		r.Snapshot, r.SnapshotSeq = payload, seq
 	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("journal: reading snapshot: %w", err)
+		return nil, fmt.Errorf("journal: reading snapshot: %w", err)
 	}
 
 	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: opening journal: %w", err)
+		return nil, fmt.Errorf("journal: opening journal: %w", err)
 	}
-	raw, err := readFile(f)
+	st, err := f.Stat()
 	if err != nil {
-		f.Close() //kairoslint:allow errflow: already failing with the read error; a close error would mask it
-		return nil, nil, fmt.Errorf("journal: reading journal: %w", err)
+		return nil, errors.Join(fmt.Errorf("journal: reading journal: %w", err), f.Close())
 	}
+	r.f, r.size = f, st.Size()
+	return r, nil
+}
 
-	// Scan frames until the first bad one: short header, absurd length,
-	// CRC mismatch or non-increasing seq all mean the rest of the file is
-	// unusable. Everything before the bad frame is intact by checksum.
-	good := int64(0)
-	lastSeq := uint64(0)
-	for off := 0; off < len(raw); {
-		seq, payload, n, ferr := parseFrame(raw[off:])
-		if ferr != nil || (lastSeq > 0 && seq <= lastSeq) {
+// Next returns the next record past the snapshot, its payload read into
+// buf when it fits there and into a new buffer when it does not. It
+// returns io.EOF at the end of the log, and any other error only when the
+// file could not be read.
+func (r *Reader) Next(buf []byte) (Record, error) {
+	for r.err == nil {
+		rest := r.size - r.good
+		if rest == 0 {
+			r.err = io.EOF
 			break
 		}
-		lastSeq = seq
-		off += n
-		good = int64(off)
-		if seq <= rec.SnapshotSeq {
-			continue // already compacted into the snapshot
+		if rest < frameHeaderSize {
+			r.tear()
+			break
 		}
-		rec.Records = append(rec.Records, Record{Seq: seq, Payload: payload})
-	}
-	if good < int64(len(raw)) {
-		rec.TornTail = true
-		rec.TornOffset = good
-		if err := f.Truncate(good); err != nil {
-			f.Close() //kairoslint:allow errflow: already failing with the truncate error; a close error would mask it
-			return nil, nil, fmt.Errorf("journal: truncating torn tail at %d: %w", good, err)
+		header := r.header[:]
+		if _, err := io.ReadFull(r.f, header); err != nil {
+			r.err = fmt.Errorf("journal: reading journal: %w", err)
+			break
 		}
+		n, err := frameLength(header, MaxRecord)
+		if err != nil || frameHeaderSize+int64(n) > rest {
+			r.tear()
+			break
+		}
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
+		if _, err := io.ReadFull(r.f, payload); err != nil {
+			r.err = fmt.Errorf("journal: reading journal: %w", err)
+			break
+		}
+		seq, err := frameSeq(header, payload)
+		if err != nil || (r.last > 0 && seq <= r.last) {
+			r.tear()
+			break
+		}
+		r.last = seq
+		r.good += frameHeaderSize + int64(n)
+		if seq > r.SnapshotSeq {
+			return Record{Seq: seq, Payload: payload}, nil
+		}
+		buf = payload // already compacted into the snapshot
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close() //kairoslint:allow errflow: already failing with the seek error; a close error would mask it
-		return nil, nil, fmt.Errorf("journal: seeking to append position: %w", err)
-	}
+	return Record{}, r.err
+}
 
+// tear ends the log at the last whole frame.
+func (r *Reader) tear() {
+	r.TornTail, r.TornOffset, r.err = true, r.good, io.EOF
+}
+
+// Log truncates a torn tail and returns the journal positioned after the
+// last whole frame, ready for appends. Next must have returned io.EOF.
+func (r *Reader) Log() (*Log, error) {
+	switch {
+	case r.err != io.EOF:
+		return nil, fmt.Errorf("journal: Log before the end of the log (%v)", r.err)
+	case r.f == nil:
+		return nil, fmt.Errorf("journal: Log on a closed reader")
+	}
+	f := r.f
+	r.f = nil
+	if r.TornTail {
+		if err := f.Truncate(r.good); err != nil {
+			return nil, errors.Join(fmt.Errorf("journal: truncating torn tail at %d: %w", r.good, err), f.Close())
+		}
+	}
+	if _, err := f.Seek(r.good, io.SeekStart); err != nil {
+		return nil, errors.Join(fmt.Errorf("journal: seeking to append position: %w", err), f.Close())
+	}
 	l := &Log{
-		dir:     dir,
-		opt:     opt,
+		dir:     r.dir,
+		opt:     r.opt,
 		f:       f,
-		seq:     max(lastSeq, rec.SnapshotSeq),
-		snapSeq: rec.SnapshotSeq,
-		size:    good,
+		seq:     max(r.last, r.SnapshotSeq),
+		snapSeq: r.SnapshotSeq,
+		size:    r.good,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if opt.Sync == SyncInterval {
+	if r.opt.Sync == SyncInterval {
 		go l.flushLoop()
 	} else {
 		close(l.done)
 	}
-	return l, rec, nil
+	return l, nil
 }
 
-// readFile reads f, positioned at its start, into a buffer sized from
-// its length: one allocation, where io.ReadAll's doubling would copy a
-// long journal several times over.
-func readFile(f *os.File) ([]byte, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
+// Close closes a reader whose log is not wanted after all, leaving the
+// file as it was. It does nothing once Log has handed the file over.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
 	}
-	raw := make([]byte, st.Size())
-	_, err = io.ReadFull(f, raw)
-	return raw, err
+	f := r.f
+	r.f = nil
+	return f.Close()
 }
 
 // flushLoop is the SyncInterval background flusher.
@@ -408,8 +524,8 @@ func (l *Log) Snapshot(state []byte) error {
 	if l.closed {
 		return fmt.Errorf("journal: snapshot on closed log")
 	}
-	if len(state) > MaxRecord {
-		return fmt.Errorf("journal: snapshot of %d bytes exceeds the %d-byte limit", len(state), MaxRecord)
+	if len(state) > MaxSnapshot {
+		return fmt.Errorf("journal: snapshot of %d bytes exceeds the %d-byte limit", len(state), MaxSnapshot)
 	}
 	tmp := filepath.Join(l.dir, snapshotTmp)
 	if err := l.installSnapshot(tmp, appendFrame(nil, l.seq, state)); err != nil {
@@ -563,24 +679,44 @@ func appendFrame(buf []byte, seq uint64, parts ...[]byte) []byte {
 	return frame
 }
 
-// parseFrame decodes the frame at the start of raw, returning its seq,
-// payload (a cap-clipped sub-slice of raw) and total encoded size.
-func parseFrame(raw []byte) (seq uint64, payload []byte, n int, err error) {
+// parseFrame decodes the frame at the start of raw, whose payload may be
+// at most limit bytes long, returning its seq, payload (a cap-clipped
+// sub-slice of raw) and total encoded size.
+func parseFrame(raw []byte, limit int) (seq uint64, payload []byte, n int, err error) {
 	if len(raw) < frameHeaderSize {
 		return 0, nil, 0, fmt.Errorf("short frame header (%d bytes)", len(raw))
 	}
-	length := binary.LittleEndian.Uint32(raw[0:4])
-	if length == 0 || length > MaxRecord {
-		return 0, nil, 0, fmt.Errorf("absurd frame length %d", length)
+	length, err := frameLength(raw, limit)
+	if err != nil {
+		return 0, nil, 0, err
 	}
-	total := frameHeaderSize + int(length)
+	total := frameHeaderSize + length
 	if len(raw) < total {
 		return 0, nil, 0, fmt.Errorf("truncated frame (%d of %d bytes)", len(raw), total)
 	}
-	want := binary.LittleEndian.Uint32(raw[4:8])
-	if got := crc32.Checksum(raw[8:total], castagnoli); got != want {
-		return 0, nil, 0, fmt.Errorf("CRC mismatch (%08x != %08x)", got, want)
+	payload = raw[frameHeaderSize:total:total]
+	if seq, err = frameSeq(raw, payload); err != nil {
+		return 0, nil, 0, err
 	}
-	seq = binary.LittleEndian.Uint64(raw[8:16])
-	return seq, raw[frameHeaderSize:total:total], total, nil
+	return seq, payload, total, nil
+}
+
+// frameLength returns the payload length a frame header declares, which
+// must be in (0, limit].
+func frameLength(header []byte, limit int) (int, error) {
+	length := binary.LittleEndian.Uint32(header[0:4])
+	if length == 0 || uint64(length) > uint64(limit) {
+		return 0, fmt.Errorf("absurd frame length %d", length)
+	}
+	return int(length), nil
+}
+
+// frameSeq checks a frame's CRC over its seq and payload and returns the
+// seq.
+func frameSeq(header, payload []byte) (uint64, error) {
+	want := binary.LittleEndian.Uint32(header[4:8])
+	if got := crc32.Update(crc32.Checksum(header[8:16], castagnoli), castagnoli, payload); got != want {
+		return 0, fmt.Errorf("CRC mismatch (%08x != %08x)", got, want)
+	}
+	return binary.LittleEndian.Uint64(header[8:16]), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -568,13 +569,26 @@ func TestAppendReusesFrameBuffer(t *testing.T) {
 	}
 }
 
-// TestRecoveredPayloadsAliasOneRead: recovery hands out sub-slices of the
-// buffer it read the journal into — cap-clipped, so appending to one
-// cannot run into the next frame — and they stay intact after the log
-// truncates a torn tail and appends again.
-func TestRecoveredPayloadsAliasOneRead(t *testing.T) {
+// TestRecoveredPayloadsAreTheirOwn: Open hands out each payload in a
+// buffer of its own — cap-clipped, so appending to one cannot run into
+// another, even when the reader first read a larger frame the snapshot
+// covers into it — and they stay intact after the log truncates a torn
+// tail and appends again.
+func TestRecoveredPayloadsAreTheirOwn(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := open(t, dir, Options{})
+	// A 4 KiB frame the snapshot covers, left at the journal's head by a
+	// crash before the rotation truncated it.
+	fi := &FaultInjector{}
+	l, _ := open(t, dir, Options{Fault: fi})
+	mustAppend(t, l, bytes.Repeat([]byte{5}, 4096))
+	fi.Crash(PointSnapshotTruncate, 1)
+	if err := l.Snapshot([]byte("state@1")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Snapshot with truncate fault = %v, want injected", err)
+	}
+	fi.Kill()
+	l.Close()
+
+	l, _ = open(t, dir, Options{})
 	payloads := [][]byte{[]byte("first"), bytes.Repeat([]byte{7}, 4096), []byte("third")}
 	for _, p := range payloads {
 		mustAppend(t, l, p)
@@ -582,7 +596,7 @@ func TestRecoveredPayloadsAliasOneRead(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail so Open truncates the file under the buffer it read.
+	// Tear the tail so Open truncates the file it read the payloads from.
 	path := filepath.Join(dir, journalFile)
 	st, err := os.Stat(path)
 	if err != nil {
@@ -593,8 +607,8 @@ func TestRecoveredPayloadsAliasOneRead(t *testing.T) {
 	}
 	l2, rec := open(t, dir, Options{})
 	defer l2.Close()
-	if !rec.TornTail || len(rec.Records) != 2 {
-		t.Fatalf("recovered %d records (torn %v), want 2 and a torn tail", len(rec.Records), rec.TornTail)
+	if !rec.TornTail || rec.SnapshotSeq != 1 || len(rec.Records) != 2 {
+		t.Fatalf("recovered %d records after seq %d (torn %v), want 2 after seq 1 and a torn tail", len(rec.Records), rec.SnapshotSeq, rec.TornTail)
 	}
 	for i, r := range rec.Records {
 		if cap(r.Payload) != len(r.Payload) {
@@ -605,5 +619,101 @@ func TestRecoveredPayloadsAliasOneRead(t *testing.T) {
 	grown := append(rec.Records[0].Payload, "-grown"...)
 	if !bytes.Equal(rec.Records[0].Payload, payloads[0]) || !bytes.Equal(rec.Records[1].Payload, payloads[1]) || string(grown) != "first-grown" {
 		t.Error("recovered payloads changed after the log moved on")
+	}
+}
+
+// TestReaderMatchesOpen: a Reader lent one buffer, smaller than every
+// record to begin with, returns the records Open returns — seq and payload
+// bytes — and ends the log where Open does, on a journal cut at every byte
+// of its last two frames and on one with a bit flipped in any header byte
+// of any frame. Log truncates the file to where Open truncates it.
+func TestReaderMatchesOpen(t *testing.T) {
+	var ref []byte
+	offsets := []int{0}
+	for i, size := range []int{300, 100, 500, 200} {
+		ref = appendFrame(ref, uint64(i+1), bytes.Repeat([]byte{byte('a' + i)}, size))
+		offsets = append(offsets, len(ref))
+	}
+	files := map[string][]byte{}
+	for cut := offsets[2]; cut <= len(ref); cut++ {
+		files[fmt.Sprintf("cut at %d", cut)] = ref[:cut]
+	}
+	for k := 0; k+1 < len(offsets); k++ {
+		for b := 0; b < frameHeaderSize; b++ {
+			raw := bytes.Clone(ref)
+			raw[offsets[k]+b] ^= 0x01
+			files[fmt.Sprintf("bit flipped in byte %d of frame %d", b, k)] = raw
+		}
+	}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for name, wal := range files {
+		for _, dir := range dirs {
+			if err := os.WriteFile(filepath.Join(dir, journalFile), wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, want := open(t, dirs[0], Options{Sync: SyncNone})
+		wantSize := l.Stats().SizeBytes
+		l.Close()
+
+		r, err := OpenReader(dirs[1], Options{Sync: SyncNone})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		buf := make([]byte, 8)
+		var got []Record
+		for {
+			rec, err := r.Next(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got = append(got, Record{Seq: rec.Seq, Payload: bytes.Clone(rec.Payload)})
+			buf = rec.Payload
+		}
+		if len(got) != len(want.Records) || r.TornTail != want.TornTail || r.TornOffset != want.TornOffset {
+			t.Fatalf("%s: the reader read %d records (torn %v at %d), Open %d (torn %v at %d)",
+				name, len(got), r.TornTail, r.TornOffset, len(want.Records), want.TornTail, want.TornOffset)
+		}
+		for i, rec := range got {
+			if rec.Seq != want.Records[i].Seq || !bytes.Equal(rec.Payload, want.Records[i].Payload) {
+				t.Fatalf("%s: record %d is seq %d (%d bytes), Open's seq %d (%d bytes)",
+					name, i, rec.Seq, len(rec.Payload), want.Records[i].Seq, len(want.Records[i].Payload))
+			}
+		}
+		l, err = r.Log()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if size := l.Stats().SizeBytes; size != wantSize {
+			t.Errorf("%s: the reader left a %d-byte log, Open %d", name, size, wantSize)
+		}
+		l.Close()
+	}
+}
+
+// TestSnapshotLargerThanARecord: the snapshot holds the whole registry, so
+// it is bounded by MaxSnapshot, not by MaxRecord. One just over MaxRecord
+// is written, and read back whole.
+func TestSnapshotLargerThanARecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := open(t, dir, Options{Sync: SyncNone})
+	mustAppend(t, l, []byte("a"))
+	state := make([]byte, MaxRecord+1)
+	for i := range state {
+		state[i] = byte(i % 251)
+	}
+	if err := l.Snapshot(state); err != nil {
+		t.Fatalf("Snapshot of %d bytes: %v", len(state), err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, rec := open(t, dir, Options{})
+	defer l.Close()
+	if rec.SnapshotSeq != 1 || !bytes.Equal(rec.Snapshot, state) {
+		t.Fatalf("read back a %d-byte snapshot covering seq %d, wrote %d bytes covering seq 1", len(rec.Snapshot), rec.SnapshotSeq, len(state))
 	}
 }

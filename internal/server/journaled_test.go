@@ -15,21 +15,24 @@ import (
 	"kairos/internal/journal"
 )
 
-// replayStats replays payloads, numbered from 1, into a fresh in-memory
-// server and returns what the replay counted, its timings zeroed.
+// replayStats journals payloads, numbered from 1, replays them into a
+// fresh server and returns what the replay counted: its timings and the
+// record count, which every record moves, zeroed.
 func replayStats(t *testing.T, payloads ...[]byte) RecoveryStats {
 	t.Helper()
-	s := New(t.Logf)
-	defer s.Close()
-	rec := &journal.Recovered{}
-	for i, p := range payloads {
-		rec.Records = append(rec.Records, journal.Record{Seq: uint64(i + 1), Payload: p})
-	}
-	stats, err := s.replay(rec)
+	dir := t.TempDir()
+	appendRaw(t, dir, payloads...)
+	rd, err := journal.OpenReader(dir, journal.Options{Sync: journal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats.Elapsed, stats.RecordsDecode = 0, 0
+	s := New(t.Logf)
+	defer s.Close()
+	stats, err := s.replay(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats.Elapsed, stats.RecordsDecode, stats.Records = 0, 0, 0
 	return *stats
 }
 

@@ -189,6 +189,6 @@ func writeJournalMetrics(w io.Writer, st journal.Stats, rec *RecoveryStats) {
 	}
 	seconds("kairos_recovery_snapshot_decode_seconds", "Time the last recovery spent decoding its snapshot.", rec.SnapshotDecode)
 	seconds("kairos_recovery_duration_seconds", "Duration of the last journal replay.", rec.Elapsed)
-	seconds("kairos_recovery_journal_read_seconds", "Time the last recovery spent reading and checksumming the snapshot and journal files, before the replay.", rec.JournalRead)
-	seconds("kairos_recovery_records_decode_seconds", "Time the last recovery spent decoding journal records, summed over its decode workers.", rec.RecordsDecode)
+	seconds("kairos_recovery_journal_read_seconds", "Time the last recovery spent reading and checksumming the snapshot file, before the replay.", rec.JournalRead)
+	seconds("kairos_recovery_records_decode_seconds", "Time the last recovery spent reading, checksumming and decoding journal records, summed over its decode workers.", rec.RecordsDecode)
 }

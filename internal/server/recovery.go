@@ -17,28 +17,36 @@ package server
 // before it is journaled does not compile; TestReplayAppliesEveryRecordKind
 // checks that replay's switch has a case for every field.
 //
-// Replay is two stages. The decode stage (decodeAhead) turns a record's
-// payload into a *RecordWire with decodeRecord: it reads the payload and
-// nothing else, so a helper per free slot of the CPU budget runs it ahead
-// of the loop, started before the snapshot is decoded so that restoring
-// the snapshot on the calling goroutine overlaps the first records. The
-// apply stage is the one loop in replay: it takes records strictly in
-// journal order, decoding itself one no helper has taken yet, and applies
-// each under s.mu, so replay equals live whatever the helper count. A
-// record that does not decode fails the replay with the error the
-// sequential loop gave, and only once every record before it has been
-// applied; what the helpers made of later records is dropped. The
-// look-ahead is bounded (decodeAheadPerWorker): a decoded window is about
-// a megabyte of floats, and a journal of hundreds must not sit in memory
-// twice. No goroutine outlives replay. decodeSnapshot stays one call on
-// the calling goroutine: once a snapshot is itself a sequence of records
-// (ROADMAP item 1 stage B) it goes through this pipeline and
+// Replay is two stages. The decode stage (decodeAhead) reads the journal
+// one frame at a time and turns each record's payload into a *RecordWire
+// with decodeRecord. A worker claims the next record by reading its frame
+// into a buffer of its own under the reader's lock, then decodes it
+// outside the lock; decodeRecord reads the payload and nothing else, and
+// nothing it returns aliases it, so the buffer takes the worker's next
+// record. The workers are a helper per free slot of the CPU budget and the
+// apply loop. The helpers start as soon as the snapshot file has been
+// read, so that restoring the snapshot on the calling goroutine overlaps
+// reading and decoding the log. The apply stage is the one loop in
+// replay: it takes records strictly in journal order and applies each
+// under s.mu, so replay equals live whatever the helper count. When the
+// record it needs next is a helper's, not yet decoded, it claims a later
+// one rather than wait idle, within the look-ahead bound
+// (decodeAheadPerWorker): a decoded window is about a megabyte of floats,
+// and a journal of hundreds must not sit in memory. What recovery holds of
+// the raw log is one record per worker. A record that does not decode
+// fails the replay with the error the sequential loop gave, and only once
+// every record before it has been applied; what the workers made of later
+// records is dropped. No goroutine outlives replay. decodeSnapshot stays
+// one call on the calling goroutine: once a snapshot is itself a sequence
+// of records (ROADMAP item 5 stage B) it goes through this pipeline and
 // decodeSnapshot is deleted, so splitting it would be work thrown away.
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,13 +78,16 @@ type RecoveryStats struct {
 	Healed int
 	// TornTail reports the journal ended in a truncated partial record.
 	TornTail bool
-	// Elapsed is how long the replay took, wall clock, from the journal
-	// handing over its records to the reconcile loops being started.
+	// Records counts the journal records replayed after the snapshot.
+	Records int
+	// Elapsed is how long the replay took, wall clock, from the snapshot
+	// file having been read to the reconcile loops being started.
 	Elapsed time.Duration
-	// JournalRead is the time before that: journal.Open reading and
-	// checksumming the snapshot and the log.
+	// JournalRead is the time before that: reading and checksumming the
+	// snapshot file.
 	JournalRead time.Duration
-	// RecordsDecode is the time spent inside decodeRecord, summed over the
+	// RecordsDecode is the time spent reading and checksumming each
+	// record's frame and decoding it with decodeRecord, summed over the
 	// helpers and the apply loop: what the records cost, where Elapsed says
 	// how long the daemon waited for it.
 	RecordsDecode time.Duration
@@ -145,34 +156,32 @@ func restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, erro
 	return sess, nil
 }
 
-// replay rebuilds the registry from a recovered journal, then starts the
-// reconcile loops. It runs inside Open, before the HTTP surface accepts
-// traffic (Handler answers 503 while s.recovering), but still holds s.mu
-// — for everything except the wait for the next decoded record — so the
+// replay rebuilds the registry from the journal rd reads, installs the
+// journal for appends after its last record, then starts the reconcile
+// loops. It runs inside Open, before the HTTP surface accepts traffic
+// (Handler answers 503 while s.recovering), but still holds s.mu — for
+// everything except the wait for the next decoded record — so the
 // registry writes satisfy the lock contract the live paths rely on.
 // Records referencing unknown fleets — possible after a snapshot
 // compacted away their registration and deregistration — are skipped;
 // structurally invalid records are fatal (they can only mean a software
 // bug, the CRC already vouched for the bytes).
-func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
+func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 	start := time.Now()
-	ahead := startDecodeAhead(rec.Records)
+	ahead := startDecodeAhead(rd)
 	defer ahead.stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	read := journaled{} // every record replay applies, the snapshot's too, was read back from the journal
-	stats := &RecoveryStats{TornTail: rec.TornTail}
-	if rec.TornTail {
-		s.logf("journal tail torn at byte %d: truncated (last records were never acked)", rec.TornOffset)
-	}
+	stats := &RecoveryStats{}
 
-	if len(rec.Snapshot) > 0 {
+	if len(rd.Snapshot) > 0 {
 		decodeStart := time.Now()
-		snap, err := decodeSnapshot(rec.Snapshot)
+		snap, err := decodeSnapshot(rd.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("decoding snapshot: %w", err)
 		}
-		stats.SnapshotBytes = len(rec.Snapshot)
+		stats.SnapshotBytes = len(rd.Snapshot)
 		stats.SnapshotDecode = time.Since(decodeStart)
 		for i := range snap.Fleets {
 			fs := &snap.Fleets[i]
@@ -227,29 +236,36 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			stats.Healed++
 		}
 	}
-	for i, r := range rec.Records {
-		// Decoding, or waiting for a helper's decode, is the one thing replay
-		// does without s.mu: a lock is not held across a channel receive, and
-		// decodeRecord never touches what it guards.
+	for ; ; stats.Records++ {
+		// Reading and decoding, or waiting for a helper's, is the one thing
+		// replay does without s.mu: a lock is not held across a channel
+		// receive, and neither touches what it guards.
 		s.mu.Unlock()
-		rw, took, err := ahead.take(i)
+		d := ahead.take(stats.Records)
 		s.mu.Lock()
-		stats.RecordsDecode += took
-		if err != nil {
-			return nil, fmt.Errorf("decoding journal record %d: %w", r.Seq, err)
+		stats.RecordsDecode += d.took
+		if d.end {
+			if d.err != nil {
+				return nil, d.err
+			}
+			break
 		}
+		if d.err != nil {
+			return nil, fmt.Errorf("decoding journal record %d: %w", d.seq, d.err)
+		}
+		rw := d.rw
 		switch {
 		case rw.Register != nil:
 			sess, err := restoreSession(rw.Register.Request, rw.Register.Incumbent)
 			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", r.Seq, err)
+				return nil, fmt.Errorf("record %d: %w", d.seq, err)
 			}
 			s.applyRegisterLocked(read, sess)
 		case rw.Window != nil:
 			id := rw.Window.Fleet
 			sess := s.fleets[id]
 			if sess == nil {
-				s.logf("journal record %d: window for unknown fleet %q skipped", r.Seq, id)
+				s.logf("journal record %d: window for unknown fleet %q skipped", d.seq, id)
 				continue
 			}
 			heal(sess)
@@ -260,7 +276,7 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 				_, _, err = sess.applyWindow(read, window, windowKey(rw.Window.Workloads))
 			}
 			if err != nil {
-				s.logf("journal record %d: window for %q rejected on replay (as live): %v", r.Seq, id, err)
+				s.logf("journal record %d: window for %q rejected on replay (as live): %v", d.seq, id, err)
 				continue
 			}
 			stats.Windows++
@@ -268,11 +284,11 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 			id := rw.Advance.Fleet
 			sess := s.fleets[id]
 			if sess == nil {
-				s.logf("journal record %d: advance for unknown fleet %q skipped", r.Seq, id)
+				s.logf("journal record %d: advance for unknown fleet %q skipped", d.seq, id)
 				continue
 			}
 			if err := sess.applyAdvance(read, rw.Advance, nil); err != nil {
-				return nil, fmt.Errorf("record %d: replaying advance for %q: %w", r.Seq, id, err)
+				return nil, fmt.Errorf("record %d: replaying advance for %q: %w", d.seq, id, err)
 			}
 			stats.Advances++
 		case rw.Rearm != nil:
@@ -283,8 +299,18 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 		case rw.Deregister != nil:
 			s.applyDeregisterLocked(read, rw.Deregister.Fleet)
 		default:
-			return nil, fmt.Errorf("journal record %d has no operation", r.Seq)
+			return nil, fmt.Errorf("journal record %d has no operation", d.seq)
 		}
+	}
+
+	// The end of the log has been taken, so no worker reads rd again.
+	l, err := rd.Log()
+	if err != nil {
+		return nil, err
+	}
+	s.jl = l
+	if stats.TornTail = rd.TornTail; rd.TornTail {
+		s.logf("journal tail torn at byte %d: truncated (last records were never acked)", rd.TornOffset)
 	}
 
 	stats.Fleets = len(s.fleets)
@@ -304,109 +330,144 @@ func (s *Server) replay(rec *journal.Recovered) (*RecoveryStats, error) {
 // in memory.
 const decodeAheadPerWorker = 2
 
-// decodeAhead is replay's decode stage: helpers decoding journal records
-// ahead of the loop that applies them. The applying goroutine drives it —
-// take(i) hands the helpers the records up to the look-ahead bound, then
-// decodes record i itself if no helper has claimed it, or waits for the one
-// that has — so there is no feeder to stop, and stop closes the job queue
-// and joins the helpers. Without a free slot there are no helpers, and
-// take decodes every record in the loop.
+// decodeAhead is replay's decode stage: workers reading journal records
+// and decoding them ahead of the loop that applies them. A claim reads the
+// next frame into the worker's buffer under mu and decodes it outside, and
+// goes to its record's slot. A worker claims only with a token from room,
+// of which there is one per record the look-ahead bound admits: the apply
+// loop hands back a record's token once it has applied it. The applying
+// goroutine drives it — take(i) returns record i decoded, claiming records
+// itself while it would otherwise wait — and stop joins the helpers.
+// Without a free slot there are no helpers, and take reads and decodes
+// every record in the loop.
 type decodeAhead struct {
-	records []journal.Record
-	// claimed[i] is set by whichever decoder, helper or apply loop, takes
-	// record i: exactly one decodes it.
-	claimed []atomic.Bool
-	// jobs carries record indices to the helpers; nil without helpers.
-	// Handing out work never blocks the apply loop: a record the queue has
-	// no room for is one the loop will decode itself.
-	jobs chan int
-	// slots[i%len(slots)] receives record i's result from the helper that
-	// claimed it. The records handed out and not yet taken are at most
-	// len(slots) consecutive indices, so each has a slot to itself and a
-	// helper's send never blocks.
+	// mu is the reader's lock: a claim holds it while it reads a frame.
+	mu   sync.Mutex
+	rd   *journal.Reader // guarded by mu
+	next int             // index of the next record to read (guarded by mu)
+	done bool            // the log has ended: nothing left to claim (guarded by mu)
+	// room holds a token per record the workers may claim.
+	room chan struct{}
+	// slots[i%len(slots)] receives record i's result from the worker that
+	// claimed it, or the end of the log. The records claimed and not yet
+	// taken are at most len(slots) consecutive indices, so each has a slot
+	// to itself and a send never blocks.
 	slots []chan decodedRecord
-	// fed is the number of records handed to the helpers so far.
-	fed int
-	wg  sync.WaitGroup
+	// buf is the apply loop's payload buffer; each helper has its own.
+	buf []byte
+	// buffers counts the payload buffers the workers made: one each, unless
+	// a record outgrew one (TestReplayReadsOneRecordPerWorker's measure).
+	buffers atomic.Int64
+	quit    chan struct{}
+	wg      sync.WaitGroup
 }
 
-// decodedRecord is what decoding one record made of it.
+// decodedRecord is what reading and decoding one record made of it.
 type decodedRecord struct {
+	seq  uint64
 	rw   *RecordWire
 	err  error
 	took time.Duration
+	// end marks the end of the log, no record: err is the read error that
+	// ended it, if one did.
+	end bool
 }
 
-// decode decodes record i.
-func (a *decodeAhead) decode(i int) decodedRecord {
-	start := time.Now()
-	rw, err := decodeRecord(a.records[i].Payload)
-	return decodedRecord{rw, err, time.Since(start)}
-}
-
-// startDecodeAhead starts a helper per slot the CPU budget has free, at
-// most one per record, and hands them the first records.
-func startDecodeAhead(records []journal.Record) *decodeAhead {
-	helpers := cpu.Take(len(records))
+// startDecodeAhead starts a helper per slot the CPU budget has free, each
+// claiming records from rd until the log ends.
+func startDecodeAhead(rd *journal.Reader) *decodeAhead {
+	helpers := cpu.Take(runtime.GOMAXPROCS(0))
 	a := &decodeAhead{
-		records: records,
-		claimed: make([]atomic.Bool, len(records)),
-		slots:   make([]chan decodedRecord, decodeAheadPerWorker*(helpers+1)),
+		rd:    rd,
+		room:  make(chan struct{}, decodeAheadPerWorker*(helpers+1)),
+		slots: make([]chan decodedRecord, decodeAheadPerWorker*(helpers+1)),
+		quit:  make(chan struct{}),
 	}
 	for i := range a.slots {
 		a.slots[i] = make(chan decodedRecord, 1)
+		a.room <- struct{}{}
 	}
-	if helpers == 0 {
-		return a
-	}
-	a.jobs = make(chan int, len(a.slots))
 	a.wg.Add(helpers)
 	for w := 0; w < helpers; w++ {
 		go func() {
 			defer a.wg.Done()
 			defer cpu.Release()
-			for i := range a.jobs {
-				if a.claimed[i].CompareAndSwap(false, true) {
-					a.slots[i%len(a.slots)] <- a.decode(i)
+			var buf []byte
+			for {
+				select {
+				case <-a.room:
+				case <-a.quit:
+					return
+				}
+				if !a.claim(&buf) {
+					return
 				}
 			}
 		}()
 	}
-	a.feed(0)
 	return a
 }
 
-// feed hands the helpers every record the look-ahead bound and the queue's
-// room allow while record i is the next to be applied.
-func (a *decodeAhead) feed(i int) {
-	for ; a.jobs != nil && a.fed < len(a.records) && a.fed < i+len(a.slots); a.fed++ {
+// claim reads the next record into *buf, decodes it and delivers it to
+// its slot, spending a token the caller took from room. It reports false,
+// claiming nothing, once the log has ended.
+func (a *decodeAhead) claim(buf *[]byte) bool {
+	a.mu.Lock()
+	if a.done {
+		a.mu.Unlock()
+		return false
+	}
+	start := time.Now()
+	i := a.next
+	rec, err := a.rd.Next(*buf)
+	if err != nil {
+		a.done = true
+		a.mu.Unlock()
+		if err == io.EOF {
+			err = nil
+		}
+		a.slots[i%len(a.slots)] <- decodedRecord{err: err, took: time.Since(start), end: true}
+		return false
+	}
+	a.next++
+	a.mu.Unlock()
+	if cap(*buf) == 0 || &(*buf)[:1][0] != &rec.Payload[0] {
+		a.buffers.Add(1)
+	}
+	*buf = rec.Payload
+	rw, err := decodeRecord(rec.Payload)
+	a.slots[i%len(a.slots)] <- decodedRecord{seq: rec.Seq, rw: rw, err: err, took: time.Since(start)}
+	return true
+}
+
+// take returns record i decoded, or the end of the log. Records must be
+// taken in order, each once, and record i − 1 must have been applied.
+func (a *decodeAhead) take(i int) decodedRecord {
+	if i > 0 {
+		a.room <- struct{}{} // record i − 1's token
+	}
+	slot := a.slots[i%len(a.slots)]
+	for room := a.room; ; {
 		select {
-		case a.jobs <- a.fed:
+		case d := <-slot:
+			return d
 		default:
-			return
+		}
+		select {
+		case d := <-slot:
+			return d
+		case <-room:
+			if !a.claim(&a.buf) {
+				room = nil
+			}
 		}
 	}
 }
 
-// take returns record i decoded and how long decoding it took. Records
-// must be taken in order, each once.
-func (a *decodeAhead) take(i int) (*RecordWire, time.Duration, error) {
-	a.feed(i)
-	var d decodedRecord
-	if a.claimed[i].CompareAndSwap(false, true) {
-		d = a.decode(i)
-	} else {
-		d = <-a.slots[i%len(a.slots)]
-	}
-	return d.rw, d.took, d.err
-}
-
-// stop ends the decode stage: the helpers finish what they were handed —
-// at most the look-ahead bound, results nobody takes — and exit.
+// stop ends the decode stage: the helpers finish the record they are
+// decoding — results nobody takes — and exit.
 func (a *decodeAhead) stop() {
-	if a.jobs != nil {
-		close(a.jobs)
-	}
+	close(a.quit)
 	a.wg.Wait()
 }
 

@@ -207,10 +207,11 @@ func TestRestartUnderConcurrentCollectors197(t *testing.T) {
 }
 
 // TestRecoveryStatsSayWhereTheTimeWent: beside the snapshot's size and
-// decode time asserted above, a recovery reports the time journal.Open
-// spent on the files before the replay began, and the time its workers
-// spent decoding records — which, run on several cores, is no longer part
-// of the replay's wall time — in its stats, its log line and /metrics.
+// decode time asserted above, a recovery reports the time spent reading
+// and checksumming the snapshot file before the replay began, and the time
+// its workers spent reading, checksumming and decoding the records after
+// it — which, run on several cores, is no longer part of the replay's wall
+// time — in its stats, its log line and /metrics.
 func TestRecoveryStatsSayWhereTheTimeWent(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openDir(dir, t.Logf)
@@ -218,6 +219,12 @@ func TestRecoveryStatsSayWhereTheTimeWent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("st", 4, 8), http.StatusCreated)
+	if err := s.Close(); err != nil { // the snapshot
+		t.Fatal(err)
+	}
+	if s, err = openDir(dir, t.Logf); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		mustServe(t, s, http.MethodPost, "/v1/fleets/st/windows", stampedWindow(4, 8, 1.001, int64(1000*(i+1))), http.StatusOK)
 	}
@@ -232,10 +239,10 @@ func TestRecoveryStatsSayWhereTheTimeWent(t *testing.T) {
 	}
 	defer rs.Kill()
 	rec := rs.recovery
-	if rec == nil || rec.Windows != 3 || rec.JournalRead <= 0 || rec.RecordsDecode <= 0 {
-		t.Fatalf("recovery stats %+v: want 3 windows, and time spent reading the journal and decoding its records", rec)
+	if rec == nil || rec.SnapshotFleets != 1 || rec.Windows != 3 || rec.Records != 3 || rec.JournalRead <= 0 || rec.RecordsDecode <= 0 {
+		t.Fatalf("recovery stats %+v: want 1 fleet from the snapshot, 3 window records, and time spent reading the snapshot and reading and decoding the records", rec)
 	}
-	if want := fmt.Sprintf("journal read in %v, 4 records decoded in %v", rec.JournalRead, rec.RecordsDecode); len(logged) != 1 || !strings.Contains(logged[0], want) {
+	if want := fmt.Sprintf("snapshot file read in %v, %d-byte snapshot decoded in %v; 3 records read and decoded in %v", rec.JournalRead, rec.SnapshotBytes, rec.SnapshotDecode, rec.RecordsDecode); len(logged) != 1 || !strings.Contains(logged[0], want) {
 		t.Errorf("recovery logged %q, want one line holding %q", logged, want)
 	}
 	metrics := mustServe(t, rs, http.MethodGet, "/metrics", nil, http.StatusOK)

@@ -379,14 +379,75 @@ func TestReplayLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestReplayReadsOneRecordPerWorker: the decode stage reads a 64-record
+// journal into one payload buffer per worker — one with the apply loop
+// alone, four with three helpers — not into a buffer of the log's size,
+// and what it hands the apply loop, record by record in journal order, is
+// what decoding each record's payload on its own gives.
+func TestReplayReadsOneRecordPerWorker(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("a", 4, 8), http.StatusCreated)
+	// Stamps of four digits make every window record the same size.
+	for i := 0; i < 63; i++ {
+		mustServe(t, s, http.MethodPost, "/v1/fleets/a/windows", stampedWindow(4, 8, 1.001, int64(1000+100*i)), http.StatusOK)
+	}
+	s.Kill()
+	want := journalRecords(t, dir)
+	if len(want) != 64 {
+		t.Fatalf("%d journal records, want 64", len(want))
+	}
+	for _, r := range want[1:] {
+		if len(r.Payload) != len(want[1].Payload) || len(r.Payload) > len(want[0].Payload) {
+			t.Fatalf("window records of %d and %d bytes after a %d-byte registration: a worker's buffer would grow", len(r.Payload), len(want[1].Payload), len(want[0].Payload))
+		}
+	}
+
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() {
+			rd, err := journal.OpenReader(dir, journal.Options{Sync: journal.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			a := startDecodeAhead(rd)
+			defer a.stop()
+			workers := len(a.slots) / decodeAheadPerWorker
+			if workers != procs {
+				t.Fatalf("GOMAXPROCS=%d: %d decode workers", procs, workers)
+			}
+			for i := 0; ; i++ {
+				d := a.take(i)
+				if d.end {
+					if d.err != nil || i != len(want) {
+						t.Fatalf("GOMAXPROCS=%d: the log ended after %d records (%v), want %d", procs, i, d.err, len(want))
+					}
+					break
+				}
+				rw, err := decodeRecord(want[i].Payload)
+				if d.err != nil || err != nil || d.seq != want[i].Seq || !reflect.DeepEqual(d.rw, rw) {
+					t.Fatalf("GOMAXPROCS=%d: record %d came back as seq %d (%v), want seq %d decoded on its own", procs, i, d.seq, d.err, want[i].Seq)
+				}
+			}
+			if n := a.buffers.Load(); n > int64(workers) {
+				t.Errorf("GOMAXPROCS=%d: %d decode workers read the log into %d payload buffers", procs, workers, n)
+			}
+		})
+	}
+}
+
 // BenchmarkOpenReplay197 is the restart a crash leaves the daemon: Open on
 // a state directory holding the ALL-197 fleet's snapshot and a journal of
 // eight windows and the advance the sixth led to, then Kill, which leaves
-// the directory as it was. Run at -cpu 1,2 (make bench-hot): one decoder a
-// step ahead of apply, and the pool. windows-replayed is there so a run
-// that replayed nothing cannot pass for a fast one; allocs/op at -cpu 1 is
-// pinned in BENCH_counts.json (make bench-counts), so decoding ahead
-// cannot pay for wall time with garbage per record unnoticed.
+// the directory as it was. Run at -cpu 1,2 (make bench-hot): the apply
+// loop reading and decoding each record itself, and the pool.
+// windows-replayed is there so a run that replayed nothing cannot pass for
+// a fast one; allocs/op and B/op at -cpu 1 are pinned in BENCH_counts.json
+// (make bench-counts), so decoding ahead cannot pay for wall time with
+// garbage per record, nor the log be read whole, unnoticed.
 func BenchmarkOpenReplay197(b *testing.B) {
 	dir := b.TempDir()
 	quiet := func(string, ...any) {}

@@ -232,27 +232,26 @@ func Open(cfg Config) (*Server, error) {
 
 	if cfg.StateDir != "" {
 		readStart := time.Now()
-		l, rec, err := journal.Open(cfg.StateDir, cfg.Journal)
+		rd, err := journal.OpenReader(cfg.StateDir, cfg.Journal)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		journalRead := time.Since(readStart)
-		s.jl = l
 		s.recovering.Store(true)
-		stats, err := s.replay(rec)
+		stats, err := s.replay(rd)
 		s.recovering.Store(false)
 		if err != nil {
-			l.Close() //kairoslint:allow errflow: already failing with the replay error; a close error would mask it
+			rd.Close() //kairoslint:allow errflow: already failing with the replay error; a close error would mask it
 			cancel()
 			return nil, fmt.Errorf("server: recovering from %s: %w", cfg.StateDir, err)
 		}
 		stats.JournalRead = journalRead
 		s.recovery = stats
 		if stats.Fleets > 0 || stats.Windows > 0 || stats.TornTail {
-			s.logf("recovered %d fleets from %s: %d windows, %d advances, %d rearms replayed (torn tail: %v) in %v; %d-byte snapshot decoded in %v; journal read in %v, %d records decoded in %v across the decode workers",
+			s.logf("recovered %d fleets from %s: %d windows, %d advances, %d rearms replayed (torn tail: %v) in %v; snapshot file read in %v, %d-byte snapshot decoded in %v; %d records read and decoded in %v across the decode workers",
 				stats.Fleets, cfg.StateDir, stats.Windows, stats.Advances, stats.Rearms, stats.TornTail, stats.Elapsed,
-				stats.SnapshotBytes, stats.SnapshotDecode, stats.JournalRead, len(rec.Records), stats.RecordsDecode)
+				stats.JournalRead, stats.SnapshotBytes, stats.SnapshotDecode, stats.Records, stats.RecordsDecode)
 		}
 	}
 	return s, nil

@@ -161,11 +161,10 @@ func GaugeWorkingSet(in *dbms.Instance, gens []*workload.Generator, cfg GaugeCon
 	return monitor.Gauge(in, gens, cfg)
 }
 
-// Plan is a consolidation solution together with its per-machine loads.
+// Plan is a consolidation solution — with its per-machine loads, Loads —
+// together with the names of its workloads.
 type Plan struct {
 	*Solution
-	// Loads reports every used machine's peak resources and balance.
-	Loads []core.ServerLoad
 	// Names maps unit index to workload name.
 	Names []string
 
@@ -183,12 +182,8 @@ func (p *Plan) Incumbent() *Incumbent {
 	return p.incumbent
 }
 
-// newPlan decorates a solution with per-machine loads and display names.
-func newPlan(p *Problem, sol *Solution) (*Plan, error) {
-	ev, err := core.NewEvaluator(p)
-	if err != nil {
-		return nil, err
-	}
+// newPlan decorates a solution with display names.
+func newPlan(p *Problem, sol *Solution) *Plan {
 	names := make([]string, len(sol.Units))
 	for i, u := range sol.Units {
 		names[i] = p.Workloads[u.Workload].Name
@@ -198,10 +193,9 @@ func newPlan(p *Problem, sol *Solution) (*Plan, error) {
 	}
 	return &Plan{
 		Solution:  sol,
-		Loads:     ev.Report(sol.Assign, sol.K),
 		Names:     names,
 		incumbent: core.IncumbentFromSolution(p, sol),
-	}, nil
+	}
 }
 
 // String renders the plan as a human-readable placement table.
