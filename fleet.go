@@ -323,19 +323,16 @@ func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
 	return trig, nil
 }
 
-// solve is the solve step: forecast the retained windows, price the
-// incumbent on the forecast, re-solve warm from it. It reads what it is
-// handed and the immutable spec, and mutates nothing.
+// solve is the solve step: forecast the retained windows, re-solve warm
+// from the incumbent on the forecast, which also prices the incumbent
+// there. It reads what it is handed and the immutable spec, and mutates
+// nothing.
 func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, history [][]Workload, inc *Incumbent) (*ReconsolidationEvent, error) {
 	forecast, err := forecastWorkloads(history)
 	if err != nil {
 		return nil, fmt.Errorf("kairos: building forecast series: %w", err)
 	}
 	p := &Problem{Workloads: forecast, Machines: f.spec.Machines, Disk: f.spec.Disk}
-	staleObj, staleFeas, _, err := core.PriceIncumbent(p, inc)
-	if err != nil {
-		return nil, &ResolveError{Err: err}
-	}
 	// Validate the forecast as a detector baseline before solving: once a
 	// durable caller has journaled the event, committing it must not fail.
 	samples, err := driftSamples(forecast)
@@ -351,9 +348,9 @@ func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, history [][]Workl
 		Window:         trig.Window,
 		Trigger:        trig,
 		Plan:           plan,
-		StaleObjective: staleObj,
-		StaleFeasible:  staleFeas,
-		ObjectiveDelta: staleObj - plan.Objective,
+		StaleObjective: sol.SeedObjective,
+		StaleFeasible:  sol.SeedFeasible,
+		ObjectiveDelta: sol.SeedObjective - plan.Objective,
 		forecast:       forecast,
 		samples:        samples,
 	}, nil

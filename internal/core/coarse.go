@@ -26,7 +26,7 @@ import (
 //
 // Soundness is bit-level and needs no error envelope. At a sampled step the
 // screen evaluates the very expression the exact fill computes there
-// (fill: sum + k·unit; fillExchange: sum − ko·out + ki·in; the disk model's
+// (fill: sum ± k·unit; fillExchange: sum − ko·out + ki·in; the disk model's
 // PredictWriteMBps of the candidate's working set and rate), so each sampled
 // value is one of the values the exact peak scan maximizes over, and a
 // maximum over a subset cannot exceed the maximum over all of them — whatever
@@ -34,7 +34,14 @@ import (
 // one peaks → (violation, load) sequence the exact pricers run, which is
 // monotone in every peak operation by operation; the saturation envelope's
 // per-step addends, all non-negative, are bounded by zero. A stale sample
-// would still be sound, only looser: rematerialize rebuilds it with the sums.
+// would still be sound, only looser: refresh rebuilds it with the sums. A
+// move's source is bounded the same way (boundRemove).
+//
+// A check reads math.Exp only in a narrow band: it is evaluated at both ends
+// of a bracket lo ≤ math.Exp(norm) ≤ hi (sideBound), and every operation
+// after exp rises with it, so only a delta within the bracket's width of the
+// best so far needs the exact value, and pruned candidates are still exactly
+// those exact pricing rejects.
 
 // sampleSegs is the number of equal segments of the horizon whose CPU and RAM
 // peak steps a machine's sample keeps. Counted on the cold ALL-197
@@ -143,13 +150,13 @@ func (ls *LoadState) sampleOf(j int) []int32 {
 	return ls.sample[j*sampleStride : j*sampleStride+ls.nSample]
 }
 
-// boundAdd raises pk to the aggregate machine j would carry at each of the
-// given steps with unit u appended — fill's expression there.
+// boundFill raises pk to the aggregate machine j would carry at each of the
+// given steps with unit u added (sign +1) or taken away (−1), as fill does.
 //
 //kairos:hotpath
-func (ls *LoadState) boundAdd(pk *peaks, steps []int32, u, j int) {
+func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64) {
 	ev := ls.ev
-	k := ev.scale[u]
+	k := sign * ev.scale[u]
 	cj, rj := ls.cpu[j], ls.ram[j]
 	cu, ru := ev.cpu[u], ev.ram[u]
 	for _, t := range steps {
@@ -225,6 +232,98 @@ func (ls *LoadState) bound(sc *sideScreen, j int) float64 {
 	return contribWith(norm, viol, sc.pairs)
 }
 
+// bracket sets and returns b: bound's pieces, as the sweeps' checks read them.
+//
+//kairos:hotpath
+func (ls *LoadState) bracket(b *sideBound, sc *sideScreen, j int) *sideBound {
+	viol, norm := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil)
+	b.set(norm, viol, sc.pairs)
+	return b
+}
+
+// sideBound is a side's contribution contribWith(norm, viol, pairs), read
+// through the bracket lo ≤ it ≤ upper() until value() reads it; an exact
+// side holds it in lo.
+type sideBound struct {
+	norm, viol float64
+	pairs      int
+	lo         float64
+	exact      bool
+}
+
+// set brackets contribWith(norm, viol, pairs) from below by the tangent at
+// the grid point under norm, or takes its value off the grid's [0, 1].
+//
+//kairos:hotpath
+func (b *sideBound) set(norm, viol float64, pairs int) {
+	*b = sideBound{norm: norm, viol: viol, pairs: pairs}
+	if !(norm >= 0 && norm <= 1) {
+		b.value()
+		return
+	}
+	i := int(norm * expGrid)
+	d := norm - float64(i)/expGrid
+	b.lo = contribFrom((expE[i]+expE[i]*d)*(1-0x1p-50), viol, pairs)
+}
+
+// upper returns the bracket's upper end, from the chord over norm's cell.
+//
+//kairos:hotpath
+func (b *sideBound) upper() float64 {
+	if b.exact {
+		return b.lo
+	}
+	i := int(b.norm * expGrid)
+	d := b.norm - float64(i)/expGrid
+	return contribFrom((expE[i]+expS[i]*d)*(1+0x1p-50), b.viol, b.pairs)
+}
+
+// value returns the contribution itself, through math.Exp.
+//
+//kairos:hotpath
+func (b *sideBound) value() float64 {
+	if !b.exact {
+		b.lo, b.exact = contribWith(b.norm, b.viol, b.pairs), true
+	}
+	return b.lo
+}
+
+// prunes decides the screen check (cu + cv) − base + migU + migV ≥
+// bestDelta — sweepSwaps' delta, and bestMove's with cu the source's price
+// and migV = 0, which changes no comparison — at the brackets' lower ends,
+// then their upper ends, and only when those disagree on the contributions
+// themselves: bit for bit the check's answer on the contributions.
+//
+//kairos:hotpath
+func prunes(bu, bv *sideBound, base, migU, migV, bestDelta float64) bool {
+	if (bu.lo+bv.lo)-base+migU+migV >= bestDelta {
+		return true
+	}
+	if !((bu.upper()+bv.upper())-base+migU+migV >= bestDelta) {
+		return false
+	}
+	return (bu.value()+bv.value())-base+migU+migV >= bestDelta
+}
+
+// expGrid is the number of cells of sideBound's grid aᵢ = i/expGrid on
+// [0, 1], a normalized load's range; expE[i] is math.Exp(aᵢ) and expS[i] the
+// chord's slope to aᵢ₊₁. The tangent at aᵢ lies under the convex exp on the
+// cell, the chord above it, and d = x − aᵢ is exact; a relative 2⁻⁵⁰
+// margin, four to eight ulps, covers their rounding and math.Exp's own.
+const expGrid = 1024
+
+var expE, expS = expTables()
+
+func expTables() (e, s [expGrid + 1]float64) {
+	for i := range e {
+		e[i] = math.Exp(float64(i) / expGrid)
+	}
+	for i := 0; i < expGrid; i++ {
+		s[i] = (e[i+1] - e[i]) * expGrid
+	}
+	return e, s
+}
+
 // Screened reports whether the sweep screen is active for this state.
 func (ls *LoadState) Screened() bool { return !ls.ev.noScreen }
 
@@ -238,15 +337,30 @@ func (ls *LoadState) screenAddFirst(sc *sideScreen, u, j int) {
 	if c := ev.slaCapU[u]; c < sc.slaCap {
 		sc.slaCap = c
 	}
-	ls.boundAdd(&sc.pk, ev.unitPeak[2*u:2*u+2], u, j)
-	ls.boundAdd(&sc.pk, ls.sampleOf(j)[:sampleGlobal], u, j)
+	ls.boundFill(&sc.pk, ev.unitPeak[2*u:2*u+2], u, j, +1)
+	ls.boundFill(&sc.pk, ls.sampleOf(j)[:sampleGlobal], u, j, +1)
 }
 
 // screenAddRest is the rest stage of the move screen.
 //
 //kairos:hotpath
 func (ls *LoadState) screenAddRest(sc *sideScreen, u, j int) {
-	ls.boundAdd(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j)
+	ls.boundFill(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j, +1)
+}
+
+// boundRemove returns a lower bound on PriceRemove(u): fill's sum − k·unit
+// at u's machine's sample steps, priced with PriceRemove's cap and pairs.
+//
+//kairos:hotpath
+func (ls *LoadState) boundRemove(u int) float64 {
+	from := ls.assign[u]
+	if len(ls.members[from]) == 1 {
+		return 0
+	}
+	var pk peaks
+	ls.boundFill(&pk, ls.sampleOf(from), u, from, -1)
+	viol, norm := ls.ev.pricePeaks(from, pk.cpu, pk.ram, pk.disk, ls.capWithout(from, u), nil, nil)
+	return contribWith(norm, viol, ls.confPairs[from]-ls.conflictsOn(u, from))
 }
 
 // ScreenAdd returns the screen's lower bound on PriceAdd(u, j) over the whole

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,11 +149,11 @@ func mutateRandomly(rng *rand.Rand, ls *LoadState) {
 // peak-step sample bound: for random assignments, random candidate moves and
 // swaps and random mutations of the state (Move, Swap, deferred moves with
 // rollback, Fold), every screen value must not exceed the exact price it
-// bounds, bit for bit — each stage of ScreenAdd ≤ PriceAdd, both sides of
-// ScreenSwap ≤ PriceSwap's, screenAddViol ≤ the exact violation — whatever
-// the shape of the disk polynomial and its envelope. (That the bound also
-// prunes under each profile is TestScreenedSweepEquivalence's to check.) Runs
-// under -race in CI.
+// bounds, bit for bit — each stage of ScreenAdd ≤ PriceAdd, boundRemove ≤
+// PriceRemove, both sides of ScreenSwap ≤ PriceSwap's, screenAddViol ≤ the
+// exact violation — whatever the shape of the disk polynomial and its
+// envelope. (That the bound also prunes under each profile is
+// TestScreenedSweepEquivalence's to check.) Runs under -race in CI.
 func TestCoarseBoundSoundness(t *testing.T) {
 	for _, prof := range screenProfiles {
 		t.Run(prof.name, func(t *testing.T) {
@@ -173,6 +174,9 @@ func TestCoarseBoundSoundness(t *testing.T) {
 					full := ls.ScreenAdd(u, j)
 					if !(full <= exact) {
 						t.Fatalf("T=%d iter %d: ScreenAdd(%d,%d) = %v exceeds PriceAdd %v", T, iter, u, j, full, exact)
+					}
+					if lo, rm := ls.boundRemove(u), ls.PriceRemove(u); !(lo <= rm) {
+						t.Fatalf("T=%d iter %d: boundRemove(%d) = %v exceeds PriceRemove %v", T, iter, u, lo, rm)
 					}
 					if ls.Assign(u) != j {
 						var sc sideScreen
@@ -553,5 +557,214 @@ func TestConflictedBinarySearch(t *testing.T) {
 	}
 	if !anyConflict {
 		t.Fatal("test problem produced no conflicts; anti-affinity not exercised")
+	}
+}
+
+// expBracket is the exp bracket the screen's checks read: sideBound's ends on
+// [0, 1], math.Exp at both ends elsewhere.
+func expBracket(x float64) (lo, hi float64) {
+	var b sideBound
+	if b.set(x, 0, 0); b.exact {
+		return b.lo, b.lo
+	}
+	return b.lo, b.upper()
+}
+
+// TestExpBracket checks lo ≤ math.Exp(x) ≤ hi for every float64 within 4096
+// ulps of each grid point, for random points in [0, 1], and at the edges:
+// 0, 1, NaN, ±Inf and negatives, which outside [0, 1] get math.Exp at both
+// ends.
+func TestExpBracket(t *testing.T) {
+	check := func(x float64) {
+		lo, hi := expBracket(x)
+		if e := math.Exp(x); !(lo <= e && e <= hi) {
+			t.Fatalf("expBracket(%v = %#x) = [%v, %v], math.Exp %v", x, math.Float64bits(x), lo, hi, e)
+		}
+	}
+	for i := 0; i <= expGrid; i++ {
+		a := float64(i) / expGrid
+		below, above := a, a
+		for n := 0; n <= 4096; n++ {
+			check(below)
+			check(above)
+			below, above = math.Nextafter(below, -1), math.Nextafter(above, 2)
+		}
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		check(rng.Float64())
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 5e-324, -5e-324, -0.5, -1e-300, 3, 710, -745, math.Inf(1), math.Inf(-1)} {
+		check(x)
+		if lo, hi := expBracket(x); (x < 0 || x > 1) && !(floats.Same(lo, math.Exp(x)) && floats.Same(hi, lo)) {
+			t.Errorf("expBracket(%v) = [%v, %v] outside [0, 1], want math.Exp at both ends", x, lo, hi)
+		}
+	}
+	if lo, hi := expBracket(math.NaN()); !math.IsNaN(lo) || !math.IsNaN(hi) {
+		t.Errorf("expBracket(NaN) = [%v, %v], want NaN", lo, hi)
+	}
+}
+
+// FuzzScreenDecision holds each of the sweeps' four screen check shapes —
+// a move stage, a swap's first side alone, both swap sides bounded, and a
+// swap side priced beside the other's bound — to the plain expression with
+// math.Exp: deciding from the bracket must give the same answer. The norm is
+// tried as given and folded into [0, 1], where the bracket is not math.Exp
+// itself.
+func FuzzScreenDecision(f *testing.F) {
+	f.Add(0.4, 0.0, 0, 1.3, 2.7, 0.0, 0.0, -1e-9)
+	f.Add(0.9, 0.0, 1, 2.1, 1e6+3.5, 0.05, -0.02, -1e-9)
+	f.Add(0.25, 1e-3, 0, 1.28, 2.5693, 0.0, 0.0, -1e-9)
+	f.Add(1.0, 0.0, 0, math.E, 2*math.E, 0.0, 0.0, 0.0)
+	f.Add(0.5, math.Inf(1), 2, -1.0, math.Inf(1), 0.0, 0.0, -1e-9)
+	f.Add(math.NaN(), 0.0, 0, 1.0, 2.0, 0.0, 0.0, -1e-9)
+	f.Fuzz(func(t *testing.T, norm, viol float64, pairs int, c, base, migU, migV, bestDelta float64) {
+		pairs %= 64
+		for _, x := range []float64{norm, norm - math.Floor(norm)} {
+			exact := contribWith(x, viol, pairs)
+			var mv, first, bu, bv, pv sideBound
+			for _, b := range []*sideBound{&mv, &first, &bu, &bv, &pv} {
+				b.set(x, viol, pairs)
+			}
+			one, from, pu := sideBound{lo: 1, exact: true}, sideBound{lo: c, exact: true}, sideBound{lo: c, exact: true}
+			for _, s := range []struct {
+				name      string
+				got, want bool
+			}{
+				{"move", prunes(&from, &mv, base, migU, 0, bestDelta), (c+exact)-base+migU >= bestDelta},
+				{"swap first side", prunes(&first, &one, base, migU, migV, bestDelta), (exact+1)-base+migU+migV >= bestDelta},
+				{"swap both sides", prunes(&bu, &bv, base, migU, migV, bestDelta), (exact+exact)-base+migU+migV >= bestDelta},
+				{"swap side priced", prunes(&pu, &pv, base, migU, migV, bestDelta), (c+exact)-base+migU+migV >= bestDelta},
+			} {
+				if s.got != s.want {
+					t.Fatalf("%s at norm %v: bracketed decision %v, with math.Exp %v", s.name, x, s.got, s.want)
+				}
+			}
+		}
+	})
+}
+
+// exactScanMove is bestMove as it ran before its checks read the exp bracket
+// and the removal bound: PriceRemove first, each check on bounds priced with
+// math.Exp. It returns the move it picks and the candidates it priced.
+func exactScanMove(ls *LoadState, u int) (bestJ, priced int) {
+	from := ls.Assign(u)
+	cFromNew, migU := ls.PriceRemove(u), 0.0
+	bestJ, bestDelta := from, -1e-9
+	for j := 0; j < ls.K(); j++ {
+		if j == from {
+			continue
+		}
+		base := ls.Contrib(from) + ls.Contrib(j)
+		var sc sideScreen
+		ls.screenAddFirst(&sc, u, j)
+		if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
+			continue
+		}
+		ls.screenAddRest(&sc, u, j)
+		if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
+			continue
+		}
+		priced++
+		if delta := (cFromNew + ls.PriceAdd(u, j)) - base + migU; delta < bestDelta {
+			bestDelta, bestJ = delta, j
+		}
+	}
+	return bestJ, priced
+}
+
+// exactSweepSwaps is sweepSwaps as it ran before its checks read the exp
+// bracket (no memo, no migration pricing). It returns the exact pricings.
+func exactSweepSwaps(ls *LoadState) (priced int) {
+	ev := ls.ev
+	migU, migV := 0.0, 0.0
+	for u := 0; u < ls.NumUnits(); u++ {
+		if ev.pin[u] >= 0 {
+			continue
+		}
+		a := ls.Assign(u)
+		bestV, bestDelta := -1, -1e-9
+		for v := u + 1; v < ls.NumUnits(); v++ {
+			b := ls.Assign(v)
+			if ev.pin[v] >= 0 || b == a {
+				continue
+			}
+			base := ls.Contrib(a) + ls.Contrib(b)
+			var su, sv sideScreen
+			ls.screenExchangeFirst(&su, a, u, v)
+			loU := ls.bound(&su, a)
+			if (loU+1)-base+migU+migV >= bestDelta {
+				continue
+			}
+			ls.screenExchangeFirst(&sv, b, v, u)
+			loV := ls.bound(&sv, b)
+			if (loU+loV)-base+migU+migV >= bestDelta {
+				continue
+			}
+			ls.screenExchangeRest(&su, a, u, v)
+			ls.screenExchangeRest(&sv, b, v, u)
+			loU, loV = ls.bound(&su, a), ls.bound(&sv, b)
+			if (loU+loV)-base+migU+migV >= bestDelta {
+				continue
+			}
+			priced++
+			nu := ls.priceExchange(a, u, v)
+			if (nu+loV)-base+migU+migV >= bestDelta {
+				continue
+			}
+			priced++
+			if delta := (nu + ls.priceExchange(b, v, u)) - base + migU + migV; delta < bestDelta {
+				bestDelta, bestV = delta, v
+			}
+		}
+		if bestV >= 0 {
+			ls.Swap(u, bestV)
+		}
+	}
+	return priced
+}
+
+// TestScreenMatchesExactScan: the sweeps decide their checks from exp
+// brackets and price a move's removal only once a candidate survives its
+// bound; the scans they replace, every check on math.Exp and the removal
+// priced first, pick the same move for every unit and the same swaps, and
+// price exactly the same candidates — under every screen profile, on random
+// states and on states a climb has converged.
+func TestScreenMatchesExactScan(t *testing.T) {
+	ctx := context.Background()
+	for _, prof := range screenProfiles {
+		t.Run(prof.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(300 + seed))
+				ev, err := NewEvaluator(screenProblem(rng, 16, 64, prof.dp))
+				if err != nil {
+					t.Fatal(err)
+				}
+				K := 6
+				random := randomAssign(rng, ev, K)
+				for _, start := range [][]int{random, ev.hillClimb(ctx, append([]int(nil), random...), K).assign} {
+					ls, ref := NewLoadState(ev, start, K), NewLoadState(ev, start, K)
+					for u := 0; u < ls.NumUnits(); u++ {
+						before := ev.stats.Priced
+						got := ev.bestMove(ls, u, nil, 0)
+						want, priced := exactScanMove(ref, u)
+						if got != want || ev.stats.Priced-before != priced {
+							t.Fatalf("seed %d unit %d: bestMove picks %d pricing %d candidates, the exact scan %d pricing %d",
+								seed, u, got, ev.stats.Priced-before, want, priced)
+						}
+					}
+					before := ev.stats.Priced
+					ev.sweepSwaps(ctx, ls, nil, nil)
+					priced := exactSweepSwaps(ref)
+					if !reflect.DeepEqual(ls.Assignment(), ref.Assignment()) || ev.stats.Priced-before != priced {
+						t.Fatalf("seed %d: the swap sweep priced %d candidates, the exact sweep %d, or their swaps differ", seed, ev.stats.Priced-before, priced)
+					}
+				}
+			}
+		})
 	}
 }

@@ -26,10 +26,12 @@ import (
 //     which can differ from a canonical re-sum by rounding in the last
 //     ulp. That estimate is only ever used to compare candidate moves
 //     inside one local-search step; it never enters the state.
-//   - Move re-materializes the two touched machines' sums canonically
-//     from their member lists, so rounding drift never accumulates and
-//     Contrib always equals ServerContrib on the same member list, bit
-//     for bit. Final solutions are still priced through Evaluator.Eval.
+//   - Move re-materializes the source's sums canonically from its member
+//     list and adds the unit's demand to the destination's canonical sums
+//     — the next step of accumulate2's fold, as the unit goes last — so
+//     rounding drift never accumulates and Contrib always equals
+//     ServerContrib on the same member list, bit for bit. Final solutions
+//     are still priced through Evaluator.Eval.
 //
 // The pricing methods (PriceAdd, PriceRemove, CanPlace) allocate nothing;
 // loadstate_test.go asserts this with testing.AllocsPerRun. A LoadState is
@@ -168,14 +170,18 @@ func (ls *LoadState) touch(a, b int) {
 }
 
 // rematerialize recomputes machine j's canonical sums, peak-step sample and
-// cached state from its member list. Called on the (at most two) machines an
-// accepted move touches, so drift from subtractive pricing never enters the
-// state. The contribution is evalSums' on the canonical sums, with the peak
-// scans replaced by the ones that also record where the peaks fall.
+// cached state from its member list, so drift from subtractive pricing
+// never enters the state.
 func (ls *LoadState) rematerialize(j int) {
+	ls.ev.accumulateInto(ls.members[j], ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
+	ls.refresh(j)
+}
+
+// refresh recomputes machine j's sample and cached state from its canonical
+// sums: evalSums' contribution, with peak scans that record the peak steps.
+func (ls *LoadState) refresh(j int) {
 	ev := ls.ev
 	members := ls.members[j]
-	ev.accumulateInto(members, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
 	cpuPeak, ramPeak := ls.resample(j)
 	var diskPeak float64
 	var wsSum, rateSum []float64
@@ -209,7 +215,14 @@ func (ls *LoadState) rematerialize(j int) {
 //
 //kairos:hotpath
 func contribWith(norm, viol float64, pairs int) float64 {
-	c := math.Exp(norm) + penaltyWeight*viol
+	return contribFrom(math.Exp(norm), viol, pairs)
+}
+
+// contribFrom is contribWith with e = exp(norm); it rises with e.
+//
+//kairos:hotpath
+func contribFrom(e, viol float64, pairs int) float64 {
+	c := e + penaltyWeight*viol
 	for i := 0; i < pairs; i++ {
 		c += penaltyWeight
 	}
@@ -451,10 +464,10 @@ func (ls *LoadState) Swap(u, v int) {
 	ls.rematerialize(b)
 }
 
-// Move reassigns unit u to machine `to` and re-materializes the two
-// touched machines' canonical sums and contributions. Member order is
-// preserved on the source (u is excised in place) and u is appended on
-// the destination, matching the canonical pricers' ordering.
+// Move reassigns unit u to machine `to` and updates the two touched
+// machines' canonical sums and contributions. Member order is preserved on
+// the source (u is excised in place) and u is appended on the destination,
+// matching the canonical pricers' ordering.
 func (ls *LoadState) Move(u, to int) {
 	ls.move(u, to, true, true)
 }
@@ -464,7 +477,7 @@ func (ls *LoadState) Move(u, to int) {
 // source mid-trial, so it defers the source rebuild (and, on rollback,
 // the destination's) instead of paying O(members·T) per step. A deferred
 // side MUST be re-materialized (or retired via Fold) before it is priced
-// again.
+// again or gains a unit.
 func (ls *LoadState) move(u, to int, rematSource, rematDest bool) {
 	from := ls.assign[u]
 	if from == to {
@@ -485,7 +498,8 @@ func (ls *LoadState) move(u, to int, rematSource, rematDest bool) {
 		ls.rematerialize(from)
 	}
 	if rematDest {
-		ls.rematerialize(to)
+		ls.ev.addUnit(u, ls.cpu[to], ls.ram[to], ls.ws[to], ls.rate[to])
+		ls.refresh(to)
 	}
 }
 

@@ -197,6 +197,56 @@ func TestLoadStateMatchesCanonicalPricing(t *testing.T) {
 	}
 }
 
+// TestLoadStateSumsStayCanonical: after every mutator — Move, whose
+// destination adds the unit's demand to its sums instead of re-summing them,
+// Swap, reduceK's deferred trial moves with their rollback, and the trial
+// moves and Fold of a successful one — every machine's sums are
+// accumulateInto over its member list, bit for bit, with and without the
+// disk streams. Member lists run past accumulate2's four-member step.
+func TestLoadStateSumsStayCanonical(t *testing.T) {
+	for _, withDisk := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(71))
+		ev, err := NewEvaluator(randomLoadStateProblem(rng, 40, 48, withDisk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		K := 8
+		ls := NewLoadState(ev, randomAssign(rng, ev, K), K)
+		var want [4][]float64
+		for i := range want {
+			want[i] = make([]float64, ev.T)
+		}
+		moves := 0
+		for iter := 0; iter < 600; iter++ {
+			before := ls.Assignment()
+			mutateRandomly(rng, ls)
+			for u, j := range before {
+				if ls.Assign(u) != j {
+					moves++
+				}
+			}
+			for j := 0; j < ls.K(); j++ {
+				ev.accumulateInto(ls.Members(j), want[0], want[1], want[2], want[3])
+				got := [4][]float64{ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j]}
+				for s := range got {
+					if !withDisk && s >= 2 {
+						break
+					}
+					for k := 0; k < ev.T; k++ {
+						if math.Float64bits(got[s][k]) != math.Float64bits(want[s][k]) {
+							t.Fatalf("withDisk=%v iter %d: machine %d (%d members) stream %d step %d holds %v, accumulateInto %v",
+								withDisk, iter, j, ls.MemberCount(j), s, k, got[s][k], want[s][k])
+						}
+					}
+				}
+			}
+		}
+		if ls.K() == K || moves == 0 {
+			t.Fatalf("withDisk=%v: %d machines left of %d after %d unit moves: no Fold was exercised", withDisk, ls.K(), K, moves)
+		}
+	}
+}
+
 // TestLoadStateFold checks the machine-count reduction primitive: folding
 // the last label onto an emptied one preserves canonical contributions and
 // produces an assignment a fresh LoadState prices identically (modulo

@@ -313,6 +313,18 @@ func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]f
 	}
 }
 
+// addUnit adds unit u to the sums with fill's sum + k·unit, the next step of
+// accumulate2's left fold: canonical sums stay canonical with u appended.
+//
+//kairos:hotpath
+func (ev *Evaluator) addUnit(u int, cpuSum, ramSum, wsSum, rateSum []float64) {
+	k := ev.scale[u]
+	fill2(ev.T, cpuSum, ramSum, cpuSum, ramSum, ev.cpu[u], ev.ram[u], k)
+	if ev.p.Disk != nil {
+		fill2(ev.T, wsSum, rateSum, wsSum, rateSum, ev.ws[u], ev.rate[u], k)
+	}
+}
+
 // peaks2 returns the maxima of two equally long streams, each floored at
 // zero: the peak-scan half of evalSums for CPU and RAM.
 //
@@ -617,6 +629,13 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 //kairos:hotpath
 func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 	ev.Fevals++
+	return ev.eval(assign, K)
+}
+
+// eval is Eval without adding to Fevals.
+//
+//kairos:hotpath
+func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 	members, sets := ev.evalScratch(K) //kairoslint:allow hotcall: allocates only on first growth; steady state is alloc-free and AllocsPerRun-asserted
 	rt := ev.reuse
 	W := rt.words

@@ -272,6 +272,10 @@ type Solution struct {
 	// MigrationCost is the total migration penalty charged by the warm
 	// re-solve's objective (0 when MigrationWeight is 0 or for cold solves).
 	MigrationCost float64
+	// SeedObjective and SeedFeasible are Resolve's pricing of its warm seed,
+	// PriceIncumbent's bit for bit and not counted in Fevals.
+	SeedObjective float64
+	SeedFeasible  bool
 }
 
 // SolveStats itemizes a solve's work and the repetition it avoided, as plain
@@ -304,6 +308,25 @@ type SolveStats struct {
 	// GreedyPack is the time spent on the greedy packing that bounds K and
 	// seeds the climbs.
 	GreedyPack time.Duration
+	// MoveSweepTime and SwapSweepTime are the wall time the climbs spent in
+	// move sweeps and in swap sweeps.
+	MoveSweepTime, SwapSweepTime time.Duration
+	// Candidates lists Resolve's candidate climbs in seed order; Solve and
+	// SolveSharded leave it empty.
+	Candidates []CandidateStats
+}
+
+// CandidateStats is one of Resolve's candidate climbs: its seed ("warm",
+// "greedy" or "round-robin"), evaluations and time, the plan it reached —
+// feasibility and Resolve's metric, objective plus migration cost — and
+// whether Resolve chose it.
+type CandidateStats struct {
+	Seed     string
+	Fevals   int
+	Elapsed  time.Duration
+	Feasible bool
+	Combined float64
+	Chosen   bool
 }
 
 // ProbeStats is one run of the solver at a fixed machine count: its verdict,
@@ -319,8 +342,8 @@ type ProbeStats struct {
 	Resumed  int
 }
 
-// add folds another evaluator's counters into s; probes are logged by the
-// search that consumes them, not here.
+// add folds another evaluator's counters into s; probes and candidates are
+// logged by the search that consumes them, not here.
 func (s *SolveStats) add(o SolveStats) {
 	s.Climbs += o.Climbs
 	s.ClimbsReused += o.ClimbsReused
@@ -331,6 +354,8 @@ func (s *SolveStats) add(o SolveStats) {
 	s.EvalPriced += o.EvalPriced
 	s.EvalReused += o.EvalReused
 	s.GreedyPack += o.GreedyPack
+	s.MoveSweepTime += o.MoveSweepTime
+	s.SwapSweepTime += o.SwapSweepTime
 }
 
 // SkippedFrac returns the share of sweep candidates that were skipped.

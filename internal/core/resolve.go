@@ -369,7 +369,8 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []i
 // It answers "how good is the current plan on this (drifted or forecast)
 // fleet?" — the before side of a re-consolidation decision — at the cost
 // of one evaluation instead of a solve. The returned K is the incumbent's
-// machine count clamped the same way Resolve clamps it.
+// machine count clamped the same way Resolve clamps it. Resolve reports the
+// same price as Solution.SeedObjective and SeedFeasible.
 func PriceIncumbent(p *Problem, inc *Incumbent) (obj float64, feasible bool, K int, err error) {
 	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
 		return 0, false, 0, fmt.Errorf("core: PriceIncumbent needs a non-empty incumbent plan")
@@ -419,14 +420,15 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 // SolveOptions.MigrationWeight/MaxMigrations, and polishes with the same
 // move+swap local search Solve uses — no DIRECT run, no binary search over
 // K. When no migration cap is set, the cold seeds (greedy packing and
-// round-robin) also enter as candidates, so a warm re-solve can never
-// return a worse combined plan (objective plus migration cost) than the
-// cold local-search path at the same machine count; with a positive
-// migration weight those candidates pay for every unit they displace, and
-// the incumbent-seeded plan wins unless re-packing truly earns its churn.
-// On a mildly drifted fleet this matches the cold solve's plan quality
-// with far fewer objective evaluations, migrating only the units that pay
-// for their move.
+// round-robin) also enter as candidates, a safety net: at MigrationWeight
+// 0 their climbs are solveK's, so a warm re-solve never returns a worse
+// plan than the cold local-search path at the same machine count. With
+// migration pricing they are climbed under it too, so the combined plan
+// (objective plus migration cost) beats those climbs, not the cold path's
+// plan, and the incumbent-seeded plan wins unless re-packing truly earns
+// its churn. On a mildly drifted fleet this matches the cold solve's plan
+// quality with far fewer objective evaluations, migrating only the units
+// that pay for their move.
 //
 // The machine count starts at the incumbent's K (clamped to the available
 // machines), grows one machine at a time while the plan is infeasible, and
@@ -458,12 +460,13 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	K := ev.clampIncumbentK(p, inc.K)
 
 	seed, home := ev.warmSeed(p, inc, K)
+	seedObj, seedFeas := ev.eval(seed, K)
 	mig := ev.newMigration(home, opt)
 	const rounds = 100
 
 	type cand struct {
 		climbed
-		combined float64 // objective + migration cost, the selection metric
+		stats CandidateStats
 	}
 	// The warm seed, then — unless a migration cap rules them out, as they
 	// start fully migrated — solveK's two cold seeds as a safety net, each
@@ -478,6 +481,7 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	evs := ev.fork(len(order))
 	cpu.Do(len(order), func(w, item int) {
 		i, ce, m := order[item], evs[w], *mig
+		t0, f0 := time.Now(), ce.Fevals
 		from := seed
 		if i > 0 {
 			from = ce.coldSeed(i-1, K)
@@ -486,15 +490,22 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 			m.syncAway(from)
 			c := ce.hillClimbMig(ctx, from, K, rounds, &m)
 			_, cost := m.tally(c.assign)
-			cands[i] = &cand{c, c.obj + cost}
+			cands[i] = &cand{c, CandidateStats{Seed: [...]string{"warm", "greedy", "round-robin"}[i],
+				Fevals: ce.Fevals - f0, Elapsed: time.Since(t0), Feasible: c.feas, Combined: c.obj + cost}}
 		}
 	})
 	ev.join(evs)
 	// The choice is folded in seed order.
 	var best *cand
 	for _, c := range cands {
-		if c != nil && (best == nil || (c.feas && !best.feas) || (c.feas == best.feas && c.combined < best.combined)) {
+		if c != nil && (best == nil || (c.feas && !best.feas) || (c.feas == best.feas && c.stats.Combined < best.stats.Combined)) {
 			best = c
+		}
+	}
+	best.stats.Chosen = true
+	for _, c := range cands {
+		if c != nil {
+			ev.stats.Candidates = append(ev.stats.Candidates, c.stats)
 		}
 	}
 	plan := best.climbed
@@ -523,5 +534,6 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	}
 	sol := ev.finish(plan, K, start)
 	sol.Migrated, sol.MigrationCost = mig.tally(plan.assign)
+	sol.SeedObjective, sol.SeedFeasible = seedObj, seedFeas
 	return sol, nil
 }

@@ -500,6 +500,10 @@ func TestPriceIncumbent(t *testing.T) {
 			warm.Objective, staleObj, warm.K)
 	}
 
+	if !floats.Same(warm.SeedObjective, staleObj) {
+		t.Errorf("Resolve priced its seed at %v, PriceIncumbent the incumbent at %v", warm.SeedObjective, staleObj)
+	}
+
 	if _, _, _, err := PriceIncumbent(p, nil); err == nil {
 		t.Error("nil incumbent accepted")
 	}
@@ -508,5 +512,82 @@ func TestPriceIncumbent(t *testing.T) {
 	}
 	if _, _, _, err := PriceIncumbent(&Problem{}, inc); err == nil {
 		t.Error("invalid problem accepted")
+	}
+}
+
+// TestResolveReportsSeedPrice: the seed price a Resolve reports is
+// PriceIncumbent's for the same problem and incumbent, bit for bit — on a
+// drifted fleet with and without the disk model, on one that lost a workload
+// and gained two (the seed places them), and on one overloaded past the
+// incumbent's K — and it is not counted: with no unit to place and no climb
+// after the candidates, Resolve's Fevals are its candidate climbs'.
+func TestResolveReportsSeedPrice(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	start := time.Unix(0, 0)
+	infeasible, exact := false, false
+	for _, withDisk := range []bool{false, true} {
+		p := randomLoadStateProblem(rng, 16, 24, withDisk)
+		opt := DefaultSolveOptions()
+		opt.SkipDirect = true
+		sol, err := Solve(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := IncumbentFromSolution(p, sol)
+
+		changed := *p
+		changed.Workloads = append([]Workload(nil), p.Workloads[1:]...)
+		for _, name := range []string{"new0", "new1"} {
+			w := Workload{
+				Name:     name,
+				CPU:      series.Constant(start, 5*time.Minute, 24, 0.15),
+				RAMBytes: series.Constant(start, 5*time.Minute, 24, 2e9),
+				PinTo:    -1,
+			}
+			if withDisk {
+				w.WSBytes = series.Constant(start, 5*time.Minute, 24, 1e9)
+				w.UpdateRate = series.Constant(start, 5*time.Minute, 24, 900)
+			}
+			changed.Workloads = append(changed.Workloads, w)
+		}
+		overloaded := *p
+		overloaded.Workloads = append([]Workload(nil), p.Workloads...)
+		for i := range overloaded.Workloads {
+			w := &overloaded.Workloads[i]
+			w.CPU = w.CPU.Scale(1.6).Clamp(0, 1)
+		}
+		for _, c := range []struct {
+			name string
+			q    *Problem
+		}{{"drifted", driftProblem(p, 0.05, 3)}, {"changed", &changed}, {"overloaded", &overloaded}} {
+			name, q := c.name, c.q
+			wantObj, wantFeas, _, err := PriceIncumbent(q, inc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Resolve(context.Background(), q, inc, DefaultResolveOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !floats.Same(got.SeedObjective, wantObj) || got.SeedFeasible != wantFeas {
+				t.Errorf("disk=%v %s: Resolve's seed price (%v, %v), PriceIncumbent (%v, %v)",
+					withDisk, name, got.SeedObjective, got.SeedFeasible, wantObj, wantFeas)
+			}
+			climbs := 0
+			for _, c := range got.Stats.Candidates {
+				climbs += c.Fevals
+			}
+			// Placing new units scans their moves, which count.
+			onlyClimbs := got.Stats.Climbs == len(got.Stats.Candidates) && c.name != "changed"
+			if len(got.Stats.Candidates) < 2 || got.Fevals < climbs || (onlyClimbs && got.Fevals != climbs) {
+				t.Errorf("disk=%v %s: %d fevals, %d climbs, candidate climbs %d fevals in all (%d candidates)",
+					withDisk, name, got.Fevals, got.Stats.Climbs, climbs, len(got.Stats.Candidates))
+			}
+			exact = exact || onlyClimbs
+			infeasible = infeasible || !wantFeas
+		}
+	}
+	if !infeasible || !exact {
+		t.Errorf("no case priced an infeasible seed (%v) or ran only the candidate climbs (%v)", infeasible, exact)
 	}
 }

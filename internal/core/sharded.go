@@ -355,7 +355,7 @@ func (ev *Evaluator) reduceK(assign []int, K int) ([]int, int) {
 			// fails to place. The shrinking source j is never priced
 			// mid-trial, so its re-materialization is deferred: Fold retires
 			// its state on success, the restore below rebuilds it on
-			// failure. Destinations re-materialize per move — later
+			// failure. Destinations add each unit per move — later
 			// CanPlace checks price against them.
 			units := append([]int(nil), ls.Members(j)...)
 			moved := make([]int, 0, len(units))

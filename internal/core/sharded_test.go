@@ -53,6 +53,21 @@ func samePlan(t *testing.T, a, b *core.Solution, label string) {
 	}
 }
 
+// withoutTimes returns s with every wall time zeroed: the greedy packing's,
+// the sweeps', and each probe's and candidate climb's.
+func withoutTimes(s core.SolveStats) core.SolveStats {
+	s.GreedyPack, s.MoveSweepTime, s.SwapSweepTime = 0, 0, 0
+	s.Probes = append([]core.ProbeStats(nil), s.Probes...)
+	for i := range s.Probes {
+		s.Probes[i].Elapsed = 0
+	}
+	s.Candidates = append([]core.CandidateStats(nil), s.Candidates...)
+	for i := range s.Candidates {
+		s.Candidates[i].Elapsed = 0
+	}
+	return s
+}
+
 // sameWork holds two solves to the same work counters: the probes in
 // consumption order (K, verdict, evaluations, whether the cold climbs were
 // reused) and the climb, sweep and candidate counts. Times are excluded,
@@ -60,12 +75,8 @@ func samePlan(t *testing.T, a, b *core.Solution, label string) {
 func sameWork(t *testing.T, a, b *core.Solution, label string) {
 	t.Helper()
 	strip := func(s core.SolveStats) core.SolveStats {
-		s.GreedyPack = 0
+		s = withoutTimes(s)
 		s.EvalPriced, s.EvalReused = 0, 0
-		s.Probes = append([]core.ProbeStats(nil), s.Probes...)
-		for i := range s.Probes {
-			s.Probes[i].Elapsed = 0
-		}
 		return s
 	}
 	if sa, sb := strip(a.Stats), strip(b.Stats); !reflect.DeepEqual(sa, sb) {

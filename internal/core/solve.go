@@ -483,14 +483,9 @@ type binSums struct {
 	slaCap             float64
 }
 
-// add extends the sums by unit u with fill's expression, sum + k·unit — the
-// next step of accumulate2's sequence.
+// add extends the bin by unit u (Evaluator.addUnit).
 func (bs *binSums) add(ev *Evaluator, u int) {
-	k := ev.scale[u]
-	fill2(ev.T, bs.cpu, bs.ram, bs.cpu, bs.ram, ev.cpu[u], ev.ram[u], k)
-	if ev.p.Disk != nil {
-		fill2(ev.T, bs.ws, bs.rate, bs.ws, bs.rate, ev.ws[u], ev.rate[u], k)
-	}
+	ev.addUnit(u, bs.cpu, bs.ram, bs.ws, bs.rate)
 	if c := ev.slaCapU[u]; c < bs.slaCap {
 		bs.slaCap = c
 	}
@@ -568,9 +563,9 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 // coldSeed returns cold-start assignment i of the two solveK climbs from
 // — 0 the greedy packing, nil when it does not fit K bins, 1 the
 // round-robin spread — with unplaced units parked on machine 0 and pins
-// repaired. Resolve climbs the same two as safety-net candidates, which
-// is what guarantees a warm re-solve never loses to the cold local-search
-// path at the same K.
+// repaired. Resolve climbs the same two as safety-net candidates, which at
+// MigrationWeight 0 guarantees a warm re-solve never loses to the cold
+// local-search path at the same K.
 func (ev *Evaluator) coldSeed(i, K int) []int {
 	var a []int
 	if i == 0 {
@@ -730,8 +725,14 @@ func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxR
 func (ev *Evaluator) climb(ctx context.Context, ls *LoadState, maxRounds int, mig *migration, memo *scanMemo) {
 	ev.stats.Climbs++
 	for rounds := 0; rounds < maxRounds && ctx.Err() == nil; rounds++ {
-		if !ev.sweepMoves(ctx, ls, mig, memo) {
-			if !ev.sweepSwaps(ctx, ls, mig, memo) {
+		t0 := time.Now()
+		moved := ev.sweepMoves(ctx, ls, mig, memo)
+		t1 := time.Now()
+		ev.stats.MoveSweepTime += t1.Sub(t0)
+		if !moved {
+			swapped := ev.sweepSwaps(ctx, ls, mig, memo)
+			ev.stats.SwapSweepTime += time.Since(t1)
+			if !swapped {
 				break
 			}
 		}
@@ -774,7 +775,7 @@ func newScanMemo(ls *LoadState, mig *migration) *scanMemo {
 func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64) int {
 	from := ls.Assign(u)
 	rescan := ls.changed[from] > since
-	cFromNew, removed := 0.0, false
+	cFromNew, removed, exact := 0.0, false, false
 	bestJ := from
 	bestDelta := -1e-9 // strict improvement required
 	screen := ls.Screened()
@@ -791,8 +792,13 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 		}
 		if !removed {
 			// Priced on first use: a unit none of whose machines changed
-			// never needs it.
-			cFromNew, removed = ls.PriceRemove(u), true
+			// never needs it. The screen bounds it first (boundRemove).
+			removed = true
+			if screen {
+				cFromNew = ls.boundRemove(u)
+			} else {
+				cFromNew, exact = ls.PriceRemove(u), true
+			}
 		}
 		// Fevals counts candidates considered, screened or exactly priced,
 		// so its semantics (and every warm-vs-cold comparison built on it)
@@ -804,19 +810,27 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 			// Coarse-to-fine, cheapest first: the lower bound on the
 			// destination's new contribution from its overall peak steps and
 			// the unit's own, then from its whole sample, prunes candidates
-			// that provably cannot beat the best delta so far. Each bound
-			// delta mirrors the exact delta expression with a lower bound on
-			// PriceAdd substituted, so pruned candidates are exactly ones the
-			// exact pricing would have rejected — the chosen move is
-			// bit-identical.
+			// that provably cannot beat the best delta so far. Each check is
+			// the exact delta expression with lower bounds on PriceAdd and
+			// PriceRemove substituted (the rest stage's, above the first's,
+			// runs again on the exact removal), so pruned candidates are
+			// exactly ones the exact pricing would have rejected.
 			var sc sideScreen
+			var b sideBound
+			rm := sideBound{lo: cFromNew, exact: true}
 			ls.screenAddFirst(&sc, u, j)
-			if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
+			if prunes(&rm, ls.bracket(&b, &sc, j), base, migU, 0, bestDelta) {
 				continue
 			}
 			ls.screenAddRest(&sc, u, j)
-			if (cFromNew+ls.bound(&sc, j))-base+migU >= bestDelta {
+			if prunes(&rm, ls.bracket(&b, &sc, j), base, migU, 0, bestDelta) {
 				continue
+			}
+			if !exact {
+				cFromNew, exact = ls.PriceRemove(u), true
+				if rm.lo = cFromNew; prunes(&rm, &b, base, migU, 0, bestDelta) {
+					continue
+				}
 			}
 		}
 		ev.stats.Priced++
@@ -918,25 +932,25 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 				// both sides over their whole samples. Then u's side priced
 				// exactly beside v's bound, and only then v's side.
 				var su, sv sideScreen
+				var bu, bv sideBound
+				one := sideBound{lo: 1, exact: true}
 				ls.screenExchangeFirst(&su, a, u, v)
-				loU := ls.bound(&su, a)
-				if (loU+1)-base+migU+migV >= bestDelta {
+				if prunes(ls.bracket(&bu, &su, a), &one, base, migU, migV, bestDelta) {
 					continue
 				}
 				ls.screenExchangeFirst(&sv, b, v, u)
-				loV := ls.bound(&sv, b)
-				if (loU+loV)-base+migU+migV >= bestDelta {
+				if prunes(&bu, ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
 					continue
 				}
 				ls.screenExchangeRest(&su, a, u, v)
 				ls.screenExchangeRest(&sv, b, v, u)
-				loU, loV = ls.bound(&su, a), ls.bound(&sv, b)
-				if (loU+loV)-base+migU+migV >= bestDelta {
+				if prunes(ls.bracket(&bu, &su, a), ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
 					continue
 				}
 				ev.stats.Priced++
 				nu = ls.priceExchange(a, u, v)
-				if (nu+loV)-base+migU+migV >= bestDelta {
+				pu := sideBound{lo: nu, exact: true}
+				if prunes(&pu, &bv, base, migU, migV, bestDelta) {
 					continue
 				}
 				ev.stats.Priced++

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kairos/internal/core"
 	"kairos/internal/fleet"
 	"kairos/internal/floats"
 	"kairos/internal/predict"
@@ -159,6 +160,7 @@ func TestWatchTriggersOnlyOnDrift(t *testing.T) {
 		t.Errorf("ObjectiveDelta = %v, want stale-new = %v",
 			ev.ObjectiveDelta, ev.StaleObjective-ev.Plan.Objective)
 	}
+	checkStalePrice(t, ev, machines, inc)
 	// The re-solve's plan becomes the incumbent for the next trigger.
 	if ar.Incumbent() != ev.Plan.Incumbent() {
 		t.Error("incumbent not advanced to the re-solved plan")
@@ -319,5 +321,19 @@ func TestWatchDriftedFleet197(t *testing.T) {
 	// to beat; sanity-check the delta is reported coherently.
 	if !floats.Same(ev.ObjectiveDelta, ev.StaleObjective-ev.Plan.Objective) {
 		t.Errorf("delta %v != stale %v - new %v", ev.ObjectiveDelta, ev.StaleObjective, ev.Plan.Objective)
+	}
+	checkStalePrice(t, ev, machines, inc)
+}
+
+// checkStalePrice holds an event's stale price — which the re-solve reports —
+// to PriceIncumbent's pricing of the incumbent on the event's forecast.
+func checkStalePrice(t *testing.T, ev *ReconsolidationEvent, machines []Machine, inc *Incumbent) {
+	t.Helper()
+	obj, feas, _, err := core.PriceIncumbent(&Problem{Workloads: ev.forecast, Machines: machines}, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !floats.Same(ev.StaleObjective, obj) || ev.StaleFeasible != feas {
+		t.Errorf("stale price (%v, %v), PriceIncumbent (%v, %v)", ev.StaleObjective, ev.StaleFeasible, obj, feas)
 	}
 }
