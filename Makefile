@@ -254,9 +254,9 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # Lint: vet, formatting, and the repo's own analyzer suite (kairoslint,
-# ten analyzers: per-package hotalloc/lockguard/floatdet/wirejson/errflow
-# plus the whole-program call-graph checks ctxflow/hotcall/lockorder/
-# leakcheck/atomicmix; see CONTRIBUTING.md). Runs from the module root; kairoslint walks the same
+# seven analyzers: per-package lockguard/floatdet/wirejson/errflow plus
+# the whole-program call-graph checks ctxflow/lockorder/leakcheck; see
+# CONTRIBUTING.md). Runs from the module root; kairoslint walks the same
 # package graph as the build via `go list`, loading packages in parallel.
 # The 30s budget matches CI: if load+analysis blow past it the run exits 3,
 # keeping analyzer regressions from hiding inside a slow lint step.

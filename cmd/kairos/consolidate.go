@@ -74,7 +74,7 @@ func cmdConsolidate(args []string) error {
 		ropt.MaxMigrations = *maxMig
 		opts = append(opts, kairos.WithIncumbent(inc), kairos.WithResolveOptions(ropt))
 	case *shards > 0:
-		opts = append(opts, kairos.WithSharding(kairos.ShardOptions{Shards: *shards, Options: opt}))
+		opts = append(opts, kairos.WithShards(*shards))
 	}
 	session, err := kairos.NewFleet(fspec, opts...)
 	if err != nil {

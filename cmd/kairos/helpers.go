@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,11 +73,7 @@ func saveIncumbent(path string, inc *kairos.Incumbent) error {
 	if err != nil {
 		return err
 	}
-	if err := inc.Save(f); err != nil {
-		f.Close() //kairoslint:allow errflow: already failing with the save error; a close error would mask it
-		return err
-	}
-	return f.Close()
+	return errors.Join(inc.Save(f), f.Close())
 }
 
 // targetMachines builds n copies of the standard 12-core/96GB target.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,13 +32,9 @@ func cmdProfileDisk(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := dp.Save(f); err != nil {
-		f.Close() //kairoslint:allow errflow: already failing with the save error; a close error would mask it
-		return err
-	}
 	// An unchecked Close on a written file can silently drop the profile:
-	// the kernel reports deferred write errors here.
-	if err := f.Close(); err != nil {
+	// the kernel reports deferred write errors there.
+	if err := errors.Join(dp.Save(f), f.Close()); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d points, saturation envelope=%v)\n", *out, len(dp.Points), dp.HasEnvelope)

@@ -1,8 +1,8 @@
 // Command kairoslint is the repo's static-analysis multichecker: it runs
 // the internal/lint analyzer suite — the per-package checks (errflow,
-// floatdet, hotalloc, lockguard, wirejson) and the call-graph-backed
-// whole-program checks (atomicmix, ctxflow, hotcall, leakcheck,
-// lockorder) — over the named package patterns and
+// floatdet, lockguard, wirejson) and the call-graph-backed whole-program
+// checks (ctxflow, leakcheck, lockorder) — over the named package
+// patterns and
 // exits non-zero on any finding. Run it from the module root:
 //
 //	go run ./cmd/kairoslint ./...

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,13 +44,9 @@ func writeCSV(dir string, f fleet.Fleet) error {
 	if err != nil {
 		return err
 	}
-	if err := f.WriteCSV(out); err != nil {
-		out.Close() //kairoslint:allow errflow: already failing with the write error; a close error would mask it
-		return err
-	}
 	// Close reports deferred write errors on a written file; dropping it
 	// could silently truncate the trace.
-	if err := out.Close(); err != nil {
+	if err := errors.Join(f.WriteCSV(out), out.Close()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d servers x %d samples)\n",
@@ -73,11 +70,8 @@ func writeRRD(dir string, f fleet.Fleet) error {
 		if err != nil {
 			return err
 		}
-		if _, err := db.WriteTo(out); err != nil {
-			out.Close() //kairoslint:allow errflow: already failing with the write error; a close error would mask it
-			return err
-		}
-		if err := out.Close(); err != nil {
+		_, werr := db.WriteTo(out)
+		if err := errors.Join(werr, out.Close()); err != nil {
 			return err
 		}
 	}

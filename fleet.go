@@ -47,12 +47,10 @@ type fleetConfig struct {
 	solve   SolveOptions
 	resolve SolveOptions
 	drift   DriftConfig
-	// sharded selects SolveSharded for cold solves; shardOpt carries the
-	// full shard knobs when WithSharding was used, otherwise shards (from
-	// WithShards) plus the session's solve options apply.
-	sharded  bool
-	shards   int
-	shardOpt *ShardOptions
+	// sharded selects SolveSharded for cold solves, with shards (from
+	// WithShards) and the session's solve options.
+	sharded bool
+	shards  int
 	// inc seeds the session with an existing plan (WithIncumbent): Observe
 	// works immediately and Consolidate re-solves warm instead of cold.
 	inc *Incumbent
@@ -88,12 +86,6 @@ func WithDrift(cfg DriftConfig) FleetOption {
 // solve options.
 func WithShards(n int) FleetOption {
 	return func(c *fleetConfig) { c.sharded, c.shards = true, n }
-}
-
-// WithSharding is WithShards with full control over the shard engine
-// (per-shard workload caps, rebalance rounds, per-shard solver budgets).
-func WithSharding(opt ShardOptions) FleetOption {
-	return func(c *fleetConfig) { c.sharded, c.shardOpt = true, &opt }
 }
 
 // WithIncumbent seeds the session with a previously saved plan: Observe
@@ -205,22 +197,20 @@ func (f *Fleet) adoptLocked(plan *Plan) {
 }
 
 // solveSpec solves the spec workloads: warm from inc when there is one,
-// else cold (sharded if the session was built WithShards/WithSharding).
+// else cold (sharded if the session was built WithShards).
 func (f *Fleet) solveSpec(ctx context.Context, p *Problem, inc *Incumbent) (*Solution, error) {
 	switch {
 	case inc != nil:
 		return core.Resolve(ctx, p, inc, f.cfg.resolve)
-	case f.cfg.shardOpt != nil:
-		return core.SolveSharded(ctx, p, *f.cfg.shardOpt)
 	case f.cfg.sharded:
-		return core.SolveSharded(ctx, p, ShardOptions{Shards: f.cfg.shards, Options: f.cfg.solve})
+		return core.SolveSharded(ctx, p, core.ShardOptions{Shards: f.cfg.shards, Options: f.cfg.solve})
 	default:
 		return core.Solve(ctx, p, f.cfg.solve)
 	}
 }
 
 // Consolidate computes the session's plan from the spec workloads: a cold
-// solve (sharded if the session was built WithShards/WithSharding) when
+// solve (sharded if the session was built WithShards) when
 // the session has no incumbent yet, a warm re-solve with migration
 // pricing when it does (WithIncumbent, or a previous Consolidate/trigger).
 // The result becomes the incumbent that Observe watches and future

@@ -229,7 +229,7 @@ func TestFleetShardedConsolidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := core.SolveSharded(context.Background(), &Problem{Workloads: wls, Machines: machines},
-		ShardOptions{Shards: 3, Options: opt})
+		core.ShardOptions{Shards: 3, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

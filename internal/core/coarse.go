@@ -42,6 +42,11 @@ import (
 // after exp rises with it, so only a delta within the bracket's width of the
 // best so far needs the exact value, and pruned candidates are still exactly
 // those exact pricing rejects.
+//
+// The screen allocates nothing. TestCoarseBoundAllocs pins ScreenAdd,
+// screenAddViol and ScreenSwap at zero allocations with the screen on and
+// off, and TestSweepsAllocationFree pins the staged checks, the bracket and
+// boundRemove as the sweeps run them. Both skip under -race.
 
 // sampleSegs is the number of equal segments of the horizon whose CPU and RAM
 // peak steps a machine's sample keeps. Counted on the cold ALL-197
@@ -90,8 +95,6 @@ func unitPeakSteps(cpu, ram [][]float64) []int32 {
 // resample rebuilds machine j's CPU and RAM sample steps from its canonical
 // sums and returns the two peaks, floored at zero — what peaks2 returns for
 // the same sums. Ties go to the earliest step.
-//
-//kairos:hotpath
 func (ls *LoadState) resample(j int) (cpuPeak, ramPeak float64) {
 	T := ls.ev.T
 	cj, rj := ls.cpu[j][:T], ls.ram[j][:T]
@@ -144,16 +147,12 @@ func (ls *LoadState) resample(j int) (cpuPeak, ramPeak float64) {
 
 // sampleOf returns machine j's sample: the steps the problem's resources
 // read, the first sampleGlobal of them the overall CPU and RAM peaks.
-//
-//kairos:hotpath
 func (ls *LoadState) sampleOf(j int) []int32 {
 	return ls.sample[j*sampleStride : j*sampleStride+ls.nSample]
 }
 
 // boundFill raises pk to the aggregate machine j would carry at each of the
 // given steps with unit u added (sign +1) or taken away (−1), as fill does.
-//
-//kairos:hotpath
 func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64) {
 	ev := ls.ev
 	k := sign * ev.scale[u]
@@ -181,8 +180,6 @@ func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64)
 // boundExchange raises pk to the aggregate machine j would carry at each of
 // the given steps after its member `out` leaves and unit `in` arrives —
 // fillExchange's expression there.
-//
-//kairos:hotpath
 func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
 	ev := ls.ev
 	ko, ki := ev.scale[out], ev.scale[in]
@@ -225,16 +222,12 @@ type sideScreen struct {
 // bound prices the side's sampled peaks the way the exact pricers price
 // scanned ones — pricePeaks without envelope addends, then contribWith: a
 // lower bound on the exact price of the side.
-//
-//kairos:hotpath
 func (ls *LoadState) bound(sc *sideScreen, j int) float64 {
 	viol, norm := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil)
 	return contribWith(norm, viol, sc.pairs)
 }
 
 // bracket sets and returns b: bound's pieces, as the sweeps' checks read them.
-//
-//kairos:hotpath
 func (ls *LoadState) bracket(b *sideBound, sc *sideScreen, j int) *sideBound {
 	viol, norm := ls.ev.pricePeaks(j, sc.pk.cpu, sc.pk.ram, sc.pk.disk, sc.slaCap, nil, nil)
 	b.set(norm, viol, sc.pairs)
@@ -253,8 +246,6 @@ type sideBound struct {
 
 // set brackets contribWith(norm, viol, pairs) from below by the tangent at
 // the grid point under norm, or takes its value off the grid's [0, 1].
-//
-//kairos:hotpath
 func (b *sideBound) set(norm, viol float64, pairs int) {
 	*b = sideBound{norm: norm, viol: viol, pairs: pairs}
 	if !(norm >= 0 && norm <= 1) {
@@ -267,8 +258,6 @@ func (b *sideBound) set(norm, viol float64, pairs int) {
 }
 
 // upper returns the bracket's upper end, from the chord over norm's cell.
-//
-//kairos:hotpath
 func (b *sideBound) upper() float64 {
 	if b.exact {
 		return b.lo
@@ -279,8 +268,6 @@ func (b *sideBound) upper() float64 {
 }
 
 // value returns the contribution itself, through math.Exp.
-//
-//kairos:hotpath
 func (b *sideBound) value() float64 {
 	if !b.exact {
 		b.lo, b.exact = contribWith(b.norm, b.viol, b.pairs), true
@@ -293,8 +280,6 @@ func (b *sideBound) value() float64 {
 // and migV = 0, which changes no comparison — at the brackets' lower ends,
 // then their upper ends, and only when those disagree on the contributions
 // themselves: bit for bit the check's answer on the contributions.
-//
-//kairos:hotpath
 func prunes(bu, bv *sideBound, base, migU, migV, bestDelta float64) bool {
 	if (bu.lo+bv.lo)-base+migU+migV >= bestDelta {
 		return true
@@ -329,8 +314,6 @@ func (ls *LoadState) Screened() bool { return !ls.ev.noScreen }
 
 // screenAddFirst is the first stage of the move screen, unit u onto a
 // machine j it does not live on.
-//
-//kairos:hotpath
 func (ls *LoadState) screenAddFirst(sc *sideScreen, u, j int) {
 	ev := ls.ev
 	*sc = sideScreen{slaCap: ls.slaCap[j], pairs: ls.confPairs[j] + ls.conflictsOn(u, j)}
@@ -342,16 +325,12 @@ func (ls *LoadState) screenAddFirst(sc *sideScreen, u, j int) {
 }
 
 // screenAddRest is the rest stage of the move screen.
-//
-//kairos:hotpath
 func (ls *LoadState) screenAddRest(sc *sideScreen, u, j int) {
 	ls.boundFill(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j, +1)
 }
 
 // boundRemove returns a lower bound on PriceRemove(u): fill's sum − k·unit
 // at u's machine's sample steps, priced with PriceRemove's cap and pairs.
-//
-//kairos:hotpath
 func (ls *LoadState) boundRemove(u int) float64 {
 	from := ls.assign[u]
 	if len(ls.members[from]) == 1 {
@@ -367,8 +346,6 @@ func (ls *LoadState) boundRemove(u int) float64 {
 // sample, independent of T and with zero allocations. When screening is off
 // it returns -Inf (never prunes). Bit-level sound: ScreenAdd(u, j) ≤
 // PriceAdd(u, j) always.
-//
-//kairos:hotpath
 func (ls *LoadState) ScreenAdd(u, j int) float64 {
 	if ls.ev.noScreen {
 		return math.Inf(-1)
@@ -386,8 +363,6 @@ func (ls *LoadState) ScreenAdd(u, j int) float64 {
 // after accepting unit u (0 when screening is off): a positive value proves
 // the placement infeasible without exact pricing. It stops at the first
 // stage when that already finds one.
-//
-//kairos:hotpath
 func (ls *LoadState) screenAddViol(u, j int) float64 {
 	if ls.ev.noScreen {
 		return 0
@@ -404,8 +379,6 @@ func (ls *LoadState) screenAddViol(u, j int) float64 {
 
 // screenExchangeFirst is the first stage of one side of the swap screen,
 // machine j trading its member `out` for unit `in`.
-//
-//kairos:hotpath
 func (ls *LoadState) screenExchangeFirst(sc *sideScreen, j, out, in int) {
 	ev := ls.ev
 	*sc = sideScreen{
@@ -420,15 +393,11 @@ func (ls *LoadState) screenExchangeFirst(sc *sideScreen, j, out, in int) {
 }
 
 // screenExchangeRest is the rest stage of one side of the swap screen.
-//
-//kairos:hotpath
 func (ls *LoadState) screenExchangeRest(sc *sideScreen, j, out, in int) {
 	ls.boundExchange(&sc.pk, ls.sampleOf(j)[sampleGlobal:], j, out, in)
 }
 
 // screenExchange is the whole-sample lower bound on priceExchange(j, out, in).
-//
-//kairos:hotpath
 func (ls *LoadState) screenExchange(j, out, in int) float64 {
 	var sc sideScreen
 	ls.screenExchangeFirst(&sc, j, out, in)
@@ -440,8 +409,6 @@ func (ls *LoadState) screenExchange(j, out, in int) float64 {
 // PriceSwap(u, v): what u's and v's machines would at least contribute after
 // the 2-exchange. Independent of T, zero allocations, -Inf when screening is
 // off.
-//
-//kairos:hotpath
 func (ls *LoadState) ScreenSwap(u, v int) (loU, loV float64) {
 	if ls.ev.noScreen {
 		return math.Inf(-1), math.Inf(-1)

@@ -414,7 +414,8 @@ func TestScreenedSolveEquivalence(t *testing.T) {
 }
 
 // TestCoarseBoundAllocs asserts the screen allocates nothing — it runs
-// inside every candidate of a screened sweep. Skipped under the race
+// inside every candidate of a screened sweep — with the screen on and off,
+// and for a unit bounded onto its own machine. Skipped under the race
 // detector, which instruments allocations.
 func TestCoarseBoundAllocs(t *testing.T) {
 	if raceEnabled {
@@ -437,12 +438,17 @@ func TestCoarseBoundAllocs(t *testing.T) {
 		}
 		j := (ls.Assign(u) + 1) % K
 		var sink float64
-		if n := testing.AllocsPerRun(200, func() {
-			sink += ls.ScreenAdd(u, j) + ls.screenAddViol(u, j)
-			sU, sV := ls.ScreenSwap(u, v)
-			sink += sU + sV
-		}); n != 0 {
-			t.Fatalf("withDisk=%v: the screen allocated %v times per run, want 0", withDisk, n)
+		// The screen is turned off second: a state built screened keeps the
+		// sample an unscreened one would not read.
+		for _, off := range []bool{false, true} {
+			ev.noScreen = off
+			if n := testing.AllocsPerRun(200, func() {
+				sink += ls.ScreenAdd(u, j) + ls.ScreenAdd(u, ls.Assign(u)) + ls.screenAddViol(u, j)
+				sU, sV := ls.ScreenSwap(u, v)
+				sink += sU + sV
+			}); n != 0 {
+				t.Fatalf("withDisk=%v noScreen=%v: the screen allocated %v times per run, want 0", withDisk, off, n)
+			}
 		}
 		_ = sink
 	}

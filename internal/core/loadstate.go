@@ -5,6 +5,18 @@ import (
 	"math"
 )
 
+// The pricers in this file and their kernels (PriceAdd, PriceRemove,
+// CanPlace, PriceSwap, priceExchange, fill and fill2, fillExchange and
+// exchange2, capWithout, conflictsOn, contribWith) allocate nothing. Three
+// tests pin that with testing.AllocsPerRun, with and without the disk
+// model, and skip under -race:
+//
+//   - TestLoadStatePricingAllocationFree prices every unit onto every
+//     machine, through each exit of CanPlace and a cubic disk polynomial;
+//   - TestLoadStateSwapPricingAllocationFree prices a swap;
+//   - TestSweepsAllocationFree (stamps_test.go) runs bestMove and a whole
+//     swap sweep over them.
+
 // LoadState is the incremental load-state engine of the consolidation
 // evaluator (the Section 6 solver's cheap-evaluation discipline): it
 // maintains, for every machine of a K-machine assignment, the running
@@ -33,9 +45,8 @@ import (
 //     ServerContrib on the same member list, bit for bit. Final solutions
 //     are still priced through Evaluator.Eval.
 //
-// The pricing methods (PriceAdd, PriceRemove, CanPlace) allocate nothing;
-// loadstate_test.go asserts this with testing.AllocsPerRun. A LoadState is
-// not safe for concurrent use; parallel solvers give each goroutine its
+// The pricing methods allocate nothing (see the tests named at the top of
+// this file). A LoadState is not safe for concurrent use; parallel solvers give each goroutine its
 // own (the same rule as Evaluator.Clone).
 type LoadState struct {
 	ev *Evaluator
@@ -212,15 +223,11 @@ func (ls *LoadState) refresh(j int) {
 // exact addition sequence of the canonical pricer (ServerContrib adds one
 // penaltyWeight per conflicting pair), so incremental and scratch pricing
 // agree bit for bit.
-//
-//kairos:hotpath
 func contribWith(norm, viol float64, pairs int) float64 {
 	return contribFrom(math.Exp(norm), viol, pairs)
 }
 
 // contribFrom is contribWith with e = exp(norm); it rises with e.
-//
-//kairos:hotpath
 func contribFrom(e, viol float64, pairs int) float64 {
 	c := e + penaltyWeight*viol
 	for i := 0; i < pairs; i++ {
@@ -231,8 +238,6 @@ func contribFrom(e, viol float64, pairs int) float64 {
 
 // conflictsOn counts unit u's anti-affinity conflicts currently assigned
 // to machine j.
-//
-//kairos:hotpath
 func (ls *LoadState) conflictsOn(u, j int) int {
 	n := 0
 	for _, c := range ls.ev.conflicts[u] {
@@ -246,8 +251,6 @@ func (ls *LoadState) conflictsOn(u, j int) int {
 // conflictsOnExcluding counts unit u's anti-affinity conflicts currently on
 // machine j, ignoring unit excl (used by swap pricing, where excl is about
 // to leave j).
-//
-//kairos:hotpath
 func (ls *LoadState) conflictsOnExcluding(u, j, excl int) int {
 	n := 0
 	for _, c := range ls.ev.conflicts[u] {
@@ -260,8 +263,6 @@ func (ls *LoadState) conflictsOnExcluding(u, j, excl int) int {
 
 // capWithout returns the SLA utilization cap machine j's members impose
 // without member out: the machine's cached cap unless out alone may set it.
-//
-//kairos:hotpath
 func (ls *LoadState) capWithout(j, out int) float64 {
 	ev := ls.ev
 	if ev.slaCapU[out] > ls.slaCap[j] || ls.slaCap[j] >= 1 {
@@ -282,8 +283,6 @@ func (ls *LoadState) capWithout(j, out int) float64 {
 // fill writes machine j's sums plus unit u's scaled demand into the
 // scratch buffers (sign +1) or minus it (sign -1): CPU and RAM always,
 // working set and update rate only under a disk model.
-//
-//kairos:hotpath
 func (ls *LoadState) fill(u, j int, sign float64) {
 	ev := ls.ev
 	k := sign * ev.scale[u]
@@ -295,8 +294,6 @@ func (ls *LoadState) fill(u, j int, sign float64) {
 
 // fill2 is fill's kernel over two streams: dst = sum + k·unit, with every
 // slice re-sliced to T so the loop carries no bounds checks.
-//
-//kairos:hotpath
 func fill2(T int, aDst, bDst, aSum, bSum, aUnit, bUnit []float64, k float64) {
 	aDst, bDst = aDst[:T], bDst[:T]
 	aSum, bSum = aSum[:T], bSum[:T]
@@ -312,8 +309,6 @@ func fill2(T int, aDst, bDst, aSum, bSum, aUnit, bUnit []float64, k float64) {
 // lives on j the current contribution is returned unchanged (u is not
 // double-counted). O(T), zero allocations, bit-identical to the canonical
 // scratch pricer.
-//
-//kairos:hotpath
 func (ls *LoadState) PriceAdd(u, j int) float64 {
 	ev := ls.ev
 	if ls.assign[u] == j {
@@ -332,8 +327,6 @@ func (ls *LoadState) PriceAdd(u, j int) float64 {
 // allocations. The subtractive sums can differ from a canonical re-sum in
 // the last ulp; accepted moves re-materialize canonically, so the estimate
 // never persists.
-//
-//kairos:hotpath
 func (ls *LoadState) PriceRemove(u int) float64 {
 	ev := ls.ev
 	from := ls.assign[u]
@@ -351,8 +344,6 @@ func (ls *LoadState) PriceRemove(u int) float64 {
 // current members when u already lives on j). O(T), zero allocations.
 // Like FitsOneMachine it refuses machines whose existing members already
 // conflict or violate, and it does not check pins.
-//
-//kairos:hotpath
 func (ls *LoadState) CanPlace(u, j int) bool {
 	ev := ls.ev
 	if ls.assign[u] == j {
@@ -385,8 +376,6 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 // plus unit `in`'s into the scratch buffers — the aggregate j would carry
 // after a 2-exchange. Like fill it skips the disk streams without a disk
 // model.
-//
-//kairos:hotpath
 func (ls *LoadState) fillExchange(j, out, in int) {
 	ev := ls.ev
 	ko, ki := ev.scale[out], ev.scale[in]
@@ -398,8 +387,6 @@ func (ls *LoadState) fillExchange(j, out, in int) {
 
 // exchange2 is fillExchange's kernel over two streams:
 // dst = sum − ko·out + ki·in, bounds checks hoisted like fill2's.
-//
-//kairos:hotpath
 func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko, ki float64) {
 	aDst, bDst = aDst[:T], bDst[:T]
 	aSum, bSum = aSum[:T], bSum[:T]
@@ -416,8 +403,6 @@ func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko
 // after the exchange. O(T), zero allocations. Like PriceRemove the
 // subtractive half can differ from a canonical re-sum in the last ulp;
 // Swap re-materializes canonically, so the estimate never enters the state.
-//
-//kairos:hotpath
 func (ls *LoadState) priceExchange(j, out, in int) float64 {
 	ev := ls.ev
 	ls.fillExchange(j, out, in)
@@ -436,8 +421,6 @@ func (ls *LoadState) priceExchange(j, out, in int) float64 {
 // side is one O(T) delta pass over the maintained sums, so a swap costs two
 // move pricings instead of a re-aggregation of both machines — the property
 // that makes 2-exchange sweeps affordable inside the hill climb.
-//
-//kairos:hotpath
 func (ls *LoadState) PriceSwap(u, v int) (newU, newV float64) {
 	a, b := ls.assign[u], ls.assign[v]
 	if a == b {

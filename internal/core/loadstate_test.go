@@ -285,18 +285,32 @@ func TestLoadStateFold(t *testing.T) {
 	}
 }
 
+// cubicDiskFit is syntheticDiskProfile's fit as a degree-3 polynomial, which
+// Poly2D.Eval walks in evalLoop instead of the unrolled quadratic.
+func cubicDiskFit() polyfit.Poly2D {
+	return polyfit.Poly2D{Degree: 3, Coeffs: []float64{0.5, 0.002, 0.003, 0, 0, 0, 1e-15, 0, 0, 0}}
+}
+
 // TestLoadStatePricingAllocationFree asserts the acceptance criterion that
 // candidate-move pricing allocates nothing — the property that lets a
-// hill-climb sweep price U·K moves without garbage — on both kernel
-// shapes: CPU and RAM only, and with the disk model's two extra streams
-// and polynomial evaluation.
+// hill-climb sweep price U·K moves without garbage — on every kernel shape:
+// CPU and RAM only, and with the disk model's two extra streams and its
+// polynomial, quadratic and cubic. Each run prices every unit onto every
+// machine, so CanPlace takes each of its exits: its own machine, a machine
+// holding a conflicting pair (machine 1) or the unit's replica, a machine
+// too small for anything (machine 0, refused by the screen), and exact
+// pricing. Machine K−1 holds one unit, whose removal empties it.
 func TestLoadStatePricingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	for _, withDisk := range []bool{false, true} {
+	for _, diskDegree := range []int{0, 2, 3} {
 		rng := rand.New(rand.NewSource(11))
-		p := randomLoadStateProblem(rng, 10, 36, withDisk)
+		p := randomLoadStateProblem(rng, 10, 36, diskDegree > 0)
+		if diskDegree == 3 {
+			p.Disk.Fit = cubicDiskFit()
+		}
+		p.Machines[0].CPUCapacity = 0.01
 		ev, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
@@ -305,21 +319,36 @@ func TestLoadStatePricingAllocationFree(t *testing.T) {
 		K := 5
 		assign := make([]int, nU)
 		for u := range assign {
-			assign[u] = u % K
+			assign[u] = u % (K - 1)
+		}
+		assign[nU-1] = K - 1
+		paired := false
+		for u := 0; u < nU-1 && !paired; u++ {
+			for _, c := range ev.conflicts[u] {
+				if c != nU-1 {
+					assign[u], assign[c], paired = 1, 1, true
+					break
+				}
+			}
+		}
+		if !paired {
+			t.Fatal("the problem has no conflicting pair to place together")
 		}
 		ls := NewLoadState(ev, assign, K)
-		u := 0
-		j := (ls.Assign(u) + 1) % K
 		var sink float64
-		allocs := testing.AllocsPerRun(200, func() {
-			sink += ls.PriceAdd(u, j)
-			sink += ls.PriceRemove(u)
-			if ls.CanPlace(u, j) {
-				sink++
+		allocs := testing.AllocsPerRun(50, func() {
+			for u := 0; u < nU; u++ {
+				sink += ls.PriceRemove(u)
+				for j := 0; j < K; j++ {
+					sink += ls.PriceAdd(u, j)
+					if ls.CanPlace(u, j) {
+						sink++
+					}
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("withDisk=%v: candidate-move pricing allocates %v objects per run, want 0", withDisk, allocs)
+			t.Errorf("disk degree %d: candidate-move pricing allocates %v objects per run, want 0", diskDegree, allocs)
 		}
 		_ = sink
 	}

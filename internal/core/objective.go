@@ -6,6 +6,15 @@ import (
 	"sort"
 )
 
+// The pricing kernels in this file (accumulateInto and accumulate2, addUnit,
+// peaks2, diskPeak, pricePeaks, evalSums, conflictPairs, conflicted) run for
+// every candidate a climb considers, and Eval with its reuse table
+// (evalReuse.find) for every DIRECT sample. None allocates once Eval's
+// scratch has grown. TestEvalScratchAllocs (coarse_test.go) pins Eval at
+// zero allocations on table hits and on misses, and the LoadState tests
+// named in loadstate.go pin the kernels the pricers share. All of them run
+// with and without the disk model, and skip under -race.
+
 // penaltyWeight scales constraint violations so that any violating solution
 // scores worse than any feasible one (a feasible K-server solution is at
 // most K·e ≈ 2.72·K; violations add penaltyWeight per unit of relative
@@ -270,8 +279,6 @@ type ServerLoad struct {
 // rateSum may then be nil. Member order is significant at the bit level:
 // LoadState re-materializes sums with the same loop so its canonical state
 // matches serverEval exactly.
-//
-//kairos:hotpath
 func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSum []float64) {
 	ev.accumulate2(members, cpuSum, ramSum, ev.cpu, ev.ram)
 	if ev.p.Disk != nil {
@@ -285,8 +292,6 @@ func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSu
 // evaluates s + k0·a0 + k1·a1 + … left to right and rounds each product and
 // each sum), for a third of its loads and stores on the sums. Every slice is
 // re-sliced to T up front so the inner loops carry no bounds checks.
-//
-//kairos:hotpath
 func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]float64) {
 	T := ev.T
 	aSum, bSum = aSum[:T], bSum[:T]
@@ -315,8 +320,6 @@ func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]f
 
 // addUnit adds unit u to the sums with fill's sum + k·unit, the next step of
 // accumulate2's left fold: canonical sums stay canonical with u appended.
-//
-//kairos:hotpath
 func (ev *Evaluator) addUnit(u int, cpuSum, ramSum, wsSum, rateSum []float64) {
 	k := ev.scale[u]
 	fill2(ev.T, cpuSum, ramSum, cpuSum, ramSum, ev.cpu[u], ev.ram[u], k)
@@ -327,8 +330,6 @@ func (ev *Evaluator) addUnit(u int, cpuSum, ramSum, wsSum, rateSum []float64) {
 
 // peaks2 returns the maxima of two equally long streams, each floored at
 // zero: the peak-scan half of evalSums for CPU and RAM.
-//
-//kairos:hotpath
 func peaks2(a, b []float64) (aPeak, bPeak float64) {
 	b = b[:len(a)]
 	for t := range a {
@@ -346,8 +347,6 @@ func peaks2(a, b []float64) (aPeak, bPeak float64) {
 // zero) over the aggregate working-set and update-rate streams, and the
 // first step that attains it: the peak-scan half of evalSums for the disk
 // model.
-//
-//kairos:hotpath
 func (ev *Evaluator) diskPeak(wsSum, rateSum []float64) (peak float64, at int) {
 	d := ev.p.Disk
 	rateSum = rateSum[:len(wsSum)]
@@ -369,8 +368,6 @@ func (ev *Evaluator) diskPeak(wsSum, rateSum []float64) (peak float64, at int) {
 // accumulated here, between the RAM and the disk violation, over the
 // aggregate streams wsSum/rateSum (the screen passes none and so bounds them
 // by zero; violations are non-negative).
-//
-//kairos:hotpath
 func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float64, wsSum, rateSum []float64) (viol, norm float64) {
 	cpuCap := ev.capCPU[j]
 	ramCap := ev.capRAM[j]
@@ -439,8 +436,6 @@ func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float6
 // evalSums prices one machine's aggregated demand vectors: the peak scans
 // over all T steps, then pricePeaks. It allocates nothing, so it can run on
 // reusable scratch buffers — the LoadState move-pricing hot path.
-//
-//kairos:hotpath
 func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, slaCap float64) (viol, norm float64) {
 	T := ev.T
 	cpuPeak, ramPeak := peaks2(cpuSum[:T], ramSum[:T])
@@ -522,8 +517,6 @@ const evalReuseBits = 11
 
 // find returns the slot of machine j with this member bitset and true, or
 // the empty slot where it belongs and false.
-//
-//kairos:hotpath
 func (rt *evalReuse) find(j int, set []uint64) (slot int, held bool) {
 	h := uint64(j+1) * 0x9E3779B97F4A7C15
 	for _, w := range set {
@@ -625,18 +618,14 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 // machine index) is answered from the reuse table, which keeps every one;
 // either way its pieces enter obj through one addition sequence, so the
 // result does not depend on what the table held.
-//
-//kairos:hotpath
 func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 	ev.Fevals++
 	return ev.eval(assign, K)
 }
 
 // eval is Eval without adding to Fevals.
-//
-//kairos:hotpath
 func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
-	members, sets := ev.evalScratch(K) //kairoslint:allow hotcall: allocates only on first growth; steady state is alloc-free and AllocsPerRun-asserted
+	members, sets := ev.evalScratch(K)
 	rt := ev.reuse
 	W := rt.words
 	feasible = true
@@ -646,7 +635,7 @@ func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 			feasible = false
 			continue
 		}
-		members[j] = append(members[j], u) //kairoslint:allow hotalloc: amortized — scratch keeps capacity across Evals
+		members[j] = append(members[j], u)
 		sets[j*W+u>>6] |= 1 << (uint(u) & 63)
 		if ev.pin[u] >= 0 && ev.pin[u] != j {
 			obj += penaltyWeight
@@ -694,8 +683,6 @@ func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 // conflictPairs counts the conflicting pairs among the units sharing one
 // machine — an O(m²) scan of binary searches, skipped outright when the
 // problem declares no conflict at all.
-//
-//kairos:hotpath
 func (ev *Evaluator) conflictPairs(members []int) int {
 	if !ev.hasConflicts {
 		return 0
@@ -715,8 +702,6 @@ func (ev *Evaluator) conflictPairs(members []int) int {
 // conflicts[a] is sorted, so this is a binary search — it runs inside
 // every PriceAdd/priceExchange call, where the old linear scan showed up
 // on fleets with wide anti-affinity sets.
-//
-//kairos:hotpath
 func (ev *Evaluator) conflicted(a, b int) bool {
 	s := ev.conflicts[a]
 	lo, hi := 0, len(s)

@@ -769,9 +769,8 @@ func newScanMemo(ls *LoadState, mig *migration) *scanMemo {
 // machine, have not changed since `since` — the clock of a scan of u that
 // found nothing — are skipped; pass 0 to price them all. Counts one Feval
 // per candidate considered. Shared by the move sweeps and the warm-seed
-// placement of units with no incumbent.
-//
-//kairos:hotpath
+// placement of units with no incumbent. TestSweepsAllocationFree pins it at
+// zero allocations.
 func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64) int {
 	from := ls.Assign(u)
 	rescan := ls.changed[from] > since

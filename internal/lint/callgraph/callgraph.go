@@ -1,6 +1,6 @@
 // Package callgraph builds a type-informed call graph over a loaded
 // analysis.Program — the engine under the interprocedural kairoslint
-// analyzers (ctxflow, hotcall, leakcheck, lockorder).
+// analyzers (ctxflow, leakcheck, lockorder).
 //
 // Resolution:
 //
@@ -12,7 +12,7 @@
 //     method itself (whose node has no body — unknown implementors
 //     outside the program stay visibly unknown).
 //   - Calls through function values (including method values) cannot be
-//     resolved and are recorded on the caller as Unresolved positions.
+//     resolved and add no edge.
 //
 // Identity is cross-universe: the driver type-checks every unit as a
 // root, so the same function can surface as distinct *types.Func objects
@@ -21,10 +21,9 @@
 // the position string of the defining identifier, which is identical in
 // every universe; position-less objects fall back to types.Func.FullName.
 //
-// Each node with a body carries two summaries the analyzers share: the
-// allocating constructs found by allocscan, and the directly blocking
-// operations (channel send/receive, range over a channel, select without
-// a default). Calls inside closure bodies are attributed to the
+// Each node with a body carries the summary the analyzers share: its
+// directly blocking operations (channel send/receive, range over a
+// channel, select without a default). Calls inside closure bodies are attributed to the
 // enclosing declared function with InClosure set; closures launched via
 // go statements mark their interior edges Go, since those run
 // concurrently with the caller.
@@ -36,7 +35,6 @@ import (
 	"go/types"
 	"sort"
 
-	"kairos/internal/lint/allocscan"
 	"kairos/internal/lint/analysis"
 )
 
@@ -61,13 +59,6 @@ type Node struct {
 	Pkg  *analysis.ProgramPackage
 	// Out lists the node's call sites in source order.
 	Out []Edge
-	// Unresolved records calls through function values, which the graph
-	// cannot resolve; analyzers proving properties over callees must
-	// treat them as calls to unknown code.
-	Unresolved []token.Pos
-
-	// Allocs is the allocscan summary of Decl.Body (nil without a body).
-	Allocs []allocscan.Finding
 	// Blocking lists the body's directly blocking operations.
 	Blocking []Op
 }
@@ -147,7 +138,6 @@ func build(prog *analysis.Program) *Graph {
 				// declaring universe's object so signature-derived objects
 				// (parameters, results) match n.Pkg.TypesInfo.
 				n.Func = fn
-				n.Allocs = allocscan.Body(pkg.TypesInfo, fd.Body)
 				n.Blocking = blockingOps(pkg.TypesInfo, fd.Body)
 				c := &collector{g: g, pkg: pkg, caller: n, iface: &calls}
 				c.walkBody(fd.Body, flags{})
@@ -285,8 +275,7 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 		return
 	}
 
-	// A call through a function value: unresolvable.
-	c.caller.Unresolved = append(c.caller.Unresolved, call.Lparen)
+	// A call through a function value: unresolvable, so no edge.
 	c.walkBody(call.Fun, fl)
 	c.walkArgs(call, fl)
 }

@@ -1,6 +1,6 @@
 // Package lintutil holds the pieces every kairoslint analyzer and driver
-// shares: the repo's annotation conventions (//kairos:hotpath,
-// //kairos:locked, "guarded by <mu>" field comments), the
+// shares: the repo's annotation conventions (//kairos:locked and
+// "guarded by <mu>" field comments), the
 // //kairoslint:allow line-suppression escape hatch, and a stdlib-only
 // type-checking helper built on the source importer (the repo vendors no
 // third-party code, so golang.org/x/tools/go/packages is off the table).
@@ -17,9 +17,9 @@ import (
 )
 
 // HasMarker reports whether a comment group contains the given directive,
-// e.g. "//kairos:hotpath": a line that is the marker alone, or the
+// e.g. "//kairos:locked": a line that is the marker alone, or the
 // marker directly after the slashes followed by whitespace and prose
-// ("//kairos:hotpath — allocation-free per sample"). Directive comments follow
+// ("//kairos:locked — callers hold mu"). Directive comments follow
 // the Go convention — no space after the slashes, machine-readable — and
 // may share the group with prose lines; a prose line that merely
 // mentions the marker does not count.

@@ -31,18 +31,18 @@ func linePos(fset *token.FileSet, line int) token.Pos {
 func TestSuppressionsWaiverGrammar(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-var a = 1 //kairoslint:allow hotalloc: scratch capacity retained
+var a = 1 //kairoslint:allow errflow: scratch capacity retained
 var b = 2 //kairoslint:allow lockguard floatdet: two analyzers, one reason
-var c = 3 //kairoslint:allow hotalloc
-var d = 4 //kairoslint:allow hotalloc (old parenthesized style)
+var c = 3 //kairoslint:allow errflow
+var d = 4 //kairoslint:allow errflow (old parenthesized style)
 var e = 5 //kairoslint:allowother not a waiver at all
 var f = 6 //kairoslint:allow : reason but no analyzer
 `)
 	s := NewSuppressions(fset, files)
 
 	// Well-formed waivers suppress exactly the named analyzers.
-	if !s.Allowed(linePos(fset, 3), "hotalloc") {
-		t.Error("line 3: hotalloc should be allowed")
+	if !s.Allowed(linePos(fset, 3), "errflow") {
+		t.Error("line 3: errflow should be allowed")
 	}
 	if s.Allowed(linePos(fset, 3), "lockguard") {
 		t.Error("line 3: lockguard should not be allowed")
@@ -53,7 +53,7 @@ var f = 6 //kairoslint:allow : reason but no analyzer
 
 	// Reasonless waivers still suppress (no double report of the original
 	// finding) but are recorded as bad.
-	if !s.Allowed(linePos(fset, 5), "hotalloc") {
+	if !s.Allowed(linePos(fset, 5), "errflow") {
 		t.Error("line 5: reasonless waiver should still suppress")
 	}
 
@@ -82,16 +82,16 @@ var f = 6 //kairoslint:allow : reason but no analyzer
 func TestSuppressionsStandaloneCoversNextLine(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-//kairoslint:allow hotalloc: the call line is too long for a trailing comment
+//kairoslint:allow errflow: the call line is too long for a trailing comment
 var a = 1
 var b = 2 //kairoslint:allow floatdet: trailing stays line-scoped
 var c = 3
 `)
 	s := NewSuppressions(fset, files)
-	if !s.Allowed(linePos(fset, 4), "hotalloc") {
+	if !s.Allowed(linePos(fset, 4), "errflow") {
 		t.Error("standalone waiver should cover the next line")
 	}
-	if s.Allowed(linePos(fset, 5), "hotalloc") {
+	if s.Allowed(linePos(fset, 5), "errflow") {
 		t.Error("standalone waiver should not reach two lines down")
 	}
 	if s.Allowed(linePos(fset, 6), "floatdet") {
@@ -105,10 +105,10 @@ var c = 3
 func TestSuppressionsReasonWithColon(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-var a = 1 //kairoslint:allow hotalloc: amortized: capacity kept across calls
+var a = 1 //kairoslint:allow errflow: amortized: capacity kept across calls
 `)
 	s := NewSuppressions(fset, files)
-	if !s.Allowed(linePos(fset, 3), "hotalloc") {
+	if !s.Allowed(linePos(fset, 3), "errflow") {
 		t.Error("waiver with a colon inside the reason should still parse")
 	}
 	if len(s.Bad()) != 0 {
@@ -119,10 +119,10 @@ var a = 1 //kairoslint:allow hotalloc: amortized: capacity kept across calls
 func TestHasMarkerWholeLineOnly(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-//kairos:hotpath
+//kairos:locked
 func hot() {}
 
-// prose mentioning //kairos:hotpath inline
+// prose mentioning //kairos:locked inline
 func cold() {}
 `)
 	_ = fset
@@ -137,10 +137,10 @@ func cold() {}
 			}
 		}
 	}
-	if !HasMarker(hot.Doc, "kairos:hotpath") {
+	if !HasMarker(hot.Doc, "kairos:locked") {
 		t.Error("whole-line directive should match")
 	}
-	if HasMarker(cold.Doc, "kairos:hotpath") {
+	if HasMarker(cold.Doc, "kairos:locked") {
 		t.Error("inline mention should not match")
 	}
 }
@@ -152,25 +152,25 @@ func TestHasMarkerWithProse(t *testing.T) {
 
 // hot documents its contract on the directive line.
 //
-//kairos:hotpath — allocation-free per sample
+//kairos:locked — callers hold mu
 func hot() {}
 
-//kairos:hotpath	tab-separated prose
+//kairos:locked	tab-separated prose
 func tabbed() {}
 
-//kairos:hotpathological is some other directive
+//kairos:lockedout is some other directive
 func other() {}
 
-//kairos:hotpath-ish is too
+//kairos:locked-ish is too
 func hyphenated() {}
 
-// kairos:hotpath with a space after the slashes is prose, not a directive
+// kairos:locked with a space after the slashes is prose, not a directive
 func spaced() {}
 `)
 	want := map[string]bool{"hot": true, "tabbed": true, "other": false, "hyphenated": false, "spaced": false}
 	for _, d := range files[0].Decls {
 		fd := d.(*ast.FuncDecl)
-		if got := HasMarker(fd.Doc, "kairos:hotpath"); got != want[fd.Name.Name] {
+		if got := HasMarker(fd.Doc, "kairos:locked"); got != want[fd.Name.Name] {
 			t.Errorf("HasMarker(%s) = %v, want %v", fd.Name.Name, got, want[fd.Name.Name])
 		}
 	}

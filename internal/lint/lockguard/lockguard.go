@@ -14,6 +14,12 @@
 //
 // The annotation itself is validated too: the named mutex must exist as a
 // sibling field of sync.Mutex or sync.RWMutex type.
+//
+// Shared counters and flags outside a mutex are typed atomics
+// (atomic.Int64, atomic.Bool, atomic.Pointer), which cannot be read or
+// written plainly. A call to a sync/atomic package-level function
+// (atomic.AddInt64(&x, 1)) is reported: it leaves x a plain variable that
+// other code may touch without the atomic.
 package lockguard
 
 import (
@@ -30,11 +36,12 @@ const Marker = "kairos:locked"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockguard",
-	Doc:  `checks that "guarded by mu" fields are only accessed under the sibling mutex`,
+	Doc:  `checks that "guarded by mu" fields are only accessed under the sibling mutex, and that atomics are typed`,
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	checkAtomicFuncs(pass)
 	guarded := collectGuarded(pass)
 	if len(guarded) == 0 {
 		return nil, nil
@@ -52,6 +59,28 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// checkAtomicFuncs reports every call to a sync/atomic package-level
+// function; the typed atomics' methods have a receiver and pass.
+func checkAtomicFuncs(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(), "atomic.%s on a plain variable: use a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer)", fn.Name())
+			}
+			return true
+		})
+	}
 }
 
 // collectGuarded gathers the package's annotated fields, validating each

@@ -1,9 +1,14 @@
 // Package lockguardfix exercises the guarded-by contract: guarded access
 // under Lock/RLock, the Locked-suffix and //kairos:locked exemptions, the
-// allow waiver, and validation of the annotation itself.
+// allow waiver, and validation of the annotation itself. Then typed
+// atomics: a sync/atomic package-level function is a finding, a typed
+// atomic's methods are not.
 package lockguardfix
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type counter struct {
 	mu sync.Mutex
@@ -73,4 +78,19 @@ func (b *badguard) Use() int {
 	b.lock.Lock()
 	defer b.lock.Unlock()
 	return b.ok
+}
+
+type stats struct {
+	hits  int64
+	typed atomic.Int64
+}
+
+func (s *stats) bump() int64 {
+	atomic.AddInt64(&s.hits, 1) // want "atomic.AddInt64 on a plain variable: use a typed atomic"
+	s.typed.Add(1)
+	return s.typed.Load()
+}
+
+func (s *stats) read() int64 {
+	return atomic.LoadInt64(&s.hits) // want "atomic.LoadInt64 on a plain variable"
 }

@@ -7,6 +7,11 @@ import (
 	"kairos/internal/floats"
 )
 
+// Poly2D.Eval runs at every time step of the consolidation evaluator's disk
+// pricing. internal/core's TestLoadStatePricingAllocationFree pins it at
+// zero allocations through the disk model, on the unrolled quadratic
+// (evalDeg2) and on a cubic (evalLoop).
+
 // Poly1D is a univariate polynomial c[0] + c[1]·x + c[2]·x² + …
 type Poly1D struct {
 	Coeffs []float64
@@ -79,8 +84,6 @@ func basis2D(x, y float64, degree int, out []float64) {
 // every other shape walks the monomials in evalLoop. The two agree bit for
 // bit where both apply, and for degree ≤ 2 the terms are bit-identical to
 // the math.Pow basis the fit was computed with.
-//
-//kairos:hotpath
 func (p Poly2D) Eval(x, y float64) float64 {
 	if p.Degree == 2 && len(p.Coeffs) == 6 {
 		return p.evalDeg2(x, y)
@@ -93,8 +96,6 @@ func (p Poly2D) Eval(x, y float64) float64 {
 // the same order. Every product is rounded through float64(...) before it
 // is used, here and in evalLoop, so no architecture may fuse one form's
 // multiply-adds and not the other's.
-//
-//kairos:hotpath
 func (p Poly2D) evalDeg2(x, y float64) float64 {
 	c := p.Coeffs[:6]
 	v := 0 + c[0]
@@ -109,8 +110,6 @@ func (p Poly2D) evalDeg2(x, y float64) float64 {
 // evalLoop walks the monomials in basis order without materializing them
 // and builds each power by repeated multiplication, so evaluation allocates
 // nothing and avoids math.Pow.
-//
-//kairos:hotpath
 func (p Poly2D) evalLoop(x, y float64) float64 {
 	var v float64
 	i := 0

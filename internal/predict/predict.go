@@ -17,6 +17,9 @@ import (
 	"kairos/internal/stats"
 )
 
+// RollingRMSE runs for every workload of every observation window the drift
+// detector scores; TestRollingRMSE pins it at zero allocations.
+
 // WeeklyForecast is the outcome of a past-predicts-future experiment.
 type WeeklyForecast struct {
 	// Prediction is the forecast series for the target window.
@@ -78,8 +81,6 @@ func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 // history window must have the actual window's length (drift.Detector
 // holds every window it keeps to its baseline's shape); history must not
 // be empty.
-//
-//kairos:hotpath
 func RollingRMSE(history []*series.Series, actual *series.Series) float64 {
 	inv := 1 / float64(len(history))
 	var ss float64

@@ -157,17 +157,29 @@ func TestMeanOfWindows(t *testing.T) {
 
 // TestRollingRMSE scores the rolling forecast on hand-checked windows: a
 // perfect forecast is 0, a 10% drift of a mean-2 window scores RMSE 0.2.
+// The detector scores every workload of every window with it, so it must
+// allocate nothing (not checked under the race detector, which instruments
+// allocations).
 func TestRollingRMSE(t *testing.T) {
 	start := time.Unix(0, 0)
 	h1 := series.New(start, time.Minute, []float64{1, 1, 1, 1})
 	h2 := series.New(start, time.Minute, []float64{3, 3, 3, 3})
 	actual := series.New(start, time.Minute, []float64{2, 2, 2, 2})
-	if got := RollingRMSE([]*series.Series{h1, h2}, actual); got != 0 {
+	history := []*series.Series{h1, h2}
+	if got := RollingRMSE(history, actual); got != 0 {
 		t.Errorf("perfect forecast scored RMSE=%v, want 0", got)
 	}
-	if got := RollingRMSE([]*series.Series{h1, h2}, actual.Scale(1.1)); math.Abs(got-0.2) > 1e-12 {
+	if got := RollingRMSE(history, actual.Scale(1.1)); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("RMSE = %v, want 0.2", got)
 	}
+	if raceEnabled {
+		return
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += RollingRMSE(history, actual) }); n != 0 {
+		t.Errorf("RollingRMSE allocated %v times per run, want 0", n)
+	}
+	_ = sink
 }
 
 // TestRollingRMSEMatchesMeanOfWindows holds the kernel to the computation

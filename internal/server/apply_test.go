@@ -77,7 +77,9 @@ func TestBackoffAckSurvivesRestart(t *testing.T) {
 // the advance it led to does not. Live, the refused advance is a retryable
 // 503 and commits nothing; the restart self-heals the outcome-less trigger
 // by re-arming, serves the pre-crash plan, answers the resend as the
-// untriggered window it was, and the next drifted window advances.
+// untriggered window it was, and the next drifted window advances. A second
+// restart replays that advance: both restarts serve the plan the live
+// server served, bit for bit.
 func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 	dir := t.TempDir()
 	inj := &journal.FaultInjector{}
@@ -116,7 +118,7 @@ func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 	s.Kill()
 
 	rs, rts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
-	defer func() { rts.Close(); rs.Close() }()
+	defer func() { rts.Close(); rs.Kill() }()
 	_, metrics := do(t, http.MethodGet, rts.URL+"/metrics", nil)
 	for _, want := range []string{"kairos_recovery_triggers_healed 1", "kairos_recovery_advances_replayed 0", "kairos_recovery_windows_replayed 2"} {
 		if !strings.Contains(string(metrics), want) {
@@ -124,7 +126,7 @@ func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 		}
 	}
 	_, gotPlan := do(t, http.MethodGet, rts.URL+"/v1/fleets/heal/plan", nil)
-	samePlacement(t, "recovered plan vs pre-crash", gotPlan, wantPlan)
+	samePlan(t, "recovered plan vs pre-crash", gotPlan, wantPlan)
 	if _, events := do(t, http.MethodGet, rts.URL+"/v1/fleets/heal/events", nil); strings.TrimSpace(string(events)) != "[]" {
 		t.Errorf("recovered event log %s, want none: the advance never happened", events)
 	}
@@ -143,6 +145,17 @@ func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 	if st.Triggers != 1 || st.LastTrigger != 2 {
 		t.Errorf("status after the re-fired trigger %+v, want exactly one advance, at window 2", st)
 	}
+
+	_, advancedPlan := do(t, http.MethodGet, rts.URL+"/v1/fleets/heal/plan", nil)
+	rts.Close()
+	rs.Kill()
+	rs2, rts2 := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+	defer func() { rts2.Close(); rs2.Close() }()
+	if rs2.recovery.Advances != 1 {
+		t.Fatalf("recovery stats %+v, want the advance replayed", rs2.recovery)
+	}
+	_, replayedPlan := do(t, http.MethodGet, rts2.URL+"/v1/fleets/heal/plan", nil)
+	samePlan(t, "replayed advance vs live", replayedPlan, advancedPlan)
 }
 
 // TestFailedSolveWindowIsAcked: a window whose re-solve failed is consumed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -57,6 +58,25 @@ func samePlacement(t *testing.T, label string, got, want []byte) {
 		if g.Assignments[i] != w.Assignments[i] {
 			t.Fatalf("%s: assignment %d = %+v, want %+v", label, i, g.Assignments[i], w.Assignments[i])
 		}
+	}
+}
+
+// samePlan asserts a plan a journal replay rebuilt is the plan served
+// before the restart, bit for bit, in every field a restart keeps: K,
+// feasibility, the objective and the assignments. Fevals, elapsed time and
+// migrations describe the solve the serving process ran (see PlanWire).
+func samePlan(t *testing.T, label string, got, want []byte) {
+	t.Helper()
+	samePlacement(t, label, got, want)
+	var g, w PlanWire
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(g.Objective) != math.Float64bits(w.Objective) {
+		t.Fatalf("%s: objective %v (%#x), want %v (%#x)", label, g.Objective, math.Float64bits(g.Objective), w.Objective, math.Float64bits(w.Objective))
 	}
 }
 
@@ -535,17 +555,17 @@ func TestSolverBackoffSuppressesSolves(t *testing.T) {
 }
 
 // TestBumpBackoff pins the backoff schedule: exponential growth from the
-// base, jitter confined to the upper half, capped.
+// 1 s base, jitter confined to the upper half, capped at 60 s. It reads the
+// delays bumpBackoff returns, so nothing sleeps.
 func TestBumpBackoff(t *testing.T) {
-	s := &Server{backoffBase: 10 * time.Millisecond, backoffCap: 80 * time.Millisecond}
 	sess := &session{}
-	expect := []time.Duration{10, 20, 40, 80, 80, 80} // pre-jitter targets, ms
-	for i, wantMs := range expect {
-		n, d := s.bumpBackoff(sess)
+	expect := []time.Duration{1, 2, 4, 8, 16, 32, 60, 60, 60} // pre-jitter targets, s
+	for i, wantS := range expect {
+		n, d := sess.bumpBackoff()
 		if n != i+1 {
 			t.Fatalf("failure count = %d, want %d", n, i+1)
 		}
-		want := wantMs * time.Millisecond
+		want := wantS * time.Second
 		if d < want/2 || d > want {
 			t.Errorf("backoff %d = %v, want within [%v, %v]", n, d, want/2, want)
 		}

@@ -45,13 +45,15 @@ type Config struct {
 	// SnapshotEvery compacts the journal into a snapshot after this many
 	// ingested windows (0 = 256).
 	SnapshotEvery int
-	// BackoffBase and BackoffCap bound the exponential backoff a fleet's
-	// reconcile loop applies after a failed re-solve (0 = 1s base, 60s
-	// cap). Windows arriving during backoff are monitored but never
-	// trigger a solve.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 }
+
+// backoffBase and backoffCap bound the exponential backoff a fleet's
+// reconcile loop applies after a failed re-solve. Windows arriving during
+// backoff are monitored but never trigger a solve.
+const (
+	backoffBase = time.Second
+	backoffCap  = 60 * time.Second
+)
 
 // Server is the control plane state: the fleet registry, one reconcile
 // loop per registered fleet, the metrics registry, and (with a state
@@ -100,9 +102,6 @@ type Server struct {
 	// GC empties a pool, and a buffer re-made at random would make the
 	// bytes an ingest costs a number that does not repeat.
 	bodies chan []byte
-
-	backoffBase time.Duration
-	backoffCap  time.Duration
 }
 
 // session is one registered fleet: the library session handle plus the
@@ -193,27 +192,19 @@ func Open(cfg Config) (*Server, error) {
 	//kairoslint:allow ctxflow: control-plane root context; Close cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		fleets:      map[string]*session{},
-		ctx:         ctx,
-		cancel:      cancel,
-		met:         newMetrics(),
-		logf:        cfg.Logf,
-		snapEvery:   int64(cfg.SnapshotEvery),
-		bodies:      make(chan []byte, runtime.GOMAXPROCS(0)+1),
-		backoffBase: cfg.BackoffBase,
-		backoffCap:  cfg.BackoffCap,
+		fleets:    map[string]*session{},
+		ctx:       ctx,
+		cancel:    cancel,
+		met:       newMetrics(),
+		logf:      cfg.Logf,
+		snapEvery: int64(cfg.SnapshotEvery),
+		bodies:    make(chan []byte, runtime.GOMAXPROCS(0)+1),
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
 	if s.snapEvery <= 0 {
 		s.snapEvery = 256
-	}
-	if s.backoffBase <= 0 {
-		s.backoffBase = time.Second
-	}
-	if s.backoffCap <= 0 {
-		s.backoffCap = 60 * time.Second
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/fleets", s.handleRegister)
@@ -242,7 +233,7 @@ func Open(cfg Config) (*Server, error) {
 		stats, err := s.replay(rd)
 		s.recovering.Store(false)
 		if err != nil {
-			rd.Close() //kairoslint:allow errflow: already failing with the replay error; a close error would mask it
+			err = errors.Join(err, rd.Close())
 			cancel()
 			return nil, fmt.Errorf("server: recovering from %s: %w", cfg.StateDir, err)
 		}
@@ -648,7 +639,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 		}
 		sess.applyRearm(rearmTok)
 		if err != nil && !errors.Is(err, context.Canceled) {
-			n, delay := s.bumpBackoff(sess)
+			n, delay := sess.bumpBackoff()
 			s.met.setResolveFailures(sess.id, n)
 			s.logf("fleet %q: re-solve failed (%d consecutive), backing off %v: %v", sess.id, n, delay, err)
 		}
@@ -743,12 +734,12 @@ func (sess *session) applyRearm(_ journaled) {
 // bumpBackoff records one more consecutive solver failure and extends
 // the session's backoff window exponentially (full jitter on the upper
 // half, bounded by backoffCap).
-func (s *Server) bumpBackoff(sess *session) (int, time.Duration) {
+func (sess *session) bumpBackoff() (int, time.Duration) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.failures++
 	shift := min(sess.failures-1, 20)
-	d := min(s.backoffCap, s.backoffBase<<shift)
+	d := min(backoffCap, backoffBase<<shift)
 	// Full jitter on the upper half: concurrent fleets failing against a
 	// shared cause don't re-solve in lockstep.
 	d = d/2 + jitterDuration(d/2)

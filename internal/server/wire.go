@@ -159,6 +159,14 @@ type FleetStatus struct {
 }
 
 // PlanWire is the GET /v1/fleets/{id}/plan response.
+//
+// A restarted daemon rebuilds the plan from its durable incumbent without
+// solving. K, feasible and the assignments survive a restart bit for bit,
+// and so does the objective of a plan the journal replays; a plan restored
+// from a snapshot is priced on the registered workloads, not on the
+// forecast a triggered re-solve priced it on, so its objective can differ.
+// Fevals, elapsed_ms, migrated and migration_cost describe the solve this
+// process ran: after a restart they read 1, 0, 0 and 0.
 type PlanWire struct {
 	K         int     `json:"k"`
 	Feasible  bool    `json:"feasible"`

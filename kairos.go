@@ -121,8 +121,6 @@ type (
 	Grouping = core.Grouping
 	// PartitionedSolution is the result of ConsolidatePartitioned.
 	PartitionedSolution = core.PartitionedSolution
-	// ShardOptions configures the sharded cold solve (WithSharding).
-	ShardOptions = core.ShardOptions
 	// Incumbent is a saved consolidation plan a session warm-starts from
 	// (WithIncumbent: rolling re-consolidation).
 	Incumbent = core.Incumbent

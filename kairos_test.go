@@ -211,7 +211,7 @@ func TestConsolidateFleetFacade(t *testing.T) {
 		machines[i] = Machine{Name: fmt.Sprintf("m%d", i), CPUCapacity: 1, RAMBytes: 32e9}
 	}
 	plan := consolidate(t, wls, machines, nil,
-		WithSharding(ShardOptions{Shards: 3, Options: DefaultOptions()}))
+		WithShards(3))
 	if !plan.Feasible {
 		t.Fatal("fleet plan infeasible")
 	}
