@@ -85,15 +85,16 @@ race-full:
 # free slots, GOMAXPROCS - 1, so this races the apply loop decoding alone,
 # and beside three helpers, whatever the machine's core count. Then the
 # live decoders' split with one, two and eight chunks, the hold a second
-# request takes, and a recycled request body, which is not read into again
-# while its loop can read the window's span (a collector gone, a
-# deregistration, a refused append); the budget itself; and the solver's
+# request takes, a recycled request body, which is not read into again
+# while its handler can read the window's span (a collector gone, a
+# deregistration, a refused append), and a window waiting for its fleet's
+# turn (a deregistration, Close, a collector gone); the budget itself; and the solver's
 # fork sites — speculated K probes, cold-seed climbs, greedy packings,
 # shards and Resolve's candidate climbs — on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
 

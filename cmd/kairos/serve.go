@@ -33,9 +33,9 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // cmdServe runs the long-running control plane: an HTTP daemon exposing
 // the /v1/ fleet API (register fleets, stream observation windows from
 // concurrent collectors, query plans and re-consolidation events) plus
-// Prometheus-text /metrics. One reconcile goroutine runs per registered
-// fleet; SIGINT/SIGTERM shut the daemon down gracefully, draining
-// in-flight ingests before exiting. With -state-dir the daemon is
+// Prometheus-text /metrics. A fleet's windows apply one at a time under
+// the fleet's turn; SIGINT/SIGTERM shut the daemon down gracefully,
+// draining in-flight ingests before exiting. With -state-dir the daemon is
 // crash-safe: every mutation is journaled before it is acknowledged,
 // and a restart replays the journal to resume exactly where the crashed
 // process stopped.
@@ -91,8 +91,8 @@ func cmdServe(args []string) error {
 	fmt.Fprintln(os.Stderr, "kairos: shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	// Close the control plane first: it cancels every reconcile loop's
-	// context, which aborts in-flight solves, so the HTTP drain below can
+	// Close the control plane first: it cancels every fleet's context,
+	// which aborts in-flight solves, so the HTTP drain below can
 	// finish within the grace window instead of waiting out a multi-second
 	// re-solve. Aborted ingests are answered 503 before their connections
 	// close.

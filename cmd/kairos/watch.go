@@ -122,6 +122,7 @@ func cmdWatch(args []string) error {
 			files[0], len(baseline), plan.K, plan.Feasible)
 	}
 
+	events := 0
 	for _, path := range files[1:] {
 		window, _, err := readSnapshot(path)
 		if err != nil {
@@ -133,6 +134,7 @@ func cmdWatch(args []string) error {
 		}
 		switch {
 		case ev != nil:
+			events++
 			fmt.Printf("%s: %v\n", path, ev)
 		case *verbose:
 			fmt.Printf("%s: window %d, plan holds\n", path, session.Window()-1)
@@ -140,7 +142,7 @@ func cmdWatch(args []string) error {
 	}
 	final := session.Incumbent()
 	fmt.Printf("watched %d windows: %d re-consolidations (final K=%d)\n",
-		len(files)-1, len(session.Events()), final.K)
+		len(files)-1, events, final.K)
 	if *savePlan != "" {
 		if err := saveIncumbent(*savePlan, final); err != nil {
 			return err

@@ -12,15 +12,15 @@ import (
 
 // This file is the package's session type: a Fleet owns one fleet's
 // consolidation state — the spec it was registered with, the incumbent
-// plan, the drift detector with its baseline and forecast history, and the
-// event log. Its state moves through three unexported steps, each written
-// once — detect (a window through the detector into the history), solve
+// plan, and the drift detector with its baseline and forecast history.
+// Its state moves through three unexported steps, each written once —
+// detect (a window through the detector into the history), solve
 // (forecast, price the incumbent, warm re-solve; mutates nothing) and
 // commit (rebase the detector on the forecast, advance the incumbent,
 // publish the plan) — and every exported verb is a composition of them
 // (see the package comment). The HTTP control plane (internal/server,
 // `kairos serve`) is a thin remote projection: one Fleet per registered
-// fleet, one reconcile loop per Fleet.
+// fleet, whose windows apply one at a time under the fleet's turn.
 
 // FleetSpec describes a fleet under management: the workloads to place,
 // the target machines, and optionally the empirical disk model of the
@@ -96,10 +96,10 @@ func WithIncumbent(inc *Incumbent) FleetOption {
 	return func(c *fleetConfig) { c.inc = inc }
 }
 
-// Fleet is a consolidation session: it owns one fleet's incumbent plan,
-// drift detector and re-consolidation event log. Create it with NewFleet,
-// compute the initial plan with Consolidate (or seed one WithIncumbent),
-// then stream observation windows through Observe — each drift trigger
+// Fleet is a consolidation session: it owns one fleet's incumbent plan and
+// drift detector. Create it with NewFleet, compute the initial plan with
+// Consolidate (or seed one WithIncumbent), then stream observation
+// windows through Observe — each drift trigger
 // re-solves warm and advances the plan. All methods are safe for
 // concurrent use; windows arriving from multiple collectors serialize
 // internally.
@@ -110,7 +110,7 @@ type Fleet struct {
 
 	// mu is the writer lock: it serialises Consolidate, Observe and the
 	// control-plane verbs, and is held across a solve. The read accessors
-	// (Plan, Incumbent, Events, Window, Drift) never take it — they load
+	// (Plan, Incumbent, Window) never take it — they load
 	// view — so they do not wait for a triggered re-solve in flight.
 	mu sync.Mutex
 	// det is the drift detector, built on first use around the current
@@ -141,7 +141,6 @@ type Fleet struct {
 type fleetView struct {
 	plan    *Plan
 	inc     *Incumbent
-	events  []*ReconsolidationEvent
 	windows int
 }
 
@@ -241,11 +240,6 @@ func (f *Fleet) Incumbent() *Incumbent { return f.view.Load().inc }
 // until a trigger fires, then each triggered re-solve's. Nil for sessions
 // seeded WithIncumbent before any solve has run.
 func (f *Fleet) Plan() *Plan { return f.view.Load().plan }
-
-// Events returns the re-consolidation event log, oldest first.
-func (f *Fleet) Events() []*ReconsolidationEvent {
-	return append([]*ReconsolidationEvent(nil), f.view.Load().events...)
-}
 
 // Window returns how many observation windows the session has consumed.
 func (f *Fleet) Window() int { return f.view.Load().windows }
@@ -349,20 +343,14 @@ func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, history [][]Workl
 // commitLocked is the commit step: plan was solved against forecast, so
 // that is the assumption set future windows drift against. The detector
 // rebases onto it (samples is the forecast in the detector's form), the
-// baseline and incumbent move, the plan publishes; ev, when the commit has
-// one, joins the event log.
-func (f *Fleet) commitLocked(forecast []Workload, samples []drift.Sample, plan *Plan, ev *ReconsolidationEvent) error {
+// baseline and incumbent move, the plan publishes.
+func (f *Fleet) commitLocked(forecast []Workload, samples []drift.Sample, plan *Plan) error {
 	if err := f.det.SetBaseline(samples); err != nil {
 		return err
 	}
 	f.baseline, f.trig = forecast, nil
 	f.gen++
-	f.publishLocked(func(v *fleetView) {
-		v.plan, v.inc = plan, plan.Incumbent()
-		if ev != nil {
-			v.events = append(v.events, ev)
-		}
-	})
+	f.publishLocked(func(v *fleetView) { v.plan, v.inc = plan, plan.Incumbent() })
 	return nil
 }
 
@@ -378,8 +366,8 @@ func (f *Fleet) rearmLocked() {
 // series for the period, matched to the spec by workload name). It
 // returns (nil, nil) while the plan holds; when the drift detector fires
 // it re-solves warm from the incumbent on the forecast series, commits
-// the new plan as the incumbent, records the event, and returns it. Safe
-// to call from many collectors at once. A failed or cancelled re-solve
+// the new plan as the incumbent, and returns the event. Safe to call from
+// many collectors at once. A failed or cancelled re-solve
 // returns a *ResolveError (cancelling ctx aborts it mid-flight); the
 // window still counts as consumed, and the detector re-arms so persistent
 // drift fires again on the next window.
@@ -393,7 +381,7 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 	//kairoslint:allow lockorder: the warm re-solve's worker pool always drains; ctx aborts it on shutdown
 	ev, err := f.solve(ctx, trig, f.history, f.view.Load().inc)
 	if err == nil {
-		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan, ev)
+		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan)
 	}
 	if err != nil {
 		// The detector disarmed itself when it fired; with no re-solve to
@@ -437,8 +425,8 @@ func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 }
 
 // Advance is Observe's commit step alone: it commits the event Resolve
-// returned — new incumbent, rebased detector, published plan, event log.
-// It refuses an event the session has moved past since Resolve (another
+// returned — new incumbent, rebased detector, published plan. It refuses
+// an event the session has moved past since Resolve (another
 // window, a re-arm, a Consolidate), and one Observe already committed.
 func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 	f.mu.Lock()
@@ -446,7 +434,7 @@ func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 	if ev == nil || ev.samples == nil || ev.gen != f.gen {
 		return fmt.Errorf("kairos: fleet %q: stale advance: the session moved since Resolve produced the event", f.spec.Name)
 	}
-	return f.commitLocked(ev.forecast, ev.samples, ev.Plan, ev)
+	return f.commitLocked(ev.forecast, ev.samples, ev.Plan)
 }
 
 // RearmDetector forces the drift detector back to armed with no pending
@@ -489,7 +477,7 @@ func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.commitLocked(forecast, samples, plan, nil); err != nil {
+	if err := f.commitLocked(forecast, samples, plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -552,9 +540,9 @@ func (f *Fleet) Checkpoint() *FleetCheckpoint {
 // RestoreWatch rebuilds the session's detector from a checkpoint: its
 // baseline comes from the checkpointed workloads, the forecast history is
 // re-seeded, and the counters resume mid-stream. The checkpointed
-// incumbent becomes the plan the next trigger warm-starts from (the
-// displayed Plan is restored separately via AdoptIncumbent or
-// ReplayAdvance).
+// incumbent becomes the plan the next trigger warm-starts from, published
+// priced on the baseline: the forecast the last committed trigger solved
+// on, as ReplayAdvance prices it, or the spec workloads before any.
 func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	if cp.Incumbent == nil {
 		return fmt.Errorf("kairos: checkpoint for fleet %q has no incumbent plan", f.spec.Name)
@@ -562,6 +550,11 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	baseline := cp.Baseline
 	if len(baseline) == 0 {
 		baseline = f.spec.Workloads
+	}
+	p := &Problem{Workloads: baseline, Machines: f.spec.Machines, Disk: f.spec.Disk}
+	sol, err := core.SolutionFromIncumbent(p, cp.Incumbent)
+	if err != nil {
+		return err
 	}
 	det, err := f.newDetector(cp.Incumbent, baseline)
 	if err != nil {
@@ -585,26 +578,6 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	defer f.mu.Unlock()
 	f.det, f.baseline, f.history, f.trig = det, baseline, history, nil
 	f.gen++
-	f.publishLocked(func(v *fleetView) { v.inc, v.windows = cp.Incumbent, cp.Windows })
+	f.publishLocked(func(v *fleetView) { v.plan, v.inc, v.windows = newPlan(p, sol), cp.Incumbent, cp.Windows })
 	return nil
-}
-
-// DriftStatus summarizes the session's monitoring state for status queries.
-type DriftStatus struct {
-	// Windows is how many observation windows have been consumed.
-	Windows int
-	// Triggers is how many drift-triggered re-solves have run.
-	Triggers int
-	// LastTrigger is the most recent event's window index (-1 if none).
-	LastTrigger int
-}
-
-// Drift reports the session's monitoring state.
-func (f *Fleet) Drift() DriftStatus {
-	v := f.view.Load()
-	st := DriftStatus{Windows: v.windows, Triggers: len(v.events), LastTrigger: -1}
-	if n := len(v.events); n > 0 {
-		st.LastTrigger = v.events[n-1].Window
-	}
-	return st
 }

@@ -163,7 +163,7 @@ func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 // retry deduplicates instead of feeding the detector and the forecast
 // history the same window twice, exactly as a retry after a restart does.
 // The failure is a cancelled solve, driven through processWindow the way
-// the reconcile loop drives it.
+// a window handler drives it.
 func TestFailedSolveWindowIsAcked(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
@@ -178,16 +178,17 @@ func TestFailedSolveWindowIsAcked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := ingestReq{key: windowKey(wire), record: [][]byte{sess.recordHead, span, windowTail}}
-	if req.window, err = toWorkloads(wire, sess.needDisk); err != nil {
+	key, record := windowKey(wire), [][]byte{sess.recordHead, span, windowTail}
+	window, err := toWorkloads(wire, sess.needDisk)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if resp := s.processWindow(cancelled, sess, req); !errors.Is(resp.err, context.Canceled) {
+	if resp := s.processWindow(cancelled, sess, window, key, record); !errors.Is(resp.err, context.Canceled) {
 		t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)
 	}
-	retry := s.processWindow(context.Background(), sess, req)
+	retry := s.processWindow(context.Background(), sess, window, key, record)
 	if retry.err != nil || !retry.duplicate || retry.triggered || retry.window != 0 {
 		t.Fatalf("live retry answered %+v, want duplicate of (0, untriggered)", retry)
 	}

@@ -20,12 +20,12 @@ import (
 
 // The request body's lifetime. readBody reads a window into a buffer from
 // the server's free list, decodeWindow hands back the span of that buffer
-// the journal record is framed from, and the fleet's loop appends the
-// record. The handler gives the buffer back only once the loop has
-// replied: these tests hold every loop with a window in hand — at the
-// snapshot lock, or at its session's lock where the request under test
-// takes the snapshot lock too — do what could tempt a handler to let go
-// early, and check that the journal got the bytes that arrived.
+// the journal record is framed from, and the handler, holding its fleet's
+// turn, appends the record. The handler gives the buffer back only once it
+// has answered: these tests hold every window handler with its fleet's
+// turn — at the snapshot lock, or at its session's lock where the request
+// under test takes the snapshot lock too — do what could tempt a handler
+// to let go early, and check that the journal got the bytes that arrived.
 
 // stacksNaming returns how many goroutines' stacks each name every one of
 // frames, and the stacks.
@@ -46,8 +46,8 @@ stacks:
 }
 
 // stackWait waits until at least n goroutines' stacks each name every one
-// of frames: how a test sees that a loop has taken a window, with no hook
-// in the server.
+// of frames: how a test sees where a handler waits, with no hook in the
+// server.
 func stackWait(t *testing.T, n int, frames ...string) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -61,16 +61,16 @@ func stackWait(t *testing.T, n int, frames ...string) {
 	}
 }
 
-// loopsHolding waits until n reconcile loops hold a window and wait at the
-// snapshot lock the test holds.
-func loopsHolding(t *testing.T, n int) {
+// windowsHolding waits until n window handlers hold their fleet's turn and
+// wait at the snapshot lock the test holds.
+func windowsHolding(t *testing.T, n int) {
 	t.Helper()
-	stackWait(t, n, "(*Server).reconcile", "(*RWMutex).RLock")
+	stackWait(t, n, "(*Server).handleWindow", "(*RWMutex).RLock")
 }
 
-// loopsHoldingAtSession waits until n reconcile loops hold a window and
-// wait at their session's lock, which the test holds.
-func loopsHoldingAtSession(t *testing.T, n int) {
+// windowsHoldingAtSession waits until n window handlers hold their fleet's
+// turn and wait at their session's lock, which the test holds.
+func windowsHoldingAtSession(t *testing.T, n int) {
 	t.Helper()
 	stackWait(t, n, "(*Server).processWindow", "(*Mutex).lockSlow")
 }
@@ -106,13 +106,13 @@ func (f *inFlight) answer(t *testing.T, what string, want int) {
 }
 
 // noBodyGivenBack fails if a body reaches the free list within a few
-// milliseconds: none may while the only window handlers are waiting on
-// their loops.
+// milliseconds: none may while the only window handlers hold their
+// fleets' turns.
 func noBodyGivenBack(t *testing.T, s *Server) {
 	t.Helper()
 	for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if n := len(s.bodies); n > 0 {
-			t.Fatalf("%d bodies given back while their windows are in the loop", n)
+			t.Fatalf("%d bodies given back while their windows hold their turns", n)
 		}
 	}
 }
@@ -128,12 +128,12 @@ func wantRecord(t *testing.T, id string, body []byte) []byte {
 }
 
 // TestRecycledBodyLifetime: a window's body is not read into by another
-// request while its loop can still read the span — not when the collector
-// goes away after the window reached the loop, not when the fleet is
-// deregistered while its loop holds the window, and not when the journal
-// refuses the record. In each case the other collector's body goes to a
-// fresh buffer, both records hold the bytes that arrived, and both bodies
-// are given back once answered.
+// request while its handler can still read the span — not when the
+// collector goes away after the window took its fleet's turn, not when
+// the fleet is deregistered while the window holds the turn, and not when
+// the journal refuses the record. In each case the other collector's body
+// goes to a fresh buffer, both records hold the bytes that arrived, and
+// both bodies are given back once answered.
 func TestRecycledBodyLifetime(t *testing.T) {
 	bodyA := stampedWindow(4, 8, 1.001, 1000)
 	bodyB := stampedWindow(4, 8, 1.002, 1000)
@@ -183,11 +183,11 @@ func TestRecycledBodyLifetime(t *testing.T) {
 		s.pauseRW.Lock()
 		ctx, disconnect := context.WithCancel(context.Background())
 		a := startRequest(ctx, h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
-		loopsHolding(t, 1)
+		windowsHolding(t, 1)
 		disconnect()
 		noBodyGivenBack(t, s)
 		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
-		loopsHolding(t, 2)
+		windowsHolding(t, 2)
 		s.pauseRW.Unlock()
 		a.answer(t, "window of the collector that went away", http.StatusOK)
 		b.answer(t, "window of the other collector", http.StatusOK)
@@ -197,26 +197,26 @@ func TestRecycledBodyLifetime(t *testing.T) {
 	t.Run("deregistered mid-ingest", func(t *testing.T) {
 		s, dir := setup(t, nil)
 		h := s.Handler()
-		// The loops wait at their sessions' locks, not at the snapshot lock:
-		// the deregistration takes that one's read side too, and must get it
-		// while fleet a's loop holds the window.
+		// The windows wait at their sessions' locks, not at the snapshot
+		// lock: the deregistration takes that one's read side too, and must
+		// get it while fleet a's window holds the turn.
 		s.mu.Lock()
 		sessA, sessB := s.fleets["a"], s.fleets["b"]
 		s.mu.Unlock()
 		sessA.mu.Lock()
 		sessB.mu.Lock()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
-		loopsHoldingAtSession(t, 1)
-		// Fleet a is out of the registry and its loop cancelled; the
-		// deregistration waits for the loop to stop.
+		windowsHoldingAtSession(t, 1)
+		// Fleet a is out of the registry and its context cancelled; the
+		// deregistration waits for the window holding the turn.
 		del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/a", nil)
-		stackWait(t, 1, "[chan receive]", "(*Server).handleDelete")
+		stackWait(t, 1, "[chan send]", "(*Server).handleDelete")
 		noBodyGivenBack(t, s)
 		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
-		loopsHoldingAtSession(t, 2)
+		windowsHoldingAtSession(t, 2)
 		sessA.mu.Unlock()
 		sessB.mu.Unlock()
-		a.answer(t, "window the loop held when its fleet went", http.StatusOK)
+		a.answer(t, "window holding the turn when its fleet went", http.StatusOK)
 		del.answer(t, "deregistration", http.StatusNoContent)
 		b.answer(t, "window of the other fleet", http.StatusOK)
 		journaledBoth(t, s, dir)
@@ -228,9 +228,9 @@ func TestRecycledBodyLifetime(t *testing.T) {
 		h := s.Handler()
 		s.pauseRW.Lock()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
-		loopsHolding(t, 1)
+		windowsHolding(t, 1)
 		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
-		loopsHolding(t, 2)
+		windowsHolding(t, 2)
 		noBodyGivenBack(t, s)
 		// The first record written is torn halfway; the log is poisoned for
 		// the second.
@@ -319,7 +319,7 @@ func TestRegistrationRequestSurvivesIngest(t *testing.T) {
 
 // BenchmarkIngestWindow197 acknowledges one quiet 197-server window per
 // op through Handler().ServeHTTP: the body read, decode and conversion,
-// the fleet's loop — with durable, the journal append at -fsync none; the
+// the fleet's turn — with durable, the journal append at -fsync none; the
 // detector; the ack ring — and the reply. start_unix is restamped in place
 // each op, so every window is a new one, and warm-up windows before the
 // timer fill the free list and the journal's frame buffer. allocs/op and

@@ -39,8 +39,7 @@ func openDurable(t *testing.T, dir string, opt journal.Options, snapEvery int) (
 
 // samePlacement asserts two served plans place identically: same K,
 // feasibility and unit assignments. The recovered plan's bookkeeping
-// (fevals, elapsed) and — after a snapshot restore — its pricing basis
-// differ legitimately; the placement is the published contract.
+// (fevals, elapsed) differs legitimately; samePlan adds the objective.
 func samePlacement(t *testing.T, label string, got, want []byte) {
 	t.Helper()
 	var g, w PlanWire
@@ -277,7 +276,7 @@ func TestRecoveryAfterGracefulClose(t *testing.T) {
 		t.Errorf("replayed %d window records, want 0 (snapshot should cover them)", rs.recovery.Windows)
 	}
 	_, gotPlan := do(t, http.MethodGet, rts.URL+"/v1/fleets/gc/plan", nil)
-	samePlacement(t, "plan after graceful restart", gotPlan, wantPlan)
+	samePlan(t, "plan after graceful restart", gotPlan, wantPlan)
 	_, gotEvents := do(t, http.MethodGet, rts.URL+"/v1/fleets/gc/events", nil)
 	if string(gotEvents) != string(wantEvents) {
 		t.Errorf("event log after graceful restart differs:\n got %s\nwant %s", gotEvents, wantEvents)

@@ -45,7 +45,7 @@ func wireWorkloads(wls []kairos.Workload, f float64) []WorkloadWire {
 // TestServeE2E197 is the acceptance scenario end to end: register the
 // 197-server ALL fleet over HTTP, stream quiet observation windows from
 // concurrent collectors, then a drifted window; a drift-triggered warm
-// re-solve must fire in the reconcile loop, the served plan must advance,
+// re-solve must fire under the fleet's turn, the served plan must advance,
 // and the event log and /metrics must reflect the trigger. Runs under
 // -race (see TestFleetConcurrentObserve for the library-level
 // hammer).
@@ -88,8 +88,8 @@ func TestServeE2E197(t *testing.T) {
 	}
 
 	// Concurrent collectors each stream quiet windows (±0.3% of the
-	// registered baseline): the reconcile loop must serialize them and
-	// none may trigger.
+	// registered baseline): the fleet's turn must serialize them and none
+	// may trigger.
 	const collectors = 4
 	quiet := [collectors][]byte{}
 	for c := range quiet {

@@ -33,8 +33,8 @@ type fleetMetrics struct {
 	triggers     int64
 	fevals       int64
 	migrations   int64
-	// failStreak is the consecutive-failure gauge behind the reconcile
-	// loop's solver backoff (reset to 0 by a re-solve that advances).
+	// failStreak is the consecutive-failure gauge behind the fleet's
+	// solver backoff (reset to 0 by a re-solve that advances).
 	failStreak int64
 	// histogram state for kairos_resolve_duration_seconds.
 	bucketCounts []int64

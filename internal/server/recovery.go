@@ -7,8 +7,8 @@ package server
 // with right after appending it (server.go's apply functions) — a window
 // goes through the detector and into the ack ring, and what its trigger
 // led to is whatever the next record says: an advance rebuilt from its
-// journaled incumbent (no re-solve) or a rearm — and finally starts a
-// reconcile loop per recovered fleet.
+// journaled incumbent (no re-solve) or a rearm. A recovered fleet's windows
+// take its turn as a registered one's do.
 //
 // Convention (see CONTRIBUTING.md): every new control-plane mutation
 // needs a RecordWire field, an append, and one apply function called by
@@ -81,7 +81,7 @@ type RecoveryStats struct {
 	// Records counts the journal records replayed after the snapshot.
 	Records int
 	// Elapsed is how long the replay took, wall clock, from the snapshot
-	// file having been read to the reconcile loops being started.
+	// file having been read to the registry being served.
 	Elapsed time.Duration
 	// JournalRead is the time before that: reading and checksumming the
 	// snapshot file.
@@ -135,11 +135,12 @@ func jitterDuration(d time.Duration) time.Duration {
 	return time.Duration(rand.Int63n(int64(d)))
 }
 
-// restoreSession rebuilds one fleet session from its registration
-// request and durable incumbent, without solving. Shared by snapshot
-// restore and RegisterRecord replay; the reconcile loop is started by
-// the caller once the whole journal has replayed.
-func restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, error) {
+// restoreSession rebuilds one fleet session from its snapshot entry,
+// without solving: the registration request and durable incumbent, and
+// the watch state once the fleet has consumed a window. A RegisterRecord
+// replays as an entry with neither.
+func restoreSession(fs *FleetSnapshot) (*session, error) {
+	req, inc := fs.Request, fs.Incumbent
 	if req == nil || req.ID == "" {
 		return nil, fmt.Errorf("registration record has no request")
 	}
@@ -150,18 +151,39 @@ func restoreSession(req *RegisterRequest, inc *kairos.Incumbent) (*session, erro
 	if err != nil {
 		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
 	}
-	if _, err := sess.fleet.AdoptIncumbent(inc); err != nil {
-		return nil, fmt.Errorf("fleet %q incumbent: %w", req.ID, err)
+	if fs.Detector.Windows == 0 && len(fs.History) == 0 {
+		if _, err := sess.fleet.AdoptIncumbent(inc); err != nil {
+			return nil, fmt.Errorf("fleet %q incumbent: %w", req.ID, err)
+		}
+		return sess, nil
+	}
+	// RestoreWatch publishes the plan as well, priced on the baseline.
+	cp := &kairos.FleetCheckpoint{
+		Incumbent: inc,
+		Windows:   fs.Detector.Windows,
+		Armed:     fs.Detector.Armed,
+		Cooldown:  fs.Detector.Cooldown,
+	}
+	if len(fs.Baseline) > 0 {
+		if cp.Baseline, err = toWorkloads(fs.Baseline, sess.needDisk); err != nil {
+			return nil, fmt.Errorf("fleet %q baseline: %w", req.ID, err)
+		}
+	}
+	if cp.History, err = toHistory(fs.History, sess.needDisk); err != nil {
+		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
+	}
+	if err := sess.fleet.RestoreWatch(cp); err != nil {
+		return nil, fmt.Errorf("fleet %q watch state: %w", req.ID, err)
 	}
 	return sess, nil
 }
 
-// replay rebuilds the registry from the journal rd reads, installs the
-// journal for appends after its last record, then starts the reconcile
-// loops. It runs inside Open, before the HTTP surface accepts traffic
-// (Handler answers 503 while s.recovering), but still holds s.mu — for
-// everything except the wait for the next decoded record — so the
-// registry writes satisfy the lock contract the live paths rely on.
+// replay rebuilds the registry from the journal rd reads and installs the
+// journal for appends after its last record. It runs inside Open, before
+// the HTTP surface accepts traffic (Handler answers 503 while
+// s.recovering), but still holds s.mu — for everything except the wait
+// for the next decoded record — so the registry writes satisfy the lock
+// contract the live paths rely on.
 // Records referencing unknown fleets — possible after a snapshot
 // compacted away their registration and deregistration — are skipped;
 // structurally invalid records are fatal (they can only mean a software
@@ -185,28 +207,9 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		stats.SnapshotDecode = time.Since(decodeStart)
 		for i := range snap.Fleets {
 			fs := &snap.Fleets[i]
-			sess, err := restoreSession(fs.Request, fs.Incumbent)
+			sess, err := restoreSession(fs)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: %w", err)
-			}
-			if fs.Detector.Windows > 0 || len(fs.History) > 0 {
-				cp := &kairos.FleetCheckpoint{
-					Incumbent: fs.Incumbent,
-					Windows:   fs.Detector.Windows,
-					Armed:     fs.Detector.Armed,
-					Cooldown:  fs.Detector.Cooldown,
-				}
-				if len(fs.Baseline) > 0 {
-					if cp.Baseline, err = toWorkloads(fs.Baseline, sess.needDisk); err != nil {
-						return nil, fmt.Errorf("snapshot fleet %q baseline: %w", sess.id, err)
-					}
-				}
-				if cp.History, err = toHistory(fs.History, sess.needDisk); err != nil {
-					return nil, fmt.Errorf("snapshot fleet %q: %w", sess.id, err)
-				}
-				if err := sess.fleet.RestoreWatch(cp); err != nil {
-					return nil, fmt.Errorf("snapshot fleet %q watch state: %w", sess.id, err)
-				}
 			}
 			sess.mu.Lock()
 			sess.events = append(sess.events, fs.Events...)
@@ -256,7 +259,7 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		rw := d.rw
 		switch {
 		case rw.Register != nil:
-			sess, err := restoreSession(rw.Register.Request, rw.Register.Incumbent)
+			sess, err := restoreSession(&FleetSnapshot{Request: rw.Register.Request, Incumbent: rw.Register.Incumbent})
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", d.seq, err)
 			}
@@ -316,7 +319,6 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 	stats.Fleets = len(s.fleets)
 	for _, sess := range s.fleets {
 		heal(sess)
-		s.startLocked(sess)
 	}
 	s.met.setFleets(len(s.fleets))
 	stats.Elapsed = time.Since(start)
@@ -472,7 +474,7 @@ func (a *decodeAhead) stop() {
 }
 
 // maybeSnapshot compacts the journal into a snapshot once enough windows
-// have been ingested since the last one. Called by reconcile loops after
+// have been ingested since the last one. Called by window handlers after
 // releasing the snapshot read-lock; a failed snapshot is logged and
 // retried after the next window (the journal keeps growing but loses
 // nothing).
@@ -488,14 +490,24 @@ func (s *Server) maybeSnapshot() {
 	}
 }
 
-// snapshot checkpoints every fleet under the snapshot write-lock and
-// hands the marshalled registry to the journal, which swaps it in and
-// truncates the replayed prefix. Every mutation appends and applies under
-// the read side, so the snapshot observes no record between its append
-// and its effects, and rotates away none whose effect it did not copy.
+// snapshot takes the snapshot write-lock and snapshots, unless Close has
+// taken the last snapshot or is about to.
 func (s *Server) snapshot() error {
 	s.pauseRW.Lock()
 	defer s.pauseRW.Unlock()
+	if s.ctx.Err() != nil {
+		return nil
+	}
+	return s.snapshotPaused()
+}
+
+// snapshotPaused checkpoints every fleet and hands the marshalled registry
+// to the journal, which swaps it in and truncates the replayed prefix. The
+// caller holds the snapshot write-lock. Every mutation appends and applies
+// under the read side, so the snapshot observes no record between its
+// append and its effects, and rotates away none whose effect it did not
+// copy.
+func (s *Server) snapshotPaused() error {
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.fleets))
 	for _, sess := range s.fleets {

@@ -344,15 +344,6 @@ func TestReplayLeavesNoGoroutines(t *testing.T) {
 		appendRaw(t, bad, mustJSON(RecordWire{Rearm: &RearmRecord{Fleet: "a"}}))
 	}
 
-	// settled waits out the moment between a goroutine's last statement —
-	// the WaitGroup.Done that Kill and replay join on — and its exit.
-	settled := func(base int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		return n
-	}
 	for _, procs := range []int{1, 4} {
 		atProcs(procs, func() {
 			base := runtime.NumGoroutine()
@@ -363,16 +354,15 @@ func TestReplayLeavesNoGoroutines(t *testing.T) {
 			if s.recovery.Windows != 63 {
 				t.Errorf("GOMAXPROCS=%d: replayed %d windows, want 63", procs, s.recovery.Windows)
 			}
-			// The fleet's reconcile loop is the server's to keep; Kill joins it.
 			s.Kill()
-			if n := settled(base); n != base {
+			if n := settledGoroutines(base); n != base {
 				t.Errorf("GOMAXPROCS=%d: %d goroutines after Open and Kill, %d before", procs, n, base)
 			}
 			_, err = openDir(bad, t.Logf)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("decoding journal record %d:", seqs[0])) {
 				t.Fatalf("GOMAXPROCS=%d: the journal with a bad record 64 opened with %v", procs, err)
 			}
-			if n := settled(base); n != base {
+			if n := settledGoroutines(base); n != base {
 				t.Errorf("GOMAXPROCS=%d: %d goroutines after a failed Open, %d before", procs, n, base)
 			}
 		})

@@ -47,28 +47,27 @@ type Config struct {
 	SnapshotEvery int
 }
 
-// backoffBase and backoffCap bound the exponential backoff a fleet's
-// reconcile loop applies after a failed re-solve. Windows arriving during
-// backoff are monitored but never trigger a solve.
+// backoffBase and backoffCap bound the exponential backoff a fleet applies
+// after a failed re-solve. Windows arriving during backoff are monitored
+// but never trigger a solve.
 const (
 	backoffBase = time.Second
 	backoffCap  = 60 * time.Second
 )
 
-// Server is the control plane state: the fleet registry, one reconcile
-// loop per registered fleet, the metrics registry, and (with a state
-// dir) the durability journal. Create it with Open (or New for a pure
-// in-memory plane), mount Handler on an http.Server, and Close it on
-// shutdown — Close cancels every reconcile loop, waits for them to
-// drain, and snapshots the journal.
+// Server is the control plane state: the fleet registry, the metrics
+// registry, and (with a state dir) the durability journal. Create it with
+// Open (or New for a pure in-memory plane), mount Handler on an
+// http.Server, and Close it on shutdown — Close ends every fleet's
+// context, waits for the windows being applied, and snapshots the journal.
 type Server struct {
 	mu     sync.Mutex
 	fleets map[string]*session // guarded by mu
 	closed bool                // guarded by mu
 
+	// ctx is the parent of every fleet's context; Close cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
 
 	met  *metrics
 	mux  *http.ServeMux
@@ -76,8 +75,8 @@ type Server struct {
 
 	// jl is the durability journal; nil without a state dir.
 	jl *journal.Log
-	// pauseRW quiesces mutations for snapshots: every reconcile loop holds
-	// the read side across one window's journal-append + apply + ack, and
+	// pauseRW quiesces mutations for snapshots: a window handler holds the
+	// read side across the window's journal-append + apply, and
 	// registration and deregistration across their append + apply, so the
 	// write side observes no record between its append and its effects.
 	// Lock order: pauseRW → mu → the journal's.
@@ -97,16 +96,16 @@ type Server struct {
 	// bodies is the free list of request-body buffers readBody reads into,
 	// so a steady stream of windows reuses the buffers of the requests
 	// before it. It keeps GOMAXPROCS + 1: one for each request the cores
-	// can decode at once and one for a window a fleet's loop still holds;
+	// can decode at once and one for a window waiting for its fleet's turn;
 	// more would only pin idle megabytes. A channel, not a sync.Pool: the
 	// GC empties a pool, and a buffer re-made at random would make the
 	// bytes an ingest costs a number that does not repeat.
 	bodies chan []byte
 }
 
-// session is one registered fleet: the library session handle plus the
-// channel its reconcile loop serializes ingestion through, the
-// server-side event log, and the idempotent-ingest ring.
+// session is one registered fleet: the library session handle, the turn
+// its windows take one at a time, the server-side event log, and the
+// idempotent-ingest ring.
 type session struct {
 	id        string
 	req       *RegisterRequest // registration request, reissued in snapshots
@@ -116,9 +115,15 @@ type session struct {
 	needDisk  bool
 	// recordHead is the head of the fleet's window records (windowHead).
 	recordHead []byte
-	ingest     chan ingestReq
-	cancel     context.CancelFunc
-	done       chan struct{}
+	// turn is the fleet's lock, taken by sending into its one slot: a window
+	// handler holds it while it journals and applies the window, so windows
+	// apply in one serial order and re-solves never overlap. A channel, so
+	// that a window waiting for it also watches ctx and its collector.
+	turn chan struct{}
+	// ctx rides into the fleet's re-solves. It derives from the server's,
+	// and deregistering the fleet cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu sync.Mutex
 	// events is the fleet's re-consolidation event log in wire form —
@@ -138,26 +143,12 @@ type session struct {
 	pending    bool
 	pendingKey int64 // guarded by mu
 	// failures counts consecutive failed re-solves; backoffUntil is when
-	// the loop may solve again (guarded by mu).
+	// the fleet may solve again (guarded by mu).
 	failures     int
 	backoffUntil time.Time // guarded by mu
 }
 
-// ingestReq carries one observation window into the reconcile loop and
-// the channel the loop acknowledges it on.
-type ingestReq struct {
-	window []kairos.Workload
-	// key is the window's idempotency key (see windowKey).
-	key int64
-	// record is the window's journal payload in the parts the journal
-	// frames: the session's record head, the span of the received body
-	// and windowTail; nil without a state dir. The span aliases the
-	// request body, which the handler keeps until the loop has replied.
-	record [][]byte
-	reply  chan ingestResp
-}
-
-// ingestResp is the reconcile loop's acknowledgement of one window.
+// ingestResp is processWindow's acknowledgement of one window.
 type ingestResp struct {
 	window    int
 	triggered bool
@@ -264,10 +255,10 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Close stops every reconcile loop and waits for them to exit, then
-// snapshots and closes the journal. The server rejects new work
-// afterwards; in-flight ingest requests are answered with a shutdown
-// error.
+// Close ends every fleet's context, which aborts the re-solves in flight,
+// waits for the windows being applied, then snapshots and closes the
+// journal. The server rejects new work afterwards; windows in flight are
+// answered with a shutdown error.
 func (s *Server) Close() error {
 	return s.close(true)
 }
@@ -288,15 +279,19 @@ func (s *Server) close(snapshot bool) error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	// A window journals and applies under the snapshot read-lock, and only
+	// while its fleet's context lives: once the write side is taken, no
+	// window is applying and none will.
 	s.cancel()
-	s.wg.Wait()
+	s.pauseRW.Lock()
+	defer s.pauseRW.Unlock()
 	if s.jl == nil {
 		return nil
 	}
 	if snapshot {
 		// Best effort: a failed shutdown snapshot just means the next
 		// start replays the journal instead.
-		if err := s.snapshot(); err != nil {
+		if err := s.snapshotPaused(); err != nil {
 			s.logf("shutdown snapshot failed (journal replay will recover): %v", err)
 		}
 	}
@@ -394,7 +389,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 
 // handleRegister is POST /v1/fleets: validate the spec, run the initial
 // consolidation synchronously (the response carries the plan summary),
-// commit the session to the registry, and start its reconcile loop.
+// and commit the session to the registry.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.live.Add(1)
 	defer s.live.Add(-1)
@@ -478,7 +473,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.applyRegisterLocked(tok, sess)
-	s.startLocked(sess)
 	n := len(s.fleets)
 	s.mu.Unlock()
 	s.pauseRW.RUnlock()
@@ -525,25 +519,25 @@ func buildSession(req *RegisterRequest) (*session, error) {
 		machines:   machines,
 		needDisk:   dp != nil,
 		recordHead: head,
-		ingest:     make(chan ingestReq),
-		done:       make(chan struct{}),
+		turn:       make(chan struct{}, 1),
 		acks:       map[int64]AckWire{},
 	}, nil
 }
 
 // applyRegisterLocked and applyDeregisterLocked apply a register and a
-// deregister record to the registry. Callers hold s.mu.
-func (s *Server) applyRegisterLocked(_ journaled, sess *session) { s.fleets[sess.id] = sess }
+// deregister record to the registry: a registered fleet's context derives
+// from the server's, and deregistering it ends the context. Callers hold
+// s.mu.
+func (s *Server) applyRegisterLocked(_ journaled, sess *session) {
+	sess.ctx, sess.cancel = context.WithCancel(s.ctx)
+	s.fleets[sess.id] = sess
+}
 
-func (s *Server) applyDeregisterLocked(_ journaled, id string) { delete(s.fleets, id) }
-
-// startLocked launches a registered session's reconcile loop. Callers
-// hold s.mu with s.closed false, so Close's wait cannot miss the loop.
-func (s *Server) startLocked(sess *session) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	sess.cancel = cancel
-	s.wg.Add(1)
-	go s.reconcile(ctx, sess)
+func (s *Server) applyDeregisterLocked(_ journaled, id string) {
+	if sess := s.fleets[id]; sess != nil {
+		sess.cancel()
+		delete(s.fleets, id)
+	}
 }
 
 // uniqueNames enforces the name-matching contract windows rely on.
@@ -556,29 +550,6 @@ func uniqueNames(wls []kairos.Workload) error {
 		seen[w.Name] = true
 	}
 	return nil
-}
-
-// reconcile is a fleet's control loop: it alone moves the session, so
-// windows from any number of collectors apply in a single serial order,
-// and re-solves never overlap. It exits when the session is
-// deregistered or the server shuts down. Each window's
-// journal-append + apply + ack runs under the snapshot read-lock, so a
-// snapshot never captures state a journaled record has not yet produced.
-func (s *Server) reconcile(ctx context.Context, sess *session) {
-	defer s.wg.Done()
-	defer close(sess.done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case req := <-sess.ingest:
-			s.pauseRW.RLock()
-			resp := s.processWindow(ctx, sess, req)
-			s.pauseRW.RUnlock()
-			req.reply <- resp
-			s.maybeSnapshot()
-		}
-	}
 }
 
 // windowKey is the idempotency key of an ingested window: the start time
@@ -595,12 +566,13 @@ func windowKey(wire []WorkloadWire) int64 {
 // ring, journal it, apply it, and — if it fired a trigger — decide the
 // outcome (an advance, or a rearm while the solver backs off or when it
 // fails), journal that, apply that. Each apply is the function replay
-// calls for the same record. Runs on the reconcile goroutine under the
-// snapshot read-lock, so no snapshot sees a window without its outcome.
-func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq) ingestResp {
+// calls for the same record. record is the window's journal payload in
+// the parts the journal frames (nil without a state dir). The caller holds
+// the fleet's turn and the snapshot read-lock, so no snapshot sees a
+// window without its outcome.
+func (s *Server) processWindow(ctx context.Context, sess *session, window []kairos.Workload, key int64, record [][]byte) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
-	key := req.key
 	sess.mu.Lock()
 	ack, dup := sess.acks[key]
 	inBackoff := time.Now().Before(sess.backoffUntil)
@@ -611,18 +583,18 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	winTok, err := s.appendPayload(req.record...)
+	winTok, err := s.appendPayload(record...)
 	if err != nil {
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
-	index, fired, err := sess.applyWindow(winTok, req.window, key)
+	index, fired, err := sess.applyWindow(winTok, window, key)
 	if err != nil || !fired {
 		s.met.observeWindow(sess.id, err != nil)
 		return ingestResp{window: index, err: err}
 	}
 
 	// During backoff the detector and history keep moving but nothing
-	// solves. Otherwise the loop's ctx rides into the solver: Server.Close
+	// solves. Otherwise the fleet's ctx rides into the solver: Server.Close
 	// (or a deregister) aborts the re-solve mid-flight.
 	var ev *kairos.ReconsolidationEvent
 	if !inBackoff {
@@ -751,9 +723,9 @@ func (sess *session) bumpBackoff() (int, time.Duration) {
 // body. While another such request is in flight it holds a slot of the CPU
 // budget for the rest of the handler, even one a split chunk of the other
 // request has yet to give back: with two collectors on two cores, one
-// decodes while the other's window is in the fleet's serial loop, and a
-// chunk or a solver helper of either would take the loop's core. The
-// returned func gives the slot back.
+// decodes while the other's handler holds its fleet's turn and runs the
+// fleet's window, and a chunk or a solver helper of either would take that
+// handler's core. The returned func gives the slot back.
 func (s *Server) hold() (release func()) {
 	if s.live.Load() > 1 {
 		cpu.Hold()
@@ -763,9 +735,8 @@ func (s *Server) hold() (release func()) {
 }
 
 // handleWindow is POST /v1/fleets/{id}/windows: decode the window and
-// build its journal record, hand both to the fleet's reconcile loop, and
-// acknowledge once the window has been applied (including whether it
-// triggered a re-solve).
+// build its journal record, take the fleet's turn, journal and apply the
+// window, and acknowledge it (including whether it triggered a re-solve).
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
 	if sess == nil {
@@ -774,15 +745,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	s.live.Add(1)
 	defer s.live.Add(-1)
 	body, err := s.readBody(r)
-	// The record's span aliases the body: once the window has reached the
-	// loop, the body is reused only after the loop has replied, which it
-	// does once the record is written.
-	reuse := true
-	defer func() {
-		if reuse {
-			s.putBody(body)
-		}
-	}()
+	// The record's span aliases the body, which goes back to the free list
+	// only once the window has been journaled and answered.
+	defer s.putBody(body)
 	if err != nil {
 		writeDecodeErr(w, "window", err)
 		return
@@ -798,73 +763,63 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ir := ingestReq{window: window, key: windowKey(wire), reply: make(chan ingestResp, 1)}
+	var record [][]byte
 	if s.jl != nil {
 		// The record is the bytes that arrived under the RecordWire schema,
-		// framed by the journal from its parts in the fleet's serial loop.
-		ir.record = [][]byte{sess.recordHead, span, windowTail}
+		// framed by the journal from its parts.
+		record = [][]byte{sess.recordHead, span, windowTail}
 	}
 	select {
-	case sess.ingest <- ir:
-	case <-sess.done:
-		s.writeStopped(w, sess, "")
+	case sess.turn <- struct{}{}:
+	case <-sess.ctx.Done():
+		s.writeStopped(w, sess)
 		return
 	case <-r.Context().Done():
+		return // the collector went away before anything was journaled
+	}
+	// The context is checked under the snapshot read-lock: Close cancels it
+	// before it takes the write side, so a window that gets the read side
+	// after Close has waited for the others journals nothing.
+	s.pauseRW.RLock()
+	if sess.ctx.Err() != nil {
+		s.pauseRW.RUnlock()
+		<-sess.turn
+		s.writeStopped(w, sess)
 		return
 	}
-	writeResp := func(resp ingestResp) {
-		if resp.journalErr != nil {
-			// The window (or its advance) never reached the journal, so it
-			// was not applied; the collector retries here or after a restart.
-			writeUnavailable(w, "%v", resp.journalErr)
-			return
-		}
-		if resp.err != nil {
-			if errors.Is(resp.err, context.Canceled) {
-				// The re-solve was aborted by shutdown or deregistration,
-				// not rejected on its merits.
-				writeUnavailable(w, "re-consolidation aborted: %v", resp.err)
-				return
-			}
-			// Valid JSON that the session rejected (unknown workload, series
-			// shape mismatch, ...), or a window whose re-solve failed.
-			writeErr(w, http.StatusUnprocessableEntity, "%v", resp.err)
-			return
-		}
+	resp := s.processWindow(sess.ctx, sess, window, windowKey(wire), record)
+	s.pauseRW.RUnlock()
+	<-sess.turn
+	s.maybeSnapshot()
+	switch {
+	case resp.journalErr != nil:
+		// The window (or its advance) never reached the journal, so it was
+		// not applied; the collector retries here or after a restart.
+		writeUnavailable(w, "%v", resp.journalErr)
+	case errors.Is(resp.err, context.Canceled):
+		// The re-solve was aborted by shutdown or deregistration, not
+		// rejected on its merits.
+		writeUnavailable(w, "re-consolidation aborted: %v", resp.err)
+	case resp.err != nil:
+		// Valid JSON that the session rejected (unknown workload, series
+		// shape mismatch, ...), or a window whose re-solve failed.
+		writeErr(w, http.StatusUnprocessableEntity, "%v", resp.err)
+	default:
 		writeJSON(w, http.StatusOK, WindowResponse{
 			Window: resp.window, Triggered: resp.triggered, Duplicate: resp.duplicate, Event: resp.event,
 		})
 	}
-	select {
-	case resp := <-ir.reply:
-		writeResp(resp)
-	case <-sess.done:
-		// The loop may have answered and exited in the same instant; a
-		// buffered reply wins over the stop notice.
-		select {
-		case resp := <-ir.reply:
-			writeResp(resp)
-		default:
-			// A loop that took the window replies before it stops, so this
-			// cannot happen; should it, the body is left to the collector.
-			reuse = false
-			s.writeStopped(w, sess, " during ingest")
-		}
-	}
 }
 
-// writeStopped answers a window whose reconcile loop has exited: 503 when
+// writeStopped answers a window whose fleet's context has ended: 503 when
 // the whole server is shutting down (retryable against a replacement), 410
 // when just this fleet was deregistered.
-func (s *Server) writeStopped(w http.ResponseWriter, sess *session, phase string) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+func (s *Server) writeStopped(w http.ResponseWriter, sess *session) {
+	if s.ctx.Err() != nil {
 		writeUnavailable(w, "server shutting down")
 		return
 	}
-	writeErr(w, http.StatusGone, "fleet %q deregistered%s", sess.id, phase)
+	writeErr(w, http.StatusGone, "fleet %q deregistered", sess.id)
 }
 
 // status snapshots a session for the wire.
@@ -877,9 +832,8 @@ func (s *Server) status(sess *session) FleetStatus {
 	if p := sess.fleet.Plan(); p != nil {
 		st.K, st.Feasible = p.K, p.Feasible
 	}
-	st.Windows = sess.fleet.Drift().Windows
-	// Trigger counters come from the server-owned event log, which (unlike
-	// the library's) survives recovery.
+	st.Windows = sess.fleet.Window()
+	// Trigger counters come from the event log, which recovery restores.
 	sess.mu.Lock()
 	st.Triggers, st.LastTrigger = len(sess.events), -1
 	if n := len(sess.events); n > 0 {
@@ -933,8 +887,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	// The server-owned wire log, not fleet.Events(): recovery restores it
-	// across restarts, which library event objects cannot be.
 	sess.mu.Lock()
 	out := make([]*EventWire, len(sess.events))
 	copy(out, sess.events)
@@ -942,8 +894,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleDelete is DELETE /v1/fleets/{id}: remove the fleet and stop its
-// reconcile loop.
+// handleDelete is DELETE /v1/fleets/{id}: remove the fleet, end its
+// context, and wait for the window that holds its turn.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Journal the deregistration before removing it, both under the
@@ -968,13 +920,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.applyDeregisterLocked(tok, id)
 	n := len(s.fleets)
-	// Released before waiting for the loop: a snapshot waiting for the
-	// write side holds back the loop's next read-lock, and so the loop.
+	// Released before waiting for the turn: a snapshot waiting for the
+	// write side holds back the read-lock of the window holding the turn.
 	s.mu.Unlock()
 	s.pauseRW.RUnlock()
 	s.met.setFleets(n)
-	sess.cancel()
-	<-sess.done
+	// The turn is taken and never given back: windows still waiting for it
+	// see the ended context and answer 410.
+	sess.turn <- struct{}{}
 	s.logf("fleet %q deregistered", id)
 	writeNoContent(w)
 }

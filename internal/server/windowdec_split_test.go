@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"kairos/internal/cpu"
 )
@@ -260,13 +259,6 @@ func TestSplitOutcomes(t *testing.T) {
 // and decodes that split at once do not disturb each other.
 func TestSplitLeavesNoGoroutines(t *testing.T) {
 	splitSmall(t)
-	settled := func(base int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		return n
-	}
 	atProcs(8, func() {
 		base := runtime.NumGoroutine()
 		before := splitAdopted.Load() + splitDiscarded.Load()
@@ -289,7 +281,7 @@ func TestSplitLeavesNoGoroutines(t *testing.T) {
 		if splitAdopted.Load()+splitDiscarded.Load() == before {
 			t.Fatal("nothing split")
 		}
-		if n := settled(base); n != base {
+		if n := settledGoroutines(base); n != base {
 			t.Errorf("%d goroutines after the decodes, %d before", n, base)
 		}
 	})

@@ -1,8 +1,9 @@
 // Package server is the Kairos control plane: a long-running HTTP service
 // (stdlib net/http, versioned /v1/ JSON API) that registers fleets, ingests
-// observation windows from concurrent collectors, runs one reconcile loop
-// per fleet around a kairos.Fleet session handle — drift-triggered warm
-// re-solves, exactly the library's Observe semantics — and serves plan,
+// observation windows from concurrent collectors, applies each fleet's
+// windows one at a time under the fleet's turn around a kairos.Fleet
+// session handle — drift-triggered warm re-solves, exactly the library's
+// Observe semantics — and serves plan,
 // drift-status and event queries plus Prometheus-text metrics. It is what
 // `kairos serve` runs.
 //
@@ -11,7 +12,7 @@
 //	POST   /v1/fleets               register a fleet (workloads+machines+options)
 //	GET    /v1/fleets               list registered fleets
 //	GET    /v1/fleets/{id}          one fleet's status (plan K, drift, windows)
-//	DELETE /v1/fleets/{id}          deregister and stop the reconcile loop
+//	DELETE /v1/fleets/{id}          deregister the fleet
 //	POST   /v1/fleets/{id}/windows  ingest one observation window
 //	GET    /v1/fleets/{id}/plan     the current plan (assignments, loads)
 //	GET    /v1/fleets/{id}/events   the re-consolidation event log
@@ -127,8 +128,8 @@ type WindowRequest struct {
 	Workloads []WorkloadWire `json:"workloads"`
 }
 
-// WindowResponse acknowledges an ingested window after the reconcile loop
-// has processed it.
+// WindowResponse acknowledges an ingested window once it has been
+// journaled and applied under its fleet's turn.
 type WindowResponse struct {
 	// Window is the 0-based index the window was consumed as.
 	Window int `json:"window"`
@@ -161,12 +162,10 @@ type FleetStatus struct {
 // PlanWire is the GET /v1/fleets/{id}/plan response.
 //
 // A restarted daemon rebuilds the plan from its durable incumbent without
-// solving. K, feasible and the assignments survive a restart bit for bit,
-// and so does the objective of a plan the journal replays; a plan restored
-// from a snapshot is priced on the registered workloads, not on the
-// forecast a triggered re-solve priced it on, so its objective can differ.
-// Fevals, elapsed_ms, migrated and migration_cost describe the solve this
-// process ran: after a restart they read 1, 0, 0 and 0.
+// solving. K, feasible, the objective and the assignments survive a
+// restart bit for bit. Fevals, elapsed_ms, migrated and migration_cost
+// describe the solve this process ran: after a restart they read 1, 0, 0
+// and 0.
 type PlanWire struct {
 	K         int     `json:"k"`
 	Feasible  bool    `json:"feasible"`
@@ -247,11 +246,11 @@ type WindowRecord struct {
 	Workloads []WorkloadWire `json:"workloads"`
 }
 
-// AdvanceRecord journals one incumbent-plan advance. The reconcile loop
-// writes it after the triggered re-solve succeeds but before the plan is
-// committed or published (between Fleet.Resolve and Fleet.Advance), so a
-// recovered server never serves an older plan than one it already
-// published.
+// AdvanceRecord journals one incumbent-plan advance. The window handler
+// holding the fleet's turn writes it after the triggered re-solve succeeds
+// but before the plan is committed or published (between Fleet.Resolve and
+// Fleet.Advance), so a recovered server never serves an older plan than
+// one it already published.
 type AdvanceRecord struct {
 	Fleet string `json:"fleet"`
 	// Incumbent is the advanced plan in durable form.
@@ -299,7 +298,7 @@ type FleetSnapshot struct {
 	// start time, so a collector retrying across the restart gets its
 	// original acknowledgement instead of a duplicate apply.
 	Acks []AckWire `json:"acks,omitempty"`
-	// Failures is the reconcile loop's consecutive re-solve failure count.
+	// Failures is the fleet's consecutive re-solve failure count.
 	Failures int `json:"failures,omitempty"`
 }
 

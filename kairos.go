@@ -27,7 +27,7 @@
 // computes the plan; Observe streams monitored observation windows through
 // the drift detector (internal/drift) and re-solves warm from the
 // incumbent exactly when the fleet's behaviour departs from the plan's
-// assumptions; Plan and Events expose the current state. The handle is
+// assumptions; Plan and Window expose the current state. The handle is
 // safe for concurrent use, so many collectors can feed one session.
 //
 // Quick start:
@@ -54,8 +54,8 @@
 // journaled advance, RearmDetector for each rearm; Checkpoint and
 // RestoreWatch move the detector's state through a snapshot. `kairos
 // serve` (internal/server) is that control plane: register/ingest/query
-// over a versioned HTTP API with one reconcile loop per registered fleet,
-// plus Prometheus metrics.
+// over a versioned HTTP API, each fleet's windows applied one at a time
+// under the fleet's turn, plus Prometheus metrics.
 //
 // Everything runs against a built-in DBMS/disk simulator (internal/dbms,
 // internal/disk), so the whole system — including the paper's experiments —

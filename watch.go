@@ -66,7 +66,7 @@ func (e *ReconsolidationEvent) String() string {
 
 // ResolveError marks a drift-triggered re-solve that failed in the solver
 // itself (as opposed to a rejected window). The control plane backs off
-// the fleet's reconcile loop on it.
+// the fleet's re-solves on it.
 type ResolveError struct {
 	// Err is the underlying solver failure.
 	Err error
