@@ -3,7 +3,7 @@
 
 GO ?= go
 
-# The ingest path's in-package benchmarks (make bench-hot, bench-json).
+# The ingest path's in-package benchmarks (make bench-hot).
 INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|IngestWindow197|OpenReplay197|Append2MB|Recover64x2MB|Read64x2MB
 
 # The wire decoders whose counts BENCH_counts.json pins (make
@@ -50,14 +50,14 @@ COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Di
 # slot, are the one-goroutine paths and must not move.
 CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197|ColdSolve(ALL197|SecondLife97Direct)$$
 
-# The cold solve's per-phase in-package benchmarks (make bench-hot,
-# bench-json): a recorded DIRECT run replayed through Eval, exact swap
-# pricing with and without the disk model, the disk polynomial, greedy
-# seeding, the cold ALL-197 solve over a one-week horizon (T = 2016), then
-# the whole solves above.
+# The cold solve's per-phase in-package benchmarks (make bench-hot): a
+# recorded DIRECT run replayed through Eval, exact swap pricing with and
+# without the disk model, the disk polynomial, greedy seeding, the cold
+# ALL-197 solve over a one-week horizon (T = 2016), then the whole solves
+# above.
 SOLVE_BENCH = EvalDirectReplay|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
-.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-json bench-counts serve-smoke lint loc fmt ci
+.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint loc fmt ci
 
 build:
 	$(GO) build ./...
@@ -189,22 +189,6 @@ bench-hot:
 # would spend on the same stream), migrated-frac in the low percent.
 bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
-
-# Machine-readable bench trajectory: the sweep + drift-watch benchmarks,
-# the cold solve's per-phase ones (Eval replay, swap pricing, polynomial,
-# greedy seeding, whole solves) and the ingest path's (decode, a window to
-# its ack, a restart's replay on every core and on one, journal
-# append/recover) as JSON
-# (ns/op, MB/s, allocs/op, fevals, sweep-speedup, trigger precision/recall
-# per case, each result tagged with its package) in BENCH_sweeps.json,
-# uploaded as a CI artifact so per-PR perf history accumulates.
-bench-json:
-	( $(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' . ; \
-	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ; \
-	  $(GO) test -bench='$(SOLVE_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/core ./internal/polyfit ; \
-	  $(GO) test -bench='$(INGEST_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ./internal/journal ; \
-	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=10x -run='^$$' ./internal/server ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
-	@echo wrote BENCH_sweeps.json
 
 # Count gate: the whole-solve benchmarks, the wire decoders, an ingest, a
 # restart and a journal read once each, their work counters compared with

@@ -2,8 +2,8 @@
 // ALL fleet: trigger quality (precision/recall of the drift detector over
 // quiet and drifted observation windows) and end-to-end cost (objective
 // evaluations spent by the watch loop versus re-solving on a fixed
-// cadence). `make bench-drift` runs these; the metrics land in the
-// BENCH_sweeps.json trajectory artifact via `make bench-json`.
+// cadence). `make bench-drift` runs these and prints the metrics beside
+// each result.
 package kairos
 
 import (

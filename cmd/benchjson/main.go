@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output into machine-readable
-// JSON for per-PR performance trajectories. It reads benchmark output on
+// JSON, the input of the count gate below. It reads benchmark output on
 // stdin and writes a JSON document to stdout:
 //
 //	go test -bench='Sweep' -benchmem -benchtime=10x -run='^$' . | benchjson

@@ -46,7 +46,7 @@ func cmdServe(args []string) error {
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown drain timeout")
 	stateDir := fs.String("state-dir", "", "directory for the durability journal (empty = in-memory only)")
 	fsync := fs.String("fsync", "always", "journal fsync policy: always, interval, none")
-	fsyncEvery := fs.Duration("fsync-every", 50*time.Millisecond, "flush period for -fsync=interval")
+	fsyncEvery := fs.Duration("fsync-every", journal.DefaultSyncEvery, "flush period for -fsync=interval")
 	snapEvery := fs.Int("snapshot-every", 256, "windows between journal-compacting snapshots")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -47,10 +47,9 @@ type fleetConfig struct {
 	solve   SolveOptions
 	resolve SolveOptions
 	drift   DriftConfig
-	// sharded selects SolveSharded for cold solves, with shards (from
-	// WithShards) and the session's solve options.
-	sharded bool
-	shards  int
+	// shards is the cold solves' shard count (WithShards); 1 or less is
+	// unsharded.
+	shards int
 	// inc seeds the session with an existing plan (WithIncumbent): Observe
 	// works immediately and Consolidate re-solves warm instead of cold.
 	inc *Incumbent
@@ -81,11 +80,10 @@ func WithDrift(cfg DriftConfig) FleetOption {
 }
 
 // WithShards makes cold solves use the sharded fleet engine with n
-// correlation-aware shards solved concurrently (0 lets the engine derive
-// the count from the fleet size). Each shard solves with the session's
-// solve options.
+// correlation-aware shards solved concurrently; n ≤ 1 solves unsharded.
+// Each shard solves with the session's solve options.
 func WithShards(n int) FleetOption {
-	return func(c *fleetConfig) { c.sharded, c.shards = true, n }
+	return func(c *fleetConfig) { c.shards = n }
 }
 
 // WithIncumbent seeds the session with a previously saved plan: Observe
@@ -196,16 +194,12 @@ func (f *Fleet) adoptLocked(plan *Plan) {
 }
 
 // solveSpec solves the spec workloads: warm from inc when there is one,
-// else cold (sharded if the session was built WithShards).
+// else cold, in the session's shards (SolveSharded solves one unsharded).
 func (f *Fleet) solveSpec(ctx context.Context, p *Problem, inc *Incumbent) (*Solution, error) {
-	switch {
-	case inc != nil:
+	if inc != nil {
 		return core.Resolve(ctx, p, inc, f.cfg.resolve)
-	case f.cfg.sharded:
-		return core.SolveSharded(ctx, p, core.ShardOptions{Shards: f.cfg.shards, Options: f.cfg.solve})
-	default:
-		return core.Solve(ctx, p, f.cfg.solve)
 	}
+	return core.SolveSharded(ctx, p, core.ShardOptions{Shards: f.cfg.shards, Options: f.cfg.solve})
 }
 
 // Consolidate computes the session's plan from the spec workloads: a cold

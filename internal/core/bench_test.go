@@ -13,8 +13,8 @@ import (
 
 // The benchmarks below time the pieces of a cold solve that exact pricing
 // is made of, on the SecondLife-97 fleet at its solved machine count, so
-// the per-phase rows of BENCH_sweeps.json (make bench-json) show which of
-// them a change moved.
+// the per-phase rows of `make bench-hot` show which of them a change
+// moved.
 
 const benchK = 11 // SecondLife-97's machine count (TestGoldenSolves)
 

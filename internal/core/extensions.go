@@ -125,7 +125,6 @@ func SolvePartitioned(ctx context.Context, p *Problem, g Grouping) (*Partitioned
 			Workloads: group,
 			Machines:  p.Machines[nextMachine:],
 			Disk:      p.Disk,
-			Weights:   p.Weights,
 		}
 		sol, err := Solve(ctx, sub, g.Options)
 		if err != nil {

@@ -25,10 +25,9 @@ const penaltyWeight = 1e6
 // problem. It precomputes flat per-unit demand arrays so evaluation is tight
 // loops over []float64.
 type Evaluator struct {
-	p       *Problem
-	units   []unit
-	T       int
-	weights Weights
+	p     *Problem
+	units []unit
+	T     int
 
 	// Per-unit demand arrays (length T each). Every slice is a window into
 	// one contiguous per-resource backing block (SoA layout), so the
@@ -108,16 +107,11 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	w := p.Weights
-	if w.CPU == 0 && w.RAM == 0 && w.Disk == 0 {
-		w = DefaultWeights()
-	}
 	units := p.units()
 	ev := &Evaluator{
 		p:       p,
 		units:   units,
 		T:       p.Workloads[0].CPU.Len(),
-		weights: w,
 		cpu:     make([][]float64, len(units)),
 		ram:     make([][]float64, len(units)),
 		ws:      make([][]float64, len(units)),
@@ -268,7 +262,7 @@ type ServerLoad struct {
 	DiskPeak float64 // predicted write bytes/sec at the worst time step
 	// Violation is the summed relative excess over capacity (0 = feasible).
 	Violation float64
-	// NormLoad is the weighted normalized load in [0,1] used by the
+	// NormLoad is the mean normalized load in [0,1] used by the
 	// balance objective.
 	NormLoad float64
 }
@@ -419,11 +413,9 @@ func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float6
 		}
 	}
 
-	// Balance term: weighted normalized load, clamped to [0,1] so exp stays
+	// Balance term: the mean normalized load, clamped to [0,1] so exp stays
 	// within sane numeric range (the paper normalizes the exponent too).
-	w := ev.weights
-	denom := w.CPU + w.RAM + w.Disk
-	norm = (w.CPU*cpuPeak/cpuCap + w.RAM*ramPeak/ramCap + w.Disk*diskNorm) / denom
+	norm = (cpuPeak/cpuCap + ramPeak/ramCap + diskNorm) / 3
 	if norm > 1 {
 		norm = 1
 	}

@@ -87,16 +87,6 @@ type Machine struct {
 // capacity returns the usable capacity of a resource after headroom.
 func (m Machine) capacity(raw float64) float64 { return raw * (1 - float64(m.Headroom)) }
 
-// Weights balances the per-resource terms inside the objective ("we can use
-// any linear combination of the resources, to favor balancing one resource
-// over the other").
-type Weights struct {
-	CPU, RAM, Disk float64
-}
-
-// DefaultWeights weighs all three resources equally.
-func DefaultWeights() Weights { return Weights{CPU: 1, RAM: 1, Disk: 1} }
-
 // Problem is a complete consolidation instance.
 type Problem struct {
 	// Workloads to place.
@@ -107,8 +97,6 @@ type Problem struct {
 	// Disk is the target hardware's empirical profile; nil disables the
 	// non-linear disk constraint (CPU/RAM only).
 	Disk *model.DiskProfile
-	// Weights for the balance objective; zero value means DefaultWeights.
-	Weights Weights
 	// AntiAffinity lists workload-index pairs that must not share a
 	// machine (beyond the automatic replica anti-affinity).
 	AntiAffinity [][2]int
@@ -187,17 +175,6 @@ func (p *Problem) Validate() error {
 		}
 		if p.Disk != nil && (!(m.DiskWriteBps > 0) || math.IsInf(float64(m.DiskWriteBps), 0)) {
 			return fmt.Errorf("core: machine %d (%s) disk write budget %v must be positive and finite when a disk model is set", j, m.Name, m.DiskWriteBps)
-		}
-	}
-	// The balance weights are averaged into the normalized load: negative,
-	// NaN or infinite components (or a non-positive sum) would make the
-	// objective NaN. All-zero weights are fine — they select the defaults.
-	for _, wc := range []struct {
-		name string
-		v    float64
-	}{{"CPU", p.Weights.CPU}, {"RAM", p.Weights.RAM}, {"Disk", p.Weights.Disk}} {
-		if !(wc.v >= 0) || math.IsInf(wc.v, 0) {
-			return fmt.Errorf("core: %s weight %v must be non-negative and finite", wc.name, wc.v)
 		}
 	}
 	for _, pair := range p.AntiAffinity {

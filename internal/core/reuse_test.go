@@ -325,10 +325,10 @@ func TestSearchReusesOnlyFinishedProbes(t *testing.T) {
 	}
 
 	// With DIRECT the cold climbs are reused and the probe's search is
-	// continued: the plan equals a from-scratch run at the polish budget, for
-	// the probe's samples fewer. The probe must be feasible for its search to
-	// be the kept one.
-	opt = SolveOptions{DirectFevals: 301, PolishFevals: 600}
+	// continued: the plan equals a from-scratch run at the final run's budget
+	// (twice the probe's), for the probe's samples fewer. The probe must be
+	// feasible for its search to be the kept one.
+	opt = SolveOptions{DirectFevals: 301}
 	s = newSearch(context.Background(), opt)
 	if probe = s.solve(K, false); !probe.feas {
 		t.Fatalf("the probe at K=%d is infeasible: its search is not kept", K)
@@ -353,17 +353,6 @@ func TestSearchReusesOnlyFinishedProbes(t *testing.T) {
 	if got, want := probes[1].Fevals, fresh.Fevals-301-coldFevals; got != want {
 		t.Errorf("the resumed run spent %d evaluations, want the from-scratch %d minus 301 samples and %d on cold climbs = %d",
 			got, fresh.Fevals, coldFevals, want)
-	}
-
-	// A polish budget below what the probe spent cannot continue it: a new
-	// search at that budget stops earlier.
-	opt = SolveOptions{DirectFevals: 301, PolishFevals: 200}
-	s = newSearch(context.Background(), opt)
-	s.solve(K, false)
-	final = s.solve(K, true)
-	scratch, _, _ = ev.Clone().solveK(context.Background(), K, opt, true, kRun{})
-	if !reflect.DeepEqual(final, scratch) || s.ev.stats.Probes[1].Resumed != 0 {
-		t.Errorf("polish run below the probe's budget = (obj %v, resumed %d), want the from-scratch obj %v and 0", final.obj, s.ev.stats.Probes[1].Resumed, scratch.obj)
 	}
 
 	// A probe cancelled inside DIRECT — its cold climbs finished and feasible,

@@ -14,46 +14,14 @@ import (
 // ShardOptions tunes SolveSharded.
 type ShardOptions struct {
 	// Shards is the number of correlation-aware partitions to solve
-	// separately (0 derives it from MaxShardWorkloads, or defaults to one
-	// shard per DefaultShardWorkloads workloads). A value of 1 degenerates
-	// to plain Solve.
+	// separately, at most one per workload; 1 or less is Solve.
 	Shards int
-	// MaxShardWorkloads caps the workloads per shard when Shards is 0.
-	MaxShardWorkloads int
 	// Options tunes each shard's solver.
 	Options SolveOptions
-	// RebalanceRounds bounds the cross-shard hill-climb sweeps of the merge
-	// pass (0 = DefaultRebalanceRounds; negative disables rebalancing and
-	// machine-count reduction entirely).
-	RebalanceRounds int
 }
 
-// DefaultShardWorkloads is the shard size used when ShardOptions leaves
-// both Shards and MaxShardWorkloads unset. Solve cost grows superlinearly
-// with instance size, so fairly small shards win at fleet scale.
-const DefaultShardWorkloads = 32
-
-// DefaultRebalanceRounds is the default cross-shard rebalance sweep budget.
-const DefaultRebalanceRounds = 2
-
-// shardCount resolves how many shards to use for n workloads.
-func (o ShardOptions) shardCount(n int) int {
-	s := o.Shards
-	if s <= 0 {
-		per := o.MaxShardWorkloads
-		if per <= 0 {
-			per = DefaultShardWorkloads
-		}
-		s = (n + per - 1) / per
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
+// rebalanceRounds bounds the cross-shard hill-climb sweeps of the merge.
+const rebalanceRounds = 2
 
 // SolveSharded consolidates fleet-scale inventories: it partitions the
 // workloads into correlation-aware shards, solves the shards on the helpers
@@ -70,15 +38,19 @@ func (o ShardOptions) shardCount(n int) int {
 // pack) and off-peak (complementary) workloads.
 //
 // Pinning and explicit anti-affinity refer to global machine/workload
-// indices and are rejected, as in SolvePartitioned; per-workload replicas
-// are fine because a workload's replicas always land in the same shard.
-// When all machines are identical the shards solve independently, as many
-// at once as the CPU budget has cores free, and their plans are relabelled
-// onto disjoint machine ranges; a heterogeneous machine list falls back to
-// solving shards in sequence, each against the machines the previous
-// shards left unused. Cancelling ctx aborts every in-flight shard solve
-// and the merge pass, returning ctx.Err().
+// indices, so more than one shard rejects them, as SolvePartitioned does;
+// per-workload replicas are fine because a workload's replicas always land
+// in the same shard. When all machines are identical the shards solve
+// independently, as many at once as the CPU budget has cores free, and
+// their plans are relabelled onto disjoint machine ranges; a heterogeneous
+// machine list falls back to solving shards in sequence, each against the
+// machines the previous shards left unused. Cancelling ctx aborts every
+// in-flight shard solve and the merge pass, returning ctx.Err().
 func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution, error) {
+	nShards := min(opt.Shards, len(p.Workloads))
+	if nShards <= 1 {
+		return Solve(ctx, p, opt.Options)
+	}
 	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -91,11 +63,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 			return nil, fmt.Errorf("core: workload %d (%s) is pinned; pinning is not supported with sharded solving", i, w.Name)
 		}
 	}
-	nShards := opt.shardCount(len(p.Workloads))
-	if nShards <= 1 {
-		return Solve(ctx, p, opt.Options)
-	}
-
 	shards := correlationShards(p, nShards)
 	homogeneous := p.HomogeneousMachines()
 
@@ -109,7 +76,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 			Workloads: make([]Workload, len(shards[i])),
 			Machines:  machines,
 			Disk:      p.Disk,
-			Weights:   p.Weights,
 		}
 		for k, w := range shards[i] {
 			sub.Workloads[k] = p.Workloads[w]
@@ -181,7 +147,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// and give reduction its chance before giving up.
 	mergeEv := ev
 	if K > len(p.Machines) {
-		if !homogeneous || opt.RebalanceRounds < 0 {
+		if !homogeneous {
 			return nil, fmt.Errorf("core: shards used %d machines but only %d exist", K, len(p.Machines))
 		}
 		padded := *p
@@ -202,17 +168,13 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// interchangeable machines) a reduction sweep tries to empty the
 	// lightest machines entirely: the co-location opportunities independent
 	// shard solves cannot see.
-	if opt.RebalanceRounds >= 0 && K > 0 {
-		rounds := opt.RebalanceRounds
-		if rounds == 0 {
-			rounds = DefaultRebalanceRounds
-		}
-		assign = mergeEv.hillClimbMig(ctx, assign, K, rounds, nil).assign
+	if K > 0 {
+		assign = mergeEv.hillClimbMig(ctx, assign, K, rebalanceRounds, nil).assign
 		if homogeneous {
 			if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
 				// Reduction packs greedily; re-balance the tighter plan.
 				K = rk
-				assign = mergeEv.hillClimbMig(ctx, reduced, K, rounds, nil).assign
+				assign = mergeEv.hillClimbMig(ctx, reduced, K, rebalanceRounds, nil).assign
 			}
 		}
 	}

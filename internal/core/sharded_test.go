@@ -18,7 +18,6 @@ import (
 func shortBudget(opt core.SolveOptions) core.SolveOptions {
 	if testing.Short() {
 		opt.DirectFevals = 400
-		opt.PolishFevals = 800
 	}
 	return opt
 }
@@ -145,18 +144,20 @@ func TestSolveShardedDeterministic(t *testing.T) {
 	samePlan(t, r1, r2, "repeat sharded solve")
 }
 
-// A single shard (or tiny input) degenerates to the plain solver.
+// One shard or none degenerates to the plain solver.
 func TestSolveShardedSingleShard(t *testing.T) {
 	p := fleetCase(fleet.Internal)
 	whole, err := core.Solve(context.Background(), p, shortBudget(core.DefaultSolveOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 1, Options: shortBudget(core.SolveOptions{})})
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, 0} {
+		sharded, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: n, Options: shortBudget(core.SolveOptions{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, whole, sharded, fmt.Sprintf("%d shards", n))
 	}
-	samePlan(t, whole, sharded, "single shard")
 }
 
 // Heterogeneous machine lists cannot be relabelled, so shards solve

@@ -13,17 +13,13 @@ import (
 	"kairos/internal/greedy"
 )
 
-// SolveOptions tunes the consolidation solver.
+// SolveOptions tunes the consolidation solver. Cold solves (Solve,
+// SolveSharded, SolvePartitioned) read DirectFevals and SkipDirect; a warm
+// re-solve (Resolve) reads MigrationWeight and MaxMigrations.
 type SolveOptions struct {
 	// DirectFevals is the DIRECT evaluation budget per K probed during the
-	// binary search (default 2000).
+	// binary search (default 2000); the final run at K' gets twice it.
 	DirectFevals int
-	// PolishFevals is the extra DIRECT budget for the final K (default
-	// 2·DirectFevals).
-	PolishFevals int
-	// FixedK forces the solver to use exactly this many machines (0 = find
-	// the minimum feasible K automatically).
-	FixedK int
 	// SkipDirect uses only greedy seeding plus hill climbing — the fast
 	// path for very large instances.
 	SkipDirect bool
@@ -144,9 +140,6 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 	if opt.DirectFevals <= 0 {
 		opt.DirectFevals = 2000
 	}
-	if opt.PolishFevals <= 0 {
-		opt.PolishFevals = 2 * opt.DirectFevals
-	}
 
 	maxK := len(p.Machines)
 	lo := ev.FractionalLowerBound()
@@ -161,25 +154,6 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 	}
 	search := &kSearch{ev: ev, ctx: ctx, opt: opt, cold: map[int][]climbed{}, probes: map[int]*probe{}}
 	defer search.stop()
-
-	if opt.FixedK > 0 {
-		if opt.FixedK > maxK {
-			return nil, fmt.Errorf("core: FixedK %d exceeds available machines %d", opt.FixedK, maxK)
-		}
-		// A pin outside [0,FixedK) can never be honoured: every seed would
-		// place the unit out of range. (Probing an infeasible-but-in-range
-		// FixedK is still allowed; it returns Feasible=false.)
-		for u, pin := range ev.pin {
-			if pin >= opt.FixedK {
-				return nil, fmt.Errorf("core: FixedK %d cannot honour workload unit %d pinned to machine %d", opt.FixedK, u, pin)
-			}
-		}
-		best := search.solve(opt.FixedK, true)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return ev.finish(best, opt.FixedK, start), nil
-	}
 
 	// Upper bound: greedy packing (validated against all constraints); if
 	// greedy fails, fall back to every available machine.
@@ -627,7 +601,7 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 	if !opt.SkipDirect {
 		budget := opt.DirectFevals
 		if polish {
-			budget = opt.PolishFevals
+			budget = 2 * opt.DirectFevals
 		}
 		var assign []int
 		var derr error
@@ -650,12 +624,12 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 // globalSearch is DIRECT over the compact encoding — one continuous variable
 // per unit in [0, K), floor() gives the machine index — up to budget
 // evaluations in all, and returns the best sample decoded. search, unless it
-// is nil or has spent more than the budget, is continued on this evaluator:
-// the resumed samples it holds are the ones a new search would draw first.
-// The search used comes back for the next run at K.
+// is nil, is continued on this evaluator: the resumed samples it holds (a
+// probe's, within its budget, half the final run's) are the ones a new
+// search would draw first. The search used comes back for the next run at K.
 func (ev *Evaluator) globalSearch(ctx context.Context, K, budget int, search *direct.Search) (assign []int, _ *direct.Search, resumed int, err error) {
 	nU := len(ev.units)
-	if search == nil || search.Fevals() > budget {
+	if search == nil {
 		lower := make([]float64, nU)
 		upper := make([]float64, nU)
 		for i := range upper {

@@ -51,12 +51,6 @@ type Options struct {
 	// search toward rectangles that promise global improvement, smaller
 	// values allow more local polishing around the incumbent (default 1e-4).
 	Epsilon float64
-	// Target stops the search early once f ≤ Target (use -Inf to disable;
-	// the zero value disables too when TargetSet is false). The condition is
-	// checked after each completed iteration batch.
-	Target float64
-	// TargetSet enables Target.
-	TargetSet bool
 	// Ctx optionally cancels Minimize between iterations: when it expires,
 	// the best point found so far is returned along with the context's
 	// error. Nil means never cancel. A Search's own Run takes the context
@@ -205,7 +199,7 @@ func (s *Search) Run(ctx context.Context, f Objective, budget int) (Result, erro
 		s.rects, s.best, s.fevals = []*rect{first}, first, 1
 	}
 	var err error
-	for s.iters < s.opt.MaxIters && s.Fevals() < budget && !(s.opt.TargetSet && s.best.f <= s.opt.Target) {
+	for s.iters < s.opt.MaxIters && s.Fevals() < budget {
 		if ctx != nil && ctx.Err() != nil {
 			err = ctx.Err()
 			break

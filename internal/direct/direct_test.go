@@ -148,21 +148,6 @@ func TestBudgetRespected(t *testing.T) {
 	}
 }
 
-func TestTargetStopsEarly(t *testing.T) {
-	f := func(x []float64) float64 { return x[0] * x[0] }
-	res, err := Minimize(f, []float64{-1}, []float64{1},
-		Options{MaxFevals: 100000, Target: 0.01, TargetSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.F > 0.01 {
-		t.Errorf("target not reached: F = %v", res.F)
-	}
-	if res.Fevals > 1000 {
-		t.Errorf("target stop ignored: used %d evals", res.Fevals)
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	f := func(x []float64) float64 { return math.Sin(5*x[0]) + x[1]*x[1] }
 	opts := Options{MaxFevals: 500}

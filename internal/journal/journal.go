@@ -136,11 +136,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
+// DefaultSyncEvery is the SyncInterval ticker period when Options leaves
+// SyncEvery unset, and the default of `kairos serve -fsync-every`.
+const DefaultSyncEvery = 50 * time.Millisecond
+
 // Options configures a Log.
 type Options struct {
 	// Sync is the fsync policy for appends. Defaults to SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval ticker period. Defaults to 100ms.
+	// SyncEvery is the SyncInterval ticker period (default DefaultSyncEvery).
 	SyncEvery time.Duration
 	// Fault is the test-only crash-point injector; nil in production.
 	Fault *FaultInjector
@@ -292,7 +296,7 @@ type Reader struct {
 // and verifies its snapshot; a snapshot that does not verify is an error.
 func OpenReader(dir string, opt Options) (*Reader, error) {
 	if opt.SyncEvery <= 0 {
-		opt.SyncEvery = 100 * time.Millisecond
+		opt.SyncEvery = DefaultSyncEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating state dir: %w", err)

@@ -406,8 +406,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeDecodeErr(w, "register request", err)
 		return
 	}
-	if req.ID == "" || strings.ContainsAny(req.ID, "/ ") {
-		writeErr(w, http.StatusBadRequest, "fleet id must be non-empty without '/' or spaces, got %q", req.ID)
+	if err := checkRegister(req); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()

@@ -115,6 +115,11 @@ func TestRegisterEndpoint(t *testing.T) {
 			ID: "x", Workloads: testWorkloads(2, 4, 1),
 			Machines: []MachineWire{{CPUCapacity: 0, RAMBytes: 96e9}, {CPUCapacity: 1, RAMBytes: 96e9}},
 		})), http.StatusBadRequest},
+		// Fields whose value, not the body, sizes the work: refused before
+		// anything is allocated for them.
+		{"auto_machines beyond any slice", tinyRegistration(`{"count": 1125899906842624}`, 1), http.StatusBadRequest},
+		{"auto_machines beyond the machines a body carries", tinyRegistration(`{"count": 2000000}`, 1), http.StatusBadRequest},
+		{"replicas beyond the cap", tinyRegistration(`{"count": 2000}`, 2000), http.StatusBadRequest},
 		{"happy path", string(registerBody("alpha", 4, 8)), http.StatusCreated},
 		{"double register", string(registerBody("alpha", 4, 8)), http.StatusConflict},
 	}
@@ -123,6 +128,11 @@ func TestRegisterEndpoint(t *testing.T) {
 			status, body := do(t, http.MethodPost, base, []byte(tc.body))
 			if status != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", status, tc.status, body)
+			}
+			if tc.status == http.StatusBadRequest {
+				if status, _ := do(t, http.MethodGet, base+"/x", nil); status != http.StatusNotFound {
+					t.Errorf("a refused registration left fleet x answering %d", status)
+				}
 			}
 			if tc.status == http.StatusCreated {
 				var st FleetStatus
@@ -135,6 +145,27 @@ func TestRegisterEndpoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckRegisterSizes: the caps themselves are accepted, one past them
+// refused.
+func TestCheckRegisterSizes(t *testing.T) {
+	for _, tc := range []struct {
+		count, replicas int
+		ok              bool
+	}{{maxMachines, maxReplicas, true}, {maxMachines + 1, 1, false}, {1, maxReplicas + 1, false}} {
+		req := &RegisterRequest{ID: "x", Workloads: []WorkloadWire{{Name: "a", Replicas: tc.replicas}}, AutoMachines: &AutoMachines{Count: tc.count}}
+		if err := checkRegister(req); (err == nil) != tc.ok {
+			t.Errorf("count %d, replicas %d: err = %v, want ok=%v", tc.count, tc.replicas, err, tc.ok)
+		}
+	}
+}
+
+// tinyRegistration is a one-workload registration of fleet x with the
+// given auto_machines object and replicas.
+func tinyRegistration(autoMachines string, replicas int) string {
+	return fmt.Sprintf(`{"id": "x", "workloads": [{"name": "a", "cpu": [0.1, 0.2], "ram_bytes": [1e9, 1e9], "replicas": %d}], "auto_machines": %s}`,
+		replicas, autoMachines)
 }
 
 func mustJSON(v any) []byte {

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"kairos"
@@ -53,7 +54,8 @@ type WorkloadWire struct {
 	UpdateRate []float64 `json:"update_rate,omitempty"`
 	// DiskWriteBps is the measured standalone disk write rate.
 	DiskWriteBps []float64 `json:"disk_write_bps,omitempty"`
-	// Replicas places this many copies on distinct machines (0 = 1).
+	// Replicas places this many copies on distinct machines (0 = 1, at
+	// most maxReplicas).
 	Replicas int `json:"replicas,omitempty"`
 	// PinTo pins the first replica to a machine index (omitted = free).
 	PinTo *int `json:"pin_to,omitempty"`
@@ -69,7 +71,7 @@ type MachineWire struct {
 }
 
 // AutoMachines is shorthand for a homogeneous target fleet: Count copies
-// of the paper's standard 12-core/96GB machine.
+// (at most maxMachines) of the paper's standard 12-core/96GB machine.
 type AutoMachines struct {
 	Count int `json:"count"`
 	// DiskWriteBps is the per-machine disk write budget (default 50 MB/s).
@@ -87,7 +89,8 @@ type OptionsWire struct {
 	// server default is the local-search path (SkipDirect), which is what
 	// fleet-scale streams use.
 	FullSolve bool `json:"full_solve,omitempty"`
-	// Shards >0 solves the initial plan with the sharded fleet engine.
+	// Shards > 1 solves the initial plan with the sharded fleet engine in
+	// that many shards; 1 or less solves it unsharded.
 	Shards int `json:"shards,omitempty"`
 	// DriftThreshold is the relative drift that triggers a re-solve
 	// (default 0.04).
@@ -319,6 +322,32 @@ type AckWire struct {
 	Triggered bool `json:"triggered"`
 }
 
+// Two registration fields size the work by value, not by body bytes.
+// maxMachines caps auto_machines.count at the most machines an explicit
+// list of the shortest valid ones carries under maxBodyBytes, so both forms
+// share one ceiling; maxReplicas caps a workload's replicas.
+const (
+	maxMachines = maxBodyBytes / len(`{"cpu_capacity":1,"ram_bytes":1},`)
+	maxReplicas = 16
+)
+
+// checkRegister refuses a registration whose id a path cannot address, or
+// that is past those caps, before anything is allocated for it.
+func checkRegister(req *RegisterRequest) error {
+	if req.ID == "" || strings.ContainsAny(req.ID, "/ ") {
+		return fmt.Errorf("fleet id must be non-empty without '/' or spaces, got %q", req.ID)
+	}
+	if am := req.AutoMachines; am != nil && am.Count > maxMachines {
+		return fmt.Errorf("auto_machines.count %d exceeds %d", am.Count, maxMachines)
+	}
+	for _, w := range req.Workloads {
+		if w.Replicas > maxReplicas {
+			return fmt.Errorf("workload %q: replicas %d exceeds %d", w.Name, w.Replicas, maxReplicas)
+		}
+	}
+	return nil
+}
+
 // toWorkloads converts wire workloads into consolidation workloads.
 // needDisk forces WSBytes (defaulted from RAMBytes) and UpdateRate so the
 // result is usable with a disk profile. The series adopt the wire's sample
@@ -436,7 +465,6 @@ func toFleetOptions(o OptionsWire) []kairos.FleetOption {
 	solve := kairos.DefaultOptions()
 	solve.SkipDirect = !o.FullSolve
 	resolve := kairos.DefaultResolveOptions()
-	resolve.SkipDirect = true
 	if o.MigrationWeight != nil {
 		resolve.MigrationWeight = *o.MigrationWeight
 	}
