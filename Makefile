@@ -239,12 +239,15 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # Lint: vet, formatting, and the repo's own analyzer suite (kairoslint,
-# seven analyzers: per-package lockguard/floatdet/wirejson/errflow plus
-# the whole-program call-graph checks ctxflow/lockorder/leakcheck; see
-# CONTRIBUTING.md). Runs from the module root; kairoslint walks the same
-# package graph as the build via `go list`, loading packages in parallel.
-# The 30s budget matches CI: if load+analysis blow past it the run exits 3,
-# keeping analyzer regressions from hiding inside a slow lint step.
+# per-package analyzers + lockorder: ctxflow/errflow/floatdet/lockguard/
+# wirejson one package at a time, and the whole-program call-graph check
+# lockorder; see CONTRIBUTING.md). Runs from the module root. `go vet`
+# stays before kairoslint: it builds most of the export data kairoslint
+# reads its imports from, so kairoslint's `go list -export` finds the
+# build cache warm. kairoslint type-checks only this module's packages,
+# in parallel. The 30s budget matches CI: if load+analysis blow past it
+# the run exits 3, keeping analyzer regressions from hiding inside a slow
+# lint step.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

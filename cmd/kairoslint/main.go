@@ -1,8 +1,7 @@
 // Command kairoslint is the repo's static-analysis multichecker: it runs
-// the internal/lint analyzer suite — the per-package checks (errflow,
-// floatdet, lockguard, wirejson) and the call-graph-backed whole-program
-// checks (ctxflow, leakcheck, lockorder) — over the named package
-// patterns and
+// the internal/lint analyzer suite — the per-package checks (ctxflow,
+// errflow, floatdet, lockguard, wirejson) and the call-graph-backed
+// whole-program check lockorder — over the named package patterns and
 // exits non-zero on any finding. Run it from the module root:
 //
 //	go run ./cmd/kairoslint ./...
@@ -17,7 +16,8 @@
 // message}) for tooling; CI's problem matcher consumes the default
 // text form. -budget fails the run (exit 3) when load + analysis
 // exceed the given wall-clock duration, keeping the lint gate's latency
-// a tested property.
+// a tested property. -v splits it into `go list -export` (build work,
+// nearly none after `go vet ./...`), type-checking and analysis.
 package main
 
 import (
@@ -42,7 +42,7 @@ type jsonFinding struct {
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	verbose := flag.Bool("v", false, "report load/analysis wall-clock to stderr")
+	verbose := flag.Bool("v", false, "report go list / type-check / analysis wall-clock to stderr")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	budget := flag.Duration("budget", 0, "fail (exit 3) if load+analysis exceed this wall-clock duration")
 	flag.Usage = func() {
@@ -64,24 +64,19 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	start := time.Now()
-	pkgs, err := driver.Load(patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kairoslint:", err)
-		os.Exit(2)
-	}
+	listing, err := driver.List(patterns)
+	exitOn(err)
+	listed := time.Now()
+	prog, err := listing.Check()
+	exitOn(err)
 	loaded := time.Now()
-	diags, err := driver.Run(pkgs, lint.Analyzers())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kairoslint:", err)
-		os.Exit(2)
-	}
+	diags, err := driver.Run(prog, lint.Analyzers())
+	exitOn(err)
 	elapsed := time.Since(start)
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "kairoslint: %d packages loaded in %v, analyzed in %v (total %v)\n",
-			len(pkgs),
-			loaded.Sub(start).Round(time.Millisecond),
-			time.Since(loaded).Round(time.Millisecond),
-			elapsed.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "kairoslint: go list -export %v, %d packages type-checked in %v, analyzed in %v (total %v)\n",
+			ms(listed.Sub(start)), len(prog.Packages), ms(loaded.Sub(listed)), ms(time.Since(loaded)), ms(elapsed))
 	}
 	if *jsonOut {
 		findings := make([]jsonFinding, 0, len(diags))
@@ -96,21 +91,25 @@ func main() {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "kairoslint:", err)
-			os.Exit(2)
-		}
+		exitOn(enc.Encode(findings))
 	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}
 	}
 	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(os.Stderr, "kairoslint: wall clock %v exceeded budget %v\n",
-			elapsed.Round(time.Millisecond), *budget)
+		fmt.Fprintf(os.Stderr, "kairoslint: wall clock %v exceeded budget %v\n", ms(elapsed), *budget)
 		os.Exit(3)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
+	}
+}
+
+// exitOn reports a load, analysis or output error and exits 2.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kairoslint:", err)
+		os.Exit(2)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // Analyzer describes one static check: a name (used in output and in
@@ -60,10 +59,13 @@ type Diagnostic struct {
 	Message string
 }
 
-// Program hands a whole-program analyzer (Analyzer.RunProgram) every
-// loaded package at once. All packages share one FileSet, so
-// token.Position strings are stable program-wide identities — the call
-// graph and the annotation indexes key on them.
+// Program is every loaded package: what the driver loads, and what a
+// whole-program analyzer (Analyzer.RunProgram) reads at once. All
+// packages share one FileSet. Each package
+// is type-checked on its own, importing the others from export data, so
+// the same function is a different *types.Func in each package that
+// names it: program-wide identities are names (types.Func.FullName),
+// not objects, and not positions — export data keeps no columns.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*ProgramPackage
@@ -72,9 +74,6 @@ type Program struct {
 	// analyzers report unconditionally. The driver points it at the
 	// current analyzer's sink before each RunProgram call.
 	Report func(Diagnostic)
-
-	memoMu sync.Mutex
-	memo   map[any]any
 }
 
 // ProgramPackage is one type-checked package inside a Program. Test
@@ -89,22 +88,4 @@ type ProgramPackage struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Program) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Memo returns the value cached under key, building it on first use. The
-// driver reuses one Program across the whole analyzer suite, so
-// expensive shared artifacts — the call graph — are built once and read
-// by every program analyzer through this.
-func (p *Program) Memo(key any, build func() any) any {
-	p.memoMu.Lock()
-	defer p.memoMu.Unlock()
-	if p.memo == nil {
-		p.memo = map[any]any{}
-	}
-	if v, ok := p.memo[key]; ok {
-		return v
-	}
-	v := build()
-	p.memo[key] = v
-	return v
 }

@@ -18,6 +18,7 @@ package analysistest
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"os"
@@ -41,7 +42,9 @@ type expectation struct {
 }
 
 // Run checks the analyzer against each fixture package under
-// testdata/src. Fixture packages may import the standard library only.
+// testdata/src. Fixture packages may import the standard library only:
+// imports are read from the compiler's export data, as the driver reads
+// them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
@@ -70,7 +73,7 @@ func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	pkg, info, err := lintutil.TypeCheck(fset, lintutil.NewImporter(fset), pkgPath, files)
+	pkg, info, err := lintutil.TypeCheck(fset, importer.ForCompiler(fset, "gc", nil), pkgPath, files)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
 	}
@@ -155,31 +158,17 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expec
 func splitQuoted(t *testing.T, pos token.Position, s string) []string {
 	t.Helper()
 	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		if s[0] != '"' {
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		q, err := strconv.QuotedPrefix(s)
+		if err != nil || q[0] != '"' {
 			t.Fatalf("%s: want expectations must be double-quoted strings, got %q", pos, s)
 		}
-		end := 1
-		for end < len(s) {
-			if s[end] == '\\' {
-				end += 2
-				continue
-			}
-			if s[end] == '"' {
-				break
-			}
-			end++
-		}
-		if end >= len(s) {
-			t.Fatalf("%s: unterminated want string in %q", pos, s)
-		}
-		unq, err := strconv.Unquote(s[:end+1])
+		unq, err := strconv.Unquote(q)
 		if err != nil {
-			t.Fatalf("%s: bad want string %q: %v", pos, s[:end+1], err)
+			t.Fatalf("%s: bad want string %q: %v", pos, q, err)
 		}
 		out = append(out, unq)
-		s = strings.TrimSpace(s[end+1:])
+		s = s[len(q):]
 	}
 	return out
 }

@@ -1,39 +1,38 @@
 // Package callgraph builds a type-informed call graph over a loaded
-// analysis.Program — the engine under the interprocedural kairoslint
-// analyzers (ctxflow, leakcheck, lockorder).
+// analysis.Program — the engine under lockorder, the one
+// interprocedural kairoslint analyzer.
 //
 // Resolution:
 //
 //   - Direct calls (f(x), pkg.F(x)) and method calls on concrete
-//     receivers resolve through the type checker to one static edge.
+//     receivers resolve through the type checker to one edge.
 //   - Method calls on interface receivers fan out conservatively: one
-//     dynamic edge per method of a program-declared type that implements
-//     the interface, plus one dynamic edge to the abstract interface
-//     method itself (whose node has no body — unknown implementors
-//     outside the program stay visibly unknown).
+//     edge per method of a program-declared type that implements the
+//     interface, plus one edge to the abstract interface method itself
+//     (whose node has no body — unknown implementors outside the program
+//     stay visibly unknown).
 //   - Calls through function values (including method values) cannot be
 //     resolved and add no edge.
 //
-// Identity is cross-universe: the driver type-checks every unit as a
-// root, so the same function can surface as distinct *types.Func objects
-// (once from its own unit, once re-checked by the source importer for a
-// dependent unit). All units share one token.FileSet, so nodes key on
-// the position string of the defining identifier, which is identical in
-// every universe; position-less objects fall back to types.Func.FullName.
+// Identity is by name: each unit is type-checked on its own and imports
+// the others from export data, so a function is one *types.Func in its
+// declaring unit and another in every unit that calls it. Nodes key on
+// types.Func.FullName of the generic origin ("(*pkg/path.T).M"), which
+// every universe agrees on. Positions would not do: export data records
+// an object's file and line but not its column.
 //
-// Each node with a body carries the summary the analyzers share: its
-// directly blocking operations (channel send/receive, range over a
-// channel, select without a default). Calls inside closure bodies are attributed to the
-// enclosing declared function with InClosure set; closures launched via
-// go statements mark their interior edges Go, since those run
-// concurrently with the caller.
+// Each node with a body carries its directly blocking operations
+// (channel send/receive, range over a channel, select without a
+// default). Calls inside closure bodies are attributed to the enclosing
+// declared function with InClosure set; closures launched via go
+// statements mark their interior edges Go, since those run concurrently
+// with the caller.
 package callgraph
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"kairos/internal/lint/analysis"
 )
@@ -44,13 +43,14 @@ type Graph struct {
 	// Nodes indexes every function seen as a definition or a call
 	// target, keyed by Node.ID.
 	Nodes map[string]*Node
+	// Decls lists the nodes with bodies in package and source order.
+	Decls []*Node
 }
 
 // Node is one function or method.
 type Node struct {
-	// ID is the node's program-wide identity: the shared-FileSet
-	// position string of the defining identifier, or the checker's
-	// FullName for objects without source positions.
+	// ID is the node's program-wide identity: the FullName of the
+	// function's generic origin.
 	ID   string
 	Func *types.Func
 	// Decl and Pkg are set when the body lives in a loaded package;
@@ -63,33 +63,15 @@ type Node struct {
 	Blocking []Op
 }
 
-// Abstract reports whether the node is an interface method — a dynamic
-// dispatch point rather than code.
-func (n *Node) Abstract() bool {
-	if n.Func == nil {
-		return false
-	}
-	recv := n.Func.Type().(*types.Signature).Recv()
-	return recv != nil && types.IsInterface(recv.Type())
-}
-
-// EdgeKind distinguishes checker-resolved calls from conservative
-// interface fan-out.
-type EdgeKind int
-
-const (
-	// Static edges are fully resolved by the type checker.
-	Static EdgeKind = iota
-	// Dynamic edges come from interface dispatch: one per possible
-	// implementor, plus one to the abstract method.
-	Dynamic
-)
-
 // Edge is one call site.
 type Edge struct {
 	Pos    token.Pos
 	Callee *Node
-	Kind   EdgeKind
+	Context
+}
+
+// Context is what a call site inherits from its enclosing statements.
+type Context struct {
 	// Go marks calls that run concurrently with the caller: go
 	// statements, and every call inside a go'd closure.
 	Go bool
@@ -108,15 +90,8 @@ type Op struct {
 	What string
 }
 
-type memoKey struct{}
-
-// Of returns the program's call graph, building it on first use and
-// memoizing it on the Program so every analyzer shares one build.
-func Of(prog *analysis.Program) *Graph {
-	return prog.Memo(memoKey{}, func() any { return build(prog) }).(*Graph)
-}
-
-func build(prog *analysis.Program) *Graph {
+// Build returns the program's call graph.
+func Build(prog *analysis.Program) *Graph {
 	g := &Graph{Prog: prog, Nodes: map[string]*Node{}}
 	var calls []ifaceCall
 	for _, pkg := range prog.Packages {
@@ -134,13 +109,14 @@ func build(prog *analysis.Program) *Graph {
 				n.Decl = fd
 				n.Pkg = pkg
 				// The node may have been created earlier as a callee seen
-				// from an importing package's universe; rebind Func to the
-				// declaring universe's object so signature-derived objects
+				// through an importing unit's export data; rebind Func to
+				// the declaring unit's object so signature-derived objects
 				// (parameters, results) match n.Pkg.TypesInfo.
 				n.Func = fn
 				n.Blocking = blockingOps(pkg.TypesInfo, fd.Body)
+				g.Decls = append(g.Decls, n)
 				c := &collector{g: g, pkg: pkg, caller: n, iface: &calls}
-				c.walkBody(fd.Body, flags{})
+				c.walkBody(fd.Body, Context{})
 			}
 		}
 	}
@@ -148,34 +124,16 @@ func build(prog *analysis.Program) *Graph {
 	return g
 }
 
-// NodeOf returns the node for fn, or nil if fn was never seen.
-func (g *Graph) NodeOf(fn *types.Func) *Node {
-	return g.Nodes[g.idOf(fn)]
-}
-
-func (g *Graph) idOf(fn *types.Func) string {
-	if fn.Pos() != token.NoPos {
-		return g.Prog.Fset.Position(fn.Pos()).String()
-	}
-	return fn.FullName()
-}
-
 func (g *Graph) nodeFor(fn *types.Func) *Node {
 	// Generic instantiations share their origin's declaration.
 	fn = fn.Origin()
-	id := g.idOf(fn)
+	id := fn.FullName()
 	if n, ok := g.Nodes[id]; ok {
 		return n
 	}
 	n := &Node{ID: id, Func: fn}
 	g.Nodes[id] = n
 	return n
-}
-
-// flags is the syntactic context a call site inherits from its
-// enclosing statements.
-type flags struct {
-	goCtx, deferCtx, panicCtx, closureCtx bool
 }
 
 // ifaceCall is a deferred interface-method call awaiting fan-out once
@@ -185,7 +143,7 @@ type ifaceCall struct {
 	pos    token.Pos
 	method *types.Func // the abstract interface method
 	iface  *types.Interface
-	fl     flags
+	fl     Context
 }
 
 type collector struct {
@@ -196,22 +154,22 @@ type collector struct {
 }
 
 // walkBody visits n, classifying every call expression under the
-// current flags.
-func (c *collector) walkBody(n ast.Node, fl flags) {
+// current context.
+func (c *collector) walkBody(n ast.Node, fl Context) {
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.GoStmt:
-			c.visitCall(node.Call, flags{goCtx: true, panicCtx: fl.panicCtx, closureCtx: fl.closureCtx})
+			c.visitCall(node.Call, Context{Go: true, InPanic: fl.InPanic, InClosure: fl.InClosure})
 			return false
 		case *ast.DeferStmt:
-			c.visitCall(node.Call, flags{deferCtx: true, goCtx: fl.goCtx, panicCtx: fl.panicCtx, closureCtx: fl.closureCtx})
+			c.visitCall(node.Call, Context{Defer: true, Go: fl.Go, InPanic: fl.InPanic, InClosure: fl.InClosure})
 			return false
 		case *ast.CallExpr:
 			c.visitCall(node, fl)
 			return false
 		case *ast.FuncLit:
 			next := fl
-			next.closureCtx = true
+			next.InClosure = true
 			c.walkBody(node.Body, next)
 			return false
 		}
@@ -221,7 +179,7 @@ func (c *collector) walkBody(n ast.Node, fl flags) {
 
 // visitCall records the call's edge (when resolvable) and walks its
 // operands.
-func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
+func (c *collector) visitCall(call *ast.CallExpr, fl Context) {
 	info := c.pkg.TypesInfo
 	fun := ast.Unparen(call.Fun)
 
@@ -231,7 +189,7 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			argFl := fl
 			if b.Name() == "panic" {
-				argFl.panicCtx = true
+				argFl.InPanic = true
 			}
 			c.walkArgs(call, argFl)
 			return
@@ -246,7 +204,7 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			c.edge(call.Lparen, fn, Static, fl)
+			c.edge(call.Lparen, fn, fl)
 			c.walkArgs(call, fl)
 			return
 		}
@@ -256,7 +214,7 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 				if iface, ok := types.Unalias(sel.Recv()).Underlying().(*types.Interface); ok {
 					*c.iface = append(*c.iface, ifaceCall{caller: c.caller, pos: call.Lparen, method: fn, iface: iface, fl: fl})
 				} else {
-					c.edge(call.Lparen, fn, Static, fl)
+					c.edge(call.Lparen, fn, fl)
 				}
 				c.walkBody(fun.X, fl)
 				c.walkArgs(call, fl)
@@ -264,7 +222,7 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 			}
 		} else if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			// Qualified call pkg.F(x): no selection entry.
-			c.edge(call.Lparen, fn, Static, fl)
+			c.edge(call.Lparen, fn, fl)
 			c.walkArgs(call, fl)
 			return
 		}
@@ -280,22 +238,14 @@ func (c *collector) visitCall(call *ast.CallExpr, fl flags) {
 	c.walkArgs(call, fl)
 }
 
-func (c *collector) walkArgs(call *ast.CallExpr, fl flags) {
+func (c *collector) walkArgs(call *ast.CallExpr, fl Context) {
 	for _, arg := range call.Args {
 		c.walkBody(arg, fl)
 	}
 }
 
-func (c *collector) edge(pos token.Pos, fn *types.Func, kind EdgeKind, fl flags) {
-	c.caller.Out = append(c.caller.Out, Edge{
-		Pos:       pos,
-		Callee:    c.g.nodeFor(fn),
-		Kind:      kind,
-		Go:        fl.goCtx,
-		Defer:     fl.deferCtx,
-		InPanic:   fl.panicCtx,
-		InClosure: fl.closureCtx,
-	})
+func (c *collector) edge(pos token.Pos, fn *types.Func, fl Context) {
+	c.caller.Out = append(c.caller.Out, Edge{Pos: pos, Callee: c.g.nodeFor(fn), Context: fl})
 }
 
 // fanOut resolves the deferred interface calls against every named type
@@ -307,15 +257,7 @@ func (g *Graph) fanOut(calls []ifaceCall) {
 	named := g.programTypes()
 	for _, ic := range calls {
 		// The abstract method edge keeps unknown implementors visible.
-		ic.caller.Out = append(ic.caller.Out, Edge{
-			Pos:       ic.pos,
-			Callee:    g.nodeFor(ic.method),
-			Kind:      Dynamic,
-			Go:        ic.fl.goCtx,
-			Defer:     ic.fl.deferCtx,
-			InPanic:   ic.fl.panicCtx,
-			InClosure: ic.fl.closureCtx,
-		})
+		ic.caller.Out = append(ic.caller.Out, Edge{Pos: ic.pos, Callee: g.nodeFor(ic.method), Context: ic.fl})
 		for _, t := range named {
 			ptr := types.NewPointer(t)
 			var recv types.Type
@@ -332,50 +274,30 @@ func (g *Graph) fanOut(calls []ifaceCall) {
 			if !ok {
 				continue
 			}
-			ic.caller.Out = append(ic.caller.Out, Edge{
-				Pos:       ic.pos,
-				Callee:    g.nodeFor(fn),
-				Kind:      Dynamic,
-				Go:        ic.fl.goCtx,
-				Defer:     ic.fl.deferCtx,
-				InPanic:   ic.fl.panicCtx,
-				InClosure: ic.fl.closureCtx,
-			})
+			ic.caller.Out = append(ic.caller.Out, Edge{Pos: ic.pos, Callee: g.nodeFor(fn), Context: ic.fl})
 		}
 	}
 }
 
 // programTypes returns every named non-interface type declared in a
-// loaded package, deduplicated across type-check universes by position.
+// loaded package, in package and source order. Each declaration is in
+// exactly one unit, so no type appears twice.
 func (g *Graph) programTypes() []types.Type {
-	seen := map[string]bool{}
 	var out []types.Type
 	for _, pkg := range g.Prog.Packages {
-		for _, obj := range pkg.TypesInfo.Defs {
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() || tn.Pos() == token.NoPos {
-				continue
-			}
-			nt, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(nt) {
-				continue
-			}
-			id := g.Prog.Fset.Position(tn.Pos()).String()
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, nt)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if tn, ok := pkg.TypesInfo.Defs[ts.Name].(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+					out = append(out, tn.Type())
+				}
+				return true
+			})
 		}
 	}
-	// Deterministic fan-out order regardless of map iteration.
-	sort.Slice(out, func(i, j int) bool {
-		a := out[i].(*types.Named).Obj()
-		b := out[j].(*types.Named).Obj()
-		pa := g.Prog.Fset.Position(a.Pos()).String()
-		pb := g.Prog.Fset.Position(b.Pos()).String()
-		return pa < pb
-	})
 	return out
 }
 

@@ -15,110 +15,132 @@
 //     SolveSharded signatures grew a ctx.)
 //   - A function whose context parameter is entirely unused while some
 //     callee accepts a context has dropped the thread — reported at the
-//     declaration.
+//     declaration. The callees are the ones the type checker resolves:
+//     direct calls, method calls and interface method calls (an
+//     interface method has its implementations' signature), but not
+//     calls through function values or inside a panic argument.
 package ctxflow
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"kairos/internal/lint/analysis"
-	"kairos/internal/lint/callgraph"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:       "ctxflow",
-	Doc:        "requires context.Context to be threaded, not re-rooted with context.Background",
-	RunProgram: run,
+	Name: "ctxflow",
+	Doc:  "requires context.Context to be threaded, not re-rooted with context.Background",
+	Run:  run,
 }
 
-func run(prog *analysis.Program) error {
-	g := callgraph.Of(prog)
-	var nodes []*callgraph.Node
-	for _, n := range g.Nodes {
-		if n.Decl != nil {
-			nodes = append(nodes, n)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
-		checkNode(prog, n)
-	}
-	return nil
-}
-
-func checkNode(prog *analysis.Program, n *callgraph.Node) {
-	pos := prog.Fset.Position(n.Decl.Pos())
-	inTest := strings.HasSuffix(pos.Filename, "_test.go")
-	inMain := n.Pkg.Pkg.Name() == "main"
-	hasCtx, ctxParams := ctxParamsOf(n)
-
-	// Roots: context.Background()/TODO() calls in the body.
-	if !inTest {
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := rootCtxCall(n.Pkg.TypesInfo, call)
-			if name == "" {
-				return true
-			}
-			switch {
-			case hasCtx:
-				prog.Reportf(call.Pos(), "%s discards the function's ctx parameter — thread it instead", name)
-			case !inMain:
-				prog.Reportf(call.Pos(), "%s in library code — accept a context.Context and thread the caller's", name)
-			}
-			return true
-		})
-	}
-
-	// Dropped thread: ctx parameter never used, yet a callee accepts one.
-	if inTest || !hasCtx {
-		return
-	}
-	used := false
-	for _, p := range ctxParams {
-		if p.Name() == "_" {
-			used = true // explicitly discarded; lockguard-style conventions don't apply
-			break
-		}
-		for _, obj := range n.Pkg.TypesInfo.Uses {
-			if obj == p {
-				used = true
-				break
-			}
-		}
-		if used {
-			break
-		}
-	}
-	if used {
-		return
-	}
-	for _, e := range n.Out {
-		if e.InPanic || !acceptsCtx(e.Callee.Func) {
+func run(pass *analysis.Pass) (any, error) {
+	inMain := pass.Pkg.Name() == "main"
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
 			continue
 		}
-		prog.Reportf(n.Decl.Pos(), "ctx parameter is unused, but callee %s accepts a context — the thread is dropped here",
-			e.Callee.Func.Name())
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				checkFunc(pass, fd, fn, inMain)
+			}
+		}
+	}
+	return nil, nil
+}
+
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, fn *types.Func, inMain bool) {
+	info := pass.TypesInfo
+	ctxParams := ctxParamsOf(fn)
+
+	// Roots: context.Background()/TODO() calls in the body.
+	ast.Inspect(fd.Body, func(node ast.Node) bool {
+		call, ok := node.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name := rootCtxCall(info, call)
+		if name == "" {
+			return true
+		}
+		switch {
+		case len(ctxParams) > 0:
+			pass.Reportf(call.Pos(), "%s discards the function's ctx parameter — thread it instead", name)
+		case !inMain:
+			pass.Reportf(call.Pos(), "%s in library code — accept a context.Context and thread the caller's", name)
+		}
+		return true
+	})
+
+	// Dropped thread: ctx parameter never used, yet a callee accepts one.
+	if len(ctxParams) == 0 {
 		return
 	}
+	for _, p := range ctxParams {
+		if p.Name() == "_" {
+			return // explicitly discarded; lockguard-style conventions don't apply
+		}
+	}
+	used := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(node ast.Node) bool {
+		if id, ok := node.(*ast.Ident); ok {
+			used[info.Uses[id]] = true
+		}
+		return true
+	})
+	for _, p := range ctxParams {
+		if used[p] {
+			return
+		}
+	}
+	if callee := ctxCallee(info, fd.Body); callee != nil {
+		pass.Reportf(fd.Pos(), "ctx parameter is unused, but callee %s accepts a context — the thread is dropped here",
+			callee.Name())
+	}
+}
+
+// ctxCallee returns the first function the body calls that accepts a
+// context, skipping panic arguments, or nil.
+func ctxCallee(info *types.Info, body *ast.BlockStmt) *types.Func {
+	var found *types.Func
+	ast.Inspect(body, func(node ast.Node) bool {
+		call, ok := node.(*ast.CallExpr)
+		if !ok || found != nil {
+			return found == nil
+		}
+		var obj types.Object
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			obj = info.Uses[fun]
+		case *ast.SelectorExpr:
+			obj = info.Uses[fun.Sel]
+		}
+		if b, ok := obj.(*types.Builtin); ok && b.Name() == "panic" {
+			return false
+		}
+		if fn, ok := obj.(*types.Func); ok && acceptsCtx(fn) {
+			found = fn
+		}
+		return found == nil
+	})
+	return found
 }
 
 // ctxParamsOf returns the function's context.Context parameters.
-func ctxParamsOf(n *callgraph.Node) (bool, []*types.Var) {
-	sig := n.Func.Type().(*types.Signature)
+func ctxParamsOf(fn *types.Func) []*types.Var {
+	sig := fn.Type().(*types.Signature)
 	var out []*types.Var
 	for i := 0; i < sig.Params().Len(); i++ {
 		if isCtxType(sig.Params().At(i).Type()) {
 			out = append(out, sig.Params().At(i))
 		}
 	}
-	return len(out) > 0, out
+	return out
 }
 
 // rootCtxCall matches context.Background() / context.TODO(), returning

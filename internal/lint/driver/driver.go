@@ -1,148 +1,75 @@
 // Package driver loads Go packages and runs kairoslint analyzers over
-// them. It enumerates packages with `go list -json` (so build constraints
-// and file lists match the real build exactly), parses and type-checks
-// each one with the stdlib source importer, runs every analyzer, and
-// filters //kairoslint:allow-suppressed findings. It is the multichecker
-// behind cmd/kairoslint and `make lint`.
+// them. It enumerates packages with `go list -export -deps -test -json`
+// (so build constraints and file lists match the real build exactly, and
+// the compiler has already written every dependency's export data),
+// parses and type-checks each matched package once from source with its
+// imports read from that export data, runs every analyzer, and filters
+// //kairoslint:allow-suppressed findings. It is the multichecker behind
+// cmd/kairoslint and `make lint`.
 package driver
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"kairos/internal/lint/analysis"
 	"kairos/internal/lint/lintutil"
 )
 
-// Package is one type-checked analysis unit. A listed package yields one
-// unit covering its GoFiles plus in-package test files, and — when it has
-// external (package foo_test) test files — a second unit for those.
-type Package struct {
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
-}
-
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
+	Dir        string
+	ImportPath string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Export     string
+	ForTest    string
+	DepOnly    bool
 }
 
-// Load enumerates the packages matching patterns (relative to the current
+// Listing is what `go list -export` reported for some patterns: the units
+// to type-check from source and the export data file of every package
+// they can import. List builds any export data the build cache lacks, so
+// its time is build time; Check's is type-checking.
+type Listing struct {
+	units   []listedPackage
+	exports map[string]string // package ID → export data file
+}
+
+// Load lists the packages matching patterns (relative to the current
 // working directory, which must be inside the module) and type-checks
 // them. Test files are included: the analyzers' contracts bind tests too.
-//
-// Units are checked concurrently on a worker pool. The FileSet is shared
-// (its methods are synchronized) and the source importer is serialized
-// behind a mutex, so the parallel win is each unit's own parse and
-// type-check; the output slice is ordered by unit discovery order,
-// independent of scheduling.
-func Load(patterns []string) ([]*Package, error) {
-	listed, err := goList(patterns)
+func Load(patterns []string) (*analysis.Program, error) {
+	l, err := List(patterns)
 	if err != nil {
 		return nil, err
 	}
-	type unit struct {
-		path  string
-		dir   string
-		names []string
-	}
-	var units []unit
-	for _, lp := range listed {
-		base := append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...)
-		if len(base) > 0 {
-			units = append(units, unit{path: lp.ImportPath, dir: lp.Dir, names: base})
-		}
-		if len(lp.XTestGoFiles) > 0 {
-			units = append(units, unit{path: lp.ImportPath + "_test", dir: lp.Dir, names: lp.XTestGoFiles})
-		}
-	}
-	fset := token.NewFileSet()
-	imp := &lockedImporter{imp: lintutil.NewImporter(fset)}
-	pkgs := make([]*Package, len(units))
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, loadWorkers())
-	for i, u := range units {
-		wg.Add(1)
-		go func(i int, u unit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			files := make([]*ast.File, len(u.names))
-			for j, name := range u.names {
-				f, err := parser.ParseFile(fset, filepath.Join(u.dir, name), nil, parser.ParseComments)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				files[j] = f
-			}
-			tpkg, info, err := lintutil.TypeCheck(fset, imp, u.path, files)
-			if err != nil {
-				errs[i] = fmt.Errorf("type-checking %s: %w", u.path, err)
-				return
-			}
-			pkgs[i] = &Package{Path: u.path, Fset: fset, Files: files, Types: tpkg, Info: info}
-		}(i, u)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pkgs, nil
+	return l.Check()
 }
 
-func loadWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8 // past this the serialized importer is the bottleneck
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// lockedImporter serializes the stdlib source importer, which caches
-// behind plain maps and is not safe for concurrent ImportFrom calls.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.ImporterFrom
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-func (l *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.imp.ImportFrom(path, dir, mode)
-}
-
-// goList shells out to `go list -json` for the patterns.
-func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+// List runs `go list -export -deps -test -json` for the patterns. Each
+// matched package is one unit: its test variant "p [p.test]" when it has
+// one (its GoFiles then include the in-package tests), else p itself,
+// plus "p_test [p.test]" for external tests. Test mains and dependencies
+// are not units; they are read from export data only.
+func List(patterns []string) (*Listing, error) {
+	args := append([]string{"list", "-export", "-deps", "-test",
+		"-json=Dir,ImportPath,GoFiles,ImportMap,Export,ForTest,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -161,7 +88,80 @@ func goList(patterns []string) ([]listedPackage, error) {
 		}
 		listed = append(listed, lp)
 	}
-	return listed, nil
+	l := &Listing{exports: map[string]string{}}
+	hasVariant := map[string]bool{}
+	for _, lp := range listed {
+		l.exports[lp.ImportPath] = lp.Export
+		if lp.ForTest != "" && lp.ImportPath == lp.ForTest+" ["+lp.ForTest+".test]" {
+			hasVariant[lp.ForTest] = true
+		}
+	}
+	for _, lp := range listed {
+		testMain := lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test")
+		if lp.DepOnly || testMain || (lp.ForTest == "" && hasVariant[lp.ImportPath]) {
+			continue
+		}
+		l.units = append(l.units, lp)
+	}
+	return l, nil
+}
+
+// Check parses and type-checks the listed units concurrently, one
+// ProgramPackage each, in listing order. Every unit has its own
+// importer, reading each import through the unit's ImportMap (a test
+// variant replaces its package for the external tests) from the listed
+// export data. The FileSet is shared; its methods are synchronized.
+func (l *Listing) Check() (*analysis.Program, error) {
+	prog := &analysis.Program{Fset: token.NewFileSet(), Packages: make([]*analysis.ProgramPackage, len(l.units))}
+	errs := make([]error, len(l.units))
+	parallel(len(l.units), func(i int) { prog.Packages[i], errs[i] = l.check(prog.Fset, l.units[i]) })
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// parallel runs f(0), …, f(n-1) on at most GOMAXPROCS goroutines and
+// returns when all have.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+func (l *Listing) check(fset *token.FileSet, u listedPackage) (*analysis.ProgramPackage, error) {
+	files := make([]*ast.File, len(u.GoFiles))
+	for j, name := range u.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(u.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files[j] = f
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if id, ok := u.ImportMap[path]; ok {
+			path = id
+		}
+		if l.exports[path] == "" {
+			return nil, fmt.Errorf("go list reported no export data for %s", path)
+		}
+		return os.Open(l.exports[path])
+	}
+	path, _, _ := strings.Cut(u.ImportPath, " ") // "p_test [p.test]" checks as p_test
+	tpkg, info, err := lintutil.TypeCheck(fset, importer.ForCompiler(fset, "gc", lookup), path, files)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	return &analysis.ProgramPackage{Path: path, Files: files, Pkg: tpkg, TypesInfo: info}, nil
 }
 
 // Diagnostic is one reported finding, resolved to a file position.
@@ -175,18 +175,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Run applies every analyzer to every package, drops suppressed
+// Run applies every analyzer to every package of prog, drops suppressed
 // findings, and returns the rest sorted by position. Per-package
 // analyzers run concurrently across packages; whole-program analyzers
-// (RunProgram) run afterwards, sequentially, over one shared Program so
-// memoized artifacts like the call graph are built once. Malformed
+// (RunProgram) run afterwards, sequentially, over prog. Malformed
 // //kairoslint:allow directives (no ": <reason>") are reported as
 // findings of the pseudo-analyzer `allow` — and are not themselves
 // suppressible.
-func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
+func Run(prog *analysis.Program, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
+	pkgs, fset := prog.Packages, prog.Fset
 	var pkgAs, progAs []*analysis.Analyzer
 	for _, a := range analyzers {
 		if a.RunProgram != nil {
@@ -198,53 +195,43 @@ func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) 
 
 	perPkg := make([][]Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, loadWorkers())
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			supp := lintutil.NewSuppressions(pkg.Fset, pkg.Files)
-			for _, bw := range supp.Bad() {
-				perPkg[i] = append(perPkg[i], Diagnostic{
-					Analyzer: "allow",
-					Pos:      pkg.Fset.Position(bw.Pos),
-					Message:  fmt.Sprintf("waiver needs a reason: want //kairoslint:allow <analyzers>: <reason>, got //%s", bw.Text),
-				})
+	parallel(len(pkgs), func(i int) {
+		pkg := pkgs[i]
+		supp := lintutil.NewSuppressions(fset, pkg.Files)
+		for _, bw := range supp.Bad() {
+			perPkg[i] = append(perPkg[i], Diagnostic{
+				Analyzer: "allow",
+				Pos:      fset.Position(bw.Pos),
+				Message:  fmt.Sprintf("waiver needs a reason: want //kairoslint:allow <analyzers>: <reason>, got //%s", bw.Text),
+			})
+		}
+		for _, a := range pkgAs {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Pkg,
+				TypesInfo: pkg.TypesInfo,
 			}
-			for _, a := range pkgAs {
-				pass := &analysis.Pass{
-					Analyzer:  a,
-					Fset:      pkg.Fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Types,
-					TypesInfo: pkg.Info,
-				}
-				name := a.Name
-				pass.Report = func(d analysis.Diagnostic) {
-					if supp.Allowed(d.Pos, name) {
-						return
-					}
-					perPkg[i] = append(perPkg[i], Diagnostic{
-						Analyzer: name,
-						Pos:      pkg.Fset.Position(d.Pos),
-						Message:  d.Message,
-					})
-				}
-				if _, err := a.Run(pass); err != nil {
-					errs[i] = fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
+			name := a.Name
+			pass.Report = func(d analysis.Diagnostic) {
+				if supp.Allowed(d.Pos, name) {
 					return
 				}
+				perPkg[i] = append(perPkg[i], Diagnostic{
+					Analyzer: name,
+					Pos:      fset.Position(d.Pos),
+					Message:  d.Message,
+				})
 			}
-		}(i, pkg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			if _, err := a.Run(pass); err != nil {
+				errs[i] = fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
+				return
+			}
 		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	var out []Diagnostic
 	for _, diags := range perPkg {
@@ -252,16 +239,8 @@ func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) 
 	}
 
 	if len(progAs) > 0 {
-		fset := pkgs[0].Fset
-		prog := &analysis.Program{Fset: fset}
 		var allFiles []*ast.File
 		for _, pkg := range pkgs {
-			prog.Packages = append(prog.Packages, &analysis.ProgramPackage{
-				Path:      pkg.Path,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-			})
 			allFiles = append(allFiles, pkg.Files...)
 		}
 		supp := lintutil.NewSuppressions(fset, allFiles)
@@ -283,18 +262,9 @@ func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) 
 		}
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return out[i].Analyzer < out[j].Analyzer
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return out, nil
 }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -11,20 +12,20 @@ import (
 	"kairos/internal/lint/lintutil"
 )
 
-// fakePkg type-checks one in-memory file into a *Package, bypassing
-// go list so the Run contract can be pinned hermetically.
-func fakePkg(t *testing.T, fset *token.FileSet, path, src string) *Package {
+// fakePkg type-checks one in-memory file into a package, bypassing go
+// list so the Run contract can be pinned hermetically.
+func fakePkg(t *testing.T, fset *token.FileSet, path, src string) *analysis.ProgramPackage {
 	t.Helper()
 	f, err := parser.ParseFile(fset, strings.ReplaceAll(path, "/", "_")+".go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := []*ast.File{f}
-	tpkg, info, err := lintutil.TypeCheck(fset, lintutil.NewImporter(fset), path, files)
+	tpkg, info, err := lintutil.TypeCheck(fset, importer.ForCompiler(fset, "gc", nil), path, files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}
+	return &analysis.ProgramPackage{Path: path, Files: files, Pkg: tpkg, TypesInfo: info}
 }
 
 // TestRunSuppressionAndBadWaivers: well-formed waivers drop findings,
@@ -52,7 +53,7 @@ var c = 3 //kairoslint:allow stub
 			return nil, nil
 		},
 	}
-	diags, err := Run([]*Package{pkg}, []*analysis.Analyzer{stub})
+	diags, err := Run(&analysis.Program{Fset: fset, Packages: []*analysis.ProgramPackage{pkg}}, []*analysis.Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,7 @@ var c = 3 //kairoslint:allow stub
 }
 
 // TestRunProgramAnalyzers: RunProgram analyzers see every package at
-// once, share one Program (Memo builds expensive artifacts exactly
-// once), and their findings respect //kairoslint:allow like any other.
+// once, and their findings respect //kairoslint:allow like any other.
 func TestRunProgramAnalyzers(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgA := fakePkg(t, fset, "consta", `package consta
@@ -89,17 +89,11 @@ const A = 1 // prog fires here
 
 const B = 2 //kairoslint:allow prog: fixture waiver for the program path
 `)
-	builds := 0
-	type memoKey struct{}
 	mkProg := func(name string) *analysis.Analyzer {
 		return &analysis.Analyzer{
 			Name: name,
 			Doc:  "reports every const declaration, program-wide",
 			RunProgram: func(prog *analysis.Program) error {
-				prog.Memo(memoKey{}, func() any {
-					builds++
-					return builds
-				})
 				for _, pp := range prog.Packages {
 					for _, f := range pp.Files {
 						for _, d := range f.Decls {
@@ -113,12 +107,10 @@ const B = 2 //kairoslint:allow prog: fixture waiver for the program path
 			},
 		}
 	}
-	diags, err := Run([]*Package{pkgA, pkgB}, []*analysis.Analyzer{mkProg("prog"), mkProg("prog2")})
+	prog := &analysis.Program{Fset: fset, Packages: []*analysis.ProgramPackage{pkgA, pkgB}}
+	diags, err := Run(prog, []*analysis.Analyzer{mkProg("prog"), mkProg("prog2")})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if builds != 1 {
-		t.Errorf("Memo built the shared artifact %d times across 2 program analyzers, want 1", builds)
 	}
 	// pkgA's const fires for both analyzers; pkgB's waiver names only
 	// `prog`, so `prog2` still fires there.
@@ -147,12 +139,12 @@ func TestLoadDeterministicOrder(t *testing.T) {
 	patterns := []string{"kairos/internal/floats", "kairos/internal/lint/analysis", "kairos/internal/lint/lintutil"}
 	var first []string
 	for round := 0; round < 3; round++ {
-		pkgs, err := Load(patterns)
+		prog, err := Load(patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var order []string
-		for _, p := range pkgs {
+		for _, p := range prog.Packages {
 			order = append(order, p.Path)
 		}
 		if round == 0 {

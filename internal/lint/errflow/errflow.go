@@ -9,10 +9,10 @@
 //   - An expression statement whose call returns an error nobody binds.
 //     fmt printing and the never-failing in-memory writers
 //     (strings.Builder, bytes.Buffer) are exempt.
-//   - An error variable overwritten before anything reads it (the
-//     def-use rule, via internal/lint/dataflow): `err = f(); err = g()`
-//     silently discards f's failure. This rule runs in test files too —
-//     a test that drops the first error asserts the wrong thing.
+//   - An error variable overwritten before anything reads it:
+//     `err = f(); err = g()` silently discards f's failure (deadwrite.go
+//     says which paths count). This rule runs in test files too — a
+//     test that drops the first error asserts the wrong thing.
 //   - `defer x.Close()` dropping the close error. For read paths a
 //     waiver with a reason is fine; for write paths the error is the
 //     fsync result and dropping it is a durability bug.
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"kairos/internal/lint/analysis"
-	"kairos/internal/lint/dataflow"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -164,37 +163,6 @@ func checkDeferredClose(pass *analysis.Pass, file *ast.File) {
 		}
 		if returnsError(pass.TypesInfo, ds.Call) {
 			pass.Reportf(ds.Defer, "deferred Close drops its error — handle it in a deferred closure or waive with a reason")
-		}
-		return true
-	})
-}
-
-// checkDeadErrorWrites runs the def-use rule over every function and
-// closure body: an error-typed local overwritten on all paths before
-// any read lost its first failure.
-func checkDeadErrorWrites(pass *analysis.Pass, file *ast.File) {
-	var analyze func(body *ast.BlockStmt)
-	analyze = func(body *ast.BlockStmt) {
-		cfg := dataflow.New(body)
-		keep := func(v *types.Var) bool {
-			// Only locals declared inside this body: a variable owned by
-			// an enclosing function has reads this CFG cannot see.
-			return isErrorType(v.Type()) && body.Pos() <= v.Pos() && v.Pos() < body.End()
-		}
-		for _, dw := range cfg.DeadWrites(pass.TypesInfo, keep) {
-			kill := pass.Fset.Position(dw.KillPos)
-			pass.Reportf(dw.Pos, "%s is overwritten at line %d before this value is ever read — the first error is lost",
-				dw.Var.Name(), kill.Line)
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				analyze(n.Body)
-			}
-		case *ast.FuncLit:
-			analyze(n.Body)
 		}
 		return true
 	})

@@ -5,18 +5,21 @@
 // suite; cmd/kairoslint is the multichecker binary and `make lint` runs
 // it over ./...
 //
-// The suite has seven analyzers in two tiers. Per-package analyzers
-// (errflow, floatdet, lockguard, wirejson) see one package at a time and
-// run in parallel across packages. Whole-program analyzers (ctxflow,
-// leakcheck, lockorder) run over the interprocedural call graph built by
-// internal/lint/callgraph, closing contracts that no single package can
-// prove: lock acquisition order, context threading and goroutine
-// termination. Other contracts are held by something stronger than an
-// analyzer: units (internal/unit) and the control plane's
-// journal-before-apply order (internal/server's journaled token) are
-// types the compiler checks, atomics are typed (lockguard reports a
-// sync/atomic function call), and the solver's hot kernels are pinned
-// at zero allocations by the tests their files' headers name.
+// The suite has six analyzers in two tiers. Per-package analyzers
+// (ctxflow, errflow, floatdet, lockguard, wirejson) see one package at a
+// time and run in parallel across packages. The one whole-program
+// analyzer, lockorder, runs over the interprocedural call graph built by
+// internal/lint/callgraph, because lock acquisition order is a contract
+// no single package can prove. Every package is type-checked once from
+// source; what it imports is read from the compiler's export data.
+//
+// Other contracts are held by something stronger than an analyzer:
+// units (internal/unit) and the control plane's journal-before-apply
+// order (internal/server's journaled token) are types the compiler
+// checks, atomics are typed (lockguard reports a sync/atomic function
+// call), the solver's hot kernels are pinned at zero allocations by the
+// tests their files' headers name, and every library goroutine is
+// joined before its owner returns, with a test holding each join.
 package lint
 
 import (
@@ -24,7 +27,6 @@ import (
 	"kairos/internal/lint/ctxflow"
 	"kairos/internal/lint/errflow"
 	"kairos/internal/lint/floatdet"
-	"kairos/internal/lint/leakcheck"
 	"kairos/internal/lint/lockguard"
 	"kairos/internal/lint/lockorder"
 	"kairos/internal/lint/wirejson"
@@ -36,7 +38,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		errflow.Analyzer,
 		floatdet.Analyzer,
-		leakcheck.Analyzer,
 		lockguard.Analyzer,
 		lockorder.Analyzer,
 		wirejson.Analyzer,

@@ -1,15 +1,13 @@
 // Package lintutil holds the pieces every kairoslint analyzer and driver
 // shares: the repo's annotation conventions (//kairos:locked and
 // "guarded by <mu>" field comments), the
-// //kairoslint:allow line-suppression escape hatch, and a stdlib-only
-// type-checking helper built on the source importer (the repo vendors no
-// third-party code, so golang.org/x/tools/go/packages is off the table).
+// //kairoslint:allow line-suppression escape hatch, and the types.Info
+// every analyzer reads (the repo vendors no third-party code, so
+// golang.org/x/tools/go/packages is off the table).
 package lintutil
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -67,12 +65,16 @@ func GuardedBy(groups ...*ast.CommentGroup) (mutex string, ok bool) {
 const allowPrefix = "kairoslint:allow"
 
 // Suppressions indexes the //kairoslint:allow comments of a package so
-// the driver can drop suppressed diagnostics by (file, line).
+// the driver can drop suppressed diagnostics by (file, line), and
+// records which directives matched a diagnostic.
 type Suppressions struct {
 	fset *token.FileSet
-	// byLine maps file/line to the analyzer names allowed there.
-	byLine map[suppKey]map[string]bool
-	bad    []BadWaiver
+	// byLine maps file/line to the analyzer names allowed there, each to
+	// the index of its directive in dirs.
+	byLine  map[suppKey]map[string]int
+	dirs    []token.Pos
+	matched []bool
+	bad     []BadWaiver
 }
 
 // BadWaiver is a //kairoslint:allow directive that violates the waiver
@@ -90,7 +92,7 @@ type suppKey struct {
 
 // NewSuppressions scans the files' comments for allow directives.
 func NewSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
-	s := &Suppressions{fset: fset, byLine: map[suppKey]map[string]bool{}}
+	s := &Suppressions{fset: fset, byLine: map[suppKey]map[string]int{}}
 	for _, f := range files {
 		codeLines := linesWithCode(fset, f)
 		for _, g := range f.Comments {
@@ -108,6 +110,9 @@ func NewSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 				if !hasReason || strings.TrimSpace(reason) == "" || len(names) == 0 {
 					s.bad = append(s.bad, BadWaiver{Pos: c.Pos(), Text: text})
 				}
+				dir := len(s.dirs)
+				s.dirs = append(s.dirs, c.Pos())
+				s.matched = append(s.matched, false)
 				pos := fset.Position(c.Pos())
 				lines := []int{pos.Line}
 				if !codeLines[pos.Line] {
@@ -119,11 +124,11 @@ func NewSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 					key := suppKey{file: pos.Filename, line: line}
 					allowed := s.byLine[key]
 					if allowed == nil {
-						allowed = map[string]bool{}
+						allowed = map[string]int{}
 						s.byLine[key] = allowed
 					}
 					for _, name := range names {
-						allowed[name] = true
+						allowed[name] = dir
 					}
 				}
 			}
@@ -158,19 +163,27 @@ func (s *Suppressions) Bad() []BadWaiver { return s.bad }
 
 // Allowed reports whether the analyzer is suppressed on pos's line,
 // either by a trailing directive there or by a standalone directive on
-// the line above.
+// the line above, and marks that directive matched.
 func (s *Suppressions) Allowed(pos token.Pos, analyzer string) bool {
 	p := s.fset.Position(pos)
-	return s.byLine[suppKey{file: p.Filename, line: p.Line}][analyzer]
+	dir, ok := s.byLine[suppKey{file: p.Filename, line: p.Line}][analyzer]
+	if ok {
+		s.matched[dir] = true
+	}
+	return ok
 }
 
-// NewImporter returns a source-based importer sharing fset, suitable for
-// type-checking module packages and their stdlib dependencies without
-// compiled export data. Cgo is disabled so the pure-Go variants of net &
-// friends are selected — the source importer cannot preprocess cgo files.
-func NewImporter(fset *token.FileSet) types.ImporterFrom {
-	build.Default.CgoEnabled = false
-	return importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+// Unmatched returns the positions of the directives that no Allowed call
+// has matched yet, in encounter order: after a whole run, the waivers
+// that suppress nothing.
+func (s *Suppressions) Unmatched() []token.Pos {
+	var out []token.Pos
+	for i, pos := range s.dirs {
+		if !s.matched[i] {
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.

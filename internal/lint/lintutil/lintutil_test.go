@@ -102,6 +102,29 @@ var c = 3
 	}
 }
 
+// TestSuppressionsRecordMatches: Unmatched lists the directives no
+// Allowed call matched — a waiver for another analyzer, or on another
+// line, does not count.
+func TestSuppressionsRecordMatches(t *testing.T) {
+	fset, files := parseSrc(t, `package p
+
+//kairoslint:allow errflow: matched through the line below
+var a = 1
+var b = 2 //kairoslint:allow floatdet: asked about for errflow only
+var c = 3 //kairoslint:allow lockguard: never asked about
+`)
+	s := NewSuppressions(fset, files)
+	s.Allowed(linePos(fset, 4), "errflow")
+	s.Allowed(linePos(fset, 5), "errflow")
+	var lines []int
+	for _, pos := range s.Unmatched() {
+		lines = append(lines, fset.Position(pos).Line)
+	}
+	if len(lines) != 2 || lines[0] != 5 || lines[1] != 6 {
+		t.Errorf("unmatched directives on lines %v, want [5 6]", lines)
+	}
+}
+
 func TestSuppressionsReasonWithColon(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 

@@ -57,8 +57,8 @@ var Analyzer = &analysis.Analyzer{
 	RunProgram: run,
 }
 
-// lockID is a program-wide lock identity: the position string of the
-// declaring type name plus the mutex field name.
+// lockID is a program-wide lock identity: the declaring type's
+// package path and name plus the mutex field name, "pkg/path.Type.mu".
 type lockID string
 
 // lock is one annotated mutex.
@@ -78,10 +78,10 @@ type orderEdge struct {
 type checker struct {
 	prog  *analysis.Program
 	graph *callgraph.Graph
-	// locks indexes annotated mutexes by (type position, field name).
+	// locks indexes annotated mutexes by ID.
 	locks map[lockID]*lock
-	// typeLocks lists the annotated mutexes of each struct type, by the
-	// type name's position string.
+	// typeLocks lists the annotated mutexes of each struct type, by
+	// typeKey.
 	typeLocks map[string][]*lock
 	// acquires and blocks are per-node transitive summaries.
 	acquires map[*callgraph.Node]map[lockID]bool
@@ -92,7 +92,7 @@ type checker struct {
 func run(prog *analysis.Program) error {
 	c := &checker{
 		prog:      prog,
-		graph:     callgraph.Of(prog),
+		graph:     callgraph.Build(prog),
 		locks:     map[lockID]*lock{},
 		typeLocks: map[string][]*lock{},
 		acquires:  map[*callgraph.Node]map[lockID]bool{},
@@ -102,28 +102,14 @@ func run(prog *analysis.Program) error {
 	if len(c.locks) == 0 {
 		return nil
 	}
-	nodes := c.declaredNodes()
-	for _, n := range nodes {
+	for _, n := range c.graph.Decls {
 		c.summarize(n, nil)
 	}
-	for _, n := range nodes {
+	for _, n := range c.graph.Decls {
 		c.scanBody(n)
 	}
 	c.reportCycles()
 	return nil
-}
-
-// declaredNodes returns the graph's nodes with bodies in deterministic
-// (package, position) order.
-func (c *checker) declaredNodes() []*callgraph.Node {
-	var out []*callgraph.Node
-	for _, n := range c.graph.Nodes {
-		if n.Decl != nil {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // collectLocks builds the annotated-mutex universe from every struct
@@ -167,23 +153,41 @@ func (c *checker) collectStructLocks(pkg *analysis.ProgramPackage, ts *ast.TypeS
 	if len(wanted) == 0 {
 		return
 	}
-	typePos := c.prog.Fset.Position(tn.Pos()).String()
+	key := typeKey(tn)
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
 			if !wanted[name.Name] || !isMutex(pkg.TypesInfo.TypeOf(field.Type)) {
 				continue
 			}
 			l := &lock{
-				id:      lockID(typePos + "#" + name.Name),
+				id:      lockID(key + "." + name.Name),
 				display: fmt.Sprintf("%s.%s.%s", tn.Pkg().Name(), tn.Name(), name.Name),
 			}
 			if _, dup := c.locks[l.id]; dup {
 				continue
 			}
 			c.locks[l.id] = l
-			c.typeLocks[typePos] = append(c.typeLocks[typePos], l)
+			c.typeLocks[key] = append(c.typeLocks[key], l)
 		}
 	}
+}
+
+// typeKey names a type the same way in every unit: "pkg/path.Type".
+func typeKey(tn *types.TypeName) string {
+	return tn.Pkg().Path() + "." + tn.Name()
+}
+
+// namedOf strips aliases and one pointer to reach a defined type, or nil.
+func namedOf(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
+	}
+	return named
 }
 
 // isMutex accepts sync.Mutex, sync.RWMutex and pointers to them.
@@ -191,12 +195,8 @@ func isMutex(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+	named := namedOf(t)
+	if named == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
 	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
@@ -271,16 +271,11 @@ func (c *checker) lockOf(info *types.Info, muSel *ast.SelectorExpr) *lock {
 	if base == nil {
 		return nil
 	}
-	base = types.Unalias(base)
-	if p, ok := base.(*types.Pointer); ok {
-		base = types.Unalias(p.Elem())
-	}
-	named, ok := base.(*types.Named)
-	if !ok || named.Obj().Pos() == token.NoPos {
+	named := namedOf(base)
+	if named == nil {
 		return nil
 	}
-	typePos := c.prog.Fset.Position(named.Obj().Pos()).String()
-	return c.locks[lockID(typePos+"#"+muSel.Sel.Name)]
+	return c.locks[lockID(typeKey(named.Obj())+"."+muSel.Sel.Name)]
 }
 
 // entryHeld returns the locks a function holds on entry per lockguard's
@@ -294,15 +289,11 @@ func (c *checker) entryHeld(n *callgraph.Node) []*lock {
 	if recv == nil {
 		return nil
 	}
-	t := types.Unalias(recv.Type())
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pos() == token.NoPos {
+	named := namedOf(recv.Type())
+	if named == nil {
 		return nil
 	}
-	return c.typeLocks[c.prog.Fset.Position(named.Obj().Pos()).String()]
+	return c.typeLocks[typeKey(named.Obj())]
 }
 
 // summarize computes the node's transitive may-acquire set and blocking
@@ -472,37 +463,30 @@ func (c *checker) reportCycles() {
 		succ[e.from][e.to] = true
 	}
 	reaches := func(from, to lockID) bool {
-		seen := map[lockID]bool{}
-		var dfs func(lockID) bool
-		dfs = func(cur lockID) bool {
+		seen := map[lockID]bool{from: true}
+		for stack := []lockID{from}; len(stack) > 0; {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			if cur == to {
 				return true
 			}
-			if seen[cur] {
-				return false
-			}
-			seen[cur] = true
 			for next := range succ[cur] {
-				if dfs(next) {
-					return true
+				if !seen[next] {
+					seen[next] = true
+					stack = append(stack, next)
 				}
 			}
-			return false
 		}
-		return dfs(from)
+		return false
 	}
-	reported := map[string]bool{}
+	reported := map[orderEdge]bool{}
 	sorted := append([]orderEdge{}, c.edges...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].pos < sorted[j].pos })
 	for _, e := range sorted {
-		if !reaches(e.to, e.from) {
+		if reported[e] || !reaches(e.to, e.from) {
 			continue
 		}
-		key := fmt.Sprintf("%s→%s@%d", e.from, e.to, e.pos)
-		if reported[key] {
-			continue
-		}
-		reported[key] = true
+		reported[e] = true
 		via := ""
 		if e.via != "" {
 			via = fmt.Sprintf(" (via %s)", e.via)

@@ -34,7 +34,7 @@ func encoded(tb testing.TB, db *DB) []byte {
 func patched(b []byte, off int, v any) []byte {
 	out := bytes.Clone(b)
 	var field bytes.Buffer
-	_ = binary.Write(&field, binary.LittleEndian, v) //kairoslint:allow errflow: binary.Write to a bytes.Buffer cannot fail for fixed-size values
+	_ = binary.Write(&field, binary.LittleEndian, v)
 	copy(out[off:], field.Bytes())
 	return out
 }
