@@ -108,13 +108,17 @@ race-server:
 # backing off, re-solve failed): a restart answers them as the live daemon
 # did. Then a registration and a deregistration acked while a snapshot is
 # being taken: the restart keeps both; one whose append fails is answered
-# 503 and the restart keeps the old registry. Then replay's decode-ahead pipeline
+# 503 and the restart keeps the old registry. Then a snapshot after each
+# operation of a seeded schedule (partial, resent and unstamped windows
+# among them): the restarted server equals the live one and answers new
+# windows as one that never restarted, and a trigger on a window that
+# omits a workload survives a graceful restart. Then replay's decode-ahead pipeline
 # against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
 # undecodable record in journal order named as before, no goroutine left,
 # and one payload buffer per decode worker. Then the journal's own: torn
 # tails, bit flips, snapshot crash points, and its Reader against Open.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker' -v ./internal/server/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series

@@ -115,10 +115,10 @@ type Fleet struct {
 	// incumbent with the spec workloads as its assumptions; Consolidate and
 	// AdoptIncumbent drop it.
 	det *drift.Detector // guarded by mu
-	// baseline is the workload set the detector's assumptions came from:
-	// the spec workloads until a trigger commits, then each re-solve's
-	// forecast. Checkpoints carry it so a restored detector rebuilds the
-	// same per-resource means.
+	// baseline is the last committed re-solve's forecast: nil until a
+	// trigger commits, while the spec workloads are the detector's
+	// assumptions (orSpec). Checkpoints carry it so a restored
+	// detector rebuilds the same per-resource means.
 	baseline []Workload // guarded by mu
 	// history holds the last histLen observation windows, oldest first,
 	// feeding the forecast a triggered re-solve consumes.
@@ -268,8 +268,19 @@ func (f *Fleet) watchLocked() error {
 	if err != nil {
 		return err
 	}
-	f.det, f.baseline = det, f.spec.Workloads
+	f.det = det
 	return nil
+}
+
+// orSpec is the workload set the detector's assumptions came from and the
+// next forecast starts from, given the fleet's committed baseline b: the
+// last committed forecast, or the spec workloads before any trigger has
+// committed.
+func (f *Fleet) orSpec(b []Workload) []Workload {
+	if len(b) > 0 {
+		return b
+	}
+	return f.spec.Workloads
 }
 
 // detectLocked is the detect step: one observation window through the
@@ -301,12 +312,12 @@ func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
 	return trig, nil
 }
 
-// solve is the solve step: forecast the retained windows, re-solve warm
-// from the incumbent on the forecast, which also prices the incumbent
-// there. It reads what it is handed and the immutable spec, and mutates
-// nothing.
-func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, history [][]Workload, inc *Incumbent) (*ReconsolidationEvent, error) {
-	forecast, err := forecastWorkloads(history)
+// solve is the solve step: forecast the baseline from the retained
+// windows, re-solve warm from the incumbent on the forecast, which also
+// prices the incumbent there. It reads what it is handed and the immutable
+// spec, and mutates nothing.
+func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, baseline []Workload, history [][]Workload, inc *Incumbent) (*ReconsolidationEvent, error) {
+	forecast, err := forecastWorkloads(baseline, history)
 	if err != nil {
 		return nil, fmt.Errorf("kairos: building forecast series: %w", err)
 	}
@@ -373,7 +384,7 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 		return nil, err
 	}
 	//kairoslint:allow lockorder: the warm re-solve's worker pool always drains; ctx aborts it on shutdown
-	ev, err := f.solve(ctx, trig, f.history, f.view.Load().inc)
+	ev, err := f.solve(ctx, trig, f.orSpec(f.baseline), f.history, f.view.Load().inc)
 	if err == nil {
 		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan)
 	}
@@ -410,7 +421,7 @@ func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 		return nil, fmt.Errorf("kairos: fleet %q has no unsettled drift trigger to resolve", f.spec.Name)
 	}
 	//kairoslint:allow lockorder: the warm re-solve's worker pool always drains; ctx aborts it on shutdown
-	ev, err := f.solve(ctx, f.trig, f.history, f.view.Load().inc)
+	ev, err := f.solve(ctx, f.trig, f.orSpec(f.baseline), f.history, f.view.Load().inc)
 	if err != nil {
 		return nil, err
 	}
@@ -431,15 +442,19 @@ func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 	return f.commitLocked(ev.forecast, ev.samples, ev.Plan)
 }
 
-// RearmDetector forces the drift detector back to armed with no pending
-// cool-down — how a trigger whose re-solve never committed (it failed, was
-// suppressed, or its journal record replays as a rearm) is settled.
-func (f *Fleet) RearmDetector() {
+// RearmDetector settles an unsettled trigger — one ObserveDetectOnly
+// reported and no Advance or ReplayAdvance committed (its re-solve failed,
+// was suppressed, or its journal record replays as a rearm) — by forcing
+// the drift detector back to armed with no pending cool-down. It reports
+// whether there was such a trigger; without one it does nothing.
+func (f *Fleet) RearmDetector() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.det != nil {
-		f.rearmLocked()
+	if f.trig == nil {
+		return false
 	}
+	f.rearmLocked()
+	return true
 }
 
 // ReplayAdvance is Advance's replay counterpart, for crash recovery: the
@@ -457,7 +472,7 @@ func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
 	if len(f.history) == 0 {
 		return nil, fmt.Errorf("kairos: replayed advance with no observation history")
 	}
-	forecast, err := forecastWorkloads(f.history)
+	forecast, err := forecastWorkloads(f.orSpec(f.baseline), f.history)
 	if err != nil {
 		return nil, fmt.Errorf("kairos: rebuilding forecast for replayed advance: %w", err)
 	}
@@ -501,8 +516,9 @@ func (f *Fleet) AdoptIncumbent(inc *Incumbent) (*Plan, error) {
 type FleetCheckpoint struct {
 	// Incumbent is the current plan in durable form.
 	Incumbent *Incumbent
-	// Baseline is the workload set the detector's assumptions came from —
-	// the spec workloads until a trigger fires, then the last forecast.
+	// Baseline is the last committed re-solve's forecast, the workload set
+	// the detector's assumptions came from; nil until a trigger commits,
+	// while the spec workloads are.
 	Baseline []Workload
 	// History is the retained observation windows, oldest first.
 	History [][]Workload
@@ -541,10 +557,7 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	if cp.Incumbent == nil {
 		return fmt.Errorf("kairos: checkpoint for fleet %q has no incumbent plan", f.spec.Name)
 	}
-	baseline := cp.Baseline
-	if len(baseline) == 0 {
-		baseline = f.spec.Workloads
-	}
+	baseline := f.orSpec(cp.Baseline)
 	p := &Problem{Workloads: baseline, Machines: f.spec.Machines, Disk: f.spec.Disk}
 	sol, err := core.SolutionFromIncumbent(p, cp.Incumbent)
 	if err != nil {
@@ -570,7 +583,7 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.det, f.baseline, f.history, f.trig = det, baseline, history, nil
+	f.det, f.baseline, f.history, f.trig = det, cp.Baseline, history, nil
 	f.gen++
 	f.publishLocked(func(v *fleetView) { v.plan, v.inc, v.windows = newPlan(p, sol), cp.Incumbent, cp.Windows })
 	return nil

@@ -99,7 +99,11 @@ type Config struct {
 	// which no new trigger fires, regardless of drift. 0 disables.
 	Cooldown int
 	// History is the number of recent windows averaged into the rolling
-	// forecast (and retained for it). 0 defaults to 2.
+	// forecast (and retained for it). It counts windows, not appearances:
+	// a window that omits a workload, or a resource's series, still ages
+	// that workload's forecast by one, so its forecast averages the
+	// windows of the last History that carried it (and has no signal when
+	// none did). 0 defaults to 2.
 	History int
 	// MinWorkloads is how many distinct workloads must drift past the
 	// threshold for a trigger to fire. 0 defaults to 1.
@@ -198,11 +202,16 @@ type shape struct {
 // workloadState is the detector's per-workload tracking state.
 type workloadState struct {
 	base baseline
-	// history holds up to cfg.History recent observation windows per
-	// resource, oldest first, feeding the rolling forecast. Every window
-	// has the resource's baseline shape: Observe and SeedHistory refuse any
-	// other, and SetBaseline drops the windows of a resource whose shape it
-	// changes, so the forecast is scored without a shape check.
+	// history holds, per tracked resource, a slot for each of the last
+	// cfg.History recorded windows, oldest first, feeding the rolling
+	// forecast: the window's series, or nil where the window did not carry
+	// it (the workload was absent, or sent no series for the resource). So
+	// the forecast is the last cfg.History windows, not the last cfg.History
+	// appearances, whether the windows were observed or seeded. Every
+	// series has the resource's baseline shape: Observe and SeedHistory
+	// refuse any other, and SetBaseline drops the windows of a resource
+	// whose shape it changes, so the forecast is scored without a shape
+	// check.
 	history [len(resources)][]*series.Series
 }
 
@@ -348,22 +357,30 @@ func (ws *workloadState) checkShape(s *Sample, r Resource) error {
 	return nil
 }
 
-// record appends a window's tracked series to the forecast history,
-// keeping the last cfg.History per resource. The window has been checked.
+// record ages every tracked (workload, resource) of the forecast history
+// by one slot, keeping the last cfg.History, and fills the new slot with
+// the window's series where it carries one. The window has been checked.
 func (d *Detector) record(samples []Sample) {
-	for i := range samples {
-		s := &samples[i]
-		ws := d.state[s.Workload]
-		for ri, r := range resources {
-			sr := s.get(r)
-			if sr == nil || !ws.base.have[ri] {
+	for _, ws := range d.state {
+		for ri := range resources {
+			if !ws.base.have[ri] {
 				continue
 			}
-			h := append(ws.history[ri], sr)
+			h := append(ws.history[ri], nil)
 			if len(h) > d.cfg.History {
 				h = h[len(h)-d.cfg.History:]
 			}
 			ws.history[ri] = h
+		}
+	}
+	for i := range samples {
+		s := &samples[i]
+		ws := d.state[s.Workload]
+		for ri, r := range resources {
+			if ws.base.have[ri] {
+				h := ws.history[ri]
+				h[len(h)-1] = s.get(r)
+			}
 		}
 	}
 }
@@ -380,8 +397,9 @@ func (d *Detector) Restore(window int, armed bool, cooldown int) {
 
 // Observe consumes one observation window for the fleet and returns a
 // non-nil Trigger when drift fires. Workloads absent from the window are
-// skipped (no signal); workloads the baseline does not track are an error,
-// as are windows whose series shape differs from the baseline's.
+// skipped (no signal, and an empty slot in their forecast history);
+// workloads the baseline does not track are an error, as are windows whose
+// series shape differs from the baseline's.
 func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 	causes, err := d.score(samples)
 	if err != nil {
@@ -475,9 +493,10 @@ func (d *Detector) score(samples []Sample) ([]Cause, error) {
 				causes = append(causes, Cause{s.Workload, r, UtilizationDelta, du})
 			}
 			// A non-positive window mean makes CV(RMSE) undefined: no
-			// forecast signal rather than a fake one. The CV goes through its
-			// percentage, rounded, as predict.WeeklyForecast.CVRMSEPct does,
-			// so a threshold sees the same bits either way.
+			// forecast signal rather than a fake one, as for a history whose
+			// slots are all empty (RollingRMSE is NaN). The CV goes through
+			// its percentage, rounded, as predict.WeeklyForecast.CVRMSEPct
+			// does, so a threshold sees the same bits either way.
 			if len(ws.history[ri]) > 0 && mean > 0 {
 				if cv := float64(predict.RollingRMSE(ws.history[ri], sr)/mean*100) / 100; !math.IsNaN(cv) {
 					causes = append(causes, Cause{s.Workload, r, ForecastError, cv})

@@ -373,6 +373,27 @@ func TestPartialWindows(t *testing.T) {
 	}
 }
 
+// TestAbsentWindowsAgeForecastHistory: the forecast averages the last
+// History windows, not the last History appearances. A window that omits a
+// workload ages its history like any other, so with History 1 the window
+// after the omission has no forecast to score a, where one counting
+// appearances would score it against the flat window before.
+func TestAbsentWindowsAgeForecastHistory(t *testing.T) {
+	alternating := Sample{Workload: "a", CPU: series.FromFunc(t0, time.Minute, 12, func(_ time.Time, i int) float64 {
+		return 1 + 0.1*float64(1-2*(i%2))
+	})}
+	d := mustDetector(t, Config{Threshold: 0.05, History: 1}, constWindow("a", 1), constWindow("b", 1))
+	observe(t, d, constWindow("a", 1), constWindow("b", 1))
+	observe(t, d, constWindow("b", 1))
+	if trig := observe(t, d, alternating, constWindow("b", 1)); trig != nil {
+		t.Fatalf("a scored against the window before its omission: %v", trig)
+	}
+	// The window after that has a forecast for a again: the alternating one.
+	if trig := observe(t, d, constWindow("a", 1), constWindow("b", 1)); trig == nil || trig.Causes[0].Kind != ForecastError {
+		t.Fatalf("flat window after the alternating one = %v, want a forecast-error trigger", trig)
+	}
+}
+
 func TestStringers(t *testing.T) {
 	for _, s := range []string{CPU.String(), RAM.String(), Disk.String(),
 		UtilizationDelta.String(), ForecastError.String(),

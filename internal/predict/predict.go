@@ -72,22 +72,35 @@ func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 
 // RollingRMSE is the RMSE of the rolling forecast — the element-wise mean
 // of the history windows — against the actual window, without building the
-// forecast: it equals stats.RMSE(MeanOfWindows(history), actual) bit for
-// bit, because it does the same operations in the same order. Per sample,
-// the history is summed h0 + h1 + … left to right and scaled by 1/n, and
+// forecast. Nil entries are empty slots (a window that did not carry the
+// series) and are skipped: the result equals
+// stats.RMSE(MeanOfWindows(the non-nil windows), actual) bit for bit,
+// because it does the same operations in the same order. Per sample, the
+// windows are summed h0 + h1 + … left to right and scaled by 1/n, and
 // (p − a)² is summed over the samples left to right; then √(ss/len). The
 // float64 conversions are rounding barriers: no architecture may fuse a
 // product into an FMA that the two-step computation does not. Every
-// history window must have the actual window's length (drift.Detector
-// holds every window it keeps to its baseline's shape); history must not
-// be empty.
+// window must have the actual window's length (drift.Detector holds every
+// window it keeps to its baseline's shape). A history with no window is
+// NaN.
 func RollingRMSE(history []*series.Series, actual *series.Series) float64 {
-	inv := 1 / float64(len(history))
+	n := 0
+	for _, h := range history {
+		if h != nil {
+			n++
+		}
+	}
+	inv := 1 / float64(n)
 	var ss float64
 	for i, a := range actual.Values {
-		p := history[0].Values[i]
-		for _, h := range history[1:] {
-			p += h.Values[i]
+		// Starting the sum at +0 rounds nothing and can change only the
+		// sign of a zero sum, which d*d squares away: the RMSE's bits are
+		// MeanOfWindows'.
+		var p float64
+		for _, h := range history {
+			if h != nil {
+				p += h.Values[i]
+			}
 		}
 		d := float64(p*inv) - a
 		ss += float64(d * d)

@@ -46,9 +46,9 @@ func TestBackoffAckSurvivesRestart(t *testing.T) {
 	s.mu.Lock()
 	sess := s.fleets["bk"]
 	s.mu.Unlock()
-	sess.mu.Lock()
+	sess.turn <- struct{}{}
 	sess.backoffUntil = time.Now().Add(time.Hour)
-	sess.mu.Unlock()
+	<-sess.turn
 
 	live := postWindow(t, ts.URL, "bk", 4, 8, 1.3, 1000)
 	if live.Triggered || live.Duplicate {

@@ -23,9 +23,10 @@ import (
 // the journal record is framed from, and the handler, holding its fleet's
 // turn, appends the record. The handler gives the buffer back only once it
 // has answered: these tests hold every window handler with its fleet's
-// turn — at the snapshot lock, or at its session's lock where the request
-// under test takes the snapshot lock too — do what could tempt a handler
-// to let go early, and check that the journal got the bytes that arrived.
+// turn — at the snapshot lock, or, where the request under test takes the
+// snapshot lock too, in the log line of the re-solve its window triggered —
+// do what could tempt a handler to let go early, and check that the journal
+// got the bytes that arrived.
 
 // stacksNaming returns how many goroutines' stacks each name every one of
 // frames, and the stacks.
@@ -68,11 +69,11 @@ func windowsHolding(t *testing.T, n int) {
 	stackWait(t, n, "(*Server).handleWindow", "(*RWMutex).RLock")
 }
 
-// windowsHoldingAtSession waits until n window handlers hold their fleet's
-// turn and wait at their session's lock, which the test holds.
-func windowsHoldingAtSession(t *testing.T, n int) {
+// windowsHoldingInLog waits until n window handlers hold their fleet's
+// turn and wait in the server's log function, which the test gates.
+func windowsHoldingInLog(t *testing.T, n int) {
 	t.Helper()
-	stackWait(t, n, "(*Server).processWindow", "(*Mutex).lockSlow")
+	stackWait(t, n, "(*Server).processWindow", "[chan receive]")
 }
 
 // inFlight is a request the handler answers on its own goroutine.
@@ -140,9 +141,12 @@ func TestRecycledBodyLifetime(t *testing.T) {
 	if len(bodyB) > len(bodyA) {
 		t.Fatal("the second window must fit in the first one's buffer")
 	}
-	setup := func(t *testing.T, fi *journal.FaultInjector) (*Server, string) {
+	setup := func(t *testing.T, fi *journal.FaultInjector, logf func(string, ...any)) (*Server, string) {
 		dir := t.TempDir()
-		s, err := Open(Config{StateDir: dir, Journal: journal.Options{Sync: journal.SyncNone, Fault: fi}, SnapshotEvery: 1 << 20, Logf: t.Logf})
+		if logf == nil {
+			logf = t.Logf
+		}
+		s, err := Open(Config{StateDir: dir, Journal: journal.Options{Sync: journal.SyncNone, Fault: fi}, SnapshotEvery: 1 << 20, Logf: logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +162,7 @@ func TestRecycledBodyLifetime(t *testing.T) {
 	}
 	// journaledBoth checks, once the server is killed, that the journal's
 	// window records are the two windows as they arrived, in either order.
-	journaledBoth := func(t *testing.T, s *Server, dir string) {
+	journaledBoth := func(t *testing.T, s *Server, dir string, bodyA, bodyB []byte) {
 		if n := len(s.bodies); n != 2 {
 			t.Errorf("%d bodies given back after both answers, want 2", n)
 		}
@@ -178,7 +182,7 @@ func TestRecycledBodyLifetime(t *testing.T) {
 	}
 
 	t.Run("collector gone", func(t *testing.T) {
-		s, dir := setup(t, nil)
+		s, dir := setup(t, nil, nil)
 		h := s.Handler()
 		s.pauseRW.Lock()
 		ctx, disconnect := context.WithCancel(context.Background())
@@ -191,40 +195,45 @@ func TestRecycledBodyLifetime(t *testing.T) {
 		s.pauseRW.Unlock()
 		a.answer(t, "window of the collector that went away", http.StatusOK)
 		b.answer(t, "window of the other collector", http.StatusOK)
-		journaledBoth(t, s, dir)
+		journaledBoth(t, s, dir, bodyA, bodyB)
 	})
 
 	t.Run("deregistered mid-ingest", func(t *testing.T) {
-		s, dir := setup(t, nil)
+		// The windows drift, and wait in the log line of the re-solve they
+		// triggered, not at the snapshot lock: the deregistration takes that
+		// one's read side too, and must get it while fleet a's window holds
+		// the turn.
+		driftA, driftB := stampedWindow(4, 8, 1.3, 1000), stampedWindow(4, 8, 1.3, 2000)
+		if len(driftB) > len(driftA) {
+			t.Fatal("the second window must fit in the first one's buffer")
+		}
+		gate := make(chan struct{})
+		s, dir := setup(t, nil, func(format string, args ...any) {
+			if format == "fleet %q: %v" {
+				<-gate
+			}
+			t.Logf(format, args...)
+		})
 		h := s.Handler()
-		// The windows wait at their sessions' locks, not at the snapshot
-		// lock: the deregistration takes that one's read side too, and must
-		// get it while fleet a's window holds the turn.
-		s.mu.Lock()
-		sessA, sessB := s.fleets["a"], s.fleets["b"]
-		s.mu.Unlock()
-		sessA.mu.Lock()
-		sessB.mu.Lock()
-		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)
-		windowsHoldingAtSession(t, 1)
+		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", driftA)
+		windowsHoldingInLog(t, 1)
 		// Fleet a is out of the registry and its context cancelled; the
 		// deregistration waits for the window holding the turn.
 		del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/a", nil)
 		stackWait(t, 1, "[chan send]", "(*Server).handleDelete")
 		noBodyGivenBack(t, s)
-		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", bodyB)
-		windowsHoldingAtSession(t, 2)
-		sessA.mu.Unlock()
-		sessB.mu.Unlock()
+		b := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/b/windows", driftB)
+		windowsHoldingInLog(t, 2)
+		close(gate)
 		a.answer(t, "window holding the turn when its fleet went", http.StatusOK)
 		del.answer(t, "deregistration", http.StatusNoContent)
 		b.answer(t, "window of the other fleet", http.StatusOK)
-		journaledBoth(t, s, dir)
+		journaledBoth(t, s, dir, driftA, driftB)
 	})
 
 	t.Run("append refused", func(t *testing.T) {
 		fi := &journal.FaultInjector{}
-		s, dir := setup(t, fi)
+		s, dir := setup(t, fi, nil)
 		h := s.Handler()
 		s.pauseRW.Lock()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", bodyA)

@@ -323,14 +323,15 @@ func TestDeregisterSurvivesRestart(t *testing.T) {
 }
 
 // TestRegistryMutationDuringSnapshot: a registration and a deregistration
-// acked while a snapshot is being taken survive a restart. A snapshot
+// sent while a snapshot is being taken survive a restart. A snapshot
 // copies the registry and then has the journal rotate away every record
 // appended so far, so a registry record appended between the two would be
 // in neither: the registered fleet gone after a restart, the deleted one
-// back. The test holds a snapshot between the two at the lock of the first
-// fleet it checkpoints; each request is then answered or waits at the
-// snapshot lock, and after the restart the registry is the one the client
-// saw acked.
+// back. The test queues both requests at the snapshot lock behind a
+// waiting snapshot, lets the snapshot take the lock's write side and holds
+// it at the registry lock it copies under; both requests must still be
+// waiting, unanswered, and after the restart the registry is the one the
+// client saw acked.
 func TestRegistryMutationDuringSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openDir(dir, t.Logf)
@@ -340,20 +341,26 @@ func TestRegistryMutationDuringSnapshot(t *testing.T) {
 	for _, id := range []string{"a", "drop"} {
 		mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody(id, 3, 6), http.StatusCreated)
 	}
-	s.mu.Lock()
-	first := s.fleets["a"]
-	s.mu.Unlock()
-	first.mu.Lock()
+	// A read side the test holds keeps the snapshot waiting for the write
+	// side, and the requests behind it: the registration takes the
+	// registry lock on its way, so that lock must be free until it waits.
+	s.pauseRW.RLock()
 	snapped := make(chan error, 1)
 	go func() { snapped <- s.snapshot() }()
-	stackWait(t, 1, "(*Server).snapshot", "(*Mutex).lockSlow")
-
+	stackWait(t, 1, "(*Server).snapshot", "(*RWMutex).Lock")
 	h := s.Handler()
 	reg := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets", registerBody("late", 3, 6))
 	del := startRequest(context.Background(), h, http.MethodDelete, "/v1/fleets/drop", nil)
-	answeredOrHeld(t, reg, "(*Server).handleRegister")
-	answeredOrHeld(t, del, "(*Server).handleDelete")
-	first.mu.Unlock()
+	held(t, reg, "(*Server).handleRegister")
+	held(t, del, "(*Server).handleDelete")
+	// The snapshot takes the write side and copies the registry under its
+	// lock, which the test holds.
+	s.mu.Lock()
+	s.pauseRW.RUnlock()
+	stackWait(t, 1, "(*Server).sessions", "(*Mutex).lockSlow")
+	held(t, reg, "(*Server).handleRegister")
+	held(t, del, "(*Server).handleDelete")
+	s.mu.Unlock()
 	if err := <-snapped; err != nil {
 		t.Fatal(err)
 	}
@@ -429,21 +436,22 @@ func TestRegistryRefusalSurvivesRestart(t *testing.T) {
 	}
 }
 
-// answeredOrHeld waits until f is answered or a goroutine in handler waits
-// at the snapshot lock.
-func answeredOrHeld(t *testing.T, f *inFlight, handler string) {
+// held waits until a goroutine in handler waits at the snapshot lock, and
+// fails if f is answered first: a registry mutation must not be answered
+// while a snapshot holds the lock's write side.
+func held(t *testing.T, f *inFlight, handler string) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		select {
 		case <-f.done:
-			return
+			t.Fatalf("%s answered %d %s while the snapshot lock was held", handler, f.rec.Code, f.rec.Body)
 		default:
 		}
-		if held, _ := stacksNaming(handler, "(*RWMutex).RLock"); held > 0 {
+		if n, _ := stacksNaming(handler, "(*RWMutex).RLock"); n > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s neither answered nor waiting at the snapshot lock after 10s", handler)
+			t.Fatalf("%s not waiting at the snapshot lock after 10s", handler)
 		}
 	}
 }
@@ -504,11 +512,10 @@ func TestSolverBackoffSuppressesSolves(t *testing.T) {
 	s.mu.Lock()
 	sess := s.fleets["bk"]
 	s.mu.Unlock()
-	sess.mu.Lock()
-	sess.failures = 3
+	sess.turn <- struct{}{}
+	sess.failures.Store(3)
 	sess.backoffUntil = time.Now().Add(time.Hour)
-	sess.mu.Unlock()
-	s.met.setResolveFailures("bk", 3)
+	<-sess.turn
 
 	status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/bk/windows", stampedWindow(4, 8, 1.3, 1000))
 	if status != http.StatusOK {
@@ -531,9 +538,9 @@ func TestSolverBackoffSuppressesSolves(t *testing.T) {
 
 	// Backoff expires: the held drift fires on the next window, because
 	// the suppressed trigger re-armed the detector.
-	sess.mu.Lock()
+	sess.turn <- struct{}{}
 	sess.backoffUntil = time.Time{}
-	sess.mu.Unlock()
+	<-sess.turn
 	status, body = do(t, http.MethodPost, ts.URL+"/v1/fleets/bk/windows", stampedWindow(4, 8, 1.3, 2000))
 	if status != http.StatusOK {
 		t.Fatalf("post-backoff window: %d %s", status, body)

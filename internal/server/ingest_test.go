@@ -188,9 +188,9 @@ func TestClientDisconnectMidBody(t *testing.T) {
 	s.mu.Lock()
 	sess := s.fleets["cut"]
 	s.mu.Unlock()
-	sess.mu.Lock()
+	sess.turn <- struct{}{}
 	acked := len(sess.acks)
-	sess.mu.Unlock()
+	<-sess.turn
 	if st := s.status(sess); st.Windows != 0 || acked != 0 {
 		t.Errorf("half a window was applied: %d windows, %d ack ring entries", st.Windows, acked)
 	}
@@ -221,9 +221,9 @@ func stateOf(t *testing.T, s *Server, id string) sessionState {
 		t.Fatalf("fleet %q is not registered", id)
 	}
 	st := sessionState{Status: s.status(sess), Plan: planWire(sess.fleet.Plan(), sess.workloads, sess.machines).Assignments}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	st.Events = append(st.Events, sess.events...)
+	st.Events = append(st.Events, *sess.events.Load()...)
+	sess.turn <- struct{}{}
+	defer func() { <-sess.turn }()
 	for _, k := range sess.ackOrder {
 		st.Acks = append(st.Acks, sess.acks[k])
 	}

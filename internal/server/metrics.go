@@ -3,157 +3,94 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"kairos/internal/journal"
 )
 
-// metrics is a minimal Prometheus text-format registry: per-fleet counters
-// for the control plane's hot numbers plus a latency histogram for the
-// triggered re-solves. Hand-rolled on purpose — the repo takes no
+// fleetMetrics is one fleet's /metrics counters, kept in its session: the
+// holder of the fleet's turn adds to them and a scrape reads them without
+// it. The text format is hand-rolled on purpose — the repo takes no
 // dependencies, and the scrape format is a stable plain-text contract.
-type metrics struct {
-	mu sync.Mutex
-	// perFleet maps fleet ID -> counter set.
-	perFleet map[string]*fleetMetrics // guarded by mu
-	fleets   int                      // guarded by mu
+type fleetMetrics struct {
+	windows      atomic.Int64
+	ingestErrors atomic.Int64
+	triggers     atomic.Int64
+	fevals       atomic.Int64
+	migrations   atomic.Int64
+	// resolveNanos and buckets are kairos_resolve_duration_seconds: the
+	// summed latency and one count per bucket, the last for re-solves past
+	// every bound. Counts are kept per bucket, not cumulative, and summed
+	// when written, so every scrape has monotonic buckets whose +Inf is its
+	// _count, whatever window it races.
+	resolveNanos atomic.Int64
+	buckets      [len(resolveBuckets) + 1]atomic.Int64
 }
 
 // resolveBuckets are the histogram upper bounds (seconds) for re-solve
 // latency; chosen to straddle the observed range from sub-100ms synthetic
 // fleets to multi-second 197-server warm re-solves.
-var resolveBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-
-// fleetMetrics is one fleet's counter set.
-type fleetMetrics struct {
-	windows      int64
-	ingestErrors int64
-	triggers     int64
-	fevals       int64
-	migrations   int64
-	// failStreak is the consecutive-failure gauge behind the fleet's
-	// solver backoff (reset to 0 by a re-solve that advances).
-	failStreak int64
-	// histogram state for kairos_resolve_duration_seconds.
-	bucketCounts []int64
-	resolveSum   time.Duration
-	resolveCount int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{perFleet: map[string]*fleetMetrics{}}
-}
-
-// fleetLocked returns (creating if needed) the counter set for id.
-// Callers hold m.mu — the Locked suffix is the lockguard exemption.
-func (m *metrics) fleetLocked(id string) *fleetMetrics {
-	fm := m.perFleet[id]
-	if fm == nil {
-		fm = &fleetMetrics{bucketCounts: make([]int64, len(resolveBuckets))}
-		m.perFleet[id] = fm
-	}
-	return fm
-}
-
-// setFleets records the current registry size (a gauge).
-func (m *metrics) setFleets(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fleets = n
-}
+var resolveBuckets = [...]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
 // observeWindow counts one ingested window (or one rejected one).
-func (m *metrics) observeWindow(id string, err bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fm := m.fleetLocked(id)
+func (m *fleetMetrics) observeWindow(err bool) {
 	if err {
-		fm.ingestErrors++
+		m.ingestErrors.Add(1)
 		return
 	}
-	fm.windows++
-}
-
-// setResolveFailures records a fleet's consecutive re-solve failure count
-// (a gauge; 0 clears it).
-func (m *metrics) setResolveFailures(id string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fleetLocked(id).failStreak = int64(n)
+	m.windows.Add(1)
 }
 
 // observeTrigger counts one drift-triggered re-solve and its cost.
-func (m *metrics) observeTrigger(id string, fevals, migrations int, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fm := m.fleetLocked(id)
-	fm.triggers++
-	fm.fevals += int64(fevals)
-	fm.migrations += int64(migrations)
-	sec := elapsed.Seconds()
-	fm.resolveSum += elapsed
-	fm.resolveCount++
-	for i, le := range resolveBuckets {
-		if sec <= le {
-			fm.bucketCounts[i]++
-		}
+func (m *fleetMetrics) observeTrigger(fevals, migrations int, elapsed time.Duration) {
+	m.triggers.Add(1)
+	m.fevals.Add(int64(fevals))
+	m.migrations.Add(int64(migrations))
+	m.resolveNanos.Add(int64(elapsed))
+	b := 0
+	for b < len(resolveBuckets) && elapsed.Seconds() > resolveBuckets[b] {
+		b++
 	}
+	m.buckets[b].Add(1)
 }
 
-// write renders the registry in Prometheus text exposition format, fleets
-// in sorted order so scrapes are deterministic.
-func (m *metrics) write(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP kairos_fleets Registered fleets.\n# TYPE kairos_fleets gauge\nkairos_fleets %d\n", m.fleets)
-	ids := make([]string, 0, len(m.perFleet))
-	for id := range m.perFleet {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	counter := func(name, help string, get func(*fleetMetrics) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, id := range ids {
-			fmt.Fprintf(w, "%s{fleet=%q} %d\n", name, id, get(m.perFleet[id]))
+// writeFleetMetrics renders the registry gauge and every fleet's series in
+// Prometheus text exposition format, in the order sessions are listed.
+func writeFleetMetrics(w io.Writer, sessions []*session) {
+	fmt.Fprintf(w, "# HELP kairos_fleets Registered fleets.\n# TYPE kairos_fleets gauge\nkairos_fleets %d\n", len(sessions))
+	family := func(name, kind, help string, get func(*session) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		for _, sess := range sessions {
+			fmt.Fprintf(w, "%s{fleet=%q} %d\n", name, sess.id, get(sess))
 		}
 	}
-	counter("kairos_windows_ingested_total", "Observation windows ingested.",
-		func(fm *fleetMetrics) int64 { return fm.windows })
-	counter("kairos_ingest_errors_total", "Observation windows rejected.",
-		func(fm *fleetMetrics) int64 { return fm.ingestErrors })
-	counter("kairos_triggers_total", "Drift-triggered re-solves.",
-		func(fm *fleetMetrics) int64 { return fm.triggers })
-	counter("kairos_resolve_fevals_total", "Objective evaluations spent in triggered re-solves.",
-		func(fm *fleetMetrics) int64 { return fm.fevals })
-	counter("kairos_migrations_total", "Units migrated by triggered re-solves.",
-		func(fm *fleetMetrics) int64 { return fm.migrations })
-
-	const gauge = "kairos_resolve_failures_consecutive"
-	fmt.Fprintf(w, "# HELP %s Consecutive failed re-solves (drives the solver backoff).\n# TYPE %s gauge\n", gauge, gauge)
-	for _, id := range ids {
-		fmt.Fprintf(w, "%s{fleet=%q} %d\n", gauge, id, m.perFleet[id].failStreak)
-	}
+	family("kairos_windows_ingested_total", "counter", "Observation windows ingested.",
+		func(sess *session) int64 { return sess.met.windows.Load() })
+	family("kairos_ingest_errors_total", "counter", "Observation windows rejected.",
+		func(sess *session) int64 { return sess.met.ingestErrors.Load() })
+	family("kairos_triggers_total", "counter", "Drift-triggered re-solves.",
+		func(sess *session) int64 { return sess.met.triggers.Load() })
+	family("kairos_resolve_fevals_total", "counter", "Objective evaluations spent in triggered re-solves.",
+		func(sess *session) int64 { return sess.met.fevals.Load() })
+	family("kairos_migrations_total", "counter", "Units migrated by triggered re-solves.",
+		func(sess *session) int64 { return sess.met.migrations.Load() })
+	family("kairos_resolve_failures_consecutive", "gauge", "Consecutive failed re-solves (drives the solver backoff).",
+		func(sess *session) int64 { return sess.failures.Load() })
 
 	const hist = "kairos_resolve_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Triggered re-solve latency.\n# TYPE %s histogram\n", hist, hist)
-	for _, id := range ids {
-		fm := m.perFleet[id]
+	for _, sess := range sessions {
+		var n int64
 		for i, le := range resolveBuckets {
-			fmt.Fprintf(w, "%s_bucket{fleet=%q,le=%q} %d\n", hist, id, trimFloat(le), fm.bucketCounts[i])
+			n += sess.met.buckets[i].Load()
+			fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"%g\"} %d\n", hist, sess.id, le, n)
 		}
-		fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"+Inf\"} %d\n", hist, id, fm.resolveCount)
-		fmt.Fprintf(w, "%s_sum{fleet=%q} %g\n", hist, id, fm.resolveSum.Seconds())
-		fmt.Fprintf(w, "%s_count{fleet=%q} %d\n", hist, id, fm.resolveCount)
+		n += sess.met.buckets[len(resolveBuckets)].Load()
+		fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"+Inf\"} %d\n", hist, sess.id, n)
+		fmt.Fprintf(w, "%s_sum{fleet=%q} %g\n", hist, sess.id, time.Duration(sess.met.resolveNanos.Load()).Seconds())
+		fmt.Fprintf(w, "%s_count{fleet=%q} %d\n", hist, sess.id, n)
 	}
-}
-
-// trimFloat renders a bucket bound the way Prometheus conventionally does
-// (no trailing zeros).
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
 }
 
 // writeJournalMetrics renders the durability metrics: journal counters

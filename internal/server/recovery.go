@@ -47,7 +47,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,31 +210,25 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: %w", err)
 			}
-			sess.mu.Lock()
-			sess.events = append(sess.events, fs.Events...)
+			sess.appendEvents(fs.Events...)
 			for _, a := range fs.Acks {
 				if _, ok := sess.acks[a.StartUnix]; !ok {
 					sess.ackOrder = append(sess.ackOrder, a.StartUnix)
 				}
 				sess.acks[a.StartUnix] = a
 			}
-			sess.failures = fs.Failures
-			sess.mu.Unlock()
+			sess.failures.Store(int64(fs.Failures))
 			s.applyRegisterLocked(read, sess)
 		}
 		stats.SnapshotFleets = len(snap.Fleets)
 	}
 
-	// heal settles a pending trigger — a replayed window that fired with no
-	// journaled outcome. Live, the outcome record (advance or rearm)
+	// heal settles an unsettled trigger — a replayed window that fired with
+	// no journaled outcome. Live, the outcome record (advance or rearm)
 	// immediately follows its window; a crash between the two appends
 	// leaves the trigger dangling, and it re-arms so the drift fires again.
 	heal := func(sess *session) {
-		sess.mu.Lock()
-		pending := sess.pending
-		sess.mu.Unlock()
-		if pending {
-			sess.applyRearm(read)
+		if sess.applyRearm(read) {
 			stats.Healed++
 		}
 	}
@@ -320,7 +313,6 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 	for _, sess := range s.fleets {
 		heal(sess)
 	}
-	s.met.setFleets(len(s.fleets))
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }
@@ -508,14 +500,8 @@ func (s *Server) snapshot() error {
 // append and its effects, and rotates away none whose effect it did not
 // copy.
 func (s *Server) snapshotPaused() error {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.fleets))
-	for _, sess := range s.fleets {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	// Deterministic order keeps snapshots byte-comparable across runs.
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
+	// Sessions in id order keep snapshots byte-comparable across runs.
+	sessions := s.sessions()
 	snap := SnapshotWire{Fleets: make([]FleetSnapshot, 0, len(sessions))}
 	for _, sess := range sessions {
 		cp := sess.fleet.Checkpoint()
@@ -525,14 +511,12 @@ func (s *Server) snapshotPaused() error {
 			Baseline:  fromWorkloads(cp.Baseline),
 			History:   fromHistory(cp.History),
 			Detector:  DetectorWire{Windows: cp.Windows, Armed: cp.Armed, Cooldown: cp.Cooldown},
+			Events:    *sess.events.Load(),
+			Failures:  int(sess.failures.Load()),
 		}
-		sess.mu.Lock()
-		fs.Events = append([]*EventWire(nil), sess.events...)
 		for _, k := range sess.ackOrder {
 			fs.Acks = append(fs.Acks, sess.acks[k])
 		}
-		fs.Failures = sess.failures
-		sess.mu.Unlock()
 		snap.Fleets = append(snap.Fleets, fs)
 	}
 	b, err := json.Marshal(snap)

@@ -216,9 +216,9 @@ func TestReplayAheadMatchesSequential(t *testing.T) {
 	s.mu.Lock()
 	b := s.fleets["b"]
 	s.mu.Unlock()
-	b.mu.Lock()
+	b.turn <- struct{}{}
 	b.backoffUntil = time.Now().Add(time.Hour)
-	b.mu.Unlock()
+	<-b.turn
 	for i, scale := range []float64{1.001, 1.3, 1.3, 1.002} {
 		key := int64(200 + 100*i)
 		post(s, window("a", scale, key))

@@ -69,7 +69,6 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	met  *metrics
 	mux  *http.ServeMux
 	logf func(format string, args ...any)
 
@@ -104,8 +103,9 @@ type Server struct {
 }
 
 // session is one registered fleet: the library session handle, the turn
-// its windows take one at a time, the server-side event log, and the
-// idempotent-ingest ring.
+// its windows take one at a time, and the server-side state beside it — the
+// ledger (event log, idempotent-ingest ring, failure streak and backoff)
+// and the fleet's /metrics counters.
 type session struct {
 	id        string
 	req       *RegisterRequest // registration request, reissued in snapshots
@@ -125,27 +125,29 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu sync.Mutex
-	// events is the fleet's re-consolidation event log in wire form —
+	// The ledger has one writer at a time and needs no lock: the holder of
+	// the turn (processWindow, which also holds pauseRW's read side), or,
+	// while no window applies, replay (before the HTTP surface opens) and
+	// snapshotPaused (under pauseRW's write side).
+	//
+	// events is the fleet's re-consolidation event log in wire form,
 	// server-owned so recovery can restore it from the journal without
-	// reconstructing library event objects (guarded by mu).
-	events []*EventWire
+	// reconstructing library event objects. The writer appends to it and
+	// publishes the longer slice, so readers load it without the turn.
+	events atomic.Pointer[[]*EventWire]
 	// acks and ackOrder are the idempotent-ingest ring: original
 	// acknowledgements keyed by window start time, eviction in arrival
-	// order (guarded by mu).
-	acks     map[int64]AckWire
-	ackOrder []int64 // guarded by mu
-	// pending marks the last applied window as having fired a trigger whose
-	// outcome (an advance or a rearm) has not been applied yet; pendingKey
-	// is that window's ack-ring key. Live, the outcome follows within the
-	// same processWindow; on replay a crash between the two appends leaves
-	// it set, and recovery re-arms (guarded by mu).
-	pending    bool
-	pendingKey int64 // guarded by mu
-	// failures counts consecutive failed re-solves; backoffUntil is when
-	// the fleet may solve again (guarded by mu).
-	failures     int
-	backoffUntil time.Time // guarded by mu
+	// order. pendingKey is the last applied window's key: the ack an
+	// advance marks triggered.
+	acks       map[int64]AckWire
+	ackOrder   []int64
+	pendingKey int64
+	// failures counts consecutive failed re-solves (/metrics reads it);
+	// backoffUntil is when the fleet may solve again.
+	failures     atomic.Int64
+	backoffUntil time.Time
+	// met is the fleet's /metrics counters.
+	met fleetMetrics
 }
 
 // ingestResp is processWindow's acknowledgement of one window.
@@ -186,7 +188,6 @@ func Open(cfg Config) (*Server, error) {
 		fleets:    map[string]*session{},
 		ctx:       ctx,
 		cancel:    cancel,
-		met:       newMetrics(),
 		logf:      cfg.Logf,
 		snapEvery: int64(cfg.SnapshotEvery),
 		bodies:    make(chan []byte, runtime.GOMAXPROCS(0)+1),
@@ -473,10 +474,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.applyRegisterLocked(tok, sess)
-	n := len(s.fleets)
 	s.mu.Unlock()
 	s.pauseRW.RUnlock()
-	s.met.setFleets(n)
 	s.logf("fleet %q registered: %d workloads -> K=%d (feasible=%v)",
 		req.ID, len(sess.workloads), plan.K, plan.Feasible)
 	writeJSON(w, http.StatusCreated, s.status(sess))
@@ -511,7 +510,7 @@ func buildSession(req *RegisterRequest) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid fleet spec: %w", err)
 	}
-	return &session{
+	sess := &session{
 		id:         req.ID,
 		req:        req,
 		fleet:      fleet,
@@ -521,7 +520,9 @@ func buildSession(req *RegisterRequest) (*session, error) {
 		recordHead: head,
 		turn:       make(chan struct{}, 1),
 		acks:       map[int64]AckWire{},
-	}, nil
+	}
+	sess.events.Store(&[]*EventWire{})
+	return sess, nil
 }
 
 // applyRegisterLocked and applyDeregisterLocked apply a register and a
@@ -573,11 +574,7 @@ func windowKey(wire []WorkloadWire) int64 {
 func (s *Server) processWindow(ctx context.Context, sess *session, window []kairos.Workload, key int64, record [][]byte) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
-	sess.mu.Lock()
-	ack, dup := sess.acks[key]
-	inBackoff := time.Now().Before(sess.backoffUntil)
-	sess.mu.Unlock()
-	if dup {
+	if ack, dup := sess.acks[key]; dup {
 		return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
 	}
 	// Journal before applying: a window the client sees acked must exist
@@ -589,7 +586,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 	}
 	index, fired, err := sess.applyWindow(winTok, window, key)
 	if err != nil || !fired {
-		s.met.observeWindow(sess.id, err != nil)
+		sess.met.observeWindow(err != nil)
 		return ingestResp{window: index, err: err}
 	}
 
@@ -597,7 +594,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 	// solves. Otherwise the fleet's ctx rides into the solver: Server.Close
 	// (or a deregister) aborts the re-solve mid-flight.
 	var ev *kairos.ReconsolidationEvent
-	if !inBackoff {
+	if !time.Now().Before(sess.backoffUntil) {
 		ev, err = sess.fleet.Resolve(ctx)
 	}
 	if ev == nil {
@@ -612,10 +609,9 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 		sess.applyRearm(rearmTok)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			n, delay := sess.bumpBackoff()
-			s.met.setResolveFailures(sess.id, n)
 			s.logf("fleet %q: re-solve failed (%d consecutive), backing off %v: %v", sess.id, n, delay, err)
 		}
-		s.met.observeWindow(sess.id, err != nil)
+		sess.met.observeWindow(err != nil)
 		return ingestResp{window: index, err: err}
 	}
 	// Write-ahead: the advance is journaled before it commits or publishes,
@@ -632,27 +628,24 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 	if err := sess.applyAdvance(advTok, rec, ev); err != nil {
 		return ingestResp{err: fmt.Errorf("committing journaled advance: %w", err)}
 	}
-	s.met.setResolveFailures(sess.id, 0)
-	s.met.observeWindow(sess.id, false)
-	s.met.observeTrigger(sess.id, ev.Plan.Fevals, ev.Plan.Migrated, ev.Plan.Elapsed)
+	sess.met.observeWindow(false)
+	sess.met.observeTrigger(ev.Plan.Fevals, ev.Plan.Migrated, ev.Plan.Elapsed)
 	s.logf("fleet %q: %v", sess.id, ev)
 	return ingestResp{window: index, triggered: true, event: rec.Event}
 }
 
 // applyWindow applies a window record: through the drift detector into
-// the forecast history, into the idempotent-ingest ring (evicting beyond
-// ackRingSize) acked as not triggered, and remembered as the pending
-// trigger if it fired — only its outcome record can say the plan advanced.
-// Entering the ring makes resends return the ack, so the window must
-// already be journaled.
+// the forecast history (a trigger it fires stays unsettled in the Fleet
+// until its outcome record), and into the idempotent-ingest ring (evicting
+// beyond ackRingSize) acked as not triggered — only the outcome record can
+// say the plan advanced. Entering the ring makes resends return the ack,
+// so the window must already be journaled.
 func (sess *session) applyWindow(_ journaled, window []kairos.Workload, key int64) (index int, fired bool, err error) {
 	if fired, err = sess.fleet.ObserveDetectOnly(window); err != nil {
 		return 0, false, err
 	}
 	index = sess.fleet.Window() - 1
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.pending, sess.pendingKey = fired, key
+	sess.pendingKey = key
 	if key == 0 {
 		return index, fired, nil // unstamped windows are never deduplicated
 	}
@@ -668,7 +661,7 @@ func (sess *session) applyWindow(_ journaled, window []kairos.Workload, key int6
 }
 
 // applyAdvance applies an advance record: the plan advances, the event
-// joins the log, the pending window's ack now says it triggered, and the
+// joins the log, the triggering window's ack now says it triggered, and the
 // failure streak ends. Live passes the event it resolved, committed as it
 // stands; replay has none and rebuilds the plan from the journaled
 // incumbent — the one place the two differ.
@@ -681,42 +674,42 @@ func (sess *session) applyAdvance(_ journaled, rec *AdvanceRecord, ev *kairos.Re
 	if err != nil {
 		return err
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if rec.Event != nil {
-		sess.events = append(sess.events, rec.Event)
+		sess.appendEvents(rec.Event)
 	}
-	if ack, ok := sess.acks[sess.pendingKey]; ok && sess.pending {
+	if ack, ok := sess.acks[sess.pendingKey]; ok {
 		ack.Triggered = true
 		sess.acks[sess.pendingKey] = ack
 	}
-	sess.pending, sess.failures, sess.backoffUntil = false, 0, time.Time{}
+	sess.failures.Store(0)
+	sess.backoffUntil = time.Time{}
 	return nil
 }
 
-// applyRearm applies a rearm record: the pending trigger, if any, led to
-// no advance, so the detector re-arms and the drift can fire again.
-func (sess *session) applyRearm(_ journaled) {
-	sess.fleet.RearmDetector()
-	sess.mu.Lock()
-	sess.pending = false
-	sess.mu.Unlock()
+// applyRearm applies a rearm record: the Fleet's unsettled trigger, if it
+// has one, led to no advance, so the detector re-arms and the drift can
+// fire again. It reports whether there was one.
+func (sess *session) applyRearm(_ journaled) bool {
+	return sess.fleet.RearmDetector()
+}
+
+// appendEvents appends to the event log and publishes the longer slice.
+func (sess *session) appendEvents(evs ...*EventWire) {
+	log := append(*sess.events.Load(), evs...)
+	sess.events.Store(&log)
 }
 
 // bumpBackoff records one more consecutive solver failure and extends
 // the session's backoff window exponentially (full jitter on the upper
 // half, bounded by backoffCap).
 func (sess *session) bumpBackoff() (int, time.Duration) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.failures++
-	shift := min(sess.failures-1, 20)
-	d := min(backoffCap, backoffBase<<shift)
+	n := int(sess.failures.Add(1))
+	d := min(backoffCap, backoffBase<<min(n-1, 20))
 	// Full jitter on the upper half: concurrent fleets failing against a
 	// shared cause don't re-solve in lockstep.
 	d = d/2 + jitterDuration(d/2)
 	sess.backoffUntil = time.Now().Add(d)
-	return sess.failures, d
+	return n, d
 }
 
 // hold is called by a window or registration handler about to decode its
@@ -834,29 +827,34 @@ func (s *Server) status(sess *session) FleetStatus {
 	}
 	st.Windows = sess.fleet.Window()
 	// Trigger counters come from the event log, which recovery restores.
-	sess.mu.Lock()
-	st.Triggers, st.LastTrigger = len(sess.events), -1
-	if n := len(sess.events); n > 0 {
-		st.LastTrigger = sess.events[n-1].Window
+	events := *sess.events.Load()
+	st.Triggers, st.LastTrigger = len(events), -1
+	if n := len(events); n > 0 {
+		st.LastTrigger = events[n-1].Window
 	}
-	sess.mu.Unlock()
 	return st
+}
+
+// sessions lists the registered fleets in id order, the deterministic
+// order of listings, scrapes and snapshots.
+func (s *Server) sessions() []*session {
+	s.mu.Lock()
+	out := make([]*session, 0, len(s.fleets))
+	for _, sess := range s.fleets {
+		out = append(out, sess)
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // handleList is GET /v1/fleets.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.fleets))
-	for _, sess := range s.fleets {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
+	sessions := s.sessions()
 	out := make([]FleetStatus, len(sessions))
 	for i, sess := range sessions {
 		out[i] = s.status(sess)
 	}
-	// Deterministic listing order for clients and tests.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -887,15 +885,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	sess.mu.Lock()
-	out := make([]*EventWire, len(sess.events))
-	copy(out, sess.events)
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, *sess.events.Load())
 }
 
 // handleDelete is DELETE /v1/fleets/{id}: remove the fleet, end its
-// context, and wait for the window that holds its turn.
+// context, and wait for the window that holds its turn. The fleet's
+// /metrics series leave with it.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Journal the deregistration before removing it, both under the
@@ -919,12 +914,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.applyDeregisterLocked(tok, id)
-	n := len(s.fleets)
 	// Released before waiting for the turn: a snapshot waiting for the
 	// write side holds back the read-lock of the window holding the turn.
 	s.mu.Unlock()
 	s.pauseRW.RUnlock()
-	s.met.setFleets(n)
 	// The turn is taken and never given back: windows still waiting for it
 	// see the ended context and answer 410.
 	sess.turn <- struct{}{}
@@ -935,7 +928,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w)
+	writeFleetMetrics(w, s.sessions())
 	const slow = "kairos_wire_numbers_slow_total"
 	fmt.Fprintf(w, "# HELP %s Series numbers the one-pass decoder handed to strconv (over 19 digits, half-way, subnormal or out of range).\n# TYPE %s counter\n%s %d\n", slow, slow, slow, slowNumbers.Load())
 	const split = "kairos_wire_split_chunks_total"

@@ -370,3 +370,52 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetMetricsFollowRegistry: a fleet's series live in its session.
+// They appear, at zero, when it registers; after a restart its failure
+// gauge is the streak the snapshot kept; and they leave when it is
+// deregistered.
+func TestFleetMetricsFollowRegistry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("m1", 4, 8), http.StatusCreated)
+	scrape := func(s *Server, want []string, absent string) {
+		t.Helper()
+		text := string(mustServe(t, s, http.MethodGet, "/metrics", nil, http.StatusOK))
+		for _, w := range want {
+			if !strings.Contains(text, w+"\n") {
+				t.Errorf("metrics missing %q\n%s", w, text)
+			}
+		}
+		if absent != "" && strings.Contains(text, absent) {
+			t.Errorf("metrics still hold %q\n%s", absent, text)
+		}
+	}
+	scrape(s, []string{
+		"kairos_fleets 1",
+		`kairos_windows_ingested_total{fleet="m1"} 0`,
+		`kairos_resolve_failures_consecutive{fleet="m1"} 0`,
+		`kairos_resolve_duration_seconds_bucket{fleet="m1",le="+Inf"} 0`,
+	}, "")
+	s.mu.Lock()
+	sess := s.fleets["m1"]
+	s.mu.Unlock()
+	sess.turn <- struct{}{}
+	sess.failures.Store(3)
+	<-sess.turn
+	if err := s.Close(); err != nil { // the snapshot keeps the streak
+		t.Fatal(err)
+	}
+
+	rs, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	scrape(rs, []string{"kairos_fleets 1", `kairos_resolve_failures_consecutive{fleet="m1"} 3`}, "")
+	mustServe(t, rs, http.MethodDelete, "/v1/fleets/m1", nil, http.StatusNoContent)
+	scrape(rs, []string{"kairos_fleets 0"}, `fleet="m1"`)
+}

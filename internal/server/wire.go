@@ -55,9 +55,11 @@ type WorkloadWire struct {
 	// DiskWriteBps is the measured standalone disk write rate.
 	DiskWriteBps []float64 `json:"disk_write_bps,omitempty"`
 	// Replicas places this many copies on distinct machines (0 = 1, at
-	// most maxReplicas).
+	// most maxReplicas). A window's is ignored: placement comes from the
+	// registration.
 	Replicas int `json:"replicas,omitempty"`
-	// PinTo pins the first replica to a machine index (omitted = free).
+	// PinTo pins the first replica to a machine index (omitted = free). A
+	// window's is ignored, as Replicas is.
 	PinTo *int `json:"pin_to,omitempty"`
 }
 
@@ -289,7 +291,7 @@ type FleetSnapshot struct {
 	// Incumbent is the current plan in durable form.
 	Incumbent *kairos.Incumbent `json:"incumbent"`
 	// Baseline is the workload set the detector's assumptions came from
-	// (empty while no trigger has fired: the spec itself is the baseline).
+	// (empty until a trigger commits: the spec itself is the baseline).
 	Baseline []WorkloadWire `json:"baseline,omitempty"`
 	// History is the retained observation windows, oldest first.
 	History [][]WorkloadWire `json:"history,omitempty"`

@@ -3,10 +3,14 @@ package kairos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"kairos/internal/series"
 )
 
 // These tests pin the session-level recovery contract the durable control
@@ -226,7 +230,12 @@ func TestResolveWithoutAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.RearmDetector()
+	if !f.RearmDetector() {
+		t.Fatal("RearmDetector found no unsettled trigger after a firing window")
+	}
+	if f.RearmDetector() {
+		t.Fatal("RearmDetector settled a trigger twice")
+	}
 	if !reflect.DeepEqual(f.Incumbent(), inc) {
 		t.Fatal("uncommitted re-solve moved the incumbent")
 	}
@@ -285,5 +294,153 @@ func TestResolveErrorTyped(t *testing.T) {
 	}
 	if !strings.Contains(re.Error(), "re-solve failed") {
 		t.Fatalf("ResolveError message %q lost its context", re.Error())
+	}
+}
+
+// TestUntriggeredCheckpointHasNoBaseline: until a trigger commits, the
+// spec workloads are the baseline and a checkpoint does not carry a copy
+// of them; the restore is the same — the plan priced on the spec, and the
+// next drifted window fires the live session's trigger and plan.
+func TestUntriggeredCheckpointHasNoBaseline(t *testing.T) {
+	wls, machines := watchFleet(4, 24)
+	_, inc := solveIncumbent(t, wls, machines)
+	live := watchSession(t, inc, wls, machines)
+	if _, err := live.Observe(context.Background(), scaleWorkloads(wls, 1.004)); err != nil {
+		t.Fatal(err)
+	}
+	cp := live.Checkpoint()
+	if cp.Baseline != nil || cp.Windows != 1 {
+		t.Fatalf("untriggered checkpoint carries a %d-workload baseline after %d windows, want none after 1", len(cp.Baseline), cp.Windows)
+	}
+	restored := watchSession(t, inc, wls, machines)
+	if err := restored.RestoreWatch(cp); err != nil {
+		t.Fatal(err)
+	}
+	drifted := scaleWorkloads(wls, 1.12)
+	want, got := outcome(t, live, drifted), outcome(t, restored, drifted)
+	if got != want || got == "quiet" {
+		t.Fatalf("restored session: %s, live: %s, want the same trigger", got, want)
+	}
+	if cp := restored.Checkpoint(); len(cp.Baseline) != len(wls) {
+		t.Fatalf("checkpoint after a trigger carries %d baseline workloads, want %d", len(cp.Baseline), len(wls))
+	}
+}
+
+// TestPartialTriggerKeepsEveryWorkload: a drifted window that omits a
+// registered workload re-solves every workload of the baseline — the
+// omitted one on its baseline series — and the fleet goes on accepting
+// windows that name it, live and after a restore.
+func TestPartialTriggerKeepsEveryWorkload(t *testing.T) {
+	wls, machines := watchFleet(4, 24)
+	_, inc := solveIncumbent(t, wls, machines)
+	f := watchSession(t, inc, wls, machines)
+	ev, err := f.Observe(context.Background(), scaleWorkloads(wls[:3], 1.12))
+	if err != nil || ev == nil {
+		t.Fatalf("partial drifted window: ev=%v err=%v, want a trigger", ev, err)
+	}
+	if len(ev.Plan.Assign) != len(wls) {
+		t.Fatalf("partial trigger re-solved %d units (%v), want all %d", len(ev.Plan.Assign), ev.Plan.Names, len(wls))
+	}
+	cp := f.Checkpoint()
+	if cp.Baseline[3].CPU != wls[3].CPU {
+		t.Fatal("the omitted workload's forecast is not its baseline series")
+	}
+	restored := watchSession(t, inc, wls, machines)
+	if err := restored.RestoreWatch(cp); err != nil {
+		t.Fatalf("restore after a partial trigger: %v", err)
+	}
+	for _, s := range []*Fleet{f, restored} {
+		if _, err := s.Observe(context.Background(), scaleWorkloads(wls, 1.12)); err != nil {
+			t.Fatalf("full window after a partial trigger: %v", err)
+		}
+		if n := len(s.Plan().Assign); n != len(wls) {
+			t.Fatalf("plan has %d units, want %d", n, len(wls))
+		}
+	}
+}
+
+// TestTriggerKeepsRegisteredReplicas: placement metadata comes from the
+// registration, not from the window — a window that does not repeat a
+// workload's replica count re-solves with every replica.
+func TestTriggerKeepsRegisteredReplicas(t *testing.T) {
+	wls, machines := watchFleet(6, 24)
+	wls[0].Replicas = 2
+	_, inc := solveIncumbent(t, wls, machines)
+	f := watchSession(t, inc, wls, machines)
+	window := scaleWorkloads(wls, 1.12)
+	for i := range window {
+		window[i].Replicas = 0
+	}
+	ev, err := f.Observe(context.Background(), window)
+	if err != nil || ev == nil {
+		t.Fatalf("drifted window: ev=%v err=%v, want a trigger", ev, err)
+	}
+	if len(ev.Plan.Assign) != 7 {
+		t.Fatalf("re-solve placed %d units (%v), want 7: the registered replica dropped", len(ev.Plan.Assign), ev.Plan.Names)
+	}
+}
+
+// outcome observes w and renders what the window did: quiet, or the
+// trigger's evidence (MaxDrift to the bit) and the plan it re-solved to.
+func outcome(t *testing.T, f *Fleet, w []Workload) string {
+	t.Helper()
+	ev, err := f.Observe(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev == nil {
+		return "quiet"
+	}
+	return fmt.Sprintf("%v (max %#x) -> K=%d %v objective %#x", ev.Trigger, math.Float64bits(ev.Trigger.MaxDrift),
+		ev.Plan.K, ev.Plan.Assign, math.Float64bits(ev.Plan.Objective))
+}
+
+// TestCheckpointAtEveryWindowResumesLive pins replay = live for the
+// checkpoint: a stream observed whole, and the same stream checkpointed
+// after any window, restored into a new session and observed to the end,
+// report the same outcome for every window — whether it fired, the
+// trigger's evidence, K, the assignment and the objective's bits. Each
+// window scales and phase-shifts every workload and, at random, omits the
+// last one, so restores land after partial windows and partial triggers.
+func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
+	wls, machines := watchFleet(6, 24)
+	_, inc := solveIncumbent(t, wls, machines)
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		stream := make([][]Workload, 10)
+		for i := range stream {
+			scale, shift := 0.95+0.2*rng.Float64(), rng.Intn(24)
+			w := scaleWorkloads(wls, scale)
+			for j := range w {
+				v := w[j].CPU.Values
+				w[j].CPU = series.New(w[j].CPU.Start, w[j].CPU.Step, append(append([]float64(nil), v[shift:]...), v[:shift]...))
+			}
+			if rng.Intn(2) == 0 {
+				w = w[:len(w)-1]
+			}
+			stream[i] = w
+		}
+		live := watchSession(t, inc, wls, machines)
+		want := make([]string, len(stream))
+		cps := make([]*FleetCheckpoint, len(stream))
+		for i, w := range stream {
+			cps[i] = live.Checkpoint()
+			want[i] = outcome(t, live, w)
+		}
+		for split := 1; split < len(stream); split++ {
+			restored := watchSession(t, inc, wls, machines)
+			if err := restored.RestoreWatch(cps[split]); err != nil {
+				t.Fatalf("seed %d: restoring the checkpoint after window %d: %v", seed, split-1, err)
+			}
+			for i := split; i < len(stream); i++ {
+				if got := outcome(t, restored, stream[i]); got != want[i] {
+					t.Fatalf("seed %d, restored after window %d: window %d %s, live %s", seed, split-1, i, got, want[i])
+				}
+			}
+		}
 	}
 }

@@ -121,15 +121,18 @@ func driftSamples(wls []Workload) ([]drift.Sample, error) {
 	return out, nil
 }
 
-// forecastWorkloads builds the re-solve's workload series: for every
-// workload of the latest window, each series is the element-wise mean of
-// that workload's series across the retained windows (placement metadata —
-// replicas, pins, SLAs — carries over from the latest observation).
-func forecastWorkloads(history [][]Workload) ([]Workload, error) {
-	latest := history[len(history)-1]
-	out := make([]Workload, len(latest))
-	for i, w := range latest {
-		fc := w // copy metadata (Name, Replicas, PinTo, SLA, ...)
+// forecastWorkloads builds the re-solve's workload set from the fleet's
+// baseline (the spec until a trigger commits, then the last forecast): for
+// every baseline workload, in registration order, each series is the
+// element-wise mean of that workload's series across the retained windows
+// that carry it, and stays the baseline's where none does. Placement
+// metadata — replicas, pins, SLAs — is the baseline's: a window measures
+// load, it does not re-register. The live re-solve and ReplayAdvance both
+// forecast with it.
+func forecastWorkloads(baseline []Workload, history [][]Workload) ([]Workload, error) {
+	out := make([]Workload, len(baseline))
+	for i, b := range baseline {
+		fc := b
 		for _, get := range []func(*Workload) **series.Series{
 			func(w *Workload) **series.Series { return &w.CPU },
 			func(w *Workload) **series.Series { return &w.RAMBytes },
@@ -137,24 +140,24 @@ func forecastWorkloads(history [][]Workload) ([]Workload, error) {
 			func(w *Workload) **series.Series { return &w.UpdateRate },
 			func(w *Workload) **series.Series { return &w.DiskWriteBps },
 		} {
-			if *get(&w) == nil {
-				continue
-			}
 			var windows []*series.Series
-			for wi := range history {
-				for wj := range history[wi] {
-					if history[wi][wj].Name != w.Name {
+			for _, win := range history {
+				for j := range win {
+					if win[j].Name != b.Name {
 						continue
 					}
-					if s := *get(&history[wi][wj]); s != nil {
+					if s := *get(&win[j]); s != nil {
 						windows = append(windows, s)
 					}
 					break
 				}
 			}
+			if len(windows) == 0 {
+				continue
+			}
 			mean, err := predict.MeanOfWindows(windows)
 			if err != nil {
-				return nil, fmt.Errorf("workload %q: %w", w.Name, err)
+				return nil, fmt.Errorf("workload %q: %w", b.Name, err)
 			}
 			*get(&fc) = mean
 		}
