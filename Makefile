@@ -36,7 +36,7 @@ REPLAY_COUNT_BENCH = OpenReplay197
 # two megabytes each.
 READ_COUNT_BENCH = Read64x2MB
 
-# The whole-solve benchmarks whose work counters (fevals, priced,
+# The whole-solve benchmarks whose work counters (fevals, priced, screened,
 # eval-priced, probes, machines) BENCH_counts.json pins (make bench-counts):
 # cold local-search solves of ALL-197 and SecondLife-97 + disk model, cold
 # DIRECT solves of SecondLife-97 and Wikipedia-40, one warm re-solve of the
@@ -159,7 +159,9 @@ bench:
 
 # Hill-climb hot path: candidate-move pricing with the incremental
 # LoadState engine vs the scratch evaluator, plus the sweep screened by the
-# peak-step sample bound vs the unscreened one, with allocation stats. The
+# peak-step sample bound — its capacity stage first, which drops a
+# candidate that overflows the receiving machine at its overall CPU or RAM
+# peak step — vs the unscreened one, with allocation stats. The
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
@@ -197,7 +199,8 @@ bench-drift:
 # Count gate: the whole-solve benchmarks, the wire decoders, an ingest, a
 # restart and a journal read once each, their work counters compared with
 # the committed BENCH_counts.json. It fails when a count (fevals, priced,
-# eval-priced, probes, machines; the decoders', the ingest's, the
+# screened — the sweep candidates the screen's capacity stage did not
+# decide — eval-priced, probes, machines; the decoders', the ingest's, the
 # restart's and the read's allocs/op and B/op; the decoders'
 # slow-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the

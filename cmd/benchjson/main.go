@@ -61,7 +61,8 @@ type Doc struct {
 // countUnits are the metric units -compare gates on: counts of work done,
 // which a deterministic solver repeats exactly on any machine, and the
 // allocations and bytes allocated per op of the benchmarks that carry them.
-var countUnits = [...]string{"fevals", "priced", "eval-priced", "probes", "machines", "allocs/op", "B/op", "slow-numbers"}
+// screened is the sweep candidates the screen's capacity stage passed on.
+var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "allocs/op", "B/op", "slow-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

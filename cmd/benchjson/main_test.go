@@ -133,6 +133,28 @@ func TestCompareDocs(t *testing.T) {
 		}
 	}
 
+	// The local-search solves carry the candidates that reached the staged
+	// screen: a capacity stage that stops deciding shows there, with every
+	// other count where it was.
+	local := func(metrics map[string]float64) Doc {
+		return Doc{Results: []Result{res("BenchmarkColdSolveALL197", metrics)}}
+	}
+	old = local(map[string]float64{"fevals": 489261, "priced": 12352, "screened": 184197, "machines": 16})
+	for _, tc := range []struct {
+		cur   Doc
+		worse bool
+		want  string
+	}{
+		{local(map[string]float64{"fevals": 489261, "priced": 12352, "screened": 184197, "machines": 16}), false, "screened 184197"},
+		{local(map[string]float64{"fevals": 489261, "priced": 12352, "screened": 489261, "machines": 16}), true, "screened rose 184197 -> 489261"},
+		{local(map[string]float64{"fevals": 489261, "priced": 12352, "machines": 16}), true, "screened missing"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {
+			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
+		}
+	}
+
 	// The wire decoders carry the numbers they handed to strconv: a
 	// committed 0 fails on the first one.
 	window := func(metrics map[string]float64) Doc {

@@ -110,8 +110,8 @@ func cmdConsolidate(args []string) error {
 // then the K probes in the order the search consumed them, or a warm
 // re-solve's candidate climbs in seed order.
 func printSolveStats(fevals int, st core.SolveStats) {
-	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%), %d exact pricings; greedy packing %v\n",
-		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.Priced, st.GreedyPack.Round(time.Microsecond))
+	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%), %d over capacity, %d exact pricings; greedy packing %v\n",
+		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.CapPruned, st.Priced, st.GreedyPack.Round(time.Microsecond))
 	resumed := 0
 	for _, pr := range st.Probes {
 		resumed += pr.Resumed

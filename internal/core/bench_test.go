@@ -102,13 +102,16 @@ func BenchmarkPriceSwapDisk(b *testing.B)   { benchPriceSwap(b, true) }
 // (make bench-hot): those move with the Go release, and the committed
 // baseline must not.
 
-// reportWork reports a solve's work counters and its machine count.
+// reportWork reports a solve's work counters and its machine count:
+// screened is the candidates that reached the staged screen, those the
+// capacity stage did not decide.
 func reportWork(b *testing.B, sol *core.Solution) {
 	b.ReportMetric(float64(sol.Fevals), "fevals")
 	b.ReportMetric(float64(len(sol.Stats.Probes)), "probes")
 	b.ReportMetric(float64(sol.Stats.ClimbsReused), "climbs-reused")
 	b.ReportMetric(sol.Stats.SkippedFrac(), "skipped-frac")
 	b.ReportMetric(float64(sol.Stats.Priced), "priced")
+	b.ReportMetric(float64(sol.Stats.Considered-sol.Stats.CapPruned), "screened")
 	b.ReportMetric(float64(sol.K), "machines")
 }
 

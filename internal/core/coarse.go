@@ -43,10 +43,37 @@ import (
 // best so far needs the exact value, and pruned candidates are still exactly
 // those exact pricing rejects.
 //
+// A capacity stage runs before the first stage. Most candidates a climb
+// considers overflow the receiving machine's CPU or RAM cap where that
+// machine already peaks, and the penalty alone rules them out. The stage
+// evaluates the first stage's own expression (boundFill's sum + k·unit for
+// a move's destination, boundExchange's sum − ko·out + ki·in for each side
+// of a swap) at the machine's overall CPU peak step for CPU and its RAM
+// peak step for RAM, two of the steps the first stage reads. Only where a
+// value exceeds its cap does it run the sweep's check, on pricePeaks' CPU
+// and RAM violation terms, the exp term at the bracket's floor capFloor,
+// no conflict pairs, and the other side at the same floor (a move's
+// removal at the price the first stage reads). That bound is never above
+// the first stage's: the same values at a subset of its steps, a violation
+// built by the same operations, each monotone, and floors no first-stage
+// bracket goes below, since its norm lies in [0, 1] and its violation is
+// non-negative when the caps are positive and finite (Problem.Validate). So
+// the stage prunes only candidates the first stage prunes, and every count
+// but the time stays as it was. A check whose sum comes out −Inf is left
+// to the first stage, where the same sum can read Inf − Inf = NaN. A
+// sweep fills the stage's per-machine table once per unit it scans
+// (capSides). The products are written float64(k·x), a rounding barrier: no
+// architecture may fuse one into a multiply-add in one expression and not
+// in another, so the stage, the bounds and the exact fills read the same
+// bits. TestCapStageNeverStrongerThanFirstStage walks real climbs and
+// FuzzScreenDecision random inputs for a prune the first stage would not
+// make.
+//
 // The screen allocates nothing. TestCoarseBoundAllocs pins ScreenAdd,
 // screenAddViol and ScreenSwap at zero allocations with the screen on and
-// off, and TestSweepsAllocationFree pins the staged checks, the bracket and
-// boundRemove as the sweeps run them. Both skip under -race.
+// off, and TestSweepsAllocationFree pins the capacity stage, the staged
+// checks, the bracket and boundRemove as the sweeps run them. Both skip
+// under -race.
 
 // sampleSegs is the number of equal segments of the horizon whose CPU and RAM
 // peak steps a machine's sample keeps. Counted on the cold ALL-197
@@ -159,10 +186,10 @@ func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64)
 	cj, rj := ls.cpu[j], ls.ram[j]
 	cu, ru := ev.cpu[u], ev.ram[u]
 	for _, t := range steps {
-		if v := cj[t] + k*cu[t]; v > pk.cpu {
+		if v := cj[t] + float64(k*cu[t]); v > pk.cpu {
 			pk.cpu = v
 		}
-		if v := rj[t] + k*ru[t]; v > pk.ram {
+		if v := rj[t] + float64(k*ru[t]); v > pk.ram {
 			pk.ram = v
 		}
 	}
@@ -170,7 +197,7 @@ func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64)
 		wj, qj := ls.ws[j], ls.rate[j]
 		wu, qu := ev.ws[u], ev.rate[u]
 		for _, t := range steps {
-			if pred := d.PredictWriteMBps(wj[t]+k*wu[t], qj[t]+k*qu[t]) * 1e6; pred > pk.disk {
+			if pred := d.PredictWriteMBps(wj[t]+float64(k*wu[t]), qj[t]+float64(k*qu[t])) * 1e6; pred > pk.disk {
 				pk.disk = pred
 			}
 		}
@@ -187,10 +214,10 @@ func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
 	co, ro := ev.cpu[out], ev.ram[out]
 	ci, ri := ev.cpu[in], ev.ram[in]
 	for _, t := range steps {
-		if v := cj[t] - ko*co[t] + ki*ci[t]; v > pk.cpu {
+		if v := cj[t] - float64(ko*co[t]) + float64(ki*ci[t]); v > pk.cpu {
 			pk.cpu = v
 		}
-		if v := rj[t] - ko*ro[t] + ki*ri[t]; v > pk.ram {
+		if v := rj[t] - float64(ko*ro[t]) + float64(ki*ri[t]); v > pk.ram {
 			pk.ram = v
 		}
 	}
@@ -199,7 +226,7 @@ func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
 		wo, qo := ev.ws[out], ev.rate[out]
 		wi, qi := ev.ws[in], ev.rate[in]
 		for _, t := range steps {
-			if pred := d.PredictWriteMBps(wj[t]-ko*wo[t]+ki*wi[t], qj[t]-ko*qo[t]+ki*qi[t]) * 1e6; pred > pk.disk {
+			if pred := d.PredictWriteMBps(wj[t]-float64(ko*wo[t])+float64(ki*wi[t]), qj[t]-float64(ko*qo[t])+float64(ki*qi[t])) * 1e6; pred > pk.disk {
 				pk.disk = pred
 			}
 		}
@@ -307,6 +334,87 @@ func expTables() (e, s [expGrid + 1]float64) {
 		s[i] = (e[i+1] - e[i]) * expGrid
 	}
 	return e, s
+}
+
+// capFloor is the lowest any side's bracket starts: set's lower end at the
+// grid's first point, where norm = 0.
+var capFloor = expE[0] * (1 - 0x1p-50)
+
+// capSide is the capacity stage's view of machine j for one unit u: j's
+// overall CPU and RAM peak steps (the first sampleGlobal of its sample), its
+// sums there, u's share there — scale·series, the product fill and
+// fillExchange add — and j's caps.
+type capSide struct {
+	tc, tr       int32
+	cpu, ram     float64
+	unitC, unitR float64
+	capC, capR   float64
+}
+
+// capSides fills and returns ls.capTab: every machine's capacity-stage side
+// for unit u.
+func (ls *LoadState) capSides(u int) []capSide {
+	ev := ls.ev
+	k := ev.scale[u]
+	cu, ru := ev.cpu[u], ev.ram[u]
+	for j := range ls.capTab {
+		tc, tr := ls.sample[j*sampleStride], ls.sample[j*sampleStride+1]
+		ls.capTab[j] = capSide{
+			tc: tc, tr: tr,
+			cpu: ls.cpu[j][tc], ram: ls.ram[j][tr],
+			unitC: float64(k * cu[tc]), unitR: float64(k * ru[tr]),
+			capC: ev.capCPU[j], capR: ev.capRAM[j],
+		}
+	}
+	return ls.capTab
+}
+
+// viol returns the violation the side's caps put on the CPU value c at its
+// CPU peak step and the RAM value r at its RAM peak step: pricePeaks' CPU
+// and RAM terms, in its order; 0 when neither overflows.
+func (s *capSide) viol(c, r float64) float64 {
+	var viol float64
+	if c > s.capC {
+		viol += (c - s.capC) / s.capC
+	}
+	if r > s.capR {
+		viol += (r - s.capR) / s.capR
+	}
+	return viol
+}
+
+// add is the violation with the table's unit arriving: a move's
+// destination, boundFill's sum + k·unit.
+func (s *capSide) add() float64 { return s.viol(s.cpu+s.unitC, s.ram+s.unitR) }
+
+// leave returns the side with the table's unit gone from its machine: a
+// swap's side on the unit's own machine, before its partner arrives.
+func (s capSide) leave() capSide {
+	s.cpu, s.ram = s.cpu-s.unitC, s.ram-s.unitR
+	return s
+}
+
+// arrive is the violation with the unit of scale k and series c, r arriving
+// on a side the table's unit has left: boundExchange's
+// sum − ko·out + ki·in with the first product hoisted.
+func (s *capSide) arrive(k float64, c, r []float64) float64 {
+	return s.viol(s.cpu+float64(k*c[s.tc]), s.ram+float64(k*r[s.tr]))
+}
+
+// exchange is the violation with the member of scale k and series c, r
+// leaving the side's machine and the table's unit arriving:
+// boundExchange's sum − ko·out + ki·in.
+func (s *capSide) exchange(k float64, c, r []float64) float64 {
+	return s.viol(s.cpu-float64(k*c[s.tc])+s.unitC, s.ram-float64(k*r[s.tr])+s.unitR)
+}
+
+// capPrunes decides the capacity stage's check: the sweep's check with the
+// side's contribution bounded by contribFrom(capFloor, viol, 0) and the
+// other side's by other. A sum of −Inf never prunes: it is where the first
+// stage's sum can read Inf − Inf and prune nothing.
+func capPrunes(viol, other, base, migU, migV, bestDelta float64) bool {
+	d := (contribFrom(capFloor, viol, 0) + other) - base + migU + migV
+	return d >= bestDelta && d > math.Inf(-1)
 }
 
 // Screened reports whether the sweep screen is active for this state.

@@ -621,14 +621,27 @@ func TestExpBracket(t *testing.T) {
 // math.Exp: deciding from the bracket must give the same answer. The norm is
 // tried as given and folded into [0, 1], where the bracket is not math.Exp
 // itself.
+//
+// Then the capacity stage's three shapes — a move's destination, a swap's
+// first side, its second side — against the first stage behind them: a
+// side's CPU and RAM values ldC, ldR at its machine's two peak steps go to
+// the stage; with the arriving unit's own peak-step values xC, xR beside
+// them they go to the first stage, priced by pricePeaks with pairs conflict
+// pairs. A prune by the stage must be a prune by the first stage, whatever
+// the values, the removal price c, base, the migration terms and bestDelta.
+// The caps are folded into what Problem.Validate admits, positive and
+// finite; the other swap side's bracket is one the first stage can hold,
+// norm folded into [0, 1] and a non-negative violation.
 func FuzzScreenDecision(f *testing.F) {
-	f.Add(0.4, 0.0, 0, 1.3, 2.7, 0.0, 0.0, -1e-9)
-	f.Add(0.9, 0.0, 1, 2.1, 1e6+3.5, 0.05, -0.02, -1e-9)
-	f.Add(0.25, 1e-3, 0, 1.28, 2.5693, 0.0, 0.0, -1e-9)
-	f.Add(1.0, 0.0, 0, math.E, 2*math.E, 0.0, 0.0, 0.0)
-	f.Add(0.5, math.Inf(1), 2, -1.0, math.Inf(1), 0.0, 0.0, -1e-9)
-	f.Add(math.NaN(), 0.0, 0, 1.0, 2.0, 0.0, 0.0, -1e-9)
-	f.Fuzz(func(t *testing.T, norm, viol float64, pairs int, c, base, migU, migV, bestDelta float64) {
+	f.Add(0.4, 0.0, 0, 1.3, 2.7, 0.0, 0.0, -1e-9, 0.9, 0.5, 1.2, 0.7, 1.0, 1.0)
+	f.Add(0.9, 0.0, 1, 2.1, 1e6+3.5, 0.05, -0.02, -1e-9, 1.01, 0.2, 0.3, 0.99, 1.0, 1.0)
+	f.Add(0.25, 1e-3, 0, 1.28, 2.5693, 0.0, 0.0, -1e-9, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0)
+	f.Add(1.0, 0.0, 0, math.E, 2*math.E, 0.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 1.5, 2.5)
+	f.Add(0.5, math.Inf(1), 2, -1.0, math.Inf(1), 0.0, 0.0, -1e-9, math.Inf(1), 0.0, 0.0, 0.0, 1.0, 1.0)
+	f.Add(math.NaN(), 0.0, 0, 1.0, 2.0, 0.0, 0.0, -1e-9, math.NaN(), 2.0, 0.0, math.NaN(), 1.0, 1.0)
+	f.Add(0.5, 0.0, 0, math.Inf(-1), math.Inf(1), 0.0, 0.0, math.Inf(-1), 2.0, 0.0, math.Inf(1), 0.0, 1.0, 1.0)
+	f.Add(0.5, 0.0, 0, 1.0, 0.0, math.Inf(-1), 0.0, math.Inf(-1), 2.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+	f.Fuzz(func(t *testing.T, norm, viol float64, pairs int, c, base, migU, migV, bestDelta, ldC, ldR, xC, xR, capC, capR float64) {
 		pairs %= 64
 		for _, x := range []float64{norm, norm - math.Floor(norm)} {
 			exact := contribWith(x, viol, pairs)
@@ -649,6 +662,50 @@ func FuzzScreenDecision(f *testing.F) {
 				if s.got != s.want {
 					t.Fatalf("%s at norm %v: bracketed decision %v, with math.Exp %v", s.name, x, s.got, s.want)
 				}
+			}
+		}
+
+		capC, capR = math.Abs(capC), math.Abs(capR)
+		if !(capC > 0 && capR > 0) || math.IsInf(capC+capR, 1) {
+			return
+		}
+		side := capSide{capC: capC, capR: capR}
+		stage := side.viol(ldC, ldR)
+		if stage == 0 {
+			return // the stage decides nothing
+		}
+		var pk peaks
+		for _, v := range [...][2]float64{{xC, xR}, {ldC, ldR}} {
+			if v[0] > pk.cpu {
+				pk.cpu = v[0]
+			}
+			if v[1] > pk.ram {
+				pk.ram = v[1]
+			}
+		}
+		ev := &Evaluator{p: &Problem{}, capCPU: []float64{capC}, capRAM: []float64{capR}}
+		fv, fn := ev.pricePeaks(0, pk.cpu, pk.ram, 0, 1, nil, nil)
+		var fb, ob sideBound
+		fb.set(fn, fv, pairs)
+		otherNorm, otherViol := norm-math.Floor(norm), math.Abs(viol)
+		if math.IsNaN(otherNorm) {
+			otherNorm = 0
+		}
+		if math.IsNaN(otherViol) {
+			otherViol = 0
+		}
+		ob.set(otherNorm, otherViol, pairs)
+		one, rm := sideBound{lo: 1, exact: true}, sideBound{lo: c, exact: true}
+		for _, s := range []struct {
+			name         string
+			stage, first bool
+		}{
+			{"move destination", capPrunes(stage, c, base, migU, 0, bestDelta), prunes(&rm, &fb, base, migU, 0, bestDelta)},
+			{"swap first side", capPrunes(stage, capFloor, base, migU, migV, bestDelta), prunes(&fb, &one, base, migU, migV, bestDelta)},
+			{"swap second side", capPrunes(stage, capFloor, base, migU, migV, bestDelta), prunes(&ob, &fb, base, migU, migV, bestDelta)},
+		} {
+			if s.stage && !s.first {
+				t.Fatalf("%s: the capacity stage prunes (violation %v, first stage's peaks %v) where the first stage does not", s.name, stage, pk)
 			}
 		}
 	})

@@ -90,6 +90,9 @@ type LoadState struct {
 	// the first nSample steps of a row.
 	sample  []int32
 	nSample int
+	// capTab is the capacity stage's per-machine table for the unit a
+	// sweep is scanning (capSides).
+	capTab []capSide
 }
 
 // NewLoadState builds the incremental state for an assignment over the
@@ -118,6 +121,7 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 		slaCap:    make([]float64, K),
 		sample:    make([]int32, K*sampleStride),
 		nSample:   sampleDisk,
+		capTab:    make([]capSide, K),
 		sCPU:      make([]float64, T),
 		sRAM:      make([]float64, T),
 	}
@@ -227,9 +231,11 @@ func contribWith(norm, viol float64, pairs int) float64 {
 	return contribFrom(math.Exp(norm), viol, pairs)
 }
 
-// contribFrom is contribWith with e = exp(norm); it rises with e.
+// contribFrom is contribWith with e = exp(norm); it rises with e and with
+// viol. The product is rounded before it is added, here as in Eval's and
+// ServerContrib's sums, so no architecture fuses it in one and not another.
 func contribFrom(e, viol float64, pairs int) float64 {
-	c := e + penaltyWeight*viol
+	c := e + float64(penaltyWeight*viol)
 	for i := 0; i < pairs; i++ {
 		c += penaltyWeight
 	}
@@ -293,14 +299,16 @@ func (ls *LoadState) fill(u, j int, sign float64) {
 }
 
 // fill2 is fill's kernel over two streams: dst = sum + k·unit, with every
-// slice re-sliced to T so the loop carries no bounds checks.
+// slice re-sliced to T so the loop carries no bounds checks. The products
+// are rounded before they are added, as the sweep screen rounds them
+// (coarse.go), so no architecture fuses one here and not there.
 func fill2(T int, aDst, bDst, aSum, bSum, aUnit, bUnit []float64, k float64) {
 	aDst, bDst = aDst[:T], bDst[:T]
 	aSum, bSum = aSum[:T], bSum[:T]
 	aUnit, bUnit = aUnit[:T], bUnit[:T]
 	for t := range aDst {
-		aDst[t] = aSum[t] + k*aUnit[t]
-		bDst[t] = bSum[t] + k*bUnit[t]
+		aDst[t] = aSum[t] + float64(k*aUnit[t])
+		bDst[t] = bSum[t] + float64(k*bUnit[t])
 	}
 }
 
@@ -393,8 +401,8 @@ func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko
 	aOut, bOut = aOut[:T], bOut[:T]
 	aIn, bIn = aIn[:T], bIn[:T]
 	for t := range aDst {
-		aDst[t] = aSum[t] - ko*aOut[t] + ki*aIn[t]
-		bDst[t] = bSum[t] - ko*bOut[t] + ki*bIn[t]
+		aDst[t] = aSum[t] - float64(ko*aOut[t]) + float64(ki*aIn[t])
+		bDst[t] = bSum[t] - float64(ko*bOut[t]) + float64(ki*bIn[t])
 	}
 }
 

@@ -471,7 +471,7 @@ func contribution(sl ServerLoad) float64 {
 	if !sl.Used {
 		return 0
 	}
-	return math.Exp(sl.NormLoad) + penaltyWeight*sl.Violation
+	return math.Exp(sl.NormLoad) + float64(penaltyWeight*sl.Violation)
 }
 
 // evalReuse is Eval's table of machines it has already priced, keyed on
@@ -656,7 +656,7 @@ func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 				mach:  int32(j + 1),
 				pairs: int32(ev.conflictPairs(members[j])),
 				viol:  viol,
-				term:  math.Exp(norm) + penaltyWeight*viol,
+				term:  math.Exp(norm) + float64(penaltyWeight*viol),
 			}
 		}
 		// Anti-affinity: one penaltyWeight per conflicting pair sharing this

@@ -275,6 +275,11 @@ type SolveStats struct {
 	// candidates the screen could not rule out: one per destination priced
 	// by a move scan, one per machine side priced by a swap scan.
 	Priced int
+	// CapPruned counts the candidates the screen's capacity stage decided
+	// (part of Considered): a receiving machine overflowing at one of its
+	// two overall peak steps. Considered − CapPruned reached the staged
+	// screen.
+	CapPruned int
 	// EvalPriced counts the machines Eval summed from scratch, EvalReused
 	// those it answered from its table of machines already priced. For
 	// Solve and Resolve alike the two depend on scheduling — a speculated
@@ -328,6 +333,7 @@ func (s *SolveStats) add(o SolveStats) {
 	s.Considered += o.Considered
 	s.Skipped += o.Skipped
 	s.Priced += o.Priced
+	s.CapPruned += o.CapPruned
 	s.EvalPriced += o.EvalPriced
 	s.EvalReused += o.EvalReused
 	s.GreedyPack += o.GreedyPack

@@ -749,6 +749,7 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 	from := ls.Assign(u)
 	rescan := ls.changed[from] > since
 	cFromNew, removed, exact := 0.0, false, false
+	var caps []capSide
 	bestJ := from
 	bestDelta := -1e-9 // strict improvement required
 	screen := ls.Screened()
@@ -768,7 +769,7 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 			// never needs it. The screen bounds it first (boundRemove).
 			removed = true
 			if screen {
-				cFromNew = ls.boundRemove(u)
+				cFromNew, caps = ls.boundRemove(u), ls.capSides(u)
 			} else {
 				cFromNew, exact = ls.PriceRemove(u), true
 			}
@@ -780,14 +781,20 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 		ev.stats.Considered++
 		base, migU := ls.Contrib(from)+ls.Contrib(j), mig.delta(u, from, j)
 		if screen {
-			// Coarse-to-fine, cheapest first: the lower bound on the
-			// destination's new contribution from its overall peak steps and
-			// the unit's own, then from its whole sample, prunes candidates
-			// that provably cannot beat the best delta so far. Each check is
-			// the exact delta expression with lower bounds on PriceAdd and
-			// PriceRemove substituted (the rest stage's, above the first's,
-			// runs again on the exact removal), so pruned candidates are
-			// exactly ones the exact pricing would have rejected.
+			// Coarse-to-fine, cheapest first: the destination overflowing
+			// its caps at one of its two overall peak steps (the capacity
+			// stage), then the lower bound on its new contribution from
+			// those steps and the unit's own, then from its whole sample,
+			// prunes candidates that provably cannot beat the best delta so
+			// far. Each check is the exact delta expression with lower
+			// bounds on PriceAdd and PriceRemove substituted (the rest
+			// stage's, above the first's, runs again on the exact removal),
+			// so pruned candidates are exactly ones the exact pricing would
+			// have rejected.
+			if viol := caps[j].add(); viol > 0 && capPrunes(viol, cFromNew, base, migU, 0, bestDelta) {
+				ev.stats.CapPruned++
+				continue
+			}
 			var sc sideScreen
 			var b sideBound
 			rm := sideBound{lo: cFromNew, exact: true}
@@ -871,6 +878,10 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 			since = memo.swaps[u]
 		}
 		rescan := ls.changed[a] > since
+		// The capacity stage's table for u, filled at the first partner
+		// considered, and u's machine with u's share gone.
+		var caps []capSide
+		var own capSide
 		bestV := -1
 		bestDelta := -1e-9 // strict improvement required
 		for v := u + 1; v < n; v++ {
@@ -899,11 +910,28 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 			migU, migV := mig.delta(u, a, b), mig.delta(v, b, a)
 			var nu, nv float64
 			if screen {
-				// Coarse-to-fine, cheapest first. The first stage of u's
-				// side alone (the other side contributes at least
-				// exp(0) = 1), then beside the first stage of v's side, then
-				// both sides over their whole samples. Then u's side priced
-				// exactly beside v's bound, and only then v's side.
+				// Coarse-to-fine, cheapest first. The capacity stage: u's
+				// side, then v's, overflowing its caps at one of its
+				// machine's two overall peak steps, beside the other side at
+				// the bracket's floor (u's leaving share is hoisted out of
+				// the partner loop). The first stage of u's side alone (the
+				// other side contributes at least exp(0) = 1), then beside
+				// the first stage of v's side, then both sides over their
+				// whole samples. Then u's side priced exactly beside v's
+				// bound, and only then v's side.
+				if caps == nil {
+					caps = ls.capSides(u)
+					own = caps[a].leave()
+				}
+				kv, cv, rv := ev.scale[v], ev.cpu[v], ev.ram[v]
+				if viol := own.arrive(kv, cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+					ev.stats.CapPruned++
+					continue
+				}
+				if viol := caps[b].exchange(kv, cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+					ev.stats.CapPruned++
+					continue
+				}
 				var su, sv sideScreen
 				var bu, bv sideBound
 				one := sideBound{lo: 1, exact: true}

@@ -281,7 +281,10 @@ func uniqInts(sorted []int) []int {
 // pricers to the scans built on them — bestMove and a whole swap sweep, with
 // a memo — on a converged state, where nothing is accepted and no
 // re-materialization runs. The full swap sweep must take the staged screen
-// past its last stage: some candidates pruned, some priced exactly.
+// past its last stage: some candidates pruned, some priced exactly. The
+// full scans must run the capacity stage both ways, some candidates pruned
+// and some passed to the first stage — but for the disk model's state,
+// which overflows no CPU or RAM cap, so the stage only passes.
 func TestSweepsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -299,7 +302,9 @@ func TestSweepsAllocationFree(t *testing.T) {
 		memo := newScanMemo(ls, nil)
 		for _, since := range []uint64{0, ls.clock} {
 			var considered, priced int // of one swap sweep
+			var scanned, capPruned int // of the move scans and the swap sweep
 			allocs := testing.AllocsPerRun(50, func() {
+				start := ev.stats
 				for u := 0; u < ls.NumUnits(); u++ {
 					memo.swaps[u] = since
 					if ev.bestMove(ls, u, nil, since) != ls.Assign(u) {
@@ -311,6 +316,7 @@ func TestSweepsAllocationFree(t *testing.T) {
 					t.Fatal("converged state still has an improving swap")
 				}
 				considered, priced = ev.stats.Considered-before.Considered, ev.stats.Priced-before.Priced
+				scanned, capPruned = ev.stats.Considered-start.Considered, ev.stats.CapPruned-start.CapPruned
 			})
 			if allocs != 0 {
 				t.Errorf("withDisk=%v since=%d: move and swap scans allocate %v objects per run, want 0", withDisk, since, allocs)
@@ -319,6 +325,9 @@ func TestSweepsAllocationFree(t *testing.T) {
 			// scan of a state where nothing changed considers none.
 			if since == 0 && !(priced > 0 && priced < 2*considered) {
 				t.Errorf("withDisk=%v: the full swap sweep ran %d exact pricings for %d candidates: the staged screen was not exercised end to end", withDisk, priced, considered)
+			}
+			if since == 0 && (capPruned == scanned || (!withDisk && capPruned == 0)) {
+				t.Errorf("withDisk=%v: the capacity stage pruned %d of the %d candidates the full scans considered", withDisk, capPruned, scanned)
 			}
 			if since != 0 && considered != 0 {
 				t.Errorf("withDisk=%v: the swap sweep of an unchanged state considered %d candidates", withDisk, considered)

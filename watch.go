@@ -125,13 +125,36 @@ func driftSamples(wls []Workload) ([]drift.Sample, error) {
 // baseline (the spec until a trigger commits, then the last forecast): for
 // every baseline workload, in registration order, each series is the
 // element-wise mean of that workload's series across the retained windows
-// that carry it, and stays the baseline's where none does. Placement
-// metadata — replicas, pins, SLAs — is the baseline's: a window measures
-// load, it does not re-register. The live re-solve and ReplayAdvance both
-// forecast with it.
+// that carry it, and stays the baseline's where none does. A window's entry
+// for a workload is its first one of that name. Placement metadata —
+// replicas, pins, SLAs — is the baseline's: a window measures load, it
+// does not re-register. The live re-solve and ReplayAdvance both forecast
+// with it.
 func forecastWorkloads(baseline []Workload, history [][]Workload) ([]Workload, error) {
-	out := make([]Workload, len(baseline))
+	// at[w*n+i] is baseline workload i's entry in window w, -1 where the
+	// window does not carry it: each window is read once, not once per
+	// workload and series.
+	n := len(baseline)
+	slot := make(map[string]int, n)
+	for i := n - 1; i >= 0; i-- {
+		slot[baseline[i].Name] = i
+	}
+	at := make([]int, len(history)*n)
+	for i := range at {
+		at[i] = -1
+	}
+	for w, win := range history {
+		row := at[w*n : (w+1)*n]
+		for j := range win {
+			if i, ok := slot[win[j].Name]; ok && row[i] < 0 {
+				row[i] = j
+			}
+		}
+	}
+	out := make([]Workload, n)
+	windows := make([]*series.Series, 0, len(history))
 	for i, b := range baseline {
+		first := slot[b.Name] // a repeated baseline name reads the first's entries
 		fc := b
 		for _, get := range []func(*Workload) **series.Series{
 			func(w *Workload) **series.Series { return &w.CPU },
@@ -140,16 +163,12 @@ func forecastWorkloads(baseline []Workload, history [][]Workload) ([]Workload, e
 			func(w *Workload) **series.Series { return &w.UpdateRate },
 			func(w *Workload) **series.Series { return &w.DiskWriteBps },
 		} {
-			var windows []*series.Series
-			for _, win := range history {
-				for j := range win {
-					if win[j].Name != b.Name {
-						continue
-					}
+			windows = windows[:0]
+			for w, win := range history {
+				if j := at[w*n+first]; j >= 0 {
 					if s := *get(&win[j]); s != nil {
 						windows = append(windows, s)
 					}
-					break
 				}
 			}
 			if len(windows) == 0 {

@@ -337,3 +337,104 @@ func checkStalePrice(t *testing.T, ev *ReconsolidationEvent, machines []Machine,
 		t.Errorf("stale price (%v, %v), PriceIncumbent (%v, %v)", ev.StaleObjective, ev.StaleFeasible, obj, feas)
 	}
 }
+
+// forecastByScan is forecastWorkloads as it was written first: for every
+// baseline workload and every series, each window is scanned for the
+// workload's name, and the first entry of that name counts. It is the
+// reference TestForecastIndexMatchesScan holds the indexed forecast to.
+func forecastByScan(baseline []Workload, history [][]Workload) ([]Workload, error) {
+	out := make([]Workload, len(baseline))
+	for i, b := range baseline {
+		fc := b
+		for _, get := range []func(*Workload) **series.Series{
+			func(w *Workload) **series.Series { return &w.CPU },
+			func(w *Workload) **series.Series { return &w.RAMBytes },
+			func(w *Workload) **series.Series { return &w.WSBytes },
+			func(w *Workload) **series.Series { return &w.UpdateRate },
+			func(w *Workload) **series.Series { return &w.DiskWriteBps },
+		} {
+			var windows []*series.Series
+			for _, win := range history {
+				for j := range win {
+					if win[j].Name != b.Name {
+						continue
+					}
+					if s := *get(&win[j]); s != nil {
+						windows = append(windows, s)
+					}
+					break
+				}
+			}
+			if len(windows) == 0 {
+				continue
+			}
+			mean, err := predict.MeanOfWindows(windows)
+			if err != nil {
+				return nil, fmt.Errorf("workload %q: %w", b.Name, err)
+			}
+			*get(&fc) = mean
+		}
+		out[i] = fc
+	}
+	return out, nil
+}
+
+// TestForecastIndexMatchesScan: the forecast that indexes each window by
+// name once equals, bit for bit, the one that scans every window per
+// workload and series — on windows that list the workloads in other orders,
+// each omit one, carry a series only some windows do, name a workload
+// twice (the first entry counts) or one the baseline does not know.
+func TestForecastIndexMatchesScan(t *testing.T) {
+	const T = 48
+	baseline, _ := watchFleet(6, T)
+	baseline[2].WSBytes = baseline[2].RAMBytes.Scale(0.5)
+	var history [][]Workload
+	for w := 0; w < 5; w++ {
+		drifted := scaleWorkloads(baseline, 1+0.03*float64(w))
+		var win []Workload
+		for k := range drifted {
+			i := (k*5 + w) % len(drifted) // another order per window
+			if i == w%len(drifted) {
+				continue // each window omits one workload
+			}
+			win = append(win, drifted[i])
+		}
+		if w%2 == 0 {
+			win[0].WSBytes = win[0].CPU.Scale(3)
+		}
+		if w == 3 {
+			dup := win[1]
+			dup.CPU = dup.CPU.Scale(7)
+			win = append(win, dup, Workload{Name: "unknown", CPU: dup.CPU, RAMBytes: dup.RAMBytes})
+		}
+		history = append(history, win)
+	}
+	got, err := forecastWorkloads(baseline, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := forecastByScan(baseline, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		for k, pair := range [][2]*series.Series{{g.CPU, w.CPU}, {g.RAMBytes, w.RAMBytes}, {g.WSBytes, w.WSBytes}, {g.UpdateRate, w.UpdateRate}, {g.DiskWriteBps, w.DiskWriteBps}} {
+			a, b := pair[0], pair[1]
+			if (a == nil) != (b == nil) {
+				t.Fatalf("workload %s series %d: indexed %v, scanned %v", w.Name, k, a, b)
+			}
+			if a == nil {
+				continue
+			}
+			if a.Start != b.Start || a.Step != b.Step || len(a.Values) != len(b.Values) {
+				t.Fatalf("workload %s series %d: shapes differ", w.Name, k)
+			}
+			for x := range a.Values {
+				if !floats.Same(a.Values[x], b.Values[x]) {
+					t.Fatalf("workload %s series %d step %d: indexed %v, scanned %v", w.Name, k, x, a.Values[x], b.Values[x])
+				}
+			}
+		}
+	}
+}
