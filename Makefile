@@ -57,7 +57,7 @@ CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197|ColdSolve(ALL197
 # above.
 SOLVE_BENCH = EvalDirectReplay|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
-.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint loc fmt ci
+.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint fma-check loc fmt ci
 
 build:
 	$(GO) build ./...
@@ -261,6 +261,18 @@ lint:
 		echo "gofmt needed on:" $$out; exit 1; fi
 	$(GO) run ./cmd/kairoslint -budget 30s ./...
 
+# FMA check: the solver's incremental pricers must agree with its canonical
+# fold bit for bit (LoadState's sums and Contrib with ServerContrib, the sweep
+# screen's bounds with the exact fills), and Go may fuse a product and a sum
+# into one multiply-add on arm64 — one rounding where amd64 rounds twice — in
+# one expression and not in its twin. So every such product in objective.go,
+# loadstate.go and coarse.go is written float64(x*y). This cross-compiles the
+# core package's test binary for arm64 (offline, from GOROOT), disassembles
+# it and fails on any FMADDD, FMSUBD, FNMADDD or FNMSUBD on a line of those
+# files.
+fma-check:
+	GO=$(GO) ./scripts/fma-check.sh
+
 # Size of the tree as ROADMAP.md states it: non-test Go lines per
 # top-level package and the //kairoslint:allow waivers in force.
 loc:
@@ -272,4 +284,4 @@ fmt:
 # Local CI mirror. The hosted workflow runs the same gates, with the
 # short race pass promoted to `race-full` in a dedicated job (and
 # govulncheck, which needs network access to fetch its vuln DB).
-ci: build lint test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench bench-counts
+ci: build lint fma-check test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench bench-counts

@@ -65,7 +65,8 @@ import (
 // (capSides). The products are written float64(k·x), a rounding barrier: no
 // architecture may fuse one into a multiply-add in one expression and not
 // in another, so the stage, the bounds and the exact fills read the same
-// bits. TestCapStageNeverStrongerThanFirstStage walks real climbs and
+// bits (make fma-check disassembles the arm64 build for a fused one).
+// TestCapStageNeverStrongerThanFirstStage walks real climbs and
 // FuzzScreenDecision random inputs for a prune the first stage would not
 // make.
 //
@@ -120,11 +121,13 @@ func unitPeakSteps(cpu, ram [][]float64) []int32 {
 }
 
 // resample rebuilds machine j's CPU and RAM sample steps from its canonical
-// sums and returns the two peaks, floored at zero — what peaks2 returns for
-// the same sums. Ties go to the earliest step.
+// sums and returns the two peaks, floored at zero — what peak returns for
+// the same sums. Ties go to the earliest step, so a flat RAM sum, equal at
+// every step, samples each segment's first step and needs no scan.
 func (ls *LoadState) resample(j int) (cpuPeak, ramPeak float64) {
 	T := ls.ev.T
 	cj, rj := ls.cpu[j][:T], ls.ram[j][:T]
+	scanRAM := !ls.ev.flatRAM
 	var segC, segR [sampleSegs]int32
 	bestC, bestR := 0, 0
 	for s := 0; s < sampleSegs; s++ {
@@ -136,6 +139,8 @@ func (ls *LoadState) resample(j int) (cpuPeak, ramPeak float64) {
 			if cj[t] > cj[argC] {
 				argC = t
 			}
+		}
+		for t := lo + 1; scanRAM && t < hi; t++ {
 			if rj[t] > rj[argR] {
 				argR = t
 			}
@@ -272,7 +277,10 @@ type sideBound struct {
 }
 
 // set brackets contribWith(norm, viol, pairs) from below by the tangent at
-// the grid point under norm, or takes its value off the grid's [0, 1].
+// the grid point under norm, or takes its value off the grid's [0, 1]. Its
+// products, and upper's, are written float64(x·y) like the fills': no
+// architecture may fuse the tangent, the chord or the margin into
+// contribFrom's sum (make fma-check).
 func (b *sideBound) set(norm, viol float64, pairs int) {
 	*b = sideBound{norm: norm, viol: viol, pairs: pairs}
 	if !(norm >= 0 && norm <= 1) {
@@ -280,8 +288,8 @@ func (b *sideBound) set(norm, viol float64, pairs int) {
 		return
 	}
 	i := int(norm * expGrid)
-	d := norm - float64(i)/expGrid
-	b.lo = contribFrom((expE[i]+expE[i]*d)*(1-0x1p-50), viol, pairs)
+	d := norm - float64(float64(i)/expGrid)
+	b.lo = contribFrom(float64((expE[i]+float64(expE[i]*d))*(1-0x1p-50)), viol, pairs)
 }
 
 // upper returns the bracket's upper end, from the chord over norm's cell.
@@ -290,8 +298,8 @@ func (b *sideBound) upper() float64 {
 		return b.lo
 	}
 	i := int(b.norm * expGrid)
-	d := b.norm - float64(i)/expGrid
-	return contribFrom((expE[i]+expS[i]*d)*(1+0x1p-50), b.viol, b.pairs)
+	d := b.norm - float64(float64(i)/expGrid)
+	return contribFrom(float64((expE[i]+float64(expS[i]*d))*(1+0x1p-50)), b.viol, b.pairs)
 }
 
 // value returns the contribution itself, through math.Exp.

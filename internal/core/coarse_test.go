@@ -42,6 +42,19 @@ func varyDiskSeries(rng *rand.Rand, p *Problem) {
 	}
 }
 
+// varyRAMSeries replaces the problem's flat RAM series with time-varying
+// ones, unit-distinct, so its sums peak at steps of their own and are
+// priced over all T steps.
+func varyRAMSeries(rng *rand.Rand, p *Problem) {
+	for i := range p.Workloads {
+		r := p.Workloads[i].RAMBytes.Values
+		base, phase := r[0], rng.Float64()*2*math.Pi
+		for t := range r {
+			r[t] = base * (1 + 0.5*math.Sin(5*2*math.Pi*float64(t)/float64(len(r))+phase))
+		}
+	}
+}
+
 // quadraticDiskProfile is syntheticDiskProfile with genuine curvature: a
 // positive rate² term (typical of saturation curves) and a quadratic
 // envelope.
@@ -217,10 +230,11 @@ func TestCoarseBoundSoundness(t *testing.T) {
 }
 
 // wantSample recomputes machine j's sample from its member list alone: the
-// canonical sums re-accumulated, then the first argmax overall and per
-// segment for CPU and RAM and the first argmax of the predicted write rate.
+// canonical sums re-accumulated at the full horizon, then the first argmax
+// overall and per segment for CPU and RAM and the first argmax of the
+// predicted write rate.
 func wantSample(ls *LoadState, j int) []int32 {
-	ev := ls.ev
+	ev := fullHorizon(ls.ev)
 	T := ev.T
 	cpu, ram := make([]float64, T), make([]float64, T)
 	var ws, rate []float64
@@ -261,19 +275,28 @@ func wantSample(ls *LoadState, j int) []int32 {
 }
 
 // TestSampleTracksCanonicalSums checks that after every mutator each
-// machine's sample is the per-segment peak steps of its canonical sums. A
-// stale sample is still a sound one, so nothing else would notice it but the
-// count of exact pricings.
+// machine's sample is the per-segment peak steps of its canonical sums, with
+// the RAM flat (priced at one step, its sample each segment's first step)
+// and varying. A stale sample is still a sound one, so nothing else would
+// notice it but the count of exact pricings.
 func TestSampleTracksCanonicalSums(t *testing.T) {
-	for _, withDisk := range []bool{false, true} {
+	for _, tc := range []struct{ withDisk, varyRAM bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		withDisk := tc.withDisk
 		rng := rand.New(rand.NewSource(57))
 		var dp func() *model.DiskProfile
 		if withDisk {
 			dp = quadraticDiskProfile
 		}
-		ev, err := NewEvaluator(screenProblem(rng, 12, 96, dp))
+		p := screenProblem(rng, 12, 96, dp)
+		if tc.varyRAM {
+			varyRAMSeries(rng, p)
+		}
+		ev, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ev.flatRAM == tc.varyRAM {
+			t.Fatalf("%+v: flat RAM %v", tc, ev.flatRAM)
 		}
 		ls := NewLoadState(ev, randomAssign(rng, ev, 7), 7)
 		for iter := 0; iter < 300; iter++ {
@@ -460,19 +483,17 @@ func TestCoarseBoundAllocs(t *testing.T) {
 // machine is found in the table (the same assignment again) or two are
 // priced afresh and stored (one unit moved per call) in a table that has
 // room — it reserves that before the machines are priced, and only doubling
-// it allocates. Skipped under the race detector, which instruments
-// allocations.
+// it allocates. The problem's RAM and working set are flat, priced at one
+// step and, forced, at all T. Skipped under the race detector, which
+// instruments allocations.
 func TestEvalScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	for _, withDisk := range []bool{false, true} {
+	for _, tc := range allocCases {
 		rng := rand.New(rand.NewSource(13))
-		p := randomLoadStateProblem(rng, 12, 64, withDisk)
-		ev, err := NewEvaluator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := randomLoadStateProblem(rng, 12, 64, tc.withDisk)
+		ev := tc.evaluator(t, p)
 		K := 6
 		assign := randomAssign(rng, ev, K)
 		ev.Eval(assign, K) // warm-up grows the scratch once
@@ -481,7 +502,7 @@ func TestEvalScratchAllocs(t *testing.T) {
 			obj, _ := ev.Eval(assign, K)
 			sink += obj
 		}); n != 0 {
-			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table hits, want 0", withDisk, n)
+			t.Fatalf("%+v: Eval allocated %v times per run on table hits, want 0", tc, n)
 		}
 		priced, slots := ev.stats.EvalPriced, len(ev.reuse.slots)
 		if n := testing.AllocsPerRun(100, func() {
@@ -489,11 +510,11 @@ func TestEvalScratchAllocs(t *testing.T) {
 			obj, _ := ev.Eval(assign, K)
 			sink += obj
 		}); n != 0 {
-			t.Fatalf("withDisk=%v: Eval allocated %v times per run on table misses, want 0", withDisk, n)
+			t.Fatalf("%+v: Eval allocated %v times per run on table misses, want 0", tc, n)
 		}
 		if ev.stats.EvalPriced < priced+50 || len(ev.reuse.slots) != slots {
-			t.Fatalf("withDisk=%v: the walk summed %d new machines and the table went from %d to %d slots: want misses and no growth",
-				withDisk, ev.stats.EvalPriced-priced, slots, len(ev.reuse.slots))
+			t.Fatalf("%+v: the walk summed %d new machines and the table went from %d to %d slots: want misses and no growth",
+				tc, ev.stats.EvalPriced-priced, slots, len(ev.reuse.slots))
 		}
 		_ = sink
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // The pricers in this file and their kernels (PriceAdd, PriceRemove,
-// CanPlace, PriceSwap, priceExchange, fill and fill2, fillExchange and
-// exchange2, capWithout, conflictsOn, contribWith) allocate nothing. Three
+// CanPlace, PriceSwap, priceExchange, fill, fillExchange and exchangeSum,
+// capWithout, conflictsOn, contribWith) allocate nothing. Three
 // tests pin that with testing.AllocsPerRun, with and without the disk
 // model, and skip under -race:
 //
@@ -22,7 +22,8 @@ import (
 // maintains, for every machine of a K-machine assignment, the running
 // aggregate demand vectors (CPU and RAM, plus working set and update rate
 // when the problem has a disk model — nothing reads them otherwise — each
-// length T) together with the machine's canonical objective contribution,
+// length T, a flat stream's summed at step 0 and filled past it by refresh)
+// together with the machine's canonical objective contribution,
 // so that pricing a candidate move "unit u from machine a to machine b"
 // costs O(T) — one add/remove delta into reusable scratch buffers —
 // instead of re-summing every member's full time series from scratch.
@@ -40,7 +41,7 @@ import (
 //     inside one local-search step; it never enters the state.
 //   - Move re-materializes the source's sums canonically from its member
 //     list and adds the unit's demand to the destination's canonical sums
-//     — the next step of accumulate2's fold, as the unit goes last — so
+//     — the next step of accumulate's fold, as the unit goes last — so
 //     rounding drift never accumulates and Contrib always equals
 //     ServerContrib on the same member list, bit for bit. Final solutions
 //     are still priced through Evaluator.Eval.
@@ -70,7 +71,9 @@ type LoadState struct {
 	changed []uint64
 
 	// Canonical per-machine running sums, each buffer length T (ws and rate
-	// buffers are nil without a disk model).
+	// buffers are nil without a disk model). A flat stream (Evaluator.flatRAM,
+	// flatWS) is summed at step 0 and refresh copies that over its other
+	// steps, because the screens and resample read the sums at any step.
 	cpu  [][]float64
 	ram  [][]float64
 	ws   [][]float64
@@ -82,7 +85,8 @@ type LoadState struct {
 	confPairs []int     // anti-affinity pairs currently sharing the machine
 	slaCap    []float64 // strictest member SLA utilization cap (1 = none)
 	// Scratch buffers for candidate pricing, reused across calls (sWS and
-	// sRate are nil without a disk model).
+	// sRate are nil without a disk model), written and read over each
+	// stream's horizon only.
 	sCPU, sRAM, sWS, sRate []float64
 
 	// The sweep screen's per-machine peak-step sample (see coarse.go): flat,
@@ -192,16 +196,23 @@ func (ls *LoadState) rematerialize(j int) {
 	ls.refresh(j)
 }
 
-// refresh recomputes machine j's sample and cached state from its canonical
-// sums: evalSums' contribution, with peak scans that record the peak steps.
+// refresh copies machine j's flat sums' step 0 over their other steps, then
+// recomputes its sample and cached state from its canonical sums: evalSums'
+// contribution, with peak scans that record the peak steps.
 func (ls *LoadState) refresh(j int) {
 	ev := ls.ev
+	if ev.flatRAM {
+		fillFlat(ls.ram[j])
+	}
+	if ev.flatWS {
+		fillFlat(ls.ws[j])
+	}
 	members := ls.members[j]
 	cpuPeak, ramPeak := ls.resample(j)
 	var diskPeak float64
 	var wsSum, rateSum []float64
 	if ev.p.Disk != nil {
-		wsSum, rateSum = ls.ws[j][:ev.T], ls.rate[j][:ev.T]
+		wsSum, rateSum = ls.ws[j], ls.rate[j]
 		var at int
 		diskPeak, at = ev.diskPeak(wsSum, rateSum)
 		ls.sample[j*sampleStride+sampleDisk] = int32(at)
@@ -223,6 +234,14 @@ func (ls *LoadState) refresh(j int) {
 	ls.contrib[j] = contribWith(norm, viol, pairs)
 }
 
+// fillFlat sets every step of a flat stream's sum to its step 0: the value
+// the fold over all T steps would have left there, bit for bit.
+func fillFlat(sum []float64) {
+	for t := 1; t < len(sum); t++ {
+		sum[t] = sum[0]
+	}
+}
+
 // contribWith assembles a machine contribution from its pieces using the
 // exact addition sequence of the canonical pricer (ServerContrib adds one
 // penaltyWeight per conflicting pair), so incremental and scratch pricing
@@ -233,7 +252,8 @@ func contribWith(norm, viol float64, pairs int) float64 {
 
 // contribFrom is contribWith with e = exp(norm); it rises with e and with
 // viol. The product is rounded before it is added, here as in Eval's and
-// ServerContrib's sums, so no architecture fuses it in one and not another.
+// ServerContrib's sums, so no architecture fuses it in one and not another;
+// a caller that computes e as a product rounds it too (sideBound.set).
 func contribFrom(e, viol float64, pairs int) float64 {
 	c := e + float64(penaltyWeight*viol)
 	for i := 0; i < pairs; i++ {
@@ -291,25 +311,7 @@ func (ls *LoadState) capWithout(j, out int) float64 {
 // working set and update rate only under a disk model.
 func (ls *LoadState) fill(u, j int, sign float64) {
 	ev := ls.ev
-	k := sign * ev.scale[u]
-	fill2(ev.T, ls.sCPU, ls.sRAM, ls.cpu[j], ls.ram[j], ev.cpu[u], ev.ram[u], k)
-	if ev.p.Disk != nil {
-		fill2(ev.T, ls.sWS, ls.sRate, ls.ws[j], ls.rate[j], ev.ws[u], ev.rate[u], k)
-	}
-}
-
-// fill2 is fill's kernel over two streams: dst = sum + k·unit, with every
-// slice re-sliced to T so the loop carries no bounds checks. The products
-// are rounded before they are added, as the sweep screen rounds them
-// (coarse.go), so no architecture fuses one here and not there.
-func fill2(T int, aDst, bDst, aSum, bSum, aUnit, bUnit []float64, k float64) {
-	aDst, bDst = aDst[:T], bDst[:T]
-	aSum, bSum = aSum[:T], bSum[:T]
-	aUnit, bUnit = aUnit[:T], bUnit[:T]
-	for t := range aDst {
-		aDst[t] = aSum[t] + float64(k*aUnit[t])
-		bDst[t] = bSum[t] + float64(k*bUnit[t])
-	}
+	ev.addScaled(u, sign*ev.scale[u], ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
 }
 
 // PriceAdd prices machine j as if unit u were appended to its members:
@@ -382,27 +384,26 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 
 // fillExchange writes machine j's sums minus member `out`'s scaled demand
 // plus unit `in`'s into the scratch buffers — the aggregate j would carry
-// after a 2-exchange. Like fill it skips the disk streams without a disk
-// model.
+// after a 2-exchange, each stream over its horizon. Like fill it skips the
+// disk streams without a disk model.
 func (ls *LoadState) fillExchange(j, out, in int) {
 	ev := ls.ev
 	ko, ki := ev.scale[out], ev.scale[in]
-	exchange2(ev.T, ls.sCPU, ls.sRAM, ls.cpu[j], ls.ram[j], ev.cpu[out], ev.ram[out], ev.cpu[in], ev.ram[in], ko, ki)
+	exchangeSum(ls.sCPU[:ev.T], ls.cpu[j], ev.cpu[out], ev.cpu[in], ko, ki)
+	exchangeSum(ls.sRAM[:ev.ramSteps()], ls.ram[j], ev.ram[out], ev.ram[in], ko, ki)
 	if ev.p.Disk != nil {
-		exchange2(ev.T, ls.sWS, ls.sRate, ls.ws[j], ls.rate[j], ev.ws[out], ev.rate[out], ev.ws[in], ev.rate[in], ko, ki)
+		exchangeSum(ls.sWS[:ev.wsSteps()], ls.ws[j], ev.ws[out], ev.ws[in], ko, ki)
+		exchangeSum(ls.sRate[:ev.T], ls.rate[j], ev.rate[out], ev.rate[in], ko, ki)
 	}
 }
 
-// exchange2 is fillExchange's kernel over two streams:
-// dst = sum − ko·out + ki·in, bounds checks hoisted like fill2's.
-func exchange2(T int, aDst, bDst, aSum, bSum, aOut, bOut, aIn, bIn []float64, ko, ki float64) {
-	aDst, bDst = aDst[:T], bDst[:T]
-	aSum, bSum = aSum[:T], bSum[:T]
-	aOut, bOut = aOut[:T], bOut[:T]
-	aIn, bIn = aIn[:T], bIn[:T]
-	for t := range aDst {
-		aDst[t] = aSum[t] - float64(ko*aOut[t]) + float64(ki*aIn[t])
-		bDst[t] = bSum[t] - float64(ko*bOut[t]) + float64(ki*bIn[t])
+// exchangeSum is fillExchange's kernel over one stream and the steps dst
+// spans: dst = sum − ko·out + ki·in, bounds checks hoisted and products
+// rounded like fillSum's.
+func exchangeSum(dst, sum, out, in []float64, ko, ki float64) {
+	sum, out, in = sum[:len(dst)], out[:len(dst)], in[:len(dst)]
+	for t := range dst {
+		dst[t] = sum[t] - float64(ko*out[t]) + float64(ki*in[t])
 	}
 }
 

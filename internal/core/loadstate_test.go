@@ -201,8 +201,10 @@ func TestLoadStateMatchesCanonicalPricing(t *testing.T) {
 // destination adds the unit's demand to its sums instead of re-summing them,
 // Swap, reduceK's deferred trial moves with their rollback, and the trial
 // moves and Fold of a successful one — every machine's sums are
-// accumulateInto over its member list, bit for bit, with and without the
-// disk streams. Member lists run past accumulate2's four-member step.
+// accumulateInto over its member list at the full horizon, bit for bit at
+// all T steps, with and without the disk streams: the flat RAM and working
+// set are summed at step 0 and filled past it. Member lists run past
+// accumulate's four-member step.
 func TestLoadStateSumsStayCanonical(t *testing.T) {
 	for _, withDisk := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(71))
@@ -210,6 +212,10 @@ func TestLoadStateSumsStayCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !ev.flatRAM || ev.flatWS != withDisk {
+			t.Fatalf("withDisk=%v: the problem's RAM and working set are not priced flat", withDisk)
+		}
+		full := fullHorizon(ev)
 		K := 8
 		ls := NewLoadState(ev, randomAssign(rng, ev, K), K)
 		var want [4][]float64
@@ -226,7 +232,7 @@ func TestLoadStateSumsStayCanonical(t *testing.T) {
 				}
 			}
 			for j := 0; j < ls.K(); j++ {
-				ev.accumulateInto(ls.Members(j), want[0], want[1], want[2], want[3])
+				full.accumulateInto(ls.Members(j), want[0], want[1], want[2], want[3])
 				got := [4][]float64{ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j]}
 				for s := range got {
 					if !withDisk && s >= 2 {
@@ -299,59 +305,65 @@ func cubicDiskFit() polyfit.Poly2D {
 // machine, so CanPlace takes each of its exits: its own machine, a machine
 // holding a conflicting pair (machine 1) or the unit's replica, a machine
 // too small for anything (machine 0, refused by the screen), and exact
-// pricing. Machine K−1 holds one unit, whose removal empties it.
+// pricing. Machine K−1 holds one unit, whose removal empties it. The
+// problem's RAM and working set are flat, priced at one step and, forced,
+// at all T.
 func TestLoadStatePricingAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	for _, diskDegree := range []int{0, 2, 3} {
-		rng := rand.New(rand.NewSource(11))
-		p := randomLoadStateProblem(rng, 10, 36, diskDegree > 0)
-		if diskDegree == 3 {
-			p.Disk.Fit = cubicDiskFit()
+		for _, full := range []bool{false, true} {
+			pricingAllocationFree(t, diskDegree, allocCase{withDisk: diskDegree > 0, full: full})
 		}
-		p.Machines[0].CPUCapacity = 0.01
-		ev, err := NewEvaluator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nU := ev.NumUnits()
-		K := 5
-		assign := make([]int, nU)
-		for u := range assign {
-			assign[u] = u % (K - 1)
-		}
-		assign[nU-1] = K - 1
-		paired := false
-		for u := 0; u < nU-1 && !paired; u++ {
-			for _, c := range ev.conflicts[u] {
-				if c != nU-1 {
-					assign[u], assign[c], paired = 1, 1, true
-					break
-				}
-			}
-		}
-		if !paired {
-			t.Fatal("the problem has no conflicting pair to place together")
-		}
-		ls := NewLoadState(ev, assign, K)
-		var sink float64
-		allocs := testing.AllocsPerRun(50, func() {
-			for u := 0; u < nU; u++ {
-				sink += ls.PriceRemove(u)
-				for j := 0; j < K; j++ {
-					sink += ls.PriceAdd(u, j)
-					if ls.CanPlace(u, j) {
-						sink++
-					}
-				}
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("disk degree %d: candidate-move pricing allocates %v objects per run, want 0", diskDegree, allocs)
-		}
-		_ = sink
 	}
+}
+
+// pricingAllocationFree is one case of TestLoadStatePricingAllocationFree.
+func pricingAllocationFree(t *testing.T, diskDegree int, tc allocCase) {
+	rng := rand.New(rand.NewSource(11))
+	p := randomLoadStateProblem(rng, 10, 36, diskDegree > 0)
+	if diskDegree == 3 {
+		p.Disk.Fit = cubicDiskFit()
+	}
+	p.Machines[0].CPUCapacity = 0.01
+	ev := tc.evaluator(t, p)
+	nU := ev.NumUnits()
+	K := 5
+	assign := make([]int, nU)
+	for u := range assign {
+		assign[u] = u % (K - 1)
+	}
+	assign[nU-1] = K - 1
+	paired := false
+	for u := 0; u < nU-1 && !paired; u++ {
+		for _, c := range ev.conflicts[u] {
+			if c != nU-1 {
+				assign[u], assign[c], paired = 1, 1, true
+				break
+			}
+		}
+	}
+	if !paired {
+		t.Fatal("the problem has no conflicting pair to place together")
+	}
+	ls := NewLoadState(ev, assign, K)
+	var sink float64
+	allocs := testing.AllocsPerRun(50, func() {
+		for u := 0; u < nU; u++ {
+			sink += ls.PriceRemove(u)
+			for j := 0; j < K; j++ {
+				sink += ls.PriceAdd(u, j)
+				if ls.CanPlace(u, j) {
+					sink++
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("disk degree %d, %+v: candidate-move pricing allocates %v objects per run, want 0", diskDegree, tc, allocs)
+	}
+	_ = sink
 }
 
 // TestLoadStateMoveKeepsAssignInvariant checks assign/members stay in

@@ -6,14 +6,17 @@ import (
 	"sort"
 )
 
-// The pricing kernels in this file (accumulateInto and accumulate2, addUnit,
-// peaks2, diskPeak, pricePeaks, evalSums, conflictPairs, conflicted) run for
-// every candidate a climb considers, and Eval with its reuse table
-// (evalReuse.find) for every DIRECT sample. None allocates once Eval's
-// scratch has grown. TestEvalScratchAllocs (coarse_test.go) pins Eval at
-// zero allocations on table hits and on misses, and the LoadState tests
-// named in loadstate.go pin the kernels the pricers share. All of them run
-// with and without the disk model, and skip under -race.
+// The pricing kernels in this file (accumulateInto and accumulate, addUnit
+// and addScaled, peak, diskPeak, pricePeaks, evalSums, conflictPairs,
+// conflicted) run for every candidate a climb considers, and Eval with its
+// reuse table (evalReuse.find) for every DIRECT sample. Each runs a stream
+// over its horizon: T steps, or one for a flat RAM or working set (see
+// Evaluator.flatRAM). None allocates once Eval's scratch has grown.
+// TestEvalScratchAllocs (coarse_test.go) pins Eval at zero allocations on
+// table hits and on misses, and the LoadState tests named in loadstate.go
+// pin the kernels the pricers share. All of them run with and without the
+// disk model, on a flat problem at its one-step horizon and forced to the
+// full one, and skip under -race.
 
 // penaltyWeight scales constraint violations so that any violating solution
 // scores worse than any feasible one (a feasible K-server solution is at
@@ -37,6 +40,17 @@ type Evaluator struct {
 	ram  [][]float64
 	ws   [][]float64
 	rate [][]float64
+
+	// flatRAM reports that every unit's RAM series equals its first sample
+	// bit for bit, flatWS the same of the working set under a disk model:
+	// the paper's memory demand is one gauged working set per window
+	// (monitor.ResourceProfile.WorkingSetBytes), so this is the common case.
+	// A flat stream's sums are then flat too — a fold of identical inputs in
+	// identical order gives identical bits at every step — and the pricers
+	// fold and scan it over its horizon, one step, instead of T (ramSteps,
+	// wsSteps). Both are false in an Evaluator literal, which is then priced
+	// at the full horizon; a test clears them on a clone to compare the two.
+	flatRAM, flatWS bool
 
 	// scale[u] multiplies unit u's demands (per-replica load scaling).
 	scale []float64
@@ -69,6 +83,10 @@ type Evaluator struct {
 	capCPU  []float64
 	capRAM  []float64
 	capDisk []float64
+	// capClass[j] is the lowest machine index whose three capacities equal
+	// machine j's bit for bit. A machine's price reads nothing else of the
+	// machine (pricePeaks), so Eval's reuse table keys on the class.
+	capClass []int32
 
 	// Reusable scratch for Eval: per-machine member lists plus one set of
 	// aggregate demand buffers (esWS/esRate only with a disk model), grown
@@ -191,13 +209,56 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	ev.capCPU = make([]float64, len(p.Machines))
 	ev.capRAM = make([]float64, len(p.Machines))
 	ev.capDisk = make([]float64, len(p.Machines))
+	ev.capClass = make([]int32, len(p.Machines))
+	classes := map[[3]uint64]int32{}
 	for j, m := range p.Machines {
 		ev.capCPU[j] = m.capacity(float64(m.CPUCapacity))
 		ev.capRAM[j] = m.capacity(float64(m.RAMBytes))
 		ev.capDisk[j] = m.capacity(float64(m.DiskWriteBps))
+		key := [3]uint64{math.Float64bits(ev.capCPU[j]), math.Float64bits(ev.capRAM[j]), math.Float64bits(ev.capDisk[j])}
+		c, ok := classes[key]
+		if !ok {
+			c = int32(j)
+			classes[key] = c
+		}
+		ev.capClass[j] = c
 	}
 	ev.unitPeak = unitPeakSteps(ev.cpu, ev.ram)
+	ev.flatRAM = flat(ev.ram)
+	ev.flatWS = p.Disk != nil && flat(ev.ws)
 	return ev, nil
+}
+
+// flat reports whether every unit's series equals its first sample bit for
+// bit. A series that mixes +0 and −0 is not flat: its sums could differ in
+// the sign of a zero from step to step.
+func flat(streams [][]float64) bool {
+	for _, s := range streams {
+		first := math.Float64bits(s[0])
+		for _, v := range s[1:] {
+			if math.Float64bits(v) != first {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ramSteps and wsSteps are the RAM and working-set streams' horizons: the
+// leading steps of their sums the pricers fold and scan — one when the
+// stream is flat, T otherwise. CPU and the update rate always take T.
+func (ev *Evaluator) ramSteps() int {
+	if ev.flatRAM {
+		return 1
+	}
+	return ev.T
+}
+
+func (ev *Evaluator) wsSteps() int {
+	if ev.flatWS {
+		return 1
+	}
+	return ev.T
 }
 
 // Clone returns an evaluator that shares ev's immutable problem data (the
@@ -268,84 +329,108 @@ type ServerLoad struct {
 }
 
 // accumulateInto zeroes the sum buffers (each length T) and adds every
-// member's scaled demand series: CPU and RAM always, working set and update
-// rate only under a disk model — nothing reads them otherwise, and wsSum and
-// rateSum may then be nil. Member order is significant at the bit level:
-// LoadState re-materializes sums with the same loop so its canonical state
-// matches serverEval exactly.
+// member's scaled demand series, each stream over its horizon: CPU and RAM
+// always, working set and update rate only under a disk model — nothing reads
+// them otherwise, and wsSum and rateSum may then be nil. A flat stream's sum
+// is written at step 0 alone; LoadState fills its own past the horizon
+// (refresh), and nothing else reads a sum there. Member order is significant
+// at the bit level: LoadState re-materializes sums with the same loop so its
+// canonical state matches serverEval exactly.
 func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSum []float64) {
-	ev.accumulate2(members, cpuSum, ramSum, ev.cpu, ev.ram)
+	ev.accumulate(members, cpuSum[:ev.T], ev.cpu)
+	ev.accumulate(members, ramSum[:ev.ramSteps()], ev.ram)
 	if ev.p.Disk != nil {
-		ev.accumulate2(members, wsSum, rateSum, ev.ws, ev.rate)
+		ev.accumulate(members, wsSum[:ev.wsSteps()], ev.ws)
+		ev.accumulate(members, rateSum[:ev.T], ev.rate)
 	}
 }
 
-// accumulate2 is accumulateInto's kernel over two of the per-unit streams.
-// It adds four members per pass over the sums, then the rest one by one: at
-// each step the additions are the one-member loop's, in member order (Go
-// evaluates s + k0·a0 + k1·a1 + … left to right and rounds each product and
-// each sum), for a third of its loads and stores on the sums. Every slice is
-// re-sliced to T up front so the inner loops carry no bounds checks.
-func (ev *Evaluator) accumulate2(members []int, aSum, bSum []float64, a, b [][]float64) {
-	T := ev.T
-	aSum, bSum = aSum[:T], bSum[:T]
-	for t := range aSum {
-		aSum[t], bSum[t] = 0, 0
+// accumulate is accumulateInto's kernel over one per-unit stream and the
+// steps sum spans. It adds four members per pass over the sum, then the rest
+// one by one: at each step the additions are the one-member loop's, in member
+// order (Go evaluates s + k0·a0 + k1·a1 + … left to right and rounds each sum),
+// for a third of its loads and stores on the sum. Each product is written
+// float64(k·a), a rounding barrier: no architecture may fuse it into a
+// multiply-add here and not in addUnit's next step of the fold. Every slice
+// is re-sliced to the sum's length up front so the inner loops carry no
+// bounds checks.
+func (ev *Evaluator) accumulate(members []int, sum []float64, series [][]float64) {
+	n := len(sum)
+	for t := range sum {
+		sum[t] = 0
 	}
 	for ; len(members) >= 4; members = members[4:] {
 		u0, u1, u2, u3 := members[0], members[1], members[2], members[3]
 		k0, k1, k2, k3 := ev.scale[u0], ev.scale[u1], ev.scale[u2], ev.scale[u3]
-		a0, a1, a2, a3 := a[u0][:T], a[u1][:T], a[u2][:T], a[u3][:T]
-		b0, b1, b2, b3 := b[u0][:T], b[u1][:T], b[u2][:T], b[u3][:T]
-		for t := range aSum {
-			aSum[t] = aSum[t] + k0*a0[t] + k1*a1[t] + k2*a2[t] + k3*a3[t]
-			bSum[t] = bSum[t] + k0*b0[t] + k1*b1[t] + k2*b2[t] + k3*b3[t]
+		a0, a1, a2, a3 := series[u0][:n], series[u1][:n], series[u2][:n], series[u3][:n]
+		for t := range sum {
+			sum[t] = sum[t] + float64(k0*a0[t]) + float64(k1*a1[t]) + float64(k2*a2[t]) + float64(k3*a3[t])
 		}
 	}
 	for _, u := range members {
-		au, bu := a[u][:T], b[u][:T]
+		a := series[u][:n]
 		k := ev.scale[u]
-		for t := range aSum {
-			aSum[t] += k * au[t]
-			bSum[t] += k * bu[t]
+		for t := range sum {
+			sum[t] += float64(k * a[t])
 		}
 	}
 }
 
 // addUnit adds unit u to the sums with fill's sum + k·unit, the next step of
-// accumulate2's left fold: canonical sums stay canonical with u appended.
+// accumulate's left fold: canonical sums stay canonical with u appended.
 func (ev *Evaluator) addUnit(u int, cpuSum, ramSum, wsSum, rateSum []float64) {
-	k := ev.scale[u]
-	fill2(ev.T, cpuSum, ramSum, cpuSum, ramSum, ev.cpu[u], ev.ram[u], k)
+	ev.addScaled(u, ev.scale[u], cpuSum, ramSum, wsSum, rateSum, cpuSum, ramSum, wsSum, rateSum)
+}
+
+// addScaled writes sum + k·(unit u's demand) into the destinations, each
+// stream over its horizon: CPU and RAM always, working set and update rate
+// only under a disk model.
+func (ev *Evaluator) addScaled(u int, k float64, cpuDst, ramDst, wsDst, rateDst, cpuSum, ramSum, wsSum, rateSum []float64) {
+	fillSum(cpuDst[:ev.T], cpuSum, ev.cpu[u], k)
+	fillSum(ramDst[:ev.ramSteps()], ramSum, ev.ram[u], k)
 	if ev.p.Disk != nil {
-		fill2(ev.T, wsSum, rateSum, wsSum, rateSum, ev.ws[u], ev.rate[u], k)
+		fillSum(wsDst[:ev.wsSteps()], wsSum, ev.ws[u], k)
+		fillSum(rateDst[:ev.T], rateSum, ev.rate[u], k)
 	}
 }
 
-// peaks2 returns the maxima of two equally long streams, each floored at
-// zero: the peak-scan half of evalSums for CPU and RAM.
-func peaks2(a, b []float64) (aPeak, bPeak float64) {
-	b = b[:len(a)]
-	for t := range a {
-		if a[t] > aPeak {
-			aPeak = a[t]
-		}
-		if b[t] > bPeak {
-			bPeak = b[t]
+// fillSum is addScaled's kernel over one stream and the steps dst spans:
+// dst = sum + k·unit, with every slice re-sliced to dst's length so the loop
+// carries no bounds checks. The product is rounded before it is added, as
+// the sweep screen rounds it (coarse.go), so no architecture fuses one here
+// and not there.
+func fillSum(dst, sum, unit []float64, k float64) {
+	sum, unit = sum[:len(dst)], unit[:len(dst)]
+	for t := range dst {
+		dst[t] = sum[t] + float64(k*unit[t])
+	}
+}
+
+// peak returns the maximum of a stream over the steps it spans, floored at
+// zero: the peak-scan half of evalSums, once for CPU and once for RAM.
+func peak(s []float64) (p float64) {
+	for _, v := range s {
+		if v > p {
+			p = v
 		}
 	}
-	return aPeak, bPeak
+	return p
 }
 
 // diskPeak returns the highest predicted write rate (bytes/sec, floored at
 // zero) over the aggregate working-set and update-rate streams, and the
 // first step that attains it: the peak-scan half of evalSums for the disk
-// model.
+// model. The rate runs over T steps; the working set holds its last value
+// past its horizon, which for a flat one is step 0's at every step.
 func (ev *Evaluator) diskPeak(wsSum, rateSum []float64) (peak float64, at int) {
 	d := ev.p.Disk
-	rateSum = rateSum[:len(wsSum)]
-	for t := range wsSum {
-		if pred := d.PredictWriteMBps(wsSum[t], rateSum[t]) * 1e6; pred > peak {
+	wsSum = wsSum[:ev.wsSteps()]
+	var ws float64
+	for t, rate := range rateSum[:ev.T] {
+		if t < len(wsSum) {
+			ws = wsSum[t]
+		}
+		if pred := d.PredictWriteMBps(ws, rate) * 1e6; pred > peak {
 			peak, at = pred, t
 		}
 	}
@@ -361,7 +446,9 @@ func (ev *Evaluator) diskPeak(wsSum, rateSum []float64) (peak float64, at int) {
 // the one term that is a sum over steps, not a peak: its addends are
 // accumulated here, between the RAM and the disk violation, over the
 // aggregate streams wsSum/rateSum (the screen passes none and so bounds them
-// by zero; violations are non-negative).
+// by zero; violations are non-negative). The envelope is evaluated once per
+// step of the working set's horizon: under a flat working set,
+// MaxRowsPerSec runs once, not T times.
 func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float64, wsSum, rateSum []float64) (viol, norm float64) {
 	cpuCap := ev.capCPU[j]
 	ramCap := ev.capRAM[j]
@@ -375,19 +462,22 @@ func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float6
 	var diskNorm float64
 	if d := ev.p.Disk; d != nil {
 		diskCap := ev.capDisk[j]
-		if d.HasEnvelope {
+		if d.HasEnvelope && len(rateSum) > 0 {
 			// Boundary rule (model.EnvelopeFeasible): exactly at the
 			// envelope is feasible, and a clamped-to-zero envelope admits
 			// only a zero rate — strict excess is always a violation, with
 			// the denominator floored so the penalty stays finite.
-			rateSum = rateSum[:len(wsSum)]
-			for t := range wsSum {
-				if maxRate := d.MaxRowsPerSec(wsSum[t]); rateSum[t] > maxRate {
-					den := maxRate
-					if den < envRateFloor {
+			wsSum = wsSum[:ev.wsSteps()]
+			var maxRate, den float64
+			for t, rate := range rateSum[:ev.T] {
+				if t < len(wsSum) {
+					maxRate = d.MaxRowsPerSec(wsSum[t])
+					if den = maxRate; den < envRateFloor {
 						den = envRateFloor
 					}
-					viol += (rateSum[t] - maxRate) / den / float64(ev.T)
+				}
+				if rate > maxRate {
+					viol += (rate - maxRate) / den / float64(ev.T)
 				}
 			}
 		}
@@ -425,15 +515,13 @@ func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float6
 	return viol, norm
 }
 
-// evalSums prices one machine's aggregated demand vectors: the peak scans
-// over all T steps, then pricePeaks. It allocates nothing, so it can run on
-// reusable scratch buffers — the LoadState move-pricing hot path.
+// evalSums prices one machine's aggregated demand vectors: the peak scans,
+// each stream over its horizon, then pricePeaks. It allocates nothing, so it
+// can run on reusable scratch buffers — the LoadState move-pricing hot path.
 func (ev *Evaluator) evalSums(j int, cpuSum, ramSum, wsSum, rateSum []float64, slaCap float64) (viol, norm float64) {
-	T := ev.T
-	cpuPeak, ramPeak := peaks2(cpuSum[:T], ramSum[:T])
+	cpuPeak, ramPeak := peak(cpuSum[:ev.T]), peak(ramSum[:ev.ramSteps()])
 	var diskPeak float64
 	if ev.p.Disk != nil {
-		wsSum, rateSum = wsSum[:T], rateSum[:T]
 		diskPeak, _ = ev.diskPeak(wsSum, rateSum)
 	}
 	return ev.pricePeaks(j, cpuPeak, ramPeak, diskPeak, slaCap, wsSum, rateSum)
@@ -448,17 +536,16 @@ func (ev *Evaluator) serverEval(j int, members []int) ServerLoad {
 	if !sl.Used {
 		return sl
 	}
-	T := ev.T
-	cpuSum := make([]float64, T)
-	ramSum := make([]float64, T)
+	cpuSum := make([]float64, ev.T)
+	ramSum := make([]float64, ev.ramSteps())
 	var wsSum, rateSum []float64
 	if ev.p.Disk != nil {
-		wsSum = make([]float64, T)
-		rateSum = make([]float64, T)
+		wsSum = make([]float64, ev.wsSteps())
+		rateSum = make([]float64, ev.T)
 	}
 	ev.accumulateInto(members, cpuSum, ramSum, wsSum, rateSum)
 	sl.CPU = cpuSum
-	sl.CPUPeak, sl.RAMPeak = peaks2(cpuSum, ramSum)
+	sl.CPUPeak, sl.RAMPeak = peak(cpuSum), peak(ramSum)
 	if ev.p.Disk != nil {
 		sl.DiskPeak, _ = ev.diskPeak(wsSum, rateSum)
 	}
@@ -475,12 +562,13 @@ func contribution(sl ServerLoad) float64 {
 }
 
 // evalReuse is Eval's table of machines it has already priced, keyed on
-// (machine, member bitset). Eval lists members in ascending unit order, so
-// the bitset determines the member list and with it every bit of the
-// machine's pricing. A DIRECT sample differs from its parent in one unit, so
-// all but two of its machines are found here, and the table never loses an
-// entry for the life of its evaluator: each (machine, member set) is summed
-// once. Open addressing with linear probing; a slot's full key is stored and
+// (capacity class, member bitset). Eval lists members in ascending unit
+// order, so the bitset determines the member list, and the class the caps
+// pricePeaks reads: together every bit of the machine's pricing. A DIRECT
+// sample differs from its parent in one unit, so all but two of its machines
+// are found here, and the table never loses an entry for the life of its
+// evaluator: each (class, member set) is summed once, whichever machine of
+// the class met it first. Open addressing with linear probing; a slot's full key is stored and
 // compared, so a hit is exact, never a hash coincidence. It holds at most two
 // new entries per sample of a DIRECT run — less than the rectangles DIRECT
 // keeps for those samples — so it needs no cap. Owned by one evaluator:
@@ -496,7 +584,7 @@ type evalReuse struct {
 
 // reuseSlot is one priced machine: what Eval adds to the objective for it.
 type reuseSlot struct {
-	mach  int32   // machine + 1 (0 = empty slot)
+	mach  int32   // capacity class + 1 (0 = empty slot)
 	pairs int32   // conflicting pairs sharing the machine
 	viol  float64 // summed relative violation
 	term  float64 // exp(norm) + penaltyWeight·viol
@@ -507,8 +595,8 @@ type reuseSlot struct {
 // of times and stays there; a DIRECT run doubles it a few times.
 const evalReuseBits = 11
 
-// find returns the slot of machine j with this member bitset and true, or
-// the empty slot where it belongs and false.
+// find returns the slot of capacity class j with this member bitset and
+// true, or the empty slot where it belongs and false.
 func (rt *evalReuse) find(j int, set []uint64) (slot int, held bool) {
 	h := uint64(j+1) * 0x9E3779B97F4A7C15
 	for _, w := range set {
@@ -578,9 +666,9 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 	}
 	if len(ev.esCPU) < ev.T {
 		ev.esCPU = make([]float64, ev.T)
-		ev.esRAM = make([]float64, ev.T)
+		ev.esRAM = make([]float64, ev.ramSteps())
 		if ev.p.Disk != nil {
-			ev.esWS = make([]float64, ev.T)
+			ev.esWS = make([]float64, ev.wsSteps())
 			ev.esRate = make([]float64, ev.T)
 		}
 	}
@@ -606,8 +694,9 @@ func (ev *Evaluator) evalScratch(K int) (members [][]int, sets []uint64) {
 // load — exactly the units Report and Plan.String drop — so a plan can
 // never price feasible while displaying a missing workload.
 //
-// A machine whose member set this evaluator has priced before (on the same
-// machine index) is answered from the reuse table, which keeps every one;
+// A machine whose member set this evaluator has priced before, on it or on
+// a machine of the same capacity class, is answered from the reuse table,
+// which keeps every one;
 // either way its pieces enter obj through one addition sequence, so the
 // result does not depend on what the table held.
 func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
@@ -639,7 +728,8 @@ func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 			continue
 		}
 		set := sets[j*W : (j+1)*W]
-		slot, held := rt.find(j, set)
+		class := ev.capClass[j]
+		slot, held := rt.find(int(class), set)
 		m := &rt.slots[slot]
 		if held {
 			ev.stats.EvalReused++
@@ -653,7 +743,7 @@ func (ev *Evaluator) eval(assign []int, K int) (obj float64, feasible bool) {
 			rt.used++
 			copy(rt.keys[slot*W:(slot+1)*W], set)
 			*m = reuseSlot{
-				mach:  int32(j + 1),
+				mach:  class + 1,
 				pairs: int32(ev.conflictPairs(members[j])),
 				viol:  viol,
 				term:  math.Exp(norm) + float64(penaltyWeight*viol),
@@ -717,7 +807,7 @@ func (ev *Evaluator) FitsOneMachine(j int, units []int) bool {
 
 // ServerContrib prices one machine from scratch: the balance and violation
 // contribution of the member set plus anti-affinity penalties, re-summing
-// every member over all T steps. It is the canonical reference pricer —
+// every member over each stream's horizon. It is the canonical reference pricer —
 // LoadState computes the identical quantity incrementally — and the
 // baseline the load-state benchmarks compare against.
 func (ev *Evaluator) ServerContrib(j int, members []int) float64 {

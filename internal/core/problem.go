@@ -281,7 +281,10 @@ type SolveStats struct {
 	// screen.
 	CapPruned int
 	// EvalPriced counts the machines Eval summed from scratch, EvalReused
-	// those it answered from its table of machines already priced. For
+	// those it answered from its table of machines already priced. The table
+	// is keyed on a machine's capacity class, not its index: a member set
+	// priced on one machine is found on any machine of identical CPU, RAM
+	// and disk capacity. For
 	// Solve and Resolve alike the two depend on scheduling — a speculated
 	// probe, and a climb a helper took, price on a clone's own table — so
 	// comparisons across core counts leave them out; the count gate reads

@@ -135,8 +135,8 @@ func TestEvalReuseMatchesFresh(t *testing.T) {
 }
 
 // oneMemberSums is accumulateInto as one pass over the sums per member: the
-// loop accumulate2 was before it took four members per pass, kept as the
-// reference its sums must match bit for bit.
+// loop accumulate was before it took four members per pass, kept as the
+// reference its sums must match bit for bit over each sum's length.
 func oneMemberSums(ev *Evaluator, members []int, cpu, ram, ws, rate []float64) {
 	for i, sum := range [][]float64{cpu, ram, ws, rate} {
 		unit := [][][]float64{ev.cpu, ev.ram, ev.ws, ev.rate}[i]
@@ -145,58 +145,75 @@ func oneMemberSums(ev *Evaluator, members []int, cpu, ram, ws, rate []float64) {
 		}
 		for _, u := range members {
 			for t := range sum {
-				sum[t] += ev.scale[u] * unit[u][t]
+				sum[t] += float64(ev.scale[u] * unit[u][t])
 			}
 		}
 	}
 }
 
 // TestAccumulateMatchesOneMemberLoop holds the four-member kernel to the
-// one-member loop's bits on both stream pairs: member counts on either side
+// one-member loop's bits on all four streams: member counts on either side
 // of every multiple of four, horizons shorter than a pass is wide, scales
 // other than 1 and values where a regrouped or fused sum would show — signed
-// zeros, subnormals, magnitudes that cancel or overflow, Inf and NaN.
+// zeros, subnormals, magnitudes that cancel or overflow, Inf and NaN. With
+// flat RAM and working-set streams it sums those at step 0 alone and leaves
+// the stale values past it as they were.
 func TestAccumulateMatchesOneMemberLoop(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308, 1e-300, 1 << 53, -(1 << 53),
 		math.Inf(1), math.Inf(-1), math.NaN(), 1.0 / 3, -2.0 / 3}
 	rng := rand.New(rand.NewSource(5))
 	const nU = 97
 	for _, T := range []int{1, 3, 288} {
-		ev := &Evaluator{p: &Problem{Disk: &model.DiskProfile{}}, T: T, scale: make([]float64, nU)}
-		for _, streams := range []*[][]float64{&ev.cpu, &ev.ram, &ev.ws, &ev.rate} {
-			*streams = make([][]float64, nU)
-			for u := range *streams {
-				vals := make([]float64, T)
-				for i := range vals {
-					if vals[i] = rng.NormFloat64() * 1e3; rng.Intn(4) == 0 {
-						vals[i] = special[rng.Intn(len(special))]
+		for _, flatStreams := range []bool{false, true} {
+			ev := &Evaluator{p: &Problem{Disk: &model.DiskProfile{}}, T: T, scale: make([]float64, nU), flatRAM: flatStreams, flatWS: flatStreams}
+			for i, streams := range []*[][]float64{&ev.cpu, &ev.ram, &ev.ws, &ev.rate} {
+				flat := flatStreams && (i == 1 || i == 2)
+				*streams = make([][]float64, nU)
+				for u := range *streams {
+					vals := make([]float64, T)
+					for i := range vals {
+						if vals[i] = rng.NormFloat64() * 1e3; rng.Intn(4) == 0 {
+							vals[i] = special[rng.Intn(len(special))]
+						}
+						if flat {
+							vals[i] = vals[0]
+						}
 					}
-				}
-				(*streams)[u] = vals
-			}
-		}
-		for u := range ev.scale {
-			ev.scale[u] = 0.25 + 2*rng.Float64()
-		}
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 97} {
-			members := rng.Perm(nU)[:n]
-			sort.Ints(members)
-			var got, want [4][]float64
-			for i := range got {
-				// Stale sums: the kernel must clear them.
-				got[i], want[i] = make([]float64, T), make([]float64, T)
-				for k := range got[i] {
-					got[i][k] = rng.Float64()
+					(*streams)[u] = vals
 				}
 			}
-			ev.accumulateInto(members, got[0], got[1], got[2], got[3])
-			oneMemberSums(ev, members, want[0], want[1], want[2], want[3])
-			for i := range got {
-				for k := range got[i] {
-					g, w := got[i][k], want[i][k]
-					if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-						t.Fatalf("T=%d members=%d stream %d step %d: kernel %v (%#x), one-member loop %v (%#x)",
-							T, n, i, k, g, math.Float64bits(g), w, math.Float64bits(w))
+			steps := [4]int{T, ev.ramSteps(), ev.wsSteps(), T}
+			if flatStreams && steps != [4]int{T, 1, 1, T} {
+				t.Fatalf("T=%d: flat streams summed over %v steps", T, steps)
+			}
+			for u := range ev.scale {
+				ev.scale[u] = 0.25 + 2*rng.Float64()
+			}
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 97} {
+				members := rng.Perm(nU)[:n]
+				sort.Ints(members)
+				var got, want, stale [4][]float64
+				for i := range got {
+					// Stale sums: the kernel must clear them over its horizon
+					// and leave them past it.
+					got[i], want[i] = make([]float64, T), make([]float64, steps[i])
+					for k := range got[i] {
+						got[i][k] = rng.Float64()
+					}
+					stale[i] = append([]float64(nil), got[i]...)
+				}
+				ev.accumulateInto(members, got[0], got[1], got[2], got[3])
+				oneMemberSums(ev, members, want[0], want[1], want[2], want[3])
+				for i := range got {
+					for k := range got[i] {
+						g, w := got[i][k], stale[i][k]
+						if k < steps[i] {
+							w = want[i][k]
+						}
+						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+							t.Fatalf("T=%d flat=%v members=%d stream %d step %d: kernel %v (%#x), want %v (%#x)",
+								T, flatStreams, n, i, k, g, math.Float64bits(g), w, math.Float64bits(w))
+						}
 					}
 				}
 			}

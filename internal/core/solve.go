@@ -470,7 +470,7 @@ func (bs *binSums) add(ev *Evaluator, u int) {
 // evaluator: conflicts, then whether bin+item violates any resource of
 // machine 0 — serverEval(0, bin+item).Violation == 0, bit for bit, in O(T)
 // per call instead of a re-sum of every member. A bin is recognised by its
-// first member and keeps running sums built by accumulate2's own sequence
+// first member and keeps running sums built by accumulate's own sequence
 // (zero, then sum + k·unit in member order); a call catches up on members
 // appended since the last one, and starts over when the members it remembers
 // are not a prefix of the bin it is handed — MultiResource re-packs under
@@ -520,11 +520,7 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 				bs.add(ev, u)
 			}
 		}
-		k := ev.scale[item]
-		fill2(T, scratch.cpu, scratch.ram, bs.cpu, bs.ram, ev.cpu[item], ev.ram[item], k)
-		if ev.p.Disk != nil {
-			fill2(T, scratch.ws, scratch.rate, bs.ws, bs.rate, ev.ws[item], ev.rate[item], k)
-		}
+		ev.addScaled(item, ev.scale[item], scratch.cpu, scratch.ram, scratch.ws, scratch.rate, bs.cpu, bs.ram, bs.ws, bs.rate)
 		slaCap := bs.slaCap
 		if c := ev.slaCapU[item]; c < slaCap {
 			slaCap = c

@@ -284,18 +284,18 @@ func uniqInts(sorted []int) []int {
 // past its last stage: some candidates pruned, some priced exactly. The
 // full scans must run the capacity stage both ways, some candidates pruned
 // and some passed to the first stage — but for the disk model's state,
-// which overflows no CPU or RAM cap, so the stage only passes.
+// which overflows no CPU or RAM cap, so the stage only passes. The
+// problem's RAM and working set are flat, priced at one step and, forced, at
+// all T.
 func TestSweepsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	for _, withDisk := range []bool{false, true} {
+	for _, tc := range allocCases {
+		withDisk := tc.withDisk
 		rng := rand.New(rand.NewSource(23))
 		p := randomLoadStateProblem(rng, 24, 36, withDisk)
-		ev, err := NewEvaluator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := tc.evaluator(t, p)
 		K := 6
 		ctx := context.Background()
 		ls := NewLoadState(ev, ev.hillClimb(ctx, randomAssign(rng, ev, K), K).assign, K)
@@ -319,7 +319,7 @@ func TestSweepsAllocationFree(t *testing.T) {
 				scanned, capPruned = ev.stats.Considered-start.Considered, ev.stats.CapPruned-start.CapPruned
 			})
 			if allocs != 0 {
-				t.Errorf("withDisk=%v since=%d: move and swap scans allocate %v objects per run, want 0", withDisk, since, allocs)
+				t.Errorf("%+v since=%d: move and swap scans allocate %v objects per run, want 0", tc, since, allocs)
 			}
 			// A full scan prices some swaps exactly and prunes the rest; a
 			// scan of a state where nothing changed considers none.

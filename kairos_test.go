@@ -3,6 +3,7 @@ package kairos
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,16 @@ func TestMeasureAndConvertProfile(t *testing.T) {
 	}
 	if !floats.Same(w.CPU.Values[0], p.CPU.Values[0]*8.0/12.0) {
 		t.Error("CPU scaling not applied")
+	}
+	// The working set is one gauged number per window, and it is the RAM
+	// demand too: both series are flat bit for bit, which the solver prices
+	// at one step instead of every sample.
+	for name, s := range map[string][]float64{"RAMBytes": w.RAMBytes.Values, "WSBytes": w.WSBytes.Values} {
+		for i, v := range s {
+			if math.Float64bits(v) != math.Float64bits(s[0]) {
+				t.Errorf("%s sample %d = %v, sample 0 = %v: the working set is not flat", name, i, v, s[0])
+			}
+		}
 	}
 	// Zero scale means identity.
 	w2 := WorkloadFromProfile(p, 0)
