@@ -10,7 +10,10 @@ INGEST_BENCH = SeriesNumber|Decode(Window|Register|Snapshot)197|IngestWindow197|
 # bench-counts): a 197-server window, registration and snapshot through
 # the series decoder. allocs/op is about 1k, 1k and 4k against
 # encoding/json's 8k and 32k; slow-numbers, the numbers the one-pass
-# conversion handed back to strconv, is 0.
+# conversion handed back to strconv, is 0; parsed-numbers, the samples
+# converted rather than copied from an equal token before them, is about
+# half of the 227k, 227k and 908k samples (a flat RAM or working-set
+# series parses once).
 WIRE_COUNT_BENCH = Decode(Window|Register|Snapshot)197/fast
 
 # The ingest whose allocs/op and B/op BENCH_counts.json pins (make
@@ -202,7 +205,7 @@ bench-drift:
 # screened — the sweep candidates the screen's capacity stage did not
 # decide — eval-priced, probes, machines; the decoders', the ingest's, the
 # restart's and the read's allocs/op and B/op; the decoders'
-# slow-numbers) is higher than committed
+# slow-numbers and parsed-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
 # the benchmark names, so the file compares across machines. No -benchmem

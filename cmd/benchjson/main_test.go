@@ -155,20 +155,24 @@ func TestCompareDocs(t *testing.T) {
 		}
 	}
 
-	// The wire decoders carry the numbers they handed to strconv: a
-	// committed 0 fails on the first one.
+	// The wire decoders carry the numbers they handed to strconv, where a
+	// committed 0 fails on the first one, and the samples they converted
+	// rather than copied, which rise when the copy stops firing.
 	window := func(metrics map[string]float64) Doc {
 		return Doc{Results: []Result{res("BenchmarkDecodeWindow197/fast", metrics)}}
 	}
-	old = window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0})
+	old = window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0, "parsed-numbers": 113866})
 	for _, tc := range []struct {
 		cur   Doc
 		worse bool
 		want  string
 	}{
-		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0}), false, "slow-numbers 0"},
-		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 1}), true, "slow-numbers rose 0 -> 1"},
-		{window(map[string]float64{"allocs/op": 1003}), true, "slow-numbers missing"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0, "parsed-numbers": 113866}), false, "slow-numbers 0"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 1, "parsed-numbers": 113866}), true, "slow-numbers rose 0 -> 1"},
+		{window(map[string]float64{"allocs/op": 1003, "parsed-numbers": 113866}), true, "slow-numbers missing"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0, "parsed-numbers": 113866}), false, "parsed-numbers 113866"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0, "parsed-numbers": 226944}), true, "parsed-numbers rose 113866 -> 226944"},
+		{window(map[string]float64{"allocs/op": 1003, "slow-numbers": 0}), true, "parsed-numbers missing"},
 	} {
 		lines, worse := compareDocs(old, tc.cur)
 		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {

@@ -352,7 +352,7 @@ func TestWindowRecordCompatibility(t *testing.T) {
 			if err := json.Unmarshal(windows[n], &posted); err != nil {
 				t.Fatal(err)
 			}
-			if rw.Window.Fleet != id || !reflect.DeepEqual(rw.Window.Workloads, posted.Workloads) {
+			if rw.Window.Fleet != id || !sameBits(rw.Window.Workloads, posted.Workloads) {
 				t.Errorf("window record %d does not read back as the window posted", n)
 			}
 			if n == 2 && !bytes.Contains(r.Payload, []byte(`"workloads":[ {`)) {

@@ -418,7 +418,7 @@ func TestReplayReadsOneRecordPerWorker(t *testing.T) {
 					break
 				}
 				rw, err := decodeRecord(want[i].Payload)
-				if d.err != nil || err != nil || d.seq != want[i].Seq || !reflect.DeepEqual(d.rw, rw) {
+				if d.err != nil || err != nil || d.seq != want[i].Seq || !sameBits(d.rw, rw) {
 					t.Fatalf("GOMAXPROCS=%d: record %d came back as seq %d (%v), want seq %d decoded on its own", procs, i, d.seq, d.err, want[i].Seq)
 				}
 			}

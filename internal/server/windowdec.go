@@ -55,13 +55,28 @@ package server
 // would take at its 10000-level limit is refused rather than journaled as
 // a record encoding/json could not read back.
 //
-// Nothing decoded aliases the document: names are copied, series are
-// parsed, and a residual is a buffer of its own (so a json.RawMessage
-// decoded from it is too). A session keeps its registration for every
-// later snapshot; it must not pin the 2 MB body it arrived in, and the
-// server reads the next request into that body once it has replied
-// (Server.readBody). Only decodeWindow's span aliases the body, and only
-// until the window's journal record is written.
+// A sample whose token repeats the one before it is copied, not parsed.
+// The paper gauges a database's memory as one working-set figure per
+// window, so a RAM or working-set series is one token written 288 times,
+// and half the samples of a window are such repeats. series keeps the
+// token of an array's first sample when float converted it without
+// strconv, and gives its value to each next sample whose bytes are the
+// same and are followed by a byte no number continues with (',', ']' or
+// whitespace): number would have read exactly that token there, and the
+// same bytes convert to the same bits, -0 included. The first sample that
+// differs, a null, or a token strconv had ends the run for the rest of
+// the array, so a series that varies pays one compare. Values, errors
+// and offsets, span and slow count are the parser's; the state lives in
+// one series call, so a split chunk decodes as the one-goroutine decode
+// does; and parsedNumbers counts the samples converted.
+//
+// Nothing decoded aliases the document: names are copied, samples are
+// converted or copied into arrays of their own, and a residual is a buffer
+// of its own (so a json.RawMessage decoded from it is too). A session
+// keeps its registration for every later snapshot; it must not pin the
+// 2 MB body it arrived in, and the server reads the next request into that
+// body once it has replied (Server.readBody). Only decodeWindow's span
+// aliases the body, and only until the window's journal record is written.
 
 import (
 	"bytes"
@@ -135,9 +150,10 @@ type windowDecoder struct {
 	// seriesLen is the length of the last series decoded. Every series of
 	// a window has the same length, so it sizes the next one exactly.
 	seriesLen int
-	// slow counts the numbers float handed to strconv; document adds them
-	// to slowNumbers.
-	slow int64
+	// slow counts the numbers float handed to strconv, and parsed the
+	// samples series converted rather than copied; document adds them to
+	// slowNumbers and parsedNumbers.
+	slow, parsed int64
 }
 
 // decodeWindow decodes a POST /v1/fleets/{id}/windows body. span is the
@@ -268,6 +284,7 @@ func (d *windowDecoder) document(value func() error) error {
 	d.space()
 	err := value()
 	slowNumbers.Add(d.slow)
+	parsedNumbers.Add(d.parsed)
 	if err != nil {
 		return err
 	}
@@ -459,6 +476,7 @@ func (d *windowDecoder) splitWorkloads(depth int, starts []int) ([]WorkloadWire,
 		out = append(out, c.out...)
 		d.i = c.d.i
 		d.slow += c.d.slow
+		d.parsed += c.d.parsed
 		next, err = c.next, c.err
 	}
 	for _, c := range chunks {
@@ -881,6 +899,11 @@ func (d *windowDecoder) float() (float64, error) {
 // call: /metrics reports it, the 197-server documents are held to zero.
 var slowNumbers atomic.Int64
 
+// parsedNumbers counts the samples series converted, process-wide like
+// slowNumbers; the rest it copied from the sample before. The decode
+// benchmarks report it, /metrics does not.
+var parsedNumbers atomic.Int64
+
 // slowFloat converts a number token float could not, and counts it.
 func (d *windowDecoder) slowFloat(tok []byte) (float64, error) {
 	d.slow++
@@ -968,10 +991,20 @@ func (d *windowDecoder) series(dst []float64) ([]float64, error) {
 	}
 	if dst == nil {
 		// n samples take at least 2n-1 bytes, so a hint the array cannot
-		// fill (a long series followed by many short ones) is cut down.
-		end := bytes.IndexByte(d.b[d.i:], ']')
+		// fill (a long series followed by many short ones) is cut down. A
+		// ']' past 2·seriesLen bytes leaves the hint whole, so the scan
+		// stops there.
+		lim := min(len(d.b), d.i+2*d.seriesLen)
+		end := bytes.IndexByte(d.b[d.i:lim], ']')
+		if end < 0 && lim < len(d.b) {
+			end = 2 * d.seriesLen
+		}
 		dst = make([]float64, 0, min(d.seriesLen, end/2+1))
 	}
+	// tok is the array's first token while every sample since has repeated
+	// it, nil once one has not or if strconv converted it: a sample of its
+	// bytes is copied from the one before (see the top of the file).
+	var tok []byte
 	n := 0
 	for more := true; more; n++ {
 		if n == cap(dst) {
@@ -979,9 +1012,19 @@ func (d *windowDecoder) series(dst []float64) ([]float64, error) {
 		} else if n >= len(dst) {
 			dst = dst[:n+1]
 		}
-		isNull, err := d.null()
-		if !isNull {
+		var err error
+		if end := d.i + len(tok); tok != nil && end < len(d.b) && endsNumber(d.b[end]) &&
+			bytes.Equal(d.b[d.i:end], tok) {
+			dst[n], d.i = dst[n-1], end
+		} else if isNull, nullErr := d.null(); isNull {
+			tok, err = nil, nullErr
+		} else {
+			start, slow := d.i, d.slow
 			dst[n], err = d.float()
+			d.parsed++
+			if tok = nil; n == 0 && err == nil && d.slow == slow {
+				tok = d.b[start:d.i]
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -997,6 +1040,16 @@ func (d *windowDecoder) series(dst []float64) ([]float64, error) {
 	}
 	d.seriesLen = n
 	return dst[:n], nil
+}
+
+// endsNumber reports whether c, after a number token, ends it: a
+// separator or whitespace, which no number continues with.
+func endsNumber(c byte) bool {
+	switch c {
+	case ',', ']', ' ', '\t', '\n', '\r':
+		return true
+	}
+	return false
 }
 
 // skipValue consumes the value of a field the schema does not know, with

@@ -127,7 +127,7 @@ func TestDecodeSplitMatchesSequential(t *testing.T) {
 		atProcs(1, func() { want = decodeLive(doc) })
 		for _, procs := range []int{2, 4, 8} {
 			atProcs(procs, func() {
-				if got := decodeLive(doc); !reflect.DeepEqual(got, want) {
+				if got := decodeLive(doc); !sameBits(got, want) {
 					t.Fatalf("GOMAXPROCS=%d: window %s, %q, %d slow; register %s\nwant window %s, %q, %d slow; register %s\ndoc: %s",
 						procs, got.windowErr, clip(got.span), got.slow, got.registerErr,
 						want.windowErr, clip(want.span), want.slow, want.registerErr, clip(doc))
@@ -182,7 +182,7 @@ func TestSplitAnyChunkStarts(t *testing.T) {
 		}
 		for a, p := range opens {
 			for _, starts := range append([][]int{{p}}, pairsFrom(p, opens[a+1:])...) {
-				if got := decode(doc, starts); !reflect.DeepEqual(got, want) {
+				if got := decode(doc, starts); !sameBits(got, want) {
 					t.Fatalf("chunks at %v: %+v\nwant %+v\ndoc: %s", starts, got, want, clip(doc))
 				}
 			}
@@ -272,7 +272,7 @@ func TestSplitLeavesNoGoroutines(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := decodeLive(doc); !reflect.DeepEqual(got, want) {
+				if got := decodeLive(doc); !sameBits(got, want) {
 					t.Error("a decode beside two others differs from the one alone")
 				}
 			}()

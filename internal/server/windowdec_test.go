@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +65,50 @@ func clip(b []byte) string {
 	return fmt.Sprintf("%q", b)
 }
 
+// sameBits is reflect.DeepEqual with every float compared by its bits,
+// so -0 and +0 differ: what the decoders make of a document is held to
+// encoding/json's, and to the one-goroutine decode's, bit for bit, since
+// flatness — a series equal to its first sample — is read off the bits.
+func sameBits(a, b any) bool {
+	return bitsEqual(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+func bitsEqual(x, y reflect.Value) bool {
+	if !x.IsValid() || !y.IsValid() {
+		return x.IsValid() == y.IsValid()
+	}
+	if x.Type() != y.Type() {
+		return false
+	}
+	switch x.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+	case reflect.Pointer, reflect.Interface:
+		if x.IsNil() || y.IsNil() {
+			return x.IsNil() == y.IsNil()
+		}
+		return bitsEqual(x.Elem(), y.Elem())
+	case reflect.Slice, reflect.Array:
+		if x.Kind() == reflect.Slice && x.IsNil() != y.IsNil() || x.Len() != y.Len() {
+			return false
+		}
+		for i := range x.Len() {
+			if !bitsEqual(x.Index(i), y.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range x.NumField() {
+			if !bitsEqual(x.Field(i), y.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return x.Equal(y)
+}
+
 // checkDecodeWindow holds decodeWindow to its contract on one body:
 // it accepts what json.Unmarshal into WindowRequest accepts (nested one
 // level deeper, as the journal record will nest it); the span it
@@ -96,7 +143,7 @@ func checkDecodeWindow(t *testing.T, body []byte) {
 		}
 		return
 	}
-	if !reflect.DeepEqual(got, std.Workloads) && workloadsKeys(body) < 2 {
+	if !sameBits(got, std.Workloads) && workloadsKeys(body) < 2 {
 		t.Fatalf("decodeWindow = %+v\nencoding/json = %+v\nbody: %s", got, std.Workloads, clip(body))
 	}
 
@@ -105,10 +152,10 @@ func checkDecodeWindow(t *testing.T, body []byte) {
 	if err := json.Unmarshal(wrapped, &alone); err != nil {
 		t.Fatalf("span is not a valid workloads value: %v\nspan: %s", err, clip(span))
 	}
-	if !reflect.DeepEqual(got, alone.Workloads) {
+	if !sameBits(got, alone.Workloads) {
 		t.Fatalf("decodeWindow = %+v\nits span alone = %+v\nbody: %s", got, alone.Workloads, clip(body))
 	}
-	if again, _, err := decodeWindow(wrapped); err != nil || !reflect.DeepEqual(got, again) {
+	if again, _, err := decodeWindow(wrapped); err != nil || !sameBits(got, again) {
 		t.Fatalf("re-decoding the span: %v, %+v, want %+v", err, again, got)
 	}
 
@@ -119,10 +166,10 @@ func checkDecodeWindow(t *testing.T, body []byte) {
 		t.Fatalf("window record is not a RecordWire: %v\npayload: %s", err, clip(payload))
 	}
 	want := &WindowRecord{Fleet: id, Workloads: got}
-	if !reflect.DeepEqual(rw, RecordWire{Window: want}) {
+	if !sameBits(rw, RecordWire{Window: want}) {
 		t.Fatalf("window record reads back as %+v, want window %+v", rw, want)
 	}
-	if rec, err := decodeRecord(payload); err != nil || !reflect.DeepEqual(rec, &RecordWire{Window: want}) {
+	if rec, err := decodeRecord(payload); err != nil || !sameBits(rec, &RecordWire{Window: want}) {
 		t.Fatalf("decodeRecord(window record) = %+v, %v, want window %+v", rec, err, want)
 	}
 }
@@ -206,6 +253,13 @@ var decodeCases = []string{
 	`{"workloads":[{"replicas":2,"pin_to":0}]}`, `{"workloads":[{"replicas":2.5}]}`, `{"workloads":[{"pin_to":1e2}]}`,
 	`{"workloads":[{"replicas":99999999999999999999}]}`, `{"workloads":[{"pin_to":"1"}]}`, `{"workloads":[{"pin_to":[1]}]}`,
 	`{"workloads":[{"step_seconds":300}]}`, `{"workloads":[{"step_seconds":"300"}]}`, `{"workloads":[{"step_seconds":[300]}]}`,
+	// repeated samples: a token equal to the one before is copied only
+	// where the parser would read the same token
+	`{"workloads":[{"cpu":[1,1,1]}]}`, `{"workloads":[{"cpu":[1,2,2]}]}`, `{"workloads":[{"cpu":[1,10]}]}`, `{"workloads":[{"cpu":[1.5,1.50]}]}`,
+	`{"workloads":[{"cpu":[1,1e3]}]}`, `{"workloads":[{"cpu":[1,1x]}]}`, `{"workloads":[{"cpu":[1,1`,
+	`{"workloads":[{"cpu":[-0,-0,0,-0]}]}`, `{"workloads":[{"cpu":[1,null,1]}]}`, "{\"workloads\":[{\"cpu\":[1, 1 ,1\n]}]}",
+	`{"workloads":[{"cpu":[1e400,1e400]}]}`, `{"workloads":[{"cpu":[123456789012345678901,123456789012345678901]}]}`,
+	`{"workloads":[{"cpu":[1,2,3,4],"cpu":[7,null,7,7]}]}`,
 	// unknown fields at every level, valid and not
 	`{"extra":1,"workloads":[{"extra":{"a":[1,{"b":"]}"}],"c":null},"name":"a"}],"more":[[],{}]}`,
 	`{"extra":"str","workloads":[{"x":true,"y":false,"z":null,"w":-1.5e3,"v":"\u00e9"}]}`,
@@ -222,6 +276,48 @@ func TestDecodeWindowMatchesEncodingJSON(t *testing.T) {
 		checkDecodeWindow(t, []byte(body))
 	}
 	checkDecodeWindow(t, window197(t))
+}
+
+// TestDecodeWindowRepeatedSamples pins series' copy of a run of the
+// array's first token: each shape decodes to the parser's bits, error and
+// read offset, strconv counts every number it converts, and parsed counts
+// the samples that were not copied — a null, a token strconv had or a
+// sample that differs ends the run. decodeCases holds the same shapes to
+// encoding/json.
+func TestDecodeWindowRepeatedSamples(t *testing.T) {
+	const long = "123456789012345678901" // 21 digits: strconv's
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		series       string
+		over         []float64 // what an earlier key of the workload left
+		want         []float64
+		err          string
+		end          int // the read offset after the series or at the error
+		slow, parsed int64
+	}{
+		{`[1,1,1]`, nil, []float64{1, 1, 1}, "", 7, 0, 1},
+		{`[1,10]`, nil, []float64{1, 10}, "", 6, 0, 2},
+		{`[1.5,1.50]`, nil, []float64{1.5, 1.5}, "", 10, 0, 2},
+		{`[1,1e3]`, nil, []float64{1, 1000}, "", 7, 0, 2},
+		{`[1,1x]`, nil, nil, "invalid character 'x' after a value (offset 4)", 4, 0, 2},
+		{`[1,1`, nil, nil, "unexpected end of JSON input (offset 4)", 4, 0, 2},
+		{`[-0,-0,0,-0]`, nil, []float64{negZero, negZero, 0, negZero}, "", 12, 0, 3},
+		{`[1,null,1]`, nil, []float64{1, 0, 1}, "", 10, 0, 2},
+		{"[1, 1 ,1\n]", nil, []float64{1, 1, 1}, "", 10, 0, 1},
+		{`[1e400,1e400]`, nil, nil, "cannot decode number 1e400 into a float64 (offset 6)", 6, 1, 1},
+		{"[" + long + "," + long + "]", nil, []float64{1.2345678901234568e+20, 1.2345678901234568e+20}, "", 45, 2, 2},
+		{`[1,2,2]`, nil, []float64{1, 2, 2}, "", 7, 0, 3},
+		{`[7,null,7,7]`, []float64{1, 2, 3, 4}, []float64{7, 2, 7, 7}, "", 12, 0, 3},
+	} {
+		d := windowDecoder{b: []byte(tc.series)}
+		got, err := d.series(slices.Clone(tc.over))
+		if fmt.Sprint(err) != cmp.Or(tc.err, "<nil>") || !sameBits(got, tc.want) || d.i != tc.end {
+			t.Errorf("%q: %v, %v, offset %d; want %v, %q, offset %d", tc.series, got, err, d.i, tc.want, tc.err, tc.end)
+		}
+		if d.slow != tc.slow || d.parsed != tc.parsed {
+			t.Errorf("%q: %d slow, %d parsed; want %d and %d", tc.series, d.slow, d.parsed, tc.slow, tc.parsed)
+		}
+	}
 }
 
 // TestDecodeWindowTruncated cuts a body that exercises every token kind
@@ -297,7 +393,7 @@ func TestDecodeWindowRepeatedKeyReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []WorkloadWire{{CPU: []float64{0}}}
-	if !reflect.DeepEqual(got, want) || string(span) != `[{"cpu":[null]}]` {
+	if !sameBits(got, want) || string(span) != `[{"cpu":[null]}]` {
 		t.Errorf("decodeWindow = %+v, span %q, want %+v", got, span, want)
 	}
 	var std WindowRequest
@@ -323,7 +419,7 @@ func TestDecodeWindowRecord(t *testing.T) {
 	for _, id := range []string{"f", `a"b`, "flotte-é", "<&>", "a\\b", "\u2028\x01"} {
 		want := &RecordWire{Window: &WindowRecord{Fleet: id, Workloads: wire}}
 		marshalled := mustJSON(want)
-		if rec, err := decodeRecord(marshalled); err != nil || !reflect.DeepEqual(rec, want) {
+		if rec, err := decodeRecord(marshalled); err != nil || !sameBits(rec, want) {
 			t.Errorf("fleet %q: json.Marshal-built record decoded to %+v, %v", id, rec, err)
 		}
 		head, err := windowHead(id)
@@ -363,13 +459,19 @@ func FuzzDecodeWindow(f *testing.F) {
 	})
 }
 
-// reportSlowNumbers reports, as slow-numbers, how many numbers per
-// operation the decoder handed to strconv since the counter read before:
-// 0 on the 197-server documents, and gated there (make bench-counts), so
-// an encoder or a decoder change that takes the samples off float's fast
-// paths fails on a count.
-func reportSlowNumbers(b *testing.B, before int64) {
-	b.ReportMetric(float64(slowNumbers.Load()-before)/float64(b.N), "slow-numbers")
+// countNumbers reports, per operation from its call to the call of what
+// it returns, the numbers the decoder handed to strconv as slow-numbers
+// and the samples it converted rather than copied as parsed-numbers. Both
+// are gated on the 197-server documents (make bench-counts): slow-numbers
+// at 0, so an encoder or a decoder change that takes the samples off
+// float's fast paths fails on a count, and parsed-numbers at what a flat
+// series leaves to parse, so a copy that stops firing does too.
+func countNumbers(b *testing.B) func() {
+	slow, parsed := slowNumbers.Load(), parsedNumbers.Load()
+	return func() {
+		b.ReportMetric(float64(slowNumbers.Load()-slow)/float64(b.N), "slow-numbers")
+		b.ReportMetric(float64(parsedNumbers.Load()-parsed)/float64(b.N), "parsed-numbers")
+	}
 }
 
 func BenchmarkDecodeWindow197(b *testing.B) {
@@ -377,7 +479,7 @@ func BenchmarkDecodeWindow197(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
-		defer reportSlowNumbers(b, slowNumbers.Load())
+		defer countNumbers(b)()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := decodeWindow(body); err != nil {
 				b.Fatal(err)
@@ -534,7 +636,7 @@ func checkDecode[T any](t *testing.T, name string, decode func([]byte) (*T, erro
 		}
 		return
 	}
-	if !reflect.DeepEqual(got, want) && !repeatsKey(doc) {
+	if !sameBits(got, want) && !repeatsKey(doc) {
 		t.Fatalf("%s = %s\nencoding/json = %s\ndoc: %s", name, clip(mustJSON(got)), clip(mustJSON(want)), clip(doc))
 	}
 }
@@ -682,7 +784,7 @@ func TestDecodeRecordMatchesEncodingJSON(t *testing.T) {
 	for _, rw := range recordKinds() {
 		doc := mustJSON(rw)
 		checkDecodeRecord(t, doc)
-		if got, err := decodeRecord(doc); err != nil || !reflect.DeepEqual(got, rw) {
+		if got, err := decodeRecord(doc); err != nil || !sameBits(got, rw) {
 			t.Errorf("decodeRecord(%s) = %+v, %v: not the record marshalled", clip(doc), got, err)
 		}
 	}
@@ -711,7 +813,7 @@ func TestDecodeRecordMatchesEncodingJSON(t *testing.T) {
 		{`{"register":{"request":{"id":"a","workloads":[{"name":"a"}]},"request":{"id":"b"}}}`,
 			&RecordWire{Register: &RegisterRecord{Request: &RegisterRequest{ID: "b"}}}},
 	} {
-		if got, err := decodeRecord([]byte(tc.doc)); err != nil || !reflect.DeepEqual(got, tc.want) {
+		if got, err := decodeRecord([]byte(tc.doc)); err != nil || !sameBits(got, tc.want) {
 			t.Errorf("%s: %s, %v, want %s", tc.doc, mustJSON(got), err, mustJSON(tc.want))
 		}
 	}
@@ -800,7 +902,7 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 	for i := range scratch {
 		scratch[i] = 'x'
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameBits(got, want) {
 		t.Errorf("the decoded record changed with its document: %s", clip(mustJSON(got)))
 	}
 }
@@ -849,7 +951,7 @@ func benchDecode[T any](b *testing.B, doc []byte, decode func([]byte) (*T, error
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
-		defer reportSlowNumbers(b, slowNumbers.Load())
+		defer countNumbers(b)()
 		for i := 0; i < b.N; i++ {
 			if _, err := decode(doc); err != nil {
 				b.Fatal(err)
