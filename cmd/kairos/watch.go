@@ -25,8 +25,7 @@ func cmdWatch(args []string) error {
 	dir := fs.String("snapshots", "", "directory of CSV trace snapshots, one observation window per file (required)")
 	spec := addSpecFlags(fs)
 	threshold := fs.Float64("drift-threshold", 0.04, "relative drift (utilization delta or forecast CV(RMSE)) that triggers a re-solve")
-	rearm := fs.Float64("rearm", 0, "hysteresis re-arm level (0 = half the threshold)")
-	cooldown := fs.Int("cooldown", 1, "observation windows suppressed after a trigger")
+	cooldown := fs.Int("cooldown", 1, "observation windows suppressed after a re-solve")
 	history := fs.Int("history", 2, "windows averaged into the rolling forecast the re-solve consumes")
 	minWorkloads := fs.Int("min-workloads", 1, "distinct drifted workloads required to trigger")
 	migWeight := fs.Float64("mig-weight", 0.05, "migration cost per average-working-set unit moved off its incumbent machine")
@@ -88,7 +87,6 @@ func cmdWatch(args []string) error {
 		kairos.WithResolveOptions(ropt),
 		kairos.WithDrift(kairos.DriftConfig{
 			Threshold:    *threshold,
-			Rearm:        *rearm,
 			Cooldown:     *cooldown,
 			History:      *history,
 			MinWorkloads: *minWorkloads,

@@ -73,8 +73,8 @@ func WithResolveOptions(opt SolveOptions) FleetOption {
 }
 
 // WithDrift tunes the drift detector behind Observe: trigger threshold,
-// hysteresis re-arm level, cool-down windows, forecast history and
-// workload quorum. Defaults to a 4% threshold with one cool-down window.
+// cool-down windows, forecast history and workload quorum. Defaults to a
+// 4% threshold with one cool-down window.
 func WithDrift(cfg DriftConfig) FleetOption {
 	return func(c *fleetConfig) { c.drift = cfg }
 }
@@ -123,8 +123,8 @@ type Fleet struct {
 	// history holds the last histLen observation windows, oldest first,
 	// feeding the forecast a triggered re-solve consumes.
 	history [][]Workload // guarded by mu
-	// trig is the trigger the last detect step reported, until a commit or
-	// a re-arm settles it: what Resolve solves for.
+	// trig is the trigger the last detect step reported, until a commit
+	// settles it or the next window replaces it: what Resolve solves for.
 	trig *DriftTrigger // guarded by mu
 	// gen counts mutating steps, so Advance can refuse an event the session
 	// has moved past since Resolve stamped it.
@@ -144,8 +144,8 @@ type fleetView struct {
 
 // NewFleet opens a consolidation session for the fleet described by spec.
 // The spec is validated structurally (series shapes, machine capacities)
-// up front; workload-name uniqueness is only required once Observe is
-// used.
+// and the drift configuration as the detector will check it, up front;
+// workload-name uniqueness is only required once Observe is used.
 func NewFleet(spec FleetSpec, opts ...FleetOption) (*Fleet, error) {
 	cfg := fleetConfig{
 		solve:   DefaultOptions(),
@@ -154,6 +154,9 @@ func NewFleet(spec FleetSpec, opts ...FleetOption) (*Fleet, error) {
 	}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if err := cfg.drift.Validate(); err != nil {
+		return nil, err
 	}
 	p := &Problem{Workloads: spec.Workloads, Machines: spec.Machines, Disk: spec.Disk}
 	if err := p.Validate(); err != nil {
@@ -286,8 +289,7 @@ func (f *Fleet) orSpec(b []Workload) []Workload {
 // detectLocked is the detect step: one observation window through the
 // drift detector and into the forecast history. A rejected window (shape
 // mismatch, unknown or duplicate workload) is not consumed and stays out
-// of the history. The reported trigger leaves the detector disarmed until
-// a commit rebases it or a re-arm undoes it.
+// of the history. A trigger changes the detector only if it commits.
 func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
 	if err := f.watchLocked(); err != nil {
 		return nil, err
@@ -359,14 +361,6 @@ func (f *Fleet) commitLocked(forecast []Workload, samples []drift.Sample, plan *
 	return nil
 }
 
-// rearmLocked forces the detector back to armed with no cool-down, undoing
-// the disarm a trigger caused when its re-solve never committed.
-func (f *Fleet) rearmLocked() {
-	f.det.Rearm()
-	f.trig = nil
-	f.gen++
-}
-
 // Observe consumes one observation window (the fleet's measured workload
 // series for the period, matched to the spec by workload name). It
 // returns (nil, nil) while the plan holds; when the drift detector fires
@@ -374,8 +368,8 @@ func (f *Fleet) rearmLocked() {
 // the new plan as the incumbent, and returns the event. Safe to call from
 // many collectors at once. A failed or cancelled re-solve
 // returns a *ResolveError (cancelling ctx aborts it mid-flight); the
-// window still counts as consumed, and the detector re-arms so persistent
-// drift fires again on the next window.
+// window still counts as consumed, and since nothing committed,
+// persistent drift fires again on the next window.
 func (f *Fleet) Observe(ctx context.Context, window []Workload) (*ReconsolidationEvent, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -389,9 +383,6 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan)
 	}
 	if err != nil {
-		// The detector disarmed itself when it fired; with no re-solve to
-		// rebase it, persistent drift would otherwise never re-fire.
-		f.rearmLocked()
 		return nil, err
 	}
 	return ev, nil
@@ -399,9 +390,8 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 
 // ObserveDetectOnly is Observe's detect step alone: the window goes
 // through the drift detector and forecast history, nothing solves, and the
-// result says whether it fired a trigger. A trigger reported here leaves
-// the detector disarmed, exactly as inside Observe; settle it with Resolve
-// + Advance, ReplayAdvance or RearmDetector.
+// result says whether it fired a trigger, which changes nothing until
+// Resolve + Advance or ReplayAdvance commits it.
 func (f *Fleet) ObserveDetectOnly(window []Workload) (triggered bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -412,8 +402,8 @@ func (f *Fleet) ObserveDetectOnly(window []Workload) (triggered bool, err error)
 // Resolve is Observe's solve step alone: it re-solves for the trigger the
 // last ObserveDetectOnly reported and returns the event without committing
 // anything, so a durable caller can journal the advance before Advance
-// publishes it. A solver failure is a *ResolveError; the caller settles
-// the trigger with RearmDetector.
+// publishes it. A solver failure is a *ResolveError, and leaves the session
+// as the window alone left it.
 func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -432,7 +422,7 @@ func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 // Advance is Observe's commit step alone: it commits the event Resolve
 // returned — new incumbent, rebased detector, published plan. It refuses
 // an event the session has moved past since Resolve (another
-// window, a re-arm, a Consolidate), and one Observe already committed.
+// window, a Consolidate), and one Observe already committed.
 func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -440,21 +430,6 @@ func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 		return fmt.Errorf("kairos: fleet %q: stale advance: the session moved since Resolve produced the event", f.spec.Name)
 	}
 	return f.commitLocked(ev.forecast, ev.samples, ev.Plan)
-}
-
-// RearmDetector settles an unsettled trigger — one ObserveDetectOnly
-// reported and no Advance or ReplayAdvance committed (its re-solve failed,
-// was suppressed, or its journal record replays as a rearm) — by forcing
-// the drift detector back to armed with no pending cool-down. It reports
-// whether there was such a trigger; without one it does nothing.
-func (f *Fleet) RearmDetector() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.trig == nil {
-		return false
-	}
-	f.rearmLocked()
-	return true
 }
 
 // ReplayAdvance is Advance's replay counterpart, for crash recovery: the
@@ -522,10 +497,12 @@ type FleetCheckpoint struct {
 	Baseline []Workload
 	// History is the retained observation windows, oldest first.
 	History [][]Workload
-	// Windows, Armed and Cooldown are the detector's counter state.
+	// Windows and Cooldown are the detector's counter state.
 	Windows  int
-	Armed    bool
 	Cooldown int
+	// Armed stays in the schema: Checkpoint writes true, RestoreWatch
+	// ignores it.
+	Armed bool
 }
 
 // Checkpoint exports the session's durable watch state for a snapshot.
@@ -543,7 +520,7 @@ func (f *Fleet) Checkpoint() *FleetCheckpoint {
 	for i, w := range f.history {
 		cp.History[i] = append([]Workload(nil), w...)
 	}
-	cp.Windows, cp.Armed, cp.Cooldown = f.det.Window(), f.det.Armed(), f.det.Cooldown()
+	cp.Windows, cp.Cooldown = f.det.Window(), f.det.Cooldown()
 	return cp
 }
 
@@ -576,7 +553,7 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 			return err
 		}
 	}
-	det.Restore(cp.Windows, cp.Armed, cp.Cooldown)
+	det.Restore(cp.Windows, cp.Cooldown)
 	history := append([][]Workload(nil), cp.History...)
 	if len(history) > f.histLen {
 		history = history[len(history)-f.histLen:]

@@ -9,9 +9,10 @@ import (
 	"kairos/internal/core"
 )
 
-// TestNewFleetValidation: structural spec errors surface at construction;
-// what only monitoring needs — a plan to watch, named workloads, a valid
-// drift config — surfaces at the first Observe, which consumes nothing.
+// TestNewFleetValidation: structural spec errors and an invalid drift
+// config surface at construction, the latter with the detector's own
+// error; what only monitoring needs — a plan to watch, named workloads —
+// surfaces at the first Observe, which consumes nothing.
 func TestNewFleetValidation(t *testing.T) {
 	wls, machines := watchFleet(4, 12)
 	if _, err := NewFleet(FleetSpec{Machines: machines}); err == nil {
@@ -25,6 +26,15 @@ func TestNewFleetValidation(t *testing.T) {
 	if _, err := NewFleet(FleetSpec{Workloads: wls, Machines: bad}); err == nil {
 		t.Error("zero-capacity machine accepted")
 	}
+	for _, cfg := range []DriftConfig{
+		{Threshold: -1}, {}, {Threshold: math.NaN()},
+		{Threshold: 0.04, Cooldown: -1}, {Threshold: 0.04, History: -1}, {Threshold: 0.04, MinWorkloads: -1},
+	} {
+		_, err := NewFleet(FleetSpec{Workloads: wls, Machines: machines}, WithDrift(cfg))
+		if want := cfg.Validate(); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("drift config %+v: NewFleet error %v, want the detector's %v", cfg, err, want)
+		}
+	}
 
 	_, inc := solveIncumbent(t, wls, machines)
 	unnamed := append([]Workload(nil), wls...)
@@ -37,7 +47,6 @@ func TestNewFleetValidation(t *testing.T) {
 		{"nil incumbent", wls, nil},
 		{"empty incumbent", wls, []FleetOption{WithIncumbent(&Incumbent{})}},
 		{"unnamed workload", unnamed, []FleetOption{WithIncumbent(inc)}},
-		{"invalid drift config", wls, []FleetOption{WithIncumbent(inc), WithDrift(DriftConfig{Threshold: -1})}},
 	} {
 		f, err := NewFleet(FleetSpec{Workloads: tc.wls, Machines: machines}, tc.opts...)
 		if err != nil {

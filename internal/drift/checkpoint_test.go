@@ -16,8 +16,8 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	base := []Sample{constWindow("a", 1), constWindow("b", 1)}
 
 	live := mustDetector(t, cfg, base...)
-	// Quiet, quiet, then a trigger: leaves the live detector disarmed with
-	// a running cool-down — the most state-laden point to checkpoint.
+	// Quiet, quiet, then a trigger and its commit: leaves the live detector
+	// with a running cool-down — the most state-laden point to checkpoint.
 	windows := [][]Sample{
 		{constWindow("a", 1.01), constWindow("b", 1)},
 		{constWindow("a", 0.99), constWindow("b", 1)},
@@ -34,9 +34,11 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			history = history[len(history)-cfg.History:]
 		}
 	}
-	if live.Armed() || live.Cooldown() != 2 || live.Window() != 3 {
-		t.Fatalf("live state armed=%v cooldown=%d window=%d, want disarmed/2/3",
-			live.Armed(), live.Cooldown(), live.Window())
+	if err := live.SetBaseline(base); err != nil {
+		t.Fatal(err)
+	}
+	if live.Cooldown() != 2 || live.Window() != 3 {
+		t.Fatalf("live state cooldown=%d window=%d, want 2/3", live.Cooldown(), live.Window())
 	}
 
 	restored := mustDetector(t, cfg, base...)
@@ -45,23 +47,21 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			t.Fatalf("SeedHistory: %v", err)
 		}
 	}
-	restored.Restore(live.Window(), live.Armed(), live.Cooldown())
+	restored.Restore(live.Window(), live.Cooldown())
 
 	// Both detectors must now agree on every subsequent window: the
-	// cool-down suppresses the next two, and the third (drift held at 30%)
-	// still cannot fire because the hysteresis never saw drift fall to the
-	// re-arm level.
+	// cool-down suppresses the next two, and the drift held at 30% fires
+	// on each window after them, since nothing commits.
 	for i := 0; i < 4; i++ {
 		w := []Sample{constWindow("a", 1.30), constWindow("b", 1)}
 		lt := observe(t, live, w...)
 		rt := observe(t, restored, w...)
-		if (lt == nil) != (rt == nil) {
+		if (lt == nil) != (rt == nil) || (lt == nil) != (i < 2) {
 			t.Fatalf("window %d: live trigger %v, restored trigger %v", i, lt, rt)
 		}
-		if live.Armed() != restored.Armed() || live.Cooldown() != restored.Cooldown() || live.Window() != restored.Window() {
-			t.Fatalf("window %d: state diverged (live %v/%d/%d, restored %v/%d/%d)", i,
-				live.Armed(), live.Cooldown(), live.Window(),
-				restored.Armed(), restored.Cooldown(), restored.Window())
+		if live.Cooldown() != restored.Cooldown() || live.Window() != restored.Window() {
+			t.Fatalf("window %d: state diverged (live %d/%d, restored %d/%d)", i,
+				live.Cooldown(), live.Window(), restored.Cooldown(), restored.Window())
 		}
 	}
 

@@ -14,11 +14,12 @@
 //     predictor restated for streaming windows) scored against the window,
 //
 // and emits a typed Trigger naming which workloads drifted, by how much,
-// and on which resource when a configurable threshold is crossed. The
-// trigger state machine has hysteresis (after firing, the detector stays
-// disarmed until drift falls back to the re-arm level) and a cool-down
-// (a number of windows after a trigger during which nothing fires), so a
-// noisy series sitting at the threshold cannot thrash re-solves.
+// and on which resource when a configurable threshold is crossed. A
+// trigger changes nothing in the detector; the commit of its re-solve
+// (SetBaseline) starts a cool-down, a number of windows during which
+// nothing fires while the new plan settles. A trigger that never commits
+// leaves the detector as a quiet window would, so persistent drift fires
+// again on the next window.
 package drift
 
 import (
@@ -91,12 +92,9 @@ type Config struct {
 	// a 5% utilization delta or a 5% CV(RMSE) forecast miss). A signal
 	// exactly at the threshold fires. Must be positive.
 	Threshold float64
-	// Rearm is the hysteresis level: after a trigger the detector stays
-	// disarmed until the fleet-wide maximum drift falls to Rearm or below.
-	// 0 defaults to Threshold/2; must not exceed Threshold.
-	Rearm float64
-	// Cooldown is the number of observation windows after a trigger during
-	// which no new trigger fires, regardless of drift. 0 disables.
+	// Cooldown is the number of observation windows after a rebase
+	// (SetBaseline, a committed re-solve) during which no trigger fires,
+	// regardless of drift. 0 disables.
 	Cooldown int
 	// History is the number of recent windows averaged into the rolling
 	// forecast (and retained for it). It counts windows, not appearances:
@@ -112,9 +110,6 @@ type Config struct {
 
 // withDefaults resolves the documented zero-value defaults.
 func (c Config) withDefaults() Config {
-	if c.Rearm == 0 {
-		c.Rearm = c.Threshold / 2
-	}
 	if c.History == 0 {
 		c.History = 2
 	}
@@ -221,38 +216,43 @@ type Detector struct {
 	cfg    Config
 	state  map[string]*workloadState
 	window int
-	// armed is the hysteresis state: triggers fire only while armed.
-	armed bool
-	// cooldown counts remaining suppressed windows after a trigger.
+	// cooldown counts the windows still suppressed after the last rebase.
 	cooldown int
+}
+
+// Validate reports whether cfg is a configuration NewDetector accepts.
+func (c Config) Validate() error {
+	if !(c.Threshold > 0) || math.IsInf(c.Threshold, 0) {
+		return fmt.Errorf("drift: threshold %v must be positive and finite", c.Threshold)
+	}
+	if c.Cooldown < 0 || c.History < 0 || c.MinWorkloads < 0 {
+		return fmt.Errorf("drift: negative cooldown/history/min-workloads")
+	}
+	return nil
 }
 
 // NewDetector creates a detector with the given configuration and baseline
 // samples — the per-workload series the incumbent plan was solved against.
+// The first baseline starts no cool-down.
 func NewDetector(cfg Config, baselines []Sample) (*Detector, error) {
-	if !(cfg.Threshold > 0) || math.IsInf(cfg.Threshold, 0) {
-		return nil, fmt.Errorf("drift: threshold %v must be positive and finite", cfg.Threshold)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Rearm < 0 || cfg.Rearm > cfg.Threshold {
-		return nil, fmt.Errorf("drift: re-arm level %v outside [0, threshold %v]", cfg.Rearm, cfg.Threshold)
-	}
-	if cfg.Cooldown < 0 || cfg.History < 0 || cfg.MinWorkloads < 0 {
-		return nil, fmt.Errorf("drift: negative cooldown/history/min-workloads")
-	}
-	d := &Detector{cfg: cfg.withDefaults(), state: map[string]*workloadState{}, armed: true}
+	d := &Detector{cfg: cfg.withDefaults(), state: map[string]*workloadState{}}
 	if err := d.SetBaseline(baselines); err != nil {
 		return nil, err
 	}
+	d.cooldown = 0
 	return d, nil
 }
 
 // SetBaseline replaces the plan assumptions the utilization-delta signal
-// compares against and re-arms the detector — call it after a re-solve so
-// drift is measured against the new plan. Observation history (and any
-// running cool-down) is preserved: the forecast tracks reality, not the
-// plan, and a fresh baseline must not cut a cool-down short. Only a
-// resource whose series shape the new baseline changes loses its history,
-// since no later window of that resource can be scored against it.
+// compares against and starts the cool-down — call it when a re-solve
+// commits, so drift is measured against the new plan and the windows
+// right after it, the plan settling, fire nothing. Observation history is
+// preserved: the forecast tracks reality, not the plan. Only a resource
+// whose series shape the new baseline changes loses its history, since no
+// later window of that resource can be scored against it.
 func (d *Detector) SetBaseline(baselines []Sample) error {
 	if len(baselines) == 0 {
 		return fmt.Errorf("drift: no baseline samples")
@@ -294,30 +294,16 @@ func (d *Detector) SetBaseline(baselines []Sample) error {
 		next[s.Workload] = ws
 	}
 	d.state = next
-	d.armed = true
+	d.cooldown = d.cfg.Cooldown
 	return nil
-}
-
-// Rearm forces the detector back to the armed state with no cool-down
-// pending. A caller whose reaction to a Trigger failed (e.g. the triggered
-// re-solve errored) uses it to undo the disarm that firing caused —
-// otherwise persistent drift could never fire again, since the hysteresis
-// re-arm level is exactly what the drift refuses to fall below.
-func (d *Detector) Rearm() {
-	d.armed = true
-	d.cooldown = 0
 }
 
 // Window returns how many observation windows have been consumed.
 func (d *Detector) Window() int { return d.window }
 
-// Armed reports the hysteresis state: whether the next above-threshold
-// window can fire (cool-down permitting).
-func (d *Detector) Armed() bool { return d.armed }
-
-// Cooldown returns how many post-trigger windows remain suppressed.
-// Together with Window and Armed it is the detector's full counter state,
-// checkpointed by the control plane's durability layer.
+// Cooldown returns how many windows after the last rebase remain
+// suppressed. Together with Window it is the detector's full counter
+// state, checkpointed by the control plane's durability layer.
 func (d *Detector) Cooldown() int { return d.cooldown }
 
 // SeedHistory appends one already-consumed observation window to the
@@ -385,21 +371,21 @@ func (d *Detector) record(samples []Sample) {
 	}
 }
 
-// Restore sets the detector's counter state — window count, hysteresis
-// arm, remaining cool-down — to checkpointed values, so a rebuilt
-// detector resumes exactly where the crashed one stopped (a detector that
-// was mid-cool-down must not fire on its first replayed window).
-func (d *Detector) Restore(window int, armed bool, cooldown int) {
+// Restore sets the detector's counter state — window count and remaining
+// cool-down — to checkpointed values, so a rebuilt detector resumes
+// exactly where the crashed one stopped (a detector that was mid-cool-down
+// must not fire on its first replayed window).
+func (d *Detector) Restore(window, cooldown int) {
 	d.window = window
-	d.armed = armed
 	d.cooldown = cooldown
 }
 
 // Observe consumes one observation window for the fleet and returns a
-// non-nil Trigger when drift fires. Workloads absent from the window are
-// skipped (no signal, and an empty slot in their forecast history);
-// workloads the baseline does not track are an error, as are windows whose
-// series shape differs from the baseline's.
+// non-nil Trigger when drift fires; a firing window changes the detector
+// as a quiet one does (the cool-down starts at SetBaseline). Workloads
+// absent from the window are skipped (no signal, and an empty slot in
+// their forecast history); workloads the baseline does not track are an
+// error, as are windows whose series shape differs from the baseline's.
 func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 	causes, err := d.score(samples)
 	if err != nil {
@@ -411,31 +397,18 @@ func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 	// Record history after scoring, so a window is never its own forecast.
 	d.record(samples)
 
-	maxDrift := 0.0
-	fleet := map[string]bool{}
-	var firing []Cause
-	for _, c := range causes {
-		if c.Drift > maxDrift {
-			maxDrift = c.Drift
-		}
-		if c.Drift >= d.cfg.Threshold {
-			firing = append(firing, c)
-			fleet[c.Workload] = true
-		}
-	}
-
-	// Cool-down suppresses everything, including re-arming: the windows
-	// right after a re-solve are the plan settling, not new drift.
+	// The windows right after a re-solve are the plan settling.
 	if d.cooldown > 0 {
 		d.cooldown--
 		return nil, nil
 	}
-	if !d.armed {
-		// Hysteresis: re-arm only once the fleet has calmed to Rearm.
-		if maxDrift <= d.cfg.Rearm {
-			d.armed = true
+	fleet := map[string]bool{}
+	var firing []Cause
+	for _, c := range causes {
+		if c.Drift >= d.cfg.Threshold {
+			firing = append(firing, c)
+			fleet[c.Workload] = true
 		}
-		return nil, nil
 	}
 	if len(fleet) < d.cfg.MinWorkloads {
 		return nil, nil
@@ -453,8 +426,6 @@ func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 		}
 		return a.Kind < b.Kind
 	})
-	d.armed = false
-	d.cooldown = d.cfg.Cooldown
 	return &Trigger{
 		Window:    window,
 		Causes:    firing,

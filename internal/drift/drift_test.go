@@ -44,8 +44,10 @@ func TestNewDetectorValidation(t *testing.T) {
 		{"zero threshold", Config{}, base},
 		{"negative threshold", Config{Threshold: -0.1}, base},
 		{"NaN threshold", Config{Threshold: math.NaN()}, base},
-		{"rearm above threshold", Config{Threshold: 0.05, Rearm: 0.06}, base},
+		{"infinite threshold", Config{Threshold: math.Inf(1)}, base},
 		{"negative cooldown", Config{Threshold: 0.05, Cooldown: -1}, base},
+		{"negative history", Config{Threshold: 0.05, History: -1}, base},
+		{"negative min-workloads", Config{Threshold: 0.05, MinWorkloads: -1}, base},
 		{"no baselines", Config{Threshold: 0.05}, nil},
 		{"unnamed baseline", Config{Threshold: 0.05}, []Sample{{CPU: base[0].CPU}}},
 		{"duplicate baseline", Config{Threshold: 0.05}, []Sample{constWindow("a", 1), constWindow("a", 2)}},
@@ -162,53 +164,72 @@ func TestForecastErrorSignal(t *testing.T) {
 	}
 }
 
-// TestHysteresisRearm: after a trigger, drift hovering between the re-arm
-// level and the threshold must not re-fire; only once the fleet calms to
-// the re-arm level does the detector arm again.
+// TestHysteresisRearm: a trigger leaves no disarm behind, so there is no
+// hysteresis to wait out. Drift hovering above the threshold re-fires on
+// every uncommitted window, windows under it stay quiet, and the next
+// excursion fires without a calm window in between.
 func TestHysteresisRearm(t *testing.T) {
 	// History 1 keeps the rolling forecast one window behind, so the
 	// forecast-error signal of each step below is easy to compute by hand.
-	d := mustDetector(t, Config{Threshold: 0.05, Rearm: 0.02, History: 1}, constWindow("a", 1))
-	if trig := observe(t, d, constWindow("a", 1.06)); trig == nil {
-		t.Fatal("initial above-threshold window should fire")
-	}
-	if d.Armed() {
-		t.Fatal("detector should be disarmed after firing")
-	}
-	// Still above threshold: suppressed by hysteresis, not re-fired.
-	if trig := observe(t, d, constWindow("a", 1.07)); trig != nil {
-		t.Fatalf("hysteresis should suppress re-fire, got %v", trig)
-	}
-	// Between re-arm and threshold (util 3%, forecast |1.03-1.07|/1.03 ≈
-	// 3.9%): still disarmed.
-	if trig := observe(t, d, constWindow("a", 1.03)); trig != nil {
-		t.Fatalf("drift above re-arm level should not re-arm, got %v", trig)
-	}
-	if d.Armed() {
-		t.Fatal("detector re-armed above the re-arm level")
-	}
-	// At the re-arm level (util exactly 2%, forecast ≈1%): arms, but does
-	// not fire this window.
-	if trig := observe(t, d, constWindow("a", 1.02)); trig != nil {
-		t.Fatalf("re-arming window should not fire, got %v", trig)
-	}
-	if !d.Armed() {
-		t.Fatal("detector should re-arm at the re-arm level")
-	}
-	// Armed again: the next excursion fires.
-	if trig := observe(t, d, constWindow("a", 1.06)); trig == nil {
-		t.Fatal("excursion after re-arm should fire")
-	} else if trig.Window != 4 {
-		t.Errorf("trigger window = %d, want 4", trig.Window)
+	d := mustDetector(t, Config{Threshold: 0.05, History: 1}, constWindow("a", 1))
+	for i, tc := range []struct {
+		level float64
+		fire  bool
+	}{
+		{1.06, true},  // util 6%
+		{1.07, true},  // util 7%: still above the threshold, fires again
+		{1.03, false}, // util 3%, forecast |1.03-1.07|/1.03 ≈ 3.9%
+		{1.02, false}, // util 2%, forecast ≈ 1%
+		{1.06, true},  // util 6%
+	} {
+		trig := observe(t, d, constWindow("a", tc.level))
+		if (trig != nil) != tc.fire {
+			t.Fatalf("window %d at %v: trigger %v, want fire=%v", i, tc.level, trig, tc.fire)
+		}
+		if trig != nil && trig.Window != i {
+			t.Errorf("trigger window = %d, want %d", trig.Window, i)
+		}
 	}
 }
 
-// TestCooldownSuppression: windows inside the cool-down never fire, no
-// matter how large the drift, and the cool-down also defers re-arming.
+// TestRearm: a caller whose trigger reaction failed has nothing to undo.
+// NewDetector's first baseline starts no cool-down and firing starts none,
+// so persistent drift re-fires on every uncommitted window even with a
+// cool-down configured; SetBaseline, the commit's rebase, starts it.
+func TestRearm(t *testing.T) {
+	d := mustDetector(t, Config{Threshold: 0.05, Cooldown: 3, History: 1}, constWindow("a", 1))
+	if d.Cooldown() != 0 {
+		t.Fatalf("new detector cool-down %d, want 0", d.Cooldown())
+	}
+	for i := 0; i < 3; i++ {
+		trig := observe(t, d, constWindow("a", 1.2))
+		if trig == nil || trig.Window != i {
+			t.Fatalf("uncommitted window %d: trigger %v, want one at window %d", i, trig, i)
+		}
+		if d.Cooldown() != 0 {
+			t.Fatalf("window %d: firing left cool-down %d, want 0", i, d.Cooldown())
+		}
+	}
+	if err := d.SetBaseline([]Sample{constWindow("a", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Cooldown() != 3 {
+		t.Fatalf("SetBaseline left cool-down %d, want 3", d.Cooldown())
+	}
+}
+
+// TestCooldownSuppression: the windows inside the cool-down a commit
+// starts never fire, no matter how large the drift, and the first window
+// after it fires on the drift that persists.
 func TestCooldownSuppression(t *testing.T) {
 	d := mustDetector(t, Config{Threshold: 0.05, Cooldown: 2, History: 1}, constWindow("a", 1))
 	if trig := observe(t, d, constWindow("a", 1.10)); trig == nil {
 		t.Fatal("first excursion should fire")
+	}
+	// The commit: rebase (here onto the same assumptions) starts the
+	// cool-down.
+	if err := d.SetBaseline([]Sample{constWindow("a", 1)}); err != nil {
+		t.Fatal(err)
 	}
 	// Two cool-down windows: huge drift, no trigger.
 	for i := 0; i < 2; i++ {
@@ -216,54 +237,12 @@ func TestCooldownSuppression(t *testing.T) {
 			t.Fatalf("cool-down window %d fired: %v", i, trig)
 		}
 	}
-	// Cool-down over but still disarmed (drift never fell to re-arm).
-	if trig := observe(t, d, constWindow("a", 2.0)); trig != nil {
-		t.Fatalf("disarmed detector fired after cool-down: %v", trig)
-	}
-	// One calm window is not enough to re-arm: the rolling forecast still
-	// remembers the 2.0 excursion, so the forecast miss stays huge.
-	if trig := observe(t, d, constWindow("a", 1.01)); trig != nil {
-		t.Fatalf("first calming window fired: %v", trig)
-	}
-	if d.Armed() {
-		t.Fatal("detector re-armed while the forecast still misses")
-	}
-	// A second calm window converges the forecast; util 1% and forecast 0%
-	// are both at or below the default re-arm level (threshold/2): arms.
-	if trig := observe(t, d, constWindow("a", 1.01)); trig != nil {
-		t.Fatalf("re-arming window fired: %v", trig)
-	}
-	if !d.Armed() {
-		t.Fatal("detector should re-arm once calm")
-	}
-	trig := observe(t, d, constWindow("a", 1.10))
+	trig := observe(t, d, constWindow("a", 2.0))
 	if trig == nil {
-		t.Fatal("post-cool-down excursion should fire")
+		t.Fatal("drift after the cool-down should fire")
 	}
-	if trig.Window != 6 {
-		t.Errorf("trigger window = %d, want 6", trig.Window)
-	}
-}
-
-// TestRearm: a caller whose trigger reaction failed can undo the disarm
-// (and pending cool-down), so persistent drift re-fires immediately.
-func TestRearm(t *testing.T) {
-	d := mustDetector(t, Config{Threshold: 0.05, Cooldown: 3, History: 1}, constWindow("a", 1))
-	if trig := observe(t, d, constWindow("a", 1.2)); trig == nil {
-		t.Fatal("excursion should fire")
-	}
-	// Without Rearm the next window would be swallowed by the cool-down
-	// and the drift level itself would block hysteresis re-arming forever.
-	d.Rearm()
-	if !d.Armed() {
-		t.Fatal("Rearm should arm")
-	}
-	trig := observe(t, d, constWindow("a", 1.2))
-	if trig == nil {
-		t.Fatal("persistent drift after Rearm should re-fire")
-	}
-	if trig.Window != 1 {
-		t.Errorf("trigger window = %d, want 1", trig.Window)
+	if trig.Window != 3 {
+		t.Errorf("trigger window = %d, want 3", trig.Window)
 	}
 }
 
@@ -275,12 +254,9 @@ func TestSetBaselineRebase(t *testing.T) {
 		t.Fatal("20% drift should fire")
 	}
 	// Rebase onto the drifted level (as the watch loop does with the
-	// forecast the re-solve consumed) and re-arm.
+	// forecast the re-solve consumed).
 	if err := d.SetBaseline([]Sample{constWindow("a", 1.2)}); err != nil {
 		t.Fatal(err)
-	}
-	if !d.Armed() {
-		t.Fatal("SetBaseline should re-arm")
 	}
 	// Same level is no longer drift. (History carries over: the forecast
 	// from the pre-rebase window predicts 1.2 exactly.)

@@ -230,15 +230,16 @@ func stateOf(t *testing.T, s *Server, id string) sessionState {
 	return st
 }
 
-// TestWorkersOptionIgnored: the "workers" option earlier releases took is
-// accepted and changes nothing. A registration carrying it is served the
-// plan one without it is, and a journaled register record and a snapshot
-// carrying it recover to the state the live server had.
+// TestWorkersOptionIgnored: the "workers" and "rearm" options earlier
+// releases took are accepted and change nothing. A registration carrying
+// them is served the plan one without them is, and a journaled register
+// record and a snapshot carrying them recover to the state the live server
+// had.
 func TestWorkersOptionIgnored(t *testing.T) {
 	plain := registerBody("a", 4, 8)
-	legacy := withWorkers(plain)
-	if !bytes.Contains(legacy, []byte(`"options":{"workers":2}`)) {
-		t.Fatalf("the legacy registration carries no workers option: %.200s", legacy)
+	legacy := withRetired(plain)
+	if !bytes.Contains(legacy, []byte(`"options":{"workers":2,"rearm":0.02}`)) {
+		t.Fatalf("the legacy registration carries no workers and rearm options: %.200s", legacy)
 	}
 	ref := New(nil)
 	defer ref.Close()
@@ -264,7 +265,7 @@ func TestWorkersOptionIgnored(t *testing.T) {
 		t.Fatalf("journal holds %d records, want the registration", len(recs))
 	}
 	dir := t.TempDir()
-	appendRaw(t, dir, withWorkers(recs[0].Payload))
+	appendRaw(t, dir, withRetired(recs[0].Payload))
 	recovered := func(what string) {
 		t.Helper()
 		rs, err := openDir(dir, t.Logf)
@@ -288,7 +289,7 @@ func TestWorkersOptionIgnored(t *testing.T) {
 	if len(rec.Records) != 0 || !bytes.Contains(rec.Snapshot, []byte(`"options":{}`)) {
 		t.Fatalf("the state directory holds %d records and a snapshot %.200s, want the snapshot alone", len(rec.Records), rec.Snapshot)
 	}
-	if err := l.Snapshot(withWorkers(rec.Snapshot)); err != nil {
+	if err := l.Snapshot(withRetired(rec.Snapshot)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

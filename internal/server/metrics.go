@@ -113,8 +113,6 @@ func writeJournalMetrics(w io.Writer, st journal.Stats, rec *RecoveryStats) {
 	g("kairos_recovery_fleets", "Fleets rebuilt by the last journal replay.", int64(rec.Fleets))
 	g("kairos_recovery_windows_replayed", "Window records replayed by the last recovery.", int64(rec.Windows))
 	g("kairos_recovery_advances_replayed", "Advance records replayed by the last recovery.", int64(rec.Advances))
-	g("kairos_recovery_rearms_replayed", "Rearm records replayed by the last recovery.", int64(rec.Rearms))
-	g("kairos_recovery_triggers_healed", "Dangling triggers re-armed by the last recovery.", int64(rec.Healed))
 	torn := int64(0)
 	if rec.TornTail {
 		torn = 1

@@ -5,10 +5,12 @@ package server
 // suffix of mutation records (RecordWire); replay restores the snapshot,
 // then applies each record with the function the live server applied it
 // with right after appending it (server.go's apply functions) — a window
-// goes through the detector and into the ack ring, and what its trigger
-// led to is whatever the next record says: an advance rebuilt from its
-// journaled incumbent (no re-solve) or a rearm. A recovered fleet's windows
-// take its turn as a registered one's do.
+// goes through the detector and into the ack ring, and its trigger
+// commits only if the next record is its advance, rebuilt from the
+// journaled incumbent (no re-solve). A trigger with no advance changed
+// nothing live, so replay has nothing to settle; a rearm record, a retired
+// kind, replays as nothing. A recovered fleet's windows take its turn as a
+// registered one's do.
 //
 // Convention (see CONTRIBUTING.md): every new control-plane mutation
 // needs a RecordWire field, an append, and one apply function called by
@@ -43,6 +45,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -67,14 +70,11 @@ type RecoveryStats struct {
 	SnapshotDecode time.Duration
 	// Fleets is the registry size after the full replay.
 	Fleets int
-	// Windows, Advances and Rearms count replayed journal records.
+	// Windows, Advances and Rearms count replayed journal records; a
+	// rearm, a retired kind, is counted and applied as nothing.
 	Windows  int
 	Advances int
 	Rearms   int
-	// Healed counts pending triggers re-armed by the self-heal rule: a
-	// journaled trigger whose outcome (advance or rearm) never made the
-	// journal before the crash.
-	Healed int
 	// TornTail reports the journal ended in a truncated partial record.
 	TornTail bool
 	// Records counts the journal records replayed after the snapshot.
@@ -134,6 +134,10 @@ func jitterDuration(d time.Duration) time.Duration {
 	return time.Duration(rand.Int63n(int64(d)))
 }
 
+// errRefusedDrift marks a fleet journaled before checkRegister refused its
+// drift options: it never consumed a window, and replay skips it.
+var errRefusedDrift = errors.New("drift options the detector refuses")
+
 // restoreSession rebuilds one fleet session from its snapshot entry,
 // without solving: the registration request and durable incumbent, and
 // the watch state once the fleet has consumed a window. A RegisterRecord
@@ -145,6 +149,9 @@ func restoreSession(fs *FleetSnapshot) (*session, error) {
 	}
 	if inc == nil {
 		return nil, fmt.Errorf("fleet %q journaled without an incumbent", req.ID)
+	}
+	if err := driftConfig(req.Options).Validate(); err != nil {
+		return nil, fmt.Errorf("fleet %q: %w: %w", req.ID, errRefusedDrift, err)
 	}
 	sess, err := buildSession(req)
 	if err != nil {
@@ -160,7 +167,6 @@ func restoreSession(fs *FleetSnapshot) (*session, error) {
 	cp := &kairos.FleetCheckpoint{
 		Incumbent: inc,
 		Windows:   fs.Detector.Windows,
-		Armed:     fs.Detector.Armed,
 		Cooldown:  fs.Detector.Cooldown,
 	}
 	if len(fs.Baseline) > 0 {
@@ -207,6 +213,10 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		for i := range snap.Fleets {
 			fs := &snap.Fleets[i]
 			sess, err := restoreSession(fs)
+			if errors.Is(err, errRefusedDrift) {
+				s.logf("snapshot: %v: skipped", err)
+				continue
+			}
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: %w", err)
 			}
@@ -223,15 +233,6 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		stats.SnapshotFleets = len(snap.Fleets)
 	}
 
-	// heal settles an unsettled trigger — a replayed window that fired with
-	// no journaled outcome. Live, the outcome record (advance or rearm)
-	// immediately follows its window; a crash between the two appends
-	// leaves the trigger dangling, and it re-arms so the drift fires again.
-	heal := func(sess *session) {
-		if sess.applyRearm(read) {
-			stats.Healed++
-		}
-	}
 	for ; ; stats.Records++ {
 		// Reading and decoding, or waiting for a helper's, is the one thing
 		// replay does without s.mu: a lock is not held across a channel
@@ -253,6 +254,10 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		switch {
 		case rw.Register != nil:
 			sess, err := restoreSession(&FleetSnapshot{Request: rw.Register.Request, Incumbent: rw.Register.Incumbent})
+			if errors.Is(err, errRefusedDrift) {
+				s.logf("journal record %d: %v: skipped", d.seq, err)
+				continue
+			}
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", d.seq, err)
 			}
@@ -264,7 +269,6 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 				s.logf("journal record %d: window for unknown fleet %q skipped", d.seq, id)
 				continue
 			}
-			heal(sess)
 			// The live server journaled before validating against the
 			// session; a window it went on to reject replays as rejected.
 			window, err := toWorkloads(rw.Window.Workloads, sess.needDisk)
@@ -288,10 +292,7 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 			}
 			stats.Advances++
 		case rw.Rearm != nil:
-			if sess := s.fleets[rw.Rearm.Fleet]; sess != nil {
-				sess.applyRearm(read)
-				stats.Rearms++
-			}
+			stats.Rearms++
 		case rw.Deregister != nil:
 			s.applyDeregisterLocked(read, rw.Deregister.Fleet)
 		default:
@@ -310,9 +311,6 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 	}
 
 	stats.Fleets = len(s.fleets)
-	for _, sess := range s.fleets {
-		heal(sess)
-	}
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }

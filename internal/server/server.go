@@ -564,13 +564,14 @@ func windowKey(wire []WorkloadWire) int64 {
 }
 
 // processWindow ingests one observation window: dedupe against the ack
-// ring, journal it, apply it, and — if it fired a trigger — decide the
-// outcome (an advance, or a rearm while the solver backs off or when it
-// fails), journal that, apply that. Each apply is the function replay
-// calls for the same record. record is the window's journal payload in
+// ring, journal it, apply it, and — if it fired a trigger the solver
+// answers — journal the advance and apply that. Each apply is the function
+// replay calls for the same record. A trigger that backoff holds back,
+// whose re-solve fails or whose advance the journal refuses commits
+// nothing and needs no record. record is the window's journal payload in
 // the parts the journal frames (nil without a state dir). The caller holds
 // the fleet's turn and the snapshot read-lock, so no snapshot sees a
-// window without its outcome.
+// window without its advance.
 func (s *Server) processWindow(ctx context.Context, sess *session, window []kairos.Workload, key int64, record [][]byte) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
@@ -598,15 +599,8 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 		ev, err = sess.fleet.Resolve(ctx)
 	}
 	if ev == nil {
-		// Suppressed or failed: re-arm, so the drift fires again. A refused
-		// append re-arms on the window's token: the window is journaled, and
-		// replay's heal re-arms its outcome-less trigger from it alone.
-		rearmTok, jerr := s.appendRecord(&RecordWire{Rearm: &RearmRecord{Fleet: sess.id}})
-		if jerr != nil {
-			s.logf("fleet %q: journaling re-arm: %v", sess.id, jerr)
-			rearmTok = winTok
-		}
-		sess.applyRearm(rearmTok)
+		// Suppressed or failed: nothing commits, so the drift fires again on
+		// the next window.
 		if err != nil && !errors.Is(err, context.Canceled) {
 			n, delay := sess.bumpBackoff()
 			s.logf("fleet %q: re-solve failed (%d consecutive), backing off %v: %v", sess.id, n, delay, err)
@@ -616,13 +610,11 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 	}
 	// Write-ahead: the advance is journaled before it commits or publishes,
 	// so a recovered server never serves an older plan than a client saw.
-	// A refused append commits nothing: the detector re-arms in memory, as
-	// recovery will from the journaled window, and the collector retries
-	// (503).
+	// A refused append commits nothing, live or on replay of the journaled
+	// window, and the collector retries (503).
 	rec := &AdvanceRecord{Fleet: sess.id, Incumbent: ev.Plan.Incumbent(), Event: eventWire(ev)}
 	advTok, err := s.appendRecord(&RecordWire{Advance: rec})
 	if err != nil {
-		sess.applyRearm(winTok)
 		return ingestResp{journalErr: fmt.Errorf("journaling advance: %w", err)}
 	}
 	if err := sess.applyAdvance(advTok, rec, ev); err != nil {
@@ -635,8 +627,8 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 }
 
 // applyWindow applies a window record: through the drift detector into
-// the forecast history (a trigger it fires stays unsettled in the Fleet
-// until its outcome record), and into the idempotent-ingest ring (evicting
+// the forecast history (a trigger it fires commits only with an advance
+// record), and into the idempotent-ingest ring (evicting
 // beyond ackRingSize) acked as not triggered — only the outcome record can
 // say the plan advanced. Entering the ring makes resends return the ack,
 // so the window must already be journaled.
@@ -684,13 +676,6 @@ func (sess *session) applyAdvance(_ journaled, rec *AdvanceRecord, ev *kairos.Re
 	sess.failures.Store(0)
 	sess.backoffUntil = time.Time{}
 	return nil
-}
-
-// applyRearm applies a rearm record: the Fleet's unsettled trigger, if it
-// has one, led to no advance, so the detector re-arms and the drift can
-// fire again. It reports whether there was one.
-func (sess *session) applyRearm(_ journaled) bool {
-	return sess.fleet.RearmDetector()
 }
 
 // appendEvents appends to the event log and publishes the longer slice.

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"kairos/internal/journal"
 )
 
 // testWorkloads builds n wire workloads of T samples whose CPU sits at
@@ -158,6 +160,42 @@ func TestCheckRegisterSizes(t *testing.T) {
 		if err := checkRegister(req); (err == nil) != tc.ok {
 			t.Errorf("count %d, replicas %d: err = %v, want ok=%v", tc.count, tc.replicas, err, tc.ok)
 		}
+	}
+}
+
+// TestRegisterRefusesBadDriftOptions: drift options the detector would
+// refuse, and a history past maxHistory, answer 400 at registration and
+// journal nothing; a history at the cap registers.
+func TestRegisterRefusesBadDriftOptions(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+	defer func() { ts.Close(); s.Kill() }()
+	register := func(id string, opt OptionsWire) (int, []byte) {
+		req := RegisterRequest{ID: id, Workloads: testWorkloads(3, 6, 1.0), AutoMachines: &AutoMachines{Count: 3}, Options: opt}
+		return do(t, http.MethodPost, ts.URL+"/v1/fleets", mustJSON(req))
+	}
+	minusOne := -1
+	for i, tc := range []struct {
+		name string
+		opt  OptionsWire
+	}{
+		{"negative cooldown", OptionsWire{Cooldown: &minusOne}},
+		{"negative history", OptionsWire{History: -1}},
+		{"negative min_workloads", OptionsWire{MinWorkloads: -1}},
+		{"negative drift_threshold", OptionsWire{DriftThreshold: -1}},
+		{"history past the cap", OptionsWire{History: maxHistory + 1}},
+	} {
+		if status, body := register(fmt.Sprintf("bad%d", i), tc.opt); status != http.StatusBadRequest {
+			t.Errorf("%s: registration answered %d %s, want 400", tc.name, status, body)
+		}
+	}
+	if status, body := register("capped", OptionsWire{History: maxHistory}); status != http.StatusCreated {
+		t.Fatalf("history at the cap: registration answered %d %s, want 201", status, body)
+	}
+	ts.Close()
+	s.Kill()
+	if records := journalRecords(t, dir); len(records) != 1 {
+		t.Fatalf("journal holds %d records, want only the registration at the cap", len(records))
 	}
 }
 

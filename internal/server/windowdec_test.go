@@ -529,6 +529,11 @@ func withWorkers(doc []byte) []byte {
 	return bytes.Replace(doc, []byte(`"options":{`), []byte(`"options":{"workers":2,`), 1)
 }
 
+// withRetired is withWorkers with the retired "rearm" option after it.
+func withRetired(doc []byte) []byte {
+	return bytes.Replace(withWorkers(doc), []byte(`"options":{"workers":2`), []byte(`"options":{"workers":2,"rearm":0.02`), 1)
+}
+
 // incumbent197 is a plan of the ALL fleet in durable form.
 func incumbent197(req *RegisterRequest) *kairos.Incumbent {
 	inc := &kairos.Incumbent{K: 16}
@@ -676,7 +681,7 @@ var registerCases = []string{
 	``, `null`, ` null `, `{}`, `[]`, `5`, `"x"`, `{"id":"a"}`, `{"id":"a"} x`, `{"id":"a"}{}`,
 	`{"id":"a","workloads":null,"auto_machines":{"count":2}}`,
 	`{"id":"a","workloads":[],"machines":[{"name":"m","cpu_capacity":1,"ram_bytes":2}],"machines":[{"name":"n"}]}`,
-	`{"workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"id":"a","options":{"workers":2,"cooldown":0,"migration_weight":0.5}}`,
+	`{"workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"id":"a","options":{"workers":2,"cooldown":0,"rearm":0.02,"migration_weight":0.5}}`,
 	`{"id":"a","ID":"b","Id":null,"workloads":[{"name":"w"}]}`,
 	`{"id":"a","disk_profile":{"deep":[[[{"x":"]}"}]]]},"workloads":[{"name":"w"}],"disk_profile" : [ 1 , 2 ] }`,
 	`{"id":"a","disk_profile":null,"auto_machines":null,"options":null,"machines":null,"workloads":null}`,
@@ -730,7 +735,7 @@ var recordCases = []string{
 	`{"advance":{"fleet":"f","incumbent":{"k":1,"units":[]},"event":null}}`, `{"advance":{"fleet":5}}`, `{"advance":tru}`,
 	`{"deregister":{"fleet":"f"},"rearm":null,"advance":null,"register":null,"window":null}`,
 	`{"deregister":{"fleet":"f"},"deregister":{"fleet":"g"}}`, `{"rearm":{"fleet":"f","workloads":[1,2]}}`,
-	`{"register":{"request":{"id":"a","workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"auto_machines":{"count":1},"options":{"workers":2,"cooldown":1}},"incumbent":{"k":1,"units":[{"workload":"w","index":0,"replica":0,"machine":0}]}}}`,
+	`{"register":{"request":{"id":"a","workloads":[{"name":"w","cpu":[1],"ram_bytes":[2]}],"auto_machines":{"count":1},"options":{"workers":2,"rearm":0.02,"cooldown":1}},"incumbent":{"k":1,"units":[{"workload":"w","index":0,"replica":0,"machine":0}]}}}`,
 }
 
 // snapshotCases are snapshots: null, absent, empty and repeated values at

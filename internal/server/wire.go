@@ -85,7 +85,8 @@ type AutoMachines struct {
 // OptionsWire are the registration-time knobs: a flat projection of the
 // library's functional options. A "workers" key, which earlier releases
 // took, is accepted and ignored: the solver's parallelism is the daemon's
-// CPU budget (internal/cpu), not a tenant's setting.
+// CPU budget (internal/cpu), not a tenant's setting. So is a retired
+// "rearm" key.
 type OptionsWire struct {
 	// FullSolve enables the global DIRECT run for the initial solve. The
 	// server default is the local-search path (SkipDirect), which is what
@@ -95,15 +96,13 @@ type OptionsWire struct {
 	// that many shards; 1 or less solves it unsharded.
 	Shards int `json:"shards,omitempty"`
 	// DriftThreshold is the relative drift that triggers a re-solve
-	// (default 0.04).
+	// (0 = the default 0.04; a negative one is refused).
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
-	// Rearm is the hysteresis re-arm level (0 = half the threshold).
-	Rearm float64 `json:"rearm,omitempty"`
-	// Cooldown is the number of windows suppressed after a trigger
-	// (default 1).
+	// Cooldown is the number of windows suppressed after a re-solve
+	// commits (default 1).
 	Cooldown *int `json:"cooldown,omitempty"`
 	// History is the number of windows averaged into the rolling forecast
-	// (default 2).
+	// (default 2, at most maxHistory).
 	History int `json:"history,omitempty"`
 	// MinWorkloads is the drifted-workload quorum for a trigger.
 	MinWorkloads int `json:"min_workloads,omitempty"`
@@ -220,10 +219,9 @@ type ErrorResponse struct {
 // RecordWire is one journal record of the durable control plane: exactly
 // one operation field is set. Every control-plane mutation — registering
 // a fleet, acking an observation window, advancing the incumbent plan,
-// re-arming the detector after a failed re-solve, deregistering — has a
-// record type here and one apply function in server.go that the live path
-// and recovery.go's replay both call (the CONTRIBUTING convention for new
-// mutations).
+// deregistering — has a record type here and one apply function in
+// server.go that the live path and recovery.go's replay both call (the
+// CONTRIBUTING convention for new mutations). Rearm is a retired kind.
 type RecordWire struct {
 	Register   *RegisterRecord   `json:"register,omitempty"`
 	Window     *WindowRecord     `json:"window,omitempty"`
@@ -264,10 +262,8 @@ type AdvanceRecord struct {
 	Event *EventWire `json:"event"`
 }
 
-// RearmRecord journals a detector re-arm: a trigger fired but its
-// re-solve failed (or was suppressed by backoff), so the disarm must not
-// survive replay — otherwise a recovered detector would wait for a
-// hysteresis reset that the live one never required.
+// RearmRecord is a retired kind: no server writes one, and replay reads
+// one, from an older state dir, as nothing.
 type RearmRecord struct {
 	Fleet string `json:"fleet"`
 }
@@ -307,7 +303,9 @@ type FleetSnapshot struct {
 	Failures int `json:"failures,omitempty"`
 }
 
-// DetectorWire is the drift detector's checkpointed counter state.
+// DetectorWire is the drift detector's checkpointed counter state. Armed
+// is always written true and never read: the detector has no disarmed
+// state, and the field keeps snapshots byte-compatible.
 type DetectorWire struct {
 	Windows  int  `json:"windows"`
 	Armed    bool `json:"armed"`
@@ -324,23 +322,37 @@ type AckWire struct {
 	Triggered bool `json:"triggered"`
 }
 
-// Two registration fields size the work by value, not by body bytes.
+// Three registration fields size the work by value, not by body bytes.
 // maxMachines caps auto_machines.count at the most machines an explicit
 // list of the shortest valid ones carries under maxBodyBytes, so both forms
-// share one ceiling; maxReplicas caps a workload's replicas.
+// share one ceiling; maxReplicas caps a workload's replicas. maxHistory
+// caps options.history, the windows every snapshot copies and every
+// forecast averages: a month of daily windows, where the paper averages
+// two weeks.
 const (
 	maxMachines = maxBodyBytes / len(`{"cpu_capacity":1,"ram_bytes":1},`)
 	maxReplicas = 16
+	maxHistory  = 32
 )
 
-// checkRegister refuses a registration whose id a path cannot address, or
-// that is past those caps, before anything is allocated for it.
+// checkRegister refuses a registration whose id a path cannot address,
+// that is past those caps, or whose drift options the detector would
+// refuse, before anything is allocated or journaled for it.
 func checkRegister(req *RegisterRequest) error {
 	if req.ID == "" || strings.ContainsAny(req.ID, "/ ") {
 		return fmt.Errorf("fleet id must be non-empty without '/' or spaces, got %q", req.ID)
 	}
 	if am := req.AutoMachines; am != nil && am.Count > maxMachines {
 		return fmt.Errorf("auto_machines.count %d exceeds %d", am.Count, maxMachines)
+	}
+	if h := req.Options.History; h > maxHistory {
+		return fmt.Errorf("options.history %d exceeds %d", h, maxHistory)
+	}
+	if th := req.Options.DriftThreshold; th < 0 {
+		return fmt.Errorf("options.drift_threshold %v is negative", th)
+	}
+	if err := driftConfig(req.Options).Validate(); err != nil {
+		return fmt.Errorf("options: %w", err)
 	}
 	for _, w := range req.Workloads {
 		if w.Replicas > maxReplicas {
@@ -471,28 +483,33 @@ func toFleetOptions(o OptionsWire) []kairos.FleetOption {
 		resolve.MigrationWeight = *o.MigrationWeight
 	}
 	resolve.MaxMigrations = o.MaxMigrations
-	driftCfg := kairos.DriftConfig{
-		Threshold:    0.04,
-		Rearm:        o.Rearm,
-		Cooldown:     1,
-		History:      o.History,
-		MinWorkloads: o.MinWorkloads,
-	}
-	if o.DriftThreshold > 0 {
-		driftCfg.Threshold = o.DriftThreshold
-	}
-	if o.Cooldown != nil {
-		driftCfg.Cooldown = *o.Cooldown
-	}
 	opts := []kairos.FleetOption{
 		kairos.WithSolveOptions(solve),
 		kairos.WithResolveOptions(resolve),
-		kairos.WithDrift(driftCfg),
+		kairos.WithDrift(driftConfig(o)),
 	}
 	if o.Shards > 0 {
 		opts = append(opts, kairos.WithShards(o.Shards))
 	}
 	return opts
+}
+
+// driftConfig is the detector configuration o asks for. A negative
+// threshold, journaled before checkRegister refused it, takes the default.
+func driftConfig(o OptionsWire) kairos.DriftConfig {
+	cfg := kairos.DriftConfig{
+		Threshold:    0.04,
+		Cooldown:     1,
+		History:      o.History,
+		MinWorkloads: o.MinWorkloads,
+	}
+	if o.DriftThreshold > 0 {
+		cfg.Threshold = o.DriftThreshold
+	}
+	if o.Cooldown != nil {
+		cfg.Cooldown = *o.Cooldown
+	}
+	return cfg
 }
 
 // toDiskProfile parses the raw registration disk-profile JSON (the format

@@ -47,15 +47,15 @@
 // plane takes them one at a time so its journal write sits between the
 // solve and the commit: ObserveDetectOnly (detect; reports a trigger),
 // Resolve (solve for that trigger; commits nothing), journal the event's
-// incumbent, Advance (commit it) — or RearmDetector when the solve failed
-// or was suppressed. The Fleet keeps the trigger unsettled until one of
-// those settles it, so the caller keeps no copy: RearmDetector reports
-// whether there was one. Crash recovery replays the same journal through
-// the counterparts that do not solve: AdoptIncumbent for the
-// registration-time Consolidate, ObserveDetectOnly for each window,
-// ReplayAdvance for each journaled advance, RearmDetector for each rearm
-// and for a trigger whose outcome never reached the journal; Checkpoint and
-// RestoreWatch move the detector's state through a snapshot. A window may
+// incumbent, Advance (commit it). The Fleet holds the trigger, so the
+// caller keeps no copy, and a trigger changes nothing until it commits: one
+// whose solve failed or was suppressed, or whose journal write was refused,
+// leaves the session as a quiet window would, and needs no record. Crash
+// recovery replays the same journal through the counterparts that do not
+// solve: AdoptIncumbent for the registration-time Consolidate,
+// ObserveDetectOnly for each window, ReplayAdvance for each journaled
+// advance; Checkpoint and RestoreWatch move the detector's state through a
+// snapshot. A window may
 // omit registered workloads: the re-solve forecasts every workload of the
 // fleet's baseline (the registration, then the last forecast), each from
 // the retained windows that carried it. `kairos

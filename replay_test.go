@@ -209,8 +209,8 @@ func TestCheckpointWithoutWindows(t *testing.T) {
 
 // TestResolveWithoutAdvance: a resolved event that is never committed (the
 // journal refused the write) must leave no trace — nothing publishes, the
-// incumbent does not move — and once the detector is re-armed the same
-// drift fires again. Advance refuses an event the session has moved past.
+// incumbent does not move — and the same drift fires again on the next
+// window. Advance refuses an event the session has moved past.
 func TestResolveWithoutAdvance(t *testing.T) {
 	wls, machines := watchFleet(8, 24)
 	_, inc := solveIncumbent(t, wls, machines)
@@ -230,31 +230,26 @@ func TestResolveWithoutAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.RearmDetector() {
-		t.Fatal("RearmDetector found no unsettled trigger after a firing window")
-	}
-	if f.RearmDetector() {
-		t.Fatal("RearmDetector settled a trigger twice")
-	}
 	if !reflect.DeepEqual(f.Incumbent(), inc) {
 		t.Fatal("uncommitted re-solve moved the incumbent")
 	}
 	if f.Plan() != nil {
 		t.Fatal("uncommitted re-solve published")
 	}
+	// The uncommitted trigger changed nothing: persistent drift fires
+	// again on the very next window, which makes the event stale.
+	if triggered, err := f.ObserveDetectOnly(drifted); err != nil || !triggered {
+		t.Fatalf("window after the uncommitted trigger: triggered=%v err=%v", triggered, err)
+	}
 	if err := f.Advance(stale); err == nil {
-		t.Fatal("Advance committed an event from before the re-arm")
+		t.Fatal("Advance committed an event from before a later window")
 	}
-	if _, err := f.Resolve(context.Background()); err == nil {
-		t.Fatal("Resolve after the re-arm settled the trigger succeeded")
-	}
-	// Persistent drift fires again on the very next window.
 	ev, err := f.Observe(context.Background(), drifted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev == nil {
-		t.Fatal("drift did not re-fire after the re-arm")
+		t.Fatal("drift did not re-fire with nothing committed")
 	}
 	if f.Plan() != ev.Plan {
 		t.Fatal("re-fired drift did not publish its plan")
@@ -265,7 +260,7 @@ func TestResolveWithoutAdvance(t *testing.T) {
 			t.Fatal("Advance committed a stale event")
 		}
 	}
-	if f.Plan() != ev.Plan || f.Window() != 3 {
+	if f.Plan() != ev.Plan || f.Window() != 4 {
 		t.Fatal("refused Advance still changed the session")
 	}
 }
@@ -295,6 +290,80 @@ func TestResolveErrorTyped(t *testing.T) {
 	if !strings.Contains(re.Error(), "re-solve failed") {
 		t.Fatalf("ResolveError message %q lost its context", re.Error())
 	}
+}
+
+// TestCooldownStartsOnlyAtCommit: a trigger changes the detector's state
+// only through its commit. One that nothing commits leaves the cool-down
+// at 0 and the next drifted window fires; Observe's commit, Advance and
+// ReplayAdvance each start the configured cool-down; a failed re-solve
+// starts none.
+func TestCooldownStartsOnlyAtCommit(t *testing.T) {
+	wls, machines := watchFleet(8, 24)
+	_, inc := solveIncumbent(t, wls, machines)
+	drifted := scaleWorkloads(wls, 1.12)
+	const cooldown = 2
+	ctx := context.Background()
+	session := func() *Fleet {
+		t.Helper()
+		f, err := NewFleet(FleetSpec{Workloads: wls, Machines: machines}, WithIncumbent(inc),
+			WithResolveOptions(watchResolveOptions()), WithDrift(DriftConfig{Threshold: 0.04, Cooldown: cooldown}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Observe(ctx, scaleWorkloads(wls, 1.004)); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fire := func(name string, f *Fleet) {
+		t.Helper()
+		if triggered, err := f.ObserveDetectOnly(drifted); err != nil || !triggered {
+			t.Fatalf("%s: drifted window triggered=%v err=%v", name, triggered, err)
+		}
+	}
+	checkCooldown := func(name string, f *Fleet, want int) {
+		t.Helper()
+		if cp := f.Checkpoint(); cp.Cooldown != want || !cp.Armed {
+			t.Errorf("%s: checkpoint cool-down %d armed %v, want %d and true", name, cp.Cooldown, cp.Armed, want)
+		}
+	}
+
+	f := session()
+	fire("uncommitted", f)
+	checkCooldown("uncommitted trigger", f, 0)
+	fire("window after the uncommitted trigger", f)
+
+	f = session()
+	fire("advance", f)
+	ev, err := f.Resolve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Advance(ev); err != nil {
+		t.Fatal(err)
+	}
+	checkCooldown("Advance", f, cooldown)
+
+	f = session()
+	fire("replayed advance", f)
+	if _, err := f.ReplayAdvance(ev.Plan.Incumbent()); err != nil {
+		t.Fatal(err)
+	}
+	checkCooldown("ReplayAdvance", f, cooldown)
+
+	f = session()
+	if ev, err := f.Observe(ctx, drifted); err != nil || ev == nil {
+		t.Fatalf("Observe on the drifted window: event %v err %v", ev, err)
+	}
+	checkCooldown("Observe", f, cooldown)
+
+	f = session()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := f.Observe(cancelled, drifted); err == nil {
+		t.Fatal("cancelled re-solve succeeded")
+	}
+	checkCooldown("failed re-solve", f, 0)
 }
 
 // TestUntriggeredCheckpointHasNoBaseline: until a trigger commits, the

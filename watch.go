@@ -17,8 +17,8 @@ import (
 
 // Re-exported drift-detection building blocks.
 type (
-	// DriftConfig tunes the drift detector's thresholds, hysteresis and
-	// cool-down.
+	// DriftConfig tunes the drift detector's threshold, cool-down,
+	// forecast history and workload quorum.
 	DriftConfig = drift.Config
 	// DriftTrigger reports which workloads drifted, by how much, on which
 	// resource.
