@@ -63,9 +63,9 @@ type Doc struct {
 // which a deterministic solver repeats exactly on any machine, and the
 // allocations and bytes allocated per op of the benchmarks that carry them.
 // screened is the sweep candidates the screen's capacity stage passed on;
-// slow-numbers and parsed-numbers are the samples a wire decoder handed to
+// gap is a cold solve's K above its lower bound; slow-numbers and parsed-numbers are the samples a wire decoder handed to
 // strconv and the samples it converted rather than copied.
-var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
+var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "gap", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

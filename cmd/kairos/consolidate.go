@@ -22,7 +22,7 @@ func cmdConsolidate(args []string) error {
 	traces := fs.String("traces", "", "consolidate recorded traces from this CSV file instead of a built-in dataset")
 	spec := addSpecFlags(fs)
 	verbose := fs.Bool("v", false, "print the full placement")
-	stats := fs.Bool("stats", false, "print the solver's work counters: the K probes it ran and the DIRECT samples the final run resumed, climbs run and reused, sweep candidates considered and skipped, machines summed by Eval and answered from its table")
+	stats := fs.Bool("stats", false, "print the fractional lower bound a cold solve searched K from and its gap, and the solver's work counters: the K probes it ran and the DIRECT samples the final run resumed, climbs run and reused, sweep candidates considered and skipped, machines summed by Eval and answered from its table")
 	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved separately (0 = single global solve)")
 	savePlan := fs.String("save-plan", "", "write the computed plan to this JSON file for later -resolve runs")
 	resolvePath := fs.String("resolve", "", "warm-start from a plan saved with -save-plan instead of solving cold (rolling re-consolidation)")
@@ -92,6 +92,9 @@ func cmdConsolidate(args []string) error {
 			plan.Migrated, len(plan.Assign), plan.MigrationCost, plan.Fevals)
 	}
 	if *stats {
+		if plan.LowerBound > 0 {
+			fmt.Printf("bound: fractional lower bound %d, gap = K − bound = %d\n", plan.LowerBound, plan.K-plan.LowerBound)
+		}
 		printSolveStats(plan.Fevals, plan.Stats)
 	}
 	if *savePlan != "" {

@@ -115,6 +115,12 @@ func reportWork(b *testing.B, sol *core.Solution) {
 	b.ReportMetric(float64(sol.K), "machines")
 }
 
+// reportGap reports a cold solve's gap: K above the lower bound it searched
+// from, the machines no bound proves necessary.
+func reportGap(b *testing.B, sol *core.Solution) {
+	b.ReportMetric(float64(sol.K-sol.LowerBound), "gap")
+}
+
 func benchColdSolve(b *testing.B, p *core.Problem) *core.Solution {
 	opt := core.DefaultSolveOptions()
 	opt.SkipDirect = true
@@ -128,6 +134,7 @@ func benchColdSolve(b *testing.B, p *core.Problem) *core.Solution {
 	}
 	b.StopTimer()
 	reportWork(b, sol)
+	reportGap(b, sol)
 	return sol
 }
 
@@ -196,6 +203,7 @@ func benchDirectSolve(b *testing.B, d fleet.Dataset) {
 	}
 	b.StopTimer()
 	reportWork(b, sol)
+	reportGap(b, sol)
 	b.ReportMetric(float64(sol.Stats.EvalPriced), "eval-priced")
 }
 

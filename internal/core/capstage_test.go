@@ -146,8 +146,8 @@ func (ev *Evaluator) walkSwaps(t *testing.T, ls *LoadState, mig *migration, w *C
 			base := ls.Contrib(a) + ls.Contrib(b)
 			migU, migV := mig.delta(u, a, b), mig.delta(v, b, a)
 			delta := (ls.priceExchange(a, u, v) + ls.priceExchange(b, v, u)) - base + migU + migV
-			kv, cv, rv := ev.scale[v], ev.cpu[v], ev.ram[v]
-			violU, violV := own.arrive(kv, cv, rv), caps[b].exchange(kv, cv, rv)
+			cv, rv := ev.cpu[v], ev.ram[v]
+			violU, violV := own.arrive(cv, rv), caps[b].exchange(cv, rv)
 			if (violU > 0 && capPrunes(violU, capFloor, base, migU, migV, bestDelta)) ||
 				(violV > 0 && capPrunes(violV, capFloor, base, migU, migV, bestDelta)) {
 				w.CapPruned++

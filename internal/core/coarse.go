@@ -26,7 +26,7 @@ import (
 //
 // Soundness is bit-level and needs no error envelope. At a sampled step the
 // screen evaluates the very expression the exact fill computes there
-// (fill: sum ± k·unit; fillExchange: sum − ko·out + ki·in; the disk model's
+// (fill: sum ± unit; fillExchange: sum − out + in; the disk model's
 // PredictWriteMBps of the candidate's working set and rate), so each sampled
 // value is one of the values the exact peak scan maximizes over, and a
 // maximum over a subset cannot exceed the maximum over all of them — whatever
@@ -46,9 +46,9 @@ import (
 // A capacity stage runs before the first stage. Most candidates a climb
 // considers overflow the receiving machine's CPU or RAM cap where that
 // machine already peaks, and the penalty alone rules them out. The stage
-// evaluates the first stage's own expression (boundFill's sum + k·unit for
-// a move's destination, boundExchange's sum − ko·out + ki·in for each side
-// of a swap) at the machine's overall CPU peak step for CPU and its RAM
+// evaluates the first stage's own expression (boundFill's sum + unit for a
+// move's destination, boundExchange's sum − out + in for each side of a
+// swap) at the machine's overall CPU peak step for CPU and its RAM
 // peak step for RAM, two of the steps the first stage reads. Only where a
 // value exceeds its cap does it run the sweep's check, on pricePeaks' CPU
 // and RAM violation terms, the exp term at the bracket's floor capFloor,
@@ -62,10 +62,9 @@ import (
 // but the time stays as it was. A check whose sum comes out −Inf is left
 // to the first stage, where the same sum can read Inf − Inf = NaN. A
 // sweep fills the stage's per-machine table once per unit it scans
-// (capSides). The products are written float64(k·x), a rounding barrier: no
-// architecture may fuse one into a multiply-add in one expression and not
-// in another, so the stage, the bounds and the exact fills read the same
-// bits (make fma-check disassembles the arm64 build for a fused one).
+// (capSides). A unit's demand is stored scaled (NewEvaluator), so the stage,
+// the bounds and the exact fills add and subtract the same bits and no
+// product meets their sums.
 // TestCapStageNeverStrongerThanFirstStage walks real climbs and
 // FuzzScreenDecision random inputs for a prune the first stage would not
 // make.
@@ -184,17 +183,21 @@ func (ls *LoadState) sampleOf(j int) []int32 {
 }
 
 // boundFill raises pk to the aggregate machine j would carry at each of the
-// given steps with unit u added (sign +1) or taken away (−1), as fill does.
-func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64) {
+// given steps with unit u added, or taken away when sub, as fill does: sum −
+// unit is sum + (−unit), bit for bit.
+func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sub bool) {
 	ev := ls.ev
-	k := sign * ev.scale[u]
 	cj, rj := ls.cpu[j], ls.ram[j]
 	cu, ru := ev.cpu[u], ev.ram[u]
 	for _, t := range steps {
-		if v := cj[t] + float64(k*cu[t]); v > pk.cpu {
+		c, r := cu[t], ru[t]
+		if sub {
+			c, r = -c, -r
+		}
+		if v := cj[t] + c; v > pk.cpu {
 			pk.cpu = v
 		}
-		if v := rj[t] + float64(k*ru[t]); v > pk.ram {
+		if v := rj[t] + r; v > pk.ram {
 			pk.ram = v
 		}
 	}
@@ -202,7 +205,11 @@ func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64)
 		wj, qj := ls.ws[j], ls.rate[j]
 		wu, qu := ev.ws[u], ev.rate[u]
 		for _, t := range steps {
-			if pred := d.PredictWriteMBps(wj[t]+float64(k*wu[t]), qj[t]+float64(k*qu[t])) * 1e6; pred > pk.disk {
+			w, q := wu[t], qu[t]
+			if sub {
+				w, q = -w, -q
+			}
+			if pred := d.PredictWriteMBps(wj[t]+w, qj[t]+q) * 1e6; pred > pk.disk {
 				pk.disk = pred
 			}
 		}
@@ -214,15 +221,14 @@ func (ls *LoadState) boundFill(pk *peaks, steps []int32, u, j int, sign float64)
 // fillExchange's expression there.
 func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
 	ev := ls.ev
-	ko, ki := ev.scale[out], ev.scale[in]
 	cj, rj := ls.cpu[j], ls.ram[j]
 	co, ro := ev.cpu[out], ev.ram[out]
 	ci, ri := ev.cpu[in], ev.ram[in]
 	for _, t := range steps {
-		if v := cj[t] - float64(ko*co[t]) + float64(ki*ci[t]); v > pk.cpu {
+		if v := cj[t] - co[t] + ci[t]; v > pk.cpu {
 			pk.cpu = v
 		}
-		if v := rj[t] - float64(ko*ro[t]) + float64(ki*ri[t]); v > pk.ram {
+		if v := rj[t] - ro[t] + ri[t]; v > pk.ram {
 			pk.ram = v
 		}
 	}
@@ -231,7 +237,7 @@ func (ls *LoadState) boundExchange(pk *peaks, steps []int32, j, out, in int) {
 		wo, qo := ev.ws[out], ev.rate[out]
 		wi, qi := ev.ws[in], ev.rate[in]
 		for _, t := range steps {
-			if pred := d.PredictWriteMBps(wj[t]-float64(ko*wo[t])+float64(ki*wi[t]), qj[t]-float64(ko*qo[t])+float64(ki*qi[t])) * 1e6; pred > pk.disk {
+			if pred := d.PredictWriteMBps(wj[t]-wo[t]+wi[t], qj[t]-qo[t]+qi[t]) * 1e6; pred > pk.disk {
 				pk.disk = pred
 			}
 		}
@@ -350,8 +356,8 @@ var capFloor = expE[0] * (1 - 0x1p-50)
 
 // capSide is the capacity stage's view of machine j for one unit u: j's
 // overall CPU and RAM peak steps (the first sampleGlobal of its sample), its
-// sums there, u's share there — scale·series, the product fill and
-// fillExchange add — and j's caps.
+// sums there, u's demand there — what fill and fillExchange add — and j's
+// caps.
 type capSide struct {
 	tc, tr       int32
 	cpu, ram     float64
@@ -363,14 +369,13 @@ type capSide struct {
 // for unit u.
 func (ls *LoadState) capSides(u int) []capSide {
 	ev := ls.ev
-	k := ev.scale[u]
 	cu, ru := ev.cpu[u], ev.ram[u]
 	for j := range ls.capTab {
 		tc, tr := ls.sample[j*sampleStride], ls.sample[j*sampleStride+1]
 		ls.capTab[j] = capSide{
 			tc: tc, tr: tr,
 			cpu: ls.cpu[j][tc], ram: ls.ram[j][tr],
-			unitC: float64(k * cu[tc]), unitR: float64(k * ru[tr]),
+			unitC: cu[tc], unitR: ru[tr],
 			capC: ev.capCPU[j], capR: ev.capRAM[j],
 		}
 	}
@@ -392,7 +397,7 @@ func (s *capSide) viol(c, r float64) float64 {
 }
 
 // add is the violation with the table's unit arriving: a move's
-// destination, boundFill's sum + k·unit.
+// destination, boundFill's sum + unit.
 func (s *capSide) add() float64 { return s.viol(s.cpu+s.unitC, s.ram+s.unitR) }
 
 // leave returns the side with the table's unit gone from its machine: a
@@ -402,18 +407,18 @@ func (s capSide) leave() capSide {
 	return s
 }
 
-// arrive is the violation with the unit of scale k and series c, r arriving
-// on a side the table's unit has left: boundExchange's
-// sum − ko·out + ki·in with the first product hoisted.
-func (s *capSide) arrive(k float64, c, r []float64) float64 {
-	return s.viol(s.cpu+float64(k*c[s.tc]), s.ram+float64(k*r[s.tr]))
+// arrive is the violation with the unit of demand series c, r arriving on a
+// side the table's unit has left: boundExchange's sum − out + in with the
+// first subtraction hoisted.
+func (s *capSide) arrive(c, r []float64) float64 {
+	return s.viol(s.cpu+c[s.tc], s.ram+r[s.tr])
 }
 
-// exchange is the violation with the member of scale k and series c, r
-// leaving the side's machine and the table's unit arriving:
-// boundExchange's sum − ko·out + ki·in.
-func (s *capSide) exchange(k float64, c, r []float64) float64 {
-	return s.viol(s.cpu-float64(k*c[s.tc])+s.unitC, s.ram-float64(k*r[s.tr])+s.unitR)
+// exchange is the violation with the member of demand series c, r leaving
+// the side's machine and the table's unit arriving: boundExchange's
+// sum − out + in.
+func (s *capSide) exchange(c, r []float64) float64 {
+	return s.viol(s.cpu-c[s.tc]+s.unitC, s.ram-r[s.tr]+s.unitR)
 }
 
 // capPrunes decides the capacity stage's check: the sweep's check with the
@@ -436,16 +441,16 @@ func (ls *LoadState) screenAddFirst(sc *sideScreen, u, j int) {
 	if c := ev.slaCapU[u]; c < sc.slaCap {
 		sc.slaCap = c
 	}
-	ls.boundFill(&sc.pk, ev.unitPeak[2*u:2*u+2], u, j, +1)
-	ls.boundFill(&sc.pk, ls.sampleOf(j)[:sampleGlobal], u, j, +1)
+	ls.boundFill(&sc.pk, ev.unitPeak[2*u:2*u+2], u, j, false)
+	ls.boundFill(&sc.pk, ls.sampleOf(j)[:sampleGlobal], u, j, false)
 }
 
 // screenAddRest is the rest stage of the move screen.
 func (ls *LoadState) screenAddRest(sc *sideScreen, u, j int) {
-	ls.boundFill(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j, +1)
+	ls.boundFill(&sc.pk, ls.sampleOf(j)[sampleGlobal:], u, j, false)
 }
 
-// boundRemove returns a lower bound on PriceRemove(u): fill's sum − k·unit
+// boundRemove returns a lower bound on PriceRemove(u): fill's sum − unit
 // at u's machine's sample steps, priced with PriceRemove's cap and pairs.
 func (ls *LoadState) boundRemove(u int) float64 {
 	from := ls.assign[u]
@@ -453,7 +458,7 @@ func (ls *LoadState) boundRemove(u int) float64 {
 		return 0
 	}
 	var pk peaks
-	ls.boundFill(&pk, ls.sampleOf(from), u, from, -1)
+	ls.boundFill(&pk, ls.sampleOf(from), u, from, true)
 	viol, norm := ls.ev.pricePeaks(from, pk.cpu, pk.ram, pk.disk, ls.capWithout(from, u), nil, nil)
 	return contribWith(norm, viol, ls.confPairs[from]-ls.conflictsOn(u, from))
 }

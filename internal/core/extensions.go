@@ -14,7 +14,10 @@ import (
 //     Section 1): a per-workload cap on the utilization of whichever
 //     machine hosts it, derived from an M/G/1-style queueing bound;
 //   - per-replica load scaling ("if the input workloads are already
-//     replicated, we can use the actual load of the replicas", Section 5);
+//     replicated, we can use the actual load of the replicas", Section 5),
+//     applied once in NewEvaluator: a replica's demand series are stored
+//     scaled, so every pricer, the fractional bound and the greedy order
+//     read the load the replica really adds;
 //   - pre-grouped solving for very large inventories ("a possible way to
 //     scale our solutions to handle tens of thousands of databases consists
 //     in pre-grouping the input workloads, and solve the multiple

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,11 +33,13 @@ func TestLatencySLAMaxUtilization(t *testing.T) {
 
 func TestSLAValidation(t *testing.T) {
 	n := 12
-	w := flatWL("a", 0.2, 1, n)
-	w.SLA = &LatencySLA{MaxSlowdown: 1}
-	p := &Problem{Workloads: []Workload{w}, Machines: machines(2, 1, 16)}
-	if err := p.Validate(); err == nil {
-		t.Error("SLA slowdown ≤ 1 accepted")
+	for _, slowdown := range []float64{1, 0.5, math.NaN()} {
+		w := flatWL("a", 0.2, 1, n)
+		w.SLA = &LatencySLA{MaxSlowdown: slowdown}
+		p := &Problem{Workloads: []Workload{w}, Machines: machines(2, 1, 16)}
+		if err := p.Validate(); err == nil {
+			t.Errorf("SLA slowdown %v accepted", slowdown)
+		}
 	}
 }
 
@@ -88,12 +92,14 @@ func TestSLAOnlyConstrainsItsMachine(t *testing.T) {
 
 func TestReplicaLoadScaleValidation(t *testing.T) {
 	n := 12
-	w := flatWL("a", 0.2, 1, n)
-	w.Replicas = 2
-	w.ReplicaLoadScale = []float64{1, 0}
-	p := &Problem{Workloads: []Workload{w}, Machines: machines(2, 1, 16)}
-	if err := p.Validate(); err == nil {
-		t.Error("zero replica scale accepted")
+	for _, scale := range []float64{0, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := flatWL("a", 0.2, 1, n)
+		w.Replicas = 2
+		w.ReplicaLoadScale = []float64{1, scale}
+		p := &Problem{Workloads: []Workload{w}, Machines: machines(2, 1, 16)}
+		if err := p.Validate(); err == nil {
+			t.Errorf("replica scale %v accepted", scale)
+		}
 	}
 }
 
@@ -125,6 +131,110 @@ func TestReplicaLoadScaleApplied(t *testing.T) {
 	hi, lo := math.Max(peaks[0], peaks[1]), math.Min(peaks[0], peaks[1])
 	if math.Abs(hi-0.6) > 1e-9 || math.Abs(lo-0.41) > 1e-9 {
 		t.Errorf("peaks = %v, want {0.6, 0.41}", peaks)
+	}
+}
+
+// TestScaledReplicasBoundTheSearch: four workloads at 0.4 CPU, each with a
+// second replica at 5 % of its load, fit on two of three 1.0-CPU machines
+// (each machine two primaries and the other two's replicas, 0.84). The
+// fractional bound sums the replicas' scaled demand, 1.68, so it reads 2,
+// and a cold Solve searches from there instead of refusing the fleet.
+func TestScaledReplicasBoundTheSearch(t *testing.T) {
+	n := 12
+	var wls []Workload
+	for _, name := range []string{"a", "b", "c", "d"} {
+		w := flatWL(name, 0.4, 1, n)
+		w.Replicas = 2
+		w.ReplicaLoadScale = []float64{1, 0.05}
+		wls = append(wls, w)
+	}
+	p := &Problem{Workloads: wls, Machines: machines(3, 1, 64)}
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb := ev.FractionalLowerBound(); lb != 2 {
+		t.Errorf("fractional lower bound = %d, want 2", lb)
+	}
+	sol, err := Solve(context.Background(), p, DefaultSolveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Feasible || sol.K != 2 || sol.LowerBound != 2 {
+		t.Fatalf("K = %d feasible=%v bound %d, want a feasible K = 2 from bound 2", sol.K, sol.Feasible, sol.LowerBound)
+	}
+}
+
+// TestFractionalBoundBelowFeasibleK: on seeded random fleets whose replicas
+// carry load scales in (0, 1] — the primary's too — the fractional bound
+// never exceeds the K of a feasible plan, whether a cold Solve found it
+// or a warm Resolve did, from the cold plan or from every unit spread over
+// every machine, which its reduction pass then empties.
+func TestFractionalBoundBelowFeasibleK(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const T = 24
+	start, step := time.Unix(0, 0), 5*time.Minute
+	ctx := context.Background()
+	opt := DefaultSolveOptions()
+	opt.SkipDirect = true
+	free := opt // MigrationWeight 0: Resolve may reduce K freely
+	for trial := 0; trial < 40; trial++ {
+		nW := 3 + rng.Intn(8)
+		wls := make([]Workload, nW)
+		for i := range wls {
+			base, amp, phase := 0.1+0.4*rng.Float64(), 0.1*rng.Float64(), 2*math.Pi*rng.Float64()
+			wls[i] = Workload{
+				Name: fmt.Sprintf("w%d", i),
+				CPU: series.FromFunc(start, step, T, func(_ time.Time, t int) float64 {
+					return base + amp*math.Sin(2*math.Pi*float64(t)/T+phase)
+				}),
+				RAMBytes:   series.Constant(start, step, T, (1+6*rng.Float64())*1e9),
+				WSBytes:    series.Constant(start, step, T, (0.2+rng.Float64())*1e9),
+				UpdateRate: series.Constant(start, step, T, 200+1000*rng.Float64()),
+				Replicas:   1 + rng.Intn(3),
+				PinTo:      -1,
+			}
+			for r := 0; r < wls[i].Replicas; r++ {
+				wls[i].ReplicaLoadScale = append(wls[i].ReplicaLoadScale, 1-rng.Float64())
+			}
+		}
+		ms := machines(nW+2, 1, 16)
+		for j := range ms {
+			ms[j].DiskWriteBps = 40e6
+		}
+		p := &Problem{Workloads: wls, Machines: ms}
+		if trial%2 == 1 {
+			p.Disk = syntheticDiskProfile()
+		}
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb := ev.FractionalLowerBound()
+		cold, err := Solve(ctx, p, opt)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if cold.LowerBound != lb {
+			t.Errorf("trial %d: Solution.LowerBound = %d, the evaluator's bound %d", trial, cold.LowerBound, lb)
+		}
+		spread := &Solution{Assign: make([]int, ev.NumUnits()), Units: ev.Units(), K: len(ms)}
+		for u := range spread.Assign {
+			spread.Assign[u] = u % len(ms)
+		}
+		plans := []*Solution{cold}
+		for _, from := range []*Solution{cold, spread} {
+			warm, err := Resolve(ctx, p, IncumbentFromSolution(p, from), free)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			plans = append(plans, warm)
+		}
+		for i, sol := range plans {
+			if sol.Feasible && lb > sol.K {
+				t.Errorf("trial %d plan %d: fractional bound %d exceeds the feasible K = %d", trial, i, lb, sol.K)
+			}
+		}
 	}
 }
 

@@ -306,12 +306,11 @@ func (ls *LoadState) capWithout(j, out int) float64 {
 	return cap
 }
 
-// fill writes machine j's sums plus unit u's scaled demand into the
-// scratch buffers (sign +1) or minus it (sign -1): CPU and RAM always,
-// working set and update rate only under a disk model.
-func (ls *LoadState) fill(u, j int, sign float64) {
-	ev := ls.ev
-	ev.addScaled(u, sign*ev.scale[u], ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
+// fill writes machine j's sums plus unit u's demand into the scratch
+// buffers, or minus it when sub: CPU and RAM always, working set and update
+// rate only under a disk model.
+func (ls *LoadState) fill(u, j int, sub bool) {
+	ls.ev.fillUnit(u, sub, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, ls.cpu[j], ls.ram[j], ls.ws[j], ls.rate[j])
 }
 
 // PriceAdd prices machine j as if unit u were appended to its members:
@@ -324,7 +323,7 @@ func (ls *LoadState) PriceAdd(u, j int) float64 {
 	if ls.assign[u] == j {
 		return ls.contrib[j]
 	}
-	ls.fill(u, j, +1)
+	ls.fill(u, j, false)
 	cap := ls.slaCap[j]
 	if c := ev.slaCapU[u]; c < cap {
 		cap = c
@@ -343,7 +342,7 @@ func (ls *LoadState) PriceRemove(u int) float64 {
 	if len(ls.members[from]) == 1 {
 		return 0 // machine becomes unused
 	}
-	ls.fill(u, from, -1)
+	ls.fill(u, from, true)
 	viol, norm := ev.evalSums(from, ls.sCPU, ls.sRAM, ls.sWS, ls.sRate, ls.capWithout(from, u))
 	return contribWith(norm, viol, ls.confPairs[from]-ls.conflictsOn(u, from))
 }
@@ -373,7 +372,7 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 	if ls.screenAddViol(u, j) > 0 {
 		return false
 	}
-	ls.fill(u, j, +1)
+	ls.fill(u, j, false)
 	cap := ls.slaCap[j]
 	if c := ev.slaCapU[u]; c < cap {
 		cap = c
@@ -382,28 +381,26 @@ func (ls *LoadState) CanPlace(u, j int) bool {
 	return viol == 0
 }
 
-// fillExchange writes machine j's sums minus member `out`'s scaled demand
-// plus unit `in`'s into the scratch buffers — the aggregate j would carry
-// after a 2-exchange, each stream over its horizon. Like fill it skips the
-// disk streams without a disk model.
+// fillExchange writes machine j's sums minus member `out`'s demand plus
+// unit `in`'s into the scratch buffers — the aggregate j would carry after a
+// 2-exchange, each stream over its horizon. Like fill it skips the disk
+// streams without a disk model.
 func (ls *LoadState) fillExchange(j, out, in int) {
 	ev := ls.ev
-	ko, ki := ev.scale[out], ev.scale[in]
-	exchangeSum(ls.sCPU[:ev.T], ls.cpu[j], ev.cpu[out], ev.cpu[in], ko, ki)
-	exchangeSum(ls.sRAM[:ev.ramSteps()], ls.ram[j], ev.ram[out], ev.ram[in], ko, ki)
+	exchangeSum(ls.sCPU[:ev.T], ls.cpu[j], ev.cpu[out], ev.cpu[in])
+	exchangeSum(ls.sRAM[:ev.ramSteps()], ls.ram[j], ev.ram[out], ev.ram[in])
 	if ev.p.Disk != nil {
-		exchangeSum(ls.sWS[:ev.wsSteps()], ls.ws[j], ev.ws[out], ev.ws[in], ko, ki)
-		exchangeSum(ls.sRate[:ev.T], ls.rate[j], ev.rate[out], ev.rate[in], ko, ki)
+		exchangeSum(ls.sWS[:ev.wsSteps()], ls.ws[j], ev.ws[out], ev.ws[in])
+		exchangeSum(ls.sRate[:ev.T], ls.rate[j], ev.rate[out], ev.rate[in])
 	}
 }
 
 // exchangeSum is fillExchange's kernel over one stream and the steps dst
-// spans: dst = sum − ko·out + ki·in, bounds checks hoisted and products
-// rounded like fillSum's.
-func exchangeSum(dst, sum, out, in []float64, ko, ki float64) {
+// spans: dst = sum − out + in, bounds checks hoisted like fillSum's.
+func exchangeSum(dst, sum, out, in []float64) {
 	sum, out, in = sum[:len(dst)], out[:len(dst)], in[:len(dst)]
 	for t := range dst {
-		dst[t] = sum[t] - float64(ko*out[t]) + float64(ki*in[t])
+		dst[t] = sum[t] - out[t] + in[t]
 	}
 }
 

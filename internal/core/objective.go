@@ -7,7 +7,7 @@ import (
 )
 
 // The pricing kernels in this file (accumulateInto and accumulate, addUnit
-// and addScaled, peak, diskPeak, pricePeaks, evalSums, conflictPairs,
+// and fillUnit, peak, diskPeak, pricePeaks, evalSums, conflictPairs,
 // conflicted) run for every candidate a climb considers, and Eval with its
 // reuse table (evalReuse.find) for every DIRECT sample. Each runs a stream
 // over its horizon: T steps, or one for a flat RAM or working set (see
@@ -52,8 +52,6 @@ type Evaluator struct {
 	// at the full horizon; a test clears them on a clone to compare the two.
 	flatRAM, flatWS bool
 
-	// scale[u] multiplies unit u's demands (per-replica load scaling).
-	scale []float64
 	// pin[u] is the required machine for unit u, or -1.
 	pin []int
 	// conflicts[u] lists units that must not share a machine with u,
@@ -85,8 +83,11 @@ type Evaluator struct {
 	capDisk []float64
 	// capClass[j] is the lowest machine index whose three capacities equal
 	// machine j's bit for bit. A machine's price reads nothing else of the
-	// machine (pricePeaks), so Eval's reuse table keys on the class.
+	// machine (pricePeaks), so Eval's reuse table keys on the class, and
+	// with oneClass — every machine in one class — the machine labels are
+	// interchangeable (Resolve's reduceK, SolveSharded's concurrent shards).
 	capClass []int32
+	oneClass bool
 
 	// Reusable scratch for Eval: per-machine member lists plus one set of
 	// aggregate demand buffers (esWS/esRate only with a disk model), grown
@@ -134,14 +135,15 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ram:     make([][]float64, len(units)),
 		ws:      make([][]float64, len(units)),
 		rate:    make([][]float64, len(units)),
-		scale:   make([]float64, len(units)),
 		pin:     make([]int, len(units)),
 		slaCapU: make([]float64, len(units)),
 	}
 	// Contiguous per-resource backing blocks (SoA): unit u's series live at
 	// [u·T, (u+1)·T), so sweeps that touch many units stream through memory
-	// instead of dereferencing each workload's own buffer. Values are copied
-	// verbatim — pricing is bit-identical to reading the source series.
+	// instead of dereferencing each workload's own buffer. Each value is the
+	// replica's demand, the source sample times its ReplicaLoadScale entry
+	// (1 when it has none), rounded once here: no pricer multiplies a demand
+	// again, so each reads the same bits, and at scale 1 they are the source's.
 	T := ev.T
 	cpuBuf := make([]float64, len(units)*T)
 	ramBuf := make([]float64, len(units)*T)
@@ -153,17 +155,17 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ev.ram[u] = ramBuf[u*T : (u+1)*T : (u+1)*T]
 		ev.ws[u] = wsBuf[u*T : (u+1)*T : (u+1)*T]
 		ev.rate[u] = rateBuf[u*T : (u+1)*T : (u+1)*T]
-		copy(ev.cpu[u], wl.CPU.Values)
-		copy(ev.ram[u], wl.RAMBytes.Values)
+		k := 1.0
+		if un.replica < len(wl.ReplicaLoadScale) {
+			k = wl.ReplicaLoadScale[un.replica]
+		}
+		scaleInto(ev.cpu[u], wl.CPU.Values, k)
+		scaleInto(ev.ram[u], wl.RAMBytes.Values, k)
 		if wl.WSBytes != nil {
-			copy(ev.ws[u], wl.WSBytes.Values)
+			scaleInto(ev.ws[u], wl.WSBytes.Values, k)
 		}
 		if wl.UpdateRate != nil {
-			copy(ev.rate[u], wl.UpdateRate.Values)
-		}
-		ev.scale[u] = 1
-		if un.replica < len(wl.ReplicaLoadScale) {
-			ev.scale[u] = wl.ReplicaLoadScale[un.replica]
+			scaleInto(ev.rate[u], wl.UpdateRate.Values, k)
 		}
 		ev.pin[u] = -1
 		if un.replica == 0 && wl.PinTo >= 0 {
@@ -223,10 +225,18 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		}
 		ev.capClass[j] = c
 	}
+	ev.oneClass = len(classes) == 1
 	ev.unitPeak = unitPeakSteps(ev.cpu, ev.ram)
 	ev.flatRAM = flat(ev.ram)
 	ev.flatWS = p.Disk != nil && flat(ev.ws)
 	return ev, nil
+}
+
+// scaleInto writes k·src into dst.
+func scaleInto(dst, src []float64, k float64) {
+	for t, v := range src {
+		dst[t] = k * v
+	}
 }
 
 // flat reports whether every unit's series equals its first sample bit for
@@ -329,7 +339,7 @@ type ServerLoad struct {
 }
 
 // accumulateInto zeroes the sum buffers (each length T) and adds every
-// member's scaled demand series, each stream over its horizon: CPU and RAM
+// member's demand series, each stream over its horizon: CPU and RAM
 // always, working set and update rate only under a disk model — nothing reads
 // them otherwise, and wsSum and rateSum may then be nil. A flat stream's sum
 // is written at step 0 alone; LoadState fills its own past the horizon
@@ -337,72 +347,70 @@ type ServerLoad struct {
 // at the bit level: LoadState re-materializes sums with the same loop so its
 // canonical state matches serverEval exactly.
 func (ev *Evaluator) accumulateInto(members []int, cpuSum, ramSum, wsSum, rateSum []float64) {
-	ev.accumulate(members, cpuSum[:ev.T], ev.cpu)
-	ev.accumulate(members, ramSum[:ev.ramSteps()], ev.ram)
+	accumulate(members, cpuSum[:ev.T], ev.cpu)
+	accumulate(members, ramSum[:ev.ramSteps()], ev.ram)
 	if ev.p.Disk != nil {
-		ev.accumulate(members, wsSum[:ev.wsSteps()], ev.ws)
-		ev.accumulate(members, rateSum[:ev.T], ev.rate)
+		accumulate(members, wsSum[:ev.wsSteps()], ev.ws)
+		accumulate(members, rateSum[:ev.T], ev.rate)
 	}
 }
 
 // accumulate is accumulateInto's kernel over one per-unit stream and the
 // steps sum spans. It adds four members per pass over the sum, then the rest
 // one by one: at each step the additions are the one-member loop's, in member
-// order (Go evaluates s + k0·a0 + k1·a1 + … left to right and rounds each sum),
-// for a third of its loads and stores on the sum. Each product is written
-// float64(k·a), a rounding barrier: no architecture may fuse it into a
-// multiply-add here and not in addUnit's next step of the fold. Every slice
-// is re-sliced to the sum's length up front so the inner loops carry no
-// bounds checks.
-func (ev *Evaluator) accumulate(members []int, sum []float64, series [][]float64) {
+// order (Go evaluates s + a0 + a1 + … left to right and rounds each sum), for
+// a third of its loads and stores on the sum. Every slice is re-sliced to the
+// sum's length up front so the inner loops carry no bounds checks.
+func accumulate(members []int, sum []float64, series [][]float64) {
 	n := len(sum)
 	for t := range sum {
 		sum[t] = 0
 	}
 	for ; len(members) >= 4; members = members[4:] {
-		u0, u1, u2, u3 := members[0], members[1], members[2], members[3]
-		k0, k1, k2, k3 := ev.scale[u0], ev.scale[u1], ev.scale[u2], ev.scale[u3]
-		a0, a1, a2, a3 := series[u0][:n], series[u1][:n], series[u2][:n], series[u3][:n]
+		a0, a1, a2, a3 := series[members[0]][:n], series[members[1]][:n], series[members[2]][:n], series[members[3]][:n]
 		for t := range sum {
-			sum[t] = sum[t] + float64(k0*a0[t]) + float64(k1*a1[t]) + float64(k2*a2[t]) + float64(k3*a3[t])
+			sum[t] = sum[t] + a0[t] + a1[t] + a2[t] + a3[t]
 		}
 	}
 	for _, u := range members {
 		a := series[u][:n]
-		k := ev.scale[u]
 		for t := range sum {
-			sum[t] += float64(k * a[t])
+			sum[t] += a[t]
 		}
 	}
 }
 
-// addUnit adds unit u to the sums with fill's sum + k·unit, the next step of
-// accumulate's left fold: canonical sums stay canonical with u appended.
+// addUnit adds unit u to the sums in place, the next step of accumulate's
+// left fold: canonical sums stay canonical with u appended.
 func (ev *Evaluator) addUnit(u int, cpuSum, ramSum, wsSum, rateSum []float64) {
-	ev.addScaled(u, ev.scale[u], cpuSum, ramSum, wsSum, rateSum, cpuSum, ramSum, wsSum, rateSum)
+	ev.fillUnit(u, false, cpuSum, ramSum, wsSum, rateSum, cpuSum, ramSum, wsSum, rateSum)
 }
 
-// addScaled writes sum + k·(unit u's demand) into the destinations, each
-// stream over its horizon: CPU and RAM always, working set and update rate
-// only under a disk model.
-func (ev *Evaluator) addScaled(u int, k float64, cpuDst, ramDst, wsDst, rateDst, cpuSum, ramSum, wsSum, rateSum []float64) {
-	fillSum(cpuDst[:ev.T], cpuSum, ev.cpu[u], k)
-	fillSum(ramDst[:ev.ramSteps()], ramSum, ev.ram[u], k)
+// fillUnit writes sum + (unit u's demand), or sum − it when sub, into the
+// destinations, each stream over its horizon: CPU and RAM always, working
+// set and update rate only under a disk model.
+func (ev *Evaluator) fillUnit(u int, sub bool, cpuDst, ramDst, wsDst, rateDst, cpuSum, ramSum, wsSum, rateSum []float64) {
+	fillSum(cpuDst[:ev.T], cpuSum, ev.cpu[u], sub)
+	fillSum(ramDst[:ev.ramSteps()], ramSum, ev.ram[u], sub)
 	if ev.p.Disk != nil {
-		fillSum(wsDst[:ev.wsSteps()], wsSum, ev.ws[u], k)
-		fillSum(rateDst[:ev.T], rateSum, ev.rate[u], k)
+		fillSum(wsDst[:ev.wsSteps()], wsSum, ev.ws[u], sub)
+		fillSum(rateDst[:ev.T], rateSum, ev.rate[u], sub)
 	}
 }
 
-// fillSum is addScaled's kernel over one stream and the steps dst spans:
-// dst = sum + k·unit, with every slice re-sliced to dst's length so the loop
-// carries no bounds checks. The product is rounded before it is added, as
-// the sweep screen rounds it (coarse.go), so no architecture fuses one here
-// and not there.
-func fillSum(dst, sum, unit []float64, k float64) {
+// fillSum is fillUnit's kernel over one stream and the steps dst spans:
+// dst = sum + unit, or sum − unit when sub, with every slice re-sliced to
+// dst's length so the loops carry no bounds checks.
+func fillSum(dst, sum, unit []float64, sub bool) {
 	sum, unit = sum[:len(dst)], unit[:len(dst)]
+	if sub {
+		for t := range dst {
+			dst[t] = sum[t] - unit[t]
+		}
+		return
+	}
 	for t := range dst {
-		dst[t] = sum[t] + float64(k*unit[t])
+		dst[t] = sum[t] + unit[t]
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"math"
 	"time"
 
-	"kairos/internal/floats"
 	"kairos/internal/model"
 	"kairos/internal/series"
 	units "kairos/internal/unit"
@@ -147,13 +146,16 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("core: workload %d (%s) pinned to machine %d of %d",
 				i, w.Name, w.PinTo, len(p.Machines))
 		}
+		// A scale multiplies every demand sample of its replica and an SLA
+		// caps its machine: NaN or +Inf would poison every sum, and a NaN
+		// slowdown would drop the cap, so the checks are phrased so NaN fails.
 		for r, scale := range w.ReplicaLoadScale {
-			if scale <= 0 {
-				return fmt.Errorf("core: workload %d (%s) replica %d has non-positive load scale %v",
+			if !(scale > 0) || math.IsInf(scale, 0) {
+				return fmt.Errorf("core: workload %d (%s) replica %d load scale %v must be positive and finite",
 					i, w.Name, r, scale)
 			}
 		}
-		if w.SLA != nil && w.SLA.MaxSlowdown <= 1 {
+		if w.SLA != nil && !(w.SLA.MaxSlowdown > 1) {
 			return fmt.Errorf("core: workload %d (%s) SLA slowdown must exceed 1, got %v",
 				i, w.Name, w.SLA.MaxSlowdown)
 		}
@@ -187,23 +189,6 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// HomogeneousMachines reports whether every machine has identical
-// capacities and headroom, which makes machine labels interchangeable —
-// the property the sharded solver needs to relabel concurrent shard plans
-// onto disjoint machine ranges.
-func (p *Problem) HomogeneousMachines() bool {
-	for _, m := range p.Machines[1:] {
-		m0 := p.Machines[0]
-		if !floats.Same(float64(m.CPUCapacity), float64(m0.CPUCapacity)) ||
-			!floats.Same(float64(m.RAMBytes), float64(m0.RAMBytes)) ||
-			!floats.Same(float64(m.DiskWriteBps), float64(m0.DiskWriteBps)) ||
-			!floats.Same(float64(m.Headroom), float64(m0.Headroom)) {
-			return false
-		}
-	}
-	return true
-}
-
 // units expands workloads into placement units (one per replica).
 func (p *Problem) units() []unit {
 	var out []unit
@@ -232,6 +217,12 @@ type Solution struct {
 	Feasible bool
 	// Objective is the final objective value (lower is better).
 	Objective float64
+	// LowerBound is the machine count no feasible plan can go below: the
+	// fractional bound (Evaluator.FractionalLowerBound), which Solve raises
+	// past the highest pinned machine and searches K from. K − LowerBound is
+	// the gap the solver leaves unproven. Solve and SolveSharded set it;
+	// Resolve leaves it 0.
+	LowerBound int
 	// Loads reports each of the K machines' aggregate demand, peaks and
 	// balance under Assign, as Evaluator.Report prices them.
 	Loads []ServerLoad

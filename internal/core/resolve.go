@@ -201,20 +201,9 @@ func (ev *Evaluator) newMigration(home []int, opt SolveOptions) *migration {
 		sizes := make([]float64, nU)
 		var mean float64
 		for u := 0; u < nU; u++ {
-			peak := 0.0
-			for _, v := range ev.ws[u] {
-				if v > peak {
-					peak = v
-				}
+			if sizes[u] = peak(ev.ws[u]); sizes[u] == 0 {
+				sizes[u] = peak(ev.ram[u])
 			}
-			if peak == 0 {
-				for _, v := range ev.ram[u] {
-					if v > peak {
-						peak = v
-					}
-				}
-			}
-			sizes[u] = peak * ev.scale[u]
 			mean += sizes[u]
 		}
 		mean /= float64(nU)
@@ -372,46 +361,43 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []i
 // machine count clamped the same way Resolve clamps it. Resolve reports the
 // same price as Solution.SeedObjective and SeedFeasible.
 func PriceIncumbent(p *Problem, inc *Incumbent) (obj float64, feasible bool, K int, err error) {
-	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
-		return 0, false, 0, fmt.Errorf("core: PriceIncumbent needs a non-empty incumbent plan")
-	}
-	ev, err := NewEvaluator(p)
+	sol, _, err := incumbentSolution(p, inc)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	K = ev.clampIncumbentK(p, inc.K)
-	seed, _ := ev.warmSeed(p, inc, K)
-	obj, feasible = ev.Eval(seed, K)
-	return obj, feasible, K, nil
+	return sol.Objective, sol.Feasible, sol.K, nil
 }
 
 // SolutionFromIncumbent materializes an incumbent plan as a full Solution
-// against problem p without solving: units map to their incumbent
-// machines exactly as Resolve's warm seed does, unmatched units place
-// greedily, and the assignment is priced once. It is the recovery path's
-// way of rebuilding a published plan from its durable form — the solve
-// that produced the incumbent already ran before the crash, so replay
-// must reconstruct its outcome, not repeat its search.
+// against problem p without solving: PriceIncumbent's pricing plus the
+// per-machine loads. It is the recovery path's way of rebuilding a
+// published plan from its durable form — the solve that produced the
+// incumbent already ran before the crash, so replay must reconstruct its
+// outcome, not repeat its search.
 func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
+	sol, ev, err := incumbentSolution(p, inc)
+	if err != nil {
+		return nil, err
+	}
+	sol.Loads = ev.Report(sol.Assign, sol.K)
+	return sol, nil
+}
+
+// incumbentSolution is PriceIncumbent's and SolutionFromIncumbent's body:
+// the incumbent's warm seed on p at its clamped K, priced once, as a
+// Solution without Loads, and the evaluator that priced it.
+func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error) {
 	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
-		return nil, fmt.Errorf("core: SolutionFromIncumbent needs a non-empty incumbent plan")
+		return nil, nil, fmt.Errorf("core: pricing an incumbent needs a non-empty incumbent plan")
 	}
 	ev, err := NewEvaluator(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	K := ev.clampIncumbentK(p, inc.K)
 	seed, _ := ev.warmSeed(p, inc, K)
 	obj, feasible := ev.Eval(seed, K)
-	return &Solution{
-		Assign:    seed,
-		Units:     ev.Units(),
-		K:         K,
-		Feasible:  feasible,
-		Objective: obj,
-		Loads:     ev.Report(seed, K),
-		Fevals:    1,
-	}, nil
+	return &Solution{Assign: seed, Units: ev.Units(), K: K, Feasible: feasible, Objective: obj, Fevals: 1}, ev, nil
 }
 
 // Resolve computes a consolidation plan for p warm-started from an
@@ -521,7 +507,7 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	// Drift the other way can free a machine; reclaim it with the reduction
 	// pass when machines are interchangeable. Reduction relocates whole
 	// machines, so it only runs without a migration cap.
-	if plan.feas && opt.MaxMigrations <= 0 && p.HomogeneousMachines() {
+	if plan.feas && opt.MaxMigrations <= 0 && ev.oneClass {
 		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
 			K = rk
 			mig.syncAway(reduced)

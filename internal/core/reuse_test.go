@@ -145,7 +145,7 @@ func oneMemberSums(ev *Evaluator, members []int, cpu, ram, ws, rate []float64) {
 		}
 		for _, u := range members {
 			for t := range sum {
-				sum[t] += float64(ev.scale[u] * unit[u][t])
+				sum[t] += unit[u][t]
 			}
 		}
 	}
@@ -153,9 +153,9 @@ func oneMemberSums(ev *Evaluator, members []int, cpu, ram, ws, rate []float64) {
 
 // TestAccumulateMatchesOneMemberLoop holds the four-member kernel to the
 // one-member loop's bits on all four streams: member counts on either side
-// of every multiple of four, horizons shorter than a pass is wide, scales
-// other than 1 and values where a regrouped or fused sum would show — signed
-// zeros, subnormals, magnitudes that cancel or overflow, Inf and NaN. With
+// of every multiple of four, horizons shorter than a pass is wide and values
+// where a regrouped sum would show — signed zeros, subnormals, magnitudes
+// that cancel or overflow, Inf and NaN. With
 // flat RAM and working-set streams it sums those at step 0 alone and leaves
 // the stale values past it as they were.
 func TestAccumulateMatchesOneMemberLoop(t *testing.T) {
@@ -165,7 +165,7 @@ func TestAccumulateMatchesOneMemberLoop(t *testing.T) {
 	const nU = 97
 	for _, T := range []int{1, 3, 288} {
 		for _, flatStreams := range []bool{false, true} {
-			ev := &Evaluator{p: &Problem{Disk: &model.DiskProfile{}}, T: T, scale: make([]float64, nU), flatRAM: flatStreams, flatWS: flatStreams}
+			ev := &Evaluator{p: &Problem{Disk: &model.DiskProfile{}}, T: T, flatRAM: flatStreams, flatWS: flatStreams}
 			for i, streams := range []*[][]float64{&ev.cpu, &ev.ram, &ev.ws, &ev.rate} {
 				flat := flatStreams && (i == 1 || i == 2)
 				*streams = make([][]float64, nU)
@@ -185,9 +185,6 @@ func TestAccumulateMatchesOneMemberLoop(t *testing.T) {
 			steps := [4]int{T, ev.ramSteps(), ev.wsSteps(), T}
 			if flatStreams && steps != [4]int{T, 1, 1, T} {
 				t.Fatalf("T=%d: flat streams summed over %v steps", T, steps)
-			}
-			for u := range ev.scale {
-				ev.scale[u] = 0.25 + 2*rng.Float64()
 			}
 			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 97} {
 				members := rng.Perm(nU)[:n]

@@ -40,8 +40,8 @@ const rebalanceRounds = 2
 // Pinning and explicit anti-affinity refer to global machine/workload
 // indices, so more than one shard rejects them, as SolvePartitioned does;
 // per-workload replicas are fine because a workload's replicas always land
-// in the same shard. When all machines are identical the shards solve
-// independently, as many at once as the CPU budget has cores free, and
+// in the same shard. When all machines have the same usable capacities
+// (one capacity class) the shards solve independently, as many at once as the CPU budget has cores free, and
 // their plans are relabelled onto disjoint machine ranges; a heterogeneous
 // machine list falls back to solving shards in sequence, each against the
 // machines the previous shards left unused. Cancelling ctx aborts every
@@ -52,7 +52,8 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		return Solve(ctx, p, opt.Options)
 	}
 	start := time.Now()
-	if err := p.Validate(); err != nil {
+	ev, err := NewEvaluator(p)
+	if err != nil {
 		return nil, err
 	}
 	if len(p.AntiAffinity) > 0 {
@@ -64,7 +65,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		}
 	}
 	shards := correlationShards(p, nShards)
-	homogeneous := p.HomogeneousMachines()
 
 	type shardPlan struct {
 		sol *Solution
@@ -87,7 +87,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		plans[i] = shardPlan{sol, err}
 	}
 
-	if homogeneous {
+	if ev.oneClass {
 		// Identical machines are interchangeable: every shard can solve
 		// against the full list, on whichever worker of the CPU budget takes
 		// it, and be relabelled onto its own machine range afterwards.
@@ -113,10 +113,6 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 
 	// Merge: relabel each shard's machines onto consecutive global ranges
 	// and scatter its unit assignments into global unit order.
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		return nil, err
-	}
 	unitIndex := make(map[UnitRef]int, len(ev.units))
 	for gi, u := range ev.units {
 		unitIndex[UnitRef{Workload: u.w, Replica: u.replica}] = gi
@@ -147,7 +143,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// and give reduction its chance before giving up.
 	mergeEv := ev
 	if K > len(p.Machines) {
-		if !homogeneous {
+		if !ev.oneClass {
 			return nil, fmt.Errorf("core: shards used %d machines but only %d exist", K, len(p.Machines))
 		}
 		padded := *p
@@ -170,7 +166,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// shard solves cannot see.
 	if K > 0 {
 		assign = mergeEv.hillClimbMig(ctx, assign, K, rebalanceRounds, nil).assign
-		if homogeneous {
+		if ev.oneClass {
 			if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
 				// Reduction packs greedily; re-balance the tighter plan.
 				K = rk
@@ -192,15 +188,16 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	}
 	stats.add(ev.stats)
 	return &Solution{
-		Assign:    assign,
-		Units:     ev.Units(),
-		K:         K,
-		Feasible:  feas,
-		Objective: obj,
-		Loads:     ev.Report(assign, K),
-		Fevals:    fevals + ev.Fevals,
-		Stats:     stats,
-		Elapsed:   time.Since(start),
+		Assign:     assign,
+		Units:      ev.Units(),
+		K:          K,
+		Feasible:   feas,
+		Objective:  obj,
+		LowerBound: ev.FractionalLowerBound(),
+		Loads:      ev.Report(assign, K),
+		Fevals:     fevals + ev.Fevals,
+		Stats:      stats,
+		Elapsed:    time.Since(start),
 	}, nil
 }
 

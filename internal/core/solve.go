@@ -186,7 +186,9 @@ func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Tim
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return ev.finish(best, kStar, start), nil
+	sol := ev.finish(best, kStar, start)
+	sol.LowerBound = lo
+	return sol, nil
 }
 
 // bisect binary-searches [lo, hi) for the smallest feasible machine count
@@ -299,32 +301,29 @@ func (ev *Evaluator) finish(best climbed, k int, start time.Time) *Solution {
 // FractionalLowerBound computes the paper's optimistic bound: workloads are
 // divisible and resources independent, so a K-machine plan — which uses the
 // first K machines — needs their capacities to sum to at least the peak
-// aggregate demand of each resource.
+// aggregate demand of each resource. The aggregate is accumulate's, every
+// unit summed over each stream's horizon; a flat stream's step 0 is its
+// every step.
 func (ev *Evaluator) FractionalLowerBound() int {
 	T := ev.T
-	sum2 := func(a, b [][]float64) (aSum, bSum []float64) {
-		aSum, bSum = make([]float64, T), make([]float64, T)
-		for u := range ev.units {
-			au, bu := a[u][:T], b[u][:T]
-			for t := range aSum {
-				aSum[t] += au[t]
-				bSum[t] += bu[t]
-			}
-		}
-		return aSum, bSum
+	all := make([]int, len(ev.units))
+	for u := range all {
+		all[u] = u
 	}
-	cpuSum, ramSum := sum2(ev.cpu, ev.ram)
+	cpuSum, ramSum := make([]float64, T), make([]float64, T)
+	var wsSum, rateSum []float64
+	if ev.p.Disk != nil {
+		wsSum, rateSum = make([]float64, T), make([]float64, T)
+	}
+	ev.accumulateInto(all, cpuSum, ramSum, wsSum, rateSum)
 	k := 1
-	for t := 0; t < T; t++ {
-		if need := machinesCovering(cpuSum[t], ev.capCPU); need > k {
-			k = need
-		}
-		if need := machinesCovering(ramSum[t], ev.capRAM); need > k {
-			k = need
-		}
+	for _, c := range cpuSum {
+		k = max(k, machinesCovering(c, ev.capCPU))
+	}
+	for _, r := range ramSum[:ev.ramSteps()] {
+		k = max(k, machinesCovering(r, ev.capRAM))
 	}
 	if ev.p.Disk != nil {
-		wsSum, rateSum := sum2(ev.ws, ev.rate)
 		// The tightening splits the aggregate evenly over n machines. On a
 		// mixed fleet it prices the split against the largest disk budget
 		// among the first n: raising every budget to that one only relaxes
@@ -337,16 +336,21 @@ func (ev *Evaluator) FractionalLowerBound() int {
 				diskCap[j] = diskCap[j-1]
 			}
 		}
-		for t := 0; t < T; t++ {
+		wsSum = wsSum[:ev.wsSteps()]
+		var ws float64
+		for t, rate := range rateSum {
+			if t < len(wsSum) {
+				ws = wsSum[t]
+			}
 			// Smallest split count making the disk model feasible; the
 			// profile is monotone in both arguments, so scan upward.
 			for n := k; n <= len(ev.p.Machines); n++ {
-				pred := ev.p.Disk.PredictWriteMBps(wsSum[t]/float64(n), rateSum[t]/float64(n)) * 1e6
+				pred := ev.p.Disk.PredictWriteMBps(ws/float64(n), rate/float64(n)) * 1e6
 				ok := pred <= diskCap[n-1]
 				if ok && ev.p.Disk.HasEnvelope {
 					// Boundary rule (model.EnvelopeFeasible): at the
 					// envelope is feasible, beyond it is not.
-					ok = rateSum[t]/float64(n) <= ev.p.Disk.MaxRowsPerSec(wsSum[t]/float64(n))
+					ok = rate/float64(n) <= ev.p.Disk.MaxRowsPerSec(ws/float64(n))
 				}
 				if ok {
 					if n > k {
@@ -429,21 +433,16 @@ func (ev *Evaluator) packGreedy() ([][]int, bool) {
 // one row per resource — peak CPU, peak RAM and, under a disk model, peak
 // update rate: with GreedyFits, the inputs of greedy.MultiResource.
 func (ev *Evaluator) GreedyLoads() [][]float64 {
-	nU := len(ev.units)
-	peak := func(vals [][]float64) []float64 {
-		out := make([]float64, nU)
-		for u := 0; u < nU; u++ {
-			for _, v := range vals[u] {
-				if v > out[u] {
-					out[u] = v
-				}
-			}
+	unitPeaks := func(series [][]float64) []float64 {
+		out := make([]float64, len(series))
+		for u, s := range series {
+			out[u] = peak(s)
 		}
 		return out
 	}
-	loads := [][]float64{peak(ev.cpu), peak(ev.ram)}
+	loads := [][]float64{unitPeaks(ev.cpu), unitPeaks(ev.ram)}
 	if ev.p.Disk != nil {
-		loads = append(loads, peak(ev.rate))
+		loads = append(loads, unitPeaks(ev.rate))
 	}
 	return loads
 }
@@ -471,7 +470,7 @@ func (bs *binSums) add(ev *Evaluator, u int) {
 // machine 0 — serverEval(0, bin+item).Violation == 0, bit for bit, in O(T)
 // per call instead of a re-sum of every member. A bin is recognised by its
 // first member and keeps running sums built by accumulate's own sequence
-// (zero, then sum + k·unit in member order); a call catches up on members
+// (zero, then sum + unit in member order); a call catches up on members
 // appended since the last one, and starts over when the members it remembers
 // are not a prefix of the bin it is handed — MultiResource re-packs under
 // every resource order through one closure, so the same first member can
@@ -520,7 +519,7 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 				bs.add(ev, u)
 			}
 		}
-		ev.addScaled(item, ev.scale[item], scratch.cpu, scratch.ram, scratch.ws, scratch.rate, bs.cpu, bs.ram, bs.ws, bs.rate)
+		ev.fillUnit(item, false, scratch.cpu, scratch.ram, scratch.ws, scratch.rate, bs.cpu, bs.ram, bs.ws, bs.rate)
 		slaCap := bs.slaCap
 		if c := ev.slaCapU[item]; c < slaCap {
 			slaCap = c
@@ -919,12 +918,12 @@ func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migrati
 					caps = ls.capSides(u)
 					own = caps[a].leave()
 				}
-				kv, cv, rv := ev.scale[v], ev.cpu[v], ev.ram[v]
-				if viol := own.arrive(kv, cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+				cv, rv := ev.cpu[v], ev.ram[v]
+				if viol := own.arrive(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
 					ev.stats.CapPruned++
 					continue
 				}
-				if viol := caps[b].exchange(kv, cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+				if viol := caps[b].exchange(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
 					ev.stats.CapPruned++
 					continue
 				}

@@ -578,28 +578,6 @@ func TestBumpBackoff(t *testing.T) {
 	}
 }
 
-// TestDegradedWhileRecovering: every request during journal replay is
-// answered 503 with a Retry-After, including health checks.
-func TestDegradedWhileRecovering(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.recovering.Store(true)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status during recovery = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("degraded 503 missing Retry-After")
-	}
-	s.recovering.Store(false)
-	if status, _ := do(t, http.MethodGet, ts.URL+"/healthz", nil); status != http.StatusOK {
-		t.Error("server did not exit degraded mode")
-	}
-}
-
 // TestRetryAfterOnShutdown: the shutdown-abort 503 carries Retry-After,
 // telling collectors the window is safe to resend to a replacement.
 func TestRetryAfterOnShutdown(t *testing.T) {

@@ -185,8 +185,8 @@ func restoreSession(fs *FleetSnapshot) (*session, error) {
 
 // replay rebuilds the registry from the journal rd reads and installs the
 // journal for appends after its last record. It runs inside Open, before
-// the HTTP surface accepts traffic (Handler answers 503 while
-// s.recovering), but still holds s.mu — for everything except the wait
+// Open returns the server whose Handler takes traffic, but still holds
+// s.mu — for everything except the wait
 // for the next decoded record — so the registry writes satisfy the lock
 // contract the live paths rely on.
 // Records referencing unknown fleets — possible after a snapshot

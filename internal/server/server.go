@@ -80,10 +80,6 @@ type Server struct {
 	// write side observes no record between its append and its effects.
 	// Lock order: pauseRW → mu → the journal's.
 	pauseRW sync.RWMutex
-	// recovering gates the HTTP surface while the journal replays:
-	// requests get a degraded 503 + Retry-After instead of racing the
-	// rebuild.
-	recovering atomic.Bool
 	// recovery summarizes the last replay for /metrics; nil without a
 	// state dir.
 	recovery *RecoveryStats
@@ -178,8 +174,8 @@ func New(logf func(format string, args ...any)) *Server {
 // Open creates a control plane from cfg. With a state dir it opens the
 // journal, replays snapshot + journal to rebuild every registered fleet
 // — incumbents, detector state, event logs, ack rings — and only then
-// returns; requests hitting Handler during the replay get a degraded
-// 503. A torn journal tail is truncated and logged, never fatal; a
+// returns, so no request can reach Handler before the replay ends. A torn
+// journal tail is truncated and logged, never fatal; a
 // corrupt snapshot is fatal (see the journal package).
 func Open(cfg Config) (*Server, error) {
 	//kairoslint:allow ctxflow: control-plane root context; Close cancels it
@@ -221,9 +217,7 @@ func Open(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		journalRead := time.Since(readStart)
-		s.recovering.Store(true)
 		stats, err := s.replay(rd)
-		s.recovering.Store(false)
 		if err != nil {
 			err = errors.Join(err, rd.Close())
 			cancel()
@@ -241,14 +235,9 @@ func Open(cfg Config) (*Server, error) {
 }
 
 // Handler returns the HTTP handler serving the /v1/ API and /metrics.
-// It degrades to 503 + Retry-After while journal replay is in progress
-// and bounds every /v1/ request body.
+// It bounds every /v1/ request body.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.recovering.Load() {
-			writeUnavailable(w, "recovering: replaying journal")
-			return
-		}
 		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/") {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
@@ -320,7 +309,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // writeUnavailable writes a 503 with a Retry-After header: every
-// retryable condition (shutdown, recovery, journal unavailable) tells
+// retryable condition (shutdown, an aborted solve, journal unavailable) tells
 // the collector when to resend. Resent windows are idempotent — ingest
 // is keyed by window start time, so a retry of an already-acked window
 // returns the original ack.

@@ -2,10 +2,13 @@
 # Fused multiply-add check. Go may fuse x*y + z into one multiply-add with a
 # single rounding on architectures that have one (arm64, ppc64le, s390x,
 # riscv64), and amd64 does not. The solver's incremental pricers must agree
-# bit for bit with its canonical fold (LoadState's sums and Contrib with
-# ServerContrib, the sweep screen's bounds with the exact fills), so every
-# product in objective.go, loadstate.go and coarse.go that meets an addition
-# is written float64(x*y), which forbids fusing. This cross-compiles the
+# bit for bit with its canonical pricer (LoadState's Contrib with
+# ServerContrib, the sweep screen's bounds with the exact prices). The demand
+# sums are additions only — NewEvaluator stores each unit's demand already
+# scaled — so the products left are the pricing's: a contribution's
+# penaltyWeight*viol and the screen's exp bracket. Each one that meets an
+# addition in objective.go, loadstate.go and coarse.go is written
+# float64(x*y), which forbids fusing. This cross-compiles the
 # package's test binary for arm64 from GOROOT — no network, no arm64 machine —
 # disassembles it and fails on any fused instruction attributed to a line of
 # those three files.
