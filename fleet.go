@@ -102,9 +102,8 @@ func WithIncumbent(inc *Incumbent) FleetOption {
 // concurrent use; windows arriving from multiple collectors serialize
 // internally.
 type Fleet struct {
-	spec    FleetSpec // immutable after NewFleet
-	cfg     fleetConfig
-	histLen int // forecast history length, from cfg.drift
+	spec FleetSpec // immutable after NewFleet
+	cfg  fleetConfig
 
 	// mu is the writer lock: it serialises Consolidate, Observe and the
 	// control-plane verbs, and is held across a solve. The read accessors
@@ -120,8 +119,9 @@ type Fleet struct {
 	// assumptions (orSpec). Checkpoints carry it so a restored
 	// detector rebuilds the same per-resource means.
 	baseline []Workload // guarded by mu
-	// history holds the last histLen observation windows, oldest first,
-	// feeding the forecast a triggered re-solve consumes.
+	// history holds the last cfg.drift.History observation windows, oldest
+	// first — the windows the detector keeps — feeding the forecast a
+	// triggered re-solve consumes.
 	history [][]Workload // guarded by mu
 	// trig is the trigger the last detect step reported, until a commit
 	// settles it or the next window replaces it: what Resolve solves for.
@@ -158,14 +158,12 @@ func NewFleet(spec FleetSpec, opts ...FleetOption) (*Fleet, error) {
 	if err := cfg.drift.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.drift = cfg.drift.WithDefaults()
 	p := &Problem{Workloads: spec.Workloads, Machines: spec.Machines, Disk: spec.Disk}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{spec: spec, cfg: cfg, histLen: cfg.drift.History}
-	if f.histLen <= 0 {
-		f.histLen = 2 // drift.Config's documented default
-	}
+	f := &Fleet{spec: spec, cfg: cfg}
 	f.view.Store(&fleetView{inc: cfg.inc})
 	return f, nil
 }
@@ -305,8 +303,8 @@ func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
 	// The triggering window itself is part of the forecast the re-solve
 	// consumes — it is the freshest evidence there is.
 	f.history = append(f.history, window)
-	if len(f.history) > f.histLen {
-		f.history = f.history[len(f.history)-f.histLen:]
+	if h := f.cfg.drift.History; len(f.history) > h {
+		f.history = f.history[len(f.history)-h:]
 	}
 	f.trig = trig
 	f.gen++
@@ -555,8 +553,8 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	}
 	det.Restore(cp.Windows, cp.Cooldown)
 	history := append([][]Workload(nil), cp.History...)
-	if len(history) > f.histLen {
-		history = history[len(history)-f.histLen:]
+	if h := f.cfg.drift.History; len(history) > h {
+		history = history[len(history)-h:]
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

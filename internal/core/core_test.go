@@ -72,6 +72,12 @@ func TestValidate(t *testing.T) {
 		{"shape mismatch", func(p *Problem) {
 			p.Workloads[0].RAMBytes = series.Constant(time.Unix(0, 0), 5*time.Minute, n+1, 1)
 		}},
+		// The measured write rate prices nothing, but the drift detector
+		// reads it: a spec of another shape must fail here, not window by
+		// window.
+		{"disk write shape mismatch", func(p *Problem) {
+			p.Workloads[0].DiskWriteBps = series.Constant(time.Unix(0, 0), 5*time.Minute, n+1, 1)
+		}},
 		{"too many replicas", func(p *Problem) { p.Workloads[0].Replicas = 3 }},
 		{"pin out of range", func(p *Problem) { p.Workloads[0].PinTo = 5 }},
 		{"bad machine", func(p *Problem) { p.Machines[0].CPUCapacity = 0 }},

@@ -112,37 +112,46 @@ func SolvePartitioned(ctx context.Context, p *Problem, g Grouping) (*Partitioned
 		}
 	}
 
+	var groups [][]Workload
 	out := &PartitionedSolution{Feasible: true}
-	nextMachine := 0
 	for lo := 0; lo < len(p.Workloads); lo += g.GroupSize {
-		hi := lo + g.GroupSize
-		if hi > len(p.Workloads) {
-			hi = len(p.Workloads)
-		}
-		group := p.Workloads[lo:hi]
-		// Give the group the remaining machines; its solution uses a prefix.
-		if nextMachine >= len(p.Machines) {
-			return nil, fmt.Errorf("core: ran out of machines after %d groups", len(out.Groups))
-		}
-		sub := &Problem{
-			Workloads: group,
-			Machines:  p.Machines[nextMachine:],
-			Disk:      p.Disk,
-		}
-		sol, err := Solve(ctx, sub, g.Options)
-		if err != nil {
-			return nil, fmt.Errorf("core: group %d: %w", len(out.Groups), err)
-		}
+		hi := min(lo+g.GroupSize, len(p.Workloads))
+		groups = append(groups, p.Workloads[lo:hi])
 		idx := make([]int, hi-lo)
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		out.Groups = append(out.Groups, sol)
 		out.GroupWorkloads = append(out.GroupWorkloads, idx)
+	}
+	sols, err := solveInSequence(ctx, p, groups, "group", g.Options)
+	if err != nil {
+		return nil, err
+	}
+	out.Groups = sols
+	for _, sol := range sols {
 		out.K += sol.K
 		out.Feasible = out.Feasible && sol.Feasible
-		nextMachine += sol.K
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
+}
+
+// solveInSequence solves groups of p's workloads one after another, each
+// against the machines the groups before it left unused: a group's plan
+// uses a prefix of the machines it is given. noun names a group in errors.
+func solveInSequence(ctx context.Context, p *Problem, groups [][]Workload, noun string, opt SolveOptions) ([]*Solution, error) {
+	sols := make([]*Solution, len(groups))
+	next := 0
+	for i, group := range groups {
+		if next >= len(p.Machines) {
+			return nil, fmt.Errorf("core: ran out of machines after %d %ss", i, noun)
+		}
+		sol, err := Solve(ctx, &Problem{Workloads: group, Machines: p.Machines[next:], Disk: p.Disk}, opt)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s %d: %w", noun, i, err)
+		}
+		sols[i] = sol
+		next += sol.K
+	}
+	return sols, nil
 }

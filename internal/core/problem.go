@@ -127,7 +127,7 @@ func (p *Problem) Validate() error {
 				return fmt.Errorf("core: workload %d (%s) has empty series", i, w.Name)
 			}
 		}
-		for _, s := range []*series.Series{w.CPU, w.RAMBytes, w.WSBytes, w.UpdateRate} {
+		for _, s := range []*series.Series{w.CPU, w.RAMBytes, w.WSBytes, w.UpdateRate, w.DiskWriteBps} {
 			if s == nil {
 				continue
 			}

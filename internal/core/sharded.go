@@ -66,49 +66,30 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	}
 	shards := correlationShards(p, nShards)
 
-	type shardPlan struct {
-		sol *Solution
-		err error
+	groups := make([][]Workload, nShards)
+	for i, shard := range shards {
+		groups[i] = make([]Workload, len(shard))
+		for k, w := range shard {
+			groups[i][k] = p.Workloads[w]
+		}
 	}
-	plans := make([]shardPlan, nShards)
-	solveShard := func(i int, machines []Machine) {
-		sub := &Problem{
-			Workloads: make([]Workload, len(shards[i])),
-			Machines:  machines,
-			Disk:      p.Disk,
-		}
-		for k, w := range shards[i] {
-			sub.Workloads[k] = p.Workloads[w]
-		}
-		sol, err := Solve(ctx, sub, opt.Options)
-		if err != nil {
-			err = fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		plans[i] = shardPlan{sol, err}
-	}
-
+	var plans []*Solution
 	if ev.oneClass {
 		// Identical machines are interchangeable: every shard can solve
 		// against the full list, on whichever worker of the CPU budget takes
 		// it, and be relabelled onto its own machine range afterwards.
-		cpu.Do(nShards, func(_, i int) { solveShard(i, p.Machines) })
-	} else {
-		next := 0
-		for i := 0; i < nShards; i++ {
-			if next >= len(p.Machines) {
-				return nil, fmt.Errorf("core: ran out of machines after %d shards", i)
+		plans = make([]*Solution, nShards)
+		errs := make([]error, nShards)
+		cpu.Do(nShards, func(_, i int) {
+			plans[i], errs[i] = Solve(ctx, &Problem{Workloads: groups[i], Machines: p.Machines, Disk: p.Disk}, opt.Options)
+		})
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("core: shard %d: %w", i, err)
 			}
-			solveShard(i, p.Machines[next:])
-			if plans[i].err != nil {
-				break
-			}
-			next += plans[i].sol.K
 		}
-	}
-	for i := range plans {
-		if plans[i].err != nil {
-			return nil, plans[i].err
-		}
+	} else if plans, err = solveInSequence(ctx, p, groups, "shard", opt.Options); err != nil {
+		return nil, err
 	}
 
 	// Merge: relabel each shard's machines onto consecutive global ranges
@@ -123,17 +104,17 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	var stats SolveStats // counters summed over shards and merge; no probe log
 	for i, plan := range plans {
 		off := K
-		for su, j := range plan.sol.Assign {
-			ref := plan.sol.Units[su]
+		for su, j := range plan.Assign {
+			ref := plan.Units[su]
 			gi, ok := unitIndex[UnitRef{Workload: shards[i][ref.Workload], Replica: ref.Replica}]
 			if !ok {
 				return nil, fmt.Errorf("core: shard %d produced unknown unit %+v", i, ref)
 			}
 			assign[gi] = off + j
 		}
-		K += plan.sol.K
-		fevals += plan.sol.Fevals
-		stats.add(plan.sol.Stats)
+		K += plan.K
+		fevals += plan.Fevals
+		stats.add(plan.Stats)
 	}
 
 	// Concurrent homogeneous shards each solve against the full machine

@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -74,14 +75,16 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 }
 
 // TestSeedHistoryRefusesShapeMismatch: a seeded window Observe would
-// refuse for its shape is refused, with Observe's error, and nothing of it
-// is kept — it used to be stored, and every later Observe then failed on
-// the forecast's shape, with the bad window never evicted.
+// refuse, for its shape or for a duplicate workload, is refused, with
+// Observe's error, and nothing of it is kept — it used to be stored, and
+// every later Observe then failed on the forecast's shape, with the bad
+// window never evicted.
 func TestSeedHistoryRefusesShapeMismatch(t *testing.T) {
 	base := []Sample{constWindow("a", 1), constWindow("b", 1)}
 	for _, bad := range []Sample{
 		{Workload: "b", CPU: series.Constant(t0, time.Minute, 11, 1)},
 		{Workload: "b", CPU: series.Constant(t0, 5*time.Minute, 12, 1)},
+		constWindow("a", 1),
 	} {
 		d := mustDetector(t, Config{Threshold: 0.05}, base...)
 		window := []Sample{constWindow("a", 1), bad}
@@ -97,33 +100,95 @@ func TestSeedHistoryRefusesShapeMismatch(t *testing.T) {
 				t.Fatalf("window %d after a refused seed fired: %v", i, trig)
 			}
 		}
-		if got := d.state["a"].history[CPU]; len(got) != 2 {
-			t.Errorf("history after three windows holds %d, want 2", len(got))
+		if len(d.kept) != 2 {
+			t.Errorf("detector keeps %d windows after three, want 2", len(d.kept))
 		}
 	}
 }
 
-// TestSetBaselineShapeChangeDropsHistory: a rebase that changes a
-// resource's shape drops the windows no later window can be scored
-// against; one that keeps it keeps them.
-func TestSetBaselineShapeChangeDropsHistory(t *testing.T) {
+// forecastCause reports whether score finds a forecast-error cause for
+// workload a's resource r in window.
+func forecastCause(t *testing.T, d *Detector, r Resource, window ...Sample) bool {
+	t.Helper()
+	at, err := d.index(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range d.score(window, at) {
+		if c.Workload == "a" && c.Resource == r && c.Kind == ForecastError {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRebaseKeepsWindowsOfOtherShapes: a rebase edits no kept window. A
+// window whose series has another shape than the new baseline's is an
+// empty slot of the forecast, so a rebase to a new shape leaves the next
+// window of it no forecast; a window of the new shape fills it.
+func TestRebaseKeepsWindowsOfOtherShapes(t *testing.T) {
 	d := mustDetector(t, Config{Threshold: 0.05}, constWindow("a", 1))
 	observe(t, d, constWindow("a", 1))
 	if err := d.SetBaseline([]Sample{constWindow("a", 1.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.state["a"].history[CPU]) != 1 {
-		t.Fatal("a same-shape rebase dropped the history")
+	if !forecastCause(t, d, CPU, constWindow("a", 1)) {
+		t.Fatal("a same-shape rebase lost the forecast")
 	}
 	longer := Sample{Workload: "a", CPU: series.Constant(t0, time.Minute, 24, 1)}
 	if err := d.SetBaseline([]Sample{longer}); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.state["a"].history[CPU]) != 0 {
-		t.Fatal("a rebase to a new shape kept windows of the old one")
+	if len(d.kept) != 1 {
+		t.Fatalf("a rebase left %d kept windows, want 1", len(d.kept))
 	}
-	if _, err := d.Observe([]Sample{longer}); err != nil {
-		t.Fatalf("a window of the new shape: %v", err)
+	if forecastCause(t, d, CPU, longer) {
+		t.Fatal("a window of the new shape was scored against one of the old")
+	}
+	observe(t, d, longer)
+	if !forecastCause(t, d, CPU, longer) {
+		t.Fatal("a kept window of the new shape made no forecast")
+	}
+}
+
+// TestRebaseReadsKeptWindows: a resource the baseline starts tracking at a
+// rebase is forecast from the kept windows that carried it, as on a
+// detector restored by seeding the same windows against the new baseline —
+// the equivalence a checkpoint rests on. It used to start empty live and
+// full after a restore.
+func TestRebaseReadsKeptWindows(t *testing.T) {
+	withDisk := func(v float64) Sample {
+		s := constWindow("a", 1)
+		s.Disk = series.Constant(t0, time.Minute, 12, v)
+		return s
+	}
+	cfg := Config{Threshold: 0.05}
+	live := mustDetector(t, cfg, constWindow("a", 1))
+	windows := [][]Sample{{withDisk(1)}, {withDisk(1.2)}}
+	for _, w := range windows {
+		observe(t, live, w...)
+	}
+	rebase := []Sample{withDisk(1.1)}
+	if err := live.SetBaseline(rebase); err != nil {
+		t.Fatal(err)
+	}
+	restored := mustDetector(t, cfg, rebase...)
+	for _, w := range windows {
+		if err := restored.SeedHistory(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored.Restore(live.Window(), live.Cooldown())
+	next := withDisk(1.1)
+	if !forecastCause(t, live, Disk, next) || !forecastCause(t, restored, Disk, next) {
+		t.Fatal("the newly tracked resource has no forecast from the kept windows")
+	}
+	for i := 0; i < 3; i++ {
+		w := []Sample{withDisk(1.1 + 0.1*float64(i))}
+		lt, rt := observe(t, live, w...), observe(t, restored, w...)
+		if fmt.Sprint(lt) != fmt.Sprint(rt) || (lt == nil) != (i == 0) {
+			t.Fatalf("window %d: live %v, restored %v", i, lt, rt)
+		}
 	}
 }
 
@@ -134,10 +199,12 @@ func TestNonPositiveMeanHasNoForecastCause(t *testing.T) {
 	for _, v := range []float64{0, -1} {
 		d := mustDetector(t, Config{Threshold: 0.05, Cooldown: 0}, constWindow("a", 1))
 		observe(t, d, constWindow("a", 1))
-		causes, err := d.score([]Sample{constWindow("a", v)})
+		window := []Sample{constWindow("a", v)}
+		at, err := d.index(window)
 		if err != nil {
 			t.Fatal(err)
 		}
+		causes := d.score(window, at)
 		for _, c := range causes {
 			if c.Kind == ForecastError {
 				t.Errorf("window mean %v: forecast cause %v", v, c)

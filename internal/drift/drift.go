@@ -19,7 +19,10 @@
 // (SetBaseline) starts a cool-down, a number of windows during which
 // nothing fires while the new plan settles. A trigger that never commits
 // leaves the detector as a quiet window would, so persistent drift fires
-// again on the next window.
+// again on the next window. The forecast's input is the last History
+// windows as the detector was given them, read against whatever baseline
+// is current when it scores: what the detector retains does not depend on
+// what the baseline tracks, so re-seeding those windows restores it.
 package drift
 
 import (
@@ -96,20 +99,21 @@ type Config struct {
 	// (SetBaseline, a committed re-solve) during which no trigger fires,
 	// regardless of drift. 0 disables.
 	Cooldown int
-	// History is the number of recent windows averaged into the rolling
-	// forecast (and retained for it). It counts windows, not appearances:
-	// a window that omits a workload, or a resource's series, still ages
-	// that workload's forecast by one, so its forecast averages the
-	// windows of the last History that carried it (and has no signal when
-	// none did). 0 defaults to 2.
+	// History is the number of recent windows the detector keeps, as it
+	// was given them, and averages into the rolling forecast. It counts
+	// windows, not appearances: a window that omits a workload's series,
+	// or carries it in another shape than the baseline's, still counts, so
+	// a forecast averages the windows of the last History that carried the
+	// series (and has no signal when none did). 0 defaults to 2.
 	History int
 	// MinWorkloads is how many distinct workloads must drift past the
 	// threshold for a trigger to fire. 0 defaults to 1.
 	MinWorkloads int
 }
 
-// withDefaults resolves the documented zero-value defaults.
-func (c Config) withDefaults() Config {
+// WithDefaults resolves the documented zero-value defaults, as NewDetector
+// does.
+func (c Config) WithDefaults() Config {
 	if c.History == 0 {
 		c.History = 2
 	}
@@ -130,14 +134,7 @@ type Sample struct {
 }
 
 func (s *Sample) get(r Resource) *series.Series {
-	switch r {
-	case CPU:
-		return s.CPU
-	case RAM:
-		return s.RAM
-	default:
-		return s.Disk
-	}
+	return [...]*series.Series{CPU: s.CPU, RAM: s.RAM, Disk: s.Disk}[r]
 }
 
 // Cause is one drifted (workload, resource, signal) triple of a Trigger.
@@ -188,36 +185,42 @@ type baseline struct {
 	shape [len(resources)]shape
 }
 
+// tracked reports whether the current baseline names the workload.
+func (b *baseline) tracked() bool { return b.have[CPU] || b.have[RAM] || b.have[Disk] }
+
 // shape pins the series geometry every observation window must match.
 type shape struct {
 	n    int
 	step time.Duration
 }
 
-// workloadState is the detector's per-workload tracking state.
-type workloadState struct {
-	base baseline
-	// history holds, per tracked resource, a slot for each of the last
-	// cfg.History recorded windows, oldest first, feeding the rolling
-	// forecast: the window's series, or nil where the window did not carry
-	// it (the workload was absent, or sent no series for the resource). So
-	// the forecast is the last cfg.History windows, not the last cfg.History
-	// appearances, whether the windows were observed or seeded. Every
-	// series has the resource's baseline shape: Observe and SeedHistory
-	// refuse any other, and SetBaseline drops the windows of a resource
-	// whose shape it changes, so the forecast is scored without a shape
-	// check.
-	history [len(resources)][]*series.Series
+// keptWindow is one retained observation window: its samples as Observe or
+// SeedHistory received them, and at, each workload slot's index into
+// samples (-1 where the window does not carry the workload; a slot past
+// len(at) was first met after the window).
+type keptWindow struct {
+	samples []Sample
+	at      []int32
 }
 
 // Detector tracks drift for a set of workloads against the incumbent
 // plan's baseline assumptions. It is not safe for concurrent use.
 type Detector struct {
-	cfg    Config
-	state  map[string]*workloadState
-	window int
-	// cooldown counts the windows still suppressed after the last rebase.
-	cooldown int
+	cfg Config
+	// slot numbers every workload a baseline has named, in the order
+	// SetBaseline first met them; a slot is never reused.
+	slot map[string]int32
+	// base is each slot's baseline; a slot the current baseline does not
+	// name tracks no resource.
+	base []baseline
+	// kept is the last cfg.History windows, oldest first: the rolling
+	// forecast's input, whatever the baseline tracks.
+	kept []keptWindow
+	// fc is score's scratch for one forecast's series.
+	fc []*series.Series
+	// window counts the windows consumed, cooldown those still suppressed
+	// after the last rebase.
+	window, cooldown int
 }
 
 // Validate reports whether cfg is a configuration NewDetector accepts.
@@ -238,7 +241,7 @@ func NewDetector(cfg Config, baselines []Sample) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: cfg.withDefaults(), state: map[string]*workloadState{}}
+	d := &Detector{cfg: cfg.WithDefaults(), slot: map[string]int32{}}
 	if err := d.SetBaseline(baselines); err != nil {
 		return nil, err
 	}
@@ -249,51 +252,39 @@ func NewDetector(cfg Config, baselines []Sample) (*Detector, error) {
 // SetBaseline replaces the plan assumptions the utilization-delta signal
 // compares against and starts the cool-down — call it when a re-solve
 // commits, so drift is measured against the new plan and the windows
-// right after it, the plan settling, fire nothing. Observation history is
-// preserved: the forecast tracks reality, not the plan. Only a resource
-// whose series shape the new baseline changes loses its history, since no
-// later window of that resource can be scored against it.
+// right after it, the plan settling, fire nothing. The kept windows stay
+// as they are: the forecast tracks reality, not the plan, and reads them
+// against whatever baseline is current when it scores.
 func (d *Detector) SetBaseline(baselines []Sample) error {
 	if len(baselines) == 0 {
 		return fmt.Errorf("drift: no baseline samples")
 	}
-	seen := make(map[string]bool, len(baselines))
-	next := make(map[string]*workloadState, len(baselines))
+	next := make([]baseline, len(d.slot), len(d.slot)+len(baselines))
 	for i := range baselines {
 		s := &baselines[i]
 		if s.Workload == "" {
 			return fmt.Errorf("drift: baseline sample %d has no workload name", i)
 		}
-		if seen[s.Workload] {
+		slot, ok := d.slot[s.Workload]
+		if !ok {
+			slot = int32(len(d.slot))
+			d.slot[s.Workload] = slot
+			next = append(next, baseline{})
+		}
+		b := &next[slot]
+		if b.tracked() {
 			return fmt.Errorf("drift: duplicate baseline workload %q", s.Workload)
 		}
-		seen[s.Workload] = true
-		ws := d.state[s.Workload]
-		if ws == nil {
-			ws = &workloadState{}
-		}
-		var any bool
 		for ri, r := range resources {
-			sr := s.get(r)
-			if sr == nil || sr.Len() == 0 {
-				ws.base.have[ri] = false
-				continue
+			if sr := s.get(r); sr != nil && sr.Len() > 0 {
+				b.have[ri], b.mean[ri], b.shape[ri] = true, sr.Mean(), shape{n: sr.Len(), step: sr.Step}
 			}
-			sh := shape{n: sr.Len(), step: sr.Step}
-			if sh != ws.base.shape[ri] {
-				ws.history[ri] = nil
-			}
-			ws.base.have[ri] = true
-			ws.base.mean[ri] = sr.Mean()
-			ws.base.shape[ri] = sh
-			any = true
 		}
-		if !any {
+		if !b.tracked() {
 			return fmt.Errorf("drift: baseline workload %q has no series", s.Workload)
 		}
-		next[s.Workload] = ws
 	}
-	d.state = next
+	d.base = next
 	d.cooldown = d.cfg.Cooldown
 	return nil
 }
@@ -306,69 +297,68 @@ func (d *Detector) Window() int { return d.window }
 // state, checkpointed by the control plane's durability layer.
 func (d *Detector) Cooldown() int { return d.cooldown }
 
-// SeedHistory appends one already-consumed observation window to the
-// rolling-forecast history without scoring it or advancing the window
-// counter — the restore half of a checkpoint. It records exactly what
-// Observe would have recorded for the same samples, and refuses, with
-// Observe's error and recording nothing, a window Observe would refuse for
-// its shape; restore the counters separately with Restore.
+// SeedHistory keeps one already-consumed observation window for the
+// rolling forecast without scoring it or advancing the window counter —
+// the restore half of a checkpoint. It refuses, with Observe's error and
+// keeping nothing, exactly the windows Observe refuses, and keeps the
+// others as Observe does: samples itself, which the caller must not edit
+// afterwards. Restore the counters separately with Restore.
 func (d *Detector) SeedHistory(samples []Sample) error {
-	for i := range samples {
-		s := &samples[i]
-		ws := d.state[s.Workload]
-		if ws == nil {
-			return fmt.Errorf("drift: seeded workload %q is not in the baseline", s.Workload)
-		}
-		for _, r := range resources {
-			if err := ws.checkShape(s, r); err != nil {
-				return err
-			}
-		}
+	at, err := d.index(samples)
+	if err != nil {
+		return err
 	}
-	d.record(samples)
+	d.record(samples, at)
 	return nil
 }
 
-// checkShape refuses a sample whose series of resource r, if the baseline
-// tracks r, is not the baseline's shape.
-func (ws *workloadState) checkShape(s *Sample, r Resource) error {
-	sr := s.get(r)
-	if sr == nil || !ws.base.have[r] {
-		return nil
+// index checks a window — every workload in the baseline and none twice,
+// every series of a tracked resource of the baseline's shape — and returns
+// each slot's index into samples, -1 for a slot the window does not carry.
+func (d *Detector) index(samples []Sample) ([]int32, error) {
+	at := make([]int32, len(d.base))
+	for i := range at {
+		at[i] = -1
 	}
-	if sh := ws.base.shape[r]; sr.Len() != sh.n || sr.Step != sh.step {
-		return fmt.Errorf("drift: workload %q %v window shape (%d×%v) differs from baseline (%d×%v)",
-			s.Workload, r, sr.Len(), sr.Step, sh.n, sh.step)
+	for i := range samples {
+		s := &samples[i]
+		slot, ok := d.slot[s.Workload] // a refused baseline names slots past d.base
+		if !ok || int(slot) >= len(d.base) || !d.base[slot].tracked() {
+			return nil, fmt.Errorf("drift: workload %q is not in the baseline", s.Workload)
+		}
+		if at[slot] >= 0 {
+			return nil, fmt.Errorf("drift: duplicate workload %q in window", s.Workload)
+		}
+		if err := d.base[slot].checkShape(s); err != nil {
+			return nil, err
+		}
+		at[slot] = int32(i)
+	}
+	return at, nil
+}
+
+// checkShape refuses a sample with a series of a tracked resource that is
+// not the baseline's shape.
+func (b *baseline) checkShape(s *Sample) error {
+	for ri, r := range resources {
+		sr := s.get(r)
+		if sr == nil || !b.have[ri] {
+			continue
+		}
+		if sh := b.shape[ri]; sr.Len() != sh.n || sr.Step != sh.step {
+			return fmt.Errorf("drift: workload %q %v window shape (%d×%v) differs from baseline (%d×%v)",
+				s.Workload, r, sr.Len(), sr.Step, sh.n, sh.step)
+		}
 	}
 	return nil
 }
 
-// record ages every tracked (workload, resource) of the forecast history
-// by one slot, keeping the last cfg.History, and fills the new slot with
-// the window's series where it carries one. The window has been checked.
-func (d *Detector) record(samples []Sample) {
-	for _, ws := range d.state {
-		for ri := range resources {
-			if !ws.base.have[ri] {
-				continue
-			}
-			h := append(ws.history[ri], nil)
-			if len(h) > d.cfg.History {
-				h = h[len(h)-d.cfg.History:]
-			}
-			ws.history[ri] = h
-		}
+// record keeps a checked window, evicting the oldest beyond cfg.History.
+func (d *Detector) record(samples []Sample, at []int32) {
+	if len(d.kept) == d.cfg.History {
+		d.kept = append(d.kept[:0], d.kept[1:]...)
 	}
-	for i := range samples {
-		s := &samples[i]
-		ws := d.state[s.Workload]
-		for ri, r := range resources {
-			if ws.base.have[ri] {
-				h := ws.history[ri]
-				h[len(h)-1] = s.get(r)
-			}
-		}
-	}
+	d.kept = append(d.kept, keptWindow{samples, at})
 }
 
 // Restore sets the detector's counter state — window count and remaining
@@ -376,26 +366,28 @@ func (d *Detector) record(samples []Sample) {
 // exactly where the crashed one stopped (a detector that was mid-cool-down
 // must not fire on its first replayed window).
 func (d *Detector) Restore(window, cooldown int) {
-	d.window = window
-	d.cooldown = cooldown
+	d.window, d.cooldown = window, cooldown
 }
 
 // Observe consumes one observation window for the fleet and returns a
 // non-nil Trigger when drift fires; a firing window changes the detector
 // as a quiet one does (the cool-down starts at SetBaseline). Workloads
 // absent from the window are skipped (no signal, and an empty slot in
-// their forecast history); workloads the baseline does not track are an
-// error, as are windows whose series shape differs from the baseline's.
+// their forecast); workloads the baseline does not track are an error, as
+// are duplicate workloads and series of a tracked resource whose shape
+// differs from the baseline's. The detector keeps samples, which the
+// caller must not edit afterwards, as one of the last History windows.
 func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
-	causes, err := d.score(samples)
+	at, err := d.index(samples)
 	if err != nil {
 		return nil, err
 	}
+	causes := d.score(samples, at)
 	window := d.window
 	d.window++
 
 	// Record history after scoring, so a window is never its own forecast.
-	d.record(samples)
+	d.record(samples, at)
 
 	// The windows right after a re-solve are the plan settling.
 	if d.cooldown > 0 {
@@ -426,56 +418,62 @@ func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 		}
 		return a.Kind < b.Kind
 	})
-	return &Trigger{
-		Window:    window,
-		Causes:    firing,
-		MaxDrift:  firing[0].Drift,
-		Workloads: len(fleet),
-	}, nil
+	return &Trigger{Window: window, Causes: firing, MaxDrift: firing[0].Drift, Workloads: len(fleet)}, nil
 }
 
-// score computes every (workload, resource, signal) drift for one window.
-func (d *Detector) score(samples []Sample) ([]Cause, error) {
+// score computes every (workload, resource, signal) drift for one window
+// that index checked; at is its index.
+func (d *Detector) score(samples []Sample, at []int32) []Cause {
 	var causes []Cause
-	seen := make(map[string]bool, len(samples))
-	for i := range samples {
-		s := &samples[i]
-		ws := d.state[s.Workload]
-		if ws == nil {
-			return nil, fmt.Errorf("drift: workload %q is not in the baseline", s.Workload)
+	for slot, i := range at {
+		if i < 0 {
+			continue
 		}
-		if seen[s.Workload] {
-			return nil, fmt.Errorf("drift: duplicate workload %q in window", s.Workload)
-		}
-		seen[s.Workload] = true
+		s, b := &samples[i], &d.base[slot]
 		for ri, r := range resources {
 			sr := s.get(r)
-			if sr == nil {
-				continue
-			}
-			if !ws.base.have[ri] {
-				continue // resource untracked by the plan
-			}
-			if err := ws.checkShape(s, r); err != nil {
-				return nil, err
+			if sr == nil || !b.have[ri] {
+				continue // no series, or a resource untracked by the plan
 			}
 			mean := sr.Mean()
-			if du, ok := utilizationDelta(ws.base.mean[ri], mean); ok {
+			if du, ok := utilizationDelta(b.mean[ri], mean); ok {
 				causes = append(causes, Cause{s.Workload, r, UtilizationDelta, du})
 			}
 			// A non-positive window mean makes CV(RMSE) undefined: no
-			// forecast signal rather than a fake one, as for a history whose
-			// slots are all empty (RollingRMSE is NaN). The CV goes through
-			// its percentage, rounded, as predict.WeeklyForecast.CVRMSEPct
-			// does, so a threshold sees the same bits either way.
-			if len(ws.history[ri]) > 0 && mean > 0 {
-				if cv := float64(predict.RollingRMSE(ws.history[ri], sr)/mean*100) / 100; !math.IsNaN(cv) {
+			// forecast signal rather than a fake one, as for a forecast with
+			// no kept series. The CV goes through its percentage, rounded,
+			// as predict.WeeklyForecast.CVRMSEPct does, so a threshold sees
+			// the same bits either way.
+			if mean <= 0 {
+				continue
+			}
+			if fc := d.forecast(slot, ri); len(fc) > 0 {
+				if cv := float64(predict.RollingRMSE(fc, sr)/mean*100) / 100; !math.IsNaN(cv) {
 					causes = append(causes, Cause{s.Workload, r, ForecastError, cv})
 				}
 			}
 		}
 	}
-	return causes, nil
+	return causes
+}
+
+// forecast gathers a slot's series of resource ri from the kept windows,
+// oldest first, into d.fc. A window that does not carry the series, or
+// carries it in another shape than the baseline's, adds nothing: the
+// forecast averages the windows of the last History that carried it.
+func (d *Detector) forecast(slot, ri int) []*series.Series {
+	sh := d.base[slot].shape[ri]
+	fc := d.fc[:0]
+	for _, w := range d.kept {
+		if slot >= len(w.at) || w.at[slot] < 0 {
+			continue
+		}
+		if sr := w.samples[w.at[slot]].get(resources[ri]); sr != nil && sr.Len() == sh.n && sr.Step == sh.step {
+			fc = append(fc, sr)
+		}
+	}
+	d.fc = fc
+	return fc
 }
 
 // utilizationDelta scores the relative mean shift of a window against the

@@ -75,6 +75,14 @@ func TestObserveValidation(t *testing.T) {
 	if _, err := d.Observe([]Sample{badStep}); err == nil {
 		t.Error("window step mismatch accepted")
 	}
+	// A refused rebase leaves the baseline as it was, including for a
+	// workload it named first.
+	if err := d.SetBaseline([]Sample{constWindow("new", 1), {Workload: "a"}}); err == nil {
+		t.Fatal("a baseline sample with no series accepted")
+	}
+	if _, err := d.Observe([]Sample{constWindow("new", 1)}); err == nil {
+		t.Error("a workload only a refused baseline named accepted")
+	}
 }
 
 // TestUtilizationThresholdBoundary pins the firing boundary: drift exactly

@@ -30,11 +30,21 @@ type scheduleOp struct {
 }
 
 // partialWindow is a stamped 4-workload window at scale with workload
-// omit left out (omit < 0 keeps all four).
+// omit left out (omit < 0 keeps all four), sampled every 300 s.
 func partialWindow(scale float64, key int64, omit int) []byte {
+	return stepWindow(300, scale, key, omit)
+}
+
+// qStep is fleet q's step_seconds in replaySchedule: 1.235 s is no whole
+// number of nanoseconds in binary, and truncating it gave a step that the
+// snapshot wrote back as 1.234999999 s.
+const qStep = 1.235
+
+// stepWindow is partialWindow sampled every step seconds.
+func stepWindow(step, scale float64, key int64, omit int) []byte {
 	wls := testWorkloads(4, 8, scale)
 	for i := range wls {
-		wls[i].StartUnix = key
+		wls[i].StartUnix, wls[i].StepSeconds = key, step
 	}
 	if omit >= 0 {
 		wls = append(wls[:omit], wls[omit+1:]...)
@@ -43,14 +53,16 @@ func partialWindow(scale float64, key int64, omit int) []byte {
 }
 
 // replaySchedule is a seeded schedule of n operations over two 4-workload
-// fleets: p registers first and q a few operations in; each window is
-// quiet, drifted (to a new load level), partial (drifted, one workload
-// omitted), a resend of an earlier stamped window, or unstamped. tail is
-// three more windows for p: drifted, partial and quiet.
+// fleets: p registers first and q, sampled every qStep seconds, a few
+// operations in; each window is quiet, drifted (to a new load level),
+// partial (drifted, one workload omitted), a resend of an earlier stamped
+// window, or unstamped. tail is three more windows for p: drifted, partial
+// and quiet.
 func replaySchedule(seed int64, n int) (ops, tail []scheduleOp) {
 	rng := rand.New(rand.NewSource(seed))
 	levels := []float64{1, 1.3, 1.6}
 	level := map[string]int{} // each fleet's index into levels
+	step := map[string]float64{"p": 300, "q": qStep}
 	var sent []scheduleOp
 	next := int64(1000)
 	window := func(id, kind string) scheduleOp {
@@ -64,18 +76,18 @@ func replaySchedule(seed int64, n int) (ops, tail []scheduleOp) {
 		scale := levels[level[id]] * (1 + 0.002*rng.Float64())
 		switch kind {
 		case "partial":
-			return scheduleOp{fleet: id, body: partialWindow(scale, next, rng.Intn(4)), key: next}
+			return scheduleOp{fleet: id, body: stepWindow(step[id], scale, next, rng.Intn(4)), key: next}
 		case "unstamped":
-			return scheduleOp{fleet: id, body: partialWindow(scale, 0, -1)}
+			return scheduleOp{fleet: id, body: stepWindow(step[id], scale, 0, -1)}
 		}
-		return scheduleOp{fleet: id, body: partialWindow(scale, next, -1), key: next}
+		return scheduleOp{fleet: id, body: stepWindow(step[id], scale, next, -1), key: next}
 	}
 	fleets := []string{"p"}
 	ops = append(ops, scheduleOp{fleet: "p", register: true, body: registerBody("p", 4, 8)})
 	for len(ops) < n {
 		if len(ops) == 4 {
 			fleets = append(fleets, "q")
-			ops = append(ops, scheduleOp{fleet: "q", register: true, body: registerBody("q", 4, 8)})
+			ops = append(ops, scheduleOp{fleet: "q", register: true, body: stepRegisterBody("q", 4, 8, qStep)})
 			continue
 		}
 		id := fleets[rng.Intn(len(fleets))]

@@ -38,16 +38,17 @@ func testWorkloads(n, T int, scale float64) []WorkloadWire {
 
 // registerBody builds a registration request for a small synthetic fleet.
 func registerBody(id string, n, T int) []byte {
-	req := RegisterRequest{
-		ID:           id,
-		Workloads:    testWorkloads(n, T, 1.0),
-		AutoMachines: &AutoMachines{Count: n},
+	return stepRegisterBody(id, n, T, 300)
+}
+
+// stepRegisterBody is registerBody with every workload sampled every step
+// seconds.
+func stepRegisterBody(id string, n, T int, step float64) []byte {
+	req := RegisterRequest{ID: id, Workloads: testWorkloads(n, T, 1.0), AutoMachines: &AutoMachines{Count: n}}
+	for i := range req.Workloads {
+		req.Workloads[i].StepSeconds = step
 	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		panic(err)
-	}
-	return b
+	return mustJSON(req)
 }
 
 // newTestServer starts a control plane on an httptest listener.
@@ -113,6 +114,10 @@ func TestRegisterEndpoint(t *testing.T) {
 				Count: 2,
 			},
 		})), http.StatusBadRequest},
+		// Steps with no positive nanosecond form: below half a nanosecond,
+		// beyond a time.Duration.
+		{"step below a nanosecond", string(stepRegisterBody("x", 2, 4, 1e-10)), http.StatusBadRequest},
+		{"step beyond a duration", string(stepRegisterBody("x", 2, 4, 1e300)), http.StatusBadRequest},
 		{"zero-capacity machine", string(mustJSON(RegisterRequest{
 			ID: "x", Workloads: testWorkloads(2, 4, 1),
 			Machines: []MachineWire{{CPUCapacity: 0, RAMBytes: 96e9}, {CPUCapacity: 1, RAMBytes: 96e9}},

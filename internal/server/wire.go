@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -41,7 +42,11 @@ type WorkloadWire struct {
 	// (optional; series alignment is positional, not by wall clock).
 	StartUnix int64 `json:"start_unix,omitempty"`
 	// StepSeconds is the sampling interval. Defaults to 300 (the paper's
-	// 5-minute windows) when omitted.
+	// 5-minute windows) when omitted. It is taken to the nearest
+	// nanosecond; a step refused with 400 is one that is not positive
+	// there (below 0.5 ns), one beyond about 292 years, and one whose
+	// nanoseconds, written back in seconds by a snapshot, would not
+	// convert to the same step again.
 	StepSeconds float64 `json:"step_seconds,omitempty"`
 	// CPU is utilization as a fraction of the target machine; required.
 	CPU []float64 `json:"cpu"`
@@ -382,14 +387,14 @@ func toWorkloads(ws []WorkloadWire, needDisk bool) ([]kairos.Workload, error) {
 		if step == 0 {
 			step = 300
 		}
-		if step <= 0 {
-			return nil, fmt.Errorf("workload %q: step_seconds %v must be positive", w.Name, w.StepSeconds)
+		dt, ok := stepDuration(step)
+		if !ok {
+			return nil, fmt.Errorf("workload %q: step_seconds %v must round to a positive number of nanoseconds that a snapshot writes back unchanged", w.Name, w.StepSeconds)
 		}
 		if len(w.CPU) == 0 || len(w.RAMBytes) == 0 {
 			return nil, fmt.Errorf("workload %q: cpu and ram_bytes series are required", w.Name)
 		}
 		start := time.Unix(w.StartUnix, 0).UTC()
-		dt := time.Duration(step * float64(time.Second))
 		mk := func(vals []float64) *series.Series {
 			if len(vals) == 0 {
 				return nil
@@ -420,6 +425,18 @@ func toWorkloads(ws []WorkloadWire, needDisk bool) ([]kairos.Workload, error) {
 		out[i] = wl
 	}
 	return out, nil
+}
+
+// stepDuration converts a wire step to the nearest nanosecond. It refuses
+// a step that is not positive there, and one whose write-back, the
+// snapshot's Duration.Seconds, would not convert to the same duration.
+func stepDuration(seconds float64) (time.Duration, bool) {
+	ns := math.Round(seconds * float64(time.Second))
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, false
+	}
+	dt := time.Duration(ns)
+	return dt, time.Duration(math.Round(dt.Seconds()*float64(time.Second))) == dt
 }
 
 // toMachines resolves the explicit machine list or the AutoMachines

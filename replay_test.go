@@ -471,6 +471,10 @@ func outcome(t *testing.T, f *Fleet, w []Workload) string {
 // trigger's evidence, K, the assignment and the objective's bits. Each
 // window scales and phase-shifts every workload and, at random, omits the
 // last one, so restores land after partial windows and partial triggers.
+// The seeds run twice, the second time with a disk_write_bps series the
+// registration lacks on every window: the detector starts tracking it
+// when a trigger commits a forecast that carries it, and must then read
+// the same windows live as after a restore.
 func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
 	wls, machines := watchFleet(6, 24)
 	_, inc := solveIncumbent(t, wls, machines)
@@ -478,7 +482,8 @@ func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
-	for seed := 0; seed < seeds; seed++ {
+	for run := 0; run < 2*seeds; run++ {
+		seed, disk := run%seeds, run >= seeds
 		rng := rand.New(rand.NewSource(int64(seed)))
 		stream := make([][]Workload, 10)
 		for i := range stream {
@@ -490,6 +495,11 @@ func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				w = w[:len(w)-1]
+			}
+			if disk {
+				for j := range w {
+					w[j].DiskWriteBps = w[j].CPU.Scale(1e7 * (0.8 + 0.4*rng.Float64()))
+				}
 			}
 			stream[i] = w
 		}
@@ -503,11 +513,11 @@ func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
 		for split := 1; split < len(stream); split++ {
 			restored := watchSession(t, inc, wls, machines)
 			if err := restored.RestoreWatch(cps[split]); err != nil {
-				t.Fatalf("seed %d: restoring the checkpoint after window %d: %v", seed, split-1, err)
+				t.Fatalf("seed %d (disk %v): restoring the checkpoint after window %d: %v", seed, disk, split-1, err)
 			}
 			for i := split; i < len(stream); i++ {
 				if got := outcome(t, restored, stream[i]); got != want[i] {
-					t.Fatalf("seed %d, restored after window %d: window %d %s, live %s", seed, split-1, i, got, want[i])
+					t.Fatalf("seed %d (disk %v), restored after window %d: window %d %s, live %s", seed, disk, split-1, i, got, want[i])
 				}
 			}
 		}

@@ -89,21 +89,16 @@ func (e *ResolveError) Unwrap() error { return e.Err }
 // the detector only cross-checks the series it tracks, and an untracked
 // series with a different shape would otherwise slip into the forecast
 // history and break MeanOfWindows at trigger time — after the window was
-// already recorded.
+// already recorded. Duplicate names are the detector's to refuse.
 func driftSamples(wls []Workload) ([]drift.Sample, error) {
 	if len(wls) == 0 {
 		return nil, fmt.Errorf("kairos: no workloads in window")
 	}
 	out := make([]drift.Sample, len(wls))
-	seen := make(map[string]bool, len(wls))
 	for i, w := range wls {
 		if w.Name == "" {
 			return nil, fmt.Errorf("kairos: workload %d has no name (watch matches by name)", i)
 		}
-		if seen[w.Name] {
-			return nil, fmt.Errorf("kairos: duplicate workload name %q", w.Name)
-		}
-		seen[w.Name] = true
 		if w.CPU == nil || w.RAMBytes == nil {
 			return nil, fmt.Errorf("kairos: workload %q missing CPU or RAM series", w.Name)
 		}
