@@ -122,7 +122,7 @@ race-server:
 # and one payload buffer per decode worker. Then the journal's own: torn
 # tails, bit flips, snapshot crash points, and its Reader against Open.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart|TestUncommittedTriggerRestart|TestReplayRetiredRearmRecord|TestReplayRefusedDriftOptions' -v ./internal/server/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart|TestUncommittedTriggerRestart|TestReplayRetiredRearmRecord|TestReplayRefusedDriftOptions|TestAckRingBound' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series

@@ -79,7 +79,7 @@ func TestSolveCancel197(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled solve did not return within 30s")
 	}
-	if n := settled(goroutines); n != goroutines {
+	if n := settled(goroutines); n > goroutines {
 		t.Errorf("%d goroutines after the cancelled solve, %d before", n, goroutines)
 	}
 	if n := cpu.InUse(); n != 0 {
@@ -113,7 +113,7 @@ func TestResolveCancel197(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled re-solve returned (%v, %v), want context.Canceled", sol, err)
 	}
-	if n := settled(goroutines); n != goroutines {
+	if n := settled(goroutines); n > goroutines {
 		t.Errorf("%d goroutines after the cancelled re-solve, %d before", n, goroutines)
 	}
 	if n := cpu.InUse(); n != 0 {

@@ -44,8 +44,7 @@ const (
 	CPU Resource = iota
 	// RAM is the memory requirement series (bytes).
 	RAM
-	// Disk is the disk-model input series (row update rate, falling back
-	// to measured write throughput for trace-only fleets).
+	// Disk is the disk-model input series, the row update rate (rows/s).
 	Disk
 )
 

@@ -72,25 +72,18 @@ func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 
 // RollingRMSE is the RMSE of the rolling forecast — the element-wise mean
 // of the history windows — against the actual window, without building the
-// forecast. Nil entries are empty slots (a window that did not carry the
-// series) and are skipped: the result equals
-// stats.RMSE(MeanOfWindows(the non-nil windows), actual) bit for bit,
-// because it does the same operations in the same order. Per sample, the
-// windows are summed h0 + h1 + … left to right and scaled by 1/n, and
-// (p − a)² is summed over the samples left to right; then √(ss/len). The
-// float64 conversions are rounding barriers: no architecture may fuse a
-// product into an FMA that the two-step computation does not. Every
-// window must have the actual window's length (drift.Detector holds every
-// window it keeps to its baseline's shape). A history with no window is
-// NaN.
+// forecast. The result equals stats.RMSE(MeanOfWindows(history), actual)
+// bit for bit, because it does the same operations in the same order. Per
+// sample, the windows are summed h0 + h1 + … left to right and scaled by
+// 1/n, and (p − a)² is summed over the samples left to right; then
+// √(ss/len). The float64 conversions are rounding barriers: no
+// architecture may fuse a product into an FMA that the two-step
+// computation does not. history must hold at least one window, none nil,
+// each of the actual window's length (drift.Detector gathers only the kept
+// windows that carry the series, in its baseline's shape, and scores none
+// when there are none).
 func RollingRMSE(history []*series.Series, actual *series.Series) float64 {
-	n := 0
-	for _, h := range history {
-		if h != nil {
-			n++
-		}
-	}
-	inv := 1 / float64(n)
+	inv := 1 / float64(len(history))
 	var ss float64
 	for i, a := range actual.Values {
 		// Starting the sum at +0 rounds nothing and can change only the
@@ -98,9 +91,7 @@ func RollingRMSE(history []*series.Series, actual *series.Series) float64 {
 		// MeanOfWindows'.
 		var p float64
 		for _, h := range history {
-			if h != nil {
-				p += h.Values[i]
-			}
+			p += h.Values[i]
 		}
 		d := float64(p*inv) - a
 		ss += float64(d * d)

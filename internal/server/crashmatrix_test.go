@@ -500,6 +500,111 @@ func TestIdempotentIngestLive(t *testing.T) {
 	}
 }
 
+// TestAckRingBound: the retry contract covers the last ackRingSize stamped
+// windows, live and across both kinds of restart. After ackRingSize+2
+// windows (the newest one triggers), a resend of any of the newest
+// ackRingSize is answered from the ring with its original index and
+// triggered flag, and a resend of one of the first two, evicted, is
+// consumed as a new window. The shutdown snapshot holds the ring as it
+// stands: the newest ackRingSize acks in arrival order.
+func TestAckRingBound(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("ring", 2, 4), http.StatusCreated)
+	window := func(i int) []byte {
+		scale := 1.001
+		if i == ackRingSize+1 {
+			scale = 1.3
+		}
+		return stampedWindow(2, 4, scale, int64(1000+i))
+	}
+	send := func(s *Server, i int) (resp WindowResponse) {
+		t.Helper()
+		if err := json.Unmarshal(mustServe(t, s, http.MethodPost, "/v1/fleets/ring/windows", window(i), http.StatusOK), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	sent := make([]WindowResponse, ackRingSize+2)
+	for i := range sent {
+		sent[i] = send(s, i)
+	}
+	if !sent[len(sent)-1].Triggered {
+		t.Fatalf("the drifted window answered %+v, want a trigger", sent[len(sent)-1])
+	}
+	check := func(label string, s *Server) {
+		t.Helper()
+		for i := 2; i < len(sent); i++ {
+			if got, want := send(s, i), sent[i]; !got.Duplicate || got.Window != want.Window || got.Triggered != want.Triggered {
+				t.Fatalf("%s: resend of window %d = %+v, want a duplicate of %+v", label, i, got, want)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if got := send(s, i); got.Duplicate || got.Window != len(sent)+i {
+				t.Errorf("%s: resend of evicted window %d = %+v, want it consumed as window %d", label, i, got, len(sent)+i)
+			}
+		}
+	}
+	journalDir, snapDir := copyDir(t, dir, -1), copyDir(t, dir, -1)
+	check("live", s)
+	s.Kill()
+
+	c, err := openDir(snapDir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := journal.OpenReader(snapDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := decodeSnapshot(rd.Snapshot)
+	rd.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []AckWire
+	for i := 2; i < len(sent); i++ {
+		want = append(want, AckWire{StartUnix: int64(1000 + i), Window: sent[i].Window, Triggered: sent[i].Triggered})
+	}
+	if len(snap.Fleets) != 1 {
+		t.Fatalf("the snapshot holds %d fleets, want 1", len(snap.Fleets))
+	}
+	got := snap.Fleets[0].Acks
+	if len(got) != len(want) {
+		t.Fatalf("the snapshot holds %d acks, want the newest %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("snapshot ack %d = %+v, want %+v: the newest acks in arrival order", i, got[i], want[i])
+		}
+	}
+
+	for _, c := range []struct {
+		label   string
+		dir     string
+		windows int // the window records replay applies
+	}{
+		{"after Close and Open", snapDir, 0},
+		{"after Kill and Open", journalDir, len(sent)},
+	} {
+		r, err := openDir(c.dir, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.recovery.Windows != c.windows {
+			t.Errorf("%s: replayed %d windows, want %d", c.label, r.recovery.Windows, c.windows)
+		}
+		check(c.label, r)
+		r.Kill()
+	}
+}
+
 // TestSolverBackoffSuppressesSolves: during backoff a drifted window is
 // monitored detect-only (no re-solve, detector re-armed) and the
 // consecutive-failure gauge is visible; once the backoff expires the

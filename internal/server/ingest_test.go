@@ -220,13 +220,11 @@ func stateOf(t *testing.T, s *Server, id string) sessionState {
 	if sess == nil {
 		t.Fatalf("fleet %q is not registered", id)
 	}
-	st := sessionState{Status: s.status(sess), Plan: planWire(sess.fleet.Plan(), sess.workloads, sess.machines).Assignments}
+	st := sessionState{Status: s.status(sess), Plan: planWire(sess.fleet.Plan()).Assignments}
 	st.Events = append(st.Events, *sess.events.Load()...)
 	sess.turn <- struct{}{}
 	defer func() { <-sess.turn }()
-	for _, k := range sess.ackOrder {
-		st.Acks = append(st.Acks, sess.acks[k])
-	}
+	st.Acks = append(st.Acks, sess.acks...)
 	return st
 }
 

@@ -139,9 +139,11 @@ func jitterDuration(d time.Duration) time.Duration {
 var errRefusedDrift = errors.New("drift options the detector refuses")
 
 // restoreSession rebuilds one fleet session from its snapshot entry,
-// without solving: the registration request and durable incumbent, and
-// the watch state once the fleet has consumed a window. A RegisterRecord
-// replays as an entry with neither.
+// without solving: the registration request, the durable incumbent and the
+// watch state. A RegisterRecord replays as an entry that has consumed no
+// window, and so has no history: RestoreWatch publishes the plan priced on
+// the spec workloads, as the registration-time solve did, with the
+// detector the first window would build.
 func restoreSession(fs *FleetSnapshot) (*session, error) {
 	req, inc := fs.Request, fs.Incumbent
 	if req == nil || req.ID == "" {
@@ -157,13 +159,6 @@ func restoreSession(fs *FleetSnapshot) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet %q: %w", req.ID, err)
 	}
-	if fs.Detector.Windows == 0 && len(fs.History) == 0 {
-		if _, err := sess.fleet.AdoptIncumbent(inc); err != nil {
-			return nil, fmt.Errorf("fleet %q incumbent: %w", req.ID, err)
-		}
-		return sess, nil
-	}
-	// RestoreWatch publishes the plan as well, priced on the baseline.
 	cp := &kairos.FleetCheckpoint{
 		Incumbent: inc,
 		Windows:   fs.Detector.Windows,
@@ -221,12 +216,7 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 				return nil, fmt.Errorf("snapshot: %w", err)
 			}
 			sess.appendEvents(fs.Events...)
-			for _, a := range fs.Acks {
-				if _, ok := sess.acks[a.StartUnix]; !ok {
-					sess.ackOrder = append(sess.ackOrder, a.StartUnix)
-				}
-				sess.acks[a.StartUnix] = a
-			}
+			sess.acks = fs.Acks
 			sess.failures.Store(int64(fs.Failures))
 			s.applyRegisterLocked(read, sess)
 		}
@@ -510,10 +500,8 @@ func (s *Server) snapshotPaused() error {
 			History:   fromHistory(cp.History),
 			Detector:  DetectorWire{Windows: cp.Windows, Armed: cp.Armed, Cooldown: cp.Cooldown},
 			Events:    *sess.events.Load(),
+			Acks:      sess.acks,
 			Failures:  int(sess.failures.Load()),
-		}
-		for _, k := range sess.ackOrder {
-			fs.Acks = append(fs.Acks, sess.acks[k])
 		}
 		snap.Fleets = append(snap.Fleets, fs)
 	}

@@ -25,8 +25,9 @@ import (
 // observation window with week-long series.
 const maxBodyBytes = 16 << 20
 
-// ackRingSize bounds the per-fleet idempotent-ingest ring: the most
-// recent acks, keyed by window start time, kept for collector retries.
+// ackRingSize bounds the per-fleet idempotent-ingest ring: the acks of the
+// most recent stamped windows, kept for collector retries. A resend of an
+// older window is consumed again.
 const ackRingSize = 512
 
 // Config configures a control plane for Open.
@@ -101,14 +102,13 @@ type Server struct {
 // session is one registered fleet: the library session handle, the turn
 // its windows take one at a time, and the server-side state beside it — the
 // ledger (event log, idempotent-ingest ring, failure streak and backoff)
-// and the fleet's /metrics counters.
+// and the fleet's /metrics counters. It keeps no copy of what the fleet or
+// its registration request holds: names and counts are read from those.
 type session struct {
-	id        string
-	req       *RegisterRequest // registration request, reissued in snapshots
-	fleet     *kairos.Fleet
-	workloads []kairos.Workload
-	machines  []kairos.Machine
-	needDisk  bool
+	id       string
+	req      *RegisterRequest // registration request, reissued in snapshots
+	fleet    *kairos.Fleet
+	needDisk bool
 	// recordHead is the head of the fleet's window records (windowHead).
 	recordHead []byte
 	// turn is the fleet's lock, taken by sending into its one slot: a window
@@ -131,13 +131,10 @@ type session struct {
 	// reconstructing library event objects. The writer appends to it and
 	// publishes the longer slice, so readers load it without the turn.
 	events atomic.Pointer[[]*EventWire]
-	// acks and ackOrder are the idempotent-ingest ring: original
-	// acknowledgements keyed by window start time, eviction in arrival
-	// order. pendingKey is the last applied window's key: the ack an
-	// advance marks triggered.
-	acks       map[int64]AckWire
-	ackOrder   []int64
-	pendingKey int64
+	// acks is the idempotent-ingest ring in the form a snapshot writes it:
+	// the original acknowledgements of the last ackRingSize stamped windows,
+	// in arrival order. Snapshots write it and replay restores it as it is.
+	acks []AckWire
 	// failures counts consecutive failed re-solves (/metrics reads it);
 	// backoffUntil is when the fleet may solve again.
 	failures     atomic.Int64
@@ -466,13 +463,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.pauseRW.RUnlock()
 	s.logf("fleet %q registered: %d workloads -> K=%d (feasible=%v)",
-		req.ID, len(sess.workloads), plan.K, plan.Feasible)
+		req.ID, len(req.Workloads), plan.K, plan.Feasible)
 	writeJSON(w, http.StatusCreated, s.status(sess))
 }
 
 // buildSession turns a registration request into a session around a fresh
 // library Fleet, with no plan yet: handleRegister goes on to Consolidate
-// it, recovery to AdoptIncumbent the journaled plan.
+// it, recovery to restore the journaled plan.
 func buildSession(req *RegisterRequest) (*session, error) {
 	dp, err := toDiskProfile(req.DiskProfile)
 	if err != nil {
@@ -503,12 +500,9 @@ func buildSession(req *RegisterRequest) (*session, error) {
 		id:         req.ID,
 		req:        req,
 		fleet:      fleet,
-		workloads:  workloads,
-		machines:   machines,
 		needDisk:   dp != nil,
 		recordHead: head,
 		turn:       make(chan struct{}, 1),
-		acks:       map[int64]AckWire{},
 	}
 	sess.events.Store(&[]*EventWire{})
 	return sess, nil
@@ -563,9 +557,12 @@ func windowKey(wire []WorkloadWire) int64 {
 // window without its advance.
 func (s *Server) processWindow(ctx context.Context, sess *session, window []kairos.Workload, key int64, record [][]byte) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
-	// returns its original acknowledgement without being re-applied.
-	if ack, dup := sess.acks[key]; dup {
-		return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
+	// returns its original acknowledgement without being re-applied. The
+	// scan starts at the newest ack, the one a retry most likely wants.
+	for i := len(sess.acks) - 1; i >= 0; i-- {
+		if ack := sess.acks[i]; ack.StartUnix == key {
+			return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
+		}
 	}
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
@@ -617,35 +614,33 @@ func (s *Server) processWindow(ctx context.Context, sess *session, window []kair
 
 // applyWindow applies a window record: through the drift detector into
 // the forecast history (a trigger it fires commits only with an advance
-// record), and into the idempotent-ingest ring (evicting
-// beyond ackRingSize) acked as not triggered — only the outcome record can
-// say the plan advanced. Entering the ring makes resends return the ack,
-// so the window must already be journaled.
+// record), and onto the newest end of the idempotent-ingest ring acked as
+// not triggered — only the advance record can say the plan advanced. A full
+// ring drops its oldest ack, shifting the rest in place. Entering the ring
+// makes resends return the ack, so the window must already be journaled.
 func (sess *session) applyWindow(_ journaled, window []kairos.Workload, key int64) (index int, fired bool, err error) {
 	if fired, err = sess.fleet.ObserveDetectOnly(window); err != nil {
 		return 0, false, err
 	}
 	index = sess.fleet.Window() - 1
-	sess.pendingKey = key
 	if key == 0 {
 		return index, fired, nil // unstamped windows are never deduplicated
 	}
-	if _, ok := sess.acks[key]; !ok {
-		sess.ackOrder = append(sess.ackOrder, key)
-		if len(sess.ackOrder) > ackRingSize {
-			delete(sess.acks, sess.ackOrder[0])
-			sess.ackOrder = sess.ackOrder[1:]
-		}
+	if drop := len(sess.acks) - ackRingSize + 1; drop > 0 {
+		sess.acks = sess.acks[:copy(sess.acks, sess.acks[drop:])]
 	}
-	sess.acks[key] = AckWire{StartUnix: key, Window: index}
+	sess.acks = append(sess.acks, AckWire{StartUnix: key, Window: index})
 	return index, fired, nil
 }
 
 // applyAdvance applies an advance record: the plan advances, the event
 // joins the log, the triggering window's ack now says it triggered, and the
-// failure streak ends. Live passes the event it resolved, committed as it
-// stands; replay has none and rebuilds the plan from the journaled
-// incumbent — the one place the two differ.
+// failure streak ends. An advance follows its window under the same turn
+// and snapshot read-lock, so the window it follows is the fleet's last, and
+// its ack is the newest in the ring unless the window was unstamped. Live
+// passes the event it resolved, committed as it stands; replay has none
+// and rebuilds the plan from the journaled incumbent — the one place the
+// two differ.
 func (sess *session) applyAdvance(_ journaled, rec *AdvanceRecord, ev *kairos.ReconsolidationEvent) (err error) {
 	if ev != nil {
 		err = sess.fleet.Advance(ev)
@@ -658,9 +653,8 @@ func (sess *session) applyAdvance(_ journaled, rec *AdvanceRecord, ev *kairos.Re
 	if rec.Event != nil {
 		sess.appendEvents(rec.Event)
 	}
-	if ack, ok := sess.acks[sess.pendingKey]; ok {
-		ack.Triggered = true
-		sess.acks[sess.pendingKey] = ack
+	if n := len(sess.acks); n > 0 && sess.acks[n-1].Window == sess.fleet.Window()-1 {
+		sess.acks[n-1].Triggered = true
 	}
 	sess.failures.Store(0)
 	sess.backoffUntil = time.Time{}
@@ -793,8 +787,11 @@ func (s *Server) writeStopped(w http.ResponseWriter, sess *session) {
 func (s *Server) status(sess *session) FleetStatus {
 	st := FleetStatus{
 		ID:        sess.id,
-		Workloads: len(sess.workloads),
-		Machines:  len(sess.machines),
+		Workloads: len(sess.req.Workloads),
+		Machines:  len(sess.req.Machines),
+	}
+	if am := sess.req.AutoMachines; am != nil {
+		st.Machines = am.Count
 	}
 	if p := sess.fleet.Plan(); p != nil {
 		st.K, st.Feasible = p.K, p.Feasible
@@ -850,7 +847,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "fleet %q has no plan yet", sess.id)
 		return
 	}
-	writeJSON(w, http.StatusOK, planWire(p, sess.workloads, sess.machines))
+	writeJSON(w, http.StatusOK, planWire(p))
 }
 
 // handleEvents is GET /v1/fleets/{id}/events.

@@ -281,7 +281,7 @@ func TestSplitLeavesNoGoroutines(t *testing.T) {
 		if splitAdopted.Load()+splitDiscarded.Load() == before {
 			t.Fatal("nothing split")
 		}
-		if n := settledGoroutines(base); n != base {
+		if n := settledGoroutines(base); n > base {
 			t.Errorf("%d goroutines after the decodes, %d before", n, base)
 		}
 	})

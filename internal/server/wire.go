@@ -300,9 +300,10 @@ type FleetSnapshot struct {
 	Detector DetectorWire `json:"detector"`
 	// Events is the fleet's re-consolidation event log.
 	Events []*EventWire `json:"events,omitempty"`
-	// Acks is the idempotent-ingest ring: recently acked windows keyed by
-	// start time, so a collector retrying across the restart gets its
-	// original acknowledgement instead of a duplicate apply.
+	// Acks is the idempotent-ingest ring as the session holds it: the acks
+	// of the last ackRingSize stamped windows, in arrival order, so a
+	// collector retrying across the restart gets its original
+	// acknowledgement instead of a duplicate apply.
 	Acks []AckWire `json:"acks,omitempty"`
 	// Failures is the fleet's consecutive re-solve failure count.
 	Failures int `json:"failures,omitempty"`
@@ -544,13 +545,16 @@ func toDiskProfile(raw json.RawMessage) (*model.DiskProfile, error) {
 
 // fromWorkloads is toWorkloads' inverse: it renders library workloads
 // back into wire form for snapshots, preserving start/step so the
-// round-trip through toWorkloads reproduces identical series.
+// round-trip through toWorkloads reproduces identical series. The wire
+// form refers to the series' samples rather than copying them: nothing
+// writes a series in place (CONTRIBUTING), and a snapshot is marshalled at
+// once.
 func fromWorkloads(wls []kairos.Workload) []WorkloadWire {
 	vals := func(s *series.Series) []float64 {
 		if s == nil {
 			return nil
 		}
-		return append([]float64(nil), s.Values...)
+		return s.Values
 	}
 	out := make([]WorkloadWire, len(wls))
 	for i, w := range wls {
@@ -596,9 +600,9 @@ func toHistory(history [][]WorkloadWire, needDisk bool) ([][]kairos.Workload, er
 	return out, nil
 }
 
-// planWire renders a plan for the wire. workloads and machines are the
-// registered spec, used to name assignments.
-func planWire(p *kairos.Plan, workloads []kairos.Workload, machines []kairos.Machine) *PlanWire {
+// planWire renders a plan for the wire, naming each assignment's workload
+// and machine as the plan's incumbent form records them.
+func planWire(p *kairos.Plan) *PlanWire {
 	out := &PlanWire{
 		K:             p.K,
 		Feasible:      p.Feasible,
@@ -609,17 +613,11 @@ func planWire(p *kairos.Plan, workloads []kairos.Workload, machines []kairos.Mac
 		ElapsedMs:     float64(p.Elapsed.Microseconds()) / 1e3,
 		Assignments:   make([]AssignmentWire, len(p.Assign)),
 	}
-	for i, j := range p.Assign {
-		a := AssignmentWire{Unit: p.Names[i], Machine: j}
-		ref := p.Units[i]
-		a.Replica = ref.Replica
-		if ref.Workload >= 0 && ref.Workload < len(workloads) {
-			a.Workload = workloads[ref.Workload].Name
+	for i, u := range p.Incumbent().Units {
+		out.Assignments[i] = AssignmentWire{
+			Unit: p.Names[i], Workload: u.Workload, Replica: u.Replica,
+			Machine: u.Machine, MachineName: u.MachineName,
 		}
-		if j >= 0 && j < len(machines) {
-			a.MachineName = machines[j].Name
-		}
-		out.Assignments[i] = a
 	}
 	return out
 }

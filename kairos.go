@@ -52,10 +52,9 @@
 // whose solve failed or was suppressed, or whose journal write was refused,
 // leaves the session as a quiet window would, and needs no record. Crash
 // recovery replays the same journal through the counterparts that do not
-// solve: AdoptIncumbent for the registration-time Consolidate,
-// ObserveDetectOnly for each window, ReplayAdvance for each journaled
-// advance; Checkpoint and RestoreWatch move the detector's state through a
-// snapshot. A window may
+// solve: RestoreWatch for the registration-time Consolidate (a checkpoint
+// of no window) and for a snapshot's Checkpoint, ObserveDetectOnly for
+// each window, ReplayAdvance for each journaled advance. A window may
 // omit registered workloads: the re-solve forecasts every workload of the
 // fleet's baseline (the registration, then the last forecast), each from
 // the retained windows that carried it. `kairos

@@ -471,7 +471,7 @@ func outcome(t *testing.T, f *Fleet, w []Workload) string {
 // trigger's evidence, K, the assignment and the objective's bits. Each
 // window scales and phase-shifts every workload and, at random, omits the
 // last one, so restores land after partial windows and partial triggers.
-// The seeds run twice, the second time with a disk_write_bps series the
+// The seeds run twice, the second time with an update_rate series the
 // registration lacks on every window: the detector starts tracking it
 // when a trigger commits a forecast that carries it, and must then read
 // the same windows live as after a restore.
@@ -498,7 +498,7 @@ func TestCheckpointAtEveryWindowResumesLive(t *testing.T) {
 			}
 			if disk {
 				for j := range w {
-					w[j].DiskWriteBps = w[j].CPU.Scale(1e7 * (0.8 + 0.4*rng.Float64()))
+					w[j].UpdateRate = w[j].CPU.Scale(1e7 * (0.8 + 0.4*rng.Float64()))
 				}
 			}
 			stream[i] = w

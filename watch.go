@@ -83,8 +83,10 @@ func (e *ResolveError) Unwrap() error { return e.Err }
 
 // driftSamples converts consolidation workloads into the detector's
 // observation form: CPU and RAM map directly, and the disk signal is the
-// disk model's input (update rate), falling back to the measured write
-// rate for trace-only fleets. Every series of a workload must share its
+// disk model's input, the update rate in rows/s. The measured write rate
+// is not a stand-in for it: bytes/s and rows/s on one resource would read
+// a change of unit as drift, and the solver does not read the write rate.
+// Every series of a workload must share its
 // CPU series' shape (the same invariant core.Problem.Validate enforces):
 // the detector only cross-checks the series it tracks, and an untracked
 // series with a different shape would otherwise slip into the forecast
@@ -107,11 +109,7 @@ func driftSamples(wls []Workload) ([]drift.Sample, error) {
 				return nil, fmt.Errorf("kairos: workload %q series shape mismatch within the window", w.Name)
 			}
 		}
-		s := drift.Sample{Workload: w.Name, CPU: w.CPU, RAM: w.RAMBytes, Disk: w.UpdateRate}
-		if s.Disk == nil {
-			s.Disk = w.DiskWriteBps
-		}
-		out[i] = s
+		out[i] = drift.Sample{Workload: w.Name, CPU: w.CPU, RAM: w.RAMBytes, Disk: w.UpdateRate}
 	}
 	return out, nil
 }

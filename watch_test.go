@@ -230,6 +230,44 @@ func TestWatchRejectedWindowIsNotConsumed(t *testing.T) {
 	}
 }
 
+// TestDiskSignalIsUpdateRate: the detector's disk resource is the update
+// rate (rows/s) alone. A registration that carries only the measured write
+// rate (bytes/s) and windows that carry only the update rate, or the other
+// way round, compare no two units: with CPU and RAM unchanged nothing
+// fires. The last row is the control: an update rate that doubles does.
+func TestDiskSignalIsUpdateRate(t *testing.T) {
+	const T = 24
+	bps := series.Constant(time.Unix(0, 0), 5*time.Minute, T, 2e6)
+	rows := series.Constant(time.Unix(0, 0), 5*time.Minute, T, 500)
+	withDisk := func(wls []Workload, write, update *series.Series) []Workload {
+		out := append([]Workload(nil), wls...)
+		for i := range out {
+			out[i].DiskWriteBps, out[i].UpdateRate = write, update
+		}
+		return out
+	}
+	wls, machines := watchFleet(6, T)
+	for _, c := range []struct {
+		name         string
+		spec, window [2]*series.Series // DiskWriteBps, UpdateRate
+		fires        bool
+	}{
+		{"write rate registered, update rate observed", [2]*series.Series{bps, nil}, [2]*series.Series{nil, rows}, false},
+		{"update rate registered, write rate observed", [2]*series.Series{nil, rows}, [2]*series.Series{bps, nil}, false},
+		{"update rate doubles", [2]*series.Series{nil, rows}, [2]*series.Series{nil, rows.Scale(2)}, true},
+	} {
+		spec := withDisk(wls, c.spec[0], c.spec[1])
+		_, inc := solveIncumbent(t, spec, machines)
+		ev, err := watchSession(t, inc, spec, machines).Observe(context.Background(), withDisk(wls, c.window[0], c.window[1]))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fired := ev != nil; fired != c.fires {
+			t.Errorf("%s: fired %v (%v), want %v", c.name, fired, ev, c.fires)
+		}
+	}
+}
+
 // TestWatchDriftedFleet197 is the acceptance scenario on the full
 // 197-server ALL fleet: no trigger across undrifted observation windows,
 // a trigger within one window of the 5%-drifted trace, and a triggered
