@@ -44,15 +44,17 @@ READ_COUNT_BENCH = Read64x2MB
 # cold local-search solves of ALL-197 and SecondLife-97 + disk model, cold
 # DIRECT solves of SecondLife-97 and Wikipedia-40, one warm re-solve of the
 # drifted ALL-197, one greedy packing. The four cold solves pin gap too: K
-# above the lower bound they searched from.
-COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197
+# above the lower bound they searched from. Then the re-solve matrix, 18
+# drifted and phase-shifted re-solves per fleet: its machines (Σ K),
+# infeasible, migrated and fevals per fleet.
+COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197|ResolveMatrix
 
 # The work that takes the CPU budget's helpers (make bench-hot): the live
-# decoders' speculative split, Resolve's candidate climbs side by side, and
-# the cold solves' speculated K probes, cold-seed climbs and greedy
-# packings. The -cpu 2 rows show the gain; the -cpu 1 rows have no helper
-# slot, are the one-goroutine paths and must not move.
-CORES_BENCH = Decode(Window|Register)197/fast|ResolveWarmALL197|ColdSolve(ALL197|SecondLife97Direct)$$
+# decoders' speculative split and the cold solves' speculated K probes,
+# cold-seed climbs and greedy packings. The -cpu 2 rows show the gain; the
+# -cpu 1 rows have no helper slot, are the one-goroutine paths and must not
+# move.
+CORES_BENCH = Decode(Window|Register)197/fast|ColdSolve(ALL197|SecondLife97Direct)$$
 
 # The cold solve's per-phase in-package benchmarks (make bench-hot): a
 # recorded DIRECT run replayed through Eval, exact swap pricing with and
@@ -93,8 +95,8 @@ race-full:
 # while its handler can read the window's span (a collector gone, a
 # deregistration, a refused append), and a window waiting for its fleet's
 # turn (a deregistration, Close, a collector gone); the budget itself; and the solver's
-# fork sites — speculated K probes, cold-seed climbs, greedy packings,
-# shards and Resolve's candidate climbs — on one core, two and eight.
+# fork sites — speculated K probes, cold-seed climbs, greedy packings and
+# shards — with Resolve beside them, on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
@@ -204,7 +206,8 @@ bench-drift:
 # restart and a journal read once each, their work counters compared with
 # the committed BENCH_counts.json. It fails when a count (fevals, priced,
 # screened — the sweep candidates the screen's capacity stage did not
-# decide — eval-priced, probes, machines, gap; the decoders', the ingest's, the
+# decide — eval-priced, probes, machines, gap; the re-solve matrix's
+# infeasible and migrated; the decoders', the ingest's, the
 # restart's and the read's allocs/op and B/op; the decoders'
 # slow-numbers and parsed-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the

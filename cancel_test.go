@@ -88,8 +88,8 @@ func TestSolveCancel197(t *testing.T) {
 }
 
 // TestResolveCancel197: the warm re-solve path (what drift triggers run)
-// honours cancellation the same way, and its candidate climbs are all gone,
-// with their CPU budget slots, when it returns.
+// honours cancellation the same way, and leaves no goroutine and no CPU
+// budget slot behind when it returns.
 func TestResolveCancel197(t *testing.T) {
 	p := all197Problem(t)
 	base, err := core.Solve(context.Background(), p, core.SolveOptions{SkipDirect: true})

@@ -18,10 +18,10 @@
 //
 // reads two such documents and exits non-zero when, for a benchmark of the
 // first, a metric whose unit is a count — fevals, priced, eval-priced,
-// probes, machines, allocs/op, B/op, slow-numbers, parsed-numbers: numbers
-// that repeat, to the last digit or within the spare the baseline leaves,
-// unlike ns/op — is higher in the second, or the benchmark or the metric is
-// missing there.
+// probes, machines, infeasible, migrated, allocs/op, B/op, slow-numbers,
+// parsed-numbers: numbers that repeat, to the last digit or within the
+// spare the baseline leaves, unlike ns/op — is higher in the second, or the
+// benchmark or the metric is missing there.
 package main
 
 import (
@@ -63,9 +63,11 @@ type Doc struct {
 // which a deterministic solver repeats exactly on any machine, and the
 // allocations and bytes allocated per op of the benchmarks that carry them.
 // screened is the sweep candidates the screen's capacity stage passed on;
-// gap is a cold solve's K above its lower bound; slow-numbers and parsed-numbers are the samples a wire decoder handed to
-// strconv and the samples it converted rather than copied.
-var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "gap", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
+// gap is a cold solve's K above its lower bound; infeasible and migrated are
+// the re-solves left infeasible and the units they moved; slow-numbers and
+// parsed-numbers are the samples a wire decoder handed to strconv and the
+// samples it converted rather than copied.
+var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "gap", "infeasible", "migrated", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

@@ -155,6 +155,28 @@ func TestCompareDocs(t *testing.T) {
 		}
 	}
 
+	// The re-solve matrix carries the plans it left infeasible and the units
+	// it moved: a re-solve that gives up a fleet, or churns more of it,
+	// shows there with Σ K where it was.
+	matrix := func(metrics map[string]float64) Doc {
+		return Doc{Results: []Result{res("BenchmarkResolveMatrix/ALL", metrics)}}
+	}
+	old = matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132})
+	for _, tc := range []struct {
+		cur   Doc
+		worse bool
+		want  string
+	}{
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132}), false, "infeasible 0"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 1, "migrated": 176, "fevals": 1005132}), true, "infeasible rose 0 -> 1"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 190, "fevals": 1005132}), true, "migrated rose 176 -> 190"},
+	} {
+		lines, worse := compareDocs(old, tc.cur)
+		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {
+			t.Errorf("worse = %v, want %v and a line with %q:\n%s", worse, tc.worse, tc.want, report)
+		}
+	}
+
 	// The wire decoders carry the numbers they handed to strconv, where a
 	// committed 0 fails on the first one, and the samples they converted
 	// rather than copied, which rise when the copy stops firing.

@@ -110,8 +110,7 @@ func cmdConsolidate(args []string) error {
 }
 
 // printSolveStats prints Solution.Stats: three lines of counters and times,
-// then the K probes in the order the search consumed them, or a warm
-// re-solve's candidate climbs in seed order.
+// then the K probes in the order the search consumed them.
 func printSolveStats(fevals int, st core.SolveStats) {
 	fmt.Printf("work: %d fevals; climbs %d run, %d reused; %d sweeps; candidates %d considered, %d skipped unchanged (%.1f%%), %d over capacity, %d exact pricings; greedy packing %v\n",
 		fevals, st.Climbs, st.ClimbsReused, st.Sweeps, st.Considered, st.Skipped, 100*st.SkippedFrac(), st.CapPruned, st.Priced, st.GreedyPack.Round(time.Microsecond))
@@ -123,17 +122,6 @@ func printSolveStats(fevals int, st core.SolveStats) {
 		st.EvalPriced, st.EvalReused, resumed)
 	fmt.Printf("      move sweeps %v, swap sweeps %v (summed over climbs)\n",
 		st.MoveSweepTime.Round(time.Microsecond), st.SwapSweepTime.Round(time.Microsecond))
-	for _, c := range st.Candidates {
-		verdict, chosen := "infeasible", ""
-		if c.Feasible {
-			verdict = "feasible"
-		}
-		if c.Chosen {
-			chosen = "  (chosen)"
-		}
-		fmt.Printf("  climb %-11s %-10s %9d fevals %10v  objective+migration %.6f%s\n",
-			c.Seed, verdict, c.Fevals, c.Elapsed.Round(time.Microsecond), c.Combined, chosen)
-	}
 	for _, pr := range st.Probes {
 		verdict, reused := "infeasible", ""
 		if pr.Feasible {

@@ -275,11 +275,10 @@ type SolveStats struct {
 	// those it answered from its table of machines already priced. The table
 	// is keyed on a machine's capacity class, not its index: a member set
 	// priced on one machine is found on any machine of identical CPU, RAM
-	// and disk capacity. For
-	// Solve and Resolve alike the two depend on scheduling — a speculated
-	// probe, and a climb a helper took, price on a clone's own table — so
-	// comparisons across core counts leave them out; the count gate reads
-	// them at GOMAXPROCS 1, where nothing runs on a helper.
+	// and disk capacity. For Solve the two depend on scheduling — a
+	// speculated probe, and a climb a helper took, price on a clone's own
+	// table — so comparisons across core counts leave them out; the count
+	// gate reads them at GOMAXPROCS 1, where nothing runs on a helper.
 	EvalPriced, EvalReused int
 	// GreedyPack is the time spent on the greedy packing that bounds K and
 	// seeds the climbs.
@@ -287,22 +286,6 @@ type SolveStats struct {
 	// MoveSweepTime and SwapSweepTime are the wall time the climbs spent in
 	// move sweeps and in swap sweeps.
 	MoveSweepTime, SwapSweepTime time.Duration
-	// Candidates lists Resolve's candidate climbs in seed order; Solve and
-	// SolveSharded leave it empty.
-	Candidates []CandidateStats
-}
-
-// CandidateStats is one of Resolve's candidate climbs: its seed ("warm",
-// "greedy" or "round-robin"), evaluations and time, the plan it reached —
-// feasibility and Resolve's metric, objective plus migration cost — and
-// whether Resolve chose it.
-type CandidateStats struct {
-	Seed     string
-	Fevals   int
-	Elapsed  time.Duration
-	Feasible bool
-	Combined float64
-	Chosen   bool
 }
 
 // ProbeStats is one run of the solver at a fixed machine count: its verdict,

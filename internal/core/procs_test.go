@@ -85,12 +85,10 @@ func TestSolveSameAtAnyProcs(t *testing.T) {
 	}
 }
 
-// TestResolveSameAtAnyProcs: Resolve climbs its candidates side by side, on
-// as many cores as GOMAXPROCS gives, and returns the same solution on one
-// as on four — plan, K, objective bits, Fevals, migrations and the work
-// counters, all but EvalPriced and EvalReused (each clone prices on its own
-// table) and the timings. On the golden warm re-solve, three candidates,
-// and under a migration cap, the warm one alone.
+// TestResolveSameAtAnyProcs: Resolve returns the same solution at
+// GOMAXPROCS 1 as at 4 — plan, K, objective bits, Fevals, migrations and
+// the work counters, all but EvalPriced and EvalReused and the timings — on
+// the golden warm re-solve and under a migration cap.
 func TestResolveSameAtAnyProcs(t *testing.T) {
 	ctx := context.Background()
 	all := fleetProblem(fleet.All())

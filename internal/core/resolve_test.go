@@ -37,10 +37,11 @@ func driftProblem(p *Problem, frac float64, seed int64) *Problem {
 
 // TestResolveWarmVsColdDrift is the headline acceptance test: on a mildly
 // (≤5%) drifted fleet the warm-started re-solve must reach a plan at least
-// as good as the cold local-search solve's — by construction, since the
-// cold seeds enter as candidates — with measurably fewer objective
-// evaluations than a full cold solve, while the default sticky
-// configuration migrates only a bounded fraction of the units.
+// as good as the cold local-search solve's — here the warm climb alone gets
+// there; TestResolveMatrix bounds what it gives up elsewhere — with
+// measurably fewer objective evaluations than a full cold solve, while the
+// default sticky configuration migrates only a bounded fraction of the
+// units.
 func TestResolveWarmVsColdDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	p := randomLoadStateProblem(rng, 24, 24, false)
@@ -279,8 +280,7 @@ func TestResolveHandlesFleetChanges(t *testing.T) {
 }
 
 // TestResolveDeterministicAcrossWorkers pins the reproducibility contract:
-// each candidate climb is a deterministic function of its seed and they
-// are folded in seed order, however many run side by side, so one core
+// Resolve's climbs are a deterministic function of its seed, so one core
 // and eight yield the bit-identical plan.
 func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -519,12 +519,13 @@ func TestPriceIncumbent(t *testing.T) {
 // PriceIncumbent's for the same problem and incumbent, bit for bit — on a
 // drifted fleet with and without the disk model, on one that lost a workload
 // and gained two (the seed places them), and on one overloaded past the
-// incumbent's K — and it is not counted: with no unit to place and no climb
-// after the candidates, Resolve's Fevals are its candidate climbs'.
+// incumbent's K — and it is not counted: Resolve's Fevals are its climbs',
+// one final pricing each, and the candidates its sweeps and the placing of
+// new units considered.
 func TestResolveReportsSeedPrice(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	start := time.Unix(0, 0)
-	infeasible, exact := false, false
+	infeasible, grown := false, false
 	for _, withDisk := range []bool{false, true} {
 		p := randomLoadStateProblem(rng, 16, 24, withDisk)
 		opt := DefaultSolveOptions()
@@ -573,21 +574,15 @@ func TestResolveReportsSeedPrice(t *testing.T) {
 				t.Errorf("disk=%v %s: Resolve's seed price (%v, %v), PriceIncumbent (%v, %v)",
 					withDisk, name, got.SeedObjective, got.SeedFeasible, wantObj, wantFeas)
 			}
-			climbs := 0
-			for _, c := range got.Stats.Candidates {
-				climbs += c.Fevals
+			if got.Stats.Climbs < 1 || got.Fevals != got.Stats.Climbs+got.Stats.Considered {
+				t.Errorf("disk=%v %s: %d fevals, %d climbs, %d candidates considered",
+					withDisk, name, got.Fevals, got.Stats.Climbs, got.Stats.Considered)
 			}
-			// Placing new units scans their moves, which count.
-			onlyClimbs := got.Stats.Climbs == len(got.Stats.Candidates) && c.name != "changed"
-			if len(got.Stats.Candidates) < 2 || got.Fevals < climbs || (onlyClimbs && got.Fevals != climbs) {
-				t.Errorf("disk=%v %s: %d fevals, %d climbs, candidate climbs %d fevals in all (%d candidates)",
-					withDisk, name, got.Fevals, got.Stats.Climbs, climbs, len(got.Stats.Candidates))
-			}
-			exact = exact || onlyClimbs
+			grown = grown || got.Stats.Climbs > 1
 			infeasible = infeasible || !wantFeas
 		}
 	}
-	if !infeasible || !exact {
-		t.Errorf("no case priced an infeasible seed (%v) or ran only the candidate climbs (%v)", infeasible, exact)
+	if !infeasible || !grown {
+		t.Errorf("no case priced an infeasible seed (%v) or climbed more than once (%v)", infeasible, grown)
 	}
 }

@@ -53,16 +53,12 @@ func samePlan(t *testing.T, a, b *core.Solution, label string) {
 }
 
 // withoutTimes returns s with every wall time zeroed: the greedy packing's,
-// the sweeps', and each probe's and candidate climb's.
+// the sweeps', and each probe's.
 func withoutTimes(s core.SolveStats) core.SolveStats {
 	s.GreedyPack, s.MoveSweepTime, s.SwapSweepTime = 0, 0, 0
 	s.Probes = append([]core.ProbeStats(nil), s.Probes...)
 	for i := range s.Probes {
 		s.Probes[i].Elapsed = 0
-	}
-	s.Candidates = append([]core.CandidateStats(nil), s.Candidates...)
-	for i := range s.Candidates {
-		s.Candidates[i].Elapsed = 0
 	}
 	return s
 }

@@ -532,9 +532,7 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 // coldSeed returns cold-start assignment i of the two solveK climbs from
 // — 0 the greedy packing, nil when it does not fit K bins, 1 the
 // round-robin spread — with unplaced units parked on machine 0 and pins
-// repaired. Resolve climbs the same two as safety-net candidates, which at
-// MigrationWeight 0 guarantees a warm re-solve never loses to the cold
-// local-search path at the same K.
+// repaired.
 func (ev *Evaluator) coldSeed(i, K int) []int {
 	var a []int
 	if i == 0 {
