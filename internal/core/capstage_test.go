@@ -10,10 +10,10 @@ import (
 // and those the capacity stage pruned.
 type CapWalk struct{ Considered, CapPruned int }
 
-// WalkCapStage climbs p at K from the seeds a solve climbs — for a cold
-// solve (inc nil) solveK's greedy and round-robin seeds, for a warm one
-// Resolve's warm seed under opt's migration pricing —
-// the way climb does: move sweeps, a swap sweep when moves stall. It prices
+// WalkCapStage climbs p at K from solveK's greedy and round-robin seeds
+// and, for a warm re-solve (inc non-nil), from Resolve's warm seed too, all
+// three under opt's migration pricing — fully migrated cold seeds reach
+// states the warm climb alone does not — the way climb does: move sweeps, a swap sweep when moves stall. It prices
 // every candidate exactly and checks each one the capacity stage prunes:
 // the staged screen's first stage prunes it too (for a move, under either
 // removal price a scan can hold), and its exact delta does not beat the
@@ -37,9 +37,8 @@ func WalkCapStage(t *testing.T, p *Problem, inc *Incumbent, K int, opt SolveOpti
 		var warm []int
 		warm, home = ev.warmSeed(p, inc, K)
 		seeds = append(seeds, seed{"warm", warm})
-	} else {
-		seeds = append(seeds, seed{"greedy", ev.coldSeed(0, K)}, seed{"round-robin", ev.coldSeed(1, K)})
 	}
+	seeds = append(seeds, seed{"greedy", ev.coldSeed(0, K)}, seed{"round-robin", ev.coldSeed(1, K)})
 	newMig := func(start []int) *migration {
 		if home == nil {
 			return nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -403,15 +404,20 @@ func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error
 // incumbent's placements, prices migrations into the hill climb per
 // SolveOptions.MigrationWeight/MaxMigrations, and polishes with the same
 // move+swap local search Solve uses — no DIRECT run, no binary search over
-// K, no cold seed: the incumbent-seeded plan is the one climbed, so a unit
-// migrates only when its move pays for its churn. What climbing the greedy
-// and round-robin seeds beside it would buy is bounded on the re-solve
-// matrix (TestResolveMatrix: five fleets, amplitude drifts of ±2–20 % and
-// two-hour phase shifts of 10 % or 30 % of the workloads, three seeds
-// each): per fleet, Σ K and the plans left infeasible do not rise above
-// those of the re-solve that climbed them too, and the objective sum does
-// not rise by more than 0.1 %. On a mildly drifted fleet this matches the
-// cold solve's plan quality with far fewer objective evaluations.
+// K. Where machines are interchangeable (one class, no pinned unit) only
+// the incumbent-seeded plan is climbed, so a unit migrates only when its
+// move pays for its churn; elsewhere solveK's greedy and round-robin seeds
+// are climbed beside it and the best combined plan wins. What the cold
+// seeds would buy on interchangeable machines is bounded on the re-solve
+// matrix (TestResolveMatrix: eight fleets — the paper's datasets and their
+// union, SecondLife under the disk model, Wikipedia on two machine classes,
+// SecondLife with pinned workloads — each re-solved after amplitude drifts
+// of ±2–20 % and two-hour phase shifts of 10 % or 30 % of the workloads,
+// three seeds each): per fleet, Σ K and the plans left infeasible do not
+// rise above those of the re-solve that climbed all three seeds on every
+// fleet, and the objective sum does not rise by more than 0.1 %. On a
+// mildly drifted fleet this matches the cold solve's plan quality with far
+// fewer objective evaluations.
 //
 // The machine count starts at the incumbent's K (clamped to the available
 // machines), grows one machine at a time while the plan is infeasible, and
@@ -420,8 +426,9 @@ func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error
 // Solution.Objective is the canonical consolidation objective (no
 // migration term), so warm and cold plans are directly comparable;
 // Solution.Migrated and Solution.MigrationCost report the migration side.
-// Resolve runs on the caller's goroutine. Cancelling ctx aborts the
-// re-solve between pricing units and returns ctx.Err().
+// The climbs run one after another on the caller's goroutine; only the
+// greedy packing takes the helpers the CPU budget has free. Cancelling ctx
+// aborts the re-solve between pricing units and returns ctx.Err().
 func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
 	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
@@ -446,6 +453,33 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	const rounds = 100
 
 	plan := ev.hillClimbMig(ctx, seed, K, rounds, mig)
+	// Where machines are not interchangeable — several classes, or a unit
+	// pinned to one — a climb from the incumbent's layout can keep a machine
+	// a fresh packing does without, or price well above it (without the
+	// cold seeds the matrix's Wikipedia-mixed objective sum rose 0.98 % and
+	// SecondLife-pinned took one machine more; SecondLife with every other
+	// machine halved took six more on one plan): solveK's greedy and
+	// round-robin seeds are climbed too, each with its own away count,
+	// unless a migration cap rules them out (they start fully migrated).
+	// The lowest objective plus migration cost wins, a feasible plan over an
+	// infeasible one, the earlier seed on a tie.
+	if opt.MaxMigrations <= 0 && (!ev.oneClass || slices.ContainsFunc(ev.pin, func(j int) bool { return j >= 0 })) {
+		_, cost := mig.tally(plan.assign)
+		best := plan.obj + cost
+		for i := 0; i < 2; i++ {
+			from := ev.coldSeed(i, K)
+			if from == nil {
+				continue
+			}
+			m := *mig
+			m.syncAway(from)
+			c := ev.hillClimbMig(ctx, from, K, rounds, &m)
+			if _, cost := m.tally(c.assign); (c.feas && !plan.feas) || (c.feas == plan.feas && c.obj+cost < best) {
+				plan, best = c, c.obj+cost
+			}
+		}
+		mig.syncAway(plan.assign)
+	}
 
 	// Drift can make the incumbent K infeasible; grow until the climb finds
 	// a feasible plan (fresh machines start empty, so the next climb can
@@ -456,12 +490,18 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	}
 	// Drift the other way can free a machine; reclaim it with the reduction
 	// pass when machines are interchangeable. Reduction relocates whole
-	// machines, so it only runs without a migration cap.
+	// machines, so it only runs without a migration cap, and its plan is
+	// taken only when the climb from it is feasible: its relocations and
+	// folds do not heed pins, so it can move a pinned unit off its machine
+	// (on the matrix's pinned fleet that left one plan infeasible at K 9
+	// where the plan before it was feasible at 11).
 	if plan.feas && opt.MaxMigrations <= 0 && ev.oneClass {
 		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
-			K = rk
-			mig.syncAway(reduced)
-			plan = ev.hillClimbMig(ctx, reduced, K, rounds, mig)
+			m := *mig
+			m.syncAway(reduced)
+			if c := ev.hillClimbMig(ctx, reduced, rk, rounds, &m); c.feas {
+				K, plan, *mig = rk, c, m
+			}
 		}
 	}
 
