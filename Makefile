@@ -136,13 +136,11 @@ crash-matrix:
 # recovers is the whole frames the input begins with) and as a trace CSV
 # (fleet.ReadCSV never panics, and what it loads survives WriteCSV →
 # ReadCSV) and as a saved plan (core.LoadIncumbent never panics, what it
-# loads survives Save → LoadIncumbent and warm-starts Resolve) and as a
-# round-robin archive (rrd.Read never panics, what it loads is written
-# back byte for byte and goes on updating like the database it was written
-# from). Then ten seconds of the sweep screen's checks: deciding one from an
-# exp bracket must answer as the plain expression on math.Exp does. The
-# window and registration targets lower the chunk minimum, so with two or
-# more cores every input goes through the speculative split.
+# loads survives Save → LoadIncumbent and warm-starts Resolve). Then ten
+# seconds of the sweep screen's checks: deciding one from an exp bracket
+# must answer as the plain expression on math.Exp does. The window and
+# registration targets lower the chunk minimum, so with two or more cores
+# every input goes through the speculative split.
 fuzz-smoke:
 	for f in DecodeWindow DecodeRegister DecodeRecord DecodeSnapshot SeriesNumber; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$f\$$" -fuzztime=10s ./internal/server || exit 1; done
@@ -150,7 +148,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIncumbent$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzScreenDecision$$' -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/rrd
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), outside
 # ./...: vet it and run its unit tests (-short skips the -quick suite,

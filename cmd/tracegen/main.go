@@ -1,12 +1,12 @@
 // Command tracegen emits the synthetic production fleet traces Kairos'
-// experiments consolidate (paper Section 7.1), either as CSV (one row per
-// sample) or as rrdtool-style round-robin archives — the format the paper's
-// real statistics arrived in (Cacti/Ganglia/Munin).
+// experiments consolidate (paper Section 7.1) as CSV: one <dataset>.csv file
+// per dataset, one row per sample — the form `kairos consolidate -traces` and
+// `kairos watch -snapshots` read.
 //
 // Usage:
 //
-//	tracegen -dataset wikipedia -format csv -o traces/
-//	tracegen -dataset all -format rrd -o traces/ -weeks 3
+//	tracegen -dataset wikipedia -o traces/
+//	tracegen -dataset all -o traces/ -weeks 3
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"kairos/internal/fleet"
-	"kairos/internal/rrd"
 )
 
 func pickDatasets(name string) ([]fleet.Dataset, error) {
@@ -54,35 +53,9 @@ func writeCSV(dir string, f fleet.Fleet) error {
 	return nil
 }
 
-func writeRRD(dir string, f fleet.Fleet) error {
-	for _, s := range f.Servers {
-		db, err := rrd.New(s.CPU.Start, s.CPU.Step,
-			rrd.ArchiveSpec{CF: rrd.Average, Steps: 1, Rows: s.CPU.Len()},
-			rrd.ArchiveSpec{CF: rrd.Average, Steps: 12, Rows: s.CPU.Len() / 12},
-			rrd.ArchiveSpec{CF: rrd.MaxCF, Steps: 12, Rows: s.CPU.Len() / 12},
-		)
-		if err != nil {
-			return err
-		}
-		db.UpdateAll(s.CPU.Values)
-		path := filepath.Join(dir, s.Name+".rrd")
-		out, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		_, werr := db.WriteTo(out)
-		if err := errors.Join(werr, out.Close()); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d rrd archives for %s\n", len(f.Servers), f.Name)
-	return nil
-}
-
 func main() {
 	var (
 		dataset = flag.String("dataset", "all", "internal|wikia|wikipedia|secondlife|all")
-		format  = flag.String("format", "csv", "csv|rrd")
 		outDir  = flag.String("o", ".", "output directory")
 		weeks   = flag.Int("weeks", 0, "generate N weeks of data instead of 24 hours")
 	)
@@ -104,17 +77,8 @@ func main() {
 		} else {
 			f = fleet.Generate(d)
 		}
-		var werr error
-		switch strings.ToLower(*format) {
-		case "csv":
-			werr = writeCSV(*outDir, f)
-		case "rrd":
-			werr = writeRRD(*outDir, f)
-		default:
-			werr = fmt.Errorf("unknown format %q (csv|rrd)", *format)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", werr)
+		if err := writeCSV(*outDir, f); err != nil {
+			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
 	}

@@ -266,18 +266,6 @@ type InstanceStats struct {
 	MaxLatency   time.Duration
 }
 
-// AvgCPUUtilization returns the lifetime CPU utilization of the instance.
-func (s InstanceStats) AvgCPUUtilization() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	u := float64(s.CPUBusy) / float64(s.Elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // AvgLatency returns the mean of the per-tick latency estimates.
 func (s InstanceStats) AvgLatency() time.Duration {
 	if s.LatencyTicks == 0 {
@@ -435,19 +423,6 @@ func (in *Instance) AllocatedRAMBytes() int64 {
 	return alloc
 }
 
-// ResidentPagesByDB reports how many buffer-pool pages each database holds.
-func (in *Instance) ResidentPagesByDB() map[string]int {
-	byID := in.bp.ResidentByDB()
-	out := make(map[string]int, len(in.dbs))
-	for name, db := range in.dbs {
-		out[name] = byID[db.id]
-	}
-	return out
-}
-
-// BufferPoolPages returns the buffer pool capacity in pages.
-func (in *Instance) BufferPoolPages() int { return in.bp.capPages }
-
 // DirtyPages returns the current number of dirty pages in the pool.
 func (in *Instance) DirtyPages() int { return in.bp.Dirty() }
 
@@ -508,13 +483,6 @@ func (in *Instance) spanFor(db *Database) float64 {
 		ws = bl.wsPages
 	}
 	return in.disk.SpanFraction(ws * int64(in.cfg.PageSize))
-}
-
-// CPUCapacityOps returns the usable CPU ops available in a window of the
-// given length after the instance's base overhead — the denominator monitors
-// use to convert per-database CPU ops into utilization fractions.
-func (in *Instance) CPUCapacityOps(d time.Duration) float64 {
-	return in.cpuCapacityOps(d)
 }
 
 // cpuCapacityOps returns usable CPU ops for a tick after the base overhead.

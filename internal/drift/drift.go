@@ -4,8 +4,8 @@
 // premise (Section 7.5) is that consolidation is only as good as the
 // monitoring loop behind it: profiles drift week over week, forecasts err,
 // and the plan must follow. A Detector consumes one observation window per
-// workload at a time (monitor.Profile series, rrd.Fetch output, or CSV
-// traces), tracks two drift signals against the plan's baseline series —
+// workload at a time (monitor.Profile series or CSV traces), tracks two
+// drift signals against the plan's baseline series —
 //
 //  1. utilization delta: the relative change of a window's mean resource
 //     demand versus the baseline series the plan was solved against, and

@@ -25,13 +25,3 @@ func Near(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol
 }
-
-// NearRel reports relative closeness: |a-b| <= tol·max(|a|,|b|), with an
-// exact-equality fast path so zeros and infinities compare sanely.
-func NearRel(a, b, tol float64) bool {
-	if Same(a, b) {
-		return true
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*m
-}

@@ -170,39 +170,6 @@ func Sum(ss []*Series) (*Series, error) {
 	return out, nil
 }
 
-// MaxOfSum returns max_t Σ_i ss[i][t]: the peak of the combined series. This
-// is the quantity the consolidation constraints bound for CPU and RAM.
-func MaxOfSum(ss []*Series) (float64, error) {
-	sum, err := Sum(ss)
-	if err != nil {
-		return 0, err
-	}
-	return sum.Max(), nil
-}
-
-// Resample returns a new series with the given step, aggregating with the
-// mean of the source samples falling in each output bucket (rrdtool AVERAGE
-// semantics). The new step must be a positive multiple of the source step.
-func (s *Series) Resample(step time.Duration) (*Series, error) {
-	if s.Step <= 0 {
-		return nil, fmt.Errorf("series: source step %v invalid", s.Step)
-	}
-	if step <= 0 || step%s.Step != 0 {
-		return nil, fmt.Errorf("series: new step %v must be a positive multiple of %v", step, s.Step)
-	}
-	k := int(step / s.Step)
-	n := len(s.Values) / k
-	values := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < k; j++ {
-			sum += s.Values[i*k+j]
-		}
-		values[i] = sum / float64(k)
-	}
-	return New(s.Start, step, values), nil
-}
-
 // Slice returns the sub-series covering samples [from, to).
 func (s *Series) Slice(from, to int) (*Series, error) {
 	if from < 0 || to > len(s.Values) || from > to {

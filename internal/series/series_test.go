@@ -1,9 +1,7 @@
 package series
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"kairos/internal/floats"
@@ -90,7 +88,7 @@ func TestEmptySeriesStats(t *testing.T) {
 	}
 }
 
-func TestSumAndMaxOfSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	a := New(t0, time.Minute, []float64{1, 5, 2})
 	b := New(t0, time.Minute, []float64{2, 1, 2})
 	sum, err := Sum([]*Series{a, b})
@@ -100,52 +98,12 @@ func TestSumAndMaxOfSum(t *testing.T) {
 	if sum.Values[0] != 3 || sum.Values[1] != 6 || sum.Values[2] != 4 {
 		t.Errorf("Sum = %v", sum.Values)
 	}
-	peak, err := MaxOfSum([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak != 6 {
-		t.Errorf("MaxOfSum = %v, want 6", peak)
-	}
 	empty, err := Sum(nil)
 	if err != nil || empty.Len() != 0 {
 		t.Error("Sum(nil) should be an empty series")
 	}
 	if _, err := Sum([]*Series{a, Constant(t0, time.Second, 3, 0)}); err == nil {
 		t.Error("Sum with mismatched shapes should error")
-	}
-	if _, err := MaxOfSum([]*Series{a, Constant(t0, time.Second, 3, 0)}); err == nil {
-		t.Error("MaxOfSum with mismatched shapes should error")
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := New(t0, time.Minute, []float64{1, 3, 5, 7, 9, 11})
-	r, err := s.Resample(2 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6, 10}
-	if len(r.Values) != 3 {
-		t.Fatalf("Resample len = %d, want 3", len(r.Values))
-	}
-	for i, v := range want {
-		if !floats.Same(r.Values[i], v) {
-			t.Errorf("Resample[%d] = %v, want %v", i, r.Values[i], v)
-		}
-	}
-	if r.Step != 2*time.Minute {
-		t.Errorf("Resample step = %v", r.Step)
-	}
-	if _, err := s.Resample(90 * time.Second); err == nil {
-		t.Error("non-multiple step should error")
-	}
-	if _, err := s.Resample(-time.Minute); err == nil {
-		t.Error("negative step should error")
-	}
-	bad := &Series{Step: 0, Values: []float64{1}}
-	if _, err := bad.Resample(time.Minute); err == nil {
-		t.Error("zero source step should error")
 	}
 }
 
@@ -181,50 +139,5 @@ func TestString(t *testing.T) {
 	s := Constant(t0, time.Minute, 2, 1)
 	if s.String() == "" {
 		t.Error("String should not be empty")
-	}
-}
-
-// Property: MaxOfSum ≤ sum of individual maxima (subadditivity of peak).
-func TestMaxOfSumSubadditiveProperty(t *testing.T) {
-	f := func(a, b [12]float64) bool {
-		for i := range a {
-			if math.IsNaN(a[i]) || math.IsInf(a[i], 0) || math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
-				return true
-			}
-			if math.Abs(a[i]) > 1e100 || math.Abs(b[i]) > 1e100 {
-				return true
-			}
-		}
-		sa := New(t0, time.Minute, a[:])
-		sb := New(t0, time.Minute, b[:])
-		peak, err := MaxOfSum([]*Series{sa, sb})
-		if err != nil {
-			return false
-		}
-		return peak <= sa.Max()+sb.Max()+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: resampling preserves the overall mean when the length divides
-// evenly.
-func TestResampleMeanPreservedProperty(t *testing.T) {
-	f := func(raw [24]float64) bool {
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true
-			}
-		}
-		s := New(t0, time.Minute, raw[:])
-		r, err := s.Resample(4 * time.Minute)
-		if err != nil {
-			return false
-		}
-		return math.Abs(r.Mean()-s.Mean()) < 1e-6*(1+math.Abs(s.Mean()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
