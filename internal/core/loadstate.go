@@ -171,9 +171,6 @@ func (ls *LoadState) Assignment() []int { return append([]int(nil), ls.assign...
 // Move/Fold calls.
 func (ls *LoadState) Members(j int) []int { return ls.members[j] }
 
-// MemberCount returns how many units machine j hosts.
-func (ls *LoadState) MemberCount(j int) int { return len(ls.members[j]) }
-
 // Contrib returns machine j's canonical objective contribution (balance
 // term plus violation and anti-affinity penalties), identical to
 // Evaluator.ServerContrib on the same member list.

@@ -241,7 +241,7 @@ func TestLoadStateSumsStayCanonical(t *testing.T) {
 					for k := 0; k < ev.T; k++ {
 						if math.Float64bits(got[s][k]) != math.Float64bits(want[s][k]) {
 							t.Fatalf("withDisk=%v iter %d: machine %d (%d members) stream %d step %d holds %v, accumulateInto %v",
-								withDisk, iter, j, ls.MemberCount(j), s, k, got[s][k], want[s][k])
+								withDisk, iter, j, len(ls.Members(j)), s, k, got[s][k], want[s][k])
 						}
 					}
 				}
@@ -275,7 +275,7 @@ func TestLoadStateFold(t *testing.T) {
 		}
 	}
 	ls := NewLoadState(ev, assign, K)
-	if ls.MemberCount(empty) != 0 {
+	if len(ls.Members(empty)) != 0 {
 		t.Fatalf("machine %d should start empty", empty)
 	}
 	ls.Fold(empty)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 )
 
@@ -404,25 +403,25 @@ func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error
 // incumbent's placements, prices migrations into the hill climb per
 // SolveOptions.MigrationWeight/MaxMigrations, and polishes with the same
 // move+swap local search Solve uses — no DIRECT run, no binary search over
-// K. Where machines are interchangeable (one class, no pinned unit) only
-// the incumbent-seeded plan is climbed, so a unit migrates only when its
-// move pays for its churn; elsewhere solveK's greedy and round-robin seeds
-// are climbed beside it and the best combined plan wins. What the cold
-// seeds would buy on interchangeable machines is bounded on the re-solve
-// matrix (TestResolveMatrix: eight fleets — the paper's datasets and their
-// union, SecondLife under the disk model, Wikipedia on two machine classes,
-// SecondLife with pinned workloads — each re-solved after amplitude drifts
-// of ±2–20 % and two-hour phase shifts of 10 % or 30 % of the workloads,
-// three seeds each): per fleet, Σ K and the plans left infeasible do not
-// rise above those of the re-solve that climbed all three seeds on every
-// fleet, and the objective sum does not rise by more than 0.1 %. On a
-// mildly drifted fleet this matches the cold solve's plan quality with far
-// fewer objective evaluations.
+// K. Where machines are interchangeable (one class, pinned units or not)
+// only the incumbent-seeded plan is climbed, so a unit migrates only when
+// its move pays for its churn; on several machine classes solveK's greedy
+// and round-robin seeds are climbed beside it and the best combined plan
+// wins. The plans are refereed by the re-solve matrix (TestResolveMatrix:
+// nine fleets — the paper's datasets and their union, SecondLife under the
+// disk model, Wikipedia and SecondLife on two machine classes, SecondLife
+// with pinned workloads — each re-solved after amplitude drifts of ±2–20 %
+// and two-hour phase shifts of 10 % or 30 % of the workloads, three seeds
+// each): per fleet, Σ K and the plans left infeasible do not rise above
+// their committed counts, and the objective sum does not rise by more than
+// 0.1 %. On a mildly drifted fleet this matches the cold solve's plan
+// quality with far fewer objective evaluations.
 //
 // The machine count starts at the incumbent's K (clamped to the available
-// machines), grows one machine at a time while the plan is infeasible, and
-// — when machines are interchangeable and no migration cap is set —
-// shrinks through the same reduction pass the sharded merge uses.
+// machines and raised past every pin), grows one machine at a time while
+// the plan is infeasible, and — when machines are interchangeable and no
+// migration cap is set — shrinks through the same reduction pass the
+// sharded merge uses, which never moves a pinned unit.
 // Solution.Objective is the canonical consolidation objective (no
 // migration term), so warm and cold plans are directly comparable;
 // Solution.Migrated and Solution.MigrationCost report the migration side.
@@ -453,17 +452,15 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	const rounds = 100
 
 	plan := ev.hillClimbMig(ctx, seed, K, rounds, mig)
-	// Where machines are not interchangeable — several classes, or a unit
-	// pinned to one — a climb from the incumbent's layout can keep a machine
-	// a fresh packing does without, or price well above it (without the
-	// cold seeds the matrix's Wikipedia-mixed objective sum rose 0.98 % and
-	// SecondLife-pinned took one machine more; SecondLife with every other
-	// machine halved took six more on one plan): solveK's greedy and
-	// round-robin seeds are climbed too, each with its own away count,
-	// unless a migration cap rules them out (they start fully migrated).
-	// The lowest objective plus migration cost wins, a feasible plan over an
-	// infeasible one, the earlier seed on a tie.
-	if opt.MaxMigrations <= 0 && (!ev.oneClass || slices.ContainsFunc(ev.pin, func(j int) bool { return j >= 0 })) {
+	// On several machine classes a climb from the incumbent's layout can
+	// keep a machine a fresh packing does without, or price well above it
+	// (without the cold seeds the matrix's Wikipedia-mixed objective sum
+	// rose 0.98 % and SecondLife-halved took six machines more on one
+	// plan): solveK's greedy and round-robin seeds are climbed too, each
+	// with its own away count, unless a migration cap rules them out (they
+	// start fully migrated). The lowest objective plus migration cost wins,
+	// a feasible plan over an infeasible one, the earlier seed on a tie.
+	if opt.MaxMigrations <= 0 && !ev.oneClass {
 		_, cost := mig.tally(plan.assign)
 		best := plan.obj + cost
 		for i := 0; i < 2; i++ {
@@ -490,11 +487,10 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	}
 	// Drift the other way can free a machine; reclaim it with the reduction
 	// pass when machines are interchangeable. Reduction relocates whole
-	// machines, so it only runs without a migration cap, and its plan is
-	// taken only when the climb from it is feasible: its relocations and
-	// folds do not heed pins, so it can move a pinned unit off its machine
-	// (on the matrix's pinned fleet that left one plan infeasible at K 9
-	// where the plan before it was feasible at 11).
+	// machines, so it only runs without a migration cap. It keeps every pin
+	// and places a unit only where it fits; its plan is still taken only
+	// when the climb from it is feasible, so a reduction never trades a
+	// feasible plan for an infeasible one.
 	if plan.feas && opt.MaxMigrations <= 0 && ev.oneClass {
 		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
 			m := *mig

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -452,6 +453,50 @@ func TestResolvePinChangeNotCountedAsMigration(t *testing.T) {
 	}
 	if warm.MigrationCost > 0 && warm.Migrated == 0 {
 		t.Errorf("migration cost %v charged with no counted migrations", warm.MigrationCost)
+	}
+}
+
+// TestResolveReductionKeepsPins: the reduction pass Resolve shrinks a
+// one-class plan with never moves a pinned unit. Every workload fits on one
+// machine, so a pass that ignored pins would fold the plan to K 1 and take
+// the unit pinned to machine 1 with it; one that keeps pins stops at K 2,
+// the pinned machine last — whether that machine is the lightest or the
+// heaviest and K starts above pin + 1.
+func TestResolveReductionKeepsPins(t *testing.T) {
+	const n = 12
+	for _, c := range []struct {
+		name   string
+		cpu    []float64 // workload i starts alone on machine i
+		pinned int       // the workload pinned to machine 1
+	}{
+		{"lightest machine pinned", []float64{0.15, 0.02, 0.15, 0.15}, 1},
+		{"pin below the last machine", []float64{0.05, 0.2, 0.1, 0.15}, 1},
+	} {
+		p := &Problem{Machines: machines(len(c.cpu), 1, 16)}
+		for i, cpu := range c.cpu {
+			p.Workloads = append(p.Workloads, flatWL(fmt.Sprint("w", i), cpu, 1, n))
+		}
+		p.Workloads[c.pinned].PinTo = 1
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := make([]int, len(c.cpu))
+		for u := range assign {
+			assign[u] = u
+		}
+		reduced, k := ev.reduceK(assign, len(c.cpu))
+		if k != 2 {
+			t.Errorf("%s: reduced to K %d, want 2", c.name, k)
+		}
+		for u, pin := range ev.pin {
+			if pin >= 0 && reduced[u] != pin {
+				t.Errorf("%s: pinned unit %d on machine %d, want its pin %d", c.name, u, reduced[u], pin)
+			}
+		}
+		if _, feasible := ev.Eval(reduced, k); !feasible {
+			t.Errorf("%s: reduced plan %v at K %d infeasible", c.name, reduced, k)
+		}
 	}
 }
 

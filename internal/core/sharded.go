@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -259,15 +260,21 @@ func pearson(a, b []float64) float64 {
 // label is folded onto it and K drops. Relocation feasibility is priced in
 // O(T) against the incremental LoadState (LoadState.CanPlace) instead of
 // re-aggregating every member per candidate (the old FitsOneMachine
-// pattern). Only valid for interchangeable (homogeneous) machines.
-// Deterministic: visit order and placement order are fixed.
+// pattern). Only valid for interchangeable (homogeneous) machines. Pins are
+// kept: a machine that hosts a pinned unit is never emptied, and no fold
+// relabels the last machine while it hosts one, so no pinned unit moves
+// and K stays above every pin. Deterministic: visit order and placement
+// order are fixed.
 func (ev *Evaluator) reduceK(assign []int, K int) ([]int, int) {
 	ls := NewLoadState(ev, assign, K)
 	type mload struct {
 		j    int
 		load float64
 	}
-	for ls.K() > 1 {
+	pinned := func(j int) bool {
+		return slices.ContainsFunc(ls.Members(j), func(u int) bool { return ev.pin[u] >= 0 })
+	}
+	for ls.K() > 1 && !pinned(ls.K()-1) {
 		k := ls.K()
 		// Rank machines lightest-first by normalized load (ties: higher
 		// index first, so relabelling disturbs less).
@@ -284,11 +291,8 @@ func (ev *Evaluator) reduceK(assign []int, K int) ([]int, int) {
 		reduced := false
 		for _, cand := range order {
 			j := cand.j
-			if ls.MemberCount(j) == 0 {
-				// Already empty: fold the last machine onto it.
-				ls.Fold(j)
-				reduced = true
-				break
+			if pinned(j) {
+				continue
 			}
 			// Tentatively relocate every unit of machine j elsewhere; the
 			// moves apply to the live state and are rolled back if any unit

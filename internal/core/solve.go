@@ -532,8 +532,8 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 // coldSeed returns cold-start assignment i of the two solveK climbs from
 // — 0 the greedy packing, nil when it does not fit K bins, 1 the
 // round-robin spread — with unplaced units parked on machine 0 and pins
-// repaired. Resolve climbs the same two beside its warm seed where machines
-// are not interchangeable.
+// repaired. Resolve climbs the same two beside its warm seed on several
+// machine classes.
 func (ev *Evaluator) coldSeed(i, K int) []int {
 	var a []int
 	if i == 0 {

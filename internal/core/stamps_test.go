@@ -229,7 +229,7 @@ func TestLoadStateChangeClock(t *testing.T) {
 	// reduceK's trial: empty machine j with deferred re-materialization,
 	// then roll back to the original member order.
 	j := 0
-	for ls.MemberCount(j) < 2 {
+	for len(ls.Members(j)) < 2 {
 		j++
 	}
 	s := snap()

@@ -255,15 +255,6 @@ func (c *lruCache) compactFIFO() {
 	}
 }
 
-// ResidentByDB counts resident pages per database id.
-func (c *lruCache) ResidentByDB() map[int]int {
-	out := make(map[int]int)
-	for key := range c.table {
-		out[key.dbID()]++
-	}
-	return out
-}
-
 // DropDB removes every page belonging to the given database.
 func (c *lruCache) DropDB(dbID int) {
 	for key := range c.table {

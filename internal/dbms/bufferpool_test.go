@@ -102,15 +102,11 @@ func TestLRUCollectDirtyColdFirst(t *testing.T) {
 	}
 }
 
-func TestLRUResidentByDBAndDropDB(t *testing.T) {
+func TestLRUDropDB(t *testing.T) {
 	c := newLRUCache(10)
 	c.Put(makeKey(1, 0))
 	c.Put(makeKey(1, 1))
 	c.Put(makeKey(2, 0))
-	byDB := c.ResidentByDB()
-	if byDB[1] != 2 || byDB[2] != 1 {
-		t.Errorf("ResidentByDB = %v", byDB)
-	}
 	c.DropDB(1)
 	if c.Len() != 1 || c.Contains(makeKey(1, 0)) {
 		t.Errorf("DropDB left pages behind: len=%d", c.Len())

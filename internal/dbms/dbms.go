@@ -206,16 +206,11 @@ type Request struct {
 type TickResult struct {
 	// CPUUtilization is the fraction of CPU capacity used this tick.
 	CPUUtilization float64
-	// DiskUtilization is the disk busy fraction this tick.
-	DiskUtilization float64
 	// AvgLatency estimates the mean transaction latency for the tick from
 	// service demand and queueing (M/G/1-style 1/(1-ρ) scaling).
 	AvgLatency time.Duration
 	// Checkpoint reports whether a log-reclamation checkpoint fired.
 	Checkpoint bool
-	// CompletedTxns counts transactions that actually executed this tick
-	// (requested work beyond saturation is deferred).
-	CompletedTxns int64
 }
 
 // backlogEntry is deferred work for one database.
@@ -257,13 +252,9 @@ type Instance struct {
 
 // InstanceStats aggregates instance-wide counters.
 type InstanceStats struct {
-	CPUBusy     time.Duration
-	Elapsed     time.Duration
-	Checkpoints int64
 	// LatencySum/LatencyTicks support an average-latency estimate.
 	LatencySum   time.Duration
 	LatencyTicks int64
-	MaxLatency   time.Duration
 }
 
 // AvgLatency returns the mean of the per-tick latency estimates.
@@ -499,15 +490,8 @@ func (in *Instance) cpuCapacityOps(dt time.Duration) float64 {
 func (in *Instance) Tick(dt time.Duration, reqs []Request) TickResult {
 	in.Enqueue(reqs)
 	st := in.RunWork(dt, in.cpuCapacityOps(dt))
-	busyBefore := in.disk.Stats().BusyTime
 	in.disk.Tick(dt)
 	res := in.PostTick(dt, st)
-	busy := in.disk.Stats().BusyTime - busyBefore
-	util := float64(busy) / float64(dt)
-	if util > 1 {
-		util = 1
-	}
-	res.DiskUtilization = util
 	// Latency queues behind synchronous disk work only: background
 	// write-back yields to reads and commits, so it does not delay them.
 	res.AvgLatency = in.finishLatency(dt, st, res.Checkpoint, in.disk.LastTickSyncLoad(dt))
@@ -577,7 +561,6 @@ func (st SubmitState) CPUUtilization() float64 {
 // clock by dt but does not advance the disk.
 func (in *Instance) RunWork(dt time.Duration, cpuBudget float64) SubmitState {
 	in.clock += dt
-	in.stats.Elapsed += dt
 
 	st := SubmitState{CPUBudget: cpuBudget}
 	var totalTxns, totalUpdates float64
@@ -756,13 +739,10 @@ func (in *Instance) RunWork(dt time.Duration, cpuBudget float64) SubmitState {
 
 // PostTick runs the flusher after the disk served the tick's synchronous
 // work, and fills in the CPU side of the tick summary. Callers that own the
-// disk (see Tick) additionally fill in disk utilization and latency;
-// multi-instance hosts do that at host level.
+// disk (see Tick) additionally fill in latency; multi-instance hosts
+// measure the disk at host level.
 func (in *Instance) PostTick(dt time.Duration, st SubmitState) TickResult {
-	res := TickResult{
-		CPUUtilization: st.CPUUtilization(),
-		CompletedTxns:  int64(st.Txns),
-	}
+	res := TickResult{CPUUtilization: st.CPUUtilization()}
 	// Evicted dirty pages must be written out ahead of other write-back:
 	// their frames were reused, so the data exists only in the write
 	// buffer. The disk bounds forced overrun, so a large burst (a bulk
@@ -790,7 +770,6 @@ func (in *Instance) PostTick(dt time.Duration, st SubmitState) TickResult {
 		if oldest, ok := in.bp.OldestDirtyLSN(); ok && in.totalLogBytes-oldest >= in.cfg.LogFileBytes {
 			in.flushKeys(in.bp.CollectDirtyOlder(in.totalLogBytes-in.cfg.LogFileBytes*3/4,
 				time.Duration(1)<<62, in.bp.Dirty()), true)
-			in.stats.Checkpoints++
 			res.Checkpoint = true
 		} else {
 			cutoff := in.totalLogBytes - in.cfg.LogFileBytes*4/5
@@ -813,7 +792,6 @@ func (in *Instance) PostTick(dt time.Duration, st SubmitState) TickResult {
 			in.flushKeys(in.bp.CollectDirty(in.cfg.IdleFlushBatch), false)
 		}
 	}
-	in.stats.CPUBusy += time.Duration(res.CPUUtilization * float64(dt))
 	return res
 }
 
@@ -849,9 +827,6 @@ func (in *Instance) finishLatency(dt time.Duration, st SubmitState, checkpoint b
 	}
 	in.stats.LatencySum += lat
 	in.stats.LatencyTicks++
-	if lat > in.stats.MaxLatency {
-		in.stats.MaxLatency = lat
-	}
 	return lat
 }
 
