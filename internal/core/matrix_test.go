@@ -36,8 +36,11 @@ type matrixRow struct {
 // their union on one class of target machine; SecondLife under the disk
 // model; Wikipedia and SecondLife with every other machine at half the CPU
 // and RAM (two classes, so no reduction pass reclaims a machine and Resolve
-// climbs the cold seeds); and SecondLife with three workloads pinned to the
-// first three machines.
+// climbs the cold seeds); SecondLife with three workloads pinned to the
+// first three machines; SecondLife with every 12th machine at full size and
+// the rest at half the CPU and RAM (9 full machines, fewer than any plan
+// needs); and SecondLife and Wikipedia with every other machine at twice the
+// CPU and half the RAM (two classes neither of which dominates).
 var matrixDatasets = []struct {
 	name    string
 	problem func() *core.Problem
@@ -69,6 +72,28 @@ var matrixDatasets = []struct {
 		return p
 	}},
 	{"SecondLife-pinned", secondLifePinned},
+	{"SecondLife-fewbig", func() *core.Problem {
+		p := fleetCase(fleet.SecondLife)
+		for j := range p.Machines {
+			if j%12 != 0 {
+				p.Machines[j].CPUCapacity /= 2
+				p.Machines[j].RAMBytes /= 2
+			}
+		}
+		return p
+	}},
+	{"SecondLife-complementary", func() *core.Problem { return complementary(fleetCase(fleet.SecondLife)) }},
+	{"Wikipedia-complementary", func() *core.Problem { return complementary(fleetCase(fleet.Wikipedia)) }},
+}
+
+// complementary gives every other machine of p twice the CPU and half the
+// RAM: two machine classes neither of which dominates the other.
+func complementary(p *core.Problem) *core.Problem {
+	for j := 1; j < len(p.Machines); j += 2 {
+		p.Machines[j].CPUCapacity *= 2
+		p.Machines[j].RAMBytes /= 2
+	}
+	return p
 }
 
 // secondLifePinned is SecondLife with workloads 0, 3 and 7 pinned to
@@ -176,17 +201,22 @@ func withWorkloads(p *core.Problem) *core.Problem {
 // both cold seeds: without them Wikipedia-mixed's sum rose 0.98 % and
 // SecondLife-halved's Σ K 270 → 290; with the greedy seed alone
 // SecondLife-halved's Σ K was 276 and Wikipedia-mixed's sum +0.53 %, with
-// the round-robin seed alone Wikipedia-mixed's sum +0.46 %.
+// the round-robin seed alone Wikipedia-mixed's sum +0.46 %. The fewbig and
+// complementary fleets' sums are Resolve's on the caller's machine order,
+// with both cold seeds climbed.
 var matrixObjective = map[string]float64{
-	"Internal":          85.615223,
-	"Wikia":             52.341871,
-	"Wikipedia":         157.905363,
-	"SecondLife":        317.992951,
-	"ALL":               506.182408,
-	"SecondLife-disk":   363.738055,
-	"Wikipedia-mixed":   201.395991,
-	"SecondLife-halved": 401.594850,
-	"SecondLife-pinned": 320.462826,
+	"Internal":                 85.615223,
+	"Wikia":                    52.341871,
+	"Wikipedia":                157.905363,
+	"SecondLife":               317.992951,
+	"ALL":                      506.182408,
+	"SecondLife-disk":          363.738055,
+	"Wikipedia-mixed":          201.395991,
+	"SecondLife-halved":        401.594850,
+	"SecondLife-pinned":        320.462826,
+	"SecondLife-fewbig":        567.520149,
+	"SecondLife-complementary": 255.642703,
+	"Wikipedia-complementary":  150.119156,
 }
 
 // matrixObjectiveTolerance is how far a fleet's objective sum may rise above
