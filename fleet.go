@@ -34,7 +34,7 @@ type FleetSpec struct {
 	// every workload needs a unique non-empty Name — observation windows
 	// are matched to baselines by name.
 	Workloads []Workload
-	// Machines are the consolidation targets, in preference order.
+	// Machines are the consolidation targets, in any order; plans index it.
 	Machines []Machine
 	// Disk is the target hardware's empirical profile; nil disables the
 	// non-linear disk constraint.
@@ -375,7 +375,6 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 	if err != nil || trig == nil {
 		return nil, err
 	}
-	//kairoslint:allow lockorder: the warm re-solve's worker pool always drains; ctx aborts it on shutdown
 	ev, err := f.solve(ctx, trig, f.orSpec(f.baseline), f.history, f.view.Load().inc)
 	if err == nil {
 		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan)
@@ -408,7 +407,6 @@ func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 	if f.trig == nil {
 		return nil, fmt.Errorf("kairos: fleet %q has no unsettled drift trigger to resolve", f.spec.Name)
 	}
-	//kairoslint:allow lockorder: the warm re-solve's worker pool always drains; ctx aborts it on shutdown
 	ev, err := f.solve(ctx, f.trig, f.orSpec(f.baseline), f.history, f.view.Load().inc)
 	if err != nil {
 		return nil, err

@@ -397,26 +397,30 @@ func TestFractionalLowerBound(t *testing.T) {
 // TestFractionalLowerBoundHeterogeneous is the regression for the bound that
 // divided by Machines[0]'s capacity alone: a fleet whose first machine is the
 // small one got a "lower bound" above the optimum, so Solve either refused a
-// feasible problem or never probed the machine counts below it.
+// feasible problem or never probed the machine counts below it. The bound
+// reads the list as given (NewEvaluator's order); Solve orders the machines
+// itself, so every list that holds the big machine solves on it alone, as
+// "big first" does.
 func TestFractionalLowerBoundHeterogeneous(t *testing.T) {
 	n := 12
 	wls := []Workload{flatWL("a", 0.9, 1, n), flatWL("b", 0.9, 1, n), flatWL("c", 0.9, 1, n), flatWL("d", 0.9, 1, n)}
 	small := Machine{Name: "small", CPUCapacity: 1, RAMBytes: 64e9}
 	big := Machine{Name: "big", CPUCapacity: 8, RAMBytes: 64e9}
+	const bigFirstK = 1
 	for _, tc := range []struct {
 		name      string
 		machines  []Machine
-		bound, k  int
+		bound     int
 		wantError bool
 	}{
-		{"small then big", []Machine{small, big}, 2, 2, false},
-		{"spare machines behind", []Machine{small, big, small, small, small}, 2, 2, false},
-		{"big first", []Machine{big, small}, 1, 1, false},
+		{"small then big", []Machine{small, big}, 2, false},
+		{"spare machines behind", []Machine{small, big, small, small, small}, 2, false},
+		{"big first", []Machine{big, small}, bigFirstK, false},
 		// 1+1+8: the first two machines hold 2 of the 3.6.
-		{"two small then big", []Machine{small, small, big}, 3, 3, false},
+		{"two small then big", []Machine{small, small, big}, 3, false},
 		// A homogeneous tail keeps ⌈remaining/capacity⌉ past the last
 		// machine: 3.6 over 1+1+1 needs a fourth.
-		{"over-committed", []Machine{small, small, small}, 4, 0, true},
+		{"over-committed", []Machine{small, small, small}, 4, true},
 	} {
 		p := &Problem{Workloads: wls, Machines: tc.machines}
 		ev, err := NewEvaluator(p)
@@ -437,8 +441,8 @@ func TestFractionalLowerBoundHeterogeneous(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
-		if !sol.Feasible || sol.K != tc.k {
-			t.Errorf("%s: K = %d feasible=%v, want K = %d feasible", tc.name, sol.K, sol.Feasible, tc.k)
+		if !sol.Feasible || sol.K != bigFirstK {
+			t.Errorf("%s: K = %d feasible=%v, want big first's K = %d feasible", tc.name, sol.K, sol.Feasible, bigFirstK)
 		}
 	}
 
@@ -593,7 +597,7 @@ func TestReportAndMachineWorkloads(t *testing.T) {
 	if math.Abs(report[0].RAMPeak-3e9) > 1 {
 		t.Errorf("RAM peak = %v, want 3e9", report[0].RAMPeak)
 	}
-	sol := &Solution{Assign: []int{0, 0}, Units: ev.Units(), K: 2}
+	sol := &Solution{Assign: []int{0, 0}, Units: ev.Units(), K: 2, Loads: report}
 	mw := sol.MachineWorkloads()
 	if len(mw[0]) != 2 || len(mw[1]) != 0 {
 		t.Errorf("MachineWorkloads = %v", mw)

@@ -90,16 +90,19 @@ func (ps *PartitionedSolution) ConsolidationRatio(originalServers int) float64 {
 // group against its own slice of machines, and concatenates the plans. It
 // trades a little consolidation quality (co-location opportunities across
 // groups are never considered) for indefinite scalability — per Section
-// 7.5, total work grows linearly in the number of groups.
+// 7.5, total work grows linearly in the number of groups. The groups take
+// consecutive slices of the canonical machine order (newOrdered).
 //
 // Pinning and explicit anti-affinity refer to global indices and are not
 // supported here; replicas within one workload are. Cancelling ctx aborts
 // the solve after the current group and returns ctx.Err().
 func SolvePartitioned(ctx context.Context, p *Problem, g Grouping) (*PartitionedSolution, error) {
 	start := time.Now()
-	if err := p.Validate(); err != nil {
+	ev, _, err := newOrdered(p)
+	if err != nil {
 		return nil, err
 	}
+	p = ev.p
 	if g.GroupSize <= 0 {
 		return nil, fmt.Errorf("core: group size must be positive, got %d", g.GroupSize)
 	}
@@ -137,8 +140,9 @@ func SolvePartitioned(ctx context.Context, p *Problem, g Grouping) (*Partitioned
 }
 
 // solveInSequence solves groups of p's workloads one after another, each
-// against the machines the groups before it left unused: a group's plan
-// uses a prefix of the machines it is given. noun names a group in errors.
+// against the machines the groups before it left unused, in p's machine
+// order: a group's plan uses a prefix of the machines it is given. noun
+// names a group in errors.
 func solveInSequence(ctx context.Context, p *Problem, groups [][]Workload, noun string, opt SolveOptions) ([]*Solution, error) {
 	sols := make([]*Solution, len(groups))
 	next := 0
@@ -146,7 +150,11 @@ func solveInSequence(ctx context.Context, p *Problem, groups [][]Workload, noun 
 		if next >= len(p.Machines) {
 			return nil, fmt.Errorf("core: ran out of machines after %d %ss", i, noun)
 		}
-		sol, err := Solve(ctx, &Problem{Workloads: group, Machines: p.Machines[next:], Disk: p.Disk}, opt)
+		ev, err := NewEvaluator(&Problem{Workloads: group, Machines: p.Machines[next:], Disk: p.Disk})
+		var sol *Solution
+		if err == nil {
+			sol, err = ev.solve(ctx, opt, time.Now())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s %d: %w", noun, i, err)
 		}

@@ -491,10 +491,10 @@ func (ls *LoadState) move(u, to int, rematSource, rematDest bool) {
 
 // Fold removes the empty machine label `to` by relabelling the current
 // last machine (K-1) onto it and shrinking K — the machine-count
-// reduction step for interchangeable machines. Panics if `to` still
-// hosts units. Only `to`'s member list must be current: its cached sums
-// may be stale from deferred moves, since Fold overwrites them with
-// machine K-1's state and retires the dead slot.
+// reduction step. Panics if `to` still hosts units. Only `to`'s member
+// list must be current: its cached sums may be stale from deferred moves,
+// since Fold overwrites them with machine K-1's state and retires the dead
+// slot. On a machine of another capacity class it prices the sums again.
 func (ls *LoadState) Fold(to int) {
 	from := ls.k - 1
 	if to != from {
@@ -515,6 +515,9 @@ func (ls *LoadState) Fold(to int) {
 		ls.confPairs[to], ls.confPairs[from] = ls.confPairs[from], 0
 		ls.slaCap[to], ls.slaCap[from] = ls.slaCap[from], 1
 		ls.touch(to, from)
+		if ls.ev.capClass[to] != ls.ev.capClass[from] {
+			ls.refresh(to)
+		}
 	}
 	ls.k--
 }

@@ -256,37 +256,48 @@ func TestLoadStateSumsStayCanonical(t *testing.T) {
 // TestLoadStateFold checks the machine-count reduction primitive: folding
 // the last label onto an emptied one preserves canonical contributions and
 // produces an assignment a fresh LoadState prices identically (modulo
-// member-order rounding).
+// member-order rounding). On two classes the emptied machine is eight times
+// the size of the folded one, so its contribution and normalised load are
+// the folded machine's re-priced at the larger capacities, not copied.
 func TestLoadStateFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomLoadStateProblem(rng, 9, 24, false)
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nU := ev.NumUnits()
-	K := 5
-	empty := 2
-	assign := make([]int, nU)
-	for u := range assign {
-		assign[u] = u % K
-		if assign[u] == empty {
-			assign[u] = (u + 1) % K
+	for _, bigTarget := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		p := randomLoadStateProblem(rng, 9, 24, false)
+		K := 5
+		empty := 2
+		if bigTarget {
+			p.Machines[empty].CPUCapacity *= 8
+			p.Machines[empty].RAMBytes *= 8
 		}
-	}
-	ls := NewLoadState(ev, assign, K)
-	if len(ls.Members(empty)) != 0 {
-		t.Fatalf("machine %d should start empty", empty)
-	}
-	ls.Fold(empty)
-	if ls.K() != K-1 {
-		t.Fatalf("K = %d after fold, want %d", ls.K(), K-1)
-	}
-	checkCanonical(t, ev, ls)
-	fresh := NewLoadState(ev, ls.Assignment(), ls.K())
-	for j := 0; j < ls.K(); j++ {
-		if got, want := ls.Contrib(j), fresh.Contrib(j); !relClose(got, want, 1e-9) {
-			t.Errorf("machine %d contrib %v differs from fresh build %v", j, got, want)
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nU := ev.NumUnits()
+		assign := make([]int, nU)
+		for u := range assign {
+			assign[u] = u % K
+			if assign[u] == empty {
+				assign[u] = (u + 1) % K
+			}
+		}
+		ls := NewLoadState(ev, assign, K)
+		if len(ls.Members(empty)) != 0 {
+			t.Fatalf("machine %d should start empty", empty)
+		}
+		ls.Fold(empty)
+		if ls.K() != K-1 {
+			t.Fatalf("K = %d after fold, want %d", ls.K(), K-1)
+		}
+		checkCanonical(t, ev, ls)
+		fresh := NewLoadState(ev, ls.Assignment(), ls.K())
+		for j := 0; j < ls.K(); j++ {
+			if got, want := ls.Contrib(j), fresh.Contrib(j); !relClose(got, want, 1e-9) {
+				t.Errorf("big target %v: machine %d contrib %v differs from fresh build %v", bigTarget, j, got, want)
+			}
+			if got, want := ls.NormLoad(j), fresh.NormLoad(j); !relClose(got, want, 1e-9) {
+				t.Errorf("big target %v: machine %d normalised load %v differs from fresh build %v", bigTarget, j, got, want)
+			}
 		}
 	}
 }

@@ -85,7 +85,7 @@ type Evaluator struct {
 	// machine j's bit for bit. A machine's price reads nothing else of the
 	// machine (pricePeaks), so Eval's reuse table keys on the class, and
 	// with oneClass — every machine in one class — the machine labels are
-	// interchangeable (Resolve's reduceK, SolveSharded's concurrent shards).
+	// interchangeable (SolveSharded's concurrent shards and its merge).
 	capClass []int32
 	oneClass bool
 
@@ -121,7 +121,8 @@ type Evaluator struct {
 // entirely and calling the placement feasible.
 const envRateFloor = 1.0
 
-// NewEvaluator validates the problem and prepares the evaluation arrays.
+// NewEvaluator validates the problem and prepares the evaluation arrays. A
+// K-machine assignment uses Machines[0:K], in the order p lists them.
 func NewEvaluator(p *Problem) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -325,7 +326,7 @@ func (ev *Evaluator) Units() []UnitRef {
 
 // ServerLoad holds one machine's aggregate demands under an assignment.
 type ServerLoad struct {
-	Machine  int
+	Machine  int // index in Problem.Machines, as Solution.Assign
 	Used     bool
 	CPU      []float64 // aggregate CPU over time
 	RAMPeak  float64

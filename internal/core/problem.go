@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"kairos/internal/model"
@@ -90,8 +91,8 @@ func (m Machine) capacity(raw float64) float64 { return raw * (1 - float64(m.Hea
 type Problem struct {
 	// Workloads to place.
 	Workloads []Workload
-	// Machines available, in preference order: a K-server solution uses
-	// Machines[0:K].
+	// Machines available, in any order: the solvers order them themselves
+	// (newOrdered). Solution.Assign indexes this list.
 	Machines []Machine
 	// Disk is the target hardware's empirical profile; nil disables the
 	// non-linear disk constraint (CPU/RAM only).
@@ -206,7 +207,7 @@ func (p *Problem) units() []unit {
 
 // Solution is a consolidation plan.
 type Solution struct {
-	// Assign maps each unit to a machine index in [0, K).
+	// Assign maps each unit to its machine's index in Problem.Machines.
 	Assign []int
 	// Units describes what each Assign slot places: Units[i] is
 	// (workload index, replica number).
@@ -341,12 +342,13 @@ func (s *Solution) ConsolidationRatio(originalServers int) float64 {
 	return float64(originalServers) / float64(s.K)
 }
 
-// MachineWorkloads groups workload indices by assigned machine.
+// MachineWorkloads groups workload indices by assigned machine: entry i
+// lists the workloads on machine Loads[i].Machine.
 func (s *Solution) MachineWorkloads() [][]int {
-	out := make([][]int, s.K)
+	out := make([][]int, len(s.Loads))
 	for u, j := range s.Assign {
-		if j >= 0 && j < s.K {
-			out[j] = append(out[j], s.Units[u].Workload)
+		if i := slices.IndexFunc(s.Loads, func(sl ServerLoad) bool { return sl.Machine == j }); i >= 0 {
+			out[i] = append(out[i], s.Units[u].Workload)
 		}
 	}
 	return out

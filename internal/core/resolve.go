@@ -245,11 +245,12 @@ func (ev *Evaluator) clampIncumbentK(p *Problem, incK int) int {
 // machine prices cheapest. Workloads are matched by name (falling back to
 // index for unnamed fleets), and incumbent machines likewise remap by
 // machine name when both sides carry unique non-empty names, so reordering
-// either list between runs cannot seed units onto different hardware.
-// Returns the seed assignment and the per-unit home array (-1 for the free
-// units). Pins always win over incumbents: a pinned unit's home IS its pin,
-// so forced pin changes are never priced or capped as migrations.
-func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []int) {
+// either list between runs cannot seed units onto different hardware; a
+// machine matched by index maps through pos (newOrdered's). Returns the seed
+// assignment and the per-unit home array (-1 for the free units). Pins
+// always win over incumbents: a pinned unit's home IS its pin, so forced
+// pin changes are never priced or capped as migrations.
+func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int, pos []int) (seed, home []int) {
 	byName := make(map[string]int, len(p.Workloads))
 	uniqueNames := true
 	for i, w := range p.Workloads {
@@ -307,6 +308,8 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []i
 				continue // machine removed since the incumbent plan
 			}
 			m = found
+		} else if m >= 0 && m < len(pos) {
+			m = pos[m]
 		}
 		if m < 0 || m >= K {
 			continue // incumbent machine outside the current range
@@ -354,12 +357,12 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []i
 // names remapped when unique), unmatched units are placed greedily, and
 // the resulting assignment is priced once with the canonical objective.
 // It answers "how good is the current plan on this (drifted or forecast)
-// fleet?" — the before side of a re-consolidation decision — at the cost
-// of one evaluation instead of a solve. The returned K is the incumbent's
-// machine count clamped the same way Resolve clamps it. Resolve reports the
-// same price as Solution.SeedObjective and SeedFeasible.
+// fleet?" — the before side of a re-consolidation decision — for one
+// evaluation and a load report instead of a solve. The returned K is the
+// incumbent's machine count clamped the same way Resolve clamps it. Resolve
+// reports the same price as Solution.SeedObjective and SeedFeasible.
 func PriceIncumbent(p *Problem, inc *Incumbent) (obj float64, feasible bool, K int, err error) {
-	sol, _, err := incumbentSolution(p, inc)
+	sol, err := SolutionFromIncumbent(p, inc)
 	if err != nil {
 		return 0, false, 0, err
 	}
@@ -373,29 +376,18 @@ func PriceIncumbent(p *Problem, inc *Incumbent) (obj float64, feasible bool, K i
 // incumbent already ran before the crash, so replay must reconstruct its
 // outcome, not repeat its search.
 func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
-	sol, ev, err := incumbentSolution(p, inc)
+	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
+		return nil, fmt.Errorf("core: pricing an incumbent needs a non-empty incumbent plan")
+	}
+	ev, o, err := newOrdered(p)
 	if err != nil {
 		return nil, err
 	}
-	sol.Loads = ev.Report(sol.Assign, sol.K)
-	return sol, nil
-}
-
-// incumbentSolution is PriceIncumbent's and SolutionFromIncumbent's body:
-// the incumbent's warm seed on p at its clamped K, priced once, as a
-// Solution without Loads, and the evaluator that priced it.
-func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error) {
-	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
-		return nil, nil, fmt.Errorf("core: pricing an incumbent needs a non-empty incumbent plan")
-	}
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	K := ev.clampIncumbentK(p, inc.K)
-	seed, _ := ev.warmSeed(p, inc, K)
+	K := ev.clampIncumbentK(ev.p, inc.K)
+	seed, _ := ev.warmSeed(ev.p, inc, K, o.pos)
 	obj, feasible := ev.Eval(seed, K)
-	return &Solution{Assign: seed, Units: ev.Units(), K: K, Feasible: feasible, Objective: obj, Fevals: 1}, ev, nil
+	return o.out(&Solution{Assign: seed, Units: ev.Units(), K: K, Feasible: feasible, Objective: obj,
+		Loads: ev.Report(seed, K), Fevals: 1}, nil)
 }
 
 // Resolve computes a consolidation plan for p warm-started from an
@@ -403,95 +395,71 @@ func incumbentSolution(p *Problem, inc *Incumbent) (*Solution, *Evaluator, error
 // incumbent's placements, prices migrations into the hill climb per
 // SolveOptions.MigrationWeight/MaxMigrations, and polishes with the same
 // move+swap local search Solve uses — no DIRECT run, no binary search over
-// K. Where machines are interchangeable (one class, pinned units or not)
-// only the incumbent-seeded plan is climbed, so a unit migrates only when
-// its move pays for its churn; on several machine classes solveK's greedy
-// and round-robin seeds are climbed beside it and the best combined plan
-// wins. The plans are refereed by the re-solve matrix (TestResolveMatrix:
-// nine fleets — the paper's datasets and their union, SecondLife under the
-// disk model, Wikipedia and SecondLife on two machine classes, SecondLife
-// with pinned workloads — each re-solved after amplitude drifts of ±2–20 %
-// and two-hour phase shifts of 10 % or 30 % of the workloads, three seeds
-// each): per fleet, Σ K and the plans left infeasible do not rise above
-// their committed counts, and the objective sum does not rise by more than
-// 0.1 %. On a mildly drifted fleet this matches the cold solve's plan
-// quality with far fewer objective evaluations.
+// K. It climbs the incumbent-seeded plan alone, so a unit migrates only when
+// its move pays for its churn; the re-solve matrix (TestResolveMatrix) holds
+// its plans on twelve drifted fleets. On a mildly drifted fleet this matches
+// the cold solve's plan quality with far fewer objective evaluations. Like
+// Solve it works on the canonical machine order (newOrdered), and the
+// incumbent's machine indices and Solution.Assign index the caller's list.
 //
 // The machine count starts at the incumbent's K (clamped to the available
-// machines and raised past every pin), grows one machine at a time while
-// the plan is infeasible, and — when machines are interchangeable and no
-// migration cap is set — shrinks through the same reduction pass the
-// sharded merge uses, which never moves a pinned unit.
-// Solution.Objective is the canonical consolidation objective (no
-// migration term), so warm and cold plans are directly comparable;
-// Solution.Migrated and Solution.MigrationCost report the migration side.
-// The climbs run one after another on the caller's goroutine; only the
-// greedy packing takes the helpers the CPU budget has free. Cancelling ctx
-// aborts the re-solve between pricing units and returns ctx.Err().
+// machines and raised past every pin) and grows one machine at a time while
+// the plan is infeasible; without a migration cap, a grown K whose climb is
+// still infeasible climbs once more from a round-robin spread of the units,
+// and a feasible plan shrinks through the same reduction pass the sharded
+// merge uses, which never moves a pinned unit. Solution.Objective is the
+// canonical consolidation objective (no migration term), so warm and cold
+// plans are directly comparable; Solution.Migrated and
+// Solution.MigrationCost report the migration side. Every climb runs on the
+// caller's goroutine. Cancelling ctx aborts the re-solve between pricing
+// units and returns ctx.Err().
 func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
 	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
 		return nil, fmt.Errorf("core: Resolve needs a non-empty incumbent plan")
 	}
-	ev, err := NewEvaluator(p)
+	ev, o, err := newOrdered(p)
 	if err != nil {
 		return nil, err
 	}
-	return ev.resolve(ctx, inc, opt, start)
+	return o.out(ev.resolve(ctx, inc, o.pos, opt, start))
 }
 
-// resolve is Resolve on a fresh evaluator of the problem.
-func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptions, start time.Time) (*Solution, error) {
+// resolve is Resolve on a fresh evaluator of the problem (pos: see warmSeed).
+func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, pos []int, opt SolveOptions, start time.Time) (*Solution, error) {
 	p := ev.p
 	maxK := len(p.Machines)
 	K := ev.clampIncumbentK(p, inc.K)
 
-	seed, home := ev.warmSeed(p, inc, K)
+	seed, home := ev.warmSeed(p, inc, K, pos)
 	seedObj, seedFeas := ev.eval(seed, K)
 	mig := ev.newMigration(home, opt)
 	const rounds = 100
 
 	plan := ev.hillClimbMig(ctx, seed, K, rounds, mig)
-	// On several machine classes a climb from the incumbent's layout can
-	// keep a machine a fresh packing does without, or price well above it
-	// (without the cold seeds the matrix's Wikipedia-mixed objective sum
-	// rose 0.98 % and SecondLife-halved took six machines more on one
-	// plan): solveK's greedy and round-robin seeds are climbed too, each
-	// with its own away count, unless a migration cap rules them out (they
-	// start fully migrated). The lowest objective plus migration cost wins,
-	// a feasible plan over an infeasible one, the earlier seed on a tie.
-	if opt.MaxMigrations <= 0 && !ev.oneClass {
-		_, cost := mig.tally(plan.assign)
-		best := plan.obj + cost
-		for i := 0; i < 2; i++ {
-			from := ev.coldSeed(i, K)
-			if from == nil {
-				continue
-			}
-			m := *mig
-			m.syncAway(from)
-			c := ev.hillClimbMig(ctx, from, K, rounds, &m)
-			if _, cost := m.tally(c.assign); (c.feas && !plan.feas) || (c.feas == plan.feas && c.obj+cost < best) {
-				plan, best = c, c.obj+cost
-			}
-		}
-		mig.syncAway(plan.assign)
-	}
-
 	// Drift can make the incumbent K infeasible; grow until the climb finds
 	// a feasible plan (fresh machines start empty, so the next climb can
-	// offload the violating units onto them).
+	// offload the violating units onto them). Where that climb stays
+	// infeasible, a climb from the round-robin spread takes over if better
+	// (without it 6 of SecondLife-fewbig's 18 re-solves ended infeasible at
+	// K = 97, where a cold solve fits 13–14); it starts fully migrated, so a
+	// migration cap rules it out.
 	for !plan.feas && K < maxK {
 		K++
 		plan = ev.hillClimbMig(ctx, plan.assign, K, rounds, mig)
+		if !plan.feas && opt.MaxMigrations <= 0 {
+			if c := ev.hillClimbMig(ctx, ev.spread(K), K, rounds, mig); c.better(plan) {
+				plan = c
+			}
+			mig.syncAway(plan.assign)
+		}
 	}
 	// Drift the other way can free a machine; reclaim it with the reduction
-	// pass when machines are interchangeable. Reduction relocates whole
-	// machines, so it only runs without a migration cap. It keeps every pin
-	// and places a unit only where it fits; its plan is still taken only
-	// when the climb from it is feasible, so a reduction never trades a
-	// feasible plan for an infeasible one.
-	if plan.feas && opt.MaxMigrations <= 0 && ev.oneClass {
+	// pass. Reduction relocates whole machines, so it only runs without a
+	// migration cap. It keeps every pin and places a unit only where it
+	// fits; its plan is still taken only when the climb from it is feasible,
+	// so a reduction never trades a feasible plan for an infeasible one.
+	if plan.feas && opt.MaxMigrations <= 0 {
 		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
 			m := *mig
 			m.syncAway(reduced)

@@ -148,8 +148,8 @@ func TestIncumbentSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed1, home1 := ev1.warmSeed(p, inc, inc.K)
-	seed2, home2 := ev2.warmSeed(p, loaded, loaded.K)
+	seed1, home1 := ev1.warmSeed(p, inc, inc.K, nil)
+	seed2, home2 := ev2.warmSeed(p, loaded, loaded.K, nil)
 	if !reflect.DeepEqual(seed1, seed2) || !reflect.DeepEqual(home1, home2) {
 		t.Fatal("reloaded incumbent produces a different warm seed")
 	}
@@ -629,5 +629,33 @@ func TestResolveReportsSeedPrice(t *testing.T) {
 	}
 	if !infeasible || !grown {
 		t.Errorf("no case priced an infeasible seed (%v) or climbed more than once (%v)", infeasible, grown)
+	}
+}
+
+// TestOrderedSolversValidateFirst: the solvers order the machines only once
+// the problem is valid, so a pin past the end of a two-class list is
+// Validate's error from every entry point, not a panic in the ordering.
+func TestOrderedSolversValidateFirst(t *testing.T) {
+	p := &Problem{
+		Workloads: []Workload{flatWL("a", 0.3, 1, 12), flatWL("b", 0.3, 1, 12)},
+		Machines:  []Machine{{Name: "small", CPUCapacity: 1, RAMBytes: 64e9}, {Name: "big", CPUCapacity: 2, RAMBytes: 64e9}},
+	}
+	p.Workloads[1].PinTo = 2
+	want := p.Validate()
+	if want == nil {
+		t.Fatal("pin past the machine list validated")
+	}
+	ctx := context.Background()
+	inc := &Incumbent{K: 1, Units: []IncumbentUnit{{Workload: "a"}, {Workload: "b", Index: 1}}}
+	_, errSolve := Solve(ctx, p, DefaultSolveOptions())
+	_, errResolve := Resolve(ctx, p, inc, DefaultResolveOptions())
+	_, _, _, errPrice := PriceIncumbent(p, inc)
+	_, errSharded := SolveSharded(ctx, p, ShardOptions{Shards: 2})
+	_, errPartitioned := SolvePartitioned(ctx, p, Grouping{GroupSize: 1})
+	for name, err := range map[string]error{"Solve": errSolve, "Resolve": errResolve, "PriceIncumbent": errPrice,
+		"SolveSharded": errSharded, "SolvePartitioned": errPartitioned} {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want %v", name, err, want)
+		}
 	}
 }

@@ -45,18 +45,19 @@ const rebalanceRounds = 2
 // (one capacity class) the shards solve independently, as many at once as the CPU budget has cores free, and
 // their plans are relabelled onto disjoint machine ranges; a heterogeneous
 // machine list falls back to solving shards in sequence, each against the
-// machines the previous shards left unused. Cancelling ctx aborts every
-// in-flight shard solve and the merge pass, returning ctx.Err().
+// unused rest of the canonical machine order (newOrdered). Cancelling ctx
+// aborts every in-flight shard solve and the merge pass, returning ctx.Err().
 func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution, error) {
 	nShards := min(opt.Shards, len(p.Workloads))
 	if nShards <= 1 {
 		return Solve(ctx, p, opt.Options)
 	}
 	start := time.Now()
-	ev, err := NewEvaluator(p)
+	ev, o, err := newOrdered(p)
 	if err != nil {
 		return nil, err
 	}
+	p = ev.p
 	if len(p.AntiAffinity) > 0 {
 		return nil, fmt.Errorf("core: explicit anti-affinity is not supported with sharded solving")
 	}
@@ -169,7 +170,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		stats.add(mergeEv.stats)
 	}
 	stats.add(ev.stats)
-	return &Solution{
+	return o.out(&Solution{
 		Assign:     assign,
 		Units:      ev.Units(),
 		K:          K,
@@ -180,7 +181,7 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		Fevals:     fevals + ev.Fevals,
 		Stats:      stats,
 		Elapsed:    time.Since(start),
-	}, nil
+	}, nil)
 }
 
 // correlationShards partitions workload indices into nShards groups.
@@ -260,11 +261,11 @@ func pearson(a, b []float64) float64 {
 // label is folded onto it and K drops. Relocation feasibility is priced in
 // O(T) against the incremental LoadState (LoadState.CanPlace) instead of
 // re-aggregating every member per candidate (the old FitsOneMachine
-// pattern). Only valid for interchangeable (homogeneous) machines. Pins are
-// kept: a machine that hosts a pinned unit is never emptied, and no fold
-// relabels the last machine while it hosts one, so no pinned unit moves
-// and K stays above every pin. Deterministic: visit order and placement
-// order are fixed.
+// pattern). Across machine classes a fold can overload its target, so the
+// caller climbs the result before using it. Pins are kept: a machine that
+// hosts a pinned unit is never emptied, and no fold relabels the last
+// machine while it hosts one, so no pinned unit moves and K stays above
+// every pin. Deterministic: visit order and placement order are fixed.
 func (ev *Evaluator) reduceK(assign []int, K int) ([]int, int) {
 	ls := NewLoadState(ev, assign, K)
 	type mload struct {

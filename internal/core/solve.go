@@ -127,14 +127,14 @@ func (s *kSearch) consume(K int, best climbed, run kRun, ps ProbeStats) {
 // ctx.Err(); the partial state is discarded.
 func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
-	ev, err := NewEvaluator(p)
+	ev, o, err := newOrdered(p)
 	if err != nil {
 		return nil, err
 	}
-	return ev.solve(ctx, opt, start)
+	return o.out(ev.solve(ctx, opt, start))
 }
 
-// solve is Solve on a fresh evaluator of the problem.
+// solve is Solve on a fresh evaluator of the problem, in its machine order.
 func (ev *Evaluator) solve(ctx context.Context, opt SolveOptions, start time.Time) (*Solution, error) {
 	p := ev.p
 	if opt.DirectFevals <= 0 {
@@ -305,17 +305,7 @@ func (ev *Evaluator) finish(best climbed, k int, start time.Time) *Solution {
 // unit summed over each stream's horizon; a flat stream's step 0 is its
 // every step.
 func (ev *Evaluator) FractionalLowerBound() int {
-	T := ev.T
-	all := make([]int, len(ev.units))
-	for u := range all {
-		all[u] = u
-	}
-	cpuSum, ramSum := make([]float64, T), make([]float64, T)
-	var wsSum, rateSum []float64
-	if ev.p.Disk != nil {
-		wsSum, rateSum = make([]float64, T), make([]float64, T)
-	}
-	ev.accumulateInto(all, cpuSum, ramSum, wsSum, rateSum)
+	cpuSum, ramSum, wsSum, rateSum := ev.aggregate()
 	k := 1
 	for _, c := range cpuSum {
 		k = max(k, machinesCovering(c, ev.capCPU))
@@ -365,6 +355,21 @@ func (ev *Evaluator) FractionalLowerBound() int {
 		}
 	}
 	return k
+}
+
+// aggregate returns accumulate's sums over every unit (wsSum and rateSum nil
+// without a disk model).
+func (ev *Evaluator) aggregate() (cpuSum, ramSum, wsSum, rateSum []float64) {
+	all := make([]int, len(ev.units))
+	for u := range all {
+		all[u] = u
+	}
+	cpuSum, ramSum = make([]float64, ev.T), make([]float64, ev.T)
+	if ev.p.Disk != nil {
+		wsSum, rateSum = make([]float64, ev.T), make([]float64, ev.T)
+	}
+	ev.accumulateInto(all, cpuSum, ramSum, wsSum, rateSum)
+	return cpuSum, ramSum, wsSum, rateSum
 }
 
 // machinesCovering returns the smallest K whose first K capacities sum to
@@ -530,28 +535,33 @@ func (ev *Evaluator) GreedyFits() greedy.FitsFunc {
 }
 
 // coldSeed returns cold-start assignment i of the two solveK climbs from
-// — 0 the greedy packing, nil when it does not fit K bins, 1 the
-// round-robin spread — with unplaced units parked on machine 0 and pins
-// repaired. Resolve climbs the same two beside its warm seed on several
-// machine classes.
+// — 0 the greedy packing, nil when it does not fit K bins, with unplaced
+// units parked on machine 0, 1 the round-robin spread — pins repaired.
 func (ev *Evaluator) coldSeed(i, K int) []int {
-	var a []int
-	if i == 0 {
-		bins, ok := ev.greedySeed(K)
-		if !ok {
-			return nil
-		}
-		a = greedy.Assignment(bins, len(ev.units))
-	} else {
-		a = make([]int, len(ev.units))
-		for u := range a {
-			a[u] = u % K
-		}
+	if i == 1 {
+		return ev.spread(K)
 	}
+	bins, ok := ev.greedySeed(K)
+	if !ok {
+		return nil
+	}
+	a := greedy.Assignment(bins, len(ev.units))
 	for u := range a {
 		if a[u] < 0 {
 			a[u] = 0
 		}
+		if ev.pin[u] >= 0 {
+			a[u] = ev.pin[u]
+		}
+	}
+	return a
+}
+
+// spread is the round-robin spread of the units over K machines, pins kept.
+func (ev *Evaluator) spread(K int) []int {
+	a := make([]int, len(ev.units))
+	for u := range a {
+		a[u] = u % K
 		if ev.pin[u] >= 0 {
 			a[u] = ev.pin[u]
 		}

@@ -206,31 +206,27 @@ func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "consolidation plan: %d workloads -> %d machines (feasible=%v, %.1fs solve)\n",
 		len(p.Names), p.K, p.Feasible, p.Elapsed.Seconds())
-	byMachine := make([][]string, p.K)
-	var unassigned []string
+	// The plan's machines are those Loads lists; a unit on none of them is
+	// priced as a violation and shown rather than left to vanish.
+	byMachine := map[int][]string{}
 	for u, j := range p.Assign {
-		if j >= 0 && j < p.K {
-			byMachine[j] = append(byMachine[j], p.Names[u])
-		} else {
-			unassigned = append(unassigned, p.Names[u])
-		}
+		byMachine[j] = append(byMachine[j], p.Names[u])
 	}
-	for j, names := range byMachine {
+	for _, sl := range p.Loads {
+		names := byMachine[sl.Machine]
+		delete(byMachine, sl.Machine)
 		if len(names) == 0 {
-			fmt.Fprintf(&b, "  machine %d: (unused)\n", j)
+			fmt.Fprintf(&b, "  machine %d: (unused)\n", sl.Machine)
 			continue
 		}
 		sort.Strings(names)
-		load := ""
-		if j < len(p.Loads) {
-			sl := p.Loads[j]
-			load = fmt.Sprintf(" [cpu %.0f%% ram %.1fGB disk %.1fMB/s]",
-				sl.CPUPeak*100, sl.RAMPeak/1e9, sl.DiskPeak/1e6)
-		}
-		fmt.Fprintf(&b, "  machine %d%s: %s\n", j, load, strings.Join(names, ", "))
+		fmt.Fprintf(&b, "  machine %d [cpu %.0f%% ram %.1fGB disk %.1fMB/s]: %s\n", sl.Machine,
+			sl.CPUPeak*100, sl.RAMPeak/1e9, sl.DiskPeak/1e6, strings.Join(names, ", "))
 	}
-	// Units assigned outside [0,K) are priced as violations by Eval; show
-	// them rather than letting a workload silently vanish from the table.
+	var unassigned []string
+	for _, names := range byMachine {
+		unassigned = append(unassigned, names...)
+	}
 	if len(unassigned) > 0 {
 		sort.Strings(unassigned)
 		fmt.Fprintf(&b, "  UNASSIGNED (out-of-range, plan infeasible): %s\n", strings.Join(unassigned, ", "))

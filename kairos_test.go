@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kairos/internal/core"
 	"kairos/internal/dbms"
 	"kairos/internal/disk"
 	"kairos/internal/floats"
@@ -251,23 +252,26 @@ func TestSLAThroughFacade(t *testing.T) {
 	}
 }
 
-// TestPlanStringShowsUnassigned: a unit assigned outside [0,K) is priced as
-// a violation by Eval and dropped by Report; the rendered plan must surface
-// it instead of letting the workload silently vanish from the table.
+// TestPlanStringShowsUnassigned: the plan's machines are the ones its Loads
+// list, by their index in the machine list, which on several machine classes
+// need not be 0..K−1. A unit assigned to none of them is priced as a
+// violation by Eval and dropped by Report; the rendered plan must surface it
+// instead of letting the workload silently vanish from the table.
 func TestPlanStringShowsUnassigned(t *testing.T) {
 	p := &Plan{
 		Solution: &Solution{
-			Assign: []int{0, 7},
-			Units:  []UnitRef{{Workload: 0}, {Workload: 1}},
+			Assign: []int{3, 7, 0},
+			Units:  []UnitRef{{Workload: 0}, {Workload: 1}, {Workload: 2}},
 			K:      2,
+			Loads:  []core.ServerLoad{{Machine: 3, Used: true}, {Machine: 0, Used: true}},
 		},
-		Names: []string{"alpha", "beta"},
+		Names: []string{"alpha", "beta", "gamma"},
 	}
 	out := p.String()
-	if !strings.Contains(out, "UNASSIGNED") || !strings.Contains(out, "beta") {
+	if !strings.Contains(out, "UNASSIGNED (out-of-range, plan infeasible): beta\n") {
 		t.Errorf("plan output hides the out-of-range workload:\n%s", out)
 	}
-	if !strings.Contains(out, "alpha") {
-		t.Errorf("plan output missing the placed workload:\n%s", out)
+	if !strings.Contains(out, "machine 3 [") || !strings.Contains(out, "]: alpha\n") || !strings.Contains(out, "]: gamma\n") {
+		t.Errorf("plan output missing a placed workload:\n%s", out)
 	}
 }
