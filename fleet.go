@@ -80,8 +80,9 @@ func WithDrift(cfg DriftConfig) FleetOption {
 }
 
 // WithShards makes cold solves use the sharded fleet engine with n
-// correlation-aware shards solved concurrently; n ≤ 1 solves unsharded.
-// Each shard solves with the session's solve options.
+// correlation-aware shards solved concurrently; n ≤ 1, or machines of more
+// than one capacity class, solves unsharded. Each shard solves with the
+// session's solve options.
 func WithShards(n int) FleetOption {
 	return func(c *fleetConfig) { c.shards = n }
 }

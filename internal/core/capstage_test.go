@@ -35,7 +35,7 @@ func WalkCapStage(t *testing.T, p *Problem, inc *Incumbent, K int, opt SolveOpti
 	if inc != nil {
 		K = ev.clampIncumbentK(p, inc.K)
 		var warm []int
-		warm, home = ev.warmSeed(p, inc, K, nil)
+		warm, home = ev.warmSeed(p, inc, K)
 		seeds = append(seeds, seed{"warm", warm})
 	}
 	seeds = append(seeds, seed{"greedy", ev.coldSeed(0, K)}, seed{"round-robin", ev.coldSeed(1, K)})

@@ -417,11 +417,11 @@ func TestScreenedSolveEquivalence(t *testing.T) {
 	inc := IncumbentFromSolution(p, solS)
 	ropt := DefaultResolveOptions()
 	ropt.DirectFevals = 300
-	resS, err := evaluator(false).resolve(context.Background(), inc, nil, ropt, time.Now())
+	resS, err := evaluator(false).resolve(context.Background(), inc, ropt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := evaluator(true).resolve(context.Background(), inc, nil, ropt, time.Now())
+	resU, err := evaluator(true).resolve(context.Background(), inc, ropt, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

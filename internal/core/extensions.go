@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -90,8 +91,10 @@ func (ps *PartitionedSolution) ConsolidationRatio(originalServers int) float64 {
 // group against its own slice of machines, and concatenates the plans. It
 // trades a little consolidation quality (co-location opportunities across
 // groups are never considered) for indefinite scalability — per Section
-// 7.5, total work grows linearly in the number of groups. The groups take
-// consecutive slices of the canonical machine order (newOrdered).
+// 7.5, total work grows linearly in the number of groups. Each group takes
+// machines from those the groups before it left, its fair share of each
+// class first (newOrdered's canonical order, dealt over the groups still to
+// solve); a group's machine indices index the list it was given.
 //
 // Pinning and explicit anti-affinity refer to global indices and are not
 // supported here; replicas within one workload are. Cancelling ctx aborts
@@ -126,40 +129,49 @@ func SolvePartitioned(ctx context.Context, p *Problem, g Grouping) (*Partitioned
 		}
 		out.GroupWorkloads = append(out.GroupWorkloads, idx)
 	}
-	sols, err := solveInSequence(ctx, p, groups, "group", g.Options)
-	if err != nil {
-		return nil, err
+	// Each group solves on the machines the groups before it left, its
+	// share first: every n-th machine of each class, canonical order kept,
+	// for the n groups still to solve, so the first groups do not take all
+	// of a class the canonical order puts first. Its plan uses a prefix of
+	// its list.
+	left := make([]int, len(p.Machines))
+	for j := range left {
+		left[j] = j
 	}
-	out.Groups = sols
-	for _, sol := range sols {
+	for i, group := range groups {
+		if len(left) == 0 {
+			return nil, fmt.Errorf("core: ran out of machines after %d groups", i)
+		}
+		n := len(groups) - i
+		var share, rest []int
+		dealt := map[int32]int{}
+		for _, j := range left {
+			if dealt[ev.capClass[j]]%n == 0 {
+				share = append(share, j)
+			} else {
+				rest = append(rest, j)
+			}
+			dealt[ev.capClass[j]]++
+		}
+		order := append(share, rest...)
+		machines := make([]Machine, len(order))
+		for k, j := range order {
+			machines[k] = p.Machines[j]
+		}
+		gev, err := NewEvaluator(&Problem{Workloads: group, Machines: machines, Disk: p.Disk})
+		var sol *Solution
+		if err == nil {
+			sol, err = gev.solve(ctx, g.Options, time.Now())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: group %d: %w", i, err)
+		}
+		out.Groups = append(out.Groups, sol)
+		left = order[sol.K:]
+		slices.Sort(left)
 		out.K += sol.K
 		out.Feasible = out.Feasible && sol.Feasible
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
-}
-
-// solveInSequence solves groups of p's workloads one after another, each
-// against the machines the groups before it left unused, in p's machine
-// order: a group's plan uses a prefix of the machines it is given. noun
-// names a group in errors.
-func solveInSequence(ctx context.Context, p *Problem, groups [][]Workload, noun string, opt SolveOptions) ([]*Solution, error) {
-	sols := make([]*Solution, len(groups))
-	next := 0
-	for i, group := range groups {
-		if next >= len(p.Machines) {
-			return nil, fmt.Errorf("core: ran out of machines after %d %ss", i, noun)
-		}
-		ev, err := NewEvaluator(&Problem{Workloads: group, Machines: p.Machines[next:], Disk: p.Disk})
-		var sol *Solution
-		if err == nil {
-			sol, err = ev.solve(ctx, opt, time.Now())
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: %s %d: %w", noun, i, err)
-		}
-		sols[i] = sol
-		next += sol.K
-	}
-	return sols, nil
 }

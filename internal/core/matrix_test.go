@@ -304,10 +304,13 @@ func TestResolveReclaimsMachineOnPinnedFleet(t *testing.T) {
 }
 
 // TestPlanIgnoresMachineListOrder: on the matrix's fleets of several machine
-// classes, the machine list reversed and shuffled at two seeds gives Solve
-// and Resolve — the latter from the incumbent of the list as given, matched
-// by machine name, after a ±10 % drift — the same K, the same objective bit
-// for bit, and every unit on the machine of the same name.
+// classes, the machine list reversed and shuffled at two seeds gives Solve,
+// SolveSharded and Resolve — the latter from the incumbent of the list as
+// given, matched by machine name, after a ±10 % drift — the same K, the same
+// objective bit for bit, and every unit on the machine of the same name.
+// SolvePartitioned in groups of 25 gives a feasible plan of the same K and
+// group objectives: its first groups leave the later ones a share of every
+// class.
 func TestPlanIgnoresMachineListOrder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-goroutine arithmetic, ~10× slower under the race detector")
@@ -327,6 +330,13 @@ func TestPlanIgnoresMachineListOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		inc := core.IncumbentFromSolution(p, cold)
+		parts, err := core.SolvePartitioned(context.Background(), p, core.Grouping{GroupSize: 25, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !parts.Feasible {
+			t.Errorf("%s SolvePartitioned: infeasible at K %d", d.name, parts.K)
+		}
 		q := driftBy(0.10)(p, 1)
 		warm, err := core.Resolve(context.Background(), q, inc, core.DefaultResolveOptions())
 		if err != nil {
@@ -344,6 +354,22 @@ func TestPlanIgnoresMachineListOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			samePlacement(t, d.name+" Solve "+name, p, cold, pp, sol)
+			// SolveSharded solves a list of several classes whole: its plan
+			// is Solve's, whatever the list order.
+			if sol, err = core.SolveSharded(context.Background(), pp, core.ShardOptions{Shards: 4, Options: opt}); err != nil {
+				t.Fatal(err)
+			}
+			samePlacement(t, d.name+" SolveSharded "+name, p, cold, pp, sol)
+			permParts, err := core.SolvePartitioned(context.Background(), pp, core.Grouping{GroupSize: 25, Options: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, sol := range permParts.Groups {
+				if want := parts.Groups[g]; sol.K != want.K || !floats.Same(sol.Objective, want.Objective) {
+					t.Errorf("%s SolvePartitioned %s: group %d K %d objective %v, want K %d objective %v",
+						d.name, name, g, sol.K, sol.Objective, want.K, want.Objective)
+				}
+			}
 			if sol, err = core.Resolve(context.Background(), qq, inc, core.DefaultResolveOptions()); err != nil {
 				t.Fatal(err)
 			}

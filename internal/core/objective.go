@@ -77,7 +77,8 @@ type Evaluator struct {
 	// Per-machine usable capacities after headroom, precomputed so the
 	// per-candidate pricers avoid re-deriving them (and copying Machine
 	// structs) on every call. Identical bit-for-bit to
-	// Machine.capacity(raw).
+	// Machine.capacity(raw); capDisk is 0 without a disk model, which
+	// prices no disk budget.
 	capCPU  []float64
 	capRAM  []float64
 	capDisk []float64
@@ -217,7 +218,9 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	for j, m := range p.Machines {
 		ev.capCPU[j] = m.capacity(float64(m.CPUCapacity))
 		ev.capRAM[j] = m.capacity(float64(m.RAMBytes))
-		ev.capDisk[j] = m.capacity(float64(m.DiskWriteBps))
+		if p.Disk != nil {
+			ev.capDisk[j] = m.capacity(float64(m.DiskWriteBps))
+		}
 		key := [3]uint64{math.Float64bits(ev.capCPU[j]), math.Float64bits(ev.capRAM[j]), math.Float64bits(ev.capDisk[j])}
 		c, ok := classes[key]
 		if !ok {

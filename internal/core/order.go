@@ -18,8 +18,9 @@ type machineOrder struct{ canon, pos []int }
 // aggregate CPU and RAM demand they hold in their binding resource, ties by
 // capacity, largest first; machines are dealt one at a time, in that rank,
 // from every class that still has machines and is not dominated (≤ in CPU,
-// RAM and disk) by another that still has; within a class they go by name,
-// so a name-keyed incumbent finds them however the list is shuffled.
+// RAM and disk, and not equal) by another that still has; within a class
+// they go by name, so a name-keyed incumbent finds them however the list is
+// shuffled.
 func newOrdered(p *Problem) (*Evaluator, machineOrder, error) {
 	ev, err := NewEvaluator(p)
 	if err != nil || ev.oneClass {
@@ -53,7 +54,7 @@ func newOrdered(p *Problem) (*Evaluator, machineOrder, error) {
 		open := slices.DeleteFunc(slices.Clone(classes), func(c *class) bool { return len(c.machines) == 0 })
 		for _, c := range open {
 			if !slices.ContainsFunc(open, func(d *class) bool {
-				return d != c && d.caps[0] >= c.caps[0] && d.caps[1] >= c.caps[1] && d.caps[2] >= c.caps[2]
+				return d.caps[0] >= c.caps[0] && d.caps[1] >= c.caps[1] && d.caps[2] >= c.caps[2] && d.caps != c.caps
 			}) {
 				o.canon = append(o.canon, c.machines[0])
 				c.machines = c.machines[1:]
@@ -74,6 +75,21 @@ func newOrdered(p *Problem) (*Evaluator, machineOrder, error) {
 	}
 	ev, err = NewEvaluator(&q)
 	return ev, o, err
+}
+
+// in returns inc with its machine indices mapped to the canonical order; an
+// index outside the caller's list stays as it is (warmSeed skips it).
+func (o machineOrder) in(inc *Incumbent) *Incumbent {
+	if o.pos == nil {
+		return inc
+	}
+	mapped := &Incumbent{K: inc.K, Units: slices.Clone(inc.Units)}
+	for i, u := range mapped.Units {
+		if u.Machine >= 0 && u.Machine < len(o.pos) {
+			mapped.Units[i].Machine = o.pos[u.Machine]
+		}
+	}
+	return mapped
 }
 
 // out maps a solution's Assign and Loads back to the caller's indices.

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"kairos/internal/model"
@@ -346,8 +345,12 @@ func (s *Solution) ConsolidationRatio(originalServers int) float64 {
 // lists the workloads on machine Loads[i].Machine.
 func (s *Solution) MachineWorkloads() [][]int {
 	out := make([][]int, len(s.Loads))
+	entry := make(map[int]int, len(s.Loads))
+	for i, sl := range s.Loads {
+		entry[sl.Machine] = i
+	}
 	for u, j := range s.Assign {
-		if i := slices.IndexFunc(s.Loads, func(sl ServerLoad) bool { return sl.Machine == j }); i >= 0 {
+		if i, ok := entry[j]; ok {
 			out[i] = append(out[i], s.Units[u].Workload)
 		}
 	}

@@ -245,12 +245,11 @@ func (ev *Evaluator) clampIncumbentK(p *Problem, incK int) int {
 // machine prices cheapest. Workloads are matched by name (falling back to
 // index for unnamed fleets), and incumbent machines likewise remap by
 // machine name when both sides carry unique non-empty names, so reordering
-// either list between runs cannot seed units onto different hardware; a
-// machine matched by index maps through pos (newOrdered's). Returns the seed
-// assignment and the per-unit home array (-1 for the free units). Pins
-// always win over incumbents: a pinned unit's home IS its pin, so forced
-// pin changes are never priced or capped as migrations.
-func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int, pos []int) (seed, home []int) {
+// either list between runs cannot seed units onto different hardware.
+// Returns the seed assignment and the per-unit home array (-1 for the free
+// units). Pins always win over incumbents: a pinned unit's home IS its pin,
+// so forced pin changes are never priced or capped as migrations.
+func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int) (seed, home []int) {
 	byName := make(map[string]int, len(p.Workloads))
 	uniqueNames := true
 	for i, w := range p.Workloads {
@@ -308,8 +307,6 @@ func (ev *Evaluator) warmSeed(p *Problem, inc *Incumbent, K int, pos []int) (see
 				continue // machine removed since the incumbent plan
 			}
 			m = found
-		} else if m >= 0 && m < len(pos) {
-			m = pos[m]
 		}
 		if m < 0 || m >= K {
 			continue // incumbent machine outside the current range
@@ -384,7 +381,7 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 		return nil, err
 	}
 	K := ev.clampIncumbentK(ev.p, inc.K)
-	seed, _ := ev.warmSeed(ev.p, inc, K, o.pos)
+	seed, _ := ev.warmSeed(ev.p, o.in(inc), K)
 	obj, feasible := ev.Eval(seed, K)
 	return o.out(&Solution{Assign: seed, Units: ev.Units(), K: K, Feasible: feasible, Objective: obj,
 		Loads: ev.Report(seed, K), Fevals: 1}, nil)
@@ -422,16 +419,16 @@ func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return o.out(ev.resolve(ctx, inc, o.pos, opt, start))
+	return o.out(ev.resolve(ctx, o.in(inc), opt, start))
 }
 
-// resolve is Resolve on a fresh evaluator of the problem (pos: see warmSeed).
-func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, pos []int, opt SolveOptions, start time.Time) (*Solution, error) {
+// resolve is Resolve on a fresh evaluator of the problem.
+func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptions, start time.Time) (*Solution, error) {
 	p := ev.p
 	maxK := len(p.Machines)
 	K := ev.clampIncumbentK(p, inc.K)
 
-	seed, home := ev.warmSeed(p, inc, K, pos)
+	seed, home := ev.warmSeed(p, inc, K)
 	seedObj, seedFeas := ev.eval(seed, K)
 	mig := ev.newMigration(home, opt)
 	const rounds = 100

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"kairos/internal/floats"
 	"kairos/internal/series"
+	units "kairos/internal/unit"
 )
 
 // driftProblem returns a copy of p with every workload's series scaled by a
@@ -148,8 +150,8 @@ func TestIncumbentSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed1, home1 := ev1.warmSeed(p, inc, inc.K, nil)
-	seed2, home2 := ev2.warmSeed(p, loaded, loaded.K, nil)
+	seed1, home1 := ev1.warmSeed(p, inc, inc.K)
+	seed2, home2 := ev2.warmSeed(p, loaded, loaded.K)
 	if !reflect.DeepEqual(seed1, seed2) || !reflect.DeepEqual(home1, home2) {
 		t.Fatal("reloaded incumbent produces a different warm seed")
 	}
@@ -657,5 +659,28 @@ func TestOrderedSolversValidateFirst(t *testing.T) {
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("%s: error %v, want %v", name, err, want)
 		}
+	}
+}
+
+// A disk budget prices nothing without a disk model, so it splits no
+// capacity class: -0 beside +0, which Validate admits then, is one class
+// and every solver returns (two classes equal by value held each other back
+// and the order's deal never ended).
+func TestOrderedSolversSignedZeroDiskBudget(t *testing.T) {
+	p := &Problem{
+		Workloads: []Workload{flatWL("a", 0.3, 1, 12), flatWL("b", 0.3, 1, 12)},
+		Machines: []Machine{{Name: "m0", CPUCapacity: 1, RAMBytes: 64e9, DiskWriteBps: units.Bps(math.Copysign(0, -1))},
+			{Name: "m1", CPUCapacity: 1, RAMBytes: 64e9}},
+	}
+	ctx := context.Background()
+	cold, err := Solve(ctx, p, DefaultSolveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(ctx, p, IncumbentFromSolution(p, cold), DefaultResolveOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveSharded(ctx, p, ShardOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,12 +41,13 @@ const rebalanceRounds = 2
 // Pinning and explicit anti-affinity refer to global machine/workload
 // indices, so more than one shard rejects them, as SolvePartitioned does;
 // per-workload replicas are fine because a workload's replicas always land
-// in the same shard. When all machines have the same usable capacities
-// (one capacity class) the shards solve independently, as many at once as the CPU budget has cores free, and
-// their plans are relabelled onto disjoint machine ranges; a heterogeneous
-// machine list falls back to solving shards in sequence, each against the
-// unused rest of the canonical machine order (newOrdered). Cancelling ctx
-// aborts every in-flight shard solve and the merge pass, returning ctx.Err().
+// in the same shard. The shards solve independently, as many at once as the
+// CPU budget has cores free, and their plans are relabelled onto disjoint
+// machine ranges, which needs interchangeable machines (one capacity
+// class): a machine list of several classes is solved whole, as Solve does,
+// since shards solved one after another would leave the later ones only
+// the machines the earlier ones did not take. Cancelling ctx aborts every
+// in-flight shard solve and the merge pass, returning ctx.Err().
 func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution, error) {
 	nShards := min(opt.Shards, len(p.Workloads))
 	if nShards <= 1 {
@@ -66,6 +67,9 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 			return nil, fmt.Errorf("core: workload %d (%s) is pinned; pinning is not supported with sharded solving", i, w.Name)
 		}
 	}
+	if !ev.oneClass {
+		return o.out(ev.solve(ctx, opt.Options, start))
+	}
 	shards := correlationShards(p, nShards)
 
 	groups := make([][]Workload, nShards)
@@ -75,23 +79,18 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 			groups[i][k] = p.Workloads[w]
 		}
 	}
-	var plans []*Solution
-	if ev.oneClass {
-		// Identical machines are interchangeable: every shard can solve
-		// against the full list, on whichever worker of the CPU budget takes
-		// it, and be relabelled onto its own machine range afterwards.
-		plans = make([]*Solution, nShards)
-		errs := make([]error, nShards)
-		cpu.Do(nShards, func(_, i int) {
-			plans[i], errs[i] = Solve(ctx, &Problem{Workloads: groups[i], Machines: p.Machines, Disk: p.Disk}, opt.Options)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("core: shard %d: %w", i, err)
-			}
+	// Identical machines are interchangeable: every shard can solve against
+	// the full list, on whichever worker of the CPU budget takes it, and be
+	// relabelled onto its own machine range afterwards.
+	plans := make([]*Solution, nShards)
+	errs := make([]error, nShards)
+	cpu.Do(nShards, func(_, i int) {
+		plans[i], errs[i] = Solve(ctx, &Problem{Workloads: groups[i], Machines: p.Machines, Disk: p.Disk}, opt.Options)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-	} else if plans, err = solveInSequence(ctx, p, groups, "shard", opt.Options); err != nil {
-		return nil, err
 	}
 
 	// Merge: relabel each shard's machines onto consecutive global ranges
@@ -119,16 +118,13 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 		stats.add(plan.Stats)
 	}
 
-	// Concurrent homogeneous shards each solve against the full machine
-	// list, so their combined K can overshoot the fleet even when a global
-	// plan fits — exactly the slack the reduction pass below reclaims. Pad
-	// the (identical) machine list so the oversized merge stays evaluable
-	// and give reduction its chance before giving up.
+	// Concurrent shards each solve against the full machine list, so their
+	// combined K can overshoot the fleet even when a global plan fits —
+	// exactly the slack the reduction pass below reclaims. Pad the
+	// (identical) machine list so the oversized merge stays evaluable and
+	// give reduction its chance before giving up.
 	mergeEv := ev
 	if K > len(p.Machines) {
-		if !ev.oneClass {
-			return nil, fmt.Errorf("core: shards used %d machines but only %d exist", K, len(p.Machines))
-		}
 		padded := *p
 		padded.Machines = make([]Machine, K)
 		for i := range padded.Machines {
@@ -143,18 +139,15 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// Cross-shard merge: a bounded global hill climb moves units between
 	// shards' machines — falling back to 2-exchange swap sweeps when
 	// single-unit moves stall, which trades units across shard boundaries
-	// even when neither fits alongside the other — then (for
-	// interchangeable machines) a reduction sweep tries to empty the
-	// lightest machines entirely: the co-location opportunities independent
-	// shard solves cannot see.
+	// even when neither fits alongside the other — then a reduction sweep
+	// tries to empty the lightest machines entirely: the co-location
+	// opportunities independent shard solves cannot see.
 	if K > 0 {
 		assign = mergeEv.hillClimbMig(ctx, assign, K, rebalanceRounds, nil).assign
-		if ev.oneClass {
-			if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
-				// Reduction packs greedily; re-balance the tighter plan.
-				K = rk
-				assign = mergeEv.hillClimbMig(ctx, reduced, K, rebalanceRounds, nil).assign
-			}
+		if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
+			// Reduction packs greedily; re-balance the tighter plan.
+			K = rk
+			assign = mergeEv.hillClimbMig(ctx, reduced, K, rebalanceRounds, nil).assign
 		}
 	}
 	if K > len(p.Machines) {

@@ -156,9 +156,8 @@ func TestSolveShardedSingleShard(t *testing.T) {
 	}
 }
 
-// Heterogeneous machine lists cannot be relabelled, so shards solve
-// sequentially against the remaining machines — the result must still be
-// feasible and cover every unit.
+// Heterogeneous machine lists cannot be relabelled, so they are solved
+// whole: the plan is Solve's.
 func TestSolveShardedHeterogeneousMachines(t *testing.T) {
 	p := fleetCase(fleet.Wikia)
 	for i := range p.Machines {
@@ -167,16 +166,19 @@ func TestSolveShardedHeterogeneousMachines(t *testing.T) {
 			p.Machines[i].RAMBytes *= 2
 		}
 	}
-	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: shortBudget(core.DefaultSolveOptions())})
+	opt := shortBudget(core.DefaultSolveOptions())
+	sol, err := core.SolveSharded(context.Background(), p, core.ShardOptions{Shards: 3, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sol.Feasible {
 		t.Error("heterogeneous sharded plan infeasible")
 	}
-	if len(sol.Assign) != len(p.Workloads) {
-		t.Errorf("plan covers %d units, want %d", len(sol.Assign), len(p.Workloads))
+	whole, err := core.Solve(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	samePlan(t, whole, sol, "heterogeneous sharded vs Solve")
 }
 
 func TestSolveShardedRejectsGlobalConstraints(t *testing.T) {

@@ -98,7 +98,8 @@ type OptionsWire struct {
 	// fleet-scale streams use.
 	FullSolve bool `json:"full_solve,omitempty"`
 	// Shards > 1 solves the initial plan with the sharded fleet engine in
-	// that many shards; 1 or less solves it unsharded.
+	// that many shards; 1 or less, or machines of more than one capacity
+	// class, solves it unsharded.
 	Shards int `json:"shards,omitempty"`
 	// DriftThreshold is the relative drift that triggers a re-solve
 	// (0 = the default 0.04; a negative one is refused).
