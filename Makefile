@@ -20,8 +20,9 @@ WIRE_COUNT_BENCH = Decode(Window|Register|Snapshot)197/fast
 # bench-counts): one quiet 197-server window through Handler().ServeHTTP to
 # its ack, in memory and durable at -fsync none. B/op is about what the
 # fleet keeps of the window, its decoded samples: a body read into a fresh
-# buffer, a record copied before the journal frames it, a series copied
-# or a forecast built to be scored adds megabytes.
+# buffer, a record copied to be framed (the journal writes a frame from
+# the record's parts), a series copied or a forecast built to be scored
+# adds megabytes.
 INGEST_COUNT_BENCH = IngestWindow197
 
 # The restart whose allocs/op and B/op BENCH_counts.json pins (make bench-counts):
@@ -38,6 +39,12 @@ REPLAY_COUNT_BENCH = OpenReplay197
 # allocates a few hundred bytes; a reader that allocates per record adds
 # two megabytes each.
 READ_COUNT_BENCH = Read64x2MB
+
+# The journal append whose allocs/op and B/op BENCH_counts.json pins at 0
+# (make bench-counts): a window record framed from its parts, the head, a
+# 2.2 MB span and "}}". A journal that copies a record to frame it adds
+# the record's size.
+APPEND_COUNT_BENCH = Append2MB/parts
 
 # The whole-solve benchmarks whose work counters (fevals, priced, screened,
 # eval-priced, probes, machines) BENCH_counts.json pins (make bench-counts):
@@ -93,19 +100,23 @@ race-full:
 # live decoders' split with one, two and eight chunks, the hold a second
 # request takes, a recycled request body, which is not read into again
 # while its handler can read the window's span (a collector gone, a
-# deregistration, a refused append), and a window waiting for its fleet's
-# turn (a deregistration, Close, a collector gone); the budget itself; and the solver's
+# deregistration, a refused append), a window waiting for its fleet's
+# turn (a deregistration, Close, a collector gone), and a window whose
+# record the journal writes on a goroutine of its own while the window's
+# split decode runs (a crash before the commit, refused bodies, a resend),
+# with the journal's checked append under contention; the budget itself; and the solver's
 # fork sites — speculated K probes, cold-seed climbs, greedy packings and
 # shards — with Resolve beside them, on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'AppendChecked|AppendWaitsForCheckedAppend|FramesOnDisk' ./internal/journal/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
 
 # Crash matrix: the durability gate. Kills the journaled control plane at
-# every fault-injection point (append write/sync, snapshot write/sync/
+# every fault-injection point (append write/sync/commit, snapshot write/sync/
 # rename/truncate, torn half-written frame), restarts from the state
 # directory, and asserts every acked window was replayed, the recovered
 # plan matches the last published placement, and retries of acked windows
@@ -121,11 +132,16 @@ race-server:
 # omits a workload survives a graceful restart. Then replay's decode-ahead pipeline
 # against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
 # undecodable record in journal order named as before, no goroutine left,
-# and one payload buffer per decode worker. Then the journal's own: torn
-# tails, bit flips, snapshot crash points, and its Reader against Open.
+# and one payload buffer per decode worker. Then a window whose record is
+# written while it decodes: a crash before its commit is a torn tail and
+# no window, and a malformed number, a resend and workloads toWorkloads
+# refuses leave the journal byte for byte as it was. Then the journal's
+# own: torn tails, bit flips, snapshot crash points, its Reader against
+# Open, the frames it writes against the reference encoder, and a checked
+# append crashed before its commit or refused.
 crash-matrix:
-	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart|TestUncommittedTriggerRestart|TestReplayRetiredRearmRecord|TestReplayRefusedDriftOptions|TestAckRingBound' -v ./internal/server/
-	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen' -v ./internal/journal/
+	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart|TestUncommittedTriggerRestart|TestReplayRetiredRearmRecord|TestReplayRefusedDriftOptions|TestAckRingBound|TestCheckedWindowCrashBeforeCommit|TestCheckedWindowRefusalsLeaveJournal' -v ./internal/server/
+	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen|TestFramesOnDiskAreTheReference|TestAppendCheckedRefusalLeavesNoTrace|TestAppendCheckedCrashBeforeCommit' -v ./internal/journal/
 
 # Fuzz smoke: ten seconds each of the differential fuzz between the series
 # decoder's four entry points (window, registration, journal record,
@@ -205,7 +221,7 @@ bench-drift:
 # screened — the sweep candidates the screen's capacity stage did not
 # decide — eval-priced, probes, machines, gap; the re-solve matrix's
 # infeasible and migrated; the decoders', the ingest's, the
-# restart's and the read's allocs/op and B/op; the decoders'
+# restart's, the read's and the append's allocs/op and B/op; the decoders'
 # slow-numbers and parsed-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the
 # solver redoing work it used to skip. -cpu 1 keeps the -N suffix out of
@@ -233,7 +249,8 @@ bench-counts:
 	  $(GO) test -cpu 1 -bench='$(WIRE_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
 	  $(GO) test -cpu 1 -bench='$(INGEST_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
 	  $(GO) test -cpu 1 -bench='$(REPLAY_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/server ; \
-	  $(GO) test -cpu 1 -bench='$(READ_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/journal ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
+	  $(GO) test -cpu 1 -bench='$(READ_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/journal ; \
+	  $(GO) test -cpu 1 -bench='$(APPEND_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/journal ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server

@@ -21,8 +21,13 @@ const (
 	// the failure.
 	PointAppendWrite = "append.write"
 	// PointAppendSync is the fsync after an append (SyncAlways) or from
-	// the interval flusher / explicit Sync.
+	// the interval flusher / explicit Sync. A checked append crosses it
+	// twice: once for its frame, once for its commit.
 	PointAppendSync = "append.sync"
+	// PointAppendCommit is a checked append's commit: the write of the CRC
+	// over the complement it was written with, after the frame is synced.
+	// A crash here leaves a frame recovery reads as a torn tail.
+	PointAppendCommit = "append.commit"
 	// PointSnapshotWrite is the snapshot temp-file write.
 	PointSnapshotWrite = "snapshot.write"
 	// PointSnapshotSync is the snapshot temp-file fsync.
@@ -37,6 +42,7 @@ const (
 var Points = []string{
 	PointAppendWrite,
 	PointAppendSync,
+	PointAppendCommit,
 	PointSnapshotWrite,
 	PointSnapshotSync,
 	PointSnapshotRename,

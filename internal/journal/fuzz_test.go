@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,4 +122,24 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// appendFrame renders one record frame, whose payload is the parts in
+// order, onto buf: the reference encoding the Log's writes are held to
+// (TestFramesOnDiskAreTheReference) and FuzzOpen's oracle.
+func appendFrame(buf []byte, seq uint64, parts ...[]byte) []byte {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	var header [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(size))
+	binary.LittleEndian.PutUint64(header[8:16], seq)
+	start := len(buf)
+	frame := append(buf, header[:]...)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	binary.LittleEndian.PutUint32(frame[start+4:start+8], crc32.Checksum(frame[start+8:], castagnoli))
+	return frame
 }

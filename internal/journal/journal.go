@@ -26,6 +26,13 @@
 //	uint64  seq (little endian)
 //	[]byte  payload
 //
+// A frame is written from its parts: the header, then each part of the
+// payload as the caller holds it, the CRC updated over them, so no record
+// is copied to be framed. A checked append (AppendChecked) writes its
+// frame with the complement of the CRC and writes the CRC over it once
+// the caller's check approves the record: until then the frame is one
+// that recovery stops at, as at any torn tail.
+//
 // Sequence numbers increase monotonically across the journal's lifetime
 // (they survive snapshot rotation), so a crash between renaming a new
 // snapshot and truncating the journal is harmless: replay just skips the
@@ -57,9 +64,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 )
@@ -200,9 +207,11 @@ type Log struct {
 	// garbage. Only a restart (which truncates the tail) clears it.
 	poisoned bool // guarded by mu
 	closed   bool // guarded by mu
-	// frame is Append's frame buffer, kept between appends so a record's
-	// parts are copied once, into memory already owned (guarded by mu).
-	frame []byte
+	// pending is set while a checked append holds the log's end, and
+	// closed when it has settled its record (guarded by mu): appends,
+	// snapshots and Close wait for it (lockTail), Sync, Seq and Stats do
+	// not.
+	pending chan struct{}
 
 	// appends, syncs and snapshots count successful operations for the
 	// server's /metrics (guarded by mu).
@@ -394,9 +403,6 @@ func (r *Reader) Log() (*Log, error) {
 			return nil, errors.Join(fmt.Errorf("journal: truncating torn tail at %d: %w", r.good, err), f.Close())
 		}
 	}
-	if _, err := f.Seek(r.good, io.SeekStart); err != nil {
-		return nil, errors.Join(fmt.Errorf("journal: seeking to append position: %w", err), f.Close())
-	}
 	l := &Log{
 		dir:     r.dir,
 		opt:     r.opt,
@@ -446,46 +452,185 @@ func (l *Log) flushLoop() {
 
 // Append writes one record, the concatenation of parts, and returns its
 // sequence number: a caller holding a record in pieces hands them over as
-// they are, and they are copied once, into the frame. Under SyncAlways the
-// record is on stable storage when Append returns; an error means the
-// record must be treated as not durable (though recovery may still replay
-// it if the write in fact reached the disk — callers must make
-// replayed-but-unacked operations idempotent). The parts are not retained.
+// they are, and the frame is written from them, header first, without
+// copying them. Under SyncAlways the record is on stable storage when
+// Append returns; an error means the record must be treated as not
+// durable (though recovery may still replay it if the write in fact
+// reached the disk — callers must make replayed-but-unacked operations
+// idempotent). The parts are not retained.
 func (l *Log) Append(parts ...[]byte) (uint64, error) {
-	size := 0
-	for _, p := range parts {
-		size += len(p)
-	}
-	l.mu.Lock()
+	l.lockTail()
 	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return 0, fmt.Errorf("journal: append on closed log")
-	case l.poisoned:
-		return 0, fmt.Errorf("journal: log poisoned by an earlier failed write; restart to truncate the torn tail")
-	case size == 0:
-		return 0, fmt.Errorf("journal: empty record")
-	case size > MaxRecord:
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", size, MaxRecord)
+	return l.appendLocked(parts)
+}
+
+// appendLocked is Append. Callers hold l.mu and the log's end (lockTail).
+func (l *Log) appendLocked(parts [][]byte) (uint64, error) {
+	size := recordSize(parts)
+	if err := l.appendableLocked(size); err != nil {
+		return 0, err
 	}
 	seq := l.seq + 1
-	l.frame = appendFrame(l.frame[:0], seq, parts...)
-	if err := l.write(l.f, PointAppendWrite, l.frame); err != nil {
+	header := frameHeader(size, frameCRC(seq, parts), seq)
+	if err := l.write(l.f, PointAppendWrite, l.size, header[:], parts); err != nil {
 		// The file may now end in a torn frame of unknown length; only
 		// recovery (which truncates at the first bad CRC) can clean it.
 		l.poisoned = true
 		return 0, fmt.Errorf("journal: appending record: %w", err)
 	}
+	return seq, l.appendedLocked(seq, size)
+}
+
+// AppendChecked appends one record like Append if check approves it, and
+// writes the record while check runs: a caller that still has to check a
+// record it holds the bytes of need not wait for the disk first. A
+// goroutine of its own takes the log's end, once no other checked append
+// holds it, writes the frame there with the complement of its CRC, and
+// under SyncAlways syncs it; check runs on the caller's goroutine
+// meanwhile, from the start. If check returns nil, the CRC is written over
+// its complement (PointAppendCommit) and, under SyncAlways, synced again.
+// If check refuses the record, the log is truncated back to where it was
+// and check's error is returned: the journal holds exactly what it held
+// before. check's error wins too when the log cannot take the record.
+// Until the record is settled the log's end is this append's: other
+// appends, snapshots and Close wait for the longer of check and the
+// write. A crash before the CRC is written leaves a frame recovery stops
+// at, as at a torn tail.
+func (l *Log) AppendChecked(check func() error, parts ...[]byte) (uint64, error) {
+	size := recordSize(parts)
+	var (
+		seq      uint64
+		f        *os.File
+		off      int64
+		crc      uint32
+		reserved bool
+		werr     error
+		writer   sync.WaitGroup
+	)
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		l.lockTail()
+		seq, f, off, werr = l.reserveLocked(size)
+		l.mu.Unlock()
+		if reserved = werr == nil; !reserved {
+			return
+		}
+		crc = frameCRC(seq, parts)
+		header := frameHeader(size, ^crc, seq)
+		werr = l.write(f, PointAppendWrite, off, header[:], parts)
+		if werr == nil && l.opt.Sync == SyncAlways {
+			werr = l.sync(f, PointAppendSync)
+		}
+	}()
+	checked := false
+	defer func() {
+		writer.Wait()
+		if !reserved {
+			return
+		}
+		l.mu.Lock()
+		if !checked { // check panicked: the frame is left unsettled
+			l.poisoned = true
+		}
+		close(l.pending)
+		l.pending = nil
+		l.mu.Unlock()
+	}()
+	cerr := check()
+	checked = true
+	writer.Wait()
+	if !reserved {
+		if cerr != nil {
+			return 0, cerr
+		}
+		return 0, werr
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if werr == nil && l.opt.Sync == SyncAlways {
+		l.syncs++
+	}
+	switch {
+	case werr != nil:
+		// The file may now end in a torn or uncommitted frame; only
+		// recovery can truncate it.
+		l.poisoned = true
+		if cerr != nil {
+			return 0, cerr
+		}
+		return 0, fmt.Errorf("journal: appending record: %w", werr)
+	case cerr != nil:
+		if err := f.Truncate(off); err != nil {
+			l.poisoned = true
+			return 0, errors.Join(cerr, fmt.Errorf("journal: truncating a refused record: %w", err))
+		}
+		return 0, cerr
+	}
+	var commit [4]byte
+	binary.LittleEndian.PutUint32(commit[:], crc)
+	if err := l.write(f, PointAppendCommit, off+4, commit[:], nil); err != nil {
+		l.poisoned = true
+		return 0, fmt.Errorf("journal: committing record: %w", err)
+	}
+	return seq, l.appendedLocked(seq, size)
+}
+
+// lockTail locks l.mu once no checked append holds the log's end, so the
+// caller may write there.
+func (l *Log) lockTail() {
+	l.mu.Lock()
+	for l.pending != nil {
+		settled := l.pending
+		l.mu.Unlock()
+		<-settled
+		l.mu.Lock()
+	}
+}
+
+// reserveLocked takes the log's end for a checked append of a size-byte
+// record: the record's seq, and the file and offset its frame goes to —
+// or why the log cannot take it. Callers hold l.mu and the log's end
+// (lockTail).
+func (l *Log) reserveLocked(size int) (seq uint64, f *os.File, off int64, err error) {
+	if err := l.appendableLocked(size); err != nil {
+		return 0, nil, 0, err
+	}
+	l.pending = make(chan struct{})
+	return l.seq + 1, l.f, l.size, nil
+}
+
+// appendableLocked reports why the log cannot take a record of size
+// bytes, if it cannot. Callers hold l.mu.
+func (l *Log) appendableLocked(size int) error {
+	switch {
+	case l.closed:
+		return fmt.Errorf("journal: append on closed log")
+	case l.poisoned:
+		return fmt.Errorf("journal: log poisoned by an earlier failed write; restart to truncate the torn tail")
+	case size == 0:
+		return fmt.Errorf("journal: empty record")
+	case size > MaxRecord:
+		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", size, MaxRecord)
+	}
+	return nil
+}
+
+// appendedLocked accounts for the frame of record seq, of size payload
+// bytes, written at the log's end, and under SyncAlways syncs it. Callers
+// hold l.mu.
+func (l *Log) appendedLocked(seq uint64, size int) error {
 	l.seq = seq
-	l.size += int64(len(l.frame))
+	l.size += int64(frameHeaderSize + size)
 	l.appends++
 	l.dirty = true
 	if l.opt.Sync == SyncAlways {
 		if err := l.syncLocked(PointAppendSync); err != nil {
-			return 0, fmt.Errorf("journal: fsync after append: %w", err)
+			return fmt.Errorf("journal: fsync after append: %w", err)
 		}
 	}
-	return seq, nil
+	return nil
 }
 
 // Sync flushes appended records to stable storage (a no-op when nothing
@@ -523,8 +668,14 @@ func (l *Log) sync(f *os.File, point string) error {
 // and a renamed snapshot with an untruncated journal just makes replay
 // skip the compacted prefix by sequence number.
 func (l *Log) Snapshot(state []byte) error {
-	l.mu.Lock()
+	l.lockTail()
 	defer l.mu.Unlock()
+	return l.snapshotLocked(state)
+}
+
+// snapshotLocked is Snapshot. Callers hold l.mu and the log's end
+// (lockTail).
+func (l *Log) snapshotLocked(state []byte) error {
 	if l.closed {
 		return fmt.Errorf("journal: snapshot on closed log")
 	}
@@ -532,7 +683,7 @@ func (l *Log) Snapshot(state []byte) error {
 		return fmt.Errorf("journal: snapshot of %d bytes exceeds the %d-byte limit", len(state), MaxSnapshot)
 	}
 	tmp := filepath.Join(l.dir, snapshotTmp)
-	if err := l.installSnapshot(tmp, appendFrame(nil, l.seq, state)); err != nil {
+	if err := l.installSnapshot(tmp, l.seq, state); err != nil {
 		os.Remove(tmp) //kairoslint:allow errflow: best-effort cleanup of the temp snapshot on the failure path
 		return err
 	}
@@ -549,22 +700,22 @@ func (l *Log) Snapshot(state []byte) error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("journal: truncating rotated journal: %w", err)
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: rewinding rotated journal: %w", err)
-	}
 	l.size = 0
 	l.dirty = false
 	return nil
 }
 
-// installSnapshot writes frame to the temp file tmp, makes it durable and
-// renames it over the snapshot. On an error the caller removes tmp.
-func (l *Log) installSnapshot(tmp string, frame []byte) error {
+// installSnapshot writes the frame of state, covering every record up to
+// seq, to the temp file tmp, makes it durable and renames it over the
+// snapshot. On an error the caller removes tmp.
+func (l *Log) installSnapshot(tmp string, seq uint64, state []byte) error {
 	tf, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("journal: creating snapshot temp file: %w", err)
 	}
-	if err := l.writeSyncClose(tf, frame); err != nil {
+	parts := [][]byte{state}
+	header := frameHeader(len(state), frameCRC(seq, parts), seq)
+	if err := l.writeSyncClose(tf, header[:], parts); err != nil {
 		return err
 	}
 	if _, err := l.opt.Fault.check(PointSnapshotRename); err != nil {
@@ -576,11 +727,11 @@ func (l *Log) installSnapshot(tmp string, frame []byte) error {
 	return nil
 }
 
-// writeSyncClose writes frame to the snapshot temp file f, fsyncs and
-// closes it, and returns the first of the three to fail; f is closed
-// either way.
-func (l *Log) writeSyncClose(f *os.File, frame []byte) error {
-	err := l.write(f, PointSnapshotWrite, frame)
+// writeSyncClose writes the frame of header and parts to the snapshot temp
+// file f, fsyncs and closes it, and returns the first of the three to
+// fail; f is closed either way.
+func (l *Log) writeSyncClose(f *os.File, header []byte, parts [][]byte) error {
+	err := l.write(f, PointSnapshotWrite, 0, header, parts)
 	if err != nil {
 		err = fmt.Errorf("journal: writing snapshot: %w", err)
 	} else if err = l.sync(f, PointSnapshotSync); err != nil {
@@ -604,18 +755,28 @@ func (l *Log) syncDir() {
 	_ = d.Close() //kairoslint:allow errflow: read-only directory handle; close reports nothing actionable
 }
 
-// write writes b to f through the fault injector: an armed write point
-// may persist only a prefix (a torn write) before failing.
-func (l *Log) write(f *os.File, point string, b []byte) error {
-	frac, err := l.opt.Fault.check(point)
-	if err != nil {
-		if n := int(frac * float64(len(b))); n > 0 {
-			_, _ = f.Write(b[:min(n, len(b))]) //kairoslint:allow errflow: deliberate torn write; the injected fault error is about to be returned
-		}
-		return err
+// write writes head and then each of parts to f from offset off, through
+// the fault injector: an armed write point may persist only a prefix of
+// them (a torn write) before failing.
+func (l *Log) write(f *os.File, point string, off int64, head []byte, parts [][]byte) error {
+	keep := math.MaxInt
+	frac, ferr := l.opt.Fault.check(point)
+	if ferr != nil {
+		keep = int(frac * float64(len(head)+recordSize(parts)))
 	}
-	_, err = f.Write(b)
-	return err
+	for i := -1; i < len(parts) && keep > 0; i++ {
+		p := head
+		if i >= 0 {
+			p = parts[i]
+		}
+		p = p[:min(len(p), keep)]
+		if _, err := f.WriteAt(p, off); err != nil {
+			return errors.Join(ferr, err)
+		}
+		off += int64(len(p))
+		keep -= len(p)
+	}
+	return ferr
 }
 
 // Seq returns the last assigned sequence number.
@@ -641,9 +802,17 @@ func (l *Log) Stats() Stats {
 
 // Close flushes and closes the journal. Safe to call twice.
 func (l *Log) Close() error {
-	l.mu.Lock()
+	l.lockTail()
+	err := l.closeLocked()
+	l.mu.Unlock()
+	<-l.done
+	return err
+}
+
+// closeLocked is Close but for the wait for the flusher. Callers hold
+// l.mu and the log's end (lockTail).
+func (l *Log) closeLocked() error {
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
@@ -657,30 +826,42 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.mu.Unlock()
-	<-l.done
 	return err
 }
 
-// appendFrame renders one record frame, whose payload is the parts in
-// order, into buf's spare capacity, growing it only when the frame does
-// not fit, and returns the frame.
-func appendFrame(buf []byte, seq uint64, parts ...[]byte) []byte {
+// recordSize is the length of the record that is the concatenation of
+// parts.
+func recordSize(parts [][]byte) int {
 	size := 0
 	for _, p := range parts {
 		size += len(p)
 	}
-	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(size))
-	binary.LittleEndian.PutUint64(header[8:16], seq)
-	frame := append(slices.Grow(buf, frameHeaderSize+size), header[:]...)
-	for _, p := range parts {
-		frame = append(frame, p...)
+	return size
+}
+
+// frameCRC is the CRC of the frame of record seq whose payload is the
+// parts in order: it covers seq and payload so a frame cannot be spliced
+// onto a different position in the log.
+func frameCRC(seq uint64, parts [][]byte) uint32 {
+	// seq's eight little-endian bytes a byte at a time from the table: a
+	// buffer of them handed to crc32 would escape, one allocation per frame.
+	crc := ^uint32(0)
+	for i := range 8 {
+		crc = castagnoli[byte(crc)^byte(seq>>(8*i))] ^ crc>>8
 	}
-	// The CRC covers seq and payload so a frame cannot be spliced onto a
-	// different position in the log.
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
-	return frame
+	crc = ^crc
+	for _, p := range parts {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	return crc
+}
+
+// frameHeader renders the header of a frame: payload length, CRC, seq.
+func frameHeader(size int, crc uint32, seq uint64) (h [frameHeaderSize]byte) {
+	binary.LittleEndian.PutUint32(h[0:4], uint32(size))
+	binary.LittleEndian.PutUint32(h[4:8], crc)
+	binary.LittleEndian.PutUint64(h[8:16], seq)
+	return h
 }
 
 // parseFrame decodes the frame at the start of raw, whose payload may be

@@ -549,23 +549,237 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestAppendReusesFrameBuffer: once the frame buffer has seen a record
-// of the size, appending another allocates nothing of that size.
-func TestAppendReusesFrameBuffer(t *testing.T) {
+// TestAppendCopiesNoRecord: the frame is written from the record's parts,
+// so appending a record allocates nothing, let alone something its size.
+func TestAppendCopiesNoRecord(t *testing.T) {
 	l, _ := open(t, t.TempDir(), Options{Sync: SyncNone})
 	defer l.Close()
-	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
-	mustAppend(t, l, payload)
-	perOp := testing.AllocsPerRun(5, func() { mustAppend(t, l, payload) })
-	if perOp > 2 {
-		t.Errorf("Append makes %.0f allocations per record, want none of them the frame", perOp)
+	head, span, tail := []byte(`{"window":{"fleet":"f","workloads":`), bytes.Repeat([]byte{0x5A}, 1<<20), []byte(`}}`)
+	if perOp := testing.AllocsPerRun(5, func() { mustAppend(t, l, head, span, tail) }); perOp != 0 && !raceEnabled {
+		t.Errorf("Append makes %.0f allocations per record, want none", perOp)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	mustAppend(t, l, payload)
+	mustAppend(t, l, span)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(payload))/16 {
-		t.Errorf("Append allocated %d bytes for a %d-byte record", got, len(payload))
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(span))/16 {
+		t.Errorf("Append allocated %d bytes for a %d-byte record", got, len(span))
+	}
+}
+
+// TestFramesOnDiskAreTheReference: what the Log writes — a record appended
+// whole or in parts, checked or not, and a snapshot — is byte for byte the
+// frame appendFrame renders, the encoding FuzzOpen holds recovery to.
+func TestFramesOnDiskAreTheReference(t *testing.T) {
+	parts := [][]byte{[]byte(`{"window":{"fleet":"f","workloads":`), nil, bytes.Repeat([]byte("0.25,"), 3000), {}, []byte(`}}`)}
+	dir := t.TempDir()
+	l, _ := open(t, dir, Options{Sync: SyncAlways})
+	var want []byte
+	mustAppend(t, l, []byte("one"))
+	want = appendFrame(want, 1, []byte("one"))
+	mustAppend(t, l, parts...)
+	want = appendFrame(want, 2, parts...)
+	if seq, err := l.AppendChecked(func() error { return nil }, parts...); err != nil || seq != 3 {
+		t.Fatalf("AppendChecked: seq %d, %v", seq, err)
+	}
+	want = appendFrame(want, 3, parts...)
+	wal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wal, want) {
+		t.Fatalf("the journal's %d bytes are not the %d bytes of the reference frames", len(wal), len(want))
+	}
+	state := bytes.Repeat([]byte("state "), 5000)
+	if err := l.Snapshot(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, appendFrame(nil, 3, state)) {
+		t.Fatalf("the snapshot file's %d bytes are not the reference frame of its state", len(snap))
+	}
+}
+
+// TestAppendCheckedRefusalLeavesNoTrace: a record its check refuses is
+// not journaled — the file is byte for byte what it was, the error is the
+// check's, and the next record takes the refused one's seq — under every
+// sync policy, whether the check ends before the write or after it. A
+// check runs, and decides the error, even on a log that cannot take the
+// record; one that panics poisons the log instead of leaving it locked.
+func TestAppendCheckedRefusalLeavesNoTrace(t *testing.T) {
+	refused := errors.New("refused")
+	record := [][]byte{[]byte("head:"), bytes.Repeat([]byte{'s'}, 1<<16), []byte(":tail")}
+	for _, sync := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
+		for _, slow := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/slow=%v", sync, slow), func(t *testing.T) {
+				dir := t.TempDir()
+				l, _ := open(t, dir, Options{Sync: sync})
+				defer l.Close()
+				mustAppend(t, l, []byte("before"))
+				path := filepath.Join(dir, journalFile)
+				before, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = l.AppendChecked(func() error {
+					if slow {
+						time.Sleep(5 * time.Millisecond)
+					}
+					return refused
+				}, record...)
+				if err != refused {
+					t.Fatalf("refused append = %v, want the check's error", err)
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+					t.Fatalf("the journal is %d bytes after a refused record (%v), %d before", len(after), err, len(before))
+				}
+				if st := l.Stats(); st.Seq != 1 || st.Appends != 1 || st.SizeBytes != int64(len(before)) {
+					t.Fatalf("stats after a refused record: %+v", st)
+				}
+				if seq := mustAppend(t, l, []byte("after")); seq != 2 {
+					t.Fatalf("the record after a refused one got seq %d, want 2", seq)
+				}
+			})
+		}
+	}
+	t.Run("closed log", func(t *testing.T) {
+		l, _ := open(t, t.TempDir(), Options{})
+		l.Close()
+		if _, err := l.AppendChecked(func() error { return refused }, []byte("x")); err != refused {
+			t.Fatalf("refused append on a closed log = %v, want the check's error", err)
+		}
+		if _, err := l.AppendChecked(func() error { return nil }, []byte("x")); err == nil {
+			t.Fatal("a closed log took a checked record")
+		}
+	})
+	t.Run("panicking check", func(t *testing.T) {
+		l, _ := open(t, t.TempDir(), Options{})
+		defer l.Close()
+		func() {
+			defer func() { _ = recover() }()
+			_, _ = l.AppendChecked(func() error { panic("check") }, []byte("x"))
+		}()
+		if _, err := l.Append([]byte("after")); err == nil {
+			t.Fatal("append after a panicking check succeeded; the log must be poisoned")
+		}
+	})
+}
+
+// TestAppendWaitsForCheckedAppend: once a checked append has written its
+// frame, the log's end is its own until its check returns — an append
+// waits, and goes after the record if the check approves it and in its
+// place if not — but Stats and Sync answer at once.
+func TestAppendWaitsForCheckedAppend(t *testing.T) {
+	for _, approve := range []bool{true, false} {
+		t.Run(fmt.Sprintf("approve=%v", approve), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := open(t, dir, Options{Sync: SyncAlways})
+			defer l.Close()
+			inCheck, release := make(chan struct{}), make(chan struct{})
+			checkedSeq := make(chan uint64, 1)
+			go func() {
+				seq, _ := l.AppendChecked(func() error {
+					for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+						if st, err := os.Stat(filepath.Join(dir, journalFile)); err == nil && st.Size() > 0 || time.Now().After(deadline) {
+							break
+						}
+					}
+					close(inCheck)
+					<-release
+					if !approve {
+						return errors.New("refused")
+					}
+					return nil
+				}, []byte("checked"))
+				checkedSeq <- seq
+			}()
+			<-inCheck
+			if st := l.Stats(); st.Seq != 0 {
+				t.Fatalf("stats during the check: %+v", st)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			appended := make(chan uint64, 1)
+			go func() {
+				seq, err := l.Append([]byte("plain"))
+				if err != nil {
+					t.Error(err)
+				}
+				appended <- seq
+			}()
+			select {
+			case seq := <-appended:
+				t.Fatalf("an append got seq %d while a checked append held the log's end", seq)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			want := uint64(1)
+			if approve {
+				want = 2
+				if seq := <-checkedSeq; seq != 1 {
+					t.Fatalf("the checked record got seq %d, want 1", seq)
+				}
+			}
+			if seq := <-appended; seq != want {
+				t.Fatalf("the append after the checked one got seq %d, want %d", seq, want)
+			}
+		})
+	}
+}
+
+// TestAppendCheckedCrashBeforeCommit: a crash at any point of a checked
+// append before its commit is whole — the frame's write (whole or torn),
+// its sync, the commit write (whole or torn) — loses the record: recovery
+// reads what reached the file as a torn tail and returns the records
+// before it. A
+// crash at the commit's sync, after the commit reached the file, keeps it.
+func TestAppendCheckedCrashBeforeCommit(t *testing.T) {
+	record := [][]byte{[]byte("head:"), bytes.Repeat([]byte{'s'}, 4000), []byte(":tail")}
+	for _, tc := range []struct {
+		name  string
+		arm   func(fi *FaultInjector)
+		torn  bool // something of the record reached the file
+		keeps bool
+	}{
+		{"write", func(fi *FaultInjector) { fi.Crash(PointAppendWrite, 1) }, false, false},
+		{"write/torn", func(fi *FaultInjector) { fi.CrashPartial(PointAppendWrite, 1, 0.5) }, true, false},
+		{"write/whole", func(fi *FaultInjector) { fi.CrashPartial(PointAppendWrite, 1, 1) }, true, false},
+		{"sync", func(fi *FaultInjector) { fi.Crash(PointAppendSync, 1) }, true, false},
+		{"commit", func(fi *FaultInjector) { fi.Crash(PointAppendCommit, 1) }, true, false},
+		{"commit/torn", func(fi *FaultInjector) { fi.CrashPartial(PointAppendCommit, 1, 0.5) }, true, false},
+		{"commit sync", func(fi *FaultInjector) { fi.Crash(PointAppendSync, 2) }, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fi := &FaultInjector{}
+			l, _ := open(t, dir, Options{Sync: SyncAlways, Fault: fi})
+			mustAppend(t, l, []byte("good"))
+			tc.arm(fi)
+			if _, err := l.AppendChecked(func() error { return nil }, record...); !errors.Is(err, ErrInjected) {
+				t.Fatalf("crashed append = %v, want injected", err)
+			}
+			fi.Kill()
+			l.Close()
+			l2, rec := open(t, dir, Options{})
+			defer l2.Close()
+			want := 1
+			if tc.keeps {
+				want = 2
+			}
+			if len(rec.Records) != want || string(rec.Records[0].Payload) != "good" || rec.TornTail != tc.torn {
+				t.Fatalf("recovered %d records (torn %v), want %d", len(rec.Records), rec.TornTail, want)
+			}
+			if tc.keeps && !bytes.Equal(rec.Records[1].Payload, bytes.Join(record, nil)) {
+				t.Fatal("the record whose commit reached the file reads back changed")
+			}
+		})
 	}
 }
 

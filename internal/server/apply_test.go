@@ -175,21 +175,13 @@ func TestFailedSolveWindowIsAcked(t *testing.T) {
 	s.mu.Lock()
 	sess := s.fleets["fs"]
 	s.mu.Unlock()
-	wire, span, err := decodeWindow(stampedWindow(4, 8, 1.3, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, record := windowKey(wire), [][]byte{sess.recordHead, span, windowTail}
-	window, err := toWorkloads(wire, sess.needDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := stampedWindow(4, 8, 1.3, 1000)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if resp := s.processWindow(cancelled, sess, window, key, record); !errors.Is(resp.err, context.Canceled) {
+	if resp := s.processWindow(cancelled, sess, s.newWindowIn(sess, body)); !errors.Is(resp.err, context.Canceled) {
 		t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)
 	}
-	retry := s.processWindow(context.Background(), sess, window, key, record)
+	retry := s.processWindow(context.Background(), sess, s.newWindowIn(sess, body))
 	if retry.err != nil || !retry.duplicate || retry.triggered || retry.window != 0 {
 		t.Fatalf("live retry answered %+v, want duplicate of (0, untriggered)", retry)
 	}
@@ -228,18 +220,10 @@ func TestUncommittedTriggerRestart(t *testing.T) {
 			}
 		}},
 		{"failed re-solve", func(t *testing.T, s *Server, _ string, sess *session) {
-			wire, span, err := decodeWindow(stampedWindow(4, 8, 1.3, 2000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			window, err := toWorkloads(wire, sess.needDisk)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			sess.turn <- struct{}{}
-			resp := s.processWindow(cancelled, sess, window, windowKey(wire), [][]byte{sess.recordHead, span, windowTail})
+			resp := s.processWindow(cancelled, sess, s.newWindowIn(sess, stampedWindow(4, 8, 1.3, 2000)))
 			<-sess.turn
 			if !errors.Is(resp.err, context.Canceled) {
 				t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)

@@ -19,9 +19,10 @@ import (
 )
 
 // The request body's lifetime. readBody reads a window into a buffer from
-// the server's free list, decodeWindow hands back the span of that buffer
-// the journal record is framed from, and the handler, holding its fleet's
-// turn, appends the record. The handler gives the buffer back only once it
+// the server's free list, decodeWindow (or, while the window decodes,
+// guessSpan) hands back the span of that buffer the journal record is
+// framed from, and the handler, holding its fleet's turn, appends the
+// record. The handler gives the buffer back only once it
 // has answered: these tests hold every window handler with its fleet's
 // turn — at the snapshot lock, or, where the request under test takes the
 // snapshot lock too, in the log line of the re-solve its window triggered —
@@ -328,13 +329,13 @@ func TestRegistrationRequestSurvivesIngest(t *testing.T) {
 
 // BenchmarkIngestWindow197 acknowledges one quiet 197-server window per
 // op through Handler().ServeHTTP: the body read, decode and conversion,
-// the fleet's turn — with durable, the journal append at -fsync none; the
-// detector; the ack ring — and the reply. start_unix is restamped in place
-// each op, so every window is a new one, and warm-up windows before the
-// timer fill the free list and the journal's frame buffer. allocs/op and
-// B/op are pinned in BENCH_counts.json (make bench-counts): a body read
-// into a fresh buffer, a record copied before the journal frames it, a
-// series copied or a forecast built to be scored shows there as bytes.
+// the fleet's turn — with durable, the journal append at -fsync none,
+// written while the window decodes; the detector; the ack ring — and the
+// reply. start_unix is restamped in place each op, so every window is a
+// new one, and warm-up windows before the timer fill the free list.
+// allocs/op and B/op are pinned in BENCH_counts.json (make bench-counts): a
+// body read into a fresh buffer, a record copied to be framed, a series
+// copied or a forecast built to be scored shows there as bytes.
 func BenchmarkIngestWindow197(b *testing.B) {
 	for _, tc := range []struct {
 		name    string

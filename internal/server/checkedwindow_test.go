@@ -1,0 +1,176 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"kairos/internal/journal"
+)
+
+// A durable server journals a window whose body is shaped as a collector
+// writes one while it decodes it (journal.Log.AppendChecked): these tests
+// hold that what reaches the journal is what the decode-first path wrote.
+
+// checkedBody fails the test unless body takes the checked path: its span
+// can be guessed from its shape.
+func checkedBody(t *testing.T, body []byte) []byte {
+	t.Helper()
+	if guessSpan(body) == nil {
+		t.Fatalf("body is not shaped as a collector writes one: %s", clip(body))
+	}
+	return body
+}
+
+// readWAL returns the journal file of state dir dir.
+func readWAL(t *testing.T, dir string) []byte {
+	t.Helper()
+	wal, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal
+}
+
+// fleetStatus is GET /v1/fleets/{id} on url.
+func fleetStatus(t *testing.T, url, id string) FleetStatus {
+	t.Helper()
+	status, body := do(t, http.MethodGet, url+"/v1/fleets/"+id, nil)
+	if status != http.StatusOK {
+		t.Fatalf("status of %s: %d %s", id, status, body)
+	}
+	var st FleetStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestCheckedWindowCrashBeforeCommit: a crash between a window record's
+// sync and its commit loses the window and nothing else. The collector got
+// a 503; the restart reads the uncommitted frame as a torn tail and has
+// consumed no window; the window, resent, is consumed as a new one.
+func TestCheckedWindowCrashBeforeCommit(t *testing.T) {
+	dir := t.TempDir()
+	fi := &journal.FaultInjector{}
+	s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways, Fault: fi}, 256)
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody("cc", 4, 8)); status != http.StatusCreated {
+		t.Fatalf("register: %d %s", status, body)
+	}
+	window := checkedBody(t, stampedWindow(4, 8, 1.001, 1000))
+	fi.Crash(journal.PointAppendCommit, 1)
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/cc/windows", window); status != http.StatusServiceUnavailable {
+		t.Fatalf("window whose commit crashed: %d %s, want 503", status, body)
+	}
+	if fi.Hits(journal.PointAppendCommit) != 1 {
+		t.Fatal("the window did not reach its commit")
+	}
+	fi.Kill()
+	ts.Close()
+	s.Kill()
+
+	rs, rts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+	defer func() { rts.Close(); rs.Close() }()
+	if !rs.recovery.TornTail || rs.recovery.Windows != 0 {
+		t.Fatalf("recovery %+v, want a torn tail and no window replayed", rs.recovery)
+	}
+	if st := fleetStatus(t, rts.URL, "cc"); st.Windows != 0 {
+		t.Fatalf("recovered fleet consumed %d windows, want 0", st.Windows)
+	}
+	var ack WindowResponse
+	if err := json.Unmarshal(mustServe(t, rs, http.MethodPost, "/v1/fleets/cc/windows", window, http.StatusOK), &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Duplicate || ack.Window != 0 {
+		t.Fatalf("resent window acked %+v, want it consumed as window 0", ack)
+	}
+}
+
+// TestCheckedWindowRefusalsLeaveJournal: a window refused before its
+// record commits — a malformed number, a resend, workloads toWorkloads
+// refuses — gets its answer and leaves the journal byte for byte as it
+// was; a body whose span is not the guessed one (it holds another key) is
+// journaled around its span, as the decode-first path journals it. A
+// restart recovers the state the live server had.
+func TestCheckedWindowRefusalsLeaveJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+	defer ts.Close()
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody("rf", 4, 8)); status != http.StatusCreated {
+		t.Fatalf("register: %d %s", status, body)
+	}
+	first := checkedBody(t, stampedWindow(4, 8, 1.001, 1000))
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", first); status != http.StatusOK {
+		t.Fatalf("first window: %d %s", status, body)
+	}
+
+	malformed := bytes.Replace(stampedWindow(4, 8, 1.002, 2000), []byte(`"cpu":[`), []byte(`"cpu":[+`), 1)
+	unnamed := testWorkloads(4, 8, 1.002)
+	unnamed[2].Name = ""
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+	}{
+		{"malformed number", malformed, http.StatusBadRequest},
+		{"resend", first, http.StatusOK},
+		{"workloads toWorkloads refuses", mustJSON(WindowRequest{Workloads: unnamed}), http.StatusBadRequest},
+	} {
+		before := readWAL(t, dir)
+		status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", checkedBody(t, tc.body))
+		if status != tc.status {
+			t.Fatalf("%s: %d %s, want %d", tc.name, status, body, tc.status)
+		}
+		if tc.status == http.StatusOK {
+			var ack WindowResponse
+			if err := json.Unmarshal(body, &ack); err != nil || !ack.Duplicate || ack.Window != 0 {
+				t.Fatalf("%s: acked %s (%v), want a duplicate of window 0", tc.name, body, err)
+			}
+		}
+		if after := readWAL(t, dir); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the journal is %d bytes, %d before, or its bytes changed", tc.name, len(after), len(before))
+		}
+	}
+
+	// Another key after the workloads: the guess runs to the last '}', the
+	// span ends at the array's.
+	extra := stampedWindow(4, 8, 1.003, 3000)
+	extra = append(extra[:len(extra)-1], `,"collector":"v2"}`...)
+	guess := checkedBody(t, extra)
+	_, span, err := decodeWindow(extra)
+	if err != nil || len(span) == len(guess) {
+		t.Fatalf("the body with another key decodes to a %d-byte span (%v), its guess %d", len(span), err, len(guess))
+	}
+	before := readWAL(t, dir)
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", extra); status != http.StatusOK {
+		t.Fatalf("window with another key: %d %s", status, body)
+	}
+	after := readWAL(t, dir)
+	if !bytes.HasPrefix(after, before) {
+		t.Fatal("the journal before the window with another key was rewritten")
+	}
+	const header = 16 // payload length, CRC, seq
+	if frame := after[len(before):]; len(frame) < header || !bytes.Equal(frame[header:], wantRecord(t, "rf", extra)) {
+		t.Fatalf("the record of the window with another key is not framed around its span: %s", clip(frame))
+	}
+
+	live := fleetStatus(t, ts.URL, "rf")
+	if live.Windows != 2 {
+		t.Fatalf("live fleet consumed %d windows, want 2", live.Windows)
+	}
+	ts.Close()
+	if err := s.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	rs, rts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+	defer func() { rts.Close(); rs.Close() }()
+	if rs.recovery.TornTail || rs.recovery.Windows != 2 {
+		t.Fatalf("recovery %+v, want the two windows and no torn tail", rs.recovery)
+	}
+	if got := fleetStatus(t, rts.URL, "rf"); got != live {
+		t.Fatalf("recovered %+v, live %+v", got, live)
+	}
+}

@@ -104,25 +104,34 @@ type journaled struct{}
 // in-memory server behaves exactly as before durability existed.
 func (s *Server) appendRecord(rec *RecordWire) (tok journaled, err error) {
 	if s.jl == nil {
-		return s.appendPayload()
+		return s.appendPayload(nil)
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return tok, err
 	}
-	return s.appendPayload(b)
+	return s.appendPayload(nil, b)
 }
 
 // appendPayload journals one record already in RecordWire's encoding,
 // whole or in the parts the journal frames it from: appendRecord's, or a
-// window record its handler put together around the received bytes
-// (windowHead, the span, windowTail). The in-memory server has no journal,
-// so its token is free.
-func (s *Server) appendPayload(parts ...[]byte) (journaled, error) {
-	if s.jl == nil {
-		return journaled{}, nil
+// window record put together around the received bytes (windowHead, the
+// span, windowTail). With check set, the journal writes the record while
+// check runs and keeps it only if check returns nil
+// (journal.Log.AppendChecked); check's error is returned as it is. The
+// in-memory server has no journal, so its token costs check alone.
+func (s *Server) appendPayload(check func() error, parts ...[]byte) (journaled, error) {
+	var err error
+	switch {
+	case s.jl == nil:
+		if check != nil {
+			err = check()
+		}
+	case check != nil:
+		_, err = s.jl.AppendChecked(check, parts...)
+	default:
+		_, err = s.jl.Append(parts...)
 	}
-	_, err := s.jl.Append(parts...)
 	return journaled{}, err
 }
 

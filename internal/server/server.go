@@ -154,8 +154,67 @@ type ingestResp struct {
 	// not be made durable: the client must retry (503). A refused window
 	// was not applied; a refused advance was not committed.
 	journalErr error
-	err        error
+	// bad is why the window's body was refused (400): it does not decode,
+	// or its workloads do not convert.
+	bad error
+	err error
 }
+
+// windowIn is a window request on its way to its fleet: the body, the
+// span its shape says it holds, and, once decoded, the window.
+type windowIn struct {
+	body []byte
+	// guess is the workloads value of a body shaped as a collector writes
+	// one (guessSpan), on a durable server; nil otherwise.
+	guess []byte
+	// decoded is set once decode has run; then either bad says why the
+	// body was refused, or window, key and span are the window's.
+	decoded bool
+	bad     error
+	window  []kairos.Workload
+	key     int64
+	span    []byte
+}
+
+// newWindowIn readies body for processWindow. On a durable server a body
+// shaped as a collector writes one keeps its guessed span and is decoded
+// there, while the journal writes its record; any other is decoded here,
+// and bad says whether it was refused.
+func (s *Server) newWindowIn(sess *session, body []byte) *windowIn {
+	in := &windowIn{body: body}
+	if s.jl != nil {
+		in.guess = guessSpan(body)
+	}
+	if in.guess == nil {
+		in.decode(sess.needDisk)
+	}
+	return in
+}
+
+// decode decodes the body and converts its workloads, once.
+func (in *windowIn) decode(needDisk bool) {
+	if in.decoded {
+		return
+	}
+	in.decoded = true
+	wire, span, err := decodeWindow(in.body)
+	if err != nil {
+		in.bad = fmt.Errorf("decoding window: %w", err)
+		return
+	}
+	if in.window, err = toWorkloads(wire, needDisk); err != nil {
+		in.bad = err
+		return
+	}
+	in.key, in.span = windowKey(wire), span
+}
+
+// errResend refuses the record of a window the ack ring already holds,
+// and errSpanMoved that of a window whose span is not the guessed one.
+var (
+	errResend    = errors.New("window already acked")
+	errSpanMoved = errors.New("window span is not the guessed one")
+)
 
 // New creates a pure in-memory control plane (no state dir). logf
 // receives one line per lifecycle event; nil discards them.
@@ -551,27 +610,61 @@ func windowKey(wire []WorkloadWire) int64 {
 // answers — journal the advance and apply that. Each apply is the function
 // replay calls for the same record. A trigger that backoff holds back,
 // whose re-solve fails or whose advance the journal refuses commits
-// nothing and needs no record. record is the window's journal payload in
-// the parts the journal frames (nil without a state dir). The caller holds
-// the fleet's turn and the snapshot read-lock, so no snapshot sees a
-// window without its advance.
-func (s *Server) processWindow(ctx context.Context, sess *session, window []kairos.Workload, key int64, record [][]byte) ingestResp {
-	// Idempotent resend: a window already acked under this start-time key
+// nothing and needs no record. A window with a guessed span is decoded
+// here, while the journal writes the record framed around the guess; the
+// record commits only if the window decodes, is no resend and its span is
+// the guess, so a refused body or a resend leaves the journal as it was,
+// and a window whose span moved is journaled around its span once it is
+// known, as any other window is. The caller holds the fleet's turn and the
+// snapshot read-lock, so no snapshot sees a window without its advance.
+func (s *Server) processWindow(ctx context.Context, sess *session, in *windowIn) ingestResp {
+	// admit is what a window must pass to be journaled: it decodes, and
+	// it is no resend — a window already acked under its start-time key
 	// returns its original acknowledgement without being re-applied. The
 	// scan starts at the newest ack, the one a retry most likely wants.
-	for i := len(sess.acks) - 1; i >= 0; i-- {
-		if ack := sess.acks[i]; ack.StartUnix == key {
-			return ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
+	var refusal *ingestResp
+	admit := func() error {
+		if in.decode(sess.needDisk); in.bad != nil {
+			refusal = &ingestResp{bad: in.bad}
+			return in.bad
 		}
+		for i := len(sess.acks) - 1; i >= 0; i-- {
+			if ack := sess.acks[i]; ack.StartUnix == in.key {
+				refusal = &ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
+				return errResend
+			}
+		}
+		return nil
 	}
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	winTok, err := s.appendPayload(record...)
-	if err != nil {
+	span, check := in.guess, func() error {
+		if err := admit(); err != nil {
+			return err
+		}
+		if len(in.span) != len(in.guess) || &in.span[0] != &in.guess[0] {
+			return errSpanMoved
+		}
+		return nil
+	}
+	if span == nil {
+		if admit() != nil {
+			return *refusal
+		}
+		span, check = in.span, nil
+	}
+	winTok, err := s.appendPayload(check, sess.recordHead, span, windowTail)
+	if err == errSpanMoved {
+		winTok, err = s.appendPayload(nil, sess.recordHead, in.span, windowTail)
+	}
+	switch {
+	case refusal != nil:
+		return *refusal
+	case err != nil:
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
-	index, fired, err := sess.applyWindow(winTok, window, key)
+	index, fired, err := sess.applyWindow(winTok, in.window, in.key)
 	if err != nil || !fired {
 		sess.met.observeWindow(err != nil)
 		return ingestResp{window: index, err: err}
@@ -695,9 +788,10 @@ func (s *Server) hold() (release func()) {
 	return func() {}
 }
 
-// handleWindow is POST /v1/fleets/{id}/windows: decode the window and
-// build its journal record, take the fleet's turn, journal and apply the
-// window, and acknowledge it (including whether it triggered a re-solve).
+// handleWindow is POST /v1/fleets/{id}/windows: decode the window, take
+// the fleet's turn, journal and apply the window, and acknowledge it
+// (including whether it triggered a re-solve). A body the journal can
+// write while it decodes is decoded under the turn (newWindowIn).
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
 	if sess == nil {
@@ -714,21 +808,10 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.hold()()
-	wire, span, err := decodeWindow(body)
-	if err != nil {
-		writeDecodeErr(w, "window", err)
+	in := s.newWindowIn(sess, body)
+	if in.bad != nil {
+		writeErr(w, http.StatusBadRequest, "%v", in.bad)
 		return
-	}
-	window, err := toWorkloads(wire, sess.needDisk)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var record [][]byte
-	if s.jl != nil {
-		// The record is the bytes that arrived under the RecordWire schema,
-		// framed by the journal from its parts.
-		record = [][]byte{sess.recordHead, span, windowTail}
 	}
 	select {
 	case sess.turn <- struct{}{}:
@@ -748,11 +831,13 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.writeStopped(w, sess)
 		return
 	}
-	resp := s.processWindow(sess.ctx, sess, window, windowKey(wire), record)
+	resp := s.processWindow(sess.ctx, sess, in)
 	s.pauseRW.RUnlock()
 	<-sess.turn
 	s.maybeSnapshot()
 	switch {
+	case resp.bad != nil:
+		writeErr(w, http.StatusBadRequest, "%v", resp.bad)
 	case resp.journalErr != nil:
 		// The window (or its advance) never reached the journal, so it was
 		// not applied; the collector retries here or after a restart.

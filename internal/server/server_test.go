@@ -279,6 +279,38 @@ func TestWindowEndpoint(t *testing.T) {
 	}
 }
 
+// getPlan is GET /v1/fleets/{id}/plan on url.
+func getPlan(t *testing.T, url, id string) PlanWire {
+	t.Helper()
+	status, body := do(t, http.MethodGet, url+"/v1/fleets/"+id+"/plan", nil)
+	if status != http.StatusOK {
+		t.Fatalf("plan of %s: %d %s", id, status, body)
+	}
+	var plan PlanWire
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// planMachinesErr says what is wrong with the machines of a plan on a
+// fleet of the given machine count, if anything: every assignment names a
+// workload and one of the fleet's machines, and the plan uses K of them.
+// On machines of several classes those need not be machines 0 to K-1.
+func planMachinesErr(plan PlanWire, machines int) error {
+	used := map[int]bool{}
+	for _, a := range plan.Assignments {
+		if a.Workload == "" || a.Machine < 0 || a.Machine >= machines || a.MachineName == "" {
+			return fmt.Errorf("assignment %+v on a fleet of %d machines", a, machines)
+		}
+		used[a.Machine] = true
+	}
+	if len(used) != plan.K {
+		return fmt.Errorf("plan of K %d uses %d machines", plan.K, len(used))
+	}
+	return nil
+}
+
 func TestQueryEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, id := range []string{"q1", "q2"} {
@@ -302,21 +334,36 @@ func TestQueryEndpoints(t *testing.T) {
 	})
 
 	t.Run("plan", func(t *testing.T) {
-		status, body := do(t, http.MethodGet, ts.URL+"/v1/fleets/q1/plan", nil)
-		if status != http.StatusOK {
-			t.Fatalf("plan: %d %s", status, body)
-		}
-		var plan PlanWire
-		if err := json.Unmarshal(body, &plan); err != nil {
-			t.Fatal(err)
-		}
+		plan := getPlan(t, ts.URL, "q1")
 		if plan.K < 1 || !plan.Feasible || len(plan.Assignments) != 3 {
 			t.Errorf("plan = %+v", plan)
 		}
+		if err := planMachinesErr(plan, fleetStatus(t, ts.URL, "q1").Machines); err != nil {
+			t.Error(err)
+		}
+	})
+
+	// Two machine classes: the plan fits the three workloads on the large
+	// machine, last in the list, so its one machine is not machine 0.
+	t.Run("plan on two machine classes", func(t *testing.T) {
+		req := RegisterRequest{ID: "q3", Workloads: testWorkloads(3, 6, 1.0), Machines: []MachineWire{
+			{Name: "small-a", CPUCapacity: 0.25, RAMBytes: 8e9, DiskWriteBps: 50e6},
+			{Name: "small-b", CPUCapacity: 0.25, RAMBytes: 8e9, DiskWriteBps: 50e6},
+			{Name: "large", CPUCapacity: 1, RAMBytes: 96e9, DiskWriteBps: 50e6},
+		}}
+		if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", mustJSON(req)); status != http.StatusCreated {
+			t.Fatalf("register: %d %s", status, body)
+		}
+		plan := getPlan(t, ts.URL, "q3")
+		if err := planMachinesErr(plan, len(req.Machines)); err != nil {
+			t.Error(err)
+		}
+		beyondK := false
 		for _, a := range plan.Assignments {
-			if a.Workload == "" || a.Machine < 0 || a.Machine >= plan.K || a.MachineName == "" {
-				t.Errorf("assignment = %+v", a)
-			}
+			beyondK = beyondK || a.Machine >= plan.K
+		}
+		if plan.K != 1 || !beyondK {
+			t.Errorf("plan %+v: want K 1 on the large machine, an index past K", plan)
 		}
 	})
 

@@ -44,10 +44,6 @@ func TestShutdownAbortsInflightSolve(t *testing.T) {
 	// read-lock — and close once the re-solve is on the goroutine's stack:
 	// no timing guess, unlike an HTTP post or a sleep sized to the solver.
 	// (Root cancel_test.go covers the abort of a solve at the library.)
-	window, err := toWorkloads(wireWorkloads(baseline, 1.12), false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s.mu.Lock()
 	sess := s.fleets["all-197"]
 	s.mu.Unlock()
@@ -55,7 +51,7 @@ func TestShutdownAbortsInflightSolve(t *testing.T) {
 	answered := make(chan ingestResp, 1)
 	go func() {
 		s.pauseRW.RLock()
-		resp := s.processWindow(sess.ctx, sess, window, 0, nil)
+		resp := s.processWindow(sess.ctx, sess, s.newWindowIn(sess, mustJSON(WindowRequest{Workloads: wireWorkloads(baseline, 1.12)})))
 		s.pauseRW.RUnlock()
 		<-sess.turn
 		answered <- resp

@@ -75,8 +75,11 @@ package server
 // of its own (so a json.RawMessage decoded from it is too). A session
 // keeps its registration for every later snapshot; it must not pin the
 // 2 MB body it arrived in, and the server reads the next request into that
-// body once it has replied (Server.readBody). Only decodeWindow's span
-// aliases the body, and only until the window's journal record is written.
+// body once it has replied (Server.readBody). Only decodeWindow's span, and
+// the span guessSpan reads off a body's two ends, alias the body: the
+// journal writes a window's record from them, on a goroutine of its own
+// while the guessed span's window decodes, and they are dead once the
+// record is written or refused.
 
 import (
 	"bytes"
@@ -524,11 +527,11 @@ var windowTail = []byte("}}")
 
 // windowHead is the start of fleet id's window records: RecordWire's
 // json.Marshal encoding for a window of that fleet, the id quoted as
-// json.Marshal quotes it, up to the workloads value. The journal frames a
-// record from three parts — this head, the span decodeWindow validated in
-// the received body, and windowTail — so the record is what json.Marshal
-// would write for the decoded window, up to how the numbers are spelled,
-// and the span is copied once, into the frame.
+// json.Marshal quotes it, up to the workloads value. The journal writes a
+// record's frame from three parts — this head, the span decodeWindow
+// validated (or guessSpan guessed) in the received body, and windowTail —
+// so the record is what json.Marshal would write for the decoded window,
+// up to how the numbers are spelled, and the span is not copied.
 func windowHead(id string) ([]byte, error) {
 	b, err := json.Marshal(&RecordWire{Window: &WindowRecord{Fleet: id}})
 	if err != nil {
@@ -539,6 +542,30 @@ func windowHead(id string) ([]byte, error) {
 		return nil, fmt.Errorf("server: window record %s does not end in an empty workloads value", b)
 	}
 	return head, nil
+}
+
+// guessSpan returns the workloads value of a window body shaped as
+// json.Marshal writes a WindowRequest — {"workloads": V }, with JSON
+// whitespace only outside V — and nil for any other body. It reads the
+// body's two ends only, so V is the span decodeWindow returns unless the
+// body holds another key, which the decode tells.
+func guessSpan(body []byte) []byte {
+	const ws = " \t\r\n"
+	v, ok := bytes.CutPrefix(bytes.TrimLeft(body, ws), []byte("{"))
+	if ok {
+		v, ok = bytes.CutPrefix(bytes.TrimLeft(v, ws), []byte(`"workloads"`))
+	}
+	if ok {
+		v, ok = bytes.CutPrefix(bytes.TrimLeft(v, ws), []byte(":"))
+	}
+	if ok {
+		v, ok = bytes.CutSuffix(bytes.TrimRight(v, ws), []byte("}"))
+	}
+	v = bytes.Trim(v, ws)
+	if !ok || len(v) == 0 {
+		return nil
+	}
+	return v[:len(v):len(v)]
 }
 
 // errorf reports a decode error at the read offset.
