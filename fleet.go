@@ -3,7 +3,6 @@ package kairos
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"kairos/internal/core"
@@ -99,40 +98,41 @@ func WithIncumbent(inc *Incumbent) FleetOption {
 // drift detector. Create it with NewFleet, compute the initial plan with
 // Consolidate (or seed one WithIncumbent), then stream observation
 // windows through Observe — each drift trigger
-// re-solves warm and advances the plan. All methods are safe for
-// concurrent use; windows arriving from multiple collectors serialize
-// internally.
+// re-solves warm and advances the plan.
+//
+// A Fleet has one writer: the verbs that change or export its state
+// (Consolidate, Observe, ObserveDetectOnly, Resolve, Advance, ReplayAdvance,
+// AdoptIncumbent, Checkpoint, RestoreWatch) must be called one at a time,
+// so a caller with several collectors puts their windows in one order
+// itself. The read accessors (Plan, Incumbent, Window) are safe beside that
+// writer from any number of goroutines: they load the published view, so
+// they do not wait for a triggered re-solve in flight.
 type Fleet struct {
 	spec FleetSpec // immutable after NewFleet
 	cfg  fleetConfig
 
-	// mu is the writer lock: it serialises Consolidate, Observe and the
-	// control-plane verbs, and is held across a solve. The read accessors
-	// (Plan, Incumbent, Window) never take it — they load
-	// view — so they do not wait for a triggered re-solve in flight.
-	mu sync.Mutex
 	// det is the drift detector, built on first use around the current
 	// incumbent with the spec workloads as its assumptions; Consolidate and
 	// AdoptIncumbent drop it.
-	det *drift.Detector // guarded by mu
+	det *drift.Detector
 	// baseline is the last committed re-solve's forecast: nil until a
 	// trigger commits, while the spec workloads are the detector's
 	// assumptions (orSpec). Checkpoints carry it so a restored
 	// detector rebuilds the same per-resource means.
-	baseline []Workload // guarded by mu
+	baseline []Workload
 	// history holds the last cfg.drift.History observation windows, oldest
 	// first — the windows the detector keeps — feeding the forecast a
 	// triggered re-solve consumes.
-	history [][]Workload // guarded by mu
+	history [][]Workload
 	// trig is the trigger the last detect step reported, until a commit
 	// settles it or the next window replaces it: what Resolve solves for.
-	trig *DriftTrigger // guarded by mu
+	trig *DriftTrigger
 	// gen counts mutating steps, so Advance can refuse an event the session
 	// has moved past since Resolve stamped it.
-	gen uint64 // guarded by mu
+	gen uint64
 
-	// view is the published state. Writers replace it under mu and never
-	// edit a stored one, so a reader's Load is a consistent snapshot.
+	// view is the published state. The writer replaces it and never edits
+	// a stored one, so a reader's Load is a consistent snapshot.
 	view atomic.Pointer[fleetView]
 }
 
@@ -177,22 +177,22 @@ func (f *Fleet) problem() *Problem {
 	return &Problem{Workloads: f.spec.Workloads, Machines: f.spec.Machines, Disk: f.spec.Disk}
 }
 
-// publishLocked replaces the published view with an edited copy. Callers
-// hold f.mu, so there is one writer.
-func (f *Fleet) publishLocked(edit func(*fleetView)) {
+// publish replaces the published view with an edited copy; only the
+// fleet's one writer calls it.
+func (f *Fleet) publish(edit func(*fleetView)) {
 	v := new(fleetView)
 	*v = *f.view.Load()
 	edit(v)
 	f.view.Store(v)
 }
 
-// adoptLocked makes plan the session's plan and incumbent. The detector
+// adopt makes plan the session's plan and incumbent. The detector
 // was tracking the old plan's assumptions: drop it, so the next window
 // rebuilds it against the fresh incumbent.
-func (f *Fleet) adoptLocked(plan *Plan) {
+func (f *Fleet) adopt(plan *Plan) {
 	f.det, f.baseline, f.history, f.trig = nil, nil, nil, nil
 	f.gen++
-	f.publishLocked(func(v *fleetView) { v.plan, v.inc, v.windows = plan, plan.Incumbent(), 0 })
+	f.publish(func(v *fleetView) { v.plan, v.inc, v.windows = plan, plan.Incumbent(), 0 })
 }
 
 // solveSpec solves the spec workloads: warm from inc when there is one,
@@ -212,18 +212,13 @@ func (f *Fleet) solveSpec(ctx context.Context, p *Problem, inc *Incumbent) (*Sol
 // triggers warm-start from. Cancelling ctx aborts the solve and returns
 // ctx.Err(); the session keeps its previous plan.
 func (f *Fleet) Consolidate(ctx context.Context) (*Plan, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	p := f.problem()
-	// The solver's internal worker-pool channels and WaitGroups run under
-	// f.mu by design: Consolidate serializes the session.
-	//kairoslint:allow lockorder: the solver's worker pool always drains; ctx aborts it on shutdown
 	sol, err := f.solveSpec(ctx, p, f.view.Load().inc)
 	if err != nil {
 		return nil, err
 	}
 	plan := newPlan(p, sol)
-	f.adoptLocked(plan)
+	f.adopt(plan)
 	return plan, nil
 }
 
@@ -255,10 +250,10 @@ func (f *Fleet) newDetector(inc *Incumbent, baseline []Workload) (*drift.Detecto
 	return drift.NewDetector(f.cfg.drift, samples)
 }
 
-// watchLocked makes sure the session has a drift detector, building it on
+// watch makes sure the session has a drift detector, building it on
 // first use around the current incumbent with the spec workloads as the
 // baseline assumptions.
-func (f *Fleet) watchLocked() error {
+func (f *Fleet) watch() error {
 	if f.det != nil {
 		return nil
 	}
@@ -285,12 +280,12 @@ func (f *Fleet) orSpec(b []Workload) []Workload {
 	return f.spec.Workloads
 }
 
-// detectLocked is the detect step: one observation window through the
+// detect is the detect step: one observation window through the
 // drift detector and into the forecast history. A rejected window (shape
 // mismatch, unknown or duplicate workload) is not consumed and stays out
 // of the history. A trigger changes the detector only if it commits.
-func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
-	if err := f.watchLocked(); err != nil {
+func (f *Fleet) detect(window []Workload) (*DriftTrigger, error) {
+	if err := f.watch(); err != nil {
 		return nil, err
 	}
 	samples, err := driftSamples(window)
@@ -309,7 +304,7 @@ func (f *Fleet) detectLocked(window []Workload) (*DriftTrigger, error) {
 	}
 	f.trig = trig
 	f.gen++
-	f.publishLocked(func(v *fleetView) { v.windows = f.det.Window() })
+	f.publish(func(v *fleetView) { v.windows = f.det.Window() })
 	return trig, nil
 }
 
@@ -346,17 +341,17 @@ func (f *Fleet) solve(ctx context.Context, trig *DriftTrigger, baseline []Worklo
 	}, nil
 }
 
-// commitLocked is the commit step: plan was solved against forecast, so
+// commit is the commit step: plan was solved against forecast, so
 // that is the assumption set future windows drift against. The detector
 // rebases onto it (samples is the forecast in the detector's form), the
 // baseline and incumbent move, the plan publishes.
-func (f *Fleet) commitLocked(forecast []Workload, samples []drift.Sample, plan *Plan) error {
+func (f *Fleet) commit(forecast []Workload, samples []drift.Sample, plan *Plan) error {
 	if err := f.det.SetBaseline(samples); err != nil {
 		return err
 	}
 	f.baseline, f.trig = forecast, nil
 	f.gen++
-	f.publishLocked(func(v *fleetView) { v.plan, v.inc = plan, plan.Incumbent() })
+	f.publish(func(v *fleetView) { v.plan, v.inc = plan, plan.Incumbent() })
 	return nil
 }
 
@@ -364,21 +359,20 @@ func (f *Fleet) commitLocked(forecast []Workload, samples []drift.Sample, plan *
 // series for the period, matched to the spec by workload name). It
 // returns (nil, nil) while the plan holds; when the drift detector fires
 // it re-solves warm from the incumbent on the forecast series, commits
-// the new plan as the incumbent, and returns the event. Safe to call from
-// many collectors at once. A failed or cancelled re-solve
+// the new plan as the incumbent, and returns the event. It is a writer's
+// verb: windows from several collectors go through it one at a time, in
+// the order the caller gives them. A failed or cancelled re-solve
 // returns a *ResolveError (cancelling ctx aborts it mid-flight); the
 // window still counts as consumed, and since nothing committed,
 // persistent drift fires again on the next window.
 func (f *Fleet) Observe(ctx context.Context, window []Workload) (*ReconsolidationEvent, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	trig, err := f.detectLocked(window)
+	trig, err := f.detect(window)
 	if err != nil || trig == nil {
 		return nil, err
 	}
 	ev, err := f.solve(ctx, trig, f.orSpec(f.baseline), f.history, f.view.Load().inc)
 	if err == nil {
-		err = f.commitLocked(ev.forecast, ev.samples, ev.Plan)
+		err = f.commit(ev.forecast, ev.samples, ev.Plan)
 	}
 	if err != nil {
 		return nil, err
@@ -391,9 +385,7 @@ func (f *Fleet) Observe(ctx context.Context, window []Workload) (*Reconsolidatio
 // result says whether it fired a trigger, which changes nothing until
 // Resolve + Advance or ReplayAdvance commits it.
 func (f *Fleet) ObserveDetectOnly(window []Workload) (triggered bool, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	trig, err := f.detectLocked(window)
+	trig, err := f.detect(window)
 	return trig != nil, err
 }
 
@@ -403,8 +395,6 @@ func (f *Fleet) ObserveDetectOnly(window []Workload) (triggered bool, err error)
 // publishes it. A solver failure is a *ResolveError, and leaves the session
 // as the window alone left it.
 func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.trig == nil {
 		return nil, fmt.Errorf("kairos: fleet %q has no unsettled drift trigger to resolve", f.spec.Name)
 	}
@@ -421,12 +411,10 @@ func (f *Fleet) Resolve(ctx context.Context) (*ReconsolidationEvent, error) {
 // an event the session has moved past since Resolve (another
 // window, a Consolidate), and one Observe already committed.
 func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if ev == nil || ev.samples == nil || ev.gen != f.gen {
 		return fmt.Errorf("kairos: fleet %q: stale advance: the session moved since Resolve produced the event", f.spec.Name)
 	}
-	return f.commitLocked(ev.forecast, ev.samples, ev.Plan)
+	return f.commit(ev.forecast, ev.samples, ev.Plan)
 }
 
 // ReplayAdvance is Advance's replay counterpart, for crash recovery: the
@@ -436,9 +424,7 @@ func (f *Fleet) Advance(ev *ReconsolidationEvent) error {
 // was. Call it right after the ObserveDetectOnly that reported the
 // corresponding trigger.
 func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.watchLocked(); err != nil {
+	if err := f.watch(); err != nil {
 		return nil, err
 	}
 	if len(f.history) == 0 {
@@ -458,7 +444,7 @@ func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.commitLocked(forecast, samples, plan); err != nil {
+	if err := f.commit(forecast, samples, plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -470,15 +456,13 @@ func (f *Fleet) ReplayAdvance(inc *Incumbent) (*Plan, error) {
 // the journal holds. The plan is priced against the spec workloads; the
 // detector is dropped so the next window rebuilds it against the plan.
 func (f *Fleet) AdoptIncumbent(inc *Incumbent) (*Plan, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	p := f.problem()
 	sol, err := core.SolutionFromIncumbent(p, inc)
 	if err != nil {
 		return nil, err
 	}
 	plan := newPlan(p, sol)
-	f.adoptLocked(plan)
+	f.adopt(plan)
 	return plan, nil
 }
 
@@ -504,10 +488,9 @@ type FleetCheckpoint struct {
 
 // Checkpoint exports the session's durable watch state for a snapshot.
 // Sessions that have not consumed a window yet checkpoint just their
-// incumbent (nil if no plan exists either).
+// incumbent (nil if no plan exists either). It reads the writer's state,
+// so the caller runs it as one of the writer's verbs, never beside them.
 func (f *Fleet) Checkpoint() *FleetCheckpoint {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	cp := &FleetCheckpoint{Incumbent: f.view.Load().inc, Armed: true}
 	if f.det == nil {
 		return cp
@@ -555,10 +538,8 @@ func (f *Fleet) RestoreWatch(cp *FleetCheckpoint) error {
 	if h := f.cfg.drift.History; len(history) > h {
 		history = history[len(history)-h:]
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.det, f.baseline, f.history, f.trig = det, cp.Baseline, history, nil
 	f.gen++
-	f.publishLocked(func(v *fleetView) { v.plan, v.inc, v.windows = newPlan(p, sol), cp.Incumbent, cp.Windows })
+	f.publish(func(v *fleetView) { v.plan, v.inc, v.windows = newPlan(p, sol), cp.Incumbent, cp.Windows })
 	return nil
 }

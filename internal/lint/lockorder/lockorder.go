@@ -4,7 +4,7 @@
 // The lock universe is the set of annotated mutexes: sync.Mutex or
 // sync.RWMutex struct fields that at least one sibling field declares
 // itself "guarded by" (the same annotation lockguard enforces). For the
-// repo today that is Server.mu, Fleet.mu, replay's decodeAhead.mu, and the
+// repo today that is Server.mu, replay's decodeAhead.mu, and the
 // journal's Log.mu and FaultInjector.mu.
 //
 // For every function body the analyzer runs a source-order held-set

@@ -141,38 +141,3 @@ func (e *Estimator) HybridDisk(wsBytes, updateRates, measuredBps []*series.Serie
 	}
 	return out, nil
 }
-
-// DiskFeasible reports whether the combined workload fits the disk: the
-// predicted write throughput stays within the budget at every time step, and
-// the aggregate update rate stays within the saturation envelope.
-//
-// Boundary semantics follow EnvelopeFeasible and core's objective: exactly
-// at the budget or exactly at the envelope is feasible; only strict excess
-// rejects. In particular an all-idle placement (aggregate rate 0) is always
-// envelope-feasible, even where the clamped envelope is 0 — the old `>=`
-// checks rejected such placements spuriously.
-func (e *Estimator) DiskFeasible(wsBytes, updateRates []*series.Series, budgetBps float64) (bool, error) {
-	pred, err := e.CombinedDisk(wsBytes, updateRates)
-	if err != nil {
-		return false, err
-	}
-	if pred.Max() > budgetBps {
-		return false, nil
-	}
-	if e.Disk.HasEnvelope {
-		wsSum, err := series.Sum(wsBytes)
-		if err != nil {
-			return false, err
-		}
-		rateSum, err := series.Sum(updateRates)
-		if err != nil {
-			return false, err
-		}
-		for i := range rateSum.Values {
-			if !EnvelopeFeasible(rateSum.Values[i], e.Disk.MaxRowsPerSec(wsSum.Values[i])) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}

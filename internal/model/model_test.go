@@ -246,37 +246,6 @@ func TestCombinedDiskUsesProfile(t *testing.T) {
 	}
 }
 
-func TestDiskFeasible(t *testing.T) {
-	p := getProfile(t)
-	e := NewEstimator(p)
-	ws := []*series.Series{constSeries(300e6, 2)}
-	lowRate := []*series.Series{constSeries(500, 2)}
-	hugeRate := []*series.Series{constSeries(1e6, 2)}
-
-	ok, err := e.DiskFeasible(ws, lowRate, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("light load should be feasible")
-	}
-	ok, err = e.DiskFeasible(ws, hugeRate, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("1M rows/sec should exceed the envelope")
-	}
-	// Tiny budget rejects everything with writes.
-	ok, err = e.DiskFeasible(ws, lowRate, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("1 B/s budget should be infeasible")
-	}
-}
-
 // TestCombinedPropertyMatchesSingle verifies the paper's core modeling
 // property on the simulator itself: N databases with aggregate working set
 // X and aggregate rate Y produce (approximately) the same disk write
@@ -423,66 +392,5 @@ func TestEnvelopeFeasibleBoundary(t *testing.T) {
 		if got := EnvelopeFeasible(c.rate, c.max); got != c.want {
 			t.Errorf("EnvelopeFeasible(%v, %v) = %v, want %v", c.rate, c.max, got, c.want)
 		}
-	}
-}
-
-// TestDiskFeasibleZeroRateLargeWorkingSet is the regression test for the
-// spurious rejection this PR fixes: with the envelope clamped to 0 at a
-// large aggregate working set, an idle placement (update rate 0) used to
-// fail the old `rateSum >= MaxRowsPerSec` check — `0 >= 0` — even though
-// zero updates are trivially sustainable.
-func TestDiskFeasibleZeroRateLargeWorkingSet(t *testing.T) {
-	e := NewEstimator(syntheticEnvelopeProfile())
-	ws := []*series.Series{constSeries(30000e6, 3), constSeries(30000e6, 3)}
-	idle := []*series.Series{constSeries(0, 3), constSeries(0, 3)}
-	ok, err := e.DiskFeasible(ws, idle, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("idle workloads over a saturated working set must be disk-feasible")
-	}
-	// A positive rate over the zero envelope is genuinely unsustainable.
-	busy := []*series.Series{constSeries(10, 3), constSeries(10, 3)}
-	ok, err = e.DiskFeasible(ws, busy, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("positive update rate over a zero envelope must be infeasible")
-	}
-}
-
-// TestDiskFeasibleAtCapacityBoundaries verifies exactly-at-capacity is
-// feasible for both the write budget and the envelope, matching core's
-// objective semantics.
-func TestDiskFeasibleAtCapacityBoundaries(t *testing.T) {
-	// Fit: write MB/s = 0.001·rate; envelope flat at 5000 rows/sec.
-	p := &DiskProfile{
-		Fit:         polyfit.Poly2D{Degree: 2, Coeffs: []float64{0, 0, 0.001, 0, 0, 0}},
-		Envelope:    polyfit.Poly1D{Coeffs: []float64{5000}},
-		HasEnvelope: true,
-		WSMinMB:     100,
-		WSMaxMB:     10000,
-	}
-	e := NewEstimator(p)
-	ws := []*series.Series{constSeries(500e6, 2)}
-
-	// Exactly at the envelope: 5000 rows/sec.
-	atEnv := []*series.Series{constSeries(5000, 2)}
-	if ok, err := e.DiskFeasible(ws, atEnv, 1e12); err != nil || !ok {
-		t.Errorf("exactly-at-envelope = (%v, %v), want feasible", ok, err)
-	}
-	over := []*series.Series{constSeries(5000.5, 2)}
-	if ok, err := e.DiskFeasible(ws, over, 1e12); err != nil || ok {
-		t.Errorf("above-envelope = (%v, %v), want infeasible", ok, err)
-	}
-	// Exactly at the write budget: 1000 rows/sec → 1 MB/s = 1e6 B/s.
-	atBudget := []*series.Series{constSeries(1000, 2)}
-	if ok, err := e.DiskFeasible(ws, atBudget, 1e6); err != nil || !ok {
-		t.Errorf("exactly-at-budget = (%v, %v), want feasible", ok, err)
-	}
-	if ok, err := e.DiskFeasible(ws, atBudget, 0.999e6); err != nil || ok {
-		t.Errorf("above-budget = (%v, %v), want infeasible", ok, err)
 	}
 }

@@ -178,10 +178,10 @@ func TestFailedSolveWindowIsAcked(t *testing.T) {
 	body := stampedWindow(4, 8, 1.3, 1000)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if resp := s.processWindow(cancelled, sess, s.newWindowIn(sess, body)); !errors.Is(resp.err, context.Canceled) {
+	if resp := s.processWindow(cancelled, sess, body); !errors.Is(resp.err, context.Canceled) {
 		t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)
 	}
-	retry := s.processWindow(context.Background(), sess, s.newWindowIn(sess, body))
+	retry := s.processWindow(context.Background(), sess, body)
 	if retry.err != nil || !retry.duplicate || retry.triggered || retry.window != 0 {
 		t.Fatalf("live retry answered %+v, want duplicate of (0, untriggered)", retry)
 	}
@@ -223,7 +223,7 @@ func TestUncommittedTriggerRestart(t *testing.T) {
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			sess.turn <- struct{}{}
-			resp := s.processWindow(cancelled, sess, s.newWindowIn(sess, stampedWindow(4, 8, 1.3, 2000)))
+			resp := s.processWindow(cancelled, sess, stampedWindow(4, 8, 1.3, 2000))
 			<-sess.turn
 			if !errors.Is(resp.err, context.Canceled) {
 				t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)

@@ -91,19 +91,47 @@ func TestCheckedWindowCrashBeforeCommit(t *testing.T) {
 
 // TestCheckedWindowRefusalsLeaveJournal: a window refused before its
 // record commits — a malformed number, a resend, workloads toWorkloads
-// refuses — gets its answer and leaves the journal byte for byte as it
-// was; a body whose span is not the guessed one (it holds another key) is
-// journaled around its span, as the decode-first path journals it. A
-// restart recovers the state the live server had.
+// refuses — gets its answer, from an in-memory server as from a durable
+// one, and leaves a durable server's journal byte for byte as it was. A
+// body whose span is not the guessed one (it holds another key) and one
+// with no guessed span (its first key is not "workloads") are accepted,
+// and journaled around their span, as the decode-first path journals them.
+// A restart recovers the state the live server had.
 func TestCheckedWindowRefusalsLeaveJournal(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
-	defer ts.Close()
-	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody("rf", 4, 8)); status != http.StatusCreated {
+	t.Run("memory", func(t *testing.T) {
+		_, ts := newTestServer(t)
+		checkedWindowRefusals(t, ts.URL, nil)
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+		defer ts.Close()
+		live := checkedWindowRefusals(t, ts.URL, func() []byte { return readWAL(t, dir) })
+		ts.Close()
+		if err := s.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		rs, rts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+		defer func() { rts.Close(); rs.Close() }()
+		if rs.recovery.TornTail || rs.recovery.Windows != live.Windows {
+			t.Fatalf("recovery %+v, want the %d windows and no torn tail", rs.recovery, live.Windows)
+		}
+		if got := fleetStatus(t, rts.URL, "rf"); got != live {
+			t.Fatalf("recovered %+v, live %+v", got, live)
+		}
+	})
+}
+
+// checkedWindowRefusals registers fleet rf at url, sends it the refusal
+// table and the two accepted bodies, and returns the fleet's status.
+// wal reads a durable server's journal; nil on an in-memory server.
+func checkedWindowRefusals(t *testing.T, url string, wal func() []byte) FleetStatus {
+	t.Helper()
+	if status, body := do(t, http.MethodPost, url+"/v1/fleets", registerBody("rf", 4, 8)); status != http.StatusCreated {
 		t.Fatalf("register: %d %s", status, body)
 	}
 	first := checkedBody(t, stampedWindow(4, 8, 1.001, 1000))
-	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", first); status != http.StatusOK {
+	if status, body := do(t, http.MethodPost, url+"/v1/fleets/rf/windows", first); status != http.StatusOK {
 		t.Fatalf("first window: %d %s", status, body)
 	}
 
@@ -119,8 +147,11 @@ func TestCheckedWindowRefusalsLeaveJournal(t *testing.T) {
 		{"resend", first, http.StatusOK},
 		{"workloads toWorkloads refuses", mustJSON(WindowRequest{Workloads: unnamed}), http.StatusBadRequest},
 	} {
-		before := readWAL(t, dir)
-		status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", checkedBody(t, tc.body))
+		var before []byte
+		if wal != nil {
+			before = wal()
+		}
+		status, body := do(t, http.MethodPost, url+"/v1/fleets/rf/windows", checkedBody(t, tc.body))
 		if status != tc.status {
 			t.Fatalf("%s: %d %s, want %d", tc.name, status, body, tc.status)
 		}
@@ -130,7 +161,10 @@ func TestCheckedWindowRefusalsLeaveJournal(t *testing.T) {
 				t.Fatalf("%s: acked %s (%v), want a duplicate of window 0", tc.name, body, err)
 			}
 		}
-		if after := readWAL(t, dir); !bytes.Equal(after, before) {
+		if wal == nil {
+			continue
+		}
+		if after := wal(); !bytes.Equal(after, before) {
 			t.Fatalf("%s: the journal is %d bytes, %d before, or its bytes changed", tc.name, len(after), len(before))
 		}
 	}
@@ -144,33 +178,43 @@ func TestCheckedWindowRefusalsLeaveJournal(t *testing.T) {
 	if err != nil || len(span) == len(guess) {
 		t.Fatalf("the body with another key decodes to a %d-byte span (%v), its guess %d", len(span), err, len(guess))
 	}
-	before := readWAL(t, dir)
-	if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/rf/windows", extra); status != http.StatusOK {
-		t.Fatalf("window with another key: %d %s", status, body)
+	// Another key first: the body has no guessed span.
+	unguessed := append([]byte(`{"collector":"v2",`), stampedWindow(4, 8, 1.004, 4000)[1:]...)
+	if guessSpan(unguessed) != nil {
+		t.Fatalf("a body whose first key is not workloads has a guessed span: %s", clip(unguessed))
 	}
-	after := readWAL(t, dir)
-	if !bytes.HasPrefix(after, before) {
-		t.Fatal("the journal before the window with another key was rewritten")
-	}
-	const header = 16 // payload length, CRC, seq
-	if frame := after[len(before):]; len(frame) < header || !bytes.Equal(frame[header:], wantRecord(t, "rf", extra)) {
-		t.Fatalf("the record of the window with another key is not framed around its span: %s", clip(frame))
+	for i, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"window with another key", extra},
+		{"window with another key first", unguessed},
+	} {
+		var before []byte
+		if wal != nil {
+			before = wal()
+		}
+		status, body := do(t, http.MethodPost, url+"/v1/fleets/rf/windows", tc.body)
+		var ack WindowResponse
+		if status != http.StatusOK || json.Unmarshal(body, &ack) != nil || ack.Duplicate || ack.Window != i+1 {
+			t.Fatalf("%s: %d %s, want window %d acked", tc.name, status, body, i+1)
+		}
+		if wal == nil {
+			continue
+		}
+		after := wal()
+		if !bytes.HasPrefix(after, before) {
+			t.Fatalf("the journal before the %s was rewritten", tc.name)
+		}
+		const header = 16 // payload length, CRC, seq
+		if frame := after[len(before):]; len(frame) < header || !bytes.Equal(frame[header:], wantRecord(t, "rf", tc.body)) {
+			t.Fatalf("the record of the %s is not framed around its span: %s", tc.name, clip(frame))
+		}
 	}
 
-	live := fleetStatus(t, ts.URL, "rf")
-	if live.Windows != 2 {
-		t.Fatalf("live fleet consumed %d windows, want 2", live.Windows)
+	live := fleetStatus(t, url, "rf")
+	if live.Windows != 3 {
+		t.Fatalf("live fleet consumed %d windows, want 3", live.Windows)
 	}
-	ts.Close()
-	if err := s.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	rs, rts := openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
-	defer func() { rts.Close(); rs.Close() }()
-	if rs.recovery.TornTail || rs.recovery.Windows != 2 {
-		t.Fatalf("recovery %+v, want the two windows and no torn tail", rs.recovery)
-	}
-	if got := fleetStatus(t, rts.URL, "rf"); got != live {
-		t.Fatalf("recovered %+v, live %+v", got, live)
-	}
+	return live
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,13 @@ func (m *fleetMetrics) observeTrigger(fevals, migrations int, elapsed time.Durat
 	m.buckets[b].Add(1)
 }
 
+// labelValue escapes a label value as the text exposition format defines
+// it: a backslash, a double quote and a line feed are escaped, and every
+// other character is written as it is. Go's %q would write escapes such as
+// \t or \u200b that the format does not have, and a scraper would refuse
+// the whole page for one fleet id.
+var labelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
+
 // writeFleetMetrics renders the registry gauge and every fleet's series in
 // Prometheus text exposition format, in the order sessions are listed.
 func writeFleetMetrics(w io.Writer, sessions []*session) {
@@ -62,7 +70,7 @@ func writeFleetMetrics(w io.Writer, sessions []*session) {
 	family := func(name, kind, help string, get func(*session) int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 		for _, sess := range sessions {
-			fmt.Fprintf(w, "%s{fleet=%q} %d\n", name, sess.id, get(sess))
+			fmt.Fprintf(w, "%s{fleet=\"%s\"} %d\n", name, labelValue(sess.id), get(sess))
 		}
 	}
 	family("kairos_windows_ingested_total", "counter", "Observation windows ingested.",
@@ -81,15 +89,16 @@ func writeFleetMetrics(w io.Writer, sessions []*session) {
 	const hist = "kairos_resolve_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Triggered re-solve latency.\n# TYPE %s histogram\n", hist, hist)
 	for _, sess := range sessions {
+		id := labelValue(sess.id)
 		var n int64
 		for i, le := range resolveBuckets {
 			n += sess.met.buckets[i].Load()
-			fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"%g\"} %d\n", hist, sess.id, le, n)
+			fmt.Fprintf(w, "%s_bucket{fleet=\"%s\",le=\"%g\"} %d\n", hist, id, le, n)
 		}
 		n += sess.met.buckets[len(resolveBuckets)].Load()
-		fmt.Fprintf(w, "%s_bucket{fleet=%q,le=\"+Inf\"} %d\n", hist, sess.id, n)
-		fmt.Fprintf(w, "%s_sum{fleet=%q} %g\n", hist, sess.id, time.Duration(sess.met.resolveNanos.Load()).Seconds())
-		fmt.Fprintf(w, "%s_count{fleet=%q} %d\n", hist, sess.id, n)
+		fmt.Fprintf(w, "%s_bucket{fleet=\"%s\",le=\"+Inf\"} %d\n", hist, id, n)
+		fmt.Fprintf(w, "%s_sum{fleet=\"%s\"} %g\n", hist, id, time.Duration(sess.met.resolveNanos.Load()).Seconds())
+		fmt.Fprintf(w, "%s_count{fleet=\"%s\"} %d\n", hist, id, n)
 	}
 }
 

@@ -112,9 +112,10 @@ type session struct {
 	// recordHead is the head of the fleet's window records (windowHead).
 	recordHead []byte
 	// turn is the fleet's lock, taken by sending into its one slot: a window
-	// handler holds it while it journals and applies the window, so windows
-	// apply in one serial order and re-solves never overlap. A channel, so
-	// that a window waiting for it also watches ctx and its collector.
+	// handler holds it while it decodes, journals and applies the window, so
+	// windows apply in one serial order and re-solves never overlap. It is
+	// the one writer kairos.Fleet asks its caller for. A channel, so that a
+	// window waiting for it also watches ctx and its collector.
 	turn chan struct{}
 	// ctx rides into the fleet's re-solves. It derives from the server's,
 	// and deregistering the fleet cancels it.
@@ -158,55 +159,6 @@ type ingestResp struct {
 	// or its workloads do not convert.
 	bad error
 	err error
-}
-
-// windowIn is a window request on its way to its fleet: the body, the
-// span its shape says it holds, and, once decoded, the window.
-type windowIn struct {
-	body []byte
-	// guess is the workloads value of a body shaped as a collector writes
-	// one (guessSpan), on a durable server; nil otherwise.
-	guess []byte
-	// decoded is set once decode has run; then either bad says why the
-	// body was refused, or window, key and span are the window's.
-	decoded bool
-	bad     error
-	window  []kairos.Workload
-	key     int64
-	span    []byte
-}
-
-// newWindowIn readies body for processWindow. On a durable server a body
-// shaped as a collector writes one keeps its guessed span and is decoded
-// there, while the journal writes its record; any other is decoded here,
-// and bad says whether it was refused.
-func (s *Server) newWindowIn(sess *session, body []byte) *windowIn {
-	in := &windowIn{body: body}
-	if s.jl != nil {
-		in.guess = guessSpan(body)
-	}
-	if in.guess == nil {
-		in.decode(sess.needDisk)
-	}
-	return in
-}
-
-// decode decodes the body and converts its workloads, once.
-func (in *windowIn) decode(needDisk bool) {
-	if in.decoded {
-		return
-	}
-	in.decoded = true
-	wire, span, err := decodeWindow(in.body)
-	if err != nil {
-		in.bad = fmt.Errorf("decoding window: %w", err)
-		return
-	}
-	if in.window, err = toWorkloads(wire, needDisk); err != nil {
-		in.bad = err
-		return
-	}
-	in.key, in.span = windowKey(wire), span
 }
 
 // errResend refuses the record of a window the ack ring already holds,
@@ -610,26 +562,40 @@ func windowKey(wire []WorkloadWire) int64 {
 // answers — journal the advance and apply that. Each apply is the function
 // replay calls for the same record. A trigger that backoff holds back,
 // whose re-solve fails or whose advance the journal refuses commits
-// nothing and needs no record. A window with a guessed span is decoded
-// here, while the journal writes the record framed around the guess; the
-// record commits only if the window decodes, is no resend and its span is
-// the guess, so a refused body or a resend leaves the journal as it was,
-// and a window whose span moved is journaled around its span once it is
-// known, as any other window is. The caller holds the fleet's turn and the
-// snapshot read-lock, so no snapshot sees a window without its advance.
-func (s *Server) processWindow(ctx context.Context, sess *session, in *windowIn) ingestResp {
-	// admit is what a window must pass to be journaled: it decodes, and
-	// it is no resend — a window already acked under its start-time key
-	// returns its original acknowledgement without being re-applied. The
-	// scan starts at the newest ack, the one a retry most likely wants.
-	var refusal *ingestResp
+// nothing and needs no record. Every window is decoded here, once; a body
+// whose span guessSpan can guess is decoded while the journal writes the
+// record framed around the guess. That record commits only if the window
+// decodes, is no resend and its span is the guess, so a refused body or a
+// resend leaves the journal as it was, and a window whose span moved is
+// journaled around its span once it is known, as a window with no guess
+// is. The caller holds the fleet's turn and the snapshot read-lock, so no
+// snapshot sees a window without its advance.
+func (s *Server) processWindow(ctx context.Context, sess *session, body []byte) ingestResp {
+	// admit is what a window must pass to be journaled: it decodes and
+	// converts, and it is no resend — a window already acked under its
+	// start-time key returns its original acknowledgement without being
+	// re-applied. The scan starts at the newest ack, the one a retry most
+	// likely wants. It runs once.
+	var (
+		refusal *ingestResp
+		window  []kairos.Workload
+		key     int64
+		span    []byte
+	)
 	admit := func() error {
-		if in.decode(sess.needDisk); in.bad != nil {
-			refusal = &ingestResp{bad: in.bad}
-			return in.bad
+		wire, sp, err := decodeWindow(body)
+		if err != nil {
+			err = fmt.Errorf("decoding window: %w", err)
+		} else {
+			window, err = toWorkloads(wire, sess.needDisk)
 		}
+		if err != nil {
+			refusal = &ingestResp{bad: err}
+			return err
+		}
+		key, span = windowKey(wire), sp
 		for i := len(sess.acks) - 1; i >= 0; i-- {
-			if ack := sess.acks[i]; ack.StartUnix == in.key {
+			if ack := sess.acks[i]; ack.StartUnix == key {
 				refusal = &ingestResp{window: ack.Window, triggered: ack.Triggered, duplicate: true}
 				return errResend
 			}
@@ -639,24 +605,25 @@ func (s *Server) processWindow(ctx context.Context, sess *session, in *windowIn)
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	span, check := in.guess, func() error {
+	guess := guessSpan(body)
+	payload, check := guess, func() error {
 		if err := admit(); err != nil {
 			return err
 		}
-		if len(in.span) != len(in.guess) || &in.span[0] != &in.guess[0] {
+		if len(span) != len(guess) || &span[0] != &guess[0] {
 			return errSpanMoved
 		}
 		return nil
 	}
-	if span == nil {
+	if guess == nil {
 		if admit() != nil {
 			return *refusal
 		}
-		span, check = in.span, nil
+		payload, check = span, nil
 	}
-	winTok, err := s.appendPayload(check, sess.recordHead, span, windowTail)
+	winTok, err := s.appendPayload(check, sess.recordHead, payload, windowTail)
 	if err == errSpanMoved {
-		winTok, err = s.appendPayload(nil, sess.recordHead, in.span, windowTail)
+		winTok, err = s.appendPayload(nil, sess.recordHead, span, windowTail)
 	}
 	switch {
 	case refusal != nil:
@@ -664,7 +631,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, in *windowIn)
 	case err != nil:
 		return ingestResp{journalErr: fmt.Errorf("journaling window: %w", err)}
 	}
-	index, fired, err := sess.applyWindow(winTok, in.window, in.key)
+	index, fired, err := sess.applyWindow(winTok, window, key)
 	if err != nil || !fired {
 		sess.met.observeWindow(err != nil)
 		return ingestResp{window: index, err: err}
@@ -776,10 +743,14 @@ func (sess *session) bumpBackoff() (int, time.Duration) {
 // hold is called by a window or registration handler about to decode its
 // body. While another such request is in flight it holds a slot of the CPU
 // budget for the rest of the handler, even one a split chunk of the other
-// request has yet to give back: with two collectors on two cores, one
-// decodes while the other's handler holds its fleet's turn and runs the
-// fleet's window, and a chunk or a solver helper of either would take that
-// handler's core. The returned func gives the slot back.
+// request has yet to give back, so a decode splits into fewer chunks. With
+// two requests in flight the cores are not free while a window decodes
+// under its fleet's turn: the other request reads its body, and a durable
+// server's journal writes the record on a goroutine of its own. A chunk
+// there contends with that work instead of running beside it; with two
+// collectors at one durable fleet (steady-ingest), dropping the hold made
+// the median window about 9 % slower. The returned func gives the slot
+// back.
 func (s *Server) hold() (release func()) {
 	if s.live.Load() > 1 {
 		cpu.Hold()
@@ -788,10 +759,9 @@ func (s *Server) hold() (release func()) {
 	return func() {}
 }
 
-// handleWindow is POST /v1/fleets/{id}/windows: decode the window, take
-// the fleet's turn, journal and apply the window, and acknowledge it
-// (including whether it triggered a re-solve). A body the journal can
-// write while it decodes is decoded under the turn (newWindowIn).
+// handleWindow is POST /v1/fleets/{id}/windows: take the fleet's turn,
+// decode, journal and apply the window under it, and acknowledge it
+// (including whether it triggered a re-solve).
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
 	if sess == nil {
@@ -808,11 +778,6 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.hold()()
-	in := s.newWindowIn(sess, body)
-	if in.bad != nil {
-		writeErr(w, http.StatusBadRequest, "%v", in.bad)
-		return
-	}
 	select {
 	case sess.turn <- struct{}{}:
 	case <-sess.ctx.Done():
@@ -831,7 +796,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.writeStopped(w, sess)
 		return
 	}
-	resp := s.processWindow(sess.ctx, sess, in)
+	resp := s.processWindow(sess.ctx, sess, body)
 	s.pauseRW.RUnlock()
 	<-sess.turn
 	s.maybeSnapshot()

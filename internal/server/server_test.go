@@ -459,6 +459,70 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing series %q", prefix)
 		}
 	}
+
+	// A fleet id may hold any character but '/' and a space. Each is written
+	// as the text format defines a label value — raw UTF-8, with only a
+	// backslash, a double quote and a line feed escaped — so no id can make
+	// the page unparseable for every fleet.
+	ids := []string{"tab\there", "zero\u200bwidth", "ctl\x01", `quote"back\slash`, "line\nfeed"}
+	for _, id := range ids {
+		if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody(id, 2, 4)); status != http.StatusCreated {
+			t.Fatalf("register %q: %d %s", id, status, body)
+		}
+	}
+	if status, body = do(t, http.MethodGet, ts.URL+"/metrics", nil); status != http.StatusOK {
+		t.Fatalf("metrics: %d", status)
+	}
+	seen := fleetLabels(t, string(body))
+	for _, id := range append(ids, "m1") {
+		// Six counter families and the histogram's 11 buckets, sum and count.
+		if seen[id] != 19 {
+			t.Errorf("fleet %q labels %d series, want 19", id, seen[id])
+		}
+	}
+	if len(seen) != len(ids)+1 {
+		t.Errorf("labels name %d fleets, want %d: %q", len(seen), len(ids)+1, seen)
+	}
+}
+
+// fleetLabels reads the fleet label of every series on a /metrics page
+// and counts the series per fleet id. It fails the test on a label value
+// the text exposition format cannot parse: one with an escape other than
+// \\, \" and \n, or one that does not close on its line.
+func fleetLabels(t *testing.T, text string) map[string]int {
+	t.Helper()
+	seen := map[string]int{}
+	for _, line := range strings.Split(text, "\n") {
+		_, v, ok := strings.Cut(line, `{fleet="`)
+		if !ok {
+			continue
+		}
+		var id strings.Builder
+	value:
+		for i := 0; ; i++ {
+			if i == len(v) {
+				t.Fatalf("label value never closes: %q", line)
+			}
+			switch c := v[i]; c {
+			case '"':
+				break value
+			case '\\':
+				i++
+				switch {
+				case i < len(v) && v[i] == 'n':
+					id.WriteByte('\n')
+				case i < len(v) && (v[i] == '\\' || v[i] == '"'):
+					id.WriteByte(v[i])
+				default:
+					t.Fatalf("label value escape the format does not have: %q", line)
+				}
+			default:
+				id.WriteByte(c)
+			}
+		}
+		seen[id.String()]++
+	}
+	return seen
 }
 
 // TestFleetMetricsFollowRegistry: a fleet's series live in its session.

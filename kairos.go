@@ -27,8 +27,11 @@
 // computes the plan; Observe streams monitored observation windows through
 // the drift detector (internal/drift) and re-solves warm from the
 // incumbent exactly when the fleet's behaviour departs from the plan's
-// assumptions; Plan and Window expose the current state. The handle is
-// safe for concurrent use, so many collectors can feed one session.
+// assumptions; Plan and Window expose the current state. The handle has
+// one writer: the caller runs its mutating verbs one at a time (several
+// collectors feed one session through a queue or a lock of the caller's),
+// while Plan, Incumbent and Window may be read from any goroutine beside
+// it.
 //
 // Quick start:
 //
