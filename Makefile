@@ -104,14 +104,15 @@ race-full:
 # turn (a deregistration, Close, a collector gone), and a window whose
 # record the journal writes on a goroutine of its own while the window's
 # split decode runs (a crash before the commit, refused bodies, a resend),
-# with the journal's checked append under contention; the budget itself; the solver's
+# and a window that decodes while it waits for its fleet's turn, with the
+# journal's checked append under contention; the budget itself; the solver's
 # fork sites — speculated K probes, cold-seed climbs, greedy packings and
 # shards — with Resolve beside them; and a Fleet's one writer observing
 # beside readers of its plan, on one core, two and eight.
 race-server:
 	$(GO) test -race ./internal/server/
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow|WindowDecodesBeforeItsTurn' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 -run 'AppendChecked|AppendWaitsForCheckedAppend|FramesOnDisk' ./internal/journal/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/

@@ -544,24 +544,30 @@ func TestLoadStateSwapPricingAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEnvelopeViolationBoundary pins the aligned boundary semantics inside
-// the objective: with the envelope clamped to 0 at a huge working set, an
-// idle machine (rate 0) is feasible, and any positive rate is a violation —
-// the old `maxRate > 0` guard silently skipped that check.
+// TestEnvelopeViolationBoundary pins the envelope's boundary rule where it
+// runs, inside the objective: exactly at the envelope is feasible, strictly
+// beyond it is not, and a zero envelope admits only the zero rate — the
+// same "at capacity is feasible" convention the objective applies to CPU,
+// RAM and the disk-write budget. With the envelope clamped to 0 at a huge
+// working set, an idle machine (rate 0) is feasible, and any positive rate
+// is a violation — the old `maxRate > 0` guard silently skipped that check.
 func TestEnvelopeViolationBoundary(t *testing.T) {
 	start := time.Unix(0, 0)
 	step := 5 * time.Minute
 	T := 4
-	mk := func(rate float64) *Problem {
+	// violation prices one workload at rate rows/s alone on a machine whose
+	// envelope is envelope at a working set of wsBytes.
+	violation := func(rate, wsBytes float64, envelope ...float64) float64 {
+		t.Helper()
 		w := Workload{
 			Name:       "w0",
 			CPU:        series.Constant(start, step, T, 0.1),
 			RAMBytes:   series.Constant(start, step, T, 1e9),
-			WSBytes:    series.Constant(start, step, T, 50000e6), // envelope clamps to 0
+			WSBytes:    series.Constant(start, step, T, wsBytes),
 			UpdateRate: series.Constant(start, step, T, rate),
 			PinTo:      -1,
 		}
-		return &Problem{
+		ev, err := NewEvaluator(&Problem{
 			Workloads: []Workload{w},
 			Machines: []Machine{{
 				Name: "m0", CPUCapacity: 1, RAMBytes: 64e9, DiskWriteBps: 1e12,
@@ -569,25 +575,36 @@ func TestEnvelopeViolationBoundary(t *testing.T) {
 			Disk: &model.DiskProfile{
 				// Zero write fit isolates the envelope term.
 				Fit:         polyfit.Poly2D{Degree: 2, Coeffs: []float64{0, 0, 0, 0, 0, 0}},
-				Envelope:    polyfit.Poly1D{Coeffs: []float64{9000, -1.5}},
+				Envelope:    polyfit.Poly1D{Coeffs: envelope},
 				HasEnvelope: true,
 				WSMinMB:     100,
 				WSMaxMB:     100000,
 			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.serverEval(0, []int{0}).Violation
+	}
+	for _, c := range []struct {
+		rate, max float64
+		feasible  bool
+	}{
+		{0, 0, true},     // idle placement over a saturated working set
+		{0, 100, true},   // idle under headroom
+		{100, 100, true}, // exactly at the envelope
+		{100.01, 100, false},
+		{1, 0, false}, // any positive rate over a zero envelope
+	} {
+		if v := violation(c.rate, 1e9, c.max); (v == 0) != c.feasible {
+			t.Errorf("rate %v under a flat envelope of %v: violation = %v, want feasible %v", c.rate, c.max, v, c.feasible)
 		}
 	}
-	evIdle, err := NewEvaluator(mk(0))
-	if err != nil {
-		t.Fatal(err)
+	const saturated = 50000e6 // the fitted envelope clamps to 0 here
+	if v := violation(0, saturated, 9000, -1.5); v != 0 {
+		t.Errorf("idle rate over zero envelope: violation = %v, want 0", v)
 	}
-	if sl := evIdle.serverEval(0, []int{0}); sl.Violation != 0 {
-		t.Errorf("idle rate over zero envelope: violation = %v, want 0", sl.Violation)
-	}
-	evBusy, err := NewEvaluator(mk(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sl := evBusy.serverEval(0, []int{0}); sl.Violation <= 0 {
-		t.Errorf("positive rate over zero envelope: violation = %v, want > 0", sl.Violation)
+	if v := violation(10, saturated, 9000, -1.5); v <= 0 {
+		t.Errorf("positive rate over zero envelope: violation = %v, want > 0", v)
 	}
 }

@@ -475,8 +475,8 @@ func (ev *Evaluator) pricePeaks(j int, cpuPeak, ramPeak, diskPeak, slaCap float6
 	if d := ev.p.Disk; d != nil {
 		diskCap := ev.capDisk[j]
 		if d.HasEnvelope && len(rateSum) > 0 {
-			// Boundary rule (model.EnvelopeFeasible): exactly at the
-			// envelope is feasible, and a clamped-to-zero envelope admits
+			// The envelope's boundary rule (TestEnvelopeViolationBoundary):
+			// exactly at the envelope is feasible, and a clamped-to-zero envelope admits
 			// only a zero rate — strict excess is always a violation, with
 			// the denominator floored so the penalty stays finite.
 			wsSum = wsSum[:ev.wsSteps()]

@@ -338,8 +338,8 @@ func (ev *Evaluator) FractionalLowerBound() int {
 				pred := ev.p.Disk.PredictWriteMBps(ws/float64(n), rate/float64(n)) * 1e6
 				ok := pred <= diskCap[n-1]
 				if ok && ev.p.Disk.HasEnvelope {
-					// Boundary rule (model.EnvelopeFeasible): at the
-					// envelope is feasible, beyond it is not.
+					// The envelope's boundary rule: at the envelope is
+					// feasible, beyond it is not (TestEnvelopeViolationBoundary).
 					ok = rate/float64(n) <= ev.p.Disk.MaxRowsPerSec(ws/float64(n))
 				}
 				if ok {

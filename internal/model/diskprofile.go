@@ -94,26 +94,17 @@ func (p *DiskProfile) PredictWriteMBps(wsBytes, rowsPerSec float64) float64 {
 // The fitted quadratic can dip negative for working sets near the top of the
 // sweep range; a negative sustainable rate is meaningless, so the result is
 // clamped to 0. A zero envelope means "no update rate is sustainable at this
-// working set": per the boundary rule (see EnvelopeFeasible), an aggregate
-// rate of exactly 0 is still feasible there, and any positive rate is not.
+// working set". Callers read the envelope with one boundary rule: an
+// aggregate rate at most the envelope is feasible, exactly at it included,
+// so a rate of exactly 0 is still feasible over a zero envelope, and any
+// positive rate is not (core's objective and its disk split count apply it;
+// core's TestEnvelopeViolationBoundary pins it).
 func (p *DiskProfile) MaxRowsPerSec(wsBytes float64) float64 {
 	v := p.Envelope.Eval(float64(p.clampWS(unit.MB(wsBytes / 1e6))))
 	if v < 0 {
 		return 0
 	}
 	return v
-}
-
-// EnvelopeFeasible is the single boundary rule every envelope check in the
-// system uses: an aggregate row-update rate is sustainable iff it does not
-// exceed the envelope, with exactly-at-envelope counting as feasible — the
-// same "at capacity is feasible" convention core's objective applies to CPU,
-// RAM and the disk-write budget. With a zero (clamped) envelope only a zero
-// rate passes; the old `rate >= max` / `max > 0` variants either rejected
-// idle placements (rate 0 vs envelope 0) or silently disabled the check for
-// large working sets. Both rates are in rows/s.
-func EnvelopeFeasible(rowsPerSec, maxRowsPerSec float64) bool {
-	return rowsPerSec <= maxRowsPerSec
 }
 
 // Save writes the profile as JSON.

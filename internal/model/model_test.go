@@ -373,24 +373,3 @@ func TestMaxRowsPerSecClampsNegativeEnvelope(t *testing.T) {
 		t.Errorf("MaxRowsPerSec(50 GB) = %v, want 0 (clamped)", got)
 	}
 }
-
-// TestEnvelopeFeasibleBoundary pins the single boundary rule: exactly at
-// the envelope is feasible, strictly beyond is not, and a zero envelope
-// admits exactly the zero rate.
-func TestEnvelopeFeasibleBoundary(t *testing.T) {
-	cases := []struct {
-		rate, max float64
-		want      bool
-	}{
-		{0, 0, true},     // idle placement over a saturated working set
-		{0, 100, true},   // idle under headroom
-		{100, 100, true}, // exactly at the envelope
-		{100.01, 100, false},
-		{1, 0, false}, // any positive rate over a zero envelope
-	}
-	for _, c := range cases {
-		if got := EnvelopeFeasible(c.rate, c.max); got != c.want {
-			t.Errorf("EnvelopeFeasible(%v, %v) = %v, want %v", c.rate, c.max, got, c.want)
-		}
-	}
-}

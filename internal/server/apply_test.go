@@ -159,6 +159,13 @@ func TestCrashBetweenWindowAndOutcome(t *testing.T) {
 	samePlan(t, "replayed advance vs live", replayedPlan, advancedPlan)
 }
 
+// ingest runs body through processWindow as its handler does once it holds
+// the fleet's turn without having waited for it: the window decoding from
+// the start, and journaled while it decodes when its span can be guessed.
+func ingest(ctx context.Context, s *Server, sess *session, body []byte) ingestResp {
+	return s.processWindow(ctx, sess, body, startDecode(body, sess.needDisk), false)
+}
+
 // TestFailedSolveWindowIsAcked: a window whose re-solve failed is consumed
 // and journaled, so it must be in the ack ring like any other — a live
 // retry deduplicates instead of feeding the detector and the forecast
@@ -178,10 +185,10 @@ func TestFailedSolveWindowIsAcked(t *testing.T) {
 	body := stampedWindow(4, 8, 1.3, 1000)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if resp := s.processWindow(cancelled, sess, body); !errors.Is(resp.err, context.Canceled) {
+	if resp := ingest(cancelled, s, sess, body); !errors.Is(resp.err, context.Canceled) {
 		t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)
 	}
-	retry := s.processWindow(context.Background(), sess, body)
+	retry := ingest(context.Background(), s, sess, body)
 	if retry.err != nil || !retry.duplicate || retry.triggered || retry.window != 0 {
 		t.Fatalf("live retry answered %+v, want duplicate of (0, untriggered)", retry)
 	}
@@ -223,7 +230,7 @@ func TestUncommittedTriggerRestart(t *testing.T) {
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			sess.turn <- struct{}{}
-			resp := s.processWindow(cancelled, sess, stampedWindow(4, 8, 1.3, 2000))
+			resp := ingest(cancelled, s, sess, stampedWindow(4, 8, 1.3, 2000))
 			<-sess.turn
 			if !errors.Is(resp.err, context.Canceled) {
 				t.Fatalf("window with a cancelled re-solve answered %+v, want the cancellation", resp)

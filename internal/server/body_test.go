@@ -70,11 +70,32 @@ func windowsHolding(t *testing.T, n int) {
 	stackWait(t, n, "(*Server).handleWindow", "(*RWMutex).RLock")
 }
 
+// logGate returns a server log function that holds each line logging a
+// re-solve's event until gate closes: the window handler whose window
+// triggered it waits there, holding its fleet's turn.
+func logGate(t *testing.T, gate chan struct{}) func(string, ...any) {
+	return func(format string, args ...any) {
+		if format == "fleet %q: %v" {
+			<-gate
+		}
+		t.Logf(format, args...)
+	}
+}
+
 // windowsHoldingInLog waits until n window handlers hold their fleet's
-// turn and wait in the server's log function, which the test gates.
+// turn and wait in the log function logGate returned. A handler waiting
+// for its window's decode waits in processWindow too, but not there.
 func windowsHoldingInLog(t *testing.T, n int) {
 	t.Helper()
-	stackWait(t, n, "(*Server).processWindow", "[chan receive]")
+	stackWait(t, n, "(*Server).processWindow", "logGate", "[chan receive]")
+}
+
+// decodeRunning reports whether a window's decode, started when its body
+// arrived (startDecode), is still decoding or converting it.
+func decodeRunning() bool {
+	n, _ := stacksNaming("server.startDecode", "server.decodeWindow")
+	m, _ := stacksNaming("server.startDecode", "server.toWorkloads")
+	return n+m > 0
 }
 
 // inFlight is a request the handler answers on its own goroutine.
@@ -131,7 +152,8 @@ func wantRecord(t *testing.T, id string, body []byte) []byte {
 
 // TestRecycledBodyLifetime: a window's body is not read into by another
 // request while its handler can still read the span — not when the
-// collector goes away after the window took its fleet's turn, not when
+// collector goes away after the window took its fleet's turn, not when it
+// goes away while the window decodes and waits for the turn, not when
 // the fleet is deregistered while the window holds the turn, and not when
 // the journal refuses the record. In each case the other collector's body
 // goes to a fresh buffer, both records hold the bytes that arrived, and
@@ -199,6 +221,68 @@ func TestRecycledBodyLifetime(t *testing.T) {
 		journaledBoth(t, s, dir, bodyA, bodyB)
 	})
 
+	t.Run("collector gone while decoding", func(t *testing.T) {
+		// Three copies of a 197-server window's workloads decode for tens of
+		// milliseconds: long enough for the collector to go away while the
+		// window decodes and waits for fleet a's turn, which the test holds.
+		// The handler answers nothing, and its body reaches the free list
+		// only once the decode has ended.
+		s, dir := setup(t, nil, nil)
+		h := s.Handler()
+		s.mu.Lock()
+		sess := s.fleets["a"]
+		s.mu.Unlock()
+		one, okHead := bytes.CutPrefix(window197(t), []byte(`{"workloads":[`))
+		one, okTail := bytes.CutSuffix(one, []byte("]}"))
+		if !okHead || !okTail {
+			t.Fatal("the 197-server window is not shaped as mustJSON writes one")
+		}
+		big := []byte(`{"workloads":[` + strings.Repeat(string(one)+",", 2) + string(one) + "]}")
+		sess.turn <- struct{}{}
+		for try := 1; ; try++ {
+			parsed := parsedNumbers.Load()
+			ctx, disconnect := context.WithCancel(context.Background())
+			f := startRequest(ctx, h, http.MethodPost, "/v1/fleets/a/windows", big)
+			stackWait(t, 1, "(*Server).handleWindow", "[select]")
+			// The decode has not parsed the window yet (it may not have
+			// started): parsedNumbers rises at a document's end.
+			n, _ := stacksNaming("server.startDecode")
+			decoding := n > 0 && parsedNumbers.Load() == parsed
+			disconnect()
+			select {
+			case <-f.done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("try %d: no return after 10s", try)
+			}
+			// The handler has returned, so its body is on the free list.
+			if parsedNumbers.Load() == parsed || decodeRunning() {
+				t.Fatalf("try %d: a body was given back while its window decodes", try)
+			}
+			if f.rec.Body.Len() != 0 {
+				t.Fatalf("try %d: the window of a collector that went away was answered %d %s", try, f.rec.Code, f.rec.Body)
+			}
+			if n := len(s.bodies); n != 1 {
+				t.Fatalf("try %d: %d bodies given back after the handler returned, want 1", try, n)
+			}
+			<-s.bodies
+			if decoding {
+				break
+			}
+			if try == 20 {
+				t.Fatal("in 20 tries the window had always decoded before its collector went away")
+			}
+		}
+		<-sess.turn
+		if err := s.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range journalRecords(t, dir) {
+			if bytes.HasPrefix(r.Payload, []byte(`{"window":`)) {
+				t.Fatal("the window of a collector that went away was journaled")
+			}
+		}
+	})
+
 	t.Run("deregistered mid-ingest", func(t *testing.T) {
 		// The windows drift, and wait in the log line of the re-solve they
 		// triggered, not at the snapshot lock: the deregistration takes that
@@ -209,12 +293,7 @@ func TestRecycledBodyLifetime(t *testing.T) {
 			t.Fatal("the second window must fit in the first one's buffer")
 		}
 		gate := make(chan struct{})
-		s, dir := setup(t, nil, func(format string, args ...any) {
-			if format == "fleet %q: %v" {
-				<-gate
-			}
-			t.Logf(format, args...)
-		})
+		s, dir := setup(t, nil, logGate(t, gate))
 		h := s.Handler()
 		a := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/a/windows", driftA)
 		windowsHoldingInLog(t, 1)

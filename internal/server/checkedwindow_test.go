@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"kairos/internal/journal"
 )
@@ -217,4 +220,100 @@ func checkedWindowRefusals(t *testing.T, url string, wal func() []byte) FleetSta
 		t.Fatalf("live fleet consumed %d windows, want 3", live.Windows)
 	}
 	return live
+}
+
+// TestWindowDecodesBeforeItsTurn: a window decodes while it waits for its
+// fleet's turn. One that has decoded by the time it takes the turn is
+// journaled around its decoded span with one plain append, and the journal
+// holds byte for byte what the checked append writes for the same body. A
+// resend and a malformed body that wait for the turn are answered as ever
+// and leave the journal as it was, and no goroutine outlives the requests.
+func TestWindowDecodesBeforeItsTurn(t *testing.T) {
+	window := checkedBody(t, stampedWindow(4, 8, 1.001, 1000))
+	opt := journal.Options{Sync: journal.SyncAlways}
+
+	// The checked append's journal: the same registration and window, with
+	// the turn free when the window arrives.
+	checkedDir := t.TempDir()
+	cs, err := Open(Config{StateDir: checkedDir, Journal: opt, SnapshotEvery: 256, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustServe(t, cs, http.MethodPost, "/v1/fleets", registerBody("dw", 4, 8), http.StatusCreated)
+	mustServe(t, cs, http.MethodPost, "/v1/fleets/dw/windows", window, http.StatusOK)
+	if err := cs.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	checked := readWAL(t, checkedDir)
+
+	dir := t.TempDir()
+	s, err := Open(Config{StateDir: dir, Journal: opt, SnapshotEvery: 256, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	mustServe(t, s, http.MethodPost, "/v1/fleets", registerBody("dw", 4, 8), http.StatusCreated)
+	s.mu.Lock()
+	sess := s.fleets["dw"]
+	s.mu.Unlock()
+	h := s.Handler()
+	base := runtime.NumGoroutine()
+
+	// post sends body while the test holds the turn, waits until the window
+	// has decoded and still waits for the turn, then lets it go on.
+	post := func(name string, body []byte, want int) WindowResponse {
+		t.Helper()
+		sess.turn <- struct{}{}
+		parsed := parsedNumbers.Load()
+		f := startRequest(context.Background(), h, http.MethodPost, "/v1/fleets/dw/windows", body)
+		stackWait(t, 1, "(*Server).handleWindow", "[select]")
+		// The window's decode goroutine ends while the turn is held.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			n, buf := stacksNaming("server.startDecode")
+			if n == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the decode goroutine has not ended after 10s:\n%s", name, buf)
+			}
+		}
+		if want == http.StatusOK && parsedNumbers.Load() == parsed {
+			t.Fatalf("%s: no sample was parsed while the turn was held", name)
+		}
+		select {
+		case <-f.done:
+			t.Fatalf("%s: answered %d %s before it had the turn", name, f.rec.Code, f.rec.Body)
+		default:
+		}
+		<-sess.turn
+		f.answer(t, name, want)
+		var ack WindowResponse
+		if want == http.StatusOK {
+			if err := json.Unmarshal(f.rec.Body.Bytes(), &ack); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ack
+	}
+
+	if ack := post("window", window, http.StatusOK); ack.Duplicate || ack.Window != 0 {
+		t.Fatalf("window acked %+v, want window 0", ack)
+	}
+	if wal := readWAL(t, dir); !bytes.Equal(wal, checked) {
+		t.Fatalf("the journal is %d bytes, %d after the checked append, or its bytes differ", len(wal), len(checked))
+	}
+	if ack := post("resend", window, http.StatusOK); !ack.Duplicate || ack.Window != 0 {
+		t.Fatalf("resend acked %+v, want a duplicate of window 0", ack)
+	}
+	malformed := bytes.Replace(stampedWindow(4, 8, 1.002, 2000), []byte(`"cpu":[`), []byte(`"cpu":[+`), 1)
+	post("malformed number", malformed, http.StatusBadRequest)
+	if wal := readWAL(t, dir); !bytes.Equal(wal, checked) {
+		t.Fatalf("after the resend and the malformed body the journal is %d bytes, %d before, or its bytes changed", len(wal), len(checked))
+	}
+	if n := sess.met.decodedWaiting.Load(); n != 3 {
+		t.Errorf("%d windows counted as decoded while waiting, want 3", n)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the requests, %d before", n, base)
+	}
 }

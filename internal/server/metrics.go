@@ -20,6 +20,10 @@ type fleetMetrics struct {
 	triggers     atomic.Int64
 	fevals       atomic.Int64
 	migrations   atomic.Int64
+	// decodedWaiting counts the windows that waited for the fleet's turn
+	// and had decoded by the time they took it: a second collector's
+	// window that did not idle behind the first one's decode.
+	decodedWaiting atomic.Int64
 	// resolveNanos and buckets are kairos_resolve_duration_seconds: the
 	// summed latency and one count per bucket, the last for re-solves past
 	// every bound. Counts are kept per bucket, not cumulative, and summed
@@ -83,6 +87,8 @@ func writeFleetMetrics(w io.Writer, sessions []*session) {
 		func(sess *session) int64 { return sess.met.fevals.Load() })
 	family("kairos_migrations_total", "counter", "Units migrated by triggered re-solves.",
 		func(sess *session) int64 { return sess.met.migrations.Load() })
+	family("kairos_windows_decoded_waiting_total", "counter", "Observation windows that decoded while they waited for the fleet's turn.",
+		func(sess *session) int64 { return sess.met.decodedWaiting.Load() })
 	family("kairos_resolve_failures_consecutive", "gauge", "Consecutive failed re-solves (drives the solver backoff).",
 		func(sess *session) int64 { return sess.failures.Load() })
 

@@ -441,6 +441,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kairos_triggers_total{fleet="m1"} 1`,
 		`kairos_resolve_duration_seconds_count{fleet="m1"} 1`,
 		`kairos_resolve_duration_seconds_bucket{fleet="m1",le="+Inf"} 1`,
+		// One collector never waits for the fleet's turn.
+		`kairos_windows_decoded_waiting_total{fleet="m1"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
@@ -475,9 +477,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	seen := fleetLabels(t, string(body))
 	for _, id := range append(ids, "m1") {
-		// Six counter families and the histogram's 11 buckets, sum and count.
-		if seen[id] != 19 {
-			t.Errorf("fleet %q labels %d series, want 19", id, seen[id])
+		// Seven counter families and the histogram's 11 buckets, sum and count.
+		if seen[id] != 20 {
+			t.Errorf("fleet %q labels %d series, want 20", id, seen[id])
 		}
 	}
 	if len(seen) != len(ids)+1 {

@@ -51,7 +51,7 @@ func TestShutdownAbortsInflightSolve(t *testing.T) {
 	answered := make(chan ingestResp, 1)
 	go func() {
 		s.pauseRW.RLock()
-		resp := s.processWindow(sess.ctx, sess, mustJSON(WindowRequest{Workloads: wireWorkloads(baseline, 1.12)}))
+		resp := ingest(sess.ctx, s, sess, mustJSON(WindowRequest{Workloads: wireWorkloads(baseline, 1.12)}))
 		s.pauseRW.RUnlock()
 		<-sess.turn
 		answered <- resp

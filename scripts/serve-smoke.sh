@@ -95,6 +95,7 @@ for want in \
 	'kairos_fleets 1' \
 	'kairos_windows_ingested_total{fleet="smoke"} 2' \
 	'kairos_triggers_total{fleet="smoke"} 1' \
+	'kairos_windows_decoded_waiting_total{fleet="smoke"} 0' \
 	'kairos_wire_numbers_slow_total 0' \
 	'kairos_wire_split_chunks_total{outcome="discarded"} 0' \
 	'kairos_cpu_budget_in_use 0' \
