@@ -70,7 +70,7 @@ CORES_BENCH = Decode(Window|Register)197/fast|ColdSolve(ALL197|SecondLife97Direc
 # above.
 SOLVE_BENCH = EvalDirectReplay|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
-.PHONY: build test test-full race race-full race-server crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint fma-check loc fmt ci
+.PHONY: build test test-full race race-full race-server race-cores crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint fma-check loc fmt ci
 
 build:
 	$(GO) build ./...
@@ -93,30 +93,38 @@ race-full:
 	$(GO) test -race ./...
 
 # Control-plane tests under the race detector, full (not -short): includes
-# the 197-server HTTP e2e with concurrent collectors. Then the recovery
-# tests again at -cpu 1,4: replay's decode helpers are the CPU budget's
-# free slots, GOMAXPROCS - 1, so this races the apply loop decoding alone,
-# and beside three helpers, whatever the machine's core count. Then the
-# live decoders' split with one, two and eight chunks, the hold a second
-# request takes, a recycled request body, which is not read into again
-# while its handler can read the window's span (a collector gone, a
-# deregistration, a refused append), a window waiting for its fleet's
-# turn (a deregistration, Close, a collector gone), and a window whose
-# record the journal writes on a goroutine of its own while the window's
-# split decode runs (a crash before the commit, refused bodies, a resend),
-# and a window that decodes while it waits for its fleet's turn, with the
-# journal's checked append under contention; the budget itself; the solver's
-# fork sites — speculated K probes, cold-seed climbs, greedy packings and
-# shards — with Resolve beside them; and a Fleet's one writer observing
-# beside readers of its plan, on one core, two and eight.
+# the 197-server HTTP e2e with concurrent collectors. Then race-cores.
 race-server:
 	$(GO) test -race ./internal/server/
+	$(MAKE) race-cores
+
+# The one list of the tests raced at several core counts; CI's race job
+# runs this target. The recovery tests at -cpu 1,4: replay's decode helpers
+# are the CPU budget's free slots, GOMAXPROCS - 1, so this races the apply
+# loop decoding alone, and beside three helpers, whatever the machine's
+# core count. Then, on one core, two and eight: the live decoders' split
+# with one, two and eight chunks, the hold a second request takes, a
+# recycled request body, which is not read into again while its handler
+# can read the window's span (a collector gone, a deregistration, a
+# refused append), a window waiting for its fleet's turn (a
+# deregistration, Close, a collector gone), a window whose record the
+# journal writes on a goroutine of its own while the window's split decode
+# runs (a crash before the commit, refused bodies, a resend), a window
+# that decodes while it waits for its fleet's turn, and a decoder panic
+# on either decode goroutine; the journal's checked append under
+# contention; the budget itself; the solver's fork sites — speculated K
+# probes, cold-seed climbs, greedy packings and shards — with Resolve's
+# scan-ahead and evaluator build beside them; the detector's split score;
+# and a Fleet's one writer observing beside readers of its plan, with the
+# split forecast.
+race-cores:
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
-	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow|WindowDecodesBeforeItsTurn' ./internal/server/
+	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow|WindowDecodesBeforeItsTurn|DecoderPanic' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 -run 'AppendChecked|AppendWaitsForCheckedAppend|FramesOnDisk' ./internal/journal/
 	$(GO) test -race -cpu 1,2,8 ./internal/cpu/
 	$(GO) test -race -cpu 1,2,8 -run 'Procs|Resolve|Golden' ./internal/core/
-	$(GO) test -race -cpu 1,2,8 -run 'FleetOneWriter' .
+	$(GO) test -race -cpu 1,2,8 ./internal/drift/
+	$(GO) test -race -cpu 1,2,8 -run 'FleetOneWriter|ForecastIndexMatchesScan' .
 
 # Crash matrix: the durability gate. Kills the journaled control plane at
 # every fault-injection point (append write/sync/commit, snapshot write/sync/

@@ -8,7 +8,9 @@ package kairos
 
 import (
 	"context"
+	"sort"
 	"testing"
+	"time"
 
 	"kairos/internal/core"
 	"kairos/internal/fleet"
@@ -109,5 +111,76 @@ func BenchmarkDriftWatch(b *testing.B) {
 			cadenceInc = core.IncumbentFromSolution(p, sol)
 		}
 		b.ReportMetric(float64(cadenceFevals), "cadence-fevals")
+	}
+}
+
+// BenchmarkTriggerPhases times the steps of a drift trigger's window after
+// its decode, on the 197-server ALL fleet: every window is one of two
+// drift states in turn, each a 5 % drift of the solved-against profiles,
+// and every window fires. One op is one trigger; the metrics are each
+// step's median: detect (the detector and the forecast history), forecast
+// (forecastWorkloads), build (NewEvaluator on the forecast), climb
+// (Resolve less one build: its seed, climbs and reduction) and advance
+// (the plan and the commit). Run it at -cpu 1 and 2 to see what the CPU
+// budget's helper slot takes off each.
+func BenchmarkTriggerPhases(b *testing.B) {
+	ctx := context.Background()
+	base := fleetProblem(fleet.All(), nil)
+	opt := core.DefaultSolveOptions()
+	opt.SkipDirect = true
+	prev, err := core.Solve(ctx, base, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resolve := DefaultResolveOptions()
+	resolve.SkipDirect = true
+	f, err := NewFleet(FleetSpec{Workloads: base.Workloads, Machines: base.Machines},
+		WithIncumbent(core.IncumbentFromSolution(base, prev)),
+		WithDrift(DriftConfig{Threshold: 0.01}), WithResolveOptions(resolve))
+	if err != nil {
+		b.Fatal(err)
+	}
+	states := [2][]Workload{driftFleet(base.Workloads, 0.05, 7), driftFleet(base.Workloads, 0.05, 8)}
+	names := [...]string{"detect-ms", "forecast-ms", "build-ms", "climb-ms", "advance-ms"}
+	var took [len(names)][]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		trig, err := f.detect(states[i%2])
+		if err != nil || trig == nil {
+			b.Fatalf("window %d: trigger %v, error %v", i, trig, err)
+		}
+		t1 := time.Now()
+		forecast, err := forecastWorkloads(f.orSpec(f.baseline), f.history)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		p := &Problem{Workloads: forecast, Machines: f.spec.Machines}
+		if _, err := core.NewEvaluator(p); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		sol, err := core.Resolve(ctx, p, f.view.Load().inc, resolve)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t4 := time.Now()
+		samples, err := driftSamples(forecast)
+		if err == nil {
+			err = f.commit(forecast, samples, newPlan(p, sol))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		t5 := time.Now()
+		for k, d := range []time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), t4.Sub(t3) - t3.Sub(t2), t5.Sub(t4)} {
+			took[k] = append(took[k], float64(d)/1e6)
+		}
+	}
+	b.StopTimer()
+	for k, name := range names {
+		sort.Float64s(took[k])
+		b.ReportMetric(took[k][len(took[k])/2], name)
 	}
 }

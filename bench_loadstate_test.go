@@ -133,7 +133,7 @@ func sweepMovesCoarse(ls *core.LoadState, K int, screen bool) (acc float64, exac
 }
 
 // sweepSwapsCoarse prices one 2-exchange swap sweep like the solver's
-// sweepSwaps (both sides' screens, best delta per unit; the solver also
+// swap sweep (both sides' screens, best delta per unit; the solver also
 // stages each side) without mutating the state.
 func sweepSwapsCoarse(ls *core.LoadState, screen bool) (acc float64, exact int) {
 	n := ls.NumUnits()

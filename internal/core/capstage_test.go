@@ -59,7 +59,7 @@ func WalkCapStage(t *testing.T, p *Problem, inc *Incumbent, K int, opt SolveOpti
 				break
 			}
 		}
-		if want := ev.hillClimbMig(context.Background(), start, K, 100, newMig(start)); !reflect.DeepEqual(ls.Assignment(), want.assign) {
+		if want := ev.hillClimbMig(context.Background(), start, K, 100, newMig(start), false); !reflect.DeepEqual(ls.Assignment(), want.assign) {
 			t.Fatalf("%s seed: the walk ended away from the climb's plan", sd.name)
 		}
 	}

@@ -100,23 +100,18 @@ const (
 // zero like the exact scans.
 type peaks struct{ cpu, ram, disk float64 }
 
-// unitPeakSteps returns, stride 2, the steps at which each unit's own CPU
-// and RAM demand peak.
-func unitPeakSteps(cpu, ram [][]float64) []int32 {
-	steps := make([]int32, 2*len(cpu))
-	for u := range cpu {
-		argC, argR := 0, 0
-		for t := range cpu[u] {
-			if cpu[u][t] > cpu[u][argC] {
-				argC = t
-			}
-			if ram[u][t] > ram[u][argR] {
-				argR = t
-			}
+// unitPeakSteps returns the steps at which a unit's own CPU and RAM demand
+// peak, the first of equal peaks.
+func unitPeakSteps(cpu, ram []float64) (argC, argR int32) {
+	for t := range cpu {
+		if cpu[t] > cpu[argC] {
+			argC = int32(t)
 		}
-		steps[2*u], steps[2*u+1] = int32(argC), int32(argR)
+		if ram[t] > ram[argR] {
+			argR = int32(t)
+		}
 	}
-	return steps
+	return argC, argR
 }
 
 // resample rebuilds machine j's CPU and RAM sample steps from its canonical
@@ -317,7 +312,7 @@ func (b *sideBound) value() float64 {
 }
 
 // prunes decides the screen check (cu + cv) − base + migU + migV ≥
-// bestDelta — sweepSwaps' delta, and bestMove's with cu the source's price
+// bestDelta — scanSwap's delta, and bestMove's with cu the source's price
 // and migV = 0, which changes no comparison — at the brackets' lower ends,
 // then their upper ends, and only when those disagree on the contributions
 // themselves: bit for bit the check's answer on the contributions.

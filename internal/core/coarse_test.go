@@ -761,7 +761,7 @@ func exactScanMove(ls *LoadState, u int) (bestJ, priced int) {
 	return bestJ, priced
 }
 
-// exactSweepSwaps is sweepSwaps as it ran before its checks read the exp
+// exactSweepSwaps is the swap sweep as it ran before its checks read the exp
 // bracket (no memo, no migration pricing). It returns the exact pricings.
 func exactSweepSwaps(ls *LoadState) (priced int) {
 	ev := ls.ev
@@ -842,7 +842,7 @@ func TestScreenMatchesExactScan(t *testing.T) {
 						}
 					}
 					before := ev.stats.Priced
-					ev.sweepSwaps(ctx, ls, nil, nil)
+					ev.sweep(ctx, ls, nil, nil, nil, &swapSweep)
 					priced := exactSweepSwaps(ref)
 					if !reflect.DeepEqual(ls.Assignment(), ref.Assignment()) || ev.stats.Priced-before != priced {
 						t.Fatalf("seed %d: the swap sweep priced %d candidates, the exact sweep %d, or their swaps differ", seed, ev.stats.Priced-before, priced)

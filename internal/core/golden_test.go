@@ -155,13 +155,17 @@ func TestGoldenSolves(t *testing.T) {
 // driftedCopy returns p with every workload's CPU and RAM scaled by its own
 // seeded factor in 1 ± 5 % — the golden warm row's and the warm benchmark's
 // drifted fleet.
-func driftedCopy(p *core.Problem) *core.Problem {
-	rng := rand.New(rand.NewSource(42))
+func driftedCopy(p *core.Problem) *core.Problem { return driftedBy(p, 0.05, 42) }
+
+// driftedBy scales every workload's CPU and RAM series by its own factor in
+// [1 − frac, 1 + frac], drawn from seed.
+func driftedBy(p *core.Problem, frac float64, seed int64) *core.Problem {
+	rng := rand.New(rand.NewSource(seed))
 	drifted := *p
 	drifted.Workloads = append([]core.Workload(nil), p.Workloads...)
 	for i := range drifted.Workloads {
 		w := &drifted.Workloads[i]
-		f := 1 + (rng.Float64()*2-1)*0.05
+		f := 1 + (rng.Float64()*2-1)*frac
 		w.CPU = w.CPU.Scale(f).Clamp(0, 1)
 		w.RAMBytes = w.RAMBytes.Scale(f)
 	}

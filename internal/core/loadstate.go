@@ -154,6 +154,62 @@ func NewLoadState(ev *Evaluator, assign []int, K int) *LoadState {
 	return ls
 }
 
+// copyInto makes dst a copy of ls that prices through ev (a clone of ls's
+// evaluator) and returns it: the same assignment, member lists, change
+// clock, sums and cached state, bit for bit, and scratch of its own. A
+// non-nil dst last copied from a LoadState of the same shape keeps its
+// buffers. The sweeps' scan-ahead scans on such a copy (scanAhead).
+func (ls *LoadState) copyInto(dst *LoadState, ev *Evaluator) *LoadState {
+	K, T := ls.k, ls.ev.T
+	if dst == nil || len(dst.changed) != len(ls.changed) || len(dst.assign) != len(ls.assign) {
+		disk := ls.sWS != nil
+		dst = &LoadState{
+			assign:    make([]int, len(ls.assign)),
+			members:   make([][]int, len(ls.members)),
+			changed:   make([]uint64, len(ls.changed)),
+			cpu:       make([][]float64, len(ls.cpu)),
+			ram:       make([][]float64, len(ls.ram)),
+			ws:        make([][]float64, len(ls.ws)),
+			rate:      make([][]float64, len(ls.rate)),
+			contrib:   make([]float64, len(ls.contrib)),
+			norm:      make([]float64, len(ls.norm)),
+			confPairs: make([]int, len(ls.confPairs)),
+			slaCap:    make([]float64, len(ls.slaCap)),
+			sample:    make([]int32, len(ls.sample)),
+			capTab:    make([]capSide, len(ls.capTab)),
+			sCPU:      make([]float64, T),
+			sRAM:      make([]float64, T),
+		}
+		for j := range dst.cpu {
+			dst.cpu[j], dst.ram[j] = make([]float64, T), make([]float64, T)
+			if disk {
+				dst.ws[j], dst.rate[j] = make([]float64, T), make([]float64, T)
+			}
+		}
+		if disk {
+			dst.sWS, dst.sRate = make([]float64, T), make([]float64, T)
+		}
+	}
+	dst.ev, dst.k, dst.clock, dst.nSample = ev, K, ls.clock, ls.nSample
+	copy(dst.assign, ls.assign)
+	copy(dst.changed, ls.changed)
+	copy(dst.contrib, ls.contrib)
+	copy(dst.norm, ls.norm)
+	copy(dst.confPairs, ls.confPairs)
+	copy(dst.slaCap, ls.slaCap)
+	copy(dst.sample, ls.sample)
+	for j := 0; j < K; j++ {
+		dst.members[j] = append(dst.members[j][:0], ls.members[j]...)
+		copy(dst.cpu[j], ls.cpu[j])
+		copy(dst.ram[j], ls.ram[j])
+		if ls.ws[j] != nil {
+			copy(dst.ws[j], ls.ws[j])
+			copy(dst.rate[j], ls.rate[j])
+		}
+	}
+	return dst
+}
+
 // K returns the current machine count (Fold shrinks it).
 func (ls *LoadState) K() int { return ls.k }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"kairos/internal/cpu"
 )
 
 // The pricing kernels in this file (accumulateInto and accumulate, addUnit
@@ -146,12 +148,18 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	// replica's demand, the source sample times its ReplicaLoadScale entry
 	// (1 when it has none), rounded once here: no pricer multiplies a demand
 	// again, so each reads the same bits, and at scale 1 they are the source's.
+	// The units are scaled, and their peak steps (unitPeakSteps) and flatness
+	// found, one item each of a cpu.Do: every item writes its own unit's
+	// entries, and the flatness flags fold in unit order.
 	T := ev.T
 	cpuBuf := make([]float64, len(units)*T)
 	ramBuf := make([]float64, len(units)*T)
 	wsBuf := make([]float64, len(units)*T)
 	rateBuf := make([]float64, len(units)*T)
-	for u, un := range units {
+	ev.unitPeak = make([]int32, 2*len(units))
+	unflat := make([]bool, 2*len(units)) // RAM, working set
+	cpu.Do(len(units), func(_, u int) {
+		un := units[u]
 		wl := &p.Workloads[un.w]
 		ev.cpu[u] = cpuBuf[u*T : (u+1)*T : (u+1)*T]
 		ev.ram[u] = ramBuf[u*T : (u+1)*T : (u+1)*T]
@@ -177,7 +185,10 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		if wl.SLA != nil {
 			ev.slaCapU[u] = wl.SLA.MaxUtilization()
 		}
-	}
+		ev.unitPeak[2*u], ev.unitPeak[2*u+1] = unitPeakSteps(ev.cpu[u], ev.ram[u])
+		unflat[2*u] = !flat(ev.ram[u])
+		unflat[2*u+1] = p.Disk != nil && !flat(ev.ws[u])
+	})
 
 	// Conflicts: replicas of the same workload, plus explicit pairs.
 	byWorkload := map[int][]int{}
@@ -230,9 +241,11 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ev.capClass[j] = c
 	}
 	ev.oneClass = len(classes) == 1
-	ev.unitPeak = unitPeakSteps(ev.cpu, ev.ram)
-	ev.flatRAM = flat(ev.ram)
-	ev.flatWS = p.Disk != nil && flat(ev.ws)
+	ev.flatRAM, ev.flatWS = true, p.Disk != nil
+	for u := range units {
+		ev.flatRAM = ev.flatRAM && !unflat[2*u]
+		ev.flatWS = ev.flatWS && !unflat[2*u+1]
+	}
 	return ev, nil
 }
 
@@ -243,16 +256,14 @@ func scaleInto(dst, src []float64, k float64) {
 	}
 }
 
-// flat reports whether every unit's series equals its first sample bit for
+// flat reports whether a unit's series equals its first sample bit for
 // bit. A series that mixes +0 and −0 is not flat: its sums could differ in
 // the sign of a zero from step to step.
-func flat(streams [][]float64) bool {
-	for _, s := range streams {
-		first := math.Float64bits(s[0])
-		for _, v := range s[1:] {
-			if math.Float64bits(v) != first {
-				return false
-			}
+func flat(s []float64) bool {
+	first := math.Float64bits(s[0])
+	for _, v := range s[1:] {
+		if math.Float64bits(v) != first {
+			return false
 		}
 	}
 	return true

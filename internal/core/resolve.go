@@ -408,8 +408,12 @@ func SolutionFromIncumbent(p *Problem, inc *Incumbent) (*Solution, error) {
 // canonical consolidation objective (no migration term), so warm and cold
 // plans are directly comparable; Solution.Migrated and
 // Solution.MigrationCost report the migration side. Every climb runs on the
-// caller's goroutine. Cancelling ctx aborts the re-solve between pricing
-// units and returns ctx.Err().
+// caller's goroutine; when the CPU budget has a slot free, its sweeps scan
+// ahead on a helper (scanAhead), and the evaluator build splits its units
+// over the budget (NewEvaluator). Neither changes what the climbs accept
+// or count, so the plan, Fevals and every SolveStats counter are the same
+// at any GOMAXPROCS, and nothing waits for a slot. Cancelling ctx aborts
+// the re-solve between pricing units and returns ctx.Err().
 func Resolve(ctx context.Context, p *Problem, inc *Incumbent, opt SolveOptions) (*Solution, error) {
 	start := time.Now()
 	if inc == nil || inc.K <= 0 || len(inc.Units) == 0 {
@@ -433,7 +437,7 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	mig := ev.newMigration(home, opt)
 	const rounds = 100
 
-	plan := ev.hillClimbMig(ctx, seed, K, rounds, mig)
+	plan := ev.hillClimbMig(ctx, seed, K, rounds, mig, true)
 	// Drift can make the incumbent K infeasible; grow until the climb finds
 	// a feasible plan (fresh machines start empty, so the next climb can
 	// offload the violating units onto them). Where that climb stays
@@ -443,9 +447,9 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 	// migration cap rules it out.
 	for !plan.feas && K < maxK {
 		K++
-		plan = ev.hillClimbMig(ctx, plan.assign, K, rounds, mig)
+		plan = ev.hillClimbMig(ctx, plan.assign, K, rounds, mig, true)
 		if !plan.feas && opt.MaxMigrations <= 0 {
-			if c := ev.hillClimbMig(ctx, ev.spread(K), K, rounds, mig); c.better(plan) {
+			if c := ev.hillClimbMig(ctx, ev.spread(K), K, rounds, mig, true); c.better(plan) {
 				plan = c
 			}
 			mig.syncAway(plan.assign)
@@ -460,7 +464,7 @@ func (ev *Evaluator) resolve(ctx context.Context, inc *Incumbent, opt SolveOptio
 		if reduced, rk := ev.reduceK(plan.assign, K); rk < K {
 			m := *mig
 			m.syncAway(reduced)
-			if c := ev.hillClimbMig(ctx, reduced, rk, rounds, &m); c.feas {
+			if c := ev.hillClimbMig(ctx, reduced, rk, rounds, &m, true); c.feas {
 				K, plan, *mig = rk, c, m
 			}
 		}

@@ -143,11 +143,11 @@ func SolveSharded(ctx context.Context, p *Problem, opt ShardOptions) (*Solution,
 	// tries to empty the lightest machines entirely: the co-location
 	// opportunities independent shard solves cannot see.
 	if K > 0 {
-		assign = mergeEv.hillClimbMig(ctx, assign, K, rebalanceRounds, nil).assign
+		assign = mergeEv.hillClimbMig(ctx, assign, K, rebalanceRounds, nil, false).assign
 		if reduced, rk := mergeEv.reduceK(assign, K); rk < K {
 			// Reduction packs greedily; re-balance the tighter plan.
 			K = rk
-			assign = mergeEv.hillClimbMig(ctx, reduced, K, rebalanceRounds, nil).assign
+			assign = mergeEv.hillClimbMig(ctx, reduced, K, rebalanceRounds, nil, false).assign
 		}
 	}
 	if K > len(p.Machines) {

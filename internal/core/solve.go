@@ -677,17 +677,24 @@ func (ev *Evaluator) globalSearch(ctx context.Context, K, budget int, search *di
 // instead of the O(·units-per-server·T) factor a scratch re-aggregation
 // needs per candidate.
 func (ev *Evaluator) hillClimb(ctx context.Context, assign []int, K int) climbed {
-	return ev.hillClimbMig(ctx, assign, K, 100, nil)
+	return ev.hillClimbMig(ctx, assign, K, 100, nil, false)
 }
 
 // hillClimbMig is the full local search with an explicit sweep budget (the
 // sharded solver's cross-shard rebalance pass uses a small one) and, when
-// mig is non-nil, warm-restart migration pricing (Resolve). The final plan
-// is re-priced through the canonical Eval, so the incremental pricing never
-// drifts into the result.
-func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxRounds int, mig *migration) climbed {
+// mig is non-nil, warm-restart migration pricing (Resolve). With ahead, its
+// sweeps scan ahead on a helper when the CPU budget has one free
+// (scanAhead); Resolve's climbs do, a cold solve's, which fork whole climbs
+// and probes instead, do not. The final plan is re-priced through the
+// canonical Eval, so the incremental pricing never drifts into the result.
+func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxRounds int, mig *migration, ahead bool) climbed {
 	ls := NewLoadState(ev, assign, K)
-	ev.climb(ctx, ls, maxRounds, mig, newScanMemo(ls, mig))
+	var sa *scanAhead
+	if ahead {
+		sa = new(scanAhead)
+		defer sa.close()
+	}
+	ev.climb(ctx, ls, maxRounds, mig, newScanMemo(ls, mig), sa)
 	cur := ls.Assignment()
 	obj, feas := ev.Eval(cur, K)
 	return climbed{cur, obj, feas}
@@ -699,16 +706,17 @@ func (ev *Evaluator) hillClimbMig(ctx context.Context, assign []int, K int, maxR
 // fits alongside the other). Accepted moves and swaps re-materialize the
 // touched machines' sums canonically inside LoadState. Deterministic: sweep
 // order is fixed and independent of worker counts. A nil memo re-prices
-// every candidate in every sweep; the accepted sequence is the same.
-func (ev *Evaluator) climb(ctx context.Context, ls *LoadState, maxRounds int, mig *migration, memo *scanMemo) {
+// every candidate in every sweep; the accepted sequence is the same. A nil
+// sa scans every unit on the calling goroutine.
+func (ev *Evaluator) climb(ctx context.Context, ls *LoadState, maxRounds int, mig *migration, memo *scanMemo, sa *scanAhead) {
 	ev.stats.Climbs++
 	for rounds := 0; rounds < maxRounds && ctx.Err() == nil; rounds++ {
 		t0 := time.Now()
-		moved := ev.sweepMoves(ctx, ls, mig, memo)
+		moved := ev.sweep(ctx, ls, mig, memo, sa, &moveSweep)
 		t1 := time.Now()
 		ev.stats.MoveSweepTime += t1.Sub(t0)
 		if !moved {
-			swapped := ev.sweepSwaps(ctx, ls, mig, memo)
+			swapped := ev.sweep(ctx, ls, mig, memo, sa, &swapSweep)
 			ev.stats.SwapSweepTime += time.Since(t1)
 			if !swapped {
 				break
@@ -827,157 +835,207 @@ func (ev *Evaluator) bestMove(ls *LoadState, u int, mig *migration, since uint64
 	return bestJ
 }
 
-// sweepMoves runs one best-improvement sweep of single-unit moves, applying
-// improving moves as it goes. Reports whether anything moved. A cancelled
-// ctx stops the sweep between units, bounding abort latency by one unit's
-// O(K·T) pricing rather than a whole sweep.
-func (ev *Evaluator) sweepMoves(ctx context.Context, ls *LoadState, mig *migration, memo *scanMemo) bool {
+// A sweepKind is one kind of best-improvement sweep over the units in
+// order. scan prices unit u's candidates on ls and returns the one it
+// accepts — a destination machine, or a swap partner — or −1 when none
+// improves strictly, which it records in memo; apply applies an accepted
+// one to ls and the away count. tail returns where a scan-ahead's share
+// of the units [from, n) starts: the point that leaves half of the
+// candidate pairs left on either side.
+type sweepKind struct {
+	scan  func(ev *Evaluator, ls *LoadState, mig *migration, memo *scanMemo, u int) int
+	apply func(ls *LoadState, mig *migration, u, to int)
+	tail  func(from, n int) int
+}
+
+// moveSweep is the sweep of single-unit moves: every unit has K − 1
+// destinations, so the tail is the second half of the units.
+var moveSweep = sweepKind{
+	scan: (*Evaluator).scanMove,
+	apply: func(ls *LoadState, mig *migration, u, j int) {
+		mig.note(mig.awayDelta(u, ls.Assign(u), j))
+		ls.Move(u, j)
+	},
+	tail: func(from, n int) int { return from + (n-from)/2 },
+}
+
+// swapSweep is the sweep of 2-exchanges: unit u's partners are the units
+// after it, so the tail holds the last ≈ (n − from)/√2 units.
+var swapSweep = sweepKind{
+	scan: (*Evaluator).scanSwap,
+	apply: func(ls *LoadState, mig *migration, u, v int) {
+		a, b := ls.Assign(u), ls.Assign(v)
+		mig.note(mig.awayDelta(u, a, b) + mig.awayDelta(v, b, a))
+		ls.Swap(u, v)
+	},
+	tail: func(from, n int) int {
+		m := n - from
+		half, pairs, u := m*(m-1)/4, 0, n-1
+		for u > from+1 && pairs < half {
+			u--
+			pairs += n - 1 - u
+		}
+		return u
+	},
+}
+
+// sweep runs one sweep of kind k, applying each accepted move as it goes,
+// and reports whether anything moved. With a scan-ahead (sa) it hands the
+// tail of the units to a helper and adopts the helper's outcome on
+// reaching it; an accepted move drops the helper's work and starts a new
+// scan-ahead over the units left. Either way the moves, memo entries and
+// counters are the one-goroutine sweep's. A cancelled ctx stops the sweep
+// between units, bounding abort latency by one unit's scan.
+func (ev *Evaluator) sweep(ctx context.Context, ls *LoadState, mig *migration, memo *scanMemo, sa *scanAhead, k *sweepKind) bool {
 	ev.stats.Sweeps++
 	improved := false
-	for u := 0; u < ls.NumUnits(); u++ {
+	n := ls.NumUnits()
+	sa.start(ctx, ev, ls, mig, memo, k, 0)
+	defer sa.drop()
+	for u := 0; u < n; u++ {
 		if ctx.Err() != nil {
 			return false
 		}
-		if ev.pin[u] >= 0 {
-			continue
+		if u == sa.tailAt(ls) {
+			adopted, complete := sa.adopt(ev, ls, mig, memo, k)
+			return complete && (improved || adopted)
 		}
-		from := ls.Assign(u)
-		var since uint64
-		if memo != nil {
-			since = memo.moves[u]
-		}
-		if bestJ := ev.bestMove(ls, u, mig, since); bestJ != from {
-			mig.note(mig.awayDelta(u, from, bestJ))
-			ls.Move(u, bestJ)
+		if to := k.scan(ev, ls, mig, memo, u); to >= 0 {
+			k.apply(ls, mig, u, to)
 			improved = true
-		} else if memo != nil {
-			memo.moves[u] = ls.clock
+			sa.drop()
+			sa.start(ctx, ev, ls, mig, memo, k, u+1)
 		}
 	}
 	return improved
 }
 
-// sweepSwaps runs one best-improvement sweep of 2-exchange swaps: for every
-// unit, the best partner on another machine is found by pricing both sides
-// of the exchange as two O(T) LoadState deltas, and the best strictly
-// improving swap per unit is applied immediately. Partners whose machine,
-// like the unit's own, has not changed since the unit's last fruitless swap
-// scan are skipped. Reports whether any swap was applied. A cancelled ctx
-// stops the sweep between units.
-func (ev *Evaluator) sweepSwaps(ctx context.Context, ls *LoadState, mig *migration, memo *scanMemo) bool {
-	ev.stats.Sweeps++
-	improved := false
+// scanMove is the move sweep's scan of unit u: its best strictly-improving
+// destination (bestMove), or −1 for a pinned unit or when none improves.
+func (ev *Evaluator) scanMove(ls *LoadState, mig *migration, memo *scanMemo, u int) int {
+	if ev.pin[u] >= 0 {
+		return -1
+	}
+	var since uint64
+	if memo != nil {
+		since = memo.moves[u]
+	}
+	if j := ev.bestMove(ls, u, mig, since); j != ls.Assign(u) {
+		return j
+	}
+	if memo != nil {
+		memo.moves[u] = ls.clock
+	}
+	return -1
+}
+
+// scanSwap is the swap sweep's scan of unit u: the best partner on another
+// machine, found by pricing both sides of the exchange as two O(T)
+// LoadState deltas, or −1 for a pinned unit or when no swap improves
+// strictly. Partners whose machine, like the unit's own, has not changed
+// since the unit's last fruitless swap scan are skipped.
+func (ev *Evaluator) scanSwap(ls *LoadState, mig *migration, memo *scanMemo, u int) int {
+	if ev.pin[u] >= 0 {
+		return -1
+	}
 	n := ls.NumUnits()
 	screen := ls.Screened()
-	for u := 0; u < n; u++ {
-		if ctx.Err() != nil {
-			return false
-		}
-		if ev.pin[u] >= 0 {
+	a := ls.Assign(u)
+	var since uint64
+	if memo != nil {
+		since = memo.swaps[u]
+	}
+	rescan := ls.changed[a] > since
+	// The capacity stage's table for u, filled at the first partner
+	// considered, and u's machine with u's share gone.
+	var caps []capSide
+	var own capSide
+	bestV := -1
+	bestDelta := -1e-9 // strict improvement required
+	for v := u + 1; v < n; v++ {
+		if ev.pin[v] >= 0 {
 			continue
 		}
-		a := ls.Assign(u)
-		var since uint64
-		if memo != nil {
-			since = memo.swaps[u]
+		b := ls.Assign(v)
+		if b == a {
+			continue
 		}
-		rescan := ls.changed[a] > since
-		// The capacity stage's table for u, filled at the first partner
-		// considered, and u's machine with u's share gone.
-		var caps []capSide
-		var own capSide
-		bestV := -1
-		bestDelta := -1e-9 // strict improvement required
-		for v := u + 1; v < n; v++ {
-			if ev.pin[v] >= 0 {
-				continue
-			}
-			b := ls.Assign(v)
-			if b == a {
-				continue
-			}
-			if !rescan && ls.changed[b] <= since {
-				ev.stats.Skipped++
-				continue
-			}
-			if !mig.allows(mig.awayDelta(u, a, b) + mig.awayDelta(v, b, a)) {
-				continue
-			}
-			ev.Fevals++ // candidates considered, screened or priced
-			ev.stats.Considered++
-			// The exact delta is (nu + nv) − base + migU + migV, grouped left
-			// to right; every bound delta below has the same shape with a
-			// lower bound in place of nu or nv, so it cannot exceed the exact
-			// one and a candidate it prunes is one the exact pricing would
-			// have rejected.
-			base := ls.Contrib(a) + ls.Contrib(b)
-			migU, migV := mig.delta(u, a, b), mig.delta(v, b, a)
-			var nu, nv float64
-			if screen {
-				// Coarse-to-fine, cheapest first. The capacity stage: u's
-				// side, then v's, overflowing its caps at one of its
-				// machine's two overall peak steps, beside the other side at
-				// the bracket's floor (u's leaving share is hoisted out of
-				// the partner loop). The first stage of u's side alone (the
-				// other side contributes at least exp(0) = 1), then beside
-				// the first stage of v's side, then both sides over their
-				// whole samples. Then u's side priced exactly beside v's
-				// bound, and only then v's side.
-				if caps == nil {
-					caps = ls.capSides(u)
-					own = caps[a].leave()
-				}
-				cv, rv := ev.cpu[v], ev.ram[v]
-				if viol := own.arrive(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
-					ev.stats.CapPruned++
-					continue
-				}
-				if viol := caps[b].exchange(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
-					ev.stats.CapPruned++
-					continue
-				}
-				var su, sv sideScreen
-				var bu, bv sideBound
-				one := sideBound{lo: 1, exact: true}
-				ls.screenExchangeFirst(&su, a, u, v)
-				if prunes(ls.bracket(&bu, &su, a), &one, base, migU, migV, bestDelta) {
-					continue
-				}
-				ls.screenExchangeFirst(&sv, b, v, u)
-				if prunes(&bu, ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
-					continue
-				}
-				ls.screenExchangeRest(&su, a, u, v)
-				ls.screenExchangeRest(&sv, b, v, u)
-				if prunes(ls.bracket(&bu, &su, a), ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
-					continue
-				}
-				ev.stats.Priced++
-				nu = ls.priceExchange(a, u, v)
-				pu := sideBound{lo: nu, exact: true}
-				if prunes(&pu, &bv, base, migU, migV, bestDelta) {
-					continue
-				}
-				ev.stats.Priced++
-				nv = ls.priceExchange(b, v, u)
-			} else {
-				ev.stats.Priced += 2
-				nu, nv = ls.PriceSwap(u, v)
-			}
-			delta := (nu + nv) - base + migU + migV
-			if delta < bestDelta {
-				bestDelta = delta
-				bestV = v
-			}
+		if !rescan && ls.changed[b] <= since {
+			ev.stats.Skipped++
+			continue
 		}
-		if bestV >= 0 {
-			b := ls.Assign(bestV)
-			mig.note(mig.awayDelta(u, a, b) + mig.awayDelta(bestV, b, a))
-			ls.Swap(u, bestV)
-			improved = true
-		} else if memo != nil {
-			memo.swaps[u] = ls.clock
+		if !mig.allows(mig.awayDelta(u, a, b) + mig.awayDelta(v, b, a)) {
+			continue
+		}
+		ev.Fevals++ // candidates considered, screened or priced
+		ev.stats.Considered++
+		// The exact delta is (nu + nv) − base + migU + migV, grouped left
+		// to right; every bound delta below has the same shape with a
+		// lower bound in place of nu or nv, so it cannot exceed the exact
+		// one and a candidate it prunes is one the exact pricing would
+		// have rejected.
+		base := ls.Contrib(a) + ls.Contrib(b)
+		migU, migV := mig.delta(u, a, b), mig.delta(v, b, a)
+		var nu, nv float64
+		if screen {
+			// Coarse-to-fine, cheapest first. The capacity stage: u's
+			// side, then v's, overflowing its caps at one of its
+			// machine's two overall peak steps, beside the other side at
+			// the bracket's floor (u's leaving share is hoisted out of
+			// the partner loop). The first stage of u's side alone (the
+			// other side contributes at least exp(0) = 1), then beside
+			// the first stage of v's side, then both sides over their
+			// whole samples. Then u's side priced exactly beside v's
+			// bound, and only then v's side.
+			if caps == nil {
+				caps = ls.capSides(u)
+				own = caps[a].leave()
+			}
+			cv, rv := ev.cpu[v], ev.ram[v]
+			if viol := own.arrive(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+				ev.stats.CapPruned++
+				continue
+			}
+			if viol := caps[b].exchange(cv, rv); viol > 0 && capPrunes(viol, capFloor, base, migU, migV, bestDelta) {
+				ev.stats.CapPruned++
+				continue
+			}
+			var su, sv sideScreen
+			var bu, bv sideBound
+			one := sideBound{lo: 1, exact: true}
+			ls.screenExchangeFirst(&su, a, u, v)
+			if prunes(ls.bracket(&bu, &su, a), &one, base, migU, migV, bestDelta) {
+				continue
+			}
+			ls.screenExchangeFirst(&sv, b, v, u)
+			if prunes(&bu, ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
+				continue
+			}
+			ls.screenExchangeRest(&su, a, u, v)
+			ls.screenExchangeRest(&sv, b, v, u)
+			if prunes(ls.bracket(&bu, &su, a), ls.bracket(&bv, &sv, b), base, migU, migV, bestDelta) {
+				continue
+			}
+			ev.stats.Priced++
+			nu = ls.priceExchange(a, u, v)
+			pu := sideBound{lo: nu, exact: true}
+			if prunes(&pu, &bv, base, migU, migV, bestDelta) {
+				continue
+			}
+			ev.stats.Priced++
+			nv = ls.priceExchange(b, v, u)
+		} else {
+			ev.stats.Priced += 2
+			nu, nv = ls.PriceSwap(u, v)
+		}
+		delta := (nu + nv) - base + migU + migV
+		if delta < bestDelta {
+			bestDelta = delta
+			bestV = v
 		}
 	}
-	return improved
+	if bestV < 0 && memo != nil {
+		memo.swaps[u] = ls.clock
+	}
+	return bestV
 }

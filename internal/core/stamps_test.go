@@ -116,7 +116,7 @@ func TestClimbSequenceMatchesFullRescan(t *testing.T) {
 							}
 						}
 						rec := newStepRecorder(ls)
-						e.climb(rec, ls, 100, mig, memo)
+						e.climb(rec, ls, 100, mig, memo, nil)
 						rec.Err() // the last unit's step
 						return e, rec
 					}
@@ -312,7 +312,7 @@ func TestSweepsAllocationFree(t *testing.T) {
 					}
 				}
 				before := ev.stats
-				if ev.sweepSwaps(ctx, ls, nil, memo) {
+				if ev.sweep(ctx, ls, nil, memo, nil, &swapSweep) {
 					t.Fatal("converged state still has an improving swap")
 				}
 				considered, priced = ev.stats.Considered-before.Considered, ev.stats.Priced-before.Priced

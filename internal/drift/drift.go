@@ -31,6 +31,7 @@ import (
 	"sort"
 	"time"
 
+	"kairos/internal/cpu"
 	"kairos/internal/floats"
 	"kairos/internal/predict"
 	"kairos/internal/series"
@@ -215,8 +216,8 @@ type Detector struct {
 	// kept is the last cfg.History windows, oldest first: the rolling
 	// forecast's input, whatever the baseline tracks.
 	kept []keptWindow
-	// fc is score's scratch for one forecast's series.
-	fc []*series.Series
+	// scored is score's scratch: each slot's causes and forecast series.
+	scored []slotScore
 	// window counts the windows consumed, cooldown those still suppressed
 	// after the last rebase.
 	window, cooldown int
@@ -420,49 +421,74 @@ func (d *Detector) Observe(samples []Sample) (*Trigger, error) {
 	return &Trigger{Window: window, Causes: firing, MaxDrift: firing[0].Drift, Workloads: len(fleet)}, nil
 }
 
+// slotScore is one slot's share of a window's score: its causes, at most
+// one per resource and signal, and the forecast series score gathers.
+type slotScore struct {
+	causes [len(resources) * 2]Cause
+	n      int
+	fc     []*series.Series
+}
+
 // score computes every (workload, resource, signal) drift for one window
-// that index checked; at is its index.
+// that index checked; at is its index. The slots are scored one item each
+// of a cpu.Do, into their own slotScore, and their causes folded in slot
+// order.
 func (d *Detector) score(samples []Sample, at []int32) []Cause {
+	if len(d.scored) < len(at) {
+		d.scored = append(d.scored, make([]slotScore, len(at)-len(d.scored))...)
+	}
+	cpu.Do(len(at), func(_, slot int) {
+		d.scoreSlot(samples, at, slot, &d.scored[slot])
+	})
 	var causes []Cause
-	for slot, i := range at {
-		if i < 0 {
-			continue
-		}
-		s, b := &samples[i], &d.base[slot]
-		for ri, r := range resources {
-			sr := s.get(r)
-			if sr == nil || !b.have[ri] {
-				continue // no series, or a resource untracked by the plan
-			}
-			mean := sr.Mean()
-			if du, ok := utilizationDelta(b.mean[ri], mean); ok {
-				causes = append(causes, Cause{s.Workload, r, UtilizationDelta, du})
-			}
-			// A non-positive window mean makes CV(RMSE) undefined: no
-			// forecast signal rather than a fake one, as for a forecast with
-			// no kept series. The CV goes through its percentage, rounded,
-			// as predict.WeeklyForecast.CVRMSEPct does, so a threshold sees
-			// the same bits either way.
-			if mean <= 0 {
-				continue
-			}
-			if fc := d.forecast(slot, ri); len(fc) > 0 {
-				if cv := float64(predict.RollingRMSE(fc, sr)/mean*100) / 100; !math.IsNaN(cv) {
-					causes = append(causes, Cause{s.Workload, r, ForecastError, cv})
-				}
-			}
-		}
+	for slot := range at {
+		sc := &d.scored[slot]
+		causes = append(causes, sc.causes[:sc.n]...)
 	}
 	return causes
 }
 
-// forecast gathers a slot's series of resource ri from the kept windows,
-// oldest first, into d.fc. A window that does not carry the series, or
+// scoreSlot scores one slot of a window into sc.
+func (d *Detector) scoreSlot(samples []Sample, at []int32, slot int, sc *slotScore) {
+	sc.n = 0
+	i := at[slot]
+	if i < 0 {
+		return
+	}
+	s, b := &samples[i], &d.base[slot]
+	for ri, r := range resources {
+		sr := s.get(r)
+		if sr == nil || !b.have[ri] {
+			continue // no series, or a resource untracked by the plan
+		}
+		mean := sr.Mean()
+		if du, ok := utilizationDelta(b.mean[ri], mean); ok {
+			sc.causes[sc.n] = Cause{s.Workload, r, UtilizationDelta, du}
+			sc.n++
+		}
+		// A non-positive window mean makes CV(RMSE) undefined: no
+		// forecast signal rather than a fake one, as for a forecast with
+		// no kept series. The CV goes through its percentage, rounded,
+		// as predict.WeeklyForecast.CVRMSEPct does, so a threshold sees
+		// the same bits either way.
+		if mean <= 0 {
+			continue
+		}
+		if sc.fc = d.forecast(sc.fc[:0], slot, ri); len(sc.fc) > 0 {
+			if cv := float64(predict.RollingRMSE(sc.fc, sr)/mean*100) / 100; !math.IsNaN(cv) {
+				sc.causes[sc.n] = Cause{s.Workload, r, ForecastError, cv}
+				sc.n++
+			}
+		}
+	}
+}
+
+// forecast appends a slot's series of resource ri from the kept windows,
+// oldest first, to fc. A window that does not carry the series, or
 // carries it in another shape than the baseline's, adds nothing: the
 // forecast averages the windows of the last History that carried it.
-func (d *Detector) forecast(slot, ri int) []*series.Series {
+func (d *Detector) forecast(fc []*series.Series, slot, ri int) []*series.Series {
 	sh := d.base[slot].shape[ri]
-	fc := d.fc[:0]
 	for _, w := range d.kept {
 		if slot >= len(w.at) || w.at[slot] < 0 {
 			continue
@@ -471,7 +497,6 @@ func (d *Detector) forecast(slot, ri int) []*series.Series {
 			fc = append(fc, sr)
 		}
 	}
-	d.fc = fc
 	return fc
 }
 

@@ -1,7 +1,10 @@
 package drift
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -384,6 +387,57 @@ func TestStringers(t *testing.T) {
 		Resource(99).String(), Kind(99).String()} {
 		if s == "" {
 			t.Error("empty stringer output")
+		}
+	}
+}
+
+// TestScoreSameAtAnyProcs: the detector scores a window's workloads one
+// item each of a cpu.Do, yet every window of a stream gives the same
+// trigger, causes in the same order with the same bits, at GOMAXPROCS 1, 2
+// and 8 — 64 workloads on three resources, some absent from a window,
+// some with a zero mean.
+func TestScoreSameAtAnyProcs(t *testing.T) {
+	const n = 64
+	window := func(w int) []Sample {
+		var out []Sample
+		for i := 0; i < n; i++ {
+			if w >= 0 && (i+w)%9 == 0 {
+				continue // absent from this window
+			}
+			f := func(r int) *series.Series {
+				return series.FromFunc(t0, time.Minute, 12, func(_ time.Time, k int) float64 {
+					if i%13 == 0 && r == 2 {
+						return 0
+					}
+					return (1 + float64(i%5*(w+1))/10) * (1 + float64((i*7+k*3+r)%11)/20)
+				})
+			}
+			out = append(out, Sample{Workload: fmt.Sprintf("w%02d", i), CPU: f(0), RAM: f(1), Disk: f(2)})
+		}
+		return out
+	}
+	run := func() []*Trigger {
+		d := mustDetector(t, Config{Threshold: 0.05, History: 3}, window(-1)...)
+		var trigs []*Trigger
+		for w := 0; w < 6; w++ {
+			trigs = append(trigs, observe(t, d, window(w)...))
+		}
+		return trigs
+	}
+	var want []*Trigger
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := run()
+		runtime.GOMAXPROCS(prev)
+		if want == nil {
+			want = got
+			if want[0] == nil || len(want[0].Causes) < n/2 {
+				t.Fatalf("the stream's first window fired %v: too few causes to tell an order", want[0])
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: triggers differ from GOMAXPROCS=1's", procs)
 		}
 	}
 }

@@ -53,7 +53,10 @@ func scoreForecast(pred, actual *series.Series) (WeeklyForecast, error) {
 
 // MeanOfWindows returns the element-wise mean of the given same-shape
 // windows — the rolling forecast for the next window. The first window
-// defines start and step.
+// defines start and step. Each sample is h0 + h1 + … summed left to right,
+// then scaled by 1/n, written straight into the one slice the result
+// holds (TestMeanOfWindowsAllocs); the float64 conversion is the rounding
+// barrier RollingRMSE's is, so the bits are those of scaling the sum.
 func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("predict: no windows to average")
@@ -63,11 +66,22 @@ func MeanOfWindows(windows []*series.Series) (*series.Series, error) {
 			return nil, fmt.Errorf("predict: window %d is nil", i)
 		}
 	}
-	sum, err := series.Sum(windows)
-	if err != nil {
-		return nil, err
+	first := windows[0]
+	for _, w := range windows[1:] {
+		if w.Step != first.Step || w.Len() != first.Len() {
+			return nil, series.ErrMismatch
+		}
 	}
-	return sum.Scale(1 / float64(len(windows))), nil
+	inv := 1 / float64(len(windows))
+	mean := make([]float64, first.Len())
+	for i := range mean {
+		p := first.Values[i]
+		for _, w := range windows[1:] {
+			p += w.Values[i]
+		}
+		mean[i] = float64(p * inv)
+	}
+	return series.New(first.Start, first.Step, mean), nil
 }
 
 // RollingRMSE is the RMSE of the rolling forecast — the element-wise mean

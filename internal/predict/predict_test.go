@@ -155,6 +155,51 @@ func TestMeanOfWindows(t *testing.T) {
 	}
 }
 
+// TestMeanOfWindowsAllocs: the mean is written straight into the series it
+// returns, two allocations (the series and its samples) however many
+// windows it averages, and its bits are those of scaling series.Sum by
+// 1/n, which cloned each forecast series twice.
+func TestMeanOfWindowsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	start := time.Unix(0, 0)
+	for _, n := range []int{1, 2, 3, 8} {
+		windows := make([]*series.Series, n)
+		for w := range windows {
+			v := make([]float64, 288)
+			for i := range v {
+				v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			if w == 0 {
+				v[0] = math.Copysign(0, -1)
+			}
+			windows[w] = series.New(start, 5*time.Minute, v)
+		}
+		sum, err := series.Sum(windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sum.Scale(1 / float64(n))
+		got, err := MeanOfWindows(windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Start.Equal(want.Start) || got.Step != want.Step || len(got.Values) != len(want.Values) {
+			t.Fatalf("%d windows: shape %v×%d, want %v×%d", n, got.Step, got.Len(), want.Step, want.Len())
+		}
+		for i := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("%d windows: sample %d = %v, want %v", n, i, got.Values[i], want.Values[i])
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _ = MeanOfWindows(windows) }); a != 2 {
+			t.Errorf("%d windows: MeanOfWindows allocated %v times per run, want 2", n, a)
+		}
+	}
+}
+
 // TestRollingRMSE scores the rolling forecast on hand-checked windows: a
 // perfect forecast is 0, a 10% drift of a mean-2 window scores RMSE 0.2.
 // The detector scores every workload of every window with it, so it must

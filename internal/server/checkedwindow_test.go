@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -315,5 +317,79 @@ func TestWindowDecodesBeforeItsTurn(t *testing.T) {
 	}
 	if n := settledGoroutines(base); n > base {
 		t.Errorf("%d goroutines after the requests, %d before", n, base)
+	}
+}
+
+// TestDecoderPanicAnswers500: a decoder panic, on a window's own decode
+// goroutine or in a chunk of its split, costs that window a 500 and
+// nothing more, on the in-memory and the durable server: the fleet's turn
+// and the snapshot lock's read side are free, the journal is as it was,
+// and the next window is acked. A registration whose split chunk panics
+// is answered 500 too.
+func TestDecoderPanicAnswers500(t *testing.T) {
+	splitSmall(t)
+	t.Cleanup(func() { decodeHook = nil })
+	for _, durable := range []bool{false, true} {
+		atProcs(4, func() {
+			var s *Server
+			var ts *httptest.Server
+			var wal func() []byte
+			if durable {
+				dir := t.TempDir()
+				s, ts = openDurable(t, dir, journal.Options{Sync: journal.SyncAlways}, 256)
+				wal = func() []byte { return readWAL(t, dir) }
+				defer s.Close()
+			} else {
+				s, ts = newTestServer(t)
+				wal = func() []byte { return nil }
+			}
+			defer ts.Close()
+			if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody("dp", 4, 8)); status != http.StatusCreated {
+				t.Fatalf("register: %d %s", status, body)
+			}
+			for i, chunk := range []bool{false, true} {
+				label := fmt.Sprintf("durable %v, chunk %v", durable, chunk)
+				before := wal()
+				decodeHook = func(c bool) {
+					if c == chunk {
+						panic("decoder bug")
+					}
+				}
+				status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/dp/windows", stampedWindow(4, 8, 1.001, int64(1000+i)))
+				decodeHook = nil
+				if status != http.StatusInternalServerError || !bytes.Contains(body, []byte("decoder bug")) {
+					t.Fatalf("%s: %d %s, want a 500 naming the panic", label, status, body)
+				}
+				s.mu.Lock()
+				sess := s.fleets["dp"]
+				s.mu.Unlock()
+				select {
+				case sess.turn <- struct{}{}:
+					<-sess.turn
+				default:
+					t.Fatalf("%s: the fleet's turn is still held", label)
+				}
+				if !s.pauseRW.TryLock() {
+					t.Fatalf("%s: the snapshot lock's read side is still held", label)
+				}
+				s.pauseRW.Unlock()
+				if after := wal(); !bytes.Equal(after, before) {
+					t.Fatalf("%s: the journal is %d bytes, %d before, or its bytes changed", label, len(after), len(before))
+				}
+				if status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets/dp/windows", stampedWindow(4, 8, 1.001, int64(2000+i))); status != http.StatusOK {
+					t.Fatalf("%s: the next window: %d %s", label, status, body)
+				}
+			}
+			decodeHook = func(c bool) {
+				if c {
+					panic("decoder bug")
+				}
+			}
+			status, body := do(t, http.MethodPost, ts.URL+"/v1/fleets", registerBody("dq", 4, 8))
+			decodeHook = nil
+			if status != http.StatusInternalServerError {
+				t.Fatalf("durable %v: a registration whose chunk panics: %d %s, want 500", durable, status, body)
+			}
+		})
 	}
 }

@@ -29,8 +29,8 @@ package server
 // apply loop. The helpers start as soon as the snapshot file has been
 // read, so that restoring the snapshot on the calling goroutine overlaps
 // reading and decoding the log. The apply stage is the one loop in
-// replay: it takes records strictly in journal order and applies each
-// under s.mu, so replay equals live whatever the helper count. When the
+// replay: it takes records strictly in journal order and applies each on
+// its goroutine, so replay equals live whatever the helper count. When the
 // record it needs next is a helper's, not yet decoded, it claims a later
 // one rather than wait idle, within the look-ahead bound
 // (decodeAheadPerWorker): a decoded window is about a megabyte of floats,
@@ -189,10 +189,11 @@ func restoreSession(fs *FleetSnapshot) (*session, error) {
 
 // replay rebuilds the registry from the journal rd reads and installs the
 // journal for appends after its last record. It runs inside Open, before
-// Open returns the server whose Handler takes traffic, but still holds
-// s.mu — for everything except the wait
-// for the next decoded record — so the registry writes satisfy the lock
-// contract the live paths rely on.
+// Open returns the server whose Handler takes traffic, but still takes
+// s.mu for every registry read and write, so they satisfy the lock
+// contract the live paths rely on. Like the live paths it builds a
+// session and applies a record to one without s.mu: replay's goroutine
+// is the sessions' one writer, as their turn is live.
 // Records referencing unknown fleets — possible after a snapshot
 // compacted away their registration and deregistration — are skipped;
 // structurally invalid records are fatal (they can only mean a software
@@ -201,10 +202,18 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 	start := time.Now()
 	ahead := startDecodeAhead(rd)
 	defer ahead.stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	read := journaled{} // every record replay applies, the snapshot's too, was read back from the journal
 	stats := &RecoveryStats{}
+	register := func(sess *session) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.applyRegisterLocked(read, sess)
+	}
+	fleet := func(id string) *session {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.fleets[id]
+	}
 
 	if len(rd.Snapshot) > 0 {
 		decodeStart := time.Now()
@@ -227,18 +236,13 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 			sess.appendEvents(fs.Events...)
 			sess.acks = fs.Acks
 			sess.failures.Store(int64(fs.Failures))
-			s.applyRegisterLocked(read, sess)
+			register(sess)
 		}
 		stats.SnapshotFleets = len(snap.Fleets)
 	}
 
 	for ; ; stats.Records++ {
-		// Reading and decoding, or waiting for a helper's, is the one thing
-		// replay does without s.mu: a lock is not held across a channel
-		// receive, and neither touches what it guards.
-		s.mu.Unlock()
 		d := ahead.take(stats.Records)
-		s.mu.Lock()
 		stats.RecordsDecode += d.took
 		if d.end {
 			if d.err != nil {
@@ -260,10 +264,10 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 			if err != nil {
 				return nil, fmt.Errorf("record %d: %w", d.seq, err)
 			}
-			s.applyRegisterLocked(read, sess)
+			register(sess)
 		case rw.Window != nil:
 			id := rw.Window.Fleet
-			sess := s.fleets[id]
+			sess := fleet(id)
 			if sess == nil {
 				s.logf("journal record %d: window for unknown fleet %q skipped", d.seq, id)
 				continue
@@ -281,7 +285,7 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 			stats.Windows++
 		case rw.Advance != nil:
 			id := rw.Advance.Fleet
-			sess := s.fleets[id]
+			sess := fleet(id)
 			if sess == nil {
 				s.logf("journal record %d: advance for unknown fleet %q skipped", d.seq, id)
 				continue
@@ -293,7 +297,9 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		case rw.Rearm != nil:
 			stats.Rearms++
 		case rw.Deregister != nil:
+			s.mu.Lock()
 			s.applyDeregisterLocked(read, rw.Deregister.Fleet)
+			s.mu.Unlock()
 		default:
 			return nil, fmt.Errorf("journal record %d has no operation", d.seq)
 		}
@@ -309,7 +315,9 @@ func (s *Server) replay(rd *journal.Reader) (*RecoveryStats, error) {
 		s.logf("journal tail torn at byte %d: truncated (last records were never acked)", rd.TornOffset)
 	}
 
+	s.mu.Lock()
 	stats.Fleets = len(s.fleets)
+	s.mu.Unlock()
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }

@@ -159,7 +159,9 @@ type ingestResp struct {
 	// bad is why the window's body was refused (400): it does not decode,
 	// or its workloads do not convert.
 	bad error
-	err error
+	// fault is a decoder panic caught on the window's decode (500).
+	fault *decodePanic
+	err   error
 }
 
 // errResend refuses the record of a window the ack ring already holds,
@@ -333,6 +335,11 @@ func writeDecodeErr(w http.ResponseWriter, what string, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "decoding %s: body exceeds %d bytes", what, mbe.Limit)
+		return
+	}
+	var fault *decodePanic
+	if errors.As(err, &fault) {
+		writeErr(w, http.StatusInternalServerError, "decoding %s: %v", what, err)
 		return
 	}
 	writeErr(w, http.StatusBadRequest, "decoding %s: %v", what, err)
@@ -570,6 +577,9 @@ type windowDecode struct {
 	// bad is why the body was refused (400): it does not decode, or its
 	// workloads do not convert.
 	bad error
+	// fault is a panic of the decoder or the conversion, which the
+	// goroutine recovers: a bug costs the window a 500, not the process.
+	fault *decodePanic
 }
 
 // startDecode starts decoding and converting body. The handler that owns
@@ -578,7 +588,18 @@ func startDecode(body []byte, needDisk bool) *windowDecode {
 	d := &windowDecode{done: make(chan struct{})}
 	go func() {
 		defer close(d.done)
+		defer func() {
+			if v := recover(); v != nil {
+				d.window, d.bad, d.fault = nil, nil, newDecodePanic(v)
+			}
+		}()
+		if decodeHook != nil {
+			decodeHook(false)
+		}
 		wire, span, err := decodeWindow(body)
+		if errors.As(err, &d.fault) {
+			return
+		}
 		if err != nil {
 			d.bad = fmt.Errorf("decoding window: %w", err)
 			return
@@ -627,6 +648,10 @@ func (s *Server) processWindow(ctx context.Context, sess *session, body []byte, 
 	var refusal *ingestResp
 	admit := func() error {
 		dec.wait()
+		if dec.fault != nil {
+			refusal = &ingestResp{fault: dec.fault}
+			return dec.fault
+		}
 		if dec.bad != nil {
 			refusal = &ingestResp{bad: dec.bad}
 			return dec.bad
@@ -855,6 +880,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	<-sess.turn
 	s.maybeSnapshot()
 	switch {
+	case resp.fault != nil:
+		s.logf("fleet %q: window decoder panic: %v\n%s", sess.id, resp.fault, resp.fault.stack)
+		writeErr(w, http.StatusInternalServerError, "decoding window: %v", resp.fault)
 	case resp.bad != nil:
 		writeErr(w, http.StatusBadRequest, "%v", resp.bad)
 	case resp.journalErr != nil:

@@ -85,6 +85,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"unicode"
@@ -415,6 +416,24 @@ func elements[T any](d *windowDecoder, out []T, elem func(*T) error, stop func(a
 	return out, more, nil
 }
 
+// decodePanic is a panic of the decoder caught on a goroutine of its own —
+// a window's decode (startDecode) or a split chunk — where nothing else
+// would catch it: a decoder bug, not a bad body, so the request is
+// answered 500 and the process lives on.
+type decodePanic struct {
+	v     any
+	stack []byte
+}
+
+func newDecodePanic(v any) *decodePanic { return &decodePanic{v: v, stack: debug.Stack()} }
+
+func (p *decodePanic) Error() string { return fmt.Sprintf("decoder panic: %v", p.v) }
+
+// decodeHook, when set, runs at the start of a window's decode (chunk
+// false) and of every split chunk's (chunk true). It is nil outside the
+// tests that make the decoder panic.
+var decodeHook func(chunk bool)
+
 // splitChunkMin is the fewest bytes of array worth a goroutine. Tests
 // lower it so that small documents split too.
 var splitChunkMin = 256 << 10
@@ -463,7 +482,17 @@ func (d *windowDecoder) splitWorkloads(depth int, starts []int) ([]WorkloadWire,
 	for k, c := range chunks {
 		go func() {
 			defer close(c.done)
+			// A chunk that panics ends the decode with the panic as its
+			// error if the decode adopts it.
+			defer func() {
+				if v := recover(); v != nil {
+					c.out, c.next, c.err = nil, -1, newDecodePanic(v)
+				}
+			}()
 			c.d = windowDecoder{b: b, i: c.start}
+			if decodeHook != nil {
+				decodeHook(true)
+			}
 			c.out, c.next, c.err = run(&c.d, k+1, &c.stop)
 		}()
 	}

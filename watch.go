@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kairos/internal/cpu"
 	"kairos/internal/drift"
 	"kairos/internal/predict"
 	"kairos/internal/series"
@@ -114,6 +115,16 @@ func driftSamples(wls []Workload) ([]drift.Sample, error) {
 	return out, nil
 }
 
+// workloadSeries reaches each series of a workload, in the order the
+// forecast builds them.
+var workloadSeries = [...]func(*Workload) **series.Series{
+	func(w *Workload) **series.Series { return &w.CPU },
+	func(w *Workload) **series.Series { return &w.RAMBytes },
+	func(w *Workload) **series.Series { return &w.WSBytes },
+	func(w *Workload) **series.Series { return &w.UpdateRate },
+	func(w *Workload) **series.Series { return &w.DiskWriteBps },
+}
+
 // forecastWorkloads builds the re-solve's workload set from the fleet's
 // baseline (the spec until a trigger commits, then the last forecast): for
 // every baseline workload, in registration order, each series is the
@@ -144,18 +155,17 @@ func forecastWorkloads(baseline []Workload, history [][]Workload) ([]Workload, e
 			}
 		}
 	}
+	// Each workload is one item of a cpu.Do: it writes its own out and
+	// errs entries and gathers its windows into its own stretch of buf.
 	out := make([]Workload, n)
-	windows := make([]*series.Series, 0, len(history))
-	for i, b := range baseline {
+	errs := make([]error, n)
+	buf := make([]*series.Series, n*len(history))
+	cpu.Do(n, func(_, i int) {
+		b := baseline[i]
 		first := slot[b.Name] // a repeated baseline name reads the first's entries
 		fc := b
-		for _, get := range []func(*Workload) **series.Series{
-			func(w *Workload) **series.Series { return &w.CPU },
-			func(w *Workload) **series.Series { return &w.RAMBytes },
-			func(w *Workload) **series.Series { return &w.WSBytes },
-			func(w *Workload) **series.Series { return &w.UpdateRate },
-			func(w *Workload) **series.Series { return &w.DiskWriteBps },
-		} {
+		windows := buf[i*len(history) : i*len(history) : (i+1)*len(history)]
+		for _, get := range workloadSeries {
 			windows = windows[:0]
 			for w, win := range history {
 				if j := at[w*n+first]; j >= 0 {
@@ -169,11 +179,17 @@ func forecastWorkloads(baseline []Workload, history [][]Workload) ([]Workload, e
 			}
 			mean, err := predict.MeanOfWindows(windows)
 			if err != nil {
-				return nil, fmt.Errorf("workload %q: %w", b.Name, err)
+				errs[i] = fmt.Errorf("workload %q: %w", b.Name, err)
+				return
 			}
 			*get(&fc) = mean
 		}
 		out[i] = fc
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
