@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -432,5 +434,58 @@ func TestEnvelopeTermPerStep(t *testing.T) {
 		if got := ev.serverEval(0, []int{0}).Violation; !sameBits(got, want) || want <= 0 {
 			t.Fatalf("%s: violation %v, per-step definition %v", tc.name, got, want)
 		}
+	}
+}
+
+// TestAbsentStreamsShareOneZeroRow: a working-set or update-rate stream no
+// workload carries is one shared zero row for every unit, and a solve over
+// it is the solve over explicit all-zero series, bit for bit; a stream one
+// workload carries gets a row per unit.
+func TestAbsentStreamsShareOneZeroRow(t *testing.T) {
+	p := randomLoadStateProblem(rand.New(rand.NewSource(56)), 12, 24, false)
+	zeros := *p
+	zeros.Workloads = append([]Workload(nil), p.Workloads...)
+	for i := range p.Workloads {
+		p.Workloads[i].WSBytes, p.Workloads[i].UpdateRate = nil, nil
+		w := &zeros.Workloads[i]
+		w.WSBytes = series.New(w.CPU.Start, w.CPU.Step, make([]float64, w.CPU.Len()))
+		w.UpdateRate = series.New(w.CPU.Start, w.CPU.Step, make([]float64, w.CPU.Len()))
+	}
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range ev.ws {
+		if &ev.ws[u][0] != &ev.ws[0][0] || &ev.rate[u][0] != &ev.rate[0][0] || len(ev.ws[u]) != ev.T {
+			t.Fatalf("unit %d: absent streams do not share one row of %d steps", u, ev.T)
+		}
+	}
+	for t2, v := range ev.ws[0] {
+		if v != 0 || ev.rate[0][t2] != 0 {
+			t.Fatalf("step %d of the shared row is %v / %v, not zero", t2, v, ev.rate[0][t2])
+		}
+	}
+	opt := DefaultSolveOptions()
+	opt.SkipDirect = true
+	a, err := Solve(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Solve(context.Background(), &zeros, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.K != b.K || math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || a.Fevals != b.Fevals || !slices.Equal(a.Assign, b.Assign) {
+		t.Fatalf("absent streams solve to K %d, objective %v, %d fevals; explicit zeros to K %d, %v, %d", a.K, a.Objective, a.Fevals, b.K, b.Objective, b.Fevals)
+	}
+	one := *p
+	one.Workloads = append([]Workload(nil), p.Workloads...)
+	one.Workloads[3].WSBytes = zeros.Workloads[3].WSBytes
+	ev, err = NewEvaluator(&one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &ev.ws[0][0] == &ev.ws[1][0] {
+		t.Fatal("a stream one workload carries shares a row across units")
 	}
 }

@@ -152,10 +152,12 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	// found, one item each of a cpu.Do: every item writes its own unit's
 	// entries, and the flatness flags fold in unit order.
 	T := ev.T
+	// A working-set or update-rate stream that no workload carries is all
+	// zeros: every unit's row is then one shared zero row, never written.
 	cpuBuf := make([]float64, len(units)*T)
 	ramBuf := make([]float64, len(units)*T)
-	wsBuf := make([]float64, len(units)*T)
-	rateBuf := make([]float64, len(units)*T)
+	wsBuf := streamBlock(p, len(units), T, func(w *Workload) bool { return w.WSBytes != nil })
+	rateBuf := streamBlock(p, len(units), T, func(w *Workload) bool { return w.UpdateRate != nil })
 	ev.unitPeak = make([]int32, 2*len(units))
 	unflat := make([]bool, 2*len(units)) // RAM, working set
 	cpu.Do(len(units), func(_, u int) {
@@ -163,8 +165,8 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		wl := &p.Workloads[un.w]
 		ev.cpu[u] = cpuBuf[u*T : (u+1)*T : (u+1)*T]
 		ev.ram[u] = ramBuf[u*T : (u+1)*T : (u+1)*T]
-		ev.ws[u] = wsBuf[u*T : (u+1)*T : (u+1)*T]
-		ev.rate[u] = rateBuf[u*T : (u+1)*T : (u+1)*T]
+		ev.ws[u] = unitRow(wsBuf, u, T)
+		ev.rate[u] = unitRow(rateBuf, u, T)
 		k := 1.0
 		if un.replica < len(wl.ReplicaLoadScale) {
 			k = wl.ReplicaLoadScale[un.replica]
@@ -247,6 +249,25 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 		ev.flatWS = ev.flatWS && !unflat[2*u+1]
 	}
 	return ev, nil
+}
+
+// streamBlock returns a per-unit stream's backing block: a row of T steps
+// per unit when some workload carries the stream (has), else one zero row.
+func streamBlock(p *Problem, units, T int, has func(*Workload) bool) []float64 {
+	for i := range p.Workloads {
+		if has(&p.Workloads[i]) {
+			return make([]float64, units*T)
+		}
+	}
+	return make([]float64, T)
+}
+
+// unitRow returns unit u's row of a streamBlock block.
+func unitRow(block []float64, u, T int) []float64 {
+	if len(block) == T {
+		u = 0 // the shared zero row (or the one unit's)
+	}
+	return block[u*T : (u+1)*T : (u+1)*T]
 }
 
 // scaleInto writes k·src into dst.
