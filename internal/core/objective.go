@@ -152,10 +152,10 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	// found, one item each of a cpu.Do: every item writes its own unit's
 	// entries, and the flatness flags fold in unit order.
 	T := ev.T
-	// A working-set or update-rate stream that no workload carries is all
-	// zeros: every unit's row is then one shared zero row, never written.
 	cpuBuf := make([]float64, len(units)*T)
 	ramBuf := make([]float64, len(units)*T)
+	// A working-set or update-rate stream that no workload carries is all
+	// zeros: every unit's row is then one shared zero row, never written.
 	wsBuf := streamBlock(p, len(units), T, func(w *Workload) bool { return w.WSBytes != nil })
 	rateBuf := streamBlock(p, len(units), T, func(w *Workload) bool { return w.UpdateRate != nil })
 	ev.unitPeak = make([]int32, 2*len(units))
