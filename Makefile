@@ -1,5 +1,6 @@
-# Kairos build targets. These mirror .github/workflows/ci.yml exactly so
-# local runs and CI stay in lockstep.
+# Kairos build targets. Every step of .github/workflows/ci.yml runs one of
+# them (TestCIRunsMakeTargets checks it), so this file is the one list of
+# the commands and test regexes CI runs.
 
 GO ?= go
 
@@ -70,7 +71,7 @@ CORES_BENCH = Decode(Window|Register)197/fast|ColdSolve(ALL197|SecondLife97Direc
 # above.
 SOLVE_BENCH = EvalDirectReplay|PriceSwap(NoDisk|Disk)|Poly2DEvalDeg2|GreedySeedPerSolve|ColdSolveALL197Week|$(COUNT_BENCH)
 
-.PHONY: build test test-full race race-full race-server race-cores crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint fma-check loc fmt ci
+.PHONY: build test test-full race race-full race-server race-cores crash-matrix fuzz-smoke bench-module bench bench-hot bench-resolve bench-drift bench-counts serve-smoke lint fma-check vulncheck loc fmt ci
 
 build:
 	$(GO) build ./...
@@ -101,22 +102,10 @@ race-server:
 # The one list of the tests raced at several core counts; CI's race job
 # runs this target. The recovery tests at -cpu 1,4: replay's decode helpers
 # are the CPU budget's free slots, GOMAXPROCS - 1, so this races the apply
-# loop decoding alone, and beside three helpers, whatever the machine's
-# core count. Then, on one core, two and eight: the live decoders' split
-# with one, two and eight chunks, the hold a second request takes, a
-# recycled request body, which is not read into again while its handler
-# can read the window's span (a collector gone, a deregistration, a
-# refused append), a window waiting for its fleet's turn (a
-# deregistration, Close, a collector gone), a window whose record the
-# journal writes on a goroutine of its own while the window's split decode
-# runs (a crash before the commit, refused bodies, a resend), a window
-# that decodes while it waits for its fleet's turn, and a decoder panic
-# on either decode goroutine; the journal's checked append under
-# contention; the budget itself; the solver's fork sites — speculated K
-# probes, cold-seed climbs, greedy packings and shards — with Resolve's
-# scan-ahead and evaluator build beside them; the detector's split score;
-# and a Fleet's one writer observing beside readers of its plan, with the
-# split forecast.
+# loop decoding alone and beside three helpers. Then, at -cpu 1,2,8, the
+# tests of every fork site: README's spawn-site table (Static analysis,
+# checked by TestSpawnSitesListed) names each site with the test that holds
+# its join, and the -run lists below select those tests.
 race-cores:
 	$(GO) test -race -cpu 1,4 -run 'Replay|Recover|Crash|Restart|RegistryMutation' ./internal/server/
 	$(GO) test -race -cpu 1,2,8 -run 'Split|DecodeWindow|DecodeRegister|Hold|CPUBudget|RecycledBody|FleetTurn|CheckedWindow|WindowDecodesBeforeItsTurn|DecoderPanic' ./internal/server/
@@ -127,29 +116,11 @@ race-cores:
 	$(GO) test -race -cpu 1,2,8 -run 'FleetOneWriter|ForecastIndexMatchesScan' .
 
 # Crash matrix: the durability gate. Kills the journaled control plane at
-# every fault-injection point (append write/sync/commit, snapshot write/sync/
-# rename/truncate, torn half-written frame), restarts from the state
-# directory, and asserts every acked window was replayed, the recovered
-# plan matches the last published placement, and retries of acked windows
-# deduplicate instead of re-firing the detector. Then the windows whose
-# trigger advanced nothing (advance lost between the two appends, solver
-# backing off, re-solve failed): a restart answers them as the live daemon
-# did. Then a registration and a deregistration acked while a snapshot is
-# being taken: the restart keeps both; one whose append fails is answered
-# 503 and the restart keeps the old registry. Then a snapshot after each
-# operation of a seeded schedule (partial, resent and unstamped windows
-# among them): the restarted server equals the live one and answers new
-# windows as one that never restarted, and a trigger on a window that
-# omits a workload survives a graceful restart. Then replay's decode-ahead pipeline
-# against the sequential loop it replaced: the same recovered state at GOMAXPROCS 1, 2 and 8, the first
-# undecodable record in journal order named as before, no goroutine left,
-# and one payload buffer per decode worker. Then a window whose record is
-# written while it decodes: a crash before its commit is a torn tail and
-# no window, and a malformed number, a resend and workloads toWorkloads
-# refuses leave the journal byte for byte as it was. Then the journal's
-# own: torn tails, bit flips, snapshot crash points, its Reader against
-# Open, the frames it writes against the reference encoder, and a checked
-# append crashed before its commit or refused.
+# every fault-injection point, restarts from the state directory and
+# checks what a restart keeps against what the live daemon acked; then the
+# journal's own torn tails, bit flips and snapshot crash points. The -run
+# lists below are the one list of its tests; README's "Durability & crash
+# recovery" section says what the gate guarantees.
 crash-matrix:
 	$(GO) test -run 'TestCrashMatrix|TestCrashBetweenWindowAndOutcome|TestBackoffAckSurvivesRestart|TestFailedSolveWindowIsAcked|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestRegistryMutationDuringSnapshot|TestRegistryRefusalSurvivesRestart|TestIdempotentIngestLive|TestReplayAheadMatchesSequential|TestReplayDecodeErrorIsTheFirstInOrder|TestReplayLeavesNoGoroutines|TestReplayReadsOneRecordPerWorker|TestReplayEqualsLiveAtEverySnapshot|TestPartialWindowTriggerSurvivesRestart|TestUncommittedTriggerRestart|TestReplayRetiredRearmRecord|TestReplayRefusedDriftOptions|TestAckRingBound|TestCheckedWindowCrashBeforeCommit|TestCheckedWindowRefusalsLeaveJournal' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel|TestReaderMatchesOpen|TestFramesOnDiskAreTheReference|TestAppendCheckedRefusalLeavesNoTrace|TestAppendCheckedCrashBeforeCommit' -v ./internal/journal/
@@ -304,6 +275,12 @@ lint:
 # files.
 fma-check:
 	GO=$(GO) ./scripts/fma-check.sh
+
+# govulncheck over the module. It installs the tool and fetches its
+# vulnerability database, so it needs network access; CI's lint job runs it.
+vulncheck:
+	$(GO) install golang.org/x/vuln/cmd/govulncheck@latest
+	govulncheck ./...
 
 # Size of the tree as ROADMAP.md states it: non-test Go lines per
 # top-level package and the //kairoslint:allow waivers in force.

@@ -26,7 +26,7 @@ func cmdConsolidate(args []string) error {
 	shards := fs.Int("shards", 0, "split the fleet into this many correlation-aware shards solved separately (0 = single global solve)")
 	savePlan := fs.String("save-plan", "", "write the computed plan to this JSON file for later -resolve runs")
 	resolvePath := fs.String("resolve", "", "warm-start from a plan saved with -save-plan instead of solving cold (rolling re-consolidation)")
-	migWeight := fs.Float64("mig-weight", 0.05, "with -resolve: migration cost per average-working-set unit moved off its incumbent machine (0 = free migrations)")
+	migWeight := fs.Float64("mig-weight", kairos.DefaultResolveOptions().MigrationWeight, "with -resolve: migration cost per average-working-set unit moved off its incumbent machine (0 = free migrations)")
 	maxMig := fs.Int("max-migrations", 0, "with -resolve: cap on units moved off their incumbent machine (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -80,7 +80,7 @@ func saveIncumbent(path string, inc *kairos.Incumbent) error {
 func targetMachines(n int, headroom float64) []core.Machine {
 	out := make([]core.Machine, n)
 	for i := range out {
-		out[i] = fleet.TargetMachine(fmt.Sprintf("target-%02d", i), 50e6, kairos.Frac(headroom))
+		out[i] = fleet.TargetMachine(fmt.Sprintf("target-%02d", i), fleet.TargetDiskWriteBps, kairos.Frac(headroom))
 	}
 	return out
 }
@@ -97,9 +97,15 @@ type specFlags struct {
 func addSpecFlags(fs *flag.FlagSet) *specFlags {
 	return &specFlags{
 		profile:  fs.String("profile", "", "disk profile JSON from profile-disk (omit to skip the disk constraint)"),
-		ramScale: fs.Float64("ram-scale", 0.7, "RAM scaling for ungauged statistics"),
-		headroom: fs.Float64("headroom", 0.05, "per-machine safety margin"),
+		ramScale: addRAMScaleFlag(fs),
+		headroom: fs.Float64("headroom", float64(fleet.TargetHeadroom), "per-machine safety margin"),
 	}
+}
+
+// addRAMScaleFlag registers -ram-scale, the factor fleet.Workloads applies
+// to working sets that could not be gauged.
+func addRAMScaleFlag(fs *flag.FlagSet) *float64 {
+	return fs.Float64("ram-scale", 0.7, "RAM scaling for ungauged statistics")
 }
 
 // diskProfile loads the -profile flag's model.

@@ -13,7 +13,7 @@ import (
 // built-in dataset.
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	ramScale := fs.Float64("ram-scale", 0.7, "RAM scaling for ungauged statistics")
+	ramScale := addRAMScaleFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -24,12 +24,10 @@ func cmdReport(args []string) error {
 		if err != nil {
 			return err
 		}
-		wls := f.Workloads(*ramScale)
-		machines := make([]core.Machine, len(f.Servers))
-		for i := range machines {
-			machines[i] = fleet.TargetMachine(fmt.Sprintf("t%d", i), 50e6, 0.05)
+		p := &core.Problem{
+			Workloads: f.Workloads(*ramScale),
+			Machines:  targetMachines(len(f.Servers), float64(fleet.TargetHeadroom)),
 		}
-		p := &core.Problem{Workloads: wls, Machines: machines}
 		sol, err := core.Solve(context.Background(), p, core.DefaultSolveOptions())
 		if err != nil {
 			return err

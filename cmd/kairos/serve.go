@@ -47,7 +47,7 @@ func cmdServe(args []string) error {
 	stateDir := fs.String("state-dir", "", "directory for the durability journal (empty = in-memory only)")
 	fsync := fs.String("fsync", "always", "journal fsync policy: always, interval, none")
 	fsyncEvery := fs.Duration("fsync-every", journal.DefaultSyncEvery, "flush period for -fsync=interval")
-	snapEvery := fs.Int("snapshot-every", 256, "windows between journal-compacting snapshots")
+	snapEvery := fs.Int("snapshot-every", server.DefaultSnapshotEvery, "windows between journal-compacting snapshots")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"kairos"
+	"kairos/internal/drift"
 	"kairos/internal/fleet"
 )
 
@@ -24,11 +25,12 @@ func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	dir := fs.String("snapshots", "", "directory of CSV trace snapshots, one observation window per file (required)")
 	spec := addSpecFlags(fs)
-	threshold := fs.Float64("drift-threshold", 0.04, "relative drift (utilization delta or forecast CV(RMSE)) that triggers a re-solve")
-	cooldown := fs.Int("cooldown", 1, "observation windows suppressed after a re-solve")
-	history := fs.Int("history", 2, "windows averaged into the rolling forecast the re-solve consumes")
-	minWorkloads := fs.Int("min-workloads", 1, "distinct drifted workloads required to trigger")
-	migWeight := fs.Float64("mig-weight", 0.05, "migration cost per average-working-set unit moved off its incumbent machine")
+	def := drift.DefaultConfig()
+	threshold := fs.Float64("drift-threshold", def.Threshold, "relative drift (utilization delta or forecast CV(RMSE)) that triggers a re-solve")
+	cooldown := fs.Int("cooldown", def.Cooldown, "observation windows suppressed after a re-solve")
+	history := fs.Int("history", def.History, "windows averaged into the rolling forecast the re-solve consumes")
+	minWorkloads := fs.Int("min-workloads", def.MinWorkloads, "distinct drifted workloads required to trigger")
+	migWeight := fs.Float64("mig-weight", kairos.DefaultResolveOptions().MigrationWeight, "migration cost per average-working-set unit moved off its incumbent machine")
 	maxMig := fs.Int("max-migrations", 0, "cap on units migrated per re-solve (0 = unlimited)")
 	resolvePath := fs.String("resolve", "", "start from a plan saved with consolidate -save-plan instead of solving the first snapshot cold")
 	savePlan := fs.String("save-plan", "", "write the final incumbent plan to this JSON file")

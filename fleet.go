@@ -151,7 +151,7 @@ func NewFleet(spec FleetSpec, opts ...FleetOption) (*Fleet, error) {
 	cfg := fleetConfig{
 		solve:   DefaultOptions(),
 		resolve: DefaultResolveOptions(),
-		drift:   DriftConfig{Threshold: 0.04, Cooldown: 1},
+		drift:   drift.DefaultConfig(),
 	}
 	for _, o := range opts {
 		o(&cfg)

@@ -1,10 +1,8 @@
 // Package cpu is the process's one budget of helper goroutines: every site
-// that forks work — solver probes, climbs, packings and shards, a
-// re-solve's scan-ahead and evaluator build, the forecast and the drift
-// detector's score, the live decoders' split, replay's decode-ahead —
-// takes its helpers here, so work
-// sharing the machine is planned against its cores, not against each
-// site's view of them. There are GOMAXPROCS − 1 slots, read at every
+// that forks work takes its helpers here (README's spawn-site table lists
+// them, and TestSpawnSitesListed keeps it whole), so work sharing the
+// machine is planned against its cores, not against each site's view of
+// them. There are GOMAXPROCS − 1 slots, read at every
 // acquire; the calling goroutine is the remaining core. Nothing blocks:
 // with no free slot a site runs its work on the calling goroutine.
 package cpu

@@ -111,6 +111,13 @@ type Config struct {
 	MinWorkloads int
 }
 
+// DefaultConfig is the detector a fleet session runs unless told
+// otherwise: a 4 % threshold, one window of cool-down after a rebase, and
+// the zero-value defaults WithDefaults resolves.
+func DefaultConfig() Config {
+	return Config{Threshold: 0.04, Cooldown: 1}.WithDefaults()
+}
+
 // WithDefaults resolves the documented zero-value defaults, as NewDetector
 // does.
 func (c Config) WithDefaults() Config {

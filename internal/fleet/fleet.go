@@ -277,6 +277,13 @@ func (f *Fleet) MeanCPUUtilization() float64 {
 	return sum / float64(n)
 }
 
+// The target machine's default disk write budget and safety margin: what
+// TargetMachine is given when a caller names neither.
+const (
+	TargetDiskWriteBps unit.Bps  = 50e6
+	TargetHeadroom     unit.Frac = 0.05
+)
+
 // TargetMachine is the paper's consolidation target: a 12-core, 96 GB
 // machine ("a higher-end class of machines used by two of our data
 // providers", USD $6,000–$10,000).

@@ -33,6 +33,46 @@ func mustAppend(t *testing.T, l *Log, parts ...[]byte) uint64 {
 	return seq
 }
 
+// joinTimeout bounds the tests' waits on a join the journal owes — a
+// checked append's writer, the log's end handed back, the flusher's exit
+// in Close — so a lost join fails in seconds instead of hanging the test
+// binary until go test's timeout.
+const joinTimeout = 5 * time.Second
+
+// returnsWithin runs f and reports whether it returned within
+// joinTimeout. A stuck f is left running.
+func returnsWithin(f func()) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(joinTimeout):
+		return false
+	}
+}
+
+// within runs f and fails the test if it has not returned within
+// joinTimeout.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	if !returnsWithin(f) {
+		t.Fatalf("%s did not return within %v", what, joinTimeout)
+	}
+}
+
+// closeWithin is Close for a defer: one that has not returned within
+// joinTimeout fails the test.
+func closeWithin(t *testing.T, l *Log) {
+	t.Helper()
+	if !returnsWithin(func() { _ = l.Close() }) {
+		t.Errorf("Close did not return within %v", joinTimeout)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, rec := open(t, dir, Options{})
@@ -492,7 +532,7 @@ func TestSyncPolicies(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		fi := &FaultInjector{}
 		l, _ := open(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond, Fault: fi})
-		defer l.Close()
+		defer closeWithin(t, l)
 		mustAppend(t, l, []byte("a"))
 		deadline := time.Now().Add(2 * time.Second)
 		for fi.Hits(PointAppendSync) == 0 && time.Now().Before(deadline) {
@@ -620,19 +660,21 @@ func TestAppendCheckedRefusalLeavesNoTrace(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/slow=%v", sync, slow), func(t *testing.T) {
 				dir := t.TempDir()
 				l, _ := open(t, dir, Options{Sync: sync})
-				defer l.Close()
+				defer closeWithin(t, l)
 				mustAppend(t, l, []byte("before"))
 				path := filepath.Join(dir, journalFile)
 				before, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, err = l.AppendChecked(func() error {
-					if slow {
-						time.Sleep(5 * time.Millisecond)
-					}
-					return refused
-				}, record...)
+				within(t, "a refused checked append", func() {
+					_, err = l.AppendChecked(func() error {
+						if slow {
+							time.Sleep(5 * time.Millisecond)
+						}
+						return refused
+					}, record...)
+				})
 				if err != refused {
 					t.Fatalf("refused append = %v, want the check's error", err)
 				}
@@ -642,8 +684,10 @@ func TestAppendCheckedRefusalLeavesNoTrace(t *testing.T) {
 				if st := l.Stats(); st.Seq != 1 || st.Appends != 1 || st.SizeBytes != int64(len(before)) {
 					t.Fatalf("stats after a refused record: %+v", st)
 				}
-				if seq := mustAppend(t, l, []byte("after")); seq != 2 {
-					t.Fatalf("the record after a refused one got seq %d, want 2", seq)
+				var seq uint64
+				within(t, "the append after a refused record", func() { seq, err = l.Append([]byte("after")) })
+				if err != nil || seq != 2 {
+					t.Fatalf("the record after a refused one got seq %d (%v), want 2", seq, err)
 				}
 			})
 		}
@@ -651,21 +695,30 @@ func TestAppendCheckedRefusalLeavesNoTrace(t *testing.T) {
 	t.Run("closed log", func(t *testing.T) {
 		l, _ := open(t, t.TempDir(), Options{})
 		l.Close()
-		if _, err := l.AppendChecked(func() error { return refused }, []byte("x")); err != refused {
+		var err error
+		within(t, "a refused checked append on a closed log", func() {
+			_, err = l.AppendChecked(func() error { return refused }, []byte("x"))
+		})
+		if err != refused {
 			t.Fatalf("refused append on a closed log = %v, want the check's error", err)
 		}
-		if _, err := l.AppendChecked(func() error { return nil }, []byte("x")); err == nil {
+		within(t, "a checked append on a closed log", func() {
+			_, err = l.AppendChecked(func() error { return nil }, []byte("x"))
+		})
+		if err == nil {
 			t.Fatal("a closed log took a checked record")
 		}
 	})
 	t.Run("panicking check", func(t *testing.T) {
 		l, _ := open(t, t.TempDir(), Options{})
-		defer l.Close()
-		func() {
+		defer closeWithin(t, l)
+		within(t, "a checked append whose check panics", func() {
 			defer func() { _ = recover() }()
 			_, _ = l.AppendChecked(func() error { panic("check") }, []byte("x"))
-		}()
-		if _, err := l.Append([]byte("after")); err == nil {
+		})
+		var err error
+		within(t, "the append after a panicking check", func() { _, err = l.Append([]byte("after")) })
+		if err == nil {
 			t.Fatal("append after a panicking check succeeded; the log must be poisoned")
 		}
 	})
@@ -680,7 +733,7 @@ func TestAppendWaitsForCheckedAppend(t *testing.T) {
 		t.Run(fmt.Sprintf("approve=%v", approve), func(t *testing.T) {
 			dir := t.TempDir()
 			l, _ := open(t, dir, Options{Sync: SyncAlways})
-			defer l.Close()
+			defer closeWithin(t, l)
 			inCheck, release := make(chan struct{}), make(chan struct{})
 			checkedSeq := make(chan uint64, 1)
 			go func() {
@@ -699,11 +752,15 @@ func TestAppendWaitsForCheckedAppend(t *testing.T) {
 				}, []byte("checked"))
 				checkedSeq <- seq
 			}()
-			<-inCheck
-			if st := l.Stats(); st.Seq != 0 {
+			within(t, "the checked append's write", func() { <-inCheck })
+			var st Stats
+			within(t, "Stats during the check", func() { st = l.Stats() })
+			if st.Seq != 0 {
 				t.Fatalf("stats during the check: %+v", st)
 			}
-			if err := l.Sync(); err != nil {
+			var err error
+			within(t, "Sync during the check", func() { err = l.Sync() })
+			if err != nil {
 				t.Fatal(err)
 			}
 			appended := make(chan uint64, 1)
@@ -721,13 +778,16 @@ func TestAppendWaitsForCheckedAppend(t *testing.T) {
 			}
 			close(release)
 			want := uint64(1)
+			var seq uint64
 			if approve {
 				want = 2
-				if seq := <-checkedSeq; seq != 1 {
+				within(t, "the approved checked append", func() { seq = <-checkedSeq })
+				if seq != 1 {
 					t.Fatalf("the checked record got seq %d, want 1", seq)
 				}
 			}
-			if seq := <-appended; seq != want {
+			within(t, "the append behind the checked one", func() { seq = <-appended })
+			if seq != want {
 				t.Fatalf("the append after the checked one got seq %d, want %d", seq, want)
 			}
 		})

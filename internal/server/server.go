@@ -30,6 +30,10 @@ const maxBodyBytes = 16 << 20
 // older window is consumed again.
 const ackRingSize = 512
 
+// DefaultSnapshotEvery is how many ingested windows a durable server
+// journals between snapshots when its Config names no other count.
+const DefaultSnapshotEvery = 256
+
 // Config configures a control plane for Open.
 type Config struct {
 	// Logf receives one line per lifecycle event (register, trigger,
@@ -44,7 +48,7 @@ type Config struct {
 	// injection). Ignored without StateDir.
 	Journal journal.Options
 	// SnapshotEvery compacts the journal into a snapshot after this many
-	// ingested windows (0 = 256).
+	// ingested windows (0 = DefaultSnapshotEvery).
 	SnapshotEvery int
 }
 
@@ -203,7 +207,7 @@ func Open(cfg Config) (*Server, error) {
 		s.logf = func(string, ...any) {}
 	}
 	if s.snapEvery <= 0 {
-		s.snapEvery = 256
+		s.snapEvery = DefaultSnapshotEvery
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/fleets", s.handleRegister)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"kairos/internal/fleet"
 	"kairos/internal/journal"
+	"kairos/internal/unit"
 )
 
 // testWorkloads builds n wire workloads of T samples whose CPU sits at
@@ -151,6 +153,35 @@ func TestRegisterEndpoint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAutoMachinesAreTheTargetMachine: auto_machines is shorthand for
+// fleet.TargetMachine, field for field, with its default disk budget and
+// headroom when the request names neither, and with the request's when it
+// does.
+func TestAutoMachinesAreTheTargetMachine(t *testing.T) {
+	for _, tc := range []struct {
+		am       AutoMachines
+		disk     unit.Bps
+		headroom unit.Frac
+	}{
+		{AutoMachines{Count: 3}, fleet.TargetDiskWriteBps, fleet.TargetHeadroom},
+		{AutoMachines{Count: 2, DiskWriteBps: 80e6, Headroom: 0.1}, 80e6, 0.1},
+	} {
+		got, err := toMachines(&RegisterRequest{AutoMachines: &tc.am})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.am.Count {
+			t.Fatalf("%+v: %d machines, want %d", tc.am, len(got), tc.am.Count)
+		}
+		for i, m := range got {
+			want := fleet.TargetMachine(fmt.Sprintf("target-%02d", i), tc.disk, tc.headroom)
+			if m != want {
+				t.Errorf("%+v: machine %d = %+v, want %+v", tc.am, i, m, want)
+			}
+		}
 	}
 }
 

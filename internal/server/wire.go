@@ -29,6 +29,8 @@ import (
 	"time"
 
 	"kairos"
+	"kairos/internal/drift"
+	"kairos/internal/fleet"
 	"kairos/internal/model"
 	"kairos/internal/series"
 )
@@ -81,9 +83,10 @@ type MachineWire struct {
 // (at most maxMachines) of the paper's standard 12-core/96GB machine.
 type AutoMachines struct {
 	Count int `json:"count"`
-	// DiskWriteBps is the per-machine disk write budget (default 50 MB/s).
+	// DiskWriteBps is the per-machine disk write budget (0 =
+	// fleet.TargetDiskWriteBps).
 	DiskWriteBps float64 `json:"disk_write_bps,omitempty"`
-	// Headroom is the per-machine safety margin (default 0.05).
+	// Headroom is the per-machine safety margin (0 = fleet.TargetHeadroom).
 	Headroom float64 `json:"headroom,omitempty"`
 }
 
@@ -102,17 +105,18 @@ type OptionsWire struct {
 	// class, solves it unsharded.
 	Shards int `json:"shards,omitempty"`
 	// DriftThreshold is the relative drift that triggers a re-solve
-	// (0 = the default 0.04; a negative one is refused).
+	// (0 = drift.DefaultConfig's; a negative one is refused).
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	// Cooldown is the number of windows suppressed after a re-solve
-	// commits (default 1).
+	// commits (absent = drift.DefaultConfig's).
 	Cooldown *int `json:"cooldown,omitempty"`
 	// History is the number of windows averaged into the rolling forecast
-	// (default 2, at most maxHistory).
+	// (0 = drift.DefaultConfig's, at most maxHistory).
 	History int `json:"history,omitempty"`
 	// MinWorkloads is the drifted-workload quorum for a trigger.
 	MinWorkloads int `json:"min_workloads,omitempty"`
-	// MigrationWeight prices warm-re-solve migrations (default 0.05).
+	// MigrationWeight prices warm-re-solve migrations (absent =
+	// kairos.DefaultResolveOptions').
 	MigrationWeight *float64 `json:"migration_weight,omitempty"`
 	// MaxMigrations caps units migrated per re-solve (0 = unlimited).
 	MaxMigrations int `json:"max_migrations,omitempty"`
@@ -470,21 +474,15 @@ func toMachines(req *RegisterRequest) ([]kairos.Machine, error) {
 		}
 		disk := kairos.Bps(am.DiskWriteBps)
 		if disk == 0 {
-			disk = 50e6
+			disk = fleet.TargetDiskWriteBps
 		}
 		headroom := kairos.Frac(am.Headroom)
 		if headroom == 0 {
-			headroom = 0.05
+			headroom = fleet.TargetHeadroom
 		}
 		out := make([]kairos.Machine, am.Count)
 		for i := range out {
-			out[i] = kairos.Machine{
-				Name:         fmt.Sprintf("target-%02d", i),
-				CPUCapacity:  1.0,
-				RAMBytes:     96e9,
-				DiskWriteBps: disk,
-				Headroom:     headroom,
-			}
+			out[i] = fleet.TargetMachine(fmt.Sprintf("target-%02d", i), disk, headroom)
 		}
 		return out, nil
 	default:
@@ -515,13 +513,11 @@ func toFleetOptions(o OptionsWire) []kairos.FleetOption {
 
 // driftConfig is the detector configuration o asks for. A negative
 // threshold, journaled before checkRegister refused it, takes the default.
+// History and MinWorkloads go through as given, so that Validate sees a
+// negative one; a 0 takes WithDefaults' value.
 func driftConfig(o OptionsWire) kairos.DriftConfig {
-	cfg := kairos.DriftConfig{
-		Threshold:    0.04,
-		Cooldown:     1,
-		History:      o.History,
-		MinWorkloads: o.MinWorkloads,
-	}
+	cfg := drift.DefaultConfig()
+	cfg.History, cfg.MinWorkloads = o.History, o.MinWorkloads
 	if o.DriftThreshold > 0 {
 		cfg.Threshold = o.DriftThreshold
 	}

@@ -62,6 +62,3 @@ func NewBoxPlot(xs []float64) (BoxPlot, error) {
 	}
 	return bp, nil
 }
-
-// IQR returns the interquartile range of the summary.
-func (b BoxPlot) IQR() float64 { return b.Q3 - b.Q1 }

@@ -1,5 +1,5 @@
-// Package stats provides the descriptive statistics used throughout Kairos:
-// percentiles, empirical CDFs, error metrics, and the box-plot summaries the
+// Package stats provides the descriptive statistics Kairos reports: the
+// mean, percentiles, forecast error metrics, and the box-plot summaries the
 // paper uses to report per-server load balance (Figure 9).
 package stats
 
@@ -22,72 +22,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// Min returns the smallest element of xs. It panics on an empty slice; use
-// MinMax for an error-returning variant.
-func Min(xs []float64) float64 {
-	mn, _, err := MinMax(xs)
-	if err != nil {
-		panic(err)
-	}
-	return mn
-}
-
-// Max returns the largest element of xs. It panics on an empty slice; use
-// MinMax for an error-returning variant.
-func Max(xs []float64) float64 {
-	_, mx, err := MinMax(xs)
-	if err != nil {
-		panic(err)
-	}
-	return mx
-}
-
-// MinMax returns the smallest and largest elements of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
@@ -118,29 +52,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Percentiles returns several percentiles of xs in one pass over a single
-// sorted copy. The result is parallel to ps.
-func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, errors.New("stats: percentile out of range [0,100]")
-		}
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
 }
 
 // RMSE returns the root-mean-squared error between predicted and actual.
@@ -175,22 +86,4 @@ func MAE(predicted, actual []float64) (float64, error) {
 		sum += math.Abs(predicted[i] - actual[i])
 	}
 	return sum / float64(len(predicted)), nil
-}
-
-// MaxAbsError returns the largest absolute difference between predicted and
-// actual.
-func MaxAbsError(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, errors.New("stats: MaxAbsError length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0, ErrEmpty
-	}
-	var mx float64
-	for i := range predicted {
-		if d := math.Abs(predicted[i] - actual[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx, nil
 }

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,53 +31,6 @@ func TestMean(t *testing.T) {
 				t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
 			}
 		})
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1.5, 2.5, -1}); !almostEqual(got, 3, 1e-12) {
-		t.Errorf("Sum = %v, want 3", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) err = %v, want ErrEmpty", err)
-	}
-	mn, mx, err := MinMax([]float64{3, -2, 9, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn != -2 || mx != 9 {
-		t.Errorf("MinMax = (%v, %v), want (-2, 9)", mn, mx)
-	}
-	if Min([]float64{5, 1}) != 1 || Max([]float64{5, 1}) != 5 {
-		t.Error("Min/Max convenience wrappers disagree with MinMax")
-	}
-}
-
-func TestMinMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("Variance of single sample should be 0")
 	}
 }
 
@@ -114,41 +67,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestPercentilesBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	ps := []float64{0, 5, 25, 50, 75, 95, 100}
-	batch, err := Percentiles(xs, ps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		single, err := Percentile(xs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(batch[i], single, 1e-12) {
-			t.Errorf("Percentiles[%v] = %v, Percentile = %v", p, batch[i], single)
-		}
-	}
-	if _, err := Percentiles(nil, 50); err != ErrEmpty {
-		t.Error("Percentiles(empty) should return ErrEmpty")
-	}
-	if _, err := Percentiles(xs, 200); err == nil {
-		t.Error("Percentiles with out-of-range p should error")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
-	if err != nil || got != 5 {
-		t.Errorf("Median = %v, %v; want 5, nil", got, err)
-	}
-}
-
 func TestRMSE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	act := []float64{1, 2, 3}
@@ -171,34 +89,19 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestMAEAndMaxAbsError(t *testing.T) {
-	pred := []float64{1, 5, 2}
-	act := []float64{2, 2, 2}
-	mae, err := MAE(pred, act)
+func TestMAE(t *testing.T) {
+	mae, err := MAE([]float64{1, 5, 2}, []float64{2, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(mae, 4.0/3, 1e-12) {
 		t.Errorf("MAE = %v, want 4/3", mae)
 	}
-	mx, err := MaxAbsError(pred, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx != 3 {
-		t.Errorf("MaxAbsError = %v, want 3", mx)
-	}
 	if _, err := MAE([]float64{1}, nil); err == nil {
 		t.Error("MAE mismatch should error")
 	}
-	if _, err := MaxAbsError([]float64{1}, nil); err == nil {
-		t.Error("MaxAbsError mismatch should error")
-	}
 	if _, err := MAE(nil, nil); err != ErrEmpty {
 		t.Error("MAE(empty) should return ErrEmpty")
-	}
-	if _, err := MaxAbsError(nil, nil); err != ErrEmpty {
-		t.Error("MaxAbsError(empty) should return ErrEmpty")
 	}
 }
 
@@ -217,7 +120,7 @@ func TestPercentileProperties(t *testing.T) {
 		}
 		p0, _ := Percentile(xs, 0)
 		p100, _ := Percentile(xs, 100)
-		mn, mx, _ := MinMax(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		if !floats.Same(p0, mn) || !floats.Same(p100, mx) {
 			return false
 		}
@@ -249,7 +152,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, mx, _ := MinMax(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		return m >= mn-1e-9 && m <= mx+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
