@@ -52,17 +52,21 @@ APPEND_COUNT_BENCH = Append2MB/parts
 # cold local-search solves of ALL-197 and SecondLife-97 + disk model, cold
 # DIRECT solves of SecondLife-97 and Wikipedia-40, one warm re-solve of the
 # drifted ALL-197, one greedy packing. The four cold solves pin gap too: K
-# above the lower bound they searched from. Then the re-solve matrix, 18
-# drifted and phase-shifted re-solves per fleet: its machines (Σ K),
-# infeasible, migrated and fevals per fleet.
+# above the lower bound they searched from. Then the scenario ledger, 18
+# drifted and phase-shifted scenarios per fleet: one row per column and
+# fleet (BenchmarkResolveMatrix/<column>/<fleet>; the columns are warm
+# re-solves and cold local-search solves) with its machines (Σ K),
+# infeasible, migrated, fevals and objective sum.
 COUNT_BENCH = ColdSolve(ALL197|SecondLife97Disk|SecondLife97Direct|Wikipedia40Direct)$$|ResolveWarmALL197|GreedyPackALL197|ResolveMatrix
 
 # The work that takes the CPU budget's helpers (make bench-hot): the live
-# decoders' speculative split and the cold solves' speculated K probes,
-# cold-seed climbs and greedy packings. The -cpu 2 rows show the gain; the
-# -cpu 1 rows have no helper slot, are the one-goroutine paths and must not
-# move.
-CORES_BENCH = Decode(Window|Register)197/fast|ColdSolve(ALL197|SecondLife97Direct)$$
+# decoders' speculative split, the cold solves' speculated K probes,
+# cold-seed climbs and greedy packings, and a warm re-solve's scan-ahead.
+# The -cpu 2 rows show the gain; the -cpu 1 rows have no helper slot, are
+# the one-goroutine paths and must not move. The warm re-solve's two rows
+# also track a slowdown CHANGES.md records: one-goroutine solver code has
+# run slower at GOMAXPROCS 2 than at 1, with no helper in use.
+CORES_BENCH = Decode(Window|Register)197/fast|ColdSolve(ALL197|SecondLife97Direct)$$|ResolveWarmALL197
 
 # The cold solve's per-phase in-package benchmarks (make bench-hot): a
 # recorded DIRECT run replayed through Eval, exact swap pricing with and
@@ -201,8 +205,9 @@ bench-drift:
 # restart and a journal read once each, their work counters compared with
 # the committed BENCH_counts.json. It fails when a count (fevals, priced,
 # screened — the sweep candidates the screen's capacity stage did not
-# decide — eval-priced, probes, machines, gap; the re-solve matrix's
-# infeasible and migrated; the decoders', the ingest's, the
+# decide — eval-priced, probes, machines, gap; the scenario ledger's
+# infeasible, migrated and objective sum, whose committed figure carries
+# 0.1 % above the sum measured; the decoders', the ingest's, the
 # restart's, the read's and the append's allocs/op and B/op; the decoders'
 # slow-numbers and parsed-numbers) is higher than committed
 # or missing — a number that repeats, not a time — which is what catches the
@@ -235,12 +240,11 @@ bench-counts:
 	  $(GO) test -cpu 1 -bench='$(APPEND_COUNT_BENCH)' -benchmem -benchtime=1x -run='^$$' ./internal/journal ) | $(GO) run ./cmd/benchjson > bench_counts.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_counts.json bench_counts.new.json
 
-# Rolling re-consolidation: warm-started Resolve on the drifted 197-server
-# fleet vs a cold solve, plus a pricing sweep under the disk model and its
-# saturation envelope. Tracked metrics: warm fevals under cold's,
-# migrated-frac in the low percent, and 0 allocs/op on the envelope sweep.
+# Re-solve pricing under the disk model: a pricing sweep with its saturation
+# envelope, tracked at 0 allocs/op. Warm re-solves against cold solves are
+# the scenario ledger's rows, which make bench-counts gates.
 bench-resolve:
-	$(GO) test -bench='ResolveWarmVsCold|SweepEnvelope' -benchmem -benchtime=1x -run='^$$' .
+	$(GO) test -bench='SweepEnvelope' -benchmem -benchtime=1x -run='^$$' .
 
 # Serve smoke: boot the kairos serve daemon, register a small synthetic
 # fleet over HTTP, stream a quiet and a drifted window with curl, and
@@ -290,7 +294,7 @@ loc:
 fmt:
 	gofmt -w .
 
-# Local CI mirror. The hosted workflow runs the same gates, with the
-# short race pass promoted to `race-full` in a dedicated job (and
-# govulncheck, which needs network access to fetch its vuln DB).
-ci: build lint fma-check test race race-server crash-matrix fuzz-smoke bench-module serve-smoke bench bench-counts
+# Local CI mirror: the targets ci.yml runs, in its order, but vulncheck,
+# which needs network access to fetch its vulnerability database
+# (TestCIRunsMakeTargets holds the two lists equal).
+ci: lint fma-check test-full crash-matrix fuzz-smoke bench-module serve-smoke race-full race-cores bench bench-hot bench-resolve bench-drift bench-counts

@@ -1,13 +1,10 @@
-// Benchmarks for rolling re-consolidation: warm-started re-solves on a
-// drifted 197-server fleet versus solving cold, plus the memoized
-// disk-envelope pricing hot path. `make bench-resolve` runs these with
-// allocation stats; the warm/cold feval and migration metrics are the
-// acceptance numbers tracked per PR.
+// The memoized disk-envelope pricing hot path of re-solves under the disk
+// model. `make bench-resolve` runs it with allocation stats; warm against
+// cold re-solves are the scenario ledger's rows (internal/core's
+// BenchmarkResolveMatrix, gated by make bench-counts).
 package kairos
 
 import (
-	"context"
-	"math/rand"
 	"testing"
 
 	"kairos/internal/core"
@@ -15,73 +12,6 @@ import (
 	"kairos/internal/model"
 	"kairos/internal/polyfit"
 )
-
-// driftFleet returns a copy of the workloads with every series scaled by a
-// deterministic per-workload factor in [1-frac, 1+frac] — one week of
-// drift between consolidation runs.
-func driftFleet(wls []core.Workload, frac float64, seed int64) []core.Workload {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]core.Workload, len(wls))
-	for i, w := range wls {
-		f := 1 + (rng.Float64()*2-1)*frac
-		out[i] = w
-		out[i].CPU = w.CPU.Scale(f).Clamp(0, 1)
-		out[i].RAMBytes = w.RAMBytes.Scale(f)
-		if w.WSBytes != nil {
-			out[i].WSBytes = w.WSBytes.Scale(f)
-		}
-		if w.UpdateRate != nil {
-			out[i].UpdateRate = w.UpdateRate.Scale(f)
-		}
-	}
-	return out
-}
-
-// BenchmarkResolveWarmVsCold is the rolling re-consolidation scenario on
-// the 197-server ALL fleet: consolidate once, drift every workload by ≤5%,
-// then re-consolidate cold (fresh local-search solve) versus warm
-// (Resolve from the incumbent plan). The warm case reports how many units
-// migrated; both report objective evaluations — the cost metric that makes
-// warm re-solves viable on a cadence.
-func BenchmarkResolveWarmVsCold(b *testing.B) {
-	base := fleetProblem(fleet.All(), nil)
-	opt := core.DefaultSolveOptions()
-	opt.SkipDirect = true // fleet-scale solves use the local-search path
-	prev, err := core.Solve(context.Background(), base, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inc := core.IncumbentFromSolution(base, prev)
-	drifted := &core.Problem{
-		Workloads: driftFleet(base.Workloads, 0.05, 7),
-		Machines:  base.Machines,
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sol, err := core.Solve(context.Background(), drifted, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sol.Fevals), "fevals")
-			b.ReportMetric(float64(sol.K), "machines")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		ropt := core.DefaultResolveOptions()
-		for i := 0; i < b.N; i++ {
-			sol, err := core.Resolve(context.Background(), drifted, inc, ropt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sol.Fevals), "fevals")
-			b.ReportMetric(float64(sol.K), "machines")
-			b.ReportMetric(float64(sol.Migrated)/float64(len(sol.Assign)), "migrated-frac")
-		}
-	})
-}
 
 // benchSyntheticDiskProfile hand-writes a disk model with a saturation
 // envelope so the envelope-pricing hot path runs without a profiler sweep.

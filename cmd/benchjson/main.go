@@ -19,9 +19,9 @@
 // reads two such documents and exits non-zero when, for a benchmark of the
 // first, a metric whose unit is a count — fevals, priced, eval-priced,
 // probes, machines, infeasible, migrated, allocs/op, B/op, slow-numbers,
-// parsed-numbers: numbers that repeat, to the last digit or within the
-// spare the baseline leaves, unlike ns/op — is higher in the second, or the
-// benchmark or the metric is missing there.
+// parsed-numbers — or an objective sum is higher in the second, or the
+// benchmark or the metric is missing there: numbers that repeat, to the
+// last digit or within the spare the baseline leaves, unlike ns/op.
 package main
 
 import (
@@ -64,10 +64,12 @@ type Doc struct {
 // allocations and bytes allocated per op of the benchmarks that carry them.
 // screened is the sweep candidates the screen's capacity stage passed on;
 // gap is a cold solve's K above its lower bound; infeasible and migrated are
-// the re-solves left infeasible and the units they moved; slow-numbers and
-// parsed-numbers are the samples a wire decoder handed to strconv and the
-// samples it converted rather than copied.
-var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "gap", "infeasible", "migrated", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
+// the re-solves left infeasible and the units they moved; objective is a
+// sum of plans' canonical objectives, deterministic like a count but printed
+// to four significant figures, so its baseline carries a spare; slow-numbers
+// and parsed-numbers are the samples a wire decoder handed to strconv and
+// the samples it converted rather than copied.
+var countUnits = [...]string{"fevals", "priced", "screened", "eval-priced", "probes", "machines", "gap", "infeasible", "migrated", "objective", "allocs/op", "B/op", "slow-numbers", "parsed-numbers"}
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) and fail when a count metric rose")

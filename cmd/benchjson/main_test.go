@@ -155,21 +155,23 @@ func TestCompareDocs(t *testing.T) {
 		}
 	}
 
-	// The re-solve matrix carries the plans it left infeasible and the units
-	// it moved: a re-solve that gives up a fleet, or churns more of it,
-	// shows there with Σ K where it was.
+	// The scenario ledger carries the plans it left infeasible, the units
+	// they moved and their objective sum: a re-solve that gives up a fleet,
+	// churns more of it or packs it worse shows there with Σ K where it was.
 	matrix := func(metrics map[string]float64) Doc {
-		return Doc{Results: []Result{res("BenchmarkResolveMatrix/ALL", metrics)}}
+		return Doc{Results: []Result{res("BenchmarkResolveMatrix/warm/ALL", metrics)}}
 	}
-	old = matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132})
+	old = matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132, "objective": 506.68859})
 	for _, tc := range []struct {
 		cur   Doc
 		worse bool
 		want  string
 	}{
-		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132}), false, "infeasible 0"},
-		{matrix(map[string]float64{"machines": 286, "infeasible": 1, "migrated": 176, "fevals": 1005132}), true, "infeasible rose 0 -> 1"},
-		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 190, "fevals": 1005132}), true, "migrated rose 176 -> 190"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132, "objective": 506.3}), false, "infeasible 0"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 1, "migrated": 176, "fevals": 1005132, "objective": 506.3}), true, "infeasible rose 0 -> 1"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 190, "fevals": 1005132, "objective": 506.3}), true, "migrated rose 176 -> 190"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132, "objective": 507.1}), true, "objective rose 506.68859 -> 507.1"},
+		{matrix(map[string]float64{"machines": 286, "infeasible": 0, "migrated": 176, "fevals": 1005132}), true, "objective missing"},
 	} {
 		lines, worse := compareDocs(old, tc.cur)
 		if report := strings.Join(lines, "\n"); worse != tc.worse || !strings.Contains(report, tc.want) {

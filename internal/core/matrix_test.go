@@ -15,37 +15,35 @@ import (
 	"kairos/internal/series"
 )
 
-// The re-solve matrix judges Resolve on the drift a fleet sees between two
-// consolidations, not on one scenario: each fleet's cold local-search plan
-// is the incumbent, and Resolve re-solves it after each of six
-// perturbations at three seeds — every workload's amplitude drifted by up
-// to ±2, 5, 10 or 20 %, or 10 % or 30 % of the workloads phase-shifted by
-// two hours (24 five-minute steps). Its sums repeat exactly on any machine.
-// The counts among them are BenchmarkResolveMatrix's rows in
-// BENCH_counts.json, which both the count gate and TestResolveMatrix read;
-// the objective sum, not a count, is held here.
+// The scenario ledger judges a solver on the drift a fleet sees between two
+// consolidations, scenario by scenario rather than on one case: each fleet's
+// cold local-search plan is its incumbent, and each of six perturbations at
+// three seeds is a scenario — every workload's amplitude drifted by up to
+// ±2, 5, 10 or 20 %, or 10 % or 30 % of the workloads phase-shifted by two
+// hours (24 five-minute steps). A column answers every scenario with a plan,
+// and the ledger sums a column's plans per fleet. BenchmarkResolveMatrix
+// reports each sum as the row BenchmarkResolveMatrix/<column>/<fleet>;
+// BENCH_counts.json commits the rows, the count gate holds every column to
+// them and TestResolveMatrix holds the warm column in tier-1. The sums repeat
+// exactly on any machine. A new measurement of plan quality is a column and
+// its committed rows, not another loop over the scenarios.
 
-// matrixRow sums one dataset's 18 re-solves: machines, plans left
-// infeasible, units migrated, objective evaluations and the canonical
-// objective.
-type matrixRow struct {
-	k, infeasible, migrated, fevals int
-	objective                       float64
-}
-
-// matrixDatasets are the matrix's fleets: the paper's four datasets and
-// their union on one class of target machine; SecondLife under the disk
-// model; Wikipedia and SecondLife with every other machine at half the CPU
-// and RAM (two classes, one dominating the other); SecondLife with three
-// workloads pinned to the first three machines; SecondLife with every 12th
-// machine at full size and the rest at half the CPU and RAM (9 full
-// machines, fewer than any plan needs); and SecondLife and Wikipedia with
-// every other machine at twice the CPU and half the RAM (two classes
-// neither of which dominates).
-var matrixDatasets = []struct {
+// matrixFleet names a fleet of the ledger and builds it afresh.
+type matrixFleet struct {
 	name    string
 	problem func() *core.Problem
-}{
+}
+
+// matrixFleets are the ledger's fleets: the paper's four datasets and their
+// union on one class of target machine; SecondLife under the disk model;
+// Wikipedia and SecondLife with every 10th machine at full size and the
+// rest at half the CPU and RAM (4 and 10 full machines, fewer than most of
+// their plans need); SecondLife with three workloads pinned to the first
+// three machines; SecondLife with every 12th machine at full size and the
+// rest at half (9 full machines, fewer than any plan needs); and SecondLife
+// and Wikipedia with every other machine at twice the CPU and half the RAM
+// (two classes neither of which dominates).
+var matrixFleets = []matrixFleet{
 	{"Internal", func() *core.Problem { return fleetCase(fleet.Internal) }},
 	{"Wikia", func() *core.Problem { return fleetCase(fleet.Wikia) }},
 	{"Wikipedia", func() *core.Problem { return fleetCase(fleet.Wikipedia) }},
@@ -56,35 +54,24 @@ var matrixDatasets = []struct {
 		p.Disk = goldenDiskProfile()
 		return p
 	}},
-	{"Wikipedia-mixed", func() *core.Problem {
-		p := fleetCase(fleet.Wikipedia)
-		for j := 1; j < len(p.Machines); j += 2 {
-			p.Machines[j].CPUCapacity /= 2
-			p.Machines[j].RAMBytes /= 2
-		}
-		return p
-	}},
-	{"SecondLife-halved", func() *core.Problem {
-		p := fleetCase(fleet.SecondLife)
-		for j := 1; j < len(p.Machines); j += 2 {
-			p.Machines[j].CPUCapacity /= 2
-			p.Machines[j].RAMBytes /= 2
-		}
-		return p
-	}},
+	{"Wikipedia-fewbig10", func() *core.Problem { return fewBig(fleetCase(fleet.Wikipedia), 10) }},
+	{"SecondLife-fewbig10", func() *core.Problem { return fewBig(fleetCase(fleet.SecondLife), 10) }},
 	{"SecondLife-pinned", secondLifePinned},
-	{"SecondLife-fewbig", func() *core.Problem {
-		p := fleetCase(fleet.SecondLife)
-		for j := range p.Machines {
-			if j%12 != 0 {
-				p.Machines[j].CPUCapacity /= 2
-				p.Machines[j].RAMBytes /= 2
-			}
-		}
-		return p
-	}},
+	{"SecondLife-fewbig", func() *core.Problem { return fewBig(fleetCase(fleet.SecondLife), 12) }},
 	{"SecondLife-complementary", func() *core.Problem { return complementary(fleetCase(fleet.SecondLife)) }},
 	{"Wikipedia-complementary", func() *core.Problem { return complementary(fleetCase(fleet.Wikipedia)) }},
+}
+
+// fewBig keeps every n-th machine of p at full size and gives the rest half
+// the CPU and RAM: two machine classes, one dominating the other.
+func fewBig(p *core.Problem, n int) *core.Problem {
+	for j := range p.Machines {
+		if j%n != 0 {
+			p.Machines[j].CPUCapacity /= 2
+			p.Machines[j].RAMBytes /= 2
+		}
+	}
+	return p
 }
 
 // complementary gives every other machine of p twice the CPU and half the
@@ -107,38 +94,105 @@ func secondLifePinned() *core.Problem {
 	return p
 }
 
-// matrixIncumbent is p's cold local-search plan, the matrix's incumbent.
-func matrixIncumbent(tb testing.TB, p *core.Problem) *core.Incumbent {
-	tb.Helper()
+// localSearch is the cold solve of a fleet: Solve's defaults without DIRECT.
+func localSearch() core.SolveOptions {
 	opt := core.DefaultSolveOptions()
 	opt.SkipDirect = true
-	cold, err := core.Solve(context.Background(), p, opt)
+	return opt
+}
+
+// matrixIncumbent is p's cold local-search plan, the ledger's incumbent.
+func matrixIncumbent(tb testing.TB, p *core.Problem) *core.Incumbent {
+	tb.Helper()
+	cold, err := core.Solve(context.Background(), p, localSearch())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return core.IncumbentFromSolution(p, cold)
 }
 
-// resolveMatrix re-solves each perturbation of p warm from inc.
-func resolveMatrix(tb testing.TB, p *core.Problem, inc *core.Incumbent) matrixRow {
+// scenario is one cell of the ledger: a fleet, its incumbent and one
+// perturbation of its workloads at one seed.
+type scenario struct {
+	fleet   string
+	base    *core.Problem
+	inc     *core.Incumbent
+	perturb func(*core.Problem, int64) *core.Problem
+	seed    int64
+}
+
+// matrixScenarios builds the ledger's 216 scenarios, one slice of 18 per
+// fleet in matrixFleets' order. A scenario's perturbed fleet is built when a
+// column asks for it, so the ledger holds 12 fleets in memory, not 216.
+func matrixScenarios(tb testing.TB) [][]scenario {
 	tb.Helper()
-	var row matrixRow
-	for _, perturb := range []func(p *core.Problem, seed int64) *core.Problem{
-		driftBy(0.02), driftBy(0.05), driftBy(0.10), driftBy(0.20),
-		phaseShift(0.10), phaseShift(0.30),
-	} {
-		for seed := int64(1); seed <= 3; seed++ {
-			sol, err := core.Resolve(context.Background(), perturb(p, seed), inc, core.DefaultResolveOptions())
-			if err != nil {
-				tb.Fatal(err)
+	var out [][]scenario
+	for _, f := range matrixFleets {
+		p := f.problem()
+		inc := matrixIncumbent(tb, p)
+		var ss []scenario
+		for _, perturb := range []func(*core.Problem, int64) *core.Problem{
+			driftBy(0.02), driftBy(0.05), driftBy(0.10), driftBy(0.20),
+			phaseShift(0.10), phaseShift(0.30),
+		} {
+			for seed := int64(1); seed <= 3; seed++ {
+				ss = append(ss, scenario{f.name, p, inc, perturb, seed})
 			}
-			row.k += sol.K
-			row.migrated += sol.Migrated
-			row.fevals += sol.Fevals
-			row.objective += sol.Objective
-			if !sol.Feasible {
-				row.infeasible++
-			}
+		}
+		out = append(out, ss)
+	}
+	return out
+}
+
+// column answers a scenario's perturbed fleet p, whose incumbent is inc,
+// with a plan.
+type column func(p *core.Problem, inc *core.Incumbent) (*core.Solution, error)
+
+// matrixColumns are the ledger's columns. warm is Resolve from the incumbent
+// with DefaultResolveOptions, what a drift trigger runs. cold is the
+// local-search solve that ignores the incumbent, the K a warm re-solve is
+// judged against; a cold plan has no incumbent, so its migrated reads 0.
+var matrixColumns = []struct {
+	name  string
+	solve column
+}{
+	{"warm", warmColumn},
+	{"cold", func(p *core.Problem, _ *core.Incumbent) (*core.Solution, error) {
+		return core.Solve(context.Background(), p, localSearch())
+	}},
+}
+
+// warmColumn is the warm column's solve, the one TestResolveMatrix runs.
+func warmColumn(p *core.Problem, inc *core.Incumbent) (*core.Solution, error) {
+	return core.Resolve(context.Background(), p, inc, core.DefaultResolveOptions())
+}
+
+// ledgerRow sums one column's plans over one fleet's scenarios: machines,
+// plans left infeasible, units migrated, objective evaluations and the
+// canonical objective.
+type ledgerRow struct {
+	k, infeasible, migrated, fevals int
+	objective                       float64
+}
+
+// counts is the row without its objective.
+func (r ledgerRow) counts() [4]int { return [4]int{r.k, r.infeasible, r.migrated, r.fevals} }
+
+// ledger sums col's plans of the scenarios ss.
+func ledger(tb testing.TB, col column, ss []scenario) ledgerRow {
+	tb.Helper()
+	var row ledgerRow
+	for _, s := range ss {
+		sol, err := col(s.perturb(s.base, s.seed), s.inc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		row.k += sol.K
+		row.migrated += sol.Migrated
+		row.fevals += sol.Fevals
+		row.objective += sol.Objective
+		if !sol.Feasible {
+			row.infeasible++
 		}
 	}
 	return row
@@ -190,48 +244,11 @@ func withWorkloads(p *core.Problem) *core.Problem {
 	return &q
 }
 
-// matrixObjective is each fleet's objective sum as Resolve answered it
-// while it climbed the greedy and round-robin cold seeds beside the warm
-// one on every fleet and kept the best. Climbing the warm seed alone where
-// machines are interchangeable changed 7 of the 144 plans at the same K, by
-// −0.41 % to +0.65 % each, and no fleet's objective sum by more than
-// +0.044 % (Internal). SecondLife-pinned's sum is the one taken once the
-// reduction pass kept pins and the fleet climbed the warm seed alone: two
-// plans changed K (±5 % drift seed 3 11 → 12, 30 % phase shift seed 2
-// 11 → 10) and the sum fell 0.017 %. On several machine classes Resolve
-// climbed both cold seeds too while it solved on the caller's machine
-// order; on the solver's own order (the full-size class first where one
-// class dominates) it climbs the warm seed alone on every fleet.
-// Wikipedia-mixed's and SecondLife-halved's sums then fell to Wikipedia's
-// and SecondLife's (201.395991 → 157.905363, 401.594850 → 317.901574), and
-// SecondLife-fewbig's 567.520149 → 366.205536, as those rows hold. The
-// complementary fleets' are the caller's-order sums: on the solver's order
-// SecondLife-complementary's rose 0.04 % to 255.745598 and
-// Wikipedia-complementary's held.
-var matrixObjective = map[string]float64{
-	"Internal":                 85.615223,
-	"Wikia":                    52.341871,
-	"Wikipedia":                157.905363,
-	"SecondLife":               317.992951,
-	"ALL":                      506.182408,
-	"SecondLife-disk":          363.738055,
-	"Wikipedia-mixed":          157.905363,
-	"SecondLife-halved":        317.901574,
-	"SecondLife-pinned":        320.462826,
-	"SecondLife-fewbig":        366.205536,
-	"SecondLife-complementary": 255.642703,
-	"Wikipedia-complementary":  150.119156,
-}
-
-// matrixObjectiveTolerance is how far a fleet's objective sum may rise above
-// matrixObjective's, as a fraction of it.
-const matrixObjectiveTolerance = 0.001
-
-// matrixCounts returns BenchmarkResolveMatrix's committed counts by fleet
-// from BENCH_counts.json at the repository root, the rows the count gate
-// holds: the matrix's counts have that one owner, and a change that lowers
-// and re-captures them tightens this test's bound too.
-func matrixCounts(t *testing.T) map[string]map[string]float64 {
+// ledgerBounds returns BenchmarkResolveMatrix's committed rows from
+// BENCH_counts.json at the repository root, keyed "<column>/<fleet>": the
+// rows the count gate holds. The ledger's bounds have that one owner, and a
+// change that lowers and re-captures them tightens this test's bound too.
+func ledgerBounds(t *testing.T) map[string]map[string]float64 {
 	t.Helper()
 	b, err := os.ReadFile("../../BENCH_counts.json")
 	if err != nil {
@@ -246,38 +263,51 @@ func matrixCounts(t *testing.T) map[string]map[string]float64 {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]map[string]float64{}
+	bounds := map[string]map[string]float64{}
 	for _, r := range doc.Results {
 		if name, ok := strings.CutPrefix(r.Name, "BenchmarkResolveMatrix/"); ok {
-			counts[name] = r.Metrics
+			bounds[name] = r.Metrics
 		}
 	}
-	return counts
+	return bounds
 }
 
-// TestResolveMatrix holds every fleet's re-solves to the bound: Σ K and the
-// infeasible count may not rise above the committed counts, nor the
-// objective sum by more than matrixObjectiveTolerance of matrixObjective —
-// a little over twice the largest rise climbing the warm seed alone made,
-// so a fleet whose plans worsen across the board fails where one plan
-// re-balanced at the same K does not.
+// TestResolveMatrix holds the warm column to its committed rows: per fleet,
+// Σ K, the infeasible count and the objective sum may not rise above them.
+// The committed objective carries 0.1 % above the sum it was captured from,
+// a little over twice the largest rise of a fleet's sum that a change
+// keeping every K has made (+0.044 %), so a fleet whose plans worsen
+// across the board fails. It also fails when a column or fleet has no
+// committed row, and when two fleets' warm rows are equal on every count:
+// such a fleet tests nothing the other does not.
 func TestResolveMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-goroutine arithmetic, ~10× slower under the race detector")
 	}
-	counts := matrixCounts(t)
-	for _, d := range matrixDatasets {
-		c, obj := counts[d.name], matrixObjective[d.name]
-		if c == nil {
-			t.Errorf("%s: no BenchmarkResolveMatrix row in BENCH_counts.json", d.name)
-			continue
+	bounds := ledgerBounds(t)
+	for _, col := range matrixColumns {
+		for _, f := range matrixFleets {
+			if bounds[col.name+"/"+f.name] == nil {
+				t.Errorf("no BenchmarkResolveMatrix/%s/%s row in BENCH_counts.json", col.name, f.name)
+			}
 		}
-		p := d.problem()
-		row := resolveMatrix(t, p, matrixIncumbent(t, p))
-		if float64(row.k) > c["machines"] || float64(row.infeasible) > c["infeasible"] || row.objective > obj*(1+matrixObjectiveTolerance) {
-			t.Errorf("%s: Σ K %d, %d infeasible, objective sum %.6f; bound %g, %g, %.6f (+%.1f %%)", d.name,
-				row.k, row.infeasible, row.objective, c["machines"], c["infeasible"], obj, 100*matrixObjectiveTolerance)
+	}
+	var names []string
+	var rows []ledgerRow
+	for _, ss := range matrixScenarios(t) {
+		name := ss[0].fleet
+		row := ledger(t, warmColumn, ss)
+		if c := bounds["warm/"+name]; c != nil &&
+			(float64(row.k) > c["machines"] || float64(row.infeasible) > c["infeasible"] || row.objective > c["objective"]) {
+			t.Errorf("%s: Σ K %d, %d infeasible, objective sum %.6f; bound %g, %g, %.6f",
+				name, row.k, row.infeasible, row.objective, c["machines"], c["infeasible"], c["objective"])
 		}
+		for i, r := range rows {
+			if r.counts() == row.counts() {
+				t.Errorf("%s repeats %s on every count %v", name, names[i], row.counts())
+			}
+		}
+		names, rows = append(names, name), append(rows, row)
 	}
 }
 
@@ -303,26 +333,28 @@ func TestResolveReclaimsMachineOnPinnedFleet(t *testing.T) {
 	}
 }
 
-// TestPlanIgnoresMachineListOrder: on the matrix's fleets of several machine
-// classes, the machine list reversed and shuffled at two seeds gives Solve,
-// SolveSharded and Resolve — the latter from the incumbent of the list as
-// given, matched by machine name, after a ±10 % drift — the same K, the same
-// objective bit for bit, and every unit on the machine of the same name.
-// SolvePartitioned in groups of 25 gives a feasible plan of the same K and
-// group objectives: its first groups leave the later ones a share of every
-// class.
+// TestPlanIgnoresMachineListOrder: on fleets of several machine classes, the
+// machine list reversed and shuffled at two seeds gives Solve, SolveSharded
+// and Resolve — the latter from the incumbent of the list as given, matched
+// by machine name, after a ±10 % drift — the same K, the same objective bit
+// for bit, and every unit on the machine of the same name. SolvePartitioned
+// in groups of 25 gives a feasible plan of the same K and group objectives:
+// its first groups leave the later ones a share of every class. The fleets
+// are Wikipedia and SecondLife with every other machine at half size, where
+// a list order that put the small class first once decided K, and three of
+// the ledger's.
 func TestPlanIgnoresMachineListOrder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-goroutine arithmetic, ~10× slower under the race detector")
 	}
-	fleets := map[string]bool{"Wikipedia-mixed": true, "SecondLife-halved": true,
-		"SecondLife-fewbig": true, "SecondLife-complementary": true, "Wikipedia-complementary": true}
-	opt := core.DefaultSolveOptions()
-	opt.SkipDirect = true
-	for _, d := range matrixDatasets {
-		if !fleets[d.name] {
-			continue
-		}
+	opt := localSearch()
+	for _, d := range []matrixFleet{
+		{"Wikipedia-mixed", func() *core.Problem { return fewBig(fleetCase(fleet.Wikipedia), 2) }},
+		{"SecondLife-halved", func() *core.Problem { return fewBig(fleetCase(fleet.SecondLife), 2) }},
+		{"SecondLife-fewbig", func() *core.Problem { return fewBig(fleetCase(fleet.SecondLife), 12) }},
+		{"SecondLife-complementary", func() *core.Problem { return complementary(fleetCase(fleet.SecondLife)) }},
+		{"Wikipedia-complementary", func() *core.Problem { return complementary(fleetCase(fleet.Wikipedia)) }},
+	} {
 		p := d.problem()
 		n := len(p.Machines)
 		cold, err := core.Solve(context.Background(), p, opt)
@@ -404,26 +436,29 @@ func samePlacement(t *testing.T, label string, p *core.Problem, a *core.Solution
 	}
 }
 
-// BenchmarkResolveMatrix times each dataset's 18 re-solves and reports
-// their counts: machines is Σ K, infeasible the plans left infeasible,
-// migrated Σ units moved and fevals Σ objective evaluations. The count gate
-// (make bench-counts) holds all four; TestResolveMatrix holds machines and
-// infeasible to the same committed rows.
+// BenchmarkResolveMatrix times each column's plans of each fleet's 18
+// scenarios and reports the ledger's row: machines is Σ K, infeasible the
+// plans left infeasible, migrated Σ units moved, fevals Σ objective
+// evaluations and objective Σ canonical objective. The count gate (make
+// bench-counts) holds all five of every row; TestResolveMatrix holds the
+// warm rows' machines, infeasible and objective in tier-1.
 func BenchmarkResolveMatrix(b *testing.B) {
-	for _, d := range matrixDatasets {
-		b.Run(d.name, func(b *testing.B) {
-			p := d.problem()
-			inc := matrixIncumbent(b, p)
-			var row matrixRow
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row = resolveMatrix(b, p, inc)
+	fleets := matrixScenarios(b)
+	for _, col := range matrixColumns {
+		b.Run(col.name, func(b *testing.B) {
+			for _, ss := range fleets {
+				b.Run(ss[0].fleet, func(b *testing.B) {
+					var row ledgerRow
+					for i := 0; i < b.N; i++ {
+						row = ledger(b, col.solve, ss)
+					}
+					b.ReportMetric(float64(row.k), "machines")
+					b.ReportMetric(float64(row.infeasible), "infeasible")
+					b.ReportMetric(float64(row.migrated), "migrated")
+					b.ReportMetric(float64(row.fevals), "fevals")
+					b.ReportMetric(row.objective, "objective")
+				})
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(row.k), "machines")
-			b.ReportMetric(float64(row.infeasible), "infeasible")
-			b.ReportMetric(float64(row.migrated), "migrated")
-			b.ReportMetric(float64(row.fevals), "fevals")
 		})
 	}
 }

@@ -331,15 +331,15 @@ func TestCrossUniverseIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells go list and type-checks real module packages")
 	}
-	// polyfit calls floats.Same; each is its own unit.
-	prog, err := driver.Load([]string{"kairos/internal/floats", "kairos/internal/polyfit"})
+	// direct calls floats.Same; each is its own unit.
+	prog, err := driver.Load([]string{"kairos/internal/floats", "kairos/internal/direct"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := Build(prog)
 	var hits int
 	for _, n := range g.Nodes {
-		if n.Decl == nil || n.Pkg.Path != "kairos/internal/polyfit" {
+		if n.Decl == nil || n.Pkg.Path != "kairos/internal/direct" {
 			continue
 		}
 		for _, e := range n.Out {
@@ -353,6 +353,6 @@ func TestCrossUniverseIdentity(t *testing.T) {
 		}
 	}
 	if hits == 0 {
-		t.Fatal("no polyfit → floats edge: the cross-unit path is unexercised")
+		t.Fatal("no direct → floats edge: the cross-unit path is unexercised")
 	}
 }

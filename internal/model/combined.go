@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kairos/internal/series"
-	"kairos/internal/stats"
 )
 
 // Estimator predicts the combined resource consumption of co-located
@@ -109,35 +108,4 @@ func (e *Estimator) BaselineDisk(writeBps []*series.Series) (*series.Series, err
 		return nil, fmt.Errorf("model: no disk series")
 	}
 	return series.Sum(writeBps)
-}
-
-// HybridDisk implements the paper's Section 7.2 suggestion: "one could
-// create a hybrid model that uses the baseline for percentiles below 30%".
-// Time steps whose naive-baseline value falls below that baseline's
-// lowPct-th percentile use the baseline (which is accurate at low load);
-// the rest use the profile-based model (accurate near saturation, which is
-// what consolidation decisions depend on).
-func (e *Estimator) HybridDisk(wsBytes, updateRates, measuredBps []*series.Series, lowPct float64) (*series.Series, error) {
-	pred, err := e.CombinedDisk(wsBytes, updateRates)
-	if err != nil {
-		return nil, err
-	}
-	base, err := e.BaselineDisk(measuredBps)
-	if err != nil {
-		return nil, err
-	}
-	if base.Len() != pred.Len() {
-		return nil, series.ErrMismatch
-	}
-	cut, err := stats.Percentile(base.Values, lowPct)
-	if err != nil {
-		return nil, err
-	}
-	out := pred.Clone()
-	for t, b := range base.Values {
-		if b <= cut {
-			out.Values[t] = b
-		}
-	}
-	return out, nil
 }

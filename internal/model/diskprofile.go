@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"kairos/internal/dbms"
@@ -264,10 +265,18 @@ func fitProfile(points []ProfilePoint, name string) (*DiskProfile, error) {
 			maxByWS[pt.WSMB] = pt.AchievedRows
 		}
 	}
-	var ex, ey []float64
-	for ws, maxRate := range maxByWS {
-		ex = append(ex, float64(ws))
-		ey = append(ey, float64(maxRate))
+	// Least squares sums its points in the order given, so the sizes go in
+	// ascending order: a map's order would move the envelope's last bits
+	// from one fit of the same points to the next.
+	sizes := make([]unit.MB, 0, len(maxByWS))
+	for ws := range maxByWS {
+		sizes = append(sizes, ws)
+	}
+	slices.Sort(sizes)
+	ex := make([]float64, len(sizes))
+	ey := make([]float64, len(sizes))
+	for i, ws := range sizes {
+		ex[i], ey[i] = float64(ws), float64(maxByWS[ws])
 	}
 	prof := &DiskProfile{Fit: fit, Points: points, ConfigName: name, HasEnvelope: sawSaturation}
 	prof.WSMinMB, prof.WSMaxMB = points[0].WSMB, points[0].WSMB

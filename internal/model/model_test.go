@@ -3,6 +3,8 @@ package model
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"kairos/internal/floats"
 	"kairos/internal/polyfit"
 	"kairos/internal/series"
+	"kairos/internal/unit"
 )
 
 // quickProfiler returns a small, fast sweep for tests.
@@ -143,6 +146,46 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadProfile(bytes.NewBufferString("{broken")); err == nil {
 		t.Error("broken JSON accepted")
+	}
+}
+
+// TestFitProfileIsDeterministic: fits of the same points, in any order, give
+// one envelope to the bit, and fits of the same list save the same bytes.
+// Eight working-set sizes, where an envelope fitted in a map's order moved
+// its last bits from one fit to the next.
+func TestFitProfileIsDeterministic(t *testing.T) {
+	var points []ProfilePoint
+	for _, ws := range []float64{150, 300, 600, 1200, 2400, 4800, 9600, 19200} {
+		for _, rate := range []float64{700, 2900, 11000, 23000, 41000} {
+			achieved := math.Min(rate, 47000/(1+math.Sqrt(ws)/37))
+			points = append(points, ProfilePoint{
+				WSMB: unit.MB(ws), DemandRows: unit.RowsPerSec(rate), AchievedRows: unit.RowsPerSec(achieved),
+				WriteMBps: unit.MBps(0.7 + ws*1.3e-3 + achieved*2.1e-3), Saturated: achieved < rate*0.95,
+			})
+		}
+	}
+	shuffled := slices.Clone(points)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	fit := func(pts []ProfilePoint) (*DiskProfile, []byte) {
+		p, err := fitProfile(pts, "synthetic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return p, buf.Bytes()
+	}
+	ordered, _ := fit(points)
+	first, want := fit(shuffled)
+	if !first.HasEnvelope || !slices.EqualFunc(first.Envelope.Coeffs, ordered.Envelope.Coeffs, floats.Same) {
+		t.Errorf("envelope %v of the shuffled points, %v in order", first.Envelope.Coeffs, ordered.Envelope.Coeffs)
+	}
+	for i := 0; i < 20; i++ {
+		if _, got := fit(shuffled); !bytes.Equal(got, want) {
+			t.Fatalf("fit %d saved other bytes than the first", i+2)
+		}
 	}
 }
 
@@ -300,51 +343,6 @@ func TestCombinedPropertyMatchesSingle(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("aggregation property violated: single=%.2f MB/s multi=%.2f MB/s (ratio %.2f)",
 			single, multi, ratio)
-	}
-}
-
-func TestHybridDisk(t *testing.T) {
-	p := getProfile(t)
-	e := NewEstimator(p)
-	// Two workloads with a time-varying baseline: low in the first half,
-	// high in the second.
-	n := 10
-	ws := []*series.Series{constSeries(300e6, n)}
-	rates := []*series.Series{constSeries(2000, n)}
-	measured := series.Constant(time.Unix(0, 0), time.Minute, n, 0)
-	for t2 := 0; t2 < n; t2++ {
-		if t2 < n/2 {
-			measured.Values[t2] = 1e6 // quiet
-		} else {
-			measured.Values[t2] = 50e6 // busy
-		}
-	}
-	hybrid, err := e.HybridDisk(ws, rates, []*series.Series{measured}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := e.CombinedDisk(ws, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Low-percentile steps use the baseline; high steps use the model.
-	for t2 := 0; t2 < n/2; t2++ {
-		if !floats.Same(hybrid.Values[t2], measured.Values[t2]) {
-			t.Errorf("step %d: hybrid = %v, want baseline %v", t2, hybrid.Values[t2], measured.Values[t2])
-		}
-	}
-	for t2 := n/2 + 1; t2 < n; t2++ {
-		if !floats.Same(hybrid.Values[t2], pred.Values[t2]) {
-			t.Errorf("step %d: hybrid = %v, want model %v", t2, hybrid.Values[t2], pred.Values[t2])
-		}
-	}
-	// Error paths.
-	if _, err := e.HybridDisk(nil, nil, nil, 30); err == nil {
-		t.Error("empty inputs accepted")
-	}
-	short := []*series.Series{constSeries(1e6, n-1)}
-	if _, err := e.HybridDisk(ws, rates, short, 30); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 

@@ -3,8 +3,6 @@ package polyfit
 import (
 	"fmt"
 	"math"
-
-	"kairos/internal/floats"
 )
 
 // Poly2D.Eval runs at every time step of the consolidation evaluator's disk
@@ -129,20 +127,6 @@ func (p Poly2D) evalLoop(x, y float64) float64 {
 	return v
 }
 
-// Fit2D fits a total-degree-d bivariate polynomial to (xs, ys) → zs by
-// ordinary least squares.
-func Fit2D(xs, ys, zs []float64, degree int) (Poly2D, error) {
-	a, err := design2D(xs, ys, zs, degree)
-	if err != nil {
-		return Poly2D{}, err
-	}
-	coeffs, err := SolveLeastSquares(a, zs)
-	if err != nil {
-		return Poly2D{}, err
-	}
-	return Poly2D{Degree: degree, Coeffs: coeffs}, nil
-}
-
 // design2D constructs the Vandermonde-style design matrix for a 2-D fit.
 func design2D(xs, ys, zs []float64, degree int) (*Matrix, error) {
 	if len(xs) != len(ys) || len(xs) != len(zs) {
@@ -212,54 +196,4 @@ func FitLAR2D(xs, ys, zs []float64, degree, maxIter int) (Poly2D, error) {
 		}
 	}
 	return Poly2D{Degree: degree, Coeffs: coeffs}, nil
-}
-
-// FitEnvelope1D fits a degree-d polynomial through the per-bucket maxima of
-// (xs, ys): it buckets xs into nBuckets equal-width bins, takes the max y in
-// each, and fits through those points. The paper uses this (quadratic case)
-// for the disk-saturation envelope in Figure 4.
-func FitEnvelope1D(xs, ys []float64, degree, nBuckets int) (Poly1D, error) {
-	if len(xs) != len(ys) {
-		return Poly1D{}, fmt.Errorf("polyfit: envelope length mismatch")
-	}
-	if len(xs) == 0 {
-		return Poly1D{}, fmt.Errorf("polyfit: envelope of empty data")
-	}
-	if nBuckets < degree+1 {
-		return Poly1D{}, fmt.Errorf("polyfit: %d buckets < degree+1 = %d", nBuckets, degree+1)
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if floats.Same(hi, lo) {
-		return Poly1D{}, fmt.Errorf("polyfit: envelope needs spread in x")
-	}
-	maxY := make([]float64, nBuckets)
-	maxX := make([]float64, nBuckets)
-	seen := make([]bool, nBuckets)
-	for i, x := range xs {
-		b := int(float64(nBuckets) * (x - lo) / (hi - lo))
-		if b == nBuckets {
-			b--
-		}
-		if !seen[b] || ys[i] > maxY[b] {
-			seen[b] = true
-			maxY[b] = ys[i]
-			maxX[b] = x
-		}
-	}
-	var ex, ey []float64
-	for b := 0; b < nBuckets; b++ {
-		if seen[b] {
-			ex = append(ex, maxX[b])
-			ey = append(ey, maxY[b])
-		}
-	}
-	return Fit1D(ex, ey, degree)
 }

@@ -144,42 +144,6 @@ func BenchmarkPoly2DEvalDeg2(b *testing.B) {
 	})
 }
 
-func TestFit2DRecoversPolynomial(t *testing.T) {
-	want := []float64{1, 2, -1, 0.5, 0.25, -0.75}
-	truth := Poly2D{Degree: 2, Coeffs: want}
-	rng := rand.New(rand.NewSource(5))
-	n := 60
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	zs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = rng.Float64() * 4
-		ys[i] = rng.Float64() * 4
-		zs[i] = truth.Eval(xs[i], ys[i])
-	}
-	p, err := Fit2D(xs, ys, zs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(p.Coeffs[i]-want[i]) > 1e-6 {
-			t.Errorf("coeff[%d] = %v, want %v", i, p.Coeffs[i], want[i])
-		}
-	}
-}
-
-func TestFit2DErrors(t *testing.T) {
-	if _, err := Fit2D([]float64{1}, []float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Fit2D([]float64{1, 2}, []float64{1, 2}, []float64{1, 2}, -2); err == nil {
-		t.Error("negative degree should error")
-	}
-	if _, err := Fit2D([]float64{1, 2}, []float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("too few points should error")
-	}
-}
-
 func TestFitLAR2DRobustToOutliers(t *testing.T) {
 	// LAR must track the bulk of the data despite gross outliers, unlike L2.
 	truth := Poly2D{Degree: 2, Coeffs: []float64{2, 1, 0.5, 0, 0, 0}}
@@ -200,10 +164,15 @@ func TestFitLAR2DRobustToOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Fit2D(xs, ys, zs, 2)
+	a, err := design2D(xs, ys, zs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	coeffs, err := SolveLeastSquares(a, zs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := Poly2D{Degree: 2, Coeffs: coeffs}
 	// Compare prediction error against the truth at clean points.
 	var larErr, l2Err float64
 	for i := 0; i < 50; i++ {
@@ -238,46 +207,14 @@ func TestFitLAR2DDefaultsAndErrors(t *testing.T) {
 	if math.Abs(p.Eval(0.5, 0.5)-truth.Eval(0.5, 0.5)) > 1e-6 {
 		t.Error("LAR with default iterations failed to fit clean data")
 	}
-	if _, err := FitLAR2D([]float64{1}, []float64{1}, []float64{1}, 2, 5); err == nil {
-		t.Error("too few points should error")
-	}
-}
-
-func TestFitEnvelope1D(t *testing.T) {
-	// Scatter below the parabola y = −(x−5)² + 30, with the max at each x on
-	// the parabola. The envelope fit must recover the parabola.
-	var xs, ys []float64
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 400; i++ {
-		x := rng.Float64() * 10
-		top := -(x-5)*(x-5) + 30
-		xs = append(xs, x, x)
-		ys = append(ys, top-rng.Float64()*10, top)
-	}
-	p, err := FitEnvelope1D(xs, ys, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 1.0; x <= 9; x += 2 {
-		want := -(x-5)*(x-5) + 30
-		if math.Abs(p.Eval(x)-want) > 1.5 {
-			t.Errorf("envelope(%v) = %v, want ≈%v", x, p.Eval(x), want)
-		}
-	}
-}
-
-func TestFitEnvelope1DErrors(t *testing.T) {
-	if _, err := FitEnvelope1D([]float64{1}, []float64{1, 2}, 2, 5); err == nil {
+	if _, err := FitLAR2D([]float64{1}, []float64{1, 2}, []float64{1}, 1, 5); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := FitEnvelope1D(nil, nil, 2, 5); err == nil {
-		t.Error("empty data should error")
+	if _, err := FitLAR2D([]float64{1, 2}, []float64{1, 2}, []float64{1, 2}, -2, 5); err == nil {
+		t.Error("negative degree should error")
 	}
-	if _, err := FitEnvelope1D([]float64{1, 2}, []float64{1, 2}, 2, 2); err == nil {
-		t.Error("too few buckets should error")
-	}
-	if _, err := FitEnvelope1D([]float64{3, 3, 3}, []float64{1, 2, 3}, 1, 3); err == nil {
-		t.Error("no x spread should error")
+	if _, err := FitLAR2D([]float64{1}, []float64{1}, []float64{1}, 2, 5); err == nil {
+		t.Error("too few points should error")
 	}
 }
 

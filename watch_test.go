@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,27 @@ import (
 	"kairos/internal/predict"
 	"kairos/internal/series"
 )
+
+// driftFleet returns a copy of the workloads with every series scaled by a
+// deterministic per-workload factor in [1-frac, 1+frac] — one week of
+// drift between consolidation runs.
+func driftFleet(wls []Workload, frac float64, seed int64) []Workload {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Workload, len(wls))
+	for i, w := range wls {
+		f := 1 + (rng.Float64()*2-1)*frac
+		out[i] = w
+		out[i].CPU = w.CPU.Scale(f).Clamp(0, 1)
+		out[i].RAMBytes = w.RAMBytes.Scale(f)
+		if w.WSBytes != nil {
+			out[i].WSBytes = w.WSBytes.Scale(f)
+		}
+		if w.UpdateRate != nil {
+			out[i].UpdateRate = w.UpdateRate.Scale(f)
+		}
+	}
+	return out
+}
 
 // watchFleet builds a small synthetic fleet for watch-loop tests.
 func watchFleet(n, T int) ([]Workload, []Machine) {
