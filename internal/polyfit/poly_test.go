@@ -144,6 +144,19 @@ func BenchmarkPoly2DEvalDeg2(b *testing.B) {
 	})
 }
 
+// TestFit2DErrors checks the input validation every 2-D fit goes through.
+func TestFit2DErrors(t *testing.T) {
+	if _, err := design2D([]float64{1}, []float64{1, 2}, []float64{1}, 1); err == nil {
+		t.Error("length mismatch should error")
+	}
+	if _, err := design2D([]float64{1, 2}, []float64{1, 2}, []float64{1, 2}, -2); err == nil {
+		t.Error("negative degree should error")
+	}
+	if _, err := design2D([]float64{1, 2}, []float64{1, 2}, []float64{1, 2}, 2); err == nil {
+		t.Error("too few points should error")
+	}
+}
+
 func TestFitLAR2DRobustToOutliers(t *testing.T) {
 	// LAR must track the bulk of the data despite gross outliers, unlike L2.
 	truth := Poly2D{Degree: 2, Coeffs: []float64{2, 1, 0.5, 0, 0, 0}}
